@@ -124,6 +124,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// This process's scratch directory; every test uses its own file in it.
+    fn test_dir() -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("flexemd-io-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn dataset_roundtrip() {
         let params = GaussianParams {
@@ -133,8 +140,7 @@ mod tests {
             ..GaussianParams::default()
         };
         let dataset = gaussian::generate(&params, &mut StdRng::seed_from_u64(0));
-        let dir = std::env::temp_dir().join("flexemd-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir();
         let path = dir.join("dataset.json");
         save(&dataset, &path).unwrap();
         let loaded = load(&path).unwrap();
@@ -146,8 +152,7 @@ mod tests {
 
     #[test]
     fn load_rejects_garbage_and_names_the_file() {
-        let dir = std::env::temp_dir().join("flexemd-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir();
         let path = dir.join("garbage.json");
         std::fs::write(&path, b"{not json").unwrap();
         let err = load(&path).unwrap_err();
@@ -158,7 +163,7 @@ mod tests {
 
     #[test]
     fn load_missing_file_names_the_path() {
-        let path = std::env::temp_dir().join("flexemd-io-test/nope.json");
+        let path = test_dir().join("nope.json");
         let err = load(&path).unwrap_err();
         assert!(matches!(err, IoError::Io { .. }));
         assert!(err.to_string().contains("nope.json"), "{err}");
@@ -167,7 +172,7 @@ mod tests {
     #[test]
     fn error_source_is_exposed() {
         use std::error::Error;
-        let path = std::env::temp_dir().join("flexemd-io-test/nope.json");
+        let path = test_dir().join("nope.json");
         let err = load(&path).unwrap_err();
         assert!(err.source().is_some());
     }

@@ -12,14 +12,17 @@
 //! copies **no histogram data**, and later mutations copy-on-write
 //! without disturbing outstanding snapshots. Queries execute through the
 //! shared engine [`Executor`] — the KNOP refinement loop
-//! lives only in [`knop`](crate::knop), not here.
+//! lives only in [`knop`](crate::knop), not here — and through the same
+//! prepared Red-EMD / exact-EMD evaluators as the static filters, looked
+//! up through the snapshot's id map: every live query has its own warm
+//! solver context and honours the [`Budget`] it runs under.
 
 use crate::engine::{Executor, QueryPlan};
 use crate::error::QueryError;
-use crate::filters::{Filter, PreparedFilter};
+use crate::filters::{Filter, Objects, PreparedEmd, PreparedFilter, PreparedReducedEmd};
 use crate::stats::QueryStats;
 use crate::Neighbor;
-use emd_core::{emd_rectangular, CostMatrix, Histogram};
+use emd_core::{Budget, CostMatrix, Histogram};
 use emd_reduction::ReducedEmd;
 use std::sync::Arc;
 
@@ -193,14 +196,18 @@ impl DynamicIndex {
                 self.reduced.r2().reduced_dim()
             ),
             reduced: self.reduced.clone(),
-            reduced_objects: Arc::clone(&self.reduced_objects),
-            ids: Arc::clone(&ids),
+            reduced_objects: LiveObjects {
+                slots: Arc::clone(&self.reduced_objects),
+                ids: Arc::clone(&ids),
+            },
         };
         let refiner = LiveEmdFilter {
             name: format!("emd(d={})", self.cost.rows()),
             cost: Arc::clone(&self.cost),
-            objects: Arc::clone(&self.objects),
-            ids: Arc::clone(&ids),
+            objects: LiveObjects {
+                slots: Arc::clone(&self.objects),
+                ids: Arc::clone(&ids),
+            },
         };
         let plan = QueryPlan::new(vec![Box::new(stage)], Box::new(refiner))?;
         Ok(DynamicSnapshot {
@@ -328,14 +335,32 @@ impl DynamicSnapshot {
     }
 }
 
-/// Reduced-EMD filter over the live subset of a dynamic index's storage.
-/// Dense ids; no histogram data copied.
+/// The live subset of a dynamic index's storage (original or reduced
+/// histograms) under the snapshot's dense ids. No histogram data copied.
+#[derive(Debug)]
+struct LiveObjects {
+    slots: Arc<Vec<Option<Histogram>>>,
+    ids: Arc<Vec<usize>>,
+}
+
+impl Objects for LiveObjects {
+    fn object(&self, id: usize) -> Result<&Histogram, QueryError> {
+        let stable = *self.ids.get(id).ok_or(QueryError::UnknownObject(id))?;
+        self.slots
+            .get(stable)
+            .and_then(Option::as_ref)
+            .ok_or(QueryError::UnknownObject(stable))
+    }
+}
+
+/// Reduced-EMD filter over the live objects: the evaluator of
+/// [`ReducedEmdFilter`](crate::ReducedEmdFilter), looked up through the
+/// snapshot's id map.
 #[derive(Debug)]
 struct LiveReducedFilter {
     name: String,
     reduced: ReducedEmd,
-    reduced_objects: Arc<Vec<Option<Histogram>>>,
-    ids: Arc<Vec<usize>>,
+    reduced_objects: LiveObjects,
 }
 
 impl Filter for LiveReducedFilter {
@@ -344,57 +369,36 @@ impl Filter for LiveReducedFilter {
     }
 
     fn len(&self) -> usize {
-        self.ids.len()
+        self.reduced_objects.ids.len()
     }
 
     fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        let reduced_query = self.reduced.reduce_first(query)?;
-        Ok(Box::new(PreparedLiveReduced {
-            reduced_query,
-            filter: self,
-            evaluations: 0,
-        }))
+        self.prepare_budgeted(query, &Budget::unlimited())
+    }
+
+    fn prepare_budgeted(
+        &self,
+        query: &Histogram,
+        budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+        Ok(Box::new(PreparedReducedEmd::new(
+            query,
+            &self.reduced,
+            &self.reduced_objects,
+            budget,
+            true,
+        )?))
     }
 }
 
-struct PreparedLiveReduced<'a> {
-    reduced_query: Histogram,
-    filter: &'a LiveReducedFilter,
-    evaluations: usize,
-}
-
-impl PreparedFilter for PreparedLiveReduced<'_> {
-    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-        self.evaluations += 1;
-        let stable = *self
-            .filter
-            .ids
-            .get(id)
-            .ok_or(QueryError::UnknownObject(id))?;
-        let reduced_object = self
-            .filter
-            .reduced_objects
-            .get(stable)
-            .and_then(Option::as_ref)
-            .ok_or(QueryError::UnknownObject(stable))?;
-        Ok(self
-            .filter
-            .reduced
-            .distance_reduced(&self.reduced_query, reduced_object)?)
-    }
-
-    fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-}
-
-/// Exact EMD refiner over the live subset of a dynamic index's storage.
+/// Exact EMD refiner over the live objects: the evaluator of
+/// [`EmdDistance`](crate::EmdDistance), looked up through the snapshot's
+/// id map.
 #[derive(Debug)]
 struct LiveEmdFilter {
     name: String,
     cost: Arc<CostMatrix>,
-    objects: Arc<Vec<Option<Histogram>>>,
-    ids: Arc<Vec<usize>>,
+    objects: LiveObjects,
 }
 
 impl Filter for LiveEmdFilter {
@@ -403,51 +407,25 @@ impl Filter for LiveEmdFilter {
     }
 
     fn len(&self) -> usize {
-        self.ids.len()
+        self.objects.ids.len()
     }
 
     fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        if query.dim() != self.cost.rows() {
-            return Err(QueryError::Core(emd_core::CoreError::DimensionMismatch {
-                expected_rows: self.cost.rows(),
-                expected_cols: self.cost.cols(),
-                got_rows: query.dim(),
-                got_cols: query.dim(),
-            }));
-        }
-        Ok(Box::new(PreparedLiveEmd {
-            query: query.clone(),
-            filter: self,
-            evaluations: 0,
-        }))
-    }
-}
-
-struct PreparedLiveEmd<'a> {
-    query: Histogram,
-    filter: &'a LiveEmdFilter,
-    evaluations: usize,
-}
-
-impl PreparedFilter for PreparedLiveEmd<'_> {
-    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-        self.evaluations += 1;
-        let stable = *self
-            .filter
-            .ids
-            .get(id)
-            .ok_or(QueryError::UnknownObject(id))?;
-        let object = self
-            .filter
-            .objects
-            .get(stable)
-            .and_then(Option::as_ref)
-            .ok_or(QueryError::UnknownObject(stable))?;
-        Ok(emd_rectangular(&self.query, object, &self.filter.cost)?)
+        self.prepare_budgeted(query, &Budget::unlimited())
     }
 
-    fn evaluations(&self) -> usize {
-        self.evaluations
+    fn prepare_budgeted(
+        &self,
+        query: &Histogram,
+        budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+        Ok(Box::new(PreparedEmd::new(
+            query,
+            &self.objects,
+            &self.cost,
+            budget,
+            true,
+        )?))
     }
 }
 

@@ -69,9 +69,10 @@ pub trait Filter: Send + Sync {
     fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError>;
     /// Build the per-query evaluator under an execution [`Budget`].
     ///
-    /// Solver-backed filters ([`EmdDistance`], [`ReducedEmdFilter`])
-    /// override this to probe the budget inside every LP solve, surfacing
-    /// [`QueryError::BudgetExhausted`] from
+    /// Solver-backed filters ([`EmdDistance`], [`ReducedEmdFilter`], and
+    /// the live filters of a dynamic snapshot, which share their
+    /// evaluators) override this to probe the budget inside every LP
+    /// solve, surfacing [`QueryError::BudgetExhausted`] from
     /// [`PreparedFilter::distance`]. Closed-form filters evaluate in
     /// microseconds and ignore the budget (the KNOP loop checks it between
     /// candidates), which is what this default does.
@@ -103,8 +104,20 @@ pub trait PreparedFilter {
     fn evaluations(&self) -> usize;
 }
 
-fn object(database: &[Histogram], id: usize) -> Result<&Histogram, QueryError> {
-    database.get(id).ok_or(QueryError::UnknownObject(id))
+/// Resolves the dense ids a plan works in to histograms. The solver-backed
+/// evaluators are written against this lookup, so the filters over a
+/// [`Database`] slice and the live filters of a dynamic snapshot (dense id
+/// -> stable slot -> tombstoned storage) share one implementation —
+/// per-query [`EmdContext`], [`Budget`] and all.
+pub(crate) trait Objects {
+    /// The histogram stored under dense id `id`.
+    fn object(&self, id: usize) -> Result<&Histogram, QueryError>;
+}
+
+impl Objects for [Histogram] {
+    fn object(&self, id: usize) -> Result<&Histogram, QueryError> {
+        self.get(id).ok_or(QueryError::UnknownObject(id))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -178,21 +191,20 @@ impl Filter for EmdDistance {
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        check_dim(query, self.database.cost().rows())?;
-        Ok(Box::new(PreparedEmd {
-            query: query.clone(),
-            database: self.database.histograms(),
-            cost: self.database.cost(),
-            budget: budget.clone(),
-            context: self.warm_start.then(EmdContext::new),
-            evaluations: 0,
-        }))
+        Ok(Box::new(PreparedEmd::new(
+            query,
+            self.database.histograms(),
+            self.database.cost(),
+            budget,
+            self.warm_start,
+        )?))
     }
 }
 
-struct PreparedEmd<'a> {
+/// Per-query exact-EMD evaluator over any [`Objects`] lookup.
+pub(crate) struct PreparedEmd<'a, O: Objects + ?Sized> {
     query: Histogram,
-    database: &'a [Histogram],
+    objects: &'a O,
     cost: &'a CostMatrix,
     budget: Budget,
     /// `Some` when warm starts are enabled: one solver context per
@@ -201,10 +213,32 @@ struct PreparedEmd<'a> {
     evaluations: usize,
 }
 
-impl PreparedFilter for PreparedEmd<'_> {
+impl<'a, O: Objects + ?Sized> PreparedEmd<'a, O> {
+    /// Checks the query against `cost` and sets up the evaluator; every
+    /// solve probes `budget`.
+    pub(crate) fn new(
+        query: &Histogram,
+        objects: &'a O,
+        cost: &'a CostMatrix,
+        budget: &Budget,
+        warm_start: bool,
+    ) -> Result<Self, QueryError> {
+        check_dim(query, cost.rows())?;
+        Ok(PreparedEmd {
+            query: query.clone(),
+            objects,
+            cost,
+            budget: budget.clone(),
+            context: warm_start.then(EmdContext::new),
+            evaluations: 0,
+        })
+    }
+}
+
+impl<O: Objects + ?Sized> PreparedFilter for PreparedEmd<'_, O> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
         self.evaluations += 1;
-        let y = object(self.database, id)?;
+        let y = self.objects.object(id)?;
         match &mut self.context {
             Some(ctx) => Ok(emd_in_context(
                 &self.query,
@@ -335,20 +369,22 @@ impl Filter for ReducedEmdFilter {
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        let reduced_query = self.reduced.reduce_first(query)?;
-        Ok(Box::new(PreparedReducedEmd {
-            reduced_query,
-            filter: self,
-            budget: budget.clone(),
-            context: self.warm_start.then(EmdContext::new),
-            evaluations: 0,
-        }))
+        Ok(Box::new(PreparedReducedEmd::new(
+            query,
+            &self.reduced,
+            &*self.reduced_database,
+            budget,
+            self.warm_start,
+        )?))
     }
 }
 
-struct PreparedReducedEmd<'a> {
+/// Per-query Red-EMD evaluator over any [`Objects`] lookup of *reduced*
+/// database vectors.
+pub(crate) struct PreparedReducedEmd<'a, O: Objects + ?Sized> {
     reduced_query: Histogram,
-    filter: &'a ReducedEmdFilter,
+    reduced: &'a ReducedEmd,
+    reduced_objects: &'a O,
     budget: Budget,
     /// `Some` when warm starts are enabled: one solver context per
     /// prepared query, reused (and warm-started) across candidates.
@@ -356,22 +392,43 @@ struct PreparedReducedEmd<'a> {
     evaluations: usize,
 }
 
-impl PreparedFilter for PreparedReducedEmd<'_> {
+impl<'a, O: Objects + ?Sized> PreparedReducedEmd<'a, O> {
+    /// Reduces the query once and sets up the evaluator; every solve
+    /// probes `budget`.
+    pub(crate) fn new(
+        query: &Histogram,
+        reduced: &'a ReducedEmd,
+        reduced_objects: &'a O,
+        budget: &Budget,
+        warm_start: bool,
+    ) -> Result<Self, QueryError> {
+        Ok(PreparedReducedEmd {
+            reduced_query: reduced.reduce_first(query)?,
+            reduced,
+            reduced_objects,
+            budget: budget.clone(),
+            context: warm_start.then(EmdContext::new),
+            evaluations: 0,
+        })
+    }
+}
+
+impl<O: Objects + ?Sized> PreparedFilter for PreparedReducedEmd<'_, O> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
         self.evaluations += 1;
-        let ry = object(&self.filter.reduced_database, id)?;
+        let ry = self.reduced_objects.object(id)?;
         match &mut self.context {
-            Some(ctx) => Ok(self.filter.reduced.distance_reduced_in_context(
+            Some(ctx) => Ok(self.reduced.distance_reduced_in_context(
                 &self.reduced_query,
                 ry,
                 &self.budget,
                 ctx,
             )?),
-            None => Ok(self.filter.reduced.distance_reduced_budgeted(
-                &self.reduced_query,
-                ry,
-                &self.budget,
-            )?),
+            None => {
+                Ok(self
+                    .reduced
+                    .distance_reduced_budgeted(&self.reduced_query, ry, &self.budget)?)
+            }
         }
     }
 
@@ -479,7 +536,7 @@ impl PreparedFilter for PreparedReducedIm<'_> {
         self.evaluations += 1;
         Ok(self.filter.bound.bound(
             &self.reduced_query,
-            object(&self.filter.reduced_database, id)?,
+            self.filter.reduced_database.object(id)?,
         )?)
     }
 
@@ -548,7 +605,7 @@ impl PreparedFilter for PreparedFullIm<'_> {
         Ok(self
             .filter
             .bound
-            .bound(&self.query, object(self.filter.database.histograms(), id)?)?)
+            .bound(&self.query, self.filter.database.histograms().object(id)?)?)
     }
 
     fn evaluations(&self) -> usize {
@@ -692,7 +749,7 @@ impl PreparedFilter for PreparedScaledL1<'_> {
         Ok(self
             .filter
             .bound
-            .bound(&self.query, object(self.filter.database.histograms(), id)?)?)
+            .bound(&self.query, self.filter.database.histograms().object(id)?)?)
     }
 
     fn evaluations(&self) -> usize {

@@ -38,16 +38,21 @@ pub fn database() -> Database {
     Database::new(dataset.histograms, Arc::new(dataset.cost)).unwrap()
 }
 
-/// The standard single-stage filter pipeline over [`database`].
-pub fn executor(database: &Database) -> Executor {
+/// The reduced EMD (12 -> 3 bins, contiguous groups) every suite filters by.
+pub fn reduced(database: &Database) -> ReducedEmd {
     let assignment: Vec<usize> = (0..DIM).map(|i| i * REDUCED / DIM).collect();
-    let reduced = ReducedEmd::new(
+    ReducedEmd::new(
         database.cost(),
         CombiningReduction::new(assignment, REDUCED).unwrap(),
     )
-    .unwrap();
-    let stages: Vec<Box<dyn Filter>> =
-        vec![Box::new(ReducedEmdFilter::new(database, reduced).unwrap())];
+    .unwrap()
+}
+
+/// The standard single-stage filter pipeline over [`database`].
+pub fn executor(database: &Database) -> Executor {
+    let stages: Vec<Box<dyn Filter>> = vec![Box::new(
+        ReducedEmdFilter::new(database, reduced(database)).unwrap(),
+    )];
     let refiner = Box::new(EmdDistance::new(database).unwrap());
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
 }

@@ -9,7 +9,8 @@
 mod common;
 
 use emd_faultkit::{FailPlan, FaultInjector, InjectedPanic};
-use emd_serve::Snapshot;
+use emd_query::DurableIndex;
+use emd_serve::{IngestState, Snapshot};
 use emd_store::json::{self, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -73,6 +74,62 @@ fn injected_solve_exhaustion_degrades_one_request_then_recovers() {
         "server did not recover: {body}"
     );
     server.drain_and_join().unwrap();
+}
+
+/// Budgets and solve faults on a *writable* server: queries run on live
+/// snapshots of the durable index, whose filters used to drop the request
+/// budget — `max_pivots` and `solve:` fail plans did nothing there.
+#[test]
+fn budgets_and_solve_faults_reach_the_writable_server() {
+    let dir =
+        std::env::temp_dir().join(format!("flexemd-serve-live-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let database = common::database();
+    let cost = Arc::clone(database.cost_arc());
+    let mut index = DurableIndex::create(&dir, cost, common::reduced(&database)).unwrap();
+    for histogram in database.histograms() {
+        index.insert(histogram.clone()).unwrap();
+    }
+    // The second solve the server ever runs is exhausted by the plan.
+    let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().exhaust_solve(2));
+    let snapshot = Snapshot {
+        executor: common::executor(&database),
+        database,
+        name: "writable-faulty".to_owned(),
+        faults: Some(plan),
+        ingest: Some(Arc::new(IngestState::new(index).unwrap())),
+    };
+    let server = common::start(snapshot, 1);
+    let addr = server.addr();
+    let knn = |extra: &str| {
+        let body = format!("{{\"query_id\": 0, \"k\": 3{extra}}}");
+        let (status, _, body) = common::raw_call(addr, "POST", "/v1/knn", Some(&body));
+        assert_eq!(status, 200, "degraded is not an error: {body}");
+        parse_object(&body)
+    };
+
+    // Exactly one degraded reply from the fail plan, then recovery.
+    let injected = knn("");
+    assert_eq!(injected.get("degraded"), Some(&Value::Bool(true)));
+    assert_eq!(
+        injected.get("reason").and_then(Value::as_str),
+        Some("injected")
+    );
+    let exact = knn("");
+    assert_eq!(exact.get("degraded"), Some(&Value::Bool(false)));
+
+    // A pivot cap far below one query's work degrades; without it the
+    // same request is exact again.
+    let capped = knn(", \"max_pivots\": 1");
+    assert_eq!(capped.get("degraded"), Some(&Value::Bool(true)));
+    assert_eq!(
+        capped.get("reason").and_then(Value::as_str),
+        Some("pivot_cap")
+    );
+    assert_eq!(knn("").get("neighbors"), exact.get("neighbors"));
+
+    server.drain_and_join().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

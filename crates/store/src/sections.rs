@@ -41,6 +41,18 @@ impl<'a> Payload<'a> {
         }
     }
 
+    /// An empty vector reserved for `count` items of at least
+    /// `item_bytes` encoded bytes each — but never for more items than the
+    /// unread payload could hold: a declared count is untrusted, and a
+    /// wrong one must fail as [`StoreError::Invalid`] when the bytes run
+    /// out, not as a failed allocation up front. (Reserving at all is
+    /// measured: growing a 20k-histogram arena by doubling costs about a
+    /// tenth of the time to open the index.)
+    fn reserve<T>(&self, count: usize, item_bytes: usize) -> Vec<T> {
+        let holds = (self.bytes.len() - self.offset) / item_bytes.max(1);
+        Vec::with_capacity(count.min(holds))
+    }
+
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
         let available = self.bytes.len() - self.offset;
         if n > available {
@@ -164,7 +176,7 @@ pub fn decode_histogram_arena(
     let mut p = Payload::new(path, section, payload);
     let count = p.length("histogram count")?;
     let dim = p.length("histogram dimensionality")?;
-    let mut items = Vec::with_capacity(count);
+    let mut items = p.reserve(count, dim.saturating_mul(8));
     for index in 0..count {
         let bins = p.f64s(dim, "histogram bins")?;
         let histogram = Histogram::new(bins)
@@ -393,7 +405,7 @@ pub fn encode_id_map(ids: &[u64]) -> Vec<u8> {
 pub fn decode_id_map(path: &Path, section: &str, payload: &[u8]) -> Result<Vec<u64>, StoreError> {
     let mut p = Payload::new(path, section, payload);
     let count = p.length("id count")?;
-    let mut ids = Vec::with_capacity(count);
+    let mut ids = p.reserve(count, 8);
     for _ in 0..count {
         ids.push(p.u64("external id")?);
     }
@@ -614,5 +626,27 @@ mod tests {
             decode_id_map(&path(), "external-ids", &payload[..9]),
             Err(StoreError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn implausible_counts_are_invalid_not_an_allocation() {
+        // 2^40 declared items over a handful of bytes: reserving for the
+        // declared count would ask the allocator for terabytes.
+        let huge = (1u64 << 40).to_le_bytes();
+        let mut ids = huge.to_vec();
+        ids.extend_from_slice(&7u64.to_le_bytes());
+        assert!(matches!(
+            decode_id_map(&path(), "external-ids", &ids),
+            Err(StoreError::Invalid { .. })
+        ));
+        for dim in [0u64, 4] {
+            let mut arena = huge.to_vec();
+            arena.extend_from_slice(&dim.to_le_bytes());
+            arena.extend_from_slice(&[0u8; 32]);
+            assert!(matches!(
+                decode_histogram_arena(&path(), "histograms", &arena),
+                Err(StoreError::Invalid { .. })
+            ));
+        }
     }
 }

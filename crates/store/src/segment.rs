@@ -429,7 +429,10 @@ impl SegmentReader {
             });
         }
         let count = cursor.u32("section count")?;
-        let mut sections = Vec::with_capacity(count as usize);
+        // Nothing is reserved for `count`: it is untrusted until the
+        // sections have been read, and a damaged one must end as the typed
+        // `Truncated` below, not as a failed allocation here.
+        let mut sections = Vec::new();
         for index in 0..count {
             let what = format!("section {index} header");
             let tag = cursor.u32(&what)?;
@@ -655,6 +658,24 @@ mod tests {
         w.finish().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        assert!(matches!(
+            SegmentReader::open(&path),
+            Err(StoreError::Truncated { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn damaged_section_count_is_truncation_not_an_allocation() {
+        let path = temp_path("count.seg");
+        let mut w = SegmentWriter::create(&path).unwrap();
+        w.section(SectionKind::CostMatrix, "cost", &[1, 2, 3])
+            .unwrap();
+        w.finish().unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The section count is the last field of the 16-byte file header.
+        bytes[12..16].copy_from_slice(&0x5A00_0005u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             SegmentReader::open(&path),
             Err(StoreError::Truncated { .. })

@@ -215,7 +215,9 @@ impl WalRecord {
                 let epoch = cursor.u64("compaction epoch")?;
                 let next_external = cursor.u64("next external id")?;
                 let count = cursor.length("compaction id-map length")?;
-                let mut external_ids = Vec::with_capacity(count);
+                // Not reserved: `count` is untrusted until the entries
+                // behind it have been read.
+                let mut external_ids = Vec::new();
                 for _ in 0..count {
                     external_ids.push(cursor.u64("compaction id-map entry")?);
                 }
@@ -822,6 +824,19 @@ mod tests {
         }
         assert_eq!(replay.next_lsn(), records.len() as u64 + 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn implausible_id_map_length_is_invalid_not_an_allocation() {
+        // A CompactEpoch payload declaring 2^40 ids over 8 bytes of them.
+        let mut payload = Vec::new();
+        for field in [1u64, 9, 1 << 40, 3] {
+            payload.extend_from_slice(&field.to_le_bytes());
+        }
+        assert!(matches!(
+            WalRecord::decode_payload(KIND_COMPACT_EPOCH, &payload, Path::new("wal")),
+            Err(StoreError::Invalid { .. })
+        ));
     }
 
     #[test]

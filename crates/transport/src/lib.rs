@@ -47,7 +47,11 @@
 //! refinement pattern: one query marginal against many candidates), the
 //! previous optimal basis is re-fit to the new marginals by leaf peeling
 //! and the pivot loop starts from it, skipping Vogel entirely; an
-//! infeasible refit falls back to a cold start. Because every entry point
+//! infeasible refit — the usual case — is repaired by dual-simplex pivots,
+//! and only a repair that exceeds its cap falls back to a cold start. The
+//! basis is a spanning tree rooted at supply node 0 in flat arrays, so a
+//! pivot costs the subtree below the leaving edge plus the cycle of the
+//! entering one, never a whole-tree traversal. Because every entry point
 //! extracts its answer canonically from the final basis (sorted cells,
 //! flows re-derived from the marginals), warm and cold solves of the same
 //! instance are bit-identical whenever the optimum is unique.

@@ -257,12 +257,7 @@ pub fn solve_warm_objective(
         let pivots = pivot_to_optimum(problem, options, budget, &mut ws.tree, &mut ws.pivot)?;
         ws.stats.pivots += pivots;
         ws.cells.clear();
-        // Splitting the borrow: live_edges borrows tree, cells is disjoint.
-        let (tree, cells) = (&ws.tree, &mut ws.cells);
-        for id in tree.live_edges() {
-            let edge = tree.edge(id);
-            cells.push((edge.row, edge.col));
-        }
+        ws.cells.extend(ws.tree.cells());
     }
 
     // Canonical extraction: sorted cells, flows re-derived from the
@@ -334,20 +329,14 @@ fn dual_repair(
     // re-traversing the tree. The primal loop recomputes duals from
     // scratch afterwards, so the accumulated rounding never reaches the
     // optimality test.
-    tree.duals(
-        |i, j| problem.cost(i, j),
-        &mut scratch.u,
-        &mut scratch.v,
-        &mut scratch.stack,
-    );
+    tree.duals(|i, j| problem.cost(i, j), &mut scratch.u, &mut scratch.v);
 
     for _ in 0..max_repairs {
-        // Most negative basic flow leaves; first-minimal keeps the scan
-        // deterministic under ties.
+        // Most negative basic flow leaves; first-minimal in slot order
+        // keeps the scan deterministic under ties.
         let mut leaving: Option<usize> = None;
         let mut worst = -EPS;
-        for id in tree.live_edges() {
-            let flow = tree.edge(id).flow;
+        for (id, &flow) in tree.flows().iter().enumerate() {
             if flow < worst {
                 worst = flow;
                 leaving = Some(id);
@@ -356,11 +345,8 @@ fn dual_repair(
         let Some(leaving) = leaving else {
             // Primal-feasible: clamp the tiny negatives the scan ignored
             // so the ratio test never sees a negative basic flow.
-            for id in 0..tree.num_slots() {
-                if tree.is_live(id) {
-                    let flow = tree.edge_flow_mut(id);
-                    *flow = flow.max(0.0);
-                }
+            for flow in tree.flows_mut() {
+                *flow = flow.max(0.0);
             }
             budget.settle_pivots(pending_pivots);
             return Ok(Some(performed));
@@ -375,36 +361,36 @@ fn dual_repair(
             }
         }
 
-        let (leave_col, theta) = {
-            let edge = tree.edge(leaving);
-            (edge.col, -edge.flow)
-        };
+        let theta = -worst;
         // Component of the demand endpoint of L, with L deleted.
-        tree.mark_component(
-            tree.demand_node(leave_col),
-            leaving,
-            &mut scratch.side,
-            &mut scratch.queue,
-        );
+        tree.mark_cut(leaving, &mut scratch.side);
+        let (row_side, col_side) = scratch.side.split_at(m);
         // Entering candidates cross the cut against L's orientation: row
         // in c's component, demand node in r's component. The eligible
-        // columns are gathered once so the hot inner loop is a flat pass
-        // over that list; strict '<' keeps the first minimum in row-major
-        // order.
-        scratch.stack.clear();
-        scratch
-            .stack
-            .extend((0..n).filter(|&j| !scratch.side[m + j])); // bounds: m + j < m + n = side.len()
+        // columns and their duals are gathered once so the hot inner loop
+        // zips two flat slices; strict '<' keeps the first minimum in
+        // row-major order.
+        scratch.cut_cols.clear();
+        scratch.cut_v.clear();
+        for (j, (&vj, &marked)) in scratch.v.iter().zip(col_side).enumerate() {
+            if !marked {
+                scratch.cut_cols.push(j);
+                scratch.cut_v.push(vj);
+            }
+        }
         let mut entering: Option<(usize, usize)> = None;
         let mut best = f64::INFINITY;
-        for (i, (row, &ui)) in problem.costs().chunks_exact(n).zip(&scratch.u).enumerate() {
-            // bounds: i < m <= side.len()
-            if !scratch.side[i] {
+        let rows = problem
+            .costs()
+            .chunks_exact(n)
+            .zip(&scratch.u)
+            .zip(row_side);
+        for (i, ((row, &ui), &marked)) in rows.enumerate() {
+            if !marked {
                 continue;
             }
-            for &j in &scratch.stack {
-                // bounds: j < n = row.len() = v.len(), gathered just above
-                let reduced = row[j] - ui - scratch.v[j];
+            for (&j, &vj) in scratch.cut_cols.iter().zip(&scratch.cut_v) {
+                let reduced = row[j] - ui - vj; // bounds: j < n = row.len(), gathered just above
                 if reduced < best {
                     best = reduced;
                     entering = Some((i, j));
@@ -428,36 +414,28 @@ fn dual_repair(
         // Signs alternate exactly as in the primal pivot, but without the
         // non-negativity clamp: other edges may legitimately go negative
         // and be repaired by a later iteration.
-        tree.path_into(
-            tree.demand_node(ej),
-            ei,
-            &mut scratch.parent,
-            &mut scratch.queue,
-            &mut scratch.path,
-        );
+        tree.cycle_into(tree.demand_node(ej), ei, &mut scratch.path);
+        let flows = tree.flows_mut();
         for (k, &id) in scratch.path.iter().enumerate() {
-            let flow = tree.edge_flow_mut(id);
+            let flow = &mut flows[id]; // bounds: path holds slot ids < m + n - 1 = flows.len()
             if k % 2 == 0 {
                 *flow -= theta;
             } else {
                 *flow += theta;
             }
         }
-        tree.remove(leaving);
-        tree.insert(ei, ej, theta);
+        tree.pivot(leaving, ei, ej, theta);
         // Re-anchor the duals of the absorbed component: shifting supplies
         // up and demands down by the entering reduced cost restores
         // `u + v = cost` on the new basic cell and leaves every other
         // basic cell's equation untouched.
-        for (i, ui) in scratch.u.iter_mut().enumerate() {
-            // bounds: i < m <= side.len()
-            if scratch.side[i] {
+        for (ui, &marked) in scratch.u.iter_mut().zip(row_side) {
+            if marked {
                 *ui += best;
             }
         }
-        for (j, vj) in scratch.v.iter_mut().enumerate() {
-            // bounds: m + j < m + n = side.len()
-            if scratch.side[m + j] {
+        for (vj, &marked) in scratch.v.iter_mut().zip(col_side) {
+            if marked {
                 *vj -= best;
             }
         }
@@ -492,12 +470,7 @@ fn pivot_to_optimum(
     // `performed` doubles as the loop control so the pivot count and the
     // iteration cap can never drift apart.
     while performed < u64::try_from(max_iterations).unwrap_or(u64::MAX) {
-        tree.duals(
-            |i, j| problem.cost(i, j),
-            &mut scratch.u,
-            &mut scratch.v,
-            &mut scratch.stack,
-        );
+        tree.duals(|i, j| problem.cost(i, j), &mut scratch.u, &mut scratch.v);
 
         let use_bland = degenerate_run >= options.degenerate_pivot_limit;
         let entering = find_entering(problem.costs(), &scratch.u, &scratch.v, tol, use_bland);
@@ -526,25 +499,18 @@ fn pivot_to_optimum(
         // demand node of ej back to supply node ei. Walking the cycle from
         // the entering edge, signs alternate starting with '-' on the first
         // path edge (it shares the demand node with the entering '+' edge).
-        tree.path_into(
-            tree.demand_node(ej),
-            ei,
-            &mut scratch.parent,
-            &mut scratch.queue,
-            &mut scratch.path,
-        );
+        tree.cycle_into(tree.demand_node(ej), ei, &mut scratch.path);
 
+        let flows = tree.flows_mut();
         let mut theta = f64::INFINITY;
         let mut leaving: Option<usize> = None;
-        for (k, &id) in scratch.path.iter().enumerate() {
-            if k % 2 == 0 {
-                let flow = tree.edge(id).flow;
-                // Strict '<' keeps the first minimal edge, which together
-                // with Bland pricing yields a terminating pivot rule.
-                if flow < theta {
-                    theta = flow;
-                    leaving = Some(id);
-                }
+        // Strict '<' keeps the first minimal '-' edge in path order, which
+        // together with Bland pricing yields a terminating pivot rule.
+        for &id in scratch.path.iter().step_by(2) {
+            let flow = flows[id]; // bounds: path holds slot ids < m + n - 1 = flows.len()
+            if flow < theta {
+                theta = flow;
+                leaving = Some(id);
             }
         }
         let Some(leaving) = leaving else {
@@ -557,15 +523,14 @@ fn pivot_to_optimum(
         };
 
         for (k, &id) in scratch.path.iter().enumerate() {
-            let flow = tree.edge_flow_mut(id);
+            let flow = &mut flows[id]; // bounds: path holds slot ids < m + n - 1 = flows.len()
             if k % 2 == 0 {
                 *flow = (*flow - theta).max(0.0);
             } else {
                 *flow += theta;
             }
         }
-        tree.remove(leaving);
-        tree.insert(ei, ej, theta);
+        tree.pivot(leaving, ei, ej, theta);
 
         if theta <= EPS {
             degenerate_run += 1;

@@ -2,7 +2,7 @@
 //! for repeated transportation solves.
 //!
 //! A [`SolverWorkspace`] owns every buffer the simplex needs — the dual
-//! vectors `u`/`v`, the basis-tree storage, the cycle stack and BFS
+//! vectors `u`/`v`, the rooted basis tree, the pivot-cycle and cut
 //! scratch, and the flow-refit buffers — so a caller that solves many
 //! related instances (the KNOP refinement loop solves one LP per
 //! candidate against a fixed query marginal) pays for allocation once
@@ -14,10 +14,11 @@
 //! to the new marginals by *leaf peeling* (a degree-1 node's single
 //! remaining edge must carry that node's remaining marginal). A feasible
 //! refit pivots from there — typically a handful of pivots from optimal.
-//! An infeasible refit (some edge re-fits to a negative flow) goes
+//! An infeasible refit (some edge re-fits to a negative flow) — the usual
+//! case between two KNOP candidates — goes
 //! through *dual-simplex repair*: because successive KNOP candidates
 //! share the cost matrix, the old optimal basis is still dual-feasible,
-//! so a short run of dual pivots restores primal feasibility and usually
+//! so a run of dual pivots restores primal feasibility and usually
 //! lands directly on the new optimum. Only when the repair exceeds its
 //! pivot cap does the solver fall back to a cold Vogel start.
 //!
@@ -59,16 +60,14 @@ pub(crate) struct PivotScratch {
     pub u: Vec<f64>,
     /// Demand-side dual variables.
     pub v: Vec<f64>,
-    /// DFS stack for the dual traversal.
-    pub stack: Vec<usize>,
-    /// BFS parent links for the cycle search.
-    pub parent: Vec<(usize, usize)>,
-    /// BFS queue for the cycle search.
-    pub queue: Vec<usize>,
     /// Edge ids of the current pivot cycle.
     pub path: Vec<usize>,
     /// Component marks for the dual-repair cut search.
     pub side: Vec<bool>,
+    /// Columns across the dual-repair cut, and their duals gathered from
+    /// `v`, so the entering scan reads two flat slices.
+    pub cut_cols: Vec<usize>,
+    pub cut_v: Vec<f64>,
 }
 
 /// Caller-owned scratch and warm-start state for repeated solves.
@@ -81,7 +80,7 @@ pub(crate) struct PivotScratch {
 pub struct SolverWorkspace {
     /// Pivot-loop scratch.
     pub(crate) pivot: PivotScratch,
-    /// Reusable basis-tree storage (adjacency lists keep their capacity).
+    /// Reusable basis-tree storage (the flat arrays keep their capacity).
     pub(crate) tree: BasisTree,
     /// Basis cells of the current solve, sorted by `(row, col)` at
     /// extraction time.

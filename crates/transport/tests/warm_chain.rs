@@ -1,0 +1,216 @@
+//! Long warm chains through one [`SolverWorkspace`]: the steady state of
+//! the KNOP refinement loop, where almost every solve is a dual-simplex
+//! repair of the previous candidate's basis.
+//!
+//! Each chain solves 50+ consecutive demand marginals against one supply
+//! marginal. The steps mix small drifts, zero-mass bins stripped to
+//! different tableau shapes, exact repeats, single-bin demands (`m x 1`)
+//! and mass swung from one end of the bins to the other — the last kind
+//! is what exhausts the repair cap and falls back to a Vogel start. Every
+//! objective is checked against the structurally unrelated SSP solver and
+//! every solution against the conservation certificate.
+//!
+//! [`pivot_sequence_is_pinned`] additionally fixes the work counters and
+//! an objective checksum of three seeded chains. The numbers were recorded
+//! with the adjacency-list basis tree this crate used before the rooted
+//! tree: a change to a pivot rule or a tie-break moves them, so it fails
+//! here instead of silently moving one-ulp ties in query answers.
+
+// Test helpers outside #[test] fns still get test-style panic latitude.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use emd_transport::certify::CERT_EPS;
+use emd_transport::ssp::solve_ssp;
+use emd_transport::{
+    certify_solution, solve_warm, Budget, SimplexOptions, SolverWorkspace, TransportProblem,
+    WorkspaceStats,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Which ground cost a chain runs under.
+#[derive(Debug, Clone, Copy)]
+enum Costs {
+    /// `|i - j|` on a line: integer costs, massively tied reduced costs —
+    /// the regime where entering/leaving tie-breaks decide the basis.
+    Line,
+    /// Continuous random costs: generically unique optima.
+    Continuous,
+}
+
+/// The problems of one seeded chain: a fixed supply marginal of `m` bins
+/// against `steps` demand marginals over at most `n` bins (zero-mass bins
+/// are stripped, so the tableau shape varies along the chain).
+fn chain(seed: u64, m: usize, n: usize, steps: usize, costs: Costs) -> Vec<TransportProblem> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let supplies = normalized((0..m).map(|_| rng.gen_range(0.05..1.0)).collect());
+    let full_costs: Vec<f64> = match costs {
+        Costs::Line => (0..m * n)
+            .map(|k| ((k / n) as f64 - (k % n) as f64).abs())
+            .collect(),
+        Costs::Continuous => (0..m * n).map(|_| rng.gen_range(0.01..10.0)).collect(),
+    };
+    let mut raw: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..1.0)).collect();
+    let mut problems = Vec::with_capacity(steps);
+    for step in 0..steps {
+        match rng.gen_range(0..8usize) {
+            // Repeat the previous instance exactly.
+            0 if step > 0 => {}
+            // Strip a random subset of bins: a different tableau shape.
+            1 => {
+                for mass in &mut raw {
+                    *mass = if rng.gen_bool(0.3) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.05..1.0)
+                    };
+                }
+            }
+            // Swing all mass to one end: the old basis is useless.
+            2 => {
+                let low_end = step % 2 == 0;
+                for (j, mass) in raw.iter_mut().enumerate() {
+                    let near = if low_end { j < n / 4 } else { j >= n - n / 4 };
+                    *mass = if near { rng.gen_range(0.5..1.0) } else { 1e-9 };
+                }
+            }
+            // A single-bin demand: an `m x 1` tableau.
+            3 if step % 5 == 0 => {
+                raw.iter_mut().for_each(|mass| *mass = 0.0);
+                raw[rng.gen_range(0..n)] = 1.0;
+            }
+            // Drift: the neighbouring-candidate case repair is built for.
+            _ => {
+                for mass in &mut raw {
+                    *mass = (*mass).max(0.02) * rng.gen_range(0.8..1.25);
+                }
+            }
+        }
+        if raw.iter().all(|&mass| mass <= 0.0) {
+            raw[step % n] = 1.0;
+        }
+        let kept: Vec<usize> = (0..n).filter(|&j| raw[j] > 0.0).collect();
+        let demands = normalized(kept.iter().map(|&j| raw[j]).collect());
+        let stripped_costs = (0..m)
+            .flat_map(|i| kept.iter().map(move |&j| (i, j)))
+            .map(|(i, j)| full_costs[i * n + j])
+            .collect();
+        problems.push(
+            TransportProblem::new(supplies.clone(), demands, stripped_costs)
+                .expect("generated instances are valid"),
+        );
+    }
+    problems
+}
+
+fn normalized(raw: Vec<f64>) -> Vec<f64> {
+    let total: f64 = raw.iter().sum();
+    raw.iter().map(|x| x / total).collect()
+}
+
+/// Solve a chain through one workspace, checking every step against SSP
+/// and the certificate. Returns the workspace counters and a checksum of
+/// the objectives' bit patterns.
+fn run_chain(problems: &[TransportProblem]) -> (WorkspaceStats, u64) {
+    let mut ws = SolverWorkspace::new();
+    let mut checksum = 0u64;
+    for (step, problem) in problems.iter().enumerate() {
+        let warm = solve_warm(
+            problem,
+            SimplexOptions::default(),
+            &Budget::unlimited(),
+            &mut ws,
+        )
+        .expect("warm solve succeeds");
+        let reference = solve_ssp(problem).expect("ssp solves valid instances");
+        assert!(
+            (warm.objective - reference.objective).abs() < 1e-9,
+            "step {step}: simplex {} != ssp {}",
+            warm.objective,
+            reference.objective
+        );
+        assert!(
+            certify_solution(problem, &warm, CERT_EPS).is_ok(),
+            "step {step}: certificate failed"
+        );
+        checksum = checksum.rotate_left(7) ^ warm.objective.to_bits();
+    }
+    (ws.stats(), checksum)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Rectangular and square chains, tied and continuous costs.
+    #[test]
+    fn warm_chains_match_ssp(
+        seed in 0u64..u64::MAX,
+        m in 2usize..=9,
+        n in 2usize..=11,
+        line in prop::sample::select(vec![true, false]),
+    ) {
+        let costs = if line { Costs::Line } else { Costs::Continuous };
+        let (stats, _) = run_chain(&chain(seed, m, n, 50, costs));
+        prop_assert_eq!(stats.solves, 50);
+        prop_assert!(stats.warm_hits <= stats.warm_attempts);
+        prop_assert!(stats.repair_pivots <= stats.pivots);
+    }
+
+    /// Larger tied-cost chains: the size at which swings exhaust the
+    /// repair cap (`4 (m + n) + 16` dual pivots) and the solve restarts
+    /// from a Vogel basis.
+    #[test]
+    fn large_tied_chains_match_ssp(seed in 0u64..u64::MAX, m in 20usize..=28, n in 20usize..=28) {
+        let (stats, _) = run_chain(&chain(seed, m, n, 50, Costs::Line));
+        prop_assert_eq!(stats.solves, 50);
+        prop_assert!(stats.repair_pivots > 0);
+    }
+
+    /// A single supply bin: every tableau is `1 x n`, its only basis is
+    /// optimal and no pivot runs.
+    #[test]
+    fn single_row_chains_never_pivot(seed in 0u64..u64::MAX, n in 1usize..=10) {
+        let (stats, _) = run_chain(&chain(seed, 1, n, 50, Costs::Continuous));
+        prop_assert_eq!(stats.pivots, 0);
+    }
+}
+
+/// Work counters and objective checksums of three fixed chains. Recorded
+/// at the parent of the rooted-tree change; equal numbers mean the same
+/// pivots in the same order with the same answers.
+#[test]
+fn pivot_sequence_is_pinned() {
+    // (chain, [solves, warm attempts, warm hits, pivots, repair pivots],
+    // objective checksum)
+    let pinned = [
+        (
+            chain(14, 12, 16, 60, Costs::Line),
+            [60, 43, 43, 545, 520],
+            0x8198_a916_d21b_5a1c_u64,
+        ),
+        (
+            chain(15, 10, 14, 60, Costs::Continuous),
+            [60, 45, 45, 224, 154],
+            0xf4d9_18f8_66a5_444c,
+        ),
+        (
+            chain(16, 24, 24, 80, Costs::Line),
+            [80, 66, 64, 798, 775],
+            0x5497_b632_1179_1977,
+        ),
+    ];
+    let mut fell_back = false;
+    for (problems, [solves, warm_attempts, warm_hits, pivots, repair_pivots], checksum) in pinned {
+        let expected = WorkspaceStats {
+            solves,
+            warm_attempts,
+            warm_hits,
+            pivots,
+            repair_pivots,
+        };
+        assert_eq!(run_chain(&problems), (expected, checksum));
+        fell_back |= warm_hits < warm_attempts;
+    }
+    assert!(fell_back, "some chain must exhaust the repair cap");
+}

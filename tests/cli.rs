@@ -4,21 +4,41 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn flexemd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_flexemd"))
 }
 
-fn temp_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("flexemd-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A scratch directory owned by one test: named after the test and this
+/// process, created empty, removed when the test ends — pass or fail.
+/// Tests run on parallel threads, so none may work in (or remove) a
+/// directory another test's files live under.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("flexemd-cli-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TestDir(dir)
+    }
+
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
 fn full_workflow() {
-    let dir = temp_dir();
+    let dir = TestDir::new("full_workflow");
     let data = dir.join("corpus.json");
     let reduction = dir.join("reduction.json");
 
@@ -122,14 +142,11 @@ fn full_workflow() {
     assert!(to_file.status.success());
     let written = std::fs::read_to_string(&metrics_file).unwrap();
     assert!(written.contains("\"schema\": \"flexemd-metrics/v1\""));
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn index_workflow_matches_in_memory() {
-    let dir = temp_dir().join("index-parity");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("index_workflow_matches_in_memory");
     let data = dir.join("corpus.json");
     let reduction = dir.join("reduction.json");
     let index = dir.join("index");
@@ -221,8 +238,6 @@ fn index_workflow_matches_in_memory() {
     assert_eq!(mem_neighbors.len(), 4);
     assert_eq!(mem_neighbors, idx_neighbors);
     assert_eq!(mem_stages, idx_stages);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -259,11 +274,8 @@ fn query_missing_index_is_one_line_diagnostic() {
 
 /// Shared fixture for the governance tests: corpus + reduction in a
 /// directory of their own.
-fn corpus_and_reduction(
-    name: &str,
-) -> (std::path::PathBuf, std::path::PathBuf, std::path::PathBuf) {
-    let dir = temp_dir().join(name);
-    std::fs::create_dir_all(&dir).unwrap();
+fn corpus_and_reduction(test: &str) -> (TestDir, PathBuf, PathBuf) {
+    let dir = TestDir::new(test);
     let data = dir.join("corpus.json");
     let reduction = dir.join("reduction.json");
     let generate = flexemd()
@@ -291,7 +303,8 @@ fn corpus_and_reduction(
 
 #[test]
 fn zero_deadline_degrades_with_banner_and_exit_zero() {
-    let (dir, data, reduction) = corpus_and_reduction("deadline");
+    let (_dir, data, reduction) =
+        corpus_and_reduction("zero_deadline_degrades_with_banner_and_exit_zero");
 
     // A deadline of 0 ms fires at the first budget probe: deterministic
     // degradation, still a successful exit.
@@ -315,13 +328,11 @@ fn zero_deadline_degrades_with_banner_and_exit_zero() {
         .filter(|l| l.starts_with("DEGRADED (deadline)"))
         .count();
     assert_eq!(banners, 1, "exactly one banner line: {stdout}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn pivot_cap_degrades_to_lower_bound_ranking() {
-    let (dir, data, reduction) = corpus_and_reduction("pivots");
+    let (_dir, data, reduction) = corpus_and_reduction("pivot_cap_degrades_to_lower_bound_ranking");
 
     let out = flexemd()
         .arg("query")
@@ -341,13 +352,11 @@ fn pivot_cap_degrades_to_lower_bound_ranking() {
     assert!(stdout.contains("DEGRADED (pivot cap)"), "{stdout}");
     // Degraded rows render bounds, not exact distances.
     assert!(stdout.contains("bound"), "{stdout}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn generous_budget_matches_unbudgeted_output() {
-    let (dir, data, reduction) = corpus_and_reduction("generous");
+    let (_dir, data, reduction) = corpus_and_reduction("generous_budget_matches_unbudgeted_output");
 
     let run = |extra: &[&str]| -> String {
         let out = flexemd()
@@ -378,13 +387,12 @@ fn generous_budget_matches_unbudgeted_output() {
         unbudgeted, budgeted,
         "generous budget must not change results"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn injected_worker_panic_is_one_line_nonzero_exit() {
-    let (dir, data, reduction) = corpus_and_reduction("panic");
+    let (_dir, data, reduction) =
+        corpus_and_reduction("injected_worker_panic_is_one_line_nonzero_exit");
 
     let out = flexemd()
         .arg("query")
@@ -403,13 +411,12 @@ fn injected_worker_panic_is_one_line_nonzero_exit() {
         1,
         "one-line diagnostic: {stderr}"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn injected_read_fault_fails_index_open_then_clean_open_works() {
-    let (dir, data, _reduction) = corpus_and_reduction("readfault");
+    let (dir, data, _reduction) =
+        corpus_and_reduction("injected_read_fault_fails_index_open_then_clean_open_works");
     let index = dir.join("index");
 
     let build = flexemd()
@@ -451,8 +458,6 @@ fn injected_read_fault_fails_index_open_then_clean_open_works() {
         "clean query failed: {}",
         String::from_utf8_lossy(&clean.stderr)
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -490,7 +495,7 @@ fn rejects_bad_input() {
 
 #[test]
 fn range_query_prints_range_heading() {
-    let (dir, data, reduction) = corpus_and_reduction("range-query");
+    let (_dir, data, reduction) = corpus_and_reduction("range_query_prints_range_heading");
     let out = flexemd()
         .arg("query")
         .arg("--data")
@@ -510,7 +515,6 @@ fn range_query_prints_range_heading() {
         stdout.contains("range(epsilon = 2.5) of object 1"),
         "{stdout}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Boot `flexemd serve` on an ephemeral port (with `--drain-stdin`, so
@@ -561,7 +565,8 @@ fn call(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, Strin
 
 #[test]
 fn serve_answers_http_and_drains_on_stdin_eof() {
-    let (dir, data, _reduction) = corpus_and_reduction("serve-cli");
+    let (dir, data, _reduction) =
+        corpus_and_reduction("serve_answers_http_and_drains_on_stdin_eof");
     let index = dir.join("index");
     let build = flexemd()
         .arg("build-index")
@@ -638,12 +643,12 @@ fn serve_answers_http_and_drains_on_stdin_eof() {
     drop(child.stdin.take());
     let status = child.wait().unwrap();
     assert!(status.success(), "serve did not drain cleanly");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn loadgen_smoke_reports_and_zero_capacity_sheds() {
-    let (dir, data, _reduction) = corpus_and_reduction("loadgen-cli");
+    let (dir, data, _reduction) =
+        corpus_and_reduction("loadgen_smoke_reports_and_zero_capacity_sheds");
     let index = dir.join("index");
     let build = flexemd()
         .arg("build-index")
@@ -695,7 +700,6 @@ fn loadgen_smoke_reports_and_zero_capacity_sheds() {
     assert!(report.contains("\"ok\":0"), "{report}");
     drop(child.stdin.take());
     assert!(child.wait().unwrap().success());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Boot `flexemd serve --wal` on an ephemeral port. Unlike
@@ -736,7 +740,8 @@ fn spawn_wal_server(
 
 #[test]
 fn ingest_wal_inspect_and_writable_serve_round_trip() {
-    let (dir, data, _reduction) = corpus_and_reduction("wal-cli");
+    let (dir, data, _reduction) =
+        corpus_and_reduction("ingest_wal_inspect_and_writable_serve_round_trip");
     let wal = dir.join("wal");
 
     // First ingest creates the durable directory and derives a reduction.
@@ -844,5 +849,4 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
     let text = String::from_utf8_lossy(&inspect.stdout).to_string();
     assert!(text.contains("insert"), "{text}");
     assert!(text.contains("records    : 2"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -156,7 +156,7 @@ fn artifacts_roundtrip_through_json() {
         .unwrap()
         .reduction;
 
-    let dir = std::env::temp_dir().join("flexemd-e2e");
+    let dir = std::env::temp_dir().join(format!("flexemd-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let dataset_path = dir.join("dataset.json");
     flexemd::data::io::save(&dataset, &dataset_path).unwrap();
@@ -178,7 +178,7 @@ fn artifacts_roundtrip_through_json() {
         .distance(&loaded.histograms[0], &loaded.histograms[1])
         .unwrap();
     assert_eq!(d_a, d_b);
-    std::fs::remove_file(&dataset_path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Range queries through the umbrella crate are complete and consistent
