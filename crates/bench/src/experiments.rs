@@ -908,21 +908,19 @@ pub fn e14(scale: &Scale, quick: bool) -> Table {
     table
 }
 
-/// E15: execution governance. Part 1 sweeps per-query wall-clock
-/// deadlines over the E12 corpus: every outcome is either exact or a
-/// degraded ranking, asserted sorted ascending by its lower bounds —
-/// never an error, never a panic. Part 2 measures the cost of the
-/// governance plumbing itself: `knn_budgeted` under an unlimited budget
-/// against plain `knn` (bit-identical answers asserted, min-of-3
-/// timing), with a ≤2% overhead target for the budget checks threaded
-/// through the solver loops.
+/// E15: execution governance. Sweeps per-query wall-clock deadlines over
+/// the E12 corpus: every outcome is either exact or a degraded ranking,
+/// asserted sorted ascending by its lower bounds — never an error, never
+/// a panic. The `unlimited` row is the plain path: every query runs the
+/// one `Executor::run` body, whose budget probes cost three `Option`
+/// tests per candidate when nothing is limited.
 pub fn e15(scale: &Scale, _quick: bool) -> Table {
-    use emd_query::{Budget, QueryOutcome};
+    use emd_query::{Budget, Query, QueryOutcome};
     use std::time::Duration;
 
     let mut table = Table::new(
         "E15",
-        "execution governance: deadline sweep and budget-check overhead (gaussian, 32-d, d'=8, k=10)",
+        "execution governance: deadline sweep (gaussian, 32-d, d'=8, k=10)",
         &["run", "exact", "degraded", "mean ranked", "ms/query"],
     );
     let bench = gaussian_bench(scale);
@@ -937,8 +935,8 @@ pub fn e15(scale: &Scale, _quick: bool) -> Table {
         bench.queries.len()
     ));
 
-    // Part 1: deadline sweep. Degraded rankings must be ordered by their
-    // lower bounds — the engine's principled-degradation contract.
+    // Degraded rankings must be ordered by their lower bounds — the
+    // engine's principled-degradation contract.
     for (label, deadline) in [
         ("unlimited", None),
         ("100 ms", Some(Duration::from_millis(100))),
@@ -952,8 +950,12 @@ pub fn e15(scale: &Scale, _quick: bool) -> Table {
         for query in &bench.queries {
             let budget =
                 deadline.map_or_else(Budget::unlimited, |d| Budget::unlimited().with_deadline(d));
+            let request = Query {
+                budget,
+                ..Query::knn(query.clone(), K_DEFAULT)
+            };
             let (outcome, _) = executor
-                .knn_budgeted(query, K_DEFAULT, &budget)
+                .run(&request)
                 .expect("budget firing degrades, it never errors");
             match outcome {
                 QueryOutcome::Exact(_) => exact += 1,
@@ -982,66 +984,6 @@ pub fn e15(scale: &Scale, _quick: bool) -> Table {
             fnum(ms),
         ]);
     }
-
-    // Part 2: governance overhead when nothing is limited. First assert
-    // bit-identity, then time both paths interleaved, min-of-5 (same
-    // protocol as the E13 overhead row: best-of sheds scheduler noise).
-    let unlimited = Budget::unlimited();
-    for query in &bench.queries {
-        let (plain, _) = executor.knn(query, K_DEFAULT).expect("consistent plan");
-        let (outcome, _) = executor
-            .knn_budgeted(query, K_DEFAULT, &unlimited)
-            .expect("consistent plan");
-        assert_eq!(
-            outcome.exact(),
-            Some(plain.as_slice()),
-            "unlimited budget changed answers"
-        );
-    }
-    let mut plain_best = f64::INFINITY;
-    let mut budgeted_best = f64::INFINITY;
-    for _ in 0..5 {
-        let started = Instant::now();
-        for query in &bench.queries {
-            let _ = executor.knn(query, K_DEFAULT).expect("consistent plan");
-        }
-        plain_best = plain_best.min(started.elapsed().as_secs_f64());
-
-        let started = Instant::now();
-        for query in &bench.queries {
-            let (outcome, _) = executor
-                .knn_budgeted(query, K_DEFAULT, &unlimited)
-                .expect("consistent plan");
-            assert!(!outcome.is_degraded(), "unlimited budget degraded");
-        }
-        budgeted_best = budgeted_best.min(started.elapsed().as_secs_f64());
-    }
-    table.row(vec![
-        "knn, no budget (min of 5)".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        fnum(plain_best * 1e3 / n),
-    ]);
-    table.row(vec![
-        "knn_budgeted, unlimited (min of 5)".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        fnum(budgeted_best * 1e3 / n),
-    ]);
-    table.row(vec![
-        "budget-check overhead [%]".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        "-".to_owned(),
-        fnum((budgeted_best / plain_best.max(1e-12) - 1.0) * 100.0),
-    ]);
-    table.note(
-        "unlimited-budget answers are asserted bit-identical to plain knn; \
-         overhead target <= 2% (the unlimited path short-circuits to the \
-         unbudgeted executor)",
-    );
     table
 }
 
@@ -2241,8 +2183,6 @@ mod tests {
     #[test]
     fn e15_zero_deadline_degrades_every_query() {
         let table = e15(&tiny(), true);
-        let text = table.to_string();
-        assert!(text.contains("budget-check overhead"));
         let zero_row = table
             .rows
             .iter()

@@ -80,7 +80,7 @@ const ENTRY_MEMBER: u8 = 1;
 /// clustering through its stored form:
 ///
 /// ```
-/// use emd_core::{ground, Histogram};
+/// use emd_core::{ground, Budget, Histogram};
 /// use emd_query::{CandidateSource, ClusteredIndex, Database};
 /// use emd_reduction::{CombiningReduction, ReducedEmd};
 /// use std::sync::Arc;
@@ -103,7 +103,7 @@ const ENTRY_MEMBER: u8 = 1;
 /// assert!(index.clusters() >= 1 && index.clusters() <= index.len());
 ///
 /// let query = Histogram::unit(4, 0).unwrap();
-/// let mut stream = index.prepare(&query).unwrap();
+/// let mut stream = index.prepare(&query, &Budget::unlimited()).unwrap();
 /// let (first, distance) = stream.next().unwrap().unwrap();
 /// assert_eq!((first, distance), (0, 0.0));
 ///
@@ -277,25 +277,6 @@ impl ClusteredIndex {
             members,
         })
     }
-
-    fn stream(
-        &self,
-        query: &Histogram,
-        budget: Budget,
-    ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        let reduced_query = self.reduced.reduce_first(query)?;
-        Ok(Box::new(ClusterStream {
-            index: self,
-            reduced_query,
-            budget,
-            context: EmdContext::new(),
-            heap: BinaryHeap::new(),
-            next_cluster: 0,
-            evaluations: 0,
-            emitted: 0,
-            visited: 0,
-        }))
-    }
 }
 
 impl CandidateSource for ClusteredIndex {
@@ -307,16 +288,23 @@ impl CandidateSource for ClusteredIndex {
         self.reduced_database.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        self.stream(query, Budget::unlimited())
-    }
-
-    fn prepare_budgeted(
+    fn prepare(
         &self,
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        self.stream(query, budget.clone())
+        let reduced_query = self.reduced.reduce_first(query)?;
+        Ok(Box::new(ClusterStream {
+            index: self,
+            reduced_query,
+            budget: budget.clone(),
+            context: EmdContext::new(),
+            heap: BinaryHeap::new(),
+            next_cluster: 0,
+            evaluations: 0,
+            emitted: 0,
+            visited: 0,
+        }))
     }
 }
 
@@ -785,7 +773,7 @@ mod tests {
         ];
         for query in &queries {
             let expected = scan_order(&index, query);
-            let mut stream = index.prepare(query).unwrap();
+            let mut stream = index.prepare(query, &Budget::unlimited()).unwrap();
             let mut got = Vec::new();
             while let Some(item) = stream.next().unwrap() {
                 got.push(item);
@@ -820,7 +808,7 @@ mod tests {
         let database = separated_database(13);
         let index = index_over(&database, 6, 1.0);
         let query = database.get(0).unwrap().clone();
-        let mut stream = index.prepare(&query).unwrap();
+        let mut stream = index.prepare(&query, &Budget::unlimited()).unwrap();
         for _ in 0..5 {
             stream.next().unwrap().unwrap();
         }
@@ -843,7 +831,7 @@ mod tests {
         // clusters under a generous cap, then exhaust the pool from the
         // outside so the next pull must surface the firing.
         let budget = Budget::unlimited().with_pivot_cap(1_000_000);
-        let mut stream = index.prepare_budgeted(&query, &budget).unwrap();
+        let mut stream = index.prepare(&query, &budget).unwrap();
         stream.next().unwrap().unwrap();
         budget.settle_pivots(1_000_000);
         // Already-computed entries may still emit for free, but expanding
@@ -909,7 +897,7 @@ mod tests {
         // Emission is still bit-identical to a scan under the closure.
         let query = Histogram::unit(9, 4).unwrap();
         let expected = scan_order(&index, &query);
-        let mut stream = index.prepare(&query).unwrap();
+        let mut stream = index.prepare(&query, &Budget::unlimited()).unwrap();
         for e in &expected {
             let got = stream.next().unwrap().unwrap();
             assert_eq!(got.0, e.0);
@@ -949,8 +937,8 @@ mod tests {
         }
         // And it queries identically.
         let query = Histogram::unit(8, 1).unwrap();
-        let mut s1 = index.prepare(&query).unwrap();
-        let mut s2 = reopened.prepare(&query).unwrap();
+        let mut s1 = index.prepare(&query, &Budget::unlimited()).unwrap();
+        let mut s2 = reopened.prepare(&query, &Budget::unlimited()).unwrap();
         loop {
             let (a, b) = (s1.next().unwrap(), s2.next().unwrap());
             assert_eq!(a, b);

@@ -60,8 +60,9 @@ use emd_store::wal::{self, TornTail, WalRecord, WalWriter};
 use emd_store::StoreError;
 
 use crate::dynamic::{DynamicIndex, DynamicSnapshot};
-use crate::engine::Executor;
+use crate::engine::{Executor, Query};
 use crate::error::QueryError;
+use crate::outcome::QueryOutcome;
 use crate::stats::QueryStats;
 
 /// Schema tag written as the first token of the `CURRENT` checkpoint.
@@ -788,7 +789,7 @@ impl DurableIndex {
     /// # Errors
     ///
     /// Same contract as [`DynamicIndex::knn`].
-    // lint: allow(unbudgeted): convenience twin; budgets enter via the snapshot executor.
+    // lint: allow(unbudgeted): sugar over DurableSnapshot::knn.
     pub fn knn(
         &self,
         query: &Histogram,
@@ -802,7 +803,7 @@ impl DurableIndex {
     /// # Errors
     ///
     /// Same contract as [`DynamicIndex::range`].
-    // lint: allow(unbudgeted): convenience twin; budgets enter via the snapshot executor.
+    // lint: allow(unbudgeted): sugar over DurableSnapshot::range.
     pub fn range(
         &self,
         query: &Histogram,
@@ -865,9 +866,8 @@ impl DurableSnapshot {
         self.inner.is_empty()
     }
 
-    /// The underlying executor (dense ids — budgeted/isolated execution
-    /// for the server; map results back with
-    /// [`external_id`](Self::external_id)).
+    /// The underlying executor (dense ids; [`run`](Self::run) and
+    /// [`run_isolated`](Self::run_isolated) answer in external ids).
     #[must_use]
     pub fn executor(&self) -> &Executor {
         self.inner.executor()
@@ -880,18 +880,45 @@ impl DurableSnapshot {
         self.externals.get(slot).copied().flatten()
     }
 
+    /// Run one [`Query`] under the budget it carries, answering in
+    /// external ids (exact neighbors and degraded candidates alike).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError`] under the same conditions as
+    /// [`Executor::run`].
+    pub fn run(&self, query: &Query) -> Result<(QueryOutcome, QueryStats), QueryError> {
+        let (outcome, stats) = self.executor().run(query)?;
+        Ok((self.externalize(outcome)?, stats))
+    }
+
+    /// [`run`](Self::run) with panic isolation — the server's entry
+    /// point; see [`Executor::run_isolated`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Executor::run_isolated`].
+    pub fn run_isolated(
+        &self,
+        query: &Query,
+        worker: usize,
+    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
+        let (outcome, stats) = self.executor().run_isolated(query, worker)?;
+        Ok((self.externalize(outcome)?, stats))
+    }
+
     /// Exact k-NN returning `(external id, distance)` pairs.
     ///
     /// # Errors
     ///
     /// Same contract as [`DynamicSnapshot::knn`].
-    // lint: allow(unbudgeted): convenience twin; budgets enter via the executor.
+    // lint: allow(unbudgeted): sugar over Executor::knn with Budget::unlimited().
     pub fn knn(
         &self,
         query: &Histogram,
         k: usize,
     ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
-        let (neighbors, stats) = self.inner.knn(query, k)?;
+        let (neighbors, stats) = self.executor().knn(query, k)?;
         Ok((self.to_external(neighbors)?, stats))
     }
 
@@ -900,13 +927,13 @@ impl DurableSnapshot {
     /// # Errors
     ///
     /// Same contract as [`DynamicSnapshot::range`].
-    // lint: allow(unbudgeted): convenience twin; budgets enter via the executor.
+    // lint: allow(unbudgeted): sugar over Executor::range with Budget::unlimited().
     pub fn range(
         &self,
         query: &Histogram,
         epsilon: f64,
     ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
-        let (neighbors, stats) = self.inner.range(query, epsilon)?;
+        let (neighbors, stats) = self.executor().range(query, epsilon)?;
         Ok((self.to_external(neighbors)?, stats))
     }
 
@@ -915,14 +942,19 @@ impl DurableSnapshot {
             .into_iter()
             .map(|n| {
                 let external = self
-                    .externals
-                    .get(n.id)
-                    .copied()
-                    .flatten()
+                    .external_id(n.id)
                     .ok_or(QueryError::UnknownObject(n.id))?;
                 Ok((external, n.distance))
             })
             .collect()
+    }
+
+    /// Rewrite an outcome's dense engine ids as external ids.
+    fn externalize(&self, outcome: QueryOutcome) -> Result<QueryOutcome, QueryError> {
+        outcome.map_ids(|dense| {
+            let id = self.external_id(dense)?;
+            Some(usize::try_from(id).unwrap_or(usize::MAX))
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! A mutable EMD retrieval index with copy-on-write snapshots.
 //!
-//! [`Pipeline`](crate::Pipeline) indexes an immutable database snapshot —
-//! the setting of the paper's experiments. Real deployments also insert
+//! A static [`QueryPlan`] indexes an immutable database snapshot — the
+//! setting of the paper's experiments. Real deployments also insert
 //! and delete objects; `DynamicIndex` supports both while keeping the
 //! reduced (filter) representation of every object in sync, so queries
 //! retain the complete filter-and-refine behaviour without rebuilds.
@@ -17,9 +17,10 @@
 //! up through the snapshot's id map: every live query has its own warm
 //! solver context and honours the [`Budget`] it runs under.
 
-use crate::engine::{Executor, QueryPlan};
+use crate::engine::{Executor, Query, QueryPlan};
 use crate::error::QueryError;
 use crate::filters::{Filter, Objects, PreparedEmd, PreparedFilter, PreparedReducedEmd};
+use crate::outcome::QueryOutcome;
 use crate::stats::QueryStats;
 use crate::Neighbor;
 use emd_core::{Budget, CostMatrix, Histogram};
@@ -225,7 +226,7 @@ impl DynamicIndex {
     ///
     /// Returns [`QueryError`] on `k = 0`, an empty index, a query shape
     /// mismatch, or if an exact EMD refinement fails.
-    // lint: allow(unbudgeted): convenience twin; budgets enter via run_budgeted.
+    // lint: allow(unbudgeted): sugar over DynamicSnapshot::knn.
     pub fn knn(
         &self,
         query: &Histogram,
@@ -244,7 +245,7 @@ impl DynamicIndex {
     ///
     /// Returns [`QueryError`] on a negative or non-finite `epsilon`, an
     /// empty index, a query shape mismatch, or a refinement failure.
-    // lint: allow(unbudgeted): convenience twin; budgets enter via run_budgeted.
+    // lint: allow(unbudgeted): sugar over DynamicSnapshot::range.
     pub fn range(
         &self,
         query: &Histogram,
@@ -276,8 +277,8 @@ impl DynamicSnapshot {
         self.ids.is_empty()
     }
 
-    /// The underlying executor (dense ids; use
-    /// [`knn`](Self::knn)/[`range`](Self::range) for stable ids).
+    /// The underlying executor (dense ids; use [`run`](Self::run) for
+    /// stable ids).
     pub fn executor(&self) -> &Executor {
         &self.executor
     }
@@ -289,20 +290,32 @@ impl DynamicSnapshot {
         self.ids.get(dense).copied()
     }
 
+    /// Run one [`Query`] under the budget it carries, answering in stable
+    /// ids (exact neighbors and degraded candidates alike).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError`] under the same conditions as
+    /// [`Executor::run`].
+    pub fn run(&self, query: &Query) -> Result<(QueryOutcome, QueryStats), QueryError> {
+        let (outcome, stats) = self.executor.run(query)?;
+        Ok((outcome.map_ids(|dense| self.stable_id(dense))?, stats))
+    }
+
     /// Exact k-NN with stable ids.
     ///
     /// # Errors
     ///
     /// Returns [`QueryError`] under the same conditions as
     /// [`Executor::knn`].
-    // lint: allow(unbudgeted): convenience twin; budgets enter via run_budgeted.
+    // lint: allow(unbudgeted): sugar over run with Budget::unlimited().
     pub fn knn(
         &self,
         query: &Histogram,
         k: usize,
     ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
-        let (neighbors, stats) = self.executor.knn(query, k)?;
-        Ok((self.remap(neighbors)?, stats))
+        let (outcome, stats) = self.run(&Query::knn(query.clone(), k))?;
+        Ok((outcome.into_exact()?, stats))
     }
 
     /// Exact range query with stable ids.
@@ -311,27 +324,14 @@ impl DynamicSnapshot {
     ///
     /// Returns [`QueryError`] under the same conditions as
     /// [`Executor::range`].
-    // lint: allow(unbudgeted): convenience twin; budgets enter via run_budgeted.
+    // lint: allow(unbudgeted): sugar over run with Budget::unlimited().
     pub fn range(
         &self,
         query: &Histogram,
         epsilon: f64,
     ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
-        let (neighbors, stats) = self.executor.range(query, epsilon)?;
-        Ok((self.remap(neighbors)?, stats))
-    }
-
-    fn remap(&self, neighbors: Vec<Neighbor>) -> Result<Vec<Neighbor>, QueryError> {
-        neighbors
-            .into_iter()
-            .map(|n| {
-                let id = *self.ids.get(n.id).ok_or(QueryError::UnknownObject(n.id))?;
-                Ok(Neighbor {
-                    id,
-                    distance: n.distance,
-                })
-            })
-            .collect()
+        let (outcome, stats) = self.run(&Query::range(query.clone(), epsilon))?;
+        Ok((outcome.into_exact()?, stats))
     }
 }
 
@@ -372,11 +372,7 @@ impl Filter for LiveReducedFilter {
         self.reduced_objects.ids.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        self.prepare_budgeted(query, &Budget::unlimited())
-    }
-
-    fn prepare_budgeted(
+    fn prepare(
         &self,
         query: &Histogram,
         budget: &Budget,
@@ -410,11 +406,7 @@ impl Filter for LiveEmdFilter {
         self.objects.ids.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        self.prepare_budgeted(query, &Budget::unlimited())
-    }
-
-    fn prepare_budgeted(
+    fn prepare(
         &self,
         query: &Histogram,
         budget: &Budget,

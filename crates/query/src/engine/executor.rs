@@ -1,13 +1,16 @@
 //! The one execution path for every query in the workspace.
 //!
-//! [`Executor::run`] is where a [`QueryPlan`] meets a query: it prepares
-//! the per-query filter state, stacks the lazy
+//! [`Executor::run`] is where a [`QueryPlan`] meets a [`Query`]: it
+//! prepares the per-query filter state under the query's
+//! [`Budget`](crate::Budget), takes stage 1 from the plan's candidate
+//! source (or else scans the first filter stage), stacks the lazy
 //! [`ChainedRanking`](crate::ranking::ChainedRanking)s of Figure 12, and
 //! hands the final ranking to the KNOP refinement loop in
-//! [`knop`](crate::knop) — the *only* call site of that loop. The static
-//! [`Pipeline`](crate::Pipeline), the mutable
-//! [`DynamicIndex`](crate::DynamicIndex) and the brute-force
-//! [`scan`](crate::scan) oracles all execute through here.
+//! [`knop`](crate::knop) — the *only* call site of that loop. Static
+//! plans, the mutable [`DynamicIndex`](crate::DynamicIndex) and the
+//! brute-force [`scan`](crate::scan) oracles all execute through here;
+//! [`Executor::knn`] and [`Executor::range`] are sugar that builds an
+//! unlimited [`Query`] and calls [`Executor::run`].
 //!
 //! [`Executor::run_batch`] fans a query workload across std scoped
 //! threads; per-thread [`QueryStats`] are merged with
@@ -30,25 +33,26 @@
 //!
 //! ## Execution governance
 //!
-//! [`Executor::run_budgeted`] threads an execution [`Budget`] (wall-clock
-//! deadline, solver pivot cap, cooperative cancellation) through filter
-//! preparation and the KNOP loop. When the budget fires the executor
-//! returns [`QueryOutcome::Degraded`] — the candidate ranking ordered by
-//! the tightest lower bound computed so far — instead of an error or a
-//! silently truncated "exact" answer. Batch execution isolates panics
-//! per query ([`Executor::run_batch_isolated`]): a panicking worker turns
-//! into [`QueryError::WorkerPanicked`] for its own queries only, and
-//! surviving queries' results and chunk-order stats merge are unchanged.
+//! The [`Budget`](crate::Budget) a query carries (wall-clock deadline,
+//! solver pivot cap, cooperative cancellation) is threaded through filter
+//! preparation, the stage-1 stream and the KNOP loop. When it fires the
+//! executor returns [`QueryOutcome::Degraded`] — the candidate ranking
+//! ordered by the tightest lower bound computed so far — instead of an
+//! error or a silently truncated "exact" answer. [`Executor::run_isolated`] adds
+//! panic isolation, per query in batches
+//! ([`Executor::run_batch_isolated`]): a panicking worker turns into
+//! [`QueryError::WorkerPanicked`] for its own queries only, and surviving
+//! queries' results and chunk-order stats merge are unchanged.
 
-use crate::engine::source::{CandidateSource, SourceRanking};
+use crate::engine::source::{ScanStream, SourceRanking};
 use crate::error::QueryError;
 use crate::filters::PreparedFilter;
 use crate::knop;
 use crate::outcome::{sort_candidates, Candidate, DegradedResult, QueryOutcome};
-use crate::ranking::{ChainedRanking, EagerRanking, Ranking};
+use crate::ranking::{ChainedRanking, Ranking};
 use crate::stats::QueryStats;
 use crate::Neighbor;
-use emd_core::{Budget, BudgetReason, Histogram};
+use emd_core::{BudgetReason, Histogram};
 use emd_faultkit::{Fault, FaultInjector, InjectedPanic, Site};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,12 +91,6 @@ impl Executor {
         &self.plan
     }
 
-    /// Mutable access to the plan (e.g. to
-    /// [`seed_estimates`](QueryPlan::seed_estimates) from history).
-    pub fn plan_mut(&mut self) -> &mut QueryPlan {
-        &mut self.plan
-    }
-
     /// Number of database objects the plan indexes.
     pub fn len(&self) -> usize {
         self.plan.len()
@@ -104,101 +102,48 @@ impl Executor {
         self.plan.is_empty()
     }
 
-    /// Exact k-nearest-neighbor query.
+    /// Exact k-nearest-neighbor query: [`Executor::run`] under an
+    /// unlimited budget.
     ///
     /// # Errors
     ///
     /// Returns [`QueryError`] for `k = 0`, a query shape mismatch, or a
-    /// filter/refiner failure mid-query.
-    // lint: allow(unbudgeted): convenience twin of run_budgeted with Budget::unlimited().
+    /// filter/refiner failure mid-query — including
+    /// [`QueryError::BudgetExhausted`] should a filter report exhaustion
+    /// on its own (never a truncated `Ok`).
+    // lint: allow(unbudgeted): sugar over run with Budget::unlimited().
     pub fn knn(
         &self,
         query: &Histogram,
         k: usize,
     ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
-        self.execute(query, QueryMode::Knn(k))
+        self.run_exact(&Query::knn(query.clone(), k))
     }
 
-    /// Exact range query.
+    /// Exact range query: [`Executor::run`] under an unlimited budget.
     ///
     /// # Errors
     ///
     /// Returns [`QueryError`] for a negative or non-finite `epsilon`, a
     /// query shape mismatch, or a filter/refiner failure mid-query.
-    // lint: allow(unbudgeted): convenience twin of run_budgeted with Budget::unlimited().
+    // lint: allow(unbudgeted): sugar over run with Budget::unlimited().
     pub fn range(
         &self,
         query: &Histogram,
         epsilon: f64,
     ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
-        self.execute(query, QueryMode::Range(epsilon))
+        self.run_exact(&Query::range(query.clone(), epsilon))
     }
 
-    /// Run one [`Query`] (k-NN or range, as its mode says).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError`] under the same conditions as [`Executor::knn`]
-    /// and [`Executor::range`].
-    // lint: allow(unbudgeted): convenience twin of run_budgeted with Budget::unlimited().
-    pub fn run(&self, query: &Query) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
-        self.execute(&query.histogram, query.mode)
-    }
-
-    /// Run one [`Query`] under an execution [`Budget`].
-    ///
-    /// With an unlimited budget this takes the exact same code path as
-    /// [`Executor::run`] and wraps the answer in [`QueryOutcome::Exact`] —
-    /// results are bit-identical. When the budget fires mid-query the
-    /// outcome is [`QueryOutcome::Degraded`]: the candidate ranking
-    /// ordered by the tightest lower bound computed so far, with refined
-    /// candidates flagged `exact`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError`] under the same conditions as
-    /// [`Executor::run`]; budget exhaustion is *not* an error here — it
-    /// degrades.
-    pub fn run_budgeted(
-        &self,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
-        self.execute_budgeted(&query.histogram, query.mode, budget)
-    }
-
-    /// Budgeted k-nearest-neighbor query; see [`Executor::run_budgeted`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Executor::knn`], except budget exhaustion
-    /// degrades instead of erroring.
-    pub fn knn_budgeted(
-        &self,
-        query: &Histogram,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
-        self.execute_budgeted(query, QueryMode::Knn(k), budget)
-    }
-
-    /// Budgeted range query; see [`Executor::run_budgeted`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Executor::range`], except budget exhaustion
-    /// degrades instead of erroring.
-    pub fn range_budgeted(
-        &self,
-        query: &Histogram,
-        epsilon: f64,
-        budget: &Budget,
-    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
-        self.execute_budgeted(query, QueryMode::Range(epsilon), budget)
+    /// [`Executor::run`], with a degraded outcome turned into
+    /// [`QueryError::BudgetExhausted`].
+    fn run_exact(&self, query: &Query) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
+        let (outcome, stats) = self.run(query)?;
+        Ok((outcome.into_exact()?, stats))
     }
 
     /// Run a batch of queries across `threads` std scoped threads,
-    /// returning per-query results in input order plus the merged
+    /// returning per-query exact results in input order plus the merged
     /// statistics.
     ///
     /// Results and statistics are bit-identical to running the same
@@ -209,11 +154,10 @@ impl Executor {
     /// # Errors
     ///
     /// Returns the first [`QueryError`] (by query index) any query
-    /// produced. Unlike older revisions, a panicking worker no longer
-    /// poisons the whole batch: it surfaces as
-    /// [`QueryError::WorkerPanicked`] on the affected queries (and this
-    /// wrapper then reports the first of them).
-    // lint: allow(unbudgeted): batch wrapper; per-query budgets ride run_budgeted.
+    /// produced: a panicking worker surfaces as
+    /// [`QueryError::WorkerPanicked`] on the affected queries, and a query
+    /// whose budget fired as [`QueryError::BudgetExhausted`] (use
+    /// [`Executor::run_batch_isolated`] to keep its degraded ranking).
     pub fn run_batch(
         &self,
         queries: &[Query],
@@ -222,48 +166,54 @@ impl Executor {
         let (results, total) = self.run_batch_isolated(queries, threads);
         let mut neighbors = Vec::with_capacity(results.len());
         for result in results {
-            neighbors.push(result?);
+            neighbors.push(result?.into_exact()?);
         }
         Ok((neighbors, total))
     }
 
-    /// Run a batch of queries with per-query panic isolation, returning
-    /// one `Result` per query in input order plus the merged statistics of
-    /// every query that succeeded.
+    /// Run a batch of queries, each under its own
+    /// [`Budget`](crate::Budget) and with per-query panic isolation,
+    /// returning one `Result` per query in input order plus the merged
+    /// statistics of every query that answered (exactly or degraded).
     ///
     /// Each query executes inside `catch_unwind`; a panic (a solver bug, a
     /// poisoned invariant, an injected [`Fault::Panic`]) is converted into
     /// [`QueryError::WorkerPanicked`] for that query only. Surviving
     /// queries — including later queries on the same worker thread — run
-    /// to completion, and their stats merge in chunk order exactly as in
-    /// the non-isolated path, so totals for survivors are bit-identical.
+    /// to completion, and their stats merge in chunk order, so totals for
+    /// survivors are bit-identical at any thread count.
     ///
     /// # Errors
     ///
     /// The call itself never fails; each query's slot carries its own
     /// [`QueryError`], including [`QueryError::WorkerPanicked`] for
     /// panics caught in that worker.
-    // lint: allow(unbudgeted): batch wrapper; per-query budgets ride run_budgeted.
     pub fn run_batch_isolated(
         &self,
         queries: &[Query],
         threads: usize,
-    ) -> (Vec<Result<Vec<Neighbor>, QueryError>>, QueryStats) {
-        let threads = threads.clamp(1, queries.len().max(1));
-        if threads == 1 {
-            emd_obs::gauge_set("query.batch.threads", 1.0);
-            let mut results = Vec::with_capacity(queries.len());
+    ) -> (Vec<Result<QueryOutcome, QueryError>>, QueryStats) {
+        type ChunkOutput = (
+            Vec<Result<QueryOutcome, QueryError>>,
+            QueryStats,
+            Option<emd_obs::MetricsRegistry>,
+        );
+        let run_chunk = |chunk_queries: &[Query], worker: usize| {
+            let mut results = Vec::with_capacity(chunk_queries.len());
             let mut total = QueryStats::default();
-            for query in queries {
-                match self.run_isolated(query, 0) {
-                    Ok((neighbors, stats)) => {
-                        total.accumulate(&stats);
-                        results.push(Ok(neighbors));
-                    }
-                    Err(error) => results.push(Err(error)),
-                }
+            for query in chunk_queries {
+                results.push(self.run_isolated(query, worker).map(|(outcome, stats)| {
+                    total.accumulate(&stats);
+                    outcome
+                }));
             }
-            return (results, total);
+            (results, total)
+        };
+
+        let threads = threads.clamp(1, queries.len().max(1));
+        emd_obs::gauge_set("query.batch.threads", threads as f64);
+        if threads == 1 {
+            return run_chunk(queries, 0);
         }
 
         // Contiguous chunks keep per-query results trivially reorderable:
@@ -274,11 +224,6 @@ impl Executor {
         // counter totals are then identical to a sequential run at any
         // thread count (histogram sums still reflect wall-clock).
         let record_metrics = emd_obs::recording();
-        type ChunkOutput = (
-            Vec<Result<Vec<Neighbor>, QueryError>>,
-            QueryStats,
-            Option<emd_obs::MetricsRegistry>,
-        );
         // lint: allow(nondeterminism): chunk outputs join in spawn order, so
         // batch results and counter totals match a sequential run exactly.
         let chunk_results: Vec<ChunkOutput> = std::thread::scope(|scope| {
@@ -286,19 +231,10 @@ impl Executor {
             // spawn iterator would serialize the batch.
             let mut handles = Vec::with_capacity(threads);
             for (worker, chunk_queries) in queries.chunks(chunk).enumerate() {
+                let run_chunk = &run_chunk;
                 handles.push(scope.spawn(move || -> ChunkOutput {
                     let recording = record_metrics.then(emd_obs::Recording::start);
-                    let mut results = Vec::with_capacity(chunk_queries.len());
-                    let mut total = QueryStats::default();
-                    for query in chunk_queries {
-                        match self.run_isolated(query, worker) {
-                            Ok((neighbors, stats)) => {
-                                total.accumulate(&stats);
-                                results.push(Ok(neighbors));
-                            }
-                            Err(error) => results.push(Err(error)),
-                        }
-                    }
+                    let (results, total) = run_chunk(chunk_queries, worker);
                     (results, total, recording.map(emd_obs::Recording::finish))
                 }));
             }
@@ -322,72 +258,37 @@ impl Executor {
             collected
         });
 
-        emd_obs::gauge_set("query.batch.threads", threads as f64);
         let mut results = Vec::with_capacity(queries.len());
         let mut total = QueryStats::default();
-        for (chunk_neighbors, chunk_stats, chunk_registry) in chunk_results {
+        for (chunk_outcomes, chunk_stats, chunk_registry) in chunk_results {
             total.accumulate(&chunk_stats);
             if let Some(registry) = &chunk_registry {
                 emd_obs::absorb(registry);
             }
-            results.extend(chunk_neighbors);
+            results.extend(chunk_outcomes);
         }
         (results, total)
     }
 
-    /// Run one [`Query`] under a [`Budget`] with panic isolation: the
-    /// long-running-server entry point. The query executes inside
-    /// `catch_unwind`, so a panicking solve (a bug, a poisoned
-    /// invariant, an injected [`Fault::Panic`]) surfaces as
-    /// [`QueryError::WorkerPanicked`] attributed to `worker` — the
-    /// caller keeps serving. `worker` is an arbitrary caller-chosen
-    /// ordinal (the serve layer passes a per-request sequence number, so
-    /// an armed [`Site::Worker`] failpoint targets exactly one request).
-    ///
-    /// Budget exhaustion is *not* an error: it returns
-    /// [`QueryOutcome::Degraded`] exactly as [`Executor::run_budgeted`]
-    /// does, and with an unlimited budget results are bit-identical to
-    /// the unbudgeted path.
+    /// [`Executor::run`] with panic isolation: the long-running-server
+    /// entry point. The query executes inside `catch_unwind`, so a
+    /// panicking solve (a bug, a poisoned invariant, an injected
+    /// [`Fault::Panic`]) surfaces as [`QueryError::WorkerPanicked`]
+    /// attributed to `worker` — the caller keeps serving. `worker` is an
+    /// arbitrary caller-chosen ordinal (the serve layer passes a
+    /// per-request sequence number, so an armed [`Site::Worker`]
+    /// failpoint targets exactly one request); the installed fault
+    /// injector (if any) is probed at it first.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Executor::run_budgeted`], plus
+    /// Same conditions as [`Executor::run`], plus
     /// [`QueryError::WorkerPanicked`] for panics caught in this call.
-    pub fn run_budgeted_isolated(
+    pub fn run_isolated(
         &self,
         query: &Query,
-        budget: &Budget,
         worker: usize,
     ) -> Result<(QueryOutcome, QueryStats), QueryError> {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(injector) = &self.faults {
-                if let Some(Fault::Panic) = injector.check(Site::Worker(worker)) {
-                    std::panic::panic_any(InjectedPanic::new(worker)); // lint: allow(panic)
-                }
-            }
-            self.run_budgeted(query, budget)
-        }));
-        match result {
-            Ok(answer) => answer,
-            Err(payload) => {
-                emd_obs::counter_add("query.worker_panics", 1);
-                Err(QueryError::WorkerPanicked {
-                    worker,
-                    detail: panic_detail(payload.as_ref()),
-                })
-            }
-        }
-    }
-
-    /// Run one query inside `catch_unwind`, converting any panic into
-    /// [`QueryError::WorkerPanicked`] attributed to `worker`. Probes the
-    /// installed fault injector (if any) first, honoring
-    /// [`Fault::Panic`] with a typed [`InjectedPanic`] payload.
-    fn run_isolated(
-        &self,
-        query: &Query,
-        worker: usize,
-    ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
         let result = catch_unwind(AssertUnwindSafe(|| {
             if let Some(injector) = &self.faults {
                 if let Some(Fault::Panic) = injector.check(Site::Worker(worker)) {
@@ -408,209 +309,130 @@ impl Executor {
         }
     }
 
-    fn execute(
-        &self,
-        query: &Histogram,
-        mode: QueryMode,
-    ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
+    /// Run one [`Query`] (k-NN or range, as its mode says) under the
+    /// [`Budget`](crate::Budget) it carries — the single body every other
+    /// entry point reaches.
+    ///
+    /// When the budget fires mid-query the outcome is
+    /// [`QueryOutcome::Degraded`]: the candidate ranking ordered by the
+    /// tightest lower bound computed so far, with refined candidates
+    /// flagged `exact`. Under `Budget::unlimited()` the outcome is always
+    /// [`QueryOutcome::Exact`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError`] for `k = 0`, a negative or non-finite
+    /// `epsilon`, a query shape mismatch, or a filter/refiner failure
+    /// mid-query; budget exhaustion is *not* an error here — it degrades.
+    pub fn run(&self, query: &Query) -> Result<(QueryOutcome, QueryStats), QueryError> {
         let _query_span = emd_obs::span("query.execute");
         emd_obs::counter_add("query.queries", 1);
-        match mode {
+        let Query {
+            histogram,
+            mode,
+            budget,
+        } = query;
+        match *mode {
             QueryMode::Knn(0) => return Err(QueryError::ZeroK),
             QueryMode::Range(epsilon) if epsilon.is_nan() || epsilon < 0.0 => {
                 return Err(QueryError::InvalidEpsilon(epsilon));
             }
             _ => {}
         }
-        if let Some(source) = self.plan.source() {
-            return self.execute_from_source(source, query, mode);
-        }
+        let plan = &self.plan;
         let mut refiner = {
             let _span = emd_obs::span("query.refiner.prepare");
-            self.plan.refiner().prepare(query)?
+            plan.refiner().prepare(histogram, budget)?
         };
-
         let mut prepared: Vec<Box<dyn PreparedFilter + '_>> =
-            Vec::with_capacity(self.plan.stages().len());
-        for stage in self.plan.stages() {
+            Vec::with_capacity(plan.stages().len());
+        for stage in plan.stages() {
             let _span = emd_obs::span_with(|| format!("query.stage.{}.prepare", stage.name()));
-            prepared.push(stage.prepare(query)?);
+            prepared.push(stage.prepare(histogram, budget)?);
         }
-
-        let Some((first, rest)) = prepared.split_first_mut() else {
-            // Zero-stage plan — the sequential scan: refine every object
-            // once and read the answer off the exact ranking.
-            let neighbors = {
-                let _span = emd_obs::span("query.scan");
-                scan_ranking(refiner.as_mut(), self.plan.len(), mode)?
-            };
-            let stats = QueryStats {
-                filter_evaluations: Vec::new(),
-                refinements: refiner.evaluations(),
-                results: neighbors.len(),
-            };
-            publish_stats(&stats);
-            return Ok((neighbors, stats));
-        };
-
-        let (neighbors, refinements) = {
-            let _span = emd_obs::span("query.knop");
-            let mut ranking: Box<dyn Ranking + '_> =
-                Box::new(EagerRanking::new(first.as_mut(), self.plan.len())?);
-            for stage in rest {
-                ranking = Box::new(ChainedRanking::new(ranking, stage.as_mut()));
+        let mut source = match plan.source() {
+            Some(source) => {
+                let _span =
+                    emd_obs::span_with(|| format!("query.source.{}.prepare", source.name()));
+                Some((source.name(), source.prepare(histogram, budget)?))
             }
-            match mode {
-                QueryMode::Knn(k) => knop::knn(ranking.as_mut(), refiner.as_mut(), k)?,
-                QueryMode::Range(epsilon) => {
-                    knop::range(ranking.as_mut(), refiner.as_mut(), epsilon)?
-                }
-            }
+            None => None,
         };
-
-        let stats = QueryStats {
-            filter_evaluations: self
-                .plan
-                .stages()
-                .iter()
-                .zip(prepared.iter())
-                .map(|(stage, p)| (stage.name().to_owned(), p.evaluations()))
-                .collect(),
-            refinements,
-            results: neighbors.len(),
-        };
-        publish_stats(&stats);
-        Ok((neighbors, stats))
-    }
-
-    fn execute_budgeted(
-        &self,
-        query: &Histogram,
-        mode: QueryMode,
-        budget: &Budget,
-    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
-        if budget.is_unlimited() {
-            // Bit-identical guarantee: with nothing to enforce, take the
-            // exact unbudgeted path.
-            let (neighbors, stats) = self.execute(query, mode)?;
-            return Ok((QueryOutcome::Exact(neighbors), stats));
-        }
-        let _query_span = emd_obs::span("query.execute");
-        emd_obs::counter_add("query.queries", 1);
-        match mode {
-            QueryMode::Knn(0) => return Err(QueryError::ZeroK),
-            QueryMode::Range(epsilon) if epsilon.is_nan() || epsilon < 0.0 => {
-                return Err(QueryError::InvalidEpsilon(epsilon));
-            }
-            _ => {}
-        }
-        if let Some(source) = self.plan.source() {
-            return self.execute_from_source_budgeted(source, query, mode, budget);
-        }
-        let mut refiner = {
-            let _span = emd_obs::span("query.refiner.prepare");
-            self.plan.refiner().prepare_budgeted(query, budget)?
-        };
-
-        let mut prepared: Vec<Box<dyn PreparedFilter + '_>> =
-            Vec::with_capacity(self.plan.stages().len());
-        for stage in self.plan.stages() {
-            let _span = emd_obs::span_with(|| format!("query.stage.{}.prepare", stage.name()));
-            prepared.push(stage.prepare_budgeted(query, budget)?);
-        }
-
-        let finish = finish_outcome;
-
-        if prepared.is_empty() {
-            // Zero-stage plan — the sequential scan. Materialize the exact
-            // ranking one refinement at a time so the bounds computed
-            // before a budget firing survive into the degraded answer.
-            let _span = emd_obs::span("query.scan");
-            let mut computed: Vec<(usize, f64)> = Vec::new();
-            let mut fired: Option<BudgetReason> = None;
-            for id in 0..self.plan.len() {
-                if let Err(reason) = budget.check() {
-                    fired = Some(reason);
-                    break;
-                }
-                match refiner.distance(id) {
-                    Ok(distance) => computed.push((id, distance)),
-                    Err(QueryError::BudgetExhausted(reason)) => {
-                        fired = Some(reason);
-                        break;
-                    }
-                    Err(error) => return Err(error),
-                }
-            }
-            let refinements = refiner.evaluations();
-            let outcome = match fired {
-                Some(reason) => {
-                    let mut candidates: Vec<Candidate> = computed
-                        .into_iter()
-                        .map(|(id, bound)| Candidate {
-                            id,
-                            bound,
-                            exact: true,
-                        })
-                        .collect();
-                    sort_candidates(&mut candidates);
-                    match mode {
-                        QueryMode::Knn(k) => candidates.truncate(k),
-                        QueryMode::Range(epsilon) => {
-                            candidates.retain(|c| c.bound <= epsilon);
-                        }
-                    }
-                    QueryOutcome::Degraded(DegradedResult { candidates, reason })
-                }
-                None => {
-                    let mut ranking = EagerRanking::from_computed(computed);
-                    let mut neighbors = Vec::new();
-                    while let Some((id, distance)) = ranking.next()? {
-                        match mode {
-                            QueryMode::Knn(k) if neighbors.len() >= k => break,
-                            QueryMode::Range(epsilon) if distance > epsilon => break,
-                            _ => neighbors.push(Neighbor { id, distance }),
-                        }
-                    }
-                    QueryOutcome::Exact(neighbors)
-                }
-            };
-            return Ok(finish(outcome, refinements, Vec::new()));
-        }
 
         let (outcome, refinements) = {
+            // Stage 1 comes from the plan's source, or else from a scan of
+            // the first filter stage; the remaining stages chain on top.
+            let (mut ranking, chained): (Box<dyn Ranking + '_>, _) = match &mut source {
+                Some((_, stream)) => (
+                    Box::new(SourceRanking::new(stream.as_mut())),
+                    prepared.as_mut_slice(),
+                ),
+                None => match prepared.split_first_mut() {
+                    Some((first, rest)) => (
+                        Box::new(ScanStream::new(first.as_mut(), plan.len(), budget)),
+                        rest,
+                    ),
+                    None => {
+                        // Zero-stage plan — the sequential scan: the
+                        // refiner's own ranking is exact already.
+                        let outcome = {
+                            let _span = emd_obs::span("query.scan");
+                            let scan = ScanStream::new(refiner.as_mut(), plan.len(), budget);
+                            read_exact_scan(scan, *mode)?
+                        };
+                        return Ok(finish_outcome(outcome, refiner.evaluations(), Vec::new()));
+                    }
+                },
+            };
             let _span = emd_obs::span("query.knop");
-            // Materialize the first filter stage by hand (instead of
-            // EagerRanking::new) so a budget firing mid-materialization
-            // still yields the bounds computed so far.
-            let len = self.plan.len();
-            let mut computed: Vec<(usize, f64)> = Vec::with_capacity(len);
-            let mut fired: Option<BudgetReason> = None;
-            if let Some(first) = prepared.first_mut() {
-                for id in 0..len {
-                    if let Err(reason) = budget.check() {
-                        fired = Some(reason);
-                        break;
-                    }
-                    match first.distance(id) {
-                        Ok(distance) => computed.push((id, distance)),
-                        Err(QueryError::BudgetExhausted(reason)) => {
-                            fired = Some(reason);
-                            break;
-                        }
-                        Err(error) => return Err(error),
-                    }
+            for stage in chained {
+                ranking = Box::new(ChainedRanking::new(ranking, stage.as_mut()));
+            }
+            match *mode {
+                QueryMode::Knn(k) => knop::knn(ranking.as_mut(), refiner.as_mut(), k, budget)?,
+                QueryMode::Range(epsilon) => {
+                    knop::range(ranking.as_mut(), refiner.as_mut(), epsilon, budget)?
                 }
             }
-            if let Some(reason) = fired {
-                // Nothing refined yet: every computed bound is a filter
-                // lower bound of the exact distance.
-                let mut candidates: Vec<Candidate> = computed
+        };
+
+        // Stats rows: the source first (its lower-bound evaluations are
+        // the stage-1 cost), then the filter stages in plan order.
+        let mut evaluations = Vec::with_capacity(1 + prepared.len());
+        if let Some((name, stream)) = &source {
+            evaluations.push(((*name).to_owned(), stream.evaluations()));
+        }
+        evaluations.extend(
+            plan.stages()
+                .iter()
+                .zip(&prepared)
+                .map(|(stage, p)| (stage.name().to_owned(), p.evaluations())),
+        );
+        Ok(finish_outcome(outcome, refinements, evaluations))
+    }
+}
+
+/// The answer of a zero-stage plan, read directly off the refiner's scan
+/// (no KNOP loop — there is nothing left to refine). When the budget
+/// fires mid-scan, every distance computed so far is exact.
+fn read_exact_scan(mut scan: ScanStream<'_>, mode: QueryMode) -> Result<QueryOutcome, QueryError> {
+    let mut neighbors = Vec::new();
+    loop {
+        match scan.next() {
+            Ok(Some((id, distance))) => match mode {
+                QueryMode::Knn(k) if neighbors.len() >= k => break,
+                QueryMode::Range(epsilon) if distance > epsilon => break,
+                _ => neighbors.push(Neighbor { id, distance }),
+            },
+            Ok(None) => break,
+            Err(QueryError::BudgetExhausted(reason)) => {
+                let mut candidates: Vec<Candidate> = scan
+                    .drain_computed()
                     .into_iter()
                     .map(|(id, bound)| Candidate {
                         id,
                         bound,
-                        exact: false,
+                        exact: true,
                     })
                     .collect();
                 sort_candidates(&mut candidates);
@@ -618,162 +440,18 @@ impl Executor {
                     QueryMode::Knn(k) => candidates.truncate(k),
                     QueryMode::Range(epsilon) => candidates.retain(|c| c.bound <= epsilon),
                 }
-                (
-                    QueryOutcome::Degraded(DegradedResult { candidates, reason }),
-                    0,
-                )
-            } else {
-                let mut stages = prepared.iter_mut();
-                // First stage was consumed into `computed` above.
-                let _first = stages.next();
-                let mut ranking: Box<dyn Ranking + '_> =
-                    Box::new(EagerRanking::from_computed(computed));
-                for stage in stages {
-                    ranking = Box::new(ChainedRanking::new(ranking, stage.as_mut()));
-                }
-                match mode {
-                    QueryMode::Knn(k) => {
-                        knop::knn_budgeted(ranking.as_mut(), refiner.as_mut(), k, budget)?
-                    }
-                    QueryMode::Range(epsilon) => {
-                        knop::range_budgeted(ranking.as_mut(), refiner.as_mut(), epsilon, budget)?
-                    }
-                }
+                return Ok(QueryOutcome::Degraded(DegradedResult {
+                    candidates,
+                    reason,
+                }));
             }
-        };
-
-        let evaluations: Vec<(String, usize)> = self
-            .plan
-            .stages()
-            .iter()
-            .zip(prepared.iter())
-            .map(|(stage, p)| (stage.name().to_owned(), p.evaluations()))
-            .collect();
-        Ok(finish(outcome, refinements, evaluations))
-    }
-
-    /// Source-driven execution: the plan's [`CandidateSource`] stream
-    /// replaces the materialized first stage; any filter stages chain on
-    /// top of it, and the KNOP loop is unchanged.
-    fn execute_from_source(
-        &self,
-        source: &dyn CandidateSource,
-        query: &Histogram,
-        mode: QueryMode,
-    ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
-        let mut refiner = {
-            let _span = emd_obs::span("query.refiner.prepare");
-            self.plan.refiner().prepare(query)?
-        };
-        let mut prepared: Vec<Box<dyn PreparedFilter + '_>> =
-            Vec::with_capacity(self.plan.stages().len());
-        for stage in self.plan.stages() {
-            let _span = emd_obs::span_with(|| format!("query.stage.{}.prepare", stage.name()));
-            prepared.push(stage.prepare(query)?);
+            Err(error) => return Err(error),
         }
-        let mut stream = {
-            let _span = emd_obs::span_with(|| format!("query.source.{}.prepare", source.name()));
-            source.prepare(query)?
-        };
-
-        let (neighbors, refinements) = {
-            let _span = emd_obs::span("query.knop");
-            let mut ranking: Box<dyn Ranking + '_> = Box::new(SourceRanking::new(stream.as_mut()));
-            for stage in prepared.iter_mut() {
-                ranking = Box::new(ChainedRanking::new(ranking, stage.as_mut()));
-            }
-            match mode {
-                QueryMode::Knn(k) => knop::knn(ranking.as_mut(), refiner.as_mut(), k)?,
-                QueryMode::Range(epsilon) => {
-                    knop::range(ranking.as_mut(), refiner.as_mut(), epsilon)?
-                }
-            }
-        };
-
-        let stats = QueryStats {
-            filter_evaluations: source_evaluations(
-                source,
-                stream.evaluations(),
-                &self.plan,
-                &prepared,
-            ),
-            refinements,
-            results: neighbors.len(),
-        };
-        publish_stats(&stats);
-        Ok((neighbors, stats))
     }
-
-    /// Budgeted twin of [`Executor::execute_from_source`]. The stream
-    /// probes the budget as it traverses: a firing surfaces as
-    /// [`QueryError::BudgetExhausted`] from the ranking, which the KNOP
-    /// loop converts into a degraded outcome built from
-    /// `drain_computed` — including the source's already-computed bounds.
-    fn execute_from_source_budgeted(
-        &self,
-        source: &dyn CandidateSource,
-        query: &Histogram,
-        mode: QueryMode,
-        budget: &Budget,
-    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
-        let mut refiner = {
-            let _span = emd_obs::span("query.refiner.prepare");
-            self.plan.refiner().prepare_budgeted(query, budget)?
-        };
-        let mut prepared: Vec<Box<dyn PreparedFilter + '_>> =
-            Vec::with_capacity(self.plan.stages().len());
-        for stage in self.plan.stages() {
-            let _span = emd_obs::span_with(|| format!("query.stage.{}.prepare", stage.name()));
-            prepared.push(stage.prepare_budgeted(query, budget)?);
-        }
-        let mut stream = {
-            let _span = emd_obs::span_with(|| format!("query.source.{}.prepare", source.name()));
-            source.prepare_budgeted(query, budget)?
-        };
-
-        let (outcome, refinements) = {
-            let _span = emd_obs::span("query.knop");
-            let mut ranking: Box<dyn Ranking + '_> = Box::new(SourceRanking::new(stream.as_mut()));
-            for stage in prepared.iter_mut() {
-                ranking = Box::new(ChainedRanking::new(ranking, stage.as_mut()));
-            }
-            match mode {
-                QueryMode::Knn(k) => {
-                    knop::knn_budgeted(ranking.as_mut(), refiner.as_mut(), k, budget)?
-                }
-                QueryMode::Range(epsilon) => {
-                    knop::range_budgeted(ranking.as_mut(), refiner.as_mut(), epsilon, budget)?
-                }
-            }
-        };
-
-        let evaluations = source_evaluations(source, stream.evaluations(), &self.plan, &prepared);
-        Ok(finish_outcome(outcome, refinements, evaluations))
-    }
+    Ok(QueryOutcome::Exact(neighbors))
 }
 
-/// Stats rows for a source-driven execution: the source first (its
-/// lower-bound evaluations are the stage-1 cost), then the chained
-/// stages in plan order.
-fn source_evaluations(
-    source: &dyn CandidateSource,
-    stream_evaluations: usize,
-    plan: &QueryPlan,
-    prepared: &[Box<dyn PreparedFilter + '_>],
-) -> Vec<(String, usize)> {
-    let mut evaluations = Vec::with_capacity(1 + prepared.len());
-    evaluations.push((source.name().to_owned(), stream_evaluations));
-    evaluations.extend(
-        plan.stages()
-            .iter()
-            .zip(prepared.iter())
-            .map(|(stage, p)| (stage.name().to_owned(), p.evaluations())),
-    );
-    evaluations
-}
-
-/// Wrap a KNOP outcome into stats, mirroring counters for degraded
-/// answers (shared by the legacy budgeted path and the source path).
+/// Wrap an outcome into stats, publish them, and count degraded answers.
 fn finish_outcome(
     outcome: QueryOutcome,
     refinements: usize,
@@ -832,22 +510,182 @@ fn publish_stats(stats: &QueryStats) {
     emd_obs::counter_add("query.results", stats.results as u64);
 }
 
-/// Read a query answer directly off an exact-distance ranking (the
-/// zero-stage scan path; no KNOP loop involved — there is nothing left to
-/// refine).
-fn scan_ranking(
-    refiner: &mut dyn PreparedFilter,
-    len: usize,
-    mode: QueryMode,
-) -> Result<Vec<Neighbor>, QueryError> {
-    let mut ranking = EagerRanking::new(refiner, len)?;
-    let mut neighbors = Vec::new();
-    while let Some((id, distance)) = ranking.next()? {
-        match mode {
-            QueryMode::Knn(k) if neighbors.len() >= k => break,
-            QueryMode::Range(epsilon) if distance > epsilon => break,
-            _ => neighbors.push(Neighbor { id, distance }),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Database;
+    use crate::filters::{EmdDistance, Filter, ReducedEmdFilter, ReducedImFilter};
+    use emd_core::{ground, Budget};
+    use emd_reduction::{CombiningReduction, ReducedEmd};
+
+    fn h(bins: &[f64]) -> Histogram {
+        Histogram::new(bins.to_vec()).unwrap()
+    }
+
+    fn database() -> Database {
+        let db = vec![
+            h(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            h(&[0.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
+            h(&[0.0, 0.5, 0.5, 0.0, 0.0, 0.0]),
+            h(&[0.0, 0.0, 0.0, 0.5, 0.5, 0.0]),
+            h(&[0.0, 0.0, 0.0, 0.0, 0.5, 0.5]),
+            h(&[0.2, 0.2, 0.2, 0.2, 0.1, 0.1]),
+            h(&[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+            h(&[0.1, 0.0, 0.0, 0.0, 0.0, 0.9]),
+        ];
+        Database::new(db, Arc::new(ground::linear(6).unwrap())).unwrap()
+    }
+
+    /// The sequential-scan baseline: no filter stages.
+    fn scan() -> Executor {
+        let refiner = EmdDistance::new(&database()).unwrap();
+        Executor::new(QueryPlan::sequential(Box::new(refiner)).unwrap())
+    }
+
+    /// The paper's flagship chain, `Red-IM -> Red-EMD -> EMD`.
+    fn full_pipeline() -> Executor {
+        let db = database();
+        let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
+        let reduced = ReducedEmd::new(db.cost(), r).unwrap();
+        let red_im = ReducedImFilter::new(&db, reduced.clone()).unwrap();
+        let red_emd = ReducedEmdFilter::new(&db, reduced).unwrap();
+        let refiner = EmdDistance::new(&db).unwrap();
+        let stages: Vec<Box<dyn Filter>> = vec![Box::new(red_im), Box::new(red_emd)];
+        Executor::new(QueryPlan::new(stages, Box::new(refiner)).unwrap())
+    }
+
+    #[test]
+    fn pipeline_matches_sequential_scan() {
+        let scan = scan();
+        let pipeline = full_pipeline();
+        for query in [
+            h(&[0.9, 0.1, 0.0, 0.0, 0.0, 0.0]),
+            h(&[0.0, 0.0, 0.3, 0.4, 0.3, 0.0]),
+            h(&[1.0 / 6.0; 6]),
+        ] {
+            for k in [1, 3, 5] {
+                let (expected, _) = scan.knn(&query, k).unwrap();
+                let (got, stats) = pipeline.knn(&query, k).unwrap();
+                // Equal-distance results may come back in either order;
+                // compare (distance, id) pairs canonically sorted.
+                let canonical = |neighbors: &[Neighbor]| {
+                    let mut pairs: Vec<(i64, usize)> = neighbors
+                        .iter()
+                        .map(|n| ((n.distance * 1e9).round() as i64, n.id))
+                        .collect();
+                    pairs.sort_unstable();
+                    pairs
+                };
+                assert_eq!(canonical(&got), canonical(&expected), "k={k} completeness");
+                assert!(stats.refinements <= 8);
+            }
         }
     }
-    Ok(neighbors)
+
+    #[test]
+    fn chained_pipeline_reduces_stage_two_evaluations() {
+        let pipeline = full_pipeline();
+        let query = h(&[0.9, 0.1, 0.0, 0.0, 0.0, 0.0]);
+        let (_, stats) = pipeline.knn(&query, 2).unwrap();
+        // Stage 1 (Red-IM) scans everything; stage 2 (Red-EMD) must not.
+        assert_eq!(stats.filter_evaluations[0].1, 8);
+        assert!(
+            stats.filter_evaluations[1].1 <= 8,
+            "stage 2 evaluated {} objects",
+            stats.filter_evaluations[1].1
+        );
+        assert!(stats.refinements <= stats.filter_evaluations[1].1.max(2));
+    }
+
+    #[test]
+    fn range_query_matches_scan() {
+        let query = h(&[0.0, 0.3, 0.4, 0.3, 0.0, 0.0]);
+        let (expected, _) = scan().range(&query, 1.0).unwrap();
+        let (got, _) = full_pipeline().range(&query, 1.0).unwrap();
+        assert_eq!(
+            got.iter().map(|n| n.id).collect::<Vec<_>>(),
+            expected.iter().map(|n| n.id).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn sequential_scan_counts_all_refinements() {
+        let (_, stats) = scan().knn(&h(&[1.0 / 6.0; 6]), 3).unwrap();
+        assert_eq!(stats.refinements, 8);
+        assert!(stats.filter_evaluations.is_empty());
+    }
+
+    #[test]
+    fn rejects_empty_database_and_zero_k() {
+        let empty_db = Database::new(Vec::new(), Arc::new(ground::linear(6).unwrap())).unwrap();
+        let empty = EmdDistance::new(&empty_db).unwrap();
+        assert!(matches!(
+            QueryPlan::sequential(Box::new(empty)).unwrap_err(),
+            QueryError::EmptyDatabase
+        ));
+        let pipeline = full_pipeline();
+        assert!(matches!(
+            pipeline.knn(&h(&[1.0 / 6.0; 6]), 0).unwrap_err(),
+            QueryError::ZeroK
+        ));
+        assert!(matches!(
+            pipeline.range(&h(&[1.0 / 6.0; 6]), -0.5).unwrap_err(),
+            QueryError::InvalidEpsilon(_)
+        ));
+    }
+
+    /// A refiner that reports budget exhaustion on its own, whatever
+    /// budget it was prepared under.
+    struct ExhaustedRefiner(usize);
+
+    impl Filter for ExhaustedRefiner {
+        fn name(&self) -> &str {
+            "exhausted"
+        }
+        fn len(&self) -> usize {
+            self.0
+        }
+        fn prepare(
+            &self,
+            _query: &Histogram,
+            _budget: &Budget,
+        ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+            Ok(Box::new(ExhaustedRefiner(0)))
+        }
+    }
+
+    impl PreparedFilter for ExhaustedRefiner {
+        fn distance(&mut self, _id: usize) -> Result<f64, QueryError> {
+            self.0 += 1;
+            Err(QueryError::BudgetExhausted(BudgetReason::PivotCap))
+        }
+        fn evaluations(&self) -> usize {
+            self.0
+        }
+    }
+
+    #[test]
+    fn knn_sugar_never_passes_a_degraded_answer_for_exact() {
+        let db = database();
+        let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
+        let reduced = ReducedEmd::new(db.cost(), r).unwrap();
+        let stages: Vec<Box<dyn Filter>> =
+            vec![Box::new(ReducedEmdFilter::new(&db, reduced).unwrap())];
+        let plan = QueryPlan::new(stages, Box::new(ExhaustedRefiner(db.len()))).unwrap();
+        let executor = Executor::new(plan);
+        let query = h(&[1.0 / 6.0; 6]);
+
+        // `run` degrades to the filter bounds it has...
+        let (outcome, _) = executor.run(&Query::knn(query.clone(), 3)).unwrap();
+        let degraded = outcome.degraded().expect("the refiner never answers");
+        assert_eq!(degraded.candidates.len(), 3);
+        assert!(degraded.candidates.iter().all(|c| !c.exact));
+        // ...and the sugar reports that as an error, never as `Ok`.
+        for result in [executor.knn(&query, 3), executor.range(&query, 10.0)] {
+            assert!(matches!(
+                result,
+                Err(QueryError::BudgetExhausted(BudgetReason::PivotCap))
+            ));
+        }
+    }
 }

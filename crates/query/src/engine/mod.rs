@@ -1,22 +1,22 @@
 //! The query engine: one snapshot, one plan, one executor.
 //!
-//! Section 4's multistep query processing used to be implemented three
-//! times over — the static [`Pipeline`](crate::Pipeline), the mutable
-//! [`DynamicIndex`](crate::DynamicIndex) and the brute-force
-//! [`scan`](crate::scan) oracles each walked their own copy of the
-//! database with their own refinement loop. This module is the single
-//! execution layer they all share now:
+//! Section 4's multistep query processing is implemented once: static
+//! plans, the mutable [`DynamicIndex`](crate::DynamicIndex) and the
+//! brute-force [`scan`](crate::scan) oracles all share this execution
+//! layer:
 //!
 //! * [`Database`] — an immutable snapshot: all histograms in one shared
 //!   contiguous arena, paired with the ground-distance matrix. Filters
 //!   hold cheap reference-counted views instead of private copies.
 //! * [`QueryPlan`] — the declarative filter chain
-//!   (`Red-IM -> Red-EMD -> ... -> EMD`) with per-stage cost estimates
-//!   seeded from [`QueryStats`](crate::QueryStats) history.
-//! * [`Executor`] — prepares per-query state, chains the lazy rankings of
-//!   Figure 12, and invokes the KNOP loop in [`knop`](crate::knop)
-//!   exactly once per query. [`Executor::run_batch`] fans workloads
-//!   across std scoped threads with deterministic, bit-identical results.
+//!   (`Red-IM -> Red-EMD -> ... -> EMD`), optionally fronted by a stage-1
+//!   [`CandidateSource`]; a [`Query`] is the histogram, its mode and the
+//!   [`Budget`](crate::Budget) it runs under.
+//! * [`Executor`] — [`Executor::run`] prepares per-query state, chains the
+//!   lazy rankings of Figure 12, and invokes the KNOP loop in
+//!   [`knop`](crate::knop) exactly once per query. [`Executor::run_batch`]
+//!   fans workloads across std scoped threads with deterministic,
+//!   bit-identical results.
 
 mod database;
 mod executor;
@@ -25,5 +25,5 @@ pub mod source;
 
 pub use database::{Database, OpenedIndex};
 pub use executor::Executor;
-pub use plan::{Query, QueryMode, QueryPlan, StageEstimate};
-pub use source::{CandidateSource, CandidateStream, FilterScanSource};
+pub use plan::{Query, QueryMode, QueryPlan};
+pub use source::{CandidateSource, CandidateStream};

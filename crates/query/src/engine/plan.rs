@@ -1,18 +1,16 @@
 //! Query plans: a declarative description of one multistep execution.
 //!
-//! A [`QueryPlan`] is the engine's unit of configuration — the ordered
-//! lower-bounding filter chain (e.g. `Red-IM -> Red-EMD`), the exact
-//! refinement distance, and per-stage cost estimates seeded from
-//! [`QueryStats`] history. The [`Executor`](crate::Executor) consumes a
-//! plan and runs the KNOP algorithm over it; everything that used to be
-//! an ad-hoc `Vec<Box<dyn Filter>>` scattered across the pipeline, the
-//! dynamic index and the bench harness is now a plan.
+//! A [`QueryPlan`] is the engine's unit of configuration — the optional
+//! stage-1 candidate source, the ordered lower-bounding filter chain
+//! (e.g. `Red-IM -> Red-EMD`) and the exact refinement distance. The
+//! [`Executor`](crate::Executor) consumes a plan and runs the KNOP
+//! algorithm over it. A [`Query`] is the other half: what to ask (the
+//! histogram and its [`QueryMode`]) and how hard to try (its [`Budget`]).
 
 use crate::engine::source::CandidateSource;
 use crate::error::QueryError;
 use crate::filters::Filter;
-use crate::stats::QueryStats;
-use emd_core::Histogram;
+use emd_core::{Budget, Histogram};
 
 /// Result-set mode of one query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,48 +21,44 @@ pub enum QueryMode {
     Range(f64),
 }
 
-/// One query: the histogram plus its result-set mode. Batch execution
+/// One query: the histogram, its result-set mode and the execution
+/// [`Budget`] it runs under. Batch execution
 /// ([`Executor::run_batch`](crate::Executor::run_batch)) fans slices of
 /// these across threads.
+///
+/// Cloning follows [`Budget`]'s contract: the clone shares the pivot pool
+/// and the cancel token with the original, so a cap bounds both together.
 #[derive(Debug, Clone)]
 pub struct Query {
     /// The query histogram.
     pub histogram: Histogram,
     /// k-NN or range mode.
     pub mode: QueryMode,
+    /// Deadline, pivot cap and cancellation for this query; when it fires
+    /// the answer is [`QueryOutcome::Degraded`](crate::QueryOutcome::Degraded).
+    pub budget: Budget,
 }
 
 impl Query {
-    /// A k-nearest-neighbor query.
-    // lint: allow(unbudgeted): plan constructor; executes nothing itself.
+    /// A k-nearest-neighbor query under an unlimited budget.
+    // lint: allow(unbudgeted): constructor; the budget is the field it fills in.
     pub fn knn(histogram: Histogram, k: usize) -> Self {
         Query {
             histogram,
             mode: QueryMode::Knn(k),
+            budget: Budget::unlimited(),
         }
     }
 
-    /// A range query.
-    // lint: allow(unbudgeted): plan constructor; executes nothing itself.
+    /// A range query under an unlimited budget.
+    // lint: allow(unbudgeted): constructor; the budget is the field it fills in.
     pub fn range(histogram: Histogram, epsilon: f64) -> Self {
         Query {
             histogram,
             mode: QueryMode::Range(epsilon),
+            budget: Budget::unlimited(),
         }
     }
-}
-
-/// Expected per-query cost of one plan stage, seeded from observed
-/// [`QueryStats`] history via [`QueryPlan::seed_estimates`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageEstimate {
-    /// Stage name (matches [`Filter::name`]).
-    pub stage: String,
-    /// Mean filter evaluations per query observed for this stage.
-    pub mean_evaluations: f64,
-    /// Fraction of this stage's evaluations that survived to the next
-    /// stage (the last stage's survivors are the exact refinements).
-    pub pass_fraction: f64,
 }
 
 /// A filter chain plus the exact refinement distance — the declarative
@@ -76,7 +70,6 @@ pub struct QueryPlan {
     source: Option<Box<dyn CandidateSource>>,
     stages: Vec<Box<dyn Filter>>,
     refiner: Box<dyn Filter>,
-    estimates: Vec<StageEstimate>,
 }
 
 impl std::fmt::Debug for QueryPlan {
@@ -85,7 +78,6 @@ impl std::fmt::Debug for QueryPlan {
             .field("source", &self.source.as_ref().map(|s| s.name()))
             .field("stages", &self.stage_names())
             .field("refiner", &self.refiner.name())
-            .field("estimates", &self.estimates)
             .finish()
     }
 }
@@ -119,7 +111,6 @@ impl QueryPlan {
             source: None,
             stages,
             refiner,
-            estimates: Vec::new(),
         })
     }
 
@@ -135,10 +126,9 @@ impl QueryPlan {
     }
 
     /// Attach a stage-1 [`CandidateSource`] (e.g. a
-    /// [`ClusteredIndex`](crate::ClusteredIndex) or
-    /// [`FilterScanSource`](crate::FilterScanSource)): the executor pulls
-    /// candidates from the source's stream instead of materializing the
-    /// first filter stage, and any `stages` of this plan are chained *on
+    /// [`ClusteredIndex`](crate::ClusteredIndex)): the executor pulls
+    /// candidates from the source's stream instead of scanning the first
+    /// filter stage, and any `stages` of this plan are chained *on
     /// top* of the source in the usual Figure 12 way. The source's
     /// emitted bound must lower-bound the first stage (or the refiner,
     /// for a stage-less plan) — the same unchecked modelling obligation
@@ -190,105 +180,5 @@ impl QueryPlan {
     /// constructed plan).
     pub fn is_empty(&self) -> bool {
         self.refiner.is_empty()
-    }
-
-    /// Seed per-stage cost estimates from accumulated query history —
-    /// `history` is the [`QueryStats`] total over `queries` queries
-    /// against this plan (or one shaped like it). Stages are matched by
-    /// name; stages without history keep no estimate.
-    pub fn seed_estimates(&mut self, history: &QueryStats, queries: usize) {
-        let per_query = 1.0 / queries.max(1) as f64;
-        self.estimates = self
-            .stages
-            .iter()
-            .enumerate()
-            .filter_map(|(index, stage)| {
-                let (_, evaluations) = history
-                    .filter_evaluations
-                    .iter()
-                    .find(|(name, _)| name == stage.name())?;
-                // Survivors of this stage: the next stage's evaluations,
-                // or the exact refinements after the last stage.
-                let survivors = self
-                    .stages
-                    .get(index + 1)
-                    .and_then(|next| {
-                        history
-                            .filter_evaluations
-                            .iter()
-                            .find(|(name, _)| name == next.name())
-                            .map(|(_, n)| *n)
-                    })
-                    .unwrap_or(history.refinements);
-                Some(StageEstimate {
-                    stage: stage.name().to_owned(),
-                    mean_evaluations: *evaluations as f64 * per_query,
-                    pass_fraction: if *evaluations > 0 {
-                        survivors as f64 / *evaluations as f64
-                    } else {
-                        0.0
-                    },
-                })
-            })
-            .collect();
-    }
-
-    /// Per-stage cost estimates (empty until
-    /// [`seed_estimates`](Self::seed_estimates) is called).
-    pub fn estimates(&self) -> &[StageEstimate] {
-        &self.estimates
-    }
-
-    /// Expected exact refinements per query under the seeded estimates:
-    /// the last stage's mean evaluations times its pass fraction. `None`
-    /// until estimates are seeded (or for a zero-stage plan, where every
-    /// object is refined).
-    pub fn estimated_refinements(&self) -> Option<f64> {
-        let last = self.estimates.last()?;
-        Some(last.mean_evaluations * last.pass_fraction)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn seed_estimates_matches_by_name_and_derives_pass_fractions() {
-        struct Named(&'static str);
-        impl Filter for Named {
-            fn name(&self) -> &str {
-                self.0
-            }
-            fn len(&self) -> usize {
-                100
-            }
-            fn prepare(
-                &self,
-                _query: &Histogram,
-            ) -> Result<Box<dyn crate::PreparedFilter + '_>, QueryError> {
-                Err(QueryError::ZeroK)
-            }
-        }
-        let mut plan = QueryPlan::new(
-            vec![Box::new(Named("red-im")), Box::new(Named("red-emd"))],
-            Box::new(Named("emd")),
-        )
-        .unwrap();
-        assert!(plan.estimates().is_empty());
-        assert!(plan.estimated_refinements().is_none());
-
-        let history = QueryStats {
-            filter_evaluations: vec![("red-im".into(), 400), ("red-emd".into(), 100)],
-            refinements: 20,
-            results: 40,
-        };
-        plan.seed_estimates(&history, 4);
-        assert_eq!(plan.estimates().len(), 2);
-        assert_eq!(plan.estimates()[0].mean_evaluations, 100.0);
-        assert_eq!(plan.estimates()[0].pass_fraction, 0.25);
-        assert_eq!(plan.estimates()[1].mean_evaluations, 25.0);
-        assert_eq!(plan.estimates()[1].pass_fraction, 0.2);
-        assert_eq!(plan.estimated_refinements(), Some(5.0));
     }
 }

@@ -1,33 +1,28 @@
 //! Stage-1 candidate sources: pluggable generators of the first ranking.
 //!
-//! Every plan so far produced its stage-1 ranking the same way: evaluate
-//! the first filter against *all* `n` objects, sort, pop — O(n) filter
-//! evaluations per query, forever. A [`CandidateSource`] abstracts that
-//! first ranking behind a trait so a [`QueryPlan`](super::QueryPlan) can
-//! swap the full scan for a metric index (the cluster-pruned
-//! [`ClusteredIndex`](crate::ClusteredIndex), the
-//! [`VpTree`](crate::VpTree) baseline) that emits candidates in the same
-//! ascending lower-bound order while *evaluating only a subset* of the
-//! database.
+//! Without a source, a plan produces its stage-1 ranking by evaluating
+//! the first filter against *all* `n` objects, sorting and popping — O(n)
+//! filter evaluations per query (the executor's default scan).
+//! A [`CandidateSource`] abstracts that first ranking behind a trait so a
+//! [`QueryPlan`](super::QueryPlan) can swap the full scan for a metric
+//! index (the cluster-pruned [`ClusteredIndex`](crate::ClusteredIndex),
+//! the [`VpTree`](crate::VpTree) baseline) that emits candidates in the
+//! same ascending lower-bound order while *evaluating only a subset* of
+//! the database.
 //!
 //! The contract mirrors [`Ranking`]: a prepared [`CandidateStream`]
 //! yields `(id, lower bound)` pairs in ascending `(bound, id)` order, and
 //! every emitted bound must lower-bound the exact distance (the chain
 //! condition), so KNOP's correctness argument is untouched — the executor
 //! simply stacks the usual [`ChainedRanking`](crate::ranking::ChainedRanking)s
-//! on top. Budgets propagate through [`CandidateSource::prepare_budgeted`]:
-//! a firing budget surfaces as [`QueryError::BudgetExhausted`] from
+//! on top. The stream probes the [`Budget`] it was prepared under: a
+//! firing surfaces as [`QueryError::BudgetExhausted`] from
 //! [`Ranking::next`], and [`Ranking::drain_computed`] surrenders the
 //! bounds already computed so degraded answers work exactly as they do
 //! for filter scans.
-//!
-//! [`FilterScanSource`] adapts any [`Filter`] to this interface with the
-//! executor's historical semantics (evaluate everything, sort once), so
-//! "full scan" is itself just a source and comparisons between sources
-//! are apples-to-apples.
 
 use crate::error::QueryError;
-use crate::filters::{Filter, PreparedFilter};
+use crate::filters::PreparedFilter;
 use crate::ranking::Ranking;
 use emd_core::{Budget, Histogram};
 
@@ -51,11 +46,11 @@ pub trait CandidateStream: Ranking {
 ///
 /// # Examples
 ///
-/// Wrapping a filter as a source and streaming its ranking directly:
+/// Streaming a source's ranking directly:
 ///
 /// ```
-/// use emd_core::{CostMatrix, Histogram};
-/// use emd_query::{CandidateSource, Database, EmdDistance, FilterScanSource};
+/// use emd_core::{Budget, CostMatrix, Histogram};
+/// use emd_query::{CandidateSource, Database, VpTree, VpTreeSource};
 ///
 /// let histograms = vec![
 ///     Histogram::new(vec![1.0, 0.0]).unwrap(),
@@ -63,10 +58,10 @@ pub trait CandidateStream: Ranking {
 /// ];
 /// let cost = CostMatrix::from_fn(2, |i, j| if i == j { 0.0 } else { 1.0 }).unwrap();
 /// let database = Database::new(histograms, std::sync::Arc::new(cost)).unwrap();
-/// let source = FilterScanSource::new(EmdDistance::new(&database).unwrap());
+/// let source = VpTreeSource::new(VpTree::build(&database).unwrap());
 ///
 /// let query = Histogram::new(vec![1.0, 0.0]).unwrap();
-/// let mut stream = source.prepare(&query).unwrap();
+/// let mut stream = source.prepare(&query, &Budget::unlimited()).unwrap();
 /// assert_eq!(stream.next().unwrap(), Some((0, 0.0)));
 /// assert_eq!(stream.next().unwrap(), Some((1, 1.0)));
 /// assert_eq!(stream.evaluations(), 2);
@@ -83,33 +78,21 @@ pub trait CandidateSource: Send + Sync {
         self.len() == 0
     }
 
-    /// Build the per-query candidate stream.
+    /// Build the per-query candidate stream under an execution budget.
+    ///
+    /// The stream must probe `budget` as it traverses and surface a
+    /// firing as [`QueryError::BudgetExhausted`] from `next`, keeping the
+    /// already-computed bounds available via `drain_computed`.
     ///
     /// # Errors
     ///
     /// Returns [`QueryError`] when the query's shape does not match the
     /// indexed database.
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn CandidateStream + '_>, QueryError>;
-
-    /// Build the per-query candidate stream under an execution budget.
-    ///
-    /// The stream must probe `budget` as it traverses and surface a
-    /// firing as [`QueryError::BudgetExhausted`] from `next`, keeping the
-    /// already-computed bounds available via `drain_computed`. The
-    /// default ignores the budget, which is correct only for sources
-    /// whose traversal does no solver work.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`prepare`](Self::prepare).
-    fn prepare_budgeted(
+    fn prepare(
         &self,
         query: &Histogram,
         budget: &Budget,
-    ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        let _ = budget;
-        self.prepare(query)
-    }
+    ) -> Result<Box<dyn CandidateStream + '_>, QueryError>;
 }
 
 /// Borrowing adapter so a prepared stream can feed the executor's
@@ -135,89 +118,47 @@ impl Ranking for SourceRanking<'_> {
     }
 }
 
-/// The full scan as a [`CandidateSource`]: evaluates `filter` on every
-/// object, exactly as the executor's historical first-stage
-/// materialization did (same evaluation order, same ascending
-/// `(distance, id)` emission, same partial-bounds surrender when a
-/// budget fires mid-scan) — so plans routed through a source and legacy
-/// staged plans produce bit-identical answers.
-#[derive(Debug)]
-pub struct FilterScanSource<F: Filter> {
-    name: String,
-    filter: F,
-}
-
-impl<F: Filter> FilterScanSource<F> {
-    /// Wrap `filter` as a scan source.
-    pub fn new(filter: F) -> Self {
-        let name = format!("scan:{}", filter.name());
-        FilterScanSource { name, filter }
-    }
-
-    /// The wrapped filter.
-    pub fn filter(&self) -> &F {
-        &self.filter
-    }
-}
-
-impl<F: Filter> CandidateSource for FilterScanSource<F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn len(&self) -> usize {
-        self.filter.len()
-    }
-
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        Ok(Box::new(ScanStream {
-            prepared: self.filter.prepare(query)?,
-            len: self.filter.len(),
-            budget: Budget::unlimited(),
-            next_id: 0,
-            computed: Vec::new(),
-            sorted: None,
-        }))
-    }
-
-    fn prepare_budgeted(
-        &self,
-        query: &Histogram,
-        budget: &Budget,
-    ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        Ok(Box::new(ScanStream {
-            prepared: self.filter.prepare_budgeted(query, budget)?,
-            len: self.filter.len(),
-            budget: budget.clone(),
-            next_id: 0,
-            computed: Vec::new(),
-            sorted: None,
-        }))
-    }
-}
-
-/// Per-query state of a [`FilterScanSource`]: lazy full materialization
-/// with budget probes between evaluations, so bounds computed before a
-/// firing survive into the degraded answer.
-struct ScanStream<'a> {
-    prepared: Box<dyn PreparedFilter + 'a>,
+/// The full scan of one prepared filter as a [`Ranking`] — stage 1 of
+/// every plan without a [`CandidateSource`], and the exact ranking of a
+/// zero-stage plan. Materializes lazily on the first pull, probing the
+/// budget between evaluations, so bounds computed before a firing survive
+/// into the degraded answer; then pops in ascending `(distance, id)`
+/// order.
+pub(crate) struct ScanStream<'a> {
+    prepared: &'a mut dyn PreparedFilter,
     len: usize,
-    budget: Budget,
-    next_id: usize,
+    budget: &'a Budget,
     /// Bounds evaluated so far (partial until materialization finishes).
     computed: Vec<(usize, f64)>,
     /// Sorted descending once complete, so `pop` yields ascending.
     sorted: Option<Vec<(usize, f64)>>,
 }
 
+impl<'a> ScanStream<'a> {
+    /// Scan `prepared` over objects `0..len` under `budget`.
+    pub(crate) fn new(
+        prepared: &'a mut dyn PreparedFilter,
+        len: usize,
+        budget: &'a Budget,
+    ) -> Self {
+        ScanStream {
+            prepared,
+            len,
+            budget,
+            computed: Vec::new(),
+            sorted: None,
+        }
+    }
+}
+
 impl Ranking for ScanStream<'_> {
     fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
         if self.sorted.is_none() {
-            while self.next_id < self.len {
+            self.computed.reserve(self.len - self.computed.len());
+            for id in self.computed.len()..self.len {
                 self.budget.check().map_err(QueryError::BudgetExhausted)?;
-                let distance = self.prepared.distance(self.next_id)?;
-                self.computed.push((self.next_id, distance));
-                self.next_id += 1;
+                let distance = self.prepared.distance(id)?;
+                self.computed.push((id, distance));
             }
             let mut computed = std::mem::take(&mut self.computed);
             computed.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
@@ -235,18 +176,12 @@ impl Ranking for ScanStream<'_> {
     }
 }
 
-impl CandidateStream for ScanStream<'_> {
-    fn evaluations(&self) -> usize {
-        self.prepared.evaluations()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Database;
-    use crate::filters::EmdDistance;
-    use emd_core::{CostMatrix, Histogram};
+    use crate::filters::{EmdDistance, Filter};
+    use emd_core::CostMatrix;
 
     fn database() -> Database {
         let histograms = vec![
@@ -261,27 +196,27 @@ mod tests {
     #[test]
     fn filter_scan_source_emits_ascending_distance_then_id() {
         let database = database();
-        let source = FilterScanSource::new(EmdDistance::new(&database).unwrap());
-        assert_eq!(source.len(), 3);
-        assert!(!source.is_empty());
-        assert_eq!(source.name(), "scan:emd(d=3)");
+        let filter = EmdDistance::new(&database).unwrap();
         let query = Histogram::new(vec![0.0, 1.0, 0.0]).unwrap();
-        let mut stream = source.prepare(&query).unwrap();
+        let budget = Budget::unlimited();
+        let mut prepared = filter.prepare(&query, &budget).unwrap();
+        let mut stream = ScanStream::new(prepared.as_mut(), 3, &budget);
         assert_eq!(stream.next().unwrap(), Some((1, 0.0)));
         assert_eq!(stream.next().unwrap(), Some((0, 1.0)));
         assert_eq!(stream.next().unwrap(), Some((2, 1.0)));
         assert_eq!(stream.next().unwrap(), None);
-        assert_eq!(stream.evaluations(), 3);
+        assert_eq!(prepared.evaluations(), 3);
     }
 
     #[test]
     fn exhausted_budget_surfaces_from_next_with_no_bounds() {
         let database = database();
-        let source = FilterScanSource::new(EmdDistance::new(&database).unwrap());
+        let filter = EmdDistance::new(&database).unwrap();
         let query = Histogram::new(vec![1.0, 0.0, 0.0]).unwrap();
         let budget = Budget::unlimited().with_pivot_cap(0);
         budget.settle_pivots(1);
-        let mut stream = source.prepare_budgeted(&query, &budget).unwrap();
+        let mut prepared = filter.prepare(&query, &budget).unwrap();
+        let mut stream = ScanStream::new(prepared.as_mut(), 3, &budget);
         assert!(matches!(stream.next(), Err(QueryError::BudgetExhausted(_))));
         assert!(stream.drain_computed().is_empty());
     }

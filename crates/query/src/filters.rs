@@ -65,29 +65,24 @@ pub trait Filter: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Build the per-query evaluator.
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError>;
     /// Build the per-query evaluator under an execution [`Budget`].
     ///
     /// Solver-backed filters ([`EmdDistance`], [`ReducedEmdFilter`], and
     /// the live filters of a dynamic snapshot, which share their
-    /// evaluators) override this to probe the budget inside every LP
-    /// solve, surfacing [`QueryError::BudgetExhausted`] from
-    /// [`PreparedFilter::distance`]. Closed-form filters evaluate in
-    /// microseconds and ignore the budget (the KNOP loop checks it between
-    /// candidates), which is what this default does.
+    /// evaluators) probe the budget inside every LP solve, surfacing
+    /// [`QueryError::BudgetExhausted`] from [`PreparedFilter::distance`].
+    /// Closed-form filters evaluate in microseconds and ignore it (the
+    /// scan and the KNOP loop check it between candidates).
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Filter::prepare`].
-    fn prepare_budgeted(
+    /// Returns [`QueryError`] when the query's shape does not match the
+    /// indexed database.
+    fn prepare(
         &self,
         query: &Histogram,
         budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        let _ = budget;
-        self.prepare(query)
-    }
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError>;
 }
 
 /// Per-query filter state; evaluates single objects.
@@ -182,11 +177,7 @@ impl Filter for EmdDistance {
         self.database.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        self.prepare_budgeted(query, &Budget::unlimited())
-    }
-
-    fn prepare_budgeted(
+    fn prepare(
         &self,
         query: &Histogram,
         budget: &Budget,
@@ -360,11 +351,7 @@ impl Filter for ReducedEmdFilter {
         self.reduced_database.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        self.prepare_budgeted(query, &Budget::unlimited())
-    }
-
-    fn prepare_budgeted(
+    fn prepare(
         &self,
         query: &Histogram,
         budget: &Budget,
@@ -515,7 +502,11 @@ impl Filter for ReducedImFilter {
         self.reduced_database.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+    fn prepare(
+        &self,
+        query: &Histogram,
+        _budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
         let reduced_query = self.reduced.reduce_first(query)?;
         Ok(Box::new(PreparedReducedIm {
             reduced_query,
@@ -583,7 +574,11 @@ impl Filter for FullLbImFilter {
         self.database.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+    fn prepare(
+        &self,
+        query: &Histogram,
+        _budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
         check_dim(query, self.bound.cost().rows())?;
         Ok(Box::new(PreparedFullIm {
             query: query.clone(),
@@ -663,7 +658,11 @@ impl Filter for CentroidFilter {
         self.database_centroids.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+    fn prepare(
+        &self,
+        query: &Histogram,
+        _budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
         check_dim(query, self.bound.dim())?;
         Ok(Box::new(PreparedCentroid {
             query_centroid: self.bound.centroid(query),
@@ -728,7 +727,11 @@ impl Filter for ScaledL1Filter {
         self.database.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+    fn prepare(
+        &self,
+        query: &Histogram,
+        _budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
         Ok(Box::new(PreparedScaledL1 {
             query: query.clone(),
             filter: self,
@@ -801,7 +804,11 @@ impl Filter for AnchorFilter {
         self.database_projections.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+    fn prepare(
+        &self,
+        query: &Histogram,
+        _budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
         let query_projection = self.bound.project(query)?;
         Ok(Box::new(PreparedAnchor {
             query_projection,
@@ -877,7 +884,7 @@ mod tests {
         let db = database();
         let filter = EmdDistance::new(&db).unwrap();
         let query = h(&[0.5, 0.5, 0.0, 0.0]);
-        let mut prepared = filter.prepare(&query).unwrap();
+        let mut prepared = filter.prepare(&query, &Budget::unlimited()).unwrap();
         for (id, object) in db.histograms().iter().enumerate() {
             let expected = emd(&query, object, db.cost()).unwrap();
             assert!((prepared.distance(id).unwrap() - expected).abs() < 1e-12);
@@ -906,9 +913,9 @@ mod tests {
             Box::new(ScaledL1Filter::new(&db).unwrap()),
         ];
         let exact = EmdDistance::new(&db).unwrap();
-        let mut exact_prepared = exact.prepare(&query).unwrap();
+        let mut exact_prepared = exact.prepare(&query, &Budget::unlimited()).unwrap();
         for filter in &filters {
-            let mut prepared = filter.prepare(&query).unwrap();
+            let mut prepared = filter.prepare(&query, &Budget::unlimited()).unwrap();
             for id in 0..db.len() {
                 let bound = prepared.distance(id).unwrap();
                 let truth = exact_prepared.distance(id).unwrap();
@@ -930,8 +937,8 @@ mod tests {
         let reduced = ReducedEmd::new(db.cost(), reduction).unwrap();
         let red_emd = ReducedEmdFilter::new(&db, reduced.clone()).unwrap();
         let red_im = ReducedImFilter::new(&db, reduced).unwrap();
-        let mut p_emd = red_emd.prepare(&query).unwrap();
-        let mut p_im = red_im.prepare(&query).unwrap();
+        let mut p_emd = red_emd.prepare(&query, &Budget::unlimited()).unwrap();
+        let mut p_im = red_im.prepare(&query, &Budget::unlimited()).unwrap();
         for id in 0..db.len() {
             assert!(p_im.distance(id).unwrap() <= p_emd.distance(id).unwrap() + 1e-9);
         }
@@ -948,7 +955,9 @@ mod tests {
     fn prepare_rejects_mismatched_query() {
         let db = database();
         let filter = EmdDistance::new(&db).unwrap();
-        assert!(filter.prepare(&h(&[0.5, 0.5])).is_err());
+        assert!(filter
+            .prepare(&h(&[0.5, 0.5]), &Budget::unlimited())
+            .is_err());
     }
 
     #[test]
@@ -961,8 +970,8 @@ mod tests {
         let filter = ReducedEmdFilter::new(&db, reduced).unwrap();
         let query = h(&[0.4, 0.1, 0.3, 0.2]);
         let exact = EmdDistance::new(&db).unwrap();
-        let mut p = filter.prepare(&query).unwrap();
-        let mut e = exact.prepare(&query).unwrap();
+        let mut p = filter.prepare(&query, &Budget::unlimited()).unwrap();
+        let mut e = exact.prepare(&query, &Budget::unlimited()).unwrap();
         for id in 0..db.len() {
             assert!(p.distance(id).unwrap() <= e.distance(id).unwrap() + 1e-9);
         }
@@ -995,7 +1004,7 @@ mod anchor_tests {
         let filter = AnchorFilter::new(&db, 2).unwrap();
         let query = h(&[0.6, 0.4, 0.0, 0.0]);
         {
-            let mut prepared = filter.prepare(&query).unwrap();
+            let mut prepared = filter.prepare(&query, &Budget::unlimited()).unwrap();
             for (id, object) in db.histograms().iter().enumerate() {
                 let exact = emd(&query, object, db.cost()).unwrap();
                 assert!(prepared.distance(id).unwrap() <= exact + 1e-9);

@@ -8,9 +8,16 @@
 //! algorithm using the same filter can refine fewer (see \[18\]).
 //!
 //! This module is the **only** implementation of the refinement loop in
-//! the workspace; every entry point — [`Pipeline`](crate::Pipeline),
+//! the workspace; every entry point — static plans,
 //! [`DynamicIndex`](crate::DynamicIndex), the brute-force oracles — runs
-//! it through the [`Executor`](crate::Executor).
+//! it through [`Executor::run`](crate::Executor::run).
+//!
+//! Both loops run under an execution [`Budget`]: they probe it between
+//! candidates (three `Option` tests for `Budget::unlimited()`), and the
+//! rankings and the refiner probe it inside every solver call. When it
+//! fires the result is [`QueryOutcome::Degraded`] — refined results with
+//! their exact distances plus every already-computed lower bound — never
+//! an error and never a silently truncated "exact" answer.
 //!
 //! The loop itself holds no solver state: consecutive refinements of the
 //! same query warm-start each other because the *prepared refiner* (and
@@ -24,100 +31,6 @@ use crate::outcome::{sort_candidates, Candidate, DegradedResult, QueryOutcome};
 use crate::ranking::Ranking;
 use crate::Neighbor;
 use emd_core::{Budget, BudgetReason};
-
-/// k-NN by filter ranking + refinement (Figure 11).
-///
-/// Returns the exact k nearest neighbors in ascending distance order and
-/// the number of refinements performed. Completeness requires `ranking`'s
-/// distances to lower-bound `refiner`'s.
-///
-/// # Errors
-///
-/// Returns [`QueryError::ZeroK`] for `k = 0` and propagates ranking or
-/// refiner failures.
-// lint: allow(unbudgeted): inner kernel; the executor meters it via Budget probes.
-pub fn knn(
-    ranking: &mut dyn Ranking,
-    refiner: &mut dyn PreparedFilter,
-    k: usize,
-) -> Result<(Vec<Neighbor>, usize), QueryError> {
-    if k == 0 {
-        return Err(QueryError::ZeroK);
-    }
-    let mut neighbors: Vec<Neighbor> = Vec::with_capacity(k + 1);
-    let mut refinements = 0usize;
-
-    // Phase 1: refine k initial candidates from the ranking.
-    while neighbors.len() < k {
-        let Some((id, filter_distance)) = ranking.next()? else {
-            // Fewer than k objects in the database.
-            neighbors.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-            return Ok((neighbors, refinements));
-        };
-        let distance = refiner.distance(id)?;
-        refinements += 1;
-        emd_core::certify::debug_check_lower_bound("knn filter ranking", filter_distance, distance);
-        neighbors.push(Neighbor { id, distance });
-    }
-    neighbors.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-
-    // Phase 2: keep pulling while the filter distance can still beat the
-    // current k-th exact distance.
-    while let Some((id, filter_distance)) = ranking.next()? {
-        // bounds: phase 1 established neighbors.len() == k >= 1
-        let kth = neighbors[k - 1].distance;
-        if filter_distance > kth {
-            // Lower-bounding filter: every remaining object's exact
-            // distance is >= its filter distance > kth. Done.
-            break;
-        }
-        let distance = refiner.distance(id)?;
-        refinements += 1;
-        emd_core::certify::debug_check_lower_bound("knn filter ranking", filter_distance, distance);
-        if distance < kth {
-            let position = neighbors.partition_point(|n| n.distance <= distance);
-            neighbors.insert(position, Neighbor { id, distance });
-            neighbors.pop();
-        }
-    }
-    Ok((neighbors, refinements))
-}
-
-/// Complete range query: all objects with exact distance `<= epsilon`.
-///
-/// Pulls candidates while their filter distance is within `epsilon`
-/// (lower-bounding ⇒ nothing beyond can qualify), refines each, and keeps
-/// the true hits, sorted ascending.
-///
-/// # Errors
-///
-/// Propagates ranking or refiner failures.
-// lint: allow(unbudgeted): inner kernel; the executor meters it via Budget probes.
-pub fn range(
-    ranking: &mut dyn Ranking,
-    refiner: &mut dyn PreparedFilter,
-    epsilon: f64,
-) -> Result<(Vec<Neighbor>, usize), QueryError> {
-    let mut hits = Vec::new();
-    let mut refinements = 0usize;
-    while let Some((id, filter_distance)) = ranking.next()? {
-        if filter_distance > epsilon {
-            break;
-        }
-        let distance = refiner.distance(id)?;
-        refinements += 1;
-        emd_core::certify::debug_check_lower_bound(
-            "range filter ranking",
-            filter_distance,
-            distance,
-        );
-        if distance <= epsilon {
-            hits.push(Neighbor { id, distance });
-        }
-    }
-    hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-    Ok((hits, refinements))
-}
 
 /// Builds the degraded candidate ranking at the moment a budget fired:
 /// refined neighbors keep their exact distance (`exact: true`), the
@@ -158,21 +71,24 @@ fn degraded_candidates(
     candidates
 }
 
-/// [`knn`] under an execution [`Budget`].
+/// k-NN by filter ranking + refinement (Figure 11).
 ///
-/// Identical to [`knn`] until the budget fires (checked between candidates
-/// here, and inside every solver call via the budgeted filters); then it
-/// returns [`QueryOutcome::Degraded`] carrying the current candidate
-/// ranking — refined results with exact distances, unrefined candidates
-/// with their tightest computed lower bound — truncated to the best `k`.
-/// With `Budget::unlimited()` the result is bit-identical to [`knn`].
+/// Returns the exact k nearest neighbors in ascending distance order and
+/// the number of refinements performed. Completeness requires `ranking`'s
+/// distances to lower-bound `refiner`'s.
+///
+/// When `budget` fires (checked between candidates here, and inside every
+/// solver call by the prepared filters) the outcome is
+/// [`QueryOutcome::Degraded`] carrying the current candidate ranking —
+/// refined results with exact distances, unrefined candidates with their
+/// tightest computed lower bound — truncated to the best `k`.
 ///
 /// # Errors
 ///
 /// Returns [`QueryError::ZeroK`] for `k = 0` and propagates non-budget
 /// ranking or refiner failures; budget exhaustion is *not* an error but a
 /// degraded outcome.
-pub fn knn_budgeted(
+pub fn knn(
     ranking: &mut dyn Ranking,
     refiner: &mut dyn PreparedFilter,
     k: usize,
@@ -263,15 +179,19 @@ pub fn knn_budgeted(
     Ok((QueryOutcome::Exact(neighbors), refinements))
 }
 
-/// [`range`] under an execution [`Budget`]; see [`knn_budgeted`] for the
-/// degradation model. Degraded candidates are limited to those whose bound
-/// is within `epsilon` (no other object can be a hit).
+/// Complete range query: all objects with exact distance `<= epsilon`.
+///
+/// Pulls candidates while their filter distance is within `epsilon`
+/// (lower-bounding ⇒ nothing beyond can qualify), refines each, and keeps
+/// the true hits, sorted ascending. See [`knn`] for the degradation model;
+/// degraded candidates are limited to those whose bound is within
+/// `epsilon` (no other object can be a hit).
 ///
 /// # Errors
 ///
 /// Propagates non-budget ranking or refiner failures; budget exhaustion is
 /// a degraded outcome, not an error.
-pub fn range_budgeted(
+pub fn range(
     ranking: &mut dyn Ranking,
     refiner: &mut dyn PreparedFilter,
     epsilon: f64,
@@ -330,145 +250,49 @@ pub fn range_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filters::Filter;
-    use crate::ranking::EagerRanking;
-    use emd_core::Histogram;
 
-    struct TableFilter {
-        table: Vec<f64>,
+    /// A fully materialized ranking over a table of filter distances.
+    struct TableRanking {
+        /// Sorted descending so `pop` yields ascending.
+        sorted: Vec<(usize, f64)>,
     }
 
-    struct PreparedTable<'a> {
-        table: &'a [f64],
-        evaluations: usize,
-    }
-
-    impl Filter for TableFilter {
-        fn name(&self) -> &str {
-            "table"
-        }
-        fn len(&self) -> usize {
-            self.table.len()
-        }
-        fn prepare(&self, _query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-            Ok(Box::new(PreparedTable {
-                table: &self.table,
-                evaluations: 0,
-            }))
+    impl TableRanking {
+        fn new(table: &[f64]) -> Self {
+            let mut sorted: Vec<(usize, f64)> = table.iter().copied().enumerate().collect();
+            sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
+            TableRanking { sorted }
         }
     }
 
-    impl PreparedFilter for PreparedTable<'_> {
-        fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-            self.evaluations += 1;
-            self.table
-                .get(id)
-                .copied()
-                .ok_or(QueryError::UnknownObject(id))
+    impl Ranking for TableRanking {
+        fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
+            Ok(self.sorted.pop())
         }
-        fn evaluations(&self) -> usize {
-            self.evaluations
+        fn drain_computed(&mut self) -> Vec<(usize, f64)> {
+            std::mem::take(&mut self.sorted)
         }
     }
 
-    fn query() -> Histogram {
-        Histogram::new(vec![1.0]).unwrap()
-    }
-
-    /// exact[i] >= filter[i] everywhere: a valid lower-bounding filter.
-    fn setup() -> (TableFilter, TableFilter) {
-        let filter = TableFilter {
-            table: vec![2.0, 0.5, 3.0, 0.0, 1.0, 4.5],
-        };
-        let exact = TableFilter {
-            table: vec![2.5, 1.5, 3.0, 0.2, 2.8, 5.0],
-        };
-        (filter, exact)
-    }
-
-    #[test]
-    fn knn_returns_true_neighbors() {
-        let (filter, exact) = setup();
-        let mut filter_prepared = filter.prepare(&query()).unwrap();
-        let mut exact_prepared = exact.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(filter_prepared.as_mut(), 6).unwrap();
-        let (neighbors, refinements) = knn(&mut ranking, exact_prepared.as_mut(), 3).unwrap();
-        let ids: Vec<_> = neighbors.iter().map(|n| n.id).collect();
-        assert_eq!(ids, vec![3, 1, 0], "true 3-NN by exact distance");
-        // Optimality: object 5 (filter 4.5 > kth exact 2.5) is never
-        // refined; object 2 and 4 must be (filter <= 2.5).
-        assert!(refinements <= 5);
-        assert!(refinements >= 3);
-    }
-
-    #[test]
-    fn knn_handles_small_database() {
-        let (filter, exact) = setup();
-        let mut filter_prepared = filter.prepare(&query()).unwrap();
-        let mut exact_prepared = exact.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(filter_prepared.as_mut(), 2).unwrap();
-        let (neighbors, _) = knn(&mut ranking, exact_prepared.as_mut(), 5).unwrap();
-        assert_eq!(neighbors.len(), 2);
-        assert!(neighbors[0].distance <= neighbors[1].distance);
-    }
-
-    #[test]
-    fn knn_distances_ascending() {
-        let (filter, exact) = setup();
-        let mut filter_prepared = filter.prepare(&query()).unwrap();
-        let mut exact_prepared = exact.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(filter_prepared.as_mut(), 6).unwrap();
-        let (neighbors, _) = knn(&mut ranking, exact_prepared.as_mut(), 6).unwrap();
-        for pair in neighbors.windows(2) {
-            assert!(pair[0].distance <= pair[1].distance);
-        }
-        assert_eq!(neighbors.len(), 6);
-    }
-
-    #[test]
-    fn range_returns_exactly_the_hits() {
-        let (filter, exact) = setup();
-        let mut filter_prepared = filter.prepare(&query()).unwrap();
-        let mut exact_prepared = exact.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(filter_prepared.as_mut(), 6).unwrap();
-        let (hits, refinements) = range(&mut ranking, exact_prepared.as_mut(), 2.5).unwrap();
-        let ids: Vec<_> = hits.iter().map(|n| n.id).collect();
-        // exact <= 2.5: objects 3 (0.2), 1 (1.5), 0 (2.5). Object 4 has
-        // filter 1.0 <= 2.5 but exact 2.8: refined yet rejected.
-        assert_eq!(ids, vec![3, 1, 0]);
-        assert_eq!(refinements, 4);
-    }
-
-    #[test]
-    fn range_with_zero_epsilon() {
-        let (filter, exact) = setup();
-        let mut filter_prepared = filter.prepare(&query()).unwrap();
-        let mut exact_prepared = exact.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(filter_prepared.as_mut(), 6).unwrap();
-        let (hits, _) = range(&mut ranking, exact_prepared.as_mut(), 0.0).unwrap();
-        assert!(hits.is_empty(), "no exact distance is 0.0");
-    }
-
-    #[test]
-    fn knn_rejects_zero_k() {
-        let (filter, exact) = setup();
-        let mut filter_prepared = filter.prepare(&query()).unwrap();
-        let mut exact_prepared = exact.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(filter_prepared.as_mut(), 6).unwrap();
-        assert!(matches!(
-            knn(&mut ranking, exact_prepared.as_mut(), 0),
-            Err(QueryError::ZeroK)
-        ));
-    }
-
-    /// A refiner that reports budget exhaustion starting at the n-th call.
-    struct ExhaustingTable<'a> {
+    /// A refiner backed by a table of exact distances that reports budget
+    /// exhaustion starting at the `fail_from`-th call.
+    struct TableRefiner<'a> {
         table: &'a [f64],
         evaluations: usize,
         fail_from: usize,
     }
 
-    impl PreparedFilter for ExhaustingTable<'_> {
+    impl<'a> TableRefiner<'a> {
+        fn new(table: &'a [f64]) -> Self {
+            TableRefiner {
+                table,
+                evaluations: 0,
+                fail_from: usize::MAX,
+            }
+        }
+    }
+
+    impl PreparedFilter for TableRefiner<'_> {
         fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
             self.evaluations += 1;
             if self.evaluations >= self.fail_from {
@@ -484,33 +308,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn budgeted_knn_with_unlimited_budget_matches_knn() {
-        let (filter, exact) = setup();
-        let mut fp1 = filter.prepare(&query()).unwrap();
-        let mut ep1 = exact.prepare(&query()).unwrap();
-        let mut ranking1 = EagerRanking::new(fp1.as_mut(), 6).unwrap();
-        let (plain, plain_ref) = knn(&mut ranking1, ep1.as_mut(), 3).unwrap();
+    /// EXACT[i] >= FILTER[i] everywhere: a valid lower-bounding filter.
+    const FILTER: [f64; 6] = [2.0, 0.5, 3.0, 0.0, 1.0, 4.5];
+    const EXACT: [f64; 6] = [2.5, 1.5, 3.0, 0.2, 2.8, 5.0];
 
-        let mut fp2 = filter.prepare(&query()).unwrap();
-        let mut ep2 = exact.prepare(&query()).unwrap();
-        let mut ranking2 = EagerRanking::new(fp2.as_mut(), 6).unwrap();
-        let (outcome, budgeted_ref) =
-            knn_budgeted(&mut ranking2, ep2.as_mut(), 3, &Budget::unlimited()).unwrap();
-        assert_eq!(outcome.exact(), Some(plain.as_slice()));
-        assert_eq!(plain_ref, budgeted_ref);
+    fn exact_knn(objects: usize, k: usize) -> (Vec<Neighbor>, usize) {
+        let mut ranking = TableRanking::new(&FILTER[..objects]);
+        let mut refiner = TableRefiner::new(&EXACT);
+        let (outcome, refinements) =
+            knn(&mut ranking, &mut refiner, k, &Budget::unlimited()).unwrap();
+        (outcome.exact().expect("unlimited").to_vec(), refinements)
+    }
+
+    fn exact_range(epsilon: f64) -> (Vec<Neighbor>, usize) {
+        let mut ranking = TableRanking::new(&FILTER);
+        let mut refiner = TableRefiner::new(&EXACT);
+        let (outcome, refinements) =
+            range(&mut ranking, &mut refiner, epsilon, &Budget::unlimited()).unwrap();
+        (outcome.exact().expect("unlimited").to_vec(), refinements)
+    }
+
+    #[test]
+    fn knn_returns_true_neighbors() {
+        let (neighbors, refinements) = exact_knn(6, 3);
+        let ids: Vec<_> = neighbors.iter().map(|n| n.id).collect();
+        assert_eq!(ids, vec![3, 1, 0], "true 3-NN by exact distance");
+        // Optimality: object 5 (filter 4.5 > kth exact 2.5) is never
+        // refined; object 2 and 4 must be (filter <= 2.5).
+        assert!(refinements <= 5);
+        assert!(refinements >= 3);
+    }
+
+    #[test]
+    fn knn_handles_small_database() {
+        let (neighbors, _) = exact_knn(2, 5);
+        assert_eq!(neighbors.len(), 2);
+        assert!(neighbors[0].distance <= neighbors[1].distance);
+    }
+
+    #[test]
+    fn knn_distances_ascending() {
+        let (neighbors, _) = exact_knn(6, 6);
+        for pair in neighbors.windows(2) {
+            assert!(pair[0].distance <= pair[1].distance);
+        }
+        assert_eq!(neighbors.len(), 6);
+    }
+
+    #[test]
+    fn range_returns_exactly_the_hits() {
+        let (hits, refinements) = exact_range(2.5);
+        let ids: Vec<_> = hits.iter().map(|n| n.id).collect();
+        // exact <= 2.5: objects 3 (0.2), 1 (1.5), 0 (2.5). Object 4 has
+        // filter 1.0 <= 2.5 but exact 2.8: refined yet rejected.
+        assert_eq!(ids, vec![3, 1, 0]);
+        assert_eq!(refinements, 4);
+    }
+
+    #[test]
+    fn range_with_zero_epsilon() {
+        let (hits, _) = exact_range(0.0);
+        assert!(hits.is_empty(), "no exact distance is 0.0");
+    }
+
+    #[test]
+    fn knn_rejects_zero_k() {
+        let mut ranking = TableRanking::new(&FILTER);
+        let mut refiner = TableRefiner::new(&EXACT);
+        assert!(matches!(
+            knn(&mut ranking, &mut refiner, 0, &Budget::unlimited()),
+            Err(QueryError::ZeroK)
+        ));
     }
 
     #[test]
     fn cancelled_budget_degrades_before_any_refinement() {
-        let (filter, exact) = setup();
-        let mut fp = filter.prepare(&query()).unwrap();
-        let mut ep = exact.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(fp.as_mut(), 6).unwrap();
+        let mut ranking = TableRanking::new(&FILTER);
+        let mut refiner = TableRefiner::new(&EXACT);
         let token = emd_core::CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
-        let (outcome, refinements) = knn_budgeted(&mut ranking, ep.as_mut(), 3, &budget).unwrap();
+        let (outcome, refinements) = knn(&mut ranking, &mut refiner, 3, &budget).unwrap();
         assert_eq!(refinements, 0);
         let degraded = outcome.degraded().expect("must degrade");
         assert_eq!(degraded.reason, BudgetReason::Cancelled);
@@ -522,17 +400,14 @@ mod tests {
 
     #[test]
     fn mid_refinement_exhaustion_keeps_exact_prefix() {
-        let (filter, exact) = setup();
-        let mut fp = filter.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(fp.as_mut(), 6).unwrap();
+        let mut ranking = TableRanking::new(&FILTER);
         // First two refinements succeed, the third reports exhaustion.
-        let mut refiner = ExhaustingTable {
-            table: &exact.table,
-            evaluations: 0,
+        let mut refiner = TableRefiner {
             fail_from: 3,
+            ..TableRefiner::new(&EXACT)
         };
         let (outcome, refinements) =
-            knn_budgeted(&mut ranking, &mut refiner, 4, &Budget::unlimited()).unwrap();
+            knn(&mut ranking, &mut refiner, 4, &Budget::unlimited()).unwrap();
         assert_eq!(refinements, 2);
         let degraded = outcome.degraded().expect("must degrade");
         assert_eq!(degraded.reason, BudgetReason::PivotCap);
@@ -554,36 +429,16 @@ mod tests {
 
     #[test]
     fn budgeted_range_degrades_within_epsilon() {
-        let (filter, exact) = setup();
-        let mut fp = filter.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(fp.as_mut(), 6).unwrap();
-        let mut refiner = ExhaustingTable {
-            table: &exact.table,
-            evaluations: 0,
+        let mut ranking = TableRanking::new(&FILTER);
+        let mut refiner = TableRefiner {
             fail_from: 2,
+            ..TableRefiner::new(&EXACT)
         };
         let (outcome, refinements) =
-            range_budgeted(&mut ranking, &mut refiner, 2.5, &Budget::unlimited()).unwrap();
+            range(&mut ranking, &mut refiner, 2.5, &Budget::unlimited()).unwrap();
         assert_eq!(refinements, 1);
         let degraded = outcome.degraded().expect("must degrade");
         assert!(degraded.candidates.iter().all(|c| c.bound <= 2.5));
         assert!(degraded.candidates.iter().any(|c| c.exact));
-    }
-
-    #[test]
-    fn budgeted_range_with_unlimited_budget_matches_range() {
-        let (filter, exact) = setup();
-        let mut fp1 = filter.prepare(&query()).unwrap();
-        let mut ep1 = exact.prepare(&query()).unwrap();
-        let mut ranking1 = EagerRanking::new(fp1.as_mut(), 6).unwrap();
-        let (plain, plain_ref) = range(&mut ranking1, ep1.as_mut(), 2.5).unwrap();
-
-        let mut fp2 = filter.prepare(&query()).unwrap();
-        let mut ep2 = exact.prepare(&query()).unwrap();
-        let mut ranking2 = EagerRanking::new(fp2.as_mut(), 6).unwrap();
-        let (outcome, budgeted_ref) =
-            range_budgeted(&mut ranking2, ep2.as_mut(), 2.5, &Budget::unlimited()).unwrap();
-        assert_eq!(outcome.exact(), Some(plain.as_slice()));
-        assert_eq!(plain_ref, budgeted_ref);
     }
 }

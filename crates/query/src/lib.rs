@@ -11,9 +11,9 @@
 //! * [`engine`] — the execution core: [`Database`] (a shared immutable
 //!   snapshot holding every histogram once, in a contiguous arena),
 //!   [`QueryPlan`] (the declarative filter chain
-//!   `Red-IM -> Red-EMD -> ... -> EMD` with per-stage cost estimates
-//!   seeded from [`QueryStats`] history), and [`Executor`] (the single
-//!   owner of query execution, including parallel
+//!   `Red-IM -> Red-EMD -> ... -> EMD`), [`Query`] (histogram, mode and
+//!   [`Budget`]) and [`Executor`] (the single owner of query execution:
+//!   [`run`](Executor::run), plus parallel
 //!   [`run_batch`](Executor::run_batch)).
 //! * [`Filter`] / [`PreparedFilter`] — lower-bounding filter distances
 //!   over a database snapshot; implementations cover the paper's reduced
@@ -32,8 +32,6 @@
 //! * [`cluster`] — [`ClusteredIndex`], a pivot-based cluster index over
 //!   the reduced space with triangle-inequality pruning; the sublinear
 //!   stage-1 candidate generator.
-//! * [`pipeline`] — the [`Pipeline`] façade (Figure 10 configurations)
-//!   over plan + executor.
 //! * [`dynamic`] — a mutable index with copy-on-write snapshots that
 //!   execute through the same engine.
 //! * [`scan`] — brute-force oracles, implemented as zero-stage plans.
@@ -62,7 +60,6 @@ mod error;
 pub mod filters;
 pub mod knop;
 pub mod outcome;
-pub mod pipeline;
 pub mod ranking;
 pub mod scan;
 mod stats;
@@ -72,8 +69,7 @@ pub use cluster::ClusteredIndex;
 pub use durable::{CompactReport, DurableError, DurableIndex, DurableSnapshot, OpenReport};
 pub use dynamic::DynamicIndex;
 pub use engine::{
-    CandidateSource, CandidateStream, Database, Executor, FilterScanSource, OpenedIndex, Query,
-    QueryMode, QueryPlan, StageEstimate,
+    CandidateSource, CandidateStream, Database, Executor, OpenedIndex, Query, QueryMode, QueryPlan,
 };
 pub use error::QueryError;
 pub use outcome::{Candidate, DegradedResult, QueryOutcome};
@@ -87,7 +83,6 @@ pub use filters::{
     AnchorFilter, CentroidFilter, EmdDistance, Filter, FullLbImFilter, PreparedFilter,
     ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
 };
-pub use pipeline::Pipeline;
 pub use stats::QueryStats;
 pub use vptree::{VpTree, VpTreeSource};
 

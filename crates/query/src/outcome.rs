@@ -11,6 +11,7 @@
 //! degraded ranking is a principled approximation in exactly the sense the
 //! reduced-EMD filters are.
 
+use crate::error::QueryError;
 use crate::Neighbor;
 use emd_core::BudgetReason;
 
@@ -37,12 +38,11 @@ pub struct DegradedResult {
     pub reason: BudgetReason,
 }
 
-/// The outcome of a budgeted query: exact neighbors, or a degraded
-/// ranking if the budget fired first.
+/// The outcome of a query: exact neighbors, or a degraded ranking if its
+/// budget fired first.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutcome {
-    /// The budget never fired; results are exact and identical to the
-    /// unbudgeted execution.
+    /// The budget never fired; results are exact.
     Exact(Vec<Neighbor>),
     /// The budget fired; see [`DegradedResult`].
     Degraded(DegradedResult),
@@ -71,6 +71,40 @@ impl QueryOutcome {
             QueryOutcome::Exact(_) => None,
             QueryOutcome::Degraded(result) => Some(result),
         }
+    }
+
+    /// The exact neighbors, or [`QueryError::BudgetExhausted`] if degraded
+    /// — what the `knn`/`range` conveniences return, so a truncated answer
+    /// never passes for an exact one.
+    pub(crate) fn into_exact(self) -> Result<Vec<Neighbor>, QueryError> {
+        match self {
+            QueryOutcome::Exact(neighbors) => Ok(neighbors),
+            QueryOutcome::Degraded(result) => Err(QueryError::BudgetExhausted(result.reason)),
+        }
+    }
+
+    /// Rewrite every object id (exact neighbors and degraded candidates
+    /// alike) from the engine's dense id space into a snapshot's own.
+    pub(crate) fn map_ids(
+        mut self,
+        to_own: impl Fn(usize) -> Option<usize>,
+    ) -> Result<Self, QueryError> {
+        let own = |id: &mut usize| -> Result<(), QueryError> {
+            *id = to_own(*id).ok_or(QueryError::UnknownObject(*id))?;
+            Ok(())
+        };
+        match &mut self {
+            QueryOutcome::Exact(neighbors) => {
+                neighbors.iter_mut().try_for_each(|n| own(&mut n.id))?;
+            }
+            QueryOutcome::Degraded(result) => {
+                result
+                    .candidates
+                    .iter_mut()
+                    .try_for_each(|c| own(&mut c.id))?;
+            }
+        }
+        Ok(self)
     }
 }
 

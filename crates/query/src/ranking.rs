@@ -1,13 +1,14 @@
 //! Ascending-distance rankings over filter distances.
 //!
 //! Multistep algorithms consume database objects in ascending order of a
-//! lower-bounding filter distance. [`EagerRanking`] materializes one
-//! filter stage (each object evaluated exactly once, as a sequential
-//! filter scan does); [`ChainedRanking`] implements the
-//! ranking-over-ranking `getNext` of the paper's Figure 12, evaluating its
-//! (tighter, more expensive) filter *only* for objects that survive the
-//! base ranking's frontier. Both propagate filter errors instead of
-//! panicking, so a failed solver call surfaces as a
+//! lower-bounding filter distance. The executor's stage-1 scan
+//! materializes one filter stage (each object evaluated exactly once, as
+//! a sequential filter scan does) unless the plan names a
+//! [`CandidateSource`](crate::CandidateSource); [`ChainedRanking`]
+//! implements the ranking-over-ranking `getNext` of the paper's Figure
+//! 12, evaluating its (tighter, more expensive) filter *only* for objects
+//! that survive the base ranking's frontier. Both propagate filter errors
+//! instead of panicking, so a failed solver call surfaces as a
 //! [`QueryError`] from the executor.
 
 use crate::error::QueryError;
@@ -54,48 +55,6 @@ impl PartialOrd for Key {
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
-    }
-}
-
-/// A fully materialized ranking: evaluates the filter for every object,
-/// sorts once, then pops in ascending order.
-#[derive(Debug)]
-pub struct EagerRanking {
-    /// Sorted descending so `pop` yields ascending.
-    sorted: Vec<(usize, f64)>,
-}
-
-impl EagerRanking {
-    /// Evaluate `filter` on all `len` objects and sort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError`] when any filter evaluation fails.
-    pub fn new(filter: &mut dyn PreparedFilter, len: usize) -> Result<Self, QueryError> {
-        let mut computed = Vec::with_capacity(len);
-        for id in 0..len {
-            computed.push((id, filter.distance(id)?));
-        }
-        Ok(Self::from_computed(computed))
-    }
-
-    /// Build a ranking from already-computed `(id, distance)` pairs (used
-    /// by the budgeted executor, which materializes the first stage itself
-    /// so partially computed bounds survive a budget firing).
-    pub(crate) fn from_computed(mut computed: Vec<(usize, f64)>) -> Self {
-        computed.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
-        EagerRanking { sorted: computed }
-    }
-}
-
-impl Ranking for EagerRanking {
-    fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
-        Ok(self.sorted.pop())
-    }
-
-    fn drain_computed(&mut self) -> Vec<(usize, f64)> {
-        // Everything was evaluated at construction; hand over the rest.
-        std::mem::take(&mut self.sorted)
     }
 }
 
@@ -190,32 +149,19 @@ impl Ranking for ChainedRanking<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filters::Filter;
-    use emd_core::Histogram;
+    use crate::engine::source::ScanStream;
+    use emd_core::Budget;
 
     /// Test filter backed by a fixed distance table.
-    struct TableFilter {
-        name: String,
-        table: Vec<f64>,
-    }
-
     struct PreparedTable<'a> {
         table: &'a [f64],
         evaluations: usize,
     }
 
-    impl Filter for TableFilter {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn len(&self) -> usize {
-            self.table.len()
-        }
-        fn prepare(&self, _query: &Histogram) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-            Ok(Box::new(PreparedTable {
-                table: &self.table,
-                evaluations: 0,
-            }))
+    fn prepared(table: &[f64]) -> PreparedTable<'_> {
+        PreparedTable {
+            table,
+            evaluations: 0,
         }
     }
 
@@ -232,10 +178,6 @@ mod tests {
         }
     }
 
-    fn query() -> Histogram {
-        Histogram::new(vec![1.0]).unwrap()
-    }
-
     fn drain(ranking: &mut dyn Ranking) -> Vec<(usize, f64)> {
         let mut order = Vec::new();
         while let Some(item) = ranking.next().unwrap() {
@@ -246,48 +188,34 @@ mod tests {
 
     #[test]
     fn eager_ranking_ascending() {
-        let filter = TableFilter {
-            name: "t".into(),
-            table: vec![3.0, 1.0, 2.0, 0.5],
-        };
-        let mut prepared = filter.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(prepared.as_mut(), 4).unwrap();
+        let budget = Budget::unlimited();
+        let mut filter = prepared(&[3.0, 1.0, 2.0, 0.5]);
+        let mut ranking = ScanStream::new(&mut filter, 4, &budget);
         assert_eq!(
             drain(&mut ranking),
             vec![(3, 0.5), (1, 1.0), (2, 2.0), (0, 3.0)]
         );
-        assert_eq!(prepared.evaluations(), 4);
+        assert_eq!(filter.evaluations(), 4);
     }
 
     #[test]
     fn eager_ranking_propagates_filter_errors() {
-        let filter = TableFilter {
-            name: "t".into(),
-            table: vec![1.0],
-        };
-        let mut prepared = filter.prepare(&query()).unwrap();
-        // Asking for more objects than the table holds fails fast.
-        assert!(matches!(
-            EagerRanking::new(prepared.as_mut(), 2),
-            Err(QueryError::UnknownObject(1))
-        ));
+        let budget = Budget::unlimited();
+        let mut filter = prepared(&[1.0]);
+        // Asking for more objects than the table holds fails on the first
+        // pull, before anything is emitted.
+        let mut ranking = ScanStream::new(&mut filter, 2, &budget);
+        assert!(matches!(ranking.next(), Err(QueryError::UnknownObject(1))));
     }
 
     #[test]
     fn chained_ranking_matches_direct_ranking() {
         // Base (loose) distances lower-bound tight distances.
-        let loose = TableFilter {
-            name: "loose".into(),
-            table: vec![1.0, 0.5, 2.0, 0.0, 1.5],
-        };
-        let tight = TableFilter {
-            name: "tight".into(),
-            table: vec![1.5, 2.5, 2.0, 0.5, 3.0],
-        };
-        let mut loose_prepared = loose.prepare(&query()).unwrap();
-        let mut tight_prepared = tight.prepare(&query()).unwrap();
-        let base = Box::new(EagerRanking::new(loose_prepared.as_mut(), 5).unwrap());
-        let mut chained = ChainedRanking::new(base, tight_prepared.as_mut());
+        let budget = Budget::unlimited();
+        let mut loose = prepared(&[1.0, 0.5, 2.0, 0.0, 1.5]);
+        let mut tight = prepared(&[1.5, 2.5, 2.0, 0.5, 3.0]);
+        let base = Box::new(ScanStream::new(&mut loose, 5, &budget));
+        let mut chained = ChainedRanking::new(base, &mut tight);
         assert_eq!(
             drain(&mut chained),
             vec![(3, 0.5), (0, 1.5), (2, 2.0), (1, 2.5), (4, 3.0)]
@@ -299,48 +227,36 @@ mod tests {
         // The first result should not require evaluating every object's
         // tight distance: object 3 has loose 0.0 / tight 0.9, and the next
         // loose frontier (1.0) stops the pull at tight <= frontier.
-        let loose = TableFilter {
-            name: "loose".into(),
-            table: vec![1.0, 5.0, 6.0, 0.0, 7.0],
-        };
-        let tight = TableFilter {
-            name: "tight".into(),
-            table: vec![1.5, 5.5, 6.5, 0.9, 7.5],
-        };
-        let mut loose_prepared = loose.prepare(&query()).unwrap();
-        let mut tight_prepared = tight.prepare(&query()).unwrap();
-        let base = Box::new(EagerRanking::new(loose_prepared.as_mut(), 5).unwrap());
-        let mut chained = ChainedRanking::new(base, tight_prepared.as_mut());
+        let budget = Budget::unlimited();
+        let mut loose = prepared(&[1.0, 5.0, 6.0, 0.0, 7.0]);
+        let mut tight = prepared(&[1.5, 5.5, 6.5, 0.9, 7.5]);
+        let base = Box::new(ScanStream::new(&mut loose, 5, &budget));
+        let mut chained = ChainedRanking::new(base, &mut tight);
         assert_eq!(chained.next().unwrap(), Some((3, 0.9)));
         drop(chained);
         assert!(
-            tight_prepared.evaluations() <= 2,
+            tight.evaluations() <= 2,
             "expected lazy evaluation, got {}",
-            tight_prepared.evaluations()
+            tight.evaluations()
         );
     }
 
     #[test]
     fn chained_ranking_handles_empty_base() {
-        let tight = TableFilter {
-            name: "tight".into(),
-            table: vec![],
-        };
-        let mut tight_prepared = tight.prepare(&query()).unwrap();
-        let base = Box::new(EagerRanking { sorted: Vec::new() });
-        let mut chained = ChainedRanking::new(base, tight_prepared.as_mut());
+        let budget = Budget::unlimited();
+        let mut loose = prepared(&[]);
+        let mut tight = prepared(&[]);
+        let base = Box::new(ScanStream::new(&mut loose, 0, &budget));
+        let mut chained = ChainedRanking::new(base, &mut tight);
         assert_eq!(chained.next().unwrap(), None);
         assert_eq!(chained.next().unwrap(), None);
     }
 
     #[test]
     fn ties_are_deterministic() {
-        let filter = TableFilter {
-            name: "t".into(),
-            table: vec![1.0, 1.0, 1.0],
-        };
-        let mut prepared = filter.prepare(&query()).unwrap();
-        let mut ranking = EagerRanking::new(prepared.as_mut(), 3).unwrap();
+        let budget = Budget::unlimited();
+        let mut filter = prepared(&[1.0, 1.0, 1.0]);
+        let mut ranking = ScanStream::new(&mut filter, 3, &budget);
         let ids: Vec<_> = drain(&mut ranking).into_iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }

@@ -335,11 +335,7 @@ impl CandidateSource for VpTreeSource {
         self.tree.len()
     }
 
-    fn prepare(&self, query: &Histogram) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        self.prepare_budgeted(query, &Budget::unlimited())
-    }
-
-    fn prepare_budgeted(
+    fn prepare(
         &self,
         query: &Histogram,
         budget: &Budget,

@@ -14,6 +14,7 @@ use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use emd_store::StoreError;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 const DIM: usize = 4;
 
@@ -79,7 +80,11 @@ fn injected_solve_exhaustion_degrades_then_engine_recovers() {
     for j in 1..=32u64 {
         let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().exhaust_solve(j));
         let budget = Budget::unlimited().with_faults(plan);
-        let (outcome, _) = executor.knn_budgeted(&query(), 2, &budget).unwrap();
+        let request = Query {
+            budget,
+            ..Query::knn(query(), 2)
+        };
+        let (outcome, _) = executor.run(&request).unwrap();
         if let Some(result) = outcome.degraded() {
             degraded_seen += 1;
             assert_eq!(result.reason, BudgetReason::Injected, "solve {j}");
@@ -112,7 +117,8 @@ fn injected_worker_panic_is_isolated_to_its_chunk() {
                 "query {i}: expected WorkerPanicked, got {result:?}"
             );
         } else {
-            assert_eq!(result.as_ref().unwrap(), &baseline[i], "query {i}");
+            let outcome = result.as_ref().unwrap();
+            assert_eq!(outcome.exact(), Some(baseline[i].as_slice()), "query {i}");
         }
     }
 
@@ -125,6 +131,40 @@ fn injected_worker_panic_is_isolated_to_its_chunk() {
         .collect();
     let (_, expected_stats) = clean.run_batch(&survivors, 1).unwrap();
     assert_eq!(stats, expected_stats);
+}
+
+#[test]
+fn batches_honour_per_query_budgets() {
+    let database = database();
+    let executor = executor(&database);
+    let mut queries = workload();
+    queries.truncate(3);
+    if let Some(middle) = queries.get_mut(1) {
+        middle.budget = Budget::unlimited().with_deadline(Duration::ZERO);
+    }
+
+    for threads in [1, 3] {
+        let (results, _) = executor.run_batch_isolated(&queries, threads);
+        assert_eq!(results.len(), 3);
+        for (i, result) in results.iter().enumerate() {
+            let outcome = result.as_ref().unwrap();
+            if i == 1 {
+                let degraded = outcome.degraded().expect("a zero deadline degrades");
+                assert_eq!(degraded.reason, BudgetReason::Deadline);
+            } else {
+                // The neighbours' slots are what `run` alone returns.
+                let (alone, _) = executor.run(&queries[i]).unwrap();
+                assert_eq!(outcome, &alone, "threads {threads} query {i}");
+                assert!(outcome.exact().is_some());
+            }
+        }
+        // The exact-or-error sugar reports the degraded slot, not a
+        // truncated answer.
+        assert!(matches!(
+            executor.run_batch(&queries, threads),
+            Err(QueryError::BudgetExhausted(BudgetReason::Deadline))
+        ));
+    }
 }
 
 #[test]
@@ -196,14 +236,22 @@ fn seeded_fault_plans_never_leave_the_engine_wedged() {
         let (results, _) = faulty.run_batch_isolated(&queries, 2);
         for (i, result) in results.iter().enumerate() {
             match result {
-                Ok(neighbors) => assert_eq!(neighbors, &baseline[i], "seed {seed} query {i}"),
+                Ok(outcome) => assert_eq!(
+                    outcome.exact(),
+                    Some(baseline[i].as_slice()),
+                    "seed {seed} query {i}"
+                ),
                 Err(QueryError::WorkerPanicked { .. }) => {}
                 Err(other) => panic!("seed {seed} query {i}: unexpected error {other:?}"),
             }
         }
 
         // Budgeted single query: exact or degraded, never an error.
-        let (outcome, _) = clean.knn_budgeted(&query(), 2, &budget).unwrap();
+        let request = Query {
+            budget,
+            ..Query::knn(query(), 2)
+        };
+        let (outcome, _) = clean.run(&request).unwrap();
         if let Some(result) = outcome.degraded() {
             assert_eq!(result.reason, BudgetReason::Injected, "seed {seed}");
         }

@@ -13,8 +13,8 @@
 use emd_core::{emd_rectangular, Budget, BudgetReason, CostMatrix, Histogram};
 use emd_faultkit::{FailPlan, FaultInjector};
 use emd_query::{
-    Database, DynamicIndex, EmdDistance, Executor, Filter, QueryOutcome, QueryPlan,
-    ReducedEmdFilter,
+    Database, DynamicIndex, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan,
+    QueryStats, ReducedEmdFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use rand::rngs::StdRng;
@@ -70,6 +70,16 @@ fn static_executor(corpus: &Corpus) -> Executor {
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
 }
 
+/// `K`-NN of the corpus query under a clone of `budget` (clones share the
+/// pivot pool, so the caller can read the charge afterwards).
+fn knn_under(executor: &Executor, corpus: &Corpus, budget: &Budget) -> (QueryOutcome, QueryStats) {
+    let query = Query {
+        budget: budget.clone(),
+        ..Query::knn(corpus.query.clone(), K)
+    };
+    executor.run(&query).unwrap()
+}
+
 #[test]
 fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
     let corpus = corpus();
@@ -77,10 +87,7 @@ fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
     let (unbudgeted, unbudgeted_stats) = snapshot.executor().knn(&corpus.query, K).unwrap();
 
     let budget = Budget::unlimited().with_pivot_cap(5);
-    let (outcome, _) = snapshot
-        .executor()
-        .knn_budgeted(&corpus.query, K, &budget)
-        .unwrap();
+    let (outcome, _) = knn_under(snapshot.executor(), &corpus, &budget);
     let result = outcome
         .degraded()
         .expect("5 pivots cannot answer a 60-object query");
@@ -106,17 +113,12 @@ fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
     // The static plan over the same objects degrades under the same cap,
     // with the same ranking: one evaluator, two lookups.
     let static_budget = Budget::unlimited().with_pivot_cap(5);
-    let (static_outcome, _) = static_executor(&corpus)
-        .knn_budgeted(&corpus.query, K, &static_budget)
-        .unwrap();
+    let (static_outcome, _) = knn_under(&static_executor(&corpus), &corpus, &static_budget);
     assert_eq!(static_outcome, outcome);
     assert_eq!(static_budget.pivots_used(), budget.pivots_used());
 
-    // An unlimited budget on the same snapshot is the unbudgeted answer.
-    let (rerun, rerun_stats) = snapshot
-        .executor()
-        .knn_budgeted(&corpus.query, K, &Budget::unlimited())
-        .unwrap();
+    // An unlimited budget on the same snapshot is the `knn` sugar's answer.
+    let (rerun, rerun_stats) = knn_under(snapshot.executor(), &corpus, &Budget::unlimited());
     assert_eq!(rerun, QueryOutcome::Exact(unbudgeted));
     assert_eq!(rerun_stats, unbudgeted_stats);
 }
@@ -128,10 +130,7 @@ fn deadlines_and_injected_solve_faults_reach_live_snapshots() {
     let (baseline, _) = snapshot.knn(&corpus.query, K).unwrap();
 
     let expired = Budget::unlimited().with_deadline(Duration::ZERO);
-    let (outcome, _) = snapshot
-        .executor()
-        .knn_budgeted(&corpus.query, K, &expired)
-        .unwrap();
+    let (outcome, _) = knn_under(snapshot.executor(), &corpus, &expired);
     assert_eq!(
         outcome.degraded().map(|result| result.reason),
         Some(BudgetReason::Deadline)
@@ -143,10 +142,7 @@ fn deadlines_and_injected_solve_faults_reach_live_snapshots() {
     for solve in [1, 70] {
         let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().exhaust_solve(solve));
         let budget = Budget::unlimited().with_faults(plan);
-        let (outcome, _) = snapshot
-            .executor()
-            .knn_budgeted(&corpus.query, K, &budget)
-            .unwrap();
+        let (outcome, _) = knn_under(snapshot.executor(), &corpus, &budget);
         assert_eq!(
             outcome.degraded().map(|result| result.reason),
             Some(BudgetReason::Injected),

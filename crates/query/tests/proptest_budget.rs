@@ -1,14 +1,14 @@
 //! Properties of budgeted execution: degraded rankings are principled
 //! (every bound is a valid lower bound of the exact EMD, ordered
-//! ascending, exact flags truthful), and an unlimited budget is
-//! bit-identical to the unbudgeted path.
+//! ascending, exact flags truthful), and an unlimited budget never
+//! degrades: `run` agrees with the `knn` sugar bit for bit.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_core::{emd_rectangular, ground, Budget, CancelToken, Histogram};
 use emd_query::{
-    Database, EmdDistance, Executor, Filter, QueryOutcome, QueryPlan, ReducedEmdFilter,
+    Database, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan, ReducedEmdFilter,
     ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
@@ -52,6 +52,14 @@ fn executor(database: &Database) -> Executor {
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
 }
 
+fn knn_under(executor: &Executor, query: &Histogram, k: usize, budget: Budget) -> QueryOutcome {
+    let query = Query {
+        budget,
+        ..Query::knn(query.clone(), k)
+    };
+    executor.run(&query).unwrap().0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -73,8 +81,7 @@ proptest! {
         let (exact, _) = executor.knn(&query, k).unwrap();
 
         let budget = Budget::unlimited().with_pivot_cap(cap);
-        let (outcome, _) = executor.knn_budgeted(&query, k, &budget).unwrap();
-        match outcome {
+        match knn_under(&executor, &query, k, budget) {
             QueryOutcome::Exact(neighbors) => {
                 // The budget never fired: the answer is the exact answer,
                 // down to the last distance bit.
@@ -112,8 +119,8 @@ proptest! {
         }
     }
 
-    /// Unlimited budgets take the exact unbudgeted code path: results are
-    /// bit-identical and never degraded.
+    /// Unlimited budgets never degrade, and the `knn` sugar returns what
+    /// `run` does: same neighbors bit for bit, same stats.
     #[test]
     fn unlimited_budget_is_bit_identical(
         database in prop::collection::vec(histogram(), 4..10),
@@ -124,7 +131,7 @@ proptest! {
         let database = Database::new(database, cost).unwrap();
         let executor = executor(&database);
         let (exact, exact_stats) = executor.knn(&query, k).unwrap();
-        let (outcome, stats) = executor.knn_budgeted(&query, k, &Budget::unlimited()).unwrap();
+        let (outcome, stats) = executor.run(&Query::knn(query, k)).unwrap();
         let neighbors = outcome.exact().expect("unlimited budget cannot degrade");
         prop_assert_eq!(neighbors.len(), exact.len());
         for (a, b) in neighbors.iter().zip(&exact) {
@@ -147,7 +154,8 @@ proptest! {
         let database = Database::new(database, cost).unwrap();
         let executor = executor(&database);
         let budget = Budget::unlimited().with_pivot_cap(cap);
-        let (outcome, _) = executor.range_budgeted(&query, epsilon, &budget).unwrap();
+        let request = Query { budget, ..Query::range(query.clone(), epsilon) };
+        let (outcome, _) = executor.run(&request).unwrap();
         if let QueryOutcome::Degraded(result) = outcome {
             for candidate in &result.candidates {
                 prop_assert!(candidate.bound <= epsilon);
@@ -178,7 +186,7 @@ proptest! {
         let token = CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
-        let (outcome, _) = executor.knn_budgeted(&query, k, &budget).unwrap();
+        let outcome = knn_under(&executor, &query, k, budget);
         let result = outcome.degraded().expect("cancelled budget must degrade");
         prop_assert_eq!(result.reason, emd_core::BudgetReason::Cancelled);
         prop_assert!(result.candidates.iter().all(|c| !c.exact));

@@ -11,7 +11,7 @@
 
 use emd_core::{emd_rectangular, ground, Budget, Histogram};
 use emd_query::{
-    ClusteredIndex, Database, EmdDistance, Executor, Filter, QueryOutcome, QueryPlan,
+    ClusteredIndex, Database, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan,
     ReducedEmdFilter,
 };
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
@@ -114,8 +114,8 @@ proptest! {
         }
     }
 
-    /// An unlimited budget through the clustered source never degrades
-    /// and matches the unbudgeted clustered run bit-for-bit.
+    /// An unlimited budget through the clustered source never degrades,
+    /// and the `knn` sugar returns what `run` does bit-for-bit.
     #[test]
     fn clustered_unlimited_budget_is_bit_identical(
         database in prop::collection::vec(histogram(), 3..16),
@@ -127,8 +127,7 @@ proptest! {
         let clustered = clustered_executor(&database, 1.0);
 
         let (exact, exact_stats) = clustered.knn(&query, k).unwrap();
-        let (outcome, stats) =
-            clustered.knn_budgeted(&query, k, &Budget::unlimited()).unwrap();
+        let (outcome, stats) = clustered.run(&Query::knn(query, k)).unwrap();
         let neighbors = outcome.exact().expect("unlimited budget cannot degrade");
         prop_assert_eq!(neighbors.len(), exact.len());
         for (a, b) in neighbors.iter().zip(&exact) {
@@ -155,7 +154,8 @@ proptest! {
         let (exact, _) = clustered.knn(&query, k).unwrap();
 
         let budget = Budget::unlimited().with_pivot_cap(cap);
-        let (outcome, _) = clustered.knn_budgeted(&query, k, &budget).unwrap();
+        let request = Query { budget, ..Query::knn(query.clone(), k) };
+        let (outcome, _) = clustered.run(&request).unwrap();
         match outcome {
             QueryOutcome::Exact(neighbors) => {
                 prop_assert_eq!(neighbors.len(), exact.len());

@@ -8,7 +8,9 @@
 
 use emd_core::{ground, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
-use emd_query::{Database, EmdDistance, Neighbor, Pipeline, ReducedEmdFilter, ReducedImFilter};
+use emd_query::{
+    Database, EmdDistance, Executor, Filter, Neighbor, QueryPlan, ReducedEmdFilter, ReducedImFilter,
+};
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -40,6 +42,12 @@ fn reduction() -> impl Strategy<Value = CombiningReduction> {
     })
 }
 
+/// `stages` in front of the exact EMD over `database`.
+fn executor(database: &Database, stages: Vec<Box<dyn Filter>>) -> Executor {
+    let refiner = Box::new(EmdDistance::new(database).unwrap());
+    Executor::new(QueryPlan::new(stages, refiner).unwrap())
+}
+
 /// Canonicalize results so equal-distance ties compare equal.
 fn canonical(neighbors: &[Neighbor]) -> Vec<(i64, usize)> {
     let mut pairs: Vec<(i64, usize)> = neighbors
@@ -64,14 +72,13 @@ proptest! {
         let cost = Arc::new(ground::linear(DIM).unwrap());
         let database = Database::new(database, cost.clone()).unwrap();
         let reduced = ReducedEmd::new(&cost, r).unwrap();
-        let pipeline = Pipeline::new(
+        let pipeline = executor(
+            &database,
             vec![
                 Box::new(ReducedImFilter::new(&database, reduced.clone()).unwrap()),
                 Box::new(ReducedEmdFilter::new(&database, reduced).unwrap()),
             ],
-            EmdDistance::new(&database).unwrap(),
-        )
-        .unwrap();
+        );
 
         let expected = brute_force_knn(&query, database.histograms(), &cost, k).unwrap();
         let (got, stats) = pipeline.knn(&query, k).unwrap();
@@ -90,11 +97,10 @@ proptest! {
         let cost = Arc::new(ground::linear(DIM).unwrap());
         let database = Database::new(database, cost.clone()).unwrap();
         let reduced = ReducedEmd::new(&cost, r).unwrap();
-        let pipeline = Pipeline::new(
+        let pipeline = executor(
+            &database,
             vec![Box::new(ReducedEmdFilter::new(&database, reduced).unwrap())],
-            EmdDistance::new(&database).unwrap(),
-        )
-        .unwrap();
+        );
 
         let expected = brute_force_range(&query, database.histograms(), &cost, epsilon).unwrap();
         let (got, _) = pipeline.range(&query, epsilon).unwrap();
@@ -113,11 +119,10 @@ proptest! {
         let database = Database::new(database, cost.clone()).unwrap();
         let r1 = CombiningReduction::identity(DIM).unwrap();
         let reduced = ReducedEmd::with_asymmetric(&cost, r1, r2).unwrap();
-        let pipeline = Pipeline::new(
+        let pipeline = executor(
+            &database,
             vec![Box::new(ReducedEmdFilter::new(&database, reduced).unwrap())],
-            EmdDistance::new(&database).unwrap(),
-        )
-        .unwrap();
+        );
         let expected = brute_force_knn(&query, database.histograms(), &cost, k).unwrap();
         let (got, _) = pipeline.knn(&query, k).unwrap();
         prop_assert_eq!(canonical(&got), canonical(&expected));

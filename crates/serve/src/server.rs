@@ -18,7 +18,7 @@
 //! ## Isolation and degradation
 //!
 //! Workers execute queries through
-//! [`Executor::run_budgeted_isolated`], so a panicking solve turns
+//! [`Executor::run_isolated`], so a panicking solve turns
 //! into a `500` for that request only — the worker thread survives and
 //! keeps serving. Budget exhaustion (per-request `deadline_ms` /
 //! `max_pivots`) is not an error: it returns `200` with
@@ -48,7 +48,9 @@ use crate::http::{read_request, HttpError, Limits, Method, Request, Response};
 use crate::spec::QuerySpec;
 use emd_core::Histogram;
 use emd_obs::{Gauge, GaugeGuard, MetricsRegistry, Recording};
-use emd_query::{BudgetReason, Database, Executor, Neighbor, QueryError, QueryOutcome, QueryStats};
+use emd_query::{
+    BudgetReason, Database, Executor, Neighbor, Query, QueryError, QueryOutcome, QueryStats,
+};
 use emd_store::json::{self, Value};
 
 /// Schema tag carried by every JSON response body.
@@ -520,23 +522,24 @@ fn run_query(
     if let Some(ingest) = &shared.snapshot.ingest {
         return run_dynamic_query(shared, ingest, request_id, &spec, object);
     }
-    let histogram = query_histogram(shared, object)?;
-    let query = spec.query_for(histogram);
-    let mut budget = spec.budget();
-    if let Some(faults) = &shared.snapshot.faults {
-        budget = budget.with_faults(Arc::clone(faults));
-    }
-    let (outcome, stats) = shared
-        .snapshot
-        .executor
-        .run_budgeted_isolated(&query, &budget, request_id)?;
+    let query = lower(shared, &spec, query_histogram(shared, object)?);
+    let (outcome, stats) = shared.snapshot.executor.run_isolated(&query, request_id)?;
     Ok(Response::json(200, "OK", outcome_body(&outcome, &stats)))
 }
 
+/// Lower a request into the engine [`Query`], attaching the snapshot's
+/// fault injector (if any) to its budget.
+fn lower(shared: &Shared, spec: &QuerySpec, histogram: Histogram) -> Query {
+    let mut query = spec.query_for(histogram);
+    if let Some(faults) = &shared.snapshot.faults {
+        query.budget = query.budget.with_faults(Arc::clone(faults));
+    }
+    query
+}
+
 /// Execute one query against the dynamic corpus: clone the current
-/// reader snapshot (never blocking the writer), run through its
-/// executor, and translate dense engine ids to client-visible external
-/// ids in the response.
+/// reader snapshot (never blocking the writer) and run on it; the
+/// snapshot answers in client-visible external ids.
 fn run_dynamic_query(
     shared: &Shared,
     ingest: &crate::ingest::IngestState,
@@ -552,48 +555,9 @@ fn run_dynamic_query(
             error_body("corpus is empty; insert objects before querying"),
         ));
     };
-    let query = spec.query_for(histogram);
-    let mut budget = spec.budget();
-    if let Some(faults) = &shared.snapshot.faults {
-        budget = budget.with_faults(Arc::clone(faults));
-    }
-    let (outcome, stats) = snapshot
-        .executor()
-        .run_budgeted_isolated(&query, &budget, request_id)?;
-    let outcome = externalize_outcome(outcome, &snapshot)?;
+    let query = lower(shared, spec, histogram);
+    let (outcome, stats) = snapshot.run_isolated(&query, request_id)?;
     Ok(Response::json(200, "OK", outcome_body(&outcome, &stats)))
-}
-
-/// Rewrite a [`QueryOutcome`]'s dense engine ids as external ids.
-fn externalize_outcome(
-    outcome: QueryOutcome,
-    snapshot: &emd_query::DurableSnapshot,
-) -> Result<QueryOutcome, ServeError> {
-    let external = |dense: usize| -> Result<usize, ServeError> {
-        let id = snapshot
-            .external_id(dense)
-            .ok_or(ServeError::Query(QueryError::UnknownObject(dense)))?;
-        Ok(usize::try_from(id).unwrap_or(usize::MAX))
-    };
-    Ok(match outcome {
-        QueryOutcome::Exact(neighbors) => QueryOutcome::Exact(
-            neighbors
-                .into_iter()
-                .map(|n| {
-                    Ok(Neighbor {
-                        id: external(n.id)?,
-                        distance: n.distance,
-                    })
-                })
-                .collect::<Result<_, ServeError>>()?,
-        ),
-        QueryOutcome::Degraded(mut result) => {
-            for candidate in &mut result.candidates {
-                candidate.id = external(candidate.id)?;
-            }
-            QueryOutcome::Degraded(result)
-        }
-    })
 }
 
 /// Resolve the query histogram against the dynamic corpus: `query_id`

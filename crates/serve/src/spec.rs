@@ -2,13 +2,12 @@
 //!
 //! `flexemd query`, `flexemd serve` and `flexemd loadgen` all accept the
 //! same four knobs — `k`, `range`/`epsilon`, `deadline_ms`, `max_pivots`
-//! — and all three must translate them into a [`QueryMode`] plus
-//! [`Budget`] identically, or "the server returned a different answer
-//! than the CLI" becomes a bug class. [`QuerySpec`] is that single
-//! translation: CLI flags enter via [`QuerySpec::from_raw`], HTTP JSON
-//! bodies via [`QuerySpec::from_json`], and both feed the same
-//! validation and the same [`QuerySpec::mode`]/[`QuerySpec::budget`]
-//! lowering.
+//! — and all three must translate them into an engine [`Query`] (a
+//! [`QueryMode`] plus a [`Budget`]) identically, or "the server returned
+//! a different answer than the CLI" becomes a bug class. [`QuerySpec`] is
+//! that single translation: CLI flags enter via [`QuerySpec::from_raw`],
+//! HTTP JSON bodies via [`QuerySpec::from_json`], and both feed the same
+//! validation and the same [`QuerySpec::query_for`] lowering.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -142,7 +141,8 @@ impl QuerySpec {
         }
     }
 
-    /// Lower the effort knobs into an engine [`Budget`].
+    /// Lower the effort knobs into an engine [`Budget`]; the deadline
+    /// clock starts now.
     #[must_use]
     pub fn budget(&self) -> Budget {
         let mut budget = Budget::unlimited();
@@ -155,12 +155,14 @@ impl QuerySpec {
         budget
     }
 
-    /// Pair this spec's mode with a query histogram.
+    /// Lower this spec into the engine [`Query`] for `histogram`: its
+    /// mode plus a fresh [`budget`](Self::budget).
     #[must_use]
     pub fn query_for(&self, histogram: Histogram) -> Query {
         Query {
             histogram,
             mode: self.mode(),
+            budget: self.budget(),
         }
     }
 }

@@ -7,7 +7,7 @@
 
 mod common;
 
-use emd_query::{Budget, Query, QueryOutcome};
+use emd_query::{Query, QueryOutcome};
 use emd_serve::loadgen::{self, LoadgenConfig};
 use emd_serve::QuerySpec;
 use emd_store::json::{self, Value};
@@ -60,7 +60,7 @@ fn concurrent_served_knn_is_bit_identical_to_direct_executor() {
     let expected: Vec<Vec<(usize, u64)>> = (0..common::OBJECTS)
         .map(|id| {
             let query = Query::knn(database.get(id).unwrap().clone(), k);
-            let (outcome, _) = executor.run_budgeted(&query, &Budget::unlimited()).unwrap();
+            let (outcome, _) = executor.run(&query).unwrap();
             match outcome {
                 QueryOutcome::Exact(neighbors) => neighbors
                     .iter()
@@ -103,7 +103,7 @@ fn range_queries_and_inline_weights_serve_exactly() {
     // Range query by id.
     let epsilon = 2.5;
     let query = Query::range(database.get(3).unwrap().clone(), epsilon);
-    let (outcome, _) = executor.run_budgeted(&query, &Budget::unlimited()).unwrap();
+    let (outcome, _) = executor.run(&query).unwrap();
     let QueryOutcome::Exact(expected) = outcome else {
         panic!("unbudgeted range query degraded");
     };
@@ -124,9 +124,7 @@ fn range_queries_and_inline_weights_serve_exactly() {
     assert_eq!(status, 200, "{body}");
     let served = served_neighbors(&body);
     let direct = Query::knn(histogram, 4);
-    let (outcome, _) = executor
-        .run_budgeted(&direct, &Budget::unlimited())
-        .unwrap();
+    let (outcome, _) = executor.run(&direct).unwrap();
     let QueryOutcome::Exact(expected) = outcome else {
         panic!("unbudgeted query degraded");
     };

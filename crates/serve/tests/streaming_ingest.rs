@@ -11,7 +11,7 @@ mod common;
 use emd_core::{ground, Histogram};
 use emd_query::{DurableIndex, DurableSnapshot};
 use emd_reduction::{CombiningReduction, ReducedEmd};
-use emd_serve::{IngestState, Snapshot};
+use emd_serve::{IngestState, QuerySpec, Snapshot};
 use emd_store::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -154,6 +154,77 @@ fn insert_query_remove_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The snapshot owns the id map: `DurableSnapshot::run` under a pivot cap
+/// answers in the same external ids, with the same bounds, as the server
+/// renders for the same request.
+#[test]
+fn degraded_answers_carry_the_snapshots_external_ids() {
+    let dir = unique_dir("degraded-ids");
+    let (snapshot, ingest) = dynamic_snapshot(&dir);
+    let server = common::start(snapshot, 1);
+    let addr = server.addr();
+
+    let corpus = [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.4, 0.3, 0.2, 0.1],
+        [0.0, 0.0, 0.5, 0.5],
+        [0.1, 0.2, 0.3, 0.4],
+        [0.25, 0.25, 0.25, 0.25],
+    ];
+    for bins in &corpus {
+        let (status, _, body) =
+            common::raw_call(addr, "POST", "/v1/insert", Some(&insert_body(bins)));
+        assert_eq!(status, 200, "{body}");
+    }
+    // Removing external id 0 shifts every dense engine id by one.
+    let (status, _, body) = common::raw_call(addr, "POST", "/v1/remove", Some("{\"id\":0}"));
+    assert_eq!(status, 200, "{body}");
+
+    let probe = [0.3, 0.3, 0.2, 0.2];
+    let spec = QuerySpec {
+        k: Some(3),
+        max_pivots: Some(0),
+        ..QuerySpec::default()
+    };
+    let (outcome, _) = ingest
+        .snapshot()
+        .unwrap()
+        .run(&spec.query_for(h(&probe)))
+        .unwrap();
+    let local: Vec<(usize, u64, bool)> = outcome
+        .degraded()
+        .expect("no solve fits in zero pivots")
+        .candidates
+        .iter()
+        .map(|c| (c.id, c.bound.to_bits(), c.exact))
+        .collect();
+    assert!(local.iter().all(|&(id, _, _)| (1..=4).contains(&id)));
+
+    let body = format!("{{\"weights\":{probe:?},\"k\":3,\"max_pivots\":0}}");
+    let (status, _, response) = common::raw_call(addr, "POST", "/v1/knn", Some(&body));
+    assert_eq!(status, 200, "{response}");
+    let map = parse_object(&response);
+    assert_eq!(map.get("degraded"), Some(&Value::Bool(true)), "{response}");
+    let served: Vec<(usize, u64, bool)> = map
+        .get("candidates")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|candidate| {
+            let candidate = candidate.as_object().unwrap();
+            (
+                number(candidate, "id") as usize,
+                number(candidate, "bound").to_bits(),
+                candidate.get("exact") == Some(&Value::Bool(true)),
+            )
+        })
+        .collect();
+    assert_eq!(served, local);
+
+    server.drain_and_join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn writes_are_rejected_on_a_read_only_server() {
     let server = common::start(common::snapshot(), 1);
@@ -290,22 +361,34 @@ fn wal_failures_surface_as_500_not_400() {
     assert_eq!(status, 400, "{body}");
 
     // First well-formed insert succeeds and is durable.
-    let (status, _, body) =
-        common::raw_call(addr, "POST", "/v1/insert", Some(&insert_body(&[1.0, 0.0, 0.0, 0.0])));
+    let (status, _, body) = common::raw_call(
+        addr,
+        "POST",
+        "/v1/insert",
+        Some(&insert_body(&[1.0, 0.0, 0.0, 0.0])),
+    );
     assert_eq!(status, 200, "{body}");
 
     // Second insert hits the injected WAL append failure: the server's
     // disk, not the client's request — a 500 flagging indeterminate
     // durability, never a 400.
-    let (status, _, body) =
-        common::raw_call(addr, "POST", "/v1/insert", Some(&insert_body(&[0.0, 1.0, 0.0, 0.0])));
+    let (status, _, body) = common::raw_call(
+        addr,
+        "POST",
+        "/v1/insert",
+        Some(&insert_body(&[0.0, 1.0, 0.0, 0.0])),
+    );
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("indeterminate"), "{body}");
 
     // The failure consumed no external id and left the index writable:
     // the next insert succeeds with the next id.
-    let (status, _, body) =
-        common::raw_call(addr, "POST", "/v1/insert", Some(&insert_body(&[0.0, 0.0, 1.0, 0.0])));
+    let (status, _, body) = common::raw_call(
+        addr,
+        "POST",
+        "/v1/insert",
+        Some(&insert_body(&[0.0, 0.0, 1.0, 0.0])),
+    );
     assert_eq!(status, 200, "{body}");
     assert_eq!(number(&parse_object(&body), "id") as u64, 1);
 

@@ -307,17 +307,18 @@ fn is_solver_entry(name: &str) -> bool {
 
 /// Budget-propagation audit (class `budget-propagation`): every public
 /// solver/refinement entry point in `transport`/`query` must accept a
-/// `Budget` or `CancelToken`, or carry an explicit
-/// `// lint: allow(unbudgeted): <reason>` annotation — so new kernels
-/// cannot silently regress execution governance.
+/// `Budget`, a `CancelToken` or a `Query` (which carries its budget), or
+/// bear an explicit `// lint: allow(unbudgeted): <reason>` annotation —
+/// so new kernels cannot silently regress execution governance.
 pub fn budget_propagation_pass(file: &SourceFile, krate: &str, report: &mut LintReport) {
     let mut sites: Vec<(String, u32, bool)> = Vec::new();
     for_each_public_fn(file, |file, header| {
         if !is_solver_entry(header.name) {
             return;
         }
-        if signature_mentions(file, &header, "Budget")
-            || signature_mentions(file, &header, "CancelToken")
+        if ["Budget", "CancelToken", "Query"]
+            .iter()
+            .any(|carrier| signature_mentions(file, &header, carrier))
         {
             return;
         }
@@ -333,7 +334,7 @@ pub fn budget_propagation_pass(file: &SourceFile, krate: &str, report: &mut Lint
                 line,
                 LintClass::BudgetPropagation,
                 format!(
-                    "public solver entry `{name}` neither accepts a Budget/CancelToken nor \
+                    "public solver entry `{name}` neither accepts a Budget/CancelToken/Query nor \
                      declares itself unbudgeted; thread a budget through or mark the site \
                      `// lint: allow(unbudgeted): <reason>`"
                 ),

@@ -164,8 +164,11 @@ fn budget_propagation_fixture() {
     passes::budget_propagation_pass(&file, "query", &mut report);
     assert_eq!(
         finding_lines(&report, LintClass::BudgetPropagation),
-        vec![line_of(&file, "pub fn solve(")],
-        "budget-accepting, cancel-accepting and non-solver fns are clean"
+        vec![
+            line_of(&file, "pub fn solve("),
+            line_of(&file, "pub fn run(&self, h: &Histogram)"),
+        ],
+        "budget-, cancel- and query-accepting fns and non-solver fns are clean"
     );
     assert_eq!(
         budgeted_lines(&report, LintClass::BudgetPropagation),

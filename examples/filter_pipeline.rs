@@ -7,7 +7,7 @@
 
 use flexemd::data::gaussian::{self, GaussianParams};
 use flexemd::query::{
-    Database, EmdDistance, Filter, Pipeline, Query, ReducedEmdFilter, ReducedImFilter,
+    Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter, ReducedImFilter,
 };
 use flexemd::reduction::kmedoids::kmedoids_reduction;
 use flexemd::reduction::{CombiningReduction, ReducedEmd};
@@ -38,7 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(ReducedImFilter::new(&database, reduced.clone())?),
         Box::new(ReducedEmdFilter::new(&database, reduced)?),
     ];
-    let chain = Pipeline::new(stages, EmdDistance::new(&database)?)?;
+    let chain = Executor::new(QueryPlan::new(
+        stages,
+        Box::new(EmdDistance::new(&database)?),
+    )?);
     let (neighbors, stats) = chain.knn(query, 5)?;
     println!(
         "Figure 10 chain (Red-IM -> Red-EMD -> EMD), N = {}:",
@@ -58,10 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // tighter bound at a higher per-evaluation cost (Section 3.1).
     let r1 = CombiningReduction::identity(32)?;
     let asymmetric = ReducedEmd::with_asymmetric(&cost, r1, r)?;
-    let pipeline = Pipeline::new(
+    let pipeline = Executor::new(QueryPlan::new(
         vec![Box::new(ReducedEmdFilter::new(&database, asymmetric)?)],
-        EmdDistance::new(&database)?,
-    )?;
+        Box::new(EmdDistance::new(&database)?),
+    )?);
     let (asym_neighbors, asym_stats) = pipeline.knn(query, 5)?;
     println!("\nasymmetric filter (query 32-d, database 8-d):");
     println!("  refinements        {}", asym_stats.refinements);
@@ -73,7 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  identical results  yes (completeness, Theorem 1)");
 
     // --- Ground truth ----------------------------------------------------
-    let scan = Pipeline::sequential(EmdDistance::new(&database)?)?;
+    let scan = Executor::new(QueryPlan::sequential(Box::new(EmdDistance::new(
+        &database,
+    )?))?);
     let (truth, scan_stats) = scan.knn(query, 5)?;
     assert_eq!(
         truth.iter().map(|n| n.id).collect::<Vec<_>>(),
@@ -87,10 +92,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Parallel batch execution ----------------------------------------
     // The same plan answers a whole workload across worker threads; the
     // results are bit-identical to issuing the queries one at a time.
-    let executor = chain.into_executor();
     let workload: Vec<Query> = queries.iter().map(|q| Query::knn(q.clone(), 5)).collect();
-    let (sequential, _) = executor.run_batch(&workload, 1)?;
-    let (parallel, batch_stats) = executor.run_batch(&workload, 4)?;
+    let (sequential, _) = chain.run_batch(&workload, 1)?;
+    let (parallel, batch_stats) = chain.run_batch(&workload, 4)?;
     assert_eq!(sequential, parallel, "threads never change answers");
     println!(
         "\nbatch of {} queries on 4 threads: {} total refinements, identical answers",

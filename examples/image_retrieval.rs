@@ -11,7 +11,9 @@
 //! ```
 
 use flexemd::data::color::{self, ColorParams};
-use flexemd::query::{Database, EmdDistance, Filter, Pipeline, ReducedEmdFilter, ReducedImFilter};
+use flexemd::query::{
+    Database, EmdDistance, Executor, Filter, QueryPlan, ReducedEmdFilter, ReducedImFilter,
+};
 use flexemd::reduction::fb::{fb_all, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
 use flexemd::reduction::kmedoids::kmedoids_reduction;
@@ -72,7 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(ReducedImFilter::new(&database, reduced.clone())?),
         Box::new(ReducedEmdFilter::new(&database, reduced)?),
     ];
-    let pipeline = Pipeline::new(stages, EmdDistance::new(&database)?)?;
+    let pipeline = Executor::new(QueryPlan::new(
+        stages,
+        Box::new(EmdDistance::new(&database)?),
+    )?);
 
     println!("\nrunning {} 10-NN queries:", queries.len());
     let mut class_hits = 0usize;

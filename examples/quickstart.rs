@@ -5,7 +5,7 @@
 //! ```
 
 use flexemd::core::{emd, ground, Histogram};
-use flexemd::query::{Database, EmdDistance, Pipeline, ReducedEmdFilter};
+use flexemd::query::{Database, EmdDistance, Executor, QueryPlan, ReducedEmdFilter};
 use flexemd::reduction::{CombiningReduction, ReducedEmd};
 use std::sync::Arc;
 
@@ -36,11 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Complete k-NN search through the filter ---------------------
     // One immutable snapshot shared by every stage of the plan.
     let database = Database::new(vec![x.clone(), y, z], Arc::new(cost))?;
-    let pipeline = Pipeline::new(
+    let executor = Executor::new(QueryPlan::new(
         vec![Box::new(ReducedEmdFilter::new(&database, reduced)?)],
-        EmdDistance::new(&database)?,
-    )?;
-    let (neighbors, stats) = pipeline.knn(&x, 2)?;
+        Box::new(EmdDistance::new(&database)?),
+    )?);
+    let (neighbors, stats) = executor.knn(&x, 2)?;
     println!("2-NN of x:");
     for n in &neighbors {
         println!("  object {} at distance {:.3}", n.id, n.distance);

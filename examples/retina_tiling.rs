@@ -12,7 +12,7 @@
 //! ```
 
 use flexemd::data::tiling::{self, TilingParams};
-use flexemd::query::{Database, EmdDistance, Pipeline, ReducedEmdFilter};
+use flexemd::query::{Database, EmdDistance, Executor, QueryPlan, ReducedEmdFilter};
 use flexemd::reduction::fb::{fb_mod, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
 use flexemd::reduction::grid::block_merge;
@@ -54,10 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let candidates = |reduction: CombiningReduction| -> Result<f64, Box<dyn std::error::Error>> {
         let reduced = ReducedEmd::new(&cost, reduction)?;
-        let pipeline = Pipeline::new(
+        let pipeline = Executor::new(QueryPlan::new(
             vec![Box::new(ReducedEmdFilter::new(&database, reduced)?)],
-            EmdDistance::new(&database)?,
-        )?;
+            Box::new(EmdDistance::new(&database)?),
+        )?);
         let mut total = 0usize;
         for query in &queries {
             let (_, stats) = pipeline.knn(query, 10)?;

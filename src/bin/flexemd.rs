@@ -76,6 +76,7 @@ use flexemd::serve::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -93,28 +94,55 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Every verb writes through this one locked handle, so a closed pipe
+    // (`flexemd query ... | head -1`) comes back as an error to handle
+    // here rather than as a `println!` panic.
+    let stdout = &mut std::io::stdout().lock();
     let result = match command.as_str() {
-        "generate" => generate(&options),
-        "info" => info(&options),
-        "reduce" => reduce(&options),
-        "build-index" => build_index(&options),
-        "query" => query(&options),
-        "serve" => serve(&options),
-        "ingest" => ingest(&options),
-        "wal-inspect" => wal_inspect(&options),
-        "loadgen" => loadgen(&options),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
+        "generate" => generate(&options, stdout),
+        "info" => info(&options, stdout),
+        "reduce" => reduce(&options, stdout),
+        "build-index" => build_index(&options, stdout),
+        "query" => query(&options, stdout),
+        "serve" => serve(&options, stdout),
+        "ingest" => ingest(&options, stdout),
+        "wal-inspect" => wal_inspect(&options, stdout),
+        "loadgen" => loadgen(&options, stdout),
+        "--help" | "-h" | "help" => writeln!(stdout, "{USAGE}").map_err(CliError::from),
+        other => Err(format!("unknown command `{other}`").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        // The reader went away: nobody is left to tell.
+        Err(CliError::Output(error)) if error.kind() == std::io::ErrorKind::BrokenPipe => {
+            ExitCode::SUCCESS
+        }
+        Err(CliError::Output(error)) => {
+            eprintln!("error: writing output: {error}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Message(message)) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a verb stopped: a one-line diagnostic, or a failed write to stdout.
+enum CliError {
+    Message(String),
+    Output(std::io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Message(message)
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(error: std::io::Error) -> Self {
+        CliError::Output(error)
     }
 }
 
@@ -239,7 +267,7 @@ impl Options {
     }
 }
 
-fn generate(options: &Options) -> Result<(), String> {
+fn generate(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let kind = options.required("kind")?;
     let out = options.path("out")?;
     let classes = options.numeric("classes", 6usize)?;
@@ -272,44 +300,46 @@ fn generate(options: &Options) -> Result<(), String> {
             },
             &mut rng,
         ),
-        other => return Err(format!("unknown corpus kind `{other}`")),
+        other => return Err(format!("unknown corpus kind `{other}`").into()),
     };
     dataio::save(&dataset, &out).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "wrote {} ({} objects, {} dimensions) to {}",
         dataset.name,
         dataset.len(),
         dataset.dim(),
         out.display()
-    );
+    )?;
     Ok(())
 }
 
-fn info(options: &Options) -> Result<(), String> {
+fn info(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let dataset = load_dataset(&options.path("data")?)?;
-    println!("corpus      : {}", dataset.name);
-    println!("objects     : {}", dataset.len());
-    println!("dimensions  : {}", dataset.dim());
+    writeln!(stdout, "corpus      : {}", dataset.name)?;
+    writeln!(stdout, "objects     : {}", dataset.len())?;
+    writeln!(stdout, "dimensions  : {}", dataset.dim())?;
     let classes = dataset
         .labels
         .iter()
         .collect::<std::collections::HashSet<_>>();
-    println!("classes     : {}", classes.len());
-    println!(
+    writeln!(stdout, "classes     : {}", classes.len())?;
+    writeln!(
+        stdout,
         "metric cost : {}",
         if dataset.cost.is_metric(1e-9) {
             "yes"
         } else {
             "no"
         }
-    );
+    )?;
     let mean_support: f64 = dataset
         .histograms
         .iter()
         .map(|h| h.support_size() as f64)
         .sum::<f64>()
         / dataset.len().max(1) as f64;
-    println!("mean support: {mean_support:.1} non-zero bins");
+    writeln!(stdout, "mean support: {mean_support:.1} non-zero bins")?;
     Ok(())
 }
 
@@ -374,7 +404,7 @@ fn build_reduction(
     }
 }
 
-fn reduce(options: &Options) -> Result<(), String> {
+fn reduce(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let dataset = load_dataset(&options.path("data")?)?;
     let method = options.required("method")?;
     let dims = options.numeric("dims", 0usize)?;
@@ -385,17 +415,18 @@ fn reduce(options: &Options) -> Result<(), String> {
 
     let json = serde_json::to_vec(&reduction).map_err(|e| e.to_string())?;
     std::fs::write(&out, json).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "wrote {} -> {} reduction ({} groups) to {}",
         reduction.original_dim(),
         reduction.reduced_dim(),
         reduction.reduced_dim(),
         out.display()
-    );
+    )?;
     Ok(())
 }
 
-fn build_index(options: &Options) -> Result<(), String> {
+fn build_index(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let dataset = load_dataset(&options.path("data")?)?;
     let specs = options.required("reductions")?.to_owned();
     let out = options.path("out")?;
@@ -429,11 +460,12 @@ fn build_index(options: &Options) -> Result<(), String> {
         for bundle in &bundles {
             let index = ClusteredIndex::from_persisted(&database, bundle, cluster_factor)
                 .map_err(|e| format!("clustering {}: {e}", bundle.name()))?;
-            println!(
+            writeln!(
+                stdout,
                 "clustered {:<12} into {} clusters",
                 bundle.name(),
                 index.clusters()
-            );
+            )?;
             clusterings.push(Some(index.to_stored()));
         }
     }
@@ -447,7 +479,8 @@ fn build_index(options: &Options) -> Result<(), String> {
             .save(&out, &dataset.name, &bundles)
             .map_err(|e| e.to_string())?;
     }
-    println!(
+    writeln!(
+        stdout,
         "wrote index for {} ({} objects, {} dimensions, {} reduction{}) to {}",
         dataset.name,
         database.len(),
@@ -455,24 +488,23 @@ fn build_index(options: &Options) -> Result<(), String> {
         bundles.len(),
         if bundles.len() == 1 { "" } else { "s" },
         out.display()
-    );
+    )?;
     for bundle in &bundles {
-        println!(
+        writeln!(
+            stdout,
             "  {:<12} {} -> {} dimensions",
             bundle.name(),
             bundle.reduced().r2().original_dim(),
             bundle.reduced().r2().reduced_dim()
-        );
+        )?;
     }
     Ok(())
 }
 
 /// Parse a `--faults` spec (`read:K,solve:J,panic:W`, any subset) into a
-/// deterministic failpoint plan, reporting whether a worker panic is
-/// armed (those route through the batch path, which isolates panics).
-fn parse_faults(spec: &str) -> Result<(FailPlan, bool), String> {
+/// deterministic failpoint plan.
+fn parse_faults(spec: &str) -> Result<FailPlan, String> {
     let mut plan = FailPlan::new();
-    let mut has_panic = false;
     for part in spec.split(',') {
         let (site, value) = part
             .split_once(':')
@@ -495,12 +527,11 @@ fn parse_faults(spec: &str) -> Result<(FailPlan, bool), String> {
                     .parse()
                     .map_err(|_| format!("bad worker index in fault `{part}`"))?;
                 plan = plan.panic_worker(w);
-                has_panic = true;
             }
             other => return Err(format!("unknown fault site `{other}` in `{part}`")),
         }
     }
-    Ok((plan, has_panic))
+    Ok(plan)
 }
 
 /// Suppress the default panic-hook backtrace for *injected* panics only;
@@ -552,14 +583,14 @@ fn source_options(options: &Options) -> Result<(String, bool), String> {
 }
 
 /// Parse `--faults`, installing the quiet panic hook when present.
-fn fault_options(options: &Options) -> Result<(Option<Arc<FailPlan>>, bool), String> {
+fn fault_options(options: &Options) -> Result<Option<Arc<FailPlan>>, String> {
     match options.values.get("faults") {
         Some(spec) => {
-            let (plan, has_panic) = parse_faults(spec)?;
+            let plan = parse_faults(spec)?;
             quiet_injected_panics();
-            Ok((Some(Arc::new(plan)), has_panic))
+            Ok(Some(Arc::new(plan)))
         }
-        None => Ok((None, false)),
+        None => Ok(None),
     }
 }
 
@@ -699,11 +730,11 @@ fn query_spec(options: &Options) -> Result<QuerySpec, String> {
     .map_err(|e| e.to_string())
 }
 
-fn query(options: &Options) -> Result<(), String> {
+fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let spec = query_spec(options)?;
     let query_index = options.numeric("query", 0usize)?;
     let (source_kind, chain) = source_options(options)?;
-    let (fault_plan, panic_armed) = fault_options(options)?;
+    let fault_plan = fault_options(options)?;
 
     let Corpus {
         name: _,
@@ -717,44 +748,33 @@ fn query(options: &Options) -> Result<(), String> {
         return Err(format!(
             "--query index {query_index} out of range (corpus has {})",
             database.len()
-        ));
+        )
+        .into());
     }
-    let executor = build_executor(&database, stages, source)?;
+    let mut executor = build_executor(&database, stages, source)?;
 
     let query = database
         .get(query_index)
         .ok_or_else(|| format!("--query index {query_index} out of range"))?;
 
-    let mut budget = spec.budget();
-    if let Some(plan) = &fault_plan {
-        budget = budget.with_faults(plan.clone());
+    // One fault plan feeds both failpoint kinds: `solve:J` rides the
+    // query's budget, `panic:W` the executor's worker probe.
+    let mut request = spec.query_for(query.clone());
+    if let Some(plan) = fault_plan {
+        request.budget = request.budget.with_faults(plan.clone());
+        executor = executor.with_faults(plan);
     }
-    let request = spec.query_for(query.clone());
 
     let metrics = options.values.get("metrics").cloned();
     let recording = metrics
         .as_ref()
         .map(|_| flexemd::obs::Recording::with_events());
     let started = std::time::Instant::now();
-    let (outcome, stats) = if panic_armed {
-        // Worker failpoints only fire in the batch path: run the query as
-        // a batch of one with panic isolation, so an injected panic
-        // surfaces as a typed one-line diagnostic (nonzero exit), not a
-        // crashed process.
-        let executor =
-            executor.with_faults(fault_plan.unwrap_or_else(|| Arc::new(FailPlan::new())));
-        let workload = [request];
-        let (mut results, stats) = executor.run_batch_isolated(&workload, 1);
-        match results.pop() {
-            Some(Ok(neighbors)) => (QueryOutcome::Exact(neighbors), stats),
-            Some(Err(e)) => return Err(e.to_string()),
-            None => return Err("batch produced no result".to_owned()),
-        }
-    } else {
-        executor
-            .run_budgeted(&request, &budget)
-            .map_err(|e| e.to_string())?
-    };
+    // Panic isolation turns an injected (or genuine) worker panic into a
+    // typed one-line diagnostic and a nonzero exit, not a crashed process.
+    let (outcome, stats) = executor
+        .run_isolated(&request, 0)
+        .map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
     let registry = recording.map(flexemd::obs::Recording::finish);
 
@@ -765,55 +785,59 @@ fn query(options: &Options) -> Result<(), String> {
     // Persisted indexes store no class labels, so index-mode output omits
     // the class annotations.
     match &labels {
-        Some(labels) => println!("{heading} (class {}):", labels[query_index]),
-        None => println!("{heading}:"),
+        Some(labels) => writeln!(stdout, "{heading} (class {}):", labels[query_index])?,
+        None => writeln!(stdout, "{heading}:")?,
     }
     match &outcome {
         QueryOutcome::Exact(neighbors) => {
             for n in neighbors {
                 match &labels {
-                    Some(labels) => println!(
+                    Some(labels) => writeln!(
+                        stdout,
                         "  #{:<5} distance {:<10.5} class {}",
                         n.id, n.distance, labels[n.id]
-                    ),
-                    None => println!("  #{:<5} distance {:<10.5}", n.id, n.distance),
+                    )?,
+                    None => writeln!(stdout, "  #{:<5} distance {:<10.5}", n.id, n.distance)?,
                 }
             }
         }
         QueryOutcome::Degraded(result) => {
-            println!(
+            writeln!(
+                stdout,
                 "DEGRADED ({}): best-effort ranking by tightest known lower bound",
                 result.reason
-            );
+            )?;
             for c in &result.candidates {
-                println!(
+                writeln!(
+                    stdout,
                     "  #{:<5} bound    {:<10.5} {}",
                     c.id,
                     c.bound,
                     if c.exact { "exact" } else { "lower bound" }
-                );
+                )?;
             }
         }
     }
-    println!();
+    writeln!(stdout)?;
     for (stage, evaluations) in &stats.filter_evaluations {
-        println!("{stage:<20} {evaluations} evaluations");
+        writeln!(stdout, "{stage:<20} {evaluations} evaluations")?;
     }
-    println!(
+    writeln!(
+        stdout,
         "exact EMD refinements: {} of {} objects ({:.1}%)",
         stats.refinements,
         database.len(),
         100.0 * stats.refinements as f64 / database.len() as f64
-    );
-    println!("query time: {:.1} ms", elapsed.as_secs_f64() * 1e3);
+    )?;
+    writeln!(stdout, "query time: {:.1} ms", elapsed.as_secs_f64() * 1e3)?;
 
     if let (Some(sink), Some(registry)) = (metrics, registry) {
         let rendered = registry.to_json_string();
         if sink == "json" {
-            println!("{rendered}");
+            writeln!(stdout, "{rendered}")?;
         } else {
             std::fs::write(&sink, rendered).map_err(|e| e.to_string())?;
-            println!("wrote metrics to {sink}");
+            writeln!(stdout, "wrote metrics to {sink}")?;
         }
     }
     Ok(())
@@ -821,7 +845,10 @@ fn query(options: &Options) -> Result<(), String> {
 
 /// Open the durable index at `--wal` (which must exist; `flexemd ingest`
 /// creates it), reporting what replay found.
-fn open_durable(options: &Options) -> Result<flexemd::query::DurableIndex, String> {
+fn open_durable(
+    options: &Options,
+    stdout: &mut dyn Write,
+) -> Result<flexemd::query::DurableIndex, CliError> {
     let dir = options.path("wal")?;
     let (index, report) = flexemd::query::DurableIndex::open(&dir).map_err(|e| e.to_string())?;
     if let Some(torn) = &report.torn_tail {
@@ -830,24 +857,25 @@ fn open_durable(options: &Options) -> Result<flexemd::query::DurableIndex, Strin
             torn.offset, torn.discarded_bytes, torn.reason
         );
     }
-    println!(
+    writeln!(
+        stdout,
         "opened {} (epoch {}, {} sealed + {} replayed records, {} live objects)",
         dir.display(),
         report.epoch,
         report.sealed_objects,
         report.replayed_records,
         index.len()
-    );
+    )?;
     Ok(index)
 }
 
-fn ingest(options: &Options) -> Result<(), String> {
+fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let dir = options.path("wal")?;
     let dataset = load_dataset(&options.path("data")?)?;
     let sync_each = options.flag("sync-each");
 
     let mut index = if dir.join("CURRENT").exists() {
-        open_durable(options)?
+        open_durable(options, stdout)?
     } else {
         // First ingest into this directory: derive the reduction here,
         // exactly like `reduce`, and persist it in base.seg.
@@ -879,7 +907,8 @@ fn ingest(options: &Options) -> Result<(), String> {
     }
     index.sync().map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
-    println!(
+    writeln!(
+        stdout,
         "ingested {} objects (external ids {}..) in {:.1} ms ({}; {} live objects total)",
         dataset.len(),
         first_id.unwrap_or(0),
@@ -890,24 +919,25 @@ fn ingest(options: &Options) -> Result<(), String> {
             "single final fsync"
         },
         index.len()
-    );
+    )?;
     if options.flag("compact") {
         let report = index.compact().map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            stdout,
             "compacted to epoch {} ({} objects sealed, {} WAL bytes folded)",
             report.epoch, report.sealed_objects, report.folded_wal_bytes
-        );
+        )?;
     }
     Ok(())
 }
 
-fn wal_inspect(options: &Options) -> Result<(), String> {
+fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     use flexemd::store::wal::{self, WalRecord};
     let dir = options.path("wal")?;
     let checkpoint = dir.join(flexemd::query::durable::CHECKPOINT_FILE);
     let text = std::fs::read_to_string(&checkpoint)
         .map_err(|e| format!("{}: {e}", checkpoint.display()))?;
-    println!("checkpoint : {}", text.trim());
+    writeln!(stdout, "checkpoint : {}", text.trim())?;
     let epoch: u64 = text
         .split_whitespace()
         .nth(1)
@@ -915,44 +945,47 @@ fn wal_inspect(options: &Options) -> Result<(), String> {
         .ok_or_else(|| format!("malformed checkpoint `{}`", text.trim()))?;
     let wal_file = dir.join(format!("wal-{epoch}.log"));
     let replay = wal::replay(&wal_file).map_err(|e| e.to_string())?;
-    println!("wal file   : {}", wal_file.display());
-    println!("records    : {}", replay.records.len());
-    println!("valid bytes: {}", replay.valid_len);
+    writeln!(stdout, "wal file   : {}", wal_file.display())?;
+    writeln!(stdout, "records    : {}", replay.records.len())?;
+    writeln!(stdout, "valid bytes: {}", replay.valid_len)?;
     for (lsn, record) in &replay.records {
         match record {
             WalRecord::Insert {
                 external_id,
                 histogram,
-            } => println!(
+            } => writeln!(
+                stdout,
                 "  lsn {lsn:>6}  insert         id {external_id} ({} bins)",
                 histogram.dim()
-            ),
+            )?,
             WalRecord::Remove { external_id } => {
-                println!("  lsn {lsn:>6}  remove         id {external_id}");
+                writeln!(stdout, "  lsn {lsn:>6}  remove         id {external_id}")?;
             }
             WalRecord::CompactEpoch {
                 epoch,
                 next_external,
                 external_ids,
-            } => println!(
+            } => writeln!(
+                stdout,
                 "  lsn {lsn:>6}  compact-epoch  epoch {epoch}, {} sealed ids, next id {next_external}",
                 external_ids.len()
-            ),
+            )?,
         }
     }
     match &replay.torn_tail {
-        Some(torn) => println!(
+        Some(torn) => writeln!(
+            stdout,
             "torn tail  : {} bytes at offset {} ({}) — discarded on next open",
             torn.discarded_bytes, torn.offset, torn.reason
-        ),
-        None => println!("torn tail  : none"),
+        )?,
+        None => writeln!(stdout, "torn tail  : none")?,
     }
     Ok(())
 }
 
 /// `serve --wal`: a writable server over a durable index directory.
-fn serve_dynamic(options: &Options) -> Result<(), String> {
-    let index = open_durable(options)?;
+fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
+    let index = open_durable(options, stdout)?;
     let objects = index.len();
     let dim = index.cost().cols();
     let cost = Arc::clone(index.cost());
@@ -985,14 +1018,16 @@ fn serve_dynamic(options: &Options) -> Result<(), String> {
         ..ServeConfig::default()
     };
     let server = Server::start(snapshot, config).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "serving durable corpus ({objects} objects) writable on http://{}",
         server.addr()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "routes: POST /v1/knn | /v1/range | /v1/insert | /v1/remove | /admin/compact | \
          /admin/drain | GET /healthz | /metrics"
-    );
+    )?;
     if options.flag("drain-stdin") {
         let handle = server.shutdown_handle();
         std::thread::spawn(move || {
@@ -1004,16 +1039,16 @@ fn serve_dynamic(options: &Options) -> Result<(), String> {
         });
     }
     server.join().map_err(|e| e.to_string())?;
-    println!("drained; all workers stopped");
+    writeln!(stdout, "drained; all workers stopped")?;
     Ok(())
 }
 
-fn serve(options: &Options) -> Result<(), String> {
+fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     if options.values.contains_key("wal") {
-        return serve_dynamic(options);
+        return serve_dynamic(options, stdout);
     }
     let (source_kind, chain) = source_options(options)?;
-    let (fault_plan, _panic_armed) = fault_options(options)?;
+    let fault_plan = fault_options(options)?;
 
     let Corpus {
         name,
@@ -1054,13 +1089,15 @@ fn serve(options: &Options) -> Result<(), String> {
         ..ServeConfig::default()
     };
     let server = Server::start(snapshot, config).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "serving {banner_name} ({objects} objects) on http://{}",
         server.addr()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "routes: POST /v1/knn | POST /v1/range | GET /healthz | GET /metrics | POST /admin/drain"
-    );
+    )?;
 
     if options.flag("drain-stdin") {
         // Opt-in: treat stdin EOF as a drain request, so a supervising
@@ -1076,11 +1113,11 @@ fn serve(options: &Options) -> Result<(), String> {
     }
 
     server.join().map_err(|e| e.to_string())?;
-    println!("drained; all workers stopped");
+    writeln!(stdout, "drained; all workers stopped")?;
     Ok(())
 }
 
-fn loadgen(options: &Options) -> Result<(), String> {
+fn loadgen(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let smoke = options.flag("smoke");
     let spec = query_spec(options)?;
     let config = LoadgenConfig {
@@ -1096,9 +1133,9 @@ fn loadgen(options: &Options) -> Result<(), String> {
     match options.values.get("out") {
         Some(path) => {
             std::fs::write(path, &rendered).map_err(|e| e.to_string())?;
-            println!("wrote loadgen report to {path}");
+            writeln!(stdout, "wrote loadgen report to {path}")?;
         }
-        None => println!("{rendered}"),
+        None => writeln!(stdout, "{rendered}")?,
     }
     Ok(())
 }

@@ -50,7 +50,7 @@
 //!
 //! ```
 //! use flexemd::core::{ground, Histogram};
-//! use flexemd::query::{Database, EmdDistance, Pipeline, ReducedEmdFilter};
+//! use flexemd::query::{Database, EmdDistance, Executor, QueryPlan, ReducedEmdFilter};
 //! use flexemd::reduction::{CombiningReduction, ReducedEmd};
 //! use std::sync::Arc;
 //!
@@ -65,11 +65,11 @@
 //!     cost.clone(),
 //! )?;
 //! let reduced = ReducedEmd::new(&cost, CombiningReduction::new(vec![0, 0, 1, 1], 2)?)?;
-//! let pipeline = Pipeline::new(
+//! let executor = Executor::new(QueryPlan::new(
 //!     vec![Box::new(ReducedEmdFilter::new(&database, reduced)?)],
-//!     EmdDistance::new(&database)?,
-//! )?;
-//! let (neighbors, stats) = pipeline.knn(&Histogram::new(vec![0.9, 0.1, 0.0, 0.0])?, 2)?;
+//!     Box::new(EmdDistance::new(&database)?),
+//! )?);
+//! let (neighbors, stats) = executor.knn(&Histogram::new(vec![0.9, 0.1, 0.0, 0.0])?, 2)?;
 //! assert_eq!(neighbors[0].id, 0); // no false dismissals: exact results
 //! assert!(stats.refinements <= 3);
 //! # Ok(())

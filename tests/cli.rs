@@ -4,8 +4,8 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 fn flexemd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_flexemd"))
@@ -411,6 +411,76 @@ fn injected_worker_panic_is_one_line_nonzero_exit() {
         1,
         "one-line diagnostic: {stderr}"
     );
+}
+
+/// `query --k 3 --query 1` plus `extra`, which must exit 0; its stdout.
+fn query_stdout(data: &Path, reduction: &Path, extra: &[&str]) -> String {
+    let out = flexemd()
+        .arg("query")
+        .arg("--data")
+        .arg(data)
+        .arg("--reduction")
+        .arg(reduction)
+        .args(["--k", "3", "--query", "1"])
+        .args(extra)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "query {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).to_string()
+}
+
+/// An armed worker failpoint that never fires (`panic:9`; the query runs
+/// as worker 0) must not cost the query its budget.
+#[test]
+fn zero_deadline_still_degrades_beside_an_armed_panic_fault() {
+    let (_dir, data, reduction) =
+        corpus_and_reduction("zero_deadline_still_degrades_beside_an_armed_panic_fault");
+    let stdout = query_stdout(
+        &data,
+        &reduction,
+        &["--deadline-ms", "0", "--faults", "panic:9"],
+    );
+    assert!(stdout.contains("DEGRADED (deadline)"), "{stdout}");
+}
+
+#[test]
+fn injected_solve_fault_still_degrades_beside_an_armed_panic_fault() {
+    let (_dir, data, reduction) =
+        corpus_and_reduction("injected_solve_fault_still_degrades_beside_an_armed_panic_fault");
+    let alone = query_stdout(&data, &reduction, &["--faults", "solve:1"]);
+    assert!(alone.contains("DEGRADED (injected)"), "{alone}");
+    let armed = query_stdout(&data, &reduction, &["--faults", "solve:1,panic:9"]);
+    assert!(armed.contains("DEGRADED (injected)"), "{armed}");
+}
+
+/// `flexemd query ... | head -1`: the reader closing the pipe ends the run
+/// quietly, not with a `println!` panic and a backtrace.
+#[test]
+fn closed_stdout_pipe_is_a_quiet_exit() {
+    let (_dir, data, reduction) = corpus_and_reduction("closed_stdout_pipe_is_a_quiet_exit");
+    let mut child = flexemd()
+        .arg("query")
+        .arg("--data")
+        .arg(&data)
+        .arg("--reduction")
+        .arg(&reduction)
+        .args(["--k", "3", "--query", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Close the read end before the child has loaded its corpus, so its
+    // first write meets a broken pipe.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.trim().is_empty(), "nothing to report: {stderr}");
+    assert!(out.status.success(), "a closed pipe is not a failure");
 }
 
 #[test]

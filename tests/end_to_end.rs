@@ -9,7 +9,7 @@ use flexemd::data::gaussian::{self, GaussianParams};
 use flexemd::data::tiling::{self, TilingParams};
 use flexemd::query::scan::brute_force_knn;
 use flexemd::query::{
-    Database, EmdDistance, Filter, Pipeline, Query, ReducedEmdFilter, ReducedImFilter,
+    Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter, ReducedImFilter,
 };
 use flexemd::reduction::fb::{fb_all, fb_mod, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
@@ -63,7 +63,8 @@ fn tiling_corpus_full_pipeline_is_complete() {
             Box::new(ReducedImFilter::new(&database, reduced.clone()).unwrap()),
             Box::new(ReducedEmdFilter::new(&database, reduced).unwrap()),
         ];
-        let pipeline = Pipeline::new(stages, EmdDistance::new(&database).unwrap()).unwrap();
+        let refiner = Box::new(EmdDistance::new(&database).unwrap());
+        let pipeline = Executor::new(QueryPlan::new(stages, refiner).unwrap());
         for query in &queries {
             let expected = brute_force_knn(query, database.histograms(), &cost, 5).unwrap();
             let (got, stats) = pipeline.knn(query, 5).unwrap();
@@ -82,10 +83,9 @@ fn tiling_corpus_full_pipeline_is_complete() {
 
         // The same plan answers the whole workload in a threaded batch,
         // bit-identical to the sequential loop above.
-        let executor = pipeline.into_executor();
         let workload: Vec<Query> = queries.iter().map(|q| Query::knn(q.clone(), 5)).collect();
-        let (sequential, seq_stats) = executor.run_batch(&workload, 1).unwrap();
-        let (parallel, par_stats) = executor.run_batch(&workload, 3).unwrap();
+        let (sequential, seq_stats) = pipeline.run_batch(&workload, 1).unwrap();
+        let (parallel, par_stats) = pipeline.run_batch(&workload, 3).unwrap();
         assert_eq!(sequential, parallel, "strategy {name}: batch diverged");
         assert_eq!(seq_stats, par_stats);
     }
@@ -202,11 +202,13 @@ fn calibrated_range_queries_return_at_least_k() {
 
     let reduction = kmedoidize(&cost, 5);
     let reduced = ReducedEmd::new(&cost, reduction).unwrap();
-    let pipeline = Pipeline::new(
-        vec![Box::new(ReducedEmdFilter::new(&database, reduced).unwrap())],
-        EmdDistance::new(&database).unwrap(),
-    )
-    .unwrap();
+    let pipeline = Executor::new(
+        QueryPlan::new(
+            vec![Box::new(ReducedEmdFilter::new(&database, reduced).unwrap())],
+            Box::new(EmdDistance::new(&database).unwrap()),
+        )
+        .unwrap(),
+    );
 
     for (query, epsilon) in workload.ranges() {
         let (hits, _) = pipeline.range(query, epsilon).unwrap();
