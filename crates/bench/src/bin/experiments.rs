@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [IDS...] [--full] [--smoke] [--json PATH] [--metrics json|PATH]
 //!
-//!   IDS       experiment ids (e1..e19, a1..a4); default: all
+//!   IDS       experiment ids (e1..e12, a1..a4); default: all
 //!   --full    paper-scale corpora (much slower than the default quick run)
 //!   --smoke   CI mode: tiny corpus, runs the batch-executor parity check
 //!             (E12) and exits non-zero if threaded != sequential
@@ -101,28 +101,19 @@ fn main() -> ExitCode {
         let _ = std::io::stdout().flush();
     };
     if run_all || ids.is_empty() {
-        // Run one at a time so progress is visible as it happens.
-        for id in [
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-            "e14", "e15", "a1", "a2", "a3", "a4",
-        ] {
-            let table = experiments::by_id(id, &scale, quick).expect("known id");
-            println!("\n{table}");
-            flush();
-            tables.push(table);
-        }
-    } else {
-        for id in &ids {
-            match experiments::by_id(id, &scale, quick) {
-                Some(table) => {
-                    println!("\n{table}");
-                    flush();
-                    tables.push(table);
-                }
-                None => {
-                    eprintln!("unknown experiment id: {id}");
-                    return ExitCode::FAILURE;
-                }
+        ids = experiments::IDS.map(str::to_owned).to_vec();
+    }
+    // Run one at a time so progress is visible as it happens.
+    for id in &ids {
+        match experiments::by_id(id, &scale, quick) {
+            Some(table) => {
+                println!("\n{table}");
+                flush();
+                tables.push(table);
+            }
+            None => {
+                eprintln!("unknown experiment id: {id}");
+                return ExitCode::FAILURE;
             }
         }
     }

@@ -12,8 +12,8 @@
 //! * [`report`] — plain-text/JSON table rendering.
 //! * [`setup`] — seeded corpora, workloads and reduction construction
 //!   shared by all experiments.
-//! * [`experiments`] — one function per experiment (E1-E10, A1-A3), each
-//!   returning a [`report::Table`].
+//! * [`experiments`] — one function per experiment (`e1..e12`,
+//!   `a1..a4`), each returning a [`report::Table`].
 //!
 //! Run `cargo run --release -p emd-bench --bin experiments -- all` for the
 //! full suite, or pass experiment ids (`e1 e5 a2 ...`). `--full` scales

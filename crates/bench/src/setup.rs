@@ -192,18 +192,7 @@ pub fn build_reduction(
     d_red: usize,
     seed: u64,
 ) -> CombiningReduction {
-    build_reduction_with_options(strategy, bench, flows, d_red, seed, FbOptions::default())
-}
-
-/// [`build_reduction`] with explicit FB options (for the THRESH ablation).
-pub fn build_reduction_with_options(
-    strategy: Strategy,
-    bench: &Bench,
-    flows: &FlowSample,
-    d_red: usize,
-    seed: u64,
-    options: FbOptions,
-) -> CombiningReduction {
+    let options = FbOptions::default();
     let kmed = || {
         kmedoids_reduction(&bench.cost, d_red, &mut StdRng::seed_from_u64(seed))
             .expect("valid k")
@@ -227,7 +216,7 @@ pub fn build_reduction_with_options(
 /// Unwrap experiment-harness plumbing. A panic here means the harness is
 /// mis-assembled, not that a measured system failed; centralizing the
 /// panic keeps the crate's panic-site budget flat as experiments grow.
-pub fn checked<T, E: std::fmt::Debug>(result: Result<T, E>, what: &str) -> T {
+fn checked<T, E: std::fmt::Debug>(result: Result<T, E>, what: &str) -> T {
     match result {
         Ok(value) => value,
         Err(error) => panic!("{what}: {error:?}"),
@@ -237,14 +226,6 @@ pub fn checked<T, E: std::fmt::Debug>(result: Result<T, E>, what: &str) -> T {
 /// Build the paper's Figure 10 plan (`Red-IM -> Red-EMD -> EMD`) for a
 /// symmetric reduction and wrap it in an executor.
 pub fn chained_executor(bench: &Bench, reduction: CombiningReduction) -> Executor {
-    chained_executor_mode(bench, reduction, true)
-}
-
-/// [`chained_executor`] with warm-start solver contexts enabled or
-/// forced off on every solver-backed stage — the A/B harness behind the
-/// E16 cold-vs-warm comparison. `warm = false` is exactly the pre-warm
-/// code path (fresh workspace per solve).
-pub fn chained_executor_mode(bench: &Bench, reduction: CombiningReduction, warm: bool) -> Executor {
     let reduced = checked(
         ReducedEmd::new(&bench.cost, reduction),
         "validated reduction",
@@ -254,17 +235,13 @@ pub fn chained_executor_mode(bench: &Bench, reduction: CombiningReduction, warm:
             ReducedImFilter::new(&bench.database, reduced.clone()),
             "red-im filter over the bench database",
         )),
-        Box::new(
-            checked(
-                ReducedEmdFilter::new(&bench.database, reduced),
-                "red-emd filter over the bench database",
-            )
-            .with_warm_start(warm),
-        ),
+        Box::new(checked(
+            ReducedEmdFilter::new(&bench.database, reduced),
+            "red-emd filter over the bench database",
+        )),
     ];
-    let refiner = refiner(bench).with_warm_start(warm);
     Executor::new(checked(
-        QueryPlan::new(stages, Box::new(refiner)),
+        QueryPlan::new(stages, Box::new(refiner(bench))),
         "chained plan",
     ))
 }

@@ -1,6 +1,6 @@
 //! A closed-loop load generator for the query server.
 //!
-//! `flexemd loadgen` (and experiment E18) drive a running server with a
+//! `flexemd loadgen` drives a running server with a
 //! deterministic seeded workload: each of `threads` client threads
 //! issues its share of `requests` back-to-back (closed loop — a new
 //! request starts only when the previous response has been fully read),
@@ -11,7 +11,7 @@
 //! Responses are classified — exact, degraded, shed (429), client
 //! error, server error — and summarized into a schema-versioned
 //! ([`REPORT_SCHEMA`]) [`LoadgenReport`] with latency percentiles, the
-//! document committed as `BENCH_PR9.json` rows and validated by CI.
+//! document `flexemd loadgen --out` writes.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
