@@ -24,14 +24,17 @@
 //!   (`LB ≤ Red-EMD ≤ EMD`) holds across restarts bit-for-bit.
 //! * **Compaction** folds the tail into a new sealed segment and starts a
 //!   fresh WAL whose first record is [`WalRecord::CompactEpoch`] carrying
-//!   the `new_id -> external_id` map — external ids held by clients
-//!   survive compaction and restarts. The checkpoint flips via
+//!   the sealed objects' ids and the id allocator's watermark — ids held
+//!   by clients survive compaction and restarts. The checkpoint flips via
 //!   write-temp + fsync + atomic rename, so a crash anywhere during
 //!   compaction reopens either the old epoch or the new one, never a
 //!   mixture; orphaned files are swept on the next successful open.
-//! * **Ids**: clients only ever see *external* ids (`u64`, allocated
-//!   monotonically, never reused). Internal slot ids renumber freely on
-//!   compaction; [`DurableSnapshot`] translates.
+//! * **Ids**: there is one id space, and [`DynamicIndex`] owns it — a
+//!   `u64` per object, allocated monotonically, never reused, untouched
+//!   by compaction. This layer keeps no id state of its own: it logs the
+//!   id the index is about to hand out, persists the index's ids beside
+//!   the sealed histograms, and hands both back on open. (The WAL and
+//!   segment formats call them *external* ids.)
 //! * **Single owner**: both [`DurableIndex::create`] and
 //!   [`DurableIndex::open`] take an advisory exclusive lock on
 //!   `<dir>/LOCK` and hold it for the index's lifetime — a second
@@ -46,7 +49,6 @@
 //! pre-mutation state, which is how `flexemd serve` lets readers run
 //! against a frozen view while the single writer applies inserts.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -59,11 +61,13 @@ use emd_store::segment::{SectionKind, SegmentReader, SegmentWriter};
 use emd_store::wal::{self, TornTail, WalRecord, WalWriter};
 use emd_store::StoreError;
 
-use crate::dynamic::{DynamicIndex, DynamicSnapshot};
-use crate::engine::{Executor, Query};
+use crate::dynamic::DynamicIndex;
 use crate::error::QueryError;
-use crate::outcome::QueryOutcome;
 use crate::stats::QueryStats;
+
+/// A frozen view of a [`DurableIndex`]: the [`DynamicIndex`]'s own
+/// snapshot, which already answers in the ids clients hold.
+pub use crate::dynamic::DynamicSnapshot as DurableSnapshot;
 
 /// Schema tag written as the first token of the `CURRENT` checkpoint.
 pub const CHECKPOINT_SCHEMA: &str = "flexemd-durable/v1";
@@ -247,12 +251,6 @@ fn read_checkpoint(dir: &Path) -> Result<u64, StoreError> {
 pub struct DurableIndex {
     dir: PathBuf,
     index: DynamicIndex,
-    /// Internal slot -> external id; `None` marks tombstoned slots.
-    external_of_slot: Vec<Option<u64>>,
-    /// Live external id -> internal slot. `BTreeMap` keeps iteration
-    /// deterministic (this crate is under the determinism audit).
-    slot_of_external: BTreeMap<u64, usize>,
-    next_external: u64,
     epoch: u64,
     walw: WalWriter,
     faults: Arc<dyn FaultInjector>,
@@ -317,9 +315,6 @@ impl DurableIndex {
         Ok(DurableIndex {
             dir: dir.to_path_buf(),
             index,
-            external_of_slot: Vec::new(),
-            slot_of_external: BTreeMap::new(),
-            next_external: 0,
             epoch: 0,
             walw,
             faults,
@@ -372,70 +367,26 @@ impl DurableIndex {
         let r2 = sections::decode_reduction(base.path(), "r2", r2_section.payload())?;
         let reduced = ReducedEmd::with_asymmetric(&cost, r1, r2)
             .map_err(|e| QueryError::Reduction(e.to_string()))?;
-        let mut index = DynamicIndex::new(Arc::clone(&cost), reduced)?;
-
-        let mut external_of_slot: Vec<Option<u64>> = Vec::new();
-        let mut slot_of_external: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut next_external = 0u64;
-        let mut sealed_ids: Vec<u64> = Vec::new();
-        if epoch > 0 {
-            let sealed_file = sealed_path(dir, epoch);
-            let sealed = SegmentReader::open_with(&sealed_file, faults.as_ref())?;
-            reject_unexpected(&sealed, &["histograms", "external-ids"])?;
-            let arena_section = sealed.typed_section(SectionKind::HistogramArena, "histograms")?;
-            let (_, histograms) = sections::decode_histogram_arena(
-                sealed.path(),
-                "histograms",
-                arena_section.payload(),
-            )?;
-            let ids_section = sealed.typed_section(SectionKind::IdMap, "external-ids")?;
-            sealed_ids =
-                sections::decode_id_map(sealed.path(), "external-ids", ids_section.payload())?;
-            if sealed_ids.len() != histograms.len() {
-                return Err(invalid_err(
-                    &sealed_file,
-                    "external-ids",
-                    format!(
-                        "{} ids for {} histograms",
-                        sealed_ids.len(),
-                        histograms.len()
-                    ),
-                )
-                .into());
-            }
-            for (histogram, &external) in histograms.into_iter().zip(&sealed_ids) {
-                let slot = index.insert(histogram)?;
-                external_of_slot.push(Some(external));
-                slot_of_external.insert(external, slot);
-                next_external = next_external.max(external + 1);
-            }
-        }
+        let sealed = (epoch > 0)
+            .then(|| read_sealed(&sealed_path(dir, epoch), faults.as_ref()))
+            .transpose()?;
 
         let wal_file = wal_path(dir, epoch);
         let replay = wal::replay_with(&wal_file, Arc::clone(&faults))?;
-        let replayed_records = replay.records.len();
         let invalid_wal =
             |reason: String| DurableError::Store(invalid_err(&wal_file, "wal", reason));
-        // The compact-epoch record is fsynced before the checkpoint ever
-        // names its epoch, so a post-compaction WAL without one is real
-        // damage, not a survivable torn tail.
-        if epoch > 0 && replay.records.is_empty() {
-            return Err(invalid_wal(
-                "post-compaction WAL lost its compact-epoch record".to_owned(),
-            ));
-        }
-        for (position, (_lsn, record)) in replay.records.iter().enumerate() {
-            match record {
-                WalRecord::CompactEpoch {
+        let mut records = replay.records.iter().map(|(_lsn, record)| record);
+        let sealed_objects = sealed.as_ref().map_or(0, |(_, ids)| ids.len());
+        let mut index = if let Some((histograms, sealed_ids)) = sealed {
+            // The compact-epoch record is fsynced before the checkpoint
+            // ever names its epoch, so a post-compaction WAL without one
+            // is real damage, not a survivable torn tail.
+            let next_id = match records.next() {
+                Some(WalRecord::CompactEpoch {
                     epoch: sealed_epoch,
-                    next_external: sealed_next,
+                    next_external,
                     external_ids,
-                } => {
-                    if position != 0 || epoch == 0 {
-                        return Err(invalid_wal(format!(
-                            "compact-epoch record at position {position}"
-                        )));
-                    }
+                }) => {
                     if *sealed_epoch != epoch {
                         return Err(invalid_wal(format!(
                             "compact-epoch names epoch {sealed_epoch}, checkpoint says {epoch}"
@@ -446,56 +397,55 @@ impl DurableIndex {
                             "compact-epoch id map disagrees with the sealed segment".to_owned(),
                         ));
                     }
-                    if *sealed_next < next_external {
+                    if sealed_ids.last().is_some_and(|last| next_external <= last) {
                         return Err(invalid_wal(format!(
-                            "compact-epoch next-external {sealed_next} below sealed maximum"
+                            "compact-epoch next-external {next_external} below sealed maximum"
                         )));
                     }
-                    next_external = *sealed_next;
+                    *next_external
+                }
+                _ => {
+                    return Err(invalid_wal(
+                        "post-compaction WAL must start with a compact-epoch record".to_owned(),
+                    ))
+                }
+            };
+            DynamicIndex::restore(cost, reduced, histograms, sealed_ids, next_id)?
+        } else {
+            DynamicIndex::new(cost, reduced)?
+        };
+        for record in records {
+            match record {
+                WalRecord::CompactEpoch { .. } => {
+                    return Err(invalid_wal("misplaced compact-epoch record".to_owned()));
                 }
                 WalRecord::Insert {
                     external_id,
                     histogram,
                 } => {
-                    if epoch > 0 && position == 0 {
-                        return Err(invalid_wal(
-                            "post-compaction WAL must start with a compact-epoch record".to_owned(),
-                        ));
-                    }
-                    if *external_id != next_external {
+                    if *external_id != index.next_id() {
                         return Err(invalid_wal(format!(
-                            "insert carries external id {external_id}, expected {next_external}"
+                            "insert carries external id {external_id}, expected {}",
+                            index.next_id()
                         )));
                     }
-                    let slot = index.insert(histogram.clone())?;
-                    external_of_slot.push(Some(*external_id));
-                    slot_of_external.insert(*external_id, slot);
-                    next_external = *external_id + 1;
+                    index.insert(histogram.clone())?;
                 }
                 WalRecord::Remove { external_id } => {
-                    let slot = slot_of_external.remove(external_id).ok_or_else(|| {
-                        invalid_wal(format!("remove of unknown external id {external_id}"))
-                    })?;
-                    if !index.remove(slot) {
+                    if !index.remove(*external_id) {
                         return Err(invalid_wal(format!(
-                            "remove of already-dead slot {slot} (external id {external_id})"
+                            "remove of unknown external id {external_id}"
                         )));
-                    }
-                    if let Some(entry) = external_of_slot.get_mut(slot) {
-                        *entry = None;
                     }
                 }
             }
         }
+        let replayed_records = replay.records.len();
         let torn_tail = replay.torn_tail.clone();
         let walw = WalWriter::open_for_append(&wal_file, &replay, Arc::clone(&faults))?;
-        let sealed_objects = sealed_ids.len();
         let durable = DurableIndex {
             dir: dir.to_path_buf(),
             index,
-            external_of_slot,
-            slot_of_external,
-            next_external,
             epoch,
             walw,
             faults,
@@ -565,7 +515,7 @@ impl DurableIndex {
     }
 
     /// Append an insert to the WAL and apply it in memory, returning the
-    /// new object's external id. **Not yet durable**: call
+    /// new object's id. **Not yet durable**: call
     /// [`DurableIndex::sync`] before acknowledging it to a client. Batch
     /// loaders amortize one sync over many appends.
     ///
@@ -573,29 +523,16 @@ impl DurableIndex {
     ///
     /// Returns [`DurableError::Query`] when the histogram's shape or
     /// reduction is rejected (nothing is logged), and
-    /// [`DurableError::Store`] when the WAL append fails (the in-memory
-    /// insert is rolled back and the index stays consistent for later
-    /// writes — no external id is consumed).
+    /// [`DurableError::Store`] when the WAL append fails — the in-memory
+    /// index is only touched after the append succeeds, so a failure
+    /// changes nothing and consumes no id.
     pub fn append_insert(&mut self, histogram: Histogram) -> Result<u64, DurableError> {
-        let slot = self.index.insert(histogram.clone())?;
-        debug_assert_eq!(slot, self.external_of_slot.len());
-        let external_id = self.next_external;
-        if let Err(error) = self.walw.append(&WalRecord::Insert {
-            external_id,
-            histogram,
-        }) {
-            // Roll back in memory. `DynamicIndex` never reuses slots, so
-            // the rolled-back slot stays tombstoned — record it as such
-            // to keep `external_of_slot` aligned with the slot space
-            // (a bare remove would shift every later slot's external id).
-            self.index.remove(slot);
-            self.external_of_slot.push(None);
-            return Err(error.into());
-        }
-        self.external_of_slot.push(Some(external_id));
-        self.slot_of_external.insert(external_id, slot);
-        self.next_external = external_id + 1;
-        Ok(external_id)
+        let reduced = self.index.reduce(&histogram)?;
+        self.walw.append(&WalRecord::Insert {
+            external_id: self.index.next_id(),
+            histogram: histogram.clone(),
+        })?;
+        Ok(self.index.push(histogram, reduced))
     }
 
     /// Insert with immediate durability: append + [`DurableIndex::sync`].
@@ -613,7 +550,7 @@ impl DurableIndex {
     }
 
     /// Append a remove to the WAL and apply it in memory. Returns `false`
-    /// (logging nothing) when the external id is unknown. Like
+    /// (logging nothing) when the id names no live object. Like
     /// [`DurableIndex::append_insert`], durable only after
     /// [`DurableIndex::sync`].
     ///
@@ -622,16 +559,11 @@ impl DurableIndex {
     /// Returns [`DurableError::Store`] when the WAL append fails; the
     /// in-memory state is untouched in that case.
     pub fn append_remove(&mut self, external_id: u64) -> Result<bool, DurableError> {
-        let Some(&slot) = self.slot_of_external.get(&external_id) else {
+        if self.index.get(external_id).is_none() {
             return Ok(false);
-        };
-        self.walw.append(&WalRecord::Remove { external_id })?;
-        self.index.remove(slot);
-        self.slot_of_external.remove(&external_id);
-        if let Some(entry) = self.external_of_slot.get_mut(slot) {
-            *entry = None;
         }
-        Ok(true)
+        self.walw.append(&WalRecord::Remove { external_id })?;
+        Ok(self.index.remove(external_id))
     }
 
     /// Remove with immediate durability: append + [`DurableIndex::sync`].
@@ -649,12 +581,10 @@ impl DurableIndex {
         Ok(true)
     }
 
-    /// Fetch a live object by external id.
+    /// Fetch a live object by id.
     #[must_use]
     pub fn get(&self, external_id: u64) -> Option<&Histogram> {
-        self.slot_of_external
-            .get(&external_id)
-            .and_then(|&slot| self.index.get(slot))
+        self.index.get(external_id)
     }
 
     /// Make every appended record durable (fsync). The explicit point
@@ -671,8 +601,8 @@ impl DurableIndex {
 
     /// Fold the WAL into a new sealed segment and start a fresh log.
     ///
-    /// Steps, in crash-safe order: compact the in-memory index (external
-    /// ids are unaffected), write `sealed-<epoch+1>.seg`, create
+    /// Steps, in crash-safe order: compact the in-memory index (ids are
+    /// unaffected), write `sealed-<epoch+1>.seg`, create
     /// `wal-<epoch+1>.log` whose first record is the
     /// [`WalRecord::CompactEpoch`] id map, flip the checkpoint
     /// atomically, then retire the old epoch's files. A crash before the
@@ -695,35 +625,14 @@ impl DurableIndex {
             .into());
         }
         let new_epoch = self.epoch + 1;
-        // Renumber in memory first; external ids are stable so a failure
-        // below leaves a fully consistent (just un-sealed) index.
-        let mapping = self.index.compact();
-        let mut externals = Vec::with_capacity(mapping.len());
-        for old_slot in &mapping {
-            let external = self
-                .external_of_slot
-                .get(*old_slot)
-                .copied()
-                .flatten()
-                .ok_or_else(|| {
-                    invalid_err(
-                        &self.dir,
-                        "compact",
-                        format!("live slot {old_slot} has no external id"),
-                    )
-                })?;
-            externals.push(external);
-        }
-        self.external_of_slot = externals.iter().map(|&e| Some(e)).collect();
-        self.slot_of_external = externals
-            .iter()
-            .enumerate()
-            .map(|(slot, &external)| (external, slot))
-            .collect();
-
-        let histograms: Vec<Histogram> = (0..self.index.len())
-            .filter_map(|slot| self.index.get(slot).cloned())
-            .collect();
+        // Reclaim in memory first; ids are unaffected, so a failure below
+        // leaves a fully consistent (just un-sealed) index.
+        self.index.compact();
+        let (externals, histograms): (Vec<u64>, Vec<Histogram>) = self
+            .index
+            .live()
+            .map(|(id, histogram)| (id, histogram.clone()))
+            .unzip();
         let dim = histograms.first().map_or(0, Histogram::dim);
         let sealed_file = sealed_path(&self.dir, new_epoch);
         let mut writer = SegmentWriter::create(&sealed_file)?;
@@ -745,7 +654,7 @@ impl DurableIndex {
             WalWriter::create_with(&wal_path(&self.dir, new_epoch), Arc::clone(&self.faults))?;
         new_wal.append(&WalRecord::CompactEpoch {
             epoch: new_epoch,
-            next_external: self.next_external,
+            next_external: self.index.next_id(),
             external_ids: externals,
         })?;
         new_wal.sync()?;
@@ -768,50 +677,44 @@ impl DurableIndex {
         })
     }
 
-    /// An immutable, queryable snapshot translating to external ids.
-    /// Cheap (copy-on-write storage sharing) and isolated from every
-    /// later mutation, including compaction.
+    /// An immutable, queryable snapshot. Cheap (copy-on-write storage
+    /// sharing) and isolated from every later mutation, including
+    /// compaction.
     ///
     /// # Errors
     ///
     /// Returns [`DurableError::Query`] ([`QueryError::EmptyDatabase`])
     /// when no live objects remain.
     pub fn snapshot(&self) -> Result<DurableSnapshot, DurableError> {
-        let inner = self.index.snapshot()?;
-        Ok(DurableSnapshot {
-            inner,
-            externals: Arc::new(self.external_of_slot.clone()),
-        })
+        Ok(self.index.snapshot()?)
     }
 
-    /// Exact k-NN by external id.
+    /// Exact k-NN as `(id, distance)` pairs.
     ///
     /// # Errors
     ///
     /// Same contract as [`DynamicIndex::knn`].
-    // lint: allow(unbudgeted): sugar over DurableSnapshot::knn.
+    // lint: allow(unbudgeted): sugar over DynamicIndex::knn.
     pub fn knn(
         &self,
         query: &Histogram,
         k: usize,
     ) -> Result<(Vec<(u64, f64)>, QueryStats), DurableError> {
-        self.snapshot()?.knn(query, k).map_err(DurableError::from)
+        Ok(self.index.knn(query, k)?)
     }
 
-    /// Exact range query by external id.
+    /// Exact range query as `(id, distance)` pairs.
     ///
     /// # Errors
     ///
     /// Same contract as [`DynamicIndex::range`].
-    // lint: allow(unbudgeted): sugar over DurableSnapshot::range.
+    // lint: allow(unbudgeted): sugar over DynamicIndex::range.
     pub fn range(
         &self,
         query: &Histogram,
         epsilon: f64,
     ) -> Result<(Vec<(u64, f64)>, QueryStats), DurableError> {
-        self.snapshot()?
-            .range(query, epsilon)
-            .map_err(DurableError::from)
+        Ok(self.index.range(query, epsilon)?)
     }
 }
 
@@ -844,118 +747,28 @@ fn reject_unexpected(reader: &SegmentReader, allowed: &[&str]) -> Result<(), Sto
     Ok(())
 }
 
-/// A frozen, external-id view of a [`DurableIndex`].
-#[derive(Debug)]
-pub struct DurableSnapshot {
-    inner: DynamicSnapshot,
-    /// Slot -> external id at snapshot time.
-    externals: Arc<Vec<Option<u64>>>,
-}
-
-impl DurableSnapshot {
-    /// Number of live objects captured.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.len()
+/// Read a sealed segment: the histograms and, position for position,
+/// their ids (strictly ascending — [`sections::decode_id_map`] rejects
+/// anything else).
+fn read_sealed(
+    path: &Path,
+    faults: &dyn FaultInjector,
+) -> Result<(Vec<Histogram>, Vec<u64>), StoreError> {
+    let sealed = SegmentReader::open_with(path, faults)?;
+    reject_unexpected(&sealed, &["histograms", "external-ids"])?;
+    let arena_section = sealed.typed_section(SectionKind::HistogramArena, "histograms")?;
+    let (_, histograms) =
+        sections::decode_histogram_arena(sealed.path(), "histograms", arena_section.payload())?;
+    let ids_section = sealed.typed_section(SectionKind::IdMap, "external-ids")?;
+    let ids = sections::decode_id_map(sealed.path(), "external-ids", ids_section.payload())?;
+    if ids.len() != histograms.len() {
+        return Err(invalid_err(
+            path,
+            "external-ids",
+            format!("{} ids for {} histograms", ids.len(), histograms.len()),
+        ));
     }
-
-    /// Whether the snapshot is empty (never true: empty indexes refuse
-    /// to snapshot).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// The underlying executor (dense ids; [`run`](Self::run) and
-    /// [`run_isolated`](Self::run_isolated) answer in external ids).
-    #[must_use]
-    pub fn executor(&self) -> &Executor {
-        self.inner.executor()
-    }
-
-    /// The external id of the object at dense (engine) position `dense`.
-    #[must_use]
-    pub fn external_id(&self, dense: usize) -> Option<u64> {
-        let slot = self.inner.stable_id(dense)?;
-        self.externals.get(slot).copied().flatten()
-    }
-
-    /// Run one [`Query`] under the budget it carries, answering in
-    /// external ids (exact neighbors and degraded candidates alike).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError`] under the same conditions as
-    /// [`Executor::run`].
-    pub fn run(&self, query: &Query) -> Result<(QueryOutcome, QueryStats), QueryError> {
-        let (outcome, stats) = self.executor().run(query)?;
-        Ok((self.externalize(outcome)?, stats))
-    }
-
-    /// [`run`](Self::run) with panic isolation — the server's entry
-    /// point; see [`Executor::run_isolated`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Executor::run_isolated`].
-    pub fn run_isolated(
-        &self,
-        query: &Query,
-        worker: usize,
-    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
-        let (outcome, stats) = self.executor().run_isolated(query, worker)?;
-        Ok((self.externalize(outcome)?, stats))
-    }
-
-    /// Exact k-NN returning `(external id, distance)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DynamicSnapshot::knn`].
-    // lint: allow(unbudgeted): sugar over Executor::knn with Budget::unlimited().
-    pub fn knn(
-        &self,
-        query: &Histogram,
-        k: usize,
-    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
-        let (neighbors, stats) = self.executor().knn(query, k)?;
-        Ok((self.to_external(neighbors)?, stats))
-    }
-
-    /// Exact range query returning `(external id, distance)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DynamicSnapshot::range`].
-    // lint: allow(unbudgeted): sugar over Executor::range with Budget::unlimited().
-    pub fn range(
-        &self,
-        query: &Histogram,
-        epsilon: f64,
-    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
-        let (neighbors, stats) = self.executor().range(query, epsilon)?;
-        Ok((self.to_external(neighbors)?, stats))
-    }
-
-    fn to_external(&self, neighbors: Vec<crate::Neighbor>) -> Result<Vec<(u64, f64)>, QueryError> {
-        neighbors
-            .into_iter()
-            .map(|n| {
-                let external = self
-                    .external_id(n.id)
-                    .ok_or(QueryError::UnknownObject(n.id))?;
-                Ok((external, n.distance))
-            })
-            .collect()
-    }
-
-    /// Rewrite an outcome's dense engine ids as external ids.
-    fn externalize(&self, outcome: QueryOutcome) -> Result<QueryOutcome, QueryError> {
-        outcome.map_ids(|dense| {
-            let id = self.external_id(dense)?;
-            Some(usize::try_from(id).unwrap_or(usize::MAX))
-        })
-    }
+    Ok((histograms, ids))
 }
 
 #[cfg(test)]
@@ -1184,14 +997,15 @@ mod tests {
             .insert(h(&[0.0, 1.0, 0.0, 0.0]))
             .expect_err("second append injected");
         assert!(matches!(error, DurableError::Store(StoreError::Io { .. })));
-        // The failed insert consumed no external id, and the rolled-back
-        // (tombstoned, never reused) slot must not shift later ids.
+        // The in-memory index is only touched after the append succeeds:
+        // the failed insert consumed no id and no storage position.
+        assert_eq!((index.len(), index.index.positions()), (1, 1));
         let second = index.insert(h(&[0.0, 0.0, 1.0, 0.0])).unwrap();
         assert_eq!((first, second), (0, 1));
         let probe = h(&[0.0, 0.0, 0.9, 0.1]);
         let (hits, _) = index.knn(&probe, 1).unwrap();
-        assert_eq!(hits[0].0, 1, "external ids stay aligned after rollback");
-        // Compaction skips the tombstone and stays consistent...
+        assert_eq!(hits[0].0, 1, "ids stay aligned after the failed append");
+        // Compaction stays consistent...
         let report = index.compact().unwrap();
         assert_eq!(report.sealed_objects, 2);
         let (hits, _) = index.knn(&probe, 1).unwrap();
@@ -1289,6 +1103,47 @@ mod tests {
         assert!(
             !sealed_path(&dir, 1).exists() && !wal_path(&dir, 1).exists(),
             "orphans are swept"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sealed_ids_out_of_order_fail_typed() {
+        // Id -> position is a binary search, so a sealed id map that is
+        // not ascending must not open. No build ever wrote one (sealing
+        // order is insertion order); hand-write it.
+        let dir = tmp_dir("swapped-ids");
+        drop(fresh(&dir));
+        let swapped: Vec<u64> = vec![0, 2, 1, 3, 4];
+        let mut writer = SegmentWriter::create(&sealed_path(&dir, 1)).unwrap();
+        writer
+            .section(
+                SectionKind::HistogramArena,
+                "histograms",
+                &sections::encode_histogram_arena(4, &corpus()),
+            )
+            .unwrap();
+        writer
+            .section(
+                SectionKind::IdMap,
+                "external-ids",
+                &sections::encode_id_map(&swapped),
+            )
+            .unwrap();
+        writer.finish().unwrap();
+        let mut wal = WalWriter::create(&wal_path(&dir, 1)).unwrap();
+        wal.append(&WalRecord::CompactEpoch {
+            epoch: 1,
+            next_external: 5,
+            external_ids: swapped,
+        })
+        .unwrap();
+        wal.sync().unwrap();
+        write_checkpoint(&dir, 1).unwrap();
+        let error = DurableIndex::open(&dir).expect_err("unsorted sealed ids");
+        assert!(
+            matches!(error, DurableError::Store(StoreError::Invalid { .. })),
+            "got {error}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,16 +6,27 @@
 //! reduced (filter) representation of every object in sync, so queries
 //! retain the complete filter-and-refine behaviour without rebuilds.
 //!
-//! Deletions use tombstones: ids are stable, storage is reclaimed by
-//! [`DynamicIndex::compact`]. Storage lives behind `Arc`s mutated with
-//! [`Arc::make_mut`]: taking a [`DynamicSnapshot`] is O(live) in ids and
-//! copies **no histogram data**, and later mutations copy-on-write
-//! without disturbing outstanding snapshots. Queries execute through the
-//! shared engine [`Executor`] — the KNOP refinement loop
-//! lives only in [`knop`](crate::knop), not here — and through the same
-//! prepared Red-EMD / exact-EMD evaluators as the static filters, looked
-//! up through the snapshot's id map: every live query has its own warm
-//! solver context and honours the [`Budget`] it runs under.
+//! **One id.** [`DynamicIndex::insert`] names each object with a `u64`
+//! allocated monotonically and never reused; that id is what
+//! [`get`](DynamicIndex::get), [`remove`](DynamicIndex::remove) and every
+//! query answer speak, and it survives [`DynamicIndex::compact`].
+//! Because ids are handed out in append order and compaction keeps that
+//! order, position -> id is one ascending `Vec<u64>` and id -> position
+//! a binary search on it: there is no second map to keep in step, and a
+//! storage position never leaves this module.
+//!
+//! Deletions leave tombstones, reclaimed by [`DynamicIndex::compact`].
+//! Histogram storage lives behind `Arc`s mutated with [`Arc::make_mut`]:
+//! taking a [`DynamicSnapshot`] is O(live) in ids and copies **no
+//! histogram data**, and later mutations copy-on-write without
+//! disturbing outstanding snapshots. Queries execute through the shared
+//! engine [`Executor`] — the KNOP refinement loop lives only in
+//! [`knop`](crate::knop), not here — and through the same prepared
+//! Red-EMD / exact-EMD evaluators as the static filters. The executor's
+//! dense ids (the live objects, in ascending id order) exist only inside
+//! one snapshot, which translates them back on the way out: every live
+//! query has its own warm solver context and honours the [`Budget`] it
+//! runs under.
 
 use crate::engine::{Executor, Query, QueryPlan};
 use crate::error::QueryError;
@@ -42,22 +53,26 @@ use std::sync::Arc;
 /// let a = index.insert(Histogram::new(vec![1.0, 0.0, 0.0, 0.0])?)?;
 /// let b = index.insert(Histogram::new(vec![0.0, 0.0, 0.0, 1.0])?)?;
 /// let (nearest, _) = index.knn(&Histogram::new(vec![0.9, 0.1, 0.0, 0.0])?, 1)?;
-/// assert_eq!(nearest[0].id, a);
+/// assert_eq!(nearest[0].0, a);
 ///
 /// index.remove(a);
+/// index.compact(); // reclaims a's storage; b is still b
 /// let (nearest, _) = index.knn(&Histogram::new(vec![0.9, 0.1, 0.0, 0.0])?, 1)?;
-/// assert_eq!(nearest[0].id, b);
+/// assert_eq!(nearest[0].0, b);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicIndex {
     cost: Arc<CostMatrix>,
     reduced: ReducedEmd,
-    /// Original histograms; `None` marks a deleted id. Shared with
-    /// snapshots, mutated copy-on-write.
+    /// Original histograms by position; `None` marks a removed object.
+    /// Shared with snapshots, mutated copy-on-write.
     objects: Arc<Vec<Option<Histogram>>>,
     /// Reduced (database-side) representation of each live object.
     reduced_objects: Arc<Vec<Option<Histogram>>>,
+    /// Position -> id, strictly ascending; every entry is `< next_id`.
+    ids: Vec<u64>,
+    next_id: u64,
     live: usize,
 }
 
@@ -82,8 +97,37 @@ impl DynamicIndex {
             reduced,
             objects: Arc::new(Vec::new()),
             reduced_objects: Arc::new(Vec::new()),
+            ids: Vec::new(),
+            next_id: 0,
             live: 0,
         })
+    }
+
+    /// Rebuild an index from persisted state: `histograms` under the
+    /// strictly ascending `ids`, all below `next_id` (the caller has
+    /// checked both — the id lookup leans on them). The reduced
+    /// representations are re-derived, never stored.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`new`](Self::new) and [`insert`](Self::insert).
+    pub(crate) fn restore(
+        cost: Arc<CostMatrix>,
+        reduced: ReducedEmd,
+        histograms: Vec<Histogram>,
+        ids: Vec<u64>,
+        next_id: u64,
+    ) -> Result<Self, QueryError> {
+        debug_assert!(ids.windows(2).all(|pair| pair.first() < pair.last()));
+        debug_assert!(ids.last().is_none_or(|&last| last < next_id));
+        let mut index = DynamicIndex::new(cost, reduced)?;
+        for (histogram, id) in histograms.into_iter().zip(ids) {
+            let reduced = index.reduce(&histogram)?;
+            index.next_id = id;
+            index.push(histogram, reduced);
+        }
+        index.next_id = next_id;
+        Ok(index)
     }
 
     /// The ground-distance matrix this index was built over.
@@ -101,13 +145,25 @@ impl DynamicIndex {
         self.live == 0
     }
 
-    /// Insert a histogram; returns its stable id.
+    /// The id the next [`insert`](Self::insert) will return.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// Insert a histogram; returns its id.
     ///
     /// # Errors
     ///
     /// Returns [`QueryError`] when the histogram's dimensionality disagrees with
     /// the index, or the reduction of the new object fails.
-    pub fn insert(&mut self, histogram: Histogram) -> Result<usize, QueryError> {
+    pub fn insert(&mut self, histogram: Histogram) -> Result<u64, QueryError> {
+        let reduced = self.reduce(&histogram)?;
+        Ok(self.push(histogram, reduced))
+    }
+
+    /// The fallible half of an insert: check the shape of `histogram` and
+    /// derive its reduced representation, changing nothing.
+    pub(crate) fn reduce(&self, histogram: &Histogram) -> Result<Histogram, QueryError> {
         if histogram.dim() != self.cost.cols() {
             return Err(QueryError::Core(emd_core::CoreError::DimensionMismatch {
                 expected_rows: self.cost.rows(),
@@ -116,23 +172,37 @@ impl DynamicIndex {
                 got_cols: histogram.dim(),
             }));
         }
-        let reduced = self.reduced.reduce_second(&histogram)?;
-        let id = self.objects.len();
+        Ok(self.reduced.reduce_second(histogram)?)
+    }
+
+    /// The infallible half of an insert: store `histogram` with the
+    /// representation [`reduce`](Self::reduce) derived from it, under
+    /// [`next_id`](Self::next_id).
+    pub(crate) fn push(&mut self, histogram: Histogram, reduced: Histogram) -> u64 {
+        let id = self.next_id;
         Arc::make_mut(&mut self.objects).push(Some(histogram));
         Arc::make_mut(&mut self.reduced_objects).push(Some(reduced));
+        self.ids.push(id);
+        self.next_id += 1;
         self.live += 1;
-        Ok(id)
+        id
+    }
+
+    /// The storage position of a live object.
+    fn position(&self, id: u64) -> Option<usize> {
+        let position = self.ids.binary_search(&id).ok()?;
+        self.objects.get(position)?.as_ref().map(|_| position)
     }
 
     /// Delete by id. Returns `true` if the object existed and was live.
-    pub fn remove(&mut self, id: usize) -> bool {
-        if self.get(id).is_none() {
+    pub fn remove(&mut self, id: u64) -> bool {
+        let Some(position) = self.position(id) else {
             return false;
-        }
-        if let Some(slot) = Arc::make_mut(&mut self.objects).get_mut(id) {
+        };
+        if let Some(slot) = Arc::make_mut(&mut self.objects).get_mut(position) {
             *slot = None;
         }
-        if let Some(slot) = Arc::make_mut(&mut self.reduced_objects).get_mut(id) {
+        if let Some(slot) = Arc::make_mut(&mut self.reduced_objects).get_mut(position) {
             *slot = None;
         }
         self.live -= 1;
@@ -140,33 +210,22 @@ impl DynamicIndex {
     }
 
     /// Fetch a live object.
-    pub fn get(&self, id: usize) -> Option<&Histogram> {
-        self.objects.get(id).and_then(Option::as_ref)
+    pub fn get(&self, id: u64) -> Option<&Histogram> {
+        self.objects.get(self.position(id)?)?.as_ref()
     }
 
-    /// Drop tombstones, renumbering ids densely. Returns the mapping
-    /// `new_id -> old_id`. Outstanding snapshots keep the old id space
-    /// (copy-on-write).
-    pub fn compact(&mut self) -> Vec<usize> {
-        let mut mapping = Vec::with_capacity(self.live);
-        let mut objects = Vec::with_capacity(self.live);
-        let mut reduced_objects = Vec::with_capacity(self.live);
-        for (old_id, slot) in Arc::make_mut(&mut self.objects).drain(..).enumerate() {
-            if let Some(histogram) = slot {
-                mapping.push(old_id);
-                objects.push(Some(histogram));
-            }
-        }
-        reduced_objects.extend(
-            Arc::make_mut(&mut self.reduced_objects)
-                .drain(..)
-                .flatten()
-                .map(Some),
-        );
-        debug_assert_eq!(objects.len(), reduced_objects.len());
-        self.objects = Arc::new(objects);
-        self.reduced_objects = Arc::new(reduced_objects);
-        mapping
+    /// The live objects with their ids, in ascending id order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = (u64, &Histogram)> {
+        let slots = self.ids.iter().zip(self.objects.iter());
+        slots.filter_map(|(&id, slot)| Some((id, slot.as_ref()?)))
+    }
+
+    /// Reclaim the storage of removed objects. Ids are unaffected, and
+    /// outstanding snapshots keep their own view (copy-on-write).
+    pub fn compact(&mut self) {
+        self.ids = self.live().map(|(id, _)| id).collect();
+        Arc::make_mut(&mut self.objects).retain(Option::is_some);
+        Arc::make_mut(&mut self.reduced_objects).retain(Option::is_some);
     }
 
     /// An immutable, queryable snapshot of the current live objects.
@@ -183,13 +242,11 @@ impl DynamicIndex {
         if self.live == 0 {
             return Err(QueryError::EmptyDatabase);
         }
-        let ids: Arc<Vec<usize>> = Arc::new(
-            self.objects
-                .iter()
-                .enumerate()
-                .filter_map(|(id, slot)| slot.as_ref().map(|_| id))
-                .collect(),
-        );
+        let live = self.objects.iter().zip(&self.ids).enumerate();
+        let (positions, ids): (Vec<usize>, Vec<u64>) = live
+            .filter_map(|(position, (slot, &id))| slot.as_ref().map(|_| (position, id)))
+            .unzip();
+        let positions = Arc::new(positions);
         let stage = LiveReducedFilter {
             name: format!(
                 "red-emd(d'={}/{})",
@@ -199,7 +256,7 @@ impl DynamicIndex {
             reduced: self.reduced.clone(),
             reduced_objects: LiveObjects {
                 slots: Arc::clone(&self.reduced_objects),
-                ids: Arc::clone(&ids),
+                positions: Arc::clone(&positions),
             },
         };
         let refiner = LiveEmdFilter {
@@ -207,7 +264,7 @@ impl DynamicIndex {
             cost: Arc::clone(&self.cost),
             objects: LiveObjects {
                 slots: Arc::clone(&self.objects),
-                ids: Arc::clone(&ids),
+                positions,
             },
         };
         let plan = QueryPlan::new(vec![Box::new(stage)], Box::new(refiner))?;
@@ -231,7 +288,7 @@ impl DynamicIndex {
         &self,
         query: &Histogram,
         k: usize,
-    ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
+    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
         if k == 0 {
             return Err(QueryError::ZeroK);
         }
@@ -250,19 +307,19 @@ impl DynamicIndex {
         &self,
         query: &Histogram,
         epsilon: f64,
-    ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
+    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
         self.snapshot()?.range(query, epsilon)
     }
 }
 
 /// An immutable view of a [`DynamicIndex`] at snapshot time: queries run
-/// through the shared [`Executor`] against the live objects, returning
-/// their *stable* ids. Unaffected by later index mutations.
+/// through the shared [`Executor`] against the live objects and answer
+/// in the index's ids. Unaffected by later index mutations.
 #[derive(Debug)]
 pub struct DynamicSnapshot {
     executor: Executor,
-    /// Dense (engine) id -> stable (index) id.
-    ids: Arc<Vec<usize>>,
+    /// Dense (executor) id -> id, ascending.
+    ids: Vec<u64>,
 }
 
 impl DynamicSnapshot {
@@ -277,61 +334,85 @@ impl DynamicSnapshot {
         self.ids.is_empty()
     }
 
-    /// The underlying executor (dense ids; use [`run`](Self::run) for
-    /// stable ids).
+    /// The underlying executor, for its plan and statistics. Its answers
+    /// are in dense ids private to this snapshot; [`run`](Self::run) and
+    /// [`run_isolated`](Self::run_isolated) answer in the index's ids.
     pub fn executor(&self) -> &Executor {
         &self.executor
     }
 
-    /// The stable (index) id stored at dense (engine) position `dense`
-    /// — the inverse view callers need when they run the raw
-    /// [`executor`](Self::executor) and must map its ids back.
-    pub fn stable_id(&self, dense: usize) -> Option<usize> {
-        self.ids.get(dense).copied()
-    }
-
-    /// Run one [`Query`] under the budget it carries, answering in stable
-    /// ids (exact neighbors and degraded candidates alike).
+    /// Run one [`Query`] under the budget it carries, answering in the
+    /// index's ids (exact neighbors and degraded candidates alike).
     ///
     /// # Errors
     ///
     /// Returns [`QueryError`] under the same conditions as
-    /// [`Executor::run`].
+    /// [`Executor::run`], and [`QueryError::UnknownObject`] for an id
+    /// that does not fit the outcome's `usize`.
     pub fn run(&self, query: &Query) -> Result<(QueryOutcome, QueryStats), QueryError> {
         let (outcome, stats) = self.executor.run(query)?;
-        Ok((outcome.map_ids(|dense| self.stable_id(dense))?, stats))
+        Ok((self.in_ids(outcome)?, stats))
     }
 
-    /// Exact k-NN with stable ids.
+    /// [`run`](Self::run) with panic isolation — the server's entry
+    /// point; see [`Executor::run_isolated`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run`](Self::run) and
+    /// [`Executor::run_isolated`].
+    pub fn run_isolated(
+        &self,
+        query: &Query,
+        worker: usize,
+    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
+        let (outcome, stats) = self.executor.run_isolated(query, worker)?;
+        Ok((self.in_ids(outcome)?, stats))
+    }
+
+    /// Exact k-NN as `(id, distance)` pairs.
     ///
     /// # Errors
     ///
     /// Returns [`QueryError`] under the same conditions as
     /// [`Executor::knn`].
-    // lint: allow(unbudgeted): sugar over run with Budget::unlimited().
+    // lint: allow(unbudgeted): sugar over Executor::knn with Budget::unlimited().
     pub fn knn(
         &self,
         query: &Histogram,
         k: usize,
-    ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
-        let (outcome, stats) = self.run(&Query::knn(query.clone(), k))?;
-        Ok((outcome.into_exact()?, stats))
+    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
+        let (neighbors, stats) = self.executor.knn(query, k)?;
+        Ok((self.in_pairs(neighbors)?, stats))
     }
 
-    /// Exact range query with stable ids.
+    /// Exact range query as `(id, distance)` pairs.
     ///
     /// # Errors
     ///
     /// Returns [`QueryError`] under the same conditions as
     /// [`Executor::range`].
-    // lint: allow(unbudgeted): sugar over run with Budget::unlimited().
+    // lint: allow(unbudgeted): sugar over Executor::range with Budget::unlimited().
     pub fn range(
         &self,
         query: &Histogram,
         epsilon: f64,
-    ) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
-        let (outcome, stats) = self.run(&Query::range(query.clone(), epsilon))?;
-        Ok((outcome.into_exact()?, stats))
+    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
+        let (neighbors, stats) = self.executor.range(query, epsilon)?;
+        Ok((self.in_pairs(neighbors)?, stats))
+    }
+
+    /// Rewrite an outcome's dense ids as the index's ids; one that does
+    /// not fit the outcome's `usize` is an error, never a wrong id.
+    fn in_ids(&self, outcome: QueryOutcome) -> Result<QueryOutcome, QueryError> {
+        outcome.map_ids(|dense| usize::try_from(*self.ids.get(dense)?).ok())
+    }
+
+    /// Rewrite exact neighbors as `(id, distance)` pairs.
+    fn in_pairs(&self, neighbors: Vec<Neighbor>) -> Result<Vec<(u64, f64)>, QueryError> {
+        let id = |dense: usize| self.ids.get(dense).ok_or(QueryError::UnknownObject(dense));
+        let pairs = neighbors.iter().map(|n| Ok((*id(n.id)?, n.distance)));
+        pairs.collect()
     }
 }
 
@@ -340,22 +421,26 @@ impl DynamicSnapshot {
 #[derive(Debug)]
 struct LiveObjects {
     slots: Arc<Vec<Option<Histogram>>>,
-    ids: Arc<Vec<usize>>,
+    /// Dense id -> storage position.
+    positions: Arc<Vec<usize>>,
 }
 
 impl Objects for LiveObjects {
     fn object(&self, id: usize) -> Result<&Histogram, QueryError> {
-        let stable = *self.ids.get(id).ok_or(QueryError::UnknownObject(id))?;
+        let position = *self
+            .positions
+            .get(id)
+            .ok_or(QueryError::UnknownObject(id))?;
         self.slots
-            .get(stable)
+            .get(position)
             .and_then(Option::as_ref)
-            .ok_or(QueryError::UnknownObject(stable))
+            .ok_or(QueryError::UnknownObject(id))
     }
 }
 
 /// Reduced-EMD filter over the live objects: the evaluator of
 /// [`ReducedEmdFilter`](crate::ReducedEmdFilter), looked up through the
-/// snapshot's id map.
+/// snapshot's positions.
 #[derive(Debug)]
 struct LiveReducedFilter {
     name: String,
@@ -369,7 +454,7 @@ impl Filter for LiveReducedFilter {
     }
 
     fn len(&self) -> usize {
-        self.reduced_objects.ids.len()
+        self.reduced_objects.positions.len()
     }
 
     fn prepare(
@@ -389,7 +474,7 @@ impl Filter for LiveReducedFilter {
 
 /// Exact EMD refiner over the live objects: the evaluator of
 /// [`EmdDistance`](crate::EmdDistance), looked up through the snapshot's
-/// id map.
+/// positions.
 #[derive(Debug)]
 struct LiveEmdFilter {
     name: String,
@@ -403,7 +488,7 @@ impl Filter for LiveEmdFilter {
     }
 
     fn len(&self) -> usize {
-        self.objects.ids.len()
+        self.objects.positions.len()
     }
 
     fn prepare(
@@ -428,6 +513,13 @@ mod tests {
     use emd_core::ground;
     use emd_reduction::CombiningReduction;
 
+    impl DynamicIndex {
+        /// Storage positions in use, tombstones included.
+        pub(crate) fn positions(&self) -> usize {
+            self.ids.len()
+        }
+    }
+
     fn h(bins: &[f64]) -> Histogram {
         Histogram::new(bins.to_vec()).unwrap()
     }
@@ -449,18 +541,26 @@ mod tests {
 
         let query = h(&[0.9, 0.1, 0.0, 0.0]);
         let (neighbors, stats) = index.knn(&query, 2).unwrap();
-        assert_eq!(neighbors[0].id, a);
-        assert_eq!(neighbors[1].id, c);
+        assert_eq!(neighbors[0].0, a);
+        assert_eq!(neighbors[1].0, c);
         assert_eq!(stats.filter_evaluations[0].1, 3);
 
         assert!(index.remove(a));
         assert!(!index.remove(a), "double delete is a no-op");
         assert_eq!(index.len(), 2);
         let (neighbors, _) = index.knn(&query, 2).unwrap();
-        assert_eq!(neighbors[0].id, c);
-        assert_eq!(neighbors[1].id, b);
+        assert_eq!(neighbors[0].0, c);
+        assert_eq!(neighbors[1].0, b);
         assert!(index.get(a).is_none());
         assert!(index.get(b).is_some());
+    }
+
+    /// Distances rounded and sorted, so equal-distance results compare
+    /// deterministically across implementations.
+    fn canonical(distances: impl Iterator<Item = f64>) -> Vec<i64> {
+        let mut rounded: Vec<i64> = distances.map(|d| (d * 1e9).round() as i64).collect();
+        rounded.sort_unstable();
+        rounded
     }
 
     #[test]
@@ -489,36 +589,35 @@ mod tests {
         let database: Vec<Histogram> = live.iter().map(|(_, h)| h.clone()).collect();
         let expected = brute_force_knn(&query, &database, &cost, 3).unwrap();
         let (got, _) = index.knn(&query, 3).unwrap();
-        let expected_distances: Vec<i64> = expected
-            .iter()
-            .map(|n| (n.distance * 1e9).round() as i64)
-            .collect();
-        let got_distances: Vec<i64> = got
-            .iter()
-            .map(|n| (n.distance * 1e9).round() as i64)
-            .collect();
-        assert_eq!(got_distances, expected_distances);
+        assert_eq!(
+            canonical(got.iter().map(|hit| hit.1)),
+            canonical(expected.iter().map(|n| n.distance))
+        );
     }
 
     #[test]
-    fn compact_renumbers_densely() {
+    fn compact_reclaims_storage_and_keeps_ids() {
         let mut index = index();
         let a = index.insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
         let b = index.insert(h(&[0.0, 1.0, 0.0, 0.0])).unwrap();
         let c = index.insert(h(&[0.0, 0.0, 1.0, 0.0])).unwrap();
         index.remove(b);
-        let mapping = index.compact();
-        assert_eq!(mapping, vec![a, c]);
-        assert_eq!(index.len(), 2);
+        assert_eq!(index.positions(), 3);
+        index.compact();
+        assert_eq!((index.positions(), index.len()), (2, 2));
         let query = h(&[0.0, 0.0, 0.9, 0.1]);
         let (neighbors, _) = index.knn(&query, 1).unwrap();
-        assert_eq!(neighbors[0].id, 1, "c is now id 1");
+        assert_eq!(neighbors[0].0, c, "c is still c");
+        assert!(index.get(a).is_some() && index.get(b).is_none());
+        let d = index.insert(h(&[0.0, 0.0, 0.0, 1.0])).unwrap();
+        assert_eq!(d, 3, "b's id is not reused");
     }
 
     #[test]
     fn rejects_bad_inputs() {
         let mut index = index();
         assert!(index.insert(h(&[0.5, 0.5])).is_err());
+        assert_eq!(index.next_id(), 0, "a rejected insert consumes no id");
         assert!(matches!(
             index.knn(&h(&[0.25, 0.25, 0.25, 0.25]), 1).unwrap_err(),
             QueryError::EmptyDatabase
@@ -550,26 +649,17 @@ mod tests {
         }
         let query = Histogram::unit(4, 2).unwrap();
         let (neighbors, stats) = index.knn(&query, 2).unwrap();
-        assert_eq!(neighbors[0].id, 2);
+        assert_eq!(neighbors[0].0, 2);
         assert_eq!(stats.refinements, 4, "useless filter refines everything");
-    }
-
-    /// Sort (distance, id) pairs canonically so equal-distance results
-    /// compare deterministically across implementations.
-    fn canonical(neighbors: &[Neighbor]) -> Vec<(i64, usize)> {
-        let mut pairs: Vec<(i64, usize)> = neighbors
-            .iter()
-            .map(|n| ((n.distance * 1e9).round() as i64, n.id))
-            .collect();
-        pairs.sort_unstable();
-        pairs
     }
 
     #[test]
     fn interleaved_churn_matches_brute_force() {
-        // Satellite: interleave insert/remove/compact with k-NN *and*
-        // range queries, asserting against the brute-force oracles over
-        // exactly the live objects after every phase.
+        // Interleave insert/remove/compact with k-NN *and* range queries,
+        // asserting against the brute-force oracles over exactly the live
+        // objects after every phase. The oracle is keyed by the id
+        // `insert` returned, so an id that drifted to another histogram
+        // (across a removal, a compaction) fails here.
         let cost = ground::linear(4).unwrap();
         let queries = [
             h(&[0.25, 0.25, 0.25, 0.25]),
@@ -577,38 +667,46 @@ mod tests {
             h(&[0.0, 0.2, 0.3, 0.5]),
         ];
         let mut index = index();
-        // live: stable id -> histogram, tracking the oracle database.
-        let mut live: Vec<(usize, Histogram)> = Vec::new();
+        let mut live: Vec<(u64, Histogram)> = Vec::new();
 
-        let check = |index: &DynamicIndex, live: &[(usize, Histogram)]| {
+        let check = |index: &DynamicIndex, live: &[(u64, Histogram)]| {
+            assert_eq!(index.len(), live.len());
+            for (id, histogram) in live {
+                assert_eq!(index.get(*id), Some(histogram), "id {id} names its object");
+            }
             let database: Vec<Histogram> = live.iter().map(|(_, h)| h.clone()).collect();
+            // Every hit carries the distance of the object its id names.
+            let names_its_object = |query: &Histogram, hits: &[(u64, f64)]| {
+                for &(id, distance) in hits {
+                    let (_, named) = live.iter().find(|(live_id, _)| *live_id == id).unwrap();
+                    let exact = emd_core::emd(query, named, &cost).unwrap();
+                    assert!(
+                        (exact - distance).abs() < 1e-9,
+                        "id {id} names another object"
+                    );
+                }
+            };
             for query in &queries {
                 for k in [1, 2, 4] {
                     let expected = brute_force_knn(query, &database, &cost, k).unwrap();
                     let (got, _) = index.knn(query, k).unwrap();
                     assert_eq!(got.len(), expected.len().min(k));
                     assert_eq!(
-                        canonical(&got).iter().map(|(d, _)| *d).collect::<Vec<_>>(),
-                        canonical(&expected)
-                            .iter()
-                            .map(|(d, _)| *d)
-                            .collect::<Vec<_>>(),
+                        canonical(got.iter().map(|hit| hit.1)),
+                        canonical(expected.iter().map(|n| n.distance)),
                         "k-NN distances diverge from brute force"
                     );
+                    names_its_object(query, &got);
                 }
                 for epsilon in [0.3, 0.8, 2.0] {
                     let expected = brute_force_range(query, &database, &cost, epsilon).unwrap();
                     let (got, _) = index.range(query, epsilon).unwrap();
-                    // Range hits are a set: map got ids back through live
-                    // to histogram-level identity via distances.
                     assert_eq!(
-                        canonical(&got).iter().map(|(d, _)| *d).collect::<Vec<_>>(),
-                        canonical(&expected)
-                            .iter()
-                            .map(|(d, _)| *d)
-                            .collect::<Vec<_>>(),
+                        canonical(got.iter().map(|hit| hit.1)),
+                        canonical(expected.iter().map(|n| n.distance)),
                         "range hits diverge from brute force at eps={epsilon}"
                     );
+                    names_its_object(query, &got);
                 }
             }
         };
@@ -640,25 +738,37 @@ mod tests {
         }
         check(&index, &live);
 
-        // Phase 3: compact (renumbers), then more churn.
-        let mapping = index.compact();
-        assert_eq!(mapping.len(), live.len());
-        live = mapping
-            .iter()
-            .enumerate()
-            .map(|(new_id, old_id)| {
-                let (_, histogram) = live
-                    .iter()
-                    .find(|(id, _)| id == old_id)
-                    .expect("mapping covers live ids");
-                (new_id, histogram.clone())
-            })
-            .collect();
+        // Phase 3: compact under a frozen snapshot. The oracle is not
+        // re-keyed — the ids handed out before name the same histograms
+        // after — and the snapshot's answers do not move by a bit.
+        let bits = |snapshot: &DynamicSnapshot| -> Vec<Vec<(u64, u64)>> {
+            let answer = |query| snapshot.knn(query, 4).unwrap().0;
+            let bits = |hits: Vec<(u64, f64)>| hits.iter().map(|h| (h.0, h.1.to_bits())).collect();
+            queries.iter().map(answer).map(bits).collect()
+        };
+        let frozen = index.snapshot().unwrap();
+        let before = bits(&frozen);
+        assert!(index.positions() > live.len(), "tombstones to reclaim");
+        index.compact();
+        assert_eq!(index.positions(), live.len());
         check(&index, &live);
+        assert_eq!(
+            bits(&frozen),
+            before,
+            "a frozen snapshot ignores compaction"
+        );
+        assert_eq!(bits(&index.snapshot().unwrap()), before);
 
-        let last = live.last().unwrap().0;
+        // Phase 4: churn on the compacted index, then compact again. New
+        // ids continue past every id ever handed out.
+        let (last, _) = live.pop().unwrap();
         assert!(index.remove(last));
-        live.pop();
+        check(&index, &live);
+        let histogram = h(&[0.15, 0.2, 0.3, 0.35]);
+        let id = index.insert(histogram.clone()).unwrap();
+        assert_eq!(id, last + 1, "ids are never reused");
+        live.push((id, histogram));
+        index.compact();
         check(&index, &live);
     }
 
@@ -677,10 +787,10 @@ mod tests {
         let query = h(&[1.0, 0.0, 0.0, 0.0]);
         // The snapshot still sees the original two objects...
         let (frozen, _) = snapshot.knn(&query, 1).unwrap();
-        assert_eq!(frozen[0].id, a);
+        assert_eq!(frozen[0].0, a);
         // ...while the index sees the new state.
         let (current, _) = index.knn(&query, 2).unwrap();
-        assert_ne!(current[0].id, a);
-        assert_eq!(current[1].id, b);
+        assert_ne!(current[0].0, a);
+        assert_eq!(current[1].0, b);
     }
 }

@@ -102,7 +102,7 @@ pub trait PreparedFilter {
 /// Resolves the dense ids a plan works in to histograms. The solver-backed
 /// evaluators are written against this lookup, so the filters over a
 /// [`Database`] slice and the live filters of a dynamic snapshot (dense id
-/// -> stable slot -> tombstoned storage) share one implementation —
+/// -> storage position, skipping tombstones) share one implementation —
 /// per-query [`EmdContext`], [`Budget`] and all.
 pub(crate) trait Objects {
     /// The histogram stored under dense id `id`.

@@ -11,8 +11,8 @@
 //!   `Arc<DurableSnapshot>` out of a mutex held for nanoseconds and run
 //!   entirely against that frozen, copy-on-write view. A snapshot taken
 //!   before an insert keeps answering bit-identically while (and after)
-//!   the writer works — including across compaction, which renumbers
-//!   internal slots but never external ids.
+//!   the writer works — including across compaction, which reclaims
+//!   storage and changes no id.
 //!
 //! The swap is observable as the `snapshot.swaps` counter; WAL traffic
 //! shows up under `wal.appends` / `wal.synced_bytes` from the store

@@ -519,11 +519,32 @@ fn run_query(
         }
         _ => {}
     }
-    if let Some(ingest) = &shared.snapshot.ingest {
-        return run_dynamic_query(shared, ingest, request_id, &spec, object);
-    }
-    let query = lower(shared, &spec, query_histogram(shared, object)?);
-    let (outcome, stats) = shared.snapshot.executor.run_isolated(&query, request_id)?;
+    // The dynamic corpus answers from the ingest layer's current reader
+    // snapshot (cloned out, never blocking the writer); both corpora
+    // answer in the ids their clients hold.
+    let (outcome, stats) = if let Some(ingest) = &shared.snapshot.ingest {
+        let missing = |id| format!("`query_id` {id} names no live object");
+        let histogram = query_histogram(object, |id| ingest.get(id).ok_or_else(|| missing(id)))?;
+        let Some(snapshot) = ingest.snapshot() else {
+            return Ok(Response::json(
+                409,
+                "Conflict",
+                error_body("corpus is empty; insert objects before querying"),
+            ));
+        };
+        snapshot.run_isolated(&lower(shared, &spec, histogram), request_id)?
+    } else {
+        let database = &shared.snapshot.database;
+        let histogram = query_histogram(object, |id| {
+            let found = usize::try_from(id).ok().and_then(|id| database.get(id));
+            let objects = database.len();
+            found.cloned().ok_or_else(|| {
+                format!("`query_id` {id} out of range (corpus holds {objects} objects)")
+            })
+        })?;
+        let query = lower(shared, &spec, histogram);
+        shared.snapshot.executor.run_isolated(&query, request_id)?
+    };
     Ok(Response::json(200, "OK", outcome_body(&outcome, &stats)))
 }
 
@@ -537,49 +558,19 @@ fn lower(shared: &Shared, spec: &QuerySpec, histogram: Histogram) -> Query {
     query
 }
 
-/// Execute one query against the dynamic corpus: clone the current
-/// reader snapshot (never blocking the writer) and run on it; the
-/// snapshot answers in client-visible external ids.
-fn run_dynamic_query(
-    shared: &Shared,
-    ingest: &crate::ingest::IngestState,
-    request_id: usize,
-    spec: &QuerySpec,
+/// Resolve the query histogram: `"query_id"` (a corpus object, fetched
+/// by `lookup`, whose error is the 400's message) or `"weights"` (an
+/// explicit histogram), exactly one of the two.
+fn query_histogram(
     object: &std::collections::BTreeMap<String, Value>,
-) -> Result<Response, ServeError> {
-    let histogram = dynamic_query_histogram(ingest, object)?;
-    let Some(snapshot) = ingest.snapshot() else {
-        return Ok(Response::json(
-            409,
-            "Conflict",
-            error_body("corpus is empty; insert objects before querying"),
-        ));
-    };
-    let query = lower(shared, spec, histogram);
-    let (outcome, stats) = snapshot.run_isolated(&query, request_id)?;
-    Ok(Response::json(200, "OK", outcome_body(&outcome, &stats)))
-}
-
-/// Resolve the query histogram against the dynamic corpus: `query_id`
-/// is an external id, `weights` an explicit histogram.
-fn dynamic_query_histogram(
-    ingest: &crate::ingest::IngestState,
-    object: &std::collections::BTreeMap<String, Value>,
+    lookup: impl FnOnce(u64) -> Result<Histogram, String>,
 ) -> Result<Histogram, ServeError> {
     match (object.get("query_id"), object.get("weights")) {
         (Some(_), Some(_)) => Err(ServeError::BadRequest(
             "specify `query_id` or `weights`, not both".to_owned(),
         )),
-        (Some(Value::Number(n)), None) => {
-            if n.fract() != 0.0 || *n < 0.0 {
-                return Err(ServeError::BadRequest(
-                    "`query_id` must be a non-negative integer".to_owned(),
-                ));
-            }
-            let id = *n as u64;
-            ingest.get(id).ok_or_else(|| {
-                ServeError::BadRequest(format!("`query_id` {id} names no live object"))
-            })
+        (Some(Value::Number(n)), None) if n.fract() == 0.0 && *n >= 0.0 => {
+            lookup(*n as u64).map_err(ServeError::BadRequest)
         }
         (Some(_), None) => Err(ServeError::BadRequest(
             "`query_id` must be a non-negative integer".to_owned(),
@@ -712,54 +703,6 @@ fn parse_body_object(
         .as_object()
         .cloned()
         .ok_or_else(|| ServeError::BadRequest("body must be a JSON object".to_owned()))
-}
-
-/// Resolve the query histogram: `"query_id"` (a corpus object) or
-/// `"weights"` (an explicit histogram), exactly one of the two.
-fn query_histogram(
-    shared: &Shared,
-    object: &std::collections::BTreeMap<String, Value>,
-) -> Result<Histogram, ServeError> {
-    match (object.get("query_id"), object.get("weights")) {
-        (Some(_), Some(_)) => Err(ServeError::BadRequest(
-            "specify `query_id` or `weights`, not both".to_owned(),
-        )),
-        (Some(Value::Number(n)), None) => {
-            if n.fract() != 0.0 || *n < 0.0 {
-                return Err(ServeError::BadRequest(
-                    "`query_id` must be a non-negative integer".to_owned(),
-                ));
-            }
-            let id = *n as usize;
-            shared.snapshot.database.get(id).cloned().ok_or_else(|| {
-                ServeError::BadRequest(format!(
-                    "`query_id` {id} out of range (corpus holds {} objects)",
-                    shared.snapshot.database.len()
-                ))
-            })
-        }
-        (Some(_), None) => Err(ServeError::BadRequest(
-            "`query_id` must be a non-negative integer".to_owned(),
-        )),
-        (None, Some(Value::Array(items))) => {
-            let mut bins = Vec::with_capacity(items.len());
-            for item in items {
-                let Value::Number(weight) = item else {
-                    return Err(ServeError::BadRequest(
-                        "`weights` must be an array of numbers".to_owned(),
-                    ));
-                };
-                bins.push(*weight);
-            }
-            Histogram::new(bins).map_err(|e| ServeError::BadRequest(format!("bad `weights`: {e}")))
-        }
-        (None, Some(_)) => Err(ServeError::BadRequest(
-            "`weights` must be an array of numbers".to_owned(),
-        )),
-        (None, None) => Err(ServeError::BadRequest(
-            "specify `query_id` or `weights`".to_owned(),
-        )),
-    }
 }
 
 /// Stable machine token for a degraded outcome's reason.

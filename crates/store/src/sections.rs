@@ -394,14 +394,16 @@ pub fn encode_id_map(ids: &[u64]) -> Vec<u8> {
     out
 }
 
-/// Decode a dense id map, rejecting duplicate external ids — a sealed
-/// segment where two positions claim the same client-visible id could
+/// Decode a dense id map, rejecting one that is not strictly ascending.
+/// Ids are allocated in insertion order and sealed in that order, so
+/// every map ever written ascends; the live index looks ids up by binary
+/// search, and a sealed segment with swapped or repeated ids could
 /// answer queries with the wrong object.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Invalid`] when the payload is structurally
-/// short, carries trailing bytes, or maps one external id twice.
+/// short, carries trailing bytes, or does not strictly ascend.
 pub fn decode_id_map(path: &Path, section: &str, payload: &[u8]) -> Result<Vec<u64>, StoreError> {
     let mut p = Payload::new(path, section, payload);
     let count = p.length("id count")?;
@@ -410,13 +412,11 @@ pub fn decode_id_map(path: &Path, section: &str, payload: &[u8]) -> Result<Vec<u
         ids.push(p.u64("external id")?);
     }
     p.finish()?;
-    let mut sorted = ids.clone();
-    sorted.sort_unstable();
-    if sorted.windows(2).any(|pair| pair.first() == pair.last()) {
+    if ids.windows(2).any(|pair| pair.first() >= pair.last()) {
         return Err(StoreError::invalid(
             path,
             section,
-            "id map assigns the same external id to two positions",
+            "id map is not strictly ascending",
         ));
     }
     Ok(ids)
@@ -599,7 +599,7 @@ mod tests {
 
     #[test]
     fn id_map_roundtrip() {
-        let ids = vec![3u64, 0, 7, u64::MAX];
+        let ids = vec![0u64, 3, 7, u64::MAX];
         let payload = encode_id_map(&ids);
         let decoded = decode_id_map(&path(), "external-ids", &payload).unwrap();
         assert_eq!(decoded, ids);
@@ -611,11 +611,13 @@ mod tests {
 
     #[test]
     fn id_map_rejects_duplicates_and_trailing_bytes() {
-        let payload = encode_id_map(&[1, 2, 1]);
-        assert!(matches!(
-            decode_id_map(&path(), "external-ids", &payload),
-            Err(StoreError::Invalid { .. })
-        ));
+        for unsorted in [[1, 2, 1], [1, 2, 2], [2, 1, 3]] {
+            let payload = encode_id_map(&unsorted);
+            assert!(matches!(
+                decode_id_map(&path(), "external-ids", &payload),
+                Err(StoreError::Invalid { .. })
+            ));
+        }
         let mut payload = encode_id_map(&[1, 2]);
         payload.push(0);
         assert!(matches!(

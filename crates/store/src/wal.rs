@@ -120,10 +120,11 @@ pub enum WalRecord {
     /// A compaction sealed every earlier record into a segment.
     ///
     /// The record is written as the *first* record of the post-compaction
-    /// WAL and carries the dense renumbering the in-memory
-    /// `DynamicIndex::compact` produced, so external ids held by clients
-    /// survive the restart: `external_ids[new_id]` is the external id now
-    /// stored at dense position `new_id` in the sealed segment.
+    /// WAL and repeats the sealed segment's id map, so ids held by
+    /// clients survive the restart: `external_ids[position]` is the id of
+    /// the object stored at `position` in the sealed segment. Compaction
+    /// renumbers nothing — the map is strictly ascending because ids are
+    /// allocated, and objects sealed, in insertion order.
     CompactEpoch {
         /// Monotonic compaction epoch (names the sealed segment file).
         epoch: u64,
@@ -131,7 +132,7 @@ pub enum WalRecord {
         /// ids never restart (and collide with ids clients still hold)
         /// even when a compaction seals an empty index.
         next_external: u64,
-        /// `new_id -> external_id` map for the sealed prefix.
+        /// `position -> external_id` map for the sealed prefix.
         external_ids: Vec<u64>,
     },
 }
