@@ -8,7 +8,10 @@
 //! support-stripping and flattened row-major cost buffers. Consecutive
 //! evaluations against one fixed query histogram — the KNOP refinement
 //! pattern — then reuse every allocation and warm-start the simplex from
-//! the previous candidate's optimal basis.
+//! the basis the previous candidate's solve ended on.
+//! [`emd_in_context_within`] is the same evaluation under a cutoff: it
+//! may stop at a certified lower bound above the cutoff instead of the
+//! distance.
 //!
 //! Results are bit-identical to the context-free entry points: both paths
 //! build the same stripped tableau and the transport layer extracts its
@@ -20,7 +23,7 @@ use crate::cost::CostMatrix;
 use crate::error::CoreError;
 use crate::histogram::Histogram;
 use emd_transport::{
-    solve_warm_objective, Budget, SimplexOptions, SolverWorkspace, TransportError,
+    solve_warm_objective, Bounded, Budget, SimplexOptions, SolverWorkspace, TransportError,
     TransportProblem, WorkspaceStats,
 };
 
@@ -83,6 +86,33 @@ pub fn emd_in_context(
     budget: &Budget,
     ctx: &mut EmdContext,
 ) -> Result<f64, CoreError> {
+    match emd_in_context_within(x, y, cost, budget, f64::INFINITY, ctx)? {
+        Bounded::Optimal(distance) => Ok(distance),
+        Bounded::Above(_) => Err(CoreError::Solver(
+            "a solve without a cutoff was cut".to_owned(),
+        )),
+    }
+}
+
+/// [`emd_in_context`] for a caller that only needs the distance if it is
+/// at most `cutoff` — KNOP refining a candidate against its current k-th
+/// distance, a range query against ε. Returns [`Bounded::Optimal`] with
+/// the exact EMD, or [`Bounded::Above`] with a certified lower bound
+/// strictly above `cutoff` as soon as the warm solve can prove one (see
+/// `emd_transport::solve_warm_objective`); the context stays warm either
+/// way. `f64::INFINITY` is [`emd_in_context`] itself.
+///
+/// # Errors
+///
+/// Same failure modes as [`emd_in_context`].
+pub fn emd_in_context_within(
+    x: &Histogram,
+    y: &Histogram,
+    cost: &CostMatrix,
+    budget: &Budget,
+    cutoff: f64,
+    ctx: &mut EmdContext,
+) -> Result<Bounded, CoreError> {
     emd_obs::counter_add("core.emd.solves", 1);
     if cost.rows() != x.dim() || cost.cols() != y.dim() {
         return Err(CoreError::DimensionMismatch {
@@ -99,7 +129,7 @@ pub fn emd_in_context(
         // float: exact — identity shortcut requires an exactly zero diagonal, else fall through to the LP
         let diagonal_free = x.nonzero().all(|(i, _)| cost.at(i, i) == 0.0);
         if diagonal_free {
-            return Ok(0.0);
+            return Ok(Bounded::Optimal(0.0));
         }
     }
 
@@ -138,18 +168,24 @@ pub fn emd_in_context(
     )
     .map_err(|e| CoreError::Solver(e.to_string()))?;
 
-    let solved = solve_warm_objective(&problem, SimplexOptions::default(), budget, &mut ctx.ws);
+    let solved = solve_warm_objective(
+        &problem,
+        SimplexOptions::default(),
+        budget,
+        cutoff,
+        &mut ctx.ws,
+    );
+    (ctx.supplies, ctx.demands, ctx.costs) = problem.into_parts();
     let objective = match solved {
-        Ok(objective) => objective,
+        Ok(Bounded::Optimal(objective)) => objective,
+        // No flow to certify: the transport layer has already checked the
+        // bound against a cold re-solve (debug builds).
+        Ok(above @ Bounded::Above(_)) => return Ok(above),
+        // Budget exhaustion stays typed so upper layers can degrade.
         Err(TransportError::BudgetExhausted { reason }) => {
-            // Budget exhaustion stays typed so upper layers can degrade.
-            (ctx.supplies, ctx.demands, ctx.costs) = problem.into_parts();
             return Err(CoreError::BudgetExhausted(reason));
         }
-        Err(other) => {
-            (ctx.supplies, ctx.demands, ctx.costs) = problem.into_parts();
-            return Err(CoreError::Solver(other.to_string()));
-        }
+        Err(other) => return Err(CoreError::Solver(other.to_string())),
     };
 
     if cfg!(debug_assertions) {
@@ -167,9 +203,7 @@ pub fn emd_in_context(
         };
         crate::certify::debug_certify_report(x, y, cost, &report);
     }
-
-    (ctx.supplies, ctx.demands, ctx.costs) = problem.into_parts();
-    Ok(objective)
+    Ok(Bounded::Optimal(objective))
 }
 
 #[cfg(test)]
@@ -228,6 +262,75 @@ mod tests {
         let stats = ctx.stats();
         assert_eq!(stats.solves, 3);
         assert_eq!(stats.warm_attempts, 2, "same support shape across ys");
+    }
+
+    #[test]
+    fn cutoffs_answer_with_sound_bounds_and_keep_the_context_warm() {
+        let x = h(&[0.3, 0.1, 0.2, 0.1, 0.3]);
+        let ys = [
+            h(&[0.1, 0.3, 0.2, 0.3, 0.1]),
+            h(&[0.6, 0.1, 0.1, 0.1, 0.1]),
+            h(&[0.1, 0.1, 0.1, 0.1, 0.6]),
+            h(&[0.2, 0.2, 0.2, 0.2, 0.2]),
+            h(&[0.05, 0.05, 0.1, 0.2, 0.6]),
+        ];
+        let c = ground::linear(5).unwrap();
+        let mut ctx = EmdContext::new();
+        let mut cuts = 0;
+        for fraction in [0.25, 0.75, 1.0, 1.5] {
+            for y in &ys {
+                let exact = emd(&x, y, &c).unwrap();
+                let cutoff = exact * fraction;
+                match emd_in_context_within(&x, y, &c, &Budget::unlimited(), cutoff, &mut ctx)
+                    .unwrap()
+                {
+                    Bounded::Optimal(distance) => assert!((distance - exact).abs() < 1e-12),
+                    Bounded::Above(bound) => {
+                        cuts += 1;
+                        assert!(cutoff < bound && bound <= exact + 1e-12);
+                    }
+                }
+            }
+        }
+        assert!(cuts > 0, "a cutoff at a quarter of the distance must cut");
+        assert_eq!(ctx.stats().solves, 20);
+        assert_eq!(ctx.stats().warm_hits, 19, "a cut solve hands on its basis");
+    }
+
+    #[test]
+    fn equal_shape_different_support_never_cuts_unsoundly() {
+        // Supports {0, 1, 2} then {1, 2, 3}: both strip to a 4 x 3
+        // tableau, but over different columns of the cost matrix, so the
+        // inherited basis was optimal for other costs.
+        let x = h(&[0.1, 0.2, 0.3, 0.4]);
+        let low = h(&[0.5, 0.3, 0.2, 0.0]);
+        let high = h(&[0.0, 0.2, 0.3, 0.5]);
+        let c = CostMatrix::new(
+            4,
+            4,
+            vec![
+                0.0, 3.0, 1.0, 7.0, //
+                3.0, 0.0, 5.0, 2.0, //
+                1.0, 5.0, 0.0, 4.0, //
+                7.0, 2.0, 4.0, 0.0,
+            ],
+        )
+        .unwrap();
+        let mut ctx = EmdContext::new();
+        for step in 0..12 {
+            let y = if step % 2 == 0 { &low } else { &high };
+            let exact = emd(&x, y, &c).unwrap();
+            for fraction in [0.1, 0.5, 0.9, 0.999] {
+                let cutoff = exact * fraction;
+                match emd_in_context_within(&x, y, &c, &Budget::unlimited(), cutoff, &mut ctx)
+                    .unwrap()
+                {
+                    Bounded::Optimal(distance) => assert!((distance - exact).abs() < 1e-12),
+                    Bounded::Above(bound) => assert!(cutoff < bound && bound <= exact + 1e-12),
+                }
+            }
+        }
+        assert_eq!(ctx.stats().warm_attempts, 47, "equal shapes always match");
     }
 
     #[test]

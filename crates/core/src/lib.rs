@@ -18,7 +18,9 @@
 //! * [`EmdContext`] / [`emd_in_context`] — the same exact EMD through a
 //!   caller-owned context that reuses every buffer and warm-starts the
 //!   simplex from the previous evaluation's basis (the refinement hot
-//!   path of the query layer).
+//!   path of the query layer). [`emd_in_context_within`] takes a cutoff
+//!   and may answer [`Bounded::Above`] — a certified lower bound above
+//!   it — instead of the distance.
 //! * [`lower_bounds`] — LB_IM (independent minimization), the Rubner
 //!   centroid bound, and a scaled-L1 bound; all are complete filters for
 //!   multistep query processing.
@@ -41,9 +43,8 @@ pub mod flow;
 pub mod ground;
 mod histogram;
 pub mod lower_bounds;
-pub mod upper_bound;
 
-pub use context::{emd_in_context, EmdContext};
+pub use context::{emd_in_context, emd_in_context_within, EmdContext};
 pub use cost::CostMatrix;
 pub use emd::{
     emd, emd_1d_manhattan, emd_budgeted, emd_rectangular, emd_rectangular_budgeted, emd_with_flows,
@@ -51,11 +52,13 @@ pub use emd::{
 };
 pub use error::CoreError;
 pub use histogram::Histogram;
-pub use upper_bound::{emd_upper_greedy, emd_upper_vogel};
 
 // Execution-budget types, re-exported so downstream crates (reduction,
 // query) can thread budgets without a direct `emd-transport` dependency.
 pub use emd_transport::{Budget, BudgetReason, CancelToken};
+
+// The verdict of a solve under a cutoff, re-exported for the same reason.
+pub use emd_transport::Bounded;
 
 /// Tolerance for mass normalization checks: histograms must total 1 within
 /// this bound. Matches the balance tolerance of the LP layer.

@@ -149,33 +149,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Sandwich property: every lower bound <= exact EMD <= every upper
-    /// bound, on random sparse histograms.
+    /// LB_IM stays below the exact EMD on random sparse histograms over
+    /// a 2-D grid.
     #[test]
     fn sandwich_bounds(x in sparse_histogram(16), y in sparse_histogram(16)) {
-        use emd_core::{emd_upper_greedy, emd_upper_vogel};
         let c = ground::grid2(4, 4, Metric::Euclidean).unwrap();
         let exact = emd(&x, &y, &c).unwrap();
-        let im = LbIm::new(c.clone());
+        let im = LbIm::new(c);
         let lower = im.bound(&x, &y).unwrap();
-        let upper_v = emd_upper_vogel(&x, &y, &c).unwrap();
-        let upper_g = emd_upper_greedy(&x, &y, &c).unwrap();
         prop_assert!(lower <= exact + 1e-9);
-        prop_assert!(exact <= upper_v + 1e-9);
-        prop_assert!(exact <= upper_g + 1e-9);
-    }
-
-    /// The Vogel upper bound is close to optimal: a loose sanity band that
-    /// documents its practical quality on smooth instances.
-    #[test]
-    fn vogel_upper_bound_is_reasonable(x in histogram(12), y in histogram(12)) {
-        use emd_core::emd_upper_vogel;
-        let c = ground::linear(12).unwrap();
-        let exact = emd(&x, &y, &c).unwrap();
-        let upper = emd_upper_vogel(&x, &y, &c).unwrap();
-        // Vogel never exceeds 3x the optimum on these instances; the bound
-        // here is intentionally slack — the property that matters is
-        // upper >= exact, checked in sandwich_bounds.
-        prop_assert!(upper <= exact.max(1e-9).mul_add(3.0, 1e-9));
     }
 }

@@ -24,7 +24,7 @@
 //! [`ReducedEmdFilter`](crate::ReducedEmdFilter)) build one
 //! `EmdContext` per prepared query, so every candidate evaluated for
 //! that query reuses the solver's buffers and warm-starts from the
-//! previous candidate's optimal basis. Preparation happens inside the
+//! previous candidate's final basis. Preparation happens inside the
 //! worker that owns the query, which gives batch execution one context
 //! per in-flight query per worker with no sharing across threads —
 //! worker counts cannot affect results, and the observability merge
@@ -380,7 +380,11 @@ impl Executor {
                             let scan = ScanStream::new(refiner.as_mut(), plan.len(), budget);
                             read_exact_scan(scan, *mode)?
                         };
-                        return Ok(finish_outcome(outcome, refiner.evaluations(), Vec::new()));
+                        let refinements = knop::Refinements {
+                            total: refiner.evaluations(),
+                            cut: 0,
+                        };
+                        return Ok(finish_outcome(outcome, refinements, Vec::new()));
                     }
                 },
             };
@@ -454,7 +458,7 @@ fn read_exact_scan(mut scan: ScanStream<'_>, mode: QueryMode) -> Result<QueryOut
 /// Wrap an outcome into stats, publish them, and count degraded answers.
 fn finish_outcome(
     outcome: QueryOutcome,
-    refinements: usize,
+    refinements: knop::Refinements,
     evaluations: Vec<(String, usize)>,
 ) -> (QueryOutcome, QueryStats) {
     let results = match &outcome {
@@ -463,7 +467,8 @@ fn finish_outcome(
     };
     let stats = QueryStats {
         filter_evaluations: evaluations,
-        refinements,
+        refinements: refinements.total,
+        refinements_cut: refinements.cut,
         results,
     };
     publish_stats(&stats);

@@ -19,7 +19,8 @@ use crate::error::QueryError;
 use emd_core::ground::Metric;
 use emd_core::lower_bounds::{CentroidBound, LbIm, ScaledL1};
 use emd_core::{
-    emd_in_context, emd_rectangular_budgeted, Budget, CostMatrix, EmdContext, Histogram,
+    emd_in_context, emd_in_context_within, emd_rectangular_budgeted, Bounded, Budget, CostMatrix,
+    EmdContext, Histogram,
 };
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::sync::Arc;
@@ -95,7 +96,22 @@ pub trait PreparedFilter {
     /// underlying distance computation fails (solver failure); shape
     /// mismatches are ruled out at [`Filter`] construction.
     fn distance(&mut self, id: usize) -> Result<f64, QueryError>;
-    /// Number of `distance` calls so far.
+    /// [`distance`](Self::distance) for a caller that only needs the
+    /// value when it is at most `cutoff` (the KNOP loop, against its
+    /// current k-th distance or ε): an evaluator that can prove
+    /// `distance > cutoff` before it knows the distance may answer
+    /// [`Bounded::Above`] with a lower bound *strictly* above `cutoff`.
+    /// The default computes the distance; only the warm exact-EMD
+    /// refiner has a bound to stop on.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`distance`](Self::distance).
+    fn distance_within(&mut self, id: usize, cutoff: f64) -> Result<Bounded, QueryError> {
+        let _ = cutoff;
+        self.distance(id).map(Bounded::Optimal)
+    }
+    /// Number of `distance` / `distance_within` calls so far.
     fn evaluations(&self) -> usize;
 }
 
@@ -245,6 +261,23 @@ impl<O: Objects + ?Sized> PreparedFilter for PreparedEmd<'_, O> {
                 &self.budget,
             )?),
         }
+    }
+
+    fn distance_within(&mut self, id: usize, cutoff: f64) -> Result<Bounded, QueryError> {
+        let Some(ctx) = &mut self.context else {
+            // A cold solve has no lower bound to stop on.
+            return self.distance(id).map(Bounded::Optimal);
+        };
+        self.evaluations += 1;
+        let y = self.objects.object(id)?;
+        Ok(emd_in_context_within(
+            &self.query,
+            y,
+            self.cost,
+            &self.budget,
+            cutoff,
+            ctx,
+        )?)
     }
 
     fn evaluations(&self) -> usize {

@@ -22,15 +22,40 @@
 //! The loop itself holds no solver state: consecutive refinements of the
 //! same query warm-start each other because the *prepared refiner* (and
 //! each solver-backed filter stage) carries a per-query `EmdContext`
-//! that reuses the transport workspace and the previous candidate's
-//! optimal basis across `distance` calls.
+//! that reuses the transport workspace and the basis the previous
+//! candidate's solve ended on across `distance` calls.
+//!
+//! ## Threshold-aware refinement
+//!
+//! Once k neighbors are known, a refinement only has to decide whether
+//! the candidate beats the current k-th distance (for a range query:
+//! whether it is within ε); all but k of them end in "no". Both loops
+//! therefore refine through [`PreparedFilter::distance_within`], passing
+//! that threshold as the cutoff: a refiner that can prove
+//! `distance > cutoff` early answers [`Bounded::Above`] and the candidate
+//! is skipped without its exact distance. The bound is *strictly* above
+//! the cutoff, so a candidate tied with the k-th (or exactly at ε) is
+//! always solved and the `distance < kth` / `distance <= epsilon` rules
+//! decide it as before; a skipped candidate is missing from a degraded
+//! outcome too — its bound exceeds every kept neighbor (or ε). A cut
+//! solve still counts as a refinement ([`Refinements::cut`] says how
+//! many were cut).
 
 use crate::error::QueryError;
 use crate::filters::PreparedFilter;
 use crate::outcome::{sort_candidates, Candidate, DegradedResult, QueryOutcome};
 use crate::ranking::Ranking;
 use crate::Neighbor;
-use emd_core::{Budget, BudgetReason};
+use emd_core::{Bounded, Budget, BudgetReason};
+
+/// Exact solves a refinement loop started.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Refinements {
+    /// Every solve started, whether it ran to the exact distance or not.
+    pub total: usize,
+    /// The subset a cutoff ended early with [`Bounded::Above`].
+    pub cut: usize,
+}
 
 /// Builds the degraded candidate ranking at the moment a budget fired:
 /// refined neighbors keep their exact distance (`exact: true`), the
@@ -93,7 +118,7 @@ pub fn knn(
     refiner: &mut dyn PreparedFilter,
     k: usize,
     budget: &Budget,
-) -> Result<(QueryOutcome, usize), QueryError> {
+) -> Result<(QueryOutcome, Refinements), QueryError> {
     if k == 0 {
         return Err(QueryError::ZeroK);
     }
@@ -107,7 +132,7 @@ pub fn knn(
         QueryOutcome::Degraded(DegradedResult { candidates, reason })
     };
     let mut neighbors: Vec<Neighbor> = Vec::with_capacity(k + 1);
-    let mut refinements = 0usize;
+    let mut refinements = Refinements::default();
 
     // Phase 1: refine k initial candidates from the ranking.
     while neighbors.len() < k {
@@ -133,14 +158,14 @@ pub fn knn(
             }
             Err(e) => return Err(e),
         };
-        refinements += 1;
+        refinements.total += 1;
         emd_core::certify::debug_check_lower_bound("knn filter ranking", filter_distance, distance);
         neighbors.push(Neighbor { id, distance });
     }
     neighbors.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
 
     // Phase 2: keep pulling while the filter distance can still beat the
-    // current k-th exact distance.
+    // current k-th exact distance, which is all a refinement has to beat.
     loop {
         if let Err(reason) = budget.check() {
             return Ok((degrade(reason, neighbors, None, ranking), refinements));
@@ -160,15 +185,19 @@ pub fn knn(
         if filter_distance > kth {
             break;
         }
-        let distance = match refiner.distance(id) {
-            Ok(distance) => distance,
+        let refined = match refiner.distance_within(id, kth) {
+            Ok(refined) => refined,
             Err(QueryError::BudgetExhausted(reason)) => {
                 let pending = Some((id, filter_distance));
                 return Ok((degrade(reason, neighbors, pending, ranking), refinements));
             }
             Err(e) => return Err(e),
         };
-        refinements += 1;
+        refinements.total += 1;
+        let Bounded::Optimal(distance) = refined else {
+            refinements.cut += 1;
+            continue;
+        };
         emd_core::certify::debug_check_lower_bound("knn filter ranking", filter_distance, distance);
         if distance < kth {
             let position = neighbors.partition_point(|n| n.distance <= distance);
@@ -196,7 +225,7 @@ pub fn range(
     refiner: &mut dyn PreparedFilter,
     epsilon: f64,
     budget: &Budget,
-) -> Result<(QueryOutcome, usize), QueryError> {
+) -> Result<(QueryOutcome, Refinements), QueryError> {
     let degrade = |reason: BudgetReason,
                    mut hits: Vec<Neighbor>,
                    pending: Option<(usize, f64)>,
@@ -207,7 +236,7 @@ pub fn range(
         QueryOutcome::Degraded(DegradedResult { candidates, reason })
     };
     let mut hits: Vec<Neighbor> = Vec::new();
-    let mut refinements = 0usize;
+    let mut refinements = Refinements::default();
     loop {
         if let Err(reason) = budget.check() {
             return Ok((degrade(reason, hits, None, ranking), refinements));
@@ -225,15 +254,19 @@ pub fn range(
         if filter_distance > epsilon {
             break;
         }
-        let distance = match refiner.distance(id) {
-            Ok(distance) => distance,
+        let refined = match refiner.distance_within(id, epsilon) {
+            Ok(refined) => refined,
             Err(QueryError::BudgetExhausted(reason)) => {
                 let pending = Some((id, filter_distance));
                 return Ok((degrade(reason, hits, pending, ranking), refinements));
             }
             Err(e) => return Err(e),
         };
-        refinements += 1;
+        refinements.total += 1;
+        let Bounded::Optimal(distance) = refined else {
+            refinements.cut += 1;
+            continue;
+        };
         emd_core::certify::debug_check_lower_bound(
             "range filter ranking",
             filter_distance,
@@ -308,6 +341,29 @@ mod tests {
         }
     }
 
+    /// A refiner that, asked for a distance within a cutoff, proves
+    /// "above" whenever the table allows it — the most eager cutter a
+    /// sound refiner can be — and reports budget exhaustion starting at
+    /// the `fail_from`-th call.
+    struct CuttingRefiner<'a>(TableRefiner<'a>);
+
+    impl PreparedFilter for CuttingRefiner<'_> {
+        fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
+            self.0.distance(id)
+        }
+        fn distance_within(&mut self, id: usize, cutoff: f64) -> Result<Bounded, QueryError> {
+            let distance = self.0.distance(id)?;
+            Ok(if distance > cutoff {
+                Bounded::Above(distance)
+            } else {
+                Bounded::Optimal(distance)
+            })
+        }
+        fn evaluations(&self) -> usize {
+            self.0.evaluations()
+        }
+    }
+
     /// EXACT[i] >= FILTER[i] everywhere: a valid lower-bounding filter.
     const FILTER: [f64; 6] = [2.0, 0.5, 3.0, 0.0, 1.0, 4.5];
     const EXACT: [f64; 6] = [2.5, 1.5, 3.0, 0.2, 2.8, 5.0];
@@ -317,7 +373,10 @@ mod tests {
         let mut refiner = TableRefiner::new(&EXACT);
         let (outcome, refinements) =
             knn(&mut ranking, &mut refiner, k, &Budget::unlimited()).unwrap();
-        (outcome.exact().expect("unlimited").to_vec(), refinements)
+        (
+            outcome.exact().expect("unlimited").to_vec(),
+            refinements.total,
+        )
     }
 
     fn exact_range(epsilon: f64) -> (Vec<Neighbor>, usize) {
@@ -325,7 +384,10 @@ mod tests {
         let mut refiner = TableRefiner::new(&EXACT);
         let (outcome, refinements) =
             range(&mut ranking, &mut refiner, epsilon, &Budget::unlimited()).unwrap();
-        (outcome.exact().expect("unlimited").to_vec(), refinements)
+        (
+            outcome.exact().expect("unlimited").to_vec(),
+            refinements.total,
+        )
     }
 
     #[test]
@@ -372,6 +434,90 @@ mod tests {
     }
 
     #[test]
+    fn cut_refinements_leave_answers_and_counts_alone() {
+        for k in 1..=6 {
+            let (expected, expected_refinements) = exact_knn(6, k);
+            let mut ranking = TableRanking::new(&FILTER);
+            let mut refiner = CuttingRefiner(TableRefiner::new(&EXACT));
+            let (outcome, refinements) =
+                knn(&mut ranking, &mut refiner, k, &Budget::unlimited()).unwrap();
+            assert_eq!(outcome.exact().expect("unlimited"), expected);
+            assert_eq!(refinements.total, expected_refinements);
+            // Every refinement that did not end up in the answer was
+            // above the k-th distance of its moment, except those that
+            // entered and were evicted later.
+            assert!(refinements.cut <= refinements.total - expected.len());
+        }
+        // k = 2: objects 3 and 1 seed the answer (k-th 1.5); object 4
+        // (filter 1.0, exact 2.8) is refined and cut; object 0's filter
+        // distance ends the loop.
+        let mut ranking = TableRanking::new(&FILTER);
+        let mut refiner = CuttingRefiner(TableRefiner::new(&EXACT));
+        let (_, refinements) = knn(&mut ranking, &mut refiner, 2, &Budget::unlimited()).unwrap();
+        assert_eq!(refinements, Refinements { total: 3, cut: 1 });
+
+        for epsilon in [0.0, 0.2, 2.5, 2.8, 10.0] {
+            let (expected, expected_refinements) = exact_range(epsilon);
+            let mut ranking = TableRanking::new(&FILTER);
+            let mut refiner = CuttingRefiner(TableRefiner::new(&EXACT));
+            let (outcome, refinements) =
+                range(&mut ranking, &mut refiner, epsilon, &Budget::unlimited()).unwrap();
+            assert_eq!(outcome.exact().expect("unlimited"), expected);
+            assert_eq!(refinements.total, expected_refinements);
+            assert_eq!(refinements.cut, refinements.total - expected.len());
+        }
+    }
+
+    #[test]
+    fn a_candidate_tied_with_the_kth_is_solved_not_cut() {
+        // Objects 0 and 1 tie at 1.0; with k = 1 the later one meets a
+        // cutoff equal to its own distance, which no bound can exceed.
+        let filter = [0.0, 0.5, 0.9];
+        let exact = [1.0, 1.0, 4.0];
+        let mut ranking = TableRanking::new(&filter);
+        let mut refiner = CuttingRefiner(TableRefiner::new(&exact));
+        let (outcome, refinements) =
+            knn(&mut ranking, &mut refiner, 1, &Budget::unlimited()).unwrap();
+        let neighbors = outcome.exact().expect("unlimited");
+        assert_eq!(neighbors.len(), 1);
+        assert_eq!(neighbors[0].id, 0, "`distance < kth` keeps the first");
+        assert_eq!(refinements, Refinements { total: 3, cut: 1 });
+    }
+
+    #[test]
+    fn cut_candidates_stay_out_of_degraded_outcomes() {
+        // k = 2: objects 0 and 1 seed the answer (k-th 2.0), object 2 is
+        // cut, object 3's refinement exhausts the budget. Had object 2
+        // stayed in as a pending bound (0.2) it would lead the ranking.
+        let filter = [0.0, 0.1, 0.2, 0.3, 0.4];
+        let exact = [1.0, 2.0, 5.0, 1.5, 1.7];
+        let mut ranking = TableRanking::new(&filter);
+        let mut refiner = CuttingRefiner(TableRefiner {
+            fail_from: 4,
+            ..TableRefiner::new(&exact)
+        });
+        let (outcome, refinements) =
+            knn(&mut ranking, &mut refiner, 2, &Budget::unlimited()).unwrap();
+        assert_eq!(refinements, Refinements { total: 3, cut: 1 });
+        let degraded = outcome.degraded().expect("must degrade");
+        let ids: Vec<_> = degraded.candidates.iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![3, 4]);
+
+        let mut ranking = TableRanking::new(&FILTER);
+        let mut refiner = CuttingRefiner(TableRefiner {
+            fail_from: 4,
+            ..TableRefiner::new(&EXACT)
+        });
+        let (outcome, refinements) =
+            range(&mut ranking, &mut refiner, 2.5, &Budget::unlimited()).unwrap();
+        // Range at 2.5 pulls 3, 1, 4 (cut: 2.8 > 2.5), 0 (exhausted).
+        assert_eq!(refinements, Refinements { total: 3, cut: 1 });
+        let degraded = outcome.degraded().expect("must degrade");
+        assert!(degraded.candidates.iter().all(|c| c.id != 4));
+        assert!(degraded.candidates.iter().any(|c| c.id == 0 && !c.exact));
+    }
+
+    #[test]
     fn knn_rejects_zero_k() {
         let mut ranking = TableRanking::new(&FILTER);
         let mut refiner = TableRefiner::new(&EXACT);
@@ -389,7 +535,7 @@ mod tests {
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
         let (outcome, refinements) = knn(&mut ranking, &mut refiner, 3, &budget).unwrap();
-        assert_eq!(refinements, 0);
+        assert_eq!(refinements, Refinements::default());
         let degraded = outcome.degraded().expect("must degrade");
         assert_eq!(degraded.reason, BudgetReason::Cancelled);
         // Best 3 filter bounds: object 3 (0.0), 1 (0.5), 4 (1.0).
@@ -408,7 +554,7 @@ mod tests {
         };
         let (outcome, refinements) =
             knn(&mut ranking, &mut refiner, 4, &Budget::unlimited()).unwrap();
-        assert_eq!(refinements, 2);
+        assert_eq!(refinements.total, 2);
         let degraded = outcome.degraded().expect("must degrade");
         assert_eq!(degraded.reason, BudgetReason::PivotCap);
         assert_eq!(degraded.candidates.len(), 4);
@@ -436,7 +582,7 @@ mod tests {
         };
         let (outcome, refinements) =
             range(&mut ranking, &mut refiner, 2.5, &Budget::unlimited()).unwrap();
-        assert_eq!(refinements, 1);
+        assert_eq!(refinements.total, 1);
         let degraded = outcome.degraded().expect("must degrade");
         assert!(degraded.candidates.iter().all(|c| c.bound <= 2.5));
         assert!(degraded.candidates.iter().any(|c| c.exact));

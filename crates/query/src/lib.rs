@@ -73,9 +73,10 @@ pub use engine::{
 };
 pub use error::QueryError;
 pub use outcome::{Candidate, DegradedResult, QueryOutcome};
-// Budget types re-exported so downstream users can build budgets without
-// depending on emd-transport directly.
-pub use emd_core::{Budget, BudgetReason, CancelToken};
+// Budget types (and the verdict of a refinement under a cutoff)
+// re-exported so downstream users can build budgets without depending on
+// emd-transport directly.
+pub use emd_core::{Bounded, Budget, BudgetReason, CancelToken};
 // Clustering geometry codec re-exported so index builders can persist a
 // ClusteredIndex without depending on emd-store directly.
 pub use emd_store::StoredClustering;

@@ -14,6 +14,11 @@ pub struct QueryStats {
     pub filter_evaluations: Vec<(String, usize)>,
     /// Number of exact (original-dimensionality) EMD computations.
     pub refinements: usize,
+    /// The subset of `refinements` that stopped early on a lower bound
+    /// above the k-th distance (or ε) instead of running to the exact
+    /// distance. At most `refinements - results` on an exact k-NN answer:
+    /// every returned neighbor was solved to the end.
+    pub refinements_cut: usize,
     /// Number of results returned.
     pub results: usize,
 }
@@ -43,6 +48,7 @@ impl QueryStats {
             }
         }
         self.refinements += other.refinements;
+        self.refinements_cut += other.refinements_cut;
         self.results += other.results;
     }
 }
@@ -56,16 +62,19 @@ mod tests {
         let mut total = QueryStats {
             filter_evaluations: vec![("red-im".into(), 100), ("red-emd".into(), 10)],
             refinements: 5,
+            refinements_cut: 2,
             results: 10,
         };
         total.accumulate(&QueryStats {
             filter_evaluations: vec![("red-im".into(), 100), ("red-emd".into(), 20)],
             refinements: 7,
+            refinements_cut: 4,
             results: 10,
         });
         assert_eq!(total.filter_evaluations[0].1, 200);
         assert_eq!(total.filter_evaluations[1].1, 30);
         assert_eq!(total.refinements, 12);
+        assert_eq!(total.refinements_cut, 6);
         assert_eq!(total.results, 20);
         assert_eq!(total.total_filter_evaluations(), 230);
     }
@@ -79,11 +88,13 @@ mod tests {
             filter_evaluations: vec![("red-im".into(), 100)],
             refinements: 1,
             results: 1,
+            ..QueryStats::default()
         };
         total.accumulate(&QueryStats {
             filter_evaluations: vec![("scaled-l1".into(), 50), ("red-im".into(), 30)],
             refinements: 2,
             results: 3,
+            ..QueryStats::default()
         });
         assert_eq!(
             total.filter_evaluations,
@@ -101,11 +112,13 @@ mod tests {
             filter_evaluations: vec![("s1".into(), 10), ("s2".into(), 5)],
             refinements: 2,
             results: 1,
+            ..QueryStats::default()
         };
         let b = QueryStats {
             filter_evaluations: vec![("s2".into(), 7)],
             refinements: 1,
             results: 2,
+            ..QueryStats::default()
         };
         let mut ab = QueryStats::default();
         ab.accumulate(&a);

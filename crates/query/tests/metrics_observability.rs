@@ -115,6 +115,31 @@ proptest! {
     }
 }
 
+/// The cutoff counters on a recorded workload: `transport.solve.cut` is
+/// the stats façade's `refinements_cut`, every cut passed a certificate
+/// (`transport.warm.cut_checks`), and no query cut more refinements than
+/// it discarded — every returned neighbor was solved to the end.
+#[test]
+fn cut_counters_mirror_the_stats() {
+    let database = fixed_database(24);
+    let executor = chained_executor(&database);
+    let recording = emd_obs::Recording::start();
+    let mut cut = 0;
+    for query in fixed_workload(12) {
+        let (outcome, stats) = executor.run(&query).unwrap();
+        assert!(outcome.exact().is_some());
+        assert!(
+            stats.refinements_cut <= stats.refinements - stats.results,
+            "{stats:?}"
+        );
+        cut += stats.refinements_cut as u64;
+    }
+    let registry = recording.finish();
+    assert!(cut > 0, "the workload must exercise the cutoff");
+    assert_eq!(registry.counter("transport.solve.cut"), cut);
+    assert!(registry.counter("transport.warm.cut_checks") >= cut);
+}
+
 /// Registry counters recorded through `run_batch` are invariant under the
 /// thread count: workers record into thread-local registries and the
 /// caller absorbs them in chunk order, so the merged totals match the

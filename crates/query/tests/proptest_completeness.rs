@@ -2,6 +2,13 @@
 //! queries and reductions, the filter-and-refine pipelines return exactly
 //! the brute-force answers (no false dismissals — the paper's central
 //! correctness claim for its filters).
+//!
+//! Every pipeline here refines warm, so its refinements stop at a bound
+//! above the k-th distance (or ε) whenever the solver can prove one; the
+//! oracle solves every object cold and to the end. Agreement is the
+//! soundness of those bounds end to end: through a filter chain, a
+//! clustered candidate source and a live snapshot, on a tie-prone
+//! integer ground distance.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -9,7 +16,8 @@
 use emd_core::{ground, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
-    Database, EmdDistance, Executor, Filter, Neighbor, QueryPlan, ReducedEmdFilter, ReducedImFilter,
+    ClusteredIndex, Database, DynamicIndex, EmdDistance, Executor, Filter, Neighbor, QueryPlan,
+    ReducedEmdFilter, ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
@@ -126,5 +134,75 @@ proptest! {
         let expected = brute_force_knn(&query, database.histograms(), &cost, k).unwrap();
         let (got, _) = pipeline.knn(&query, k).unwrap();
         prop_assert_eq!(canonical(&got), canonical(&expected));
+    }
+
+    /// A clustered candidate source in front of the warm refiner: k-NN
+    /// and range equal brute force. (Contiguous pairs, `d' = 3`: the
+    /// reduced cost keeps the zero diagonal the pruning needs.)
+    #[test]
+    fn clustered_source_is_complete(
+        database in prop::collection::vec(histogram(), 4..20),
+        query in histogram(),
+        k in 1usize..6,
+        epsilon in 0.0_f64..3.0,
+    ) {
+        let cost = Arc::new(ground::linear(DIM).unwrap());
+        let database = Database::new(database, cost.clone()).unwrap();
+        let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
+        let index = ClusteredIndex::build(&database, ReducedEmd::new(&cost, r).unwrap(), 1.0).unwrap();
+        let refiner = Box::new(EmdDistance::new(&database).unwrap());
+        let pipeline = Executor::new(
+            QueryPlan::new(Vec::new(), refiner).unwrap().with_source(Box::new(index)).unwrap(),
+        );
+
+        let expected = brute_force_knn(&query, database.histograms(), &cost, k).unwrap();
+        let (got, _) = pipeline.knn(&query, k).unwrap();
+        prop_assert_eq!(canonical(&got), canonical(&expected));
+        let expected = brute_force_range(&query, database.histograms(), &cost, epsilon).unwrap();
+        let (got, _) = pipeline.range(&query, epsilon).unwrap();
+        prop_assert_eq!(canonical(&got), canonical(&expected));
+    }
+
+    /// A live snapshot after inserts and removals: k-NN and range, in
+    /// the index's own ids, equal brute force over the survivors.
+    #[test]
+    fn dynamic_snapshot_is_complete(
+        objects in prop::collection::vec((histogram(), 0usize..4), 4..16),
+        query in histogram(),
+        r in reduction(),
+        k in 1usize..6,
+        epsilon in 0.0_f64..3.0,
+    ) {
+        let cost = Arc::new(ground::linear(DIM).unwrap());
+        let mut index = DynamicIndex::new(cost.clone(), ReducedEmd::new(&cost, r).unwrap()).unwrap();
+        let mut survivors = Vec::new();
+        let mut survivor_ids = Vec::new();
+        for (position, (histogram, lot)) in objects.iter().enumerate() {
+            let id = index.insert(histogram.clone()).unwrap();
+            // One removal in four, never the first object.
+            if position == 0 || *lot != 0 {
+                survivors.push(histogram.clone());
+                survivor_ids.push(id);
+            } else {
+                prop_assert!(index.remove(id));
+            }
+        }
+        let snapshot = index.snapshot().unwrap();
+        let as_neighbors = |pairs: Vec<(u64, f64)>| -> Vec<Neighbor> {
+            pairs
+                .into_iter()
+                .map(|(id, distance)| Neighbor {
+                    id: survivor_ids.binary_search(&id).expect("a live id"),
+                    distance,
+                })
+                .collect()
+        };
+
+        let expected = brute_force_knn(&query, &survivors, &cost, k).unwrap();
+        let (got, _) = snapshot.knn(&query, k).unwrap();
+        prop_assert_eq!(canonical(&as_neighbors(got)), canonical(&expected));
+        let expected = brute_force_range(&query, &survivors, &cost, epsilon).unwrap();
+        let (got, _) = snapshot.range(&query, epsilon).unwrap();
+        prop_assert_eq!(canonical(&as_neighbors(got)), canonical(&expected));
     }
 }

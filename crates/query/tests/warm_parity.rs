@@ -1,8 +1,11 @@
-//! Query-level warm-start regression: `Executor::knn` answers (ids,
-//! distances, refinement counts, per-stage stats) must be **bit-identical**
-//! between the default warm-start mode and a forced
-//! cold-start-every-candidate mode, sequentially and batched at 1 and 4
-//! threads.
+//! Query-level warm-start regression: `Executor::knn` and
+//! `Executor::range` answers (ids, distances, refinement counts,
+//! per-stage stats) must be **bit-identical** between the default
+//! warm-start mode — whose refinements stop at a bound above the k-th
+//! distance or ε — and a forced cold-start-every-candidate mode, which
+//! has no bound to stop on and solves every candidate to the end:
+//! sequentially, batched at 1 and 4 threads, and through a live
+//! snapshot.
 //!
 //! The corpus uses full-support histograms under a continuous random cost
 //! matrix, so every LP has a generically unique optimal basis and
@@ -12,8 +15,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_core::{CostMatrix, Histogram};
+use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
-    Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter, ReducedImFilter,
+    Database, DynamicIndex, EmdDistance, Executor, Filter, Query, QueryPlan, QueryStats,
+    ReducedEmdFilter, ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use rand::rngs::StdRng;
@@ -70,11 +75,31 @@ fn executor(database: &Database, reduced: &ReducedEmd, warm: bool) -> Executor {
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
 }
 
+/// Warm and cold runs must agree on everything but how many refinements
+/// were cut: only a warm solve has a bound to stop on, and it may only
+/// stop on candidates that are not part of the answer.
+fn assert_stats_match(warm: &QueryStats, cold: &QueryStats, context: &str) {
+    assert_eq!(cold.refinements_cut, 0, "{context}: a cold solve was cut");
+    assert!(
+        warm.refinements_cut <= warm.refinements - warm.results,
+        "{context}: {warm:?} cut a returned neighbor"
+    );
+    let uncut = QueryStats {
+        refinements_cut: 0,
+        ..warm.clone()
+    };
+    assert_eq!(
+        &uncut, cold,
+        "{context}: refinement counts and per-stage evaluations"
+    );
+}
+
 #[test]
 fn knn_results_bit_identical_warm_vs_cold_sequential() {
     let (database, queries, reduced) = corpus();
     let warm = executor(&database, &reduced, true);
     let cold = executor(&database, &reduced, false);
+    let mut cut = 0;
     for query in &queries {
         let (warm_neighbors, warm_stats) = warm.knn(query, K).unwrap();
         let (cold_neighbors, cold_stats) = cold.knn(query, K).unwrap();
@@ -88,11 +113,75 @@ fn knn_results_bit_identical_warm_vs_cold_sequential() {
                 w.id
             );
         }
-        assert_eq!(
-            warm_stats, cold_stats,
-            "refinement counts and per-stage evaluations must match"
-        );
+        assert_stats_match(&warm_stats, &cold_stats, "knn");
+        cut += warm_stats.refinements_cut;
     }
+    assert!(cut > 0, "no warm refinement was cut: the parity is vacuous");
+}
+
+/// Range queries at radii around each query's k-th distance — below it,
+/// exactly on it (the boundary hit must survive) and above it.
+#[test]
+fn range_results_bit_identical_warm_vs_cold() {
+    let (database, queries, reduced) = corpus();
+    let warm = executor(&database, &reduced, true);
+    let cold = executor(&database, &reduced, false);
+    let mut cut = 0;
+    for query in &queries {
+        let (neighbors, _) = cold.knn(query, K).unwrap();
+        let kth = neighbors[K - 1].distance;
+        for epsilon in [0.5 * kth, kth, 1.2 * kth] {
+            let (warm_hits, warm_stats) = warm.range(query, epsilon).unwrap();
+            let (cold_hits, cold_stats) = cold.range(query, epsilon).unwrap();
+            assert_eq!(warm_hits, cold_hits, "epsilon {epsilon}");
+            assert_stats_match(&warm_stats, &cold_stats, "range");
+            cut += warm_stats.refinements_cut;
+        }
+        assert_eq!(warm.range(query, kth).unwrap().0.len(), K);
+    }
+    assert!(cut > 0, "no warm refinement was cut: the parity is vacuous");
+}
+
+/// A live snapshot with tombstones (dense ids and storage slots part
+/// ways) against the cold brute-force oracle over the survivors. (The
+/// clustered source needs a zero-diagonal cost; `proptest_completeness`
+/// covers it.)
+#[test]
+fn live_snapshots_match_the_cold_oracle() {
+    let (database, queries, reduced) = corpus();
+    let mut live = DynamicIndex::new(Arc::new(database.cost().clone()), reduced).unwrap();
+    for histogram in database.histograms() {
+        live.insert(histogram.clone()).unwrap();
+    }
+    let survivors: Vec<usize> = (0..OBJECTS).filter(|id| id % 5 != 0).collect();
+    for id in (0..OBJECTS).filter(|id| id % 5 == 0) {
+        assert!(live.remove(id as u64));
+    }
+    let live_objects: Vec<Histogram> = survivors
+        .iter()
+        .map(|&id| database.histograms()[id].clone())
+        .collect();
+    let snapshot = live.snapshot().unwrap();
+
+    let mut cut = 0;
+    for query in &queries {
+        let in_live_ids = |neighbors: Vec<emd_query::Neighbor>| -> Vec<(u64, f64)> {
+            neighbors
+                .into_iter()
+                .map(|n| (survivors[n.id] as u64, n.distance))
+                .collect()
+        };
+        let expected = brute_force_knn(query, &live_objects, database.cost(), K).unwrap();
+        let kth = expected[K - 1].distance;
+        let (got, stats) = snapshot.knn(query, K).unwrap();
+        assert_eq!(got, in_live_ids(expected));
+        cut += stats.refinements_cut;
+        let expected_hits = brute_force_range(query, &live_objects, database.cost(), kth).unwrap();
+        let (hits, stats) = snapshot.range(query, kth).unwrap();
+        assert_eq!(hits, in_live_ids(expected_hits));
+        cut += stats.refinements_cut;
+    }
+    assert!(cut > 0, "no warm refinement was cut: the parity is vacuous");
 }
 
 #[test]
@@ -112,9 +201,10 @@ fn knn_results_bit_identical_warm_vs_cold_batched() {
                 assert_eq!(w.distance.to_bits(), c.distance.to_bits());
             }
         }
-        assert_eq!(
-            warm_stats, cold_stats,
-            "merged batch stats must match at {threads} threads"
+        assert_stats_match(
+            &warm_stats,
+            &cold_stats,
+            &format!("batch at {threads} threads"),
         );
     }
 }

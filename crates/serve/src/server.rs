@@ -764,7 +764,10 @@ fn outcome_body(outcome: &QueryOutcome, stats: &QueryStats) -> String {
             body.push(']');
         }
     }
-    body.push_str(&format!(",\"refinements\":{}}}", stats.refinements));
+    body.push_str(&format!(
+        ",\"refinements\":{},\"refinements_cut\":{}}}",
+        stats.refinements, stats.refinements_cut
+    ));
     body
 }
 

@@ -11,7 +11,10 @@
 //! violation if the certificate fails, so the whole proptest suite
 //! exercises the LP invariants on every run. Release builds skip the check
 //! entirely — it costs `O(m + n + |flows|)` per solve, which is cheap but
-//! not free on the query hot path.
+//! not free on the query hot path. A solve cut short under a cutoff has
+//! no flows to certify; its hook, [`debug_certify_cut`], re-solves the
+//! problem cold instead and holds the certified bound against the
+//! optimum.
 
 use crate::error::Side;
 use crate::problem::{Solution, TransportProblem};
@@ -239,6 +242,24 @@ pub fn debug_certify_basis(problem: &TransportProblem, basis: &InitialBasis) {
             // lint: allow(panic): the debug-build certificate hook exists to abort on solver bugs
             panic!("vogel emitted a bad initial basis: {violation}");
         }
+    }
+}
+
+/// Debug-build hook for a solve cut at `cutoff` with the certified bound
+/// `lower_bound`: re-solve `problem` cold and panic unless
+/// `cutoff < lower_bound <= optimum`. The re-solve runs in a discarded
+/// recording scope so debug and release builds report the same counters.
+/// Compiled out of release builds.
+#[inline]
+pub fn debug_certify_cut(problem: &TransportProblem, lower_bound: f64, cutoff: f64) {
+    if cfg!(debug_assertions) {
+        let _discard = emd_obs::Recording::start();
+        let cold = crate::solve(problem).map(|solution| solution.objective);
+        assert!(
+            cold.as_ref()
+                .is_ok_and(|&optimum| cutoff < lower_bound && lower_bound <= optimum),
+            "simplex cut a solve at {cutoff} on the bound {lower_bound}; cold optimum {cold:?}"
+        );
     }
 }
 

@@ -44,9 +44,9 @@
 //! [`solve_warm`] takes a caller-owned [`SolverWorkspace`] that keeps the
 //! duals, basis tree, cycle scratch and the final basis of the previous
 //! solve. When consecutive solves share a tableau shape (the KNOP
-//! refinement pattern: one query marginal against many candidates), the
-//! previous optimal basis is re-fit to the new marginals by leaf peeling
-//! and the pivot loop starts from it, skipping Vogel entirely; an
+//! refinement pattern: one query marginal against many candidates), that
+//! basis is re-fit to the new marginals by leaf peeling and the pivot
+//! loop starts from it, skipping Vogel entirely; an
 //! infeasible refit — the usual case — is repaired by dual-simplex pivots,
 //! and only a repair that exceeds its cap falls back to a cold start. The
 //! basis is a spanning tree rooted at supply node 0 in flat arrays, so a
@@ -55,6 +55,15 @@
 //! extracts its answer canonically from the final basis (sorted cells,
 //! flows re-derived from the marginals), warm and cold solves of the same
 //! instance are bit-identical whenever the optimum is unique.
+//!
+//! ## Cutoffs
+//!
+//! [`solve_warm_objective`] takes a `cutoff`. A caller that only needs
+//! "is the optimum above this?" — KNOP's refinement of a candidate
+//! against its current k-th distance — gets [`Bounded::Above`] with a
+//! certified lower bound the moment the dual-simplex repair's rising
+//! dual objective proves it, instead of paying for the pivots to the
+//! optimum. `f64::INFINITY` disables the test.
 //!
 //! ## Observability
 //!
@@ -66,7 +75,9 @@
 //! `transport.vogel.degenerate_cells` attribute LP-level work to the
 //! queries that triggered it. Warm starts add `transport.warm.attempts`
 //! and `transport.warm.hits` (the same tallies are available without a
-//! scope via [`SolverWorkspace::stats`]). Without a scope each record
+//! scope via [`SolverWorkspace::stats`]); cutoffs add
+//! `transport.warm.cut_checks` (certificates attempted) and
+//! `transport.solve.cut` (solves ended by one). Without a scope each record
 //! call costs one relaxed atomic load.
 
 pub mod budget;
@@ -85,7 +96,7 @@ pub use error::TransportError;
 pub use problem::{Solution, TransportProblem};
 pub use simplex::{
     hard_iteration_cap, solve, solve_budgeted, solve_warm, solve_warm_objective,
-    solve_with_options, SimplexOptions,
+    solve_with_options, Bounded, SimplexOptions, CUT_MARGIN,
 };
 pub use vogel::{initial_basis, InitialBasis};
 pub use workspace::{SolverWorkspace, WorkspaceStats};

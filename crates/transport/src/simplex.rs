@@ -152,15 +152,38 @@ pub fn solve_budgeted(
 /// [`TransportError::BudgetExhausted`] when `budget` fires mid-solve
 /// (including mid-warm-solve), [`TransportError::IterationLimit`], or
 /// [`TransportError::Internal`]. On error the workspace keeps the basis
-/// of the last *successful* solve.
+/// it held before the call (the last optimal or cut one).
 pub fn solve_warm(
     problem: &TransportProblem,
     options: SimplexOptions,
     budget: &Budget,
     workspace: &mut SolverWorkspace,
 ) -> Result<Solution, TransportError> {
-    let objective = solve_warm_objective(problem, options, budget, workspace)?;
-    Ok(workspace.last_solution(objective))
+    match solve_warm_objective(problem, options, budget, f64::INFINITY, workspace)? {
+        Bounded::Optimal(objective) => Ok(workspace.last_solution(objective)),
+        Bounded::Above(_) => Err(TransportError::Internal {
+            detail: "a solve without a cutoff was cut",
+        }),
+    }
+}
+
+/// Relative margin of the cutoff test in [`solve_warm_objective`]. The
+/// running dual objective must pass `cutoff * (1 + CUT_MARGIN)` before a
+/// certificate is attempted, and the certified bound is lowered by
+/// `CUT_MARGIN` times the magnitude of the duals it was summed from, so
+/// a cut never rests on the last bits of either side: about `2e-14` of
+/// rounding accumulates over the few hundred terms of the largest
+/// tableaus this crate targets, five orders of magnitude below it.
+pub const CUT_MARGIN: f64 = 1e-9;
+
+/// What a solve under a cutoff established about the optimum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bounded {
+    /// The solve ran to optimality: the exact objective.
+    Optimal(f64),
+    /// The solve stopped early: a certified lower bound on the optimum,
+    /// strictly above the cutoff it was given.
+    Above(f64),
 }
 
 /// [`solve_warm`] without materializing the flow triples: returns the
@@ -170,6 +193,18 @@ pub fn solve_warm(
 /// grown to the tableau size it performs no heap allocation beyond the
 /// cold-start Vogel basis.
 ///
+/// `cutoff` lets a caller that only needs to know whether the optimum
+/// exceeds a threshold stop early. The dual-simplex repair of a warm
+/// basis raises a lower bound on the optimum with every pivot; once
+/// that bound passes `cutoff` (see [`CUT_MARGIN`]) and a certificate
+/// computed from scratch confirms it, the solve returns
+/// [`Bounded::Above`] instead of pivoting on. The cut basis becomes the
+/// workspace's warm basis (it is as dual-feasible as the one it was
+/// repaired from); the workspace then holds no solution to read. A cold
+/// start has no such bound and always runs to [`Bounded::Optimal`], and
+/// `f64::INFINITY` never cuts: the solve is then pivot for pivot the one
+/// without a cutoff.
+///
 /// # Errors
 ///
 /// Same failure modes as [`solve_warm`].
@@ -177,8 +212,9 @@ pub fn solve_warm_objective(
     problem: &TransportProblem,
     options: SimplexOptions,
     budget: &Budget,
+    cutoff: f64,
     workspace: &mut SolverWorkspace,
-) -> Result<f64, TransportError> {
+) -> Result<Bounded, TransportError> {
     let _solve_span = emd_obs::span("transport.solve");
     emd_obs::counter_add("transport.solve.calls", 1);
     budget.note_solve().map_err(budget_exhausted)?;
@@ -207,8 +243,8 @@ pub fn solve_warm_objective(
             seeded_warm = true;
         } else if m > 1 && n > 1 {
             // The refit is primal-infeasible, but successive candidates
-            // share the cost matrix, so the old optimal basis is still
-            // dual-feasible: a short dual-simplex run restores primal
+            // share the cost matrix, so the old basis (optimal, or cut
+            // mid-repair) is still dual-feasible: a short dual-simplex run restores primal
             // feasibility (and typically optimality with it) far cheaper
             // than a cold Vogel start plus primal pivots.
             let ws = &mut *workspace;
@@ -220,13 +256,22 @@ pub fn solve_warm_objective(
                     .zip(&ws.flows)
                     .map(|(&(row, col), &flow)| (row, col, flow)),
             );
-            if let Some(pivots) = dual_repair(problem, budget, &mut ws.tree, &mut ws.pivot)? {
+            let repair = dual_repair(problem, budget, cutoff, &mut ws.tree, &mut ws.pivot)?;
+            if let Repair::Feasible(pivots) | Repair::Cut { pivots, .. } = repair {
                 ws.stats.pivots += pivots;
                 ws.stats.repair_pivots += pivots;
                 ws.stats.warm_hits += 1;
                 emd_obs::counter_add("transport.warm.hits", 1);
                 seeded_warm = true;
                 tree_seeded = true;
+            }
+            if let Repair::Cut { lower_bound, .. } = repair {
+                emd_obs::counter_add("transport.solve.cut", 1);
+                ws.warm_cells.clear();
+                ws.warm_cells.extend(ws.tree.cells());
+                ws.warm_cells.sort_unstable();
+                crate::certify::debug_certify_cut(problem, lower_bound, cutoff);
+                return Ok(Bounded::Above(lower_bound));
             }
         }
     }
@@ -282,7 +327,65 @@ pub fn solve_warm_objective(
         let solution = workspace.last_solution(objective);
         crate::certify::debug_certify_solution(problem, &solution, "simplex");
     }
-    Ok(objective)
+    Ok(Bounded::Optimal(objective))
+}
+
+/// How a dual-simplex repair ended.
+#[derive(Clone, Copy)]
+enum Repair {
+    /// Every basic flow is non-negative after this many pivots; the
+    /// primal loop finishes from the tree.
+    Feasible(u64),
+    /// The repair cap was exceeded or no entering candidate exists: the
+    /// caller falls back to a cold Vogel start.
+    Abandoned,
+    /// The certified dual bound passed the cutoff after this many pivots;
+    /// the tree holds the (primal-infeasible) basis it was certified on.
+    Cut { pivots: u64, lower_bound: f64 },
+}
+
+/// A lower bound on the optimum of `problem` from the basis in `tree`,
+/// resting on nothing but the problem data: for *any* duals `u`, `v`
+/// and any feasible flow `f`,
+/// `Σ c·f = Σ uᵢsᵢ + Σ vⱼdⱼ + Σ (c − u − v)·f ≥ Σ uᵢsᵢ + Σ vⱼdⱼ + min(0, min (c − u − v))·Σs`.
+/// The duals are read fresh off the tree (not the incrementally shifted
+/// ones the repair prices with) and every cell is priced, so neither the
+/// rounding accumulated over a long repair nor a basis that was never
+/// dual-feasible — warm bases are matched by tableau shape only, and two
+/// supports of equal size strip different cost matrices — can overstate
+/// it. The bound is lowered by [`CUT_MARGIN`] times the dual magnitude,
+/// plus what an imbalance between the marginals (tolerated up to
+/// [`crate::BALANCE_EPS`]) could shift.
+fn certified_lower_bound(
+    problem: &TransportProblem,
+    tree: &mut BasisTree,
+    scratch: &mut PivotScratch,
+) -> f64 {
+    let (u, v) = (&mut scratch.cert_u, &mut scratch.cert_v);
+    tree.duals(|i, j| problem.cost(i, j), u, v);
+    let mut dual = 0.0;
+    let mut supply = 0.0;
+    let mut magnitude_u = 0.0_f64;
+    for (&ui, &si) in u.iter().zip(problem.supplies()) {
+        dual += ui * si;
+        supply += si;
+        magnitude_u = magnitude_u.max(ui.abs());
+    }
+    let mut demand = 0.0;
+    let mut magnitude_v = 0.0_f64;
+    for (&vj, &dj) in v.iter().zip(problem.demands()) {
+        dual += vj * dj;
+        demand += dj;
+        magnitude_v = magnitude_v.max(vj.abs());
+    }
+    let mut min_reduced = 0.0_f64;
+    for (row, &ui) in problem.costs().chunks_exact(v.len()).zip(u.iter()) {
+        for (&c, &vj) in row.iter().zip(v.iter()) {
+            min_reduced = min_reduced.min(c - ui - vj);
+        }
+    }
+    let slack = CUT_MARGIN.mul_add(supply, (supply - demand).abs()) * (magnitude_u + magnitude_v);
+    min_reduced.mul_add(supply, dual) - slack
 }
 
 /// Restore primal feasibility of a re-fit warm basis by dual-simplex
@@ -302,17 +405,28 @@ pub fn solve_warm_objective(
 /// already optimal. With different costs it still terminates at a
 /// feasible basis for the primal loop to finish from.
 ///
-/// Returns `Ok(Some(pivots))` once every basic flow is non-negative
-/// (tiny negatives within [`EPS`] clamped), `Ok(None)` when the repair
-/// cap is exceeded or no entering candidate exists — the caller then
-/// falls back to a cold Vogel start — and a typed error when `budget`
-/// fires mid-repair.
+/// A dual-feasible basis prices the new marginals at
+/// `Σ uᵢsᵢ + Σ vⱼdⱼ = Σ flow·cost`, a lower bound on the optimum that
+/// each pivot raises by `theta` times the entering reduced cost. The
+/// repair keeps that running objective and, once it passes `cutoff` by
+/// [`CUT_MARGIN`], asks `certified_lower_bound` whether the basis at
+/// hand really proves `optimum > cutoff`; only a certificate ends the
+/// repair early. A failed certificate (the inherited basis was not
+/// dual-feasible, so the running objective bounds nothing) stops the
+/// test for the rest of the solve.
+///
+/// Returns [`Repair::Feasible`] once every basic flow is non-negative
+/// (tiny negatives within [`EPS`] clamped), [`Repair::Cut`] on a
+/// certified bound above `cutoff`, [`Repair::Abandoned`] when the repair
+/// cap is exceeded or no entering candidate exists, and a typed error
+/// when `budget` fires mid-repair.
 fn dual_repair(
     problem: &TransportProblem,
     budget: &Budget,
+    cutoff: f64,
     tree: &mut BasisTree,
     scratch: &mut PivotScratch,
-) -> Result<Option<u64>, TransportError> {
+) -> Result<Repair, TransportError> {
     let m = problem.num_sources();
     let n = problem.num_targets();
     // Repairs beyond this bound mean the old basis carries no useful
@@ -331,7 +445,26 @@ fn dual_repair(
     // optimality test.
     tree.duals(|i, j| problem.cost(i, j), &mut scratch.u, &mut scratch.v);
 
+    let mut objective: f64 = tree
+        .cells()
+        .zip(tree.flows())
+        .map(|((row, col), &flow)| flow * problem.cost(row, col))
+        .sum();
+    let mut trigger = CUT_MARGIN.mul_add(cutoff.abs(), cutoff);
+
     for _ in 0..max_repairs {
+        if objective > trigger {
+            emd_obs::counter_add("transport.warm.cut_checks", 1);
+            let lower_bound = certified_lower_bound(problem, tree, scratch);
+            if lower_bound > cutoff {
+                budget.settle_pivots(pending_pivots);
+                return Ok(Repair::Cut {
+                    pivots: performed,
+                    lower_bound,
+                });
+            }
+            trigger = f64::INFINITY;
+        }
         // Most negative basic flow leaves; first-minimal in slot order
         // keeps the scan deterministic under ties.
         let mut leaving: Option<usize> = None;
@@ -349,7 +482,7 @@ fn dual_repair(
                 *flow = flow.max(0.0);
             }
             budget.settle_pivots(pending_pivots);
-            return Ok(Some(performed));
+            return Ok(Repair::Feasible(performed));
         };
         if limited {
             pending_pivots += 1;
@@ -401,7 +534,7 @@ fn dual_repair(
             // Structurally impossible for connected tableaus with positive
             // marginals; bail to the cold path rather than loop.
             budget.settle_pivots(pending_pivots);
-            return Ok(None);
+            return Ok(Repair::Abandoned);
         };
         // Repair pivots count only under their own counter: adding them
         // to `transport.simplex.pivots` too would double-charge warm
@@ -425,6 +558,7 @@ fn dual_repair(
             }
         }
         tree.pivot(leaving, ei, ej, theta);
+        objective += theta * best;
         // Re-anchor the duals of the absorbed component: shifting supplies
         // up and demands down by the entering reduced cost restores
         // `u + v = cost` on the new basic cell and leaves every other
@@ -442,7 +576,7 @@ fn dual_repair(
     }
 
     budget.settle_pivots(pending_pivots);
-    Ok(None)
+    Ok(Repair::Abandoned)
 }
 
 /// Run MODI pivots on `tree` until optimality. Returns the pivot count;

@@ -8,7 +8,9 @@
 //! candidate against a fixed query marginal) pays for allocation once
 //! instead of once per solve.
 //!
-//! The workspace also remembers the basis of the last successful solve.
+//! The workspace also remembers the basis the last solve ended on — the
+//! optimal one, or the one a solve under a cutoff was cut on
+//! ([`crate::Bounded::Above`]); a failed solve leaves it untouched.
 //! [`crate::solve_warm`] re-optimizes from that basis when the next
 //! instance has the same tableau shape: the old spanning tree is re-fit
 //! to the new marginals by *leaf peeling* (a degree-1 node's single
@@ -17,7 +19,7 @@
 //! An infeasible refit (some edge re-fits to a negative flow) — the usual
 //! case between two KNOP candidates — goes
 //! through *dual-simplex repair*: because successive KNOP candidates
-//! share the cost matrix, the old optimal basis is still dual-feasible,
+//! share the cost matrix, the old basis is still dual-feasible,
 //! so a run of dual pivots restores primal feasibility and usually
 //! lands directly on the new optimum. Only when the repair exceeds its
 //! pivot cap does the solver fall back to a cold Vogel start.
@@ -54,7 +56,7 @@ pub struct WorkspaceStats {
 
 /// Scratch buffers for the MODI pivot loop, reused across iterations and
 /// across solves.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PivotScratch {
     /// Supply-side dual variables.
     pub u: Vec<f64>,
@@ -68,6 +70,12 @@ pub(crate) struct PivotScratch {
     /// `v`, so the entering scan reads two flat slices.
     pub cut_cols: Vec<usize>,
     pub cut_v: Vec<f64>,
+    /// Duals read fresh off the tree by the cutoff certificate, kept
+    /// apart from `u`/`v` so a failed certificate leaves the repair's
+    /// incrementally shifted duals — and with them its pivot sequence —
+    /// untouched.
+    pub cert_u: Vec<f64>,
+    pub cert_v: Vec<f64>,
 }
 
 /// Caller-owned scratch and warm-start state for repeated solves.
@@ -75,8 +83,9 @@ pub(crate) struct PivotScratch {
 /// Construct once with [`SolverWorkspace::new`] and pass to
 /// [`crate::solve_warm`] / [`crate::solve_warm_objective`] for every
 /// solve that should reuse buffers and re-optimize from the previous
-/// basis. A fresh workspace behaves exactly like a cold solve.
-#[derive(Debug, Default)]
+/// basis. A fresh workspace behaves exactly like a cold solve; a clone
+/// continues from the same warm basis as its original.
+#[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
     /// Pivot-loop scratch.
     pub(crate) pivot: PivotScratch,
@@ -103,7 +112,8 @@ pub struct SolverWorkspace {
     used: Vec<bool>,
     /// Tableau shape the remembered basis belongs to.
     pub(crate) warm_shape: Option<(usize, usize)>,
-    /// Basis cells of the last successful solve, sorted by `(row, col)`.
+    /// Basis cells the last solve ended on (optimal or cut), sorted by
+    /// `(row, col)`.
     pub(crate) warm_cells: Vec<(usize, usize)>,
     /// Work counters.
     pub(crate) stats: WorkspaceStats,
@@ -143,7 +153,8 @@ impl SolverWorkspace {
     /// Materialize the flows of the current solve (`cells`/`flows` as
     /// left by the canonical extraction) as a [`crate::Solution`] with
     /// the given objective. Strictly positive flows only, in `(row,
-    /// col)` order.
+    /// col)` order. Meaningful after a [`crate::Bounded::Optimal`] solve
+    /// only: a cut solve extracts nothing.
     #[must_use]
     pub fn last_solution(&self, objective: f64) -> crate::Solution {
         let flows = self

@@ -14,7 +14,15 @@
 //! an objective checksum of three seeded chains. The numbers were recorded
 //! with the adjacency-list basis tree this crate used before the rooted
 //! tree: a change to a pivot rule or a tie-break moves them, so it fails
-//! here instead of silently moving one-ulp ties in query answers.
+//! here instead of silently moving one-ulp ties in query answers. The
+//! flow checksums beside them were recorded at the parent of the cutoff
+//! change: a solve without a cutoff is that solve still.
+//!
+//! The cutoff suites run the same chains under random cutoffs — below,
+//! at and above each step's optimum — and hold every verdict against
+//! SSP: a cut proves `cutoff < bound <= optimum`, an uncut solve is the
+//! solve without a cutoff to the bit, and the chain behind a cut (which
+//! continues from the cut basis) keeps returning optima.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -22,8 +30,8 @@
 use emd_transport::certify::CERT_EPS;
 use emd_transport::ssp::solve_ssp;
 use emd_transport::{
-    certify_solution, solve_warm, Budget, SimplexOptions, SolverWorkspace, TransportProblem,
-    WorkspaceStats,
+    certify_solution, solve_warm, solve_warm_objective, Bounded, Budget, SimplexOptions,
+    SolverWorkspace, TransportProblem, WorkspaceStats,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -110,11 +118,12 @@ fn normalized(raw: Vec<f64>) -> Vec<f64> {
 }
 
 /// Solve a chain through one workspace, checking every step against SSP
-/// and the certificate. Returns the workspace counters and a checksum of
-/// the objectives' bit patterns.
-fn run_chain(problems: &[TransportProblem]) -> (WorkspaceStats, u64) {
+/// and the certificate. Returns the workspace counters, a checksum of
+/// the objectives' bit patterns and one of the flows'.
+fn run_chain(problems: &[TransportProblem]) -> (WorkspaceStats, u64, u64) {
     let mut ws = SolverWorkspace::new();
     let mut checksum = 0u64;
+    let mut flow_checksum = 0u64;
     for (step, problem) in problems.iter().enumerate() {
         let warm = solve_warm(
             problem,
@@ -135,8 +144,75 @@ fn run_chain(problems: &[TransportProblem]) -> (WorkspaceStats, u64) {
             "step {step}: certificate failed"
         );
         checksum = checksum.rotate_left(7) ^ warm.objective.to_bits();
+        for &(row, col, flow) in &warm.flows {
+            flow_checksum =
+                flow_checksum.rotate_left(7) ^ flow.to_bits() ^ ((row as u64) << 32 | col as u64);
+        }
     }
-    (ws.stats(), checksum)
+    (ws.stats(), checksum, flow_checksum)
+}
+
+/// Solve a chain through one workspace under seeded cutoffs, checking
+/// every verdict. Returns how many solves were cut.
+fn run_chain_with_cutoffs(problems: &[TransportProblem], seed: u64) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ws = SolverWorkspace::new();
+    let mut cuts = 0;
+    for (step, problem) in problems.iter().enumerate() {
+        let optimum = solve_ssp(problem)
+            .expect("ssp solves valid instances")
+            .objective;
+        let cutoff = match rng.gen_range(0..4usize) {
+            // A tie: no bound can be strictly above the optimum itself.
+            0 => optimum,
+            // No cutoff at all.
+            1 => f64::INFINITY,
+            _ => optimum * rng.gen_range(0.0..1.6),
+        };
+        let mut uncut = ws.clone();
+        let verdict = solve_warm_objective(
+            problem,
+            SimplexOptions::default(),
+            &Budget::unlimited(),
+            cutoff,
+            &mut ws,
+        )
+        .expect("warm solve succeeds");
+        match verdict {
+            Bounded::Above(bound) => {
+                cuts += 1;
+                assert!(
+                    cutoff < bound && bound <= optimum + 1e-12,
+                    "step {step}: cut at {cutoff} on {bound}, ssp optimum {optimum}"
+                );
+            }
+            Bounded::Optimal(objective) => {
+                assert!(
+                    (objective - optimum).abs() < 1e-9,
+                    "step {step}: simplex {objective} != ssp {optimum}"
+                );
+                let reference = solve_warm_objective(
+                    problem,
+                    SimplexOptions::default(),
+                    &Budget::unlimited(),
+                    f64::INFINITY,
+                    &mut uncut,
+                )
+                .expect("warm solve succeeds");
+                assert_eq!(
+                    reference,
+                    Bounded::Optimal(objective),
+                    "step {step}: cutoff {cutoff}"
+                );
+                assert_eq!(ws.last_solution(objective), uncut.last_solution(objective));
+                assert!(
+                    cutoff >= optimum || objective > cutoff,
+                    "step {step}: an optimum above the cutoff is still an optimum"
+                );
+            }
+        }
+    }
+    cuts
 }
 
 proptest! {
@@ -151,10 +227,12 @@ proptest! {
         line in prop::sample::select(vec![true, false]),
     ) {
         let costs = if line { Costs::Line } else { Costs::Continuous };
-        let (stats, _) = run_chain(&chain(seed, m, n, 50, costs));
+        let problems = chain(seed, m, n, 50, costs);
+        let (stats, _, _) = run_chain(&problems);
         prop_assert_eq!(stats.solves, 50);
         prop_assert!(stats.warm_hits <= stats.warm_attempts);
         prop_assert!(stats.repair_pivots <= stats.pivots);
+        run_chain_with_cutoffs(&problems, seed);
     }
 
     /// Larger tied-cost chains: the size at which swings exhaust the
@@ -162,18 +240,73 @@ proptest! {
     /// from a Vogel basis.
     #[test]
     fn large_tied_chains_match_ssp(seed in 0u64..u64::MAX, m in 20usize..=28, n in 20usize..=28) {
-        let (stats, _) = run_chain(&chain(seed, m, n, 50, Costs::Line));
+        let problems = chain(seed, m, n, 50, Costs::Line);
+        let (stats, _, _) = run_chain(&problems);
         prop_assert_eq!(stats.solves, 50);
         prop_assert!(stats.repair_pivots > 0);
+        run_chain_with_cutoffs(&problems, seed);
     }
 
     /// A single supply bin: every tableau is `1 x n`, its only basis is
     /// optimal and no pivot runs.
     #[test]
     fn single_row_chains_never_pivot(seed in 0u64..u64::MAX, n in 1usize..=10) {
-        let (stats, _) = run_chain(&chain(seed, 1, n, 50, Costs::Continuous));
+        let (stats, _, _) = run_chain(&chain(seed, 1, n, 50, Costs::Continuous));
         prop_assert_eq!(stats.pivots, 0);
     }
+
+    /// Consecutive operands of equal shape over *different* supports:
+    /// the demand's support slides between columns `0..n` and `1..=n`
+    /// of one cost matrix, so the inherited basis matches by shape but
+    /// was optimal under other costs and need not be dual-feasible. A
+    /// cut must rest on the certificate, never on the running objective.
+    #[test]
+    fn sliding_supports_never_cut_unsoundly(
+        seed in 0u64..u64::MAX,
+        m in 2usize..=8,
+        n in 2usize..=8,
+        line in prop::sample::select(vec![true, false]),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let supplies = normalized((0..m).map(|_| rng.gen_range(0.05..1.0)).collect());
+        let width = n + 1;
+        let full_costs: Vec<f64> = (0..m * width)
+            .map(|k| if line {
+                ((k / width) as f64 - (k % width) as f64).abs()
+            } else {
+                rng.gen_range(0.01..10.0)
+            })
+            .collect();
+        let problems: Vec<TransportProblem> = (0..40)
+            .map(|step| {
+                let first = step % 2;
+                let demands = normalized((0..n).map(|_| rng.gen_range(0.05..1.0)).collect());
+                let costs = (0..m)
+                    .flat_map(|i| (first..first + n).map(move |j| (i, j)))
+                    .map(|(i, j)| full_costs[i * width + j])
+                    .collect();
+                TransportProblem::new(supplies.clone(), demands, costs)
+                    .expect("generated instances are valid")
+            })
+            .collect();
+        run_chain_with_cutoffs(&problems, seed);
+    }
+}
+
+/// The cutoff suites are not vacuous: on the pinned chains a good share
+/// of the solves whose cutoff lies below the optimum is cut.
+#[test]
+fn cutoffs_below_the_optimum_cut() {
+    let cuts: usize = [
+        chain(14, 12, 16, 60, Costs::Line),
+        chain(15, 10, 14, 60, Costs::Continuous),
+        chain(16, 24, 24, 80, Costs::Line),
+    ]
+    .iter()
+    .zip(1u64..)
+    .map(|(problems, seed)| run_chain_with_cutoffs(problems, seed))
+    .sum();
+    assert!(cuts >= 20, "only {cuts} of 200 solves were cut");
 }
 
 /// Work counters and objective checksums of three fixed chains. Recorded
@@ -182,26 +315,31 @@ proptest! {
 #[test]
 fn pivot_sequence_is_pinned() {
     // (chain, [solves, warm attempts, warm hits, pivots, repair pivots],
-    // objective checksum)
+    // objective checksum, flow checksum)
     let pinned = [
         (
             chain(14, 12, 16, 60, Costs::Line),
             [60, 43, 43, 545, 520],
             0x8198_a916_d21b_5a1c_u64,
+            0x56e7_9c72_c683_4bc2,
         ),
         (
             chain(15, 10, 14, 60, Costs::Continuous),
             [60, 45, 45, 224, 154],
             0xf4d9_18f8_66a5_444c,
+            0x96f6_3a89_92a5_84b1,
         ),
         (
             chain(16, 24, 24, 80, Costs::Line),
             [80, 66, 64, 798, 775],
             0x5497_b632_1179_1977,
+            0xd960_f309_01dc_9e6a,
         ),
     ];
     let mut fell_back = false;
-    for (problems, [solves, warm_attempts, warm_hits, pivots, repair_pivots], checksum) in pinned {
+    for (problems, [solves, warm_attempts, warm_hits, pivots, repair_pivots], checksum, flows) in
+        pinned
+    {
         let expected = WorkspaceStats {
             solves,
             warm_attempts,
@@ -209,7 +347,7 @@ fn pivot_sequence_is_pinned() {
             pivots,
             repair_pivots,
         };
-        assert_eq!(run_chain(&problems), (expected, checksum));
+        assert_eq!(run_chain(&problems), (expected, checksum, flows));
         fell_back |= warm_hits < warm_attempts;
     }
     assert!(fell_back, "some chain must exhaust the repair cap");

@@ -50,7 +50,7 @@ pub const BUDGET_AUDIT_CRATES: [&str; 3] = ["transport", "query", "core"];
 
 /// Solver hot paths subject to the float-discipline lint, relative to
 /// the workspace root.
-pub const HOT_PATHS: [&str; 14] = [
+pub const HOT_PATHS: [&str; 13] = [
     "crates/transport/src/simplex.rs",
     "crates/transport/src/ssp.rs",
     "crates/transport/src/vogel.rs",
@@ -60,7 +60,6 @@ pub const HOT_PATHS: [&str; 14] = [
     "crates/transport/src/workspace.rs",
     "crates/core/src/context.rs",
     "crates/core/src/emd.rs",
-    "crates/core/src/upper_bound.rs",
     "crates/core/src/lower_bounds/im.rs",
     "crates/core/src/lower_bounds/centroid.rs",
     "crates/core/src/lower_bounds/dual.rs",
@@ -69,14 +68,13 @@ pub const HOT_PATHS: [&str; 14] = [
 
 /// Checksum, accounting and bound-computation files subject to the
 /// lossy-cast audit, relative to the workspace root.
-pub const LOSSY_CAST_PATHS: [&str; 14] = [
+pub const LOSSY_CAST_PATHS: [&str; 13] = [
     "crates/store/src/crc32.rs",
     "crates/store/src/wal.rs",
     "crates/transport/src/budget.rs",
     "crates/transport/src/certify.rs",
     "crates/core/src/certify.rs",
     "crates/core/src/emd.rs",
-    "crates/core/src/upper_bound.rs",
     "crates/core/src/lower_bounds/im.rs",
     "crates/core/src/lower_bounds/centroid.rs",
     "crates/core/src/lower_bounds/dual.rs",

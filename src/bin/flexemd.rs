@@ -824,10 +824,11 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     }
     writeln!(
         stdout,
-        "exact EMD refinements: {} of {} objects ({:.1}%)",
+        "exact EMD refinements: {} of {} objects ({:.1}%), {} cut at the threshold",
         stats.refinements,
         database.len(),
-        100.0 * stats.refinements as f64 / database.len() as f64
+        100.0 * stats.refinements as f64 / database.len() as f64,
+        stats.refinements_cut
     )?;
     writeln!(stdout, "query time: {:.1} ms", elapsed.as_secs_f64() * 1e3)?;
 
