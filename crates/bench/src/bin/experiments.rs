@@ -16,7 +16,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use emd_bench::experiments;
-use emd_bench::report::Table;
+use emd_bench::report::{tables_to_json, Table};
 use emd_bench::setup::Scale;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -135,14 +135,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = json_path {
-        match serde_json::to_vec_pretty(&tables).map(|bytes| std::fs::write(&path, bytes)) {
-            Ok(Ok(())) => println!("# wrote {path}"),
-            Ok(Err(e)) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        match std::fs::write(&path, tables_to_json(&tables)) {
+            Ok(()) => println!("# wrote {path}"),
             Err(e) => {
-                eprintln!("failed to serialize tables: {e}");
+                eprintln!("failed to write {path}: {e}");
                 return ExitCode::FAILURE;
             }
         }

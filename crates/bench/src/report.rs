@@ -17,13 +17,40 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
 }
 
-serde::impl_serde_struct!(Table {
-    id,
-    title,
-    notes,
-    columns,
-    rows,
-});
+/// Append `items` as a 2-space pretty-printed JSON array whose closing
+/// bracket sits at `indent` spaces (`[]` when empty).
+fn write_array_pretty<T>(
+    out: &mut String,
+    items: &[T],
+    indent: usize,
+    mut write_item: impl FnMut(&mut String, &T),
+) {
+    out.push('[');
+    for (index, item) in items.iter().enumerate() {
+        out.push_str(if index == 0 { "\n" } else { ",\n" });
+        out.extend(std::iter::repeat_n(' ', indent + 2));
+        write_item(out, item);
+    }
+    if !items.is_empty() {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', indent));
+    }
+    out.push(']');
+}
+
+fn write_strings_pretty(out: &mut String, items: &[String], indent: usize) {
+    write_array_pretty(out, items, indent, |out, item| {
+        emd_json::write_escaped(out, item);
+    });
+}
+
+/// The `experiments --json` document: `tables` as a 2-space
+/// pretty-printed JSON array, no trailing newline.
+pub fn tables_to_json(tables: &[Table]) -> String {
+    let mut out = String::new();
+    write_array_pretty(&mut out, tables, 0, |out, table| table.to_json(out));
+    out
+}
 
 impl Table {
     /// Start an empty table.
@@ -35,6 +62,24 @@ impl Table {
             columns: columns.iter().map(|&c| c.to_owned()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// Append the JSON form, pretty-printed as one element of the
+    /// [`tables_to_json`] array (so its braces sit at 2 spaces).
+    fn to_json(&self, out: &mut String) {
+        out.push_str("{\n    \"id\": ");
+        emd_json::write_escaped(out, &self.id);
+        out.push_str(",\n    \"title\": ");
+        emd_json::write_escaped(out, &self.title);
+        out.push_str(",\n    \"notes\": ");
+        write_strings_pretty(out, &self.notes, 4);
+        out.push_str(",\n    \"columns\": ");
+        write_strings_pretty(out, &self.columns, 4);
+        out.push_str(",\n    \"rows\": ");
+        write_array_pretty(out, &self.rows, 4, |out, row| {
+            write_strings_pretty(out, row, 6);
+        });
+        out.push_str("\n  }");
     }
 
     /// Append a note line.
@@ -123,16 +168,57 @@ mod tests {
         table.row(vec!["1".into()]);
     }
 
+    /// The expected bytes are what the PR 18 build wrote for the same
+    /// tables, pasted: the `--json` layout is pinned, not assumed.
     #[test]
     fn json_serialization_is_stable() {
-        let mut table = Table::new("E1", "demo", &["a"]);
+        let mut table = Table::new("E1", "demo \"q\"", &["d'", "candidates"]);
         table.note("n=1");
-        table.row(vec!["7".into()]);
-        let json = serde_json::to_value(&table).unwrap();
-        assert_eq!(json["id"], "E1");
-        assert_eq!(json["columns"][0], "a");
-        assert_eq!(json["rows"][0][0], "7");
-        assert_eq!(json["notes"][0], "n=1");
+        table.row(vec!["8".into(), "12.5".into()]);
+        let empty = Table::new("E2", "empty", &["a"]);
+        let expected = r#"[
+  {
+    "id": "E1",
+    "title": "demo \"q\"",
+    "notes": [
+      "n=1"
+    ],
+    "columns": [
+      "d'",
+      "candidates"
+    ],
+    "rows": [
+      [
+        "8",
+        "12.5"
+      ]
+    ]
+  },
+  {
+    "id": "E2",
+    "title": "empty",
+    "notes": [],
+    "columns": [
+      "a"
+    ],
+    "rows": []
+  }
+]"#;
+        let json = tables_to_json(&[table, empty]);
+        assert_eq!(json, expected);
+        assert_eq!(tables_to_json(&[]), "[]");
+
+        let parsed = emd_json::parse(&json).unwrap();
+        let first = &parsed.as_array().unwrap()[0];
+        assert_eq!(
+            first.get("id").and_then(emd_json::Value::as_str),
+            Some("E1")
+        );
+        let rows = first
+            .get("rows")
+            .and_then(emd_json::Value::as_array)
+            .unwrap();
+        assert_eq!(rows[0].as_array().unwrap()[1].as_str(), Some("12.5"));
     }
 
     #[test]

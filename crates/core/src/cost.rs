@@ -2,6 +2,8 @@
 //! including the rectangular case the reduced EMD needs.
 
 use crate::error::CoreError;
+use emd_json::Value;
+use std::fmt::Write as _;
 
 /// The ground-distance matrix `C = [c_ij]` of Definition 1.
 ///
@@ -18,23 +20,6 @@ pub struct CostMatrix {
     cols: usize,
     entries: Box<[f64]>,
 }
-
-/// Serialization shim keeping the on-disk format explicit.
-struct CostMatrixRepr {
-    rows: usize,
-    cols: usize,
-    entries: Vec<f64>,
-}
-
-serde::impl_serde_struct!(CostMatrixRepr {
-    rows,
-    cols,
-    entries
-});
-
-// Deserialization re-validates through `CostMatrix::new` (the
-// `try_from`/`into` serde pattern).
-serde::impl_serde_via!(CostMatrix => CostMatrixRepr);
 
 impl CostMatrix {
     /// Build a cost matrix from a row-major entry buffer.
@@ -192,21 +177,41 @@ impl CostMatrix {
     }
 }
 
-impl TryFrom<CostMatrixRepr> for CostMatrix {
-    type Error = CoreError;
-
-    fn try_from(repr: CostMatrixRepr) -> Result<Self, Self::Error> {
-        CostMatrix::new(repr.rows, repr.cols, repr.entries)
+impl CostMatrix {
+    /// Append the JSON form: `{"rows":…,"cols":…,"entries":[…]}` with the
+    /// entries row-major.
+    pub fn to_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"rows\":{},\"cols\":{},\"entries\":",
+            self.rows, self.cols
+        );
+        emd_json::write_array(out, &self.entries, |out, &cost| {
+            emd_json::write_number(out, cost);
+        });
+        out.push('}');
     }
-}
 
-impl From<CostMatrix> for CostMatrixRepr {
-    fn from(matrix: CostMatrix) -> Self {
-        CostMatrixRepr {
-            rows: matrix.rows,
-            cols: matrix.cols,
-            entries: matrix.entries.into_vec(),
-        }
+    /// Decode the JSON form, re-validating through [`CostMatrix::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when a field is missing or of the wrong shape,
+    /// or the entries are not a valid `rows x cols` cost matrix.
+    pub fn from_json(value: &Value) -> Result<Self, String> {
+        let side = |field: &str| {
+            value
+                .get(field)
+                .and_then(Value::as_u64)
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| format!("cost matrix `{field}` must be a non-negative integer"))
+        };
+        let entries = value
+            .get("entries")
+            .and_then(Value::as_array)
+            .and_then(|items| items.iter().map(Value::as_f64).collect())
+            .ok_or("cost matrix `entries` must be an array of numbers")?;
+        CostMatrix::new(side("rows")?, side("cols")?, entries).map_err(|e| e.to_string())
     }
 }
 
@@ -288,10 +293,47 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let c = CostMatrix::from_fn(3, |i, j| (i as f64 - j as f64).abs()).unwrap();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: CostMatrix = serde_json::from_str(&json).unwrap();
+        let mut json = String::new();
+        c.to_json(&mut json);
+        let back = CostMatrix::from_json(&emd_json::parse(&json).unwrap()).unwrap();
         assert_eq!(c, back);
+    }
+
+    /// The bytes are what the PR 18 build wrote for the same matrix, pasted:
+    /// the format is pinned, and every entry reads back to the same bits.
+    #[test]
+    fn json_golden() {
+        let literal = concat!(
+            r#"{"rows":2,"cols":3,"entries":[0.0000001,1000000000000000,0.1,"#,
+            r#"0.3333333333333333,0,2.5]}"#
+        );
+        let entries = vec![1e-7, 1e15, 0.1, 1.0 / 3.0, 0.0, 2.5];
+        let c = CostMatrix::new(2, 3, entries.clone()).unwrap();
+        let mut json = String::new();
+        c.to_json(&mut json);
+        assert_eq!(json, literal);
+        let back = CostMatrix::from_json(&emd_json::parse(literal).unwrap()).unwrap();
+        assert_eq!((back.rows(), back.cols()), (2, 3));
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.entries()), bits(&entries));
+    }
+
+    #[test]
+    fn json_rejects_invalid() {
+        for bad in [
+            r#"{"rows":2,"cols":2,"entries":[0,1,1]}"#, // ragged
+            r#"{"cols":2,"entries":[0,1]}"#,            // missing field
+            r#"{"rows":1.5,"cols":2,"entries":[0,1,1]}"#,
+            r#"{"rows":-1,"cols":2,"entries":[0,1]}"#,
+            r#"{"rows":1,"cols":2,"entries":[0,-1]}"#,
+            r#"{"rows":1,"cols":2,"entries":[0,"1"]}"#,
+            r#"{"rows":1,"cols":2,"entries":{"0":0}}"#,
+            "[0,1]",
+        ] {
+            let value = emd_json::parse(bad).unwrap();
+            assert!(CostMatrix::from_json(&value).is_err(), "accepted {bad}");
+        }
     }
 }

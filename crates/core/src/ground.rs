@@ -20,12 +20,6 @@ pub enum Metric {
     Chebyshev,
 }
 
-serde::impl_serde_unit_enum!(Metric {
-    Manhattan,
-    Euclidean,
-    Chebyshev
-});
-
 impl Metric {
     /// Distance between two points of equal dimensionality.
     pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {

@@ -3,6 +3,7 @@
 
 use crate::error::CoreError;
 use crate::MASS_EPS;
+use emd_json::Value;
 
 /// A non-negative feature vector of normalized total mass — the operand
 /// type of Definition 1 in the paper.
@@ -19,10 +20,6 @@ use crate::MASS_EPS;
 pub struct Histogram {
     bins: Box<[f64]>,
 }
-
-// Serialize as the raw mass vector; deserialization re-validates through
-// `Histogram::new` (the `try_from`/`into` serde pattern).
-serde::impl_serde_via!(Histogram => Vec<f64>);
 
 impl Histogram {
     /// Wrap an already-normalized mass vector.
@@ -166,17 +163,26 @@ impl Histogram {
     }
 }
 
-impl TryFrom<Vec<f64>> for Histogram {
-    type Error = CoreError;
-
-    fn try_from(bins: Vec<f64>) -> Result<Self, Self::Error> {
-        Histogram::new(bins)
+impl Histogram {
+    /// Append the JSON form: the raw mass vector as an array of numbers.
+    pub fn to_json(&self, out: &mut String) {
+        emd_json::write_array(out, &self.bins, |out, &mass| {
+            emd_json::write_number(out, mass);
+        });
     }
-}
 
-impl From<Histogram> for Vec<f64> {
-    fn from(histogram: Histogram) -> Self {
-        histogram.bins.into_vec()
+    /// Decode the JSON form, re-validating through [`Histogram::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `value` is not an array of numbers or the
+    /// masses are not a valid histogram.
+    pub fn from_json(value: &Value) -> Result<Self, String> {
+        let bins = value
+            .as_array()
+            .and_then(|items| items.iter().map(Value::as_f64).collect())
+            .ok_or("a histogram must be an array of numbers")?;
+        Histogram::new(bins).map_err(|e| e.to_string())
     }
 }
 
@@ -263,17 +269,30 @@ mod tests {
         assert!((x.l1_distance(&y) - 2.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn serde_roundtrip() {
-        let h = Histogram::new(vec![0.25, 0.75]).unwrap();
-        let json = serde_json::to_string(&h).unwrap();
-        let back: Histogram = serde_json::from_str(&json).unwrap();
-        assert_eq!(h, back);
+    fn from_text(text: &str) -> Result<Histogram, String> {
+        Histogram::from_json(&emd_json::parse(text).unwrap())
     }
 
     #[test]
-    fn serde_rejects_invalid() {
-        let result: Result<Histogram, _> = serde_json::from_str("[0.5, 0.6]");
-        assert!(result.is_err());
+    fn json_roundtrip() {
+        let h = Histogram::new(vec![0.25, 0.75]).unwrap();
+        let mut json = String::new();
+        h.to_json(&mut json);
+        assert_eq!(json, "[0.25,0.75]");
+        assert_eq!(from_text(&json).unwrap(), h);
+    }
+
+    #[test]
+    fn json_rejects_invalid() {
+        // Not normalized, wrong shape, wrong element type, empty.
+        for bad in [
+            "[0.5, 0.6]",
+            r#"{"bins": [1]}"#,
+            r#"[0.5, "0.5"]"#,
+            "[]",
+            "1",
+        ] {
+            assert!(from_text(bad).is_err(), "accepted {bad}");
+        }
     }
 }

@@ -2,6 +2,8 @@
 //! labels, ground-distance matrix and optional bin positions.
 
 use emd_core::{CostMatrix, Histogram};
+use emd_json::{write_array, write_number, Value};
+use std::fmt::Write as _;
 
 /// A bundled retrieval corpus: feature histograms, their class labels, the
 /// ground-distance cost matrix and (when the feature space has an explicit
@@ -23,14 +25,6 @@ pub struct Dataset {
     /// centroid lower bound).
     pub positions: Option<Vec<Vec<f64>>>,
 }
-
-serde::impl_serde_struct!(Dataset {
-    name,
-    histograms,
-    labels,
-    cost,
-    positions,
-});
 
 /// The first internal inconsistency found by [`Dataset::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +99,7 @@ impl Dataset {
     }
 
     /// Check internal consistency; generators uphold this by construction,
-    /// deserialized corpora are checked by [`crate::io::load`].
+    /// decoded corpora are checked by [`Dataset::from_json`].
     ///
     /// # Errors
     ///
@@ -139,6 +133,79 @@ impl Dataset {
             }
         }
         Ok(())
+    }
+
+    /// Append the JSON form: an object with `name`, `histograms`,
+    /// `labels`, `cost` and `positions` (`null` when absent), compact.
+    pub fn to_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        emd_json::write_escaped(out, &self.name);
+        out.push_str(",\"histograms\":");
+        write_array(out, &self.histograms, |out, h| h.to_json(out));
+        out.push_str(",\"labels\":");
+        write_array(out, &self.labels, |out, label| {
+            let _ = write!(out, "{label}");
+        });
+        out.push_str(",\"cost\":");
+        self.cost.to_json(out);
+        out.push_str(",\"positions\":");
+        match &self.positions {
+            Some(positions) => write_array(out, positions, |out, point| {
+                write_array(out, point, |out, &x| write_number(out, x));
+            }),
+            None => out.push_str("null"),
+        }
+        out.push('}');
+    }
+
+    /// Decode the JSON form: histograms and cost matrix through their own
+    /// validating decoders, then the whole corpus through
+    /// [`Dataset::validate`]. `positions` may be `null` or absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when a field is missing or of the wrong shape
+    /// (a label must be an integer in `0..=u32::MAX`), a histogram or the
+    /// cost matrix is invalid, or the corpus is inconsistent.
+    pub fn from_json(value: &Value) -> Result<Self, String> {
+        let field = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| format!("dataset lacks `{name}`"))
+        };
+        let name = field("name")?
+            .as_str()
+            .ok_or("dataset `name` must be a string")?;
+        let histograms = field("histograms")?
+            .as_array()
+            .ok_or("dataset `histograms` must be an array")?
+            .iter()
+            .map(Histogram::from_json)
+            .collect::<Result<_, _>>()?;
+        let label = |item: &Value| u32::try_from(item.as_u64()?).ok();
+        let labels = field("labels")?
+            .as_array()
+            .and_then(|items| items.iter().map(label).collect())
+            .ok_or("dataset `labels` must be an array of 32-bit non-negative integers")?;
+        let point = |item: &Value| item.as_array()?.iter().map(Value::as_f64).collect();
+        let positions = match value.get("positions") {
+            None | Some(Value::Null) => None,
+            Some(points) => Some(
+                points
+                    .as_array()
+                    .and_then(|items| items.iter().map(point).collect())
+                    .ok_or("dataset `positions` must be an array of number arrays")?,
+            ),
+        };
+        let dataset = Dataset {
+            name: name.to_owned(),
+            histograms,
+            labels,
+            cost: CostMatrix::from_json(field("cost")?)?,
+            positions,
+        };
+        dataset.validate().map_err(|e| e.to_string())?;
+        Ok(dataset)
     }
 
     /// Split off the last `count` objects as a disjoint query set. Used by

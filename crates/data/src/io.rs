@@ -1,10 +1,11 @@
-//! Dataset (de)serialization.
+//! Dataset and workload files.
 //!
 //! Corpora and workloads are stored as JSON so experiment runs are
 //! reproducible and individual artifacts can be inspected by hand.
 
-use crate::dataset::{Dataset, ValidateError};
+use crate::dataset::Dataset;
 use crate::workload::Workload;
+use emd_json::Value;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -21,15 +22,13 @@ pub enum IoError {
         /// The underlying OS error.
         source: io::Error,
     },
-    /// JSON (de)serialization failure.
+    /// The file is not JSON, or not the JSON of a valid dataset/workload.
     Json {
-        /// The file being (de)serialized.
+        /// The file being decoded.
         path: PathBuf,
-        /// The underlying parse/serialize error.
-        source: serde_json::Error,
+        /// What the parser or the decoder refused.
+        source: String,
     },
-    /// The payload parsed but is internally inconsistent.
-    Invalid(ValidateError),
 }
 
 impl std::fmt::Display for IoError {
@@ -41,7 +40,6 @@ impl std::fmt::Display for IoError {
             IoError::Json { path, source } => {
                 write!(f, "json error in {}: {source}", path.display())
             }
-            IoError::Invalid(source) => write!(f, "invalid dataset: {source}"),
         }
     }
 }
@@ -50,37 +48,41 @@ impl std::error::Error for IoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IoError::Io { source, .. } => Some(source),
-            IoError::Json { source, .. } => Some(source),
-            IoError::Invalid(source) => Some(source),
+            IoError::Json { .. } => None,
         }
     }
 }
 
-impl IoError {
-    fn io(path: &Path, source: io::Error) -> Self {
-        IoError::Io {
-            path: path.to_path_buf(),
-            source,
-        }
+fn io_error(path: &Path) -> impl FnOnce(io::Error) -> IoError + '_ {
+    move |source| IoError::Io {
+        path: path.to_path_buf(),
+        source,
     }
+}
 
-    fn json(path: &Path, source: serde_json::Error) -> Self {
-        IoError::Json {
+/// Read `path`, parse it and hand the value to `decode`.
+fn read_file<T>(
+    path: &Path,
+    decode: impl FnOnce(&Value) -> Result<T, String>,
+) -> Result<T, IoError> {
+    let text = fs::read_to_string(path).map_err(io_error(path))?;
+    emd_json::parse(&text)
+        .and_then(|value| decode(&value))
+        .map_err(|source| IoError::Json {
             path: path.to_path_buf(),
             source,
-        }
-    }
+        })
 }
 
 /// Save a dataset as JSON.
 ///
 /// # Errors
 ///
-/// Returns [`IoError`] when serialization fails or the file cannot be
-/// written.
+/// Returns [`IoError::Io`] when the file cannot be written.
 pub fn save(dataset: &Dataset, path: &Path) -> Result<(), IoError> {
-    let bytes = serde_json::to_vec(dataset).map_err(|e| IoError::json(path, e))?;
-    fs::write(path, bytes).map_err(|e| IoError::io(path, e))
+    let mut text = String::new();
+    dataset.to_json(&mut text);
+    fs::write(path, text).map_err(io_error(path))
 }
 
 /// Load and validate a dataset from JSON.
@@ -88,33 +90,30 @@ pub fn save(dataset: &Dataset, path: &Path) -> Result<(), IoError> {
 /// # Errors
 ///
 /// Returns [`IoError`] when the file cannot be read, is not valid JSON, or
-/// fails [`Dataset::validate`].
+/// is refused by [`Dataset::from_json`].
 pub fn load(path: &Path) -> Result<Dataset, IoError> {
-    let bytes = fs::read(path).map_err(|e| IoError::io(path, e))?;
-    let dataset: Dataset = serde_json::from_slice(&bytes).map_err(|e| IoError::json(path, e))?;
-    dataset.validate().map_err(IoError::Invalid)?;
-    Ok(dataset)
+    read_file(path, Dataset::from_json)
 }
 
 /// Save a workload as JSON.
 ///
 /// # Errors
 ///
-/// Returns [`IoError`] when serialization fails or the file cannot be
-/// written.
+/// Returns [`IoError::Io`] when the file cannot be written.
 pub fn save_workload(workload: &Workload, path: &Path) -> Result<(), IoError> {
-    let bytes = serde_json::to_vec(workload).map_err(|e| IoError::json(path, e))?;
-    fs::write(path, bytes).map_err(|e| IoError::io(path, e))
+    let mut text = String::new();
+    workload.to_json(&mut text);
+    fs::write(path, text).map_err(io_error(path))
 }
 
 /// Load a workload from JSON.
 ///
 /// # Errors
 ///
-/// Returns [`IoError`] when the file cannot be read or is not valid JSON.
+/// Returns [`IoError`] when the file cannot be read, is not valid JSON, or
+/// is refused by [`Workload::from_json`].
 pub fn load_workload(path: &Path) -> Result<Workload, IoError> {
-    let bytes = fs::read(path).map_err(|e| IoError::io(path, e))?;
-    serde_json::from_slice(&bytes).map_err(|e| IoError::json(path, e))
+    read_file(path, Workload::from_json)
 }
 
 #[cfg(test)]

@@ -1,23 +1,37 @@
-//! A minimal JSON reader/writer for the index manifest.
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+//! # emd-json
 //!
-//! `emd-store` keeps the zero-dependency discipline of `emd-obs`: the
-//! manifest is small, flat, and fully under our control, so a compact
-//! recursive-descent parser (plus a string-escaping helper for the
-//! writer) beats pulling a serialization stack into the storage layer.
-//! Errors are plain strings with a byte offset; [`crate::manifest`]
-//! wraps them into [`crate::StoreError::Manifest`] with the file path.
+//! The workspace's JSON codec: the one [`Value`] tree, the one parser
+//! ([`parse`]) and the one set of writers ([`write_escaped`],
+//! [`write_number`], [`write_array`]). Everything the workspace reads or
+//! writes as JSON goes through it — datasets, workloads and reductions
+//! (`flexemd --data` / `--reduction` files), the index manifest, HTTP
+//! request and response bodies, the metrics snapshot, the experiment
+//! tables and the lint report.
+//!
+//! There is no serialization framework: each type that has a JSON form
+//! owns a `to_json(&self, out: &mut String)` that appends text and a
+//! `from_json(&Value)` that decodes through its validating constructor.
+//! The crate has zero dependencies.
+//!
+//! The parser reads outside input, so it bounds nesting at
+//! [`MAX_DEPTH`] and never panics; errors are plain strings with a byte
+//! offset, which callers wrap into their own typed error together with
+//! the file path or request they were reading.
 //!
 //! lint: allow(error-taxonomy, file): the parser's `Err(String)` sites are
-//! internal diagnostics converted to the typed `StoreError::Manifest` at
-//! the crate boundary; a per-production error enum would add ~15 variants
-//! for zero caller benefit.
+//! internal diagnostics converted to a typed error (`StoreError::Manifest`,
+//! `IoError::Json`, `ServeError::BadRequest`) at each caller's boundary; a
+//! per-production error enum would add ~15 variants for zero caller benefit.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Object keys keep sorted order via `BTreeMap`,
-/// which is fine for the manifest (no duplicate or order-sensitive
-/// keys).
+/// A parsed JSON value. Object keys keep sorted order via `BTreeMap`;
+/// no format the workspace reads has duplicate or order-sensitive keys
+/// (a duplicate is a parse error).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -58,6 +72,32 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Member `key`, if this is an object that has it.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_object()?.get(key)
+    }
+
+    /// The number, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The number as a non-negative integer, if it is one exactly: an
+    /// integer is exact in an `f64` only below 2^53, so anything larger
+    /// is refused rather than silently rounded.
+    pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+        match self {
+            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n < MAX_EXACT_INT => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Parse one JSON document; trailing non-whitespace is an error.
@@ -83,9 +123,10 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(value)
 }
 
-/// Maximum nesting depth; the manifest is ~3 levels deep, so this only
-/// guards against pathological input blowing the stack.
-const MAX_DEPTH: usize = 64;
+/// Maximum nesting depth. The deepest format the workspace reads (a
+/// dataset's `positions`) is 3 levels; the bound keeps pathological
+/// input from overflowing the stack of the recursive descent.
+pub const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -238,13 +279,7 @@ impl Parser<'_> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            let c = char::from_u32(u32::from(code)).ok_or_else(|| {
-                                format!("unsupported \\u escape {code:#06x} at byte {start}")
-                            })?;
-                            out.push(c);
-                        }
+                        b'u' => out.push(self.unicode_escape(start)?),
                         other => {
                             return Err(format!(
                                 "unknown escape `\\{}` at byte {start}",
@@ -275,6 +310,30 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The scalar named by a `\uXXXX` escape whose `\u` was just consumed
+    /// (`start` is the offset of the backslash). A high surrogate must be
+    /// followed by an escaped low surrogate, the pair naming one scalar
+    /// beyond the basic plane; a lone or reversed surrogate is an error.
+    fn unicode_escape(&mut self, start: usize) -> Result<char, String> {
+        let high = u32::from(self.hex4()?);
+        let code = if (0xD800..0xDC00).contains(&high) {
+            let low = match (self.bump(), self.bump()) {
+                (Some(b'\\'), Some(b'u')) => Some(u32::from(self.hex4()?)),
+                _ => None,
+            };
+            let low = low
+                .filter(|low| (0xDC00..0xE000).contains(low))
+                .ok_or_else(|| {
+                    format!("high surrogate {high:#06x} without a low one at byte {start}")
+                })?;
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            high
+        };
+        char::from_u32(code)
+            .ok_or_else(|| format!("lone low surrogate {code:#06x} at byte {start}"))
     }
 
     fn hex4(&mut self) -> Result<u16, String> {
@@ -310,6 +369,30 @@ impl Parser<'_> {
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))?;
         Ok(Value::Number(value))
     }
+}
+
+/// Append `value` as a JSON number: `Display` for finite values (the
+/// shortest text that parses back to the same bits, never an exponent),
+/// `null` otherwise.
+pub fn write_number(out: &mut String, value: f64) {
+    if value.is_finite() {
+        let _ = write!(out, "{value}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `items` as a compact JSON array, each element written by
+/// `write_item`.
+pub fn write_array<T>(out: &mut String, items: &[T], mut write_item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (index, item) in items.iter().enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        write_item(out, item);
+    }
+    out.push(']');
 }
 
 /// Append `text` as a JSON string literal (with quotes) to `out`.

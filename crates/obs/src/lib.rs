@@ -3,7 +3,8 @@
 
 //! # emd-obs
 //!
-//! Zero-dependency observability for the flexemd workspace: a
+//! Observability for the flexemd workspace (its one dependency is the
+//! JSON codec, `emd-json`, for the snapshot writer): a
 //! [`MetricsRegistry`] of monotonic counters, log-scale duration
 //! histograms and gauges, plus a span-style [`Tracer`] for wall-clock
 //! stage timing. The paper's evaluation (Section 5 of Wichterich et al.,

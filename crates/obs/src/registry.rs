@@ -2,6 +2,7 @@
 //! and the optional span event log, with deterministic merge and a
 //! schema-versioned JSON export.
 
+use emd_json::{write_escaped, write_number};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -245,18 +246,17 @@ impl MetricsRegistry {
 
     /// Render the registry as a pretty-printed, schema-versioned JSON
     /// document ([`SCHEMA`]). Keys appear in sorted order; counters and
-    /// nanosecond sums are emitted as exact integers. The writer is
-    /// self-contained so the crate stays dependency-free.
+    /// nanosecond sums are emitted as exact integers.
     pub fn to_json_string(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
         let _ = write!(out, "  \"schema\": ");
-        write_json_string(&mut out, SCHEMA);
+        write_escaped(&mut out, SCHEMA);
         out.push_str(",\n  \"counters\": {");
         for (index, (name, value)) in self.counters.iter().enumerate() {
             out.push_str(if index == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            write_json_string(&mut out, name);
+            write_escaped(&mut out, name);
             let _ = write!(out, ": {value}");
         }
         out.push_str(if self.counters.is_empty() {
@@ -268,16 +268,16 @@ impl MetricsRegistry {
         for (index, (name, value)) in self.gauges.iter().enumerate() {
             out.push_str(if index == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            write_json_string(&mut out, name);
+            write_escaped(&mut out, name);
             out.push_str(": ");
-            write_json_number(&mut out, *value);
+            write_number(&mut out, *value);
         }
         out.push_str(if self.gauges.is_empty() { "}" } else { "\n  }" });
         out.push_str(",\n  \"histograms\": {");
         for (index, (name, histogram)) in self.histograms.iter().enumerate() {
             out.push_str(if index == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            write_json_string(&mut out, name);
+            write_escaped(&mut out, name);
             let _ = write!(
                 out,
                 ": {{\"count\": {}, \"sum_nanos\": {}, \"min_nanos\": {}, \"max_nanos\": {}, \"buckets\": [",
@@ -304,42 +304,13 @@ impl MetricsRegistry {
             for (index, event) in self.events.iter().enumerate() {
                 out.push_str(if index == 0 { "\n" } else { ",\n" });
                 out.push_str("    {\"name\": ");
-                write_json_string(&mut out, &event.name);
+                write_escaped(&mut out, &event.name);
                 let _ = write!(out, ", \"nanos\": {}}}", event.nanos);
             }
             out.push_str("\n  ]");
         }
         out.push_str("\n}\n");
         out
-    }
-}
-
-/// Write a JSON string literal with the required escapes.
-fn write_json_string(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Write an `f64` as a JSON number; non-finite values become `null`
-/// (matching `serde_json`).
-fn write_json_number(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(out, "{value}");
-    } else {
-        out.push_str("null");
     }
 }
 

@@ -41,7 +41,8 @@
 //! order a full scan produces — answers are bit-identical; only the
 //! number of reduced-EMD evaluations changes. Clusters whose bound
 //! exceeds KNOP's stopping frontier are never expanded: that is the
-//! sublinear win measured by experiment E17.
+//! sublinear win the benchmark's `gauss32-clustered-20k` workload
+//! measures (`cluster.visited_per_query` / `cluster.pruned_per_query`).
 //!
 //! The clustering persists through `emd-store` ([`ClusteredIndex::to_stored`]
 //! / [`ClusteredIndex::from_stored`]) so `build-index --cluster` pays

@@ -3,6 +3,8 @@
 
 use crate::error::ReductionError;
 use emd_core::Histogram;
+use emd_json::Value;
+use std::fmt::Write as _;
 
 /// A *combining* dimensionality reduction (Definition 3 of the paper).
 ///
@@ -36,20 +38,6 @@ pub struct CombiningReduction {
     /// Cached group sizes; `group_sizes[i'] >= 1` is restriction (8).
     group_sizes: Box<[u32]>,
 }
-
-struct ReductionRepr {
-    assignment: Vec<u32>,
-    reduced_dim: usize,
-}
-
-serde::impl_serde_struct!(ReductionRepr {
-    assignment,
-    reduced_dim
-});
-
-// Deserialization re-validates through `CombiningReduction::new` (the
-// `try_from`/`into` serde pattern).
-serde::impl_serde_via!(CombiningReduction => ReductionRepr);
 
 impl CombiningReduction {
     /// Build a reduction from an assignment vector
@@ -246,23 +234,37 @@ impl CombiningReduction {
     }
 }
 
-impl TryFrom<ReductionRepr> for CombiningReduction {
-    type Error = ReductionError;
-
-    fn try_from(repr: ReductionRepr) -> Result<Self, Self::Error> {
-        CombiningReduction::new(
-            repr.assignment.into_iter().map(|a| a as usize).collect(),
-            repr.reduced_dim,
-        )
+impl CombiningReduction {
+    /// Append the JSON form: `{"assignment":[…],"reduced_dim":…}`.
+    pub fn to_json(&self, out: &mut String) {
+        out.push_str("{\"assignment\":");
+        emd_json::write_array(out, &self.assignment, |out, target| {
+            let _ = write!(out, "{target}");
+        });
+        let _ = write!(out, ",\"reduced_dim\":{}}}", self.reduced_dim);
     }
-}
 
-impl From<CombiningReduction> for ReductionRepr {
-    fn from(reduction: CombiningReduction) -> Self {
-        ReductionRepr {
-            assignment: reduction.assignment.to_vec(),
-            reduced_dim: reduction.reduced_dim,
-        }
+    /// Decode the JSON form, re-validating through
+    /// [`CombiningReduction::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when a field is missing or of the wrong shape
+    /// (an assignment target must be an integer in `0..=u32::MAX`), or
+    /// the assignment is not a Definition 3 reduction.
+    pub fn from_json(value: &Value) -> Result<Self, String> {
+        let target = |item: &Value| Some(u32::try_from(item.as_u64()?).ok()? as usize);
+        let assignment = value
+            .get("assignment")
+            .and_then(Value::as_array)
+            .and_then(|items| items.iter().map(target).collect())
+            .ok_or("reduction `assignment` must be an array of 32-bit non-negative integers")?;
+        let reduced_dim = value
+            .get("reduced_dim")
+            .and_then(Value::as_u64)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or("reduction `reduced_dim` must be a non-negative integer")?;
+        CombiningReduction::new(assignment, reduced_dim).map_err(|e| e.to_string())
     }
 }
 
@@ -396,14 +398,34 @@ mod tests {
         }
     }
 
+    /// The literal is what the PR 18 build wrote for the same reduction,
+    /// pasted: the format is pinned, not assumed.
     #[test]
-    fn serde_roundtrip_and_validation() {
-        let r = CombiningReduction::new(vec![0, 1, 0], 2).unwrap();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: CombiningReduction = serde_json::from_str(&json).unwrap();
+    fn json_roundtrip_and_validation() {
+        let literal = r#"{"assignment":[0,1,0,2],"reduced_dim":3}"#;
+        let r = CombiningReduction::new(vec![0, 1, 0, 2], 3).unwrap();
+        let mut json = String::new();
+        r.to_json(&mut json);
+        assert_eq!(json, literal);
+        let back = CombiningReduction::from_json(&emd_json::parse(literal).unwrap()).unwrap();
         assert_eq!(r, back);
-        // Invalid payloads are rejected through the same validation.
-        let bad = r#"{"assignment":[0,0,0],"reduced_dim":2}"#;
-        assert!(serde_json::from_str::<CombiningReduction>(bad).is_err());
+        // Invalid payloads are rejected: through the same validation
+        // (empty group), then by shape, then by the assignment domain.
+        for bad in [
+            r#"{"assignment":[0,0,0],"reduced_dim":2}"#,
+            r#"{"assignment":[0,1,0]}"#,
+            r#"{"assignment":"010","reduced_dim":2}"#,
+            r#"{"assignment":[0,1.5,0],"reduced_dim":2}"#,
+            r#"{"assignment":[0,-1,0],"reduced_dim":2}"#,
+            r#"{"assignment":[0,4294967296,1],"reduced_dim":2}"#,
+            r#"{"assignment":[0,1,0],"reduced_dim":"2"}"#,
+            "[0,1,0]",
+        ] {
+            let value = emd_json::parse(bad).unwrap();
+            assert!(
+                CombiningReduction::from_json(&value).is_err(),
+                "accepted {bad}"
+            );
+        }
     }
 }

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
 use crate::spec::QuerySpec;
-use emd_store::json::{self, Value};
+use emd_json::{self as json, Value};
 
 /// Schema tag of [`LoadgenReport::to_json_string`].
 pub const REPORT_SCHEMA: &str = "flexemd-bench/v1";
@@ -219,12 +219,9 @@ pub fn discover_objects(addr: SocketAddr, io_timeout: Duration) -> Result<usize,
     }
     let value = json::parse(&body).map_err(ServeError::BadResponse)?;
     let objects = value
-        .as_object()
-        .and_then(|object| object.get("objects"))
-        .and_then(|v| match v {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as usize),
-            _ => None,
-        })
+        .get("objects")
+        .and_then(Value::as_u64)
+        .and_then(|n| usize::try_from(n).ok())
         .ok_or_else(|| ServeError::BadResponse("/healthz lacks an `objects` count".to_owned()))?;
     if objects == 0 {
         return Err(ServeError::BadResponse(

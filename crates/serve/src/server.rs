@@ -47,11 +47,11 @@ use crate::error::ServeError;
 use crate::http::{read_request, HttpError, Limits, Method, Request, Response};
 use crate::spec::QuerySpec;
 use emd_core::Histogram;
+use emd_json::{self as json, Value};
 use emd_obs::{Gauge, GaugeGuard, MetricsRegistry, Recording};
 use emd_query::{
     BudgetReason, Database, Executor, Neighbor, Query, QueryError, QueryOutcome, QueryStats,
 };
-use emd_store::json::{self, Value};
 
 /// Schema tag carried by every JSON response body.
 pub const RESPONSE_SCHEMA: &str = "flexemd-serve/v1";
@@ -569,13 +569,13 @@ fn query_histogram(
         (Some(_), Some(_)) => Err(ServeError::BadRequest(
             "specify `query_id` or `weights`, not both".to_owned(),
         )),
-        (Some(Value::Number(n)), None) if n.fract() == 0.0 && *n >= 0.0 => {
-            lookup(*n as u64).map_err(ServeError::BadRequest)
+        (Some(id), None) => {
+            let id = id.as_u64().ok_or_else(|| {
+                ServeError::BadRequest("`query_id` must be a non-negative integer".to_owned())
+            })?;
+            lookup(id).map_err(ServeError::BadRequest)
         }
-        (Some(_), None) => Err(ServeError::BadRequest(
-            "`query_id` must be a non-negative integer".to_owned(),
-        )),
-        (None, Some(value)) => parse_weights(value),
+        (None, Some(weights)) => parse_weights(weights),
         (None, None) => Err(ServeError::BadRequest(
             "specify `query_id` or `weights`".to_owned(),
         )),
@@ -584,21 +584,7 @@ fn query_histogram(
 
 /// Decode a `weights` JSON array into a validated [`Histogram`].
 fn parse_weights(value: &Value) -> Result<Histogram, ServeError> {
-    let Value::Array(items) = value else {
-        return Err(ServeError::BadRequest(
-            "`weights` must be an array of numbers".to_owned(),
-        ));
-    };
-    let mut bins = Vec::with_capacity(items.len());
-    for item in items {
-        let Value::Number(weight) = item else {
-            return Err(ServeError::BadRequest(
-                "`weights` must be an array of numbers".to_owned(),
-            ));
-        };
-        bins.push(*weight);
-    }
-    Histogram::new(bins).map_err(|e| ServeError::BadRequest(format!("bad `weights`: {e}")))
+    Histogram::from_json(value).map_err(|e| ServeError::BadRequest(format!("bad `weights`: {e}")))
 }
 
 /// The 409 returned by write routes on a read-only (static) server.
@@ -648,17 +634,10 @@ fn remove_response(shared: &Shared, request: &Request) -> Response {
     };
     let result = (|| -> Result<Response, ServeError> {
         let object = parse_body_object(request)?;
-        let Some(Value::Number(n)) = object.get("id") else {
-            return Err(ServeError::BadRequest(
-                "remove requires a numeric `id`".to_owned(),
-            ));
-        };
-        if n.fract() != 0.0 || *n < 0.0 {
-            return Err(ServeError::BadRequest(
-                "`id` must be a non-negative integer".to_owned(),
-            ));
-        }
-        let removed = ingest.remove(*n as u64)?;
+        let id = object.get("id").and_then(Value::as_u64).ok_or_else(|| {
+            ServeError::BadRequest("remove requires a non-negative integer `id`".to_owned())
+        })?;
+        let removed = ingest.remove(id)?;
         let mut body = String::new();
         body.push_str("{\"schema\":");
         json::write_escaped(&mut body, RESPONSE_SCHEMA);
@@ -715,16 +694,6 @@ fn reason_token(reason: BudgetReason) -> &'static str {
     }
 }
 
-/// Render an f64 for JSON (`Display` round-trips f64 exactly, which is
-/// what keeps served distances bit-identical to the direct executor).
-fn push_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        out.push_str(&format!("{value}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn neighbors_json(out: &mut String, neighbors: &[Neighbor]) {
     out.push('[');
     for (index, neighbor) in neighbors.iter().enumerate() {
@@ -732,7 +701,9 @@ fn neighbors_json(out: &mut String, neighbors: &[Neighbor]) {
             out.push(',');
         }
         out.push_str(&format!("{{\"id\":{},\"distance\":", neighbor.id));
-        push_f64(out, neighbor.distance);
+        // `write_number` round-trips an f64 exactly, which keeps served
+        // distances bit-identical to the direct executor.
+        json::write_number(out, neighbor.distance);
         out.push('}');
     }
     out.push(']');
@@ -758,7 +729,7 @@ fn outcome_body(outcome: &QueryOutcome, stats: &QueryStats) -> String {
                     body.push(',');
                 }
                 body.push_str(&format!("{{\"id\":{},\"bound\":", candidate.id));
-                push_f64(&mut body, candidate.bound);
+                json::write_number(&mut body, candidate.bound);
                 body.push_str(&format!(",\"exact\":{}}}", candidate.exact));
             }
             body.push(']');

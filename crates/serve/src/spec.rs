@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use crate::error::ServeError;
 use emd_core::Histogram;
+use emd_json::Value;
 use emd_query::{Budget, Query, QueryMode};
-use emd_store::json::Value;
 
 /// The k used when a request names neither `k` nor a range radius.
 pub const DEFAULT_K: usize = 10;
@@ -47,26 +47,22 @@ fn parse_field<T: std::str::FromStr>(
         .transpose()
 }
 
-/// `u64` is exact in an `f64` only below 2^53; reject anything larger
-/// rather than silently rounding.
-const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
-
-fn json_integer(map: &BTreeMap<String, Value>, field: &str) -> Result<Option<u64>, ServeError> {
+/// An optional body field (absent and `null` both mean "not given")
+/// read through one of `Value`'s typed accessors.
+fn json_field<T>(
+    map: &BTreeMap<String, Value>,
+    field: &str,
+    read: impl FnOnce(&Value) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, ServeError> {
     match map.get(field) {
         None | Some(Value::Null) => Ok(None),
-        Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n < MAX_EXACT_INT => {
-            Ok(Some(*n as u64))
-        }
-        Some(_) => Err(bad(field, "a non-negative integer")),
+        Some(value) => read(value).map(Some).ok_or_else(|| bad(field, expected)),
     }
 }
 
-fn json_number(map: &BTreeMap<String, Value>, field: &str) -> Result<Option<f64>, ServeError> {
-    match map.get(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Number(n)) => Ok(Some(*n)),
-        Some(_) => Err(bad(field, "a number")),
-    }
+fn json_integer(map: &BTreeMap<String, Value>, field: &str) -> Result<Option<u64>, ServeError> {
+    json_field(map, field, Value::as_u64, "a non-negative integer")
 }
 
 impl QuerySpec {
@@ -106,7 +102,7 @@ impl QuerySpec {
         };
         let spec = QuerySpec {
             k,
-            epsilon: json_number(map, "epsilon")?,
+            epsilon: json_field(map, "epsilon", Value::as_f64, "a number")?,
             deadline_ms: json_integer(map, "deadline_ms")?,
             max_pivots: json_integer(map, "max_pivots")?,
         };
@@ -172,7 +168,7 @@ mod tests {
     use super::*;
 
     fn object(body: &str) -> BTreeMap<String, Value> {
-        emd_store::json::parse(body)
+        emd_json::parse(body)
             .expect("test body parses")
             .as_object()
             .expect("test body is an object")

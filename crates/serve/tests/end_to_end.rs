@@ -7,10 +7,10 @@
 
 mod common;
 
+use emd_json::{self as json, Value};
 use emd_query::{Query, QueryOutcome};
 use emd_serve::loadgen::{self, LoadgenConfig};
 use emd_serve::QuerySpec;
-use emd_store::json::{self, Value};
 use std::collections::BTreeMap;
 use std::time::Duration;
 

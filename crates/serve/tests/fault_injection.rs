@@ -9,9 +9,9 @@
 mod common;
 
 use emd_faultkit::{FailPlan, FaultInjector, InjectedPanic};
+use emd_json::{self as json, Value};
 use emd_query::DurableIndex;
 use emd_serve::{IngestState, Snapshot};
-use emd_store::json::{self, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

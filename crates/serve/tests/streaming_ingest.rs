@@ -9,10 +9,10 @@
 mod common;
 
 use emd_core::{ground, Histogram};
+use emd_json::{self as json, Value};
 use emd_query::{DurableIndex, DurableSnapshot};
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use emd_serve::{IngestState, QuerySpec, Snapshot};
-use emd_store::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -30,9 +30,8 @@
 //! sections, cross-section disagreement and a tampered reduced cost
 //! matrix each map to a typed [`StoreError`] on the open path.
 //!
-//! Like `emd-obs`, this crate has zero external dependencies — the
-//! manifest JSON is read by a small recursive-descent parser in
-//! [`json`] rather than a serialization framework.
+//! The manifest JSON is read and written through `emd-json`, the
+//! workspace's one JSON codec, re-exported here as [`json`].
 //!
 //! When an obs recording is active, opening an index emits a
 //! `store.open` span and `store.bytes_read` / `store.sections_verified`
@@ -41,12 +40,14 @@
 pub mod crc32;
 mod error;
 pub mod index;
-pub mod json;
 pub mod manifest;
 pub mod sections;
 pub mod segment;
 pub mod wal;
 
+/// `emd-json` under its old path: `benchmark/` compiles against
+/// `emd_store::json::{self, Value}`. Goes once the benchmark is repointed.
+pub use ::emd_json as json;
 pub use error::StoreError;
 pub use index::{
     open_index, open_index_with, save_index, save_index_with, StoredIndex, DATABASE_SEGMENT,

@@ -18,7 +18,7 @@
 use std::path::Path;
 
 use crate::error::StoreError;
-use crate::json;
+use emd_json as json;
 
 /// Schema tag identifying the on-disk format family and major revision.
 pub const SCHEMA: &str = "flexemd-store/v1";

@@ -3,7 +3,7 @@
 //! checks the budget ratchet and renders the report.
 //!
 //! Scoping:
-//! - **Library crates** (the eight `emd-*` crates) get the panic ban
+//! - **Library crates** (the ten `emd-*` crates) get the panic ban
 //!   (marker-required), indexing audit, module-docs audit, `# Errors`
 //!   docs and the error-taxonomy audit.
 //! - **Tool crates** (`bench`, `xtask`) get panic/indexing/module-docs
@@ -26,7 +26,8 @@ use std::path::{Path, PathBuf};
 
 /// Library crates subject to the marker-required panic ban, indexing
 /// audit, `# Errors` docs and error-taxonomy audits.
-pub const LIBRARY_CRATES: [&str; 9] = [
+pub const LIBRARY_CRATES: [&str; 10] = [
+    "json",
     "transport",
     "core",
     "reduction",

@@ -2,6 +2,7 @@
 //! (`flexemd-lint/v1`), mirroring the `flexemd-metrics/v1` convention:
 //! a zero-dependency writer, sorted keys, exact integers.
 
+use emd_json::write_escaped;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -174,7 +175,7 @@ impl LintReport {
     pub fn to_json_string(&self, budgets: &BTreeMap<String, BTreeMap<String, usize>>) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"schema\": ");
-        write_json_string(&mut out, SCHEMA);
+        write_escaped(&mut out, SCHEMA);
         let _ = write!(
             out,
             ",\n  \"clean\": {},\n  \"findings\": [",
@@ -183,11 +184,11 @@ impl LintReport {
         for (index, finding) in self.findings.iter().enumerate() {
             out.push_str(if index == 0 { "\n" } else { ",\n" });
             out.push_str("    {\"lint\": ");
-            write_json_string(&mut out, finding.class.name());
+            write_escaped(&mut out, finding.class.name());
             out.push_str(", \"path\": ");
-            write_json_string(&mut out, &finding.path.display().to_string());
+            write_escaped(&mut out, &finding.path.display().to_string());
             let _ = write!(out, ", \"line\": {}, \"message\": ", finding.line);
-            write_json_string(&mut out, &finding.message);
+            write_escaped(&mut out, &finding.message);
             out.push('}');
         }
         out.push_str(if self.findings.is_empty() {
@@ -215,37 +216,18 @@ fn write_counts<'a>(
         out.push_str(if first_section { "\n" } else { ",\n" });
         first_section = false;
         out.push_str("    ");
-        write_json_string(out, name);
+        write_escaped(out, name);
         out.push_str(": {");
         for (index, (krate, count)) in by_crate.iter().enumerate() {
             if index > 0 {
                 out.push_str(", ");
             }
-            write_json_string(out, krate);
+            write_escaped(out, krate);
             let _ = write!(out, ": {count}");
         }
         out.push('}');
     }
     out.push_str(if first_section { "}" } else { "\n  }" });
-}
-
-/// Write a JSON string literal with the required escapes.
-fn write_json_string(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -413,7 +413,8 @@ fn reduce(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let seed = options.numeric("seed", 42u64)?;
     let reduction = build_reduction(&dataset, method, dims, sample_size, seed)?;
 
-    let json = serde_json::to_vec(&reduction).map_err(|e| e.to_string())?;
+    let mut json = String::new();
+    reduction.to_json(&mut json);
     std::fs::write(&out, json).map_err(|e| e.to_string())?;
     writeln!(
         stdout,
@@ -658,10 +659,7 @@ fn prepare_corpus(
         let dataset = load_dataset(&options.path("data")?)?;
         let name = dataset.name.clone();
         let labels = dataset.labels.clone();
-        let reduction: CombiningReduction = serde_json::from_slice(
-            &std::fs::read(options.path("reduction")?).map_err(|e| e.to_string())?,
-        )
-        .map_err(|e| e.to_string())?;
+        let reduction = load_reduction(&options.path("reduction")?)?;
         let cost = Arc::new(dataset.cost.clone());
         let database =
             Database::new(dataset.histograms, cost.clone()).map_err(|e| e.to_string())?;
@@ -1143,4 +1141,12 @@ fn loadgen(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
 
 fn load_dataset(path: &Path) -> Result<Dataset, String> {
     dataio::load(path).map_err(|e| e.to_string())
+}
+
+fn load_reduction(path: &Path) -> Result<CombiningReduction, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("io error on {}: {e}", path.display()))?;
+    emd_json::parse(&text)
+        .and_then(|value| CombiningReduction::from_json(&value))
+        .map_err(|e| format!("json error in {}: {e}", path.display()))
 }

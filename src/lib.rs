@@ -17,6 +17,7 @@
 //! * [`data`] — synthetic multimedia data sets and workloads
 //! * [`query`] — multistep filter-and-refine query processing (KNOP)
 //! * [`store`] — checksummed on-disk index segments (`flexemd-store/v1`)
+//! * [`json`] — the one JSON codec every file format and HTTP body uses
 //! * [`obs`] — metrics registry and span tracing for the whole stack
 //! * [`faultkit`] — deterministic fault injection for resilience testing
 //! * [`serve`] — long-running query server with admission control, plus
@@ -79,6 +80,7 @@
 pub use emd_core as core;
 pub use emd_data as data;
 pub use emd_faultkit as faultkit;
+pub use emd_json as json;
 pub use emd_obs as obs;
 pub use emd_query as query;
 pub use emd_reduction as reduction;

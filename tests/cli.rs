@@ -272,6 +272,37 @@ fn query_missing_index_is_one_line_diagnostic() {
     assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
 }
 
+/// A `--data` / `--reduction` file nested past the parser's bound is a
+/// one-line diagnostic naming the file and exit code 1. (The unbounded
+/// parser these files used to go through overflowed the stack: SIGABRT.)
+#[test]
+fn deeply_nested_dataset_is_an_error_not_an_abort() {
+    let (dir, data, _) = corpus_and_reduction("deeply_nested");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let info = flexemd()
+        .arg("info")
+        .arg("--data")
+        .arg(&deep)
+        .output()
+        .unwrap();
+    let query = flexemd()
+        .args(["query", "--k", "3", "--query", "0", "--data"])
+        .arg(&data)
+        .arg("--reduction")
+        .arg(&deep)
+        .output()
+        .unwrap();
+    for out in [info, query] {
+        assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.contains("json error in "), "{stderr}");
+        assert!(stderr.contains("deep.json"), "{stderr}");
+        assert!(stderr.contains("nesting deeper than 64"), "{stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+    }
+}
+
 /// Shared fixture for the governance tests: corpus + reduction in a
 /// directory of their own.
 fn corpus_and_reduction(test: &str) -> (TestDir, PathBuf, PathBuf) {

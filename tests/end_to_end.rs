@@ -163,9 +163,12 @@ fn artifacts_roundtrip_through_json() {
     let loaded = flexemd::data::io::load(&dataset_path).unwrap();
     assert_eq!(loaded.histograms, dataset.histograms);
 
-    let reduction_json = serde_json::to_string(&reduction).unwrap();
-    let loaded_reduction: flexemd::reduction::CombiningReduction =
-        serde_json::from_str(&reduction_json).unwrap();
+    let mut reduction_json = String::new();
+    reduction.to_json(&mut reduction_json);
+    let loaded_reduction = flexemd::reduction::CombiningReduction::from_json(
+        &flexemd::json::parse(&reduction_json).unwrap(),
+    )
+    .unwrap();
     assert_eq!(loaded_reduction, reduction);
 
     // The loaded artifacts still produce identical reduced distances.
