@@ -579,7 +579,7 @@ pub fn a4(scale: &Scale, _quick: bool) -> Table {
 
     // VP-tree over the exact EMD.
     let started = Instant::now();
-    let tree = emd_query::VpTree::build(&bench.database).expect("non-empty");
+    let tree = crate::vptree::VpTree::build(&bench.database).expect("non-empty");
     let tree_build_ms = started.elapsed().as_secs_f64() * 1e3;
     let started = Instant::now();
     let mut tree_distances = 0usize;

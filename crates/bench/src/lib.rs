@@ -14,6 +14,8 @@
 //!   shared by all experiments.
 //! * [`experiments`] — one function per experiment (`e1..e12`,
 //!   `a1..a4`), each returning a [`report::Table`].
+//! * [`vptree`] — the metric-index baseline A4 compares the filter
+//!   pipeline against.
 //!
 //! Run `cargo run --release -p emd-bench --bin experiments -- all` for the
 //! full suite, or pass experiment ids (`e1 e5 a2 ...`). `--full` scales
@@ -22,3 +24,4 @@
 pub mod experiments;
 pub mod report;
 pub mod setup;
+pub mod vptree;

@@ -11,15 +11,11 @@
 //! tuning, but every pruning decision during search is again a full
 //! EMD — so its queries beat a linear scan only when the triangle
 //! inequality prunes aggressively. The ablation bench (A4) puts both
-//! approaches side by side.
+//! approaches side by side; the tree lives in this crate because that
+//! ablation is its only caller.
 
-use crate::engine::source::{CandidateSource, CandidateStream};
-use crate::engine::Database;
-use crate::error::QueryError;
-use crate::ranking::{Key, Ranking};
-use crate::Neighbor;
-use emd_core::{emd, emd_in_context, Budget, CostMatrix, EmdContext, Histogram};
-use std::cmp::Reverse;
+use emd_core::{emd, CostMatrix, Histogram};
+use emd_query::{Database, Neighbor, QueryError};
 use std::collections::BinaryHeap;
 
 /// One tree node: a vantage object, the median distance to its subtree,
@@ -62,21 +58,11 @@ impl VpTree {
     ///
     /// # Errors
     ///
-    /// Returns [`QueryError`] when a database histogram disagrees with `cost` in
-    /// dimensionality or a vantage-point distance computation fails.
+    /// Returns [`QueryError::EmptyDatabase`] for an empty snapshot, or the
+    /// error of a failed vantage-point distance computation.
     pub fn build(database: &Database) -> Result<Self, QueryError> {
         if database.is_empty() {
             return Err(QueryError::EmptyDatabase);
-        }
-        for h in database.histograms() {
-            if h.dim() != database.cost().rows() {
-                return Err(QueryError::Core(emd_core::CoreError::DimensionMismatch {
-                    expected_rows: database.cost().rows(),
-                    expected_cols: database.cost().cols(),
-                    got_rows: h.dim(),
-                    got_cols: h.dim(),
-                }));
-            }
         }
         let mut ids: Vec<u32> = (0..database.len() as u32).collect();
         let mut nodes = Vec::with_capacity(database.len());
@@ -88,16 +74,6 @@ impl VpTree {
         })
     }
 
-    /// Number of indexed objects.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tree is empty (never true for a built tree).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Exact k-NN by best-first traversal with triangle-inequality
     /// pruning. Returns ascending by distance (ties by id), plus stats.
     ///
@@ -105,7 +81,6 @@ impl VpTree {
     ///
     /// Returns [`QueryError`] on query shape mismatch or when a distance
     /// computation fails during traversal.
-    // lint: allow(unbudgeted): baseline structure for comparison experiments only.
     pub fn knn(
         &self,
         query: &Histogram,
@@ -135,7 +110,6 @@ impl VpTree {
     ///
     /// Returns [`QueryError`] on query shape mismatch, a negative `epsilon`, or
     /// a failed distance computation during traversal.
-    // lint: allow(unbudgeted): baseline structure for comparison experiments only.
     pub fn range(
         &self,
         query: &Histogram,
@@ -173,7 +147,7 @@ impl VpTree {
         if node_index == NO_CHILD {
             return Ok(());
         }
-        let node = &self.nodes[node_index as usize];
+        let node = &self.nodes[node_index as usize]; // bounds: child links index `nodes`; NO_CHILD returned above
         let d = self.distance(query, node.object, stats)?;
         if best.len() < k {
             best.push((OrdF64(d), node.object));
@@ -214,7 +188,7 @@ impl VpTree {
         if node_index == NO_CHILD {
             return Ok(());
         }
-        let node = &self.nodes[node_index as usize];
+        let node = &self.nodes[node_index as usize]; // bounds: child links index `nodes`; NO_CHILD returned above
         let d = self.distance(query, node.object, stats)?;
         if d <= epsilon {
             hits.push(Neighbor {
@@ -259,29 +233,24 @@ fn build_recursive(
         .iter()
         .map(|&id| {
             Ok((
+                // bounds: ids are 0..database.len()
                 emd(&database[vantage as usize], &database[id as usize], cost)?,
                 id,
             ))
         })
         .collect::<Result<_, QueryError>>()?;
     with_distance.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let median_index = with_distance.len() / 2;
-    // Radius = largest inner distance, so `<= radius` matches the split.
-    let radius = if median_index > 0 {
-        with_distance[median_index - 1].0
-    } else {
-        // Single-element outer side.
-        with_distance[0].0 / 2.0
+    let (inner_side, outer_side) = with_distance.split_at(with_distance.len() / 2);
+    // Radius = largest inner distance, so `<= radius` matches the split;
+    // a single remaining object sits alone on the outer side.
+    let radius = match (inner_side.last(), outer_side.first()) {
+        (Some(&(largest_inner, _)), _) => largest_inner,
+        (None, Some(&(only, _))) => only / 2.0,
+        (None, None) => 0.0,
     };
 
-    let mut inner_ids: Vec<u32> = with_distance[..median_index]
-        .iter()
-        .map(|&(_, id)| id)
-        .collect();
-    let mut outer_ids: Vec<u32> = with_distance[median_index..]
-        .iter()
-        .map(|&(_, id)| id)
-        .collect();
+    let mut inner_ids: Vec<u32> = inner_side.iter().map(|&(_, id)| id).collect();
+    let mut outer_ids: Vec<u32> = outer_side.iter().map(|&(_, id)| id).collect();
 
     let inner = build_recursive(database, cost, &mut inner_ids, nodes)?;
     let outer = build_recursive(database, cost, &mut outer_ids, nodes)?;
@@ -292,186 +261,6 @@ fn build_recursive(
         outer,
     });
     Ok(nodes.len() as i32 - 1)
-}
-
-/// The VP-tree as a [`CandidateSource`]: a best-first traversal that
-/// emits objects in ascending exact-EMD order, pruning subtrees with the
-/// triangle inequality. This puts the A4 baseline behind the same plan
-/// abstraction as the clustered index, so the two candidate generators
-/// compare apples-to-apples inside one [`QueryPlan`](crate::QueryPlan).
-///
-/// Because the emitted key is the *exact* EMD, this source is its own
-/// refinement — stacking it under an `EmdDistance` refiner is correct
-/// but wasteful. Its value is as a comparison baseline: every pruning
-/// decision costs a full-dimensional EMD, where the clustered index pays
-/// only reduced-space solves.
-#[derive(Debug, Clone)]
-pub struct VpTreeSource {
-    name: String,
-    tree: VpTree,
-}
-
-impl VpTreeSource {
-    /// Wrap a built tree as a candidate source.
-    pub fn new(tree: VpTree) -> Self {
-        VpTreeSource {
-            name: format!("vptree(n={})", tree.len()),
-            tree,
-        }
-    }
-
-    /// The underlying tree.
-    pub fn tree(&self) -> &VpTree {
-        &self.tree
-    }
-}
-
-impl CandidateSource for VpTreeSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        budget: &Budget,
-    ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        if query.dim() != self.tree.database.dim() {
-            return Err(QueryError::Core(emd_core::CoreError::DimensionMismatch {
-                expected_rows: self.tree.database.cost().rows(),
-                expected_cols: self.tree.database.cost().cols(),
-                got_rows: query.dim(),
-                got_cols: query.dim(),
-            }));
-        }
-        let mut heap = BinaryHeap::new();
-        if self.tree.root != NO_CHILD {
-            heap.push(Reverse((Key(0.0), VP_ENTRY_NODE, self.tree.root as u32)));
-        }
-        Ok(Box::new(VpStream {
-            tree: &self.tree,
-            query: query.clone(),
-            budget: budget.clone(),
-            context: EmdContext::new(),
-            heap,
-            evaluations: 0,
-        }))
-    }
-}
-
-/// Heap entry kinds for [`VpStream`]: nodes expand before objects on
-/// equal keys, so emission is globally ascending `(distance, id)`.
-const VP_ENTRY_NODE: u8 = 0;
-const VP_ENTRY_OBJECT: u8 = 1;
-
-/// Best-first VP-tree traversal: node entries carry a sound lower bound
-/// of every object in their subtree (the parent bound joined with the
-/// annulus bound `d − radius` / `radius − d`); object entries carry the
-/// evaluated exact distance of the node's vantage point.
-struct VpStream<'a> {
-    tree: &'a VpTree,
-    query: Histogram,
-    budget: Budget,
-    context: EmdContext,
-    heap: BinaryHeap<Reverse<(Key, u8, u32)>>,
-    evaluations: usize,
-}
-
-impl VpStream<'_> {
-    /// Expand one node: evaluate its vantage point and push the children
-    /// with tightened bounds.
-    fn expand(&mut self, node_index: usize, bound: f64) -> Result<(), QueryError> {
-        self.budget.check().map_err(QueryError::BudgetExhausted)?;
-        let tree = self.tree;
-        let Some(node) = tree.nodes.get(node_index) else {
-            return Err(QueryError::UnknownObject(node_index));
-        };
-        let object = tree
-            .database
-            .get(node.object as usize)
-            .ok_or(QueryError::UnknownObject(node.object as usize))?;
-        self.evaluations += 1;
-        let d = emd_in_context(
-            &self.query,
-            object,
-            tree.database.cost(),
-            &self.budget,
-            &mut self.context,
-        )?;
-        self.heap
-            .push(Reverse((Key(d), VP_ENTRY_OBJECT, node.object)));
-        // Triangle inequality: inner objects are within `radius` of the
-        // vantage, so their distance is at least `d - radius`; outer
-        // objects are beyond `radius`, so at least `radius - d`. The
-        // parent bound stays valid for both.
-        if node.inner != NO_CHILD {
-            let inner_bound = bound.max(d - node.radius).max(0.0);
-            self.heap.push(Reverse((
-                Key(inner_bound),
-                VP_ENTRY_NODE,
-                node.inner as u32,
-            )));
-        }
-        if node.outer != NO_CHILD {
-            let outer_bound = bound.max(node.radius - d).max(0.0);
-            self.heap.push(Reverse((
-                Key(outer_bound),
-                VP_ENTRY_NODE,
-                node.outer as u32,
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl Ranking for VpStream<'_> {
-    fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
-        loop {
-            let Some(Reverse((Key(key), kind, id))) = self.heap.pop() else {
-                return Ok(None);
-            };
-            if kind == VP_ENTRY_NODE {
-                self.expand(id as usize, key)?;
-            } else {
-                return Ok(Some((id as usize, key)));
-            }
-        }
-    }
-
-    fn drain_computed(&mut self) -> Vec<(usize, f64)> {
-        let tree = self.tree;
-        let mut out = Vec::new();
-        for Reverse((Key(key), kind, id)) in self.heap.drain() {
-            if kind == VP_ENTRY_NODE {
-                // A node bound covers every object in its subtree — valid
-                // lower bounds obtained for free.
-                collect_subtree(&tree.nodes, id as i32, key, &mut out);
-            } else {
-                out.push((id as usize, key));
-            }
-        }
-        out
-    }
-}
-
-impl CandidateStream for VpStream<'_> {
-    fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-}
-
-/// Push every object of `node_index`'s subtree at `bound`.
-fn collect_subtree(nodes: &[Node], node_index: i32, bound: f64, out: &mut Vec<(usize, f64)>) {
-    let Some(node) = usize::try_from(node_index).ok().and_then(|i| nodes.get(i)) else {
-        return;
-    };
-    out.push((node.object as usize, bound));
-    collect_subtree(nodes, node.inner, bound, out);
-    collect_subtree(nodes, node.outer, bound, out);
 }
 
 /// Total-ordered f64 for the result heap (distances are never NaN).
@@ -495,8 +284,8 @@ impl Ord for OrdF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::{brute_force_knn, brute_force_range};
     use emd_core::ground;
+    use emd_query::scan::{brute_force_knn, brute_force_range};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;

@@ -4,9 +4,10 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use emd_bench::vptree::VpTree;
 use emd_core::{ground, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
-use emd_query::{Database, VpTree};
+use emd_query::Database;
 use proptest::prelude::*;
 use std::sync::Arc;
 

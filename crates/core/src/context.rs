@@ -1,30 +1,41 @@
-//! Reusable EMD evaluation contexts: the steady-state entry of the
-//! refinement hot path.
+//! The one EMD evaluation: [`emd_in_context_within`] is the only function
+//! in this crate that builds a transportation problem.
 //!
-//! [`emd_in_context`] computes the same exact EMD as
-//! [`crate::emd_rectangular_budgeted`], but routes the solve through a
-//! caller-owned [`EmdContext`] holding a transport
-//! [`SolverWorkspace`](emd_transport::SolverWorkspace) plus the
-//! support-stripping and flattened row-major cost buffers. Consecutive
-//! evaluations against one fixed query histogram — the KNOP refinement
-//! pattern — then reuse every allocation and warm-start the simplex from
-//! the basis the previous candidate's solve ended on.
-//! [`emd_in_context_within`] is the same evaluation under a cutoff: it
-//! may stop at a certified lower bound above the cutoff instead of the
-//! distance.
+//! Zero-mass bins contribute no flow in any feasible solution, so they are
+//! stripped before the LP is built; multimedia histograms are typically
+//! sparse and this shrinks the tableau substantially. The stripped
+//! tableau is staged in — and solved through — a caller-owned
+//! [`EmdContext`] holding a transport
+//! [`SolverWorkspace`](emd_transport::SolverWorkspace) plus the support
+//! indices and the flattened row-major cost buffer.
 //!
-//! Results are bit-identical to the context-free entry points: both paths
-//! build the same stripped tableau and the transport layer extracts its
+//! ## Warm starts
+//!
+//! Consecutive evaluations through one context against one fixed query
+//! histogram — the KNOP refinement pattern — reuse every allocation and
+//! warm-start the simplex from the basis the previous candidate's solve
+//! ended on. A *cold* evaluation is the same body from an empty basis: a
+//! fresh context ([`crate::emd`] makes one per call), or a used one after
+//! [`EmdContext::clear_warm_state`]. The transport layer extracts its
 //! answer canonically from the final basis (see `emd_transport`'s
 //! warm-start docs), so a warm-started solve agrees with a cold solve to
 //! the bit whenever the optimum is unique.
+//!
+//! ## Budgets and cutoffs
+//!
+//! Every evaluation takes a [`Budget`] (`Budget::unlimited()` for none)
+//! and surfaces a firing as the typed [`CoreError::BudgetExhausted`].
+//! [`emd_in_context_within`] additionally takes a cutoff and may stop at
+//! a certified lower bound above it instead of the distance;
+//! [`emd_in_context`] is its `f64::INFINITY` call.
 
 use crate::cost::CostMatrix;
 use crate::error::CoreError;
 use crate::histogram::Histogram;
+use crate::EmdReport;
 use emd_transport::{
-    solve_warm_objective, Bounded, Budget, SimplexOptions, SolverWorkspace, TransportError,
-    TransportProblem, WorkspaceStats,
+    solve_warm_objective, Bounded, Budget, SolverWorkspace, TransportError, TransportProblem,
+    WorkspaceStats,
 };
 
 /// Caller-owned scratch for repeated EMD evaluations.
@@ -64,21 +75,37 @@ impl EmdContext {
     pub fn clear_warm_state(&mut self) {
         self.ws.clear_warm_state();
     }
+
+    /// The optimal flows of the last evaluation that ran to
+    /// [`Bounded::Optimal`], in original bin indices.
+    pub(crate) fn last_report(&self, distance: f64) -> EmdReport {
+        let flows = self
+            .ws
+            .last_solution(distance)
+            .flows
+            .into_iter()
+            // bounds: the solver's cells index the stripped tableau, whose
+            // axes are exactly x_index / y_index.
+            .map(|(i, j, f)| (self.x_index[i], self.y_index[j], f))
+            .collect();
+        EmdReport { distance, flows }
+    }
 }
 
-/// Exact EMD through a reusable [`EmdContext`]; accepts rectangular cost
-/// matrices like [`crate::emd_rectangular_budgeted`] and returns the same
-/// distance bit-for-bit (for instances with a unique optimum), while
-/// reusing the context's buffers and warm-starting the simplex from the
-/// previous evaluation's basis when the stripped tableau shapes match.
+/// Exact EMD (Definition 1) of `x` and `y` under `cost`, which may be
+/// rectangular (`x` against its rows, `y` against its columns). Reuses
+/// the context's buffers and warm-starts the simplex from the previous
+/// evaluation's basis when the stripped tableau shapes match; from a
+/// fresh or cleared context it is a cold solve.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`crate::emd_rectangular_budgeted`]:
 /// [`CoreError::DimensionMismatch`] when `x` does not match `cost.rows()`
 /// or `y` does not match `cost.cols()`, [`CoreError::BudgetExhausted`]
-/// when `budget` fires mid-solve, and [`CoreError::Solver`] on any other
-/// LP-level failure.
+/// when `budget` fires at solve entry or mid-solve, and
+/// [`CoreError::Solver`] on any other LP-level failure. The context stays
+/// usable after an error: the next evaluation solves from the basis the
+/// last successful one left.
 pub fn emd_in_context(
     x: &Histogram,
     y: &Histogram,
@@ -124,7 +151,7 @@ pub fn emd_in_context_within(
     }
 
     // Identical operands under a square matrix with zero diagonal have
-    // distance 0; skip the LP (same shortcut as the context-free path).
+    // distance 0 with the identity flow; skip the LP.
     if cost.is_square() && x == y {
         // float: exact — identity shortcut requires an exactly zero diagonal, else fall through to the LP
         let diagonal_free = x.nonzero().all(|(i, _)| cost.at(i, i) == 0.0);
@@ -168,13 +195,7 @@ pub fn emd_in_context_within(
     )
     .map_err(|e| CoreError::Solver(e.to_string()))?;
 
-    let solved = solve_warm_objective(
-        &problem,
-        SimplexOptions::default(),
-        budget,
-        cutoff,
-        &mut ctx.ws,
-    );
+    let solved = solve_warm_objective(&problem, budget, cutoff, &mut ctx.ws);
     (ctx.supplies, ctx.demands, ctx.costs) = problem.into_parts();
     let objective = match solved {
         Ok(Bounded::Optimal(objective)) => objective,
@@ -189,19 +210,7 @@ pub fn emd_in_context_within(
     };
 
     if cfg!(debug_assertions) {
-        let solution = ctx.ws.last_solution(objective);
-        let flows = solution
-            .flows
-            .into_iter()
-            // bounds: the solver's cells index the stripped tableau, whose
-            // axes are exactly x_index / y_index.
-            .map(|(i, j, f)| (ctx.x_index[i], ctx.y_index[j], f))
-            .collect();
-        let report = crate::EmdReport {
-            distance: objective,
-            flows,
-        };
-        crate::certify::debug_certify_report(x, y, cost, &report);
+        crate::certify::debug_certify_report(x, y, cost, &ctx.last_report(objective));
     }
     Ok(Bounded::Optimal(objective))
 }
@@ -209,8 +218,8 @@ pub fn emd_in_context_within(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emd;
     use crate::ground;
-    use crate::{emd, emd_rectangular_budgeted};
 
     fn h(bins: &[f64]) -> Histogram {
         Histogram::new(bins.to_vec()).unwrap()
@@ -244,7 +253,15 @@ mod tests {
             emd_in_context(&x, &x, &c, &Budget::unlimited(), &mut ctx).unwrap(),
             0.0
         );
-        // The shortcut skips the LP entirely: no transport solve recorded.
+        // The shortcut skips the LP entirely: no transport solve recorded,
+        // so even an exhausted budget returns the exact zero distance.
+        let token = emd_transport::CancelToken::new();
+        token.cancel();
+        let cancelled = Budget::unlimited().with_cancel(token);
+        assert_eq!(
+            emd_in_context(&x, &x, &c, &cancelled, &mut ctx).unwrap(),
+            0.0
+        );
         assert_eq!(ctx.stats().solves, 0);
     }
 
@@ -255,7 +272,7 @@ mod tests {
         let c = CostMatrix::new(3, 2, vec![0.0, 2.0, 1.0, 1.0, 2.0, 0.0]).unwrap();
         let mut ctx = EmdContext::new();
         for y in &ys {
-            let cold = emd_rectangular_budgeted(&x, y, &c, &Budget::unlimited()).unwrap();
+            let cold = emd(&x, y, &c).unwrap();
             let warm = emd_in_context(&x, y, &c, &Budget::unlimited(), &mut ctx).unwrap();
             assert_eq!(cold.to_bits(), warm.to_bits());
         }
@@ -349,19 +366,50 @@ mod tests {
     fn budget_exhaustion_stays_typed_and_context_survives() {
         let x = h(&[0.1, 0.4, 0.0, 0.3, 0.2]);
         let y = h(&[0.3, 0.0, 0.3, 0.0, 0.4]);
+        let z = h(&[0.2, 0.2, 0.2, 0.2, 0.2]);
         let c = ground::linear(5).unwrap();
-        let mut ctx = EmdContext::new();
         let token = emd_transport::CancelToken::new();
         token.cancel();
-        let budget = Budget::unlimited().with_cancel(token);
-        let err = emd_in_context(&x, &y, &c, &budget, &mut ctx).unwrap_err();
-        assert_eq!(
-            err,
-            CoreError::BudgetExhausted(emd_transport::BudgetReason::Cancelled)
-        );
-        // The context stays usable after a failed evaluation.
+        let cancelled = Budget::unlimited().with_cancel(token);
+        // On a fresh context and on a warmed one: the error is typed and
+        // the next evaluation returns the cold answer.
+        for warm_up in [false, true] {
+            let mut ctx = EmdContext::new();
+            if warm_up {
+                emd_in_context(&x, &z, &c, &Budget::unlimited(), &mut ctx).unwrap();
+            }
+            let err = emd_in_context(&x, &y, &c, &cancelled, &mut ctx).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::BudgetExhausted(emd_transport::BudgetReason::Cancelled)
+            );
+            let ok = emd_in_context(&x, &y, &c, &Budget::unlimited(), &mut ctx).unwrap();
+            assert_eq!(ok.to_bits(), emd(&x, &y, &c).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn validation_error_leaves_the_context_usable() {
+        // Each operand is normalized within MASS_EPS, but together they
+        // are out of balance beyond the transport layer's tolerance:
+        // `TransportProblem::new` rejects the pair and consumes the staging
+        // buffers it was handed.
+        let heavy = h(&[0.25 + 9e-8, 0.25, 0.25, 0.25]);
+        let light = h(&[0.25, 0.25, 0.25, 0.25 - 9e-8]);
+        let x = h(&[0.1, 0.2, 0.3, 0.4]);
+        let y = h(&[0.4, 0.3, 0.2, 0.1]);
+        let c = ground::linear(4).unwrap();
+        let mut ctx = EmdContext::new();
+        emd_in_context(&y, &x, &c, &Budget::unlimited(), &mut ctx).unwrap();
+        let err = emd_in_context(&heavy, &light, &c, &Budget::unlimited(), &mut ctx).unwrap_err();
+        assert!(matches!(err, CoreError::Solver(_)), "{err:?}");
         let ok = emd_in_context(&x, &y, &c, &Budget::unlimited(), &mut ctx).unwrap();
         assert_eq!(ok.to_bits(), emd(&x, &y, &c).unwrap().to_bits());
+        assert_eq!(
+            ctx.stats().solves,
+            2,
+            "the rejected pair never reached the simplex"
+        );
     }
 
     #[test]

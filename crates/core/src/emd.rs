@@ -1,14 +1,13 @@
-//! Exact Earth Mover's Distance (Definition 1) on top of the
-//! transportation simplex.
-//!
-//! Zero-mass bins contribute no flow in any feasible solution, so they are
-//! stripped before the LP is built; multimedia histograms are typically
-//! sparse and this shrinks the tableau substantially.
+//! Exact Earth Mover's Distance (Definition 1, with the "minor
+//! extension" of Section 3.1 to operands of different dimensionality):
+//! one-call sugar over [`emd_in_context`], the body every EMD in this
+//! workspace runs.
 
+use crate::context::{emd_in_context, EmdContext};
 use crate::cost::CostMatrix;
 use crate::error::CoreError;
 use crate::histogram::Histogram;
-use emd_transport::{solve_budgeted, Budget, SimplexOptions, TransportError, TransportProblem};
+use emd_transport::Budget;
 
 /// Result of an EMD computation that also reports the optimal flows.
 #[derive(Debug, Clone)]
@@ -20,146 +19,43 @@ pub struct EmdReport {
     pub flows: Vec<(usize, usize, f64)>,
 }
 
-/// Compute the EMD between two histograms of equal dimensionality under a
-/// square cost matrix.
-///
-/// # Errors
-///
-/// Returns [`CoreError::DimensionMismatch`] when the operands or the cost
-/// matrix disagree on dimensionality, and [`CoreError::Solver`] if the
-/// underlying transportation simplex rejects the instance.
-pub fn emd(x: &Histogram, y: &Histogram, cost: &CostMatrix) -> Result<f64, CoreError> {
-    Ok(solve_stripped(x, y, cost)?.distance)
-}
-
-/// Compute the EMD and return the optimal flow matrix along with it.
-/// The flows feed the paper's flow-based reduction (Section 3.4), which
-/// aggregates them over a database sample.
-///
-/// # Errors
-///
-/// Same failure modes as [`emd`]: [`CoreError::DimensionMismatch`] on shape
-/// disagreement and [`CoreError::Solver`] on LP-level failures.
-pub fn emd_with_flows(
-    x: &Histogram,
-    y: &Histogram,
-    cost: &CostMatrix,
-) -> Result<EmdReport, CoreError> {
-    solve_stripped(x, y, cost)
-}
-
-/// Compute the EMD between histograms of *different* dimensionalities under
-/// a rectangular cost matrix — the "minor extension of Definition 1"
-/// (Section 3.1) needed when query and database vectors are reduced by
-/// different reduction matrices (`R1 != R2`).
+/// Compute the EMD between two histograms: a cold, unbudgeted
+/// [`emd_in_context`]. `cost` may be rectangular — `x` is matched against
+/// its rows and `y` against its columns — which is what reduced EMDs with
+/// different query and database reductions (`R1 != R2`) need.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::DimensionMismatch`] when `x` does not match
 /// `cost.rows()` or `y` does not match `cost.cols()`, and
-/// [`CoreError::Solver`] if the transportation solver fails.
-pub fn emd_rectangular(x: &Histogram, y: &Histogram, cost: &CostMatrix) -> Result<f64, CoreError> {
-    Ok(solve_stripped(x, y, cost)?.distance)
+/// [`CoreError::Solver`] if the underlying transportation simplex rejects
+/// the instance.
+pub fn emd(x: &Histogram, y: &Histogram, cost: &CostMatrix) -> Result<f64, CoreError> {
+    emd_in_context(x, y, cost, &Budget::unlimited(), &mut EmdContext::new())
 }
 
-/// [`emd`] under an execution [`Budget`]: the underlying simplex probes the
-/// budget and bails out instead of spinning. With `Budget::unlimited()` the
-/// result is bit-identical to [`emd`].
+/// [`emd`], returning the optimal flow matrix along with the distance.
+/// The flows feed the paper's flow-based reduction (Section 3.4), which
+/// aggregates them over a database sample.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`emd`], plus [`CoreError::BudgetExhausted`] when
-/// the budget's deadline, pivot cap, or cancellation fires mid-solve.
-pub fn emd_budgeted(
+/// Same failure modes as [`emd`].
+pub fn emd_with_flows(
     x: &Histogram,
     y: &Histogram,
     cost: &CostMatrix,
-    budget: &Budget,
-) -> Result<f64, CoreError> {
-    Ok(solve_stripped_budgeted(x, y, cost, budget)?.distance)
-}
-
-/// [`emd_rectangular`] under an execution [`Budget`]; see [`emd_budgeted`].
-///
-/// # Errors
-///
-/// Same failure modes as [`emd_rectangular`], plus
-/// [`CoreError::BudgetExhausted`] when the budget fires mid-solve.
-pub fn emd_rectangular_budgeted(
-    x: &Histogram,
-    y: &Histogram,
-    cost: &CostMatrix,
-    budget: &Budget,
-) -> Result<f64, CoreError> {
-    Ok(solve_stripped_budgeted(x, y, cost, budget)?.distance)
-}
-
-fn solve_stripped(x: &Histogram, y: &Histogram, cost: &CostMatrix) -> Result<EmdReport, CoreError> {
-    solve_stripped_budgeted(x, y, cost, &Budget::unlimited())
-}
-
-fn solve_stripped_budgeted(
-    x: &Histogram,
-    y: &Histogram,
-    cost: &CostMatrix,
-    budget: &Budget,
 ) -> Result<EmdReport, CoreError> {
-    emd_obs::counter_add("core.emd.solves", 1);
-    if cost.rows() != x.dim() || cost.cols() != y.dim() {
-        return Err(CoreError::DimensionMismatch {
-            expected_rows: cost.rows(),
-            expected_cols: cost.cols(),
-            got_rows: x.dim(),
-            got_cols: y.dim(),
-        });
+    let mut ctx = EmdContext::new();
+    let distance = emd_in_context(x, y, cost, &Budget::unlimited(), &mut ctx)?;
+    if ctx.stats().solves > 0 {
+        return Ok(ctx.last_report(distance));
     }
-
-    // Identical operands under a square matrix with zero diagonal have
-    // distance 0 with the identity flow; skip the LP.
-    if cost.is_square() && x == y {
-        // float: exact — identity shortcut requires an exactly zero diagonal, else fall through to the LP
-        let diagonal_free = x.nonzero().all(|(i, _)| cost.at(i, i) == 0.0);
-        if diagonal_free {
-            let flows = x.nonzero().map(|(i, mass)| (i, i, mass)).collect();
-            let report = EmdReport {
-                distance: 0.0,
-                flows,
-            };
-            crate::certify::debug_certify_report(x, y, cost, &report);
-            return Ok(report);
-        }
-    }
-
-    let (x_index, supplies): (Vec<usize>, Vec<f64>) = x.nonzero().unzip();
-    let (y_index, demands): (Vec<usize>, Vec<f64>) = y.nonzero().unzip();
-    debug_assert!(
-        !x_index.is_empty() && !y_index.is_empty(),
-        "normalized histograms have non-empty support"
-    );
-
-    let mut costs = Vec::with_capacity(x_index.len() * y_index.len());
-    for &i in &x_index {
-        let row = cost.row(i);
-        costs.extend(y_index.iter().map(|&j| row[j]));
-    }
-
-    let problem = TransportProblem::new(supplies, demands, costs)
-        .map_err(|e| CoreError::Solver(e.to_string()))?;
-    let solution =
-        solve_budgeted(&problem, SimplexOptions::default(), budget).map_err(|e| match e {
-            // Budget exhaustion stays typed so upper layers can degrade.
-            TransportError::BudgetExhausted { reason } => CoreError::BudgetExhausted(reason),
-            other => CoreError::Solver(other.to_string()),
-        })?;
-
-    let flows = solution
-        .flows
-        .into_iter()
-        .map(|(i, j, f)| (x_index[i], y_index[j], f))
-        .collect();
+    // No LP was built: the identity shortcut answered, and the optimal
+    // flow leaves every bin's mass where it is.
     let report = EmdReport {
-        distance: solution.objective,
-        flows,
+        distance,
+        flows: x.nonzero().map(|(i, mass)| (i, i, mass)).collect(),
     };
     crate::certify::debug_certify_report(x, y, cost, &report);
     Ok(report)
@@ -247,7 +143,7 @@ mod tests {
         let x = h(&[0.5, 0.25, 0.25]);
         let y = h(&[0.5, 0.5]);
         let c = CostMatrix::new(3, 2, vec![0.0, 2.0, 1.0, 1.0, 2.0, 0.0]).unwrap();
-        let d = emd_rectangular(&x, &y, &c).unwrap();
+        let d = emd(&x, &y, &c).unwrap();
         // x0 -> y0 (0.5 * 0), x1 -> y1 (0.25 * 1), x2 -> y1 (0.25 * 0)
         assert!((d - 0.25).abs() < 1e-12);
     }
@@ -284,43 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_emd_matches_unbudgeted_when_unlimited() {
-        let x = h(&[0.1, 0.4, 0.0, 0.3, 0.2]);
-        let y = h(&[0.3, 0.0, 0.3, 0.0, 0.4]);
-        let c = ground::linear(5).unwrap();
-        let plain = emd(&x, &y, &c).unwrap();
-        let budgeted = emd_budgeted(&x, &y, &c, &Budget::unlimited()).unwrap();
-        assert_eq!(plain.to_bits(), budgeted.to_bits());
-    }
-
-    #[test]
-    fn exhausted_budget_surfaces_typed() {
-        let x = h(&[0.1, 0.4, 0.0, 0.3, 0.2]);
-        let y = h(&[0.3, 0.0, 0.3, 0.0, 0.4]);
-        let c = ground::linear(5).unwrap();
-        let token = emd_transport::CancelToken::new();
-        token.cancel();
-        let budget = Budget::unlimited().with_cancel(token);
-        let err = emd_budgeted(&x, &y, &c, &budget).unwrap_err();
-        assert_eq!(
-            err,
-            CoreError::BudgetExhausted(emd_transport::BudgetReason::Cancelled)
-        );
-    }
-
-    #[test]
-    fn identity_shortcut_skips_the_budget() {
-        // Identical operands short-circuit before the LP, so even an
-        // exhausted budget returns the exact zero distance.
-        let x = h(&[0.25, 0.25, 0.5]);
-        let c = ground::linear(3).unwrap();
-        let token = emd_transport::CancelToken::new();
-        token.cancel();
-        let budget = Budget::unlimited().with_cancel(token);
-        assert_eq!(emd_budgeted(&x, &x, &c, &budget).unwrap(), 0.0);
-    }
-
-    #[test]
     fn identity_shortcut_requires_zero_diagonal() {
         // With a non-zero diagonal, EMD(x, x) is NOT zero; the shortcut
         // must not fire.
@@ -328,5 +187,9 @@ mod tests {
         let c = CostMatrix::new(2, 2, vec![1.0, 5.0, 5.0, 1.0]).unwrap();
         let d = emd(&x, &x, &c).unwrap();
         assert!((d - 1.0).abs() < 1e-12);
+        let mut ctx = EmdContext::new();
+        let in_context = emd_in_context(&x, &x, &c, &Budget::unlimited(), &mut ctx).unwrap();
+        assert_eq!(in_context.to_bits(), d.to_bits());
+        assert_eq!(ctx.stats().solves, 1, "the LP ran");
     }
 }

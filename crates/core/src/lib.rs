@@ -12,18 +12,37 @@
 //! * [`CostMatrix`] / [`ground`] — the ground-distance matrix `C = [c_ij]`
 //!   plus constructors for common feature-space geometries (1-D chains, 2-D
 //!   image tilings, 3-D color cubes).
-//! * [`emd`] / [`emd_with_flows`] — the exact EMD via the transportation
+//! * [`emd_in_context_within`] — the exact EMD via the transportation
 //!   simplex of `emd-transport`, with zero-mass bins stripped before
-//!   solving.
-//! * [`EmdContext`] / [`emd_in_context`] — the same exact EMD through a
-//!   caller-owned context that reuses every buffer and warm-starts the
-//!   simplex from the previous evaluation's basis (the refinement hot
-//!   path of the query layer). [`emd_in_context_within`] takes a cutoff
-//!   and may answer [`Bounded::Above`] — a certified lower bound above
-//!   it — instead of the distance.
+//!   solving: the one body every EMD in the workspace runs, over square
+//!   and rectangular cost matrices alike. It evaluates through a
+//!   caller-owned [`EmdContext`], under a [`Budget`] and a cutoff, and may
+//!   answer [`Bounded::Above`] — a certified lower bound above the
+//!   cutoff — instead of the distance.
+//! * [`emd_in_context`] is that call without a cutoff; [`emd`] and
+//!   [`emd_with_flows`] are it once more without a budget, on a fresh
+//!   context.
 //! * [`lower_bounds`] — LB_IM (independent minimization), the Rubner
 //!   centroid bound, and a scaled-L1 bound; all are complete filters for
 //!   multistep query processing.
+//!
+//! ## Budgets
+//!
+//! A [`Budget`] (deadline, shared pivot cap, [`CancelToken`]) passed to
+//! [`emd_in_context`] is probed inside the simplex; a firing surfaces as
+//! the typed [`CoreError::BudgetExhausted`] so the query layer can
+//! degrade instead of failing. `Budget::unlimited()` never fires, and the
+//! identity shortcut (`x == y` under a zero diagonal) answers before any
+//! probe.
+//!
+//! ## Warm starts
+//!
+//! Evaluations through one [`EmdContext`] reuse its buffers and start
+//! the simplex from the basis the previous evaluation ended on — the
+//! refinement hot path of the query layer. A cold solve is the same body
+//! from an empty basis: a fresh context, or
+//! [`EmdContext::clear_warm_state`] before the call. Both return the
+//! same bits whenever the optimum is unique.
 //!
 //! ## Observability
 //!
@@ -46,10 +65,7 @@ pub mod lower_bounds;
 
 pub use context::{emd_in_context, emd_in_context_within, EmdContext};
 pub use cost::CostMatrix;
-pub use emd::{
-    emd, emd_1d_manhattan, emd_budgeted, emd_rectangular, emd_rectangular_budgeted, emd_with_flows,
-    EmdReport,
-};
+pub use emd::{emd, emd_1d_manhattan, emd_with_flows, EmdReport};
 pub use error::CoreError;
 pub use histogram::Histogram;
 

@@ -5,7 +5,10 @@
 
 use emd_core::ground::{self, Metric};
 use emd_core::lower_bounds::{AnchorBound, CentroidBound, LbIm, ScaledL1};
-use emd_core::{emd, emd_1d_manhattan, emd_with_flows, CostMatrix, Histogram};
+use emd_core::{
+    emd, emd_1d_manhattan, emd_in_context, emd_with_flows, Budget, CostMatrix, EmdContext,
+    Histogram,
+};
 use proptest::prelude::*;
 
 fn histogram(dim: usize) -> impl Strategy<Value = Histogram> {
@@ -158,5 +161,87 @@ proptest! {
         let im = LbIm::new(c);
         let lower = im.bound(&x, &y).unwrap();
         prop_assert!(lower <= exact + 1e-9);
+    }
+}
+
+/// Run `solve` under a recording scope; returns its value with the
+/// primal pivots and simplex calls it recorded.
+fn recorded<T>(solve: impl FnOnce() -> T) -> (T, u64, u64) {
+    let recording = emd_obs::Recording::start();
+    let value = solve();
+    let registry = recording.finish();
+    (
+        value,
+        registry.counter("transport.simplex.pivots"),
+        registry.counter("transport.solve.calls"),
+    )
+}
+
+/// Every cold way to ask for `EMD(x, y)` is one body: the sugar entries,
+/// a fresh context, and a context warmed on `(x, warm_up)` and then
+/// cleared return the same bits from the same pivots, and the reported
+/// flows certify.
+fn assert_one_body(x: &Histogram, y: &Histogram, warm_up: &Histogram, cost: &CostMatrix) {
+    let unlimited = Budget::unlimited();
+    let (plain, pivots, calls) = recorded(|| emd(x, y, cost).unwrap());
+    let (report, report_pivots, _) = recorded(|| emd_with_flows(x, y, cost).unwrap());
+    let (fresh, fresh_pivots, _) =
+        recorded(|| emd_in_context(x, y, cost, &unlimited, &mut EmdContext::new()).unwrap());
+    let mut ctx = EmdContext::new();
+    emd_in_context(x, warm_up, cost, &unlimited, &mut ctx).unwrap();
+    ctx.clear_warm_state();
+    let (cleared, cleared_pivots, _) =
+        recorded(|| emd_in_context(x, y, cost, &unlimited, &mut ctx).unwrap());
+
+    prop_assert_eq!(calls, 1);
+    prop_assert_eq!(report.distance.to_bits(), plain.to_bits());
+    prop_assert_eq!(fresh.to_bits(), plain.to_bits());
+    prop_assert_eq!(cleared.to_bits(), plain.to_bits());
+    prop_assert_eq!(report_pivots, pivots);
+    prop_assert_eq!(fresh_pivots, pivots);
+    prop_assert_eq!(cleared_pivots, pivots);
+    prop_assert_eq!(ctx.stats().warm_attempts, 0);
+    prop_assert!(emd_core::certify::certify_report(x, y, cost, &report, 1e-9).is_ok());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One body, square operands (sparse, so stripping and remapping run).
+    #[test]
+    fn one_body_square(
+        x in sparse_histogram(16),
+        y in sparse_histogram(16),
+        warm_up in sparse_histogram(16),
+    ) {
+        let c = ground::grid2(4, 4, Metric::Euclidean).unwrap();
+        // Equal operands take the identity shortcut (next property).
+        if x != y {
+            assert_one_body(&x, &y, &warm_up, &c);
+        }
+    }
+
+    /// One body, rectangular operands under an arbitrary cost matrix.
+    #[test]
+    fn one_body_rectangular(
+        x in sparse_histogram(9),
+        y in histogram(5),
+        warm_up in histogram(5),
+        entries in prop::collection::vec(0.0_f64..5.0, 45),
+    ) {
+        let c = CostMatrix::new(9, 5, entries).unwrap();
+        assert_one_body(&x, &y, &warm_up, &c);
+    }
+
+    /// The identity shortcut answers without building an LP and reports
+    /// the identity flow.
+    #[test]
+    fn identity_shortcut_reports_the_identity_flow(x in sparse_histogram(16)) {
+        let c = ground::grid2(4, 4, Metric::Manhattan).unwrap();
+        let (report, _, calls) = recorded(|| emd_with_flows(&x, &x, &c).unwrap());
+        prop_assert_eq!(calls, 0);
+        prop_assert_eq!(report.distance.to_bits(), 0.0_f64.to_bits());
+        let identity: Vec<_> = x.nonzero().map(|(i, mass)| (i, i, mass)).collect();
+        prop_assert_eq!(report.flows, identity);
     }
 }

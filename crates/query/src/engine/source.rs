@@ -5,10 +5,9 @@
 //! filter evaluations per query (the executor's default scan).
 //! A [`CandidateSource`] abstracts that first ranking behind a trait so a
 //! [`QueryPlan`](super::QueryPlan) can swap the full scan for a metric
-//! index (the cluster-pruned [`ClusteredIndex`](crate::ClusteredIndex),
-//! the [`VpTree`](crate::VpTree) baseline) that emits candidates in the
-//! same ascending lower-bound order while *evaluating only a subset* of
-//! the database.
+//! index (the cluster-pruned [`ClusteredIndex`](crate::ClusteredIndex))
+//! that emits candidates in the same ascending lower-bound order while
+//! *evaluating only a subset* of the database.
 //!
 //! The contract mirrors [`Ranking`]: a prepared [`CandidateStream`]
 //! yields `(id, lower bound)` pairs in ascending `(bound, id)` order, and
@@ -49,22 +48,28 @@ pub trait CandidateStream: Ranking {
 /// Streaming a source's ranking directly:
 ///
 /// ```
-/// use emd_core::{Budget, CostMatrix, Histogram};
-/// use emd_query::{CandidateSource, Database, VpTree, VpTreeSource};
+/// use emd_core::{ground, Budget, Histogram};
+/// use emd_query::{CandidateSource, ClusteredIndex, Database};
+/// use emd_reduction::{CombiningReduction, ReducedEmd};
+/// use std::sync::Arc;
 ///
+/// let cost = Arc::new(ground::linear(4).unwrap());
 /// let histograms = vec![
-///     Histogram::new(vec![1.0, 0.0]).unwrap(),
-///     Histogram::new(vec![0.0, 1.0]).unwrap(),
+///     Histogram::unit(4, 0).unwrap(),
+///     Histogram::unit(4, 3).unwrap(),
 /// ];
-/// let cost = CostMatrix::from_fn(2, |i, j| if i == j { 0.0 } else { 1.0 }).unwrap();
-/// let database = Database::new(histograms, std::sync::Arc::new(cost)).unwrap();
-/// let source = VpTreeSource::new(VpTree::build(&database).unwrap());
+/// let database = Database::new(histograms, cost.clone()).unwrap();
+/// let reduction = CombiningReduction::new(vec![0, 0, 1, 1], 2).unwrap();
+/// let reduced = ReducedEmd::new(&cost, reduction).unwrap();
+/// let source = ClusteredIndex::build(&database, reduced, 1.0).unwrap();
 ///
-/// let query = Histogram::new(vec![1.0, 0.0]).unwrap();
+/// // Ascending lower bounds (reduced EMD) of the exact distances 0 and 3.
+/// let query = Histogram::unit(4, 0).unwrap();
 /// let mut stream = source.prepare(&query, &Budget::unlimited()).unwrap();
 /// assert_eq!(stream.next().unwrap(), Some((0, 0.0)));
 /// assert_eq!(stream.next().unwrap(), Some((1, 1.0)));
-/// assert_eq!(stream.evaluations(), 2);
+/// assert_eq!(stream.next().unwrap(), None);
+/// assert!(stream.evaluations() >= 2);
 /// ```
 pub trait CandidateSource: Send + Sync {
     /// Source name for [`QueryStats`](crate::QueryStats) and obs counters.

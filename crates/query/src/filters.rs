@@ -19,8 +19,7 @@ use crate::error::QueryError;
 use emd_core::ground::Metric;
 use emd_core::lower_bounds::{CentroidBound, LbIm, ScaledL1};
 use emd_core::{
-    emd_in_context, emd_in_context_within, emd_rectangular_budgeted, Bounded, Budget, CostMatrix,
-    EmdContext, Histogram,
+    emd_in_context, emd_in_context_within, Bounded, Budget, CostMatrix, EmdContext, Histogram,
 };
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::sync::Arc;
@@ -101,8 +100,8 @@ pub trait PreparedFilter {
     /// current k-th distance or ε): an evaluator that can prove
     /// `distance > cutoff` before it knows the distance may answer
     /// [`Bounded::Above`] with a lower bound *strictly* above `cutoff`.
-    /// The default computes the distance; only the warm exact-EMD
-    /// refiner has a bound to stop on.
+    /// The default computes the distance; only the exact-EMD refiner,
+    /// when it runs warm, has a bound to stop on.
     ///
     /// # Errors
     ///
@@ -131,6 +130,33 @@ impl Objects for [Histogram] {
     }
 }
 
+/// The solver context of one prepared query, reused across candidates.
+/// Warm, each solve starts from the basis the previous candidate's ended
+/// on; cold (`with_warm_start(false)`), the basis is forgotten before
+/// every evaluation, so the same body solves from a Vogel start and —
+/// having no inherited dual bound — never stops at a cutoff.
+struct Evaluator {
+    context: EmdContext,
+    warm_start: bool,
+}
+
+impl Evaluator {
+    fn new(warm_start: bool) -> Self {
+        Evaluator {
+            context: EmdContext::new(),
+            warm_start,
+        }
+    }
+
+    /// The context to run the next evaluation through.
+    fn context(&mut self) -> &mut EmdContext {
+        if !self.warm_start {
+            self.context.clear_warm_state();
+        }
+        &mut self.context
+    }
+}
+
 // ---------------------------------------------------------------------
 // Exact EMD (refinement distance / no-filter baseline)
 // ---------------------------------------------------------------------
@@ -147,8 +173,8 @@ pub struct EmdDistance {
 impl EmdDistance {
     /// Index a database snapshot for exact EMD evaluation. Prepared
     /// evaluators carry a per-query [`EmdContext`], so consecutive
-    /// candidates warm-start each other; disable with
-    /// [`EmdDistance::with_warm_start`].
+    /// candidates warm-start each other; [`EmdDistance::with_warm_start`]
+    /// turns that off.
     ///
     /// # Errors
     ///
@@ -163,9 +189,11 @@ impl EmdDistance {
         })
     }
 
-    /// Enable or disable per-query solver contexts. With `false`, every
-    /// evaluation allocates and solves cold — the pre-context behavior,
-    /// kept for A/B regression tests and benchmarks.
+    /// With `false`, the evaluator forgets its basis before every
+    /// evaluation, so each one is a cold solve that depends on nothing
+    /// but its own pair and never stops at a cutoff — the oracle the
+    /// brute-force scan, the parity suites and the benchmark gate compare
+    /// warm answers against.
     #[must_use]
     // lint: allow(unbudgeted): builder flag, performs no solver work
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
@@ -214,9 +242,7 @@ pub(crate) struct PreparedEmd<'a, O: Objects + ?Sized> {
     objects: &'a O,
     cost: &'a CostMatrix,
     budget: Budget,
-    /// `Some` when warm starts are enabled: one solver context per
-    /// prepared query, reused (and warm-started) across candidates.
-    context: Option<EmdContext>,
+    evaluator: Evaluator,
     evaluations: usize,
 }
 
@@ -236,7 +262,7 @@ impl<'a, O: Objects + ?Sized> PreparedEmd<'a, O> {
             objects,
             cost,
             budget: budget.clone(),
-            context: warm_start.then(EmdContext::new),
+            evaluator: Evaluator::new(warm_start),
             evaluations: 0,
         })
     }
@@ -246,28 +272,16 @@ impl<O: Objects + ?Sized> PreparedFilter for PreparedEmd<'_, O> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
         self.evaluations += 1;
         let y = self.objects.object(id)?;
-        match &mut self.context {
-            Some(ctx) => Ok(emd_in_context(
-                &self.query,
-                y,
-                self.cost,
-                &self.budget,
-                ctx,
-            )?),
-            None => Ok(emd_rectangular_budgeted(
-                &self.query,
-                y,
-                self.cost,
-                &self.budget,
-            )?),
-        }
+        Ok(emd_in_context(
+            &self.query,
+            y,
+            self.cost,
+            &self.budget,
+            self.evaluator.context(),
+        )?)
     }
 
     fn distance_within(&mut self, id: usize, cutoff: f64) -> Result<Bounded, QueryError> {
-        let Some(ctx) = &mut self.context else {
-            // A cold solve has no lower bound to stop on.
-            return self.distance(id).map(Bounded::Optimal);
-        };
         self.evaluations += 1;
         let y = self.objects.object(id)?;
         Ok(emd_in_context_within(
@@ -276,7 +290,7 @@ impl<O: Objects + ?Sized> PreparedFilter for PreparedEmd<'_, O> {
             self.cost,
             &self.budget,
             cutoff,
-            ctx,
+            self.evaluator.context(),
         )?)
     }
 
@@ -325,9 +339,11 @@ impl ReducedEmdFilter {
         })
     }
 
-    /// Enable or disable per-query solver contexts. With `false`, every
-    /// evaluation allocates and solves cold — the pre-context behavior,
-    /// kept for A/B regression tests and benchmarks.
+    /// With `false`, the evaluator forgets its basis before every
+    /// evaluation, so each one is a cold solve that depends on nothing
+    /// but its own pair and never stops at a cutoff — the oracle the
+    /// brute-force scan, the parity suites and the benchmark gate compare
+    /// warm answers against.
     #[must_use]
     // lint: allow(unbudgeted): builder flag, performs no solver work
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
@@ -406,9 +422,7 @@ pub(crate) struct PreparedReducedEmd<'a, O: Objects + ?Sized> {
     reduced: &'a ReducedEmd,
     reduced_objects: &'a O,
     budget: Budget,
-    /// `Some` when warm starts are enabled: one solver context per
-    /// prepared query, reused (and warm-started) across candidates.
-    context: Option<EmdContext>,
+    evaluator: Evaluator,
     evaluations: usize,
 }
 
@@ -427,7 +441,7 @@ impl<'a, O: Objects + ?Sized> PreparedReducedEmd<'a, O> {
             reduced,
             reduced_objects,
             budget: budget.clone(),
-            context: warm_start.then(EmdContext::new),
+            evaluator: Evaluator::new(warm_start),
             evaluations: 0,
         })
     }
@@ -437,19 +451,12 @@ impl<O: Objects + ?Sized> PreparedFilter for PreparedReducedEmd<'_, O> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
         self.evaluations += 1;
         let ry = self.reduced_objects.object(id)?;
-        match &mut self.context {
-            Some(ctx) => Ok(self.reduced.distance_reduced_in_context(
-                &self.reduced_query,
-                ry,
-                &self.budget,
-                ctx,
-            )?),
-            None => {
-                Ok(self
-                    .reduced
-                    .distance_reduced_budgeted(&self.reduced_query, ry, &self.budget)?)
-            }
-        }
+        Ok(self.reduced.distance_reduced_in_context(
+            &self.reduced_query,
+            ry,
+            &self.budget,
+            self.evaluator.context(),
+        )?)
     }
 
     fn evaluations(&self) -> usize {

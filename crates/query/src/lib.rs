@@ -26,9 +26,9 @@
 //!   Seidl & Kriegel) and the corresponding complete range query; the
 //!   only refinement loop in the workspace.
 //! * [`engine::source`] — the [`CandidateSource`] abstraction: pluggable
-//!   stage-1 candidate generators (full scan, VP-tree, clustered index)
-//!   that stream candidates in ascending lower-bound order into the same
-//!   KNOP loop.
+//!   stage-1 candidate generators (full scan, clustered index) that
+//!   stream candidates in ascending lower-bound order into the same KNOP
+//!   loop.
 //! * [`cluster`] — [`ClusteredIndex`], a pivot-based cluster index over
 //!   the reduced space with triangle-inequality pruning; the sublinear
 //!   stage-1 candidate generator.
@@ -63,7 +63,6 @@ pub mod outcome;
 pub mod ranking;
 pub mod scan;
 mod stats;
-pub mod vptree;
 
 pub use cluster::ClusteredIndex;
 pub use durable::{CompactReport, DurableError, DurableIndex, DurableSnapshot, OpenReport};
@@ -85,7 +84,6 @@ pub use filters::{
     ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
 };
 pub use stats::QueryStats;
-pub use vptree::{VpTree, VpTreeSource};
 
 /// A retrieval result: database object id plus its exact distance.
 #[derive(Debug, Clone, Copy, PartialEq)]

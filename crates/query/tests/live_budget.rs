@@ -10,7 +10,7 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::{emd_rectangular, Budget, BudgetReason, CostMatrix, Histogram};
+use emd_core::{emd, Budget, BudgetReason, CostMatrix, Histogram};
 use emd_faultkit::{FailPlan, FaultInjector};
 use emd_query::{
     Database, DynamicIndex, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan,
@@ -102,7 +102,7 @@ fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
     }
     for candidate in &result.candidates {
         let object = &corpus.objects[candidate.id];
-        let distance = emd_rectangular(&corpus.query, object, &corpus.cost).unwrap();
+        let distance = emd(&corpus.query, object, &corpus.cost).unwrap();
         if candidate.exact {
             assert_eq!(candidate.bound.to_bits(), distance.to_bits());
         } else {

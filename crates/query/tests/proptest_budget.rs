@@ -6,7 +6,7 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::{emd_rectangular, ground, Budget, CancelToken, Histogram};
+use emd_core::{emd, ground, Budget, CancelToken, Histogram};
 use emd_query::{
     Database, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan, ReducedEmdFilter,
     ReducedImFilter,
@@ -30,7 +30,7 @@ fn histogram() -> impl Strategy<Value = Histogram> {
 /// exact-EMD refiner: both solver-backed stages consult the budget.
 ///
 /// Warm starting is forced off: the properties below compare exact-flagged
-/// bounds bit-for-bit against a cold [`emd_rectangular`] oracle, and on the
+/// bounds bit-for-bit against a cold [`emd`] oracle, and on the
 /// tie-prone linear ground distance a warm-started solve may settle on a
 /// different (equally optimal) basis whose objective differs in the last
 /// ulp.
@@ -100,7 +100,7 @@ proptest! {
                 }
                 for candidate in &result.candidates {
                     let object = database.get(candidate.id).unwrap();
-                    let distance = emd_rectangular(&query, object, database.cost()).unwrap();
+                    let distance = emd(&query, object, database.cost()).unwrap();
                     if candidate.exact {
                         prop_assert_eq!(
                             candidate.bound.to_bits(),
@@ -160,7 +160,7 @@ proptest! {
             for candidate in &result.candidates {
                 prop_assert!(candidate.bound <= epsilon);
                 let object = database.get(candidate.id).unwrap();
-                let distance = emd_rectangular(&query, object, database.cost()).unwrap();
+                let distance = emd(&query, object, database.cost()).unwrap();
                 if candidate.exact {
                     prop_assert_eq!(candidate.bound.to_bits(), distance.to_bits());
                 } else {

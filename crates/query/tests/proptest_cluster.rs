@@ -9,7 +9,7 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::{emd_rectangular, ground, Budget, Histogram};
+use emd_core::{emd, ground, Budget, Histogram};
 use emd_query::{
     ClusteredIndex, Database, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan,
     ReducedEmdFilter,
@@ -173,7 +173,7 @@ proptest! {
                 }
                 for candidate in &result.candidates {
                     let object = database.get(candidate.id).unwrap();
-                    let distance = emd_rectangular(&query, object, database.cost()).unwrap();
+                    let distance = emd(&query, object, database.cost()).unwrap();
                     if candidate.exact {
                         prop_assert_eq!(
                             candidate.bound.to_bits(),

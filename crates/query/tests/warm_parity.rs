@@ -14,7 +14,7 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::{CostMatrix, Histogram};
+use emd_core::{emd, Bounded, Budget, CostMatrix, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
     Database, DynamicIndex, EmdDistance, Executor, Filter, Query, QueryPlan, QueryStats,
@@ -229,4 +229,46 @@ fn warm_contexts_actually_warm_start() {
             assert_eq!(attempts, 0, "cold mode must never attempt a warm start");
         }
     }
+}
+
+/// The cold oracle must not depend on the machinery it checks: with
+/// `with_warm_start(false)` every evaluation equals a standalone
+/// `emd(..)` of its own pair to the bit, whatever was solved before it,
+/// no finite cutoff ever stops it, and no warm start is attempted.
+#[test]
+fn cold_evaluators_are_independent_of_the_warm_machinery() {
+    let (database, queries, reduced) = corpus();
+    let exact = EmdDistance::new(&database).unwrap().with_warm_start(false);
+    let filter = ReducedEmdFilter::new(&database, reduced.clone())
+        .unwrap()
+        .with_warm_start(false);
+    let query = &queries[0];
+    let reduced_query = reduced.reduce_first(query).unwrap();
+    let budget = Budget::unlimited();
+
+    let recording = emd_obs::Recording::start();
+    let mut prepared_exact = exact.prepare(query, &budget).unwrap();
+    let mut prepared_filter = filter.prepare(query, &budget).unwrap();
+    for (id, object) in database.histograms().iter().enumerate() {
+        let alone = emd(query, object, database.cost()).unwrap();
+        for cutoff in [0.0, 0.5 * alone, alone, f64::INFINITY] {
+            match prepared_exact.distance_within(id, cutoff).unwrap() {
+                Bounded::Optimal(d) => assert_eq!(d.to_bits(), alone.to_bits(), "object {id}"),
+                Bounded::Above(bound) => {
+                    panic!("cold solve of object {id} stopped at {bound} above cutoff {cutoff}")
+                }
+            }
+        }
+        let reduced_alone = emd(
+            &reduced_query,
+            &filter.reduced_database()[id],
+            reduced.reduced_cost(),
+        )
+        .unwrap();
+        let bound = prepared_filter.distance(id).unwrap();
+        assert_eq!(bound.to_bits(), reduced_alone.to_bits(), "object {id}");
+    }
+    let registry = recording.finish();
+    assert_eq!(registry.counter("transport.warm.attempts"), 0);
+    assert_eq!(registry.counter("transport.solve.cut"), 0);
 }

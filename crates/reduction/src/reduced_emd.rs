@@ -4,10 +4,7 @@
 use crate::matrix::CombiningReduction;
 use crate::reduced_cost::reduce_cost_matrix;
 use crate::ReductionError;
-use emd_core::{
-    emd_in_context, emd_rectangular, emd_rectangular_budgeted, Budget, CostMatrix, EmdContext,
-    Histogram,
-};
+use emd_core::{emd_in_context, Budget, CostMatrix, EmdContext, Histogram};
 
 /// A prepared reduced EMD: reduction matrices plus the optimal reduced
 /// cost matrix, ready to evaluate on histogram pairs.
@@ -93,64 +90,45 @@ impl ReducedEmd {
     }
 
     /// The reduced EMD on *original-dimensionality* operands: reduces both
-    /// and solves the small LP.
+    /// and solves the small LP — [`distance_reduced`](Self::distance_reduced)
+    /// on `x·R1`, `y·R2`.
     ///
     /// # Errors
     ///
     /// Returns [`ReductionError`] on operand shape mismatch or when the small LP
     /// fails to solve.
     pub fn distance(&self, x: &Histogram, y: &Histogram) -> Result<f64, ReductionError> {
-        let rx = self.r1.reduce(x)?;
-        let ry = self.r2.reduce(y)?;
-        Ok(emd_rectangular(&rx, &ry, &self.reduced_cost)?)
+        self.distance_reduced(&self.r1.reduce(x)?, &self.r2.reduce(y)?)
     }
 
-    /// The reduced EMD on *already reduced* operands. Query processing
-    /// reduces every database histogram once at build time and the query
-    /// once per query, then calls this in the hot loop.
+    /// The reduced EMD on *already reduced* operands: a cold, unbudgeted
+    /// [`distance_reduced_in_context`](Self::distance_reduced_in_context).
     ///
     /// # Errors
     ///
     /// Returns [`ReductionError`] when the reduced operands disagree with the
     /// reduced cost matrix or the small LP fails to solve.
     pub fn distance_reduced(&self, rx: &Histogram, ry: &Histogram) -> Result<f64, ReductionError> {
-        Ok(emd_rectangular(rx, ry, &self.reduced_cost)?)
+        self.distance_reduced_in_context(rx, ry, &Budget::unlimited(), &mut EmdContext::new())
     }
 
-    /// [`distance_reduced`](Self::distance_reduced) under an execution
-    /// [`Budget`]: the small LP probes the budget and bails out instead of
-    /// spinning. With `Budget::unlimited()` the result is bit-identical.
+    /// The reduced EMD on *already reduced* operands — the one evaluation
+    /// behind every `distance*` method: `emd_core::emd_in_context` under
+    /// the reduced cost matrix. Query processing reduces every database
+    /// histogram once at build time and the query once per query, then
+    /// calls this in the hot loop; consecutive evaluations against one
+    /// fixed reduced query reuse the context's buffers and warm-start the
+    /// small LP from the previous candidate's basis. Bit-identical to a
+    /// cold evaluation (a fresh or cleared context) for instances with a
+    /// unique optimum.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`distance_reduced`](Self::distance_reduced),
-    /// plus a typed `CoreError::BudgetExhausted` (wrapped in
+    /// Returns [`ReductionError`] when the reduced operands disagree with
+    /// the reduced cost matrix or the small LP fails to solve, and a typed
+    /// `CoreError::BudgetExhausted` (wrapped in
     /// [`ReductionError::Core`](crate::ReductionError)) when the budget
     /// fires mid-solve.
-    pub fn distance_reduced_budgeted(
-        &self,
-        rx: &Histogram,
-        ry: &Histogram,
-        budget: &Budget,
-    ) -> Result<f64, ReductionError> {
-        Ok(emd_rectangular_budgeted(
-            rx,
-            ry,
-            &self.reduced_cost,
-            budget,
-        )?)
-    }
-
-    /// [`distance_reduced_budgeted`](Self::distance_reduced_budgeted)
-    /// through a reusable [`EmdContext`]: consecutive evaluations against
-    /// one fixed reduced query reuse the context's buffers and warm-start
-    /// the small LP from the previous candidate's basis. Bit-identical to
-    /// the context-free entry for instances with a unique optimum.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as
-    /// [`distance_reduced_budgeted`](Self::distance_reduced_budgeted).
     pub fn distance_reduced_in_context(
         &self,
         rx: &Histogram,

@@ -28,39 +28,49 @@
 //! which the paper needs for reduced EMDs with differing query/database
 //! dimensionalities (`R1 != R2`).
 //!
+//! ## One entry
+//!
+//! [`solve_warm_objective`]`(problem, budget, cutoff, workspace)` is the
+//! only function that runs the simplex; every other way to solve is a
+//! choice of arguments. A *cold* solve passes a fresh [`SolverWorkspace`]
+//! (or one after [`SolverWorkspace::clear_warm_state`]), an *unbudgeted*
+//! one passes `Budget::unlimited()`, an *uncut* one passes
+//! `f64::INFINITY`. [`solve_warm`] is the uncut call with the flows
+//! materialized, [`solve`] is [`solve_warm`] cold and unbudgeted.
+//!
 //! ## Budgets
 //!
-//! [`solve_budgeted`] accepts a [`Budget`] (wall-clock deadline, shared
-//! pivot cap, cooperative [`CancelToken`]); the pivot loop probes it every
+//! A [`Budget`] carries a wall-clock deadline, a shared pivot cap and a
+//! cooperative [`CancelToken`]; the solve probes it at entry and every
 //! [`budget::CHECK_INTERVAL`] pivots and returns
-//! [`TransportError::BudgetExhausted`] instead of spinning. The unbudgeted
-//! entry points delegate with `Budget::unlimited()` and stay bit-identical.
-//! Independently of any user budget, both solvers carry a hard iteration
-//! cap of `100 * (m + n)^2 + 4096` so a degenerate-cycling instance can
-//! never hang.
+//! [`TransportError::BudgetExhausted`] instead of spinning.
+//! Independently of any user budget, the simplex carries a per-solve
+//! pivot limit of `64 * (m + n) + 4096` under a hard cap of
+//! `100 * (m + n)^2 + 4096` ([`hard_iteration_cap`]), and
+//! [`ssp::solve_ssp`] its own augmentation cap, so a degenerate-cycling
+//! instance can never hang.
 //!
 //! ## Warm starts
 //!
-//! [`solve_warm`] takes a caller-owned [`SolverWorkspace`] that keeps the
-//! duals, basis tree, cycle scratch and the final basis of the previous
-//! solve. When consecutive solves share a tableau shape (the KNOP
-//! refinement pattern: one query marginal against many candidates), that
-//! basis is re-fit to the new marginals by leaf peeling and the pivot
-//! loop starts from it, skipping Vogel entirely; an
-//! infeasible refit — the usual case — is repaired by dual-simplex pivots,
-//! and only a repair that exceeds its cap falls back to a cold start. The
-//! basis is a spanning tree rooted at supply node 0 in flat arrays, so a
-//! pivot costs the subtree below the leaving edge plus the cycle of the
-//! entering one, never a whole-tree traversal. Because every entry point
-//! extracts its answer canonically from the final basis (sorted cells,
-//! flows re-derived from the marginals), warm and cold solves of the same
-//! instance are bit-identical whenever the optimum is unique.
+//! The caller-owned [`SolverWorkspace`] keeps the duals, basis tree, cycle
+//! scratch and the final basis of the previous solve. When consecutive
+//! solves share a tableau shape (the KNOP refinement pattern: one query
+//! marginal against many candidates), that basis is re-fit to the new
+//! marginals by leaf peeling and the pivot loop starts from it, skipping
+//! Vogel entirely; an infeasible refit — the usual case — is repaired by
+//! dual-simplex pivots, and only a repair that exceeds its cap falls back
+//! to a cold start. The basis is a spanning tree rooted at supply node 0
+//! in flat arrays, so a pivot costs the subtree below the leaving edge
+//! plus the cycle of the entering one, never a whole-tree traversal.
+//! Because the answer is extracted canonically from the final basis
+//! (sorted cells, flows re-derived from the marginals), warm and cold
+//! solves of the same instance are bit-identical whenever the optimum is
+//! unique.
 //!
 //! ## Cutoffs
 //!
-//! [`solve_warm_objective`] takes a `cutoff`. A caller that only needs
-//! "is the optimum above this?" — KNOP's refinement of a candidate
-//! against its current k-th distance — gets [`Bounded::Above`] with a
+//! A caller that only needs "is the optimum above `cutoff`?" — KNOP's
+//! refinement of a candidate against its current k-th distance — gets [`Bounded::Above`] with a
 //! certified lower bound the moment the dual-simplex repair's rising
 //! dual objective proves it, instead of paying for the pivots to the
 //! optimum. `f64::INFINITY` disables the test.
@@ -95,8 +105,7 @@ pub use certify::{certify_basis, certify_solution, CertificateViolation};
 pub use error::TransportError;
 pub use problem::{Solution, TransportProblem};
 pub use simplex::{
-    hard_iteration_cap, solve, solve_budgeted, solve_warm, solve_warm_objective,
-    solve_with_options, Bounded, SimplexOptions, CUT_MARGIN,
+    hard_iteration_cap, solve, solve_warm, solve_warm_objective, Bounded, CUT_MARGIN,
 };
 pub use vogel::{initial_basis, InitialBasis};
 pub use workspace::{SolverWorkspace, WorkspaceStats};

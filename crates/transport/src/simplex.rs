@@ -16,13 +16,13 @@
 //!
 //! ## Canonical extraction
 //!
-//! All entry points extract the solution the same way: the final basis
-//! cells are sorted by `(row, col)`, flows are re-derived from the
-//! marginals by the workspace's leaf-peeling refit, and the objective is
-//! summed in sorted-cell order. The answer therefore depends only on the
-//! final basis, never on the pivot history, which is what makes
-//! warm-started solves ([`solve_warm`]) bit-identical to cold solves
-//! whenever both reach the same optimal basis.
+//! The one entry, [`solve_warm_objective`], extracts every solution the
+//! same way: the final basis cells are sorted by `(row, col)`, flows are
+//! re-derived from the marginals by the workspace's leaf-peeling refit,
+//! and the objective is summed in sorted-cell order. The answer therefore
+//! depends only on the final basis, never on the pivot history, which is
+//! what makes warm-started solves bit-identical to cold solves whenever
+//! both reach the same optimal basis.
 
 use crate::budget::{Budget, BudgetReason, CHECK_INTERVAL};
 use crate::error::TransportError;
@@ -32,10 +32,10 @@ use crate::vogel;
 use crate::workspace::{PivotScratch, SolverWorkspace};
 use crate::EPS;
 
-/// Hard pivot cap applied regardless of [`SimplexOptions::max_iterations`]:
-/// `100 * (m + n)^2 + 4096`. Any requested limit is clamped to it, so a
+/// Hard pivot cap applied regardless of the per-solve limit:
+/// `100 * (m + n)^2 + 4096`. The limit is clamped to it, so a
 /// degenerate-cycling instance can never hang the process — it reports
-/// [`TransportError::IterationLimit`] instead. The default per-solve limit
+/// [`TransportError::IterationLimit`] instead. The per-solve limit
 /// (`64 * (m + n) + 4096`) sits far below this cap for every tableau size,
 /// so normal solves are unaffected.
 #[must_use]
@@ -46,55 +46,29 @@ pub fn hard_iteration_cap(m: usize, n: usize) -> usize {
         .saturating_add(4096)
 }
 
-/// Tunables for [`solve_with_options`].
-#[derive(Debug, Clone, Copy)]
-pub struct SimplexOptions {
-    /// Cap on pivot iterations; `None` chooses `64 * (m + n) + 4096`,
-    /// far above what non-pathological instances need. Either way the
-    /// effective limit is clamped to [`hard_iteration_cap`].
-    pub max_iterations: Option<usize>,
-    /// Number of consecutive degenerate pivots after which the pricing rule
-    /// switches from most-negative to Bland's anti-cycling rule.
-    pub degenerate_pivot_limit: usize,
-    /// Reduced costs above `-optimality_tolerance` count as non-negative.
-    pub optimality_tolerance: f64,
+/// Per-solve cap on primal pivots, far above what non-pathological
+/// instances need.
+fn iteration_limit(m: usize, n: usize) -> usize {
+    64 * (m + n) + 4096
 }
 
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions {
-            max_iterations: None,
-            degenerate_pivot_limit: 64,
-            optimality_tolerance: 1e-10,
-        }
-    }
-}
+/// Number of consecutive degenerate pivots after which the pricing rule
+/// switches from most-negative to Bland's anti-cycling rule.
+const DEGENERATE_PIVOT_LIMIT: usize = 64;
 
-/// Solve a transportation problem with default options.
+/// Reduced costs above `-OPTIMALITY_TOLERANCE` count as non-negative.
+const OPTIMALITY_TOLERANCE: f64 = 1e-10;
+
+/// Solve a transportation problem: [`solve_warm`] from an empty
+/// workspace, under no budget.
 ///
 /// # Errors
 ///
-/// Propagates any [`TransportError`] from the solve: degenerate inputs rejected
-/// by validation, iteration-limit exhaustion, or an internal invariant
-/// violation.
-// lint: allow(unbudgeted): convenience wrapper; the budgeted twin is solve_budgeted.
+/// Propagates any [`TransportError`] from the solve: iteration-limit
+/// exhaustion or an internal invariant violation.
+// lint: allow(unbudgeted): sugar for solve_warm under Budget::unlimited().
 pub fn solve(problem: &TransportProblem) -> Result<Solution, TransportError> {
-    solve_with_options(problem, SimplexOptions::default())
-}
-
-/// Solve a transportation problem with explicit [`SimplexOptions`].
-///
-/// # Errors
-///
-/// Returns [`TransportError::IterationLimit`] when the pivot budget in
-/// `options` is exhausted before reaching optimality, and
-/// [`TransportError::Internal`] if a pivot cycle is structurally malformed.
-// lint: allow(unbudgeted): convenience wrapper; the budgeted twin is solve_budgeted.
-pub fn solve_with_options(
-    problem: &TransportProblem,
-    options: SimplexOptions,
-) -> Result<Solution, TransportError> {
-    solve_budgeted(problem, options, &Budget::unlimited())
+    solve_warm(problem, &Budget::unlimited(), &mut SolverWorkspace::new())
 }
 
 /// Maps a failed budget probe to its typed error, counting it.
@@ -103,63 +77,18 @@ fn budget_exhausted(reason: BudgetReason) -> TransportError {
     TransportError::BudgetExhausted { reason }
 }
 
-/// Solve a transportation problem under an execution [`Budget`].
-///
-/// The budget is probed at solve entry and every
-/// [`CHECK_INTERVAL`](crate::budget::CHECK_INTERVAL) pivots; pivots are
-/// charged to the budget's shared pool so a cap spans all solves holding a
-/// clone. With `Budget::unlimited()` this is exactly
-/// [`solve_with_options`]: same pivots, same result, bit-identical.
-///
-/// Equivalent to [`solve_warm`] with a fresh [`SolverWorkspace`]: always a
-/// cold Vogel start, no buffer reuse across calls.
+/// [`solve_warm_objective`] without a cutoff, with the flow triples
+/// materialized.
 ///
 /// # Errors
 ///
-/// Returns [`TransportError::BudgetExhausted`] when the budget's deadline,
-/// pivot cap, or cancellation fires mid-solve;
-/// [`TransportError::IterationLimit`] when the per-solve pivot limit in
-/// `options` is exhausted before reaching optimality; and
-/// [`TransportError::Internal`] if a pivot cycle is structurally malformed.
-pub fn solve_budgeted(
-    problem: &TransportProblem,
-    options: SimplexOptions,
-    budget: &Budget,
-) -> Result<Solution, TransportError> {
-    solve_warm(problem, options, budget, &mut SolverWorkspace::new())
-}
-
-/// Solve a transportation problem, reusing the workspace's buffers and
-/// re-optimizing from its previous basis when possible.
-///
-/// When `workspace` holds the basis of an earlier solve with the same
-/// tableau shape, that spanning tree is re-fit to the new marginals by
-/// leaf peeling. If the refit is feasible the pivot loop starts from it —
-/// usually a few pivots from optimal when the instances are related (e.g.
-/// consecutive KNOP candidates sharing the query marginal). An infeasible
-/// refit goes through dual-simplex repair (`dual_repair`): the shared
-/// cost matrix keeps the old basis dual-feasible, so a short dual run
-/// restores primal feasibility, typically landing on the new optimum
-/// outright. Only when the repair exceeds its pivot cap does the solve
-/// fall back to a cold Vogel start. Either way the result is the exact
-/// optimum; thanks to canonical extraction it is bit-identical to
-/// [`solve_budgeted`] whenever both solves reach the same optimal basis
-/// (always the case for instances with a unique optimum).
-///
-/// # Errors
-///
-/// Same failure modes as [`solve_budgeted`]: a typed
-/// [`TransportError::BudgetExhausted`] when `budget` fires mid-solve
-/// (including mid-warm-solve), [`TransportError::IterationLimit`], or
-/// [`TransportError::Internal`]. On error the workspace keeps the basis
-/// it held before the call (the last optimal or cut one).
+/// Same failure modes as [`solve_warm_objective`].
 pub fn solve_warm(
     problem: &TransportProblem,
-    options: SimplexOptions,
     budget: &Budget,
     workspace: &mut SolverWorkspace,
 ) -> Result<Solution, TransportError> {
-    match solve_warm_objective(problem, options, budget, f64::INFINITY, workspace)? {
+    match solve_warm_objective(problem, budget, f64::INFINITY, workspace)? {
         Bounded::Optimal(objective) => Ok(workspace.last_solution(objective)),
         Bounded::Above(_) => Err(TransportError::Internal {
             detail: "a solve without a cutoff was cut",
@@ -186,16 +115,36 @@ pub enum Bounded {
     Above(f64),
 }
 
-/// [`solve_warm`] without materializing the flow triples: returns the
-/// optimal objective only, leaving the canonical cells and flows in the
-/// workspace (readable via [`SolverWorkspace::last_solution`]). This is
-/// the steady-state entry of the EMD hot path — after the workspace has
-/// grown to the tableau size it performs no heap allocation beyond the
-/// cold-start Vogel basis.
+/// The simplex: every solve in this crate is this function. Returns the
+/// optimal objective, leaving the canonical cells and flows in the
+/// workspace (readable via [`SolverWorkspace::last_solution`]). After the
+/// workspace has grown to the tableau size a solve performs no heap
+/// allocation beyond the cold-start Vogel basis.
 ///
-/// `cutoff` lets a caller that only needs to know whether the optimum
-/// exceeds a threshold stop early. The dual-simplex repair of a warm
-/// basis raises a lower bound on the optimum with every pivot; once
+/// **Seeding.** When `workspace` holds the basis of an earlier solve with
+/// the same tableau shape, that spanning tree is re-fit to the new
+/// marginals by leaf peeling. If the refit is feasible the pivot loop
+/// starts from it — usually a few pivots from optimal when the instances
+/// are related (e.g. consecutive KNOP candidates sharing the query
+/// marginal). An infeasible refit goes through dual-simplex repair
+/// (`dual_repair`): the shared cost matrix keeps the old basis
+/// dual-feasible, so a short dual run restores primal feasibility,
+/// typically landing on the new optimum outright. A workspace without a
+/// matching basis — a fresh one, or one after
+/// [`SolverWorkspace::clear_warm_state`] — and a repair that exceeds its
+/// pivot cap start cold from a Vogel basis. Either way the result is the
+/// exact optimum; thanks to canonical extraction, warm and cold solves
+/// are bit-identical whenever both reach the same optimal basis (always
+/// the case for instances with a unique optimum).
+///
+/// **Budget.** `budget` is probed at solve entry and every
+/// [`CHECK_INTERVAL`](crate::budget::CHECK_INTERVAL) pivots; pivots are
+/// charged to the budget's shared pool so a cap spans all solves holding a
+/// clone. `Budget::unlimited()` never fires.
+///
+/// **Cutoff.** `cutoff` lets a caller that only needs to know whether the
+/// optimum exceeds a threshold stop early. The dual-simplex repair of a
+/// warm basis raises a lower bound on the optimum with every pivot; once
 /// that bound passes `cutoff` (see [`CUT_MARGIN`]) and a certificate
 /// computed from scratch confirms it, the solve returns
 /// [`Bounded::Above`] instead of pivoting on. The cut basis becomes the
@@ -207,10 +156,15 @@ pub enum Bounded {
 ///
 /// # Errors
 ///
-/// Same failure modes as [`solve_warm`].
+/// Returns [`TransportError::BudgetExhausted`] when the budget's deadline,
+/// pivot cap, or cancellation fires (at entry or mid-solve, warm or
+/// cold); [`TransportError::IterationLimit`] when the per-solve pivot
+/// limit is exhausted before reaching optimality; and
+/// [`TransportError::Internal`] if a pivot cycle is structurally
+/// malformed. On error the workspace keeps the basis it held before the
+/// call (the last optimal or cut one).
 pub fn solve_warm_objective(
     problem: &TransportProblem,
-    options: SimplexOptions,
     budget: &Budget,
     cutoff: f64,
     workspace: &mut SolverWorkspace,
@@ -299,7 +253,8 @@ pub fn solve_warm_objective(
                     .map(|(&(row, col), &flow)| (row, col, flow)),
             );
         }
-        let pivots = pivot_to_optimum(problem, options, budget, &mut ws.tree, &mut ws.pivot)?;
+        let limit = iteration_limit(m, n);
+        let pivots = pivot_to_optimum(problem, limit, budget, &mut ws.tree, &mut ws.pivot)?;
         ws.stats.pivots += pivots;
         ws.cells.clear();
         ws.cells.extend(ws.tree.cells());
@@ -579,23 +534,20 @@ fn dual_repair(
     Ok(Repair::Abandoned)
 }
 
-/// Run MODI pivots on `tree` until optimality. Returns the pivot count;
-/// the tree then holds an optimal basis (flows included, though callers
-/// re-derive them canonically).
+/// Run MODI pivots on `tree` until optimality, at most `limit` of them
+/// (clamped to [`hard_iteration_cap`]). Returns the pivot count; the tree
+/// then holds an optimal basis (flows included, though callers re-derive
+/// them canonically).
 fn pivot_to_optimum(
     problem: &TransportProblem,
-    options: SimplexOptions,
+    limit: usize,
     budget: &Budget,
     tree: &mut BasisTree,
     scratch: &mut PivotScratch,
 ) -> Result<u64, TransportError> {
     let m = problem.num_sources();
     let n = problem.num_targets();
-    let max_iterations = options
-        .max_iterations
-        .unwrap_or_else(|| 64 * (m + n) + 4096)
-        .min(hard_iteration_cap(m, n));
-    let tol = options.optimality_tolerance;
+    let max_iterations = limit.min(hard_iteration_cap(m, n));
     let limited = !budget.is_unlimited();
     let mut pending_pivots: u64 = 0;
     let mut performed: u64 = 0;
@@ -606,8 +558,8 @@ fn pivot_to_optimum(
     while performed < u64::try_from(max_iterations).unwrap_or(u64::MAX) {
         tree.duals(|i, j| problem.cost(i, j), &mut scratch.u, &mut scratch.v);
 
-        let use_bland = degenerate_run >= options.degenerate_pivot_limit;
-        let entering = find_entering(problem.costs(), &scratch.u, &scratch.v, tol, use_bland);
+        let use_bland = degenerate_run >= DEGENERATE_PIVOT_LIMIT;
+        let entering = find_entering(problem.costs(), &scratch.u, &scratch.v, use_bland);
         let Some((ei, ej)) = entering else {
             // Optimum reached: settle the uncharged pivot remainder so the
             // shared pool stays accurate, but never fail a finished solve.
@@ -689,16 +641,10 @@ fn pivot_to_optimum(
 /// autovectorizes; the comparison order is identical to the classic
 /// doubly-indexed formulation, preserving Dantzig/Bland tie-breaking
 /// bit-for-bit.
-fn find_entering(
-    costs: &[f64],
-    u: &[f64],
-    v: &[f64],
-    tol: f64,
-    bland: bool,
-) -> Option<(usize, usize)> {
+fn find_entering(costs: &[f64], u: &[f64], v: &[f64], bland: bool) -> Option<(usize, usize)> {
     let n = v.len();
     let mut best: Option<(usize, usize)> = None;
-    let mut best_reduced = -tol;
+    let mut best_reduced = -OPTIMALITY_TOLERANCE;
     for (i, (row, &ui)) in costs.chunks_exact(n).zip(u).enumerate() {
         for (j, (&c, &vj)) in row.iter().zip(v).enumerate() {
             let reduced = c - ui - vj;
@@ -812,6 +758,25 @@ mod tests {
         assert!((s.objective - 1.0).abs() < 1e-12);
     }
 
+    /// The primal loop alone, from a Vogel basis, under an explicit pivot
+    /// limit — the parameter `solve_warm_objective` fills with
+    /// `iteration_limit`.
+    fn pivot_with_limit(problem: &TransportProblem, limit: usize) -> Result<u64, TransportError> {
+        let mut ws = SolverWorkspace::new();
+        ws.tree.reset(
+            problem.num_sources(),
+            problem.num_targets(),
+            vogel::initial_basis(problem).cells.iter().copied(),
+        );
+        pivot_to_optimum(
+            problem,
+            limit,
+            &Budget::unlimited(),
+            &mut ws.tree,
+            &mut ws.pivot,
+        )
+    }
+
     #[test]
     fn iteration_limit_reported() {
         let problem = TransportProblem::new(
@@ -820,15 +785,10 @@ mod tests {
             vec![4.0, 1.0, 3.0, 2.0, 5.0, 2.0, 3.0, 3.0, 1.0],
         )
         .unwrap();
-        let err = solve_with_options(
-            &problem,
-            SimplexOptions {
-                max_iterations: Some(0),
-                ..SimplexOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, TransportError::IterationLimit { .. }));
+        assert_eq!(
+            pivot_with_limit(&problem, 0).unwrap_err(),
+            TransportError::IterationLimit { iterations: 0 }
+        );
     }
 
     #[test]
@@ -867,10 +827,16 @@ mod tests {
 
     #[test]
     fn unlimited_budget_is_bit_identical_to_unbudgeted() {
+        // `solve` is the unlimited call; a budget that is probed and
+        // charged but never fires must not move a pivot either.
         let problem = textbook_problem();
         let plain = solve(&problem).unwrap();
-        let budgeted =
-            solve_budgeted(&problem, SimplexOptions::default(), &Budget::unlimited()).unwrap();
+        let generous = Budget::unlimited().with_pivot_cap(1 << 20);
+        let budgeted = solve_warm(&problem, &generous, &mut SolverWorkspace::new()).unwrap();
+        assert!(
+            generous.pivots_used() > 0,
+            "the generous budget was charged"
+        );
         assert_eq!(plain.objective.to_bits(), budgeted.objective.to_bits());
         assert_eq!(plain.flows, budgeted.flows);
     }
@@ -882,21 +848,9 @@ mod tests {
         // pivots) and must return bit-identical results.
         let problem = textbook_problem();
         let mut ws = SolverWorkspace::new();
-        let cold = solve_warm(
-            &problem,
-            SimplexOptions::default(),
-            &Budget::unlimited(),
-            &mut ws,
-        )
-        .unwrap();
+        let cold = solve_warm(&problem, &Budget::unlimited(), &mut ws).unwrap();
         let pivots_cold = ws.stats().pivots;
-        let warm = solve_warm(
-            &problem,
-            SimplexOptions::default(),
-            &Budget::unlimited(),
-            &mut ws,
-        )
-        .unwrap();
+        let warm = solve_warm(&problem, &Budget::unlimited(), &mut ws).unwrap();
         assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());
         assert_eq!(cold.flows, warm.flows);
         let stats = ws.stats();
@@ -930,13 +884,7 @@ mod tests {
             let problem =
                 TransportProblem::new(supplies.clone(), demands.clone(), costs.clone()).unwrap();
             let cold = solve(&problem).unwrap();
-            let warm = solve_warm(
-                &problem,
-                SimplexOptions::default(),
-                &Budget::unlimited(),
-                &mut ws,
-            )
-            .unwrap();
+            let warm = solve_warm(&problem, &Budget::unlimited(), &mut ws).unwrap();
             assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());
             assert_eq!(cold.flows, warm.flows);
         }
@@ -947,13 +895,7 @@ mod tests {
     fn warm_falls_back_to_cold_on_shape_change() {
         let mut ws = SolverWorkspace::new();
         let p1 = textbook_problem();
-        solve_warm(
-            &p1,
-            SimplexOptions::default(),
-            &Budget::unlimited(),
-            &mut ws,
-        )
-        .unwrap();
+        solve_warm(&p1, &Budget::unlimited(), &mut ws).unwrap();
         // Different shape: no warm attempt, still correct.
         let p2 = TransportProblem::new(
             vec![0.5, 0.5],
@@ -961,13 +903,7 @@ mod tests {
             vec![1.0, 2.0, 3.0, 3.0, 2.0, 1.0],
         )
         .unwrap();
-        let warm = solve_warm(
-            &p2,
-            SimplexOptions::default(),
-            &Budget::unlimited(),
-            &mut ws,
-        )
-        .unwrap();
+        let warm = solve_warm(&p2, &Budget::unlimited(), &mut ws).unwrap();
         assert!((warm.objective - 1.3).abs() < 1e-12);
         assert_eq!(ws.stats().warm_attempts, 0);
         assert!(ws.has_warm_basis(2, 3));
@@ -979,7 +915,7 @@ mod tests {
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
         let err =
-            solve_budgeted(&textbook_problem(), SimplexOptions::default(), &budget).unwrap_err();
+            solve_warm(&textbook_problem(), &budget, &mut SolverWorkspace::new()).unwrap_err();
         assert_eq!(
             err,
             TransportError::BudgetExhausted {
@@ -992,7 +928,7 @@ mod tests {
     fn expired_deadline_fails_at_entry() {
         let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
         let err =
-            solve_budgeted(&textbook_problem(), SimplexOptions::default(), &budget).unwrap_err();
+            solve_warm(&textbook_problem(), &budget, &mut SolverWorkspace::new()).unwrap_err();
         assert_eq!(
             err,
             TransportError::BudgetExhausted {
@@ -1007,14 +943,14 @@ mod tests {
         // failing; the next solve's entry probe sees the exhausted cap.
         let problem = textbook_problem();
         let budget = Budget::unlimited().with_pivot_cap(1);
-        let first = solve_budgeted(&problem, SimplexOptions::default(), &budget).unwrap();
+        let first = solve_warm(&problem, &budget, &mut SolverWorkspace::new()).unwrap();
         assert!(budget.pivots_used() >= 1, "textbook instance must pivot");
         assert!(first.objective <= 455.0 + 1e-9);
         // Each successful solve settles its pivots into the shared pool; once
         // the pool exceeds the cap, the next solve fails at its entry probe.
         let mut exhausted = None;
         for _ in 0..8 {
-            if let Err(err) = solve_budgeted(&problem, SimplexOptions::default(), &budget) {
+            if let Err(err) = solve_warm(&problem, &budget, &mut SolverWorkspace::new()) {
                 exhausted = Some(err);
                 break;
             }
@@ -1033,15 +969,9 @@ mod tests {
         // so a degenerate-cycling instance reports IterationLimit with the
         // clamped budget instead of hanging.
         let problem = textbook_problem();
-        let solution = solve_with_options(
-            &problem,
-            SimplexOptions {
-                max_iterations: Some(usize::MAX),
-                ..SimplexOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(solution.check_feasible(&problem, 1e-9));
+        let pivots = pivot_with_limit(&problem, usize::MAX).unwrap();
+        assert!(pivots <= hard_iteration_cap(3, 4) as u64);
         assert_eq!(hard_iteration_cap(3, 4), 100 * 49 + 4096);
+        assert!(iteration_limit(3, 4) < hard_iteration_cap(3, 4));
     }
 }

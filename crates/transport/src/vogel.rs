@@ -1,6 +1,5 @@
-//! Initial basic feasible solutions for the transportation simplex:
-//! Vogel's approximation method (the production default) and the
-//! north-west corner rule (a cost-blind baseline for tests).
+//! The initial basic feasible solution of a cold transportation-simplex
+//! start: Vogel's approximation method.
 
 use crate::problem::TransportProblem;
 
@@ -17,8 +16,8 @@ pub struct InitialBasis {
 
 /// Compute an initial basic feasible solution using Vogel's approximation
 /// method (penalty heuristic). Vogel starts the simplex much closer to
-/// optimality than the north-west corner rule at modest extra cost, which
-/// pays off for the EMD tableaus this crate is used for.
+/// optimality than a cost-blind rule at modest extra cost, which pays off
+/// for the EMD tableaus this crate is used for.
 pub fn initial_basis(problem: &TransportProblem) -> InitialBasis {
     let m = problem.num_sources();
     let n = problem.num_targets();
@@ -167,37 +166,6 @@ fn best_penalty_cell(
     best_cell
 }
 
-/// Compute an initial basic feasible solution with the north-west corner
-/// rule. Ignores costs entirely; kept as a simple, obviously-correct
-/// alternative for tests and for measuring how much Vogel buys.
-#[allow(dead_code)]
-pub fn northwest_corner(problem: &TransportProblem) -> InitialBasis {
-    let m = problem.num_sources();
-    let n = problem.num_targets();
-    let mut supply: Vec<f64> = problem.supplies().to_vec();
-    let mut demand: Vec<f64> = problem.demands().to_vec();
-    let mut cells = Vec::with_capacity(m + n - 1);
-    let (mut i, mut j) = (0, 0);
-    // Walk the tableau from the top-left; each step exhausts a row or a
-    // column, so the walk visits exactly m + n - 1 cells.
-    while i < m && j < n {
-        let quantity = supply[i].min(demand[j]);
-        cells.push((i, j, quantity));
-        supply[i] -= quantity;
-        demand[j] -= quantity;
-        if i == m - 1 && j == n - 1 {
-            break;
-        }
-        if (supply[i] <= demand[j] && i < m - 1) || j == n - 1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    debug_assert_eq!(cells.len(), m + n - 1);
-    InitialBasis { cells }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,14 +204,6 @@ mod tests {
     fn vogel_produces_spanning_feasible_basis() {
         let problem = sample_problem();
         let basis = initial_basis(&problem);
-        assert_eq!(basis.cells.len(), 5);
-        assert!(feasible(&basis, &problem));
-    }
-
-    #[test]
-    fn northwest_produces_spanning_feasible_basis() {
-        let problem = sample_problem();
-        let basis = northwest_corner(&problem);
         assert_eq!(basis.cells.len(), 5);
         assert!(feasible(&basis, &problem));
     }

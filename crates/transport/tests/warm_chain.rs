@@ -30,8 +30,8 @@
 use emd_transport::certify::CERT_EPS;
 use emd_transport::ssp::solve_ssp;
 use emd_transport::{
-    certify_solution, solve_warm, solve_warm_objective, Bounded, Budget, SimplexOptions,
-    SolverWorkspace, TransportProblem, WorkspaceStats,
+    certify_solution, solve_warm, solve_warm_objective, Bounded, Budget, SolverWorkspace,
+    TransportProblem, WorkspaceStats,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -125,13 +125,7 @@ fn run_chain(problems: &[TransportProblem]) -> (WorkspaceStats, u64, u64) {
     let mut checksum = 0u64;
     let mut flow_checksum = 0u64;
     for (step, problem) in problems.iter().enumerate() {
-        let warm = solve_warm(
-            problem,
-            SimplexOptions::default(),
-            &Budget::unlimited(),
-            &mut ws,
-        )
-        .expect("warm solve succeeds");
+        let warm = solve_warm(problem, &Budget::unlimited(), &mut ws).expect("warm solve succeeds");
         let reference = solve_ssp(problem).expect("ssp solves valid instances");
         assert!(
             (warm.objective - reference.objective).abs() < 1e-9,
@@ -170,14 +164,8 @@ fn run_chain_with_cutoffs(problems: &[TransportProblem], seed: u64) -> usize {
             _ => optimum * rng.gen_range(0.0..1.6),
         };
         let mut uncut = ws.clone();
-        let verdict = solve_warm_objective(
-            problem,
-            SimplexOptions::default(),
-            &Budget::unlimited(),
-            cutoff,
-            &mut ws,
-        )
-        .expect("warm solve succeeds");
+        let verdict = solve_warm_objective(problem, &Budget::unlimited(), cutoff, &mut ws)
+            .expect("warm solve succeeds");
         match verdict {
             Bounded::Above(bound) => {
                 cuts += 1;
@@ -191,14 +179,9 @@ fn run_chain_with_cutoffs(problems: &[TransportProblem], seed: u64) -> usize {
                     (objective - optimum).abs() < 1e-9,
                     "step {step}: simplex {objective} != ssp {optimum}"
                 );
-                let reference = solve_warm_objective(
-                    problem,
-                    SimplexOptions::default(),
-                    &Budget::unlimited(),
-                    f64::INFINITY,
-                    &mut uncut,
-                )
-                .expect("warm solve succeeds");
+                let reference =
+                    solve_warm_objective(problem, &Budget::unlimited(), f64::INFINITY, &mut uncut)
+                        .expect("warm solve succeeds");
                 assert_eq!(
                     reference,
                     Bounded::Optimal(objective),

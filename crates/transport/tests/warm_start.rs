@@ -11,8 +11,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_transport::{
-    solve, solve_warm, Budget, BudgetReason, SimplexOptions, SolverWorkspace, TransportError,
-    TransportProblem,
+    solve, solve_warm, Budget, BudgetReason, SolverWorkspace, TransportError, TransportProblem,
 };
 use proptest::prelude::*;
 
@@ -65,7 +64,6 @@ proptest! {
             let cold = solve(&problem).expect("cold solve succeeds");
             let warm = solve_warm(
                 &problem,
-                SimplexOptions::default(),
                 &Budget::unlimited(),
                 &mut ws,
             ).expect("warm solve succeeds");
@@ -92,11 +90,11 @@ proptest! {
             costs,
         ).expect("generated instances are valid");
         let mut ws = SolverWorkspace::new();
-        solve_warm(&problem, SimplexOptions::default(), &Budget::unlimited(), &mut ws)
+        solve_warm(&problem, &Budget::unlimited(), &mut ws)
             .expect("cold solve succeeds");
         let pivots_after_cold = ws.stats().pivots;
         for _ in 0..3 {
-            solve_warm(&problem, SimplexOptions::default(), &Budget::unlimited(), &mut ws)
+            solve_warm(&problem, &Budget::unlimited(), &mut ws)
                 .expect("warm solve succeeds");
         }
         let stats = ws.stats();
@@ -124,7 +122,7 @@ proptest! {
                 demands.clone(),
                 costs.clone(),
             ).expect("generated instances are valid");
-            match solve_warm(&problem, SimplexOptions::default(), &budget, &mut ws) {
+            match solve_warm(&problem, &budget, &mut ws) {
                 Ok(solution) => {
                     let cold = solve(&problem).expect("cold solve succeeds");
                     prop_assert_eq!(cold.objective.to_bits(), solution.objective.to_bits());
@@ -136,7 +134,6 @@ proptest! {
                     // budget solves the same instance bit-identically.
                     let retry = solve_warm(
                         &problem,
-                        SimplexOptions::default(),
                         &Budget::unlimited(),
                         &mut ws,
                     ).expect("unlimited retry succeeds");
@@ -172,7 +169,6 @@ proptest! {
                 let cold = solve(&problem).expect("cold solve succeeds");
                 let warm = solve_warm(
                     &problem,
-                    SimplexOptions::default(),
                     &Budget::unlimited(),
                     &mut ws,
                 ).expect("warm solve succeeds");
@@ -218,21 +214,9 @@ fn pivot_counts_reported() {
         let demands: Vec<f64> = raw.iter().map(|d| d / dtotal).collect();
         let problem = TransportProblem::new(supplies.clone(), demands, costs.clone()).unwrap();
         let mut cold_ws = SolverWorkspace::new();
-        let cold = solve_warm(
-            &problem,
-            SimplexOptions::default(),
-            &Budget::unlimited(),
-            &mut cold_ws,
-        )
-        .unwrap();
+        let cold = solve_warm(&problem, &Budget::unlimited(), &mut cold_ws).unwrap();
         cold_pivots += cold_ws.stats().pivots;
-        let warm = solve_warm(
-            &problem,
-            SimplexOptions::default(),
-            &Budget::unlimited(),
-            &mut ws,
-        )
-        .unwrap();
+        let warm = solve_warm(&problem, &Budget::unlimited(), &mut ws).unwrap();
         assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());
     }
     let stats = ws.stats();

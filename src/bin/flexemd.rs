@@ -11,15 +11,15 @@
 //!                     [--cluster] [--cluster-factor F]
 //! flexemd query       --data data.json --reduction reduction.json
 //!                     [--k K] [--query I] [--chain] [--metrics json|PATH]
-//!                     [--source scan|clustered|vptree]
+//!                     [--source scan|clustered]
 //!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
 //! flexemd query       --index index-dir
 //!                     [--k K | --range EPS] [--query I] [--chain]
-//!                     [--metrics json|PATH] [--source scan|clustered|vptree]
+//!                     [--metrics json|PATH] [--source scan|clustered]
 //!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
 //! flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
 //!                     [--max-inflight N] [--queue-depth N]
-//!                     [--source scan|clustered|vptree] [--chain]
+//!                     [--source scan|clustered] [--chain]
 //!                     [--drain-stdin] [--faults SPEC]
 //! flexemd loadgen     --addr HOST:PORT [--threads N] [--requests N]
 //!                     [--k K | --range EPS] [--deadline-ms N]
@@ -36,8 +36,7 @@
 //! `build-index --cluster` additionally runs greedy k-center clustering
 //! over each reduced arena and persists the geometry (pivots,
 //! assignments, radii); `query --source clustered` then streams
-//! candidates from the cluster-pruned index instead of scanning, and
-//! `--source vptree` from a VP-tree over the exact metric — both with
+//! candidates from the cluster-pruned index instead of scanning, with
 //! bit-identical answers to `--source scan` (the default).
 //! `--metrics` records an `emd-obs` registry over the query — per-stage
 //! spans, solver counters, lower-bound evaluations — and dumps it as
@@ -63,7 +62,7 @@ use flexemd::data::{io as dataio, Dataset};
 use flexemd::faultkit::{FailPlan, InjectedPanic};
 use flexemd::query::{
     CandidateSource, ClusteredIndex, Database, EmdDistance, Executor, Filter, QueryMode,
-    QueryOutcome, QueryPlan, ReducedEmdFilter, ReducedImFilter, VpTree, VpTreeSource,
+    QueryOutcome, QueryPlan, ReducedEmdFilter, ReducedImFilter,
 };
 use flexemd::reduction::fb::{fb_all, fb_mod, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
@@ -160,15 +159,15 @@ USAGE:
                       [--cluster] [--cluster-factor F]
   flexemd query       --data data.json --reduction reduction.json
                       [--k K] [--query I] [--chain] [--metrics json|PATH]
-                      [--source scan|clustered|vptree]
+                      [--source scan|clustered]
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
   flexemd query       --index index-dir
                       [--k K | --range EPS] [--query I] [--chain]
-                      [--metrics json|PATH] [--source scan|clustered|vptree]
+                      [--metrics json|PATH] [--source scan|clustered]
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
   flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
                       [--max-inflight N] [--queue-depth N]
-                      [--source scan|clustered|vptree] [--chain]
+                      [--source scan|clustered] [--chain]
                       [--drain-stdin] [--faults SPEC]
   flexemd serve       --wal wal-dir [--addr HOST:PORT] [--workers N]
                       [--max-inflight N] [--queue-depth N] [--drain-stdin]
@@ -201,9 +200,8 @@ torn tail.
 Indexes: build-index --cluster persists greedy k-center clustering
 geometry over each reduced arena (about sqrt(n) * F clusters, default
 F = 1.0); query --source clustered prunes whole clusters via the
-triangle inequality before touching members, --source vptree walks a
-VP-tree over the exact EMD, and --source scan (default) is the full
-filter scan. All three return bit-identical answers.
+triangle inequality before touching members, and --source scan (default)
+is the full filter scan. Both return bit-identical answers.
 
 Budgets: --deadline-ms / --max-pivots bound a query's wall clock / solver
 work; when a budget fires, the best-effort ranking prints under a
@@ -570,13 +568,13 @@ fn source_options(options: &Options) -> Result<(String, bool), String> {
         .get("source")
         .map_or("scan", String::as_str)
         .to_owned();
-    if !matches!(source_kind.as_str(), "scan" | "clustered" | "vptree") {
+    if !matches!(source_kind.as_str(), "scan" | "clustered") {
         return Err(format!(
-            "unknown candidate source `{source_kind}` (expected scan, clustered or vptree)"
+            "unknown candidate source `{source_kind}` (expected scan or clustered)"
         ));
     }
     if chain && source_kind != "scan" {
-        // An index source already emits Red-EMD (or exact) bounds;
+        // An index source already emits Red-EMD bounds;
         // stacking the looser Red-IM stage on top would invert the chain.
         return Err("--chain only applies to --source scan".to_owned());
     }
@@ -629,10 +627,6 @@ fn prepare_corpus(
                 .map_err(|e| e.to_string())?;
                 (Vec::new(), Some(Box::new(index) as _))
             }
-            "vptree" => {
-                let tree = VpTree::build(&database).map_err(|e| e.to_string())?;
-                (Vec::new(), Some(Box::new(VpTreeSource::new(tree)) as _))
-            }
             _ => {
                 let mut stages: Vec<Box<dyn Filter>> = Vec::new();
                 if chain {
@@ -669,10 +663,6 @@ fn prepare_corpus(
                 let index =
                     ClusteredIndex::build(&database, reduced, 1.0).map_err(|e| e.to_string())?;
                 (Vec::new(), Some(Box::new(index) as _))
-            }
-            "vptree" => {
-                let tree = VpTree::build(&database).map_err(|e| e.to_string())?;
-                (Vec::new(), Some(Box::new(VpTreeSource::new(tree)) as _))
             }
             _ => {
                 let mut stages: Vec<Box<dyn Filter>> = Vec::new();
