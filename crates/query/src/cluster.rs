@@ -31,31 +31,51 @@
 //! d(o, old pivot)` implies the new pivot cannot steal `o`) keeps
 //! construction well below the naive `k·n` solves on clustered data.
 //!
-//! At query time [`ClusteredIndex`] is a
-//! [`CandidateSource`]: its stream holds a best-first heap mixing
-//! *cluster* entries (keyed by the pruning bound) and *member* entries
-//! (keyed by their evaluated reduced EMD), expanding a cluster —
-//! brute-forcing its members — only when its bound reaches the frontier.
-//! Cluster entries order before member entries on equal keys, so
-//! candidates are emitted in exactly the ascending `(distance, id)`
-//! order a full scan produces — answers are bit-identical; only the
-//! number of reduced-EMD evaluations changes. Clusters whose bound
-//! exceeds KNOP's stopping frontier are never expanded: that is the
-//! sublinear win the benchmark's `gauss32-clustered-20k` workload
-//! measures (`cluster.visited_per_query` / `cluster.pruned_per_query`).
+//! At query time [`ClusteredIndex`] is a [`CandidateSource`] whose stream
+//! **solves no LP until a closed-form bound asks for it**. LB_IM over
+//! the pruning cost lower-bounds the pruning distance (`LB_IM_closure <=
+//! EMD_closure <= Red-EMD <= EMD`), so the stream's best-first heap holds
+//! four kinds of entry, ordered on equal keys as listed:
+//!
+//! | kind | key | on pop |
+//! |---|---|---|
+//! | *lazy cluster* | `max(0, LB_IM(q, pivot) - radius)` | solve the pivot; push its *cluster* and its own *member* entry |
+//! | *cluster* | `max(0, d(q, pivot) - radius)` | push a *lazy member* per non-pivot member (LB_IM only) |
+//! | *lazy member* | `LB_IM(q, o)` | solve `o`; push its *member* entry |
+//! | *member* | `d(q, o)` | emit `(o, d)` |
+//!
+//! A deferred key never exceeds its solved twin's, and every non-member
+//! kind orders before *member* on equal keys; so when a member entry
+//! `(d, id)` is at the top, every entry that could still produce a
+//! member at `<= d` has already been popped and resolved, and candidates
+//! are emitted in exactly the ascending `(distance, id)` order a full
+//! scan under the pruning cost produces — answers are bit-identical;
+//! only the number of solves changes. A cluster whose (deferred or real)
+//! bound, or a member whose LB_IM, exceeds KNOP's stopping frontier is
+//! never solved: that is the sublinear win the benchmark's
+//! `gauss32-clustered-20k` workload measures
+//! (`cluster.visited_per_query` / `cluster.pruned_per_query`; the
+//! stream's `index.deferred_bounds` / `index.deferred_solved` counters
+//! say how many LB_IM evaluations it made and how many of them it later
+//! had to solve).
 //!
 //! The clustering persists through `emd-store` ([`ClusteredIndex::to_stored`]
 //! / [`ClusteredIndex::from_stored`]) so `build-index --cluster` pays
 //! construction once. Budgets propagate through the traversal: a firing
-//! surfaces as [`QueryError::BudgetExhausted`] from the stream, with all
-//! already-computed bounds — including unexpanded clusters' members at
-//! their cluster bound — surrendered to the degraded answer.
+//! surfaces as [`QueryError::BudgetExhausted`] from the stream with the
+//! interrupted entry still in the heap, so the degraded answer is
+//! surrendered *every* object not yet emitted at its tightest computed
+//! bound — a member at its distance, a lazy member at its LB_IM, the
+//! members of a cluster (its pivot too, while the cluster is still lazy)
+//! at the cluster's bound.
 
 use crate::engine::source::{CandidateSource, CandidateStream};
 use crate::engine::Database;
 use crate::error::QueryError;
 use crate::filters::check_persisted;
 use crate::ranking::{Key, Ranking};
+use emd_core::certify::debug_check_lower_bound;
+use emd_core::lower_bounds::LbIm;
 use emd_core::{emd_in_context, Budget, CostMatrix, EmdContext, Histogram};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use emd_store::StoredClustering;
@@ -67,10 +87,15 @@ use std::sync::Arc;
 /// for the debug metric assertion on its closure.
 const METRIC_TOL: f64 = 1e-9;
 
-/// Heap entry kinds: clusters expand before members on equal keys, which
-/// is what makes the emission order identical to a full scan's.
-const ENTRY_CLUSTER: u8 = 0;
-const ENTRY_MEMBER: u8 = 1;
+/// Heap entry kinds, in their order on equal keys: a deferred entry
+/// resolves before its solved twin and everything resolves before a
+/// member is emitted, which is what makes the emission order identical
+/// to a full scan's (k-center on duplicates gives zero radii and equal
+/// keys; this order is what decides those).
+const ENTRY_LAZY_CLUSTER: u8 = 0;
+const ENTRY_CLUSTER: u8 = 1;
+const ENTRY_LAZY_MEMBER: u8 = 2;
+const ENTRY_MEMBER: u8 = 3;
 
 /// A greedy k-center clustering of the reduced arena, queryable as a
 /// [`CandidateSource`] with triangle-inequality cluster pruning.
@@ -116,9 +141,10 @@ const ENTRY_MEMBER: u8 = 1;
 pub struct ClusteredIndex {
     name: String,
     reduced: ReducedEmd,
-    /// Metric closure of the reduced ground distance — the cost every
-    /// construction and query-time distance in this index uses.
-    pruning_cost: Arc<CostMatrix>,
+    /// LB_IM over the metric closure of the reduced ground distance —
+    /// [`LbIm::cost`] is the cost every construction and query-time
+    /// distance in this index uses; the bound defers those distances.
+    pruning: LbIm,
     reduced_database: Arc<[Histogram]>,
     pivots: Vec<u32>,
     assignments: Vec<u32>,
@@ -190,14 +216,14 @@ impl ClusteredIndex {
     ) -> Result<Self, QueryError> {
         check_persisted(database, bundle)?;
         let reduced = bundle.reduced().clone();
-        let pruning_cost = pruning_cost_for(&reduced)?;
+        let pruning = LbIm::new(pruning_cost_for(&reduced)?);
         let arena: Arc<[Histogram]> = bundle.reduced_database().to_vec().into();
         validate_stored(stored, arena.len())?;
         let members = members_of(&stored.assignments, stored.pivots.len());
         Ok(ClusteredIndex {
-            name: index_name(&reduced, &pruning_cost, stored.pivots.len()),
+            name: index_name(&reduced, pruning.cost(), stored.pivots.len()),
             reduced,
-            pruning_cost,
+            pruning,
             reduced_database: arena,
             pivots: stored.pivots.clone(),
             assignments: stored.assignments.clone(),
@@ -245,7 +271,14 @@ impl ClusteredIndex {
     /// closure of the reduced ground distance (bit-identical to it when
     /// the reduced cost is already a metric).
     pub fn pruning_cost(&self) -> &CostMatrix {
-        &self.pruning_cost
+        self.pruning.cost()
+    }
+
+    fn reduced_object(&self, id: u32) -> Result<&Histogram, QueryError> {
+        let arena = &self.reduced_database;
+        arena
+            .get(id as usize)
+            .ok_or(QueryError::UnknownObject(id as usize))
     }
 
     fn assemble(
@@ -253,7 +286,7 @@ impl ClusteredIndex {
         arena: Arc<[Histogram]>,
         factor: f64,
     ) -> Result<Self, QueryError> {
-        let pruning_cost = pruning_cost_for(&reduced)?;
+        let pruning = LbIm::new(pruning_cost_for(&reduced)?);
         let n = arena.len();
         if n == 0 {
             return Err(QueryError::EmptyDatabase);
@@ -265,12 +298,12 @@ impl ClusteredIndex {
         }
         let target = ((n as f64).sqrt() * factor).ceil() as usize;
         let k = target.clamp(1, n);
-        let (pivots, assignments, radii) = greedy_k_center(&pruning_cost, &arena, k)?;
+        let (pivots, assignments, radii) = greedy_k_center(pruning.cost(), &arena, k)?;
         let members = members_of(&assignments, pivots.len());
         Ok(ClusteredIndex {
-            name: index_name(&reduced, &pruning_cost, pivots.len()),
+            name: index_name(&reduced, pruning.cost(), pivots.len()),
             reduced,
-            pruning_cost,
+            pruning,
             reduced_database: arena,
             pivots,
             assignments,
@@ -294,18 +327,19 @@ impl CandidateSource for ClusteredIndex {
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        let reduced_query = self.reduced.reduce_first(query)?;
-        Ok(Box::new(ClusterStream {
+        let mut stream = ClusterStream {
             index: self,
-            reduced_query,
+            reduced_query: self.reduced.reduce_first(query)?,
             budget: budget.clone(),
             context: EmdContext::new(),
-            heap: BinaryHeap::new(),
-            next_cluster: 0,
+            heap: BinaryHeap::with_capacity(self.pivots.len()),
             evaluations: 0,
+            deferred: 0,
             emitted: 0,
             visited: 0,
-        }))
+        };
+        stream.bound_clusters()?;
+        Ok(Box::new(stream))
     }
 }
 
@@ -329,7 +363,7 @@ fn index_name(reduced: &ReducedEmd, pruning_cost: &CostMatrix, clusters: usize) 
 /// the closure lower-bounds the reduced EMD (and hence the exact EMD).
 /// Symmetry cannot be repaired the same way, so an asymmetric reduction
 /// or reduced cost is still rejected.
-fn pruning_cost_for(reduced: &ReducedEmd) -> Result<Arc<CostMatrix>, QueryError> {
+fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
     if reduced.r1().assignment() != reduced.r2().assignment() {
         return Err(QueryError::Reduction(
             "clustered index requires a symmetric reduction (identical query- and \
@@ -379,7 +413,7 @@ fn pruning_cost_for(reduced: &ReducedEmd) -> Result<Arc<CostMatrix>, QueryError>
         closure.is_metric(METRIC_TOL),
         "shortest-path closure of a symmetric zero-diagonal cost is a metric"
     );
-    Ok(Arc::new(closure))
+    Ok(closure)
 }
 
 /// Structural validation of an externally supplied stored clustering
@@ -524,86 +558,86 @@ fn members_of(assignments: &[u32], clusters: usize) -> Vec<Vec<u32>> {
     members
 }
 
-/// Per-query traversal state: a best-first heap over cluster bounds and
-/// evaluated member distances.
+/// Per-query traversal state: a best-first heap over deferred and real
+/// cluster bounds, deferred member bounds and evaluated member distances
+/// (the module docs tabulate the four kinds).
 ///
-/// Soundness of the emission order: when a member entry `(d, id)` is at
-/// the top, every cluster entry with bound `<= d` has already been
-/// expanded (cluster entries order first on ties), and every member at
-/// distance `<= d` belongs to some cluster whose bound is `<= d` — so
-/// all of them are already in the heap and the pop order is globally
-/// ascending `(distance, id)`, exactly like a materialized scan.
+/// Soundness of the emission order: every object not yet emitted is
+/// covered by exactly one entry whose key lower-bounds its distance — its
+/// own (lazy) member entry, or its cluster's (lazy) entry. When a member
+/// entry `(d, id)` is at the top, every other kind of entry with key
+/// `<= d` has already been popped and resolved (they order first on
+/// ties), so every member at distance `<= d` is already in the heap as a
+/// member and the pop order is globally ascending `(distance, id)`,
+/// exactly like a materialized scan.
 struct ClusterStream<'a> {
     index: &'a ClusteredIndex,
     reduced_query: Histogram,
     budget: Budget,
     context: EmdContext,
     heap: BinaryHeap<Reverse<(Key, u8, u32)>>,
-    /// Clusters whose pivot has not been evaluated yet (lazy bounding, so
-    /// a budget firing mid-bounding degrades instead of erroring).
-    next_cluster: usize,
+    /// LP solves: every one is the pop of a lazy entry.
     evaluations: usize,
+    /// LB_IM evaluations (lazy entries pushed).
+    deferred: usize,
     emitted: usize,
     visited: usize,
 }
 
 impl ClusterStream<'_> {
-    fn distance_to(&mut self, object: u32) -> Result<f64, QueryError> {
+    /// LB_IM of `object` under the pruning cost: closed form, no LP.
+    fn defer(&mut self, object: u32) -> Result<f64, QueryError> {
         let index = self.index;
-        let h = index
-            .reduced_database
-            .get(object as usize)
-            .ok_or(QueryError::UnknownObject(object as usize))?;
-        self.evaluations += 1;
-        Ok(emd_in_context(
-            &self.reduced_query,
-            h,
-            &index.pruning_cost,
-            &self.budget,
-            &mut self.context,
-        )?)
+        self.deferred += 1;
+        let y = index.reduced_object(object)?;
+        Ok(index.pruning.bound(&self.reduced_query, y)?)
     }
 
-    /// Bound every cluster: one pivot evaluation each. The pivot itself
-    /// is pushed as a member entry (its distance is exact already), so
-    /// expansion never re-evaluates it.
+    /// The pruning distance of `object`: one LP under the stream's budget.
+    fn solve(&mut self, object: u32) -> Result<f64, QueryError> {
+        let index = self.index;
+        let y = index.reduced_object(object)?;
+        let cost = index.pruning.cost();
+        let d = emd_in_context(
+            &self.reduced_query,
+            y,
+            cost,
+            &self.budget,
+            &mut self.context,
+        )?;
+        self.evaluations += 1;
+        Ok(d)
+    }
+
+    /// Bound every cluster by LB_IM of its pivot: one lazy cluster entry
+    /// each, no LP.
     fn bound_clusters(&mut self) -> Result<(), QueryError> {
         let index = self.index;
-        while self.next_cluster < index.pivots.len() {
-            self.budget.check().map_err(QueryError::BudgetExhausted)?;
-            let cluster = self.next_cluster;
-            let Some(&pivot) = index.pivots.get(cluster) else {
-                break;
-            };
-            let Some(&radius) = index.radii.get(cluster) else {
-                break;
-            };
-            let d = self.distance_to(pivot)?;
-            let bound = (d - radius).max(0.0);
+        for (cluster, (&pivot, &radius)) in index.pivots.iter().zip(&index.radii).enumerate() {
+            let bound = (self.defer(pivot)? - radius).max(0.0);
             self.heap
-                .push(Reverse((Key(bound), ENTRY_CLUSTER, cluster as u32)));
-            self.heap.push(Reverse((Key(d), ENTRY_MEMBER, pivot)));
-            self.next_cluster += 1;
+                .push(Reverse((Key(bound), ENTRY_LAZY_CLUSTER, cluster as u32)));
         }
         Ok(())
     }
 
-    /// Brute-force one cluster: evaluate every member except the
-    /// already-evaluated pivot.
-    fn expand(&mut self, cluster: usize) -> Result<(), QueryError> {
+    /// Open the cluster whose entry is at the top of the heap: a lazy
+    /// member entry for every member except the pivot, which rides its own
+    /// member entry since the cluster was solved. Past the leading probe
+    /// nothing here can exhaust a budget, so the entry is popped only
+    /// then — and before the pushes, whose LB_IM keys may sort below it.
+    fn expand(&mut self, cluster: u32) -> Result<(), QueryError> {
         self.budget.check().map_err(QueryError::BudgetExhausted)?;
+        self.heap.pop();
         self.visited += 1;
         let index = self.index;
-        let pivot = index.pivots.get(cluster).copied();
-        let Some(members) = index.members.get(cluster) else {
-            return Ok(());
-        };
-        for &m in members {
-            if Some(m) == pivot {
-                continue;
+        let pivot = index.pivots.get(cluster as usize).copied();
+        let members = index.members.get(cluster as usize);
+        for &m in members.into_iter().flatten() {
+            if Some(m) != pivot {
+                let bound = self.defer(m)?;
+                self.heap.push(Reverse((Key(bound), ENTRY_LAZY_MEMBER, m)));
             }
-            let d = self.distance_to(m)?;
-            self.heap.push(Reverse((Key(d), ENTRY_MEMBER, m)));
         }
         Ok(())
     }
@@ -611,38 +645,62 @@ impl ClusterStream<'_> {
 
 impl Ranking for ClusterStream<'_> {
     fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
-        self.bound_clusters()?;
-        loop {
-            let Some(Reverse((Key(key), kind, id))) = self.heap.pop() else {
-                return Ok(None);
-            };
-            if kind == ENTRY_CLUSTER {
-                self.expand(id as usize)?;
-            } else {
-                self.emitted += 1;
-                return Ok(Some((id as usize, key)));
+        let index = self.index;
+        // Peek, resolve, then pop: an entry whose resolution fails (a
+        // budget firing) stays in the heap for `drain_computed`.
+        while let Some(&Reverse((Key(key), kind, id))) = self.heap.peek() {
+            match kind {
+                ENTRY_LAZY_CLUSTER => {
+                    let cluster = id as usize;
+                    let geometry = index.pivots.get(cluster).zip(index.radii.get(cluster));
+                    let (&pivot, &radius) = geometry.ok_or(QueryError::UnknownObject(cluster))?;
+                    let d = self.solve(pivot)?;
+                    let bound = (d - radius).max(0.0);
+                    // Wherever the deferred bound is positive this is
+                    // `LB_IM(q, pivot) <= d` with the radius taken off
+                    // both sides.
+                    debug_check_lower_bound("deferred cluster bound", key, bound);
+                    self.heap.pop();
+                    self.heap.push(Reverse((Key(bound), ENTRY_CLUSTER, id)));
+                    self.heap.push(Reverse((Key(d), ENTRY_MEMBER, pivot)));
+                }
+                ENTRY_CLUSTER => self.expand(id)?,
+                ENTRY_LAZY_MEMBER => {
+                    let d = self.solve(id)?;
+                    debug_check_lower_bound("deferred member bound", key, d);
+                    self.heap.pop();
+                    self.heap.push(Reverse((Key(d), ENTRY_MEMBER, id)));
+                }
+                // ENTRY_MEMBER: everything at or below it is resolved.
+                _ => {
+                    self.heap.pop();
+                    self.emitted += 1;
+                    return Ok(Some((id as usize, key)));
+                }
             }
         }
+        Ok(None)
     }
 
     fn drain_computed(&mut self) -> Vec<(usize, f64)> {
         let index = self.index;
         let mut out = Vec::new();
         for Reverse((Key(key), kind, id)) in self.heap.drain() {
-            if kind == ENTRY_CLUSTER {
-                // An unexpanded cluster's bound covers all its members,
-                // for free; its pivot rides its own member entry.
-                let pivot = index.pivots.get(id as usize).copied();
-                if let Some(members) = index.members.get(id as usize) {
-                    for &m in members {
-                        if Some(m) == pivot {
-                            continue;
-                        }
-                        out.push((m as usize, key));
-                    }
-                }
-            } else {
+            if kind == ENTRY_LAZY_MEMBER || kind == ENTRY_MEMBER {
                 out.push((id as usize, key));
+                continue;
+            }
+            // An unopened cluster's bound covers all its members, for
+            // free. Once the cluster is solved its pivot rides a member
+            // entry of its own; while it is lazy the pivot has none.
+            let own_entry = (kind == ENTRY_CLUSTER)
+                .then(|| index.pivots.get(id as usize).copied())
+                .flatten();
+            let members = index.members.get(id as usize);
+            for &m in members.into_iter().flatten() {
+                if Some(m) != own_entry {
+                    out.push((m as usize, key));
+                }
             }
         }
         out
@@ -664,6 +722,8 @@ impl Drop for ClusterStream<'_> {
             total.saturating_sub(self.visited) as u64,
         );
         emd_obs::counter_add("index.candidates_emitted", self.emitted as u64);
+        emd_obs::counter_add("index.deferred_bounds", self.deferred as u64);
+        emd_obs::counter_add("index.deferred_solved", self.evaluations as u64);
     }
 }
 
@@ -716,7 +776,7 @@ mod tests {
                 let d = emd_in_context(
                     &reduced_query,
                     h,
-                    &index.pruning_cost,
+                    index.pruning_cost(),
                     &budget,
                     &mut context,
                 )
@@ -821,6 +881,44 @@ mod tests {
         );
     }
 
+    /// `(emitted, drained, fired)`.
+    type Pulled = (Vec<(usize, f64)>, Vec<(usize, f64)>, bool);
+
+    /// Pull `stream` until it ends or its budget fires, then drain it.
+    fn pull_and_drain(stream: &mut dyn CandidateStream) -> Pulled {
+        let mut emitted = Vec::new();
+        let fired = loop {
+            match stream.next() {
+                Ok(Some(item)) => emitted.push(item),
+                Ok(None) => break false,
+                Err(QueryError::BudgetExhausted(_)) => break true,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        };
+        (emitted, stream.drain_computed(), fired)
+    }
+
+    /// Emitted and drained together name every object exactly once, the
+    /// emitted prefix is the scan's, and every drained bound lower-bounds
+    /// the object's pruning distance.
+    fn assert_nothing_lost(index: &ClusteredIndex, query: &Histogram, pulled: &Pulled) {
+        let (emitted, drained, _) = pulled;
+        let scan = scan_order(index, query);
+        let mut ids: Vec<usize> = emitted.iter().chain(drained).map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..index.len()).collect::<Vec<_>>());
+        for (got, expected) in emitted.iter().zip(&scan) {
+            assert_eq!((got.0, got.1.to_bits()), (expected.0, expected.1.to_bits()));
+        }
+        for &(id, bound) in drained {
+            let (_, distance) = scan.iter().find(|(scanned, _)| *scanned == id).unwrap();
+            assert!(
+                bound >= 0.0 && bound <= distance + 1e-9,
+                "object {id}: drained bound {bound} above its distance {distance}"
+            );
+        }
+    }
+
     #[test]
     fn budget_firing_surfaces_with_computed_bounds() {
         // Well-separated data keeps distant clusters unexpanded after the
@@ -828,30 +926,117 @@ mod tests {
         let database = separated_database(19);
         let index = index_over(&database, 6, 1.0);
         let query = database.get(0).unwrap().clone();
-        // The pool is shared across clones: let the stream bound the
-        // clusters under a generous cap, then exhaust the pool from the
-        // outside so the next pull must surface the firing.
+        // The pool is shared across clones: let the stream solve its way
+        // to a first candidate under a generous cap, then exhaust the pool
+        // from the outside so the next solve must surface the firing.
         let budget = Budget::unlimited().with_pivot_cap(1_000_000);
         let mut stream = index.prepare(&query, &budget).unwrap();
-        stream.next().unwrap().unwrap();
+        let first = stream.next().unwrap().unwrap();
         budget.settle_pivots(1_000_000);
-        // Already-computed entries may still emit for free, but expanding
-        // any remaining cluster needs solves, which must fire.
-        let fired = loop {
-            match stream.next() {
-                Ok(Some(_)) => {}
-                Ok(None) => break false,
-                Err(QueryError::BudgetExhausted(_)) => break true,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        };
+        // Already-solved members may still emit for free, but resolving
+        // any deferred entry needs a solve, which must fire.
+        let (mut emitted, drained, fired) = pull_and_drain(stream.as_mut());
         assert!(fired, "an exhausted pivot pool must fire before completion");
-        let drained = stream.drain_computed();
-        // Whatever was computed is surrendered with non-negative bounds.
-        for (id, bound) in &drained {
-            assert!(*id < 60);
-            assert!(bound.is_finite() && *bound >= 0.0);
+        emitted.insert(0, first);
+        // The interrupted entry is still there: nothing is lost.
+        assert_nothing_lost(&index, &query, &(emitted, drained, fired));
+    }
+
+    #[test]
+    fn nothing_is_lost_at_any_pivot_cap() {
+        // Every way a cap can fire — inside a pivot solve, inside a member
+        // solve, at the probe that opens a cluster — leaves the entry it
+        // interrupted in the heap.
+        let database = random_database(40, 8, 31);
+        let index = index_over(&database, 4, 1.0);
+        let query = Histogram::normalized(vec![0.3, 0.1, 0.1, 0.05, 0.05, 0.1, 0.1, 0.2]).unwrap();
+        let mut degraded = 0;
+        for cap in 0.. {
+            let budget = Budget::unlimited().with_pivot_cap(cap);
+            let mut stream = index.prepare(&query, &budget).unwrap();
+            let pulled = pull_and_drain(stream.as_mut());
+            assert_nothing_lost(&index, &query, &pulled);
+            if !pulled.2 {
+                assert_eq!(pulled.0.len(), 40, "an unfired stream emits everything");
+                break;
+            }
+            degraded += 1;
         }
+        assert!(
+            degraded > 10,
+            "only {degraded} caps fired: the sweep is vacuous"
+        );
+    }
+
+    #[test]
+    fn expired_budget_still_surrenders_every_cluster_bound() {
+        // Bounding runs no LP and probes no budget: a stream that cannot
+        // solve anything still covers every object with a valid bound.
+        let database = separated_database(23);
+        let index = index_over(&database, 6, 1.0);
+        let query = database.get(30).unwrap().clone();
+        let budget = Budget::unlimited().with_pivot_cap(0);
+        budget.settle_pivots(1);
+        let mut stream = index.prepare(&query, &budget).unwrap();
+        let pulled = pull_and_drain(stream.as_mut());
+        assert!(pulled.2 && pulled.0.is_empty());
+        assert_eq!(stream.evaluations(), 0);
+        assert_nothing_lost(&index, &query, &pulled);
+    }
+
+    #[test]
+    fn duplicates_and_exact_ties_emit_in_scan_order() {
+        // Dyadic masses under an integer cost: every distance and every
+        // LB_IM is exact, duplicates give zero radii, and many keys of
+        // different kinds coincide — the case the kind order decides.
+        let shapes = [
+            vec![0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            vec![0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+            vec![0.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.25],
+            vec![0.25, 0.0, 0.25, 0.0, 0.25, 0.0, 0.25, 0.0],
+            vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5],
+        ];
+        let histograms = (0..30)
+            .map(|i| Histogram::new(shapes[(i * 7) % shapes.len()].clone()).unwrap())
+            .collect();
+        let cost = ground::saturated(&ground::linear(8).unwrap(), 2.0).unwrap();
+        let database = Database::new(histograms, Arc::new(cost)).unwrap();
+        for factor in [0.5, 1.0, 3.0] {
+            let index = index_over(&database, 4, factor);
+            assert!(index.radii().contains(&0.0));
+            for shape in &shapes {
+                let query = Histogram::new(shape.clone()).unwrap();
+                let mut stream = index.prepare(&query, &Budget::unlimited()).unwrap();
+                let pulled = pull_and_drain(stream.as_mut());
+                assert_eq!(pulled.0.len(), 30);
+                assert_nothing_lost(&index, &query, &pulled);
+            }
+        }
+    }
+
+    #[test]
+    fn deferral_counters_say_what_the_pre_filter_saved() {
+        let database = separated_database(13);
+        let index = index_over(&database, 6, 1.0);
+        let query = database.get(0).unwrap().clone();
+        let recording = emd_obs::Recording::start();
+        let mut stream = index.prepare(&query, &Budget::unlimited()).unwrap();
+        for _ in 0..5 {
+            stream.next().unwrap().unwrap();
+        }
+        let solves = stream.evaluations() as u64;
+        drop(stream);
+        let registry = recording.finish();
+        // Every solve resolved a deferred entry; every deferred entry cost
+        // one LB_IM evaluation; far from every one had to be solved.
+        assert_eq!(registry.counter("index.deferred_solved"), solves);
+        assert_eq!(registry.counter("core.emd.solves"), solves);
+        let deferred = registry.counter("index.deferred_bounds");
+        assert_eq!(registry.counter("core.lb_im.evaluations"), deferred);
+        assert!(
+            solves < deferred && deferred <= 60,
+            "{solves} of {deferred}"
+        );
     }
 
     #[test]

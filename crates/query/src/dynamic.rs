@@ -19,26 +19,51 @@
 //! Histogram storage lives behind `Arc`s mutated with [`Arc::make_mut`]:
 //! taking a [`DynamicSnapshot`] is O(live) in ids and copies **no
 //! histogram data**, and later mutations copy-on-write without
-//! disturbing outstanding snapshots. Queries execute through the shared
-//! engine [`Executor`] — the KNOP refinement loop lives only in
-//! [`knop`](crate::knop), not here — and through the same prepared
-//! Red-EMD / exact-EMD evaluators as the static filters. The executor's
-//! dense ids (the live objects, in ascending id order) exist only inside
-//! one snapshot, which translates them back on the way out: every live
-//! query has its own warm solver context and honours the [`Budget`] it
-//! runs under.
+//! disturbing outstanding snapshots.
+//!
+//! **The plan.** A snapshot runs the paper's Figure 10 chain,
+//! `red-im(d'=a/b) -> red-emd(d'=a/b) -> emd(d=n)`, over the live
+//! objects: an LB_IM scan of the reduced vectors (closed form, no LP),
+//! a reduced LP only for the candidates that scan could not dismiss
+//! before KNOP stopped, the exact EMD for those that survive both. It is
+//! the static plans' chain down to the stage names and the evaluators —
+//! the prepared halves of [`ReducedImFilter`](crate::ReducedImFilter),
+//! [`ReducedEmdFilter`](crate::ReducedEmdFilter) and
+//! [`EmdDistance`](crate::EmdDistance) are written against an object
+//! lookup, and a snapshot's lookup skips tombstones — executed by the
+//! shared engine [`Executor`]; the KNOP loop lives only in
+//! [`knop`](crate::knop), not here. What the stages need per *index*
+//! (the reduction and the LB_IM sort orders over its reduced cost) is
+//! derived once in [`DynamicIndex::new`] and shared by `Arc`. The
+//! executor's dense ids (the live objects, in ascending id order) exist
+//! only inside one snapshot, which translates them back on the way out:
+//! every live query has its own warm solver contexts and honours the
+//! [`Budget`] it runs under.
 
 use crate::engine::{Executor, Query, QueryPlan};
 use crate::error::QueryError;
-use crate::filters::{Filter, Objects, PreparedEmd, PreparedFilter, PreparedReducedEmd};
+use crate::filters::{
+    reduced_stage_name, Filter, Objects, PreparedEmd, PreparedFilter, PreparedReducedEmd,
+    PreparedReducedIm,
+};
 use crate::outcome::QueryOutcome;
 use crate::stats::QueryStats;
 use crate::Neighbor;
+use emd_core::lower_bounds::LbIm;
 use emd_core::{Budget, CostMatrix, Histogram};
 use emd_reduction::ReducedEmd;
 use std::sync::Arc;
 
-/// A mutable database with a reduced-EMD filter kept in sync.
+/// What the reduced stages of every snapshot share: the reduction, and
+/// LB_IM over its reduced cost. Derived once per index.
+#[derive(Debug)]
+struct Reduced {
+    emd: ReducedEmd,
+    im: LbIm,
+}
+
+/// A mutable database with the reduced (filter) representation of every
+/// object kept in sync.
 ///
 /// ```
 /// use emd_core::{ground, Histogram};
@@ -64,7 +89,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct DynamicIndex {
     cost: Arc<CostMatrix>,
-    reduced: ReducedEmd,
+    reduced: Arc<Reduced>,
     /// Original histograms by position; `None` marks a removed object.
     /// Shared with snapshots, mutated copy-on-write.
     objects: Arc<Vec<Option<Histogram>>>,
@@ -92,9 +117,10 @@ impl DynamicIndex {
                 cost.cols()
             )));
         }
+        let im = LbIm::new(reduced.reduced_cost().clone());
         Ok(DynamicIndex {
             cost,
-            reduced,
+            reduced: Arc::new(Reduced { emd: reduced, im }),
             objects: Arc::new(Vec::new()),
             reduced_objects: Arc::new(Vec::new()),
             ids: Vec::new(),
@@ -172,7 +198,7 @@ impl DynamicIndex {
                 got_cols: histogram.dim(),
             }));
         }
-        Ok(self.reduced.reduce_second(histogram)?)
+        Ok(self.reduced.emd.reduce_second(histogram)?)
     }
 
     /// The infallible half of an insert: store `histogram` with the
@@ -246,38 +272,40 @@ impl DynamicIndex {
         let (positions, ids): (Vec<usize>, Vec<u64>) = live
             .filter_map(|(position, (slot, &id))| slot.as_ref().map(|_| (position, id)))
             .unzip();
-        let positions = Arc::new(positions);
-        let stage = LiveReducedFilter {
-            name: format!(
-                "red-emd(d'={}/{})",
-                self.reduced.r1().reduced_dim(),
-                self.reduced.r2().reduced_dim()
-            ),
-            reduced: self.reduced.clone(),
-            reduced_objects: LiveObjects {
-                slots: Arc::clone(&self.reduced_objects),
-                positions: Arc::clone(&positions),
-            },
+        let objects = LiveObjects {
+            slots: Arc::clone(&self.objects),
+            positions: Arc::new(positions),
+        };
+        let reduced_objects = LiveObjects {
+            slots: Arc::clone(&self.reduced_objects),
+            positions: Arc::clone(&objects.positions),
+        };
+        let red_im = LiveReducedImFilter {
+            name: reduced_stage_name("red-im", &self.reduced.emd),
+            reduced: Arc::clone(&self.reduced),
+            reduced_objects: reduced_objects.clone(),
+        };
+        let red_emd = LiveReducedFilter {
+            name: reduced_stage_name("red-emd", &self.reduced.emd),
+            reduced: Arc::clone(&self.reduced),
+            reduced_objects,
         };
         let refiner = LiveEmdFilter {
             name: format!("emd(d={})", self.cost.rows()),
             cost: Arc::clone(&self.cost),
-            objects: LiveObjects {
-                slots: Arc::clone(&self.objects),
-                positions,
-            },
+            objects,
         };
-        let plan = QueryPlan::new(vec![Box::new(stage)], Box::new(refiner))?;
+        let plan = QueryPlan::new(vec![Box::new(red_im), Box::new(red_emd)], Box::new(refiner))?;
         Ok(DynamicSnapshot {
             executor: Executor::new(plan),
             ids,
         })
     }
 
-    /// Exact k-NN over the live objects: reduced-EMD filter ranking
-    /// followed by KNOP refinement in the shared engine (complete —
-    /// identical results to scanning every live object with the exact
-    /// EMD).
+    /// Exact k-NN over the live objects: the snapshot's
+    /// `Red-IM -> Red-EMD` chain ranked lazily under KNOP refinement in
+    /// the shared engine (complete — identical results to scanning every
+    /// live object with the exact EMD).
     ///
     /// # Errors
     ///
@@ -418,7 +446,7 @@ impl DynamicSnapshot {
 
 /// The live subset of a dynamic index's storage (original or reduced
 /// histograms) under the snapshot's dense ids. No histogram data copied.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LiveObjects {
     slots: Arc<Vec<Option<Histogram>>>,
     /// Dense id -> storage position.
@@ -438,13 +466,46 @@ impl Objects for LiveObjects {
     }
 }
 
+/// Red-IM filter over the live objects: the evaluator of
+/// [`ReducedImFilter`](crate::ReducedImFilter), looked up through the
+/// snapshot's positions.
+#[derive(Debug)]
+struct LiveReducedImFilter {
+    name: String,
+    reduced: Arc<Reduced>,
+    reduced_objects: LiveObjects,
+}
+
+impl Filter for LiveReducedImFilter {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn len(&self) -> usize {
+        self.reduced_objects.positions.len()
+    }
+
+    fn prepare(
+        &self,
+        query: &Histogram,
+        _budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+        Ok(Box::new(PreparedReducedIm::new(
+            query,
+            &self.reduced.emd,
+            &self.reduced.im,
+            &self.reduced_objects,
+        )?))
+    }
+}
+
 /// Reduced-EMD filter over the live objects: the evaluator of
 /// [`ReducedEmdFilter`](crate::ReducedEmdFilter), looked up through the
 /// snapshot's positions.
 #[derive(Debug)]
 struct LiveReducedFilter {
     name: String,
-    reduced: ReducedEmd,
+    reduced: Arc<Reduced>,
     reduced_objects: LiveObjects,
 }
 
@@ -464,7 +525,7 @@ impl Filter for LiveReducedFilter {
     ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
         Ok(Box::new(PreparedReducedEmd::new(
             query,
-            &self.reduced,
+            &self.reduced.emd,
             &self.reduced_objects,
             budget,
             true,

@@ -7,7 +7,10 @@
 //! [`QueryPlan`](super::QueryPlan) can swap the full scan for a metric
 //! index (the cluster-pruned [`ClusteredIndex`](crate::ClusteredIndex))
 //! that emits candidates in the same ascending lower-bound order while
-//! *evaluating only a subset* of the database.
+//! *solving for only a subset* of the database — and, since a closed-form
+//! bound (LB_IM) is far cheaper than the LP it bounds,
+//! only for those a cheaper bound could not keep behind the consumer's
+//! stopping frontier.
 //!
 //! The contract mirrors [`Ranking`]: a prepared [`CandidateStream`]
 //! yields `(id, lower bound)` pairs in ascending `(bound, id)` order, and
@@ -16,9 +19,10 @@
 //! simply stacks the usual [`ChainedRanking`](crate::ranking::ChainedRanking)s
 //! on top. The stream probes the [`Budget`] it was prepared under: a
 //! firing surfaces as [`QueryError::BudgetExhausted`] from
-//! [`Ranking::next`], and [`Ranking::drain_computed`] surrenders the
-//! bounds already computed so degraded answers work exactly as they do
-//! for filter scans.
+//! [`Ranking::next`] with whatever it interrupted left in place, and
+//! [`Ranking::drain_computed`] surrenders the bounds already computed —
+//! every object the stream knows a bound for, none dropped — so degraded
+//! answers work exactly as they do for filter scans.
 
 use crate::error::QueryError;
 use crate::filters::PreparedFilter;
@@ -32,7 +36,11 @@ use emd_core::{Budget, Histogram};
 /// [`QueryStats`](crate::QueryStats) can report how much lower-bound work
 /// the source performed — the number an index must keep sublinear.
 pub trait CandidateStream: Ranking {
-    /// Lower-bound distance evaluations performed so far.
+    /// Lower-bound distances *solved* so far: LP solves, the unit a
+    /// filter stage's evaluation count is in. Closed-form bounds a source
+    /// computes to put off or avoid a solve are not evaluations (the
+    /// clustered source reports its own as `index.deferred_bounds`, and
+    /// they show in `core.lb_im.evaluations`).
     fn evaluations(&self) -> usize;
 }
 

@@ -52,6 +52,18 @@ pub(crate) fn check_persisted(
     Ok(())
 }
 
+/// The stage name of a filter over `reduced` — `kind(d'=a/b)`, with `a`
+/// / `b` the query- and database-side reduced dimensionalities. One
+/// spelling for in-memory, disk-opened and live stages, so their
+/// [`QueryStats`](crate::QueryStats) rows merge.
+pub(crate) fn reduced_stage_name(kind: &str, reduced: &ReducedEmd) -> String {
+    format!(
+        "{kind}(d'={}/{})",
+        reduced.r1().reduced_dim(),
+        reduced.r2().reduced_dim()
+    )
+}
+
 /// A database-indexed distance function, instantiable per query.
 ///
 /// `Send + Sync` is a supertrait so plans built from boxed filters can be
@@ -328,11 +340,7 @@ impl ReducedEmdFilter {
             .map(|h| reduced.reduce_second(h))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ReducedEmdFilter {
-            name: format!(
-                "red-emd(d'={}/{})",
-                reduced.r1().reduced_dim(),
-                reduced.r2().reduced_dim()
-            ),
+            name: reduced_stage_name("red-emd", &reduced),
             reduced,
             reduced_database: reduced_database.into(),
             warm_start: true,
@@ -369,11 +377,7 @@ impl ReducedEmdFilter {
         check_persisted(database, &bundle)?;
         let (_, reduced, reduced_database) = bundle.into_parts();
         Ok(ReducedEmdFilter {
-            name: format!(
-                "red-emd(d'={}/{})",
-                reduced.r1().reduced_dim(),
-                reduced.r2().reduced_dim()
-            ),
+            name: reduced_stage_name("red-emd", &reduced),
             reduced,
             reduced_database: reduced_database.into(),
             warm_start: true,
@@ -494,11 +498,7 @@ impl ReducedImFilter {
             .collect::<Result<Vec<_>, _>>()?;
         let bound = LbIm::new(reduced.reduced_cost().clone());
         Ok(ReducedImFilter {
-            name: format!(
-                "red-im(d'={}/{})",
-                reduced.r1().reduced_dim(),
-                reduced.r2().reduced_dim()
-            ),
+            name: reduced_stage_name("red-im", &reduced),
             bound,
             reduced,
             reduced_database: reduced_database.into(),
@@ -521,11 +521,7 @@ impl ReducedImFilter {
         let (_, reduced, reduced_database) = bundle.into_parts();
         let bound = LbIm::new(reduced.reduced_cost().clone());
         Ok(ReducedImFilter {
-            name: format!(
-                "red-im(d'={}/{})",
-                reduced.r1().reduced_dim(),
-                reduced.r2().reduced_dim()
-            ),
+            name: reduced_stage_name("red-im", &reduced),
             bound,
             reduced,
             reduced_database: reduced_database.into(),
@@ -547,28 +543,47 @@ impl Filter for ReducedImFilter {
         query: &Histogram,
         _budget: &Budget,
     ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        let reduced_query = self.reduced.reduce_first(query)?;
-        Ok(Box::new(PreparedReducedIm {
-            reduced_query,
-            filter: self,
-            evaluations: 0,
-        }))
+        Ok(Box::new(PreparedReducedIm::new(
+            query,
+            &self.reduced,
+            &self.bound,
+            &*self.reduced_database,
+        )?))
     }
 }
 
-struct PreparedReducedIm<'a> {
+/// Per-query Red-IM evaluator over any [`Objects`] lookup of *reduced*
+/// database vectors. Closed-form: no solver context, no budget.
+pub(crate) struct PreparedReducedIm<'a, O: Objects + ?Sized> {
     reduced_query: Histogram,
-    filter: &'a ReducedImFilter,
+    bound: &'a LbIm,
+    reduced_objects: &'a O,
     evaluations: usize,
 }
 
-impl PreparedFilter for PreparedReducedIm<'_> {
+impl<'a, O: Objects + ?Sized> PreparedReducedIm<'a, O> {
+    /// Reduces the query once; `bound` is LB_IM over `reduced`'s reduced
+    /// cost matrix.
+    pub(crate) fn new(
+        query: &Histogram,
+        reduced: &ReducedEmd,
+        bound: &'a LbIm,
+        reduced_objects: &'a O,
+    ) -> Result<Self, QueryError> {
+        Ok(PreparedReducedIm {
+            reduced_query: reduced.reduce_first(query)?,
+            bound,
+            reduced_objects,
+            evaluations: 0,
+        })
+    }
+}
+
+impl<O: Objects + ?Sized> PreparedFilter for PreparedReducedIm<'_, O> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
         self.evaluations += 1;
-        Ok(self.filter.bound.bound(
-            &self.reduced_query,
-            self.filter.reduced_database.object(id)?,
-        )?)
+        let ry = self.reduced_objects.object(id)?;
+        Ok(self.bound.bound(&self.reduced_query, ry)?)
     }
 
     fn evaluations(&self) -> usize {

@@ -31,9 +31,11 @@
 //!   loop.
 //! * [`cluster`] — [`ClusteredIndex`], a pivot-based cluster index over
 //!   the reduced space with triangle-inequality pruning; the sublinear
-//!   stage-1 candidate generator.
+//!   stage-1 candidate generator, which solves a pivot or member
+//!   distance only when its closed-form LB_IM key comes due.
 //! * [`dynamic`] — a mutable index with copy-on-write snapshots that
-//!   execute through the same engine.
+//!   execute the same `Red-IM -> Red-EMD -> EMD` chain through the same
+//!   engine.
 //! * [`scan`] — brute-force oracles, implemented as zero-stage plans.
 //!
 //! ## Observability

@@ -30,7 +30,10 @@ pub trait Ranking {
     ///
     /// Used to build degraded answers when an execution budget fires: the
     /// returned `(id, bound)` pairs are valid lower bounds of the exact
-    /// distance (the chain condition), obtained for free. Order is
+    /// distance (the chain condition), obtained for free. A `next` that
+    /// failed must not have lost the candidate it was working on: what it
+    /// took it puts back, so that emitted and drained together name every
+    /// object whose bound was ever computed exactly once. Order is
     /// unspecified; callers sort. The default returns nothing, which is
     /// always sound.
     fn drain_computed(&mut self) -> Vec<(usize, f64)> {
@@ -120,10 +123,14 @@ impl Ranking for ChainedRanking<'_> {
                 }
                 continue;
             }
-            // Frontier might still produce something smaller: consume it,
-            // evaluate the tight filter, and keep pulling.
-            if let Some((id, _)) = self.frontier.take() {
+            // Frontier might still produce something smaller: evaluate the
+            // tight filter, then consume it, and keep pulling. A failed
+            // evaluation (a budget firing) leaves the frontier in place —
+            // it carries the smallest base bound of everything not yet
+            // emitted, and `drain_computed` must still surrender it.
+            if let Some((id, _)) = self.frontier {
                 let tight = self.filter.distance(id)?;
+                self.frontier = None;
                 self.heap.push(Reverse((Key(tight), id)));
             }
         }
@@ -150,23 +157,29 @@ impl Ranking for ChainedRanking<'_> {
 mod tests {
     use super::*;
     use crate::engine::source::ScanStream;
-    use emd_core::Budget;
+    use emd_core::{Budget, BudgetReason};
 
-    /// Test filter backed by a fixed distance table.
+    /// Test filter backed by a fixed distance table, whose budget "fires"
+    /// from the `fail_from`-th evaluation on.
     struct PreparedTable<'a> {
         table: &'a [f64],
         evaluations: usize,
+        fail_from: usize,
     }
 
     fn prepared(table: &[f64]) -> PreparedTable<'_> {
         PreparedTable {
             table,
             evaluations: 0,
+            fail_from: usize::MAX,
         }
     }
 
     impl PreparedFilter for PreparedTable<'_> {
         fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
+            if self.evaluations >= self.fail_from {
+                return Err(QueryError::BudgetExhausted(BudgetReason::PivotCap));
+            }
             self.evaluations += 1;
             self.table
                 .get(id)
@@ -239,6 +252,41 @@ mod tests {
             "expected lazy evaluation, got {}",
             tight.evaluations()
         );
+    }
+
+    #[test]
+    fn a_failed_evaluation_loses_no_candidate() {
+        // Wherever the tight filter's budget fires, the frontier candidate
+        // it was evaluating — the smallest base bound still unemitted —
+        // stays: emitted and drained together name every object once, at
+        // its tight distance if that was computed, else at its base bound.
+        let budget = Budget::unlimited();
+        let loose = [1.0, 0.5, 2.0, 0.0, 1.5];
+        let tight = [1.5, 2.5, 2.0, 0.5, 3.0];
+        for fail_from in 0..=tight.len() {
+            let mut base_filter = prepared(&loose);
+            let mut filter = prepared(&tight);
+            filter.fail_from = fail_from;
+            let base = Box::new(ScanStream::new(&mut base_filter, 5, &budget));
+            let mut chained = ChainedRanking::new(base, &mut filter);
+            let mut seen = Vec::new();
+            let fired = loop {
+                match chained.next() {
+                    Ok(Some(item)) => seen.push(item),
+                    Ok(None) => break false,
+                    Err(QueryError::BudgetExhausted(_)) => break true,
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+            };
+            assert_eq!(fired, fail_from < tight.len());
+            seen.extend(chained.drain_computed());
+            seen.sort_by_key(|&(id, _)| id);
+            let ids: Vec<usize> = seen.iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids, vec![0, 1, 2, 3, 4], "fail_from {fail_from}");
+            for (id, bound) in seen {
+                assert!(bound == tight[id] || bound == loose[id]);
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Budgets and warm solver contexts on live snapshots.
 //!
-//! A [`DynamicIndex`] snapshot runs the same solver-backed evaluators as a
-//! static `ReducedEmdFilter -> EmdDistance` plan, so a pivot cap, a
-//! deadline or an injected solve fault degrades a live query exactly as it
-//! degrades a static one — it used to be dropped silently, the query
-//! answering `Exact` with no pivot charged — and consecutive candidates
-//! warm-start each other.
+//! A [`DynamicIndex`] snapshot runs the same chain through the same
+//! evaluators as a static `ReducedImFilter -> ReducedEmdFilter ->
+//! EmdDistance` plan, so a pivot cap, a deadline or an injected solve
+//! fault degrades a live query exactly as it degrades a static one — same
+//! ranking, same pivots charged, same stats rows — no candidate is lost
+//! at any cap, and consecutive candidates warm-start each other.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -14,7 +14,7 @@ use emd_core::{emd, Budget, BudgetReason, CostMatrix, Histogram};
 use emd_faultkit::{FailPlan, FaultInjector};
 use emd_query::{
     Database, DynamicIndex, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan,
-    QueryStats, ReducedEmdFilter,
+    QueryStats, ReducedEmdFilter, ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use rand::rngs::StdRng;
@@ -63,19 +63,25 @@ fn dynamic_index(corpus: &Corpus) -> DynamicIndex {
 
 fn static_executor(corpus: &Corpus) -> Executor {
     let database = Database::new(corpus.objects.clone(), Arc::clone(&corpus.cost)).unwrap();
-    let stages: Vec<Box<dyn Filter>> = vec![Box::new(
-        ReducedEmdFilter::new(&database, corpus.reduced.clone()).unwrap(),
-    )];
+    let stages: Vec<Box<dyn Filter>> = vec![
+        Box::new(ReducedImFilter::new(&database, corpus.reduced.clone()).unwrap()),
+        Box::new(ReducedEmdFilter::new(&database, corpus.reduced.clone()).unwrap()),
+    ];
     let refiner = Box::new(EmdDistance::new(&database).unwrap());
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
 }
 
-/// `K`-NN of the corpus query under a clone of `budget` (clones share the
+/// `k`-NN of the corpus query under a clone of `budget` (clones share the
 /// pivot pool, so the caller can read the charge afterwards).
-fn knn_under(executor: &Executor, corpus: &Corpus, budget: &Budget) -> (QueryOutcome, QueryStats) {
+fn knn_under(
+    executor: &Executor,
+    corpus: &Corpus,
+    k: usize,
+    budget: &Budget,
+) -> (QueryOutcome, QueryStats) {
     let query = Query {
         budget: budget.clone(),
-        ..Query::knn(corpus.query.clone(), K)
+        ..Query::knn(corpus.query.clone(), k)
     };
     executor.run(&query).unwrap()
 }
@@ -87,7 +93,7 @@ fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
     let (unbudgeted, unbudgeted_stats) = snapshot.executor().knn(&corpus.query, K).unwrap();
 
     let budget = Budget::unlimited().with_pivot_cap(5);
-    let (outcome, _) = knn_under(snapshot.executor(), &corpus, &budget);
+    let (outcome, stats) = knn_under(snapshot.executor(), &corpus, K, &budget);
     let result = outcome
         .degraded()
         .expect("5 pivots cannot answer a 60-object query");
@@ -113,12 +119,14 @@ fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
     // The static plan over the same objects degrades under the same cap,
     // with the same ranking: one evaluator, two lookups.
     let static_budget = Budget::unlimited().with_pivot_cap(5);
-    let (static_outcome, _) = knn_under(&static_executor(&corpus), &corpus, &static_budget);
+    let (static_outcome, static_stats) =
+        knn_under(&static_executor(&corpus), &corpus, K, &static_budget);
     assert_eq!(static_outcome, outcome);
+    assert_eq!(static_stats, stats);
     assert_eq!(static_budget.pivots_used(), budget.pivots_used());
 
     // An unlimited budget on the same snapshot is the `knn` sugar's answer.
-    let (rerun, rerun_stats) = knn_under(snapshot.executor(), &corpus, &Budget::unlimited());
+    let (rerun, rerun_stats) = knn_under(snapshot.executor(), &corpus, K, &Budget::unlimited());
     assert_eq!(rerun, QueryOutcome::Exact(unbudgeted));
     assert_eq!(rerun_stats, unbudgeted_stats);
 }
@@ -130,19 +138,24 @@ fn deadlines_and_injected_solve_faults_reach_live_snapshots() {
     let (baseline, _) = snapshot.knn(&corpus.query, K).unwrap();
 
     let expired = Budget::unlimited().with_deadline(Duration::ZERO);
-    let (outcome, _) = knn_under(snapshot.executor(), &corpus, &expired);
+    let (outcome, _) = knn_under(snapshot.executor(), &corpus, K, &expired);
     assert_eq!(
         outcome.degraded().map(|result| result.reason),
         Some(BudgetReason::Deadline)
     );
 
-    // `Budget::note_solve` fault sites: the first solve of the query is
-    // a Red-EMD filter evaluation; by the 70th all 60 filter solves are
-    // done and the query is refining.
-    for solve in [1, 70] {
+    // `Budget::note_solve` fault sites: the first solve of the query is a
+    // Red-EMD evaluation of the candidate LB_IM ranked first, the last one
+    // a refinement.
+    let recording = emd_obs::Recording::start();
+    let (_, stats) = snapshot.knn(&corpus.query, K).unwrap();
+    let solves = recording.finish().counter("core.emd.solves");
+    let (_, reduced_solves) = &stats.filter_evaluations[1];
+    assert_eq!(solves as usize, reduced_solves + stats.refinements);
+    for solve in [1, solves] {
         let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().exhaust_solve(solve));
         let budget = Budget::unlimited().with_faults(plan);
-        let (outcome, _) = knn_under(snapshot.executor(), &corpus, &budget);
+        let (outcome, _) = knn_under(snapshot.executor(), &corpus, K, &budget);
         assert_eq!(
             outcome.degraded().map(|result| result.reason),
             Some(BudgetReason::Injected),
@@ -152,6 +165,46 @@ fn deadlines_and_injected_solve_faults_reach_live_snapshots() {
         let (again, _) = snapshot.knn(&corpus.query, K).unwrap();
         assert_eq!(again, baseline);
     }
+}
+
+/// At every pivot cap from nothing to enough, with `k` large enough that
+/// truncation hides nothing: the live outcome is the static chain's, and
+/// a degraded one ranks *every* object exactly once — refined neighbors
+/// at their exact distance, the interrupted candidate and everything
+/// still inside the chain at a valid lower bound.
+#[test]
+fn no_candidate_is_lost_at_any_pivot_cap() {
+    let corpus = corpus();
+    let snapshot = dynamic_index(&corpus).snapshot().unwrap();
+    let fixed = static_executor(&corpus);
+    let mut degraded = 0;
+    for cap in (0..).step_by(3) {
+        let budget = Budget::unlimited().with_pivot_cap(cap);
+        let (outcome, stats) = knn_under(snapshot.executor(), &corpus, OBJECTS, &budget);
+        let static_budget = Budget::unlimited().with_pivot_cap(cap);
+        let (static_outcome, static_stats) = knn_under(&fixed, &corpus, OBJECTS, &static_budget);
+        assert_eq!(outcome, static_outcome, "cap {cap}");
+        assert_eq!(stats, static_stats, "cap {cap}");
+        let Some(result) = outcome.degraded() else {
+            break;
+        };
+        degraded += 1;
+        let mut ids: Vec<usize> = result.candidates.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..OBJECTS).collect::<Vec<_>>(), "cap {cap}");
+        for candidate in &result.candidates {
+            let distance = emd(&corpus.query, &corpus.objects[candidate.id], &corpus.cost).unwrap();
+            if candidate.exact {
+                assert_eq!(candidate.bound.to_bits(), distance.to_bits());
+            } else {
+                assert!(candidate.bound <= distance + 1e-9);
+            }
+        }
+    }
+    assert!(
+        degraded > 20,
+        "only {degraded} caps fired: the sweep is vacuous"
+    );
 }
 
 #[test]

@@ -7,7 +7,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_core::{ground, Histogram};
-use emd_query::{Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter};
+use emd_query::{
+    ClusteredIndex, Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter,
+};
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -33,6 +35,17 @@ fn chained_executor(database: &Database) -> Executor {
         vec![Box::new(ReducedEmdFilter::new(database, reduced).unwrap())];
     let refiner = Box::new(EmdDistance::new(database).unwrap());
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
+}
+
+/// The same reduction behind a clustered candidate source: its stream
+/// flushes the `index.*` counters, the deferral pair among them.
+fn clustered_executor(database: &Database) -> Executor {
+    let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
+    let reduced = ReducedEmd::new(database.cost(), r).unwrap();
+    let index = ClusteredIndex::build(database, reduced, 1.0).unwrap();
+    let refiner = Box::new(EmdDistance::new(database).unwrap());
+    let plan = QueryPlan::new(Vec::new(), refiner).unwrap();
+    Executor::new(plan.with_source(Box::new(index)).unwrap())
 }
 
 fn fixed_database(n: usize) -> Database {
@@ -112,6 +125,26 @@ proptest! {
             registry.counter("query.stage.red-emd(d'=3/3).evaluations"),
             expected_stage as u64
         );
+
+        // The clustered source the same: answers and stats untouched, and
+        // its deferral counters say what the stats row says — every solve
+        // resolved a deferred bound, every deferred bound was one LB_IM.
+        let clustered = clustered_executor(&database);
+        let (plain_knn, plain_knn_stats) = clustered.knn(&query, k).unwrap();
+        let (plain_range, plain_range_stats) = clustered.range(&query, epsilon).unwrap();
+        let recording = emd_obs::Recording::start();
+        let (scoped_knn, scoped_knn_stats) = clustered.knn(&query, k).unwrap();
+        let (scoped_range, scoped_range_stats) = clustered.range(&query, epsilon).unwrap();
+        let registry = recording.finish();
+        prop_assert_eq!(plain_knn, scoped_knn);
+        prop_assert_eq!(plain_range, scoped_range);
+        prop_assert_eq!(&plain_knn_stats, &scoped_knn_stats);
+        prop_assert_eq!(&plain_range_stats, &scoped_range_stats);
+        let solved = plain_knn_stats.filter_evaluations[0].1 + plain_range_stats.filter_evaluations[0].1;
+        prop_assert_eq!(registry.counter("index.deferred_solved"), solved as u64);
+        let deferred = registry.counter("index.deferred_bounds");
+        prop_assert_eq!(registry.counter("core.lb_im.evaluations"), deferred);
+        prop_assert!(solved as u64 <= deferred && deferred <= 2 * database.len() as u64);
     }
 }
 
@@ -148,40 +181,46 @@ fn cut_counters_mirror_the_stats() {
 #[test]
 fn batch_registry_merge_is_thread_count_invariant() {
     let database = fixed_database(24);
-    let executor = chained_executor(&database);
     let workload = fixed_workload(12);
+    let clustered_counters = ["index.deferred_bounds", "index.deferred_solved"];
+    for (executor, expected) in [
+        (chained_executor(&database), &[][..]),
+        (clustered_executor(&database), &clustered_counters[..]),
+    ] {
+        let totals = |threads: usize| -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
+            let recording = emd_obs::Recording::start();
+            let (results, _) = executor.run_batch(&workload, threads).unwrap();
+            let registry = recording.finish();
+            assert_eq!(results.len(), workload.len());
+            let histogram_counts = registry
+                .histograms()
+                .iter()
+                .map(|(name, h)| (name.clone(), h.count()))
+                .collect();
+            (registry.counters().clone(), histogram_counts)
+        };
 
-    let totals = |threads: usize| -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
-        let recording = emd_obs::Recording::start();
-        let (results, _) = executor.run_batch(&workload, threads).unwrap();
-        let registry = recording.finish();
-        assert_eq!(results.len(), workload.len());
-        let histogram_counts = registry
-            .histograms()
-            .iter()
-            .map(|(name, h)| (name.clone(), h.count()))
-            .collect();
-        (registry.counters().clone(), histogram_counts)
-    };
-
-    let (baseline_counters, baseline_histograms) = totals(1);
-    assert!(
-        baseline_counters.contains_key("query.queries"),
-        "sequential batch must record query counters"
-    );
-    assert!(
-        baseline_histograms.contains_key("query.execute"),
-        "sequential batch must record span histograms"
-    );
-    for threads in [2, 3, 5, 8] {
-        let (counters, histograms) = totals(threads);
-        assert_eq!(
-            baseline_counters, counters,
-            "counter totals diverged at {threads} threads"
+        let (baseline_counters, baseline_histograms) = totals(1);
+        for name in ["query.queries"].iter().chain(expected) {
+            assert!(
+                baseline_counters.get(*name).is_some_and(|&n| n > 0),
+                "sequential batch must record {name}"
+            );
+        }
+        assert!(
+            baseline_histograms.contains_key("query.execute"),
+            "sequential batch must record span histograms"
         );
-        assert_eq!(
-            baseline_histograms, histograms,
-            "span observation counts diverged at {threads} threads"
-        );
+        for threads in [2, 3, 5, 8] {
+            let (counters, histograms) = totals(threads);
+            assert_eq!(
+                baseline_counters, counters,
+                "counter totals diverged at {threads} threads"
+            );
+            assert_eq!(
+                baseline_histograms, histograms,
+                "span observation counts diverged at {threads} threads"
+            );
+        }
     }
 }

@@ -2,8 +2,11 @@
 //! random databases (including ones whose min-reduced ground distance is
 //! *not* a metric and must be closed), a plan driven by
 //! [`ClusteredIndex`] answers k-NN and range queries bit-identically to
-//! the full Red-EMD scan plan, budgeted execution stays principled, and
-//! the persisted geometry round-trips into an index with the same
+//! the full Red-EMD scan plan; its stream, which defers every solve
+//! behind an LB_IM key, emits exactly the scan's order even where
+//! duplicates and exact ties make keys of every kind coincide; budgeted
+//! execution stays principled and loses no candidate at any pivot cap;
+//! and the persisted geometry round-trips into an index with the same
 //! answers.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
@@ -11,8 +14,8 @@
 
 use emd_core::{emd, ground, Budget, Histogram};
 use emd_query::{
-    ClusteredIndex, Database, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan,
-    ReducedEmdFilter,
+    CandidateSource, ClusteredIndex, Database, DegradedResult, EmdDistance, Executor, Filter,
+    Query, QueryError, QueryOutcome, QueryPlan, ReducedEmdFilter,
 };
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use proptest::prelude::*;
@@ -27,6 +30,95 @@ fn histogram() -> impl Strategy<Value = Histogram> {
             .then(|| Histogram::new(raw.iter().map(|x| x / total).collect()).ok())
             .flatten()
     })
+}
+
+/// Eight eighths of mass dealt over the bins: dyadic masses, so under the
+/// integer chain cost every EMD, every LB_IM and every cluster bound is
+/// computed exactly and equal distances are equal bits.
+fn dyadic_histogram() -> impl Strategy<Value = Histogram> {
+    prop::collection::vec(0..DIM, 8).prop_map(|bins| {
+        let mut masses = vec![0.0; DIM];
+        for bin in bins {
+            masses[bin] += 0.125;
+        }
+        Histogram::new(masses).expect("eight eighths")
+    })
+}
+
+/// `(emitted, drained)`.
+type Pulled = (Vec<(usize, f64)>, Vec<(usize, f64)>);
+
+/// Pull `source`'s stream for `query` under `budget` until it ends or the
+/// budget fires, then drain it.
+fn pull_and_drain(source: &ClusteredIndex, query: &Histogram, budget: &Budget) -> Pulled {
+    let mut stream = source.prepare(query, budget).unwrap();
+    let mut emitted = Vec::new();
+    loop {
+        match stream.next() {
+            Ok(Some(item)) => emitted.push(item),
+            Ok(None) | Err(QueryError::BudgetExhausted(_)) => break,
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    (emitted, stream.drain_computed())
+}
+
+/// Every object's distance under the index's pruning cost, solved cold,
+/// in ascending `(distance, id)` order — what a full scan emits.
+fn scan_order(index: &ClusteredIndex, database: &Database, query: &Histogram) -> Vec<(usize, f64)> {
+    let reduced_query = index.reduced().reduce_first(query).unwrap();
+    let mut order: Vec<(usize, f64)> = database
+        .histograms()
+        .iter()
+        .map(|h| index.reduced().reduce_second(h).unwrap())
+        .map(|h| emd(&reduced_query, &h, index.pruning_cost()).unwrap())
+        .enumerate()
+        .collect();
+    order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    order
+}
+
+/// A degraded ranking is principled: ascending `(bound, id)`, no object
+/// twice, every bound a valid lower bound of the exact EMD, exact flags
+/// truthful — and complete: with nothing lost there are always `k`
+/// candidates to return (all of them, for `k >= n`).
+fn assert_principled(result: &DegradedResult, database: &Database, query: &Histogram, k: usize) {
+    assert_eq!(result.candidates.len(), k.min(database.len()));
+    for pair in result.candidates.windows(2) {
+        let earlier = (pair[0].bound, pair[0].id);
+        let later = (pair[1].bound, pair[1].id);
+        assert!(
+            earlier < later,
+            "ranking not ascending: {earlier:?} vs {later:?}"
+        );
+    }
+    let mut ids: Vec<usize> = result.candidates.iter().map(|c| c.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(
+        ids.len(),
+        result.candidates.len(),
+        "an object is ranked twice"
+    );
+    for candidate in &result.candidates {
+        let object = database.get(candidate.id).unwrap();
+        let distance = emd(query, object, database.cost()).unwrap();
+        if candidate.exact {
+            assert_eq!(
+                candidate.bound.to_bits(),
+                distance.to_bits(),
+                "exact-flagged bound must be the exact distance"
+            );
+        } else {
+            assert!(
+                candidate.bound <= distance + 1e-9,
+                "lower bound {} exceeds exact distance {} for object {}",
+                candidate.bound,
+                distance,
+                candidate.id
+            );
+        }
+    }
 }
 
 /// The shared reduction of every plan in this suite: contiguous pairs,
@@ -137,55 +229,98 @@ proptest! {
         prop_assert_eq!(stats, exact_stats);
     }
 
-    /// Under any pivot cap, budgeted clustered k-NN either matches the
-    /// exact answer bit-for-bit or degrades to a principled ranking:
-    /// ascending `(bound, id)`, every bound a valid lower bound of the
-    /// exact EMD, exact flags truthful.
+    /// The deferred stream drained to exhaustion is the full scan under
+    /// the pruning cost, bit for bit and in order — on corpora drawn with
+    /// repetition from a few dyadic histograms, where k-center yields
+    /// zero radii and lazy cluster, cluster, lazy member and member keys
+    /// all tie exactly.
+    #[test]
+    fn lazy_stream_is_the_scan_on_duplicates_and_ties(
+        pool in prop::collection::vec(dyadic_histogram(), 1..5),
+        picks in prop::collection::vec(0usize..4, 3..24),
+        query in dyadic_histogram(),
+        factor in prop::sample::select(vec![0.5_f64, 1.0, 3.0]),
+    ) {
+        let cost = Arc::new(ground::linear(DIM).unwrap());
+        let objects = picks.iter().map(|pick| pool[pick % pool.len()].clone()).collect();
+        let database = Database::new(objects, cost).unwrap();
+        let index = ClusteredIndex::build(&database, reduced(&database), factor).unwrap();
+        // The query itself, and a stored object (distance zero, tied with
+        // all of its duplicates).
+        for query in [&query, &pool[0]] {
+            let expected = scan_order(&index, &database, query);
+            let (emitted, drained) = pull_and_drain(&index, query, &Budget::unlimited());
+            prop_assert!(drained.is_empty());
+            prop_assert_eq!(emitted.len(), expected.len());
+            for (got, want) in emitted.iter().zip(&expected) {
+                prop_assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+            }
+        }
+    }
+
+    /// At every pivot cap from nothing to enough, what the stream emitted
+    /// and what it surrenders afterwards name every object exactly once:
+    /// the emitted prefix is the scan's, and every drained bound
+    /// lower-bounds the object's pruning distance (hence its exact EMD).
+    #[test]
+    fn stream_loses_nothing_at_any_pivot_cap(
+        database in prop::collection::vec(histogram(), 4..16),
+        query in histogram(),
+    ) {
+        let cost = Arc::new(ground::linear(DIM).unwrap());
+        let database = Database::new(database, cost).unwrap();
+        let index = ClusteredIndex::build(&database, reduced(&database), 1.0).unwrap();
+        let scan = scan_order(&index, &database, &query);
+        for cap in 0u64.. {
+            let budget = Budget::unlimited().with_pivot_cap(cap);
+            let (emitted, drained) = pull_and_drain(&index, &query, &budget);
+            let mut ids: Vec<usize> = emitted.iter().chain(&drained).map(|&(id, _)| id).collect();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..database.len()).collect::<Vec<_>>(), "cap {}", cap);
+            for (got, want) in emitted.iter().zip(&scan) {
+                prop_assert_eq!(got.0, want.0, "cap {}", cap);
+                prop_assert!((got.1 - want.1).abs() <= 1e-9);
+            }
+            for (id, bound) in &drained {
+                let (_, distance) = scan.iter().find(|(scanned, _)| scanned == id).unwrap();
+                prop_assert!(*bound >= 0.0 && *bound <= distance + 1e-9, "cap {}", cap);
+            }
+            if emitted.len() == database.len() {
+                break;
+            }
+        }
+    }
+
+    /// At every pivot cap from nothing to enough, budgeted clustered k-NN
+    /// either matches the exact answer bit-for-bit or degrades to a
+    /// principled, complete ranking — for `k = n` one that names every
+    /// object.
     #[test]
     fn clustered_degraded_rankings_are_principled(
         database in prop::collection::vec(histogram(), 4..12),
         query in histogram(),
         k in 1usize..5,
-        cap in 0u64..48,
     ) {
         let cost = Arc::new(ground::linear(DIM).unwrap());
         let database = Database::new(database, cost).unwrap();
         let clustered = clustered_executor(&database, 1.0);
-        let (exact, _) = clustered.knn(&query, k).unwrap();
-
-        let budget = Budget::unlimited().with_pivot_cap(cap);
-        let request = Query { budget, ..Query::knn(query.clone(), k) };
-        let (outcome, _) = clustered.run(&request).unwrap();
-        match outcome {
-            QueryOutcome::Exact(neighbors) => {
-                prop_assert_eq!(neighbors.len(), exact.len());
-                for (a, b) in neighbors.iter().zip(&exact) {
-                    prop_assert_eq!(a.id, b.id);
-                    prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
-                }
-            }
-            QueryOutcome::Degraded(result) => {
-                prop_assert!(result.candidates.len() <= k);
-                for pair in result.candidates.windows(2) {
-                    let earlier = (pair[0].bound, pair[0].id);
-                    let later = (pair[1].bound, pair[1].id);
-                    prop_assert!(earlier < later, "ranking not ascending: {earlier:?} vs {later:?}");
-                }
-                for candidate in &result.candidates {
-                    let object = database.get(candidate.id).unwrap();
-                    let distance = emd(&query, object, database.cost()).unwrap();
-                    if candidate.exact {
-                        prop_assert_eq!(
-                            candidate.bound.to_bits(),
-                            distance.to_bits(),
-                            "exact-flagged bound must be the exact distance"
-                        );
-                    } else {
-                        prop_assert!(
-                            candidate.bound <= distance + 1e-9,
-                            "lower bound {} exceeds exact distance {} for object {}",
-                            candidate.bound, distance, candidate.id
-                        );
+        for k in [k, database.len()] {
+            let (exact, _) = clustered.knn(&query, k).unwrap();
+            for cap in 0u64.. {
+                let budget = Budget::unlimited().with_pivot_cap(cap);
+                let request = Query { budget, ..Query::knn(query.clone(), k) };
+                let (outcome, _) = clustered.run(&request).unwrap();
+                match outcome {
+                    QueryOutcome::Degraded(result) => {
+                        assert_principled(&result, &database, &query, k);
+                    }
+                    QueryOutcome::Exact(neighbors) => {
+                        prop_assert_eq!(neighbors.len(), exact.len());
+                        for (a, b) in neighbors.iter().zip(&exact) {
+                            prop_assert_eq!(a.id, b.id);
+                            prop_assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+                        }
+                        break;
                     }
                 }
             }

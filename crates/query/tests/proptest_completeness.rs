@@ -7,8 +7,9 @@
 //! above the k-th distance (or ε) whenever the solver can prove one; the
 //! oracle solves every object cold and to the end. Agreement is the
 //! soundness of those bounds end to end: through a filter chain, a
-//! clustered candidate source and a live snapshot, on a tie-prone
-//! integer ground distance.
+//! clustered candidate source and a live snapshot (which runs the same
+//! chain, lazily, over whatever an insert / remove / compact history
+//! left alive), on a tie-prone integer ground distance.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -163,46 +164,70 @@ proptest! {
         prop_assert_eq!(canonical(&got), canonical(&expected));
     }
 
-    /// A live snapshot after inserts and removals: k-NN and range, in
-    /// the index's own ids, equal brute force over the survivors.
+    /// A live snapshot after any interleaving of inserts, removals and
+    /// compactions: k-NN and range, in the index's own ids, equal brute
+    /// force over the survivors — and equal the static
+    /// `Red-IM -> Red-EMD -> EMD` plan over the same survivors, whose
+    /// chain the snapshot runs.
     #[test]
     fn dynamic_snapshot_is_complete(
-        objects in prop::collection::vec((histogram(), 0usize..4), 4..16),
+        ops in prop::collection::vec((histogram(), 0usize..8), 4..24),
         query in histogram(),
         r in reduction(),
         k in 1usize..6,
         epsilon in 0.0_f64..3.0,
     ) {
         let cost = Arc::new(ground::linear(DIM).unwrap());
-        let mut index = DynamicIndex::new(cost.clone(), ReducedEmd::new(&cost, r).unwrap()).unwrap();
-        let mut survivors = Vec::new();
-        let mut survivor_ids = Vec::new();
-        for (position, (histogram, lot)) in objects.iter().enumerate() {
-            let id = index.insert(histogram.clone()).unwrap();
-            // One removal in four, never the first object.
-            if position == 0 || *lot != 0 {
-                survivors.push(histogram.clone());
-                survivor_ids.push(id);
-            } else {
-                prop_assert!(index.remove(id));
+        let reduced = ReducedEmd::new(&cost, r).unwrap();
+        let mut index = DynamicIndex::new(cost.clone(), reduced.clone()).unwrap();
+        let mut live: Vec<(u64, Histogram)> = Vec::new();
+        for (histogram, lot) in &ops {
+            match lot {
+                // One op in eight compacts, one in four removes the
+                // oldest survivor (never the last one), the rest insert.
+                0 => index.compact(),
+                1 | 2 if live.len() > 1 => {
+                    let (id, _) = live.remove(0);
+                    prop_assert!(index.remove(id));
+                }
+                _ => live.push((index.insert(histogram.clone()).unwrap(), histogram.clone())),
             }
         }
+        if live.is_empty() {
+            live.push((index.insert(query.clone()).unwrap(), query.clone()));
+        }
+        let survivors: Vec<Histogram> = live.iter().map(|(_, h)| h.clone()).collect();
         let snapshot = index.snapshot().unwrap();
         let as_neighbors = |pairs: Vec<(u64, f64)>| -> Vec<Neighbor> {
             pairs
                 .into_iter()
                 .map(|(id, distance)| Neighbor {
-                    id: survivor_ids.binary_search(&id).expect("a live id"),
+                    id: live.binary_search_by_key(&id, |(id, _)| *id).expect("a live id"),
                     distance,
                 })
                 .collect()
         };
+        let database = Database::new(survivors.clone(), cost.clone()).unwrap();
+        let fixed = executor(
+            &database,
+            vec![
+                Box::new(ReducedImFilter::new(&database, reduced.clone()).unwrap()),
+                Box::new(ReducedEmdFilter::new(&database, reduced).unwrap()),
+            ],
+        );
+        prop_assert_eq!(snapshot.executor().plan().stage_names(), fixed.plan().stage_names());
 
         let expected = brute_force_knn(&query, &survivors, &cost, k).unwrap();
-        let (got, _) = snapshot.knn(&query, k).unwrap();
-        prop_assert_eq!(canonical(&as_neighbors(got)), canonical(&expected));
+        let (got, stats) = snapshot.knn(&query, k).unwrap();
+        let (fixed_got, fixed_stats) = fixed.knn(&query, k).unwrap();
+        prop_assert_eq!(canonical(&as_neighbors(got.clone())), canonical(&expected));
+        prop_assert_eq!(as_neighbors(got), fixed_got);
+        prop_assert_eq!(stats, fixed_stats);
         let expected = brute_force_range(&query, &survivors, &cost, epsilon).unwrap();
-        let (got, _) = snapshot.range(&query, epsilon).unwrap();
-        prop_assert_eq!(canonical(&as_neighbors(got)), canonical(&expected));
+        let (got, stats) = snapshot.range(&query, epsilon).unwrap();
+        let (fixed_got, fixed_stats) = fixed.range(&query, epsilon).unwrap();
+        prop_assert_eq!(canonical(&as_neighbors(got.clone())), canonical(&expected));
+        prop_assert_eq!(as_neighbors(got), fixed_got);
+        prop_assert_eq!(stats, fixed_stats);
     }
 }

@@ -143,13 +143,15 @@ fn range_results_bit_identical_warm_vs_cold() {
 }
 
 /// A live snapshot with tombstones (dense ids and storage slots part
-/// ways) against the cold brute-force oracle over the survivors. (The
-/// clustered source needs a zero-diagonal cost; `proptest_completeness`
-/// covers it.)
+/// ways) against the cold brute-force oracle over the survivors, and
+/// against the warm and cold static chains over them: the snapshot runs
+/// that chain, so its refinement counts and per-stage rows are theirs.
+/// (The clustered source needs a zero-diagonal cost;
+/// `proptest_completeness` covers it.)
 #[test]
 fn live_snapshots_match_the_cold_oracle() {
     let (database, queries, reduced) = corpus();
-    let mut live = DynamicIndex::new(Arc::new(database.cost().clone()), reduced).unwrap();
+    let mut live = DynamicIndex::new(Arc::new(database.cost().clone()), reduced.clone()).unwrap();
     for histogram in database.histograms() {
         live.insert(histogram.clone()).unwrap();
     }
@@ -162,6 +164,10 @@ fn live_snapshots_match_the_cold_oracle() {
         .map(|&id| database.histograms()[id].clone())
         .collect();
     let snapshot = live.snapshot().unwrap();
+    let survivor_database =
+        Database::new(live_objects.clone(), Arc::new(database.cost().clone())).unwrap();
+    let warm = executor(&survivor_database, &reduced, true);
+    let cold = executor(&survivor_database, &reduced, false);
 
     let mut cut = 0;
     for query in &queries {
@@ -175,10 +181,14 @@ fn live_snapshots_match_the_cold_oracle() {
         let kth = expected[K - 1].distance;
         let (got, stats) = snapshot.knn(query, K).unwrap();
         assert_eq!(got, in_live_ids(expected));
+        assert_eq!(stats, warm.knn(query, K).unwrap().1);
+        assert_stats_match(&stats, &cold.knn(query, K).unwrap().1, "live knn");
         cut += stats.refinements_cut;
         let expected_hits = brute_force_range(query, &live_objects, database.cost(), kth).unwrap();
         let (hits, stats) = snapshot.range(query, kth).unwrap();
         assert_eq!(hits, in_live_ids(expected_hits));
+        assert_eq!(stats, warm.range(query, kth).unwrap().1);
+        assert_stats_match(&stats, &cold.range(query, kth).unwrap().1, "live range");
         cut += stats.refinements_cut;
     }
     assert!(cut > 0, "no warm refinement was cut: the parity is vacuous");
