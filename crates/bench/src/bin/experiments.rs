@@ -3,10 +3,11 @@
 //! ```text
 //! experiments [IDS...] [--full] [--smoke] [--json PATH] [--metrics json|PATH]
 //!
-//!   IDS       experiment ids (e1..e12, a1..a4); default: all
+//!   IDS       experiment ids (e1..e12, a1..a5); default: all
 //!   --full    paper-scale corpora (much slower than the default quick run)
 //!   --smoke   CI mode: tiny corpus, runs the batch-executor parity check
-//!             (E12) and exits non-zero if threaded != sequential
+//!             (E12) and exits non-zero if threaded != sequential, then
+//!             the bound table (A5), which panics if a bound exceeds the EMD
 //!   --json    additionally write the tables as JSON to PATH
 //!   --metrics record an emd-obs registry over the whole run and dump it
 //!             as schema-versioned JSON ("json" = stdout, else a path)
@@ -32,6 +33,7 @@ fn smoke() -> ExitCode {
         queries: 6,
         sample: 8,
     };
+    println!("\n{}", experiments::a5(&scale, true));
     let table = experiments::e12(&scale, true);
     println!("\n{table}");
     let diverged: Vec<&str> = table

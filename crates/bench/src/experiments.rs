@@ -3,10 +3,15 @@
 
 use crate::report::{fnum, Table};
 use crate::setup::{
-    build_reduction, chained_executor, color_bench, flow_sample, mean_tightness_ratio, measure_knn,
-    red_emd_executor, refiner, scan_executor, tiling_bench, Bench, Scale, Strategy,
+    build_reduction, chained_executor, checked, color_bench, flow_sample, mean_tightness_ratio,
+    measure_knn, red_emd_executor, refiner, scan_executor, tiling_bench, Bench, Scale, Strategy,
 };
-use emd_query::{Database, Executor, Filter, FullLbImFilter, Query, QueryPlan, ReducedEmdFilter};
+use emd_core::ground::Metric;
+use emd_core::{Budget, Histogram};
+use emd_query::{
+    AnchorFilter, CentroidFilter, Database, Executor, Filter, FullLbImFilter, Query, QueryError,
+    QueryPlan, ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
+};
 use emd_reduction::fb::{fb_all, fb_mod, FbOptions};
 use emd_reduction::flow_sample::draw_sample;
 use emd_reduction::kmedoids::kmedoids_reduction;
@@ -621,6 +626,105 @@ pub fn a4(scale: &Scale, _quick: bool) -> Table {
     table
 }
 
+/// A5: the closed-form metric bounds (centroid, anchor, scaled L1) beside
+/// the paper's filters, each as the single stage of a `filter -> EMD`
+/// plan: mean tightness `bound / EMD` over a strided sample of
+/// query-object pairs, cost per evaluation, refinements per query.
+/// Asserts `bound <= EMD` on every sampled pair.
+pub fn a5(scale: &Scale, quick: bool) -> Table {
+    let mut table = Table::new(
+        "A5",
+        "closed-form bounds beside the paper's filters (single-stage filter -> EMD, k=10)",
+        &[
+            "corpus",
+            "filter",
+            "bound / EMD",
+            "ns / evaluation",
+            "refinements",
+        ],
+    );
+    let pairs = if quick { 400 } else { 2000 };
+    for (bench, d_red, strategy) in [
+        (tiling_bench(scale, SEED), 12, Strategy::FbAllKMed),
+        (gaussian_bench(scale), 8, Strategy::KMed),
+    ] {
+        let database = &bench.database;
+        let flows = flow_sample(&bench, scale.sample, SEED ^ 0xf10);
+        let reduction = build_reduction(strategy, &bench, &flows, d_red, SEED ^ 0xbead);
+        let reduced = checked(
+            ReducedEmd::new(&bench.cost, reduction),
+            "validated reduction",
+        );
+        // Both ground distances are Euclidean in the bin positions (the
+        // Gaussian corpus is a line, where every norm is |i - j|).
+        let positions = bench.positions.clone().unwrap_or_default();
+        fn stage<F: Filter + 'static>(filter: Result<F, QueryError>) -> Box<dyn Filter> {
+            Box::new(checked(filter, "filter over the bench database"))
+        }
+        let filters = vec![
+            stage(CentroidFilter::new(database, positions, Metric::Euclidean)),
+            stage(AnchorFilter::new(database, 16)),
+            stage(AnchorFilter::new(database, 4)),
+            stage(ScaledL1Filter::new(database)),
+            stage(FullLbImFilter::new(database)),
+            stage(ReducedImFilter::new(database, reduced.clone())),
+            stage(ReducedEmdFilter::new(database, reduced)),
+        ];
+        let stride = (database.len() * bench.queries.len() / pairs).max(1);
+        let sample = || (0..database.len()).step_by(stride);
+        let exact = bounds_over(&refiner(&bench), &bench.queries, sample()).0;
+        for filter in filters {
+            let (bounds, nanos) = bounds_over(filter.as_ref(), &bench.queries, sample());
+            let ratios = bounds.iter().zip(&exact).map(|(bound, exact)| {
+                let holds = *bound <= exact + 1e-9;
+                checked(holds.then_some(()).ok_or(filter.name()), "a lower bound");
+                if *exact > 1e-12 {
+                    bound / exact
+                } else {
+                    1.0
+                }
+            });
+            let tightness = ratios.sum::<f64>() / exact.len() as f64;
+            let name = filter.name().to_owned();
+            let plan = QueryPlan::new(vec![filter], Box::new(refiner(&bench)));
+            let executor = Executor::new(checked(plan, "single-stage plan"));
+            let m = measure_knn(&executor, &bench.queries, K_DEFAULT);
+            table.row(vec![
+                bench.name.clone(),
+                name,
+                fnum(tightness),
+                fnum(nanos / exact.len() as f64),
+                fnum(m.refinements),
+            ]);
+        }
+    }
+    table.note(
+        "1.0 = perfectly tight; blobs on a grid are the friendliest data a centroid can meet",
+    );
+    table
+}
+
+/// `filter`'s value for every query against the objects `ids` yields,
+/// with the nanoseconds the evaluations (not the per-query set-up) took.
+fn bounds_over(
+    filter: &dyn Filter,
+    queries: &[Histogram],
+    ids: impl Iterator<Item = usize> + Clone,
+) -> (Vec<f64>, f64) {
+    let mut values = Vec::new();
+    let mut nanos = 0.0;
+    for query in queries {
+        let mut prepared = checked(filter.prepare(query, &Budget::unlimited()), "bench query");
+        let started = Instant::now();
+        values.extend(
+            ids.clone()
+                .map(|id| checked(prepared.distance(id), "bench object")),
+        );
+        nanos += started.elapsed().as_secs_f64() * 1e9;
+    }
+    (values, nanos)
+}
+
 /// E12: parallel batch-query throughput of the executor. One shared
 /// executor, one workload; `run_batch` across worker-thread counts must
 /// return results and merged stats bit-identical to the sequential run,
@@ -672,9 +776,9 @@ pub fn e12(scale: &Scale, _quick: bool) -> Table {
 }
 
 /// Every experiment id, in the order `experiments all` runs them.
-pub const IDS: [&str; 16] = [
+pub const IDS: [&str; 17] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "a1", "a2", "a3",
-    "a4",
+    "a4", "a5",
 ];
 
 /// The function behind an experiment id (case-insensitive).
@@ -696,6 +800,7 @@ fn experiment(id: &str) -> Option<fn(&Scale, bool) -> Table> {
         "a2" => a2,
         "a3" => a3,
         "a4" => a4,
+        "a5" => a5,
         _ => return None,
     })
 }
@@ -746,6 +851,16 @@ mod tests {
     fn a2_smoke() {
         let table = a2(&tiny(), true);
         assert_eq!(table.rows.len(), 2);
+    }
+
+    #[test]
+    fn a5_smoke() {
+        let table = a5(&tiny(), true);
+        assert_eq!(table.rows.len(), 14, "seven filters on two corpora");
+        for row in &table.rows {
+            let tightness: f64 = row[2].parse().unwrap();
+            assert!((0.0..=1.0 + 1e-9).contains(&tightness), "{row:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`setup`] — seeded corpora, workloads and reduction construction
 //!   shared by all experiments.
 //! * [`experiments`] — one function per experiment (`e1..e12`,
-//!   `a1..a4`), each returning a [`report::Table`].
+//!   `a1..a5`), each returning a [`report::Table`].
 //! * [`vptree`] — the metric-index baseline A4 compares the filter
 //!   pipeline against.
 //!

@@ -216,7 +216,7 @@ pub fn build_reduction(
 /// Unwrap experiment-harness plumbing. A panic here means the harness is
 /// mis-assembled, not that a measured system failed; centralizing the
 /// panic keeps the crate's panic-site budget flat as experiments grow.
-fn checked<T, E: std::fmt::Debug>(result: Result<T, E>, what: &str) -> T {
+pub(crate) fn checked<T, E: std::fmt::Debug>(result: Result<T, E>, what: &str) -> T {
     match result {
         Ok(value) => value,
         Err(error) => panic!("{what}: {error:?}"),
@@ -230,18 +230,12 @@ pub fn chained_executor(bench: &Bench, reduction: CombiningReduction) -> Executo
         ReducedEmd::new(&bench.cost, reduction),
         "validated reduction",
     );
-    let stages: Vec<Box<dyn Filter>> = vec![
-        Box::new(checked(
-            ReducedImFilter::new(&bench.database, reduced.clone()),
-            "red-im filter over the bench database",
-        )),
-        Box::new(checked(
-            ReducedEmdFilter::new(&bench.database, reduced),
-            "red-emd filter over the bench database",
-        )),
-    ];
+    let red_im = checked(
+        ReducedImFilter::new(&bench.database, reduced),
+        "red-im filter over the bench database",
+    );
     Executor::new(checked(
-        QueryPlan::new(stages, Box::new(refiner(bench))),
+        QueryPlan::chain(&bench.database, red_im),
         "chained plan",
     ))
 }

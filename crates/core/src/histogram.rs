@@ -4,6 +4,7 @@
 use crate::error::CoreError;
 use crate::MASS_EPS;
 use emd_json::Value;
+use std::sync::Arc;
 
 /// A non-negative feature vector of normalized total mass — the operand
 /// type of Definition 1 in the paper.
@@ -13,12 +14,14 @@ use emd_json::Value;
 /// * every entry finite and `>= 0`,
 /// * entries sum to 1 within [`MASS_EPS`].
 ///
-/// Histograms are immutable after construction; this keeps every
-/// `Histogram` in the database valid for the lifetime of an index built
-/// over it.
+/// Histograms are immutable after construction, so a `Histogram` is a
+/// shared handle: `clone` bumps a reference count and the bins are never
+/// copied. That keeps every `Histogram` in a database valid for the
+/// lifetime of an index built over it, and lets a live snapshot hold the
+/// very objects the index holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    bins: Box<[f64]>,
+    bins: Arc<[f64]>,
 }
 
 impl Histogram {
@@ -36,9 +39,7 @@ impl Histogram {
         if (total - 1.0).abs() > MASS_EPS {
             return Err(CoreError::NotNormalized { total });
         }
-        Ok(Histogram {
-            bins: bins.into_boxed_slice(),
-        })
+        Ok(Histogram { bins: bins.into() })
     }
 
     /// Normalize an arbitrary non-negative vector to total mass 1 and wrap
@@ -56,9 +57,8 @@ impl Histogram {
         if total <= 0.0 {
             return Err(CoreError::ZeroMass);
         }
-        let bins: Vec<f64> = bins.iter().map(|x| x / total).collect();
         Ok(Histogram {
-            bins: bins.into_boxed_slice(),
+            bins: bins.iter().map(|x| x / total).collect(),
         })
     }
 
@@ -81,9 +81,7 @@ impl Histogram {
         }
         let mut bins = vec![0.0; dim];
         bins[bin] = 1.0;
-        Ok(Histogram {
-            bins: bins.into_boxed_slice(),
-        })
+        Ok(Histogram { bins: bins.into() })
     }
 
     /// The uniform histogram `1/d` in every bin.
@@ -96,7 +94,7 @@ impl Histogram {
             return Err(CoreError::EmptyHistogram);
         }
         Ok(Histogram {
-            bins: vec![1.0 / dim as f64; dim].into_boxed_slice(),
+            bins: vec![1.0 / dim as f64; dim].into(),
         })
     }
 
@@ -202,6 +200,14 @@ mod tests {
         assert_eq!(h.dim(), 6);
         assert!((h.total_mass() - 1.0).abs() < 1e-12);
         assert_eq!(h.support_size(), 3);
+    }
+
+    #[test]
+    fn clone_shares_storage() {
+        let h = Histogram::new(vec![0.5, 0.5]).unwrap();
+        let copy = h.clone();
+        assert_eq!(copy, h);
+        assert_eq!(copy.bins().as_ptr(), h.bins().as_ptr());
     }
 
     #[test]

@@ -607,8 +607,8 @@ impl DurableIndex {
     /// [`WalRecord::CompactEpoch`] id map, flip the checkpoint
     /// atomically, then retire the old epoch's files. A crash before the
     /// checkpoint flip reopens the old epoch; after it, the new one —
-    /// never a mixture. Outstanding snapshots are unaffected
-    /// (copy-on-write).
+    /// never a mixture. Outstanding snapshots are unaffected (they hold
+    /// their own handles to the immutable histograms).
     ///
     /// # Errors
     ///
@@ -677,9 +677,9 @@ impl DurableIndex {
         })
     }
 
-    /// An immutable, queryable snapshot. Cheap (copy-on-write storage
-    /// sharing) and isolated from every later mutation, including
-    /// compaction.
+    /// An immutable, queryable snapshot: a [`Database`](crate::Database)
+    /// of the live histograms (shared handles, no bins copied), isolated
+    /// from every later mutation, including compaction.
     ///
     /// # Errors
     ///

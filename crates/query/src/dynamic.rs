@@ -1,4 +1,4 @@
-//! A mutable EMD retrieval index with copy-on-write snapshots.
+//! A mutable EMD retrieval index whose snapshots are plain databases.
 //!
 //! A static [`QueryPlan`] indexes an immutable database snapshot — the
 //! setting of the paper's experiments. Real deployments also insert
@@ -15,52 +15,33 @@
 //! a binary search on it: there is no second map to keep in step, and a
 //! storage position never leaves this module.
 //!
-//! Deletions leave tombstones, reclaimed by [`DynamicIndex::compact`].
-//! Histogram storage lives behind `Arc`s mutated with [`Arc::make_mut`]:
-//! taking a [`DynamicSnapshot`] is O(live) in ids and copies **no
-//! histogram data**, and later mutations copy-on-write without
-//! disturbing outstanding snapshots.
+//! **One store.** Deletions leave tombstones, reclaimed by
+//! [`DynamicIndex::compact`]. A [`Histogram`] is an immutable shared
+//! handle, so a [`DynamicSnapshot`] simply *is* a [`Database`]: taking
+//! one collects the live handles (a reference-count bump per object, no
+//! histogram data copied) into an ordinary database plus its reduced
+//! arena, and no later mutation of the index can reach them.
 //!
-//! **The plan.** A snapshot runs the paper's Figure 10 chain,
-//! `red-im(d'=a/b) -> red-emd(d'=a/b) -> emd(d=n)`, over the live
-//! objects: an LB_IM scan of the reduced vectors (closed form, no LP),
-//! a reduced LP only for the candidates that scan could not dismiss
-//! before KNOP stopped, the exact EMD for those that survive both. It is
-//! the static plans' chain down to the stage names and the evaluators —
-//! the prepared halves of [`ReducedImFilter`](crate::ReducedImFilter),
-//! [`ReducedEmdFilter`](crate::ReducedEmdFilter) and
-//! [`EmdDistance`](crate::EmdDistance) are written against an object
-//! lookup, and a snapshot's lookup skips tombstones — executed by the
-//! shared engine [`Executor`]; the KNOP loop lives only in
-//! [`knop`](crate::knop), not here. What the stages need per *index*
-//! (the reduction and the LB_IM sort orders over its reduced cost) is
-//! derived once in [`DynamicIndex::new`] and shared by `Arc`. The
-//! executor's dense ids (the live objects, in ascending id order) exist
-//! only inside one snapshot, which translates them back on the way out:
-//! every live query has its own warm solver contexts and honours the
-//! [`Budget`] it runs under.
+//! **The plan.** A snapshot runs [`QueryPlan::chain`] — the paper's
+//! Figure 10 chain, `red-im(d'=a/b) -> red-emd(d'=a/b) -> emd(d=n)`, the
+//! very filters a static plan is built from — through the shared engine
+//! [`Executor`]; the KNOP loop lives only in [`knop`](crate::knop), not
+//! here. What the stages need per *index* (the reduction and the LB_IM
+//! sort orders over its reduced cost) is derived once in
+//! [`DynamicIndex::new`] and shared by `Arc`. The executor's dense ids
+//! (the live objects, in ascending id order) exist only inside one
+//! snapshot, which translates them back on the way out.
 
-use crate::engine::{Executor, Query, QueryPlan};
+use crate::engine::{Database, Executor, Query, QueryPlan};
 use crate::error::QueryError;
-use crate::filters::{
-    reduced_stage_name, Filter, Objects, PreparedEmd, PreparedFilter, PreparedReducedEmd,
-    PreparedReducedIm,
-};
+use crate::filters::ReducedImFilter;
 use crate::outcome::QueryOutcome;
 use crate::stats::QueryStats;
 use crate::Neighbor;
 use emd_core::lower_bounds::LbIm;
-use emd_core::{Budget, CostMatrix, Histogram};
+use emd_core::{CostMatrix, Histogram};
 use emd_reduction::ReducedEmd;
 use std::sync::Arc;
-
-/// What the reduced stages of every snapshot share: the reduction, and
-/// LB_IM over its reduced cost. Derived once per index.
-#[derive(Debug)]
-struct Reduced {
-    emd: ReducedEmd,
-    im: LbIm,
-}
 
 /// A mutable database with the reduced (filter) representation of every
 /// object kept in sync.
@@ -89,12 +70,13 @@ struct Reduced {
 #[derive(Debug, Clone)]
 pub struct DynamicIndex {
     cost: Arc<CostMatrix>,
-    reduced: Arc<Reduced>,
+    reduced: Arc<ReducedEmd>,
+    /// LB_IM over the reduced cost, derived once per index.
+    bound: Arc<LbIm>,
     /// Original histograms by position; `None` marks a removed object.
-    /// Shared with snapshots, mutated copy-on-write.
-    objects: Arc<Vec<Option<Histogram>>>,
+    objects: Vec<Option<Histogram>>,
     /// Reduced (database-side) representation of each live object.
-    reduced_objects: Arc<Vec<Option<Histogram>>>,
+    reduced_objects: Vec<Option<Histogram>>,
     /// Position -> id, strictly ascending; every entry is `< next_id`.
     ids: Vec<u64>,
     next_id: u64,
@@ -117,12 +99,12 @@ impl DynamicIndex {
                 cost.cols()
             )));
         }
-        let im = LbIm::new(reduced.reduced_cost().clone());
         Ok(DynamicIndex {
             cost,
-            reduced: Arc::new(Reduced { emd: reduced, im }),
-            objects: Arc::new(Vec::new()),
-            reduced_objects: Arc::new(Vec::new()),
+            bound: Arc::new(LbIm::new(reduced.reduced_cost().clone())),
+            reduced: Arc::new(reduced),
+            objects: Vec::new(),
+            reduced_objects: Vec::new(),
             ids: Vec::new(),
             next_id: 0,
             live: 0,
@@ -198,7 +180,7 @@ impl DynamicIndex {
                 got_cols: histogram.dim(),
             }));
         }
-        Ok(self.reduced.emd.reduce_second(histogram)?)
+        Ok(self.reduced.reduce_second(histogram)?)
     }
 
     /// The infallible half of an insert: store `histogram` with the
@@ -206,8 +188,8 @@ impl DynamicIndex {
     /// [`next_id`](Self::next_id).
     pub(crate) fn push(&mut self, histogram: Histogram, reduced: Histogram) -> u64 {
         let id = self.next_id;
-        Arc::make_mut(&mut self.objects).push(Some(histogram));
-        Arc::make_mut(&mut self.reduced_objects).push(Some(reduced));
+        self.objects.push(Some(histogram));
+        self.reduced_objects.push(Some(reduced));
         self.ids.push(id);
         self.next_id += 1;
         self.live += 1;
@@ -225,11 +207,10 @@ impl DynamicIndex {
         let Some(position) = self.position(id) else {
             return false;
         };
-        if let Some(slot) = Arc::make_mut(&mut self.objects).get_mut(position) {
-            *slot = None;
-        }
-        if let Some(slot) = Arc::make_mut(&mut self.reduced_objects).get_mut(position) {
-            *slot = None;
+        for slots in [&mut self.objects, &mut self.reduced_objects] {
+            if let Some(slot) = slots.get_mut(position) {
+                *slot = None;
+            }
         }
         self.live -= 1;
         true
@@ -247,19 +228,19 @@ impl DynamicIndex {
     }
 
     /// Reclaim the storage of removed objects. Ids are unaffected, and
-    /// outstanding snapshots keep their own view (copy-on-write).
+    /// outstanding snapshots keep the handles they collected.
     pub fn compact(&mut self) {
         self.ids = self.live().map(|(id, _)| id).collect();
-        Arc::make_mut(&mut self.objects).retain(Option::is_some);
-        Arc::make_mut(&mut self.reduced_objects).retain(Option::is_some);
+        self.objects.retain(Option::is_some);
+        self.reduced_objects.retain(Option::is_some);
     }
 
-    /// An immutable, queryable snapshot of the current live objects.
+    /// An immutable, queryable snapshot of the current live objects: a
+    /// [`Database`] of their handles under [`QueryPlan::chain`].
     ///
-    /// Cheap: shares the histogram storage with the index (ids only are
-    /// materialized); later [`insert`](Self::insert) /
-    /// [`remove`](Self::remove) / [`compact`](Self::compact) calls
-    /// copy-on-write and leave the snapshot untouched.
+    /// O(live) reference-count bumps and no histogram data copied; later
+    /// [`insert`](Self::insert) / [`remove`](Self::remove) /
+    /// [`compact`](Self::compact) calls leave the snapshot untouched.
     ///
     /// # Errors
     ///
@@ -268,37 +249,19 @@ impl DynamicIndex {
         if self.live == 0 {
             return Err(QueryError::EmptyDatabase);
         }
-        let live = self.objects.iter().zip(&self.ids).enumerate();
-        let (positions, ids): (Vec<usize>, Vec<u64>) = live
-            .filter_map(|(position, (slot, &id))| slot.as_ref().map(|_| (position, id)))
-            .unzip();
-        let objects = LiveObjects {
-            slots: Arc::clone(&self.objects),
-            positions: Arc::new(positions),
-        };
-        let reduced_objects = LiveObjects {
-            slots: Arc::clone(&self.reduced_objects),
-            positions: Arc::clone(&objects.positions),
-        };
-        let red_im = LiveReducedImFilter {
-            name: reduced_stage_name("red-im", &self.reduced.emd),
-            reduced: Arc::clone(&self.reduced),
-            reduced_objects: reduced_objects.clone(),
-        };
-        let red_emd = LiveReducedFilter {
-            name: reduced_stage_name("red-emd", &self.reduced.emd),
-            reduced: Arc::clone(&self.reduced),
+        let ids = self.live().map(|(id, _)| id).collect();
+        let objects = self.objects.iter().flatten().cloned().collect();
+        let reduced_objects = self.reduced_objects.iter().flatten().cloned().collect();
+        let database = Database::new(objects, Arc::clone(&self.cost))?;
+        let red_im = ReducedImFilter::from_shared(
+            Arc::clone(&self.reduced),
+            Arc::clone(&self.bound),
             reduced_objects,
-        };
-        let refiner = LiveEmdFilter {
-            name: format!("emd(d={})", self.cost.rows()),
-            cost: Arc::clone(&self.cost),
-            objects,
-        };
-        let plan = QueryPlan::new(vec![Box::new(red_im), Box::new(red_emd)], Box::new(refiner))?;
+        );
         Ok(DynamicSnapshot {
-            executor: Executor::new(plan),
+            executor: Executor::new(QueryPlan::chain(&database, red_im)?),
             ids,
+            database,
         })
     }
 
@@ -348,6 +311,8 @@ pub struct DynamicSnapshot {
     executor: Executor,
     /// Dense (executor) id -> id, ascending.
     ids: Vec<u64>,
+    /// The live objects, by dense id.
+    database: Database,
 }
 
 impl DynamicSnapshot {
@@ -360,6 +325,11 @@ impl DynamicSnapshot {
     /// snapshot).
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// Fetch an object that was live when the snapshot was taken.
+    pub fn get(&self, id: u64) -> Option<&Histogram> {
+        self.database.get(self.ids.binary_search(&id).ok()?)
     }
 
     /// The underlying executor, for its plan and statistics. Its answers
@@ -444,129 +414,6 @@ impl DynamicSnapshot {
     }
 }
 
-/// The live subset of a dynamic index's storage (original or reduced
-/// histograms) under the snapshot's dense ids. No histogram data copied.
-#[derive(Debug, Clone)]
-struct LiveObjects {
-    slots: Arc<Vec<Option<Histogram>>>,
-    /// Dense id -> storage position.
-    positions: Arc<Vec<usize>>,
-}
-
-impl Objects for LiveObjects {
-    fn object(&self, id: usize) -> Result<&Histogram, QueryError> {
-        let position = *self
-            .positions
-            .get(id)
-            .ok_or(QueryError::UnknownObject(id))?;
-        self.slots
-            .get(position)
-            .and_then(Option::as_ref)
-            .ok_or(QueryError::UnknownObject(id))
-    }
-}
-
-/// Red-IM filter over the live objects: the evaluator of
-/// [`ReducedImFilter`](crate::ReducedImFilter), looked up through the
-/// snapshot's positions.
-#[derive(Debug)]
-struct LiveReducedImFilter {
-    name: String,
-    reduced: Arc<Reduced>,
-    reduced_objects: LiveObjects,
-}
-
-impl Filter for LiveReducedImFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn len(&self) -> usize {
-        self.reduced_objects.positions.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        _budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        Ok(Box::new(PreparedReducedIm::new(
-            query,
-            &self.reduced.emd,
-            &self.reduced.im,
-            &self.reduced_objects,
-        )?))
-    }
-}
-
-/// Reduced-EMD filter over the live objects: the evaluator of
-/// [`ReducedEmdFilter`](crate::ReducedEmdFilter), looked up through the
-/// snapshot's positions.
-#[derive(Debug)]
-struct LiveReducedFilter {
-    name: String,
-    reduced: Arc<Reduced>,
-    reduced_objects: LiveObjects,
-}
-
-impl Filter for LiveReducedFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn len(&self) -> usize {
-        self.reduced_objects.positions.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        Ok(Box::new(PreparedReducedEmd::new(
-            query,
-            &self.reduced.emd,
-            &self.reduced_objects,
-            budget,
-            true,
-        )?))
-    }
-}
-
-/// Exact EMD refiner over the live objects: the evaluator of
-/// [`EmdDistance`](crate::EmdDistance), looked up through the snapshot's
-/// positions.
-#[derive(Debug)]
-struct LiveEmdFilter {
-    name: String,
-    cost: Arc<CostMatrix>,
-    objects: LiveObjects,
-}
-
-impl Filter for LiveEmdFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn len(&self) -> usize {
-        self.objects.positions.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        Ok(Box::new(PreparedEmd::new(
-            query,
-            &self.objects,
-            &self.cost,
-            budget,
-            true,
-        )?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,7 +451,11 @@ mod tests {
         let (neighbors, stats) = index.knn(&query, 2).unwrap();
         assert_eq!(neighbors[0].0, a);
         assert_eq!(neighbors[1].0, c);
-        assert_eq!(stats.filter_evaluations[0].1, 3);
+        assert_eq!(
+            stats.filter_evaluations[0],
+            ("red-im(d'=2/2)".to_owned(), 3)
+        );
+        assert_eq!(stats.filter_evaluations[1].0, "red-emd(d'=2/2)");
 
         assert!(index.remove(a));
         assert!(!index.remove(a), "double delete is a no-op");
@@ -841,17 +692,35 @@ mod tests {
         let snapshot = index.snapshot().unwrap();
         assert_eq!(snapshot.len(), 2);
 
-        // Mutate after snapshotting: remove a, insert a closer object.
-        assert!(index.remove(a));
-        index.insert(h(&[0.9, 0.1, 0.0, 0.0])).unwrap();
-
+        // A snapshot holds the index's own histograms: no bin was copied.
+        let shares = |index: &DynamicIndex, ids: &[u64]| {
+            for &id in ids {
+                let (live, frozen) = (index.get(id).unwrap(), snapshot.get(id).unwrap());
+                assert_eq!(live.bins().as_ptr(), frozen.bins().as_ptr(), "id {id}");
+            }
+        };
+        shares(&index, &[a, b]);
         let query = h(&[1.0, 0.0, 0.0, 0.0]);
-        // The snapshot still sees the original two objects...
-        let (frozen, _) = snapshot.knn(&query, 1).unwrap();
-        assert_eq!(frozen[0].0, a);
+        let bits = |hits: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+            hits.iter().map(|hit| (hit.0, hit.1.to_bits())).collect()
+        };
+        let before = bits(snapshot.knn(&query, 2).unwrap().0);
+
+        // Mutate after snapshotting: remove a, insert a closer object,
+        // reclaim a's slot.
+        assert!(index.remove(a));
+        let c = index.insert(h(&[0.9, 0.1, 0.0, 0.0])).unwrap();
+        index.compact();
+
+        // The snapshot still sees the original two objects, bit for bit,
+        // and the survivor is still the one histogram both sides hold...
+        assert_eq!(bits(snapshot.knn(&query, 2).unwrap().0), before);
+        assert_eq!(before[0].0, a);
+        assert_eq!(snapshot.get(a), Some(&query));
+        assert!(snapshot.get(c).is_none());
+        shares(&index, &[b]);
         // ...while the index sees the new state.
         let (current, _) = index.knn(&query, 2).unwrap();
-        assert_ne!(current[0].0, a);
-        assert_eq!(current[1].0, b);
+        assert_eq!((current[0].0, current[1].0), (c, b));
     }
 }

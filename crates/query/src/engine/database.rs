@@ -1,14 +1,14 @@
 //! The shared, immutable database snapshot all filters index.
 //!
-//! Before the engine existed, every [`Filter`](crate::Filter) held its own
-//! `Arc<Vec<Histogram>>` handle and its own copy of the ground-distance
-//! matrix pointer, and nothing guaranteed two stages of one pipeline were
-//! even looking at the same data. [`Database`] fixes the ownership story:
-//! the histograms live once, in a single contiguous `Arc<[Histogram]>`
-//! arena allocation, together with the cost matrix that defines distances
-//! over them. Filters clone the (cheap, reference-counted) handle, so a
-//! whole plan — and every plan built over the same snapshot — shares one
-//! copy of the data.
+//! [`Database`] is the one ownership story for a corpus: an
+//! `Arc<[Histogram]>` — one slice of handles, each
+//! [`Histogram`](emd_core::Histogram) itself a shared immutable
+//! allocation — together with the cost matrix that defines distances over
+//! them. Filters clone the (cheap, reference-counted) slice handle, so a
+//! whole plan — and every plan built over the same snapshot — looks at
+//! the same objects, and a live snapshot
+//! ([`DynamicIndex::snapshot`](crate::DynamicIndex::snapshot)) is just a
+//! `Database` collected from the index's own handles.
 
 use crate::error::QueryError;
 use emd_core::{CostMatrix, Histogram};
@@ -21,13 +21,13 @@ use std::sync::Arc;
 /// matrix.
 ///
 /// Cloning a `Database` is two atomic reference-count increments; the
-/// histogram arena itself is never duplicated. All filter constructors
+/// slice of histogram handles is never duplicated. All filter constructors
 /// take `&Database` and keep a clone, which is what makes a multi-stage
 /// [`QueryPlan`](crate::QueryPlan) a set of views over one arena rather
 /// than a set of private copies.
 #[derive(Debug, Clone)]
 pub struct Database {
-    /// Contiguous arena of all database histograms, in id order.
+    /// One slice of histogram handles, in id order.
     histograms: Arc<[Histogram]>,
     /// Ground-distance matrix; database objects index its columns.
     cost: Arc<CostMatrix>,

@@ -8,8 +8,9 @@
 //! histogram and its [`QueryMode`]) and how hard to try (its [`Budget`]).
 
 use crate::engine::source::CandidateSource;
+use crate::engine::Database;
 use crate::error::QueryError;
-use crate::filters::Filter;
+use crate::filters::{EmdDistance, Filter, ReducedImFilter};
 use emd_core::{Budget, Histogram};
 
 /// Result-set mode of one query.
@@ -114,6 +115,25 @@ impl QueryPlan {
         })
     }
 
+    /// The paper's Figure 10 plan, `red-im -> red-emd -> emd` over
+    /// `database`: an LB_IM scan of the reduced vectors, a reduced LP for
+    /// the candidates that scan could not dismiss, the exact EMD for
+    /// those that survive both. The Red-EMD stage is derived from
+    /// `red_im`, so the two reduced stages share one reduction, one LB_IM
+    /// and one reduced arena.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`new`](Self::new): an empty `database`, or a
+    /// `red_im` built over a database of another size.
+    pub fn chain(database: &Database, red_im: ReducedImFilter) -> Result<Self, QueryError> {
+        let red_emd = red_im.red_emd_stage();
+        Self::new(
+            vec![Box::new(red_im), Box::new(red_emd)],
+            Box::new(EmdDistance::new(database)?),
+        )
+    }
+
     /// A plan with no filter stages: the sequential-scan baseline (every
     /// object refined exactly once).
     ///
@@ -180,5 +200,35 @@ impl QueryPlan {
     /// constructed plan).
     pub fn is_empty(&self) -> bool {
         self.refiner.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use emd_core::ground;
+    use emd_reduction::{CombiningReduction, ReducedEmd};
+    use std::sync::Arc;
+
+    fn database(objects: usize) -> Database {
+        let histograms = (0..objects).map(|i| Histogram::unit(4, i % 4).unwrap());
+        Database::new(histograms.collect(), Arc::new(ground::linear(4).unwrap())).unwrap()
+    }
+
+    #[test]
+    fn chain_is_the_figure_10_plan() {
+        let db = database(5);
+        let reduction = CombiningReduction::new(vec![0, 0, 1, 1], 2).unwrap();
+        let reduced = ReducedEmd::new(db.cost(), reduction).unwrap();
+        let red_im = || ReducedImFilter::new(&db, reduced.clone()).unwrap();
+        let plan = QueryPlan::chain(&db, red_im()).unwrap();
+        assert_eq!(plan.stage_names(), ["red-im(d'=2/2)", "red-emd(d'=2/2)"]);
+        assert_eq!((plan.refiner().name(), plan.len()), ("emd(d=4)", 5));
+        assert!(plan.source().is_none());
+        // The stages must index the database the refiner does.
+        assert!(matches!(
+            QueryPlan::chain(&database(4), red_im()),
+            Err(QueryError::Reduction(_))
+        ));
     }
 }

@@ -56,12 +56,23 @@ pub(crate) fn check_persisted(
 /// / `b` the query- and database-side reduced dimensionalities. One
 /// spelling for in-memory, disk-opened and live stages, so their
 /// [`QueryStats`](crate::QueryStats) rows merge.
-pub(crate) fn reduced_stage_name(kind: &str, reduced: &ReducedEmd) -> String {
+fn reduced_stage_name(kind: &str, reduced: &ReducedEmd) -> String {
     format!(
         "{kind}(d'={}/{})",
         reduced.r1().reduced_dim(),
         reduced.r2().reduced_dim()
     )
+}
+
+/// The `R2` side of every object of `database`, in id order.
+fn reduce_database(
+    database: &Database,
+    reduced: &ReducedEmd,
+) -> Result<Arc<[Histogram]>, QueryError> {
+    let objects = database.histograms().iter();
+    Ok(objects
+        .map(|h| reduced.reduce_second(h))
+        .collect::<Result<_, _>>()?)
 }
 
 /// A database-indexed distance function, instantiable per query.
@@ -79,9 +90,8 @@ pub trait Filter: Send + Sync {
     }
     /// Build the per-query evaluator under an execution [`Budget`].
     ///
-    /// Solver-backed filters ([`EmdDistance`], [`ReducedEmdFilter`], and
-    /// the live filters of a dynamic snapshot, which share their
-    /// evaluators) probe the budget inside every LP solve, surfacing
+    /// Solver-backed filters ([`EmdDistance`], [`ReducedEmdFilter`]) probe
+    /// the budget inside every LP solve, surfacing
     /// [`QueryError::BudgetExhausted`] from [`PreparedFilter::distance`].
     /// Closed-form filters evaluate in microseconds and ignore it (the
     /// scan and the KNOP loop check it between candidates).
@@ -126,20 +136,9 @@ pub trait PreparedFilter {
     fn evaluations(&self) -> usize;
 }
 
-/// Resolves the dense ids a plan works in to histograms. The solver-backed
-/// evaluators are written against this lookup, so the filters over a
-/// [`Database`] slice and the live filters of a dynamic snapshot (dense id
-/// -> storage position, skipping tombstones) share one implementation —
-/// per-query [`EmdContext`], [`Budget`] and all.
-pub(crate) trait Objects {
-    /// The histogram stored under dense id `id`.
-    fn object(&self, id: usize) -> Result<&Histogram, QueryError>;
-}
-
-impl Objects for [Histogram] {
-    fn object(&self, id: usize) -> Result<&Histogram, QueryError> {
-        self.get(id).ok_or(QueryError::UnknownObject(id))
-    }
+/// The histogram stored under dense id `id`.
+fn object(objects: &[Histogram], id: usize) -> Result<&Histogram, QueryError> {
+    objects.get(id).ok_or(QueryError::UnknownObject(id))
 }
 
 /// The solver context of one prepared query, reused across candidates.
@@ -248,22 +247,22 @@ impl Filter for EmdDistance {
     }
 }
 
-/// Per-query exact-EMD evaluator over any [`Objects`] lookup.
-pub(crate) struct PreparedEmd<'a, O: Objects + ?Sized> {
+/// Per-query exact-EMD evaluator.
+struct PreparedEmd<'a> {
     query: Histogram,
-    objects: &'a O,
+    objects: &'a [Histogram],
     cost: &'a CostMatrix,
     budget: Budget,
     evaluator: Evaluator,
     evaluations: usize,
 }
 
-impl<'a, O: Objects + ?Sized> PreparedEmd<'a, O> {
+impl<'a> PreparedEmd<'a> {
     /// Checks the query against `cost` and sets up the evaluator; every
     /// solve probes `budget`.
-    pub(crate) fn new(
+    fn new(
         query: &Histogram,
-        objects: &'a O,
+        objects: &'a [Histogram],
         cost: &'a CostMatrix,
         budget: &Budget,
         warm_start: bool,
@@ -280,10 +279,10 @@ impl<'a, O: Objects + ?Sized> PreparedEmd<'a, O> {
     }
 }
 
-impl<O: Objects + ?Sized> PreparedFilter for PreparedEmd<'_, O> {
+impl PreparedFilter for PreparedEmd<'_> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
         self.evaluations += 1;
-        let y = self.objects.object(id)?;
+        let y = object(self.objects, id)?;
         Ok(emd_in_context(
             &self.query,
             y,
@@ -295,7 +294,7 @@ impl<O: Objects + ?Sized> PreparedFilter for PreparedEmd<'_, O> {
 
     fn distance_within(&mut self, id: usize, cutoff: f64) -> Result<Bounded, QueryError> {
         self.evaluations += 1;
-        let y = self.objects.object(id)?;
+        let y = object(self.objects, id)?;
         Ok(emd_in_context_within(
             &self.query,
             y,
@@ -321,7 +320,7 @@ impl<O: Objects + ?Sized> PreparedFilter for PreparedEmd<'_, O> {
 #[derive(Debug, Clone)]
 pub struct ReducedEmdFilter {
     name: String,
-    reduced: ReducedEmd,
+    reduced: Arc<ReducedEmd>,
     reduced_database: Arc<[Histogram]>,
     warm_start: bool,
 }
@@ -334,17 +333,18 @@ impl ReducedEmdFilter {
     /// Returns [`QueryError`] when a database histogram cannot be reduced by
     /// `reduced` (shape mismatch).
     pub fn new(database: &Database, reduced: ReducedEmd) -> Result<Self, QueryError> {
-        let reduced_database = database
-            .histograms()
-            .iter()
-            .map(|h| reduced.reduce_second(h))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ReducedEmdFilter {
+        let reduced_database = reduce_database(database, &reduced)?;
+        Ok(Self::from_shared(Arc::new(reduced), reduced_database))
+    }
+
+    /// The stage over an already reduced arena, shared rather than copied.
+    fn from_shared(reduced: Arc<ReducedEmd>, reduced_database: Arc<[Histogram]>) -> Self {
+        ReducedEmdFilter {
             name: reduced_stage_name("red-emd", &reduced),
             reduced,
-            reduced_database: reduced_database.into(),
+            reduced_database,
             warm_start: true,
-        })
+        }
     }
 
     /// With `false`, the evaluator forgets its basis before every
@@ -376,12 +376,10 @@ impl ReducedEmdFilter {
     ) -> Result<Self, QueryError> {
         check_persisted(database, &bundle)?;
         let (_, reduced, reduced_database) = bundle.into_parts();
-        Ok(ReducedEmdFilter {
-            name: reduced_stage_name("red-emd", &reduced),
-            reduced,
-            reduced_database: reduced_database.into(),
-            warm_start: true,
-        })
+        Ok(Self::from_shared(
+            Arc::new(reduced),
+            reduced_database.into(),
+        ))
     }
 
     /// The underlying reduced EMD (reductions + reduced cost matrix).
@@ -412,31 +410,30 @@ impl Filter for ReducedEmdFilter {
         Ok(Box::new(PreparedReducedEmd::new(
             query,
             &self.reduced,
-            &*self.reduced_database,
+            &self.reduced_database,
             budget,
             self.warm_start,
         )?))
     }
 }
 
-/// Per-query Red-EMD evaluator over any [`Objects`] lookup of *reduced*
-/// database vectors.
-pub(crate) struct PreparedReducedEmd<'a, O: Objects + ?Sized> {
+/// Per-query Red-EMD evaluator over *reduced* database vectors.
+struct PreparedReducedEmd<'a> {
     reduced_query: Histogram,
     reduced: &'a ReducedEmd,
-    reduced_objects: &'a O,
+    reduced_objects: &'a [Histogram],
     budget: Budget,
     evaluator: Evaluator,
     evaluations: usize,
 }
 
-impl<'a, O: Objects + ?Sized> PreparedReducedEmd<'a, O> {
+impl<'a> PreparedReducedEmd<'a> {
     /// Reduces the query once and sets up the evaluator; every solve
     /// probes `budget`.
-    pub(crate) fn new(
+    fn new(
         query: &Histogram,
         reduced: &'a ReducedEmd,
-        reduced_objects: &'a O,
+        reduced_objects: &'a [Histogram],
         budget: &Budget,
         warm_start: bool,
     ) -> Result<Self, QueryError> {
@@ -451,10 +448,10 @@ impl<'a, O: Objects + ?Sized> PreparedReducedEmd<'a, O> {
     }
 }
 
-impl<O: Objects + ?Sized> PreparedFilter for PreparedReducedEmd<'_, O> {
+impl PreparedFilter for PreparedReducedEmd<'_> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
         self.evaluations += 1;
-        let ry = self.reduced_objects.object(id)?;
+        let ry = object(self.reduced_objects, id)?;
         Ok(self.reduced.distance_reduced_in_context(
             &self.reduced_query,
             ry,
@@ -478,8 +475,8 @@ impl<O: Objects + ?Sized> PreparedFilter for PreparedReducedEmd<'_, O> {
 #[derive(Debug, Clone)]
 pub struct ReducedImFilter {
     name: String,
-    bound: LbIm,
-    reduced: ReducedEmd,
+    bound: Arc<LbIm>,
+    reduced: Arc<ReducedEmd>,
     reduced_database: Arc<[Histogram]>,
 }
 
@@ -491,18 +488,8 @@ impl ReducedImFilter {
     /// Returns [`QueryError`] when a database histogram cannot be reduced by
     /// `reduced` (shape mismatch).
     pub fn new(database: &Database, reduced: ReducedEmd) -> Result<Self, QueryError> {
-        let reduced_database = database
-            .histograms()
-            .iter()
-            .map(|h| reduced.reduce_second(h))
-            .collect::<Result<Vec<_>, _>>()?;
-        let bound = LbIm::new(reduced.reduced_cost().clone());
-        Ok(ReducedImFilter {
-            name: reduced_stage_name("red-im", &reduced),
-            bound,
-            reduced,
-            reduced_database: reduced_database.into(),
-        })
+        let reduced_database = reduce_database(database, &reduced)?;
+        Ok(Self::over(reduced, reduced_database))
     }
 
     /// Index a database snapshot from a persisted bundle, reusing the
@@ -519,13 +506,39 @@ impl ReducedImFilter {
     ) -> Result<Self, QueryError> {
         check_persisted(database, &bundle)?;
         let (_, reduced, reduced_database) = bundle.into_parts();
+        Ok(Self::over(reduced, reduced_database.into()))
+    }
+
+    /// The stage over a reduced arena, deriving LB_IM from `reduced`.
+    fn over(reduced: ReducedEmd, reduced_database: Arc<[Histogram]>) -> Self {
         let bound = LbIm::new(reduced.reduced_cost().clone());
-        Ok(ReducedImFilter {
+        Self::from_shared(Arc::new(reduced), Arc::new(bound), reduced_database)
+    }
+
+    /// The stage over parts derived elsewhere — `bound` is LB_IM over
+    /// `reduced`'s reduced cost, `reduced_database` the `R2` side of the
+    /// objects — shared rather than copied: a live index derives the
+    /// first two once and hands them to every snapshot.
+    pub(crate) fn from_shared(
+        reduced: Arc<ReducedEmd>,
+        bound: Arc<LbIm>,
+        reduced_database: Arc<[Histogram]>,
+    ) -> Self {
+        ReducedImFilter {
             name: reduced_stage_name("red-im", &reduced),
             bound,
             reduced,
-            reduced_database: reduced_database.into(),
-        })
+            reduced_database,
+        }
+    }
+
+    /// The Red-EMD stage this one lower-bounds: the same reduction over
+    /// the same reduced arena, neither copied.
+    pub(crate) fn red_emd_stage(&self) -> ReducedEmdFilter {
+        ReducedEmdFilter::from_shared(
+            Arc::clone(&self.reduced),
+            Arc::clone(&self.reduced_database),
+        )
     }
 }
 
@@ -547,28 +560,28 @@ impl Filter for ReducedImFilter {
             query,
             &self.reduced,
             &self.bound,
-            &*self.reduced_database,
+            &self.reduced_database,
         )?))
     }
 }
 
-/// Per-query Red-IM evaluator over any [`Objects`] lookup of *reduced*
-/// database vectors. Closed-form: no solver context, no budget.
-pub(crate) struct PreparedReducedIm<'a, O: Objects + ?Sized> {
+/// Per-query Red-IM evaluator over *reduced* database vectors.
+/// Closed-form: no solver context, no budget.
+struct PreparedReducedIm<'a> {
     reduced_query: Histogram,
     bound: &'a LbIm,
-    reduced_objects: &'a O,
+    reduced_objects: &'a [Histogram],
     evaluations: usize,
 }
 
-impl<'a, O: Objects + ?Sized> PreparedReducedIm<'a, O> {
+impl<'a> PreparedReducedIm<'a> {
     /// Reduces the query once; `bound` is LB_IM over `reduced`'s reduced
     /// cost matrix.
-    pub(crate) fn new(
+    fn new(
         query: &Histogram,
         reduced: &ReducedEmd,
         bound: &'a LbIm,
-        reduced_objects: &'a O,
+        reduced_objects: &'a [Histogram],
     ) -> Result<Self, QueryError> {
         Ok(PreparedReducedIm {
             reduced_query: reduced.reduce_first(query)?,
@@ -579,10 +592,10 @@ impl<'a, O: Objects + ?Sized> PreparedReducedIm<'a, O> {
     }
 }
 
-impl<O: Objects + ?Sized> PreparedFilter for PreparedReducedIm<'_, O> {
+impl PreparedFilter for PreparedReducedIm<'_> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
         self.evaluations += 1;
-        let ry = self.reduced_objects.object(id)?;
+        let ry = object(self.reduced_objects, id)?;
         Ok(self.bound.bound(&self.reduced_query, ry)?)
     }
 
@@ -655,7 +668,7 @@ impl PreparedFilter for PreparedFullIm<'_> {
         Ok(self
             .filter
             .bound
-            .bound(&self.query, self.filter.database.histograms().object(id)?)?)
+            .bound(&self.query, object(self.filter.database.histograms(), id)?)?)
     }
 
     fn evaluations(&self) -> usize {
@@ -807,7 +820,7 @@ impl PreparedFilter for PreparedScaledL1<'_> {
         Ok(self
             .filter
             .bound
-            .bound(&self.query, self.filter.database.histograms().object(id)?)?)
+            .bound(&self.query, object(self.filter.database.histograms(), id)?)?)
     }
 
     fn evaluations(&self) -> usize {
@@ -990,8 +1003,14 @@ mod tests {
         let query = h(&[0.1, 0.2, 0.3, 0.4]);
         let reduction = CombiningReduction::new(vec![0, 1, 1, 0], 2).unwrap();
         let reduced = ReducedEmd::new(db.cost(), reduction).unwrap();
-        let red_emd = ReducedEmdFilter::new(&db, reduced.clone()).unwrap();
         let red_im = ReducedImFilter::new(&db, reduced).unwrap();
+        // The chain's Red-EMD stage: same reduction, same reduced arena.
+        let red_emd = red_im.red_emd_stage();
+        assert!(Arc::ptr_eq(&red_im.reduced, &red_emd.reduced));
+        assert!(Arc::ptr_eq(
+            &red_im.reduced_database,
+            &red_emd.reduced_database
+        ));
         let mut p_emd = red_emd.prepare(&query, &Budget::unlimited()).unwrap();
         let mut p_im = red_im.prepare(&query, &Budget::unlimited()).unwrap();
         for id in 0..db.len() {

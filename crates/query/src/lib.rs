@@ -9,7 +9,7 @@
 //! ## Layers
 //!
 //! * [`engine`] — the execution core: [`Database`] (a shared immutable
-//!   snapshot holding every histogram once, in a contiguous arena),
+//!   snapshot: one slice of histogram handles plus the cost matrix),
 //!   [`QueryPlan`] (the declarative filter chain
 //!   `Red-IM -> Red-EMD -> ... -> EMD`), [`Query`] (histogram, mode and
 //!   [`Budget`]) and [`Executor`] (the single owner of query execution:
@@ -33,9 +33,10 @@
 //!   the reduced space with triangle-inequality pruning; the sublinear
 //!   stage-1 candidate generator, which solves a pivot or member
 //!   distance only when its closed-form LB_IM key comes due.
-//! * [`dynamic`] — a mutable index with copy-on-write snapshots that
-//!   execute the same `Red-IM -> Red-EMD -> EMD` chain through the same
-//!   engine.
+//! * [`dynamic`] — a mutable index whose snapshots are plain
+//!   [`Database`]s of shared immutable histograms under
+//!   [`QueryPlan::chain`], the same `Red-IM -> Red-EMD -> EMD` plan
+//!   through the same engine.
 //! * [`scan`] — brute-force oracles, implemented as zero-stage plans.
 //!
 //! ## Observability

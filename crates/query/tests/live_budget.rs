@@ -5,7 +5,9 @@
 //! EmdDistance` plan, so a pivot cap, a deadline or an injected solve
 //! fault degrades a live query exactly as it degrades a static one — same
 //! ranking, same pivots charged, same stats rows — no candidate is lost
-//! at any cap, and consecutive candidates warm-start each other.
+//! at any cap, and consecutive candidates warm-start each other. Every
+//! comparison runs over a freshly filled index and over a churned one
+//! (tombstones, a compaction behind it, ids with gaps).
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -29,14 +31,21 @@ const K: usize = 5;
 struct Corpus {
     cost: Arc<CostMatrix>,
     reduced: ReducedEmd,
+    index: DynamicIndex,
+    /// The live objects in ascending id order, i.e. by the dense id a
+    /// snapshot's executor (and the static plan) knows them under.
     objects: Vec<Histogram>,
+    /// Dense id -> the id `insert` returned.
+    ids: Vec<u64>,
     query: Histogram,
 }
 
 /// Full-support histograms under a continuous random cost matrix: every
 /// LP has a generically unique optimum, so warm and cold answers agree to
-/// the bit and the comparisons below are exact.
-fn corpus() -> Corpus {
+/// the bit and the comparisons below are exact. `churned` leaves
+/// `OBJECTS` live objects behind removals, one `compact()` and further
+/// removals whose tombstones are still in place.
+fn corpus(churned: bool) -> Corpus {
     let mut rng = StdRng::seed_from_u64(14);
     let histogram = |rng: &mut StdRng| {
         Histogram::normalized((0..DIM).map(|_| rng.gen_range(0.05_f64..1.0)).collect()).unwrap()
@@ -45,22 +54,42 @@ fn corpus() -> Corpus {
     let cost = Arc::new(CostMatrix::new(DIM, DIM, costs.collect()).unwrap());
     let assignment = (0..DIM).map(|i| i / 4).collect();
     let reduction = CombiningReduction::new(assignment, DIM / 4).unwrap();
+    let reduced = ReducedEmd::new(&cost, reduction).unwrap();
+
+    let mut index = DynamicIndex::new(Arc::clone(&cost), reduced.clone()).unwrap();
+    let mut live: Vec<(u64, Histogram)> = Vec::new();
+    let mut fill = |index: &mut DynamicIndex, live: &mut Vec<(u64, Histogram)>, count: usize| {
+        for _ in 0..count {
+            let object = histogram(&mut rng);
+            live.push((index.insert(object.clone()).unwrap(), object));
+        }
+    };
+    if churned {
+        fill(&mut index, &mut live, OBJECTS);
+        live.retain(|(id, _)| id % 3 != 0 || !index.remove(*id));
+        index.compact();
+        fill(&mut index, &mut live, OBJECTS / 2);
+        live.retain(|(id, _)| id % 7 != 1 || !index.remove(*id));
+        let missing = OBJECTS - live.len();
+        fill(&mut index, &mut live, missing);
+        assert!(live.iter().zip(0..).any(|((id, _), dense)| *id != dense));
+    } else {
+        fill(&mut index, &mut live, OBJECTS);
+    }
+    assert_eq!((index.len(), live.len()), (OBJECTS, OBJECTS));
+    let (ids, objects) = live.into_iter().unzip();
     Corpus {
-        reduced: ReducedEmd::new(&cost, reduction).unwrap(),
+        reduced,
         cost,
-        objects: (0..OBJECTS).map(|_| histogram(&mut rng)).collect(),
+        index,
+        objects,
+        ids,
         query: histogram(&mut rng),
     }
 }
 
-fn dynamic_index(corpus: &Corpus) -> DynamicIndex {
-    let mut index = DynamicIndex::new(Arc::clone(&corpus.cost), corpus.reduced.clone()).unwrap();
-    for object in &corpus.objects {
-        index.insert(object.clone()).unwrap();
-    }
-    index
-}
-
+/// The static Figure 10 chain over the live objects, each stage from its
+/// own public constructor.
 fn static_executor(corpus: &Corpus) -> Executor {
     let database = Database::new(corpus.objects.clone(), Arc::clone(&corpus.cost)).unwrap();
     let stages: Vec<Box<dyn Filter>> = vec![
@@ -69,6 +98,25 @@ fn static_executor(corpus: &Corpus) -> Executor {
     ];
     let refiner = Box::new(EmdDistance::new(&database).unwrap());
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
+}
+
+/// An outcome as `(id, distance-or-bound bits, exact)` rows plus the
+/// reason it degraded, every id rewritten by `own`.
+fn rows(
+    outcome: &QueryOutcome,
+    own: impl Fn(usize) -> u64,
+) -> (Vec<(u64, u64, bool)>, Option<BudgetReason>) {
+    match outcome {
+        QueryOutcome::Exact(neighbors) => {
+            let row = |n: &emd_query::Neighbor| (own(n.id), n.distance.to_bits(), true);
+            (neighbors.iter().map(row).collect(), None)
+        }
+        QueryOutcome::Degraded(result) => {
+            let row = |c: &emd_query::Candidate| (own(c.id), c.bound.to_bits(), c.exact);
+            let candidates = result.candidates.iter();
+            (candidates.map(row).collect(), Some(result.reason))
+        }
+    }
 }
 
 /// `k`-NN of the corpus query under a clone of `budget` (clones share the
@@ -88,12 +136,17 @@ fn knn_under(
 
 #[test]
 fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
-    let corpus = corpus();
-    let snapshot = dynamic_index(&corpus).snapshot().unwrap();
+    for churned in [false, true] {
+        pivot_cap_degrades_like_the_static_plan(&corpus(churned));
+    }
+}
+
+fn pivot_cap_degrades_like_the_static_plan(corpus: &Corpus) {
+    let snapshot = corpus.index.snapshot().unwrap();
     let (unbudgeted, unbudgeted_stats) = snapshot.executor().knn(&corpus.query, K).unwrap();
 
     let budget = Budget::unlimited().with_pivot_cap(5);
-    let (outcome, stats) = knn_under(snapshot.executor(), &corpus, K, &budget);
+    let (outcome, stats) = knn_under(snapshot.executor(), corpus, K, &budget);
     let result = outcome
         .degraded()
         .expect("5 pivots cannot answer a 60-object query");
@@ -117,24 +170,24 @@ fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
     }
 
     // The static plan over the same objects degrades under the same cap,
-    // with the same ranking: one evaluator, two lookups.
+    // with the same ranking: the snapshot is that plan over a `Database`.
     let static_budget = Budget::unlimited().with_pivot_cap(5);
     let (static_outcome, static_stats) =
-        knn_under(&static_executor(&corpus), &corpus, K, &static_budget);
+        knn_under(&static_executor(corpus), corpus, K, &static_budget);
     assert_eq!(static_outcome, outcome);
     assert_eq!(static_stats, stats);
     assert_eq!(static_budget.pivots_used(), budget.pivots_used());
 
     // An unlimited budget on the same snapshot is the `knn` sugar's answer.
-    let (rerun, rerun_stats) = knn_under(snapshot.executor(), &corpus, K, &Budget::unlimited());
+    let (rerun, rerun_stats) = knn_under(snapshot.executor(), corpus, K, &Budget::unlimited());
     assert_eq!(rerun, QueryOutcome::Exact(unbudgeted));
     assert_eq!(rerun_stats, unbudgeted_stats);
 }
 
 #[test]
 fn deadlines_and_injected_solve_faults_reach_live_snapshots() {
-    let corpus = corpus();
-    let snapshot = dynamic_index(&corpus).snapshot().unwrap();
+    let corpus = corpus(false);
+    let snapshot = corpus.index.snapshot().unwrap();
     let (baseline, _) = snapshot.knn(&corpus.query, K).unwrap();
 
     let expired = Budget::unlimited().with_deadline(Duration::ZERO);
@@ -174,17 +227,35 @@ fn deadlines_and_injected_solve_faults_reach_live_snapshots() {
 /// still inside the chain at a valid lower bound.
 #[test]
 fn no_candidate_is_lost_at_any_pivot_cap() {
-    let corpus = corpus();
-    let snapshot = dynamic_index(&corpus).snapshot().unwrap();
-    let fixed = static_executor(&corpus);
+    for churned in [false, true] {
+        no_candidate_is_lost(&corpus(churned));
+    }
+}
+
+fn no_candidate_is_lost(corpus: &Corpus) {
+    let snapshot = corpus.index.snapshot().unwrap();
+    let fixed = static_executor(corpus);
     let mut degraded = 0;
     for cap in (0..).step_by(3) {
         let budget = Budget::unlimited().with_pivot_cap(cap);
-        let (outcome, stats) = knn_under(snapshot.executor(), &corpus, OBJECTS, &budget);
+        let (outcome, stats) = knn_under(snapshot.executor(), corpus, OBJECTS, &budget);
         let static_budget = Budget::unlimited().with_pivot_cap(cap);
-        let (static_outcome, static_stats) = knn_under(&fixed, &corpus, OBJECTS, &static_budget);
+        let (static_outcome, static_stats) = knn_under(&fixed, corpus, OBJECTS, &static_budget);
         assert_eq!(outcome, static_outcome, "cap {cap}");
         assert_eq!(stats, static_stats, "cap {cap}");
+        assert_eq!(budget.pivots_used(), static_budget.pivots_used());
+        // Through the snapshot's id map, the same rows name the ids
+        // `insert` handed out.
+        let query = Query {
+            budget: Budget::unlimited().with_pivot_cap(cap),
+            ..Query::knn(corpus.query.clone(), OBJECTS)
+        };
+        let (in_ids, _) = snapshot.run(&query).unwrap();
+        assert_eq!(
+            rows(&in_ids, |id| id as u64),
+            rows(&static_outcome, |dense| corpus.ids[dense]),
+            "cap {cap}"
+        );
         let Some(result) = outcome.degraded() else {
             break;
         };
@@ -209,8 +280,13 @@ fn no_candidate_is_lost_at_any_pivot_cap() {
 
 #[test]
 fn live_snapshots_warm_start_and_match_the_static_plan() {
-    let corpus = corpus();
-    let snapshot = dynamic_index(&corpus).snapshot().unwrap();
+    for churned in [false, true] {
+        warm_start_and_match_the_static_plan(&corpus(churned));
+    }
+}
+
+fn warm_start_and_match_the_static_plan(corpus: &Corpus) {
+    let snapshot = corpus.index.snapshot().unwrap();
     let recording = emd_obs::Recording::start();
     let (live, live_stats) = snapshot.knn(&corpus.query, K).unwrap();
     let registry = recording.finish();
@@ -221,8 +297,13 @@ fn live_snapshots_warm_start_and_match_the_static_plan() {
         "same-shape candidates always reuse the previous basis"
     );
 
-    let (fixed, fixed_stats) = static_executor(&corpus).knn(&corpus.query, K).unwrap();
-    let fixed: Vec<(u64, f64)> = fixed.iter().map(|n| (n.id as u64, n.distance)).collect();
-    assert_eq!(live, fixed, "ids count up from zero in insertion order");
+    let (fixed, fixed_stats) = static_executor(corpus).knn(&corpus.query, K).unwrap();
+    let bits = |(id, distance): (u64, f64)| (id, distance.to_bits());
+    let fixed = fixed.iter().map(|n| bits((corpus.ids[n.id], n.distance)));
+    assert_eq!(
+        live.into_iter().map(bits).collect::<Vec<_>>(),
+        fixed.collect::<Vec<_>>(),
+        "dense ids are the live objects in insertion order"
+    );
     assert_eq!(live_stats, fixed_stats);
 }

@@ -84,6 +84,14 @@ proptest! {
         prop_assert_eq!(opened.reductions.len(), 1);
         let reopened_bundle = opened.reductions.into_iter().next().unwrap();
 
+        // The one chain constructor, from the same bundle: it must be the
+        // `from_persisted` pair below in everything observable.
+        let constructed = chain.then(|| {
+            let red_im =
+                ReducedImFilter::from_persisted(&opened.database, reopened_bundle.clone());
+            Executor::new(QueryPlan::chain(&opened.database, red_im.unwrap()).unwrap())
+        });
+
         let mut memory_stages: Vec<Box<dyn Filter>> = Vec::new();
         let mut disk_stages: Vec<Box<dyn Filter>> = Vec::new();
         if chain {
@@ -116,6 +124,17 @@ proptest! {
         // counts, same number of exact refinements.
         prop_assert_eq!(&memory_stats.filter_evaluations, &disk_stats.filter_evaluations);
         prop_assert_eq!(memory_stats.refinements, disk_stats.refinements);
+
+        if let Some(constructed) = constructed {
+            prop_assert_eq!(constructed.plan().stage_names(), disk.plan().stage_names());
+            let (neighbors, stats) = constructed.knn(&query, k).unwrap();
+            let bits = |n: &emd_query::Neighbor| (n.id, n.distance.to_bits());
+            prop_assert_eq!(
+                neighbors.iter().map(bits).collect::<Vec<_>>(),
+                disk_neighbors.iter().map(bits).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(stats, disk_stats);
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -7,9 +7,11 @@
 //!   `POST /v1/remove`, compaction) takes the writer mutex, appends to
 //!   the WAL, **syncs**, and only then swaps the reader snapshot — a
 //!   `200` is therefore a durability acknowledgment, not a buffer write.
-//! * **Readers never block on the writer.** Queries clone an
-//!   `Arc<DurableSnapshot>` out of a mutex held for nanoseconds and run
-//!   entirely against that frozen, copy-on-write view. A snapshot taken
+//! * **Readers never block on the writer.** Queries, `query_id`
+//!   look-ups and the object count clone an `Arc<DurableSnapshot>` out of
+//!   a mutex held for nanoseconds and answer from that frozen view — a
+//!   database of shared, immutable histograms — never from the writer's
+//!   state, so none of them queues behind an fsync. A snapshot taken
 //!   before an insert keeps answering bit-identically while (and after)
 //!   the writer works — including across compaction, which reclaims
 //!   storage and changes no id.
@@ -69,10 +71,10 @@ impl IngestState {
         unpoisoned(&self.current).clone()
     }
 
-    /// Live object count as the writer sees it.
+    /// Live object count of the current reader snapshot.
     #[must_use]
     pub fn len(&self) -> usize {
-        unpoisoned(&self.writer).len()
+        self.snapshot().map_or(0, |snapshot| snapshot.len())
     }
 
     /// Whether the corpus currently holds no live objects.
@@ -116,11 +118,11 @@ impl IngestState {
         Ok(true)
     }
 
-    /// Fetch a live object's histogram by external id (resolves
-    /// `query_id` on the query routes).
+    /// Fetch a live object's histogram by external id from the current
+    /// reader snapshot.
     #[must_use]
     pub fn get(&self, external_id: u64) -> Option<Histogram> {
-        unpoisoned(&self.writer).get(external_id).cloned()
+        self.snapshot()?.get(external_id).cloned()
     }
 
     /// Fold the WAL into a sealed segment (see
@@ -206,9 +208,37 @@ mod tests {
             v.iter().map(|&(i, d)| (i, d.to_bits())).collect()
         };
         assert_eq!(bits(&before), bits(&after));
-        // The live view moved on.
+        // The removed id still resolves in the snapshot that held it...
+        assert_eq!(frozen.get(0), Some(&h(&[1.0, 0.0, 0.0, 0.0])));
+        // ...while the live view moved on.
         let live = ingest.snapshot().unwrap();
         assert_eq!(live.knn(&query, 1).unwrap().0[0].0, 2);
+        assert_eq!((live.get(0), ingest.get(0)), (None, None));
+        assert_eq!(ingest.get(2), Some(query));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn readers_do_not_wait_for_the_writer() {
+        let dir = tmp_dir("readers");
+        let ingest = state(&dir);
+        assert_eq!((ingest.len(), ingest.is_empty()), (0, true));
+        ingest.insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        ingest.insert(h(&[0.0, 0.0, 0.0, 1.0])).unwrap();
+        // The writer mutex is held here for as long as an insert holds it
+        // across its fsync; a reader that needed it would never answer.
+        let writer = unpoisoned(&ingest.writer);
+        let (answers, answered) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let snapshot = ingest.snapshot().map(|snapshot| snapshot.len());
+                answers.send((ingest.len(), ingest.is_empty(), ingest.get(1), snapshot))
+            });
+            let got = answered.recv_timeout(std::time::Duration::from_secs(30));
+            drop(writer);
+            let second = h(&[0.0, 0.0, 0.0, 1.0]);
+            assert_eq!(got, Ok((2, false, Some(second), Some(2))));
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 

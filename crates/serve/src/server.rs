@@ -520,12 +520,18 @@ fn run_query(
         _ => {}
     }
     // The dynamic corpus answers from the ingest layer's current reader
-    // snapshot (cloned out, never blocking the writer); both corpora
-    // answer in the ids their clients hold.
+    // snapshot (cloned out, never blocking the writer) and resolves
+    // `query_id` in that same snapshot; both corpora answer in the ids
+    // their clients hold.
     let (outcome, stats) = if let Some(ingest) = &shared.snapshot.ingest {
-        let missing = |id| format!("`query_id` {id} names no live object");
-        let histogram = query_histogram(object, |id| ingest.get(id).ok_or_else(|| missing(id)))?;
-        let Some(snapshot) = ingest.snapshot() else {
+        let snapshot = ingest.snapshot();
+        let histogram = query_histogram(object, |id| {
+            let found = snapshot.as_ref().and_then(|snapshot| snapshot.get(id));
+            found
+                .cloned()
+                .ok_or_else(|| format!("`query_id` {id} names no live object"))
+        })?;
+        let Some(snapshot) = snapshot else {
             return Ok(Response::json(
                 409,
                 "Conflict",

@@ -118,11 +118,26 @@ fn insert_query_remove_round_trip() {
     }
 
     // healthz reflects the dynamic corpus.
-    let (status, _, body) = common::raw_call(addr, "GET", "/healthz", None);
-    assert_eq!(status, 200);
-    let health = parse_object(&body);
-    assert_eq!(number(&health, "objects") as usize, 3);
-    assert_eq!(health.get("writable"), Some(&Value::Bool(true)));
+    let objects = || {
+        let (status, _, body) = common::raw_call(addr, "GET", "/healthz", None);
+        assert_eq!(status, 200);
+        let health = parse_object(&body);
+        assert_eq!(health.get("writable"), Some(&Value::Bool(true)));
+        number(&health, "objects") as usize
+    };
+    assert_eq!(objects(), 3);
+
+    // A just-inserted id is its own nearest neighbor.
+    let by_id = |id: usize| {
+        let body = format!("{{\"query_id\":{id},\"k\":1}}");
+        let (status, _, response) = common::raw_call(addr, "POST", "/v1/knn", Some(&body));
+        (status, response)
+    };
+    let (status, body) = by_id(2);
+    assert_eq!(status, 200, "{body}");
+    let map = parse_object(&body);
+    let neighbors = map.get("neighbors").and_then(Value::as_array).unwrap();
+    assert_eq!(number(neighbors[0].as_object().unwrap(), "id") as usize, 2);
 
     // Queries answer in external ids.
     let (status, body) = served_knn(addr, &[0.0, 0.9, 0.1, 0.0], 1);
@@ -141,6 +156,10 @@ fn insert_query_remove_round_trip() {
     let neighbors = map.get("neighbors").and_then(Value::as_array).unwrap();
     let first = neighbors[0].as_object().unwrap();
     assert_eq!(number(first, "id") as usize, 0, "id 1 is gone");
+    let (status, body) = by_id(1);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("`query_id` 1 names no live object"), "{body}");
+    assert_eq!(objects(), 2);
 
     // Removing an unknown id is a clean false, not an error.
     let (status, _, body) = common::raw_call(addr, "POST", "/v1/remove", Some("{\"id\":77}"));

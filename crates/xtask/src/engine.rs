@@ -183,7 +183,7 @@ pub fn scan(root: &Path) -> Result<LintReport, String> {
             };
             passes::panic_pass(&file, krate, panic_policy, &mut report);
             passes::indexing_pass(&file, krate, &mut report);
-            passes::module_docs_pass(&file, krate, &mut report);
+            passes::module_docs_pass(&file, &mut report);
             if library {
                 passes::errors_docs_pass(&file, &mut report);
                 passes::error_taxonomy_pass(&file, krate, &mut report);

@@ -11,16 +11,12 @@
 //! ratcheted against `lint-budget.toml` ([`budget`]) and exportable as
 //! schema-versioned JSON (`flexemd-lint/v1`).
 //!
-//! The retired line/regex scanner survives in [`legacy`] solely as the
-//! baseline for the stricter-or-equal comparison test.
-//!
 //! See `DESIGN.md` §12 for the architecture and annotation grammar.
 
 #![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod engine;
-pub mod legacy;
 pub mod lexer;
 pub mod passes;
 pub mod report;

@@ -150,11 +150,16 @@ pub fn indexing_pass(file: &SourceFile, krate: &str, report: &mut LintReport) {
     }
 }
 
-/// Module-docs audit (class `missing-module-docs`): files that do not
-/// open with `//!` are counted against the budget.
-pub fn module_docs_pass(file: &SourceFile, krate: &str, report: &mut LintReport) {
+/// Module-docs audit (class `missing-module-docs`): a file that does
+/// not open with `//!` is a finding.
+pub fn module_docs_pass(file: &SourceFile, report: &mut LintReport) {
     if !file.has_module_docs() {
-        report.budgeted_site(&file.path, 1, LintClass::MissingModuleDocs, krate);
+        report.finding(
+            &file.path,
+            1,
+            LintClass::MissingModuleDocs,
+            "file does not open with a `//!` module doc comment".to_owned(),
+        );
     }
 }
 

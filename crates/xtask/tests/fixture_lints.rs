@@ -6,6 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::{Path, PathBuf};
+use xtask::engine;
 use xtask::passes::{self, PanicPolicy};
 use xtask::report::{LintClass, LintReport};
 use xtask::source::SourceFile;
@@ -110,19 +111,16 @@ fn indexing_fixture() {
 fn module_docs_fixture() {
     let missing = fixture("module_docs_missing.rs");
     let mut report = LintReport::default();
-    passes::module_docs_pass(&missing, "core", &mut report);
+    passes::module_docs_pass(&missing, &mut report);
     assert_eq!(
-        report.budgeted_count(LintClass::MissingModuleDocs, "core"),
-        1
+        finding_lines(&report, LintClass::MissingModuleDocs),
+        vec![1]
     );
 
     let documented = fixture("panic.rs");
     let mut report = LintReport::default();
-    passes::module_docs_pass(&documented, "core", &mut report);
-    assert_eq!(
-        report.budgeted_count(LintClass::MissingModuleDocs, "core"),
-        0
-    );
+    passes::module_docs_pass(&documented, &mut report);
+    assert!(report.findings.is_empty() && report.sites.is_empty());
 }
 
 #[test]
@@ -137,7 +135,7 @@ fn errors_docs_fixture() {
             line_of(&file, "pub fn nested_result"),
         ],
         "the documented fn and the private fn must not be flagged; the \
-         tuple-nested Result must be (stricter than the line scanner)"
+         tuple-nested Result must be"
     );
 }
 
@@ -225,7 +223,7 @@ fn float_discipline_fixture() {
 
 /// The flagship property: a file whose only "findings" live inside raw
 /// strings and multi-line block comments. The token engine reports
-/// nothing; the legacy line scanner fabricates findings from it.
+/// nothing, where a line/regex scanner fabricates findings from it.
 #[test]
 fn masking_fixture_token_engine_is_immune() {
     let file = fixture("masking.rs");
@@ -239,13 +237,27 @@ fn masking_fixture_token_engine_is_immune() {
         "token engine fabricated findings from strings/comments: {:?}",
         report.findings
     );
+}
 
-    // The legacy scanner, by contrast, sees the bait as code.
-    let lines = xtask::legacy::scan_lines(&file.text);
-    let (_, unmarked) = xtask::legacy::panic_sites(&lines);
-    let indexing = xtask::legacy::unjustified_indexing_lines(&lines);
+/// The whole-workspace scan agrees with the checked-in budget file; this
+/// is the same invariant `cargo xtask lint` enforces, pinned as a test.
+#[test]
+fn live_scan_is_clean_against_the_ratchet() {
+    let root = engine::workspace_root().unwrap();
+    let mut report = engine::scan(&root).unwrap();
+    xtask::budget::check(&root.join("lint-budget.toml"), &mut report).unwrap();
+    let render = |f: &xtask::report::Finding| {
+        format!(
+            "{}:{} [{}] {}",
+            f.path.display(),
+            f.line,
+            f.class.name(),
+            f.message
+        )
+    };
     assert!(
-        !unmarked.is_empty() || !indexing.is_empty(),
-        "expected the line scanner to fabricate findings here"
+        report.findings.is_empty(),
+        "unannotated findings or budget drift on the live tree: {:?}",
+        report.findings.iter().map(render).collect::<Vec<_>>()
     );
 }

@@ -1,6 +1,7 @@
 //! Fixture: errors-docs audit — `undocumented` (finding), `documented`
-//! (clean), `nested_result` (finding: Result buried in a tuple, which the
-//! token engine sees and the line scanner missed), private fn (clean).
+//! and `documented_behind_a_marker` (clean: a `//` marker between the
+//! docs and the fn hides neither), `nested_result` (finding: Result
+//! buried in a tuple), private fn (clean).
 
 /// Does a thing.
 pub fn undocumented() -> Result<(), String> {
@@ -13,6 +14,16 @@ pub fn undocumented() -> Result<(), String> {
 ///
 /// Never, in practice.
 pub fn documented() -> Result<(), String> {
+    Ok(())
+}
+
+/// Does a thing.
+///
+/// # Errors
+///
+/// Never, in practice.
+// lint: allow(unbudgeted): fixture marker between the docs and the fn.
+pub fn documented_behind_a_marker() -> Result<(), String> {
     Ok(())
 }
 

@@ -1,5 +1,6 @@
-//! Fixture: indexing audit — two unjustified sites (lines 6 and 14), one
-//! justified, and slice-type / macro / string decoys that must not count.
+//! Fixture: indexing audit — two unjustified sites (lines 6 and 20), two
+//! justified (one by a marker that opens a longer comment run), and
+//! slice-type / macro / string decoys that must not count.
 
 pub fn unjustified(values: &[f64], i: usize) -> f64 {
     // The classic: raw index, no justification.
@@ -9,6 +10,12 @@ pub fn unjustified(values: &[f64], i: usize) -> f64 {
 pub fn justified(values: &[f64]) -> f64 {
     // bounds: callers guarantee non-empty input
     values[0]
+}
+
+pub fn justified_by_a_comment_run(values: &[f64]) -> f64 {
+    // bounds: callers guarantee two entries; the marker opens a run
+    // whose last line, the one above the site, carries none.
+    values[1]
 }
 
 pub fn second_unjustified(pairs: &[(usize, usize)]) -> usize {

@@ -1,6 +1,6 @@
 //! Fixture: regex-scanner failure modes. Every pattern below lives in a
 //! raw string or a multi-line block comment, so the token engine must
-//! report NOTHING for this file while the legacy line scanner fabricates
+//! report NOTHING for this file, where a line scanner would fabricate
 //! findings from it.
 
 pub fn raw_string_payload() -> &'static str {

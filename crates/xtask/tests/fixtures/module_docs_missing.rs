@@ -1,4 +1,4 @@
 // A plain comment is not a module doc; this file counts against the
-// missing-module-docs budget.
+// missing-module-docs lint.
 
 pub fn lonely() {}

@@ -7,7 +7,7 @@
 
 use flexemd::data::gaussian::{self, GaussianParams};
 use flexemd::query::{
-    Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter, ReducedImFilter,
+    Database, EmdDistance, Executor, Query, QueryPlan, ReducedEmdFilter, ReducedImFilter,
 };
 use flexemd::reduction::kmedoids::kmedoids_reduction;
 use flexemd::reduction::{CombiningReduction, ReducedEmd};
@@ -34,14 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Configuration A: the full Figure 10 chain ----------------------
     let reduced = ReducedEmd::new(&cost, r.clone())?;
-    let stages: Vec<Box<dyn Filter>> = vec![
-        Box::new(ReducedImFilter::new(&database, reduced.clone())?),
-        Box::new(ReducedEmdFilter::new(&database, reduced)?),
-    ];
-    let chain = Executor::new(QueryPlan::new(
-        stages,
-        Box::new(EmdDistance::new(&database)?),
-    )?);
+    let red_im = ReducedImFilter::new(&database, reduced)?;
+    let chain = Executor::new(QueryPlan::chain(&database, red_im)?);
     let (neighbors, stats) = chain.knn(query, 5)?;
     println!(
         "Figure 10 chain (Red-IM -> Red-EMD -> EMD), N = {}:",

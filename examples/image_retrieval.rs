@@ -11,9 +11,7 @@
 //! ```
 
 use flexemd::data::color::{self, ColorParams};
-use flexemd::query::{
-    Database, EmdDistance, Executor, Filter, QueryPlan, ReducedEmdFilter, ReducedImFilter,
-};
+use flexemd::query::{Database, Executor, QueryPlan, ReducedImFilter};
 use flexemd::reduction::fb::{fb_all, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
 use flexemd::reduction::kmedoids::kmedoids_reduction;
@@ -70,14 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let reduced = ReducedEmd::new(&cost, optimized.reduction)?;
-    let stages: Vec<Box<dyn Filter>> = vec![
-        Box::new(ReducedImFilter::new(&database, reduced.clone())?),
-        Box::new(ReducedEmdFilter::new(&database, reduced)?),
-    ];
-    let pipeline = Executor::new(QueryPlan::new(
-        stages,
-        Box::new(EmdDistance::new(&database)?),
-    )?);
+    let red_im = ReducedImFilter::new(&database, reduced)?;
+    let pipeline = Executor::new(QueryPlan::chain(&database, red_im)?);
 
     println!("\nrunning {} 10-NN queries:", queries.len());
     let mut class_hits = 0usize;

@@ -61,8 +61,8 @@ use flexemd::core::Histogram;
 use flexemd::data::{io as dataio, Dataset};
 use flexemd::faultkit::{FailPlan, InjectedPanic};
 use flexemd::query::{
-    CandidateSource, ClusteredIndex, Database, EmdDistance, Executor, Filter, QueryMode,
-    QueryOutcome, QueryPlan, ReducedEmdFilter, ReducedImFilter,
+    ClusteredIndex, Database, EmdDistance, Executor, QueryError, QueryMode, QueryOutcome,
+    QueryPlan, ReducedEmdFilter, ReducedImFilter,
 };
 use flexemd::reduction::fb::{fb_all, fb_mod, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
@@ -97,18 +97,15 @@ fn main() -> ExitCode {
     // (`flexemd query ... | head -1`) comes back as an error to handle
     // here rather than as a `println!` panic.
     let stdout = &mut std::io::stdout().lock();
-    let result = match command.as_str() {
-        "generate" => generate(&options, stdout),
-        "info" => info(&options, stdout),
-        "reduce" => reduce(&options, stdout),
-        "build-index" => build_index(&options, stdout),
-        "query" => query(&options, stdout),
-        "serve" => serve(&options, stdout),
-        "ingest" => ingest(&options, stdout),
-        "wal-inspect" => wal_inspect(&options, stdout),
-        "loadgen" => loadgen(&options, stdout),
-        "--help" | "-h" | "help" => writeln!(stdout, "{USAGE}").map_err(CliError::from),
-        other => Err(format!("unknown command `{other}`").into()),
+    let result = match VERBS.iter().find(|(verb, ..)| *verb == command) {
+        Some((verb, run, accepted)) => options
+            .reject_unknown(verb, accepted)
+            .map_err(CliError::from)
+            .and_then(|()| run(&options, stdout)),
+        None if matches!(command.as_str(), "--help" | "-h" | "help") => {
+            writeln!(stdout, "{USAGE}").map_err(CliError::from)
+        }
+        None => Err(format!("unknown command `{command}`").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -126,6 +123,37 @@ fn main() -> ExitCode {
         }
     }
 }
+
+type Verb = fn(&Options, &mut dyn Write) -> Result<(), CliError>;
+
+/// Every verb: its handler and the options it accepts. Any other key is
+/// an error before the handler runs — a mistyped `--deadline-ms` must not
+/// run as a query without a deadline.
+#[rustfmt::skip]
+const VERBS: &[(&str, Verb, &[&str])] = &[
+    ("generate", generate, &["kind", "out", "classes", "per-class", "seed"]),
+    ("info", info, &["data"]),
+    ("reduce", reduce, &["data", "method", "dims", "out", "sample", "seed"]),
+    ("build-index", build_index, &[
+        "data", "reductions", "out", "sample", "seed", "cluster", "cluster-factor",
+    ]),
+    ("query", query, &[
+        "data", "reduction", "index", "k", "range", "query", "chain", "metrics", "source",
+        "deadline-ms", "max-pivots", "faults",
+    ]),
+    ("serve", serve, &[
+        "data", "reduction", "index", "wal", "addr", "workers", "max-inflight", "queue-depth",
+        "source", "chain", "drain-stdin", "faults",
+    ]),
+    ("ingest", ingest, &[
+        "wal", "data", "method", "dims", "sample", "seed", "sync-each", "compact",
+    ]),
+    ("wal-inspect", wal_inspect, &["wal"]),
+    ("loadgen", loadgen, &[
+        "addr", "threads", "requests", "k", "range", "deadline-ms", "max-pivots", "seed", "smoke",
+        "out",
+    ]),
+];
 
 /// Why a verb stopped: a one-line diagnostic, or a failed write to stdout.
 enum CliError {
@@ -238,6 +266,18 @@ impl Options {
             values.insert(key.to_owned(), value);
         }
         Ok(Options { values })
+    }
+
+    /// Fail on the first (alphabetically) key `verb` does not accept.
+    fn reject_unknown(&self, verb: &str, accepted: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .values
+            .keys()
+            .filter(|key| !accepted.contains(&key.as_str()));
+        match unknown.min() {
+            Some(key) => Err(format!("unknown option --{key} for `{verb}`")),
+            None => Ok(()),
+        }
     }
 
     fn required(&self, key: &str) -> Result<&str, String> {
@@ -545,20 +585,21 @@ fn quiet_injected_panics() {
     }));
 }
 
-/// Everything `query` and `serve` assemble before building a plan: the
-/// snapshot, legacy filter stages, an optional stage-1 candidate source,
-/// the corpus name, and class labels (present only for JSON corpora).
+/// Everything `query` and `serve` assemble before running: the snapshot,
+/// the plan over it (filter stages or a stage-1 candidate source ahead of
+/// the exact refiner), the corpus name, and class labels (present only
+/// for JSON corpora).
 struct Corpus {
     name: String,
     database: Database,
-    stages: Vec<Box<dyn Filter>>,
-    source: Option<Box<dyn CandidateSource>>,
+    plan: QueryPlan,
     labels: Option<Vec<u32>>,
 }
 
-/// Filter stages plus the optional stage-1 candidate source — the
-/// pipeline front end a corpus assembles ahead of the exact refiner.
-type PipelineFront = (Vec<Box<dyn Filter>>, Option<Box<dyn CandidateSource>>);
+/// The exact-EMD refiner over `database`, with no stage ahead of it.
+fn refiner_only(database: &Database) -> Result<QueryPlan, QueryError> {
+    QueryPlan::sequential(Box::new(EmdDistance::new(database)?))
+}
 
 /// Validate a `--source` value and its interaction with `--chain`.
 fn source_options(options: &Options) -> Result<(String, bool), String> {
@@ -615,7 +656,7 @@ fn prepare_corpus(
             .next()
             .ok_or_else(|| format!("index {index_dir} holds no reductions"))?;
         let clustering = opened.clusterings.into_iter().next().flatten();
-        let (stages, source): PipelineFront = match source_kind {
+        let plan = match source_kind {
             "clustered" => {
                 // Persisted geometry reattaches without re-clustering; an
                 // index built without --cluster falls back to building the
@@ -623,30 +664,19 @@ fn prepare_corpus(
                 let index = match clustering {
                     Some(stored) => ClusteredIndex::from_stored(&database, &bundle, &stored),
                     None => ClusteredIndex::from_persisted(&database, &bundle, 1.0),
-                }
-                .map_err(|e| e.to_string())?;
-                (Vec::new(), Some(Box::new(index) as _))
+                };
+                refiner_only(&database).and_then(|plan| plan.with_source(Box::new(index?)))
             }
-            _ => {
-                let mut stages: Vec<Box<dyn Filter>> = Vec::new();
-                if chain {
-                    stages.push(Box::new(
-                        ReducedImFilter::from_persisted(&database, bundle.clone())
-                            .map_err(|e| e.to_string())?,
-                    ));
-                }
-                stages.push(Box::new(
-                    ReducedEmdFilter::from_persisted(&database, bundle)
-                        .map_err(|e| e.to_string())?,
-                ));
-                (stages, None)
-            }
-        };
+            _ if chain => ReducedImFilter::from_persisted(&database, bundle)
+                .and_then(|red_im| QueryPlan::chain(&database, red_im)),
+            _ => ReducedEmdFilter::from_persisted(&database, bundle)
+                .and_then(|red_emd| single_stage(&database, red_emd)),
+        }
+        .map_err(|e| e.to_string())?;
         Ok(Corpus {
             name,
             database,
-            stages,
-            source,
+            plan,
             labels: None,
         })
     } else {
@@ -658,51 +688,32 @@ fn prepare_corpus(
         let database =
             Database::new(dataset.histograms, cost.clone()).map_err(|e| e.to_string())?;
         let reduced = ReducedEmd::new(&cost, reduction).map_err(|e| e.to_string())?;
-        let (stages, source): PipelineFront = match source_kind {
+        let plan = match source_kind {
             "clustered" => {
-                let index =
-                    ClusteredIndex::build(&database, reduced, 1.0).map_err(|e| e.to_string())?;
-                (Vec::new(), Some(Box::new(index) as _))
+                let index = ClusteredIndex::build(&database, reduced, 1.0);
+                refiner_only(&database).and_then(|plan| plan.with_source(Box::new(index?)))
             }
-            _ => {
-                let mut stages: Vec<Box<dyn Filter>> = Vec::new();
-                if chain {
-                    stages.push(Box::new(
-                        ReducedImFilter::new(&database, reduced.clone())
-                            .map_err(|e| e.to_string())?,
-                    ));
-                }
-                stages.push(Box::new(
-                    ReducedEmdFilter::new(&database, reduced).map_err(|e| e.to_string())?,
-                ));
-                (stages, None)
-            }
-        };
+            _ if chain => ReducedImFilter::new(&database, reduced)
+                .and_then(|red_im| QueryPlan::chain(&database, red_im)),
+            _ => ReducedEmdFilter::new(&database, reduced)
+                .and_then(|red_emd| single_stage(&database, red_emd)),
+        }
+        .map_err(|e| e.to_string())?;
         Ok(Corpus {
             name,
             database,
-            stages,
-            source,
+            plan,
             labels: Some(labels),
         })
     }
 }
 
-/// Assemble stages + optional source into a ready [`Executor`].
-fn build_executor(
-    database: &Database,
-    stages: Vec<Box<dyn Filter>>,
-    source: Option<Box<dyn CandidateSource>>,
-) -> Result<Executor, String> {
-    let mut plan = QueryPlan::new(
-        stages,
-        Box::new(EmdDistance::new(database).map_err(|e| e.to_string())?),
+/// The single-stage `Red-EMD -> EMD` plan.
+fn single_stage(database: &Database, red_emd: ReducedEmdFilter) -> Result<QueryPlan, QueryError> {
+    QueryPlan::new(
+        vec![Box::new(red_emd)],
+        Box::new(EmdDistance::new(database)?),
     )
-    .map_err(|e| e.to_string())?;
-    if let Some(source) = source {
-        plan = plan.with_source(source).map_err(|e| e.to_string())?;
-    }
-    Ok(Executor::new(plan))
 }
 
 /// The shared query-shape flags (`--k`, `--range`, `--deadline-ms`,
@@ -727,8 +738,7 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let Corpus {
         name: _,
         database,
-        stages,
-        source,
+        plan,
         labels,
     } = prepare_corpus(options, fault_plan.as_ref(), &source_kind, chain)?;
 
@@ -739,7 +749,7 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         )
         .into());
     }
-    let mut executor = build_executor(&database, stages, source)?;
+    let mut executor = Executor::new(plan);
 
     let query = database
         .get(query_index)
@@ -986,7 +996,7 @@ fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliErr
     // requires them — a one-object placeholder satisfies the invariants.
     let uniform = Histogram::new(vec![1.0 / dim as f64; dim]).map_err(|e| e.to_string())?;
     let database = Database::new(vec![uniform], cost).map_err(|e| e.to_string())?;
-    let executor = build_executor(&database, Vec::new(), None)?;
+    let executor = Executor::new(refiner_only(&database).map_err(|e| e.to_string())?);
     let snapshot = Snapshot {
         executor,
         database,
@@ -1042,11 +1052,10 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let Corpus {
         name,
         database,
-        stages,
-        source,
+        plan,
         labels: _,
     } = prepare_corpus(options, fault_plan.as_ref(), &source_kind, chain)?;
-    let mut executor = build_executor(&database, stages, source)?;
+    let mut executor = Executor::new(plan);
     if let Some(plan) = &fault_plan {
         // Worker failpoints fire inside the server's isolation layer, so
         // an injected panic costs one 500 response, not the process.
@@ -1139,4 +1148,32 @@ fn load_reduction(path: &Path) -> Result<CombiningReduction, String> {
     emd_json::parse(&text)
         .and_then(|value| CombiningReduction::from_json(&value))
         .map_err(|e| format!("json error in {}: {e}", path.display()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{USAGE, VERBS};
+
+    /// The synopsis block of `USAGE` and the `VERBS` table agree: every
+    /// `--option` shown under a verb is one that verb accepts.
+    #[test]
+    fn every_usage_option_is_accepted_by_its_verb() {
+        let synopsis = USAGE.lines().skip_while(|line| *line != "USAGE:").skip(1);
+        let mut accepted: &[&str] = &[];
+        let mut checked = 0;
+        for line in synopsis.take_while(|line| !line.is_empty()) {
+            let mut words = line.split_whitespace().peekable();
+            if words.next_if_eq(&"flexemd").is_some() {
+                let verb = words.next().unwrap();
+                let entry = VERBS.iter().find(|(name, ..)| *name == verb);
+                accepted = entry.unwrap_or_else(|| panic!("no verb `{verb}`")).2;
+            }
+            for option in words.filter_map(|word| word.trim_matches(['[', ']']).strip_prefix("--"))
+            {
+                assert!(accepted.contains(&option), "`{line}` shows --{option}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 60, "only {checked} options found: USAGE moved");
+    }
 }

@@ -594,6 +594,60 @@ fn rejects_bad_input() {
     assert!(stderr.contains("not both"), "{stderr}");
 }
 
+/// A mistyped option is an error that names it, before the verb touches
+/// anything: `--deadline_ms 0` must not run as a query with no deadline.
+#[test]
+fn unknown_option_is_a_one_line_error_on_every_verb() {
+    let (dir, data, reduction) = corpus_and_reduction("unknown_option");
+    let (data, reduction) = (data.display(), reduction.display());
+    let out = dir.join("never-written");
+    let out = out.display();
+    // Scratch paths hold no whitespace, so a command line splits on it.
+    let typos = [
+        (
+            format!("query --data {data} --reduction {reduction} --k 3 --sorce clustered --deadline_ms 0"),
+            "deadline_ms",
+        ),
+        (format!("serve --wal {out} --adr 127.0.0.1:0"), "adr"),
+        (
+            format!("ingest --wal {out} --data {data} --sync-eahc 1"),
+            "sync-eahc",
+        ),
+        (
+            format!("build-index --data {data} --reductions kmed:4 --out {out} --clusters 1"),
+            "clusters",
+        ),
+    ];
+    let rejected = |args: &[&str], option: &str| {
+        let output = flexemd().args(args).output().unwrap();
+        assert!(!output.status.success(), "{args:?} succeeded");
+        assert!(output.stdout.is_empty(), "{args:?} ran");
+        let stderr = String::from_utf8_lossy(&output.stderr).to_string();
+        let expected = format!("error: unknown option --{option} for `{}`", args[0]);
+        assert_eq!(stderr.trim_end(), expected);
+    };
+    for (line, option) in &typos {
+        rejected(&line.split_whitespace().collect::<Vec<_>>(), option);
+    }
+    assert!(
+        !dir.join("never-written").exists(),
+        "a rejected verb wrote {out}"
+    );
+    for verb in [
+        "generate",
+        "info",
+        "reduce",
+        "build-index",
+        "query",
+        "serve",
+        "ingest",
+        "wal-inspect",
+        "loadgen",
+    ] {
+        rejected(&[verb, "--no-such-option", "x"], "no-such-option");
+    }
+}
+
 #[test]
 fn range_query_prints_range_heading() {
     let (_dir, data, reduction) = corpus_and_reduction("range_query_prints_range_heading");
