@@ -1,10 +1,9 @@
-//! Dataset and workload files.
+//! Dataset files.
 //!
-//! Corpora and workloads are stored as JSON so experiment runs are
-//! reproducible and individual artifacts can be inspected by hand.
+//! Corpora are stored as JSON so experiment runs are reproducible and
+//! individual artifacts can be inspected by hand.
 
 use crate::dataset::Dataset;
-use crate::workload::Workload;
 use emd_json::Value;
 use std::fs;
 use std::io;
@@ -12,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 /// IO/parse error wrapper. Every variant names the file it failed on —
 /// a bare "No such file or directory" from a pipeline that touches a
-/// dataset, a workload and an index is useless without the path.
+/// dataset, a reduction and an index is useless without the path.
 #[derive(Debug)]
 pub enum IoError {
     /// Filesystem failure.
@@ -22,7 +21,7 @@ pub enum IoError {
         /// The underlying OS error.
         source: io::Error,
     },
-    /// The file is not JSON, or not the JSON of a valid dataset/workload.
+    /// The file is not JSON, or not the JSON of a valid dataset.
     Json {
         /// The file being decoded.
         path: PathBuf,
@@ -93,27 +92,6 @@ pub fn save(dataset: &Dataset, path: &Path) -> Result<(), IoError> {
 /// is refused by [`Dataset::from_json`].
 pub fn load(path: &Path) -> Result<Dataset, IoError> {
     read_file(path, Dataset::from_json)
-}
-
-/// Save a workload as JSON.
-///
-/// # Errors
-///
-/// Returns [`IoError::Io`] when the file cannot be written.
-pub fn save_workload(workload: &Workload, path: &Path) -> Result<(), IoError> {
-    let mut text = String::new();
-    workload.to_json(&mut text);
-    fs::write(path, text).map_err(io_error(path))
-}
-
-/// Load a workload from JSON.
-///
-/// # Errors
-///
-/// Returns [`IoError`] when the file cannot be read, is not valid JSON, or
-/// is refused by [`Workload::from_json`].
-pub fn load_workload(path: &Path) -> Result<Workload, IoError> {
-    read_file(path, Workload::from_json)
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! result set as the k-NN query (Section 4's correspondence).
 
 use emd_core::{emd, CoreError, CostMatrix, Histogram};
-use emd_json::{write_array, write_number, Value};
 
 /// A query workload.
 #[derive(Debug, Clone)]
@@ -59,37 +58,6 @@ impl Workload {
             let (_, kth, _) = distances.select_nth_unstable_by(k - 1, f64::total_cmp);
             epsilons.push(*kth);
         }
-        Ok(Workload { queries, epsilons })
-    }
-
-    /// Append the JSON form: `{"queries":[…],"epsilons":[…]}`, compact.
-    pub fn to_json(&self, out: &mut String) {
-        out.push_str("{\"queries\":");
-        write_array(out, &self.queries, |out, query| query.to_json(out));
-        out.push_str(",\"epsilons\":");
-        write_array(out, &self.epsilons, |out, &e| write_number(out, e));
-        out.push('}');
-    }
-
-    /// Decode the JSON form, each query through [`Histogram::from_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a field is missing or of the wrong shape, or
-    /// a query is not a valid histogram.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let queries = value
-            .get("queries")
-            .and_then(Value::as_array)
-            .ok_or("workload `queries` must be an array")?
-            .iter()
-            .map(Histogram::from_json)
-            .collect::<Result<_, _>>()?;
-        let epsilons = value
-            .get("epsilons")
-            .and_then(Value::as_array)
-            .and_then(|items| items.iter().map(Value::as_f64).collect())
-            .ok_or("workload `epsilons` must be an array of numbers")?;
         Ok(Workload { queries, epsilons })
     }
 

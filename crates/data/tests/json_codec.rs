@@ -1,4 +1,4 @@
-//! The dataset and workload JSON formats, pinned: the golden literals are
+//! The dataset JSON format, pinned: the golden literals are
 //! the bytes the PR 18 build (derive-style codec) wrote for the same
 //! values, pasted — so files written before the codec was made explicit
 //! read back bit-for-bit and files written now are byte-identical.
@@ -8,7 +8,7 @@
 
 use emd_core::{CostMatrix, Histogram};
 use emd_data::io::{self, IoError};
-use emd_data::{Dataset, Workload};
+use emd_data::Dataset;
 use proptest::prelude::*;
 
 fn h(bins: &[f64]) -> Histogram {
@@ -89,35 +89,6 @@ fn dataset_golden_without_positions() {
 }
 
 #[test]
-fn workload_golden() {
-    let literal = r#"{"queries":[[0.1,0.9],[0.5,0.5]],"epsilons":[0.125,0.3333333333333333]}"#;
-    let workload = Workload {
-        queries: vec![h(&[0.1, 0.9]), h(&[0.5, 0.5])],
-        epsilons: vec![0.125, 1.0 / 3.0],
-    };
-    let mut json = String::new();
-    workload.to_json(&mut json);
-    assert_eq!(json, literal);
-    let back = Workload::from_json(&emd_json::parse(literal).unwrap()).unwrap();
-    assert_eq!(back.queries, workload.queries);
-    assert_eq!(bits(&back.epsilons), bits(&workload.epsilons));
-
-    let mut knn = String::new();
-    Workload::knn(vec![h(&[0.1, 0.9])]).to_json(&mut knn);
-    assert_eq!(knn, r#"{"queries":[[0.1,0.9]],"epsilons":[]}"#);
-
-    for bad in [
-        r#"{"queries":[[0.1,0.9]]}"#,
-        r#"{"queries":[[0.5,0.6]],"epsilons":[]}"#,
-        r#"{"queries":[[0.1,0.9]],"epsilons":[null]}"#,
-        r#"{"queries":{"0":[1]},"epsilons":[]}"#,
-    ] {
-        let value = emd_json::parse(bad).unwrap();
-        assert!(Workload::from_json(&value).is_err(), "accepted {bad}");
-    }
-}
-
-#[test]
 fn dataset_rejects_what_the_derive_rejected() {
     let good = dataset_json(&golden_dataset());
     assert!(dataset_from(&good).is_ok());
@@ -152,23 +123,19 @@ fn dataset_rejects_what_the_derive_rejected() {
 }
 
 /// A file nested past the parser's bound is a typed error naming the
-/// file, for datasets and workloads alike — not a stack overflow.
+/// file — not a stack overflow.
 #[test]
 fn deeply_nested_file_is_a_json_error() {
     let dir = std::env::temp_dir().join(format!("flexemd-json-codec-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("deep.json");
     std::fs::write(&path, "[".repeat(200_000)).unwrap();
-    for error in [
-        io::load(&path).unwrap_err(),
-        io::load_workload(&path).unwrap_err(),
-    ] {
-        assert!(matches!(error, IoError::Json { .. }), "{error}");
-        let message = error.to_string();
-        assert!(message.starts_with("json error in "), "{message}");
-        assert!(message.contains("deep.json"), "{message}");
-        assert_eq!(message.matches("json error").count(), 1, "{message}");
-    }
+    let error = io::load(&path).unwrap_err();
+    assert!(matches!(error, IoError::Json { .. }), "{error}");
+    let message = error.to_string();
+    assert!(message.starts_with("json error in "), "{message}");
+    assert!(message.contains("deep.json"), "{message}");
+    assert_eq!(message.matches("json error").count(), 1, "{message}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

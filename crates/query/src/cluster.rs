@@ -72,7 +72,9 @@
 use crate::engine::source::{CandidateSource, CandidateStream};
 use crate::engine::Database;
 use crate::error::QueryError;
-use crate::filters::check_persisted;
+use crate::filters::{
+    check_persisted, reduce_database, PreparedBound, PreparedEmd, PreparedFilter,
+};
 use crate::ranking::{Key, Ranking};
 use emd_core::certify::debug_check_lower_bound;
 use emd_core::lower_bounds::LbIm;
@@ -170,12 +172,8 @@ impl ClusteredIndex {
         reduced: ReducedEmd,
         factor: f64,
     ) -> Result<Self, QueryError> {
-        let arena = database
-            .histograms()
-            .iter()
-            .map(|h| reduced.reduce_second(h))
-            .collect::<Result<Vec<_>, _>>()?;
-        Self::assemble(reduced, arena.into(), factor)
+        let arena = reduce_database(database, &reduced)?;
+        Self::assemble(reduced, arena, factor)
     }
 
     /// Build the clustering over a bundle's precomputed reduced arena
@@ -274,13 +272,6 @@ impl ClusteredIndex {
         self.pruning.cost()
     }
 
-    fn reduced_object(&self, id: u32) -> Result<&Histogram, QueryError> {
-        let arena = &self.reduced_database;
-        arena
-            .get(id as usize)
-            .ok_or(QueryError::UnknownObject(id as usize))
-    }
-
     fn assemble(
         reduced: ReducedEmd,
         arena: Arc<[Histogram]>,
@@ -327,14 +318,18 @@ impl CandidateSource for ClusteredIndex {
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
+        // Both evaluators run over the reduced arena under the pruning
+        // cost: the LP that is the pruning distance, and the LB_IM that
+        // puts it off.
+        let reduced_query = self.reduced.reduce_first(query)?;
+        let arena = &self.reduced_database;
+        let cost = self.pruning.cost();
         let mut stream = ClusterStream {
             index: self,
-            reduced_query: self.reduced.reduce_first(query)?,
             budget: budget.clone(),
-            context: EmdContext::new(),
+            deferred: PreparedBound::new(&reduced_query, &self.pruning, arena)?,
+            solved: PreparedEmd::new(&reduced_query, arena, cost, budget, true)?,
             heap: BinaryHeap::with_capacity(self.pivots.len()),
-            evaluations: 0,
-            deferred: 0,
             emitted: 0,
             visited: 0,
         };
@@ -572,49 +567,24 @@ fn members_of(assignments: &[u32], clusters: usize) -> Vec<Vec<u32>> {
 /// exactly like a materialized scan.
 struct ClusterStream<'a> {
     index: &'a ClusteredIndex,
-    reduced_query: Histogram,
     budget: Budget,
-    context: EmdContext,
+    /// LB_IM under the pruning cost: the key of every lazy entry pushed.
+    deferred: PreparedBound<'a, LbIm>,
+    /// The pruning distance, one LP under the stream's budget: every
+    /// solve is the pop of a lazy entry.
+    solved: PreparedEmd<'a>,
     heap: BinaryHeap<Reverse<(Key, u8, u32)>>,
-    /// LP solves: every one is the pop of a lazy entry.
-    evaluations: usize,
-    /// LB_IM evaluations (lazy entries pushed).
-    deferred: usize,
     emitted: usize,
     visited: usize,
 }
 
 impl ClusterStream<'_> {
-    /// LB_IM of `object` under the pruning cost: closed form, no LP.
-    fn defer(&mut self, object: u32) -> Result<f64, QueryError> {
-        let index = self.index;
-        self.deferred += 1;
-        let y = index.reduced_object(object)?;
-        Ok(index.pruning.bound(&self.reduced_query, y)?)
-    }
-
-    /// The pruning distance of `object`: one LP under the stream's budget.
-    fn solve(&mut self, object: u32) -> Result<f64, QueryError> {
-        let index = self.index;
-        let y = index.reduced_object(object)?;
-        let cost = index.pruning.cost();
-        let d = emd_in_context(
-            &self.reduced_query,
-            y,
-            cost,
-            &self.budget,
-            &mut self.context,
-        )?;
-        self.evaluations += 1;
-        Ok(d)
-    }
-
     /// Bound every cluster by LB_IM of its pivot: one lazy cluster entry
     /// each, no LP.
     fn bound_clusters(&mut self) -> Result<(), QueryError> {
         let index = self.index;
         for (cluster, (&pivot, &radius)) in index.pivots.iter().zip(&index.radii).enumerate() {
-            let bound = (self.defer(pivot)? - radius).max(0.0);
+            let bound = (self.deferred.distance(pivot as usize)? - radius).max(0.0);
             self.heap
                 .push(Reverse((Key(bound), ENTRY_LAZY_CLUSTER, cluster as u32)));
         }
@@ -635,7 +605,7 @@ impl ClusterStream<'_> {
         let members = index.members.get(cluster as usize);
         for &m in members.into_iter().flatten() {
             if Some(m) != pivot {
-                let bound = self.defer(m)?;
+                let bound = self.deferred.distance(m as usize)?;
                 self.heap.push(Reverse((Key(bound), ENTRY_LAZY_MEMBER, m)));
             }
         }
@@ -654,7 +624,7 @@ impl Ranking for ClusterStream<'_> {
                     let cluster = id as usize;
                     let geometry = index.pivots.get(cluster).zip(index.radii.get(cluster));
                     let (&pivot, &radius) = geometry.ok_or(QueryError::UnknownObject(cluster))?;
-                    let d = self.solve(pivot)?;
+                    let d = self.solved.distance(pivot as usize)?;
                     let bound = (d - radius).max(0.0);
                     // Wherever the deferred bound is positive this is
                     // `LB_IM(q, pivot) <= d` with the radius taken off
@@ -666,7 +636,7 @@ impl Ranking for ClusterStream<'_> {
                 }
                 ENTRY_CLUSTER => self.expand(id)?,
                 ENTRY_LAZY_MEMBER => {
-                    let d = self.solve(id)?;
+                    let d = self.solved.distance(id as usize)?;
                     debug_check_lower_bound("deferred member bound", key, d);
                     self.heap.pop();
                     self.heap.push(Reverse((Key(d), ENTRY_MEMBER, id)));
@@ -709,7 +679,7 @@ impl Ranking for ClusterStream<'_> {
 
 impl CandidateStream for ClusterStream<'_> {
     fn evaluations(&self) -> usize {
-        self.evaluations
+        self.solved.evaluations()
     }
 }
 
@@ -722,8 +692,8 @@ impl Drop for ClusterStream<'_> {
             total.saturating_sub(self.visited) as u64,
         );
         emd_obs::counter_add("index.candidates_emitted", self.emitted as u64);
-        emd_obs::counter_add("index.deferred_bounds", self.deferred as u64);
-        emd_obs::counter_add("index.deferred_solved", self.evaluations as u64);
+        emd_obs::counter_add("index.deferred_bounds", self.deferred.evaluations() as u64);
+        emd_obs::counter_add("index.deferred_solved", self.solved.evaluations() as u64);
     }
 }
 

@@ -146,30 +146,8 @@ pub struct CompactReport {
     pub folded_wal_bytes: u64,
 }
 
-/// [`StoreError::Io`] with the path it occurred on (the store crate's
-/// own constructor is crate-private).
-fn io_err(path: impl Into<PathBuf>, source: std::io::Error) -> StoreError {
-    StoreError::Io {
-        path: path.into(),
-        source,
-    }
-}
-
-/// [`StoreError::Invalid`] for durable-layer invariant violations.
-fn invalid_err(
-    path: impl Into<PathBuf>,
-    section: impl Into<String>,
-    reason: impl Into<String>,
-) -> StoreError {
-    StoreError::Invalid {
-        path: path.into(),
-        section: section.into(),
-        reason: reason.into(),
-    }
-}
-
 /// The path of epoch `epoch`'s WAL file.
-fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
+pub fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("wal-{epoch}.log"))
 }
 
@@ -190,36 +168,42 @@ fn lock_dir(dir: &Path) -> Result<File, StoreError> {
         .write(true)
         .truncate(false)
         .open(&path)
-        .map_err(|e| io_err(&path, e))?;
+        .map_err(|e| StoreError::io(&path, e))?;
     match file.try_lock() {
         Ok(()) => Ok(file),
         Err(std::fs::TryLockError::WouldBlock) => Err(StoreError::Locked { path }),
-        Err(std::fs::TryLockError::Error(e)) => Err(io_err(&path, e)),
+        Err(std::fs::TryLockError::Error(e)) => Err(StoreError::io(&path, e)),
     }
 }
 
 /// Fsync a directory so a just-renamed checkpoint survives power loss.
 fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-    let handle = File::open(dir).map_err(|e| io_err(dir, e))?;
-    handle.sync_all().map_err(|e| io_err(dir, e))
+    let handle = File::open(dir).map_err(|e| StoreError::io(dir, e))?;
+    handle.sync_all().map_err(|e| StoreError::io(dir, e))
 }
 
 /// Write the checkpoint atomically: temp file, fsync, rename, dir fsync.
 fn write_checkpoint(dir: &Path, epoch: u64) -> Result<(), StoreError> {
     let tmp = dir.join("CURRENT.tmp");
     let final_path = dir.join(CHECKPOINT_FILE);
-    std::fs::write(&tmp, format!("{CHECKPOINT_SCHEMA} {epoch}\n")).map_err(|e| io_err(&tmp, e))?;
-    let handle = File::open(&tmp).map_err(|e| io_err(&tmp, e))?;
-    handle.sync_all().map_err(|e| io_err(&tmp, e))?;
-    std::fs::rename(&tmp, &final_path).map_err(|e| io_err(&final_path, e))?;
+    std::fs::write(&tmp, format!("{CHECKPOINT_SCHEMA} {epoch}\n"))
+        .map_err(|e| StoreError::io(&tmp, e))?;
+    let handle = File::open(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
+    handle.sync_all().map_err(|e| StoreError::io(&tmp, e))?;
+    std::fs::rename(&tmp, &final_path).map_err(|e| StoreError::io(&final_path, e))?;
     sync_dir(dir)
 }
 
 /// Read the checkpoint; every malformation is a typed
 /// [`StoreError::Manifest`].
-fn read_checkpoint(dir: &Path) -> Result<u64, StoreError> {
+///
+/// # Errors
+///
+/// [`StoreError::Io`] when `CURRENT` cannot be read, [`StoreError::Manifest`]
+/// when it is not `flexemd-durable/v1 <epoch>`.
+pub fn read_checkpoint(dir: &Path) -> Result<u64, StoreError> {
     let path = dir.join(CHECKPOINT_FILE);
-    let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
+    let text = std::fs::read_to_string(&path).map_err(|e| StoreError::io(&path, e))?;
     let manifest_err = |reason: String| StoreError::Manifest {
         path: path.clone(),
         reason,
@@ -289,7 +273,7 @@ impl DurableIndex {
         reduced: ReducedEmd,
         faults: Arc<dyn FaultInjector>,
     ) -> Result<Self, DurableError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
         let lock = lock_dir(dir)?;
         let index = DynamicIndex::new(Arc::clone(&cost), reduced.clone())?;
         let base = dir.join(BASE_SEGMENT);
@@ -374,7 +358,7 @@ impl DurableIndex {
         let wal_file = wal_path(dir, epoch);
         let replay = wal::replay_with(&wal_file, Arc::clone(&faults))?;
         let invalid_wal =
-            |reason: String| DurableError::Store(invalid_err(&wal_file, "wal", reason));
+            |reason: String| DurableError::Store(StoreError::invalid(&wal_file, "wal", reason));
         let mut records = replay.records.iter().map(|(_lsn, record)| record);
         let sealed_objects = sealed.as_ref().map_or(0, |(_, ids)| ids.len());
         let mut index = if let Some((histograms, sealed_ids)) = sealed {
@@ -618,7 +602,7 @@ impl DurableIndex {
     pub fn compact(&mut self) -> Result<CompactReport, DurableError> {
         let _span = emd_obs::span("durable.compact");
         if let Some(Fault::Io) = self.faults.check(Site::Compact) {
-            return Err(io_err(
+            return Err(StoreError::io(
                 sealed_path(&self.dir, self.epoch + 1),
                 std::io::Error::other("injected compaction fault"),
             )
@@ -737,7 +721,7 @@ fn parse_epoch_file(name: &str) -> Option<u64> {
 fn reject_unexpected(reader: &SegmentReader, allowed: &[&str]) -> Result<(), StoreError> {
     for section in reader.sections() {
         if !allowed.contains(&section.name()) {
-            return Err(invalid_err(
+            return Err(StoreError::invalid(
                 reader.path(),
                 section.name(),
                 "unexpected section for this segment role",
@@ -762,7 +746,7 @@ fn read_sealed(
     let ids_section = sealed.typed_section(SectionKind::IdMap, "external-ids")?;
     let ids = sections::decode_id_map(sealed.path(), "external-ids", ids_section.payload())?;
     if ids.len() != histograms.len() {
-        return Err(invalid_err(
+        return Err(StoreError::invalid(
             path,
             "external-ids",
             format!("{} ids for {} histograms", ids.len(), histograms.len()),

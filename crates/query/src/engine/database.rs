@@ -198,13 +198,8 @@ impl Database {
         // `open_index` already checked arena-vs-cost shape agreement —
         // the same invariant `Database::new` re-checks here; a failure
         // at this point would be a store-layer bug, not bad data.
-        let database = Database::new(stored.histograms, Arc::new(stored.cost)).map_err(|e| {
-            StoreError::Invalid {
-                path: dir.to_path_buf(),
-                section: "histograms".to_owned(),
-                reason: e.to_string(),
-            }
-        })?;
+        let database = Database::new(stored.histograms, Arc::new(stored.cost))
+            .map_err(|e| StoreError::invalid(dir, "histograms", e.to_string()))?;
         Ok(OpenedIndex {
             name: stored.name,
             database,

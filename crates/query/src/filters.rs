@@ -1,11 +1,22 @@
-//! Filter distances over an indexed database snapshot.
+//! Filter stages over an indexed database snapshot.
 //!
-//! A [`Filter`] holds everything that can be precomputed *per database*
-//! (reduced vectors, sorted cost rows, centroids) over a shared
-//! [`Database`] snapshot; [`Filter::prepare`] builds the cheap
-//! *per-query* state (the reduced query, its centroid, ...), and
-//! [`PreparedFilter::distance`] evaluates one object in the hot loop,
-//! counting evaluations for the experiment harness.
+//! A stage is *a projection of the query plus an evaluator over a space*
+//! — a space being an arena of histograms (or of what a bound projects
+//! them to) in id order. There are two evaluators. `PreparedEmd` is
+//! the LP: the EMD of the projected query and one arena object under the
+//! space's cost matrix — [`EmdDistance`] over the database,
+//! [`ReducedEmdFilter`] over `R1·q`, the reduced arena and `C'` (the
+//! paper's Section 4: Red-EMD "is again an EMD"), the clustered source's
+//! solves over the pruning cost. `PreparedBound` is a closed form of
+//! the shape *project a histogram once, bound two projections*
+//! (`ProjectedBound`) — [`ReducedImFilter`] is full LB_IM over the
+//! reduced space, the clustered source's deferred keys are it over the
+//! pruning cost.
+//!
+//! A [`Filter`] holds what is precomputed *per database*;
+//! [`Filter::prepare`] projects the query once and hands back the
+//! evaluator, and [`PreparedFilter::distance`] evaluates one object in
+//! the hot loop, counting evaluations for the experiment harness.
 //!
 //! All filters except [`EmdDistance`] are lower bounds of the exact EMD,
 //! so any of them — and any chain of them ordered by increasing tightness
@@ -17,10 +28,8 @@
 use crate::engine::Database;
 use crate::error::QueryError;
 use emd_core::ground::Metric;
-use emd_core::lower_bounds::{CentroidBound, LbIm, ScaledL1};
-use emd_core::{
-    emd_in_context, emd_in_context_within, Bounded, Budget, CostMatrix, EmdContext, Histogram,
-};
+use emd_core::lower_bounds::{AnchorBound, CentroidBound, LbIm, ScaledL1};
+use emd_core::{emd_in_context_within, Bounded, Budget, CostMatrix, EmdContext, Histogram};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::sync::Arc;
 
@@ -65,7 +74,7 @@ fn reduced_stage_name(kind: &str, reduced: &ReducedEmd) -> String {
 }
 
 /// The `R2` side of every object of `database`, in id order.
-fn reduce_database(
+pub(crate) fn reduce_database(
     database: &Database,
     reduced: &ReducedEmd,
 ) -> Result<Arc<[Histogram]>, QueryError> {
@@ -122,8 +131,8 @@ pub trait PreparedFilter {
     /// current k-th distance or ε): an evaluator that can prove
     /// `distance > cutoff` before it knows the distance may answer
     /// [`Bounded::Above`] with a lower bound *strictly* above `cutoff`.
-    /// The default computes the distance; only the exact-EMD refiner,
-    /// when it runs warm, has a bound to stop on.
+    /// The default computes the distance; only the LP evaluator, when it
+    /// runs warm, has a bound to stop on.
     ///
     /// # Errors
     ///
@@ -132,45 +141,83 @@ pub trait PreparedFilter {
         let _ = cutoff;
         self.distance(id).map(Bounded::Optimal)
     }
-    /// Number of `distance` / `distance_within` calls so far.
+    /// Number of `distance` / `distance_within` calls that ran to an
+    /// answer so far; one a budget interrupted is not an evaluation.
     fn evaluations(&self) -> usize;
 }
 
-/// The histogram stored under dense id `id`.
-fn object(objects: &[Histogram], id: usize) -> Result<&Histogram, QueryError> {
-    objects.get(id).ok_or(QueryError::UnknownObject(id))
-}
+// ---------------------------------------------------------------------
+// The LP evaluator: exact EMD, Red-EMD, the clustered source's solves
+// ---------------------------------------------------------------------
 
-/// The solver context of one prepared query, reused across candidates.
-/// Warm, each solve starts from the basis the previous candidate's ended
-/// on; cold (`with_warm_start(false)`), the basis is forgotten before
-/// every evaluation, so the same body solves from a Vogel start and —
-/// having no inherited dual bound — never stops at a cutoff.
-struct Evaluator {
+/// The EMD of one query against the objects of a space, under the
+/// space's cost matrix. One solver context serves the whole query: warm,
+/// each solve starts from the basis the previous candidate's ended on;
+/// cold (`with_warm_start(false)`), the basis is forgotten before every
+/// evaluation, so the same body solves from a Vogel start and — having no
+/// inherited dual bound — never stops at a cutoff.
+pub(crate) struct PreparedEmd<'a> {
+    query: Histogram,
+    objects: &'a [Histogram],
+    cost: &'a CostMatrix,
+    budget: Budget,
     context: EmdContext,
     warm_start: bool,
+    evaluations: usize,
 }
 
-impl Evaluator {
-    fn new(warm_start: bool) -> Self {
-        Evaluator {
+impl<'a> PreparedEmd<'a> {
+    /// Checks `query` — already projected into the space — against
+    /// `cost`; every solve probes `budget`.
+    pub(crate) fn new(
+        query: &Histogram,
+        objects: &'a [Histogram],
+        cost: &'a CostMatrix,
+        budget: &Budget,
+        warm_start: bool,
+    ) -> Result<Self, QueryError> {
+        check_dim(query, cost.rows())?;
+        Ok(PreparedEmd {
+            query: query.clone(),
+            objects,
+            cost,
+            budget: budget.clone(),
             context: EmdContext::new(),
             warm_start,
-        }
+            evaluations: 0,
+        })
+    }
+}
+
+impl PreparedFilter for PreparedEmd<'_> {
+    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
+        // No bound lies above an infinite cutoff: this is `Optimal`.
+        let (Bounded::Optimal(distance) | Bounded::Above(distance)) =
+            self.distance_within(id, f64::INFINITY)?;
+        Ok(distance)
     }
 
-    /// The context to run the next evaluation through.
-    fn context(&mut self) -> &mut EmdContext {
+    fn distance_within(&mut self, id: usize, cutoff: f64) -> Result<Bounded, QueryError> {
+        let object = self.objects.get(id).ok_or(QueryError::UnknownObject(id))?;
         if !self.warm_start {
             self.context.clear_warm_state();
         }
-        &mut self.context
+        let solved = emd_in_context_within(
+            &self.query,
+            object,
+            self.cost,
+            &self.budget,
+            cutoff,
+            &mut self.context,
+        )?;
+        self.evaluations += 1;
+        Ok(solved)
+    }
+
+    fn evaluations(&self) -> usize {
+        self.evaluations
     }
 }
-
-// ---------------------------------------------------------------------
-// Exact EMD (refinement distance / no-filter baseline)
-// ---------------------------------------------------------------------
 
 /// The exact, original-dimensionality EMD. Used as the refinement
 /// distance of every plan and as the sequential-scan baseline.
@@ -247,76 +294,10 @@ impl Filter for EmdDistance {
     }
 }
 
-/// Per-query exact-EMD evaluator.
-struct PreparedEmd<'a> {
-    query: Histogram,
-    objects: &'a [Histogram],
-    cost: &'a CostMatrix,
-    budget: Budget,
-    evaluator: Evaluator,
-    evaluations: usize,
-}
-
-impl<'a> PreparedEmd<'a> {
-    /// Checks the query against `cost` and sets up the evaluator; every
-    /// solve probes `budget`.
-    fn new(
-        query: &Histogram,
-        objects: &'a [Histogram],
-        cost: &'a CostMatrix,
-        budget: &Budget,
-        warm_start: bool,
-    ) -> Result<Self, QueryError> {
-        check_dim(query, cost.rows())?;
-        Ok(PreparedEmd {
-            query: query.clone(),
-            objects,
-            cost,
-            budget: budget.clone(),
-            evaluator: Evaluator::new(warm_start),
-            evaluations: 0,
-        })
-    }
-}
-
-impl PreparedFilter for PreparedEmd<'_> {
-    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-        self.evaluations += 1;
-        let y = object(self.objects, id)?;
-        Ok(emd_in_context(
-            &self.query,
-            y,
-            self.cost,
-            &self.budget,
-            self.evaluator.context(),
-        )?)
-    }
-
-    fn distance_within(&mut self, id: usize, cutoff: f64) -> Result<Bounded, QueryError> {
-        self.evaluations += 1;
-        let y = object(self.objects, id)?;
-        Ok(emd_in_context_within(
-            &self.query,
-            y,
-            self.cost,
-            &self.budget,
-            cutoff,
-            self.evaluator.context(),
-        )?)
-    }
-
-    fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reduced EMD (the paper's Red-EMD filter)
-// ---------------------------------------------------------------------
-
 /// The paper's dimensionality-reduction filter: reduced-vector EMD under
-/// the optimal reduced cost matrix. Database vectors are reduced once at
-/// construction; the query is reduced once per query.
+/// the optimal reduced cost matrix — the LP evaluator over the reduced
+/// space. Database vectors are reduced once at construction; the query
+/// is reduced once per query.
 #[derive(Debug, Clone)]
 pub struct ReducedEmdFilter {
     name: String,
@@ -347,11 +328,7 @@ impl ReducedEmdFilter {
         }
     }
 
-    /// With `false`, the evaluator forgets its basis before every
-    /// evaluation, so each one is a cold solve that depends on nothing
-    /// but its own pair and never stops at a cutoff — the oracle the
-    /// brute-force scan, the parity suites and the benchmark gate compare
-    /// warm answers against.
+    /// Cold solves on `false`, as [`EmdDistance::with_warm_start`].
     #[must_use]
     // lint: allow(unbudgeted): builder flag, performs no solver work
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
@@ -407,57 +384,128 @@ impl Filter for ReducedEmdFilter {
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        Ok(Box::new(PreparedReducedEmd::new(
-            query,
-            &self.reduced,
+        Ok(Box::new(PreparedEmd::new(
+            &self.reduced.reduce_first(query)?,
             &self.reduced_database,
+            self.reduced.reduced_cost(),
             budget,
             self.warm_start,
         )?))
     }
 }
 
-/// Per-query Red-EMD evaluator over *reduced* database vectors.
-struct PreparedReducedEmd<'a> {
-    reduced_query: Histogram,
-    reduced: &'a ReducedEmd,
-    reduced_objects: &'a [Histogram],
-    budget: Budget,
-    evaluator: Evaluator,
+// ---------------------------------------------------------------------
+// The closed-form evaluator: LB_IM, scaled L1, centroids, anchors
+// ---------------------------------------------------------------------
+
+/// The shape every closed-form lower bound here has: *project a
+/// histogram once, bound two projections*. Database objects are
+/// projected at construction, the query (shape-checked) once per query.
+pub(crate) trait ProjectedBound: Send + Sync {
+    /// What a histogram is projected to.
+    type Projection: Send + Sync;
+    /// Project a query-side histogram.
+    fn project(&self, histogram: &Histogram) -> Result<Self::Projection, QueryError>;
+    /// The bound between a query's and an object's projection.
+    fn bound(&self, query: &Self::Projection, object: &Self::Projection)
+        -> Result<f64, QueryError>;
+}
+
+/// LB_IM bounds the histograms themselves; its space may be rectangular
+/// (`R1 != R2`), with queries on the rows.
+impl ProjectedBound for LbIm {
+    type Projection = Histogram;
+
+    fn project(&self, histogram: &Histogram) -> Result<Histogram, QueryError> {
+        check_dim(histogram, self.cost().rows())?;
+        Ok(histogram.clone())
+    }
+
+    fn bound(&self, query: &Histogram, object: &Histogram) -> Result<f64, QueryError> {
+        Ok(LbIm::bound(self, query, object)?)
+    }
+}
+
+impl ProjectedBound for ScaledL1 {
+    type Projection = Histogram;
+
+    fn project(&self, histogram: &Histogram) -> Result<Histogram, QueryError> {
+        Ok(histogram.clone())
+    }
+
+    fn bound(&self, query: &Histogram, object: &Histogram) -> Result<f64, QueryError> {
+        Ok(ScaledL1::bound(self, query, object)?)
+    }
+}
+
+/// Rubner's centroid bound in projected form: a histogram's centroid,
+/// then one `metric` call in feature space per pair.
+#[derive(Debug, Clone)]
+struct Centroids {
+    bound: CentroidBound,
+    metric: Metric,
+}
+
+impl ProjectedBound for Centroids {
+    type Projection = Vec<f64>;
+
+    fn project(&self, histogram: &Histogram) -> Result<Vec<f64>, QueryError> {
+        check_dim(histogram, self.bound.dim())?;
+        Ok(self.bound.centroid(histogram))
+    }
+
+    fn bound(&self, query: &Vec<f64>, object: &Vec<f64>) -> Result<f64, QueryError> {
+        Ok(self.metric.distance(query, object))
+    }
+}
+
+impl ProjectedBound for AnchorBound {
+    type Projection = Vec<f64>;
+
+    fn project(&self, histogram: &Histogram) -> Result<Vec<f64>, QueryError> {
+        Ok(AnchorBound::project(self, histogram)?)
+    }
+
+    fn bound(&self, query: &Vec<f64>, object: &Vec<f64>) -> Result<f64, QueryError> {
+        Ok(self.bound_from_projections(query, object))
+    }
+}
+
+/// A closed-form bound of one query against the projections of a space.
+/// No solver context, no budget.
+pub(crate) struct PreparedBound<'a, B: ProjectedBound> {
+    query: B::Projection,
+    bound: &'a B,
+    projections: &'a [B::Projection],
     evaluations: usize,
 }
 
-impl<'a> PreparedReducedEmd<'a> {
-    /// Reduces the query once and sets up the evaluator; every solve
-    /// probes `budget`.
-    fn new(
+impl<'a, B: ProjectedBound> PreparedBound<'a, B> {
+    /// Projects `query` — already in the space `bound` projects from —
+    /// once.
+    pub(crate) fn new(
         query: &Histogram,
-        reduced: &'a ReducedEmd,
-        reduced_objects: &'a [Histogram],
-        budget: &Budget,
-        warm_start: bool,
+        bound: &'a B,
+        projections: &'a [B::Projection],
     ) -> Result<Self, QueryError> {
-        Ok(PreparedReducedEmd {
-            reduced_query: reduced.reduce_first(query)?,
-            reduced,
-            reduced_objects,
-            budget: budget.clone(),
-            evaluator: Evaluator::new(warm_start),
+        Ok(PreparedBound {
+            query: bound.project(query)?,
+            bound,
+            projections,
             evaluations: 0,
         })
     }
 }
 
-impl PreparedFilter for PreparedReducedEmd<'_> {
+impl<B: ProjectedBound> PreparedFilter for PreparedBound<'_, B> {
     fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
+        let object = self
+            .projections
+            .get(id)
+            .ok_or(QueryError::UnknownObject(id))?;
+        let bound = self.bound.bound(&self.query, object)?;
         self.evaluations += 1;
-        let ry = object(self.reduced_objects, id)?;
-        Ok(self.reduced.distance_reduced_in_context(
-            &self.reduced_query,
-            ry,
-            &self.budget,
-            self.evaluator.context(),
-        )?)
+        Ok(bound)
     }
 
     fn evaluations(&self) -> usize {
@@ -465,19 +513,77 @@ impl PreparedFilter for PreparedReducedEmd<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// LB_IM on reduced features (the paper's Red-IM filter, Figure 10)
-// ---------------------------------------------------------------------
+/// What a closed-form stage holds per database: the bound and every
+/// object's projection, in id order.
+#[derive(Debug, Clone)]
+struct BoundStage<B: ProjectedBound> {
+    name: String,
+    bound: Arc<B>,
+    projections: Arc<[B::Projection]>,
+}
+
+impl<B: ProjectedBound> BoundStage<B> {
+    /// The stage of `bound` over `database`, projecting every object.
+    fn project_all(name: String, bound: B, database: &Database) -> Result<Self, QueryError> {
+        let objects = database.histograms().iter();
+        Ok(BoundStage {
+            name,
+            projections: objects
+                .map(|h| bound.project(h))
+                .collect::<Result<_, _>>()?,
+            bound: Arc::new(bound),
+        })
+    }
+}
+
+/// A closed-form filter: all of them are [`Filter`]s through the one
+/// impl below.
+trait ClosedForm: Send + Sync {
+    /// The bound the stage evaluates.
+    type Bound: ProjectedBound;
+    /// The bound and the projected database.
+    fn stage(&self) -> &BoundStage<Self::Bound>;
+    /// The query in the space the bound projects from: the database's
+    /// own, unless the stage lives in a reduced one.
+    fn project_query(&self, query: &Histogram) -> Result<Histogram, QueryError> {
+        Ok(query.clone())
+    }
+}
+
+impl<S: ClosedForm> Filter for S {
+    fn name(&self) -> &str {
+        &self.stage().name
+    }
+
+    fn len(&self) -> usize {
+        self.stage().projections.len()
+    }
+
+    fn prepare(
+        &self,
+        query: &Histogram,
+        _budget: &Budget,
+    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+        let stage = self.stage();
+        Ok(Box::new(PreparedBound::new(
+            &self.project_query(query)?,
+            stage.bound.as_ref(),
+            &stage.projections,
+        )?))
+    }
+}
 
 /// LB_IM evaluated on the *reduced* vectors under the *reduced* cost
-/// matrix — filter 1 of the paper's chained setup (Figure 10). A lower
-/// bound of the reduced EMD, hence transitively of the exact EMD.
+/// matrix — filter 1 of the paper's chained setup (Figure 10): full
+/// LB_IM over the reduced space. A lower bound of the reduced EMD, hence
+/// transitively of the exact EMD.
 #[derive(Debug, Clone)]
 pub struct ReducedImFilter {
-    name: String,
-    bound: Arc<LbIm>,
-    reduced: Arc<ReducedEmd>,
-    reduced_database: Arc<[Histogram]>,
+    /// LB_IM over the reduced cost; its projections are the reduced arena.
+    stage: BoundStage<LbIm>,
+    /// The Red-EMD stage this one lower-bounds: the same reduction over
+    /// the same reduced arena, neither copied.
+    red_emd: ReducedEmdFilter,
 }
 
 impl ReducedImFilter {
@@ -488,8 +594,7 @@ impl ReducedImFilter {
     /// Returns [`QueryError`] when a database histogram cannot be reduced by
     /// `reduced` (shape mismatch).
     pub fn new(database: &Database, reduced: ReducedEmd) -> Result<Self, QueryError> {
-        let reduced_database = reduce_database(database, &reduced)?;
-        Ok(Self::over(reduced, reduced_database))
+        Ok(Self::over(ReducedEmdFilter::new(database, reduced)?))
     }
 
     /// Index a database snapshot from a persisted bundle, reusing the
@@ -504,15 +609,15 @@ impl ReducedImFilter {
         database: &Database,
         bundle: PersistedReduction,
     ) -> Result<Self, QueryError> {
-        check_persisted(database, &bundle)?;
-        let (_, reduced, reduced_database) = bundle.into_parts();
-        Ok(Self::over(reduced, reduced_database.into()))
+        Ok(Self::over(ReducedEmdFilter::from_persisted(
+            database, bundle,
+        )?))
     }
 
-    /// The stage over a reduced arena, deriving LB_IM from `reduced`.
-    fn over(reduced: ReducedEmd, reduced_database: Arc<[Histogram]>) -> Self {
-        let bound = LbIm::new(reduced.reduced_cost().clone());
-        Self::from_shared(Arc::new(reduced), Arc::new(bound), reduced_database)
+    /// The stage in front of `red_emd`, deriving LB_IM from its reduction.
+    fn over(red_emd: ReducedEmdFilter) -> Self {
+        let bound = LbIm::new(red_emd.reduced.reduced_cost().clone());
+        Self::from_shared(red_emd.reduced, Arc::new(bound), red_emd.reduced_database)
     }
 
     /// The stage over parts derived elsewhere — `bound` is LB_IM over
@@ -525,97 +630,37 @@ impl ReducedImFilter {
         reduced_database: Arc<[Histogram]>,
     ) -> Self {
         ReducedImFilter {
-            name: reduced_stage_name("red-im", &reduced),
-            bound,
-            reduced,
-            reduced_database,
+            stage: BoundStage {
+                name: reduced_stage_name("red-im", &reduced),
+                bound,
+                projections: Arc::clone(&reduced_database),
+            },
+            red_emd: ReducedEmdFilter::from_shared(reduced, reduced_database),
         }
     }
 
-    /// The Red-EMD stage this one lower-bounds: the same reduction over
-    /// the same reduced arena, neither copied.
+    /// The Red-EMD stage this one lower-bounds.
     pub(crate) fn red_emd_stage(&self) -> ReducedEmdFilter {
-        ReducedEmdFilter::from_shared(
-            Arc::clone(&self.reduced),
-            Arc::clone(&self.reduced_database),
-        )
+        self.red_emd.clone()
     }
 }
 
-impl Filter for ReducedImFilter {
-    fn name(&self) -> &str {
-        &self.name
+impl ClosedForm for ReducedImFilter {
+    type Bound = LbIm;
+
+    fn stage(&self) -> &BoundStage<LbIm> {
+        &self.stage
     }
 
-    fn len(&self) -> usize {
-        self.reduced_database.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        _budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        Ok(Box::new(PreparedReducedIm::new(
-            query,
-            &self.reduced,
-            &self.bound,
-            &self.reduced_database,
-        )?))
+    fn project_query(&self, query: &Histogram) -> Result<Histogram, QueryError> {
+        Ok(self.red_emd.reduced.reduce_first(query)?)
     }
 }
-
-/// Per-query Red-IM evaluator over *reduced* database vectors.
-/// Closed-form: no solver context, no budget.
-struct PreparedReducedIm<'a> {
-    reduced_query: Histogram,
-    bound: &'a LbIm,
-    reduced_objects: &'a [Histogram],
-    evaluations: usize,
-}
-
-impl<'a> PreparedReducedIm<'a> {
-    /// Reduces the query once; `bound` is LB_IM over `reduced`'s reduced
-    /// cost matrix.
-    fn new(
-        query: &Histogram,
-        reduced: &ReducedEmd,
-        bound: &'a LbIm,
-        reduced_objects: &'a [Histogram],
-    ) -> Result<Self, QueryError> {
-        Ok(PreparedReducedIm {
-            reduced_query: reduced.reduce_first(query)?,
-            bound,
-            reduced_objects,
-            evaluations: 0,
-        })
-    }
-}
-
-impl PreparedFilter for PreparedReducedIm<'_> {
-    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-        self.evaluations += 1;
-        let ry = object(self.reduced_objects, id)?;
-        Ok(self.bound.bound(&self.reduced_query, ry)?)
-    }
-
-    fn evaluations(&self) -> usize {
-        self.evaluations
-    }
-}
-
-// ---------------------------------------------------------------------
-// Classic full-dimensional filters
-// ---------------------------------------------------------------------
 
 /// LB_IM on the original dimensionality (the baseline filter of
 /// reference \[1\], used standalone for comparison).
 #[derive(Debug, Clone)]
-pub struct FullLbImFilter {
-    name: String,
-    bound: LbIm,
-    database: Database,
-}
+pub struct FullLbImFilter(BoundStage<LbIm>);
 
 impl FullLbImFilter {
     /// Index a database snapshot under its own cost matrix.
@@ -625,66 +670,26 @@ impl FullLbImFilter {
     /// Infallible today (the snapshot is already validated); the `Result`
     /// keeps the constructor uniform with the other filters.
     pub fn new(database: &Database) -> Result<Self, QueryError> {
-        Ok(FullLbImFilter {
-            name: format!("lb-im(d={})", database.cost().rows()),
-            bound: LbIm::new(database.cost().clone()),
-            database: database.clone(),
-        })
+        let name = format!("lb-im(d={})", database.cost().rows());
+        let bound = LbIm::new(database.cost().clone());
+        Ok(FullLbImFilter(BoundStage::project_all(
+            name, bound, database,
+        )?))
     }
 }
 
-impl Filter for FullLbImFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
+impl ClosedForm for FullLbImFilter {
+    type Bound = LbIm;
 
-    fn len(&self) -> usize {
-        self.database.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        _budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        check_dim(query, self.bound.cost().rows())?;
-        Ok(Box::new(PreparedFullIm {
-            query: query.clone(),
-            filter: self,
-            evaluations: 0,
-        }))
-    }
-}
-
-struct PreparedFullIm<'a> {
-    query: Histogram,
-    filter: &'a FullLbImFilter,
-    evaluations: usize,
-}
-
-impl PreparedFilter for PreparedFullIm<'_> {
-    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-        self.evaluations += 1;
-        Ok(self
-            .filter
-            .bound
-            .bound(&self.query, object(self.filter.database.histograms(), id)?)?)
-    }
-
-    fn evaluations(&self) -> usize {
-        self.evaluations
+    fn stage(&self) -> &BoundStage<LbIm> {
+        &self.0
     }
 }
 
 /// Rubner's centroid bound as a filter: database centroids are
 /// precomputed, each evaluation is one `metric` call in feature space.
 #[derive(Debug, Clone)]
-pub struct CentroidFilter {
-    name: String,
-    bound: CentroidBound,
-    database_centroids: Vec<Vec<f64>>,
-    metric: Metric,
-}
+pub struct CentroidFilter(BoundStage<Centroids>);
 
 impl CentroidFilter {
     /// Index a database snapshot given the bin positions inducing the
@@ -700,75 +705,25 @@ impl CentroidFilter {
         metric: Metric,
     ) -> Result<Self, QueryError> {
         let bound = CentroidBound::new(positions, metric)?;
-        if !database.is_empty() {
-            check_dim_count(database.dim(), bound.dim())?;
-        }
-        let database_centroids = database
-            .histograms()
-            .iter()
-            .map(|h| bound.centroid(h))
-            .collect();
-        Ok(CentroidFilter {
-            name: format!("centroid(d={})", bound.dim()),
-            bound,
-            database_centroids,
-            metric,
-        })
+        let name = format!("centroid(d={})", bound.dim());
+        let centroids = Centroids { bound, metric };
+        Ok(CentroidFilter(BoundStage::project_all(
+            name, centroids, database,
+        )?))
     }
 }
 
-impl Filter for CentroidFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
+impl ClosedForm for CentroidFilter {
+    type Bound = Centroids;
 
-    fn len(&self) -> usize {
-        self.database_centroids.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        _budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        check_dim(query, self.bound.dim())?;
-        Ok(Box::new(PreparedCentroid {
-            query_centroid: self.bound.centroid(query),
-            filter: self,
-            evaluations: 0,
-        }))
-    }
-}
-
-struct PreparedCentroid<'a> {
-    query_centroid: Vec<f64>,
-    filter: &'a CentroidFilter,
-    evaluations: usize,
-}
-
-impl PreparedFilter for PreparedCentroid<'_> {
-    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-        self.evaluations += 1;
-        let centroid = self
-            .filter
-            .database_centroids
-            .get(id)
-            .ok_or(QueryError::UnknownObject(id))?;
-        Ok(self.filter.metric.distance(&self.query_centroid, centroid))
-    }
-
-    fn evaluations(&self) -> usize {
-        self.evaluations
+    fn stage(&self) -> &BoundStage<Centroids> {
+        &self.0
     }
 }
 
 /// The scaled-L1 bound as a filter — the cheapest possible first stage.
 #[derive(Debug, Clone)]
-pub struct ScaledL1Filter {
-    name: String,
-    bound: ScaledL1,
-    database: Database,
-}
+pub struct ScaledL1Filter(BoundStage<ScaledL1>);
 
 impl ScaledL1Filter {
     /// Index a database snapshot under its own cost matrix.
@@ -778,53 +733,19 @@ impl ScaledL1Filter {
     /// Infallible today (the snapshot is already validated); the `Result`
     /// keeps the constructor uniform with the other filters.
     pub fn new(database: &Database) -> Result<Self, QueryError> {
-        Ok(ScaledL1Filter {
-            name: format!("scaled-l1(d={})", database.cost().rows()),
-            bound: ScaledL1::new(database.cost()),
-            database: database.clone(),
-        })
+        let name = format!("scaled-l1(d={})", database.cost().rows());
+        let bound = ScaledL1::new(database.cost());
+        Ok(ScaledL1Filter(BoundStage::project_all(
+            name, bound, database,
+        )?))
     }
 }
 
-impl Filter for ScaledL1Filter {
-    fn name(&self) -> &str {
-        &self.name
-    }
+impl ClosedForm for ScaledL1Filter {
+    type Bound = ScaledL1;
 
-    fn len(&self) -> usize {
-        self.database.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        _budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        Ok(Box::new(PreparedScaledL1 {
-            query: query.clone(),
-            filter: self,
-            evaluations: 0,
-        }))
-    }
-}
-
-struct PreparedScaledL1<'a> {
-    query: Histogram,
-    filter: &'a ScaledL1Filter,
-    evaluations: usize,
-}
-
-impl PreparedFilter for PreparedScaledL1<'_> {
-    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-        self.evaluations += 1;
-        Ok(self
-            .filter
-            .bound
-            .bound(&self.query, object(self.filter.database.histograms(), id)?)?)
-    }
-
-    fn evaluations(&self) -> usize {
-        self.evaluations
+    fn stage(&self) -> &BoundStage<ScaledL1> {
+        &self.0
     }
 }
 
@@ -834,11 +755,7 @@ impl PreparedFilter for PreparedScaledL1<'_> {
 /// construction). Not comparable to the reduced EMD, so use it standalone
 /// in front of the refiner rather than inside a Red-IM/Red-EMD chain.
 #[derive(Debug, Clone)]
-pub struct AnchorFilter {
-    name: String,
-    bound: emd_core::lower_bounds::AnchorBound,
-    database_projections: Vec<Vec<f64>>,
-}
+pub struct AnchorFilter(BoundStage<AnchorBound>);
 
 impl AnchorFilter {
     /// Index a database snapshot with `anchors` spread anchor bins.
@@ -848,80 +765,29 @@ impl AnchorFilter {
     /// Returns [`QueryError`] when the anchor bound cannot be built (bad
     /// anchor count) or a database projection fails.
     pub fn new(database: &Database, anchors: usize) -> Result<Self, QueryError> {
-        let bound =
-            emd_core::lower_bounds::AnchorBound::with_spread_anchors(database.cost(), anchors)?;
-        let database_projections = database
-            .histograms()
-            .iter()
-            .map(|h| Ok(bound.project(h)?))
-            .collect::<Result<Vec<_>, QueryError>>()?;
-        Ok(AnchorFilter {
-            name: format!("anchor(a={})", bound.num_anchors()),
-            bound,
-            database_projections,
-        })
+        let bound = AnchorBound::with_spread_anchors(database.cost(), anchors)?;
+        let name = format!("anchor(a={})", bound.num_anchors());
+        Ok(AnchorFilter(BoundStage::project_all(
+            name, bound, database,
+        )?))
     }
 }
 
-impl Filter for AnchorFilter {
-    fn name(&self) -> &str {
-        &self.name
-    }
+impl ClosedForm for AnchorFilter {
+    type Bound = AnchorBound;
 
-    fn len(&self) -> usize {
-        self.database_projections.len()
-    }
-
-    fn prepare(
-        &self,
-        query: &Histogram,
-        _budget: &Budget,
-    ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
-        let query_projection = self.bound.project(query)?;
-        Ok(Box::new(PreparedAnchor {
-            query_projection,
-            filter: self,
-            evaluations: 0,
-        }))
-    }
-}
-
-struct PreparedAnchor<'a> {
-    query_projection: Vec<f64>,
-    filter: &'a AnchorFilter,
-    evaluations: usize,
-}
-
-impl PreparedFilter for PreparedAnchor<'_> {
-    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-        self.evaluations += 1;
-        let projection = self
-            .filter
-            .database_projections
-            .get(id)
-            .ok_or(QueryError::UnknownObject(id))?;
-        Ok(self
-            .filter
-            .bound
-            .bound_from_projections(&self.query_projection, projection))
-    }
-
-    fn evaluations(&self) -> usize {
-        self.evaluations
+    fn stage(&self) -> &BoundStage<AnchorBound> {
+        &self.0
     }
 }
 
 fn check_dim(h: &Histogram, expected: usize) -> Result<(), QueryError> {
-    check_dim_count(h.dim(), expected)
-}
-
-fn check_dim_count(got: usize, expected: usize) -> Result<(), QueryError> {
-    if got != expected {
+    if h.dim() != expected {
         return Err(QueryError::Core(emd_core::CoreError::DimensionMismatch {
             expected_rows: expected,
             expected_cols: expected,
-            got_rows: got,
-            got_cols: got,
+            got_rows: h.dim(),
+            got_cols: h.dim(),
         }));
     }
     Ok(())
@@ -1006,9 +872,9 @@ mod tests {
         let red_im = ReducedImFilter::new(&db, reduced).unwrap();
         // The chain's Red-EMD stage: same reduction, same reduced arena.
         let red_emd = red_im.red_emd_stage();
-        assert!(Arc::ptr_eq(&red_im.reduced, &red_emd.reduced));
+        assert!(Arc::ptr_eq(&red_im.red_emd.reduced, &red_emd.reduced));
         assert!(Arc::ptr_eq(
-            &red_im.reduced_database,
+            &red_im.stage.projections,
             &red_emd.reduced_database
         ));
         let mut p_emd = red_emd.prepare(&query, &Budget::unlimited()).unwrap();

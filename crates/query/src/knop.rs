@@ -1,23 +1,31 @@
 //! The optimal multistep k-NN algorithm (Figure 11 of the paper, after
-//! Seidl & Kriegel's KNOP) and the corresponding complete range query.
+//! Seidl & Kriegel's KNOP) and the corresponding complete range query:
+//! one refinement loop under two result-set policies.
 //!
-//! Both consume a lower-bounding filter [`Ranking`] and refine candidates
-//! with the exact distance. KNOP is *optimal* in the number of
-//! refinements: it refines exactly the objects whose filter distance does
-//! not exceed the k-th exact nearest-neighbor distance — no multistep
-//! algorithm using the same filter can refine fewer (see \[18\]).
+//! The loop consumes a lower-bounding filter [`Ranking`] and refines
+//! candidates with the exact distance: pull the next candidate, stop
+//! when its filter distance exceeds the policy's *threshold*, otherwise
+//! refine it against that threshold and offer the result. A policy is a
+//! `ResultSet` — at most the `k` nearest, none beyond `epsilon`:
+//! [`knn`] is `(k, ∞)`, whose threshold is ∞ until k neighbors are held
+//! and the k-th distance from then on; [`range`] is `(∞, ε)`, whose
+//! threshold is ε from the first call. KNOP is *optimal* in the number
+//! of refinements: it refines exactly the objects whose filter distance
+//! does not exceed the k-th exact nearest-neighbor distance — no
+//! multistep algorithm using the same filter can refine fewer (see
+//! \[18\]).
 //!
 //! This module is the **only** implementation of the refinement loop in
 //! the workspace; every entry point — static plans,
 //! [`DynamicIndex`](crate::DynamicIndex), the brute-force oracles — runs
 //! it through [`Executor::run`](crate::Executor::run).
 //!
-//! Both loops run under an execution [`Budget`]: they probe it between
+//! The loop runs under an execution [`Budget`]: it probes it between
 //! candidates (three `Option` tests for `Budget::unlimited()`), and the
-//! rankings and the refiner probe it inside every solver call. When it
-//! fires the result is [`QueryOutcome::Degraded`] — refined results with
-//! their exact distances plus every already-computed lower bound — never
-//! an error and never a silently truncated "exact" answer.
+//! rankings and the refiner probe it inside every solver call. Wherever
+//! it fires the result is [`QueryOutcome::Degraded`] — refined results
+//! with their exact distances plus every already-computed lower bound —
+//! never an error and never a silently truncated "exact" answer.
 //!
 //! The loop itself holds no solver state: consecutive refinements of the
 //! same query warm-start each other because the *prepared refiner* (and
@@ -27,25 +35,25 @@
 //!
 //! ## Threshold-aware refinement
 //!
-//! Once k neighbors are known, a refinement only has to decide whether
-//! the candidate beats the current k-th distance (for a range query:
-//! whether it is within ε); all but k of them end in "no". Both loops
-//! therefore refine through [`PreparedFilter::distance_within`], passing
-//! that threshold as the cutoff: a refiner that can prove
-//! `distance > cutoff` early answers [`Bounded::Above`] and the candidate
-//! is skipped without its exact distance. The bound is *strictly* above
-//! the cutoff, so a candidate tied with the k-th (or exactly at ε) is
-//! always solved and the `distance < kth` / `distance <= epsilon` rules
-//! decide it as before; a skipped candidate is missing from a degraded
-//! outcome too — its bound exceeds every kept neighbor (or ε). A cut
-//! solve still counts as a refinement ([`Refinements::cut`] says how
-//! many were cut).
+//! A refinement only has to decide whether the candidate meets the
+//! threshold; once k neighbors are known, all but k of them end in "no".
+//! The loop therefore refines through
+//! [`PreparedFilter::distance_within`], passing the threshold as the
+//! cutoff: a refiner that can prove `distance > cutoff` early answers
+//! [`Bounded::Above`] and the candidate is skipped without its exact
+//! distance. The bound is *strictly* above the cutoff, so a candidate
+//! tied with the k-th (or exactly at ε) is always solved and the
+//! `distance < kth` / `distance <= epsilon` rules decide it; a skipped
+//! candidate is missing from a degraded outcome too — its bound exceeds
+//! every kept neighbor (or ε). A cut solve still counts as a refinement
+//! ([`Refinements::cut`] says how many were cut).
 
 use crate::error::QueryError;
 use crate::filters::PreparedFilter;
 use crate::outcome::{sort_candidates, Candidate, DegradedResult, QueryOutcome};
 use crate::ranking::Ranking;
 use crate::Neighbor;
+use emd_core::certify::debug_check_lower_bound;
 use emd_core::{Bounded, Budget, BudgetReason};
 
 /// Exact solves a refinement loop started.
@@ -57,43 +65,140 @@ pub struct Refinements {
     pub cut: usize,
 }
 
-/// Builds the degraded candidate ranking at the moment a budget fired:
-/// refined neighbors keep their exact distance (`exact: true`), the
-/// candidate whose refinement was interrupted and every already-computed
-/// filter bound still inside the ranking join with `exact: false`. Sorted
-/// ascending by bound, ties by id.
-fn degraded_candidates(
-    refined: &[Neighbor],
-    pending: Option<(usize, f64)>,
-    ranking: &mut dyn Ranking,
-) -> Vec<Candidate> {
-    let mut candidates: Vec<Candidate> = refined
-        .iter()
-        .map(|n| Candidate {
+/// What a query keeps of the candidates the loop refines: at most the
+/// `k` nearest, none beyond `epsilon`. Until `k` are held they are kept
+/// as they come; from then on in ascending order, ties in arrival order.
+struct ResultSet {
+    k: usize,
+    epsilon: f64,
+    held: Vec<Neighbor>,
+}
+
+impl ResultSet {
+    fn new(k: usize, epsilon: f64) -> Self {
+        let held = Vec::new();
+        ResultSet { k, epsilon, held }
+    }
+
+    /// Ascending by distance, ties by id: the order of an exact answer.
+    fn sort(&mut self) {
+        self.held
+            .sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
+    }
+
+    /// The distance a candidate has to meet — ε until `k` are held, then
+    /// the k-th distance: the loop ends at the first filter distance
+    /// above it, and a refinement may stop above it.
+    fn threshold(&self) -> f64 {
+        let kth = self.held.get(self.k - 1);
+        kth.map_or(self.epsilon, |neighbor| neighbor.distance)
+    }
+
+    /// Take a refined candidate in if it belongs: within ε while there is
+    /// room, closer than the k-th — which it evicts — once there is not.
+    fn offer(&mut self, neighbor: Neighbor) {
+        if self.held.len() < self.k {
+            if neighbor.distance <= self.epsilon {
+                self.held.push(neighbor);
+                if self.held.len() == self.k {
+                    self.sort();
+                }
+            }
+        } else if neighbor.distance < self.threshold() {
+            let after = |n: &Neighbor| n.distance <= neighbor.distance;
+            self.held.insert(self.held.partition_point(after), neighbor);
+            self.held.pop();
+        }
+    }
+
+    /// The degraded ranking at the moment a budget fired: held neighbors
+    /// keep their exact distance (`exact: true`), the candidate whose
+    /// refinement was interrupted and every already-computed filter
+    /// bound still inside the ranking join with `exact: false`. Sorted
+    /// ascending by bound, ties by id, and cut down to what the query
+    /// could still return.
+    fn degrade(&self, pending: Option<Candidate>, ranking: &mut dyn Ranking) -> Vec<Candidate> {
+        let refined = self.held.iter().map(|n| Candidate {
             id: n.id,
             bound: n.distance,
             exact: true,
-        })
-        .collect();
-    if let Some((id, bound)) = pending {
-        candidates.push(Candidate {
+        });
+        let mut candidates: Vec<Candidate> = refined.chain(pending).collect();
+        let computed = ranking.drain_computed().into_iter();
+        candidates.extend(computed.map(|(id, bound)| Candidate {
             id,
             bound,
             exact: false,
-        });
+        }));
+        sort_candidates(&mut candidates);
+        candidates.retain(|c| c.bound <= self.epsilon);
+        candidates.truncate(self.k);
+        candidates
     }
-    candidates.extend(
-        ranking
-            .drain_computed()
-            .into_iter()
-            .map(|(id, bound)| Candidate {
-                id,
-                bound,
-                exact: false,
-            }),
-    );
-    sort_candidates(&mut candidates);
-    candidates
+
+    /// The exact answer, ascending.
+    fn finish(mut self) -> Vec<Neighbor> {
+        if self.held.len() < self.k {
+            self.sort();
+        }
+        self.held
+    }
+}
+
+/// The refinement loop: pull, stop above the threshold, refine within
+/// it, offer. A budget firing at any of its three probe points — between
+/// candidates, inside the ranking, inside the refiner — ends it in the
+/// one [`ResultSet::degrade`] call at the bottom.
+fn refine(
+    ranking: &mut dyn Ranking,
+    refiner: &mut dyn PreparedFilter,
+    mut results: ResultSet,
+    budget: &Budget,
+) -> Result<(QueryOutcome, Refinements), QueryError> {
+    let mut refinements = Refinements::default();
+    let interrupted: Option<(BudgetReason, Option<Candidate>)> = loop {
+        if let Err(reason) = budget.check() {
+            break Some((reason, None));
+        }
+        let (id, bound) = match ranking.next() {
+            Ok(Some(pulled)) => pulled,
+            Ok(None) => break None,
+            Err(QueryError::BudgetExhausted(reason)) => break Some((reason, None)),
+            Err(e) => return Err(e),
+        };
+        let threshold = results.threshold();
+        if bound > threshold {
+            break None;
+        }
+        let refined = match refiner.distance_within(id, threshold) {
+            Ok(refined) => refined,
+            Err(QueryError::BudgetExhausted(reason)) => {
+                let pending = Candidate {
+                    id,
+                    bound,
+                    exact: false,
+                };
+                break Some((reason, Some(pending)));
+            }
+            Err(e) => return Err(e),
+        };
+        refinements.total += 1;
+        match refined {
+            Bounded::Optimal(distance) => {
+                debug_check_lower_bound("filter ranking", bound, distance);
+                results.offer(Neighbor { id, distance });
+            }
+            Bounded::Above(_) => refinements.cut += 1,
+        }
+    };
+    let outcome = match interrupted {
+        None => QueryOutcome::Exact(results.finish()),
+        Some((reason, pending)) => QueryOutcome::Degraded(DegradedResult {
+            candidates: results.degrade(pending, ranking),
+            reason,
+        }),
+    };
+    Ok((outcome, refinements))
 }
 
 /// k-NN by filter ranking + refinement (Figure 11).
@@ -122,90 +227,7 @@ pub fn knn(
     if k == 0 {
         return Err(QueryError::ZeroK);
     }
-    let degrade = |reason: BudgetReason,
-                   mut refined: Vec<Neighbor>,
-                   pending: Option<(usize, f64)>,
-                   ranking: &mut dyn Ranking| {
-        refined.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-        let mut candidates = degraded_candidates(&refined, pending, ranking);
-        candidates.truncate(k);
-        QueryOutcome::Degraded(DegradedResult { candidates, reason })
-    };
-    let mut neighbors: Vec<Neighbor> = Vec::with_capacity(k + 1);
-    let mut refinements = Refinements::default();
-
-    // Phase 1: refine k initial candidates from the ranking.
-    while neighbors.len() < k {
-        if let Err(reason) = budget.check() {
-            return Ok((degrade(reason, neighbors, None, ranking), refinements));
-        }
-        let pulled = match ranking.next() {
-            Ok(pulled) => pulled,
-            Err(QueryError::BudgetExhausted(reason)) => {
-                return Ok((degrade(reason, neighbors, None, ranking), refinements));
-            }
-            Err(e) => return Err(e),
-        };
-        let Some((id, filter_distance)) = pulled else {
-            neighbors.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-            return Ok((QueryOutcome::Exact(neighbors), refinements));
-        };
-        let distance = match refiner.distance(id) {
-            Ok(distance) => distance,
-            Err(QueryError::BudgetExhausted(reason)) => {
-                let pending = Some((id, filter_distance));
-                return Ok((degrade(reason, neighbors, pending, ranking), refinements));
-            }
-            Err(e) => return Err(e),
-        };
-        refinements.total += 1;
-        emd_core::certify::debug_check_lower_bound("knn filter ranking", filter_distance, distance);
-        neighbors.push(Neighbor { id, distance });
-    }
-    neighbors.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-
-    // Phase 2: keep pulling while the filter distance can still beat the
-    // current k-th exact distance, which is all a refinement has to beat.
-    loop {
-        if let Err(reason) = budget.check() {
-            return Ok((degrade(reason, neighbors, None, ranking), refinements));
-        }
-        let pulled = match ranking.next() {
-            Ok(pulled) => pulled,
-            Err(QueryError::BudgetExhausted(reason)) => {
-                return Ok((degrade(reason, neighbors, None, ranking), refinements));
-            }
-            Err(e) => return Err(e),
-        };
-        let Some((id, filter_distance)) = pulled else {
-            break;
-        };
-        // bounds: phase 1 established neighbors.len() == k >= 1
-        let kth = neighbors[k - 1].distance;
-        if filter_distance > kth {
-            break;
-        }
-        let refined = match refiner.distance_within(id, kth) {
-            Ok(refined) => refined,
-            Err(QueryError::BudgetExhausted(reason)) => {
-                let pending = Some((id, filter_distance));
-                return Ok((degrade(reason, neighbors, pending, ranking), refinements));
-            }
-            Err(e) => return Err(e),
-        };
-        refinements.total += 1;
-        let Bounded::Optimal(distance) = refined else {
-            refinements.cut += 1;
-            continue;
-        };
-        emd_core::certify::debug_check_lower_bound("knn filter ranking", filter_distance, distance);
-        if distance < kth {
-            let position = neighbors.partition_point(|n| n.distance <= distance);
-            neighbors.insert(position, Neighbor { id, distance });
-            neighbors.pop();
-        }
-    }
-    Ok((QueryOutcome::Exact(neighbors), refinements))
+    refine(ranking, refiner, ResultSet::new(k, f64::INFINITY), budget)
 }
 
 /// Complete range query: all objects with exact distance `<= epsilon`.
@@ -226,58 +248,12 @@ pub fn range(
     epsilon: f64,
     budget: &Budget,
 ) -> Result<(QueryOutcome, Refinements), QueryError> {
-    let degrade = |reason: BudgetReason,
-                   mut hits: Vec<Neighbor>,
-                   pending: Option<(usize, f64)>,
-                   ranking: &mut dyn Ranking| {
-        hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-        let mut candidates = degraded_candidates(&hits, pending, ranking);
-        candidates.retain(|c| c.bound <= epsilon);
-        QueryOutcome::Degraded(DegradedResult { candidates, reason })
-    };
-    let mut hits: Vec<Neighbor> = Vec::new();
-    let mut refinements = Refinements::default();
-    loop {
-        if let Err(reason) = budget.check() {
-            return Ok((degrade(reason, hits, None, ranking), refinements));
-        }
-        let pulled = match ranking.next() {
-            Ok(pulled) => pulled,
-            Err(QueryError::BudgetExhausted(reason)) => {
-                return Ok((degrade(reason, hits, None, ranking), refinements));
-            }
-            Err(e) => return Err(e),
-        };
-        let Some((id, filter_distance)) = pulled else {
-            break;
-        };
-        if filter_distance > epsilon {
-            break;
-        }
-        let refined = match refiner.distance_within(id, epsilon) {
-            Ok(refined) => refined,
-            Err(QueryError::BudgetExhausted(reason)) => {
-                let pending = Some((id, filter_distance));
-                return Ok((degrade(reason, hits, pending, ranking), refinements));
-            }
-            Err(e) => return Err(e),
-        };
-        refinements.total += 1;
-        let Bounded::Optimal(distance) = refined else {
-            refinements.cut += 1;
-            continue;
-        };
-        emd_core::certify::debug_check_lower_bound(
-            "range filter ranking",
-            filter_distance,
-            distance,
-        );
-        if distance <= epsilon {
-            hits.push(Neighbor { id, distance });
-        }
-    }
-    hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-    Ok((QueryOutcome::Exact(hits), refinements))
+    refine(
+        ranking,
+        refiner,
+        ResultSet::new(usize::MAX, epsilon),
+        budget,
+    )
 }
 
 #[cfg(test)]
@@ -586,5 +562,177 @@ mod tests {
         let degraded = outcome.degraded().expect("must degrade");
         assert!(degraded.candidates.iter().all(|c| c.bound <= 2.5));
         assert!(degraded.candidates.iter().any(|c| c.exact));
+    }
+
+    /// k-NN or range: the two policies over the one loop.
+    #[derive(Debug, Clone, Copy)]
+    enum Policy {
+        Knn(usize),
+        Range(f64),
+    }
+
+    /// Where a budget fires: the loop's three probe points.
+    #[derive(Debug, Clone, Copy)]
+    enum Probe {
+        /// The loop's own check, after this many pulls.
+        BetweenCandidates(usize),
+        /// `Ranking::next` fails on this call (1-based).
+        InsideNext(usize),
+        /// The refiner fails on this call (1-based).
+        InsideRefiner(usize),
+    }
+
+    /// A [`TableRanking`] that trips a cancel token after `cancel_after`
+    /// pulls and reports exhaustion on call `fail_at`, keeping the
+    /// candidate it was about to hand out.
+    struct ProbedRanking {
+        inner: TableRanking,
+        calls: usize,
+        cancel_after: usize,
+        fail_at: usize,
+        token: emd_core::CancelToken,
+    }
+
+    impl Ranking for ProbedRanking {
+        fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
+            self.calls += 1;
+            if self.calls == self.fail_at {
+                return Err(QueryError::BudgetExhausted(BudgetReason::PivotCap));
+            }
+            if self.calls == self.cancel_after {
+                self.token.cancel();
+            }
+            self.inner.next()
+        }
+        fn drain_computed(&mut self) -> Vec<(usize, f64)> {
+            self.inner.drain_computed()
+        }
+    }
+
+    fn run_probed(
+        policy: Policy,
+        probe: Option<Probe>,
+        filter: &[f64],
+        exact: &[f64],
+    ) -> (QueryOutcome, Refinements) {
+        let token = emd_core::CancelToken::new();
+        let mut ranking = ProbedRanking {
+            inner: TableRanking::new(filter),
+            calls: 0,
+            cancel_after: usize::MAX,
+            fail_at: usize::MAX,
+            token: token.clone(),
+        };
+        let mut refiner = CuttingRefiner(TableRefiner::new(exact));
+        match probe {
+            Some(Probe::BetweenCandidates(pulls)) => ranking.cancel_after = pulls,
+            Some(Probe::InsideNext(call)) => ranking.fail_at = call,
+            Some(Probe::InsideRefiner(call)) => refiner.0.fail_from = call,
+            None => {}
+        }
+        let budget = Budget::unlimited().with_cancel(token);
+        match policy {
+            Policy::Knn(k) => knn(&mut ranking, &mut refiner, k, &budget),
+            Policy::Range(epsilon) => range(&mut ranking, &mut refiner, epsilon, &budget),
+        }
+        .unwrap()
+    }
+
+    #[test]
+    fn one_loop_serves_both_policies() {
+        // Exact answers: (policy, filter, exact, ids, refinements).
+        type ExactCase<'a> = (Policy, &'a [f64], &'a [f64], &'a [usize], Refinements);
+        let tied_filter = [0.0, 0.5, 0.9];
+        let tied_exact = [1.0, 1.0, 4.0];
+        let refinements = |total, cut| Refinements { total, cut };
+        let exact_cases: [ExactCase<'_>; 6] = [
+            // Fewer than k objects: all of them, ascending, nothing cut
+            // (the threshold never leaves ∞).
+            (
+                Policy::Knn(5),
+                &FILTER[..2],
+                &EXACT,
+                &[1, 0],
+                refinements(2, 0),
+            ),
+            (
+                Policy::Range(9.0),
+                &FILTER[..2],
+                &EXACT,
+                &[1, 0],
+                refinements(2, 0),
+            ),
+            // A tie at d_k is solved, not cut, and `<` keeps the first
+            // arrival; the far object is refined (filter 0.9 <= 1.0) and cut.
+            (
+                Policy::Knn(1),
+                &tied_filter,
+                &tied_exact,
+                &[0],
+                refinements(3, 1),
+            ),
+            // Exactly ε is solved and `<=` keeps it.
+            (
+                Policy::Range(1.0),
+                &tied_filter,
+                &tied_exact,
+                &[0, 1],
+                refinements(3, 1),
+            ),
+            // A cut refinement counts in both totals.
+            (Policy::Knn(2), &FILTER, &EXACT, &[3, 1], refinements(3, 1)),
+            (
+                Policy::Range(2.5),
+                &FILTER,
+                &EXACT,
+                &[3, 1, 0],
+                refinements(4, 1),
+            ),
+        ];
+        for (policy, filter, exact, ids, expected) in exact_cases {
+            let (outcome, refinements) = run_probed(policy, None, filter, exact);
+            let neighbors = outcome.exact().expect("no probe fires");
+            let got: Vec<usize> = neighbors.iter().map(|n| n.id).collect();
+            assert_eq!(got, ids, "{policy:?}");
+            assert_eq!(refinements, expected, "{policy:?}");
+            for n in neighbors {
+                assert_eq!(n.distance.to_bits(), exact[n.id].to_bits());
+            }
+        }
+
+        // A budget firing at each probe point, in either k-NN phase and
+        // in a range query: the degraded rankings the three hand-written
+        // loops this one replaced produced.
+        type Ranked<'a> = &'a [(usize, f64, bool)];
+        let cancelled = BudgetReason::Cancelled;
+        let pivot_cap = BudgetReason::PivotCap;
+        let (knn3, range25) = (Policy::Knn(3), Policy::Range(2.5));
+        #[rustfmt::skip]
+        let degraded_cases: [(Policy, Probe, BudgetReason, Refinements, Ranked<'_>); 12] = [
+            (knn3, Probe::BetweenCandidates(2), cancelled, refinements(2, 0), &[(3, 0.2, true), (4, 1.0, false), (1, 1.5, true)]),
+            (knn3, Probe::BetweenCandidates(4), cancelled, refinements(4, 0), &[(3, 0.2, true), (1, 1.5, true), (0, 2.5, true)]),
+            (knn3, Probe::InsideNext(2), pivot_cap, refinements(1, 0), &[(3, 0.2, true), (1, 0.5, false), (4, 1.0, false)]),
+            (knn3, Probe::InsideNext(4), pivot_cap, refinements(3, 0), &[(3, 0.2, true), (1, 1.5, true), (0, 2.0, false)]),
+            (knn3, Probe::InsideRefiner(2), pivot_cap, refinements(1, 0), &[(3, 0.2, true), (1, 0.5, false), (4, 1.0, false)]),
+            (knn3, Probe::InsideRefiner(4), pivot_cap, refinements(3, 0), &[(3, 0.2, true), (1, 1.5, true), (0, 2.0, false)]),
+            (range25, Probe::BetweenCandidates(2), cancelled, refinements(2, 0), &[(3, 0.2, true), (4, 1.0, false), (1, 1.5, true), (0, 2.0, false)]),
+            (range25, Probe::BetweenCandidates(4), cancelled, refinements(4, 1), &[(3, 0.2, true), (1, 1.5, true), (0, 2.5, true)]),
+            (range25, Probe::InsideNext(2), pivot_cap, refinements(1, 0), &[(3, 0.2, true), (1, 0.5, false), (4, 1.0, false), (0, 2.0, false)]),
+            (range25, Probe::InsideNext(4), pivot_cap, refinements(3, 1), &[(3, 0.2, true), (1, 1.5, true), (0, 2.0, false)]),
+            (range25, Probe::InsideRefiner(2), pivot_cap, refinements(1, 0), &[(3, 0.2, true), (1, 0.5, false), (4, 1.0, false), (0, 2.0, false)]),
+            (range25, Probe::InsideRefiner(4), pivot_cap, refinements(3, 1), &[(3, 0.2, true), (1, 1.5, true), (0, 2.0, false)]),
+        ];
+        for (policy, probe, reason, expected, ranked) in degraded_cases {
+            let (outcome, refinements) = run_probed(policy, Some(probe), &FILTER, &EXACT);
+            let degraded = outcome.degraded().expect("the probe fires");
+            assert_eq!(degraded.reason, reason, "{policy:?} {probe:?}");
+            assert_eq!(refinements, expected, "{policy:?} {probe:?}");
+            let got: Vec<(usize, f64, bool)> = degraded
+                .candidates
+                .iter()
+                .map(|c| (c.id, c.bound, c.exact))
+                .collect();
+            assert_eq!(got, ranked, "{policy:?} {probe:?}");
+        }
     }
 }

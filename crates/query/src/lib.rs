@@ -15,16 +15,18 @@
 //!   [`Budget`]) and [`Executor`] (the single owner of query execution:
 //!   [`run`](Executor::run), plus parallel
 //!   [`run_batch`](Executor::run_batch)).
-//! * [`Filter`] / [`PreparedFilter`] — lower-bounding filter distances
-//!   over a database snapshot; implementations cover the paper's reduced
-//!   EMD (`Red-EMD`), LB_IM on reduced features (`Red-IM`), the classic
-//!   full-dimensional filters, and the exact EMD itself (as the
-//!   refinement distance).
+//! * [`Filter`] / [`PreparedFilter`] — filter stages over a database
+//!   snapshot. A stage is a projection of the query plus one of two
+//!   evaluators over a space: the LP (the exact EMD as the refinement
+//!   distance; the paper's `Red-EMD`, which is the EMD over the reduced
+//!   space) or a closed-form bound over projections (`Red-IM` = LB_IM
+//!   over the reduced space, and the classic full-dimensional filters).
 //! * [`ranking`] — lazy ascending-distance rankings, including the
 //!   ranking-over-ranking chaining of Figure 12.
-//! * [`knop`] — the optimal multistep k-NN algorithm (Figure 11, after
-//!   Seidl & Kriegel) and the corresponding complete range query; the
-//!   only refinement loop in the workspace.
+//! * [`knop`] — the one refinement loop in the workspace, driven by two
+//!   result-set policies: the optimal multistep k-NN algorithm (Figure
+//!   11, after Seidl & Kriegel) and the corresponding complete range
+//!   query.
 //! * [`engine::source`] — the [`CandidateSource`] abstraction: pluggable
 //!   stage-1 candidate generators (full scan, clustered index) that
 //!   stream candidates in ascending lower-bound order into the same KNOP

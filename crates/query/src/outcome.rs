@@ -49,12 +49,6 @@ pub enum QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// True for [`QueryOutcome::Degraded`].
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, QueryOutcome::Degraded(_))
-    }
-
     /// The exact neighbors, or `None` if degraded.
     #[must_use]
     pub fn exact(&self) -> Option<&[Neighbor]> {

@@ -5,7 +5,8 @@
 //! distance or ε — and a forced cold-start-every-candidate mode, which
 //! has no bound to stop on and solves every candidate to the end:
 //! sequentially, batched at 1 and 4 threads, and through a live
-//! snapshot.
+//! snapshot. And one level down: a reduced stage's evaluator *is* the
+//! exact stage's over the reduced space, so it inherits the cutoff.
 //!
 //! The corpus uses full-support histograms under a continuous random cost
 //! matrix, so every LP has a generically unique optimal basis and
@@ -21,6 +22,7 @@ use emd_query::{
     ReducedEmdFilter, ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -281,4 +283,102 @@ fn cold_evaluators_are_independent_of_the_warm_machinery() {
     let registry = recording.finish();
     assert_eq!(registry.counter("transport.warm.attempts"), 0);
     assert_eq!(registry.counter("transport.solve.cut"), 0);
+}
+
+/// A random reduction of `DIM` bins onto 2..=8 groups, none empty.
+fn reduction() -> impl Strategy<Value = CombiningReduction> {
+    (2..=DIM / 2).prop_flat_map(|k| {
+        (
+            prop::collection::vec(0..k, DIM),
+            prop::sample::subsequence((0..DIM).collect::<Vec<_>>(), k),
+        )
+            .prop_map(move |(mut assignment, seeds)| {
+                for (group, &dimension) in seeds.iter().enumerate() {
+                    assignment[dimension] = group;
+                }
+                CombiningReduction::new(assignment, k).expect("valid by construction")
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Red-EMD is the EMD over the reduced space: a reduced stage's
+    /// evaluator and `EmdDistance` over a `Database` of the reduced arena
+    /// under `C'` answer the same calls with the same bits — warm and
+    /// cold, `R1 = R2` and `R1 != R2` — and under a cutoff the stage stops
+    /// only at a bound in `(cutoff, Red-EMD]` (debug builds re-solve
+    /// every such cut cold, `certify::debug_certify_cut`).
+    #[test]
+    fn a_reduced_stage_is_the_exact_stage_over_the_reduced_space(
+        seed in 0u64..u64::MAX,
+        r1 in reduction(),
+        r2 in reduction(),
+        symmetric in 0u8..2,
+        warm in 0u8..2,
+        scale in 0.2_f64..1.4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cost = Arc::new(random_cost(&mut rng));
+        let objects: Vec<Histogram> = (0..12).map(|_| random_histogram(&mut rng)).collect();
+        let query = random_histogram(&mut rng);
+        let database = Database::new(objects, Arc::clone(&cost)).unwrap();
+        let r1 = if symmetric == 1 { r2.clone() } else { r1 };
+        let reduced = ReducedEmd::with_asymmetric(&cost, r1, r2).unwrap();
+        let stage = ReducedEmdFilter::new(&database, reduced.clone())
+            .unwrap()
+            .with_warm_start(warm == 1);
+
+        let reduced_query = reduced.reduce_first(&query).unwrap();
+        let reduced_cost = Arc::new(reduced.reduced_cost().clone());
+        let space = Database::new(stage.reduced_database().to_vec(), reduced_cost).unwrap();
+        let exact = EmdDistance::new(&space).unwrap().with_warm_start(warm == 1);
+
+        let budget = Budget::unlimited();
+        let mut over_stage = stage.prepare(&query, &budget).unwrap();
+        let mut over_space = exact.prepare(&reduced_query, &budget).unwrap();
+        for (id, object) in space.histograms().iter().enumerate() {
+            let alone = emd(&reduced_query, object, space.cost()).unwrap();
+            let cutoff = scale * alone;
+            let within = over_stage.distance_within(id, cutoff).unwrap();
+            prop_assert_eq!(within, over_space.distance_within(id, cutoff).unwrap());
+            match within {
+                Bounded::Optimal(d) => prop_assert!((d - alone).abs() <= 1e-9 * alone),
+                Bounded::Above(bound) => {
+                    prop_assert!(warm == 1, "a cold solve was cut");
+                    prop_assert!(cutoff < bound && bound <= alone * (1.0 + 1e-9));
+                }
+            }
+            let uncut = over_stage.distance(id).unwrap();
+            prop_assert_eq!(uncut.to_bits(), over_space.distance(id).unwrap().to_bits());
+            if warm == 0 {
+                prop_assert_eq!(uncut.to_bits(), alone.to_bits());
+            }
+        }
+        prop_assert_eq!(over_stage.evaluations(), over_space.evaluations());
+    }
+}
+
+/// The cutoff a reduced stage inherits is not vacuous: run warm, it
+/// stops some evaluations early, each at a bound in `(cutoff, Red-EMD]`.
+#[test]
+fn a_warm_reduced_stage_stops_at_certified_bounds() {
+    let (database, queries, reduced) = corpus();
+    let stage = ReducedEmdFilter::new(&database, reduced.clone()).unwrap();
+    let budget = Budget::unlimited();
+    let mut cut = 0;
+    for query in &queries {
+        let reduced_query = reduced.reduce_first(query).unwrap();
+        let mut prepared = stage.prepare(query, &budget).unwrap();
+        for (id, object) in stage.reduced_database().iter().enumerate() {
+            let alone = emd(&reduced_query, object, reduced.reduced_cost()).unwrap();
+            let cutoff = 0.5 * alone;
+            if let Bounded::Above(bound) = prepared.distance_within(id, cutoff).unwrap() {
+                assert!(cutoff < bound && bound <= alone * (1.0 + 1e-9));
+                cut += 1;
+            }
+        }
+    }
+    assert!(cut > 0, "no reduced evaluation was cut");
 }

@@ -10,7 +10,7 @@
 //!
 //! Like the rest of the workspace this crate is **zero-dependency**:
 //! the HTTP/1.1 surface is a strict std-only reader/writer
-//! ([`http`]), JSON rides the `emd-store` parser, and concurrency is a
+//! ([`http`]), JSON rides the workspace's one codec (`emd-json`), and concurrency is a
 //! fixed worker pool over `std::net` + `std::sync`.
 //!
 //! The moving parts:

@@ -7,8 +7,9 @@
 //! controller: every accepted connection first claims an in-flight
 //! permit (a [`Gauge`] guard, so `/metrics` always shows the live
 //! count) and is then pushed onto a **bounded queue**
-//! (`mpsc::sync_channel`). If the server is over
-//! [`ServeConfig::max_inflight`] or the queue is full, the connection
+//! (`mpsc::sync_channel`, as deep as the permit cap, so a job holding a
+//! permit always fits). If the server is over
+//! [`ServeConfig::max_inflight`], the connection
 //! is **shed** immediately with `429 Too Many Requests` +
 //! `Retry-After` — the accept thread never blocks on a slow worker, so
 //! overload degrades into fast rejections instead of unbounded queue
@@ -64,11 +65,10 @@ pub struct ServeConfig {
     /// Worker threads executing queries.
     pub workers: usize,
     /// Admitted-connection cap (queued + executing). Anything beyond is
-    /// shed with 429.
+    /// shed with 429. Also the depth of the queue between the accept
+    /// thread and the workers, which a permit-holding job can then
+    /// always enter.
     pub max_inflight: usize,
-    /// Depth of the bounded accept queue between the accept thread and
-    /// the workers.
-    pub queue_depth: usize,
     /// HTTP read limits.
     pub limits: Limits,
     /// Per-socket read/write timeout.
@@ -81,7 +81,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
             max_inflight: 64,
-            queue_depth: 64,
             limits: Limits::default(),
             io_timeout: Duration::from_secs(10),
         }
@@ -264,7 +263,7 @@ impl Server {
         });
 
         type Job = (TcpStream, GaugeGuard);
-        let (sender, receiver) = mpsc::sync_channel::<Job>(shared.config.queue_depth.max(1));
+        let (sender, receiver) = mpsc::sync_channel::<Job>(shared.config.max_inflight.max(1));
         let receiver = Arc::new(Mutex::new(receiver));
 
         let mut worker_handles = Vec::with_capacity(workers);

@@ -99,8 +99,8 @@ pub enum StoreError {
 }
 
 impl StoreError {
-    /// Helper: wrap an [`io::Error`] with the path it occurred on.
-    pub(crate) fn io(path: impl Into<PathBuf>, source: io::Error) -> Self {
+    /// Wrap an [`io::Error`] with the path it occurred on.
+    pub fn io(path: impl Into<PathBuf>, source: io::Error) -> Self {
         StoreError::Io {
             path: path.into(),
             source,
@@ -122,8 +122,8 @@ impl StoreError {
         io::Error::other("injected wal fault")
     }
 
-    /// Helper: an invariant violation inside `section` of `path`.
-    pub(crate) fn invalid(
+    /// An invariant violation inside `section` of `path`.
+    pub fn invalid(
         path: impl Into<PathBuf>,
         section: impl Into<String>,
         reason: impl Into<String>,

@@ -19,12 +19,13 @@ use emd_reduction::CombiningReduction;
 
 use crate::error::StoreError;
 
-/// Little-endian reader over one (already checksum-verified) payload.
+/// Little-endian reader over one (already checksum-verified) payload —
+/// a segment section's, or a WAL record's.
 ///
 /// A shortfall here means the *encoder* and declared counts disagree —
 /// structural corruption the CRC could not catch — so everything maps
 /// to [`StoreError::Invalid`] with the section name attached.
-struct Payload<'a> {
+pub(crate) struct Payload<'a> {
     bytes: &'a [u8],
     offset: usize,
     path: &'a Path,
@@ -32,7 +33,7 @@ struct Payload<'a> {
 }
 
 impl<'a> Payload<'a> {
-    fn new(path: &'a Path, section: &'a str, bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(path: &'a Path, section: &'a str, bytes: &'a [u8]) -> Self {
         Payload {
             bytes,
             offset: 0,
@@ -68,7 +69,7 @@ impl<'a> Payload<'a> {
         Ok(slice)
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
+    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
         let bytes = self.take(8, what)?;
         let mut raw = [0u8; 8];
         raw.copy_from_slice(bytes);
@@ -76,7 +77,7 @@ impl<'a> Payload<'a> {
     }
 
     /// A `u64` that must fit the platform's `usize` (count or dimension).
-    fn length(&mut self, what: &str) -> Result<usize, StoreError> {
+    pub(crate) fn length(&mut self, what: &str) -> Result<usize, StoreError> {
         let value = self.u64(what)?;
         usize::try_from(value).map_err(|_| {
             StoreError::invalid(
@@ -87,7 +88,7 @@ impl<'a> Payload<'a> {
         })
     }
 
-    fn f64s(&mut self, count: usize, what: &str) -> Result<Vec<f64>, StoreError> {
+    pub(crate) fn f64s(&mut self, count: usize, what: &str) -> Result<Vec<f64>, StoreError> {
         let byte_len = count.checked_mul(8).ok_or_else(|| {
             StoreError::invalid(
                 self.path,
@@ -124,7 +125,7 @@ impl<'a> Payload<'a> {
     }
 
     /// Require the payload to be fully consumed.
-    fn finish(self) -> Result<(), StoreError> {
+    pub(crate) fn finish(self) -> Result<(), StoreError> {
         let leftover = self.bytes.len() - self.offset;
         if leftover != 0 {
             return Err(StoreError::invalid(

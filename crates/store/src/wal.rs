@@ -67,6 +67,7 @@ use emd_faultkit::{Fault, FaultInjector, NoFaults, Site};
 
 use crate::crc32;
 use crate::error::StoreError;
+use crate::sections::Payload;
 
 /// Magic bytes every WAL file starts with.
 pub const WAL_MAGIC: [u8; 8] = *b"FXEMDWAL";
@@ -148,16 +149,6 @@ impl WalRecord {
         }
     }
 
-    /// A short human-readable name for the record kind (CLI inspection).
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            WalRecord::Insert { .. } => "insert",
-            WalRecord::Remove { .. } => "remove",
-            WalRecord::CompactEpoch { .. } => "compact-epoch",
-        }
-    }
-
     /// Encode this record's payload (everything after the frame header).
     fn encode_payload(&self) -> Vec<u8> {
         match self {
@@ -195,7 +186,7 @@ impl WalRecord {
     /// Decode a record payload for `kind`, re-validating histograms
     /// through [`Histogram::new`] exactly like segment decoding does.
     fn decode_payload(kind: u32, payload: &[u8], path: &Path) -> Result<WalRecord, StoreError> {
-        let mut cursor = RecordCursor::new(path, payload);
+        let mut cursor = Payload::new(path, "wal-record", payload);
         let record = match kind {
             KIND_INSERT => {
                 let external_id = cursor.u64("insert external id")?;
@@ -237,80 +228,6 @@ impl WalRecord {
         };
         cursor.finish()?;
         Ok(record)
-    }
-}
-
-/// Little-endian payload cursor with typed, path-carrying errors
-/// (the WAL twin of the private cursor in [`crate::sections`]).
-struct RecordCursor<'a> {
-    path: &'a Path,
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> RecordCursor<'a> {
-    fn new(path: &'a Path, bytes: &'a [u8]) -> Self {
-        RecordCursor {
-            path,
-            bytes,
-            offset: 0,
-        }
-    }
-
-    fn invalid(&self, reason: impl std::fmt::Display) -> StoreError {
-        StoreError::invalid(self.path, "wal-record", reason.to_string())
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .offset
-            .checked_add(n)
-            .ok_or_else(|| self.invalid(format!("{what}: length overflows")))?;
-        let chunk = self
-            .bytes
-            .get(self.offset..end)
-            .ok_or_else(|| self.invalid(format!("{what}: payload too short")))?;
-        self.offset = end;
-        Ok(chunk)
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        let chunk = self.take(8, what)?;
-        let array: [u8; 8] = chunk
-            .try_into()
-            .map_err(|_| self.invalid(format!("{what}: short u64")))?;
-        Ok(u64::from_le_bytes(array))
-    }
-
-    fn length(&mut self, what: &str) -> Result<usize, StoreError> {
-        let raw = self.u64(what)?;
-        usize::try_from(raw).map_err(|_| self.invalid(format!("{what}: {raw} overflows usize")))
-    }
-
-    fn f64s(&mut self, count: usize, what: &str) -> Result<Vec<f64>, StoreError> {
-        let bytes_needed = count
-            .checked_mul(8)
-            .ok_or_else(|| self.invalid(format!("{what}: byte length overflows")))?;
-        let chunk = self.take(bytes_needed, what)?;
-        let mut out = Vec::with_capacity(count);
-        for piece in chunk.chunks_exact(8) {
-            let array: [u8; 8] = piece
-                .try_into()
-                .map_err(|_| self.invalid(format!("{what}: short f64")))?;
-            out.push(f64::from_le_bytes(array));
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), StoreError> {
-        if self.offset == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(self.invalid(format!(
-                "{} trailing bytes after payload",
-                self.bytes.len() - self.offset
-            )))
-        }
     }
 }
 

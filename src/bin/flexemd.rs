@@ -18,7 +18,7 @@
 //!                     [--metrics json|PATH] [--source scan|clustered]
 //!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
 //! flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
-//!                     [--max-inflight N] [--queue-depth N]
+//!                     [--max-inflight N]
 //!                     [--source scan|clustered] [--chain]
 //!                     [--drain-stdin] [--faults SPEC]
 //! flexemd loadgen     --addr HOST:PORT [--threads N] [--requests N]
@@ -142,8 +142,8 @@ const VERBS: &[(&str, Verb, &[&str])] = &[
         "deadline-ms", "max-pivots", "faults",
     ]),
     ("serve", serve, &[
-        "data", "reduction", "index", "wal", "addr", "workers", "max-inflight", "queue-depth",
-        "source", "chain", "drain-stdin", "faults",
+        "data", "reduction", "index", "wal", "addr", "workers", "max-inflight", "source",
+        "chain", "drain-stdin", "faults",
     ]),
     ("ingest", ingest, &[
         "wal", "data", "method", "dims", "sample", "seed", "sync-each", "compact",
@@ -194,11 +194,11 @@ USAGE:
                       [--metrics json|PATH] [--source scan|clustered]
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
   flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
-                      [--max-inflight N] [--queue-depth N]
+                      [--max-inflight N]
                       [--source scan|clustered] [--chain]
                       [--drain-stdin] [--faults SPEC]
   flexemd serve       --wal wal-dir [--addr HOST:PORT] [--workers N]
-                      [--max-inflight N] [--queue-depth N] [--drain-stdin]
+                      [--max-inflight N] [--drain-stdin]
   flexemd ingest      --wal wal-dir --data data.json
                       [--method kmed|fb-mod|fb-all|grid] [--dims D]
                       [--sample N] [--seed S] [--sync-each] [--compact]
@@ -931,18 +931,12 @@ fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
+    use flexemd::query::durable::{read_checkpoint, wal_path, CHECKPOINT_SCHEMA};
     use flexemd::store::wal::{self, WalRecord};
     let dir = options.path("wal")?;
-    let checkpoint = dir.join(flexemd::query::durable::CHECKPOINT_FILE);
-    let text = std::fs::read_to_string(&checkpoint)
-        .map_err(|e| format!("{}: {e}", checkpoint.display()))?;
-    writeln!(stdout, "checkpoint : {}", text.trim())?;
-    let epoch: u64 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|raw| raw.parse().ok())
-        .ok_or_else(|| format!("malformed checkpoint `{}`", text.trim()))?;
-    let wal_file = dir.join(format!("wal-{epoch}.log"));
+    let epoch = read_checkpoint(&dir).map_err(|e| e.to_string())?;
+    writeln!(stdout, "checkpoint : {CHECKPOINT_SCHEMA} {epoch}")?;
+    let wal_file = wal_path(&dir, epoch);
     let replay = wal::replay(&wal_file).map_err(|e| e.to_string())?;
     writeln!(stdout, "wal file   : {}", wal_file.display())?;
     writeln!(stdout, "records    : {}", replay.records.len())?;
@@ -1005,41 +999,14 @@ fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliErr
         ingest: Some(ingest_state),
     };
 
-    let config = ServeConfig {
-        addr: options
-            .values
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:7878".to_owned()),
-        workers: options.numeric("workers", 4usize)?,
-        max_inflight: options.numeric("max-inflight", 64usize)?,
-        queue_depth: options.numeric("queue-depth", 64usize)?,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(snapshot, config).map_err(|e| e.to_string())?;
-    writeln!(
+    serve_until_drained(
+        options,
         stdout,
-        "serving durable corpus ({objects} objects) writable on http://{}",
-        server.addr()
-    )?;
-    writeln!(
-        stdout,
-        "routes: POST /v1/knn | /v1/range | /v1/insert | /v1/remove | /admin/compact | \
-         /admin/drain | GET /healthz | /metrics"
-    )?;
-    if options.flag("drain-stdin") {
-        let handle = server.shutdown_handle();
-        std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 256];
-            let mut stdin = std::io::stdin();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            handle.drain();
-        });
-    }
-    server.join().map_err(|e| e.to_string())?;
-    writeln!(stdout, "drained; all workers stopped")?;
-    Ok(())
+        snapshot,
+        &format!("durable corpus ({objects} objects) writable"),
+        "POST /v1/knn | /v1/range | /v1/insert | /v1/remove | /admin/compact | \
+         /admin/drain | GET /healthz | /metrics",
+    )
 }
 
 fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
@@ -1075,6 +1042,24 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         ingest: None,
     };
 
+    serve_until_drained(
+        options,
+        stdout,
+        snapshot,
+        &format!("{banner_name} ({objects} objects)"),
+        "POST /v1/knn | POST /v1/range | GET /healthz | GET /metrics | POST /admin/drain",
+    )
+}
+
+/// The tail `serve` and `serve --wal` share: start the server on
+/// `snapshot`, print the banner, and block until it has drained.
+fn serve_until_drained(
+    options: &Options,
+    stdout: &mut dyn Write,
+    snapshot: Snapshot,
+    serving: &str,
+    routes: &str,
+) -> Result<(), CliError> {
     let config = ServeConfig {
         addr: options
             .values
@@ -1083,19 +1068,11 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
             .unwrap_or_else(|| "127.0.0.1:7878".to_owned()),
         workers: options.numeric("workers", 4usize)?,
         max_inflight: options.numeric("max-inflight", 64usize)?,
-        queue_depth: options.numeric("queue-depth", 64usize)?,
         ..ServeConfig::default()
     };
     let server = Server::start(snapshot, config).map_err(|e| e.to_string())?;
-    writeln!(
-        stdout,
-        "serving {banner_name} ({objects} objects) on http://{}",
-        server.addr()
-    )?;
-    writeln!(
-        stdout,
-        "routes: POST /v1/knn | POST /v1/range | GET /healthz | GET /metrics | POST /admin/drain"
-    )?;
+    writeln!(stdout, "serving {serving} on http://{}", server.addr())?;
+    writeln!(stdout, "routes: {routes}")?;
 
     if options.flag("drain-stdin") {
         // Opt-in: treat stdin EOF as a drain request, so a supervising
