@@ -42,7 +42,8 @@
 //! refinement hot path of the query layer. A cold solve is the same body
 //! from an empty basis: a fresh context, or
 //! [`EmdContext::clear_warm_state`] before the call. Both return the
-//! same bits whenever the optimum is unique.
+//! same bits whenever the optimum is unique, and distances within
+//! [`distance_slack`] of one another always.
 //!
 //! ## Observability
 //!
@@ -75,6 +76,21 @@ pub use emd_transport::{Budget, BudgetReason, CancelToken};
 
 // The verdict of a solve under a cutoff, re-exported for the same reason.
 pub use emd_transport::Bounded;
+
+/// The warm/cold contract: how far the distances two solves report for
+/// one pair of histograms under `cost` may lie apart at worst,
+/// absolutely — [`emd_transport::objective_slack`] at the matrix's full
+/// shape and largest entry. Warm or cold, behind a cut or not, seeded
+/// from any predecessor: every returned distance is the dual value of a
+/// basis that is optimal to within the solver's feasibility tolerance,
+/// so two of them agree to a few ulps in practice and to this bound
+/// always. An absolute bound on purpose: the tolerance it comes from
+/// does not shrink with the distance.
+#[must_use]
+pub fn distance_slack(cost: &CostMatrix) -> f64 {
+    let max_cost = cost.entries().iter().copied().fold(0.0, f64::max);
+    emd_transport::objective_slack(cost.rows(), cost.cols(), max_cost)
+}
 
 /// Tolerance for mass normalization checks: histograms must total 1 within
 /// this bound. Matches the balance tolerance of the LP layer.

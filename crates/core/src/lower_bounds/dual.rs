@@ -4,6 +4,7 @@
 use crate::cost::CostMatrix;
 use crate::error::CoreError;
 use crate::histogram::Histogram;
+use std::sync::Arc;
 
 /// Anchor (dual-feasibility) lower bound for the EMD.
 ///
@@ -39,9 +40,10 @@ impl AnchorBound {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidCost`] when `cost` is not square, `anchors` is
-    /// empty, an anchor index is out of range, or the anchor-induced dual vector
-    /// violates feasibility.
+    /// Returns [`CoreError::CostShape`] when `cost` is not square or
+    /// `anchors` is empty, and [`CoreError::InvalidCost`] when an anchor
+    /// index is out of range or an anchor column violates dual
+    /// feasibility (`cost` is not a metric).
     pub fn new(cost: &CostMatrix, anchors: &[usize]) -> Result<Self, CoreError> {
         if !cost.is_square() || anchors.is_empty() {
             return Err(CoreError::CostShape {
@@ -82,12 +84,15 @@ impl AnchorBound {
         })
     }
 
-    /// Build the bound with `count` anchors spread evenly over the bins.
+    /// Build the bound with `count` anchors spread evenly over the bins;
+    /// `count` is clamped to `1..=bins`, so a caller may ask for "as many
+    /// anchors as some other dimensionality" without checking it.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidCost`] when `count` is zero or exceeds the
-    /// number of bins, or propagates any [`AnchorBound::new`] failure.
+    /// Fails only on a property of `cost`, as [`AnchorBound::new`] does:
+    /// [`CoreError::CostShape`] when it is not square (or has no bins),
+    /// [`CoreError::InvalidCost`] when it is not a metric.
     pub fn with_spread_anchors(cost: &CostMatrix, count: usize) -> Result<Self, CoreError> {
         let d = cost.rows();
         let count = count.clamp(1, d);
@@ -142,13 +147,15 @@ impl AnchorBound {
     }
 
     /// Project a histogram onto every anchor: `out[a] = sum_i x_i c_ia`.
-    /// Precompute this once per database object.
+    /// Precompute this once per database object; the projection is a
+    /// shared handle, as a [`Histogram`]'s bins are, made in one
+    /// allocation.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::DimensionMismatch`] when `x` does not match the cost
     /// matrix the bound was built from.
-    pub fn project(&self, x: &Histogram) -> Result<Vec<f64>, CoreError> {
+    pub fn project(&self, x: &Histogram) -> Result<Arc<[f64]>, CoreError> {
         if x.dim() != self.dim {
             return Err(CoreError::DimensionMismatch {
                 expected_rows: self.dim,
@@ -157,11 +164,13 @@ impl AnchorBound {
                 got_cols: x.dim(),
             });
         }
-        Ok(self
-            .projections
-            .iter()
-            .map(|column| x.nonzero().map(|(i, mass)| mass * column[i]).sum())
-            .collect())
+        // Dense on purpose: a zero bin adds nothing either way, and the
+        // plain row-times-bins loop runs ~2x faster than skipping it.
+        let dot = |column: &Vec<f64>| -> f64 {
+            let terms = column.iter().zip(x.bins());
+            terms.map(|(distance, mass)| mass * distance).sum()
+        };
+        Ok(self.projections.iter().map(dot).collect())
     }
 
     /// Bound from two precomputed projections.
@@ -235,10 +244,21 @@ mod tests {
     }
 
     #[test]
+    fn spread_anchor_count_is_clamped() {
+        let c = ground::linear(4).unwrap();
+        for (asked, got) in [(0, 1), (3, 3), (4, 4), (9, 4)] {
+            let bound = AnchorBound::with_spread_anchors(&c, asked).unwrap();
+            assert_eq!(bound.num_anchors(), got, "asked for {asked}");
+        }
+    }
+
+    #[test]
     fn rejects_bad_anchors_and_shapes() {
         let c = ground::linear(4).unwrap();
-        assert!(AnchorBound::new(&c, &[7]).is_err());
-        assert!(AnchorBound::new(&c, &[]).is_err());
+        let out_of_range = AnchorBound::new(&c, &[7]).unwrap_err();
+        assert!(matches!(out_of_range, CoreError::InvalidCost { .. }));
+        let empty = AnchorBound::new(&c, &[]).unwrap_err();
+        assert!(matches!(empty, CoreError::CostShape { len: 0, .. }));
         let bound = AnchorBound::new(&c, &[0]).unwrap();
         assert!(bound.project(&h(&[0.5, 0.5])).is_err());
     }

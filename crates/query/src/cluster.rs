@@ -34,29 +34,39 @@
 //! At query time [`ClusteredIndex`] is a [`CandidateSource`] whose stream
 //! **solves no LP until a closed-form bound asks for it**. LB_IM over
 //! the pruning cost lower-bounds the pruning distance (`LB_IM_closure <=
-//! EMD_closure <= Red-EMD <= EMD`), so the stream's best-first heap holds
-//! four kinds of entry, ordered on equal keys as listed:
+//! EMD_closure <= Red-EMD <= EMD`), and over a metric ground distance the
+//! anchor bound on the *original* histograms (`anchor <= EMD`, the floor
+//! [`QueryPlan::chain`](crate::QueryPlan::chain) puts under its stages)
+//! lower-bounds the exact EMD directly. Neither bounds the other, so a
+//! member's key is the **running max** of what is known of it — each term
+//! bounds the EMD, and that is all KNOP needs of an emitted key. Writing
+//! `d` for the pruning distance, the stream's best-first heap holds four
+//! kinds of entry, ordered on equal keys as listed:
 //!
 //! | kind | key | on pop |
 //! |---|---|---|
 //! | *lazy cluster* | `max(0, LB_IM(q, pivot) - radius)` | solve the pivot; push its *cluster* and its own *member* entry |
-//! | *cluster* | `max(0, d(q, pivot) - radius)` | push a *lazy member* per non-pivot member (LB_IM only) |
-//! | *lazy member* | `LB_IM(q, o)` | solve `o`; push its *member* entry |
-//! | *member* | `d(q, o)` | emit `(o, d)` |
+//! | *cluster* | `max(0, d(q, pivot) - radius)` | push a *lazy member* per non-pivot member (no LP) |
+//! | *lazy member* | `max(LB_IM(q, o), anchor(q, o))` | solve `o`; push its *member* entry |
+//! | *member* | `max(d(q, o), anchor(q, o))` | emit `(o, key)` |
 //!
-//! A deferred key never exceeds its solved twin's, and every non-member
-//! kind orders before *member* on equal keys; so when a member entry
-//! `(d, id)` is at the top, every entry that could still produce a
-//! member at `<= d` has already been popped and resolved, and candidates
-//! are emitted in exactly the ascending `(distance, id)` order a full
-//! scan under the pruning cost produces — answers are bit-identical;
-//! only the number of solves changes. A cluster whose (deferred or real)
-//! bound, or a member whose LB_IM, exceeds KNOP's stopping frontier is
+//! (Without a metric ground distance there is no anchor term and the
+//! member keys are `LB_IM(q, o)` and `d(q, o)`.) A deferred key never
+//! exceeds its solved twin's (`LB_IM <= d`, and the anchor term rides
+//! along unchanged), a cluster's key never exceeds any of its members'
+//! (`d(q, pivot) - radius <= d(q, o)`, and the max only raises the
+//! member's), and every non-member kind orders before *member* on equal
+//! keys; so when a member entry `(key, id)` is at the top, every entry
+//! that could still produce a member at `<= key` has already been popped
+//! and resolved, and candidates are emitted in exactly the ascending
+//! `(key, id)` order a full scan of `max(d, anchor)` produces; only the
+//! number of solves changes. A cluster whose (deferred or real) bound, or
+//! a member whose closed-form key, exceeds KNOP's stopping frontier is
 //! never solved: that is the sublinear win the benchmark's
 //! `gauss32-clustered-20k` workload measures
 //! (`cluster.visited_per_query` / `cluster.pruned_per_query`; the
 //! stream's `index.deferred_bounds` / `index.deferred_solved` counters
-//! say how many LB_IM evaluations it made and how many of them it later
+//! say how many LB_IM evaluations it made and how many entries it later
 //! had to solve).
 //!
 //! The clustering persists through `emd-store` ([`ClusteredIndex::to_stored`]
@@ -65,19 +75,19 @@
 //! surfaces as [`QueryError::BudgetExhausted`] from the stream with the
 //! interrupted entry still in the heap, so the degraded answer is
 //! surrendered *every* object not yet emitted at its tightest computed
-//! bound — a member at its distance, a lazy member at its LB_IM, the
-//! members of a cluster (its pivot too, while the cluster is still lazy)
-//! at the cluster's bound.
+//! bound — a member or lazy member at its key, the members of a cluster
+//! (its pivot too, while the cluster is still lazy) at the cluster's
+//! bound.
 
 use crate::engine::source::{CandidateSource, CandidateStream};
 use crate::engine::Database;
 use crate::error::QueryError;
 use crate::filters::{
-    check_persisted, reduce_database, PreparedBound, PreparedEmd, PreparedFilter,
+    check_persisted, reduce_database, AnchorFilter, PreparedBound, PreparedEmd, PreparedFilter,
 };
 use crate::ranking::{Key, Ranking};
 use emd_core::certify::debug_check_lower_bound;
-use emd_core::lower_bounds::LbIm;
+use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{emd_in_context, Budget, CostMatrix, EmdContext, Histogram};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use emd_store::StoredClustering;
@@ -148,6 +158,10 @@ pub struct ClusteredIndex {
     /// distance in this index uses; the bound defers those distances.
     pruning: LbIm,
     reduced_database: Arc<[Histogram]>,
+    /// The anchor bound over the database's own cost and objects, folded
+    /// into every member key; `None` when that cost is not a metric.
+    /// Derived from the database on every build and open, never stored.
+    floor: Option<AnchorFilter>,
     pivots: Vec<u32>,
     assignments: Vec<u32>,
     radii: Vec<f64>,
@@ -173,7 +187,7 @@ impl ClusteredIndex {
         factor: f64,
     ) -> Result<Self, QueryError> {
         let arena = reduce_database(database, &reduced)?;
-        Self::assemble(reduced, arena, factor)
+        Self::assemble(database, reduced, arena, factor)
     }
 
     /// Build the clustering over a bundle's precomputed reduced arena
@@ -190,6 +204,7 @@ impl ClusteredIndex {
     ) -> Result<Self, QueryError> {
         check_persisted(database, bundle)?;
         Self::assemble(
+            database,
             bundle.reduced().clone(),
             bundle.reduced_database().to_vec().into(),
             factor,
@@ -220,6 +235,7 @@ impl ClusteredIndex {
         let members = members_of(&stored.assignments, stored.pivots.len());
         Ok(ClusteredIndex {
             name: index_name(&reduced, pruning.cost(), stored.pivots.len()),
+            floor: AnchorFilter::floor(database, &reduced)?,
             reduced,
             pruning,
             reduced_database: arena,
@@ -273,6 +289,7 @@ impl ClusteredIndex {
     }
 
     fn assemble(
+        database: &Database,
         reduced: ReducedEmd,
         arena: Arc<[Histogram]>,
         factor: f64,
@@ -293,6 +310,7 @@ impl ClusteredIndex {
         let members = members_of(&assignments, pivots.len());
         Ok(ClusteredIndex {
             name: index_name(&reduced, pruning.cost(), pivots.len()),
+            floor: AnchorFilter::floor(database, &reduced)?,
             reduced,
             pruning,
             reduced_database: arena,
@@ -318,16 +336,18 @@ impl CandidateSource for ClusteredIndex {
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        // Both evaluators run over the reduced arena under the pruning
+        // Two evaluators run over the reduced arena under the pruning
         // cost: the LP that is the pruning distance, and the LB_IM that
-        // puts it off.
+        // puts it off. The floor runs over the original objects.
         let reduced_query = self.reduced.reduce_first(query)?;
         let arena = &self.reduced_database;
         let cost = self.pruning.cost();
+        let floor = self.floor.as_ref().map(|floor| floor.prepared(query));
         let mut stream = ClusterStream {
             index: self,
             budget: budget.clone(),
             deferred: PreparedBound::new(&reduced_query, &self.pruning, arena)?,
+            floor: floor.transpose()?,
             solved: PreparedEmd::new(&reduced_query, arena, cost, budget, true)?,
             heap: BinaryHeap::with_capacity(self.pivots.len()),
             emitted: 0,
@@ -570,6 +590,9 @@ struct ClusterStream<'a> {
     budget: Budget,
     /// LB_IM under the pruning cost: the key of every lazy entry pushed.
     deferred: PreparedBound<'a, LbIm>,
+    /// The anchor bound under the database's own cost, raising every
+    /// member key it exceeds.
+    floor: Option<PreparedBound<'a, AnchorBound>>,
     /// The pruning distance, one LP under the stream's budget: every
     /// solve is the pop of a lazy entry.
     solved: PreparedEmd<'a>,
@@ -591,11 +614,20 @@ impl ClusterStream<'_> {
         Ok(())
     }
 
+    /// `key` or the anchor bound of object `id`, whichever is larger: the
+    /// running max that keeps a member's key the tightest bound known.
+    fn floored(&mut self, id: u32, key: f64) -> Result<f64, QueryError> {
+        match &mut self.floor {
+            Some(floor) => Ok(floor.distance(id as usize)?.max(key)),
+            None => Ok(key),
+        }
+    }
+
     /// Open the cluster whose entry is at the top of the heap: a lazy
     /// member entry for every member except the pivot, which rides its own
     /// member entry since the cluster was solved. Past the leading probe
     /// nothing here can exhaust a budget, so the entry is popped only
-    /// then — and before the pushes, whose LB_IM keys may sort below it.
+    /// then — and before the pushes, whose keys may sort below it.
     fn expand(&mut self, cluster: u32) -> Result<(), QueryError> {
         self.budget.check().map_err(QueryError::BudgetExhausted)?;
         self.heap.pop();
@@ -606,6 +638,7 @@ impl ClusterStream<'_> {
         for &m in members.into_iter().flatten() {
             if Some(m) != pivot {
                 let bound = self.deferred.distance(m as usize)?;
+                let bound = self.floored(m, bound)?;
                 self.heap.push(Reverse((Key(bound), ENTRY_LAZY_MEMBER, m)));
             }
         }
@@ -630,16 +663,20 @@ impl Ranking for ClusterStream<'_> {
                     // `LB_IM(q, pivot) <= d` with the radius taken off
                     // both sides.
                     debug_check_lower_bound("deferred cluster bound", key, bound);
+                    let member = self.floored(pivot, d)?;
                     self.heap.pop();
                     self.heap.push(Reverse((Key(bound), ENTRY_CLUSTER, id)));
-                    self.heap.push(Reverse((Key(d), ENTRY_MEMBER, pivot)));
+                    self.heap.push(Reverse((Key(member), ENTRY_MEMBER, pivot)));
                 }
                 ENTRY_CLUSTER => self.expand(id)?,
                 ENTRY_LAZY_MEMBER => {
                     let d = self.solved.distance(id as usize)?;
-                    debug_check_lower_bound("deferred member bound", key, d);
+                    let member = self.floored(id, d)?;
+                    // `LB_IM <= d` under the same anchor term: a deferred
+                    // key never exceeds its solved twin's.
+                    debug_check_lower_bound("deferred member bound", key, member);
                     self.heap.pop();
-                    self.heap.push(Reverse((Key(d), ENTRY_MEMBER, id)));
+                    self.heap.push(Reverse((Key(member), ENTRY_MEMBER, id)));
                 }
                 // ENTRY_MEMBER: everything at or below it is resolved.
                 _ => {
@@ -732,12 +769,13 @@ mod tests {
         ClusteredIndex::build(database, reduced, factor).unwrap()
     }
 
-    /// Reference order: reduced distance of every object, ascending
-    /// (distance, id).
+    /// Reference order: the pruning distance of every object or, where
+    /// it is larger, the object's anchor bound — ascending (key, id).
     fn scan_order(index: &ClusteredIndex, query: &Histogram) -> Vec<(usize, f64)> {
         let reduced_query = index.reduced.reduce_first(query).unwrap();
         let budget = Budget::unlimited();
         let mut context = EmdContext::new();
+        let mut floor = index.floor.as_ref().map(|f| f.prepared(query).unwrap());
         let mut order: Vec<(usize, f64)> = index
             .reduced_database
             .iter()
@@ -751,7 +789,8 @@ mod tests {
                     &mut context,
                 )
                 .unwrap();
-                (id, d)
+                let anchor = floor.as_mut().map_or(0.0, |f| f.distance(id).unwrap());
+                (id, d.max(anchor))
             })
             .collect();
         order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -870,7 +909,7 @@ mod tests {
 
     /// Emitted and drained together name every object exactly once, the
     /// emitted prefix is the scan's, and every drained bound lower-bounds
-    /// the object's pruning distance.
+    /// the object's scan key.
     fn assert_nothing_lost(index: &ClusteredIndex, query: &Histogram, pulled: &Pulled) {
         let (emitted, drained, _) = pulled;
         let scan = scan_order(index, query);
@@ -1050,7 +1089,8 @@ mod tests {
         {
             assert!(c <= o);
         }
-        // Emission is still bit-identical to a scan under the closure.
+        // Emission is still bit-identical to a scan under the closure
+        // (floored by the anchor bound: the 9-bin chain itself is a metric).
         let query = Histogram::unit(9, 4).unwrap();
         let expected = scan_order(&index, &query);
         let mut stream = index.prepare(&query, &Budget::unlimited()).unwrap();

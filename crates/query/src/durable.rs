@@ -511,12 +511,12 @@ impl DurableIndex {
     /// index is only touched after the append succeeds, so a failure
     /// changes nothing and consumes no id.
     pub fn append_insert(&mut self, histogram: Histogram) -> Result<u64, DurableError> {
-        let reduced = self.index.reduce(&histogram)?;
+        let derived = self.index.reduce(&histogram)?;
         self.walw.append(&WalRecord::Insert {
             external_id: self.index.next_id(),
             histogram: histogram.clone(),
         })?;
-        Ok(self.index.push(histogram, reduced))
+        Ok(self.index.push(histogram, derived))
     }
 
     /// Insert with immediate durability: append + [`DurableIndex::sync`].

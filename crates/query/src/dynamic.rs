@@ -22,23 +22,28 @@
 //! histogram data copied) into an ordinary database plus its reduced
 //! arena, and no later mutation of the index can reach them.
 //!
-//! **The plan.** A snapshot runs [`QueryPlan::chain`] — the paper's
-//! Figure 10 chain, `red-im(d'=a/b) -> red-emd(d'=a/b) -> emd(d=n)`, the
-//! very filters a static plan is built from — through the shared engine
+//! **The plan.** A snapshot runs the stages of [`QueryPlan::chain`] —
+//! `anchor(a=b) -> red-im(d'=a/b) -> red-emd(d'=a/b) -> emd(d=n)`, the
+//! paper's Figure 10 chain over a closed-form metric floor, the very
+//! filters a static plan is built from — through the shared engine
 //! [`Executor`]; the KNOP loop lives only in [`knop`](crate::knop), not
-//! here. What the stages need per *index* (the reduction and the LB_IM
-//! sort orders over its reduced cost) is derived once in
-//! [`DynamicIndex::new`] and shared by `Arc`. The executor's dense ids
+//! here. What the stages need per *index* (the reduction, the LB_IM
+//! sort orders over its reduced cost, the anchor columns — none when the
+//! cost is not a metric, and then the chain is Figure 10 alone) is
+//! derived once in [`DynamicIndex::new`] and shared by `Arc`; what they
+//! need per *object* (its reduced vector, its anchor projection) is
+//! derived once at insert and shared with every snapshot the same way.
+//! Neither is persisted. The executor's dense ids
 //! (the live objects, in ascending id order) exist only inside one
 //! snapshot, which translates them back on the way out.
 
-use crate::engine::{Database, Executor, Query, QueryPlan};
+use crate::engine::{chain_stages, Database, Executor, Query, QueryPlan};
 use crate::error::QueryError;
-use crate::filters::ReducedImFilter;
+use crate::filters::{AnchorFilter, EmdDistance, ReducedImFilter};
 use crate::outcome::QueryOutcome;
 use crate::stats::QueryStats;
 use crate::Neighbor;
-use emd_core::lower_bounds::LbIm;
+use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{CostMatrix, Histogram};
 use emd_reduction::ReducedEmd;
 use std::sync::Arc;
@@ -73,14 +78,28 @@ pub struct DynamicIndex {
     reduced: Arc<ReducedEmd>,
     /// LB_IM over the reduced cost, derived once per index.
     bound: Arc<LbIm>,
+    /// The chain's anchor floor over `cost`, derived once per index;
+    /// `None` when `cost` is not a metric.
+    floor: Option<Arc<AnchorBound>>,
     /// Original histograms by position; `None` marks a removed object.
     objects: Vec<Option<Histogram>>,
     /// Reduced (database-side) representation of each live object.
     reduced_objects: Vec<Option<Histogram>>,
+    /// Anchor projection of each live object (empty without a floor).
+    projections: Vec<Option<Arc<[f64]>>>,
     /// Position -> id, strictly ascending; every entry is `< next_id`.
     ids: Vec<u64>,
     next_id: u64,
     live: usize,
+}
+
+/// What the filter stages hold of one object, derived from it once.
+#[derive(Debug)]
+pub(crate) struct Derived {
+    /// Its `R2` side.
+    reduced: Histogram,
+    /// Its anchor projection; empty when the index has no floor.
+    projection: Arc<[f64]>,
 }
 
 impl DynamicIndex {
@@ -100,11 +119,13 @@ impl DynamicIndex {
             )));
         }
         Ok(DynamicIndex {
-            cost,
             bound: Arc::new(LbIm::new(reduced.reduced_cost().clone())),
+            floor: AnchorFilter::floor_bound(&cost, &reduced).map(Arc::new),
+            cost,
             reduced: Arc::new(reduced),
             objects: Vec::new(),
             reduced_objects: Vec::new(),
+            projections: Vec::new(),
             ids: Vec::new(),
             next_id: 0,
             live: 0,
@@ -114,7 +135,8 @@ impl DynamicIndex {
     /// Rebuild an index from persisted state: `histograms` under the
     /// strictly ascending `ids`, all below `next_id` (the caller has
     /// checked both — the id lookup leans on them). The reduced
-    /// representations are re-derived, never stored.
+    /// representations and anchor projections are re-derived, never
+    /// stored.
     ///
     /// # Errors
     ///
@@ -130,9 +152,9 @@ impl DynamicIndex {
         debug_assert!(ids.last().is_none_or(|&last| last < next_id));
         let mut index = DynamicIndex::new(cost, reduced)?;
         for (histogram, id) in histograms.into_iter().zip(ids) {
-            let reduced = index.reduce(&histogram)?;
+            let derived = index.reduce(&histogram)?;
             index.next_id = id;
-            index.push(histogram, reduced);
+            index.push(histogram, derived);
         }
         index.next_id = next_id;
         Ok(index)
@@ -165,13 +187,13 @@ impl DynamicIndex {
     /// Returns [`QueryError`] when the histogram's dimensionality disagrees with
     /// the index, or the reduction of the new object fails.
     pub fn insert(&mut self, histogram: Histogram) -> Result<u64, QueryError> {
-        let reduced = self.reduce(&histogram)?;
-        Ok(self.push(histogram, reduced))
+        let derived = self.reduce(&histogram)?;
+        Ok(self.push(histogram, derived))
     }
 
     /// The fallible half of an insert: check the shape of `histogram` and
-    /// derive its reduced representation, changing nothing.
-    pub(crate) fn reduce(&self, histogram: &Histogram) -> Result<Histogram, QueryError> {
+    /// derive what the filter stages hold of it, changing nothing.
+    pub(crate) fn reduce(&self, histogram: &Histogram) -> Result<Derived, QueryError> {
         if histogram.dim() != self.cost.cols() {
             return Err(QueryError::Core(emd_core::CoreError::DimensionMismatch {
                 expected_rows: self.cost.rows(),
@@ -180,16 +202,24 @@ impl DynamicIndex {
                 got_cols: histogram.dim(),
             }));
         }
-        Ok(self.reduced.reduce_second(histogram)?)
+        let projection = match &self.floor {
+            Some(floor) => floor.project(histogram)?,
+            None => Arc::from([]),
+        };
+        Ok(Derived {
+            reduced: self.reduced.reduce_second(histogram)?,
+            projection,
+        })
     }
 
-    /// The infallible half of an insert: store `histogram` with the
-    /// representation [`reduce`](Self::reduce) derived from it, under
+    /// The infallible half of an insert: store `histogram` with what
+    /// [`reduce`](Self::reduce) derived from it, under
     /// [`next_id`](Self::next_id).
-    pub(crate) fn push(&mut self, histogram: Histogram, reduced: Histogram) -> u64 {
+    pub(crate) fn push(&mut self, histogram: Histogram, derived: Derived) -> u64 {
         let id = self.next_id;
         self.objects.push(Some(histogram));
-        self.reduced_objects.push(Some(reduced));
+        self.reduced_objects.push(Some(derived.reduced));
+        self.projections.push(Some(derived.projection));
         self.ids.push(id);
         self.next_id += 1;
         self.live += 1;
@@ -212,6 +242,9 @@ impl DynamicIndex {
                 *slot = None;
             }
         }
+        if let Some(slot) = self.projections.get_mut(position) {
+            *slot = None;
+        }
         self.live -= 1;
         true
     }
@@ -233,12 +266,15 @@ impl DynamicIndex {
         self.ids = self.live().map(|(id, _)| id).collect();
         self.objects.retain(Option::is_some);
         self.reduced_objects.retain(Option::is_some);
+        self.projections.retain(Option::is_some);
     }
 
     /// An immutable, queryable snapshot of the current live objects: a
-    /// [`Database`] of their handles under [`QueryPlan::chain`].
+    /// [`Database`] of their handles under the stages of
+    /// [`QueryPlan::chain`].
     ///
-    /// O(live) reference-count bumps and no histogram data copied; later
+    /// O(live) reference-count bumps and no histogram, reduced vector or
+    /// anchor projection copied; later
     /// [`insert`](Self::insert) / [`remove`](Self::remove) /
     /// [`compact`](Self::compact) calls leave the snapshot untouched.
     ///
@@ -258,8 +294,13 @@ impl DynamicIndex {
             Arc::clone(&self.bound),
             reduced_objects,
         );
+        let floor = self.floor.as_ref().map(|floor| {
+            let projections = self.projections.iter().flatten().cloned().collect();
+            AnchorFilter::from_shared(Arc::clone(floor), projections)
+        });
+        let refiner = Box::new(EmdDistance::new(&database)?);
         Ok(DynamicSnapshot {
-            executor: Executor::new(QueryPlan::chain(&database, red_im)?),
+            executor: Executor::new(QueryPlan::new(chain_stages(floor, red_im), refiner)?),
             ids,
             database,
         })
@@ -451,11 +492,9 @@ mod tests {
         let (neighbors, stats) = index.knn(&query, 2).unwrap();
         assert_eq!(neighbors[0].0, a);
         assert_eq!(neighbors[1].0, c);
-        assert_eq!(
-            stats.filter_evaluations[0],
-            ("red-im(d'=2/2)".to_owned(), 3)
-        );
-        assert_eq!(stats.filter_evaluations[1].0, "red-emd(d'=2/2)");
+        assert_eq!(stats.filter_evaluations[0], ("anchor(a=2)".to_owned(), 3));
+        assert_eq!(stats.filter_evaluations[1].0, "red-im(d'=2/2)");
+        assert_eq!(stats.filter_evaluations[2].0, "red-emd(d'=2/2)");
 
         assert!(index.remove(a));
         assert!(!index.remove(a), "double delete is a no-op");
@@ -550,9 +589,11 @@ mod tests {
 
     #[test]
     fn completeness_with_loose_reduction() {
-        // An all-in-one-group reduction has bound 0 everywhere: the filter
-        // is useless but the results must still be exact.
-        let cost = Arc::new(ground::linear(4).unwrap());
+        // An all-in-one-group reduction has bound 0 everywhere, and a
+        // squared chain is no metric, so no anchor floor stands in for it:
+        // the filter is useless but the results must still be exact.
+        let squared = |i: usize, j: usize| (i as f64 - j as f64).powi(2);
+        let cost = Arc::new(CostMatrix::from_fn(4, squared).unwrap());
         let r = CombiningReduction::new(vec![0, 0, 0, 0], 1).unwrap();
         let reduced = ReducedEmd::new(&cost, r).unwrap();
         let mut index = DynamicIndex::new(cost, reduced).unwrap();
@@ -562,6 +603,7 @@ mod tests {
         let query = Histogram::unit(4, 2).unwrap();
         let (neighbors, stats) = index.knn(&query, 2).unwrap();
         assert_eq!(neighbors[0].0, 2);
+        assert_eq!(stats.filter_evaluations.len(), 2, "Figure 10 as printed");
         assert_eq!(stats.refinements, 4, "useless filter refines everything");
     }
 
@@ -682,6 +724,27 @@ mod tests {
         live.push((id, histogram));
         index.compact();
         check(&index, &live);
+    }
+
+    #[test]
+    fn snapshot_shares_the_anchor_projections() {
+        // A projection is made once, at insert; a snapshot takes a handle
+        // to that allocation (a copy would leave the count at one).
+        let mut index = index();
+        index.insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        index.insert(h(&[0.0, 0.5, 0.5, 0.0])).unwrap();
+        let holders = |index: &DynamicIndex| -> Vec<usize> {
+            let live = index.projections.iter().flatten();
+            live.map(Arc::strong_count).collect()
+        };
+        assert_eq!(holders(&index), [1, 1]);
+        let first = index.snapshot().unwrap();
+        let second = index.snapshot().unwrap();
+        assert_eq!(holders(&index), [3, 3]);
+        drop((first, second));
+        assert_eq!(holders(&index), [1, 1]);
+        // Both anchors of the 4-bin chain: bins 0 and 2.
+        assert_eq!(*index.projections[1].clone().unwrap(), [1.5, 0.5]);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   contiguous arena, paired with the ground-distance matrix. Filters
 //!   hold cheap reference-counted views instead of private copies.
 //! * [`QueryPlan`] — the declarative filter chain
-//!   (`Red-IM -> Red-EMD -> ... -> EMD`), optionally fronted by a stage-1
-//!   [`CandidateSource`]; a [`Query`] is the histogram, its mode and the
-//!   [`Budget`](crate::Budget) it runs under.
+//!   (`anchor -> Red-IM -> Red-EMD -> ... -> EMD`), optionally fronted by
+//!   a stage-1 [`CandidateSource`]; a [`Query`] is the histogram, its
+//!   mode and the [`Budget`](crate::Budget) it runs under.
 //! * [`Executor`] — [`Executor::run`] prepares per-query state, chains the
 //!   lazy rankings of Figure 12, and invokes the KNOP loop in
 //!   [`knop`](crate::knop) exactly once per query. [`Executor::run_batch`]
@@ -25,5 +25,6 @@ pub mod source;
 
 pub use database::{Database, OpenedIndex};
 pub use executor::Executor;
+pub(crate) use plan::chain_stages;
 pub use plan::{Query, QueryMode, QueryPlan};
 pub use source::{CandidateSource, CandidateStream};

@@ -2,7 +2,9 @@
 //!
 //! A [`QueryPlan`] is the engine's unit of configuration — the optional
 //! stage-1 candidate source, the ordered lower-bounding filter chain
-//! (e.g. `Red-IM -> Red-EMD`) and the exact refinement distance. The
+//! (e.g. `anchor -> Red-IM -> Red-EMD`) and the exact refinement
+//! distance. Each stage bounds the EMD; the chain keeps the running max,
+//! so the order of the stages is a matter of cost, not of soundness. The
 //! [`Executor`](crate::Executor) consumes a plan and runs the KNOP
 //! algorithm over it. A [`Query`] is the other half: what to ask (the
 //! histogram and its [`QueryMode`]) and how hard to try (its [`Budget`]).
@@ -10,7 +12,7 @@
 use crate::engine::source::CandidateSource;
 use crate::engine::Database;
 use crate::error::QueryError;
-use crate::filters::{EmdDistance, Filter, ReducedImFilter};
+use crate::filters::{AnchorFilter, EmdDistance, Filter, ReducedImFilter};
 use emd_core::{Budget, Histogram};
 
 /// Result-set mode of one query.
@@ -84,10 +86,11 @@ impl std::fmt::Debug for QueryPlan {
 }
 
 impl QueryPlan {
-    /// Assemble a plan. `stages` run in order, loosest/cheapest first;
-    /// every stage must lower-bound the next (unchecked — establishing
-    /// the bound chain is the caller's modelling decision, cf. Section 4
-    /// of the paper) and index the same database as `refiner`.
+    /// Assemble a plan. `stages` run in order, cheapest first; every
+    /// stage must lower-bound `refiner` (unchecked — that is what makes
+    /// it a filter, cf. Section 4 of the paper) and index the same
+    /// database. Stages need not bound one another: a candidate is ranked
+    /// by the largest bound computed for it so far.
     ///
     /// # Errors
     ///
@@ -115,21 +118,25 @@ impl QueryPlan {
         })
     }
 
-    /// The paper's Figure 10 plan, `red-im -> red-emd -> emd` over
-    /// `database`: an LB_IM scan of the reduced vectors, a reduced LP for
-    /// the candidates that scan could not dismiss, the exact EMD for
-    /// those that survive both. The Red-EMD stage is derived from
-    /// `red_im`, so the two reduced stages share one reduction, one LB_IM
-    /// and one reduced arena.
+    /// The paper's Figure 10 plan over `database` with a closed-form
+    /// metric floor under it, `anchor -> red-im -> red-emd -> emd`: a scan
+    /// of the anchor projections (as many anchors as the reduction keeps
+    /// database-side dimensions), LB_IM over the reduced vectors for what
+    /// that scan could not dismiss, a reduced LP for what survives both,
+    /// the exact EMD for the rest. The anchor bound needs a metric ground
+    /// distance; over a cost that is not one the plan is Figure 10 as
+    /// printed, `red-im -> red-emd -> emd`. The Red-EMD stage is derived
+    /// from `red_im`, so the two reduced stages share one reduction, one
+    /// LB_IM and one reduced arena.
     ///
     /// # Errors
     ///
     /// Same conditions as [`new`](Self::new): an empty `database`, or a
     /// `red_im` built over a database of another size.
     pub fn chain(database: &Database, red_im: ReducedImFilter) -> Result<Self, QueryError> {
-        let red_emd = red_im.red_emd_stage();
+        let floor = AnchorFilter::floor(database, red_im.reduced())?;
         Self::new(
-            vec![Box::new(red_im), Box::new(red_emd)],
+            chain_stages(floor, red_im),
             Box::new(EmdDistance::new(database)?),
         )
     }
@@ -150,9 +157,8 @@ impl QueryPlan {
     /// candidates from the source's stream instead of scanning the first
     /// filter stage, and any `stages` of this plan are chained *on
     /// top* of the source in the usual Figure 12 way. The source's
-    /// emitted bound must lower-bound the first stage (or the refiner,
-    /// for a stage-less plan) — the same unchecked modelling obligation
-    /// as the stage chain itself.
+    /// emitted bound must lower-bound the refiner — the same unchecked
+    /// obligation every stage has.
     ///
     /// # Errors
     ///
@@ -203,6 +209,20 @@ impl QueryPlan {
     }
 }
 
+/// The stages of [`QueryPlan::chain`], in order, over a floor derived
+/// elsewhere (a live index projects at insert, not per snapshot).
+pub(crate) fn chain_stages(
+    floor: Option<AnchorFilter>,
+    red_im: ReducedImFilter,
+) -> Vec<Box<dyn Filter>> {
+    let red_emd = red_im.red_emd_stage();
+    let mut stages: Vec<Box<dyn Filter>> = vec![Box::new(red_im), Box::new(red_emd)];
+    if let Some(floor) = floor {
+        stages.insert(0, Box::new(floor));
+    }
+    stages
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +242,10 @@ mod tests {
         let reduced = ReducedEmd::new(db.cost(), reduction).unwrap();
         let red_im = || ReducedImFilter::new(&db, reduced.clone()).unwrap();
         let plan = QueryPlan::chain(&db, red_im()).unwrap();
-        assert_eq!(plan.stage_names(), ["red-im(d'=2/2)", "red-emd(d'=2/2)"]);
+        assert_eq!(
+            plan.stage_names(),
+            ["anchor(a=2)", "red-im(d'=2/2)", "red-emd(d'=2/2)"]
+        );
         assert_eq!((plan.refiner().name(), plan.len()), ("emd(d=4)", 5));
         assert!(plan.source().is_none());
         // The stages must index the database the refiner does.

@@ -14,8 +14,9 @@
 //!
 //! The contract mirrors [`Ranking`]: a prepared [`CandidateStream`]
 //! yields `(id, lower bound)` pairs in ascending `(bound, id)` order, and
-//! every emitted bound must lower-bound the exact distance (the chain
-//! condition), so KNOP's correctness argument is untouched — the executor
+//! every emitted bound must lower-bound the exact distance — all a stage
+//! ever has to do: each stage bounds the EMD, the chain keeps the running
+//! max — so KNOP's correctness argument is untouched and the executor
 //! simply stacks the usual [`ChainedRanking`](crate::ranking::ChainedRanking)s
 //! on top. The stream probes the [`Budget`] it was prepared under: a
 //! firing surfaces as [`QueryError::BudgetExhausted`] from
@@ -71,11 +72,13 @@ pub trait CandidateStream: Ranking {
 /// let reduced = ReducedEmd::new(&cost, reduction).unwrap();
 /// let source = ClusteredIndex::build(&database, reduced, 1.0).unwrap();
 ///
-/// // Ascending lower bounds (reduced EMD) of the exact distances 0 and 3.
+/// // Ascending lower bounds of the exact distances 0 and 3: the far
+/// // object's reduced EMD is 1, its anchor bound (the chain is a metric)
+/// // the full 3, and the stream emits the larger.
 /// let query = Histogram::unit(4, 0).unwrap();
 /// let mut stream = source.prepare(&query, &Budget::unlimited()).unwrap();
 /// assert_eq!(stream.next().unwrap(), Some((0, 0.0)));
-/// assert_eq!(stream.next().unwrap(), Some((1, 1.0)));
+/// assert_eq!(stream.next().unwrap(), Some((1, 3.0)));
 /// assert_eq!(stream.next().unwrap(), None);
 /// assert!(stream.evaluations() >= 2);
 /// ```

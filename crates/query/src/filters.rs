@@ -19,8 +19,11 @@
 //! the hot loop, counting evaluations for the experiment harness.
 //!
 //! All filters except [`EmdDistance`] are lower bounds of the exact EMD,
-//! so any of them — and any chain of them ordered by increasing tightness
-//! — yields complete multistep query processing (GEMINI/KNOP, \[10, 18\]).
+//! so any of them — and any chain of them, in any order: each stage
+//! bounds the EMD and the chain keeps the running max
+//! ([`ChainedRanking`](crate::ranking::ChainedRanking)) — yields complete
+//! multistep query processing (GEMINI/KNOP, \[10, 18\]). Cheapest first
+//! is the order that pays.
 //! Filters are `Send + Sync` by construction so a
 //! [`QueryPlan`](crate::QueryPlan) can be shared across the batch
 //! executor's threads.
@@ -459,14 +462,17 @@ impl ProjectedBound for Centroids {
     }
 }
 
+/// A projection is a shared handle, as a [`Histogram`] is: a live index
+/// projects an object once, at insert, and every snapshot it publishes
+/// holds the same allocation.
 impl ProjectedBound for AnchorBound {
-    type Projection = Vec<f64>;
+    type Projection = Arc<[f64]>;
 
-    fn project(&self, histogram: &Histogram) -> Result<Vec<f64>, QueryError> {
+    fn project(&self, histogram: &Histogram) -> Result<Arc<[f64]>, QueryError> {
         Ok(AnchorBound::project(self, histogram)?)
     }
 
-    fn bound(&self, query: &Vec<f64>, object: &Vec<f64>) -> Result<f64, QueryError> {
+    fn bound(&self, query: &Arc<[f64]>, object: &Arc<[f64]>) -> Result<f64, QueryError> {
         Ok(self.bound_from_projections(query, object))
     }
 }
@@ -643,6 +649,11 @@ impl ReducedImFilter {
     pub(crate) fn red_emd_stage(&self) -> ReducedEmdFilter {
         self.red_emd.clone()
     }
+
+    /// The reduced EMD both stages evaluate.
+    pub(crate) fn reduced(&self) -> &ReducedEmd {
+        &self.red_emd.reduced
+    }
 }
 
 impl ClosedForm for ReducedImFilter {
@@ -752,25 +763,74 @@ impl ClosedForm for ScaledL1Filter {
 /// The anchor (weak-duality) bound as a filter: database projections are
 /// precomputed, each evaluation is `O(#anchors)` — the cheapest filter in
 /// the toolbox. Requires a metric ground distance (validated at
-/// construction). Not comparable to the reduced EMD, so use it standalone
-/// in front of the refiner rather than inside a Red-IM/Red-EMD chain.
+/// construction). Not comparable to the reduced EMD — on blobs it is the
+/// tighter of the two, on scattered mass the looser — which is why
+/// [`QueryPlan::chain`](crate::QueryPlan::chain) puts it *under* Red-IM
+/// and Red-EMD instead of in their place: the chain keeps the running
+/// max, so each stage only has to bound the EMD.
 #[derive(Debug, Clone)]
 pub struct AnchorFilter(BoundStage<AnchorBound>);
 
 impl AnchorFilter {
-    /// Index a database snapshot with `anchors` spread anchor bins.
+    /// Index a database snapshot with `anchors` spread anchor bins
+    /// (clamped to `1..=bins`).
     ///
     /// # Errors
     ///
-    /// Returns [`QueryError`] when the anchor bound cannot be built (bad
-    /// anchor count) or a database projection fails.
+    /// Returns [`QueryError`] when the snapshot's cost is not a metric.
     pub fn new(database: &Database, anchors: usize) -> Result<Self, QueryError> {
-        let bound = AnchorBound::with_spread_anchors(database.cost(), anchors)?;
-        let name = format!("anchor(a={})", bound.num_anchors());
-        Ok(AnchorFilter(BoundStage::project_all(
-            name, bound, database,
-        )?))
+        Self::over(
+            AnchorBound::with_spread_anchors(database.cost(), anchors)?,
+            database,
+        )
     }
+
+    /// The stage of `bound` over `database`, projecting every object.
+    fn over(bound: AnchorBound, database: &Database) -> Result<Self, QueryError> {
+        let name = anchor_stage_name(&bound);
+        BoundStage::project_all(name, bound, database).map(AnchorFilter)
+    }
+
+    /// The bound the plans put under their reduced stages: as many spread
+    /// anchors as `reduced` keeps database-side dimensions — a constant
+    /// of the index, the price of one more reduced vector per object —
+    /// or `None` when `cost` is not a metric and no anchor bound exists.
+    pub(crate) fn floor_bound(cost: &CostMatrix, reduced: &ReducedEmd) -> Option<AnchorBound> {
+        AnchorBound::with_spread_anchors(cost, reduced.r2().reduced_dim()).ok()
+    }
+
+    /// [`floor_bound`](Self::floor_bound) as a stage over `database`.
+    pub(crate) fn floor(
+        database: &Database,
+        reduced: &ReducedEmd,
+    ) -> Result<Option<Self>, QueryError> {
+        let bound = Self::floor_bound(database.cost(), reduced);
+        bound.map(|bound| Self::over(bound, database)).transpose()
+    }
+
+    /// The stage over parts derived elsewhere — `projections` what `bound`
+    /// projects the objects to — shared rather than copied, as
+    /// [`ReducedImFilter::from_shared`].
+    pub(crate) fn from_shared(bound: Arc<AnchorBound>, projections: Arc<[Arc<[f64]>]>) -> Self {
+        AnchorFilter(BoundStage {
+            name: anchor_stage_name(&bound),
+            bound,
+            projections,
+        })
+    }
+
+    /// The per-query evaluator, for a source that folds the bound into
+    /// its own keys.
+    pub(crate) fn prepared(
+        &self,
+        query: &Histogram,
+    ) -> Result<PreparedBound<'_, AnchorBound>, QueryError> {
+        PreparedBound::new(query, self.0.bound.as_ref(), &self.0.projections)
+    }
+}
+
+fn anchor_stage_name(bound: &AnchorBound) -> String {
+    format!("anchor(a={})", bound.num_anchors())
 }
 
 impl ClosedForm for AnchorFilter {

@@ -6,10 +6,11 @@
 //! a sequential filter scan does) unless the plan names a
 //! [`CandidateSource`](crate::CandidateSource); [`ChainedRanking`]
 //! implements the ranking-over-ranking `getNext` of the paper's Figure
-//! 12, evaluating its (tighter, more expensive) filter *only* for objects
-//! that survive the base ranking's frontier. Both propagate filter errors
-//! instead of panicking, so a failed solver call surfaces as a
-//! [`QueryError`] from the executor.
+//! 12, evaluating its (more expensive) filter *only* for objects that
+//! survive the base ranking's frontier. Each stage bounds the EMD; the
+//! chain keeps the running max, so stages need not bound one another.
+//! Both propagate filter errors instead of panicking, so a failed solver
+//! call surfaces as a [`QueryError`] from the executor.
 
 use crate::error::QueryError;
 use crate::filters::PreparedFilter;
@@ -30,7 +31,7 @@ pub trait Ranking {
     ///
     /// Used to build degraded answers when an execution budget fires: the
     /// returned `(id, bound)` pairs are valid lower bounds of the exact
-    /// distance (the chain condition), obtained for free. A `next` that
+    /// distance (every stage is one), obtained for free. A `next` that
     /// failed must not have lost the candidate it was working on: what it
     /// took it puts back, so that emitted and drained together name every
     /// object whose bound was ever computed exactly once. Order is
@@ -61,20 +62,26 @@ impl Ord for Key {
     }
 }
 
-/// Figure 12: a ranking with respect to a tighter filter, computed lazily
-/// on top of a base ranking of a looser filter.
+/// Figure 12: a ranking with respect to a further filter, computed lazily
+/// on top of a base ranking.
 ///
-/// Invariant required for correctness: the base ranking's distance is a
-/// lower bound of this ranking's filter distance on every object (each
-/// chain stage bounds the next — the paper's chaining condition). Then an
-/// object from the candidate heap may be emitted as soon as its (tight)
-/// distance does not exceed the base ranking's frontier: every unseen
-/// object's tight distance is at least its base distance, which is at
-/// least the frontier.
+/// Required for correctness: the base ranking's distances and this
+/// ranking's filter both lower-bound the exact distance — nothing more.
+/// A candidate is keyed by the **running max** of the two, the tightest
+/// bound computed for it so far, so a key is a lower bound of the exact
+/// distance and is never below the base bound it came in with: the
+/// paper's chaining condition (each stage bounds the next) holds by
+/// construction, whatever the two filters are to one another. Then an
+/// object from the candidate heap may be emitted as soon as its key does
+/// not exceed the base ranking's frontier: every unseen object's key is
+/// at least its base distance, which is at least the frontier. Where the
+/// filter already dominates the base (Red-IM under Red-EMD) the max is
+/// the filter value and nothing changes.
 pub struct ChainedRanking<'a> {
     base: Box<dyn Ranking + 'a>,
     filter: &'a mut dyn PreparedFilter,
-    /// Candidates pulled from the base, keyed by the tight distance.
+    /// Candidates pulled from the base, keyed by the larger of the base
+    /// bound and this stage's filter value.
     heap: BinaryHeap<Reverse<(Key, usize)>>,
     /// Peeked-but-unconsumed base frontier.
     frontier: Option<(usize, f64)>,
@@ -128,8 +135,8 @@ impl Ranking for ChainedRanking<'_> {
             // evaluation (a budget firing) leaves the frontier in place —
             // it carries the smallest base bound of everything not yet
             // emitted, and `drain_computed` must still surrender it.
-            if let Some((id, _)) = self.frontier {
-                let tight = self.filter.distance(id)?;
+            if let Some((id, base_distance)) = self.frontier {
+                let tight = self.filter.distance(id)?.max(base_distance);
                 self.frontier = None;
                 self.heap.push(Reverse((Key(tight), id)));
             }
@@ -137,9 +144,9 @@ impl Ranking for ChainedRanking<'_> {
     }
 
     fn drain_computed(&mut self) -> Vec<(usize, f64)> {
-        // Heap entries carry this stage's (tight) bound; the peeked
+        // Heap entries carry the running max up to this stage; the peeked
         // frontier and the base's leftovers carry base-stage bounds. All
-        // are valid lower bounds by the chaining condition.
+        // are lower bounds of the exact distance.
         let mut out: Vec<(usize, f64)> = self
             .heap
             .drain()
@@ -233,6 +240,26 @@ mod tests {
             drain(&mut chained),
             vec![(3, 0.5), (0, 1.5), (2, 2.0), (1, 2.5), (4, 3.0)]
         );
+    }
+
+    #[test]
+    fn incomparable_stages_rank_by_the_running_max() {
+        // Neither table bounds the other; both bound `exact`. The chain
+        // emits every object at the larger of its two bounds, ascending.
+        let budget = Budget::unlimited();
+        let exact = [2.0, 3.0, 2.5, 1.0, 4.0];
+        let first = [1.9, 0.5, 2.4, 0.2, 1.0];
+        let second = [0.3, 2.8, 1.0, 0.9, 3.5];
+        let mut base_filter = prepared(&first);
+        let mut filter = prepared(&second);
+        let base = Box::new(ScanStream::new(&mut base_filter, 5, &budget));
+        let mut chained = ChainedRanking::new(base, &mut filter);
+        let order = drain(&mut chained);
+        assert_eq!(
+            order,
+            vec![(3, 0.9), (0, 1.9), (2, 2.4), (1, 2.8), (4, 3.5)]
+        );
+        assert!(order.iter().all(|&(id, key)| key <= exact[id]));
     }
 
     #[test]

@@ -1,22 +1,28 @@
 //! Budgets and warm solver contexts on live snapshots.
 //!
 //! A [`DynamicIndex`] snapshot runs the same chain through the same
-//! evaluators as a static `ReducedImFilter -> ReducedEmdFilter ->
-//! EmdDistance` plan, so a pivot cap, a deadline or an injected solve
-//! fault degrades a live query exactly as it degrades a static one — same
-//! ranking, same pivots charged, same stats rows — no candidate is lost
-//! at any cap, and consecutive candidates warm-start each other. Every
-//! comparison runs over a freshly filled index and over a churned one
-//! (tombstones, a compaction behind it, ids with gaps).
+//! evaluators as a static [`QueryPlan::chain`] plan, so a pivot cap, a
+//! deadline or an injected solve fault degrades a live query exactly as
+//! it degrades a static one — same ranking, same pivots charged, same
+//! stats rows — no candidate is lost at any cap, and consecutive
+//! candidates warm-start each other. Every comparison runs over a freshly
+//! filled index and over a churned one (tombstones, a compaction behind
+//! it, ids with gaps), under a metric ground distance (the chain is
+//! `anchor -> red-im -> red-emd`, the anchor projections made at insert)
+//! and under one that is not (the paper's two stages). A recovered
+//! [`DurableIndex`] re-derives the projections and answers as brute force
+//! does.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use emd_core::ground::{self, Metric};
 use emd_core::{emd, Budget, BudgetReason, CostMatrix, Histogram};
 use emd_faultkit::{FailPlan, FaultInjector};
+use emd_query::scan::brute_force_knn;
 use emd_query::{
-    Database, DynamicIndex, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan,
-    QueryStats, ReducedEmdFilter, ReducedImFilter,
+    Database, DurableIndex, DynamicIndex, Executor, Query, QueryOutcome, QueryPlan, QueryStats,
+    ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use rand::rngs::StdRng;
@@ -42,16 +48,26 @@ struct Corpus {
 
 /// Full-support histograms under a continuous random cost matrix: every
 /// LP has a generically unique optimum, so warm and cold answers agree to
-/// the bit and the comparisons below are exact. `churned` leaves
-/// `OBJECTS` live objects behind removals, one `compact()` and further
-/// removals whose tombstones are still in place.
-fn corpus(churned: bool) -> Corpus {
+/// the bit and the comparisons below are exact. `metric` draws the cost
+/// as the Euclidean distances of random points in space — continuous
+/// still, and a ground distance the anchor bound exists for — where the
+/// plain one is no metric at all. `churned` leaves `OBJECTS` live objects
+/// behind removals, one `compact()` and further removals whose
+/// tombstones are still in place.
+fn corpus(metric: bool, churned: bool) -> Corpus {
     let mut rng = StdRng::seed_from_u64(14);
     let histogram = |rng: &mut StdRng| {
         Histogram::normalized((0..DIM).map(|_| rng.gen_range(0.05_f64..1.0)).collect()).unwrap()
     };
-    let costs = (0..DIM * DIM).map(|_| rng.gen_range(0.01_f64..4.0));
-    let cost = Arc::new(CostMatrix::new(DIM, DIM, costs.collect()).unwrap());
+    let cost = if metric {
+        let point = |_| (0..3).map(|_| rng.gen_range(0.0_f64..4.0)).collect();
+        let points: Vec<Vec<f64>> = (0..DIM).map(point).collect();
+        ground::from_points(&points, Metric::Euclidean).unwrap()
+    } else {
+        let costs = (0..DIM * DIM).map(|_| rng.gen_range(0.01_f64..4.0));
+        CostMatrix::new(DIM, DIM, costs.collect()).unwrap()
+    };
+    let cost = Arc::new(cost);
     let assignment = (0..DIM).map(|i| i / 4).collect();
     let reduction = CombiningReduction::new(assignment, DIM / 4).unwrap();
     let reduced = ReducedEmd::new(&cost, reduction).unwrap();
@@ -88,16 +104,25 @@ fn corpus(churned: bool) -> Corpus {
     }
 }
 
-/// The static Figure 10 chain over the live objects, each stage from its
-/// own public constructor.
+/// The static chain over the live objects, projected and reduced afresh:
+/// three stages under the metric cost, two under the other.
 fn static_executor(corpus: &Corpus) -> Executor {
     let database = Database::new(corpus.objects.clone(), Arc::clone(&corpus.cost)).unwrap();
-    let stages: Vec<Box<dyn Filter>> = vec![
-        Box::new(ReducedImFilter::new(&database, corpus.reduced.clone()).unwrap()),
-        Box::new(ReducedEmdFilter::new(&database, corpus.reduced.clone()).unwrap()),
-    ];
-    let refiner = Box::new(EmdDistance::new(&database).unwrap());
-    Executor::new(QueryPlan::new(stages, refiner).unwrap())
+    let red_im = ReducedImFilter::new(&database, corpus.reduced.clone()).unwrap();
+    let executor = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
+    let metric = corpus.cost.is_metric(1e-9);
+    let stages = executor.plan().stage_names();
+    assert_eq!(stages.len(), if metric { 3 } else { 2 });
+    assert_eq!(stages[0].starts_with("anchor(a="), metric);
+    executor
+}
+
+/// Both ground distances, fresh and churned.
+fn corpora() -> impl Iterator<Item = Corpus> {
+    let kinds = [(false, false), (false, true), (true, false), (true, true)];
+    kinds
+        .into_iter()
+        .map(|(metric, churned)| corpus(metric, churned))
 }
 
 /// An outcome as `(id, distance-or-bound bits, exact)` rows plus the
@@ -136,8 +161,8 @@ fn knn_under(
 
 #[test]
 fn pivot_cap_degrades_a_live_snapshot_like_the_static_plan() {
-    for churned in [false, true] {
-        pivot_cap_degrades_like_the_static_plan(&corpus(churned));
+    for corpus in corpora() {
+        pivot_cap_degrades_like_the_static_plan(&corpus);
     }
 }
 
@@ -186,29 +211,34 @@ fn pivot_cap_degrades_like_the_static_plan(corpus: &Corpus) {
 
 #[test]
 fn deadlines_and_injected_solve_faults_reach_live_snapshots() {
-    let corpus = corpus(false);
+    for metric in [false, true] {
+        deadlines_and_solve_faults_reach(&corpus(metric, false));
+    }
+}
+
+fn deadlines_and_solve_faults_reach(corpus: &Corpus) {
     let snapshot = corpus.index.snapshot().unwrap();
     let (baseline, _) = snapshot.knn(&corpus.query, K).unwrap();
 
     let expired = Budget::unlimited().with_deadline(Duration::ZERO);
-    let (outcome, _) = knn_under(snapshot.executor(), &corpus, K, &expired);
+    let (outcome, _) = knn_under(snapshot.executor(), corpus, K, &expired);
     assert_eq!(
         outcome.degraded().map(|result| result.reason),
         Some(BudgetReason::Deadline)
     );
 
     // `Budget::note_solve` fault sites: the first solve of the query is a
-    // Red-EMD evaluation of the candidate LB_IM ranked first, the last one
-    // a refinement.
+    // Red-EMD evaluation of the candidate the closed forms ranked first,
+    // the last one a refinement.
     let recording = emd_obs::Recording::start();
     let (_, stats) = snapshot.knn(&corpus.query, K).unwrap();
     let solves = recording.finish().counter("core.emd.solves");
-    let (_, reduced_solves) = &stats.filter_evaluations[1];
+    let (_, reduced_solves) = stats.filter_evaluations.last().unwrap();
     assert_eq!(solves as usize, reduced_solves + stats.refinements);
     for solve in [1, solves] {
         let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().exhaust_solve(solve));
         let budget = Budget::unlimited().with_faults(plan);
-        let (outcome, _) = knn_under(snapshot.executor(), &corpus, K, &budget);
+        let (outcome, _) = knn_under(snapshot.executor(), corpus, K, &budget);
         assert_eq!(
             outcome.degraded().map(|result| result.reason),
             Some(BudgetReason::Injected),
@@ -227,8 +257,8 @@ fn deadlines_and_injected_solve_faults_reach_live_snapshots() {
 /// still inside the chain at a valid lower bound.
 #[test]
 fn no_candidate_is_lost_at_any_pivot_cap() {
-    for churned in [false, true] {
-        no_candidate_is_lost(&corpus(churned));
+    for corpus in corpora() {
+        no_candidate_is_lost(&corpus);
     }
 }
 
@@ -280,8 +310,8 @@ fn no_candidate_is_lost(corpus: &Corpus) {
 
 #[test]
 fn live_snapshots_warm_start_and_match_the_static_plan() {
-    for churned in [false, true] {
-        warm_start_and_match_the_static_plan(&corpus(churned));
+    for corpus in corpora() {
+        warm_start_and_match_the_static_plan(&corpus);
     }
 }
 
@@ -306,4 +336,37 @@ fn warm_start_and_match_the_static_plan(corpus: &Corpus) {
         "dense ids are the live objects in insertion order"
     );
     assert_eq!(live_stats, fixed_stats);
+}
+
+/// A recovered index holds no projection on disk: replay re-derives each
+/// beside the reduced vector, and the recovered snapshot runs the anchor
+/// chain to brute force's answer — bit for bit what the index answered
+/// before it was dropped.
+#[test]
+fn a_recovered_index_rederives_the_anchor_projections() {
+    let corpus = corpus(true, false);
+    let dir = std::env::temp_dir().join(format!("emd-live-budget-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut durable =
+        DurableIndex::create(&dir, Arc::clone(&corpus.cost), corpus.reduced.clone()).unwrap();
+    for object in &corpus.objects {
+        durable.append_insert(object.clone()).unwrap();
+    }
+    durable.sync().unwrap();
+    let before = durable.snapshot().unwrap().knn(&corpus.query, K).unwrap();
+    drop(durable);
+
+    let (recovered, report) = DurableIndex::open(&dir).unwrap();
+    assert_eq!(report.replayed_records, OBJECTS);
+    let snapshot = recovered.snapshot().unwrap();
+    let stages = snapshot.executor().plan().stage_names();
+    assert!(stages.len() == 3 && stages[0].starts_with("anchor(a="));
+    assert_eq!(snapshot.knn(&corpus.query, K).unwrap(), before);
+    let brute = brute_force_knn(&corpus.query, &corpus.objects, &corpus.cost, K).unwrap();
+    let brute: Vec<(u64, f64)> = brute.iter().map(|n| (n.id as u64, n.distance)).collect();
+    assert_eq!(
+        before.0, brute,
+        "unique optima: warm answers are the cold oracle's bits"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

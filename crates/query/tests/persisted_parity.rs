@@ -1,11 +1,15 @@
 //! Disk/memory parity: a pipeline rebuilt from a persisted index answers
 //! every query bit-identically to the pipeline built in memory — same
-//! neighbors, same distances, and the same per-stage candidate counts.
+//! neighbors, same distances, and the same per-stage candidate counts —
+//! and both return brute force's neighbors. The chained case is
+//! [`QueryPlan::chain`] on either side: the anchor floor is never stored,
+//! so the reopened plan re-derives it from the reopened database.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::{ground, Histogram};
+use emd_core::{distance_slack, ground, Histogram};
+use emd_query::scan::brute_force_knn;
 use emd_query::{
     Database, EmdDistance, Executor, Filter, QueryPlan, ReducedEmdFilter, ReducedImFilter,
 };
@@ -58,9 +62,10 @@ fn executor(database: &Database, stages: Vec<Box<dyn Filter>>) -> Executor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Red-IM -> Red-EMD -> EMD` built from a save/open round trip is
-    /// indistinguishable from the in-memory build: bit-identical k-NN
-    /// results AND identical filter-stage evaluation counts.
+    /// `anchor -> Red-IM -> Red-EMD -> EMD` (or single-stage Red-EMD)
+    /// built from a save/open round trip is indistinguishable from the
+    /// in-memory build: bit-identical k-NN results AND identical
+    /// filter-stage evaluation counts.
     #[test]
     fn persisted_pipeline_matches_in_memory_bit_for_bit(
         histograms in prop::collection::vec(histogram(), 4..14),
@@ -84,32 +89,28 @@ proptest! {
         prop_assert_eq!(opened.reductions.len(), 1);
         let reopened_bundle = opened.reductions.into_iter().next().unwrap();
 
-        // The one chain constructor, from the same bundle: it must be the
-        // `from_persisted` pair below in everything observable.
-        let constructed = chain.then(|| {
-            let red_im =
-                ReducedImFilter::from_persisted(&opened.database, reopened_bundle.clone());
-            Executor::new(QueryPlan::chain(&opened.database, red_im.unwrap()).unwrap())
-        });
-
-        let mut memory_stages: Vec<Box<dyn Filter>> = Vec::new();
-        let mut disk_stages: Vec<Box<dyn Filter>> = Vec::new();
-        if chain {
-            memory_stages.push(Box::new(
-                ReducedImFilter::new(&database, reduced.clone()).unwrap(),
-            ));
-            disk_stages.push(Box::new(
-                ReducedImFilter::from_persisted(&opened.database, reopened_bundle.clone())
-                    .unwrap(),
-            ));
-        }
-        memory_stages.push(Box::new(ReducedEmdFilter::new(&database, reduced).unwrap()));
-        disk_stages.push(Box::new(
-            ReducedEmdFilter::from_persisted(&opened.database, reopened_bundle).unwrap(),
-        ));
-
-        let memory = executor(&database, memory_stages);
-        let disk = executor(&opened.database, disk_stages);
+        let (memory, disk) = if chain {
+            let memory = ReducedImFilter::new(&database, reduced).unwrap();
+            let disk = ReducedImFilter::from_persisted(&opened.database, reopened_bundle).unwrap();
+            (
+                Executor::new(QueryPlan::chain(&database, memory).unwrap()),
+                Executor::new(QueryPlan::chain(&opened.database, disk).unwrap()),
+            )
+        } else {
+            let memory: Box<dyn Filter> =
+                Box::new(ReducedEmdFilter::new(&database, reduced).unwrap());
+            let disk: Box<dyn Filter> = Box::new(
+                ReducedEmdFilter::from_persisted(&opened.database, reopened_bundle).unwrap(),
+            );
+            (
+                executor(&database, vec![memory]),
+                executor(&opened.database, vec![disk]),
+            )
+        };
+        prop_assert_eq!(memory.plan().stage_names(), disk.plan().stage_names());
+        let stages = disk.plan().stage_names();
+        prop_assert_eq!(stages.len(), if chain { 3 } else { 1 });
+        prop_assert_eq!(stages[0].starts_with("anchor(a="), chain);
 
         let (memory_neighbors, memory_stats) = memory.knn(&query, k).unwrap();
         let (disk_neighbors, disk_stats) = disk.knn(&query, k).unwrap();
@@ -125,15 +126,13 @@ proptest! {
         prop_assert_eq!(&memory_stats.filter_evaluations, &disk_stats.filter_evaluations);
         prop_assert_eq!(memory_stats.refinements, disk_stats.refinements);
 
-        if let Some(constructed) = constructed {
-            prop_assert_eq!(constructed.plan().stage_names(), disk.plan().stage_names());
-            let (neighbors, stats) = constructed.knn(&query, k).unwrap();
-            let bits = |n: &emd_query::Neighbor| (n.id, n.distance.to_bits());
-            prop_assert_eq!(
-                neighbors.iter().map(bits).collect::<Vec<_>>(),
-                disk_neighbors.iter().map(bits).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(stats, disk_stats);
+        // And the reopened plan's neighbors are brute force's, to within
+        // what two solves of one pair may differ by.
+        let brute = brute_force_knn(&query, database.histograms(), database.cost(), k).unwrap();
+        prop_assert_eq!(disk_neighbors.len(), brute.len());
+        for (d, b) in disk_neighbors.iter().zip(&brute) {
+            prop_assert_eq!(d.id, b.id);
+            prop_assert!((d.distance - b.distance).abs() <= distance_slack(database.cost()));
         }
 
         std::fs::remove_dir_all(&dir).ok();

@@ -9,8 +9,8 @@
 
 use emd_core::{emd, ground, Budget, CancelToken, CostMatrix, Histogram};
 use emd_query::{
-    Database, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan, ReducedEmdFilter,
-    ReducedImFilter,
+    AnchorFilter, Database, EmdDistance, Executor, Filter, Query, QueryOutcome, QueryPlan,
+    ReducedEmdFilter, ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
@@ -31,13 +31,27 @@ fn histogram() -> impl Strategy<Value = Histogram> {
 /// Vogel start is already optimal — no pivot is ever charged and no cap
 /// ever fires; under a generic cost it is not, and the optimum is unique,
 /// so a solve's distance bits do not depend on where it started.
+///
+/// Every other draw is a metric of the same kind instead — the Euclidean
+/// distances of `DIM` random points in the plane — so that the chain
+/// below gains its anchor floor: stages that do not bound one another,
+/// degraded under the same caps.
 fn generic_cost() -> impl Strategy<Value = Arc<CostMatrix>> {
-    prop::collection::vec(0.05_f64..4.0, DIM * DIM)
-        .prop_map(|entries| Arc::new(CostMatrix::new(DIM, DIM, entries).expect("square")))
+    let entries = prop::collection::vec(0.05_f64..4.0, DIM * DIM);
+    (entries, prop::sample::select(vec![false, true])).prop_map(|(entries, metric)| {
+        Arc::new(if metric {
+            let points: Vec<Vec<f64>> = entries.chunks(2).take(DIM).map(<[f64]>::to_vec).collect();
+            ground::from_points(&points, ground::Metric::Euclidean).expect("DIM points")
+        } else {
+            CostMatrix::new(DIM, DIM, entries).expect("square")
+        })
+    })
 }
 
 /// The paper's standard two-stage chain (`Red-IM -> Red-EMD`) over an
-/// exact-EMD refiner: both solver-backed stages consult the budget.
+/// exact-EMD refiner — behind the anchor stage `QueryPlan::chain` would
+/// put in front wherever the cost is a metric: both solver-backed stages
+/// consult the budget.
 ///
 /// Warm starting is forced off: the properties below compare exact-flagged
 /// bounds bit-for-bit against a cold [`emd`] oracle, and on the
@@ -50,7 +64,7 @@ fn executor(database: &Database) -> Executor {
         CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap(),
     )
     .unwrap();
-    let stages: Vec<Box<dyn Filter>> = vec![
+    let mut stages: Vec<Box<dyn Filter>> = vec![
         Box::new(ReducedImFilter::new(database, reduced.clone()).unwrap()),
         Box::new(
             ReducedEmdFilter::new(database, reduced)
@@ -58,6 +72,9 @@ fn executor(database: &Database) -> Executor {
                 .with_warm_start(false),
         ),
     ];
+    if let Ok(anchor) = AnchorFilter::new(database, 3) {
+        stages.insert(0, Box::new(anchor));
+    }
     let refiner = Box::new(EmdDistance::new(database).unwrap().with_warm_start(false));
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
 }
@@ -77,9 +94,9 @@ proptest! {
     /// either returns the exact answer (bit-identical to the unbudgeted
     /// run) or degrades to a ranking in which every bound is a valid
     /// lower bound of the exact EMD, exact flags are truthful, the order
-    /// is ascending `(bound, id)` and no object is missing: the Red-IM
-    /// scan charges no pivot, so there are always `k` candidates to
-    /// return — for `k = n`, every object exactly once.
+    /// is ascending `(bound, id)` and no object is missing: the stage-1
+    /// scan (anchor or Red-IM) charges no pivot, so there are always `k`
+    /// candidates to return — for `k = n`, every object exactly once.
     #[test]
     fn degraded_rankings_are_principled(
         database in prop::collection::vec(histogram(), 4..12),

@@ -2,8 +2,10 @@
 //! random databases (including ones whose min-reduced ground distance is
 //! *not* a metric and must be closed), a plan driven by
 //! [`ClusteredIndex`] answers k-NN and range queries bit-identically to
-//! the full Red-EMD scan plan; its stream, which defers every solve
-//! behind an LB_IM key, emits exactly the scan's order even where
+//! the full Red-EMD scan plan and to brute force; its stream, which
+//! defers every solve behind a closed-form key and floors every member
+//! key by the anchor bound (the 6-bin chain is a metric), emits exactly
+//! the order of a scan of `max(pruning distance, anchor bound)` even where
 //! duplicates and exact ties make keys of every kind coincide; budgeted
 //! execution stays principled and loses no candidate at any pivot cap;
 //! and the persisted geometry round-trips into an index with the same
@@ -12,7 +14,9 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use emd_core::lower_bounds::AnchorBound;
 use emd_core::{emd, ground, Budget, Histogram};
+use emd_query::scan::brute_force_knn;
 use emd_query::{
     CandidateSource, ClusteredIndex, Database, DegradedResult, EmdDistance, Executor, Filter,
     Query, QueryError, QueryOutcome, QueryPlan, ReducedEmdFilter,
@@ -63,15 +67,22 @@ fn pull_and_drain(source: &ClusteredIndex, query: &Histogram, budget: &Budget) -
     (emitted, stream.drain_computed())
 }
 
-/// Every object's distance under the index's pruning cost, solved cold,
-/// in ascending `(distance, id)` order — what a full scan emits.
+/// Every object's key — its distance under the index's pruning cost,
+/// solved cold, or its anchor bound under the database's own cost where
+/// that is larger — in ascending `(key, id)` order: what a full scan of
+/// the running max emits.
 fn scan_order(index: &ClusteredIndex, database: &Database, query: &Histogram) -> Vec<(usize, f64)> {
     let reduced_query = index.reduced().reduce_first(query).unwrap();
+    let anchors = index.reduced().r2().reduced_dim();
+    let floor = AnchorBound::with_spread_anchors(database.cost(), anchors).unwrap();
     let mut order: Vec<(usize, f64)> = database
         .histograms()
         .iter()
-        .map(|h| index.reduced().reduce_second(h).unwrap())
-        .map(|h| emd(&reduced_query, &h, index.pruning_cost()).unwrap())
+        .map(|h| {
+            let reduced = index.reduced().reduce_second(h).unwrap();
+            let pruning = emd(&reduced_query, &reduced, index.pruning_cost()).unwrap();
+            pruning.max(floor.bound(query, h).unwrap())
+        })
         .enumerate()
         .collect();
     order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -182,6 +193,10 @@ proptest! {
             prop_assert_eq!(g.id, e.id);
             prop_assert_eq!(g.distance.to_bits(), e.distance.to_bits());
         }
+        // Both refine cold, as the oracle does: the anchor-floored stream
+        // returns brute force's very bits.
+        let brute = brute_force_knn(&query, database.histograms(), database.cost(), k).unwrap();
+        prop_assert_eq!(got, brute);
     }
 
     /// Clustered range answers equal the full-scan plan's answers —
@@ -229,8 +244,8 @@ proptest! {
         prop_assert_eq!(stats, exact_stats);
     }
 
-    /// The deferred stream drained to exhaustion is the full scan under
-    /// the pruning cost, bit for bit and in order — on corpora drawn with
+    /// The deferred stream drained to exhaustion is the full scan of its
+    /// keys, bit for bit and in order — on corpora drawn with
     /// repetition from a few dyadic histograms, where k-center yields
     /// zero radii and lazy cluster, cluster, lazy member and member keys
     /// all tie exactly.
@@ -261,7 +276,7 @@ proptest! {
     /// At every pivot cap from nothing to enough, what the stream emitted
     /// and what it surrenders afterwards name every object exactly once:
     /// the emitted prefix is the scan's, and every drained bound
-    /// lower-bounds the object's pruning distance (hence its exact EMD).
+    /// lower-bounds the object's scan key (hence its exact EMD).
     #[test]
     fn stream_loses_nothing_at_any_pivot_cap(
         database in prop::collection::vec(histogram(), 4..16),

@@ -9,12 +9,18 @@
 //! soundness of those bounds end to end: through a filter chain, a
 //! clustered candidate source and a live snapshot (which runs the same
 //! chain, lazily, over whatever an insert / remove / compact history
-//! left alive), on a tie-prone integer ground distance.
+//! left alive), on a tie-prone integer ground distance. That distance is
+//! a metric, so every chain here is [`QueryPlan::chain`]'s `anchor ->
+//! red-im -> red-emd` and every clustered key is floored by the anchor
+//! bound — stages that do not bound one another, ranked by their running
+//! max; over a cost that is no metric the plan is the paper's two stages
+//! and the answers are brute force's all the same. Returned distances
+//! are held to [`distance_slack`], the warm/cold contract.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::{ground, Histogram};
+use emd_core::{distance_slack, emd, ground, CostMatrix, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
     ClusteredIndex, Database, DynamicIndex, EmdDistance, Executor, Filter, Neighbor, QueryPlan,
@@ -57,6 +63,31 @@ fn executor(database: &Database, stages: Vec<Box<dyn Filter>>) -> Executor {
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
 }
 
+/// The Figure 10 chain over its metric floor, as every plan assembles it.
+fn chain(database: &Database, reduced: &ReducedEmd) -> Executor {
+    let red_im = ReducedImFilter::new(database, reduced.clone()).unwrap();
+    Executor::new(QueryPlan::chain(database, red_im).unwrap())
+}
+
+/// Every returned distance is its pair's cold distance to within the
+/// warm/cold contract.
+fn assert_within_slack(
+    query: &Histogram,
+    objects: &[Histogram],
+    cost: &CostMatrix,
+    got: &[Neighbor],
+) {
+    for neighbor in got {
+        let cold = emd(query, &objects[neighbor.id], cost).unwrap();
+        assert!(
+            (neighbor.distance - cold).abs() <= distance_slack(cost),
+            "object {}: {} against a cold {cold}",
+            neighbor.id,
+            neighbor.distance
+        );
+    }
+}
+
 /// Canonicalize results so equal-distance ties compare equal.
 fn canonical(neighbors: &[Neighbor]) -> Vec<(i64, usize)> {
     let mut pairs: Vec<(i64, usize)> = neighbors
@@ -70,29 +101,69 @@ fn canonical(neighbors: &[Neighbor]) -> Vec<(i64, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Chained Red-IM -> Red-EMD -> EMD k-NN equals brute force.
+    /// Chained anchor -> Red-IM -> Red-EMD -> EMD k-NN and range equal
+    /// brute force.
     #[test]
     fn chained_knn_is_complete(
         database in prop::collection::vec(histogram(), 4..14),
         query in histogram(),
         r in reduction(),
         k in 1usize..6,
+        epsilon in 0.0_f64..3.0,
     ) {
         let cost = Arc::new(ground::linear(DIM).unwrap());
         let database = Database::new(database, cost.clone()).unwrap();
         let reduced = ReducedEmd::new(&cost, r).unwrap();
-        let pipeline = executor(
+        let pipeline = chain(&database, &reduced);
+        let stages = pipeline.plan().stage_names();
+        prop_assert!(stages.len() == 3 && stages[0].starts_with("anchor(a="));
+
+        let expected = brute_force_knn(&query, database.histograms(), &cost, k).unwrap();
+        let (got, stats) = pipeline.knn(&query, k).unwrap();
+        prop_assert_eq!(canonical(&got), canonical(&expected));
+        assert_within_slack(&query, database.histograms(), &cost, &got);
+        prop_assert!(stats.refinements <= database.len());
+        let expected = brute_force_range(&query, database.histograms(), &cost, epsilon).unwrap();
+        let (got, _) = pipeline.range(&query, epsilon).unwrap();
+        prop_assert_eq!(canonical(&got), canonical(&expected));
+    }
+
+    /// Squared chain distances are no metric: the anchor bound does not
+    /// exist, `QueryPlan::chain` is the paper's two stages — the plan a
+    /// caller assembles from them by hand, row for row — and k-NN and
+    /// range still equal brute force.
+    #[test]
+    fn a_non_metric_cost_keeps_the_papers_chain(
+        database in prop::collection::vec(histogram(), 4..14),
+        query in histogram(),
+        r in reduction(),
+        k in 1usize..6,
+        epsilon in 0.0_f64..6.0,
+    ) {
+        let squared = |i: usize, j: usize| (i as f64 - j as f64).powi(2);
+        let cost = Arc::new(CostMatrix::from_fn(DIM, squared).unwrap());
+        let database = Database::new(database, cost.clone()).unwrap();
+        let reduced = ReducedEmd::new(&cost, r).unwrap();
+        let pipeline = chain(&database, &reduced);
+        let by_hand = executor(
             &database,
             vec![
                 Box::new(ReducedImFilter::new(&database, reduced.clone()).unwrap()),
                 Box::new(ReducedEmdFilter::new(&database, reduced).unwrap()),
             ],
         );
+        let stages = pipeline.plan().stage_names();
+        prop_assert!(stages.len() == 2 && stages[0].starts_with("red-im("));
+        prop_assert_eq!(stages, by_hand.plan().stage_names());
 
         let expected = brute_force_knn(&query, database.histograms(), &cost, k).unwrap();
         let (got, stats) = pipeline.knn(&query, k).unwrap();
         prop_assert_eq!(canonical(&got), canonical(&expected));
-        prop_assert!(stats.refinements <= database.len());
+        prop_assert_eq!((got, stats), by_hand.knn(&query, k).unwrap());
+        let expected = brute_force_range(&query, database.histograms(), &cost, epsilon).unwrap();
+        let (got, stats) = pipeline.range(&query, epsilon).unwrap();
+        prop_assert_eq!(canonical(&got), canonical(&expected));
+        prop_assert_eq!((got, stats), by_hand.range(&query, epsilon).unwrap());
     }
 
     /// Single-stage Red-EMD range query equals brute force.
@@ -137,9 +208,10 @@ proptest! {
         prop_assert_eq!(canonical(&got), canonical(&expected));
     }
 
-    /// A clustered candidate source in front of the warm refiner: k-NN
-    /// and range equal brute force. (Contiguous pairs, `d' = 3`: the
-    /// reduced cost keeps the zero diagonal the pruning needs.)
+    /// A clustered candidate source, its member keys floored by the
+    /// anchor bound, in front of the warm refiner: k-NN and range equal
+    /// brute force. (Contiguous pairs, `d' = 3`: the reduced cost keeps
+    /// the zero diagonal the pruning needs.)
     #[test]
     fn clustered_source_is_complete(
         database in prop::collection::vec(histogram(), 4..20),
@@ -159,6 +231,7 @@ proptest! {
         let expected = brute_force_knn(&query, database.histograms(), &cost, k).unwrap();
         let (got, _) = pipeline.knn(&query, k).unwrap();
         prop_assert_eq!(canonical(&got), canonical(&expected));
+        assert_within_slack(&query, database.histograms(), &cost, &got);
         let expected = brute_force_range(&query, database.histograms(), &cost, epsilon).unwrap();
         let (got, _) = pipeline.range(&query, epsilon).unwrap();
         prop_assert_eq!(canonical(&got), canonical(&expected));
@@ -167,8 +240,8 @@ proptest! {
     /// A live snapshot after any interleaving of inserts, removals and
     /// compactions: k-NN and range, in the index's own ids, equal brute
     /// force over the survivors — and equal the static
-    /// `Red-IM -> Red-EMD -> EMD` plan over the same survivors, whose
-    /// chain the snapshot runs.
+    /// `anchor -> Red-IM -> Red-EMD -> EMD` plan over the same survivors,
+    /// whose chain the snapshot runs over projections made at insert.
     #[test]
     fn dynamic_snapshot_is_complete(
         ops in prop::collection::vec((histogram(), 0usize..8), 4..24),
@@ -208,14 +281,9 @@ proptest! {
                 .collect()
         };
         let database = Database::new(survivors.clone(), cost.clone()).unwrap();
-        let fixed = executor(
-            &database,
-            vec![
-                Box::new(ReducedImFilter::new(&database, reduced.clone()).unwrap()),
-                Box::new(ReducedEmdFilter::new(&database, reduced).unwrap()),
-            ],
-        );
+        let fixed = chain(&database, &reduced);
         prop_assert_eq!(snapshot.executor().plan().stage_names(), fixed.plan().stage_names());
+        prop_assert_eq!(fixed.plan().stage_names().len(), 3);
 
         let expected = brute_force_knn(&query, &survivors, &cost, k).unwrap();
         let (got, stats) = snapshot.knn(&query, k).unwrap();

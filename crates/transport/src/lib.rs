@@ -119,6 +119,31 @@ pub use workspace::{SolverWorkspace, WorkspaceStats};
 /// (up to a few hundred bins) this crate targets.
 pub const EPS: f64 = 1e-12;
 
+/// How far the objectives two solves report for one problem may lie
+/// apart at worst, absolutely: `(sources + targets) · EPS · max_cost`.
+///
+/// A final basis counts as feasible when no basic flow is below `-EPS`,
+/// so a solve may end on a basis that is optimal for marginals up to
+/// [`EPS`] per node away from the ones it was given; the optimum moves
+/// by at most the largest dual — at most `max_cost` — per unit of
+/// marginal, which is this bound. Two solves of one problem (a warm and
+/// a cold one on a tie-prone cost, a chain cut or seeded elsewhere) are
+/// related by nothing tighter in general, and by far more in practice:
+/// the reported objective sums `flow · cost` over *every* basic cell,
+/// i.e. it is the basis' dual value, which all optimal bases share, and
+/// a warm seed is repaired until no basic flow is below `-1e-14`, so
+/// measured divergence is a few ulps (≤ 2e-13 relative over 3 000
+/// distances of the benchmark's 32-bin Gaussian corpus). It was not
+/// always: while the sum skipped basic flows at or below `EPS`, and a
+/// warm seed passed as feasible down to `-EPS`, two bases that routed
+/// such residuals over cells of different cost reported objectives up
+/// to this bound apart — `tests/warm_chain.rs` pins the pair that read
+/// 1.3e-10 apart (6e-9 of its distance) then and agrees to the ulp now.
+#[must_use]
+pub fn objective_slack(sources: usize, targets: usize, max_cost: f64) -> f64 {
+    (sources + targets) as f64 * EPS * max_cost
+}
+
 /// Looser tolerance for user-facing feasibility checks (balance of total
 /// supply and demand). Inputs typically come from normalized histograms
 /// whose sums carry accumulated rounding error.

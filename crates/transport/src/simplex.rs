@@ -19,10 +19,12 @@
 //! The one entry, [`solve_warm_objective`], extracts every solution the
 //! same way: the final basis cells are sorted by `(row, col)`, flows are
 //! re-derived from the marginals by the workspace's leaf-peeling refit,
-//! and the objective is summed in sorted-cell order. The answer therefore
-//! depends only on the final basis, never on the pivot history, which is
-//! what makes warm-started solves bit-identical to cold solves whenever
-//! both reach the same optimal basis.
+//! and the objective is summed over every basic cell in sorted-cell
+//! order. The answer therefore depends only on the final basis, never on
+//! the pivot history, which is what makes warm-started solves
+//! bit-identical to cold solves whenever both reach the same optimal
+//! basis — and, the sum being the basis' dual value, equal to the last
+//! few ulps when they reach different ones.
 
 use crate::budget::{Budget, BudgetReason, CHECK_INTERVAL};
 use crate::error::TransportError;
@@ -58,6 +60,17 @@ const DEGENERATE_PIVOT_LIMIT: usize = 64;
 
 /// Reduced costs above `-OPTIMALITY_TOLERANCE` count as non-negative.
 const OPTIMALITY_TOLERANCE: f64 = 1e-10;
+
+/// A warm basis counts as primal-feasible for new marginals when no
+/// basic flow is below `-WARM_FEASIBILITY`; one that is gets repaired.
+/// Two orders above what leaf peeling accumulates in rounding (a few
+/// `1e-16` per node) and two below [`EPS`], because marginals that
+/// nearly cancel on a bin leave *real* residuals in between — 9e-13 on
+/// the benchmark's Gaussian corpus — and a basis that ships one of them
+/// the wrong way is optimal for some other problem: accepted at `EPS`,
+/// it returned a dual value 1.1e-11 below the optimum (5e-10 of the
+/// distance) on the pair `tests/warm_chain.rs` pins.
+const WARM_FEASIBILITY: f64 = 1e-14;
 
 /// Solve a transportation problem: [`solve_warm`] from an empty
 /// workspace, under no budget.
@@ -186,7 +199,8 @@ pub fn solve_warm_objective(
         let ws = &mut *workspace;
         ws.cells.clear();
         ws.cells.extend_from_slice(&ws.warm_cells);
-        if workspace.refit(m, n, problem.supplies(), problem.demands()) {
+        let (supplies, demands) = (problem.supplies(), problem.demands());
+        if workspace.refit(m, n, supplies, demands, WARM_FEASIBILITY) {
             workspace.stats.warm_hits += 1;
             emd_obs::counter_add("transport.warm.hits", 1);
             // Degenerate cells can re-fit to a tiny negative flow; clamp
@@ -263,13 +277,16 @@ pub fn solve_warm_objective(
     // Canonical extraction: sorted cells, flows re-derived from the
     // marginals, objective summed in sorted order.
     workspace.cells.sort_unstable();
-    let feasible = workspace.refit(m, n, problem.supplies(), problem.demands());
+    let feasible = workspace.refit(m, n, problem.supplies(), problem.demands(), EPS);
     debug_assert!(feasible, "optimal basis must re-fit feasibly");
+    // Every basic cell counts, however small its flow: the sum is then
+    // the basis' dual value, which two optimal bases share, whereas a sum
+    // over the flows above `EPS` alone differs between them by whatever
+    // each happened to route through its sub-`EPS` residuals
+    // ([`crate::objective_slack`]).
     let mut objective = 0.0;
     for (&(row, col), &flow) in workspace.cells.iter().zip(&workspace.flows) {
-        if flow > EPS {
-            objective += flow * problem.cost(row, col);
-        }
+        objective += flow * problem.cost(row, col);
     }
 
     // Remember the basis for the next solve of this shape.
@@ -371,7 +388,7 @@ fn certified_lower_bound(
 /// test for the rest of the solve.
 ///
 /// Returns [`Repair::Feasible`] once every basic flow is non-negative
-/// (tiny negatives within [`EPS`] clamped), [`Repair::Cut`] on a
+/// (tiny negatives within `WARM_FEASIBILITY` clamped), [`Repair::Cut`] on a
 /// certified bound above `cutoff`, [`Repair::Abandoned`] when the repair
 /// cap is exceeded or no entering candidate exists, and a typed error
 /// when `budget` fires mid-repair.
@@ -423,7 +440,7 @@ fn dual_repair(
         // Most negative basic flow leaves; first-minimal in slot order
         // keeps the scan deterministic under ties.
         let mut leaving: Option<usize> = None;
-        let mut worst = -EPS;
+        let mut worst = -WARM_FEASIBILITY;
         for (id, &flow) in tree.flows().iter().enumerate() {
             if flow < worst {
                 worst = flow;

@@ -172,12 +172,19 @@ impl SolverWorkspace {
     /// remaining degree 1 has a single unassigned incident edge, which
     /// must carry that node's remaining marginal. Fills `self.flows`
     /// (aligned with `self.cells`) and returns `false` when any flow is
-    /// negative beyond [`EPS`] — i.e. the basis is infeasible for these
-    /// marginals.
+    /// negative beyond `tolerance` — i.e. the basis is infeasible for
+    /// these marginals.
     ///
     /// Deterministic: the peeling order depends only on the cell list and
     /// the marginals, never on allocation state or solve history.
-    pub(crate) fn refit(&mut self, m: usize, n: usize, supplies: &[f64], demands: &[f64]) -> bool {
+    pub(crate) fn refit(
+        &mut self,
+        m: usize,
+        n: usize,
+        supplies: &[f64],
+        demands: &[f64],
+        tolerance: f64,
+    ) -> bool {
         let nodes = m + n;
         let k = self.cells.len();
         debug_assert_eq!(k, nodes - 1, "basis must be a spanning tree");
@@ -243,7 +250,7 @@ impl SolverWorkspace {
             let (row, col) = self.cells[cell]; // bounds: CSR entries index cells
             let other = if node < m { m + col } else { row };
             let flow = self.rem[node]; // bounds: node < nodes = rem.len()
-            if flow < -EPS {
+            if flow < -tolerance {
                 feasible = false;
             }
             self.flows[cell] = flow; // bounds: cell indexes cells/flows, same length
@@ -278,7 +285,7 @@ mod tests {
     ) -> bool {
         ws.cells.clear();
         ws.cells.extend_from_slice(cells);
-        ws.refit(m, n, supplies, demands)
+        ws.refit(m, n, supplies, demands, EPS)
     }
 
     #[test]

@@ -32,13 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Symmetric reduction to d' = 8 via k-medoids.
     let r = kmedoids_reduction(&cost, 8, &mut rng)?.reduction;
 
-    // --- Configuration A: the full Figure 10 chain ----------------------
+    // --- Configuration A: the full Figure 10 chain, over its anchor floor
     let reduced = ReducedEmd::new(&cost, r.clone())?;
     let red_im = ReducedImFilter::new(&database, reduced)?;
     let chain = Executor::new(QueryPlan::chain(&database, red_im)?);
     let (neighbors, stats) = chain.knn(query, 5)?;
     println!(
-        "Figure 10 chain (Red-IM -> Red-EMD -> EMD), N = {}:",
+        "Figure 10 chain (anchor -> Red-IM -> Red-EMD -> EMD), N = {}:",
         database.len()
     );
     for (stage, evaluations) in &stats.filter_evaluations {

@@ -4,7 +4,9 @@
 //!
 //! Builds the full preprocessing chain of Section 3.4 (flow sampling +
 //! FB-All from a k-medoids start) and runs class-labelled k-NN queries
-//! through the chained Red-IM -> Red-EMD -> EMD pipeline of Figure 10.
+//! through the chained Red-IM -> Red-EMD -> EMD pipeline of Figure 10
+//! (`QueryPlan::chain`, which puts a closed-form anchor stage under it:
+//! the color cube's ground distance is a metric).
 //!
 //! ```sh
 //! cargo run --release --example image_retrieval
@@ -84,10 +86,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .count();
         class_hits += hits;
         class_total += neighbors.len();
+        let stages = stats.filter_evaluations.iter();
+        let stages: Vec<String> = stages
+            .map(|(name, evaluations)| {
+                let kind = name.split('(').next().unwrap_or(name);
+                format!("{evaluations} {kind}")
+            })
+            .collect();
         println!(
-            "  query {index}: {} red-im, {} red-emd, {} refinements -> {}/{} same-class",
-            stats.filter_evaluations[0].1,
-            stats.filter_evaluations[1].1,
+            "  query {index}: {}, {} refinements -> {}/{} same-class",
+            stages.join(", "),
             stats.refinements,
             hits,
             neighbors.len()

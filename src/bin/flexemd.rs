@@ -615,8 +615,8 @@ fn source_options(options: &Options) -> Result<(String, bool), String> {
         ));
     }
     if chain && source_kind != "scan" {
-        // An index source already emits Red-EMD bounds;
-        // stacking the looser Red-IM stage on top would invert the chain.
+        // An index source already emits Red-EMD bounds over the anchor
+        // floor; the chain's stages would only recompute them.
         return Err("--chain only applies to --source scan".to_owned());
     }
     Ok((source_kind, chain))
