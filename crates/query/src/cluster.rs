@@ -17,13 +17,14 @@
 //!
 //! The minima of Definition 5 do not always preserve the triangle
 //! inequality (merging a chain into three blocks puts the outer pair at
-//! ground distance 3 with two 1-hops between them), so the index prunes
-//! with the EMD over the **metric closure** of the reduced cost: every
-//! entry replaced by its all-pairs shortest-path distance. The closure
-//! only lowers entries, so `EMD_closure <= Red-EMD <= EMD` keeps the
-//! bound chain intact, and shortest-path distances satisfy the triangle
-//! inequality by construction. When the reduced cost is already a metric
-//! the closure is bit-identical to it and nothing changes.
+//! ground distance 3 with two 1-hops between them), so the *geometry* —
+//! construction distances, covering radii and the pivot keys at query
+//! time — is computed over the **metric closure** of the reduced cost:
+//! every entry replaced by its all-pairs shortest-path distance. The
+//! closure only lowers entries, so `EMD_closure <= Red-EMD <= EMD` keeps
+//! the bound chain intact, and shortest-path distances satisfy the
+//! triangle inequality by construction. When the reduced cost is already
+//! a metric the closure is bit-identical to it and nothing changes.
 //!
 //! Construction is greedy k-center (minimum-maximum, Gonzalez): pick the
 //! object farthest from all chosen pivots as the next pivot, `~sqrt(n) ·
@@ -31,63 +32,54 @@
 //! d(o, old pivot)` implies the new pivot cannot steal `o`) keeps
 //! construction well below the naive `k·n` solves on clustered data.
 //!
-//! At query time [`ClusteredIndex`] is a [`CandidateSource`] whose stream
-//! **solves no LP until a closed-form bound asks for it**. LB_IM over
-//! the pruning cost lower-bounds the pruning distance (`LB_IM_closure <=
-//! EMD_closure <= Red-EMD <= EMD`), and over a metric ground distance the
-//! anchor bound on the *original* histograms (`anchor <= EMD`, the floor
-//! [`QueryPlan::chain`](crate::QueryPlan::chain) puts under its stages)
-//! lower-bounds the exact EMD directly. Neither bounds the other, so a
-//! member's key is the **running max** of what is known of it — each term
-//! bounds the EMD, and that is all KNOP needs of an emitted key. Writing
-//! `d` for the pruning distance, the stream's best-first heap holds four
-//! kinds of entry, ordered on equal keys as listed:
+//! At query time [`ClusteredIndex`] is a [`CandidateSource`] in two
+//! layers. The **traversal** only decides which objects stage 1 emits,
+//! and does so with two kinds of entry:
 //!
 //! | kind | key | on pop |
 //! |---|---|---|
-//! | *lazy cluster* | `max(0, LB_IM(q, pivot) - radius)` | solve the pivot; push its *cluster* and its own *member* entry |
-//! | *cluster* | `max(0, d(q, pivot) - radius)` | push a *lazy member* per non-pivot member (no LP) |
-//! | *lazy member* | `max(LB_IM(q, o), anchor(q, o))` | solve `o`; push its *member* entry |
-//! | *member* | `max(d(q, o), anchor(q, o))` | emit `(o, key)` |
+//! | *cluster* | `max(0, LB_IM_closure(q, pivot) - radius)` | probe the budget; its members follow |
+//! | *member* | its cluster's key | emit `(o, key)` |
 //!
-//! (Without a metric ground distance there is no anchor term and the
-//! member keys are `LB_IM(q, o)` and `d(q, o)`.) A deferred key never
-//! exceeds its solved twin's (`LB_IM <= d`, and the anchor term rides
-//! along unchanged), a cluster's key never exceeds any of its members'
-//! (`d(q, pivot) - radius <= d(q, o)`, and the max only raises the
-//! member's), and every non-member kind orders before *member* on equal
-//! keys; so when a member entry `(key, id)` is at the top, every entry
-//! that could still produce a member at `<= key` has already been popped
-//! and resolved, and candidates are emitted in exactly the ascending
-//! `(key, id)` order a full scan of `max(d, anchor)` produces; only the
-//! number of solves changes. A cluster whose (deferred or real) bound, or
-//! a member whose closed-form key, exceeds KNOP's stopping frontier is
-//! never solved: that is the sublinear win the benchmark's
-//! `gauss32-clustered-20k` workload measures
-//! (`cluster.visited_per_query` / `cluster.pruned_per_query`; the
-//! stream's `index.deferred_bounds` / `index.deferred_solved` counters
-//! say how many LB_IM evaluations it made and how many entries it later
-//! had to solve).
+//! LB_IM over the closure lower-bounds the closure's EMD, so a cluster's
+//! key bounds every member (`d(q, pivot) - radius <= d(q, o)` for `d` =
+//! `EMD_closure`) and hence the exact EMD. The traversal solves no LP and
+//! evaluates no per-member bound: one LB_IM per pivot when the query is
+//! prepared, nothing after. An opened cluster's key is the smallest left,
+//! so its members leave at it and emission is ascending.
+//!
+//! **On top** the index stacks the stages of
+//! [`QueryPlan::chain`](crate::QueryPlan::chain) — `anchor -> red-im ->
+//! red-emd` over its own reduced arena, assembled by the same function —
+//! under the executor's [`ChainedRanking`], which keys every candidate by
+//! the running max of what is known of it. A cluster's key never exceeds
+//! Red-EMD, so that max is the chain's `max(anchor, Red-IM, Red-EMD)` and
+//! KNOP refines exactly what `QueryPlan::chain` refines; what the index
+//! changes is how many of the chain's bounds run. A cluster whose key
+//! exceeds KNOP's stopping frontier is never opened: that is the
+//! sublinear win the benchmark's `gauss32-clustered-20k` workload
+//! measures (`cluster.visited_per_query` / `cluster.pruned_per_query`;
+//! `index.candidates_emitted` counts what the chain hands KNOP).
 //!
 //! The clustering persists through `emd-store` ([`ClusteredIndex::to_stored`]
 //! / [`ClusteredIndex::from_stored`]) so `build-index --cluster` pays
-//! construction once. Budgets propagate through the traversal: a firing
-//! surfaces as [`QueryError::BudgetExhausted`] from the stream with the
-//! interrupted entry still in the heap, so the degraded answer is
-//! surrendered *every* object not yet emitted at its tightest computed
-//! bound — a member or lazy member at its key, the members of a cluster
-//! (its pivot too, while the cluster is still lazy) at the cluster's
-//! bound.
+//! construction once. Budgets propagate: the traversal probes before it
+//! opens a cluster and the Red-EMD stage inside every solve. A firing
+//! surfaces as [`QueryError::BudgetExhausted`] with the interrupted entry
+//! left in place, so the degraded answer is surrendered *every* object
+//! not yet emitted — by [`ChainedRanking`]'s drain over the traversal's,
+//! which gives an unopened cluster's key to all of its members.
 
+use crate::engine::chain_stages;
 use crate::engine::source::{CandidateSource, CandidateStream};
 use crate::engine::Database;
 use crate::error::QueryError;
 use crate::filters::{
-    check_persisted, reduce_database, AnchorFilter, PreparedBound, PreparedEmd, PreparedFilter,
+    check_persisted, reduce_database, AnchorFilter, Filter, PreparedBound, PreparedFilter,
+    ReducedImFilter,
 };
-use crate::ranking::{Key, Ranking};
-use emd_core::certify::debug_check_lower_bound;
-use emd_core::lower_bounds::{AnchorBound, LbIm};
+use crate::ranking::{ChainedRanking, Key, Ranking};
+use emd_core::lower_bounds::LbIm;
 use emd_core::{emd_in_context, Budget, CostMatrix, EmdContext, Histogram};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use emd_store::StoredClustering;
@@ -98,16 +90,6 @@ use std::sync::Arc;
 /// Tolerance for symmetry/zero-diagonal checks on the reduced cost, and
 /// for the debug metric assertion on its closure.
 const METRIC_TOL: f64 = 1e-9;
-
-/// Heap entry kinds, in their order on equal keys: a deferred entry
-/// resolves before its solved twin and everything resolves before a
-/// member is emitted, which is what makes the emission order identical
-/// to a full scan's (k-center on duplicates gives zero radii and equal
-/// keys; this order is what decides those).
-const ENTRY_LAZY_CLUSTER: u8 = 0;
-const ENTRY_CLUSTER: u8 = 1;
-const ENTRY_LAZY_MEMBER: u8 = 2;
-const ENTRY_MEMBER: u8 = 3;
 
 /// A greedy k-center clustering of the reduced arena, queryable as a
 /// [`CandidateSource`] with triangle-inequality cluster pruning.
@@ -149,19 +131,19 @@ const ENTRY_MEMBER: u8 = 3;
 /// let stored = index.to_stored();
 /// assert_eq!(stored.pivots.len(), index.clusters());
 /// ```
-#[derive(Debug, Clone)]
 pub struct ClusteredIndex {
     name: String,
-    reduced: ReducedEmd,
+    reduced: Arc<ReducedEmd>,
     /// LB_IM over the metric closure of the reduced ground distance —
-    /// [`LbIm::cost`] is the cost every construction and query-time
-    /// distance in this index uses; the bound defers those distances.
+    /// [`LbIm::cost`] is the cost of every construction distance and the
+    /// bound that keys the clusters at query time.
     pruning: LbIm,
     reduced_database: Arc<[Histogram]>,
-    /// The anchor bound over the database's own cost and objects, folded
-    /// into every member key; `None` when that cost is not a metric.
-    /// Derived from the database on every build and open, never stored.
-    floor: Option<AnchorFilter>,
+    /// The stages of [`QueryPlan::chain`](crate::QueryPlan::chain) over
+    /// this index's reduced arena, ending in the Red-EMD stage. The anchor
+    /// floor is derived from the database on every build and open, never
+    /// stored.
+    stages: Vec<Box<dyn Filter>>,
     pivots: Vec<u32>,
     assignments: Vec<u32>,
     radii: Vec<f64>,
@@ -232,18 +214,12 @@ impl ClusteredIndex {
         let pruning = LbIm::new(pruning_cost_for(&reduced)?);
         let arena: Arc<[Histogram]> = bundle.reduced_database().to_vec().into();
         validate_stored(stored, arena.len())?;
-        let members = members_of(&stored.assignments, stored.pivots.len());
-        Ok(ClusteredIndex {
-            name: index_name(&reduced, pruning.cost(), stored.pivots.len()),
-            floor: AnchorFilter::floor(database, &reduced)?,
-            reduced,
-            pruning,
-            reduced_database: arena,
-            pivots: stored.pivots.clone(),
-            assignments: stored.assignments.clone(),
-            radii: stored.radii.clone(),
-            members,
-        })
+        let geometry = (
+            stored.pivots.clone(),
+            stored.assignments.clone(),
+            stored.radii.clone(),
+        );
+        Self::over(database, reduced, pruning, arena, geometry)
     }
 
     /// The clustering geometry in its storable form (pivots,
@@ -281,9 +257,9 @@ impl ClusteredIndex {
         &self.reduced
     }
 
-    /// The cost matrix pruning distances are computed under: the metric
-    /// closure of the reduced ground distance (bit-identical to it when
-    /// the reduced cost is already a metric).
+    /// The cost matrix the geometry is computed under: the metric closure
+    /// of the reduced ground distance (bit-identical to it when the
+    /// reduced cost is already a metric).
     pub fn pruning_cost(&self) -> &CostMatrix {
         self.pruning.cost()
     }
@@ -306,18 +282,32 @@ impl ClusteredIndex {
         }
         let target = ((n as f64).sqrt() * factor).ceil() as usize;
         let k = target.clamp(1, n);
-        let (pivots, assignments, radii) = greedy_k_center(pruning.cost(), &arena, k)?;
-        let members = members_of(&assignments, pivots.len());
+        let geometry = greedy_k_center(pruning.cost(), &arena, k)?;
+        Self::over(database, reduced, pruning, arena, geometry)
+    }
+
+    /// The index of `geometry` over `arena`, with the chain's stages.
+    fn over(
+        database: &Database,
+        reduced: ReducedEmd,
+        pruning: LbIm,
+        arena: Arc<[Histogram]>,
+        (pivots, assignments, radii): ClusterGeometry,
+    ) -> Result<Self, QueryError> {
+        let floor = AnchorFilter::floor(database, &reduced)?;
+        let reduced = Arc::new(reduced);
+        let bound = Arc::new(LbIm::new(reduced.reduced_cost().clone()));
+        let red_im = ReducedImFilter::from_shared(Arc::clone(&reduced), bound, Arc::clone(&arena));
         Ok(ClusteredIndex {
             name: index_name(&reduced, pruning.cost(), pivots.len()),
-            floor: AnchorFilter::floor(database, &reduced)?,
+            stages: chain_stages(floor, red_im),
+            members: members_of(&assignments, pivots.len()),
             reduced,
             pruning,
             reduced_database: arena,
             pivots,
             assignments,
             radii,
-            members,
         })
     }
 }
@@ -336,25 +326,35 @@ impl CandidateSource for ClusteredIndex {
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn CandidateStream + '_>, QueryError> {
-        // Two evaluators run over the reduced arena under the pruning
-        // cost: the LP that is the pruning distance, and the LB_IM that
-        // puts it off. The floor runs over the original objects.
+        // Key every cluster by LB_IM of its pivot under the closure: the
+        // only bounds the traversal computes.
         let reduced_query = self.reduced.reduce_first(query)?;
-        let arena = &self.reduced_database;
-        let cost = self.pruning.cost();
-        let floor = self.floor.as_ref().map(|floor| floor.prepared(query));
-        let mut stream = ClusterStream {
+        let mut pivot_bound =
+            PreparedBound::new(&reduced_query, &self.pruning, &self.reduced_database)?;
+        let mut clusters = BinaryHeap::with_capacity(self.pivots.len());
+        for (cluster, (&pivot, &radius)) in self.pivots.iter().zip(&self.radii).enumerate() {
+            let key = (pivot_bound.distance(pivot as usize)? - radius).max(0.0);
+            clusters.push(Reverse((Key(key), cluster as u32)));
+        }
+        let mut ranking: Box<dyn Ranking + '_> = Box::new(ClusterStream {
             index: self,
             budget: budget.clone(),
-            deferred: PreparedBound::new(&reduced_query, &self.pruning, arena)?,
-            floor: floor.transpose()?,
-            solved: PreparedEmd::new(&reduced_query, arena, cost, budget, true)?,
-            heap: BinaryHeap::with_capacity(self.pivots.len()),
-            emitted: 0,
+            clusters,
+            open: (0.0, &[]),
             visited: 0,
-        };
-        stream.bound_clusters()?;
-        Ok(Box::new(stream))
+        });
+        // The chain on top; its last stage is Red-EMD, whose solves are
+        // the stream's evaluations.
+        let stages = self.stages.split_last();
+        let (red_emd, below) =
+            stages.ok_or_else(|| QueryError::Reduction("an index without stages".to_owned()))?;
+        for stage in below {
+            ranking = Box::new(ChainedRanking::new(ranking, stage.prepare(query, budget)?));
+        }
+        Ok(Box::new(IndexStream {
+            chain: ChainedRanking::new(ranking, red_emd.prepare(query, budget)?),
+            emitted: 0,
+        }))
     }
 }
 
@@ -573,150 +573,50 @@ fn members_of(assignments: &[u32], clusters: usize) -> Vec<Vec<u32>> {
     members
 }
 
-/// Per-query traversal state: a best-first heap over deferred and real
-/// cluster bounds, deferred member bounds and evaluated member distances
-/// (the module docs tabulate the four kinds).
-///
-/// Soundness of the emission order: every object not yet emitted is
-/// covered by exactly one entry whose key lower-bounds its distance — its
-/// own (lazy) member entry, or its cluster's (lazy) entry. When a member
-/// entry `(d, id)` is at the top, every other kind of entry with key
-/// `<= d` has already been popped and resolved (they order first on
-/// ties), so every member at distance `<= d` is already in the heap as a
-/// member and the pop order is globally ascending `(distance, id)`,
-/// exactly like a materialized scan.
+/// The per-query traversal: a best-first heap of unopened clusters, and
+/// the members of the last one opened still to emit at its key (the
+/// module docs tabulate the two kinds). Every object not yet emitted is
+/// covered by exactly one of them, at a key that lower-bounds its EMD.
 struct ClusterStream<'a> {
     index: &'a ClusteredIndex,
     budget: Budget,
-    /// LB_IM under the pruning cost: the key of every lazy entry pushed.
-    deferred: PreparedBound<'a, LbIm>,
-    /// The anchor bound under the database's own cost, raising every
-    /// member key it exceeds.
-    floor: Option<PreparedBound<'a, AnchorBound>>,
-    /// The pruning distance, one LP under the stream's budget: every
-    /// solve is the pop of a lazy entry.
-    solved: PreparedEmd<'a>,
-    heap: BinaryHeap<Reverse<(Key, u8, u32)>>,
-    emitted: usize,
+    clusters: BinaryHeap<Reverse<(Key, u32)>>,
+    /// The open cluster's key and the members it has not emitted yet.
+    open: (f64, &'a [u32]),
     visited: usize,
-}
-
-impl ClusterStream<'_> {
-    /// Bound every cluster by LB_IM of its pivot: one lazy cluster entry
-    /// each, no LP.
-    fn bound_clusters(&mut self) -> Result<(), QueryError> {
-        let index = self.index;
-        for (cluster, (&pivot, &radius)) in index.pivots.iter().zip(&index.radii).enumerate() {
-            let bound = (self.deferred.distance(pivot as usize)? - radius).max(0.0);
-            self.heap
-                .push(Reverse((Key(bound), ENTRY_LAZY_CLUSTER, cluster as u32)));
-        }
-        Ok(())
-    }
-
-    /// `key` or the anchor bound of object `id`, whichever is larger: the
-    /// running max that keeps a member's key the tightest bound known.
-    fn floored(&mut self, id: u32, key: f64) -> Result<f64, QueryError> {
-        match &mut self.floor {
-            Some(floor) => Ok(floor.distance(id as usize)?.max(key)),
-            None => Ok(key),
-        }
-    }
-
-    /// Open the cluster whose entry is at the top of the heap: a lazy
-    /// member entry for every member except the pivot, which rides its own
-    /// member entry since the cluster was solved. Past the leading probe
-    /// nothing here can exhaust a budget, so the entry is popped only
-    /// then — and before the pushes, whose keys may sort below it.
-    fn expand(&mut self, cluster: u32) -> Result<(), QueryError> {
-        self.budget.check().map_err(QueryError::BudgetExhausted)?;
-        self.heap.pop();
-        self.visited += 1;
-        let index = self.index;
-        let pivot = index.pivots.get(cluster as usize).copied();
-        let members = index.members.get(cluster as usize);
-        for &m in members.into_iter().flatten() {
-            if Some(m) != pivot {
-                let bound = self.deferred.distance(m as usize)?;
-                let bound = self.floored(m, bound)?;
-                self.heap.push(Reverse((Key(bound), ENTRY_LAZY_MEMBER, m)));
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Ranking for ClusterStream<'_> {
     fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
-        let index = self.index;
-        // Peek, resolve, then pop: an entry whose resolution fails (a
-        // budget firing) stays in the heap for `drain_computed`.
-        while let Some(&Reverse((Key(key), kind, id))) = self.heap.peek() {
-            match kind {
-                ENTRY_LAZY_CLUSTER => {
-                    let cluster = id as usize;
-                    let geometry = index.pivots.get(cluster).zip(index.radii.get(cluster));
-                    let (&pivot, &radius) = geometry.ok_or(QueryError::UnknownObject(cluster))?;
-                    let d = self.solved.distance(pivot as usize)?;
-                    let bound = (d - radius).max(0.0);
-                    // Wherever the deferred bound is positive this is
-                    // `LB_IM(q, pivot) <= d` with the radius taken off
-                    // both sides.
-                    debug_check_lower_bound("deferred cluster bound", key, bound);
-                    let member = self.floored(pivot, d)?;
-                    self.heap.pop();
-                    self.heap.push(Reverse((Key(bound), ENTRY_CLUSTER, id)));
-                    self.heap.push(Reverse((Key(member), ENTRY_MEMBER, pivot)));
-                }
-                ENTRY_CLUSTER => self.expand(id)?,
-                ENTRY_LAZY_MEMBER => {
-                    let d = self.solved.distance(id as usize)?;
-                    let member = self.floored(id, d)?;
-                    // `LB_IM <= d` under the same anchor term: a deferred
-                    // key never exceeds its solved twin's.
-                    debug_check_lower_bound("deferred member bound", key, member);
-                    self.heap.pop();
-                    self.heap.push(Reverse((Key(member), ENTRY_MEMBER, id)));
-                }
-                // ENTRY_MEMBER: everything at or below it is resolved.
-                _ => {
-                    self.heap.pop();
-                    self.emitted += 1;
-                    return Ok(Some((id as usize, key)));
-                }
+        loop {
+            let (key, members) = self.open;
+            if let Some((&member, rest)) = members.split_first() {
+                self.open = (key, rest);
+                return Ok(Some((member as usize, key)));
             }
+            let Some(&Reverse((Key(key), cluster))) = self.clusters.peek() else {
+                return Ok(None);
+            };
+            // Probe, then pop: a firing leaves the cluster for
+            // `drain_computed`.
+            self.budget.check().map_err(QueryError::BudgetExhausted)?;
+            self.clusters.pop();
+            self.visited += 1;
+            let members = self.index.members.get(cluster as usize);
+            self.open = (key, members.map_or(&[], Vec::as_slice));
         }
-        Ok(None)
     }
 
     fn drain_computed(&mut self) -> Vec<(usize, f64)> {
         let index = self.index;
-        let mut out = Vec::new();
-        for Reverse((Key(key), kind, id)) in self.heap.drain() {
-            if kind == ENTRY_LAZY_MEMBER || kind == ENTRY_MEMBER {
-                out.push((id as usize, key));
-                continue;
-            }
-            // An unopened cluster's bound covers all its members, for
-            // free. Once the cluster is solved its pivot rides a member
-            // entry of its own; while it is lazy the pivot has none.
-            let own_entry = (kind == ENTRY_CLUSTER)
-                .then(|| index.pivots.get(id as usize).copied())
-                .flatten();
-            let members = index.members.get(id as usize);
-            for &m in members.into_iter().flatten() {
-                if Some(m) != own_entry {
-                    out.push((m as usize, key));
-                }
-            }
+        let (key, members) = std::mem::take(&mut self.open);
+        let mut out: Vec<(usize, f64)> = members.iter().map(|&m| (m as usize, key)).collect();
+        // An unopened cluster's key covers all its members, for free.
+        for Reverse((Key(key), cluster)) in self.clusters.drain() {
+            let members = index.members.get(cluster as usize).into_iter().flatten();
+            out.extend(members.map(|&m| (m as usize, key)));
         }
         out
-    }
-}
-
-impl CandidateStream for ClusterStream<'_> {
-    fn evaluations(&self) -> usize {
-        self.solved.evaluations()
     }
 }
 
@@ -728,9 +628,37 @@ impl Drop for ClusterStream<'_> {
             "index.clusters_pruned",
             total.saturating_sub(self.visited) as u64,
         );
+    }
+}
+
+/// What [`ClusteredIndex::prepare`] hands out: the chain over the
+/// traversal, counting what it emits.
+struct IndexStream<'a> {
+    chain: ChainedRanking<'a>,
+    emitted: usize,
+}
+
+impl Ranking for IndexStream<'_> {
+    fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
+        let next = self.chain.next()?;
+        self.emitted += usize::from(next.is_some());
+        Ok(next)
+    }
+
+    fn drain_computed(&mut self) -> Vec<(usize, f64)> {
+        self.chain.drain_computed()
+    }
+}
+
+impl CandidateStream for IndexStream<'_> {
+    fn evaluations(&self) -> usize {
+        self.chain.evaluations()
+    }
+}
+
+impl Drop for IndexStream<'_> {
+    fn drop(&mut self) {
         emd_obs::counter_add("index.candidates_emitted", self.emitted as u64);
-        emd_obs::counter_add("index.deferred_bounds", self.deferred.evaluations() as u64);
-        emd_obs::counter_add("index.deferred_solved", self.solved.evaluations() as u64);
     }
 }
 
@@ -769,32 +697,36 @@ mod tests {
         ClusteredIndex::build(database, reduced, factor).unwrap()
     }
 
-    /// Reference order: the pruning distance of every object or, where
-    /// it is larger, the object's anchor bound — ascending (key, id).
+    /// Reference order: every object at the chain's key — the largest of
+    /// its stages' bounds, `max(anchor, Red-IM, Red-EMD)` — ascending
+    /// `(key, id)`.
     fn scan_order(index: &ClusteredIndex, query: &Histogram) -> Vec<(usize, f64)> {
-        let reduced_query = index.reduced.reduce_first(query).unwrap();
         let budget = Budget::unlimited();
-        let mut context = EmdContext::new();
-        let mut floor = index.floor.as_ref().map(|f| f.prepared(query).unwrap());
-        let mut order: Vec<(usize, f64)> = index
-            .reduced_database
+        let mut stages: Vec<_> = index
+            .stages
             .iter()
-            .enumerate()
-            .map(|(id, h)| {
-                let d = emd_in_context(
-                    &reduced_query,
-                    h,
-                    index.pruning_cost(),
-                    &budget,
-                    &mut context,
-                )
-                .unwrap();
-                let anchor = floor.as_mut().map_or(0.0, |f| f.distance(id).unwrap());
-                (id, d.max(anchor))
+            .map(|stage| stage.prepare(query, &budget).unwrap())
+            .collect();
+        let mut order: Vec<(usize, f64)> = (0..index.len())
+            .map(|id| {
+                let bounds = stages.iter_mut().map(|stage| stage.distance(id).unwrap());
+                (id, bounds.fold(0.0, f64::max))
             })
             .collect();
         order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         order
+    }
+
+    /// `emitted` is a prefix of `scan` up to the order of exact ties, which
+    /// leave in the chain's arrival order: the same keys, bit for bit, in
+    /// the same ascending sequence, each at its own object's scan key.
+    fn assert_scan_prefix(emitted: &[(usize, f64)], scan: &[(usize, f64)]) {
+        assert!(emitted.len() <= scan.len());
+        for (&(id, key), &(_, expected)) in emitted.iter().zip(scan) {
+            let (_, own) = scan.iter().find(|(scanned, _)| *scanned == id).unwrap();
+            assert_eq!(key.to_bits(), expected.to_bits(), "object {id}");
+            assert_eq!(key.to_bits(), own.to_bits(), "object {id}");
+        }
     }
 
     #[test]
@@ -849,10 +781,7 @@ mod tests {
                 got.push(item);
             }
             assert_eq!(got.len(), expected.len());
-            for (g, e) in got.iter().zip(expected.iter()) {
-                assert_eq!(g.0, e.0);
-                assert_eq!(g.1.to_bits(), e.1.to_bits(), "object {}", g.0);
-            }
+            assert_scan_prefix(&got, &expected);
         }
     }
 
@@ -916,9 +845,7 @@ mod tests {
         let mut ids: Vec<usize> = emitted.iter().chain(drained).map(|&(id, _)| id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..index.len()).collect::<Vec<_>>());
-        for (got, expected) in emitted.iter().zip(&scan) {
-            assert_eq!((got.0, got.1.to_bits()), (expected.0, expected.1.to_bits()));
-        }
+        assert_scan_prefix(emitted, &scan);
         for &(id, bound) in drained {
             let (_, distance) = scan.iter().find(|(scanned, _)| *scanned == id).unwrap();
             assert!(
@@ -935,15 +862,15 @@ mod tests {
         let database = separated_database(19);
         let index = index_over(&database, 6, 1.0);
         let query = database.get(0).unwrap().clone();
-        // The pool is shared across clones: let the stream solve its way
+        // The pool is shared across clones: let the chain solve its way
         // to a first candidate under a generous cap, then exhaust the pool
         // from the outside so the next solve must surface the firing.
         let budget = Budget::unlimited().with_pivot_cap(1_000_000);
         let mut stream = index.prepare(&query, &budget).unwrap();
         let first = stream.next().unwrap().unwrap();
         budget.settle_pivots(1_000_000);
-        // Already-solved members may still emit for free, but resolving
-        // any deferred entry needs a solve, which must fire.
+        // Already-solved candidates may still emit for free, but the rest
+        // need a Red-EMD solve or a cluster opened, and either fires.
         let (mut emitted, drained, fired) = pull_and_drain(stream.as_mut());
         assert!(fired, "an exhausted pivot pool must fire before completion");
         emitted.insert(0, first);
@@ -953,9 +880,9 @@ mod tests {
 
     #[test]
     fn nothing_is_lost_at_any_pivot_cap() {
-        // Every way a cap can fire — inside a pivot solve, inside a member
-        // solve, at the probe that opens a cluster — leaves the entry it
-        // interrupted in the heap.
+        // Every way a cap can fire — inside a Red-EMD solve, at the probe
+        // that opens a cluster — leaves what it interrupted in place: the
+        // chain's frontier, the traversal's cluster.
         let database = random_database(40, 8, 31);
         let index = index_over(&database, 4, 1.0);
         let query = Histogram::normalized(vec![0.3, 0.1, 0.1, 0.05, 0.05, 0.1, 0.1, 0.2]).unwrap();
@@ -979,8 +906,9 @@ mod tests {
 
     #[test]
     fn expired_budget_still_surrenders_every_cluster_bound() {
-        // Bounding runs no LP and probes no budget: a stream that cannot
-        // solve anything still covers every object with a valid bound.
+        // Keying the clusters runs no LP and probes no budget: a stream
+        // that cannot open a cluster still covers every object with a
+        // valid bound, through the chain's drain over the traversal's.
         let database = separated_database(23);
         let index = index_over(&database, 6, 1.0);
         let query = database.get(30).unwrap().clone();
@@ -996,8 +924,9 @@ mod tests {
     #[test]
     fn duplicates_and_exact_ties_emit_in_scan_order() {
         // Dyadic masses under an integer cost: every distance and every
-        // LB_IM is exact, duplicates give zero radii, and many keys of
-        // different kinds coincide — the case the kind order decides.
+        // LB_IM is exact, duplicates give zero radii, and many keys
+        // coincide. The keys come out in the scan's order; exact ties
+        // among them in the chain's arrival order, not by id.
         let shapes = [
             vec![0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             vec![0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
@@ -1024,7 +953,7 @@ mod tests {
     }
 
     #[test]
-    fn deferral_counters_say_what_the_pre_filter_saved() {
+    fn counters_say_what_the_chain_saved() {
         let database = separated_database(13);
         let index = index_over(&database, 6, 1.0);
         let query = database.get(0).unwrap().clone();
@@ -1036,15 +965,16 @@ mod tests {
         let solves = stream.evaluations() as u64;
         drop(stream);
         let registry = recording.finish();
-        // Every solve resolved a deferred entry; every deferred entry cost
-        // one LB_IM evaluation; far from every one had to be solved.
-        assert_eq!(registry.counter("index.deferred_solved"), solves);
+        // Every solve is the Red-EMD stage's; the chain handed out five
+        // candidates; the traversal opened far from every cluster.
         assert_eq!(registry.counter("core.emd.solves"), solves);
-        let deferred = registry.counter("index.deferred_bounds");
-        assert_eq!(registry.counter("core.lb_im.evaluations"), deferred);
+        assert_eq!(registry.counter("index.candidates_emitted"), 5);
+        let visited = registry.counter("index.clusters_visited");
+        let pruned = registry.counter("index.clusters_pruned");
+        assert_eq!(visited + pruned, index.clusters() as u64);
         assert!(
-            solves < deferred && deferred <= 60,
-            "{solves} of {deferred}"
+            pruned > 0 && solves < 60,
+            "{visited} visited, {solves} solves"
         );
     }
 
@@ -1089,17 +1019,30 @@ mod tests {
         {
             assert!(c <= o);
         }
-        // Emission is still bit-identical to a scan under the closure
-        // (floored by the anchor bound: the 9-bin chain itself is a metric).
+        // The closure shapes only the geometry: emission is the chain's
+        // scan over the reduced cost itself, and no key is below what a
+        // scan of the closure's EMD (floored by the anchor bound: the
+        // 9-bin chain itself is a metric) would have given it.
         let query = Histogram::unit(9, 4).unwrap();
         let expected = scan_order(&index, &query);
         let mut stream = index.prepare(&query, &Budget::unlimited()).unwrap();
-        for e in &expected {
-            let got = stream.next().unwrap().unwrap();
-            assert_eq!(got.0, e.0);
-            assert_eq!(got.1.to_bits(), e.1.to_bits());
+        let mut got = Vec::new();
+        while let Some(item) = stream.next().unwrap() {
+            got.push(item);
         }
-        assert!(stream.next().unwrap().is_none());
+        assert_eq!(got.len(), expected.len());
+        assert_scan_prefix(&got, &expected);
+        let reduced_query = index.reduced().reduce_first(&query).unwrap();
+        let anchors = AnchorFilter::floor(&database, index.reduced())
+            .unwrap()
+            .unwrap();
+        let mut anchor = anchors.prepare(&query, &Budget::unlimited()).unwrap();
+        for (id, key) in got {
+            let reduced = &index.reduced_database[id];
+            let closed = emd_core::emd(&reduced_query, reduced, index.pruning_cost()).unwrap();
+            let parent = closed.max(anchor.distance(id).unwrap());
+            assert!(key >= parent - 1e-12, "object {id}: {key} below {parent}");
+        }
     }
 
     #[test]

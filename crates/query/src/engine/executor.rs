@@ -44,7 +44,7 @@
 //! [`QueryError::WorkerPanicked`] for its own queries only, and surviving
 //! queries' results and chunk-order stats merge are unchanged.
 
-use crate::engine::source::{ScanStream, SourceRanking};
+use crate::engine::source::ScanStream;
 use crate::error::QueryError;
 use crate::filters::PreparedFilter;
 use crate::knop;
@@ -363,10 +363,7 @@ impl Executor {
             // Stage 1 comes from the plan's source, or else from a scan of
             // the first filter stage; the remaining stages chain on top.
             let (mut ranking, chained): (Box<dyn Ranking + '_>, _) = match &mut source {
-                Some((_, stream)) => (
-                    Box::new(SourceRanking::new(stream.as_mut())),
-                    prepared.as_mut_slice(),
-                ),
+                Some((_, stream)) => (Box::new(stream.as_mut()), prepared.as_mut_slice()),
                 None => match prepared.split_first_mut() {
                     Some((first, rest)) => (
                         Box::new(ScanStream::new(first.as_mut(), plan.len(), budget)),
@@ -390,7 +387,7 @@ impl Executor {
             };
             let _span = emd_obs::span("query.knop");
             for stage in chained {
-                ranking = Box::new(ChainedRanking::new(ranking, stage.as_mut()));
+                ranking = Box::new(ChainedRanking::new(ranking, Box::new(stage.as_mut())));
             }
             match *mode {
                 QueryMode::Knn(k) => knop::knn(ranking.as_mut(), refiner.as_mut(), k, budget)?,

@@ -210,7 +210,9 @@ impl QueryPlan {
 }
 
 /// The stages of [`QueryPlan::chain`], in order, over a floor derived
-/// elsewhere (a live index projects at insert, not per snapshot).
+/// elsewhere (a live index projects at insert, not per snapshot). The one
+/// place stages are assembled: the static chain, the live snapshot and
+/// the clustered index's stages over its traversal.
 pub(crate) fn chain_stages(
     floor: Option<AnchorFilter>,
     red_im: ReducedImFilter,

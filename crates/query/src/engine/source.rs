@@ -5,17 +5,15 @@
 //! filter evaluations per query (the executor's default scan).
 //! A [`CandidateSource`] abstracts that first ranking behind a trait so a
 //! [`QueryPlan`](super::QueryPlan) can swap the full scan for a metric
-//! index (the cluster-pruned [`ClusteredIndex`](crate::ClusteredIndex))
-//! that emits candidates in the same ascending lower-bound order while
-//! *solving for only a subset* of the database — and, since a closed-form
-//! bound (LB_IM) is far cheaper than the LP it bounds,
-//! only for those a cheaper bound could not keep behind the consumer's
-//! stopping frontier.
+//! index (the cluster-pruned [`ClusteredIndex`](crate::ClusteredIndex),
+//! which stacks [`QueryPlan::chain`](super::QueryPlan::chain)'s stages on
+//! a cluster traversal) that emits candidates in ascending lower-bound
+//! order while evaluating its stages for *only a subset* of the database.
 //!
 //! The contract mirrors [`Ranking`]: a prepared [`CandidateStream`]
-//! yields `(id, lower bound)` pairs in ascending `(bound, id)` order, and
-//! every emitted bound must lower-bound the exact distance — all a stage
-//! ever has to do: each stage bounds the EMD, the chain keeps the running
+//! yields `(id, lower bound)` pairs in ascending bound order, and every
+//! emitted bound must lower-bound the exact distance — all a stage ever
+//! has to do: each stage bounds the EMD, the chain keeps the running
 //! max — so KNOP's correctness argument is untouched and the executor
 //! simply stacks the usual [`ChainedRanking`](crate::ranking::ChainedRanking)s
 //! on top. The stream probes the [`Budget`] it was prepared under: a
@@ -32,16 +30,15 @@ use emd_core::{Budget, Histogram};
 
 /// A prepared, per-query stream of stage-1 candidates.
 ///
-/// Extends [`Ranking`] (ascending `(bound, id)` emission, budget
-/// propagation, degraded drains) with an evaluation counter so
-/// [`QueryStats`](crate::QueryStats) can report how much lower-bound work
-/// the source performed — the number an index must keep sublinear.
+/// Extends [`Ranking`] (ascending emission, budget propagation, degraded
+/// drains) with an evaluation counter so [`QueryStats`](crate::QueryStats)
+/// can report how much lower-bound work the source performed — the
+/// number an index must keep sublinear.
 pub trait CandidateStream: Ranking {
     /// Lower-bound distances *solved* so far: LP solves, the unit a
-    /// filter stage's evaluation count is in. Closed-form bounds a source
-    /// computes to put off or avoid a solve are not evaluations (the
-    /// clustered source reports its own as `index.deferred_bounds`, and
-    /// they show in `core.lb_im.evaluations`).
+    /// filter stage's evaluation count is in — the clustered source's are
+    /// its Red-EMD stage's. Closed-form bounds computed to avoid a solve
+    /// are not evaluations (LB_IM's show in `core.lb_im.evaluations`).
     fn evaluations(&self) -> usize;
 }
 
@@ -109,29 +106,6 @@ pub trait CandidateSource: Send + Sync {
         query: &Histogram,
         budget: &Budget,
     ) -> Result<Box<dyn CandidateStream + '_>, QueryError>;
-}
-
-/// Borrowing adapter so a prepared stream can feed the executor's
-/// `Box<dyn Ranking>` chain while the caller keeps the stream (for its
-/// evaluation count) after the KNOP loop returns.
-pub(crate) struct SourceRanking<'a> {
-    stream: &'a mut (dyn CandidateStream + 'a),
-}
-
-impl<'a> SourceRanking<'a> {
-    pub(crate) fn new(stream: &'a mut (dyn CandidateStream + 'a)) -> Self {
-        SourceRanking { stream }
-    }
-}
-
-impl Ranking for SourceRanking<'_> {
-    fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
-        self.stream.next()
-    }
-
-    fn drain_computed(&mut self) -> Vec<(usize, f64)> {
-        self.stream.drain_computed()
-    }
 }
 
 /// The full scan of one prepared filter as a [`Ranking`] — stage 1 of

@@ -6,12 +6,11 @@
 //! the LP: the EMD of the projected query and one arena object under the
 //! space's cost matrix — [`EmdDistance`] over the database,
 //! [`ReducedEmdFilter`] over `R1·q`, the reduced arena and `C'` (the
-//! paper's Section 4: Red-EMD "is again an EMD"), the clustered source's
-//! solves over the pruning cost. `PreparedBound` is a closed form of
-//! the shape *project a histogram once, bound two projections*
-//! (`ProjectedBound`) — [`ReducedImFilter`] is full LB_IM over the
-//! reduced space, the clustered source's deferred keys are it over the
-//! pruning cost.
+//! paper's Section 4: Red-EMD "is again an EMD"). `PreparedBound` is a
+//! closed form of the shape *project a histogram once, bound two
+//! projections* (`ProjectedBound`) — [`ReducedImFilter`] is full LB_IM
+//! over the reduced space, the clustered source's pivot keys are it over
+//! the closure of the reduced cost.
 //!
 //! A [`Filter`] holds what is precomputed *per database*;
 //! [`Filter::prepare`] projects the query once and hands back the
@@ -149,8 +148,24 @@ pub trait PreparedFilter {
     fn evaluations(&self) -> usize;
 }
 
+/// A borrowed evaluator is one, so a chain can own a stage its caller
+/// keeps (the executor reads every stage's evaluation count afterwards).
+impl<F: PreparedFilter + ?Sized> PreparedFilter for &mut F {
+    fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
+        (**self).distance(id)
+    }
+
+    fn distance_within(&mut self, id: usize, cutoff: f64) -> Result<Bounded, QueryError> {
+        (**self).distance_within(id, cutoff)
+    }
+
+    fn evaluations(&self) -> usize {
+        (**self).evaluations()
+    }
+}
+
 // ---------------------------------------------------------------------
-// The LP evaluator: exact EMD, Red-EMD, the clustered source's solves
+// The LP evaluator: exact EMD, Red-EMD
 // ---------------------------------------------------------------------
 
 /// The EMD of one query against the objects of a space, under the
@@ -767,7 +782,9 @@ impl ClosedForm for ScaledL1Filter {
 /// tighter of the two, on scattered mass the looser — which is why
 /// [`QueryPlan::chain`](crate::QueryPlan::chain) puts it *under* Red-IM
 /// and Red-EMD instead of in their place: the chain keeps the running
-/// max, so each stage only has to bound the EMD.
+/// max, so each stage only has to bound the EMD. It is stage 1 of that
+/// chain over a scan, and the stage right above the cluster traversal of
+/// a [`ClusteredIndex`](crate::ClusteredIndex).
 #[derive(Debug, Clone)]
 pub struct AnchorFilter(BoundStage<AnchorBound>);
 
@@ -817,15 +834,6 @@ impl AnchorFilter {
             bound,
             projections,
         })
-    }
-
-    /// The per-query evaluator, for a source that folds the bound into
-    /// its own keys.
-    pub(crate) fn prepared(
-        &self,
-        query: &Histogram,
-    ) -> Result<PreparedBound<'_, AnchorBound>, QueryError> {
-        PreparedBound::new(query, self.0.bound.as_ref(), &self.0.projections)
     }
 }
 

@@ -33,8 +33,8 @@
 //!   loop.
 //! * [`cluster`] — [`ClusteredIndex`], a pivot-based cluster index over
 //!   the reduced space with triangle-inequality pruning; the sublinear
-//!   stage-1 candidate generator, which solves a pivot or member
-//!   distance only when its closed-form LB_IM key comes due.
+//!   stage-1 candidate generator: a cluster traversal that solves no LP,
+//!   under the same stages [`QueryPlan::chain`] runs.
 //! * [`dynamic`] — a mutable index whose snapshots are plain
 //!   [`Database`]s of shared immutable histograms under
 //!   [`QueryPlan::chain`], the same `Red-IM -> Red-EMD -> EMD` plan

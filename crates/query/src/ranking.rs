@@ -42,6 +42,18 @@ pub trait Ranking {
     }
 }
 
+/// A borrowed ranking is one, so a caller can stack stages on a stream it
+/// keeps (the executor reads a source's evaluation count afterwards).
+impl<R: Ranking + ?Sized> Ranking for &mut R {
+    fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
+        (**self).next()
+    }
+
+    fn drain_computed(&mut self) -> Vec<(usize, f64)> {
+        (**self).drain_computed()
+    }
+}
+
 /// Total-ordered f64 wrapper for heap keys (distances are never NaN:
 /// filters validate inputs at construction). Shared with the candidate
 /// sources, whose traversal heaps need the same total order.
@@ -79,7 +91,7 @@ impl Ord for Key {
 /// the filter value and nothing changes.
 pub struct ChainedRanking<'a> {
     base: Box<dyn Ranking + 'a>,
-    filter: &'a mut dyn PreparedFilter,
+    filter: Box<dyn PreparedFilter + 'a>,
     /// Candidates pulled from the base, keyed by the larger of the base
     /// bound and this stage's filter value.
     heap: BinaryHeap<Reverse<(Key, usize)>>,
@@ -89,8 +101,9 @@ pub struct ChainedRanking<'a> {
 }
 
 impl<'a> ChainedRanking<'a> {
-    /// Chain `filter` on top of `base`.
-    pub fn new(base: Box<dyn Ranking + 'a>, filter: &'a mut dyn PreparedFilter) -> Self {
+    /// Chain `filter` on top of `base`; pass `Box::new(&mut filter)` to
+    /// keep the filter (and its evaluation count) after the chain is gone.
+    pub fn new(base: Box<dyn Ranking + 'a>, filter: Box<dyn PreparedFilter + 'a>) -> Self {
         ChainedRanking {
             base,
             filter,
@@ -98,6 +111,11 @@ impl<'a> ChainedRanking<'a> {
             frontier: None,
             base_exhausted: false,
         }
+    }
+
+    /// Evaluations of this stage's filter so far.
+    pub(crate) fn evaluations(&self) -> usize {
+        self.filter.evaluations()
     }
 
     fn advance_base(&mut self) -> Result<(), QueryError> {
@@ -235,7 +253,7 @@ mod tests {
         let mut loose = prepared(&[1.0, 0.5, 2.0, 0.0, 1.5]);
         let mut tight = prepared(&[1.5, 2.5, 2.0, 0.5, 3.0]);
         let base = Box::new(ScanStream::new(&mut loose, 5, &budget));
-        let mut chained = ChainedRanking::new(base, &mut tight);
+        let mut chained = ChainedRanking::new(base, Box::new(&mut tight));
         assert_eq!(
             drain(&mut chained),
             vec![(3, 0.5), (0, 1.5), (2, 2.0), (1, 2.5), (4, 3.0)]
@@ -253,7 +271,7 @@ mod tests {
         let mut base_filter = prepared(&first);
         let mut filter = prepared(&second);
         let base = Box::new(ScanStream::new(&mut base_filter, 5, &budget));
-        let mut chained = ChainedRanking::new(base, &mut filter);
+        let mut chained = ChainedRanking::new(base, Box::new(&mut filter));
         let order = drain(&mut chained);
         assert_eq!(
             order,
@@ -271,7 +289,7 @@ mod tests {
         let mut loose = prepared(&[1.0, 5.0, 6.0, 0.0, 7.0]);
         let mut tight = prepared(&[1.5, 5.5, 6.5, 0.9, 7.5]);
         let base = Box::new(ScanStream::new(&mut loose, 5, &budget));
-        let mut chained = ChainedRanking::new(base, &mut tight);
+        let mut chained = ChainedRanking::new(base, Box::new(&mut tight));
         assert_eq!(chained.next().unwrap(), Some((3, 0.9)));
         drop(chained);
         assert!(
@@ -295,7 +313,7 @@ mod tests {
             let mut filter = prepared(&tight);
             filter.fail_from = fail_from;
             let base = Box::new(ScanStream::new(&mut base_filter, 5, &budget));
-            let mut chained = ChainedRanking::new(base, &mut filter);
+            let mut chained = ChainedRanking::new(base, Box::new(&mut filter));
             let mut seen = Vec::new();
             let fired = loop {
                 match chained.next() {
@@ -322,7 +340,7 @@ mod tests {
         let mut loose = prepared(&[]);
         let mut tight = prepared(&[]);
         let base = Box::new(ScanStream::new(&mut loose, 0, &budget));
-        let mut chained = ChainedRanking::new(base, &mut tight);
+        let mut chained = ChainedRanking::new(base, Box::new(&mut tight));
         assert_eq!(chained.next().unwrap(), None);
         assert_eq!(chained.next().unwrap(), None);
     }

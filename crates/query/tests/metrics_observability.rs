@@ -38,7 +38,7 @@ fn chained_executor(database: &Database) -> Executor {
 }
 
 /// The same reduction behind a clustered candidate source: its stream
-/// flushes the `index.*` counters, the deferral pair among them.
+/// flushes the `index.*` counters.
 fn clustered_executor(database: &Database) -> Executor {
     let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
     let reduced = ReducedEmd::new(database.cost(), r).unwrap();
@@ -127,8 +127,9 @@ proptest! {
         );
 
         // The clustered source the same: answers and stats untouched, and
-        // its deferral counters say what the stats row says — every solve
-        // resolved a deferred bound, every deferred bound was one LB_IM.
+        // its counters say what the stats say — every LP was the source's
+        // Red-EMD stage or a refinement, and the stream handed KNOP what
+        // it refined plus at most the one candidate that stopped it.
         let clustered = clustered_executor(&database);
         let (plain_knn, plain_knn_stats) = clustered.knn(&query, k).unwrap();
         let (plain_range, plain_range_stats) = clustered.range(&query, epsilon).unwrap();
@@ -141,10 +142,10 @@ proptest! {
         prop_assert_eq!(&plain_knn_stats, &scoped_knn_stats);
         prop_assert_eq!(&plain_range_stats, &scoped_range_stats);
         let solved = plain_knn_stats.filter_evaluations[0].1 + plain_range_stats.filter_evaluations[0].1;
-        prop_assert_eq!(registry.counter("index.deferred_solved"), solved as u64);
-        let deferred = registry.counter("index.deferred_bounds");
-        prop_assert_eq!(registry.counter("core.lb_im.evaluations"), deferred);
-        prop_assert!(solved as u64 <= deferred && deferred <= 2 * database.len() as u64);
+        let refined = (plain_knn_stats.refinements + plain_range_stats.refinements) as u64;
+        prop_assert_eq!(registry.counter("core.emd.solves"), solved as u64 + refined);
+        let emitted = registry.counter("index.candidates_emitted");
+        prop_assert!(refined <= emitted && emitted <= refined + 2, "{} of {}", refined, emitted);
     }
 }
 
@@ -182,7 +183,7 @@ fn cut_counters_mirror_the_stats() {
 fn batch_registry_merge_is_thread_count_invariant() {
     let database = fixed_database(24);
     let workload = fixed_workload(12);
-    let clustered_counters = ["index.deferred_bounds", "index.deferred_solved"];
+    let clustered_counters = ["index.candidates_emitted", "index.clusters_visited"];
     for (executor, expected) in [
         (chained_executor(&database), &[][..]),
         (clustered_executor(&database), &clustered_counters[..]),

@@ -100,7 +100,7 @@ fn corpus() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>)> {
 fn chain<'a>(first: &[f64], rest: &'a mut [Table]) -> Box<dyn Ranking + 'a> {
     let mut ranking: Box<dyn Ranking + 'a> = Box::new(Scan::new(first));
     for filter in rest {
-        ranking = Box::new(ChainedRanking::new(ranking, filter));
+        ranking = Box::new(ChainedRanking::new(ranking, Box::new(filter)));
     }
     ranking
 }

@@ -2,19 +2,19 @@
 //! random databases (including ones whose min-reduced ground distance is
 //! *not* a metric and must be closed), a plan driven by
 //! [`ClusteredIndex`] answers k-NN and range queries bit-identically to
-//! the full Red-EMD scan plan and to brute force; its stream, which
-//! defers every solve behind a closed-form key and floors every member
-//! key by the anchor bound (the 6-bin chain is a metric), emits exactly
-//! the order of a scan of `max(pruning distance, anchor bound)` even where
-//! duplicates and exact ties make keys of every kind coincide; budgeted
-//! execution stays principled and loses no candidate at any pivot cap;
-//! and the persisted geometry round-trips into an index with the same
-//! answers.
+//! the full Red-EMD scan plan and to brute force; its stream — a cluster
+//! traversal under the chain `anchor -> red-im -> red-emd` (the 6-bin
+//! chain is a metric) — emits the keys of a scan of the chain's
+//! `max(anchor, Red-IM, Red-EMD)` in order, even where duplicates and
+//! exact ties make many keys coincide (tied objects leave in the chain's
+//! arrival order, not by id); budgeted execution stays principled and
+//! loses no candidate at any pivot cap; and the persisted geometry
+//! round-trips into an index with the same answers.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::lower_bounds::AnchorBound;
+use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{emd, ground, Budget, Histogram};
 use emd_query::scan::brute_force_knn;
 use emd_query::{
@@ -67,26 +67,34 @@ fn pull_and_drain(source: &ClusteredIndex, query: &Histogram, budget: &Budget) -
     (emitted, stream.drain_computed())
 }
 
-/// Every object's key — its distance under the index's pruning cost,
-/// solved cold, or its anchor bound under the database's own cost where
-/// that is larger — in ascending `(key, id)` order: what a full scan of
-/// the running max emits.
+/// Every object's key under the chain — the largest of its anchor bound
+/// under the database's own cost, its LB_IM and its Red-EMD (solved cold)
+/// under the reduced cost — in ascending `(key, id)` order: what a full
+/// scan of the running max emits.
 fn scan_order(index: &ClusteredIndex, database: &Database, query: &Histogram) -> Vec<(usize, f64)> {
-    let reduced_query = index.reduced().reduce_first(query).unwrap();
-    let anchors = index.reduced().r2().reduced_dim();
+    let reduced = index.reduced();
+    let reduced_query = reduced.reduce_first(query).unwrap();
+    let anchors = reduced.r2().reduced_dim();
     let floor = AnchorBound::with_spread_anchors(database.cost(), anchors).unwrap();
+    let red_im = LbIm::new(reduced.reduced_cost().clone());
     let mut order: Vec<(usize, f64)> = database
         .histograms()
         .iter()
         .map(|h| {
-            let reduced = index.reduced().reduce_second(h).unwrap();
-            let pruning = emd(&reduced_query, &reduced, index.pruning_cost()).unwrap();
-            pruning.max(floor.bound(query, h).unwrap())
+            let object = reduced.reduce_second(h).unwrap();
+            let red_emd = emd(&reduced_query, &object, reduced.reduced_cost()).unwrap();
+            let lb_im = red_im.bound(&reduced_query, &object).unwrap();
+            floor.bound(query, h).unwrap().max(lb_im).max(red_emd)
         })
         .enumerate()
         .collect();
     order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     order
+}
+
+/// The key of `id` in `scan`.
+fn key_of(scan: &[(usize, f64)], id: usize) -> f64 {
+    scan.iter().find(|(scanned, _)| *scanned == id).unwrap().1
 }
 
 /// A degraded ranking is principled: ascending `(bound, id)`, no object
@@ -193,8 +201,8 @@ proptest! {
             prop_assert_eq!(g.id, e.id);
             prop_assert_eq!(g.distance.to_bits(), e.distance.to_bits());
         }
-        // Both refine cold, as the oracle does: the anchor-floored stream
-        // returns brute force's very bits.
+        // Both refine cold, as the oracle does: the chained stream returns
+        // brute force's very bits.
         let brute = brute_force_knn(&query, database.histograms(), database.cost(), k).unwrap();
         prop_assert_eq!(got, brute);
     }
@@ -244,11 +252,11 @@ proptest! {
         prop_assert_eq!(stats, exact_stats);
     }
 
-    /// The deferred stream drained to exhaustion is the full scan of its
-    /// keys, bit for bit and in order — on corpora drawn with
-    /// repetition from a few dyadic histograms, where k-center yields
-    /// zero radii and lazy cluster, cluster, lazy member and member keys
-    /// all tie exactly.
+    /// The stream drained to exhaustion is the full scan of its keys, bit
+    /// for bit and in order — on corpora drawn with repetition from a few
+    /// dyadic histograms, where k-center yields zero radii and cluster and
+    /// chain keys tie exactly. Tied objects leave in the chain's arrival
+    /// order, so each is checked against its own scan key.
     #[test]
     fn lazy_stream_is_the_scan_on_duplicates_and_ties(
         pool in prop::collection::vec(dyadic_histogram(), 1..5),
@@ -267,8 +275,9 @@ proptest! {
             let (emitted, drained) = pull_and_drain(&index, query, &Budget::unlimited());
             prop_assert!(drained.is_empty());
             prop_assert_eq!(emitted.len(), expected.len());
-            for (got, want) in emitted.iter().zip(&expected) {
-                prop_assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+            for (&(id, key), &(_, want)) in emitted.iter().zip(&expected) {
+                prop_assert_eq!(key.to_bits(), want.to_bits());
+                prop_assert_eq!(key.to_bits(), key_of(&expected, id).to_bits());
             }
         }
     }
@@ -292,13 +301,13 @@ proptest! {
             let mut ids: Vec<usize> = emitted.iter().chain(&drained).map(|&(id, _)| id).collect();
             ids.sort_unstable();
             prop_assert_eq!(ids, (0..database.len()).collect::<Vec<_>>(), "cap {}", cap);
-            for (got, want) in emitted.iter().zip(&scan) {
-                prop_assert_eq!(got.0, want.0, "cap {}", cap);
-                prop_assert!((got.1 - want.1).abs() <= 1e-9);
+            for (&(id, key), &(_, want)) in emitted.iter().zip(&scan) {
+                prop_assert!((key - want).abs() <= 1e-9, "cap {}", cap);
+                prop_assert!((key - key_of(&scan, id)).abs() <= 1e-9, "cap {}", cap);
             }
-            for (id, bound) in &drained {
-                let (_, distance) = scan.iter().find(|(scanned, _)| scanned == id).unwrap();
-                prop_assert!(*bound >= 0.0 && *bound <= distance + 1e-9, "cap {}", cap);
+            for &(id, bound) in &drained {
+                let distance = key_of(&scan, id);
+                prop_assert!(bound >= 0.0 && bound <= distance + 1e-9, "cap {}", cap);
             }
             if emitted.len() == database.len() {
                 break;

@@ -11,9 +11,8 @@
 //! chain, lazily, over whatever an insert / remove / compact history
 //! left alive), on a tie-prone integer ground distance. That distance is
 //! a metric, so every chain here is [`QueryPlan::chain`]'s `anchor ->
-//! red-im -> red-emd` and every clustered key is floored by the anchor
-//! bound — stages that do not bound one another, ranked by their running
-//! max; over a cost that is no metric the plan is the paper's two stages
+//! red-im -> red-emd`, over a scan or over the clustered traversal —
+//! stages that do not bound one another, ranked by their running max; over a cost that is no metric the plan is the paper's two stages
 //! and the answers are brute force's all the same. Returned distances
 //! are held to [`distance_slack`], the warm/cold contract.
 
@@ -208,9 +207,8 @@ proptest! {
         prop_assert_eq!(canonical(&got), canonical(&expected));
     }
 
-    /// A clustered candidate source, its member keys floored by the
-    /// anchor bound, in front of the warm refiner: k-NN and range equal
-    /// brute force. (Contiguous pairs, `d' = 3`: the reduced cost keeps
+    /// A clustered candidate source, the chain over its traversal, in
+    /// front of the warm refiner: k-NN and range equal brute force. (Contiguous pairs, `d' = 3`: the reduced cost keeps
     /// the zero diagonal the pruning needs.)
     #[test]
     fn clustered_source_is_complete(

@@ -10,16 +10,16 @@
 //!                     --out index-dir [--sample N] [--seed S]
 //!                     [--cluster] [--cluster-factor F]
 //! flexemd query       --data data.json --reduction reduction.json
-//!                     [--k K] [--query I] [--chain] [--metrics json|PATH]
+//!                     [--k K] [--query I] [--metrics json|PATH]
 //!                     [--source scan|clustered]
 //!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
 //! flexemd query       --index index-dir
-//!                     [--k K | --range EPS] [--query I] [--chain]
+//!                     [--k K | --range EPS] [--query I]
 //!                     [--metrics json|PATH] [--source scan|clustered]
 //!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
 //! flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
 //!                     [--max-inflight N]
-//!                     [--source scan|clustered] [--chain]
+//!                     [--source scan|clustered]
 //!                     [--drain-stdin] [--faults SPEC]
 //! flexemd loadgen     --addr HOST:PORT [--threads N] [--requests N]
 //!                     [--k K | --range EPS] [--deadline-ms N]
@@ -35,9 +35,9 @@
 //! identical results and identical per-stage candidate counts.
 //! `build-index --cluster` additionally runs greedy k-center clustering
 //! over each reduced arena and persists the geometry (pivots,
-//! assignments, radii); `query --source clustered` then streams
-//! candidates from the cluster-pruned index instead of scanning, with
-//! bit-identical answers to `--source scan` (the default).
+//! assignments, radii); `query --source clustered` then runs the same
+//! `anchor -> Red-IM -> Red-EMD` chain as `--source scan` (the default)
+//! over a cluster traversal instead of a scan, with bit-identical answers.
 //! `--metrics` records an `emd-obs` registry over the query — per-stage
 //! spans, solver counters, lower-bound evaluations — and dumps it as
 //! schema-versioned JSON (`json` = stdout, anything else = a file path).
@@ -62,7 +62,7 @@ use flexemd::data::{io as dataio, Dataset};
 use flexemd::faultkit::{FailPlan, InjectedPanic};
 use flexemd::query::{
     ClusteredIndex, Database, EmdDistance, Executor, QueryError, QueryMode, QueryOutcome,
-    QueryPlan, ReducedEmdFilter, ReducedImFilter,
+    QueryPlan, ReducedImFilter,
 };
 use flexemd::reduction::fb::{fb_all, fb_mod, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
@@ -138,12 +138,12 @@ const VERBS: &[(&str, Verb, &[&str])] = &[
         "data", "reductions", "out", "sample", "seed", "cluster", "cluster-factor",
     ]),
     ("query", query, &[
-        "data", "reduction", "index", "k", "range", "query", "chain", "metrics", "source",
-        "deadline-ms", "max-pivots", "faults",
+        "data", "reduction", "index", "k", "range", "query", "metrics", "source", "deadline-ms",
+        "max-pivots", "faults",
     ]),
     ("serve", serve, &[
         "data", "reduction", "index", "wal", "addr", "workers", "max-inflight", "source",
-        "chain", "drain-stdin", "faults",
+        "drain-stdin", "faults",
     ]),
     ("ingest", ingest, &[
         "wal", "data", "method", "dims", "sample", "seed", "sync-each", "compact",
@@ -186,16 +186,16 @@ USAGE:
                       --out index-dir [--sample N] [--seed S]
                       [--cluster] [--cluster-factor F]
   flexemd query       --data data.json --reduction reduction.json
-                      [--k K] [--query I] [--chain] [--metrics json|PATH]
+                      [--k K] [--query I] [--metrics json|PATH]
                       [--source scan|clustered]
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
   flexemd query       --index index-dir
-                      [--k K | --range EPS] [--query I] [--chain]
+                      [--k K | --range EPS] [--query I]
                       [--metrics json|PATH] [--source scan|clustered]
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
   flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
                       [--max-inflight N]
-                      [--source scan|clustered] [--chain]
+                      [--source scan|clustered]
                       [--drain-stdin] [--faults SPEC]
   flexemd serve       --wal wal-dir [--addr HOST:PORT] [--workers N]
                       [--max-inflight N] [--drain-stdin]
@@ -227,9 +227,10 @@ torn tail.
 
 Indexes: build-index --cluster persists greedy k-center clustering
 geometry over each reduced arena (about sqrt(n) * F clusters, default
-F = 1.0); query --source clustered prunes whole clusters via the
-triangle inequality before touching members, and --source scan (default)
-is the full filter scan. Both return bit-identical answers.
+F = 1.0). Every query runs the anchor -> Red-IM -> Red-EMD -> EMD chain;
+--source scan (default) feeds it every object, --source clustered only
+the members of clusters the triangle inequality cannot prune. Both
+return bit-identical answers.
 
 Budgets: --deadline-ms / --max-pivots bound a query's wall clock / solver
 work; when a budget fires, the best-effort ranking prints under a
@@ -239,15 +240,20 @@ solve:J (exhaust the budget at the J-th solve), panic:W (panic in batch
 worker W) — deterministic failpoints for resilience testing.";
 
 /// Parsed `--key value` options (every option takes a value except the
-/// boolean flags `--chain`, `--cluster`, `--smoke`, `--drain-stdin`,
-/// `--sync-each` and `--compact`).
+/// boolean flags `--cluster`, `--smoke`, `--drain-stdin`, `--sync-each`
+/// and `--compact`).
 struct Options {
     values: HashMap<String, String>,
+    /// The first option given without a value: an error, reported once
+    /// the verb has accepted every key (a retired flag such as `--chain`
+    /// is an unknown option, wherever it stands).
+    valueless: Option<String>,
 }
 
 impl Options {
     fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut values = HashMap::new();
+        let mut valueless = None;
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
             let Some(key) = arg.strip_prefix("--") else {
@@ -255,27 +261,32 @@ impl Options {
             };
             if matches!(
                 key,
-                "chain" | "cluster" | "smoke" | "drain-stdin" | "sync-each" | "compact"
+                "cluster" | "smoke" | "drain-stdin" | "sync-each" | "compact"
             ) {
                 values.insert(key.to_owned(), "true".to_owned());
                 continue;
             }
-            let Some(value) = args.next() else {
-                return Err(format!("--{key} requires a value"));
-            };
-            values.insert(key.to_owned(), value);
+            let value = args.next_if(|next| !next.starts_with("--"));
+            if value.is_none() {
+                valueless.get_or_insert_with(|| key.to_owned());
+            }
+            values.insert(key.to_owned(), value.unwrap_or_default());
         }
-        Ok(Options { values })
+        Ok(Options { values, valueless })
     }
 
-    /// Fail on the first (alphabetically) key `verb` does not accept.
+    /// Fail on the first (alphabetically) key `verb` does not accept, then
+    /// on the first option given without a value.
     fn reject_unknown(&self, verb: &str, accepted: &[&str]) -> Result<(), String> {
         let unknown = self
             .values
             .keys()
             .filter(|key| !accepted.contains(&key.as_str()));
-        match unknown.min() {
-            Some(key) => Err(format!("unknown option --{key} for `{verb}`")),
+        if let Some(key) = unknown.min() {
+            return Err(format!("unknown option --{key} for `{verb}`"));
+        }
+        match &self.valueless {
+            Some(key) => Err(format!("--{key} requires a value")),
             None => Ok(()),
         }
     }
@@ -601,9 +612,8 @@ fn refiner_only(database: &Database) -> Result<QueryPlan, QueryError> {
     QueryPlan::sequential(Box::new(EmdDistance::new(database)?))
 }
 
-/// Validate a `--source` value and its interaction with `--chain`.
-fn source_options(options: &Options) -> Result<(String, bool), String> {
-    let chain = options.flag("chain");
+/// Validate a `--source` value.
+fn source_option(options: &Options) -> Result<String, String> {
     let source_kind = options
         .values
         .get("source")
@@ -614,12 +624,7 @@ fn source_options(options: &Options) -> Result<(String, bool), String> {
             "unknown candidate source `{source_kind}` (expected scan or clustered)"
         ));
     }
-    if chain && source_kind != "scan" {
-        // An index source already emits Red-EMD bounds over the anchor
-        // floor; the chain's stages would only recompute them.
-        return Err("--chain only applies to --source scan".to_owned());
-    }
-    Ok((source_kind, chain))
+    Ok(source_kind)
 }
 
 /// Parse `--faults`, installing the quiet panic hook when present.
@@ -637,11 +642,12 @@ fn fault_options(options: &Options) -> Result<Option<Arc<FailPlan>>, String> {
 /// Either open a persisted index or rebuild the pipeline from JSON
 /// artifacts. Both paths produce identical stages (same reductions,
 /// same stage names), so results and per-stage candidate counts match.
+/// Either way the plan is `QueryPlan::chain`, over a scan or (`--source
+/// clustered`) inside the cluster index.
 fn prepare_corpus(
     options: &Options,
     fault_plan: Option<&Arc<FailPlan>>,
     source_kind: &str,
-    chain: bool,
 ) -> Result<Corpus, String> {
     if let Some(index_dir) = options.values.get("index") {
         let opened = match fault_plan {
@@ -667,10 +673,8 @@ fn prepare_corpus(
                 };
                 refiner_only(&database).and_then(|plan| plan.with_source(Box::new(index?)))
             }
-            _ if chain => ReducedImFilter::from_persisted(&database, bundle)
+            _ => ReducedImFilter::from_persisted(&database, bundle)
                 .and_then(|red_im| QueryPlan::chain(&database, red_im)),
-            _ => ReducedEmdFilter::from_persisted(&database, bundle)
-                .and_then(|red_emd| single_stage(&database, red_emd)),
         }
         .map_err(|e| e.to_string())?;
         Ok(Corpus {
@@ -693,10 +697,8 @@ fn prepare_corpus(
                 let index = ClusteredIndex::build(&database, reduced, 1.0);
                 refiner_only(&database).and_then(|plan| plan.with_source(Box::new(index?)))
             }
-            _ if chain => ReducedImFilter::new(&database, reduced)
+            _ => ReducedImFilter::new(&database, reduced)
                 .and_then(|red_im| QueryPlan::chain(&database, red_im)),
-            _ => ReducedEmdFilter::new(&database, reduced)
-                .and_then(|red_emd| single_stage(&database, red_emd)),
         }
         .map_err(|e| e.to_string())?;
         Ok(Corpus {
@@ -706,14 +708,6 @@ fn prepare_corpus(
             labels: Some(labels),
         })
     }
-}
-
-/// The single-stage `Red-EMD -> EMD` plan.
-fn single_stage(database: &Database, red_emd: ReducedEmdFilter) -> Result<QueryPlan, QueryError> {
-    QueryPlan::new(
-        vec![Box::new(red_emd)],
-        Box::new(EmdDistance::new(database)?),
-    )
 }
 
 /// The shared query-shape flags (`--k`, `--range`, `--deadline-ms`,
@@ -732,7 +726,7 @@ fn query_spec(options: &Options) -> Result<QuerySpec, String> {
 fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let spec = query_spec(options)?;
     let query_index = options.numeric("query", 0usize)?;
-    let (source_kind, chain) = source_options(options)?;
+    let source_kind = source_option(options)?;
     let fault_plan = fault_options(options)?;
 
     let Corpus {
@@ -740,7 +734,7 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         database,
         plan,
         labels,
-    } = prepare_corpus(options, fault_plan.as_ref(), &source_kind, chain)?;
+    } = prepare_corpus(options, fault_plan.as_ref(), &source_kind)?;
 
     if query_index >= database.len() {
         return Err(format!(
@@ -1013,7 +1007,7 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     if options.values.contains_key("wal") {
         return serve_dynamic(options, stdout);
     }
-    let (source_kind, chain) = source_options(options)?;
+    let source_kind = source_option(options)?;
     let fault_plan = fault_options(options)?;
 
     let Corpus {
@@ -1021,7 +1015,7 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         database,
         plan,
         labels: _,
-    } = prepare_corpus(options, fault_plan.as_ref(), &source_kind, chain)?;
+    } = prepare_corpus(options, fault_plan.as_ref(), &source_kind)?;
     let mut executor = Executor::new(plan);
     if let Some(plan) = &fault_plan {
         // Worker failpoints fire inside the server's isolation layer, so

@@ -86,7 +86,7 @@ fn full_workflow() {
         .arg(&data)
         .arg("--reduction")
         .arg(&reduction)
-        .args(["--k", "3", "--query", "1", "--chain"])
+        .args(["--k", "3", "--query", "1"])
         .output()
         .unwrap();
     assert!(
@@ -107,7 +107,7 @@ fn full_workflow() {
         .arg(&data)
         .arg("--reduction")
         .arg(&reduction)
-        .args(["--k", "3", "--query", "1", "--chain", "--metrics", "json"])
+        .args(["--k", "3", "--query", "1", "--metrics", "json"])
         .output()
         .unwrap();
     assert!(
@@ -195,7 +195,7 @@ fn index_workflow_matches_in_memory() {
         .arg(&data)
         .arg("--reduction")
         .arg(&reduction)
-        .args(["--k", "4", "--query", "2", "--chain"])
+        .args(["--k", "4", "--query", "2"])
         .output()
         .unwrap();
     assert!(
@@ -207,7 +207,7 @@ fn index_workflow_matches_in_memory() {
         .arg("query")
         .arg("--index")
         .arg(&index)
-        .args(["--k", "4", "--query", "2", "--chain"])
+        .args(["--k", "4", "--query", "2"])
         .output()
         .unwrap();
     assert!(
@@ -607,6 +607,11 @@ fn unknown_option_is_a_one_line_error_on_every_verb() {
         (
             format!("query --data {data} --reduction {reduction} --k 3 --sorce clustered --deadline_ms 0"),
             "deadline_ms",
+        ),
+        // The retired plan switch, last on the line.
+        (
+            format!("query --data {data} --reduction {reduction} --k 3 --chain"),
+            "chain",
         ),
         (format!("serve --wal {out} --adr 127.0.0.1:0"), "adr"),
         (
