@@ -9,6 +9,7 @@
 use emd_core::{ground, Histogram};
 use emd_query::{
     ClusteredIndex, Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter,
+    ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
@@ -172,6 +173,46 @@ fn cut_counters_mirror_the_stats() {
     assert!(cut > 0, "the workload must exercise the cutoff");
     assert_eq!(registry.counter("transport.solve.cut"), cut);
     assert!(registry.counter("transport.warm.cut_checks") >= cut);
+}
+
+/// One cold start per LP context per query. Each prepared LP stage — the
+/// refiner and the Red-EMD stage, over a scan through `QueryPlan::chain`
+/// or above the clustered traversal — owns one solver context, whose
+/// first solve starts from a Vogel basis and every later one from the
+/// basis before it (the corpus has full support, so every tableau of a
+/// context has one shape). `transport.solve.calls − transport.warm.hits`
+/// therefore counts the contexts that solved: a warm chain that silently
+/// turns cold — a shape mismatch, a dropped basis, an abandoned repair —
+/// raises it.
+#[test]
+fn one_cold_start_per_lp_context_per_query() {
+    let database = fixed_database(24);
+    let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
+    let reduced = ReducedEmd::new(database.cost(), r).unwrap();
+    let red_im = ReducedImFilter::new(&database, reduced).unwrap();
+    let chain = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
+    for executor in [chain, clustered_executor(&database)] {
+        let mut solved = 0;
+        for (i, query) in fixed_workload(12).into_iter().enumerate() {
+            let recording = emd_obs::Recording::start();
+            let (_, stats) = executor.knn(&query.histogram, 1 + i % 4).unwrap();
+            let registry = recording.finish();
+            // The clustered source reports its Red-EMD stage's solves as
+            // its own evaluations.
+            let red_emd: usize = stats
+                .filter_evaluations
+                .iter()
+                .filter(|(name, _)| name.starts_with("red-emd") || name.starts_with("clustered"))
+                .map(|&(_, evaluations)| evaluations)
+                .sum();
+            let contexts = u64::from(red_emd > 0) + u64::from(stats.refinements > 0);
+            let calls = registry.counter("transport.solve.calls");
+            let cold = calls - registry.counter("transport.warm.hits");
+            assert_eq!(cold, contexts, "query {i}: {calls} solves, {stats:?}");
+            solved += calls;
+        }
+        assert!(solved > 24, "the workload must chain warm solves");
+    }
 }
 
 /// Registry counters recorded through `run_batch` are invariant under the

@@ -83,7 +83,8 @@
 //! `transport.simplex.pivots`, `transport.simplex.bland_pivots`,
 //! `transport.simplex.degenerate_pivots` and
 //! `transport.vogel.degenerate_cells` attribute LP-level work to the
-//! queries that triggered it. Warm starts add `transport.warm.attempts`
+//! queries that triggered it; a solve adds its pivot counts once, on
+//! whichever exit it takes. Warm starts add `transport.warm.attempts`
 //! and `transport.warm.hits` (the same tallies are available without a
 //! scope via [`SolverWorkspace::stats`]); cutoffs add
 //! `transport.warm.cut_checks` (certificates attempted) and

@@ -1,9 +1,10 @@
 //! The transportation simplex (MODI / u-v method).
 //!
 //! Starting from an initial basic feasible solution — a Vogel basis on a
-//! cold start, or the previous solve's basis re-fit to the new marginals
-//! (directly, or via a short dual-simplex repair when the refit is
-//! primal-infeasible) on a warm start — each iteration
+//! cold start (built in the workspace's scratch from incrementally kept
+//! line minima, see `vogel`), or the previous solve's basis re-fit to the
+//! new marginals (directly, or via a short dual-simplex repair when the
+//! refit is primal-infeasible) on a warm start — each iteration
 //!
 //! 1. computes dual variables `u`, `v` from the basis tree,
 //! 2. searches for a non-basic cell with negative reduced cost
@@ -25,13 +26,24 @@
 //! bit-identical to cold solves whenever both reach the same optimal
 //! basis — and, the sum being the basis' dual value, equal to the last
 //! few ulps when they reach different ones.
+//!
+//! ## Counters
+//!
+//! The pivot loops tally their pivots by kind in a `PivotTally`, which
+//! each solve records once, on whichever exit it takes — optimal, cut,
+//! abandoned repair, budget or iteration-limit error: into the
+//! workspace's [`WorkspaceStats`] and, under an `emd_obs` recording scope,
+//! into `transport.simplex.pivots`, `…bland_pivots`,
+//! `…degenerate_pivots` and `transport.warm.repair_pivots`. A served
+//! query (whose server always records) thus pays one registry lookup per
+//! counter and solve instead of one per pivot, with the same totals.
 
 use crate::budget::{Budget, BudgetReason, CHECK_INTERVAL};
 use crate::error::TransportError;
 use crate::problem::{Solution, TransportProblem};
 use crate::tree::BasisTree;
 use crate::vogel;
-use crate::workspace::{PivotScratch, SolverWorkspace};
+use crate::workspace::{PivotScratch, SolverWorkspace, WorkspaceStats};
 use crate::EPS;
 
 /// Hard pivot cap applied regardless of the per-solve limit:
@@ -131,8 +143,8 @@ pub enum Bounded {
 /// The simplex: every solve in this crate is this function. Returns the
 /// optimal objective, leaving the canonical cells and flows in the
 /// workspace (readable via [`SolverWorkspace::last_solution`]). After the
-/// workspace has grown to the tableau size a solve performs no heap
-/// allocation beyond the cold-start Vogel basis.
+/// workspace has grown to the tableau size a solve — warm or cold, the
+/// Vogel start included — performs no heap allocation.
 ///
 /// **Seeding.** When `workspace` holds the basis of an earlier solve with
 /// the same tableau shape, that spanning tree is re-fit to the new
@@ -175,7 +187,8 @@ pub enum Bounded {
 /// limit is exhausted before reaching optimality; and
 /// [`TransportError::Internal`] if a pivot cycle is structurally
 /// malformed. On error the workspace keeps the basis it held before the
-/// call (the last optimal or cut one).
+/// call (the last optimal or cut one); the pivots the failed solve did
+/// perform are counted all the same.
 pub fn solve_warm_objective(
     problem: &TransportProblem,
     budget: &Budget,
@@ -185,9 +198,60 @@ pub fn solve_warm_objective(
     let _solve_span = emd_obs::span("transport.solve");
     emd_obs::counter_add("transport.solve.calls", 1);
     budget.note_solve().map_err(budget_exhausted)?;
+    workspace.stats.solves += 1;
+    let mut tally = PivotTally::default();
+    let solved = seed_and_solve(problem, budget, cutoff, workspace, &mut tally);
+    tally.record(&mut workspace.stats);
+    solved
+}
+
+/// Pivots one solve performed, by kind, recorded once when it returns.
+#[derive(Debug, Default)]
+struct PivotTally {
+    /// Primal (MODI) pivots; `bland` and `degenerate` are subsets.
+    primal: u64,
+    /// Primal pivots priced by Bland's rule.
+    bland: u64,
+    /// Primal pivots that shifted at most [`EPS`] of flow.
+    degenerate: u64,
+    /// Dual-simplex repair pivots of a warm seed.
+    repair: u64,
+}
+
+impl PivotTally {
+    /// Add the tally to `stats` and, when recording, to the counters.
+    /// Repair pivots count only under their own counter: adding them to
+    /// `transport.simplex.pivots` too would double-charge warm solves in
+    /// any report that reads both.
+    fn record(&self, stats: &mut WorkspaceStats) {
+        stats.pivots += self.primal + self.repair;
+        stats.repair_pivots += self.repair;
+        let counters = [
+            ("transport.simplex.pivots", self.primal),
+            ("transport.simplex.bland_pivots", self.bland),
+            ("transport.simplex.degenerate_pivots", self.degenerate),
+            ("transport.warm.repair_pivots", self.repair),
+        ];
+        for (name, count) in counters {
+            if count > 0 {
+                emd_obs::counter_add(name, count);
+            }
+        }
+    }
+}
+
+/// The body of [`solve_warm_objective`] after its entry probe: seed a
+/// basis, pivot to the optimum (or a cut), extract. Every pivot goes into
+/// `tally`.
+fn seed_and_solve(
+    problem: &TransportProblem,
+    budget: &Budget,
+    cutoff: f64,
+    workspace: &mut SolverWorkspace,
+    tally: &mut PivotTally,
+) -> Result<Bounded, TransportError> {
     let m = problem.num_sources();
     let n = problem.num_targets();
-    workspace.stats.solves += 1;
 
     // Seed a basic feasible solution: the previous basis re-fit to the
     // new marginals when possible, a cold Vogel basis otherwise.
@@ -224,16 +288,14 @@ pub fn solve_warm_objective(
                     .zip(&ws.flows)
                     .map(|(&(row, col), &flow)| (row, col, flow)),
             );
-            let repair = dual_repair(problem, budget, cutoff, &mut ws.tree, &mut ws.pivot)?;
-            if let Repair::Feasible(pivots) | Repair::Cut { pivots, .. } = repair {
-                ws.stats.pivots += pivots;
-                ws.stats.repair_pivots += pivots;
+            let repair = dual_repair(problem, budget, cutoff, &mut ws.tree, &mut ws.pivot, tally)?;
+            if let Repair::Feasible | Repair::Cut { .. } = repair {
                 ws.stats.warm_hits += 1;
                 emd_obs::counter_add("transport.warm.hits", 1);
                 seeded_warm = true;
                 tree_seeded = true;
             }
-            if let Repair::Cut { lower_bound, .. } = repair {
+            if let Repair::Cut { lower_bound } = repair {
                 emd_obs::counter_add("transport.solve.cut", 1);
                 ws.warm_cells.clear();
                 ws.warm_cells.extend(ws.tree.cells());
@@ -244,13 +306,8 @@ pub fn solve_warm_objective(
         }
     }
     if !seeded_warm {
-        let initial = vogel::initial_basis(problem);
-        workspace.cells.clear();
-        workspace.flows.clear();
-        for &(row, col, flow) in &initial.cells {
-            workspace.cells.push((row, col));
-            workspace.flows.push(flow);
-        }
+        let ws = &mut *workspace;
+        vogel::initial_basis_into(problem, &mut ws.vogel, &mut ws.cells, &mut ws.flows);
     }
 
     // Trivial tableaus (single row or column) have a unique basis, which
@@ -268,8 +325,7 @@ pub fn solve_warm_objective(
             );
         }
         let limit = iteration_limit(m, n);
-        let pivots = pivot_to_optimum(problem, limit, budget, &mut ws.tree, &mut ws.pivot)?;
-        ws.stats.pivots += pivots;
+        pivot_to_optimum(problem, limit, budget, &mut ws.tree, &mut ws.pivot, tally)?;
         ws.cells.clear();
         ws.cells.extend(ws.tree.cells());
     }
@@ -305,15 +361,15 @@ pub fn solve_warm_objective(
 /// How a dual-simplex repair ended.
 #[derive(Clone, Copy)]
 enum Repair {
-    /// Every basic flow is non-negative after this many pivots; the
-    /// primal loop finishes from the tree.
-    Feasible(u64),
+    /// Every basic flow is non-negative; the primal loop finishes from
+    /// the tree.
+    Feasible,
     /// The repair cap was exceeded or no entering candidate exists: the
     /// caller falls back to a cold Vogel start.
     Abandoned,
-    /// The certified dual bound passed the cutoff after this many pivots;
-    /// the tree holds the (primal-infeasible) basis it was certified on.
-    Cut { pivots: u64, lower_bound: f64 },
+    /// The certified dual bound passed the cutoff; the tree holds the
+    /// (primal-infeasible) basis it was certified on.
+    Cut { lower_bound: f64 },
 }
 
 /// A lower bound on the optimum of `problem` from the basis in `tree`,
@@ -391,13 +447,15 @@ fn certified_lower_bound(
 /// (tiny negatives within `WARM_FEASIBILITY` clamped), [`Repair::Cut`] on a
 /// certified bound above `cutoff`, [`Repair::Abandoned`] when the repair
 /// cap is exceeded or no entering candidate exists, and a typed error
-/// when `budget` fires mid-repair.
+/// when `budget` fires mid-repair. Every pivot, whatever the ending, is
+/// tallied in `tally.repair`.
 fn dual_repair(
     problem: &TransportProblem,
     budget: &Budget,
     cutoff: f64,
     tree: &mut BasisTree,
     scratch: &mut PivotScratch,
+    tally: &mut PivotTally,
 ) -> Result<Repair, TransportError> {
     let m = problem.num_sources();
     let n = problem.num_targets();
@@ -406,7 +464,6 @@ fn dual_repair(
     let max_repairs = 4 * (m + n) + 16;
     let limited = !budget.is_unlimited();
     let mut pending_pivots: u64 = 0;
-    let mut performed: u64 = 0;
 
     // Duals are computed once and then maintained incrementally: a dual
     // pivot with entering reduced cost `rc` shifts every dual on the
@@ -430,10 +487,7 @@ fn dual_repair(
             let lower_bound = certified_lower_bound(problem, tree, scratch);
             if lower_bound > cutoff {
                 budget.settle_pivots(pending_pivots);
-                return Ok(Repair::Cut {
-                    pivots: performed,
-                    lower_bound,
-                });
+                return Ok(Repair::Cut { lower_bound });
             }
             trigger = f64::INFINITY;
         }
@@ -454,7 +508,7 @@ fn dual_repair(
                 *flow = flow.max(0.0);
             }
             budget.settle_pivots(pending_pivots);
-            return Ok(Repair::Feasible(performed));
+            return Ok(Repair::Feasible);
         };
         if limited {
             pending_pivots += 1;
@@ -508,11 +562,7 @@ fn dual_repair(
             budget.settle_pivots(pending_pivots);
             return Ok(Repair::Abandoned);
         };
-        // Repair pivots count only under their own counter: adding them
-        // to `transport.simplex.pivots` too would double-charge warm
-        // solves in any report that reads both.
-        emd_obs::counter_add("transport.warm.repair_pivots", 1);
-        performed += 1;
+        tally.repair += 1;
 
         // The cycle of the entering edge crosses the cut exactly once —
         // through L, oriented so L's flow gains theta and lands on zero.
@@ -552,7 +602,7 @@ fn dual_repair(
 }
 
 /// Run MODI pivots on `tree` until optimality, at most `limit` of them
-/// (clamped to [`hard_iteration_cap`]). Returns the pivot count; the tree
+/// (clamped to [`hard_iteration_cap`]), each tallied in `tally`. The tree
 /// then holds an optimal basis (flows included, though callers re-derive
 /// them canonically).
 fn pivot_to_optimum(
@@ -561,7 +611,8 @@ fn pivot_to_optimum(
     budget: &Budget,
     tree: &mut BasisTree,
     scratch: &mut PivotScratch,
-) -> Result<u64, TransportError> {
+    tally: &mut PivotTally,
+) -> Result<(), TransportError> {
     let m = problem.num_sources();
     let n = problem.num_targets();
     let max_iterations = limit.min(hard_iteration_cap(m, n));
@@ -570,8 +621,8 @@ fn pivot_to_optimum(
     let mut performed: u64 = 0;
 
     let mut degenerate_run = 0usize;
-    // `performed` doubles as the loop control so the pivot count and the
-    // iteration cap can never drift apart.
+    // `performed` counts this call's pivots against the cap; the tally
+    // may already hold other loops' pivots of the same solve.
     while performed < u64::try_from(max_iterations).unwrap_or(u64::MAX) {
         tree.duals(|i, j| problem.cost(i, j), &mut scratch.u, &mut scratch.v);
 
@@ -581,7 +632,7 @@ fn pivot_to_optimum(
             // Optimum reached: settle the uncharged pivot remainder so the
             // shared pool stays accurate, but never fail a finished solve.
             budget.settle_pivots(pending_pivots);
-            return Ok(performed);
+            return Ok(());
         };
         if limited {
             pending_pivots += 1;
@@ -592,10 +643,10 @@ fn pivot_to_optimum(
                 pending_pivots = 0;
             }
         }
-        emd_obs::counter_add("transport.simplex.pivots", 1);
         performed += 1;
+        tally.primal += 1;
         if use_bland {
-            emd_obs::counter_add("transport.simplex.bland_pivots", 1);
+            tally.bland += 1;
         }
 
         // The entering edge (ei, ej) closes a cycle with the tree path from
@@ -637,7 +688,7 @@ fn pivot_to_optimum(
 
         if theta <= EPS {
             degenerate_run += 1;
-            emd_obs::counter_add("transport.simplex.degenerate_pivots", 1);
+            tally.degenerate += 1;
         } else {
             degenerate_run = 0;
         }
@@ -777,7 +828,7 @@ mod tests {
 
     /// The primal loop alone, from a Vogel basis, under an explicit pivot
     /// limit — the parameter `solve_warm_objective` fills with
-    /// `iteration_limit`.
+    /// `iteration_limit`. Returns the pivot count.
     fn pivot_with_limit(problem: &TransportProblem, limit: usize) -> Result<u64, TransportError> {
         let mut ws = SolverWorkspace::new();
         ws.tree.reset(
@@ -785,13 +836,16 @@ mod tests {
             problem.num_targets(),
             vogel::initial_basis(problem).cells.iter().copied(),
         );
+        let mut tally = PivotTally::default();
         pivot_to_optimum(
             problem,
             limit,
             &Budget::unlimited(),
             &mut ws.tree,
             &mut ws.pivot,
-        )
+            &mut tally,
+        )?;
+        Ok(tally.primal)
     }
 
     #[test]
@@ -978,6 +1032,76 @@ mod tests {
                 reason: BudgetReason::PivotCap
             })
         );
+    }
+
+    /// Every pivot a solve performs is counted once it returns, whatever
+    /// the exit: the `transport.*` counters of one solve equal its
+    /// `WorkspaceStats` deltas — here with a pivot cap firing mid-repair
+    /// (warm) and mid-primal (cold), then with the solves run to the end.
+    #[test]
+    fn counters_equal_stats_deltas_on_every_exit() {
+        // A line of 24 bins, mass swung from one end to the other: the
+        // warm basis needs a long repair.
+        let n = 24;
+        let line: Vec<f64> = (0..n * n)
+            .map(|k| ((k / n) as f64 - (k % n) as f64).abs())
+            .collect();
+        let ramp = |rising: bool| -> Vec<f64> {
+            let raw: Vec<f64> = (0..n)
+                .map(|j| if rising { j + 1 } else { n - j } as f64)
+                .map(|w| w * w)
+                .collect();
+            let total: f64 = raw.iter().sum();
+            raw.iter().map(|w| w / total).collect()
+        };
+        let problem =
+            |rising: bool| TransportProblem::new(ramp(!rising), ramp(rising), line.clone());
+        let (first, swung) = (problem(false).unwrap(), problem(true).unwrap());
+        let mut warm = SolverWorkspace::new();
+        solve_warm(&first, &Budget::unlimited(), &mut warm).unwrap();
+        // Scrambled costs on 96 uniform bins: a long primal run from the
+        // Vogel basis.
+        let bins = 96;
+        let scrambled: Vec<f64> = (0..bins * bins)
+            .map(|k| ((k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 54) as f64)
+            .collect();
+        let uniform = vec![1.0 / bins as f64; bins];
+        let scrambled = TransportProblem::new(uniform.clone(), uniform, scrambled).unwrap();
+
+        let counted = |workspace: &mut SolverWorkspace, problem, budget: &Budget| {
+            let before = workspace.stats();
+            let recording = emd_obs::Recording::start();
+            let solved = solve_warm(problem, budget, workspace);
+            let registry = recording.finish();
+            let after = workspace.stats();
+            let repair = registry.counter("transport.warm.repair_pivots");
+            let primal = registry.counter("transport.simplex.pivots");
+            assert_eq!(repair, after.repair_pivots - before.repair_pivots);
+            assert_eq!(primal + repair, after.pivots - before.pivots);
+            (solved.map(|s| s.objective), repair, primal)
+        };
+        // A fresh pool each time: the first charge of 64 pivots fires it,
+        // before the 64th pivot runs.
+        let capped = || Budget::unlimited().with_pivot_cap(1);
+        let fired = Err(TransportError::BudgetExhausted {
+            reason: BudgetReason::PivotCap,
+        });
+        let (solved, repair, primal) = counted(&mut warm.clone(), &swung, &capped());
+        assert_eq!(
+            (solved, repair, primal),
+            (fired.clone(), CHECK_INTERVAL - 1, 0)
+        );
+        let (solved, repair, primal) = counted(&mut SolverWorkspace::new(), &scrambled, &capped());
+        assert_eq!((solved, repair, primal), (fired, 0, CHECK_INTERVAL - 1));
+
+        let (solved, repair, _) = counted(&mut warm, &swung, &Budget::unlimited());
+        assert!(solved.is_ok() && repair >= CHECK_INTERVAL);
+        let (solved, _, primal) = counted(
+            &mut SolverWorkspace::new(),
+            &scrambled,
+            &Budget::unlimited(),
+        );
+        assert!(solved.is_ok() && primal >= CHECK_INTERVAL);
     }
 
     #[test]

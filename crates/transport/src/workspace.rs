@@ -3,10 +3,10 @@
 //!
 //! A [`SolverWorkspace`] owns every buffer the simplex needs — the dual
 //! vectors `u`/`v`, the rooted basis tree, the pivot-cycle and cut
-//! scratch, and the flow-refit buffers — so a caller that solves many
-//! related instances (the KNOP refinement loop solves one LP per
-//! candidate against a fixed query marginal) pays for allocation once
-//! instead of once per solve.
+//! scratch, the flow-refit buffers and the Vogel start's line minima — so
+//! a caller that solves many related instances (the KNOP refinement loop
+//! solves one LP per candidate against a fixed query marginal) pays for
+//! allocation once instead of once per solve.
 //!
 //! The workspace also remembers the basis the last solve ended on — the
 //! optimal one, or the one a solve under a cutoff was cut on
@@ -35,6 +35,7 @@
 //! basis return **bit-identical** objectives and flows.
 
 use crate::tree::BasisTree;
+use crate::vogel::VogelScratch;
 use crate::EPS;
 
 /// Monotone counters describing the work a workspace has performed.
@@ -47,7 +48,9 @@ pub struct WorkspaceStats {
     /// Warm starts that seeded the solve (the refit was feasible, or the
     /// dual-simplex repair restored feasibility).
     pub warm_hits: u64,
-    /// Simplex pivots performed across all solves, primal and dual.
+    /// Simplex pivots performed across all solves, primal and dual —
+    /// those of an abandoned repair or a solve a budget stopped included,
+    /// so these counters move exactly as the `transport.*` pivot counters.
     pub pivots: u64,
     /// The subset of `pivots` spent in dual-simplex repair of re-fit
     /// warm bases.
@@ -89,6 +92,8 @@ pub(crate) struct PivotScratch {
 pub struct SolverWorkspace {
     /// Pivot-loop scratch.
     pub(crate) pivot: PivotScratch,
+    /// Scratch of the cold-start Vogel basis.
+    pub(crate) vogel: VogelScratch,
     /// Reusable basis-tree storage (the flat arrays keep their capacity).
     pub(crate) tree: BasisTree,
     /// Basis cells of the current solve, sorted by `(row, col)` at
