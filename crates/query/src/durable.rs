@@ -63,7 +63,6 @@ use emd_store::StoreError;
 
 use crate::dynamic::DynamicIndex;
 use crate::error::QueryError;
-use crate::stats::QueryStats;
 
 /// A frozen view of a [`DurableIndex`]: the [`DynamicIndex`]'s own
 /// snapshot, which already answers in the ids clients hold.
@@ -672,34 +671,6 @@ impl DurableIndex {
     pub fn snapshot(&self) -> Result<DurableSnapshot, DurableError> {
         Ok(self.index.snapshot()?)
     }
-
-    /// Exact k-NN as `(id, distance)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DynamicIndex::knn`].
-    // lint: allow(unbudgeted): sugar over DynamicIndex::knn.
-    pub fn knn(
-        &self,
-        query: &Histogram,
-        k: usize,
-    ) -> Result<(Vec<(u64, f64)>, QueryStats), DurableError> {
-        Ok(self.index.knn(query, k)?)
-    }
-
-    /// Exact range query as `(id, distance)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`DynamicIndex::range`].
-    // lint: allow(unbudgeted): sugar over DynamicIndex::range.
-    pub fn range(
-        &self,
-        query: &Histogram,
-        epsilon: f64,
-    ) -> Result<(Vec<(u64, f64)>, QueryStats), DurableError> {
-        Ok(self.index.range(query, epsilon)?)
-    }
 }
 
 /// Match `wal-<epoch>.log` / `sealed-<epoch>.seg` names, returning the
@@ -804,14 +775,14 @@ mod tests {
                 index.insert(histogram).unwrap();
             }
             index.remove(1).unwrap();
-            before = index.knn(&query, 3).unwrap().0;
+            before = index.snapshot().unwrap().knn(&query, 3).unwrap().0;
         }
         let (reopened, report) = DurableIndex::open(&dir).unwrap();
         assert_eq!(report.epoch, 0);
         assert_eq!(report.replayed_records, 6);
         assert!(report.torn_tail.is_none());
         assert_eq!(reopened.len(), 4);
-        let after = reopened.knn(&query, 3).unwrap().0;
+        let after = reopened.snapshot().unwrap().knn(&query, 3).unwrap().0;
         let bits = |v: &[(u64, f64)]| -> Vec<(u64, u64)> {
             v.iter().map(|&(i, d)| (i, d.to_bits())).collect()
         };
@@ -835,7 +806,11 @@ mod tests {
         assert_eq!(report.sealed_objects, 3);
 
         // Queries keep answering in external ids after compaction...
-        let (hits, _) = index.knn(&h(&[0.0, 0.9, 0.1, 0.0]), 1).unwrap();
+        let (hits, _) = index
+            .snapshot()
+            .unwrap()
+            .knn(&h(&[0.0, 0.9, 0.1, 0.0]), 1)
+            .unwrap();
         assert_eq!(hits[0].0, 1, "external id 1 survives compaction");
         // ...and the persisted id map restores them after reopen.
         let next_before = index.insert(h(&[0.5, 0.0, 0.0, 0.5])).unwrap();
@@ -844,7 +819,11 @@ mod tests {
         let (reopened, report) = DurableIndex::open(&dir).unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.sealed_objects, 3);
-        let (hits, _) = reopened.knn(&h(&[0.0, 0.9, 0.1, 0.0]), 1).unwrap();
+        let (hits, _) = reopened
+            .snapshot()
+            .unwrap()
+            .knn(&h(&[0.0, 0.9, 0.1, 0.0]), 1)
+            .unwrap();
         assert_eq!(hits[0].0, 1, "external id survives compaction + reopen");
         assert!(reopened.get(0).is_none(), "removed ids stay removed");
         assert!(reopened.get(5).is_some(), "post-compaction insert survives");
@@ -885,7 +864,7 @@ mod tests {
             v.iter().map(|&(i, d)| (i, d.to_bits())).collect()
         };
         assert_eq!(bits(&frozen), bits(&frozen_again), "snapshot is frozen");
-        let (current, _) = index.knn(&query, 1).unwrap();
+        let (current, _) = index.snapshot().unwrap().knn(&query, 1).unwrap();
         assert_eq!(current[0].0, 5, "the index sees the new object");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -987,18 +966,18 @@ mod tests {
         let second = index.insert(h(&[0.0, 0.0, 1.0, 0.0])).unwrap();
         assert_eq!((first, second), (0, 1));
         let probe = h(&[0.0, 0.0, 0.9, 0.1]);
-        let (hits, _) = index.knn(&probe, 1).unwrap();
+        let (hits, _) = index.snapshot().unwrap().knn(&probe, 1).unwrap();
         assert_eq!(hits[0].0, 1, "ids stay aligned after the failed append");
         // Compaction stays consistent...
         let report = index.compact().unwrap();
         assert_eq!(report.sealed_objects, 2);
-        let (hits, _) = index.knn(&probe, 1).unwrap();
+        let (hits, _) = index.snapshot().unwrap().knn(&probe, 1).unwrap();
         assert_eq!(hits[0].0, 1, "alignment survives compaction");
         // ...and so does a cold reopen (the failed append was never
         // logged, so replay sees a dense history).
         drop(index);
         let (reopened, _) = DurableIndex::open(&dir).unwrap();
-        let (hits, _) = reopened.knn(&probe, 1).unwrap();
+        let (hits, _) = reopened.snapshot().unwrap().knn(&probe, 1).unwrap();
         assert_eq!(hits[0].0, 1, "alignment survives reopen");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -63,12 +63,14 @@ use std::sync::Arc;
 ///
 /// let a = index.insert(Histogram::new(vec![1.0, 0.0, 0.0, 0.0])?)?;
 /// let b = index.insert(Histogram::new(vec![0.0, 0.0, 0.0, 1.0])?)?;
-/// let (nearest, _) = index.knn(&Histogram::new(vec![0.9, 0.1, 0.0, 0.0])?, 1)?;
+/// let query = Histogram::new(vec![0.9, 0.1, 0.0, 0.0])?;
+/// // Queries run on a snapshot: take one, ask it as often as you like.
+/// let (nearest, _) = index.snapshot()?.knn(&query, 1)?;
 /// assert_eq!(nearest[0].0, a);
 ///
 /// index.remove(a);
 /// index.compact(); // reclaims a's storage; b is still b
-/// let (nearest, _) = index.knn(&Histogram::new(vec![0.9, 0.1, 0.0, 0.0])?, 1)?;
+/// let (nearest, _) = index.snapshot()?.knn(&query, 1)?;
 /// assert_eq!(nearest[0].0, b);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -271,10 +273,11 @@ impl DynamicIndex {
 
     /// An immutable, queryable snapshot of the current live objects: a
     /// [`Database`] of their handles under the stages of
-    /// [`QueryPlan::chain`].
+    /// [`QueryPlan::chain`]. Every query of the index runs on one.
     ///
-    /// O(live) reference-count bumps and no histogram, reduced vector or
-    /// anchor projection copied; later
+    /// O(live) reference-count bumps — take one and run many queries on
+    /// it — and no histogram, reduced vector or anchor projection copied;
+    /// later
     /// [`insert`](Self::insert) / [`remove`](Self::remove) /
     /// [`compact`](Self::compact) calls leave the snapshot untouched.
     ///
@@ -304,43 +307,6 @@ impl DynamicIndex {
             ids,
             database,
         })
-    }
-
-    /// Exact k-NN over the live objects: the snapshot's
-    /// `Red-IM -> Red-EMD` chain ranked lazily under KNOP refinement in
-    /// the shared engine (complete — identical results to scanning every
-    /// live object with the exact EMD).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError`] on `k = 0`, an empty index, a query shape
-    /// mismatch, or if an exact EMD refinement fails.
-    // lint: allow(unbudgeted): sugar over DynamicSnapshot::knn.
-    pub fn knn(
-        &self,
-        query: &Histogram,
-        k: usize,
-    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
-        if k == 0 {
-            return Err(QueryError::ZeroK);
-        }
-        self.snapshot()?.knn(query, k)
-    }
-
-    /// Exact range query over the live objects (all live objects with
-    /// exact distance `<= epsilon`, ascending).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError`] on a negative or non-finite `epsilon`, an
-    /// empty index, a query shape mismatch, or a refinement failure.
-    // lint: allow(unbudgeted): sugar over DynamicSnapshot::range.
-    pub fn range(
-        &self,
-        query: &Histogram,
-        epsilon: f64,
-    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
-        self.snapshot()?.range(query, epsilon)
     }
 }
 
@@ -489,7 +455,7 @@ mod tests {
         assert_eq!(index.len(), 3);
 
         let query = h(&[0.9, 0.1, 0.0, 0.0]);
-        let (neighbors, stats) = index.knn(&query, 2).unwrap();
+        let (neighbors, stats) = index.snapshot().unwrap().knn(&query, 2).unwrap();
         assert_eq!(neighbors[0].0, a);
         assert_eq!(neighbors[1].0, c);
         assert_eq!(stats.filter_evaluations[0], ("anchor(a=2)".to_owned(), 3));
@@ -499,7 +465,7 @@ mod tests {
         assert!(index.remove(a));
         assert!(!index.remove(a), "double delete is a no-op");
         assert_eq!(index.len(), 2);
-        let (neighbors, _) = index.knn(&query, 2).unwrap();
+        let (neighbors, _) = index.snapshot().unwrap().knn(&query, 2).unwrap();
         assert_eq!(neighbors[0].0, c);
         assert_eq!(neighbors[1].0, b);
         assert!(index.get(a).is_none());
@@ -539,7 +505,7 @@ mod tests {
         let query = h(&[0.25, 0.25, 0.3, 0.2]);
         let database: Vec<Histogram> = live.iter().map(|(_, h)| h.clone()).collect();
         let expected = brute_force_knn(&query, &database, &cost, 3).unwrap();
-        let (got, _) = index.knn(&query, 3).unwrap();
+        let (got, _) = index.snapshot().unwrap().knn(&query, 3).unwrap();
         assert_eq!(
             canonical(got.iter().map(|hit| hit.1)),
             canonical(expected.iter().map(|n| n.distance))
@@ -557,7 +523,7 @@ mod tests {
         index.compact();
         assert_eq!((index.positions(), index.len()), (2, 2));
         let query = h(&[0.0, 0.0, 0.9, 0.1]);
-        let (neighbors, _) = index.knn(&query, 1).unwrap();
+        let (neighbors, _) = index.snapshot().unwrap().knn(&query, 1).unwrap();
         assert_eq!(neighbors[0].0, c, "c is still c");
         assert!(index.get(a).is_some() && index.get(b).is_none());
         let d = index.insert(h(&[0.0, 0.0, 0.0, 1.0])).unwrap();
@@ -569,19 +535,20 @@ mod tests {
         let mut index = index();
         assert!(index.insert(h(&[0.5, 0.5])).is_err());
         assert_eq!(index.next_id(), 0, "a rejected insert consumes no id");
+        // An empty index has no snapshot to query, whatever the query asks.
+        let query = h(&[0.25, 0.25, 0.25, 0.25]);
         assert!(matches!(
-            index.knn(&h(&[0.25, 0.25, 0.25, 0.25]), 1).unwrap_err(),
+            index.snapshot().and_then(|s| s.knn(&query, 0)).unwrap_err(),
             QueryError::EmptyDatabase
         ));
         index.insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        let snapshot = index.snapshot().unwrap();
         assert!(matches!(
-            index.knn(&h(&[0.25, 0.25, 0.25, 0.25]), 0).unwrap_err(),
+            snapshot.knn(&query, 0).unwrap_err(),
             QueryError::ZeroK
         ));
         assert!(matches!(
-            index
-                .range(&h(&[0.25, 0.25, 0.25, 0.25]), f64::NAN)
-                .unwrap_err(),
+            snapshot.range(&query, f64::NAN).unwrap_err(),
             QueryError::InvalidEpsilon(_)
         ));
         assert!(!index.remove(999));
@@ -601,7 +568,7 @@ mod tests {
             index.insert(Histogram::unit(4, i).unwrap()).unwrap();
         }
         let query = Histogram::unit(4, 2).unwrap();
-        let (neighbors, stats) = index.knn(&query, 2).unwrap();
+        let (neighbors, stats) = index.snapshot().unwrap().knn(&query, 2).unwrap();
         assert_eq!(neighbors[0].0, 2);
         assert_eq!(stats.filter_evaluations.len(), 2, "Figure 10 as printed");
         assert_eq!(stats.refinements, 4, "useless filter refines everything");
@@ -640,10 +607,11 @@ mod tests {
                     );
                 }
             };
+            let snapshot = index.snapshot().unwrap();
             for query in &queries {
                 for k in [1, 2, 4] {
                     let expected = brute_force_knn(query, &database, &cost, k).unwrap();
-                    let (got, _) = index.knn(query, k).unwrap();
+                    let (got, _) = snapshot.knn(query, k).unwrap();
                     assert_eq!(got.len(), expected.len().min(k));
                     assert_eq!(
                         canonical(got.iter().map(|hit| hit.1)),
@@ -654,7 +622,7 @@ mod tests {
                 }
                 for epsilon in [0.3, 0.8, 2.0] {
                     let expected = brute_force_range(query, &database, &cost, epsilon).unwrap();
-                    let (got, _) = index.range(query, epsilon).unwrap();
+                    let (got, _) = snapshot.range(query, epsilon).unwrap();
                     assert_eq!(
                         canonical(got.iter().map(|hit| hit.1)),
                         canonical(expected.iter().map(|n| n.distance)),
@@ -783,7 +751,7 @@ mod tests {
         assert!(snapshot.get(c).is_none());
         shares(&index, &[b]);
         // ...while the index sees the new state.
-        let (current, _) = index.knn(&query, 2).unwrap();
+        let (current, _) = index.snapshot().unwrap().knn(&query, 2).unwrap();
         assert_eq!((current[0].0, current[1].0), (c, b));
     }
 }

@@ -3,11 +3,14 @@
 //! [`Executor::run`] is where a [`QueryPlan`] meets a [`Query`]: it
 //! prepares the per-query filter state under the query's
 //! [`Budget`](crate::Budget), takes stage 1 from the plan's candidate
-//! source (or else scans the first filter stage), stacks the lazy
-//! [`ChainedRanking`](crate::ranking::ChainedRanking)s of Figure 12, and
+//! source (or else every object at the bound known for free, 0), stacks
+//! every filter stage on it as a lazy
+//! [`ChainedRanking`](crate::ranking::ChainedRanking) of Figure 12, and
 //! hands the final ranking to the KNOP refinement loop in
-//! [`knop`](crate::knop) — the *only* call site of that loop. Static
-//! plans, the mutable [`DynamicIndex`](crate::DynamicIndex) and the
+//! [`knop`](crate::knop) — the *only* call site of that loop. A plan
+//! without stages is the sequential scan: KNOP over the zero bound, which
+//! refines every object. Static plans, the mutable
+//! [`DynamicIndex`](crate::DynamicIndex) and the
 //! brute-force [`scan`](crate::scan) oracles all execute through here;
 //! [`Executor::knn`] and [`Executor::range`] are sugar that builds an
 //! unlimited [`Query`] and calls [`Executor::run`].
@@ -42,21 +45,22 @@
 //! panic isolation, per query in batches
 //! ([`Executor::run_batch_isolated`]): a panicking worker turns into
 //! [`QueryError::WorkerPanicked`] for its own queries only, and surviving
-//! queries' results and chunk-order stats merge are unchanged.
+//! queries' results and chunk-order stats merge are unchanged. A fault
+//! injector rides the query's budget (`Budget::with_faults`): its solve
+//! failpoints fire inside the solver, its worker failpoints here.
 
-use crate::engine::source::ScanStream;
+use crate::engine::source::EveryObject;
 use crate::error::QueryError;
 use crate::filters::PreparedFilter;
 use crate::knop;
-use crate::outcome::{sort_candidates, Candidate, DegradedResult, QueryOutcome};
+use crate::outcome::QueryOutcome;
 use crate::ranking::{ChainedRanking, Ranking};
 use crate::stats::QueryStats;
 use crate::Neighbor;
 use emd_core::{BudgetReason, Histogram};
-use emd_faultkit::{Fault, FaultInjector, InjectedPanic, Site};
+use emd_faultkit::{Fault, InjectedPanic, Site};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use super::plan::{Query, QueryMode, QueryPlan};
 
@@ -64,26 +68,12 @@ use super::plan::{Query, QueryMode, QueryPlan};
 #[derive(Debug)]
 pub struct Executor {
     plan: QueryPlan,
-    /// Deterministic fault injector consulted at `Site::Worker` probes in
-    /// batch execution (testing only; `None` in production).
-    faults: Option<Arc<dyn FaultInjector>>,
 }
 
 impl Executor {
     /// Wrap a plan for execution.
     pub fn new(plan: QueryPlan) -> Self {
-        Executor { plan, faults: None }
-    }
-
-    /// Install a deterministic fault injector; batch workers probe it at
-    /// [`Site::Worker`] before each query and honor [`Fault::Panic`] by
-    /// panicking with an [`InjectedPanic`] payload (which panic isolation
-    /// then converts into [`QueryError::WorkerPanicked`]). Used by the
-    /// fault-injection test harness.
-    #[must_use]
-    pub fn with_faults(mut self, faults: Arc<dyn FaultInjector>) -> Self {
-        self.faults = Some(faults);
-        self
+        Executor { plan }
     }
 
     /// The underlying plan.
@@ -277,8 +267,8 @@ impl Executor {
     /// attributed to `worker` — the caller keeps serving. `worker` is an
     /// arbitrary caller-chosen ordinal (the serve layer passes a
     /// per-request sequence number, so an armed [`Site::Worker`]
-    /// failpoint targets exactly one request); the installed fault
-    /// injector (if any) is probed at it first.
+    /// failpoint targets exactly one request); the fault injector the
+    /// query's budget carries (if any) is probed at it first.
     ///
     /// # Errors
     ///
@@ -290,10 +280,8 @@ impl Executor {
         worker: usize,
     ) -> Result<(QueryOutcome, QueryStats), QueryError> {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(injector) = &self.faults {
-                if let Some(Fault::Panic) = injector.check(Site::Worker(worker)) {
-                    std::panic::panic_any(InjectedPanic::new(worker)); // lint: allow(panic)
-                }
+            if query.budget.fault(Site::Worker(worker)) == Some(Fault::Panic) {
+                std::panic::panic_any(InjectedPanic::new(worker)); // lint: allow(panic)
             }
             self.run(query)
         }));
@@ -360,33 +348,14 @@ impl Executor {
         };
 
         let (outcome, refinements) = {
-            // Stage 1 comes from the plan's source, or else from a scan of
-            // the first filter stage; the remaining stages chain on top.
-            let (mut ranking, chained): (Box<dyn Ranking + '_>, _) = match &mut source {
-                Some((_, stream)) => (Box::new(stream.as_mut()), prepared.as_mut_slice()),
-                None => match prepared.split_first_mut() {
-                    Some((first, rest)) => (
-                        Box::new(ScanStream::new(first.as_mut(), plan.len(), budget)),
-                        rest,
-                    ),
-                    None => {
-                        // Zero-stage plan — the sequential scan: the
-                        // refiner's own ranking is exact already.
-                        let outcome = {
-                            let _span = emd_obs::span("query.scan");
-                            let scan = ScanStream::new(refiner.as_mut(), plan.len(), budget);
-                            read_exact_scan(scan, *mode)?
-                        };
-                        let refinements = knop::Refinements {
-                            total: refiner.evaluations(),
-                            cut: 0,
-                        };
-                        return Ok(finish_outcome(outcome, refinements, Vec::new()));
-                    }
-                },
+            // Stage 1 comes from the plan's source, or else is every object
+            // at bound 0; every filter stage chains on top.
+            let mut ranking: Box<dyn Ranking + '_> = match &mut source {
+                Some((_, stream)) => Box::new(stream.as_mut()),
+                None => Box::new(EveryObject::new(plan.len(), budget)),
             };
             let _span = emd_obs::span("query.knop");
-            for stage in chained {
+            for stage in &mut prepared {
                 ranking = Box::new(ChainedRanking::new(ranking, Box::new(stage.as_mut())));
             }
             match *mode {
@@ -411,45 +380,6 @@ impl Executor {
         );
         Ok(finish_outcome(outcome, refinements, evaluations))
     }
-}
-
-/// The answer of a zero-stage plan, read directly off the refiner's scan
-/// (no KNOP loop — there is nothing left to refine). When the budget
-/// fires mid-scan, every distance computed so far is exact.
-fn read_exact_scan(mut scan: ScanStream<'_>, mode: QueryMode) -> Result<QueryOutcome, QueryError> {
-    let mut neighbors = Vec::new();
-    loop {
-        match scan.next() {
-            Ok(Some((id, distance))) => match mode {
-                QueryMode::Knn(k) if neighbors.len() >= k => break,
-                QueryMode::Range(epsilon) if distance > epsilon => break,
-                _ => neighbors.push(Neighbor { id, distance }),
-            },
-            Ok(None) => break,
-            Err(QueryError::BudgetExhausted(reason)) => {
-                let mut candidates: Vec<Candidate> = scan
-                    .drain_computed()
-                    .into_iter()
-                    .map(|(id, bound)| Candidate {
-                        id,
-                        bound,
-                        exact: true,
-                    })
-                    .collect();
-                sort_candidates(&mut candidates);
-                match mode {
-                    QueryMode::Knn(k) => candidates.truncate(k),
-                    QueryMode::Range(epsilon) => candidates.retain(|c| c.bound <= epsilon),
-                }
-                return Ok(QueryOutcome::Degraded(DegradedResult {
-                    candidates,
-                    reason,
-                }));
-            }
-            Err(error) => return Err(error),
-        }
-    }
-    Ok(QueryOutcome::Exact(neighbors))
 }
 
 /// Wrap an outcome into stats, publish them, and count degraded answers.
@@ -517,8 +447,11 @@ mod tests {
     use super::*;
     use crate::engine::Database;
     use crate::filters::{EmdDistance, Filter, ReducedEmdFilter, ReducedImFilter};
-    use emd_core::{ground, Budget};
+    use crate::scan::{brute_force_knn, brute_force_range};
+    use emd_core::{ground, Budget, CancelToken};
+    use emd_faultkit::FailPlan;
     use emd_reduction::{CombiningReduction, ReducedEmd};
+    use std::sync::Arc;
 
     fn h(bins: &[f64]) -> Histogram {
         Histogram::new(bins.to_vec()).unwrap()
@@ -612,9 +545,149 @@ mod tests {
 
     #[test]
     fn sequential_scan_counts_all_refinements() {
-        let (_, stats) = scan().knn(&h(&[1.0 / 6.0; 6]), 3).unwrap();
-        assert_eq!(stats.refinements, 8);
-        assert!(stats.filter_evaluations.is_empty());
+        // KNOP over the zero bound refines every object, warm or cold, and
+        // answers what the brute-force oracles answer. The query's exact
+        // distances (0.1, 0.9, 1.4, 3.4, 4.4, 2.0, 1.9, 4.4) tie only
+        // beyond the ks and radii asked for.
+        let db = database();
+        let query = h(&[0.9, 0.1, 0.0, 0.0, 0.0, 0.0]);
+        let ids = |neighbors: &[Neighbor]| neighbors.iter().map(|n| n.id).collect::<Vec<_>>();
+        for warm in [true, false] {
+            let refiner = EmdDistance::new(&db).unwrap().with_warm_start(warm);
+            let scan = Executor::new(QueryPlan::sequential(Box::new(refiner)).unwrap());
+            for k in [1, 3, 5] {
+                let expected = brute_force_knn(&query, db.histograms(), db.cost(), k).unwrap();
+                let (got, stats) = scan.knn(&query, k).unwrap();
+                assert_eq!(ids(&got), ids(&expected), "warm {warm}, k {k}");
+                assert_eq!(stats.refinements, db.len(), "warm {warm}, k {k}");
+                assert!(stats.filter_evaluations.is_empty());
+            }
+            for epsilon in [0.5, 1.5, 2.5] {
+                let cost = db.cost();
+                let expected = brute_force_range(&query, db.histograms(), cost, epsilon).unwrap();
+                let (got, stats) = scan.range(&query, epsilon).unwrap();
+                assert_eq!(ids(&got), ids(&expected), "warm {warm}, ε {epsilon}");
+                assert_eq!(stats.refinements, db.len(), "warm {warm}, ε {epsilon}");
+            }
+        }
+    }
+
+    /// A stage backed by a table of lower bounds that cancels `token` at
+    /// its `cancel_at`-th evaluation (1-based), so the budget fires at the
+    /// scan's next probe.
+    struct CancellingTable {
+        table: Vec<f64>,
+        token: CancelToken,
+        cancel_at: usize,
+    }
+
+    struct PreparedCancelling<'a>(&'a CancellingTable, usize);
+
+    impl Filter for CancellingTable {
+        fn name(&self) -> &str {
+            "table"
+        }
+        fn len(&self) -> usize {
+            self.table.len()
+        }
+        fn prepare(
+            &self,
+            _query: &Histogram,
+            _budget: &Budget,
+        ) -> Result<Box<dyn PreparedFilter + '_>, QueryError> {
+            Ok(Box::new(PreparedCancelling(self, 0)))
+        }
+    }
+
+    impl PreparedFilter for PreparedCancelling<'_> {
+        fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
+            self.1 += 1;
+            if self.1 == self.0.cancel_at {
+                self.0.token.cancel();
+            }
+            self.0
+                .table
+                .get(id)
+                .copied()
+                .ok_or(QueryError::UnknownObject(id))
+        }
+        fn evaluations(&self) -> usize {
+            self.1
+        }
+    }
+
+    #[test]
+    fn a_budget_firing_loses_no_object_on_a_scan_plan() {
+        // k = n: a degraded answer must name every object once, at its
+        // exact distance or a lower bound of it, wherever the budget fired
+        // — mid-scan of a closed-form stage, inside an LP first stage, or
+        // inside the refiner.
+        let db = database();
+        let n = db.len();
+        let query = h(&[0.9, 0.1, 0.0, 0.0, 0.0, 0.0]);
+        let exact: Vec<f64> = db
+            .histograms()
+            .iter()
+            .map(|object| emd_core::emd(&query, object, db.cost()).unwrap())
+            .collect();
+        let check = |executor: &Executor, budget: Budget, case: &str| -> bool {
+            let request = Query {
+                budget,
+                ..Query::knn(query.clone(), n)
+            };
+            let (outcome, _) = executor.run(&request).unwrap();
+            let Some(degraded) = outcome.degraded() else {
+                assert_eq!(outcome.exact().map(<[_]>::len), Some(n), "{case}");
+                return false;
+            };
+            let mut ids: Vec<usize> = degraded.candidates.iter().map(|c| c.id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (0..n).collect::<Vec<_>>(), "{case}");
+            for c in &degraded.candidates {
+                let truth = exact[c.id];
+                assert!(c.bound <= truth + 1e-9, "{case}: {c:?} above {truth}");
+                assert!(!c.exact || (c.bound - truth).abs() < 1e-9, "{case}: {c:?}");
+            }
+            true
+        };
+
+        // Mid-scan: the scan probes the budget before each object.
+        for cancel_at in 1..n {
+            let token = CancelToken::new();
+            let stage: Box<dyn Filter> = Box::new(CancellingTable {
+                table: exact.iter().map(|d| d / 2.0).collect(),
+                token: token.clone(),
+                cancel_at,
+            });
+            let refiner = Box::new(EmdDistance::new(&db).unwrap());
+            let executor = Executor::new(QueryPlan::new(vec![stage], refiner).unwrap());
+            let budget = Budget::unlimited().with_cancel(token);
+            assert!(check(&executor, budget, &format!("cancel at {cancel_at}")));
+        }
+
+        // An LP first stage, then the refiner: the j-th solve of the
+        // query is exhausted, for every j up to the last. The refiner's n
+        // solves come after or between the stage's.
+        let reduction = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
+        let reduced = ReducedEmd::new(db.cost(), reduction).unwrap();
+        let red_emd: Box<dyn Filter> = Box::new(ReducedEmdFilter::new(&db, reduced).unwrap());
+        let refiner = Box::new(EmdDistance::new(&db).unwrap());
+        let chain = Executor::new(QueryPlan::new(vec![red_emd], refiner).unwrap());
+        for (executor, stage_solves) in [(&chain, true), (&scan(), false)] {
+            let counter = Arc::new(FailPlan::new());
+            assert!(!check(
+                executor,
+                Budget::unlimited().with_faults(counter.clone()),
+                ""
+            ));
+            let solves = counter.solves_seen();
+            assert_eq!(solves > n as u64, stage_solves);
+            for j in 1..=solves {
+                let plan = Arc::new(FailPlan::new().exhaust_solve(j));
+                let budget = Budget::unlimited().with_faults(plan);
+                assert!(check(executor, budget, &format!("solve {j} of {solves}")));
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   a stage-1 [`CandidateSource`]; a [`Query`] is the histogram, its
 //!   mode and the [`Budget`](crate::Budget) it runs under.
 //! * [`Executor`] — [`Executor::run`] prepares per-query state, chains the
-//!   lazy rankings of Figure 12, and invokes the KNOP loop in
+//!   lazy rankings of Figure 12 on stage 1 (the source, or else every
+//!   object at bound 0), and invokes the KNOP loop in
 //!   [`knop`](crate::knop) exactly once per query. [`Executor::run_batch`]
 //!   fans workloads across std scoped threads with deterministic,
 //!   bit-identical results.

@@ -68,8 +68,8 @@ impl Query {
 /// half of the engine. Build one, hand it to an
 /// [`Executor`](crate::Executor).
 pub struct QueryPlan {
-    /// Optional stage-1 candidate source (index scan); `None` means the
-    /// first filter stage is materialized as a full scan.
+    /// Optional stage-1 candidate source (an index); `None` means stage 1
+    /// is every object at bound 0.
     source: Option<Box<dyn CandidateSource>>,
     stages: Vec<Box<dyn Filter>>,
     refiner: Box<dyn Filter>,
@@ -141,8 +141,8 @@ impl QueryPlan {
         )
     }
 
-    /// A plan with no filter stages: the sequential-scan baseline (every
-    /// object refined exactly once).
+    /// A plan with no filter stages: the sequential-scan baseline, KNOP
+    /// over the zero bound (every object refined exactly once).
     ///
     /// # Errors
     ///
@@ -154,9 +154,9 @@ impl QueryPlan {
 
     /// Attach a stage-1 [`CandidateSource`] (e.g. a
     /// [`ClusteredIndex`](crate::ClusteredIndex)): the executor pulls
-    /// candidates from the source's stream instead of scanning the first
-    /// filter stage, and any `stages` of this plan are chained *on
-    /// top* of the source in the usual Figure 12 way. The source's
+    /// candidates from the source's stream instead of every object, and
+    /// any `stages` of this plan are chained *on top* of the source in
+    /// the usual Figure 12 way. The source's
     /// emitted bound must lower-bound the refiner — the same unchecked
     /// obligation every stage has.
     ///

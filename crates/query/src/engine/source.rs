@@ -1,13 +1,12 @@
-//! Stage-1 candidate sources: pluggable generators of the first ranking.
+//! Stage 1 of a plan: the ranking every filter stage chains on.
 //!
-//! Without a source, a plan produces its stage-1 ranking by evaluating
-//! the first filter against *all* `n` objects, sorting and popping — O(n)
-//! filter evaluations per query (the executor's default scan).
-//! A [`CandidateSource`] abstracts that first ranking behind a trait so a
-//! [`QueryPlan`](super::QueryPlan) can swap the full scan for a metric
-//! index (the cluster-pruned [`ClusteredIndex`](crate::ClusteredIndex),
-//! which stacks [`QueryPlan::chain`](super::QueryPlan::chain)'s stages on
-//! a cluster traversal) that emits candidates in ascending lower-bound
+//! Without a source, stage 1 is every object at the bound known for
+//! free, 0 (`EveryObject`): the first filter stage chained on it
+//! evaluates all `n` objects, and a plan with no stage refines them all.
+//! A [`CandidateSource`] replaces it with a metric index (the
+//! cluster-pruned [`ClusteredIndex`](crate::ClusteredIndex), which
+//! stacks [`QueryPlan::chain`](super::QueryPlan::chain)'s stages on a
+//! cluster traversal) that emits candidates in ascending lower-bound
 //! order while evaluating its stages for *only a subset* of the database.
 //!
 //! The contract mirrors [`Ranking`]: a prepared [`CandidateStream`]
@@ -19,12 +18,12 @@
 //! on top. The stream probes the [`Budget`] it was prepared under: a
 //! firing surfaces as [`QueryError::BudgetExhausted`] from
 //! [`Ranking::next`] with whatever it interrupted left in place, and
-//! [`Ranking::drain_computed`] surrenders the bounds already computed —
-//! every object the stream knows a bound for, none dropped — so degraded
-//! answers work exactly as they do for filter scans.
+//! [`Ranking::drain_computed`] surrenders every object not yet emitted
+//! at the tightest bound known for it. Stage 1 with or without a source,
+//! emitted and drained name every object exactly once, so no plan loses
+//! a candidate from a degraded answer.
 
 use crate::error::QueryError;
-use crate::filters::PreparedFilter;
 use crate::ranking::Ranking;
 use emd_core::{Budget, Histogram};
 
@@ -94,8 +93,8 @@ pub trait CandidateSource: Send + Sync {
     /// Build the per-query candidate stream under an execution budget.
     ///
     /// The stream must probe `budget` as it traverses and surface a
-    /// firing as [`QueryError::BudgetExhausted`] from `next`, keeping the
-    /// already-computed bounds available via `drain_computed`.
+    /// firing as [`QueryError::BudgetExhausted`] from `next`, keeping
+    /// every object it has not emitted available via `drain_computed`.
     ///
     /// # Errors
     ///
@@ -108,61 +107,36 @@ pub trait CandidateSource: Send + Sync {
     ) -> Result<Box<dyn CandidateStream + '_>, QueryError>;
 }
 
-/// The full scan of one prepared filter as a [`Ranking`] — stage 1 of
-/// every plan without a [`CandidateSource`], and the exact ranking of a
-/// zero-stage plan. Materializes lazily on the first pull, probing the
-/// budget between evaluations, so bounds computed before a firing survive
-/// into the degraded answer; then pops in ascending `(distance, id)`
-/// order.
-pub(crate) struct ScanStream<'a> {
-    prepared: &'a mut dyn PreparedFilter,
-    len: usize,
+/// Every object at the bound known for free, 0 — stage 1 of a plan
+/// without a [`CandidateSource`]. Its filter stages chain on top of it,
+/// so a plan with none is KNOP over the zero bound: the sequential scan.
+/// Probes the budget before each id; a firing leaves every id not yet
+/// yielded to [`drain_computed`](Ranking::drain_computed), at 0.
+pub(crate) struct EveryObject<'a> {
+    ids: std::ops::Range<usize>,
     budget: &'a Budget,
-    /// Bounds evaluated so far (partial until materialization finishes).
-    computed: Vec<(usize, f64)>,
-    /// Sorted descending once complete, so `pop` yields ascending.
-    sorted: Option<Vec<(usize, f64)>>,
 }
 
-impl<'a> ScanStream<'a> {
-    /// Scan `prepared` over objects `0..len` under `budget`.
-    pub(crate) fn new(
-        prepared: &'a mut dyn PreparedFilter,
-        len: usize,
-        budget: &'a Budget,
-    ) -> Self {
-        ScanStream {
-            prepared,
-            len,
+impl<'a> EveryObject<'a> {
+    /// Objects `0..len` under `budget`.
+    pub(crate) fn new(len: usize, budget: &'a Budget) -> Self {
+        EveryObject {
+            ids: 0..len,
             budget,
-            computed: Vec::new(),
-            sorted: None,
         }
     }
 }
 
-impl Ranking for ScanStream<'_> {
+impl Ranking for EveryObject<'_> {
     fn next(&mut self) -> Result<Option<(usize, f64)>, QueryError> {
-        if self.sorted.is_none() {
-            self.computed.reserve(self.len - self.computed.len());
-            for id in self.computed.len()..self.len {
-                self.budget.check().map_err(QueryError::BudgetExhausted)?;
-                let distance = self.prepared.distance(id)?;
-                self.computed.push((id, distance));
-            }
-            let mut computed = std::mem::take(&mut self.computed);
-            computed.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
-            self.sorted = Some(computed);
+        if !self.ids.is_empty() {
+            self.budget.check().map_err(QueryError::BudgetExhausted)?;
         }
-        Ok(self.sorted.as_mut().and_then(Vec::pop))
+        Ok(self.ids.next().map(|id| (id, 0.0)))
     }
 
     fn drain_computed(&mut self) -> Vec<(usize, f64)> {
-        let mut out = std::mem::take(&mut self.computed);
-        if let Some(rest) = self.sorted.take() {
-            out.extend(rest);
-        }
-        out
+        std::mem::take(&mut self.ids).map(|id| (id, 0.0)).collect()
     }
 }
 
@@ -171,6 +145,7 @@ mod tests {
     use super::*;
     use crate::engine::Database;
     use crate::filters::{EmdDistance, Filter};
+    use crate::ranking::ChainedRanking;
     use emd_core::CostMatrix;
 
     fn database() -> Database {
@@ -190,24 +165,32 @@ mod tests {
         let query = Histogram::new(vec![0.0, 1.0, 0.0]).unwrap();
         let budget = Budget::unlimited();
         let mut prepared = filter.prepare(&query, &budget).unwrap();
-        let mut stream = ScanStream::new(prepared.as_mut(), 3, &budget);
+        let base = Box::new(EveryObject::new(3, &budget));
+        let mut stream = ChainedRanking::new(base, Box::new(prepared.as_mut()));
         assert_eq!(stream.next().unwrap(), Some((1, 0.0)));
         assert_eq!(stream.next().unwrap(), Some((0, 1.0)));
         assert_eq!(stream.next().unwrap(), Some((2, 1.0)));
         assert_eq!(stream.next().unwrap(), None);
+        drop(stream);
         assert_eq!(prepared.evaluations(), 3);
     }
 
     #[test]
-    fn exhausted_budget_surfaces_from_next_with_no_bounds() {
+    fn exhausted_budget_surfaces_from_next_and_drains_every_object_at_zero() {
         let database = database();
         let filter = EmdDistance::new(&database).unwrap();
         let query = Histogram::new(vec![1.0, 0.0, 0.0]).unwrap();
         let budget = Budget::unlimited().with_pivot_cap(0);
         budget.settle_pivots(1);
         let mut prepared = filter.prepare(&query, &budget).unwrap();
-        let mut stream = ScanStream::new(prepared.as_mut(), 3, &budget);
+        let base = Box::new(EveryObject::new(3, &budget));
+        let mut stream = ChainedRanking::new(base, Box::new(prepared.as_mut()));
         assert!(matches!(stream.next(), Err(QueryError::BudgetExhausted(_))));
-        assert!(stream.drain_computed().is_empty());
+        // No bound was computed, and every object is still surrendered.
+        let mut drained = stream.drain_computed();
+        drained.sort_by_key(|&(id, _)| id);
+        assert_eq!(drained, [(0, 0.0), (1, 0.0), (2, 0.0)]);
+        drop(stream);
+        assert_eq!(prepared.evaluations(), 0);
     }
 }

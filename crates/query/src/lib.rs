@@ -27,10 +27,10 @@
 //!   result-set policies: the optimal multistep k-NN algorithm (Figure
 //!   11, after Seidl & Kriegel) and the corresponding complete range
 //!   query.
-//! * [`engine::source`] — the [`CandidateSource`] abstraction: pluggable
-//!   stage-1 candidate generators (full scan, clustered index) that
-//!   stream candidates in ascending lower-bound order into the same KNOP
-//!   loop.
+//! * [`engine::source`] — stage 1 of a plan: every object at bound 0,
+//!   or else a [`CandidateSource`] (the clustered index) that streams
+//!   candidates in ascending lower-bound order under the same stages and
+//!   into the same KNOP loop.
 //! * [`cluster`] — [`ClusteredIndex`], a pivot-based cluster index over
 //!   the reduced space with triangle-inequality pruning; the sublinear
 //!   stage-1 candidate generator: a cluster traversal that solves no LP,

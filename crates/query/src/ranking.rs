@@ -1,16 +1,16 @@
 //! Ascending-distance rankings over filter distances.
 //!
 //! Multistep algorithms consume database objects in ascending order of a
-//! lower-bounding filter distance. The executor's stage-1 scan
-//! materializes one filter stage (each object evaluated exactly once, as
-//! a sequential filter scan does) unless the plan names a
-//! [`CandidateSource`](crate::CandidateSource); [`ChainedRanking`]
-//! implements the ranking-over-ranking `getNext` of the paper's Figure
-//! 12, evaluating its (more expensive) filter *only* for objects that
-//! survive the base ranking's frontier. Each stage bounds the EMD; the
-//! chain keeps the running max, so stages need not bound one another.
-//! Both propagate filter errors instead of panicking, so a failed solver
-//! call surfaces as a [`QueryError`] from the executor.
+//! lower-bounding filter distance. [`ChainedRanking`] implements the
+//! ranking-over-ranking `getNext` of the paper's Figure 12, evaluating
+//! its (more expensive) filter *only* for objects that survive the base
+//! ranking's frontier. Every plan is a stack of them over stage 1 — the
+//! plan's [`CandidateSource`](crate::CandidateSource), or else every
+//! object at bound 0, under which the first stage evaluates each object
+//! exactly once, as a sequential filter scan does. Each stage bounds the
+//! EMD; the chain keeps the running max, so stages need not bound one
+//! another. Filter errors propagate instead of panicking, so a failed
+//! solver call surfaces as a [`QueryError`] from the executor.
 
 use crate::error::QueryError;
 use crate::filters::PreparedFilter;
@@ -34,12 +34,12 @@ pub trait Ranking {
     /// distance (every stage is one), obtained for free. A `next` that
     /// failed must not have lost the candidate it was working on: what it
     /// took it puts back, so that emitted and drained together name every
-    /// object whose bound was ever computed exactly once. Order is
-    /// unspecified; callers sort. The default returns nothing, which is
-    /// always sound.
-    fn drain_computed(&mut self) -> Vec<(usize, f64)> {
-        Vec::new()
-    }
+    /// object the ranking ever held exactly once. A stage-1 ranking holds
+    /// every object from the start — one it has computed nothing for
+    /// drains at 0, the bound known for free — so on every plan emitted
+    /// and drained name the whole database. Order is unspecified; callers
+    /// sort.
+    fn drain_computed(&mut self) -> Vec<(usize, f64)>;
 }
 
 /// A borrowed ranking is one, so a caller can stack stages on a stream it
@@ -181,39 +181,48 @@ impl Ranking for ChainedRanking<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::source::ScanStream;
+    use crate::engine::source::EveryObject;
     use emd_core::{Budget, BudgetReason};
 
     /// Test filter backed by a fixed distance table, whose budget "fires"
     /// from the `fail_from`-th evaluation on.
     struct PreparedTable<'a> {
         table: &'a [f64],
-        evaluations: usize,
+        /// The ids evaluated so far, in order.
+        evaluated: Vec<usize>,
         fail_from: usize,
     }
 
     fn prepared(table: &[f64]) -> PreparedTable<'_> {
         PreparedTable {
             table,
-            evaluations: 0,
+            evaluated: Vec::new(),
             fail_from: usize::MAX,
         }
     }
 
     impl PreparedFilter for PreparedTable<'_> {
         fn distance(&mut self, id: usize) -> Result<f64, QueryError> {
-            if self.evaluations >= self.fail_from {
+            if self.evaluated.len() >= self.fail_from {
                 return Err(QueryError::BudgetExhausted(BudgetReason::PivotCap));
             }
-            self.evaluations += 1;
-            self.table
-                .get(id)
-                .copied()
-                .ok_or(QueryError::UnknownObject(id))
+            let distance = self.table.get(id).copied();
+            let distance = distance.ok_or(QueryError::UnknownObject(id))?;
+            self.evaluated.push(id);
+            Ok(distance)
         }
         fn evaluations(&self) -> usize {
-            self.evaluations
+            self.evaluated.len()
         }
+    }
+
+    /// A filter's scan: the filter chained on every object at bound 0.
+    fn scan<'a>(
+        filter: &'a mut PreparedTable<'_>,
+        len: usize,
+        budget: &'a Budget,
+    ) -> ChainedRanking<'a> {
+        ChainedRanking::new(Box::new(EveryObject::new(len, budget)), Box::new(filter))
     }
 
     fn drain(ranking: &mut dyn Ranking) -> Vec<(usize, f64)> {
@@ -228,11 +237,12 @@ mod tests {
     fn eager_ranking_ascending() {
         let budget = Budget::unlimited();
         let mut filter = prepared(&[3.0, 1.0, 2.0, 0.5]);
-        let mut ranking = ScanStream::new(&mut filter, 4, &budget);
+        let mut ranking = scan(&mut filter, 4, &budget);
         assert_eq!(
             drain(&mut ranking),
             vec![(3, 0.5), (1, 1.0), (2, 2.0), (0, 3.0)]
         );
+        drop(ranking);
         assert_eq!(filter.evaluations(), 4);
     }
 
@@ -242,7 +252,7 @@ mod tests {
         let mut filter = prepared(&[1.0]);
         // Asking for more objects than the table holds fails on the first
         // pull, before anything is emitted.
-        let mut ranking = ScanStream::new(&mut filter, 2, &budget);
+        let mut ranking = scan(&mut filter, 2, &budget);
         assert!(matches!(ranking.next(), Err(QueryError::UnknownObject(1))));
     }
 
@@ -252,7 +262,7 @@ mod tests {
         let budget = Budget::unlimited();
         let mut loose = prepared(&[1.0, 0.5, 2.0, 0.0, 1.5]);
         let mut tight = prepared(&[1.5, 2.5, 2.0, 0.5, 3.0]);
-        let base = Box::new(ScanStream::new(&mut loose, 5, &budget));
+        let base = Box::new(scan(&mut loose, 5, &budget));
         let mut chained = ChainedRanking::new(base, Box::new(&mut tight));
         assert_eq!(
             drain(&mut chained),
@@ -270,7 +280,7 @@ mod tests {
         let second = [0.3, 2.8, 1.0, 0.9, 3.5];
         let mut base_filter = prepared(&first);
         let mut filter = prepared(&second);
-        let base = Box::new(ScanStream::new(&mut base_filter, 5, &budget));
+        let base = Box::new(scan(&mut base_filter, 5, &budget));
         let mut chained = ChainedRanking::new(base, Box::new(&mut filter));
         let order = drain(&mut chained);
         assert_eq!(
@@ -288,7 +298,7 @@ mod tests {
         let budget = Budget::unlimited();
         let mut loose = prepared(&[1.0, 5.0, 6.0, 0.0, 7.0]);
         let mut tight = prepared(&[1.5, 5.5, 6.5, 0.9, 7.5]);
-        let base = Box::new(ScanStream::new(&mut loose, 5, &budget));
+        let base = Box::new(scan(&mut loose, 5, &budget));
         let mut chained = ChainedRanking::new(base, Box::new(&mut tight));
         assert_eq!(chained.next().unwrap(), Some((3, 0.9)));
         drop(chained);
@@ -301,18 +311,22 @@ mod tests {
 
     #[test]
     fn a_failed_evaluation_loses_no_candidate() {
-        // Wherever the tight filter's budget fires, the frontier candidate
-        // it was evaluating — the smallest base bound still unemitted —
-        // stays: emitted and drained together name every object once, at
-        // its tight distance if that was computed, else at its base bound.
+        // Wherever either filter's budget fires, the candidate it was
+        // evaluating stays: emitted and drained together name every object
+        // once — at its tight key if that was computed, else at its loose
+        // bound, and at the free bound 0 only if not even that was.
         let budget = Budget::unlimited();
         let loose = [1.0, 0.5, 2.0, 0.0, 1.5];
         let tight = [1.5, 2.5, 2.0, 0.5, 3.0];
-        for fail_from in 0..=tight.len() {
+        for (stage, fail_from) in (0..2).flat_map(|stage| (0..=5).map(move |j| (stage, j))) {
             let mut base_filter = prepared(&loose);
             let mut filter = prepared(&tight);
-            filter.fail_from = fail_from;
-            let base = Box::new(ScanStream::new(&mut base_filter, 5, &budget));
+            if stage == 0 {
+                base_filter.fail_from = fail_from;
+            } else {
+                filter.fail_from = fail_from;
+            }
+            let base = Box::new(scan(&mut base_filter, 5, &budget));
             let mut chained = ChainedRanking::new(base, Box::new(&mut filter));
             let mut seen = Vec::new();
             let fired = loop {
@@ -323,13 +337,19 @@ mod tests {
                     Err(e) => panic!("unexpected error: {e}"),
                 }
             };
-            assert_eq!(fired, fail_from < tight.len());
+            let case = format!("stage {stage} fail_from {fail_from}");
+            assert_eq!(fired, fail_from < tight.len(), "{case}");
             seen.extend(chained.drain_computed());
+            drop(chained);
             seen.sort_by_key(|&(id, _)| id);
             let ids: Vec<usize> = seen.iter().map(|&(id, _)| id).collect();
-            assert_eq!(ids, vec![0, 1, 2, 3, 4], "fail_from {fail_from}");
+            assert_eq!(ids, vec![0, 1, 2, 3, 4], "{case}");
             for (id, bound) in seen {
-                assert!(bound == tight[id] || bound == loose[id]);
+                let unbounded = bound == 0.0 && !base_filter.evaluated.contains(&id);
+                assert!(
+                    bound == tight[id] || bound == loose[id] || unbounded,
+                    "{case}: object {id} at {bound}"
+                );
             }
         }
     }
@@ -339,17 +359,18 @@ mod tests {
         let budget = Budget::unlimited();
         let mut loose = prepared(&[]);
         let mut tight = prepared(&[]);
-        let base = Box::new(ScanStream::new(&mut loose, 0, &budget));
+        let base = Box::new(scan(&mut loose, 0, &budget));
         let mut chained = ChainedRanking::new(base, Box::new(&mut tight));
         assert_eq!(chained.next().unwrap(), None);
         assert_eq!(chained.next().unwrap(), None);
+        assert!(chained.drain_computed().is_empty());
     }
 
     #[test]
     fn ties_are_deterministic() {
         let budget = Budget::unlimited();
         let mut filter = prepared(&[1.0, 1.0, 1.0]);
-        let mut ranking = ScanStream::new(&mut filter, 3, &budget);
+        let mut ranking = scan(&mut filter, 3, &budget);
         let ids: Vec<_> = drain(&mut ranking).into_iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }

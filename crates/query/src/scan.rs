@@ -4,18 +4,17 @@
 //! every database object. Tests use them to prove completeness of the
 //! multistep pipelines; benches use them as the no-filter baseline cost.
 //!
-//! Since the engine refactor they are front-ends over a *zero-stage*
-//! [`QueryPlan`] run by the shared
-//! [`Executor`] — the same sequential-scan path every
-//! zero-stage pipeline takes, so the oracles and the engine cannot drift
-//! apart.
+//! They are front-ends over a *zero-stage* [`QueryPlan`] run by the
+//! shared [`Executor`]: KNOP over the zero bound, the path every plan
+//! takes, so the oracles and the engine cannot drift apart.
 //!
 //! The refiner runs with warm-start contexts forced **off**: an oracle
 //! must not depend on the order it visits candidates, and on cost
 //! matrices with tied optima a warm-started solve may settle on a
 //! different (equally optimal) basis whose objective differs in the last
 //! ulp. Cold solves are the deterministic reference those comparisons
-//! need.
+//! need, and a cold solve never stops at KNOP's threshold: the oracle
+//! solves every object to its exact distance.
 
 use crate::engine::{Database, Executor, QueryPlan};
 use crate::error::QueryError;

@@ -94,11 +94,12 @@ fn fingerprint(index: &DurableIndex) -> Vec<Vec<(u64, u64)>> {
         h(&[0.25, 0.25, 0.25, 0.25]),
         h(&[0.1, 0.4, 0.4, 0.1]),
     ];
+    let snapshot = index.snapshot().unwrap();
     probes
         .iter()
         .map(|probe| {
             let k = index.len().min(5);
-            let (hits, _) = index.knn(probe, k).unwrap();
+            let (hits, _) = snapshot.knn(probe, k).unwrap();
             hits.iter().map(|&(id, d)| (id, d.to_bits())).collect()
         })
         .collect()
@@ -331,7 +332,8 @@ fn seeded_fault_schedules_always_recover() {
         match DurableIndex::open(&dir) {
             Ok((recovered, _)) => {
                 if !recovered.is_empty() {
-                    let (hits, _) = recovered.knn(&h(&[0.25, 0.25, 0.25, 0.25]), 1).unwrap();
+                    let snapshot = recovered.snapshot().unwrap();
+                    let (hits, _) = snapshot.knn(&h(&[0.25, 0.25, 0.25, 0.25]), 1).unwrap();
                     assert_eq!(hits.len(), 1, "seed {seed}: recovered index answers");
                 }
             }

@@ -8,7 +8,8 @@
 use emd_core::{ground, Budget, BudgetReason, Histogram};
 use emd_faultkit::{FailPlan, FaultInjector, InjectedPanic};
 use emd_query::{
-    Database, EmdDistance, Executor, Filter, Query, QueryError, QueryPlan, ReducedEmdFilter,
+    Database, EmdDistance, Executor, Filter, Query, QueryError, QueryOutcome, QueryPlan,
+    ReducedEmdFilter,
 };
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use emd_store::StoreError;
@@ -68,6 +69,16 @@ fn workload() -> Vec<Query> {
     histograms().into_iter().map(|h| Query::knn(h, 2)).collect()
 }
 
+/// `queries` with `plan` riding every budget: the one fault channel.
+fn under(plan: &Arc<dyn FaultInjector>, queries: &[Query]) -> Vec<Query> {
+    let budget = Budget::unlimited().with_faults(Arc::clone(plan));
+    let faulty = |query: &Query| Query {
+        budget: budget.clone(),
+        ..query.clone()
+    };
+    queries.iter().map(faulty).collect()
+}
+
 #[test]
 fn injected_solve_exhaustion_degrades_then_engine_recovers() {
     let database = database();
@@ -107,8 +118,8 @@ fn injected_worker_panic_is_isolated_to_its_chunk() {
     let (baseline, _) = clean.run_batch(&queries, 1).unwrap();
 
     // 3 threads over 6 queries: worker 1 owns queries 2 and 3.
-    let faulty = executor(&database).with_faults(Arc::new(FailPlan::new().panic_worker(1)));
-    let (results, stats) = faulty.run_batch_isolated(&queries, 3);
+    let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().panic_worker(1));
+    let (results, stats) = clean.run_batch_isolated(&under(&plan, &queries), 3);
     assert_eq!(results.len(), queries.len());
     for (i, result) in results.iter().enumerate() {
         if i == 2 || i == 3 {
@@ -171,8 +182,11 @@ fn batches_honour_per_query_budgets() {
 fn run_batch_reports_worker_panic_as_typed_error() {
     quiet_injected_panics();
     let database = database();
-    let faulty = executor(&database).with_faults(Arc::new(FailPlan::new().panic_worker(0)));
-    let err = faulty.run_batch(&workload(), 2).unwrap_err();
+    let executor = executor(&database);
+    let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().panic_worker(0));
+    let err = executor
+        .run_batch(&under(&plan, &workload()), 2)
+        .unwrap_err();
     assert!(
         matches!(err, QueryError::WorkerPanicked { worker: 0, .. }),
         "expected WorkerPanicked, got {err:?}"
@@ -184,7 +198,7 @@ fn run_batch_reports_worker_panic_as_typed_error() {
     );
 
     // The executor is not poisoned: sequential queries still succeed.
-    let (neighbors, _) = faulty.knn(&query(), 2).unwrap();
+    let (neighbors, _) = executor.knn(&query(), 2).unwrap();
     assert_eq!(neighbors.len(), 2);
 }
 
@@ -227,20 +241,25 @@ fn seeded_fault_plans_never_leave_the_engine_wedged() {
     let (baseline, _) = clean.run_batch(&queries, 1).unwrap();
 
     for seed in 0..64u64 {
-        let plan = Arc::new(FailPlan::from_seed(seed));
-        let faulty = executor(&database).with_faults(plan.clone());
-        let budget = Budget::unlimited().with_faults(plan);
+        let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::from_seed(seed));
+        let budget = Budget::unlimited().with_faults(Arc::clone(&plan));
 
-        // Batched with panic isolation: every per-query result is either
-        // exact or the typed worker-panic error.
-        let (results, _) = faulty.run_batch_isolated(&queries, 2);
+        // Batched with panic isolation: every per-query result is exact,
+        // degraded by an injected solve fault, or the typed worker-panic
+        // error.
+        let (results, _) = clean.run_batch_isolated(&under(&plan, &queries), 2);
         for (i, result) in results.iter().enumerate() {
             match result {
-                Ok(outcome) => assert_eq!(
-                    outcome.exact(),
-                    Some(baseline[i].as_slice()),
-                    "seed {seed} query {i}"
-                ),
+                Ok(QueryOutcome::Exact(neighbors)) => {
+                    assert_eq!(neighbors, &baseline[i], "seed {seed} query {i}");
+                }
+                Ok(QueryOutcome::Degraded(result)) => {
+                    assert_eq!(
+                        result.reason,
+                        BudgetReason::Injected,
+                        "seed {seed} query {i}"
+                    );
+                }
                 Err(QueryError::WorkerPanicked { .. }) => {}
                 Err(other) => panic!("seed {seed} query {i}: unexpected error {other:?}"),
             }

@@ -99,9 +99,10 @@ pub struct Snapshot {
     /// Index name reported by `/healthz`.
     pub name: String,
     /// Deterministic fault injector attached to every request budget
-    /// (resilience testing only; `None` in production). Worker-panic
-    /// faults additionally require building the executor with
-    /// [`Executor::with_faults`].
+    /// (resilience testing only; `None` in production): its solve
+    /// failpoints fire inside the solver, its worker failpoints in the
+    /// executor's panic isolation — on the static and the writable
+    /// corpus alike.
     pub faults: Option<Arc<dyn emd_faultkit::FaultInjector>>,
     /// A WAL-backed dynamic corpus. When present the server answers
     /// queries from the ingest layer's current [`DurableSnapshot`]

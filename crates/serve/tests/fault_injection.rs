@@ -138,43 +138,18 @@ fn injected_worker_panic_is_one_500_and_the_server_survives() {
     // Request ids are the server's admission sequence (0, 1, 2, ...);
     // the panic failpoint targets request 1 only.
     let database = common::database();
-    let executor =
-        common::executor(&database).with_faults(Arc::new(FailPlan::new().panic_worker(1)));
     let snapshot = Snapshot {
-        executor,
+        executor: common::executor(&database),
         database,
         name: "panicky".to_owned(),
         ingest: None,
-        faults: None,
+        faults: Some(Arc::new(FailPlan::new().panic_worker(1))),
     };
     // One worker: requests execute in admission order, so the sequence
     // numbers below are deterministic.
     let server = common::start(snapshot, 1);
     let addr = server.addr();
-
-    let payload = "{\"query_id\": 2, \"k\": 3}";
-    let mut statuses = Vec::new();
-    let mut bodies = Vec::new();
-    for _ in 0..3 {
-        let (status, _, body) = common::raw_call(addr, "POST", "/v1/knn", Some(payload));
-        statuses.push(status);
-        bodies.push(body);
-    }
-    assert_eq!(
-        statuses,
-        vec![200, 500, 200],
-        "exactly the targeted request fails: {bodies:?}"
-    );
-    let error = parse_object(&bodies[1]);
-    let detail = error.get("error").and_then(Value::as_str).unwrap_or("");
-    assert!(
-        detail.contains("panic"),
-        "500 body names the panic: {detail}"
-    );
-
-    // The surviving requests are bit-identical to each other — the
-    // panic left no residue in the executor.
-    assert_eq!(bodies[0], bodies[2]);
+    three_requests_one_panic(addr);
 
     // The health endpoint still answers and the panic shows up in the
     // merged metrics.
@@ -196,18 +171,68 @@ fn injected_worker_panic_is_one_500_and_the_server_survives() {
     server.drain_and_join().unwrap();
 }
 
+/// Three kNN requests against a one-worker server whose fault plan
+/// panics request 1: exactly that one is a 500 naming the panic, and the
+/// two around it answer bit-identically — the panic left no residue.
+fn three_requests_one_panic(addr: std::net::SocketAddr) {
+    let payload = "{\"query_id\": 2, \"k\": 3}";
+    let mut statuses = Vec::new();
+    let mut bodies = Vec::new();
+    for _ in 0..3 {
+        let (status, _, body) = common::raw_call(addr, "POST", "/v1/knn", Some(payload));
+        statuses.push(status);
+        bodies.push(body);
+    }
+    assert_eq!(
+        statuses,
+        vec![200, 500, 200],
+        "exactly the targeted request fails: {bodies:?}"
+    );
+    let error = parse_object(&bodies[1]);
+    let detail = error.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        detail.contains("panic"),
+        "500 body names the panic: {detail}"
+    );
+    assert_eq!(bodies[0], bodies[2]);
+}
+
+/// Worker failpoints reach a writable server too: its live snapshots'
+/// executors are probed through the request budget, like the static one.
+#[test]
+fn injected_worker_panic_reaches_the_writable_server() {
+    quiet_injected_panics();
+    let dir = std::env::temp_dir().join(format!("flexemd-serve-live-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let database = common::database();
+    let cost = Arc::clone(database.cost_arc());
+    let mut index = DurableIndex::create(&dir, cost, common::reduced(&database)).unwrap();
+    for histogram in database.histograms() {
+        index.insert(histogram.clone()).unwrap();
+    }
+    let snapshot = Snapshot {
+        executor: common::executor(&database),
+        database,
+        name: "writable-panicky".to_owned(),
+        faults: Some(Arc::new(FailPlan::new().panic_worker(1))),
+        ingest: Some(Arc::new(IngestState::new(index).unwrap())),
+    };
+    let server = common::start(snapshot, 1);
+    three_requests_one_panic(server.addr());
+    server.drain_and_join().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn seeded_fault_plans_never_wedge_the_server() {
     quiet_injected_panics();
     for seed in 0..8u64 {
-        let plan = Arc::new(FailPlan::from_seed(seed));
         let database = common::database();
-        let executor = common::executor(&database).with_faults(plan.clone());
         let snapshot = Snapshot {
-            executor,
+            executor: common::executor(&database),
             database,
             name: format!("seeded-{seed}"),
-            faults: Some(plan as Arc<dyn FaultInjector>),
+            faults: Some(Arc::new(FailPlan::from_seed(seed))),
             ingest: None,
         };
         let server = common::start(snapshot, 2);

@@ -143,11 +143,19 @@ impl Budget {
         self
     }
 
-    /// Attaches a fault injector probed at every solve entry (tests only).
+    /// Attaches a fault injector, probed at every solve entry and by the
+    /// executor's worker probe before a query runs (tests only).
     #[must_use]
     pub fn with_faults(mut self, faults: Arc<dyn FaultInjector>) -> Self {
         self.faults = Some(faults);
         self
+    }
+
+    /// The fault the attached injector asks `site` to simulate; `None`
+    /// without an injector. Counts one occurrence of `site`.
+    #[must_use]
+    pub fn fault(&self, site: Site) -> Option<Fault> {
+        self.faults.as_ref()?.check(site)
     }
 
     /// True if no limit of any kind is set.
@@ -227,10 +235,8 @@ impl Budget {
     /// reports.
     // lint: allow(unbudgeted): this method lives on Budget itself.
     pub fn note_solve(&self) -> Result<(), BudgetReason> {
-        if let Some(faults) = &self.faults {
-            if matches!(faults.check(Site::Solve), Some(Fault::BudgetExhausted)) {
-                return Err(BudgetReason::Injected);
-            }
+        if self.fault(Site::Solve) == Some(Fault::BudgetExhausted) {
+            return Err(BudgetReason::Injected);
         }
         self.check()
     }
@@ -295,6 +301,15 @@ mod tests {
         assert_eq!(budget.note_solve(), Ok(()));
         assert_eq!(budget.note_solve(), Err(BudgetReason::Injected));
         assert_eq!(budget.note_solve(), Ok(()));
+    }
+
+    #[test]
+    fn worker_faults_ride_the_budget() {
+        let plan = Arc::new(FailPlan::new().panic_worker(1));
+        let budget = Budget::unlimited().with_faults(plan);
+        assert_eq!(budget.fault(Site::Worker(0)), None);
+        assert_eq!(budget.fault(Site::Worker(1)), Some(Fault::Panic));
+        assert_eq!(Budget::unlimited().fault(Site::Worker(1)), None);
     }
 
     #[test]

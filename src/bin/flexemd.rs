@@ -7,20 +7,18 @@
 //! flexemd reduce      --data data.json --method kmed|fb-mod|fb-all|grid
 //!                     --dims D --out reduction.json [--sample N] [--seed S]
 //! flexemd build-index --data data.json --reductions kmed:6[,fb-all:3,...]
-//!                     --out index-dir [--sample N] [--seed S]
-//!                     [--cluster] [--cluster-factor F]
+//!                     --out index-dir [--sample N] [--seed S] [--cluster]
 //! flexemd query       --data data.json --reduction reduction.json
 //!                     [--k K] [--query I] [--metrics json|PATH]
-//!                     [--source scan|clustered]
 //!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
 //! flexemd query       --index index-dir
 //!                     [--k K | --range EPS] [--query I]
-//!                     [--metrics json|PATH] [--source scan|clustered]
+//!                     [--metrics json|PATH]
 //!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
 //! flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
-//!                     [--max-inflight N]
-//!                     [--source scan|clustered]
-//!                     [--drain-stdin] [--faults SPEC]
+//!                     [--max-inflight N] [--drain-stdin] [--faults SPEC]
+//! flexemd serve       --wal wal-dir [--addr HOST:PORT] [--workers N]
+//!                     [--max-inflight N] [--drain-stdin] [--faults SPEC]
 //! flexemd loadgen     --addr HOST:PORT [--threads N] [--requests N]
 //!                     [--k K | --range EPS] [--deadline-ms N]
 //!                     [--max-pivots N] [--seed S] [--smoke] [--out PATH]
@@ -35,9 +33,10 @@
 //! identical results and identical per-stage candidate counts.
 //! `build-index --cluster` additionally runs greedy k-center clustering
 //! over each reduced arena and persists the geometry (pivots,
-//! assignments, radii); `query --source clustered` then runs the same
-//! `anchor -> Red-IM -> Red-EMD` chain as `--source scan` (the default)
-//! over a cluster traversal instead of a scan, with bit-identical answers.
+//! assignments, radii). The plan follows the index: over a clustered
+//! index, `query --index` runs the same `anchor -> Red-IM -> Red-EMD`
+//! chain over a cluster traversal instead of every object, with
+//! bit-identical answers; any other corpus runs it over every object.
 //! `--metrics` records an `emd-obs` registry over the query — per-stage
 //! spans, solver counters, lower-bound evaluations — and dumps it as
 //! schema-versioned JSON (`json` = stdout, anything else = a file path).
@@ -46,8 +45,8 @@
 //! budget: if it fires, the best-effort ranking prints under a one-line
 //! `DEGRADED (<reason>)` banner and the process still exits 0. `--faults`
 //! injects deterministic failures (`read:K,solve:J,panic:W`) for
-//! resilience testing; an injected worker panic exits nonzero with a
-//! one-line diagnostic.
+//! resilience testing — the plan rides each query's budget; an injected
+//! worker panic exits nonzero with a one-line diagnostic.
 //!
 //! `serve` keeps the opened snapshot resident and answers the same
 //! queries over HTTP (`POST /v1/knn`, `POST /v1/range`, `GET /healthz`,
@@ -134,16 +133,14 @@ const VERBS: &[(&str, Verb, &[&str])] = &[
     ("generate", generate, &["kind", "out", "classes", "per-class", "seed"]),
     ("info", info, &["data"]),
     ("reduce", reduce, &["data", "method", "dims", "out", "sample", "seed"]),
-    ("build-index", build_index, &[
-        "data", "reductions", "out", "sample", "seed", "cluster", "cluster-factor",
-    ]),
+    ("build-index", build_index, &["data", "reductions", "out", "sample", "seed", "cluster"]),
     ("query", query, &[
-        "data", "reduction", "index", "k", "range", "query", "metrics", "source", "deadline-ms",
+        "data", "reduction", "index", "k", "range", "query", "metrics", "deadline-ms",
         "max-pivots", "faults",
     ]),
     ("serve", serve, &[
-        "data", "reduction", "index", "wal", "addr", "workers", "max-inflight", "source",
-        "drain-stdin", "faults",
+        "data", "reduction", "index", "wal", "addr", "workers", "max-inflight", "drain-stdin",
+        "faults",
     ]),
     ("ingest", ingest, &[
         "wal", "data", "method", "dims", "sample", "seed", "sync-each", "compact",
@@ -183,22 +180,18 @@ USAGE:
   flexemd reduce      --data data.json --method kmed|fb-mod|fb-all|grid
                       --dims D --out reduction.json [--sample N] [--seed S]
   flexemd build-index --data data.json --reductions kmed:6[,fb-all:3,...]
-                      --out index-dir [--sample N] [--seed S]
-                      [--cluster] [--cluster-factor F]
+                      --out index-dir [--sample N] [--seed S] [--cluster]
   flexemd query       --data data.json --reduction reduction.json
                       [--k K] [--query I] [--metrics json|PATH]
-                      [--source scan|clustered]
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
   flexemd query       --index index-dir
                       [--k K | --range EPS] [--query I]
-                      [--metrics json|PATH] [--source scan|clustered]
+                      [--metrics json|PATH]
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
   flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
-                      [--max-inflight N]
-                      [--source scan|clustered]
-                      [--drain-stdin] [--faults SPEC]
+                      [--max-inflight N] [--drain-stdin] [--faults SPEC]
   flexemd serve       --wal wal-dir [--addr HOST:PORT] [--workers N]
-                      [--max-inflight N] [--drain-stdin]
+                      [--max-inflight N] [--drain-stdin] [--faults SPEC]
   flexemd ingest      --wal wal-dir --data data.json
                       [--method kmed|fb-mod|fb-all|grid] [--dims D]
                       [--sample N] [--seed S] [--sync-each] [--compact]
@@ -226,18 +219,19 @@ replays a directory's log read-only and prints every record plus any
 torn tail.
 
 Indexes: build-index --cluster persists greedy k-center clustering
-geometry over each reduced arena (about sqrt(n) * F clusters, default
-F = 1.0). Every query runs the anchor -> Red-IM -> Red-EMD -> EMD chain;
---source scan (default) feeds it every object, --source clustered only
-the members of clusters the triangle inequality cannot prune. Both
+geometry over each reduced arena (about sqrt(n) clusters). Every query
+runs the anchor -> Red-IM -> Red-EMD -> EMD chain, and the index chooses
+what feeds it: a clustered index only the members of clusters the
+triangle inequality cannot prune, any other corpus every object. Both
 return bit-identical answers.
 
 Budgets: --deadline-ms / --max-pivots bound a query's wall clock / solver
 work; when a budget fires, the best-effort ranking prints under a
 `DEGRADED (<reason>)` banner and the exit code stays 0.
 Faults: SPEC is a comma list of read:K (fail the K-th index-file read),
-solve:J (exhaust the budget at the J-th solve), panic:W (panic in batch
-worker W) — deterministic failpoints for resilience testing.";
+solve:J (exhaust the budget at the J-th solve), panic:W (panic in
+worker W: the CLI query runs as worker 0, served requests are numbered
+from 0) — deterministic failpoints for resilience testing.";
 
 /// Parsed `--key value` options (every option takes a value except the
 /// boolean flags `--cluster`, `--smoke`, `--drain-stdin`, `--sync-each`
@@ -483,7 +477,6 @@ fn build_index(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
     let sample_size = options.numeric("sample", 24usize)?;
     let seed = options.numeric("seed", 42u64)?;
     let cluster = options.flag("cluster");
-    let cluster_factor = options.numeric("cluster-factor", 1.0f64)?;
 
     let cost = Arc::new(dataset.cost.clone());
     let database =
@@ -508,7 +501,7 @@ fn build_index(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
     let mut clusterings = Vec::new();
     if cluster {
         for bundle in &bundles {
-            let index = ClusteredIndex::from_persisted(&database, bundle, cluster_factor)
+            let index = ClusteredIndex::from_persisted(&database, bundle, 1.0)
                 .map_err(|e| format!("clustering {}: {e}", bundle.name()))?;
             writeln!(
                 stdout,
@@ -612,21 +605,6 @@ fn refiner_only(database: &Database) -> Result<QueryPlan, QueryError> {
     QueryPlan::sequential(Box::new(EmdDistance::new(database)?))
 }
 
-/// Validate a `--source` value.
-fn source_option(options: &Options) -> Result<String, String> {
-    let source_kind = options
-        .values
-        .get("source")
-        .map_or("scan", String::as_str)
-        .to_owned();
-    if !matches!(source_kind.as_str(), "scan" | "clustered") {
-        return Err(format!(
-            "unknown candidate source `{source_kind}` (expected scan or clustered)"
-        ));
-    }
-    Ok(source_kind)
-}
-
 /// Parse `--faults`, installing the quiet panic hook when present.
 fn fault_options(options: &Options) -> Result<Option<Arc<FailPlan>>, String> {
     match options.values.get("faults") {
@@ -642,13 +620,9 @@ fn fault_options(options: &Options) -> Result<Option<Arc<FailPlan>>, String> {
 /// Either open a persisted index or rebuild the pipeline from JSON
 /// artifacts. Both paths produce identical stages (same reductions,
 /// same stage names), so results and per-stage candidate counts match.
-/// Either way the plan is `QueryPlan::chain`, over a scan or (`--source
-/// clustered`) inside the cluster index.
-fn prepare_corpus(
-    options: &Options,
-    fault_plan: Option<&Arc<FailPlan>>,
-    source_kind: &str,
-) -> Result<Corpus, String> {
+/// The plan follows the index: `QueryPlan::chain`, inside the cluster
+/// index when the index persisted a clustering.
+fn prepare_corpus(options: &Options, fault_plan: Option<&Arc<FailPlan>>) -> Result<Corpus, String> {
     if let Some(index_dir) = options.values.get("index") {
         let opened = match fault_plan {
             Some(plan) => Database::open_with(Path::new(index_dir), plan.as_ref()),
@@ -661,19 +635,11 @@ fn prepare_corpus(
         let bundle = reductions
             .next()
             .ok_or_else(|| format!("index {index_dir} holds no reductions"))?;
-        let clustering = opened.clusterings.into_iter().next().flatten();
-        let plan = match source_kind {
-            "clustered" => {
-                // Persisted geometry reattaches without re-clustering; an
-                // index built without --cluster falls back to building the
-                // clustering here, from the persisted reduced arena.
-                let index = match clustering {
-                    Some(stored) => ClusteredIndex::from_stored(&database, &bundle, &stored),
-                    None => ClusteredIndex::from_persisted(&database, &bundle, 1.0),
-                };
-                refiner_only(&database).and_then(|plan| plan.with_source(Box::new(index?)))
-            }
-            _ => ReducedImFilter::from_persisted(&database, bundle)
+        // Persisted geometry reattaches without re-clustering.
+        let plan = match opened.clusterings.into_iter().next().flatten() {
+            Some(stored) => ClusteredIndex::from_stored(&database, &bundle, &stored)
+                .and_then(|index| refiner_only(&database)?.with_source(Box::new(index))),
+            None => ReducedImFilter::from_persisted(&database, bundle)
                 .and_then(|red_im| QueryPlan::chain(&database, red_im)),
         }
         .map_err(|e| e.to_string())?;
@@ -692,15 +658,9 @@ fn prepare_corpus(
         let database =
             Database::new(dataset.histograms, cost.clone()).map_err(|e| e.to_string())?;
         let reduced = ReducedEmd::new(&cost, reduction).map_err(|e| e.to_string())?;
-        let plan = match source_kind {
-            "clustered" => {
-                let index = ClusteredIndex::build(&database, reduced, 1.0);
-                refiner_only(&database).and_then(|plan| plan.with_source(Box::new(index?)))
-            }
-            _ => ReducedImFilter::new(&database, reduced)
-                .and_then(|red_im| QueryPlan::chain(&database, red_im)),
-        }
-        .map_err(|e| e.to_string())?;
+        let plan = ReducedImFilter::new(&database, reduced)
+            .and_then(|red_im| QueryPlan::chain(&database, red_im))
+            .map_err(|e| e.to_string())?;
         Ok(Corpus {
             name,
             database,
@@ -726,7 +686,6 @@ fn query_spec(options: &Options) -> Result<QuerySpec, String> {
 fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let spec = query_spec(options)?;
     let query_index = options.numeric("query", 0usize)?;
-    let source_kind = source_option(options)?;
     let fault_plan = fault_options(options)?;
 
     let Corpus {
@@ -734,7 +693,7 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         database,
         plan,
         labels,
-    } = prepare_corpus(options, fault_plan.as_ref(), &source_kind)?;
+    } = prepare_corpus(options, fault_plan.as_ref())?;
 
     if query_index >= database.len() {
         return Err(format!(
@@ -743,18 +702,17 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         )
         .into());
     }
-    let mut executor = Executor::new(plan);
+    let executor = Executor::new(plan);
 
     let query = database
         .get(query_index)
         .ok_or_else(|| format!("--query index {query_index} out of range"))?;
 
-    // One fault plan feeds both failpoint kinds: `solve:J` rides the
-    // query's budget, `panic:W` the executor's worker probe.
+    // The fault plan rides the query's budget: `solve:J` fires inside the
+    // solver, `panic:W` at the executor's worker probe.
     let mut request = spec.query_for(query.clone());
     if let Some(plan) = fault_plan {
-        request.budget = request.budget.with_faults(plan.clone());
-        executor = executor.with_faults(plan);
+        request.budget = request.budget.with_faults(plan);
     }
 
     let metrics = options.values.get("metrics").cloned();
@@ -972,6 +930,7 @@ fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
 
 /// `serve --wal`: a writable server over a durable index directory.
 fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
+    let fault_plan = fault_options(options)?;
     let index = open_durable(options, stdout)?;
     let objects = index.len();
     let dim = index.cost().cols();
@@ -989,7 +948,7 @@ fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliErr
         executor,
         database,
         name: "durable".to_owned(),
-        faults: None,
+        faults: fault_plan.map(|plan| plan as Arc<dyn flexemd::faultkit::FaultInjector>),
         ingest: Some(ingest_state),
     };
 
@@ -1007,7 +966,6 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     if options.values.contains_key("wal") {
         return serve_dynamic(options, stdout);
     }
-    let source_kind = source_option(options)?;
     let fault_plan = fault_options(options)?;
 
     let Corpus {
@@ -1015,13 +973,8 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         database,
         plan,
         labels: _,
-    } = prepare_corpus(options, fault_plan.as_ref(), &source_kind)?;
-    let mut executor = Executor::new(plan);
-    if let Some(plan) = &fault_plan {
-        // Worker failpoints fire inside the server's isolation layer, so
-        // an injected panic costs one 500 response, not the process.
-        executor = executor.with_faults(plan.clone());
-    }
+    } = prepare_corpus(options, fault_plan.as_ref())?;
+    let executor = Executor::new(plan);
     let objects = database.len();
     let banner_name = if name.is_empty() {
         "corpus".to_owned()

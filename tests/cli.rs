@@ -867,6 +867,7 @@ fn loadgen_smoke_reports_and_zero_capacity_sheds() {
 /// report prints before it), so scan until the address appears.
 fn spawn_wal_server(
     wal: &std::path::Path,
+    extra: &[&str],
 ) -> (
     std::process::Child,
     String,
@@ -878,6 +879,7 @@ fn spawn_wal_server(
         .arg("--wal")
         .arg(wal)
         .args(["--addr", "127.0.0.1:0", "--workers", "2", "--drain-stdin"])
+        .args(extra)
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -963,7 +965,7 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
 
     // The served corpus is writable: query it, insert through it, and
     // see the durable ack plus the grown object count.
-    let (mut child, addr, _stdout) = spawn_wal_server(&wal);
+    let (mut child, addr, _stdout) = spawn_wal_server(&wal, &[]);
     let (status, body) = call(&addr, "GET", "/healthz", None);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"objects\":60"), "{body}");
@@ -1009,4 +1011,46 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
     let text = String::from_utf8_lossy(&inspect.stdout).to_string();
     assert!(text.contains("insert"), "{text}");
     assert!(text.contains("records    : 2"), "{text}");
+}
+
+/// `--faults` reaches a writable server: the plan rides every request's
+/// budget, so `solve:1` degrades the first kNN reply and only that one.
+#[test]
+fn writable_serve_honours_faults() {
+    let (dir, data, _reduction) = corpus_and_reduction("writable_serve_honours_faults");
+    let wal = dir.join("wal");
+    let ingest = flexemd()
+        .arg("ingest")
+        .arg("--wal")
+        .arg(&wal)
+        .arg("--data")
+        .arg(&data)
+        .args(["--method", "kmed", "--dims", "6", "--seed", "7"])
+        .output()
+        .unwrap();
+    assert!(
+        ingest.status.success(),
+        "ingest failed: {}",
+        String::from_utf8_lossy(&ingest.stderr)
+    );
+
+    let (mut child, addr, _stdout) = spawn_wal_server(&wal, &["--faults", "solve:1"]);
+    let knn = || {
+        call(
+            &addr,
+            "POST",
+            "/v1/knn",
+            Some("{\"query_id\": 4, \"k\": 3}"),
+        )
+    };
+    let (status, body) = knn();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"degraded\":true"), "{body}");
+    assert!(body.contains("\"reason\":\"injected\""), "{body}");
+    let (status, body) = knn();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"degraded\":false"), "{body}");
+
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success(), "serve --wal did not drain");
 }
