@@ -6,8 +6,8 @@
 //! Observability for the flexemd workspace (its one dependency is the
 //! JSON codec, `emd-json`, for the snapshot writer): a
 //! [`MetricsRegistry`] of monotonic counters, log-scale duration
-//! histograms and gauges, plus a span-style [`Tracer`] for wall-clock
-//! stage timing. The paper's evaluation (Section 5 of Wichterich et al.,
+//! histograms and gauges, plus span-style wall-clock stage timing
+//! ([`span`]). The paper's evaluation (Section 5 of Wichterich et al.,
 //! SIGMOD 2008) attributes query cost to individual pipeline stages —
 //! filter evaluations per stage of the `Red-IM -> Red-EMD -> EMD` chain,
 //! exact-EMD refinements, simplex pivots per solve — and this crate is
@@ -62,7 +62,7 @@ mod tracer;
 
 pub use gauge::{Gauge, GaugeGuard};
 pub use registry::{DurationHistogram, MetricsRegistry, SpanEvent, SCHEMA};
-pub use tracer::{span, span_with, Span, Tracer};
+pub use tracer::{span, span_with, Span};
 
 use std::cell::RefCell;
 use std::marker::PhantomData;

@@ -63,28 +63,6 @@ pub fn span_with(make_name: impl FnOnce() -> String) -> Span {
     }
 }
 
-/// Handle façade over the span API, for call sites that prefer an object
-/// to free functions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Tracer;
-
-impl Tracer {
-    /// The global tracer handle.
-    pub fn global() -> Self {
-        Tracer
-    }
-
-    /// Whether any recording scope is active anywhere in the process.
-    pub fn enabled(self) -> bool {
-        crate::enabled()
-    }
-
-    /// Open a span (see [`span`]).
-    pub fn span(self, name: &str) -> Span {
-        span(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,20 +102,5 @@ mod tests {
         let recording = Recording::start();
         let registry: MetricsRegistry = recording.finish();
         assert!(registry.histogram("tracer.orphan").is_none());
-    }
-
-    #[test]
-    fn tracer_facade_matches_free_functions() {
-        let tracer = Tracer::global();
-        let recording = Recording::start();
-        assert!(tracer.enabled());
-        {
-            let _span = tracer.span("tracer.facade");
-        }
-        let registry = recording.finish();
-        assert_eq!(
-            registry.histogram("tracer.facade").map(|h| h.count()),
-            Some(1)
-        );
     }
 }

@@ -1,7 +1,8 @@
 //! The typed error taxonomy of the serve layer.
 //!
-//! Every failure a server or load generator can hit maps onto one
-//! [`ServeError`] variant; HTTP-protocol violations carry a structured
+//! Every failure the server or its one-request client
+//! ([`crate::http::http_call`]) can hit maps onto one [`ServeError`]
+//! variant; HTTP-protocol violations carry a structured
 //! [`crate::http::HttpError`] that knows its own status code,
 //! so the connection handler can always answer with the right 4xx
 //! instead of dropping the connection or (worse) panicking.
@@ -15,7 +16,7 @@ use emd_store::StoreError;
 pub enum ServeError {
     /// Binding or using the listening socket failed.
     Io(std::io::Error),
-    /// The configured listen or target address did not parse/resolve.
+    /// The configured listen address did not parse/resolve.
     BadAddr(String),
     /// A malformed HTTP request (maps to a 4xx response).
     Http(HttpError),
@@ -29,11 +30,9 @@ pub enum ServeError {
     /// client's request — it maps to a 500, and after a failed sync the
     /// write's durability is indeterminate until the index is reopened.
     Durable(StoreError),
-    /// The server is draining and no longer accepts work.
-    Draining,
     /// A worker or accept thread ended abnormally (join failure).
     WorkerLost,
-    /// The load generator got a response it could not interpret.
+    /// [`crate::http::http_call`] got a response it could not interpret.
     BadResponse(String),
 }
 
@@ -46,7 +45,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Query(e) => write!(f, "query error: {e}"),
             ServeError::BadRequest(detail) => write!(f, "bad request: {detail}"),
             ServeError::Durable(e) => write!(f, "durable store failure: {e}"),
-            ServeError::Draining => write!(f, "server is draining"),
             ServeError::WorkerLost => write!(f, "a server thread ended abnormally"),
             ServeError::BadResponse(detail) => write!(f, "bad response: {detail}"),
         }
@@ -103,7 +101,6 @@ mod tests {
         assert!(ServeError::BadAddr("nope".into())
             .to_string()
             .contains("nope"));
-        assert!(ServeError::Draining.to_string().contains("draining"));
         let io: ServeError = std::io::Error::other("x").into();
         assert!(io.to_string().starts_with("i/o error"));
     }

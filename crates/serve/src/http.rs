@@ -1,4 +1,5 @@
-//! A minimal, strict HTTP/1.1 request reader and response writer.
+//! A minimal, strict HTTP/1.1 request reader and response writer, and
+//! the one-request client ([`http_call`]) that reads those responses back.
 //!
 //! The server speaks just enough HTTP for its API: request line +
 //! headers + optional `Content-Length` body, one request per connection
@@ -6,11 +7,23 @@
 //! over arbitrary byte streams — malformed request lines, oversized
 //! headers, truncated bodies and binary garbage all surface as a typed
 //! [`HttpError`] that knows its own status code, never as a panic
-//! (property-tested in `tests/proptest_http.rs`). All length limits are
-//! explicit [`Limits`], so a hostile client cannot make a worker buffer
-//! unbounded input.
+//! (property-tested in `tests/proptest_http.rs`). Every length is
+//! bounded by a fixed limit, so a hostile client cannot make a worker
+//! buffer unbounded input.
 
 use std::io::{BufRead, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
+
+use crate::error::ServeError;
+
+/// Maximum bytes of the request line or any single header line
+/// (including the terminating CRLF).
+const MAX_LINE: usize = 8 * 1024;
+/// Maximum number of headers.
+const MAX_HEADERS: usize = 64;
+/// Maximum `Content-Length` accepted.
+const MAX_BODY: usize = 1024 * 1024;
 
 /// Request methods the API understands. Anything else is a typed
 /// [`HttpError::UnsupportedMethod`] (501).
@@ -56,29 +69,6 @@ impl Request {
     }
 }
 
-/// Read-side limits; defaults are generous for the JSON API and small
-/// enough to bound per-connection memory.
-#[derive(Debug, Clone, Copy)]
-pub struct Limits {
-    /// Maximum bytes of the request line or any single header line
-    /// (including the terminating CRLF).
-    pub max_line: usize,
-    /// Maximum number of headers.
-    pub max_headers: usize,
-    /// Maximum `Content-Length` accepted.
-    pub max_body: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Self {
-        Limits {
-            max_line: 8 * 1024,
-            max_headers: 64,
-            max_body: 1024 * 1024,
-        }
-    }
-}
-
 /// Everything that can be wrong with an incoming request. Each variant
 /// maps to a definite status code ([`HttpError::status`]), so the
 /// connection handler can always answer before closing.
@@ -94,17 +84,17 @@ pub enum HttpError {
     UnsupportedMethod(String),
     /// An HTTP version other than 1.0/1.1.
     UnsupportedVersion(String),
-    /// The request line exceeded [`Limits::max_line`].
+    /// The request line exceeded 8 KiB.
     RequestLineTooLong,
-    /// A header line exceeded [`Limits::max_line`].
+    /// A header line exceeded 8 KiB.
     HeaderTooLarge,
-    /// More than [`Limits::max_headers`] headers.
+    /// More than 64 headers.
     TooManyHeaders,
     /// A header line without `name: value` shape.
     BadHeader,
     /// `Content-Length` was not a base-10 integer.
     BadContentLength,
-    /// `Content-Length` exceeded [`Limits::max_body`].
+    /// `Content-Length` exceeded 1 MiB (the payload is the limit).
     BodyTooLarge(usize),
     /// The body ended before `Content-Length` bytes arrived.
     TruncatedBody,
@@ -219,11 +209,8 @@ fn parse_request_line(line: &[u8]) -> Result<(Method, String), HttpError> {
 /// Returns [`HttpError`] for every protocol violation — see the variant
 /// docs for the status each maps to. The reader never panics, whatever
 /// the bytes.
-pub fn read_request(
-    reader: &mut impl BufRead,
-    limits: &Limits,
-) -> Result<Option<Request>, HttpError> {
-    let Some(line) = read_line(reader, limits.max_line).map_err(|e| match e {
+pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
+    let Some(line) = read_line(reader, MAX_LINE).map_err(|e| match e {
         // The request line has its own limit error (the line reader
         // reports a generic header error).
         HttpError::HeaderTooLarge => HttpError::RequestLineTooLong,
@@ -236,13 +223,13 @@ pub fn read_request(
 
     let mut headers = Vec::new();
     loop {
-        let Some(line) = read_line(reader, limits.max_line)? else {
+        let Some(line) = read_line(reader, MAX_LINE)? else {
             return Err(HttpError::UnexpectedEof);
         };
         if line.is_empty() {
             break; // end of headers
         }
-        if headers.len() >= limits.max_headers {
+        if headers.len() >= MAX_HEADERS {
             return Err(HttpError::TooManyHeaders);
         }
         let text = std::str::from_utf8(&line).map_err(|_| HttpError::BadHeader)?;
@@ -274,9 +261,7 @@ pub fn read_request(
     // reject the empty one with a typed 400 instead.
     let body = match (request.method, length) {
         (_, None) | (_, Some(0)) => Vec::new(),
-        (_, Some(n)) if n > limits.max_body => {
-            return Err(HttpError::BodyTooLarge(limits.max_body))
-        }
+        (_, Some(n)) if n > MAX_BODY => return Err(HttpError::BodyTooLarge(MAX_BODY)),
         (_, Some(n)) => {
             let mut body = vec![0u8; n];
             reader.read_exact(&mut body).map_err(|e| {
@@ -300,7 +285,7 @@ pub fn read_request(
 /// Same conditions as [`read_request`].
 pub fn parse_request(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
     let mut reader = std::io::BufReader::new(bytes);
-    read_request(&mut reader, &Limits::default())
+    read_request(&mut reader)
 }
 
 /// An outgoing response: status, extra headers, body. The writer adds
@@ -357,6 +342,63 @@ impl Response {
         writer.write_all(self.body.as_bytes())?;
         writer.flush()
     }
+}
+
+/// One blocking HTTP exchange: connect, send, read the full response.
+///
+/// Returns `(status, body)`. The server closes after one response, so
+/// the body is everything after the header/body separator.
+///
+/// # Errors
+///
+/// Returns [`ServeError::Io`] for transport failures and
+/// [`ServeError::BadResponse`] when the response is not parseable HTTP.
+pub fn http_call(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    io_timeout: Duration,
+) -> Result<(u16, String), ServeError> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.set_write_timeout(Some(io_timeout))?;
+    let payload = body.unwrap_or("");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+        payload.len()
+    );
+    (&stream).write_all(request.as_bytes())?;
+    let mut raw = Vec::new();
+    (&stream).read_to_end(&mut raw)?;
+    parse_response(&raw)
+}
+
+/// Split a raw `Connection: close` response into status and body.
+fn parse_response(raw: &[u8]) -> Result<(u16, String), ServeError> {
+    let text = std::str::from_utf8(raw)
+        .map_err(|_| ServeError::BadResponse("response is not UTF-8".to_owned()))?;
+    let Some((head, body)) = text.split_once("\r\n\r\n") else {
+        return Err(ServeError::BadResponse(
+            "response has no header/body separator".to_owned(),
+        ));
+    };
+    let status_line = head.lines().next().unwrap_or("");
+    let mut parts = status_line.split(' ');
+    let (Some(version), Some(status)) = (parts.next(), parts.next()) else {
+        return Err(ServeError::BadResponse(format!(
+            "malformed status line `{status_line}`"
+        )));
+    };
+    if !version.starts_with("HTTP/") {
+        return Err(ServeError::BadResponse(format!(
+            "malformed status line `{status_line}`"
+        )));
+    }
+    let status: u16 = status
+        .parse()
+        .map_err(|_| ServeError::BadResponse(format!("malformed status `{status}`")))?;
+    Ok((status, body.to_owned()))
 }
 
 #[cfg(test)]
@@ -421,7 +463,7 @@ mod tests {
     fn oversized_body_is_413() {
         let request = format!(
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            Limits::default().max_body + 1
+            MAX_BODY + 1
         );
         let error = parse(request.as_bytes()).expect_err("must fail");
         assert_eq!(error.status().0, 413);
@@ -430,7 +472,7 @@ mod tests {
     #[test]
     fn oversized_request_line_is_414() {
         let mut request = b"GET /".to_vec();
-        request.extend(std::iter::repeat_n(b'a', Limits::default().max_line));
+        request.extend(std::iter::repeat_n(b'a', MAX_LINE));
         request.extend_from_slice(b" HTTP/1.1\r\n\r\n");
         let error = parse(&request).expect_err("must fail");
         assert_eq!(error.status().0, 414);
@@ -439,7 +481,7 @@ mod tests {
     #[test]
     fn too_many_headers_is_431() {
         let mut request = String::from("GET / HTTP/1.1\r\n");
-        for index in 0..Limits::default().max_headers + 1 {
+        for index in 0..MAX_HEADERS + 1 {
             request.push_str(&format!("H{index}: v\r\n"));
         }
         request.push_str("\r\n");
@@ -460,5 +502,15 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn parse_response_extracts_status_and_body() {
+        let (status, body) =
+            parse_response(b"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\n\r\n{\"x\":1}")
+                .expect("parses");
+        assert_eq!(status, 429);
+        assert_eq!(body, "{\"x\":1}");
+        assert!(parse_response(b"not http at all").is_err());
     }
 }

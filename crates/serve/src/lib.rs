@@ -3,10 +3,10 @@
 
 //! # emd-serve
 //!
-//! A long-running query server (and its load-generation harness) over
-//! an immutable flexemd index snapshot — the serving layer the paper's
-//! batch experiments (Wichterich et al., SIGMOD 2008) never needed, but
-//! any deployment of EMD similarity search does.
+//! A long-running query server over an immutable flexemd index
+//! snapshot — the serving layer the paper's batch experiments
+//! (Wichterich et al., SIGMOD 2008) never needed, but any deployment of
+//! EMD similarity search does.
 //!
 //! Like the rest of the workspace this crate is **zero-dependency**:
 //! the HTTP/1.1 surface is a strict std-only reader/writer
@@ -20,22 +20,27 @@
 //!   per-request panic isolation, `/metrics` aggregation, graceful
 //!   drain.
 //! - [`spec`] — the [`QuerySpec`] vocabulary (`k`, `epsilon`,
-//!   `deadline_ms`, `max_pivots`) shared verbatim by `flexemd query`,
-//!   the HTTP API, and the load generator.
-//! - [`loadgen`] — a deterministic closed-loop client emitting a
-//!   schema-versioned [`LoadgenReport`].
-//! - [`http`] / [`error`] — the typed protocol and failure taxonomy.
+//!   `deadline_ms`, `max_pivots`) shared verbatim by `flexemd query`
+//!   and the HTTP API.
+//! - [`ingest`] — the single-writer apply loop behind a writable
+//!   server's insert / remove / compact routes.
+//! - [`http`] / [`error`] — the typed protocol (and its one-request
+//!   client, [`http::http_call`]) and failure taxonomy.
 
 pub mod error;
 pub mod http;
 pub mod ingest;
-pub mod loadgen;
 pub mod server;
 pub mod spec;
 
+/// [`http::http_call`] under its old path, which `benchmark/` still
+/// imports. Goes once the benchmark is repointed.
+pub mod loadgen {
+    pub use crate::http::http_call;
+}
+
 pub use error::ServeError;
-pub use http::{Limits, Method, Request, Response};
+pub use http::{Method, Request, Response};
 pub use ingest::IngestState;
-pub use loadgen::{LoadgenConfig, LoadgenReport, REPORT_SCHEMA};
 pub use server::{RunningServer, ServeConfig, Server, ShutdownHandle, Snapshot, RESPONSE_SCHEMA};
 pub use spec::{QuerySpec, DEFAULT_K};

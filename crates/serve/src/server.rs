@@ -45,7 +45,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
-use crate::http::{read_request, HttpError, Limits, Method, Request, Response};
+use crate::http::{read_request, HttpError, Method, Request, Response};
 use crate::spec::QuerySpec;
 use emd_core::Histogram;
 use emd_json::{self as json, Value};
@@ -56,6 +56,9 @@ use emd_query::{
 
 /// Schema tag carried by every JSON response body.
 pub const RESPONSE_SCHEMA: &str = "flexemd-serve/v1";
+
+/// Per-socket read/write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -69,10 +72,6 @@ pub struct ServeConfig {
     /// thread and the workers, which a permit-holding job can then
     /// always enter.
     pub max_inflight: usize,
-    /// HTTP read limits.
-    pub limits: Limits,
-    /// Per-socket read/write timeout.
-    pub io_timeout: Duration,
 }
 
 impl Default for ServeConfig {
@@ -81,8 +80,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 4,
             max_inflight: 64,
-            limits: Limits::default(),
-            io_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -329,7 +326,7 @@ fn accept_loop(
 /// Reject one connection with `429` + `Retry-After`.
 fn shed(shared: &Shared, stream: &TcpStream) {
     shared.shed.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = Response::json(
         429,
         "Too Many Requests",
@@ -368,12 +365,12 @@ fn worker_loop(shared: &Shared, receiver: &Mutex<Receiver<(TcpStream, GaugeGuard
 
 /// Serve one connection: read one request, answer it, close.
 fn handle_connection(shared: &Shared, worker: usize, request_id: usize, stream: &TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut reader = BufReader::new(stream);
     let started = Instant::now();
     let recording = Recording::start();
-    let (route, response) = match read_request(&mut reader, &shared.config.limits) {
+    let (route, response) = match read_request(&mut reader) {
         Ok(None) => {
             drop(recording);
             return; // peer connected and went away; nothing to answer
@@ -790,9 +787,6 @@ fn serve_error_response(error: &ServeError) -> Response {
                  until the index directory is reopened"
             )),
         ),
-        ServeError::Draining => {
-            Response::json(503, "Service Unavailable", error_body("server is draining"))
-        }
         _ => Response::json(500, "Internal Server Error", error_body(&error.to_string())),
     }
 }
@@ -863,7 +857,5 @@ mod tests {
             detail: "boom".into(),
         }));
         assert_eq!(panic.status, 500);
-        let drain = serve_error_response(&ServeError::Draining);
-        assert_eq!(drain.status, 503);
     }
 }

@@ -1,10 +1,10 @@
 //! The one query-shape vocabulary shared by every entry point.
 //!
-//! `flexemd query`, `flexemd serve` and `flexemd loadgen` all accept the
-//! same four knobs — `k`, `range`/`epsilon`, `deadline_ms`, `max_pivots`
-//! — and all three must translate them into an engine [`Query`] (a
-//! [`QueryMode`] plus a [`Budget`]) identically, or "the server returned
-//! a different answer than the CLI" becomes a bug class. [`QuerySpec`] is
+//! `flexemd query` and `flexemd serve` both accept the same four knobs
+//! — `k`, `range`/`epsilon`, `deadline_ms`, `max_pivots` — and both must
+//! translate them into an engine [`Query`] (a [`QueryMode`] plus a
+//! [`Budget`]) identically, or "the server returned a different answer
+//! than the CLI" becomes a bug class. [`QuerySpec`] is
 //! that single translation: CLI flags enter via [`QuerySpec::from_raw`],
 //! HTTP JSON bodies via [`QuerySpec::from_json`], and both feed the same
 //! validation and the same [`QuerySpec::query_for`] lowering.

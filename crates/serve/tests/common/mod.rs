@@ -84,8 +84,8 @@ pub fn start(snapshot: Snapshot, workers: usize) -> RunningServer {
 }
 
 /// One raw HTTP exchange, returning `(status, headers, body)` — unlike
-/// `loadgen::http_call` this keeps the headers, so tests can assert on
-/// `Retry-After` and friends.
+/// `emd_serve::http::http_call` this keeps the headers, so tests can
+/// assert on `Retry-After` and friends.
 pub fn raw_call(
     addr: SocketAddr,
     method: &str,

@@ -9,8 +9,7 @@ mod common;
 
 use emd_json::{self as json, Value};
 use emd_query::{Query, QueryOutcome};
-use emd_serve::loadgen::{self, LoadgenConfig};
-use emd_serve::QuerySpec;
+use emd_serve::http::http_call;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -182,7 +181,6 @@ fn inflight_overflow_sheds_with_429_and_retry_after() {
             addr: "127.0.0.1:0".to_owned(),
             workers: 1,
             max_inflight: 0,
-            ..emd_serve::ServeConfig::default()
         },
     )
     .unwrap();
@@ -227,7 +225,7 @@ fn healthz_and_metrics_reflect_traffic() {
     let server = common::start(common::snapshot(), 2);
     let addr = server.addr();
 
-    let (status, _, body) = common::raw_call(addr, "GET", "/healthz", None);
+    let (status, body) = http_call(addr, "GET", "/healthz", None, Duration::from_secs(10)).unwrap();
     assert_eq!(status, 200);
     let health = parse_object(&body);
     assert_eq!(
@@ -303,35 +301,4 @@ fn drain_finishes_queued_work_then_stops_accepting() {
             .unwrap();
         assert!(!matches!(stream.read(&mut buf), Ok(n) if n > 0));
     }
-}
-
-#[test]
-fn loadgen_is_deterministic_and_counts_add_up() {
-    let server = common::start(common::snapshot(), 2);
-    let addr = server.addr();
-    let config = LoadgenConfig {
-        addr: addr.to_string(),
-        threads: 2,
-        requests: 12,
-        spec: QuerySpec {
-            k: Some(3),
-            ..QuerySpec::default()
-        },
-        seed: 7,
-        ..LoadgenConfig::default()
-    };
-    let report = loadgen::run(&config).unwrap();
-    assert_eq!(report.requests, 12);
-    assert_eq!(
-        report.ok + report.degraded + report.shed + report.client_errors + report.server_errors,
-        12
-    );
-    assert_eq!(report.ok, 12, "all requests answered exactly");
-    let rendered = report.to_json_string();
-    let map = parse_object(&rendered);
-    assert_eq!(
-        map.get("schema").and_then(Value::as_str),
-        Some(emd_serve::REPORT_SCHEMA)
-    );
-    server.drain_and_join().unwrap();
 }

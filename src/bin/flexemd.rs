@@ -19,9 +19,6 @@
 //!                     [--max-inflight N] [--drain-stdin] [--faults SPEC]
 //! flexemd serve       --wal wal-dir [--addr HOST:PORT] [--workers N]
 //!                     [--max-inflight N] [--drain-stdin] [--faults SPEC]
-//! flexemd loadgen     --addr HOST:PORT [--threads N] [--requests N]
-//!                     [--k K | --range EPS] [--deadline-ms N]
-//!                     [--max-pivots N] [--seed S] [--smoke] [--out PATH]
 //! ```
 //!
 //! `generate` writes a synthetic corpus; `reduce` builds and stores a
@@ -52,9 +49,7 @@
 //! queries over HTTP (`POST /v1/knn`, `POST /v1/range`, `GET /healthz`,
 //! `GET /metrics`) with per-request budgets, 429 shedding beyond
 //! `--max-inflight`, and per-request panic isolation; drain with
-//! `POST /admin/drain` (or close stdin under `--drain-stdin`). `loadgen`
-//! drives a running server with a deterministic closed-loop workload and
-//! prints a schema-versioned throughput/latency report.
+//! `POST /admin/drain` (or close stdin under `--drain-stdin`).
 
 use flexemd::core::Histogram;
 use flexemd::data::{io as dataio, Dataset};
@@ -68,9 +63,7 @@ use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
 use flexemd::reduction::grid::block_merge;
 use flexemd::reduction::kmedoids::kmedoids_reduction_restarts;
 use flexemd::reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
-use flexemd::serve::{
-    loadgen::LoadgenConfig, LoadgenReport, QuerySpec, ServeConfig, Server, Snapshot,
-};
+use flexemd::serve::{QuerySpec, ServeConfig, Server, Snapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -146,10 +139,6 @@ const VERBS: &[(&str, Verb, &[&str])] = &[
         "wal", "data", "method", "dims", "sample", "seed", "sync-each", "compact",
     ]),
     ("wal-inspect", wal_inspect, &["wal"]),
-    ("loadgen", loadgen, &[
-        "addr", "threads", "requests", "k", "range", "deadline-ms", "max-pivots", "seed", "smoke",
-        "out",
-    ]),
 ];
 
 /// Why a verb stopped: a one-line diagnostic, or a failed write to stdout.
@@ -196,17 +185,12 @@ USAGE:
                       [--method kmed|fb-mod|fb-all|grid] [--dims D]
                       [--sample N] [--seed S] [--sync-each] [--compact]
   flexemd wal-inspect --wal wal-dir
-  flexemd loadgen     --addr HOST:PORT [--threads N] [--requests N]
-                      [--k K | --range EPS] [--deadline-ms N]
-                      [--max-pivots N] [--seed S] [--smoke] [--out PATH]
 
 Serving: serve answers POST /v1/knn and /v1/range (JSON bodies carrying
 query_id or weights plus k/epsilon/deadline_ms/max_pivots), GET /healthz
 and GET /metrics; connections beyond --max-inflight are shed with 429 +
 Retry-After, per-request panics isolate to a 500 for that request, and
 POST /admin/drain (or stdin EOF under --drain-stdin) drains gracefully.
-loadgen drives a running server with a seeded closed-loop workload and
-prints a flexemd-bench/v1 JSON report (--smoke = small fixed workload).
 
 Streaming ingest: ingest creates (or reopens) a WAL-backed durable index
 directory and appends every corpus object — one fsync per record under
@@ -234,8 +218,8 @@ worker W: the CLI query runs as worker 0, served requests are numbered
 from 0) — deterministic failpoints for resilience testing.";
 
 /// Parsed `--key value` options (every option takes a value except the
-/// boolean flags `--cluster`, `--smoke`, `--drain-stdin`, `--sync-each`
-/// and `--compact`).
+/// boolean flags `--cluster`, `--drain-stdin`, `--sync-each` and
+/// `--compact`).
 struct Options {
     values: HashMap<String, String>,
     /// The first option given without a value: an error, reported once
@@ -253,10 +237,7 @@ impl Options {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{arg}`"));
             };
-            if matches!(
-                key,
-                "cluster" | "smoke" | "drain-stdin" | "sync-each" | "compact"
-            ) {
+            if matches!(key, "cluster" | "drain-stdin" | "sync-each" | "compact") {
                 values.insert(key.to_owned(), "true".to_owned());
                 continue;
             }
@@ -671,8 +652,8 @@ fn prepare_corpus(options: &Options, fault_plan: Option<&Arc<FailPlan>>) -> Resu
 }
 
 /// The shared query-shape flags (`--k`, `--range`, `--deadline-ms`,
-/// `--max-pivots`) parsed through the same [`QuerySpec`] the server and
-/// load generator use — one vocabulary, one validation.
+/// `--max-pivots`) parsed through the same [`QuerySpec`] the server
+/// uses — one vocabulary, one validation.
 fn query_spec(options: &Options) -> Result<QuerySpec, String> {
     QuerySpec::from_raw(
         options.values.get("k").map(String::as_str),
@@ -1015,7 +996,6 @@ fn serve_until_drained(
             .unwrap_or_else(|| "127.0.0.1:7878".to_owned()),
         workers: options.numeric("workers", 4usize)?,
         max_inflight: options.numeric("max-inflight", 64usize)?,
-        ..ServeConfig::default()
     };
     let server = Server::start(snapshot, config).map_err(|e| e.to_string())?;
     writeln!(stdout, "serving {serving} on http://{}", server.addr())?;
@@ -1036,29 +1016,6 @@ fn serve_until_drained(
 
     server.join().map_err(|e| e.to_string())?;
     writeln!(stdout, "drained; all workers stopped")?;
-    Ok(())
-}
-
-fn loadgen(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
-    let smoke = options.flag("smoke");
-    let spec = query_spec(options)?;
-    let config = LoadgenConfig {
-        addr: options.required("addr")?.to_owned(),
-        threads: options.numeric("threads", if smoke { 2 } else { 4usize })?,
-        requests: options.numeric("requests", if smoke { 16 } else { 256usize })?,
-        spec,
-        seed: options.numeric("seed", 0x5EEDu64)?,
-        ..LoadgenConfig::default()
-    };
-    let report: LoadgenReport = flexemd::serve::loadgen::run(&config).map_err(|e| e.to_string())?;
-    let rendered = report.to_json_string();
-    match options.values.get("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| e.to_string())?;
-            writeln!(stdout, "wrote loadgen report to {path}")?;
-        }
-        None => writeln!(stdout, "{rendered}")?,
-    }
     Ok(())
 }
 
@@ -1098,6 +1055,6 @@ mod tests {
                 checked += 1;
             }
         }
-        assert!(checked > 60, "only {checked} options found: USAGE moved");
+        assert!(checked > 50, "only {checked} options found: USAGE moved");
     }
 }

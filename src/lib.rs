@@ -20,8 +20,7 @@
 //! * [`json`] — the one JSON codec every file format and HTTP body uses
 //! * [`obs`] — metrics registry and span tracing for the whole stack
 //! * [`faultkit`] — deterministic fault injection for resilience testing
-//! * [`serve`] — long-running query server with admission control, plus
-//!   its closed-loop load generator
+//! * [`serve`] — long-running query server with admission control
 //!
 //! # Example
 //!

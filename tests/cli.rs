@@ -647,7 +647,6 @@ fn unknown_option_is_a_one_line_error_on_every_verb() {
         "serve",
         "ingest",
         "wal-inspect",
-        "loadgen",
     ] {
         rejected(&[verb, "--no-such-option", "x"], "no-such-option");
     }
@@ -715,11 +714,11 @@ fn spawn_server(
     (child, addr, reader)
 }
 
-/// One HTTP request against a spawned server, via the loadgen client.
+/// One HTTP request against a spawned server.
 fn call(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
     use std::net::ToSocketAddrs;
     let addr = addr.to_socket_addrs().unwrap().next().unwrap();
-    flexemd::serve::loadgen::http_call(addr, method, path, body, std::time::Duration::from_secs(10))
+    flexemd::serve::http::http_call(addr, method, path, body, std::time::Duration::from_secs(10))
         .expect("request completes")
 }
 
@@ -806,9 +805,9 @@ fn serve_answers_http_and_drains_on_stdin_eof() {
 }
 
 #[test]
-fn loadgen_smoke_reports_and_zero_capacity_sheds() {
+fn zero_capacity_serve_sheds_with_429_and_drains() {
     let (dir, data, _reduction) =
-        corpus_and_reduction("loadgen_smoke_reports_and_zero_capacity_sheds");
+        corpus_and_reduction("zero_capacity_serve_sheds_with_429_and_drains");
     let index = dir.join("index");
     let build = flexemd()
         .arg("build-index")
@@ -820,46 +819,25 @@ fn loadgen_smoke_reports_and_zero_capacity_sheds() {
         .unwrap();
     assert!(build.status.success());
 
-    // Normal capacity: a smoke run answers everything.
-    let (mut child, addr, _stdout) = spawn_server(&index, &[]);
-    let report_path = dir.join("report.json");
-    let loadgen = flexemd()
-        .args(["loadgen", "--addr", &addr, "--smoke", "--k", "3", "--out"])
-        .arg(&report_path)
-        .output()
-        .unwrap();
-    assert!(
-        loadgen.status.success(),
-        "loadgen failed: {}",
-        String::from_utf8_lossy(&loadgen.stderr)
-    );
-    let report = std::fs::read_to_string(&report_path).unwrap();
-    assert!(
-        report.contains("\"schema\":\"flexemd-bench/v1\""),
-        "{report}"
-    );
-    assert!(report.contains("\"ok\":16"), "{report}");
-    assert!(report.contains("\"shed\":0"), "{report}");
-    drop(child.stdin.take());
-    assert!(child.wait().unwrap().success());
-
-    // Zero capacity: every request sheds with 429, and the loadgen
-    // report says so instead of erroring.
+    // `--max-inflight 0` reaches the server: every request, queries and
+    // health checks alike, sheds with 429.
     let (mut child, addr, _stdout) = spawn_server(&index, &["--max-inflight", "0"]);
-    let loadgen = flexemd()
-        .args(["loadgen", "--addr", &addr, "--smoke", "--k", "3"])
-        .output()
-        .unwrap();
-    assert!(
-        loadgen.status.success(),
-        "loadgen failed: {}",
-        String::from_utf8_lossy(&loadgen.stderr)
+    let (status, body) = call(
+        &addr,
+        "POST",
+        "/v1/knn",
+        Some("{\"query_id\": 0, \"k\": 3}"),
     );
-    let report = String::from_utf8_lossy(&loadgen.stdout).to_string();
-    assert!(report.contains("\"shed\":16"), "{report}");
-    assert!(report.contains("\"ok\":0"), "{report}");
+    assert_eq!(status, 429, "{body}");
+    let (status, body) = call(&addr, "GET", "/healthz", None);
+    assert_eq!(status, 429, "{body}");
+
+    // Shedding is not wedging: closing stdin still drains, exit 0.
     drop(child.stdin.take());
-    assert!(child.wait().unwrap().success());
+    assert!(
+        child.wait().unwrap().success(),
+        "serve did not drain cleanly"
+    );
 }
 
 /// Boot `flexemd serve --wal` on an ephemeral port. Unlike
