@@ -6,8 +6,8 @@
 //! The workspace's JSON codec: the one [`Value`] tree, the one parser
 //! ([`parse`]) and the one set of writers ([`write_escaped`],
 //! [`write_number`], [`write_array`]). Everything the workspace reads or
-//! writes as JSON goes through it — datasets, workloads and reductions
-//! (`flexemd --data` / `--reduction` files), the index manifest, HTTP
+//! writes as JSON goes through it — datasets and workloads (`flexemd
+//! --data` files), the index manifest, HTTP
 //! request and response bodies, the metrics snapshot, the experiment
 //! tables and the lint report.
 //!

@@ -337,7 +337,7 @@ impl DurableIndex {
         let lock = lock_dir(dir)?;
         let epoch = read_checkpoint(dir)?;
         let base = SegmentReader::open_with(&dir.join(BASE_SEGMENT), faults.as_ref())?;
-        reject_unexpected(&base, &["cost", "r1", "r2"])?;
+        base.allow_only(&["cost", "r1", "r2"])?;
         let cost_section = base.typed_section(SectionKind::CostMatrix, "cost")?;
         let cost = Arc::new(sections::decode_cost_matrix(
             base.path(),
@@ -686,22 +686,6 @@ fn parse_epoch_file(name: &str) -> Option<u64> {
     epoch.parse().ok()
 }
 
-/// Fail closed on section names this build does not expect — the PR 8
-/// lesson: an unknown section is a format extension this build cannot
-/// honor, not something to skip.
-fn reject_unexpected(reader: &SegmentReader, allowed: &[&str]) -> Result<(), StoreError> {
-    for section in reader.sections() {
-        if !allowed.contains(&section.name()) {
-            return Err(StoreError::invalid(
-                reader.path(),
-                section.name(),
-                "unexpected section for this segment role",
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Read a sealed segment: the histograms and, position for position,
 /// their ids (strictly ascending — [`sections::decode_id_map`] rejects
 /// anything else).
@@ -710,7 +694,7 @@ fn read_sealed(
     faults: &dyn FaultInjector,
 ) -> Result<(Vec<Histogram>, Vec<u64>), StoreError> {
     let sealed = SegmentReader::open_with(path, faults)?;
-    reject_unexpected(&sealed, &["histograms", "external-ids"])?;
+    sealed.allow_only(&["histograms", "external-ids"])?;
     let arena_section = sealed.typed_section(SectionKind::HistogramArena, "histograms")?;
     let (_, histograms) =
         sections::decode_histogram_arena(sealed.path(), "histograms", arena_section.payload())?;

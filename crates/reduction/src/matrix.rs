@@ -3,8 +3,6 @@
 
 use crate::error::ReductionError;
 use emd_core::Histogram;
-use emd_json::Value;
-use std::fmt::Write as _;
 
 /// A *combining* dimensionality reduction (Definition 3 of the paper).
 ///
@@ -234,40 +232,6 @@ impl CombiningReduction {
     }
 }
 
-impl CombiningReduction {
-    /// Append the JSON form: `{"assignment":[…],"reduced_dim":…}`.
-    pub fn to_json(&self, out: &mut String) {
-        out.push_str("{\"assignment\":");
-        emd_json::write_array(out, &self.assignment, |out, target| {
-            let _ = write!(out, "{target}");
-        });
-        let _ = write!(out, ",\"reduced_dim\":{}}}", self.reduced_dim);
-    }
-
-    /// Decode the JSON form, re-validating through
-    /// [`CombiningReduction::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a field is missing or of the wrong shape
-    /// (an assignment target must be an integer in `0..=u32::MAX`), or
-    /// the assignment is not a Definition 3 reduction.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let target = |item: &Value| Some(u32::try_from(item.as_u64()?).ok()? as usize);
-        let assignment = value
-            .get("assignment")
-            .and_then(Value::as_array)
-            .and_then(|items| items.iter().map(target).collect())
-            .ok_or("reduction `assignment` must be an array of 32-bit non-negative integers")?;
-        let reduced_dim = value
-            .get("reduced_dim")
-            .and_then(Value::as_u64)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or("reduction `reduced_dim` must be a non-negative integer")?;
-        CombiningReduction::new(assignment, reduced_dim).map_err(|e| e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,37 +359,6 @@ mod tests {
         for j in 0..2 {
             let col_sum: f64 = (0..4).map(|i| dense[i * 2 + j]).sum();
             assert!(col_sum >= 1.0);
-        }
-    }
-
-    /// The literal is what the PR 18 build wrote for the same reduction,
-    /// pasted: the format is pinned, not assumed.
-    #[test]
-    fn json_roundtrip_and_validation() {
-        let literal = r#"{"assignment":[0,1,0,2],"reduced_dim":3}"#;
-        let r = CombiningReduction::new(vec![0, 1, 0, 2], 3).unwrap();
-        let mut json = String::new();
-        r.to_json(&mut json);
-        assert_eq!(json, literal);
-        let back = CombiningReduction::from_json(&emd_json::parse(literal).unwrap()).unwrap();
-        assert_eq!(r, back);
-        // Invalid payloads are rejected: through the same validation
-        // (empty group), then by shape, then by the assignment domain.
-        for bad in [
-            r#"{"assignment":[0,0,0],"reduced_dim":2}"#,
-            r#"{"assignment":[0,1,0]}"#,
-            r#"{"assignment":"010","reduced_dim":2}"#,
-            r#"{"assignment":[0,1.5,0],"reduced_dim":2}"#,
-            r#"{"assignment":[0,-1,0],"reduced_dim":2}"#,
-            r#"{"assignment":[0,4294967296,1],"reduced_dim":2}"#,
-            r#"{"assignment":[0,1,0],"reduced_dim":"2"}"#,
-            "[0,1,0]",
-        ] {
-            let value = emd_json::parse(bad).unwrap();
-            assert!(
-                CombiningReduction::from_json(&value).is_err(),
-                "accepted {bad}"
-            );
         }
     }
 }

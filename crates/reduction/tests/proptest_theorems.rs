@@ -144,15 +144,6 @@ proptest! {
         prop_assert!((reduced.total_mass() - 1.0).abs() < 1e-9);
     }
 
-    /// The JSON form round-trips every assignment exactly.
-    #[test]
-    fn json_roundtrip_is_exact(r in reduction(DIM)) {
-        let mut json = String::new();
-        r.to_json(&mut json);
-        let back = CombiningReduction::from_json(&emd_json::parse(&json).unwrap()).unwrap();
-        prop_assert_eq!(back, r);
-    }
-
     /// Chained monotony: reducing an already-reduced EMD again still lower
     /// bounds both the intermediate and the original EMD.
     #[test]

@@ -242,27 +242,6 @@ pub fn open_index_with(
     })
 }
 
-/// Fail closed on section names this version does not know. Section
-/// names are outside the per-section payload checksum, so a bit flip in
-/// the name of an *optional* section (the clustering) would otherwise
-/// make it silently invisible rather than surfacing as corruption.
-fn reject_unexpected_sections(
-    path: &Path,
-    reader: &SegmentReader,
-    expected: &[&str],
-) -> Result<(), StoreError> {
-    for section in reader.sections() {
-        if !expected.contains(&section.name()) {
-            return Err(StoreError::invalid(
-                path,
-                section.name(),
-                "unexpected section name for a flexemd-store/v1 segment",
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Open the database segment: histogram arena + original cost matrix,
 /// with the `Database::new` shape-agreement check.
 fn open_database_segment(
@@ -270,7 +249,7 @@ fn open_database_segment(
     faults: &dyn emd_faultkit::FaultInjector,
 ) -> Result<(Vec<Histogram>, CostMatrix), StoreError> {
     let reader = SegmentReader::open_with(path, faults)?;
-    reject_unexpected_sections(path, &reader, &[SECTION_HISTOGRAMS, SECTION_COST])?;
+    reader.allow_only(&[SECTION_HISTOGRAMS, SECTION_COST])?;
     let arena = reader.typed_section(SectionKind::HistogramArena, SECTION_HISTOGRAMS)?;
     let (dim, histograms) =
         sections::decode_histogram_arena(path, SECTION_HISTOGRAMS, arena.payload())?;
@@ -299,17 +278,13 @@ fn open_reduction_segment(
     faults: &dyn emd_faultkit::FaultInjector,
 ) -> Result<(PersistedReduction, Option<sections::StoredClustering>), StoreError> {
     let reader = SegmentReader::open_with(path, faults)?;
-    reject_unexpected_sections(
-        path,
-        &reader,
-        &[
-            SECTION_R1,
-            SECTION_R2,
-            SECTION_REDUCED_COST,
-            SECTION_REDUCED_ARENA,
-            SECTION_CLUSTERING,
-        ],
-    )?;
+    reader.allow_only(&[
+        SECTION_R1,
+        SECTION_R2,
+        SECTION_REDUCED_COST,
+        SECTION_REDUCED_ARENA,
+        SECTION_CLUSTERING,
+    ])?;
     let r1_section = reader.typed_section(SectionKind::Reduction, SECTION_R1)?;
     let r1 = sections::decode_reduction(path, SECTION_R1, r1_section.payload())?;
     let r2_section = reader.typed_section(SectionKind::Reduction, SECTION_R2)?;

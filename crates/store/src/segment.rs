@@ -19,9 +19,9 @@
 //! +--------------------------------------------------------------+
 //! ```
 //!
-//! [`SegmentWriter`] streams payload bytes through a CRC32 hasher and
-//! patches each section header (length + checksum) on `end_section`, so
-//! writers never need the whole payload in memory at once.
+//! [`SegmentWriter`] writes each section in one shot from its encoded
+//! payload, header (length + checksum) first, and patches the section
+//! count into the file header on `finish`.
 //! [`SegmentReader`] validates everything *before* handing out payloads:
 //! magic, version window, header and payload truncation, per-section
 //! CRC32, and section-name UTF-8. Decoding payloads into typed values is
@@ -94,31 +94,17 @@ impl SectionKind {
     }
 }
 
-/// A section being streamed by [`SegmentWriter`].
-#[derive(Debug)]
-struct OpenSection {
-    /// Offset of the section header's payload-len field, for patching.
-    patch_offset: u64,
-    /// Bytes of payload written so far.
-    len: u64,
-    /// Running checksum of the payload.
-    crc: crc32::Hasher,
-    /// Section name, for error messages.
-    name: String,
-}
-
-/// Streaming writer for one segment file.
+/// Writer for one segment file.
 ///
-/// Usage: `create` → (`begin_section` → `write`* → `end_section`)* →
-/// `finish`. Dropping a writer without `finish` leaves a file with a
-/// zero section count that readers will reject as missing its sections —
-/// partial writes never masquerade as complete segments.
+/// Usage: `create` → `section`* → `finish`. Dropping a writer without
+/// `finish` leaves a file with a zero section count that readers will
+/// reject as missing its sections — partial writes never masquerade as
+/// complete segments.
 #[derive(Debug)]
 pub struct SegmentWriter {
     out: BufWriter<File>,
     path: PathBuf,
     sections: u32,
-    current: Option<OpenSection>,
 }
 
 impl SegmentWriter {
@@ -135,7 +121,6 @@ impl SegmentWriter {
             out: BufWriter::new(file),
             path: path.to_path_buf(),
             sections: 0,
-            current: None,
         };
         writer.put(&MAGIC)?;
         writer.put(&VERSION_MAJOR.to_le_bytes())?;
@@ -150,125 +135,38 @@ impl SegmentWriter {
             .map_err(|e| StoreError::io(&self.path, e))
     }
 
-    fn position(&mut self) -> Result<u64, StoreError> {
-        self.out
-            .stream_position()
-            .map_err(|e| StoreError::io(&self.path, e))
-    }
-
-    /// Start a new section; payload bytes follow via [`SegmentWriter::write`].
+    /// Write one whole section: kind tag, name length, payload length,
+    /// payload CRC32, name, payload.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Invalid`] when a section is already open and
-    /// [`StoreError::Io`] on write failure.
-    pub fn begin_section(&mut self, kind: SectionKind, name: &str) -> Result<(), StoreError> {
-        if let Some(open) = &self.current {
-            return Err(StoreError::invalid(
-                &self.path,
-                name,
-                format!("section `{}` is still open", open.name),
-            ));
-        }
-        let name_bytes = name.as_bytes();
-        let name_len = u32::try_from(name_bytes.len()).map_err(|_| {
-            StoreError::invalid(&self.path, name, "section name longer than u32::MAX bytes")
-        })?;
-        self.put(&kind.tag().to_le_bytes())?;
-        self.put(&name_len.to_le_bytes())?;
-        let patch_offset = self.position()?;
-        self.put(&0u64.to_le_bytes())?; // payload len, patched by end_section
-        self.put(&0u32.to_le_bytes())?; // crc32, patched by end_section
-        self.put(name_bytes)?;
-        self.current = Some(OpenSection {
-            patch_offset,
-            len: 0,
-            crc: crc32::Hasher::new(),
-            name: name.to_owned(),
-        });
-        Ok(())
-    }
-
-    /// Append payload bytes to the open section.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Invalid`] when no section is open and
-    /// [`StoreError::Io`] on write failure.
-    pub fn write(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        let Some(open) = self.current.as_mut() else {
-            return Err(StoreError::invalid(
-                &self.path,
-                "<none>",
-                "write outside of an open section",
-            ));
-        };
-        open.len += bytes.len() as u64;
-        open.crc.update(bytes);
-        self.out
-            .write_all(bytes)
-            .map_err(|e| StoreError::io(&self.path, e))
-    }
-
-    /// Close the open section, patching its length and checksum into the
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Invalid`] when no section is open and
-    /// [`StoreError::Io`] on seek/write failure.
-    pub fn end_section(&mut self) -> Result<(), StoreError> {
-        let Some(open) = self.current.take() else {
-            return Err(StoreError::invalid(
-                &self.path,
-                "<none>",
-                "end_section without an open section",
-            ));
-        };
-        let end = self.position()?;
-        self.out
-            .seek(SeekFrom::Start(open.patch_offset))
-            .map_err(|e| StoreError::io(&self.path, e))?;
-        self.put(&open.len.to_le_bytes())?;
-        self.put(&open.crc.finalize().to_le_bytes())?;
-        self.out
-            .seek(SeekFrom::Start(end))
-            .map_err(|e| StoreError::io(&self.path, e))?;
-        self.sections += 1;
-        Ok(())
-    }
-
-    /// Convenience: write a whole section from one payload buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`SegmentWriter::begin_section`],
-    /// [`SegmentWriter::write`] and [`SegmentWriter::end_section`].
+    /// Returns [`StoreError::Invalid`] when the name is longer than
+    /// `u32::MAX` bytes and [`StoreError::Io`] on write failure.
     pub fn section(
         &mut self,
         kind: SectionKind,
         name: &str,
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        self.begin_section(kind, name)?;
-        self.write(payload)?;
-        self.end_section()
+        let name_len = u32::try_from(name.len()).map_err(|_| {
+            StoreError::invalid(&self.path, name, "section name longer than u32::MAX bytes")
+        })?;
+        self.put(&kind.tag().to_le_bytes())?;
+        self.put(&name_len.to_le_bytes())?;
+        self.put(&(payload.len() as u64).to_le_bytes())?;
+        self.put(&crc32::checksum(payload).to_le_bytes())?;
+        self.put(name.as_bytes())?;
+        self.put(payload)?;
+        self.sections += 1;
+        Ok(())
     }
 
     /// Patch the section count, flush, and sync the file to disk.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Invalid`] when a section is still open and
-    /// [`StoreError::Io`] on flush/sync failure.
+    /// Returns [`StoreError::Io`] on seek/flush/sync failure.
     pub fn finish(mut self) -> Result<(), StoreError> {
-        if let Some(open) = &self.current {
-            return Err(StoreError::invalid(
-                &self.path,
-                &open.name,
-                "finish with a section still open",
-            ));
-        }
         self.out
             .seek(SeekFrom::Start(FILE_HEADER_LEN - 4))
             .map_err(|e| StoreError::io(&self.path, e))?;
@@ -502,6 +400,27 @@ impl SegmentReader {
         &self.sections
     }
 
+    /// Fail closed on a section name outside `allowed`. Names are outside
+    /// the per-section payload checksum, so a bit flip in the name of an
+    /// *optional* section (the clustering) would otherwise make it
+    /// silently invisible; and an unknown section is a format extension
+    /// this build cannot honour, not something to skip.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Invalid`] naming the first unexpected
+    /// section.
+    pub fn allow_only(&self, allowed: &[&str]) -> Result<(), StoreError> {
+        match self.sections.iter().find(|s| !allowed.contains(&s.name())) {
+            Some(section) => Err(StoreError::invalid(
+                &self.path,
+                section.name(),
+                "unexpected section name for this segment",
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Look up a section by role name.
     ///
     /// # Errors
@@ -579,11 +498,8 @@ mod tests {
         let mut w = SegmentWriter::create(&path).unwrap();
         w.section(SectionKind::CostMatrix, "cost", &[1, 2, 3, 4])
             .unwrap();
-        w.begin_section(SectionKind::HistogramArena, "histograms")
+        w.section(SectionKind::HistogramArena, "histograms", &[9, 8, 7])
             .unwrap();
-        w.write(&[9]).unwrap();
-        w.write(&[8, 7]).unwrap();
-        w.end_section().unwrap();
         w.finish().unwrap();
 
         let r = SegmentReader::open(&path).unwrap();

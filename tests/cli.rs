@@ -1,5 +1,5 @@
 //! End-to-end test of the `flexemd` command-line tool: generate a corpus,
-//! build a reduction, run a query — all through the real binary.
+//! build an index, run a query — all through the real binary.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -36,24 +36,39 @@ impl Drop for TestDir {
     }
 }
 
-#[test]
-fn full_workflow() {
-    let dir = TestDir::new("full_workflow");
+/// A corpus and an index over it (`build-index --reduction kmed:6`) in
+/// a directory of their own.
+fn corpus_and_index(test: &str) -> (TestDir, PathBuf, PathBuf) {
+    let dir = TestDir::new(test);
     let data = dir.join("corpus.json");
-    let reduction = dir.join("reduction.json");
-
+    let index = dir.join("index");
     let generate = flexemd()
         .args(["generate", "--kind", "gaussian", "--out"])
         .arg(&data)
-        .args(["--classes", "3", "--per-class", "12", "--seed", "5"])
+        .args(["--classes", "3", "--per-class", "10", "--seed", "7"])
         .output()
-        .expect("binary runs");
+        .unwrap();
+    assert!(generate.status.success());
+    let build = flexemd()
+        .arg("build-index")
+        .arg("--data")
+        .arg(&data)
+        .args(["--reduction", "kmed:6", "--out"])
+        .arg(&index)
+        .output()
+        .unwrap();
     assert!(
-        generate.status.success(),
-        "generate failed: {}",
-        String::from_utf8_lossy(&generate.stderr)
+        build.status.success(),
+        "build-index failed: {}",
+        String::from_utf8_lossy(&build.stderr)
     );
-    assert!(data.exists());
+    (dir, data, index)
+}
+
+#[test]
+fn full_workflow() {
+    let (dir, data, index) = corpus_and_index("full_workflow");
+    assert!(index.join("index.json").exists());
 
     let info = flexemd()
         .arg("info")
@@ -63,59 +78,17 @@ fn full_workflow() {
         .unwrap();
     assert!(info.status.success());
     let info_text = String::from_utf8_lossy(&info.stdout).to_string();
-    assert!(info_text.contains("objects     : 36"), "{info_text}");
+    assert!(info_text.contains("objects     : 30"), "{info_text}");
     assert!(info_text.contains("metric cost : yes"), "{info_text}");
 
-    let reduce = flexemd()
-        .arg("reduce")
-        .arg("--data")
-        .arg(&data)
-        .args(["--method", "kmed", "--dims", "6", "--out"])
-        .arg(&reduction)
-        .output()
-        .unwrap();
-    assert!(
-        reduce.status.success(),
-        "reduce failed: {}",
-        String::from_utf8_lossy(&reduce.stderr)
-    );
-
-    let query = flexemd()
-        .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
-        .args(["--k", "3", "--query", "1"])
-        .output()
-        .unwrap();
-    assert!(
-        query.status.success(),
-        "query failed: {}",
-        String::from_utf8_lossy(&query.stderr)
-    );
-    let query_text = String::from_utf8_lossy(&query.stdout).to_string();
+    let query_text = query_stdout(&index, &[]);
     // The query object is its own nearest neighbor at distance 0.
     assert!(query_text.contains("#1"), "{query_text}");
     assert!(query_text.contains("refinements"), "{query_text}");
 
     // The same query with --metrics json appends the schema-versioned
     // registry dump: stage spans, solver counters, per-span event log.
-    let metrics = flexemd()
-        .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
-        .args(["--k", "3", "--query", "1", "--metrics", "json"])
-        .output()
-        .unwrap();
-    assert!(
-        metrics.status.success(),
-        "query --metrics failed: {}",
-        String::from_utf8_lossy(&metrics.stderr)
-    );
-    let metrics_text = String::from_utf8_lossy(&metrics.stdout).to_string();
+    let metrics_text = query_stdout(&index, &["--metrics", "json"]);
     assert!(
         metrics_text.contains("\"schema\": \"flexemd-metrics/v1\""),
         "{metrics_text}"
@@ -129,115 +102,9 @@ fn full_workflow() {
 
     // --metrics with a path writes the same document to a file.
     let metrics_file = dir.join("metrics.json");
-    let to_file = flexemd()
-        .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
-        .args(["--k", "3", "--query", "1", "--metrics"])
-        .arg(&metrics_file)
-        .output()
-        .unwrap();
-    assert!(to_file.status.success());
+    query_stdout(&index, &["--metrics", metrics_file.to_str().unwrap()]);
     let written = std::fs::read_to_string(&metrics_file).unwrap();
     assert!(written.contains("\"schema\": \"flexemd-metrics/v1\""));
-}
-
-#[test]
-fn index_workflow_matches_in_memory() {
-    let dir = TestDir::new("index_workflow_matches_in_memory");
-    let data = dir.join("corpus.json");
-    let reduction = dir.join("reduction.json");
-    let index = dir.join("index");
-
-    let generate = flexemd()
-        .args(["generate", "--kind", "gaussian", "--out"])
-        .arg(&data)
-        .args(["--classes", "3", "--per-class", "12", "--seed", "5"])
-        .output()
-        .unwrap();
-    assert!(generate.status.success());
-
-    // `reduce` and `build-index` share defaults (seed 42, sample 24), so
-    // the persisted index holds the identical reduction.
-    let reduce = flexemd()
-        .arg("reduce")
-        .arg("--data")
-        .arg(&data)
-        .args(["--method", "kmed", "--dims", "6", "--out"])
-        .arg(&reduction)
-        .output()
-        .unwrap();
-    assert!(
-        reduce.status.success(),
-        "reduce failed: {}",
-        String::from_utf8_lossy(&reduce.stderr)
-    );
-    let build = flexemd()
-        .arg("build-index")
-        .arg("--data")
-        .arg(&data)
-        .args(["--reductions", "kmed:6", "--out"])
-        .arg(&index)
-        .output()
-        .unwrap();
-    assert!(
-        build.status.success(),
-        "build-index failed: {}",
-        String::from_utf8_lossy(&build.stderr)
-    );
-    assert!(index.join("index.json").exists());
-
-    let in_memory = flexemd()
-        .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
-        .args(["--k", "4", "--query", "2"])
-        .output()
-        .unwrap();
-    assert!(
-        in_memory.status.success(),
-        "in-memory query failed: {}",
-        String::from_utf8_lossy(&in_memory.stderr)
-    );
-    let from_index = flexemd()
-        .arg("query")
-        .arg("--index")
-        .arg(&index)
-        .args(["--k", "4", "--query", "2"])
-        .output()
-        .unwrap();
-    assert!(
-        from_index.status.success(),
-        "index query failed: {}",
-        String::from_utf8_lossy(&from_index.stderr)
-    );
-
-    // Neighbor ids + distances must be identical (index mode prints no
-    // class labels, so compare the first three whitespace-split fields),
-    // and the filter stages must report identical candidate counts.
-    let extract = |raw: &[u8]| -> (Vec<String>, Vec<String>) {
-        let text = String::from_utf8_lossy(raw).to_string();
-        let neighbors = text
-            .lines()
-            .filter(|l| l.trim_start().starts_with('#'))
-            .map(|l| l.split_whitespace().take(3).collect::<Vec<_>>().join(" "))
-            .collect();
-        let stages = text
-            .lines()
-            .filter(|l| l.contains("evaluations") || l.contains("refinements"))
-            .map(str::to_owned)
-            .collect();
-        (neighbors, stages)
-    };
-    let (mem_neighbors, mem_stages) = extract(&in_memory.stdout);
-    let (idx_neighbors, idx_stages) = extract(&from_index.stdout);
-    assert_eq!(mem_neighbors.len(), 4);
-    assert_eq!(mem_neighbors, idx_neighbors);
-    assert_eq!(mem_stages, idx_stages);
 }
 
 #[test]
@@ -247,7 +114,7 @@ fn build_index_missing_dataset_is_one_line_diagnostic() {
             "build-index",
             "--data",
             "/nonexistent/corpus.json",
-            "--reductions",
+            "--reduction",
             "kmed:4",
             "--out",
             "/tmp/flexemd-cli-unused-index",
@@ -272,88 +139,58 @@ fn query_missing_index_is_one_line_diagnostic() {
     assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
 }
 
-/// A `--data` / `--reduction` file nested past the parser's bound is a
-/// one-line diagnostic naming the file and exit code 1. (The unbounded
-/// parser these files used to go through overflowed the stack: SIGABRT.)
+/// A `--data` file nested past the parser's bound is a one-line
+/// diagnostic naming the file and exit code 1. (The unbounded parser
+/// these files used to go through overflowed the stack: SIGABRT.)
 #[test]
 fn deeply_nested_dataset_is_an_error_not_an_abort() {
-    let (dir, data, _) = corpus_and_reduction("deeply_nested");
+    let dir = TestDir::new("deeply_nested");
     let deep = dir.join("deep.json");
     std::fs::write(&deep, "[".repeat(200_000)).unwrap();
-    let info = flexemd()
+    let out = flexemd()
         .arg("info")
         .arg("--data")
         .arg(&deep)
         .output()
         .unwrap();
-    let query = flexemd()
-        .args(["query", "--k", "3", "--query", "0", "--data"])
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&deep)
-        .output()
-        .unwrap();
-    for out in [info, query] {
-        assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(stderr.contains("json error in "), "{stderr}");
-        assert!(stderr.contains("deep.json"), "{stderr}");
-        assert!(stderr.contains("nesting deeper than 64"), "{stderr}");
-        assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
-    }
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(stderr.contains("json error in "), "{stderr}");
+    assert!(stderr.contains("deep.json"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 64"), "{stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
 }
 
-/// Shared fixture for the governance tests: corpus + reduction in a
-/// directory of their own.
-fn corpus_and_reduction(test: &str) -> (TestDir, PathBuf, PathBuf) {
-    let dir = TestDir::new(test);
-    let data = dir.join("corpus.json");
-    let reduction = dir.join("reduction.json");
-    let generate = flexemd()
-        .args(["generate", "--kind", "gaussian", "--out"])
-        .arg(&data)
-        .args(["--classes", "3", "--per-class", "10", "--seed", "7"])
+/// `query --index INDEX --k 3 --query 1` plus `extra`.
+fn query_output(index: &Path, extra: &[&str]) -> std::process::Output {
+    flexemd()
+        .arg("query")
+        .arg("--index")
+        .arg(index)
+        .args(["--k", "3", "--query", "1"])
+        .args(extra)
         .output()
-        .unwrap();
-    assert!(generate.status.success());
-    let reduce = flexemd()
-        .arg("reduce")
-        .arg("--data")
-        .arg(&data)
-        .args(["--method", "kmed", "--dims", "6", "--out"])
-        .arg(&reduction)
-        .output()
-        .unwrap();
+        .unwrap()
+}
+
+/// [`query_output`], which must exit 0; its stdout.
+fn query_stdout(index: &Path, extra: &[&str]) -> String {
+    let out = query_output(index, extra);
     assert!(
-        reduce.status.success(),
-        "reduce failed: {}",
-        String::from_utf8_lossy(&reduce.stderr)
+        out.status.success(),
+        "query {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
-    (dir, data, reduction)
+    String::from_utf8_lossy(&out.stdout).to_string()
 }
 
 #[test]
 fn zero_deadline_degrades_with_banner_and_exit_zero() {
-    let (_dir, data, reduction) =
-        corpus_and_reduction("zero_deadline_degrades_with_banner_and_exit_zero");
+    let (_dir, _data, index) = corpus_and_index("zero_deadline_degrades_with_banner_and_exit_zero");
 
     // A deadline of 0 ms fires at the first budget probe: deterministic
     // degradation, still a successful exit.
-    let out = flexemd()
-        .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
-        .args(["--k", "3", "--query", "1", "--deadline-ms", "0"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "degraded query must exit 0: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    let stdout = query_stdout(&index, &["--deadline-ms", "0"]);
     let banners = stdout
         .lines()
         .filter(|l| l.starts_with("DEGRADED (deadline)"))
@@ -363,23 +200,8 @@ fn zero_deadline_degrades_with_banner_and_exit_zero() {
 
 #[test]
 fn pivot_cap_degrades_to_lower_bound_ranking() {
-    let (_dir, data, reduction) = corpus_and_reduction("pivot_cap_degrades_to_lower_bound_ranking");
-
-    let out = flexemd()
-        .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
-        .args(["--k", "3", "--query", "1", "--max-pivots", "0"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "degraded query must exit 0: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    let (_dir, _data, index) = corpus_and_index("pivot_cap_degrades_to_lower_bound_ranking");
+    let stdout = query_stdout(&index, &["--max-pivots", "0"]);
     assert!(stdout.contains("DEGRADED (pivot cap)"), "{stdout}");
     // Degraded rows render bounds, not exact distances.
     assert!(stdout.contains("bound"), "{stdout}");
@@ -387,33 +209,17 @@ fn pivot_cap_degrades_to_lower_bound_ranking() {
 
 #[test]
 fn generous_budget_matches_unbudgeted_output() {
-    let (_dir, data, reduction) = corpus_and_reduction("generous_budget_matches_unbudgeted_output");
-
-    let run = |extra: &[&str]| -> String {
-        let out = flexemd()
-            .arg("query")
-            .arg("--data")
-            .arg(&data)
-            .arg("--reduction")
-            .arg(&reduction)
-            .args(["--k", "3", "--query", "1"])
-            .args(extra)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "query failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout)
+    let (_dir, _data, index) = corpus_and_index("generous_budget_matches_unbudgeted_output");
+    let neighbors = |extra: &[&str]| -> String {
+        query_stdout(&index, extra)
             .lines()
             .filter(|l| l.trim_start().starts_with('#'))
             .map(str::to_owned)
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let unbudgeted = run(&[]);
-    let budgeted = run(&["--deadline-ms", "60000", "--max-pivots", "100000000"]);
+    let unbudgeted = neighbors(&[]);
+    let budgeted = neighbors(&["--deadline-ms", "60000", "--max-pivots", "100000000"]);
     assert_eq!(
         unbudgeted, budgeted,
         "generous budget must not change results"
@@ -422,18 +228,8 @@ fn generous_budget_matches_unbudgeted_output() {
 
 #[test]
 fn injected_worker_panic_is_one_line_nonzero_exit() {
-    let (_dir, data, reduction) =
-        corpus_and_reduction("injected_worker_panic_is_one_line_nonzero_exit");
-
-    let out = flexemd()
-        .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
-        .args(["--k", "3", "--query", "1", "--faults", "panic:0"])
-        .output()
-        .unwrap();
+    let (_dir, _data, index) = corpus_and_index("injected_worker_panic_is_one_line_nonzero_exit");
+    let out = query_output(&index, &["--faults", "panic:0"]);
     assert!(!out.status.success(), "worker panic must exit nonzero");
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("worker 0 panicked"), "{stderr}");
@@ -444,47 +240,23 @@ fn injected_worker_panic_is_one_line_nonzero_exit() {
     );
 }
 
-/// `query --k 3 --query 1` plus `extra`, which must exit 0; its stdout.
-fn query_stdout(data: &Path, reduction: &Path, extra: &[&str]) -> String {
-    let out = flexemd()
-        .arg("query")
-        .arg("--data")
-        .arg(data)
-        .arg("--reduction")
-        .arg(reduction)
-        .args(["--k", "3", "--query", "1"])
-        .args(extra)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "query {extra:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).to_string()
-}
-
 /// An armed worker failpoint that never fires (`panic:9`; the query runs
 /// as worker 0) must not cost the query its budget.
 #[test]
 fn zero_deadline_still_degrades_beside_an_armed_panic_fault() {
-    let (_dir, data, reduction) =
-        corpus_and_reduction("zero_deadline_still_degrades_beside_an_armed_panic_fault");
-    let stdout = query_stdout(
-        &data,
-        &reduction,
-        &["--deadline-ms", "0", "--faults", "panic:9"],
-    );
+    let (_dir, _data, index) =
+        corpus_and_index("zero_deadline_still_degrades_beside_an_armed_panic_fault");
+    let stdout = query_stdout(&index, &["--deadline-ms", "0", "--faults", "panic:9"]);
     assert!(stdout.contains("DEGRADED (deadline)"), "{stdout}");
 }
 
 #[test]
 fn injected_solve_fault_still_degrades_beside_an_armed_panic_fault() {
-    let (_dir, data, reduction) =
-        corpus_and_reduction("injected_solve_fault_still_degrades_beside_an_armed_panic_fault");
-    let alone = query_stdout(&data, &reduction, &["--faults", "solve:1"]);
+    let (_dir, _data, index) =
+        corpus_and_index("injected_solve_fault_still_degrades_beside_an_armed_panic_fault");
+    let alone = query_stdout(&index, &["--faults", "solve:1"]);
     assert!(alone.contains("DEGRADED (injected)"), "{alone}");
-    let armed = query_stdout(&data, &reduction, &["--faults", "solve:1,panic:9"]);
+    let armed = query_stdout(&index, &["--faults", "solve:1,panic:9"]);
     assert!(armed.contains("DEGRADED (injected)"), "{armed}");
 }
 
@@ -492,19 +264,17 @@ fn injected_solve_fault_still_degrades_beside_an_armed_panic_fault() {
 /// quietly, not with a `println!` panic and a backtrace.
 #[test]
 fn closed_stdout_pipe_is_a_quiet_exit() {
-    let (_dir, data, reduction) = corpus_and_reduction("closed_stdout_pipe_is_a_quiet_exit");
+    let (_dir, _data, index) = corpus_and_index("closed_stdout_pipe_is_a_quiet_exit");
     let mut child = flexemd()
         .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
+        .arg("--index")
+        .arg(&index)
         .args(["--k", "3", "--query", "1"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    // Close the read end before the child has loaded its corpus, so its
+    // Close the read end before the child has opened its index, so its
     // first write meets a broken pipe.
     drop(child.stdout.take());
     let out = child.wait_with_output().unwrap();
@@ -516,49 +286,17 @@ fn closed_stdout_pipe_is_a_quiet_exit() {
 
 #[test]
 fn injected_read_fault_fails_index_open_then_clean_open_works() {
-    let (dir, data, _reduction) =
-        corpus_and_reduction("injected_read_fault_fails_index_open_then_clean_open_works");
-    let index = dir.join("index");
+    let (_dir, _data, index) =
+        corpus_and_index("injected_read_fault_fails_index_open_then_clean_open_works");
 
-    let build = flexemd()
-        .arg("build-index")
-        .arg("--data")
-        .arg(&data)
-        .args(["--reductions", "kmed:6", "--out"])
-        .arg(&index)
-        .output()
-        .unwrap();
-    assert!(
-        build.status.success(),
-        "build-index failed: {}",
-        String::from_utf8_lossy(&build.stderr)
-    );
-
-    let faulted = flexemd()
-        .arg("query")
-        .arg("--index")
-        .arg(&index)
-        .args(["--k", "3", "--query", "1", "--faults", "read:1"])
-        .output()
-        .unwrap();
+    let faulted = query_output(&index, &["--faults", "read:1"]);
     assert!(!faulted.status.success(), "injected read fault must fail");
     let stderr = String::from_utf8_lossy(&faulted.stderr).to_string();
     assert!(stderr.contains("injected read fault"), "{stderr}");
     assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
 
     // Clean open right after: injection never touches the directory.
-    let clean = flexemd()
-        .arg("query")
-        .arg("--index")
-        .arg(&index)
-        .args(["--k", "3", "--query", "1"])
-        .output()
-        .unwrap();
-    assert!(
-        clean.status.success(),
-        "clean query failed: {}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
+    query_stdout(&index, &[]);
 }
 
 #[test]
@@ -594,24 +332,38 @@ fn rejects_bad_input() {
     assert!(stderr.contains("not both"), "{stderr}");
 }
 
-/// A mistyped option is an error that names it, before the verb touches
-/// anything: `--deadline_ms 0` must not run as a query with no deadline.
+/// `args`, which must fail with exactly one stderr line equal to
+/// `expected` and print nothing on stdout.
+fn fails_with(args: &[&str], expected: &str) {
+    let output = flexemd().args(args).output().unwrap();
+    assert_eq!(output.status.code(), Some(1), "{args:?}");
+    assert!(output.stdout.is_empty(), "{args:?} ran");
+    let stderr = String::from_utf8_lossy(&output.stderr).to_string();
+    assert_eq!(stderr.trim_end(), expected, "{args:?}");
+}
+
+/// A mistyped or retired option is an error that names it, before the
+/// verb touches anything: `--deadline_ms 0` must not run as a query with
+/// no deadline.
 #[test]
 fn unknown_option_is_a_one_line_error_on_every_verb() {
-    let (dir, data, reduction) = corpus_and_reduction("unknown_option");
-    let (data, reduction) = (data.display(), reduction.display());
+    let (dir, data, index) = corpus_and_index("unknown_option");
+    let (data, index) = (data.display(), index.display());
     let out = dir.join("never-written");
     let out = out.display();
     // Scratch paths hold no whitespace, so a command line splits on it.
     let typos = [
         (
-            format!("query --data {data} --reduction {reduction} --k 3 --sorce clustered --deadline_ms 0"),
+            format!("query --index {index} --k 3 --sorce clustered --deadline_ms 0"),
             "deadline_ms",
         ),
-        // The retired plan switch, last on the line.
+        // A flag no verb knows, last on the line.
+        (format!("query --index {index} --k 3 --chain"), "chain"),
+        // The retired JSON-artifact route.
+        (format!("query --data {data} --index {index} --k 3"), "data"),
         (
-            format!("query --data {data} --reduction {reduction} --k 3 --chain"),
-            "chain",
+            format!("query --index {index} --reduction {data}"),
+            "reduction",
         ),
         (format!("serve --wal {out} --adr 127.0.0.1:0"), "adr"),
         (
@@ -619,20 +371,23 @@ fn unknown_option_is_a_one_line_error_on_every_verb() {
             "sync-eahc",
         ),
         (
-            format!("build-index --data {data} --reductions kmed:4 --out {out} --clusters 1"),
+            format!("ingest --wal {out} --data {data} --method kmed"),
+            "method",
+        ),
+        (format!("ingest --wal {out} --data {data} --dims 8"), "dims"),
+        (
+            format!("build-index --data {data} --reduction kmed:4 --out {out} --clusters 1"),
             "clusters",
         ),
+        (
+            format!("build-index --data {data} --reductions kmed:4 --out {out}"),
+            "reductions",
+        ),
     ];
-    let rejected = |args: &[&str], option: &str| {
-        let output = flexemd().args(args).output().unwrap();
-        assert!(!output.status.success(), "{args:?} succeeded");
-        assert!(output.stdout.is_empty(), "{args:?} ran");
-        let stderr = String::from_utf8_lossy(&output.stderr).to_string();
-        let expected = format!("error: unknown option --{option} for `{}`", args[0]);
-        assert_eq!(stderr.trim_end(), expected);
-    };
     for (line, option) in &typos {
-        rejected(&line.split_whitespace().collect::<Vec<_>>(), option);
+        let args = line.split_whitespace().collect::<Vec<_>>();
+        let expected = format!("error: unknown option --{option} for `{}`", args[0]);
+        fails_with(&args, &expected);
     }
     assert!(
         !dir.join("never-written").exists(),
@@ -641,26 +396,107 @@ fn unknown_option_is_a_one_line_error_on_every_verb() {
     for verb in [
         "generate",
         "info",
-        "reduce",
         "build-index",
         "query",
         "serve",
         "ingest",
         "wal-inspect",
     ] {
-        rejected(&[verb, "--no-such-option", "x"], "no-such-option");
+        let expected = format!("error: unknown option --no-such-option for `{verb}`");
+        fails_with(&[verb, "--no-such-option", "x"], &expected);
     }
+    fails_with(
+        &["reduce", "--data", &data.to_string()],
+        "error: unknown command `reduce`",
+    );
+}
+
+/// A malformed `--reduction` spec is a one-line error on both verbs
+/// that take one, and neither writes anything.
+#[test]
+fn malformed_reduction_spec_is_a_one_line_error() {
+    let (dir, data, _index) = corpus_and_index("malformed_reduction_spec");
+    let data = data.to_str().unwrap();
+    let out = dir.join("never-written");
+    let out = out.to_str().unwrap();
+    for (spec, expected) in [
+        ("kmed", "bad reduction spec `kmed` (expected `method:dims`)"),
+        ("kmed:x", "bad dimension count in reduction spec `kmed:x`"),
+        (
+            "kmed:0",
+            "reduced dimensionality must be between 1 and 32 (got 0)",
+        ),
+        ("nope:4", "unknown reduction method `nope`"),
+    ] {
+        let expected = format!("error: {expected}");
+        let build = [
+            "build-index",
+            "--data",
+            data,
+            "--reduction",
+            spec,
+            "--out",
+            out,
+        ];
+        fails_with(&build, &expected);
+        fails_with(
+            &["ingest", "--wal", out, "--data", data, "--reduction", spec],
+            &expected,
+        );
+    }
+    assert!(
+        !dir.join("never-written").exists(),
+        "a rejected verb wrote {out}"
+    );
+}
+
+/// An existing durable directory keeps the reduction it was created
+/// with, so the options that would choose another are an error, not
+/// silently dropped.
+#[test]
+fn ingest_into_an_existing_directory_rejects_reduction_options() {
+    let (dir, data, _index) = corpus_and_index("ingest_existing_directory");
+    let wal = dir.join("wal");
+    let (wal, data) = (wal.to_str().unwrap(), data.to_str().unwrap());
+    let created = flexemd()
+        .args([
+            "ingest",
+            "--wal",
+            wal,
+            "--data",
+            data,
+            "--reduction",
+            "kmed:6",
+        ])
+        .output()
+        .unwrap();
+    assert!(created.status.success());
+    for (option, value) in [("reduction", "fb-all:12"), ("sample", "5"), ("seed", "3")] {
+        let flag = format!("--{option}");
+        fails_with(
+            &["ingest", "--wal", wal, "--data", data, &flag, value],
+            &format!(
+                "error: {wal} already holds a durable index: --{option} applies only when \
+                 ingest creates one"
+            ),
+        );
+    }
+    // Nothing was appended by the rejected runs.
+    let inspect = flexemd()
+        .args(["wal-inspect", "--wal", wal])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&inspect.stdout).to_string();
+    assert!(text.contains("records    : 30"), "{text}");
 }
 
 #[test]
 fn range_query_prints_range_heading() {
-    let (_dir, data, reduction) = corpus_and_reduction("range_query_prints_range_heading");
+    let (_dir, _data, index) = corpus_and_index("range_query_prints_range_heading");
     let out = flexemd()
         .arg("query")
-        .arg("--data")
-        .arg(&data)
-        .arg("--reduction")
-        .arg(&reduction)
+        .arg("--index")
+        .arg(&index)
         .args(["--range", "2.5", "--query", "1"])
         .output()
         .unwrap();
@@ -724,22 +560,7 @@ fn call(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, Strin
 
 #[test]
 fn serve_answers_http_and_drains_on_stdin_eof() {
-    let (dir, data, _reduction) =
-        corpus_and_reduction("serve_answers_http_and_drains_on_stdin_eof");
-    let index = dir.join("index");
-    let build = flexemd()
-        .arg("build-index")
-        .arg("--data")
-        .arg(&data)
-        .args(["--reductions", "kmed:6", "--out"])
-        .arg(&index)
-        .output()
-        .unwrap();
-    assert!(
-        build.status.success(),
-        "build-index failed: {}",
-        String::from_utf8_lossy(&build.stderr)
-    );
+    let (_dir, _data, index) = corpus_and_index("serve_answers_http_and_drains_on_stdin_eof");
 
     let (mut child, addr, _stdout) = spawn_server(&index, &[]);
 
@@ -806,21 +627,8 @@ fn serve_answers_http_and_drains_on_stdin_eof() {
 
 #[test]
 fn zero_capacity_serve_sheds_with_429_and_drains() {
-    let (dir, data, _reduction) =
-        corpus_and_reduction("zero_capacity_serve_sheds_with_429_and_drains");
-    let index = dir.join("index");
-    let build = flexemd()
-        .arg("build-index")
-        .arg("--data")
-        .arg(&data)
-        .args(["--reductions", "kmed:6", "--out"])
-        .arg(&index)
-        .output()
-        .unwrap();
-    assert!(build.status.success());
+    let (_dir, _data, index) = corpus_and_index("zero_capacity_serve_sheds_with_429_and_drains");
 
-    // `--max-inflight 0` reaches the server: every request, queries and
-    // health checks alike, sheds with 429.
     let (mut child, addr, _stdout) = spawn_server(&index, &["--max-inflight", "0"]);
     let (status, body) = call(
         &addr,
@@ -880,8 +688,7 @@ fn spawn_wal_server(
 
 #[test]
 fn ingest_wal_inspect_and_writable_serve_round_trip() {
-    let (dir, data, _reduction) =
-        corpus_and_reduction("ingest_wal_inspect_and_writable_serve_round_trip");
+    let (dir, data, _index) = corpus_and_index("ingest_wal_inspect_and_writable_serve_round_trip");
     let wal = dir.join("wal");
 
     // First ingest creates the durable directory and derives a reduction.
@@ -891,7 +698,7 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
         .arg(&wal)
         .arg("--data")
         .arg(&data)
-        .args(["--method", "kmed", "--dims", "6", "--seed", "7"])
+        .args(["--reduction", "kmed:6", "--seed", "7"])
         .output()
         .unwrap();
     assert!(
@@ -995,7 +802,7 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
 /// budget, so `solve:1` degrades the first kNN reply and only that one.
 #[test]
 fn writable_serve_honours_faults() {
-    let (dir, data, _reduction) = corpus_and_reduction("writable_serve_honours_faults");
+    let (dir, data, _index) = corpus_and_index("writable_serve_honours_faults");
     let wal = dir.join("wal");
     let ingest = flexemd()
         .arg("ingest")
@@ -1003,7 +810,7 @@ fn writable_serve_honours_faults() {
         .arg(&wal)
         .arg("--data")
         .arg(&data)
-        .args(["--method", "kmed", "--dims", "6", "--seed", "7"])
+        .args(["--reduction", "kmed:6", "--seed", "7"])
         .output()
         .unwrap();
     assert!(

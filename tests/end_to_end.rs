@@ -141,7 +141,7 @@ fn flow_based_filters_are_tighter_on_average() {
     assert!(exact_total >= fb_total);
 }
 
-/// Serialization round-trip of an entire experiment artifact set.
+/// Serialization round-trip of a corpus through its JSON file.
 #[test]
 fn artifacts_roundtrip_through_json() {
     let params = GaussianParams {
@@ -163,17 +163,9 @@ fn artifacts_roundtrip_through_json() {
     let loaded = flexemd::data::io::load(&dataset_path).unwrap();
     assert_eq!(loaded.histograms, dataset.histograms);
 
-    let mut reduction_json = String::new();
-    reduction.to_json(&mut reduction_json);
-    let loaded_reduction = flexemd::reduction::CombiningReduction::from_json(
-        &flexemd::json::parse(&reduction_json).unwrap(),
-    )
-    .unwrap();
-    assert_eq!(loaded_reduction, reduction);
-
-    // The loaded artifacts still produce identical reduced distances.
-    let a = ReducedEmd::new(&dataset.cost, reduction).unwrap();
-    let b = ReducedEmd::new(&loaded.cost, loaded_reduction).unwrap();
+    // The loaded corpus still produces identical reduced distances.
+    let a = ReducedEmd::new(&dataset.cost, reduction.clone()).unwrap();
+    let b = ReducedEmd::new(&loaded.cost, reduction).unwrap();
     let d_a = a
         .distance(&dataset.histograms[0], &dataset.histograms[1])
         .unwrap();
