@@ -3,11 +3,10 @@
 //! ```text
 //! experiments [IDS...] [--full] [--smoke] [--json PATH] [--metrics json|PATH]
 //!
-//!   IDS       experiment ids (e1..e12, a1..a5); default: all
+//!   IDS       experiment ids (e1..e11, a1..a5); default: all
 //!   --full    paper-scale corpora (much slower than the default quick run)
-//!   --smoke   CI mode: tiny corpus, runs the batch-executor parity check
-//!             (E12) and exits non-zero if threaded != sequential, then
-//!             the bound table (A5), which panics if a bound exceeds the EMD
+//!   --smoke   CI mode: runs only the bound table (A5) on a tiny corpus,
+//!             which panics if a bound exceeds the EMD
 //!   --json    additionally write the tables as JSON to PATH
 //!   --metrics record an emd-obs registry over the whole run and dump it
 //!             as schema-versioned JSON ("json" = stdout, else a path)
@@ -22,10 +21,9 @@ use emd_bench::setup::Scale;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// `--smoke`: exercise the engine end to end at a tiny scale. Runs the
-/// E12 batch experiment and fails the process when any threaded batch
-/// diverges from the sequential run — the tentpole's bit-identity
-/// guarantee, checked in release mode on every CI push.
+/// `--smoke`: the A5 bound table on a tiny corpus — every filter and the
+/// chain end to end, asserting every bound `<= EMD` (a violation panics) —
+/// checked in release mode on every CI push.
 fn smoke() -> ExitCode {
     let scale = Scale {
         tiling_per_class: 6,
@@ -34,21 +32,8 @@ fn smoke() -> ExitCode {
         sample: 8,
     };
     println!("\n{}", experiments::a5(&scale, true));
-    let table = experiments::e12(&scale, true);
-    println!("\n{table}");
-    let diverged: Vec<&str> = table
-        .rows
-        .iter()
-        .filter(|row| row[3] != "true")
-        .map(|row| row[0].as_str())
-        .collect();
-    if diverged.is_empty() {
-        println!("# smoke OK: batch execution bit-identical across thread counts");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("# smoke FAILED: thread counts {diverged:?} diverged from sequential");
-        ExitCode::FAILURE
-    }
+    println!("# smoke OK: every bound at or below the EMD");
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {

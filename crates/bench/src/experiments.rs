@@ -10,7 +10,7 @@ use crate::setup::{
 use emd_core::ground::Metric;
 use emd_core::{Budget, Histogram};
 use emd_query::{
-    AnchorFilter, CentroidFilter, Database, Executor, Filter, FullLbImFilter, Query, QueryError,
+    AnchorFilter, CentroidFilter, Database, Executor, Filter, FullLbImFilter, QueryError,
     QueryPlan, ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
 };
 use emd_reduction::fb::{fb_all, fb_mod, FbOptions};
@@ -556,8 +556,8 @@ pub fn e11(scale: &Scale, _quick: bool) -> Table {
     table
 }
 
-/// Seeded 32-d Gaussian bench shared by A4 and E12 (at `Scale::full`
-/// this is the tentpole's ~1k-object corpus: 6 classes x 205 per class).
+/// Seeded 32-d Gaussian bench shared by A4 and A5 (at `Scale::full`
+/// a ~1k-object corpus: 6 classes x 205 per class).
 fn gaussian_bench(scale: &Scale) -> Bench {
     use emd_data::gaussian::{self, GaussianParams};
     let params = GaussianParams {
@@ -767,60 +767,10 @@ fn bounds_over(
     (values, nanos)
 }
 
-/// E12: parallel batch-query throughput of the executor. One shared
-/// executor, one workload; `run_batch` across worker-thread counts must
-/// return results and merged stats bit-identical to the sequential run,
-/// with the wall-clock speedup as the payoff.
-pub fn e12(scale: &Scale, _quick: bool) -> Table {
-    let mut table = Table::new(
-        "E12",
-        "parallel batch k-NN throughput (gaussian, 32-d, d'=8, k=10)",
-        &["threads", "ms/query", "speedup", "matches sequential"],
-    );
-    let bench = gaussian_bench(scale);
-    let flows = flow_sample(&bench, scale.sample, SEED ^ 0xf10);
-    let reduction = build_reduction(Strategy::FbAllKMed, &bench, &flows, 8, SEED ^ 0xbead);
-    let executor = chained_executor(&bench, reduction);
-    let workload: Vec<Query> = bench
-        .queries
-        .iter()
-        .map(|q| Query::knn(q.clone(), K_DEFAULT))
-        .collect();
-    table.note(format!(
-        "database {} ({} objects), batch of {} queries on one shared snapshot; \
-         host exposes {} core(s) — wall-clock speedup needs more than one",
-        bench.name,
-        bench.database.len(),
-        workload.len(),
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    ));
-    let (baseline, baseline_stats) = executor.run_batch(&workload, 1).expect("consistent plan");
-    let mut sequential_ms = 0.0_f64;
-    for threads in [1usize, 2, 4, 8] {
-        let started = Instant::now();
-        let (results, stats) = executor
-            .run_batch(&workload, threads)
-            .expect("consistent plan");
-        let ms = started.elapsed().as_secs_f64() * 1e3 / workload.len().max(1) as f64;
-        if threads == 1 {
-            sequential_ms = ms;
-        }
-        let identical = results == baseline && stats == baseline_stats;
-        table.row(vec![
-            threads.to_string(),
-            fnum(ms),
-            fnum(sequential_ms / ms.max(1e-12)),
-            identical.to_string(),
-        ]);
-    }
-    table.note("results and accumulated stats are bit-identical across thread counts; only wall-clock changes");
-    table
-}
-
 /// Every experiment id, in the order `experiments all` runs them.
-pub const IDS: [&str; 17] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "a1", "a2", "a3",
-    "a4", "a5",
+pub const IDS: [&str; 16] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "a1", "a2", "a3", "a4",
+    "a5",
 ];
 
 /// The function behind an experiment id (case-insensitive).
@@ -837,7 +787,6 @@ fn experiment(id: &str) -> Option<fn(&Scale, bool) -> Table> {
         "e9" => e9,
         "e10" => e10,
         "e11" => e11,
-        "e12" => e12,
         "a1" => a1,
         "a2" => a2,
         "a3" => a3,
@@ -867,7 +816,7 @@ mod tests {
 
     #[test]
     fn dispatch_rejects_unknown_ids() {
-        for id in ["e99", "", "e13", "e19"] {
+        for id in ["e99", "", "e12", "e13", "e19"] {
             assert!(by_id(id, &tiny(), true).is_none(), "{id:?} dispatched");
         }
         for id in IDS {
@@ -906,15 +855,6 @@ mod tests {
         for row in &table.rows {
             let tightness: f64 = row[2].parse().unwrap();
             assert!((0.0..=1.0 + 1e-9).contains(&tightness), "{row:?}");
-        }
-    }
-
-    #[test]
-    fn e12_batches_match_sequential() {
-        let table = e12(&tiny(), true);
-        assert_eq!(table.rows.len(), 4);
-        for row in &table.rows {
-            assert_eq!(row[3], "true", "thread count {} diverged", row[0]);
         }
     }
 }

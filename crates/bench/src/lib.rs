@@ -12,7 +12,7 @@
 //! * [`report`] — plain-text/JSON table rendering.
 //! * [`setup`] — seeded corpora, workloads and reduction construction
 //!   shared by all experiments.
-//! * [`experiments`] — one function per experiment (`e1..e12`,
+//! * [`experiments`] — one function per experiment (`e1..e11`,
 //!   `a1..a5`), each returning a [`report::Table`].
 //! * [`vptree`] — the metric-index baseline A4 compares the filter
 //!   pipeline against.

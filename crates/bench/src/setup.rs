@@ -172,8 +172,8 @@ impl Strategy {
 
 /// Flow sample shared by the FB strategies of one bench (computing it is
 /// the expensive preprocessing step; experiments reuse it across d').
-/// Uses the parallel sampler — the |S|^2 EMD solves dominate preprocessing
-/// and parallelize perfectly (results are identical to sequential).
+/// Solves on every core — the |S|^2 EMD solves dominate preprocessing,
+/// and `F^S` is bit-identical at any thread count.
 pub fn flow_sample(bench: &Bench, sample_size: usize, seed: u64) -> FlowSample {
     let mut rng = StdRng::seed_from_u64(seed);
     let sample: Vec<Histogram> = draw_sample(bench.database.histograms(), sample_size, &mut rng)

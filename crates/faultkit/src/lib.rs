@@ -10,9 +10,9 @@
 //! precisely because tests run on healthy machines. This crate makes those
 //! paths *reachable on demand*: a [`FaultInjector`] is threaded (behind an
 //! `Option`/default no-op) through the store reader, the transport solver
-//! entry, and the batch executor, and a [`FailPlan`] decides, purely from
-//! per-site atomic counters, whether the *k*-th occurrence of a site should
-//! fail.
+//! entry, and the executor's panic-isolated entry point, and a
+//! [`FailPlan`] decides, purely from per-site atomic counters, whether the
+//! *k*-th occurrence of a site should fail.
 //!
 //! Everything is deterministic: the same plan against the same call
 //! sequence injects the same faults, so every injected failure is a
@@ -39,7 +39,8 @@ pub enum Site {
     /// Entry into a transport solve (simplex or SSP). Occurrences are
     /// counted per [`FaultInjector`] across all solves it observes.
     Solve,
-    /// A batch-executor worker, identified by its chunk index.
+    /// A panic-isolated query, identified by the ordinal its caller
+    /// passed to `Executor::run_isolated`.
     Worker(usize),
     /// A WAL record append (the write of one framed record). Occurrences
     /// are counted in append order.
@@ -59,7 +60,7 @@ pub enum Fault {
     Io,
     /// Report the solver budget as exhausted (transport solves).
     BudgetExhausted,
-    /// Panic inside the worker (batch executor); the payload is an
+    /// Panic inside the panic-isolated query; the payload is an
     /// [`InjectedPanic`] so harnesses can tell injected panics from real
     /// ones.
     Panic,
@@ -169,7 +170,7 @@ impl FailPlan {
         self
     }
 
-    /// Panic in batch worker `w` (every query that worker runs).
+    /// Panic in worker `w` (every query run under that ordinal).
     #[must_use]
     pub fn panic_worker(mut self, w: usize) -> Self {
         self.panic_worker = Some(w);

@@ -36,11 +36,9 @@
 //!
 //! Scopes nest (the inner scope shadows the outer until finished) and are
 //! strictly thread-local: a worker thread spawned while a scope is active
-//! records nothing unless it installs its own scope. The query engine's
-//! `run_batch` does exactly that — one scope per worker — and merges the
-//! per-thread registries in chunk order, so merged counter totals are
-//! identical to a sequential run at any thread count (see
-//! [`MetricsRegistry::merge`]).
+//! records nothing unless it installs its own scope. A caller that wants
+//! one total finishes each worker's scope and folds the registries with
+//! [`MetricsRegistry::merge`] in a fixed order, as the server does.
 //!
 //! ## Determinism contract
 //!
@@ -117,23 +115,10 @@ pub fn counter_add(name: &str, by: u64) {
     with_current(|registry, _| registry.counter_add(name, by));
 }
 
-/// Set the gauge `name` in the current scope (no-op without one).
-pub fn gauge_set(name: &str, value: f64) {
-    with_current(|registry, _| registry.gauge_set(name, value));
-}
-
 /// Record one duration observation into the histogram `name` in the
 /// current scope (no-op without one).
 pub fn observe_nanos(name: &str, nanos: u64) {
     with_current(|registry, _| registry.observe_nanos(name, nanos));
-}
-
-/// Merge a finished registry (e.g. from a worker thread) into the current
-/// scope (no-op without one). Callers control determinism by absorbing in
-/// a fixed order — the query engine absorbs per-thread registries in
-/// chunk order.
-pub fn absorb(other: &MetricsRegistry) {
-    with_current(|registry, _| registry.merge(other));
 }
 
 /// A live per-thread recording scope. Create with [`Recording::start`],
@@ -277,16 +262,5 @@ mod tests {
         });
         let registry = recording.finish();
         assert_eq!(registry.counter("lib.worker"), 0);
-    }
-
-    #[test]
-    fn absorb_merges_into_current_scope() {
-        let mut other = MetricsRegistry::new();
-        other.counter_add("lib.absorbed", 4);
-        let recording = Recording::start();
-        counter_add("lib.absorbed", 1);
-        absorb(&other);
-        let registry = recording.finish();
-        assert_eq!(registry.counter("lib.absorbed"), 5);
     }
 }

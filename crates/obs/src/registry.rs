@@ -19,8 +19,8 @@ const BUCKETS: usize = 48;
 ///
 /// The layout is fixed (no dynamic rebinning) so that merging two
 /// histograms is a plain element-wise sum — associative, commutative and
-/// exact — which is what makes parallel batch execution produce the same
-/// merged registry counts as a sequential run.
+/// exact — so registries recorded on several threads merge to the same
+/// counts as one recorded on a single thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurationHistogram {
     counts: Vec<u64>,
@@ -133,7 +133,7 @@ pub struct SpanEvent {
 ///
 /// All maps are `BTreeMap`s so iteration — and therefore the JSON export —
 /// is deterministic. [`merge`](Self::merge) sums counters and histograms
-/// (exact integer arithmetic) and lets the absorbed registry's gauges win,
+/// (exact integer arithmetic) and lets the merged-in registry's gauges win,
 /// so merging per-thread registries in a fixed order yields a fully
 /// deterministic result for deterministic workloads.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -389,8 +389,8 @@ mod tests {
 
     #[test]
     fn registry_merge_matches_sequential_totals() {
-        // Simulates the run_batch merge: recording into one registry must
-        // equal recording into chunks and merging in chunk order.
+        // Recording into one registry must equal recording into chunks
+        // and merging in chunk order.
         let observations: Vec<(&str, u64)> =
             vec![("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5), ("a", 6)];
         let mut sequential = MetricsRegistry::new();

@@ -13,13 +13,9 @@
 //! [`DynamicIndex`](crate::DynamicIndex) and the
 //! brute-force [`scan`](crate::scan) oracles all execute through here;
 //! [`Executor::knn`] and [`Executor::range`] are sugar that builds an
-//! unlimited [`Query`] and calls [`Executor::run`].
-//!
-//! [`Executor::run_batch`] fans a query workload across std scoped
-//! threads; per-thread [`QueryStats`] are merged with
-//! [`QueryStats::accumulate`], and results are bit-identical to the
-//! sequential path because each query runs the exact same single-query
-//! code on an immutable shared plan.
+//! unlimited [`Query`] and calls [`Executor::run`]. The plan is
+//! immutable, so concurrent callers (the server's worker pool) share one
+//! executor.
 //!
 //! ## Warm-start contexts
 //!
@@ -27,12 +23,8 @@
 //! [`ReducedEmdFilter`](crate::ReducedEmdFilter)) build one
 //! `EmdContext` per prepared query, so every candidate evaluated for
 //! that query reuses the solver's buffers and warm-starts from the
-//! previous candidate's final basis. Preparation happens inside the
-//! worker that owns the query, which gives batch execution one context
-//! per in-flight query per worker with no sharing across threads —
-//! worker counts cannot affect results, and the observability merge
-//! below absorbs the transport warm-start counters chunk-order
-//! deterministically like every other counter.
+//! previous candidate's final basis. Nothing warm is shared between
+//! queries, so concurrent queries cannot affect each other's results.
 //!
 //! ## Execution governance
 //!
@@ -42,12 +34,11 @@
 //! executor returns [`QueryOutcome::Degraded`] — the candidate ranking
 //! ordered by the tightest lower bound computed so far — instead of an
 //! error or a silently truncated "exact" answer. [`Executor::run_isolated`] adds
-//! panic isolation, per query in batches
-//! ([`Executor::run_batch_isolated`]): a panicking worker turns into
-//! [`QueryError::WorkerPanicked`] for its own queries only, and surviving
-//! queries' results and chunk-order stats merge are unchanged. A fault
-//! injector rides the query's budget (`Budget::with_faults`): its solve
-//! failpoints fire inside the solver, its worker failpoints here.
+//! panic isolation: a panicking query turns into
+//! [`QueryError::WorkerPanicked`] for that query only, and the executor
+//! keeps answering. A fault injector rides the query's budget
+//! (`Budget::with_faults`): its solve failpoints fire inside the solver,
+//! its worker failpoints here.
 
 use crate::engine::source::EveryObject;
 use crate::error::QueryError;
@@ -64,7 +55,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use super::plan::{Query, QueryMode, QueryPlan};
 
-/// Executes [`QueryPlan`]s: sequentially, or batched across threads.
+/// Executes [`QueryPlan`]s, one [`Query`] per call.
 #[derive(Debug)]
 pub struct Executor {
     plan: QueryPlan,
@@ -130,134 +121,6 @@ impl Executor {
     fn run_exact(&self, query: &Query) -> Result<(Vec<Neighbor>, QueryStats), QueryError> {
         let (outcome, stats) = self.run(query)?;
         Ok((outcome.into_exact()?, stats))
-    }
-
-    /// Run a batch of queries across `threads` std scoped threads,
-    /// returning per-query exact results in input order plus the merged
-    /// statistics.
-    ///
-    /// Results and statistics are bit-identical to running the same
-    /// queries sequentially: every query executes the same single-query
-    /// path against the same immutable plan, and the per-thread
-    /// [`QueryStats`] merge ([`QueryStats::accumulate`]) is a plain sum.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`QueryError`] (by query index) any query
-    /// produced: a panicking worker surfaces as
-    /// [`QueryError::WorkerPanicked`] on the affected queries, and a query
-    /// whose budget fired as [`QueryError::BudgetExhausted`] (use
-    /// [`Executor::run_batch_isolated`] to keep its degraded ranking).
-    pub fn run_batch(
-        &self,
-        queries: &[Query],
-        threads: usize,
-    ) -> Result<(Vec<Vec<Neighbor>>, QueryStats), QueryError> {
-        let (results, total) = self.run_batch_isolated(queries, threads);
-        let mut neighbors = Vec::with_capacity(results.len());
-        for result in results {
-            neighbors.push(result?.into_exact()?);
-        }
-        Ok((neighbors, total))
-    }
-
-    /// Run a batch of queries, each under its own
-    /// [`Budget`](crate::Budget) and with per-query panic isolation,
-    /// returning one `Result` per query in input order plus the merged
-    /// statistics of every query that answered (exactly or degraded).
-    ///
-    /// Each query executes inside `catch_unwind`; a panic (a solver bug, a
-    /// poisoned invariant, an injected [`Fault::Panic`]) is converted into
-    /// [`QueryError::WorkerPanicked`] for that query only. Surviving
-    /// queries — including later queries on the same worker thread — run
-    /// to completion, and their stats merge in chunk order, so totals for
-    /// survivors are bit-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// The call itself never fails; each query's slot carries its own
-    /// [`QueryError`], including [`QueryError::WorkerPanicked`] for
-    /// panics caught in that worker.
-    pub fn run_batch_isolated(
-        &self,
-        queries: &[Query],
-        threads: usize,
-    ) -> (Vec<Result<QueryOutcome, QueryError>>, QueryStats) {
-        type ChunkOutput = (
-            Vec<Result<QueryOutcome, QueryError>>,
-            QueryStats,
-            Option<emd_obs::MetricsRegistry>,
-        );
-        let run_chunk = |chunk_queries: &[Query], worker: usize| {
-            let mut results = Vec::with_capacity(chunk_queries.len());
-            let mut total = QueryStats::default();
-            for query in chunk_queries {
-                results.push(self.run_isolated(query, worker).map(|(outcome, stats)| {
-                    total.accumulate(&stats);
-                    outcome
-                }));
-            }
-            (results, total)
-        };
-
-        let threads = threads.clamp(1, queries.len().max(1));
-        emd_obs::gauge_set("query.batch.threads", threads as f64);
-        if threads == 1 {
-            return run_chunk(queries, 0);
-        }
-
-        // Contiguous chunks keep per-query results trivially reorderable:
-        // thread t owns queries [t * chunk, (t + 1) * chunk).
-        let chunk = queries.len().div_ceil(threads);
-        // Metric scopes are thread-local, so workers record into their own
-        // registries which the caller absorbs in chunk order below —
-        // counter totals are then identical to a sequential run at any
-        // thread count (histogram sums still reflect wall-clock).
-        let record_metrics = emd_obs::recording();
-        // lint: allow(nondeterminism): chunk outputs join in spawn order, so
-        // batch results and counter totals match a sequential run exactly.
-        let chunk_results: Vec<ChunkOutput> = std::thread::scope(|scope| {
-            // Spawn every chunk before joining any: joining lazily off the
-            // spawn iterator would serialize the batch.
-            let mut handles = Vec::with_capacity(threads);
-            for (worker, chunk_queries) in queries.chunks(chunk).enumerate() {
-                let run_chunk = &run_chunk;
-                handles.push(scope.spawn(move || -> ChunkOutput {
-                    let recording = record_metrics.then(emd_obs::Recording::start);
-                    let (results, total) = run_chunk(chunk_queries, worker);
-                    (results, total, recording.map(emd_obs::Recording::finish))
-                }));
-            }
-            let mut collected = Vec::with_capacity(handles.len());
-            for (worker, handle) in handles.into_iter().enumerate() {
-                collected.push(match handle.join() {
-                    Ok(output) => output,
-                    Err(payload) => {
-                        // Per-query catch_unwind makes this unreachable for
-                        // query panics; a join failure means the worker loop
-                        // itself died, so attribute the whole chunk.
-                        let error = QueryError::WorkerPanicked {
-                            worker,
-                            detail: panic_detail(payload.as_ref()),
-                        };
-                        let len = queries.len().min((worker + 1) * chunk) - worker * chunk;
-                        (vec![Err(error); len], QueryStats::default(), None)
-                    }
-                });
-            }
-            collected
-        });
-
-        let mut results = Vec::with_capacity(queries.len());
-        let mut total = QueryStats::default();
-        for (chunk_outcomes, chunk_stats, chunk_registry) in chunk_results {
-            total.accumulate(&chunk_stats);
-            if let Some(registry) = &chunk_registry {
-                emd_obs::absorb(registry);
-            }
-            results.extend(chunk_outcomes);
-        }
-        (results, total)
     }
 
     /// [`Executor::run`] with panic isolation: the long-running-server

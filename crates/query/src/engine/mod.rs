@@ -15,9 +15,7 @@
 //! * [`Executor`] — [`Executor::run`] prepares per-query state, chains the
 //!   lazy rankings of Figure 12 on stage 1 (the source, or else every
 //!   object at bound 0), and invokes the KNOP loop in
-//!   [`knop`](crate::knop) exactly once per query. [`Executor::run_batch`]
-//!   fans workloads across std scoped threads with deterministic,
-//!   bit-identical results.
+//!   [`knop`](crate::knop) exactly once per query.
 
 mod database;
 mod executor;

@@ -25,9 +25,8 @@ pub enum QueryMode {
 }
 
 /// One query: the histogram, its result-set mode and the execution
-/// [`Budget`] it runs under. Batch execution
-/// ([`Executor::run_batch`](crate::Executor::run_batch)) fans slices of
-/// these across threads.
+/// [`Budget`] it runs under; [`Executor::run`](crate::Executor::run)
+/// answers one.
 ///
 /// Cloning follows [`Budget`]'s contract: the clone shares the pivot pool
 /// and the cancel token with the original, so a cap bounds both together.

@@ -46,7 +46,7 @@ pub trait CandidateStream: Ranking {
 /// Implementations hold everything precomputed per database (reduced
 /// arenas, cluster geometry, tree nodes); [`prepare`](Self::prepare)
 /// builds the cheap per-query state. `Send + Sync` so a plan can be
-/// shared across the batch executor's threads.
+/// shared across threads.
 ///
 /// # Examples
 ///

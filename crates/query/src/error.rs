@@ -22,11 +22,11 @@ pub enum QueryError {
     /// [`QueryOutcome`](crate::QueryOutcome) wherever partial results
     /// exist; it only surfaces as an error from unbudgeted entry points.
     BudgetExhausted(emd_core::BudgetReason),
-    /// A batch worker thread panicked while running this query. Only the
-    /// queries of the panicking worker receive this error; surviving
-    /// workers' results and stats are unaffected.
+    /// The query panicked inside
+    /// [`Executor::run_isolated`](crate::Executor::run_isolated). Only
+    /// that query receives this error; the executor keeps answering.
     WorkerPanicked {
-        /// Chunk index of the worker that panicked.
+        /// The caller-chosen ordinal the query ran under.
         worker: usize,
         /// Panic payload rendered to text (best effort).
         detail: String,
@@ -53,7 +53,7 @@ impl fmt::Display for QueryError {
                 write!(f, "execution budget exhausted: {reason}")
             }
             QueryError::WorkerPanicked { worker, detail } => {
-                write!(f, "batch worker {worker} panicked: {detail}")
+                write!(f, "worker {worker} panicked: {detail}")
             }
         }
     }

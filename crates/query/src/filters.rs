@@ -24,8 +24,8 @@
 //! multistep query processing (GEMINI/KNOP, \[10, 18\]). Cheapest first
 //! is the order that pays.
 //! Filters are `Send + Sync` by construction so a
-//! [`QueryPlan`](crate::QueryPlan) can be shared across the batch
-//! executor's threads.
+//! [`QueryPlan`](crate::QueryPlan) can be shared across threads (the
+//! server's worker pool).
 
 use crate::engine::Database;
 use crate::error::QueryError;
@@ -89,7 +89,7 @@ pub(crate) fn reduce_database(
 /// A database-indexed distance function, instantiable per query.
 ///
 /// `Send + Sync` is a supertrait so plans built from boxed filters can be
-/// shared by reference across the batch executor's worker threads.
+/// shared by reference across threads.
 pub trait Filter: Send + Sync {
     /// Stage name used in statistics (e.g. `"red-emd(d'=8)"`).
     fn name(&self) -> &str;

@@ -13,8 +13,7 @@
 //!   [`QueryPlan`] (the declarative filter chain
 //!   `Red-IM -> Red-EMD -> ... -> EMD`), [`Query`] (histogram, mode and
 //!   [`Budget`]) and [`Executor`] (the single owner of query execution:
-//!   [`run`](Executor::run), plus parallel
-//!   [`run_batch`](Executor::run_batch)).
+//!   [`run`](Executor::run), one query per call).
 //! * [`Filter`] / [`PreparedFilter`] — filter stages over a database
 //!   snapshot. A stage is a projection of the query plus one of two
 //!   evaluators over a space: the LP (the exact EMD as the refinement
@@ -50,10 +49,7 @@
 //! (`query.knop`), and the per-stage evaluation counts that feed
 //! [`QueryStats`] are mirrored into registry counters
 //! (`query.stage.<name>.evaluations`, `query.refinements`,
-//! `query.results`). [`Executor::run_batch`] installs one scope per
-//! worker thread and absorbs the per-thread registries in chunk order, so
-//! merged counter totals are identical to a sequential run at any thread
-//! count. Recording never changes answers — results are bit-identical
+//! `query.results`). Recording never changes answers — results are bit-identical
 //! with metrics on and off (property-tested in
 //! `tests/metrics_observability.rs`).
 

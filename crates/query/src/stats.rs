@@ -33,9 +33,8 @@ impl QueryStats {
     /// *by name* wherever they sit in either list (chains of different
     /// shapes merge correctly); unseen stages are appended in encounter
     /// order. The merge is associative and commutative up to stage order,
-    /// which is what makes parallel batch execution
-    /// ([`Executor::run_batch`](crate::Executor::run_batch)) produce
-    /// totals identical to a sequential run.
+    /// so a workload's totals do not depend on the order its queries
+    /// answered in.
     pub fn accumulate(&mut self, other: &QueryStats) {
         for (name, count) in &other.filter_evaluations {
             match self

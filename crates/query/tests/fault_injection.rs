@@ -9,7 +9,7 @@ use emd_core::{ground, Budget, BudgetReason, Histogram};
 use emd_faultkit::{FailPlan, FaultInjector, InjectedPanic};
 use emd_query::{
     Database, EmdDistance, Executor, Filter, Query, QueryError, QueryOutcome, QueryPlan,
-    ReducedEmdFilter,
+    QueryStats, ReducedEmdFilter,
 };
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use emd_store::StoreError;
@@ -113,35 +113,59 @@ fn injected_solve_exhaustion_degrades_then_engine_recovers() {
 fn injected_worker_panic_is_isolated_to_its_chunk() {
     quiet_injected_panics();
     let database = database();
-    let clean = executor(&database);
+    let executor = executor(&database);
     let queries = workload();
-    let (baseline, _) = clean.run_batch(&queries, 1).unwrap();
 
-    // 3 threads over 6 queries: worker 1 owns queries 2 and 3.
-    let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().panic_worker(1));
-    let (results, stats) = clean.run_batch_isolated(&under(&plan, &queries), 3);
-    assert_eq!(results.len(), queries.len());
-    for (i, result) in results.iter().enumerate() {
-        if i == 2 || i == 3 {
+    // The unit of isolation is one query: query i runs as worker i, so
+    // the failpoint hits query 2 only.
+    let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().panic_worker(2));
+    let mut survivors = QueryStats::default();
+    let mut expected = QueryStats::default();
+    for (i, query) in under(&plan, &queries).iter().enumerate() {
+        let result = executor.run_isolated(query, i);
+        if i == 2 {
+            let err = result.unwrap_err();
             assert!(
-                matches!(result, Err(QueryError::WorkerPanicked { worker: 1, .. })),
-                "query {i}: expected WorkerPanicked, got {result:?}"
+                matches!(err, QueryError::WorkerPanicked { worker: 2, .. }),
+                "query {i}: expected WorkerPanicked, got {err:?}"
             );
         } else {
-            let outcome = result.as_ref().unwrap();
-            assert_eq!(outcome.exact(), Some(baseline[i].as_slice()), "query {i}");
+            let (outcome, stats) = result.unwrap();
+            let (alone, alone_stats) = executor.run(&queries[i]).unwrap();
+            assert_eq!(outcome, alone, "query {i}");
+            survivors.accumulate(&stats);
+            expected.accumulate(&alone_stats);
         }
     }
+    // The survivors' stats sum to a clean run over them.
+    assert_eq!(survivors, expected);
+}
 
-    // Survivor stats merge exactly as a batch over the surviving queries.
-    let survivors: Vec<Query> = queries
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != 2 && *i != 3)
-        .map(|(_, q)| q.clone())
-        .collect();
-    let (_, expected_stats) = clean.run_batch(&survivors, 1).unwrap();
-    assert_eq!(stats, expected_stats);
+#[test]
+fn run_batch_reports_worker_panic_as_typed_error() {
+    quiet_injected_panics();
+    let database = database();
+    let executor = executor(&database);
+    let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().panic_worker(0));
+
+    // Every query of the workload, run as worker 0, reports the panic as
+    // the typed error rather than unwinding into the caller.
+    for query in &under(&plan, &workload()) {
+        let err = executor.run_isolated(query, 0).unwrap_err();
+        assert!(
+            matches!(err, QueryError::WorkerPanicked { worker: 0, .. }),
+            "expected WorkerPanicked, got {err:?}"
+        );
+        let detail = err.to_string();
+        assert!(
+            detail.contains("worker 0"),
+            "diagnostic names the worker: {detail}"
+        );
+    }
+
+    // The executor is not poisoned: sequential queries still succeed.
+    let (neighbors, _) = executor.knn(&query(), 2).unwrap();
+    assert_eq!(neighbors.len(), 2);
 }
 
 #[test]
@@ -154,52 +178,18 @@ fn batches_honour_per_query_budgets() {
         middle.budget = Budget::unlimited().with_deadline(Duration::ZERO);
     }
 
-    for threads in [1, 3] {
-        let (results, _) = executor.run_batch_isolated(&queries, threads);
-        assert_eq!(results.len(), 3);
-        for (i, result) in results.iter().enumerate() {
-            let outcome = result.as_ref().unwrap();
-            if i == 1 {
-                let degraded = outcome.degraded().expect("a zero deadline degrades");
-                assert_eq!(degraded.reason, BudgetReason::Deadline);
-            } else {
-                // The neighbours' slots are what `run` alone returns.
-                let (alone, _) = executor.run(&queries[i]).unwrap();
-                assert_eq!(outcome, &alone, "threads {threads} query {i}");
-                assert!(outcome.exact().is_some());
-            }
+    for (i, query) in queries.iter().enumerate() {
+        let (outcome, _) = executor.run_isolated(query, i).unwrap();
+        if i == 1 {
+            let degraded = outcome.degraded().expect("a zero deadline degrades");
+            assert_eq!(degraded.reason, BudgetReason::Deadline);
+        } else {
+            // The neighbours' answers are what `run` alone returns.
+            let (alone, _) = executor.run(query).unwrap();
+            assert_eq!(outcome, alone, "query {i}");
+            assert!(outcome.exact().is_some());
         }
-        // The exact-or-error sugar reports the degraded slot, not a
-        // truncated answer.
-        assert!(matches!(
-            executor.run_batch(&queries, threads),
-            Err(QueryError::BudgetExhausted(BudgetReason::Deadline))
-        ));
     }
-}
-
-#[test]
-fn run_batch_reports_worker_panic_as_typed_error() {
-    quiet_injected_panics();
-    let database = database();
-    let executor = executor(&database);
-    let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().panic_worker(0));
-    let err = executor
-        .run_batch(&under(&plan, &workload()), 2)
-        .unwrap_err();
-    assert!(
-        matches!(err, QueryError::WorkerPanicked { worker: 0, .. }),
-        "expected WorkerPanicked, got {err:?}"
-    );
-    let detail = err.to_string();
-    assert!(
-        detail.contains("worker 0"),
-        "diagnostic names the worker: {detail}"
-    );
-
-    // The executor is not poisoned: sequential queries still succeed.
-    let (neighbors, _) = executor.knn(&query(), 2).unwrap();
-    assert_eq!(neighbors.len(), 2);
 }
 
 #[test]
@@ -238,22 +228,21 @@ fn seeded_fault_plans_never_leave_the_engine_wedged() {
     let database = database();
     let queries = workload();
     let clean = executor(&database);
-    let (baseline, _) = clean.run_batch(&queries, 1).unwrap();
+    let baseline: Vec<QueryOutcome> = queries.iter().map(|q| clean.run(q).unwrap().0).collect();
 
     for seed in 0..64u64 {
         let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::from_seed(seed));
         let budget = Budget::unlimited().with_faults(Arc::clone(&plan));
 
-        // Batched with panic isolation: every per-query result is exact,
-        // degraded by an injected solve fault, or the typed worker-panic
-        // error.
-        let (results, _) = clean.run_batch_isolated(&under(&plan, &queries), 2);
-        for (i, result) in results.iter().enumerate() {
-            match result {
-                Ok(QueryOutcome::Exact(neighbors)) => {
-                    assert_eq!(neighbors, &baseline[i], "seed {seed} query {i}");
+        // One query after another with panic isolation: every answer is
+        // exact, degraded by an injected solve fault, or the typed
+        // worker-panic error.
+        for (i, query) in under(&plan, &queries).iter().enumerate() {
+            match clean.run_isolated(query, i) {
+                Ok((outcome @ QueryOutcome::Exact(_), _)) => {
+                    assert_eq!(outcome, baseline[i], "seed {seed} query {i}");
                 }
-                Ok(QueryOutcome::Degraded(result)) => {
+                Ok((QueryOutcome::Degraded(result), _)) => {
                     assert_eq!(
                         result.reason,
                         BudgetReason::Injected,

@@ -1,7 +1,6 @@
 //! Plan/executor equivalence: for random databases and *any* valid
 //! filter-chain plan (every stage lower-bounds the next), the engine
-//! returns exactly the brute-force answer set — k-NN and range, and
-//! batched execution is bit-identical to sequential.
+//! returns exactly the brute-force answer set — k-NN and range.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -10,8 +9,8 @@ use emd_core::ground::Metric;
 use emd_core::{ground, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
-    CentroidFilter, Database, EmdDistance, Executor, Filter, FullLbImFilter, Neighbor, Query,
-    QueryPlan, ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
+    CentroidFilter, Database, EmdDistance, Executor, Filter, FullLbImFilter, Neighbor, QueryPlan,
+    ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
@@ -120,36 +119,5 @@ proptest! {
             brute_force_range(&query, database.histograms(), database.cost(), epsilon).unwrap();
         let (got, _) = executor.range(&query, epsilon).unwrap();
         prop_assert_eq!(canonical(&got), canonical(&expected), "variant {}", variant);
-    }
-
-    /// Threaded batch execution returns bit-identical neighbors and
-    /// merged stats versus the sequential path.
-    #[test]
-    fn batch_matches_sequential_bit_for_bit(
-        database in prop::collection::vec(histogram(), 4..10),
-        queries in prop::collection::vec(histogram(), 1..8),
-        r in reduction(),
-        variant in 0u8..6,
-        threads in 2usize..5,
-    ) {
-        let cost = Arc::new(ground::linear(DIM).unwrap());
-        let database = Database::new(database, cost).unwrap();
-        let executor = executor(&database, variant, r);
-        let workload: Vec<Query> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                if i % 2 == 0 {
-                    Query::knn(q.clone(), 1 + i % 3)
-                } else {
-                    Query::range(q.clone(), (i as f64).mul_add(0.25, 0.5))
-                }
-            })
-            .collect();
-        let (sequential, seq_stats) = executor.run_batch(&workload, 1).unwrap();
-        let (parallel, par_stats) = executor.run_batch(&workload, threads).unwrap();
-        // Bit-identical: same ids AND the exact same f64 distances.
-        prop_assert_eq!(sequential, parallel);
-        prop_assert_eq!(seq_stats, par_stats);
     }
 }

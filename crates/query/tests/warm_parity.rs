@@ -4,7 +4,7 @@
 //! warm-start mode — whose refinements stop at a bound above the k-th
 //! distance or ε — and a forced cold-start-every-candidate mode, which
 //! has no bound to stop on and solves every candidate to the end:
-//! sequentially, batched at 1 and 4 threads, and through a live
+//! query by query, over a workload's summed stats, and through a live
 //! snapshot. And one level down: a reduced stage's evaluator *is* the
 //! exact stage's over the reduced space, so it inherits the cutoff.
 //!
@@ -269,29 +269,30 @@ fn live_snapshot_matches_the_cold_oracle((database, queries, reduced): Corpus) -
     cut
 }
 
+/// A workload of queries through `run` on one warm and one cold
+/// executor: per-query bits equal, and the summed stats match.
 #[test]
 fn knn_results_bit_identical_warm_vs_cold_batched() {
     let (database, queries, reduced) = corpus();
     let warm = executor(&database, &reduced, true);
     let cold = executor(&database, &reduced, false);
-    let batch: Vec<Query> = queries.iter().map(|q| Query::knn(q.clone(), K)).collect();
-    for threads in [1usize, 4] {
-        let (warm_results, warm_stats) = warm.run_batch(&batch, threads).unwrap();
-        let (cold_results, cold_stats) = cold.run_batch(&batch, threads).unwrap();
-        assert_eq!(warm_results.len(), cold_results.len());
-        for (w_neighbors, c_neighbors) in warm_results.iter().zip(&cold_results) {
-            assert_eq!(w_neighbors.len(), c_neighbors.len());
-            for (w, c) in w_neighbors.iter().zip(c_neighbors) {
-                assert_eq!(w.id, c.id);
-                assert_eq!(w.distance.to_bits(), c.distance.to_bits());
-            }
+    let mut warm_total = QueryStats::default();
+    let mut cold_total = QueryStats::default();
+    for (i, query) in queries.iter().enumerate() {
+        let request = Query::knn(query.clone(), K);
+        let (warm_outcome, warm_stats) = warm.run(&request).unwrap();
+        let (cold_outcome, cold_stats) = cold.run(&request).unwrap();
+        let (w_neighbors, c_neighbors) =
+            (warm_outcome.exact().unwrap(), cold_outcome.exact().unwrap());
+        assert_eq!(w_neighbors.len(), c_neighbors.len());
+        for (w, c) in w_neighbors.iter().zip(c_neighbors) {
+            assert_eq!(w.id, c.id, "query {i}");
+            assert_eq!(w.distance.to_bits(), c.distance.to_bits(), "query {i}");
         }
-        assert_stats_match(
-            &warm_stats,
-            &cold_stats,
-            &format!("batch at {threads} threads"),
-        );
+        warm_total.accumulate(&warm_stats);
+        cold_total.accumulate(&cold_stats);
     }
+    assert_stats_match(&warm_total, &cold_total, "workload totals");
 }
 
 #[test]

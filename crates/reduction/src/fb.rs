@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn fb_mod_improves_over_base() {
         let (sample, cost) = bimodal_sample();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let base = CombiningReduction::base(6, 2).unwrap();
         let mut evaluator = TightnessEvaluator::new(6);
         let base_tightness = evaluator.tightness(&flows, &cost, &base);
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn fb_all_improves_over_base() {
         let (sample, cost) = bimodal_sample();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let base = CombiningReduction::base(6, 2).unwrap();
         let mut evaluator = TightnessEvaluator::new(6);
         let base_tightness = evaluator.tightness(&flows, &cost, &base);
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn fb_all_separates_bimodal_groups() {
         let (sample, cost) = bimodal_sample();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let base = CombiningReduction::base(6, 2).unwrap();
         let result = fb_all(base, &flows, &cost, FbOptions::default());
         let a = result.reduction.target_of(0);
@@ -244,7 +244,7 @@ mod tests {
     fn stable_at_local_optimum() {
         // Running a second time from the result must change nothing.
         let (sample, cost) = bimodal_sample();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let base = CombiningReduction::base(6, 3).unwrap();
         let first = fb_all(base, &flows, &cost, FbOptions::default());
         let second = fb_all(first.reduction.clone(), &flows, &cost, FbOptions::default());
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn respects_reassignment_cap() {
         let (sample, cost) = bimodal_sample();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let base = CombiningReduction::base(6, 2).unwrap();
         let result = fb_mod(
             base,
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn fb_all_matches_or_beats_fb_mod_tightness() {
         let (sample, cost) = bimodal_sample();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let base = CombiningReduction::base(6, 2).unwrap();
         let result_mod = fb_mod(base.clone(), &flows, &cost, FbOptions::default());
         let result_all = fb_all(base, &flows, &cost, FbOptions::default());

@@ -7,6 +7,16 @@ use emd_core::flow::FlowAccumulator;
 use emd_core::{emd_with_flows, CostMatrix, Histogram};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::mpsc;
+
+/// Pairs a flow-sample worker solves per hand-over to the summing thread:
+/// enough that the wake-up and the one cross-thread free cost nothing next
+/// to the solves, few enough that a small sample still spreads over the
+/// workers.
+const PAIRS_PER_HANDOFF: usize = 64;
+
+/// One block's flows, pair after pair, and how many belong to each pair.
+type SolvedBlock = (Vec<(usize, usize, f64)>, Vec<usize>);
 
 /// The aggregated flow information of a database sample.
 #[derive(Debug, Clone)]
@@ -25,58 +35,19 @@ impl FlowSample {
     /// sum over all ordered pairs.
     ///
     /// This is the paper's one-off preprocessing investment: `O(|S|^2)`
-    /// full-dimensional EMD computations, repaid by faster queries.
+    /// full-dimensional EMD computations, repaid by faster queries. The
+    /// solves are independent, so `threads` workers share them out: this
+    /// thread and `threads - 1` scoped helpers. Whoever solves a pair, this
+    /// thread adds every pair's flows in pair order, so `F^S` is
+    /// bit-identical at every thread count and the thread count moves only
+    /// wall-clock time. (Metrics record only this thread's solves: all of
+    /// them at one thread.)
     ///
     /// # Errors
     ///
-    /// Returns [`ReductionError`] when the sample is empty, histograms disagree
-    /// in dimensionality with `cost`, or an exact EMD computation fails.
-    pub fn from_histograms(
-        sample: &[Histogram],
-        cost: &CostMatrix,
-    ) -> Result<Self, ReductionError> {
-        if sample.len() < 2 {
-            return Err(ReductionError::SampleTooSmall(sample.len()));
-        }
-        let dim = cost.rows();
-        debug_assert!(cost.is_square());
-        for h in sample {
-            if h.dim() != dim {
-                return Err(ReductionError::DimensionMismatch {
-                    expected: dim,
-                    got: h.dim(),
-                });
-            }
-        }
-        let mut accumulator = FlowAccumulator::new(dim);
-        let mut transposed: Vec<(usize, usize, f64)> = Vec::new();
-        for (a, x) in sample.iter().enumerate() {
-            for y in sample.iter().skip(a + 1) {
-                let report = emd_with_flows(x, y, cost)?;
-                accumulator.add(&report.flows);
-                transposed.clear();
-                transposed.extend(report.flows.iter().map(|&(i, j, f)| (j, i, f)));
-                accumulator.add(&transposed);
-            }
-        }
-        Ok(FlowSample {
-            dim,
-            average: accumulator.average(),
-            pairs: accumulator.count(),
-        })
-    }
-
-    /// Parallel variant of [`FlowSample::from_histograms`]: the `|S|^2`
-    /// EMD solves are independent, so the pair list is striped across
-    /// `threads` scoped worker threads whose partial accumulations are
-    /// merged. Produces bit-identical results to the sequential version
-    /// (addition order within each accumulator cell is fixed by the
-    /// striping, and the final merge sums disjoint partials).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`FlowSample::from_histograms`]; `threads == 0` is
-    /// also rejected.
+    /// Returns [`ReductionError`] when the sample has fewer than two
+    /// histograms, histograms disagree in dimensionality with `cost`, or an
+    /// exact EMD computation fails. `threads == 0` is clamped to 1.
     pub fn from_histograms_parallel(
         sample: &[Histogram],
         cost: &CostMatrix,
@@ -94,42 +65,67 @@ impl FlowSample {
                 });
             }
         }
-        let threads = threads.max(1);
         let pairs: Vec<(usize, usize)> = (0..sample.len())
             .flat_map(|a| ((a + 1)..sample.len()).map(move |b| (a, b)))
             .collect();
+        let blocks: Vec<&[(usize, usize)]> = pairs.chunks(PAIRS_PER_HANDOFF).collect();
+        let workers = threads.clamp(1, blocks.len());
+        // A block's flows, pair after pair, in one buffer: a helper hands
+        // them over in one allocation, not one per pair.
+        let solve = |block: &[(usize, usize)]| -> Result<SolvedBlock, ReductionError> {
+            let mut flows = Vec::new();
+            let mut lens = Vec::with_capacity(block.len());
+            for &(a, b) in block {
+                let report = emd_with_flows(&sample[a], &sample[b], cost)?;
+                flows.extend_from_slice(&report.flows);
+                lens.push(report.flows.len());
+            }
+            Ok((flows, lens))
+        };
 
         let mut accumulator = FlowAccumulator::new(dim);
-        #[allow(clippy::expect_used)]
-        // lint: allow(nondeterminism): partials merge in fixed chunk order, so
-        // the accumulated flow matrix is bit-identical at any thread count.
-        let partials = std::thread::scope(|scope| {
-            let chunk = pairs.len().div_ceil(threads);
-            pairs
-                .chunks(chunk.max(1))
-                .map(|slice| {
-                    scope.spawn(move || -> Result<FlowAccumulator, ReductionError> {
-                        let mut local = FlowAccumulator::new(dim);
-                        let mut transposed: Vec<(usize, usize, f64)> = Vec::new();
-                        for &(a, b) in slice {
-                            let report = emd_with_flows(&sample[a], &sample[b], cost)?;
-                            local.add(&report.flows);
-                            transposed.clear();
-                            transposed.extend(report.flows.iter().map(|&(i, j, f)| (j, i, f)));
-                            local.add(&transposed);
+        let mut transposed: Vec<(usize, usize, f64)> = Vec::new();
+        // lint: allow(nondeterminism): helpers only solve; every block is
+        // summed here, in pair order, whichever thread solved it.
+        std::thread::scope(|scope| -> Result<(), ReductionError> {
+            // Block i is solved by worker i % workers: this thread is worker
+            // 0, and helpers 1.. hand theirs over as they finish.
+            let helpers: Vec<_> = (1..workers)
+                .map(|worker| {
+                    let (send, receive) = mpsc::sync_channel(1);
+                    let mine = blocks.iter().skip(worker).step_by(workers);
+                    scope.spawn(move || {
+                        for block in mine {
+                            // A closed channel means this thread stopped on an error.
+                            if send.send(solve(block)).is_err() {
+                                break;
+                            }
                         }
-                        Ok(local)
-                    })
+                    });
+                    receive
                 })
-                .collect::<Vec<_>>()
-                .into_iter()
-                // lint: allow(panic): propagating a worker panic is the only sound response to one
-                .map(|handle| handle.join().expect("flow worker does not panic"))
-                .collect::<Result<Vec<_>, _>>()
+                .collect();
+            let solvers = std::iter::once(None).chain(helpers.iter().map(Some));
+            for (helper, block) in solvers.cycle().zip(&blocks) {
+                let solved = match helper.map(mpsc::Receiver::recv) {
+                    None => solve(block),
+                    Some(Ok(solved)) => solved,
+                    // A helper that hung up early panicked; the scope re-raises it.
+                    Some(Err(_)) => break,
+                };
+                let (flows, lens) = solved?;
+                let mut rest = flows.as_slice();
+                for len in lens {
+                    let (pair, tail) = rest.split_at(len);
+                    rest = tail;
+                    accumulator.add(pair);
+                    transposed.clear();
+                    transposed.extend(pair.iter().map(|&(i, j, f)| (j, i, f)));
+                    accumulator.add(&transposed);
+                }
+            }
+            Ok(())
         })?;
-        for partial in &partials {
-            accumulator.merge(partial);
-        }
         Ok(FlowSample {
             dim,
             average: accumulator.average(),
@@ -208,7 +204,7 @@ mod tests {
     fn aggregates_pairwise_flows() {
         let sample = vec![h(&[1.0, 0.0, 0.0]), h(&[0.0, 0.0, 1.0])];
         let cost = ground::linear(3).unwrap();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         // One unordered pair, aggregated in both orientations.
         assert_eq!(flows.pairs(), 2);
         // Average of f(0->2)=1 in one orientation and 0 in the other: 0.5.
@@ -225,7 +221,7 @@ mod tests {
             h(&[0.3, 0.4, 0.3]),
         ];
         let cost = ground::linear(3).unwrap();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert!((flows.flow(i, j) - flows.flow(j, i)).abs() < 1e-12);
@@ -243,7 +239,7 @@ mod tests {
             h(&[0.25, 0.25, 0.25, 0.25]),
         ];
         let cost = ground::linear(4).unwrap();
-        let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+        let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let total: f64 = flows.dense().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
@@ -252,12 +248,12 @@ mod tests {
     fn rejects_small_samples_and_mismatches() {
         let cost = ground::linear(3).unwrap();
         assert!(matches!(
-            FlowSample::from_histograms(&[h(&[1.0, 0.0, 0.0])], &cost).unwrap_err(),
+            FlowSample::from_histograms_parallel(&[h(&[1.0, 0.0, 0.0])], &cost, 1).unwrap_err(),
             ReductionError::SampleTooSmall(1)
         ));
         let mixed = vec![h(&[1.0, 0.0, 0.0]), h(&[0.5, 0.5])];
         assert!(matches!(
-            FlowSample::from_histograms(&mixed, &cost).unwrap_err(),
+            FlowSample::from_histograms_parallel(&mixed, &cost, 1).unwrap_err(),
             ReductionError::DimensionMismatch { .. }
         ));
     }
@@ -281,21 +277,30 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let sample: Vec<Histogram> = (0..7)
+        // Irregular bins and a non-linear cost, so the pairs' flows are
+        // spread over many cells and a different summation order would
+        // move bits; 276 pairs are several hand-overs, so several workers.
+        let sample: Vec<Histogram> = (0..24)
             .map(|i| {
-                let mut bins = vec![0.05; 8];
-                bins[i % 8] += 0.6;
-                Histogram::normalized(bins).unwrap()
+                let bins = (0..8).map(|j| 0.05 + ((i * 7 + j * 3) % 29) as f64 / 31.0);
+                Histogram::normalized(bins.collect()).unwrap()
             })
             .collect();
-        let cost = ground::linear(8).unwrap();
-        let sequential = FlowSample::from_histograms(&sample, &cost).unwrap();
-        for threads in [1, 2, 4, 16] {
+        let costs = (0..64).map(|c| (((c / 8) as f64 - (c % 8) as f64).abs()).sqrt());
+        let cost = CostMatrix::new(8, 8, costs.collect()).unwrap();
+        let sequential = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
+        assert_eq!(sequential.pairs(), 24 * 23);
+        let bits = |flows: &FlowSample| {
+            flows
+                .dense()
+                .iter()
+                .map(|f| f.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for threads in [0, 1, 2, 3, 4, 16] {
             let parallel = FlowSample::from_histograms_parallel(&sample, &cost, threads).unwrap();
-            assert_eq!(parallel.pairs(), sequential.pairs());
-            for (a, b) in parallel.dense().iter().zip(sequential.dense()) {
-                assert!((a - b).abs() < 1e-12, "threads={threads}");
-            }
+            assert_eq!(parallel.pairs(), sequential.pairs(), "threads={threads}");
+            assert_eq!(bits(&parallel), bits(&sequential), "threads={threads}");
         }
     }
 

@@ -41,7 +41,7 @@ fn metric_cost() -> impl Strategy<Value = CostMatrix> {
 fn flows() -> impl Strategy<Value = FlowSample> {
     prop::collection::vec(histogram(), 3..6).prop_map(|sample| {
         let cost = emd_core::ground::linear(DIM).unwrap();
-        FlowSample::from_histograms(&sample, &cost).unwrap()
+        FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap()
     })
 }
 

@@ -277,17 +277,6 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
     Ok(Some(Request { body, ..request }))
 }
 
-/// Parse one request from a complete byte buffer (test/proptest entry;
-/// the server reads from the socket via [`read_request`]).
-///
-/// # Errors
-///
-/// Same conditions as [`read_request`].
-pub fn parse_request(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-    let mut reader = std::io::BufReader::new(bytes);
-    read_request(&mut reader)
-}
-
 /// An outgoing response: status, extra headers, body. The writer adds
 /// `Content-Length`, `Content-Type` and `Connection: close` itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -405,8 +394,8 @@ fn parse_response(raw: &[u8]) -> Result<(u16, String), ServeError> {
 mod tests {
     use super::*;
 
-    fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        parse_request(bytes)
+    fn parse(mut bytes: &[u8]) -> Result<Option<Request>, HttpError> {
+        read_request(&mut bytes)
     }
 
     #[test]

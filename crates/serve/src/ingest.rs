@@ -20,11 +20,13 @@
 //! shows up under `wal.appends` / `wal.synced_bytes` from the store
 //! layer, and compactions under `compact.runs`.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use emd_core::Histogram;
 use emd_query::durable::CompactReport;
 use emd_query::{DurableError, DurableIndex, DurableSnapshot};
+
+use crate::server::unpoisoned;
 
 /// Shared mutable corpus state behind the server's write routes.
 #[derive(Debug)]
@@ -34,13 +36,6 @@ pub struct IngestState {
     /// The reader view: swapped (never mutated) after each durable write.
     /// `None` until the corpus holds its first object.
     current: Mutex<Option<Arc<DurableSnapshot>>>,
-}
-
-fn unpoisoned<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    match lock.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl IngestState {
@@ -116,13 +111,6 @@ impl IngestState {
         }
         self.publish(&writer)?;
         Ok(true)
-    }
-
-    /// Fetch a live object's histogram by external id from the current
-    /// reader snapshot.
-    #[must_use]
-    pub fn get(&self, external_id: u64) -> Option<Histogram> {
-        self.snapshot()?.get(external_id).cloned()
     }
 
     /// Fold the WAL into a sealed segment (see
@@ -213,8 +201,8 @@ mod tests {
         // ...while the live view moved on.
         let live = ingest.snapshot().unwrap();
         assert_eq!(live.knn(&query, 1).unwrap().0[0].0, 2);
-        assert_eq!((live.get(0), ingest.get(0)), (None, None));
-        assert_eq!(ingest.get(2), Some(query));
+        assert_eq!(live.get(0), None);
+        assert_eq!(live.get(2), Some(&query));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -231,8 +219,10 @@ mod tests {
         let (answers, answered) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let snapshot = ingest.snapshot().map(|snapshot| snapshot.len());
-                answers.send((ingest.len(), ingest.is_empty(), ingest.get(1), snapshot))
+                let snapshot = ingest.snapshot();
+                let second = snapshot.as_ref().and_then(|s| s.get(1).cloned());
+                let len = snapshot.map(|snapshot| snapshot.len());
+                answers.send((ingest.len(), ingest.is_empty(), second, len))
             });
             let got = answered.recv_timeout(std::time::Duration::from_secs(30));
             drop(writer);

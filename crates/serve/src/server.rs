@@ -157,9 +157,10 @@ struct Shared {
     worker_metrics: Vec<Mutex<MetricsRegistry>>,
 }
 
-fn unpoisoned<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A poisoned registry/receiver is still structurally valid (both are
-    // plain data); keep serving rather than propagating the poison.
+/// Lock `lock`, ignoring poison: the serve layer's locks guard data a
+/// panic leaves structurally valid (registries, the job receiver, the
+/// ingest writer and snapshot), so keep serving rather than propagating it.
+pub(crate) fn unpoisoned<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     match lock.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),

@@ -6,14 +6,14 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_serve::http::parse_request;
+use emd_serve::http::read_request;
 use proptest::prelude::*;
 
 /// Statuses the parser is allowed to assign to malformed input.
 const ERROR_STATUSES: [u16; 6] = [400, 413, 414, 431, 501, 505];
 
 fn assert_total(bytes: &[u8]) {
-    match parse_request(bytes) {
+    match read_request(&mut &bytes[..]) {
         Ok(_) => {}
         Err(error) => {
             let (code, reason) = error.status();
@@ -81,7 +81,7 @@ proptest! {
         )
         .into_bytes();
         bytes.extend_from_slice(&body);
-        let request = parse_request(&bytes).expect("valid request parses").expect("non-empty");
+        let request = read_request(&mut bytes.as_slice()).expect("valid request parses").expect("non-empty");
         prop_assert_eq!(request.target, target);
         prop_assert_eq!(request.header("x-trace"), Some("abc"));
         prop_assert_eq!(request.body, body);

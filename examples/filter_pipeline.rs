@@ -7,7 +7,7 @@
 
 use flexemd::data::gaussian::{self, GaussianParams};
 use flexemd::query::{
-    Database, EmdDistance, Executor, Query, QueryPlan, ReducedEmdFilter, ReducedImFilter,
+    Database, EmdDistance, Executor, QueryPlan, ReducedEmdFilter, ReducedImFilter,
 };
 use flexemd::reduction::kmedoids::kmedoids_reduction;
 use flexemd::reduction::{CombiningReduction, ReducedEmd};
@@ -83,17 +83,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scan_stats.refinements, stats.refinements
     );
 
-    // --- Parallel batch execution ----------------------------------------
-    // The same plan answers a whole workload across worker threads; the
-    // results are bit-identical to issuing the queries one at a time.
-    let workload: Vec<Query> = queries.iter().map(|q| Query::knn(q.clone(), 5)).collect();
-    let (sequential, _) = chain.run_batch(&workload, 1)?;
-    let (parallel, batch_stats) = chain.run_batch(&workload, 4)?;
-    assert_eq!(sequential, parallel, "threads never change answers");
-    println!(
-        "\nbatch of {} queries on 4 threads: {} total refinements, identical answers",
-        workload.len(),
-        batch_stats.refinements
-    );
     Ok(())
 }

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .cloned()
         .collect();
-    let flows = FlowSample::from_histograms(&sample, &cost)?;
+    let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1)?;
     let kmed = kmedoids_reduction(&cost, d_red, &mut rng)?.reduction;
     let optimized = fb_all(kmed, &flows, &cost, FbOptions::default());
     println!(

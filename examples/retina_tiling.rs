@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .cloned()
         .collect();
-    let flows = FlowSample::from_histograms(&sample, &cost)?;
+    let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1)?;
     let fb = fb_mod(kmed.clone(), &flows, &cost, FbOptions::default()).reduction;
     let kmed16 = kmedoids_reduction(&cost, 16, &mut rng)?.reduction;
     let fb16 = fb_mod(kmed16.clone(), &flows, &cost, FbOptions::default()).reduction;

@@ -861,8 +861,10 @@ fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliErr
 }
 
 fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
-    if options.values.contains_key("wal") {
-        return serve_dynamic(options, stdout);
+    match (options.flag("index"), options.flag("wal")) {
+        (true, true) => return Err("`serve` takes --index or --wal, not both".to_owned().into()),
+        (_, true) => return serve_dynamic(options, stdout),
+        _ => {}
     }
     let fault_plan = fault_options(options)?;
 

@@ -490,6 +490,38 @@ fn ingest_into_an_existing_directory_rejects_reduction_options() {
     assert!(text.contains("records    : 30"), "{text}");
 }
 
+/// `serve` reads one corpus: given both a static index and a durable
+/// directory it serves neither, rather than silently picking one.
+#[test]
+fn serve_rejects_index_beside_wal() {
+    let (dir, data, index) = corpus_and_index("serve_index_beside_wal");
+    let wal = dir.join("wal");
+    let (wal, data, index) = (
+        wal.to_str().unwrap(),
+        data.to_str().unwrap(),
+        index.to_str().unwrap(),
+    );
+    let created = flexemd()
+        .args(["ingest", "--wal", wal, "--data", data])
+        .output()
+        .unwrap();
+    assert!(created.status.success());
+    // Stdin is closed, so a server that did start would drain and exit.
+    fails_with(
+        &[
+            "serve",
+            "--index",
+            index,
+            "--wal",
+            wal,
+            "--addr",
+            "127.0.0.1:0",
+            "--drain-stdin",
+        ],
+        "error: `serve` takes --index or --wal, not both",
+    );
+}
+
 #[test]
 fn range_query_prints_range_heading() {
     let (_dir, _data, index) = corpus_and_index("range_query_prints_range_heading");

@@ -9,7 +9,7 @@ use flexemd::data::gaussian::{self, GaussianParams};
 use flexemd::data::tiling::{self, TilingParams};
 use flexemd::query::scan::brute_force_knn;
 use flexemd::query::{
-    Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter, ReducedImFilter,
+    Database, EmdDistance, Executor, Filter, QueryPlan, ReducedEmdFilter, ReducedImFilter,
 };
 use flexemd::reduction::fb::{fb_all, fb_mod, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
@@ -42,7 +42,7 @@ fn tiling_corpus_full_pipeline_is_complete() {
         .into_iter()
         .cloned()
         .collect();
-    let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+    let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
     let kmed = kmedoids_reduction(&cost, 6, &mut rng).unwrap().reduction;
     let reductions = vec![
         ("grid", block_merge(6, 4, 2, 2).unwrap()),
@@ -80,14 +80,6 @@ fn tiling_corpus_full_pipeline_is_complete() {
             assert!(stats.refinements <= database.len());
             assert!(stats.refinements >= 5);
         }
-
-        // The same plan answers the whole workload in a threaded batch,
-        // bit-identical to the sequential loop above.
-        let workload: Vec<Query> = queries.iter().map(|q| Query::knn(q.clone(), 5)).collect();
-        let (sequential, seq_stats) = pipeline.run_batch(&workload, 1).unwrap();
-        let (parallel, par_stats) = pipeline.run_batch(&workload, 3).unwrap();
-        assert_eq!(sequential, parallel, "strategy {name}: batch diverged");
-        assert_eq!(seq_stats, par_stats);
     }
 }
 
@@ -110,7 +102,7 @@ fn flow_based_filters_are_tighter_on_average() {
         .into_iter()
         .cloned()
         .collect();
-    let flows = FlowSample::from_histograms(&sample, &cost).unwrap();
+    let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
     let kmed = kmedoids_reduction(&cost, 6, &mut rng).unwrap().reduction;
     let fb = fb_all(kmed.clone(), &flows, &cost, FbOptions::default()).reduction;
 
