@@ -1,12 +1,14 @@
 //! The reconstructed experiment suite (see DESIGN.md section 5 and
 //! EXPERIMENTS.md). Each function regenerates one table/figure.
 
+use crate::pca::pca_guided_reduction;
 use crate::report::{fnum, Table};
 use crate::setup::{
     anchor_chain_executor, build_reduction, chained_executor, checked, color_bench, flow_sample,
     mean_tightness_ratio, measure_knn, red_emd_executor, refiner, scan_executor, tiling_bench,
     Bench, Scale, Strategy,
 };
+use crate::workload::Workload;
 use emd_core::ground::Metric;
 use emd_core::{Budget, Histogram};
 use emd_query::{
@@ -16,7 +18,6 @@ use emd_query::{
 use emd_reduction::fb::{fb_all, fb_mod, FbOptions};
 use emd_reduction::flow_sample::draw_sample;
 use emd_reduction::kmedoids::kmedoids_reduction;
-use emd_reduction::pca::pca_guided_reduction;
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -524,7 +525,7 @@ pub fn e11(scale: &Scale, _quick: bool) -> Table {
     let flows = flow_sample(&bench, scale.sample, SEED ^ 0xf10);
     // Definition 6: epsilon_i = exact k-NN distance of query i (k = 10),
     // so range results coincide with the k-NN results.
-    let workload = emd_data::Workload::range_from_knn(
+    let workload = Workload::range_from_knn(
         bench.queries.clone(),
         bench.database.histograms(),
         &bench.cost,

@@ -16,12 +16,17 @@
 //!   `a1..a5`), each returning a [`report::Table`].
 //! * [`vptree`] — the metric-index baseline A4 compares the filter
 //!   pipeline against.
+//! * [`pca`] — the PCA-guided combining reduction of ablation A3.
+//! * [`workload`] — Definition 6's query workloads with calibrated range
+//!   thresholds, for E11.
 //!
 //! Run `cargo run --release -p emd-bench --bin experiments -- all` for the
 //! full suite, or pass experiment ids (`e1 e5 a2 ...`). `--full` scales
 //! the corpora up to paper-like sizes (slower).
 
 pub mod experiments;
+pub mod pca;
 pub mod report;
 pub mod setup;
 pub mod vptree;
+pub mod workload;

@@ -4,9 +4,8 @@
 //! * [`certify_report`] — an [`EmdReport`]'s flows must conserve the
 //!   operand masses in *original* bin indices and cost exactly the stated
 //!   distance (Definition 1 feasibility).
-//! * [`debug_check_lower_bound`] / [`debug_check_sandwich`] — the
-//!   lower-bound property of Theorem 1 (`LB <= EMD`) and the sandwich
-//!   `LB <= EMD <= UB`, asserted wherever both quantities are available in
+//! * [`debug_check_lower_bound`] — the lower-bound property of Theorem 1
+//!   (`LB <= EMD`), asserted wherever both quantities are available in
 //!   debug builds.
 //!
 //! The `debug_*` hooks are compiled out of release builds; the plain
@@ -171,7 +170,12 @@ pub fn certify_report(
 /// Debug-build hook: certify `report` and panic with the violation if it
 /// fails. Compiled out of release builds.
 #[inline]
-pub fn debug_certify_report(x: &Histogram, y: &Histogram, cost: &CostMatrix, report: &EmdReport) {
+pub(crate) fn debug_certify_report(
+    x: &Histogram,
+    y: &Histogram,
+    cost: &CostMatrix,
+    report: &EmdReport,
+) {
     if cfg!(debug_assertions) {
         if let Err(violation) = certify_report(x, y, cost, report, CERT_EPS) {
             // lint: allow(panic): the debug-build certificate hook exists to abort on solver bugs
@@ -191,19 +195,6 @@ pub fn debug_check_lower_bound(name: &str, lower: f64, exact: f64) {
         "{name} = {lower} exceeds the exact EMD {exact} \
          (excess {:.3e}): the lower-bound property is violated",
         lower - exact
-    );
-}
-
-/// Debug-build hook for the full sandwich `lower <= exact <= upper`
-/// within [`BOUND_EPS`]. Compiled out of release builds.
-#[inline]
-pub fn debug_check_sandwich(name: &str, lower: f64, exact: f64, upper: f64) {
-    debug_check_lower_bound(name, lower, exact);
-    debug_assert!(
-        exact <= upper + BOUND_EPS,
-        "{name}: exact EMD {exact} exceeds the upper bound {upper} \
-         (excess {:.3e})",
-        exact - upper
     );
 }
 
@@ -287,9 +278,10 @@ mod tests {
         debug_check_lower_bound("test-bound", 2.0, 1.0);
     }
 
+    /// `LB <= EMD`, equality included, passes the hook.
     #[test]
     fn sandwich_accepts_valid_ordering() {
-        debug_check_sandwich("test-bound", 0.5, 1.0, 1.5);
+        debug_check_lower_bound("test-bound", 0.5, 1.0);
         debug_check_lower_bound("test-bound", 1.0, 1.0);
     }
 }

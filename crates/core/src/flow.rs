@@ -59,19 +59,6 @@ impl FlowAccumulator {
     pub fn sums(&self) -> &[f64] {
         &self.sums
     }
-
-    /// Fold another accumulator of the same dimensionality into this one.
-    /// Used to combine per-thread partial accumulations.
-    pub fn merge(&mut self, other: &FlowAccumulator) {
-        assert_eq!(
-            self.dim, other.dim,
-            "cannot merge accumulators of different dimensionality"
-        );
-        for (sum, &partial) in self.sums.iter_mut().zip(other.sums.iter()) {
-            *sum += partial;
-        }
-        self.count += other.count;
-    }
 }
 
 #[cfg(test)]
@@ -95,27 +82,6 @@ mod tests {
         let acc = FlowAccumulator::new(2);
         assert_eq!(acc.average(), vec![0.0; 4]);
         assert_eq!(acc.count(), 0);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_sums() {
-        let mut a = FlowAccumulator::new(2);
-        a.add(&[(0, 1, 0.5)]);
-        let mut b = FlowAccumulator::new(2);
-        b.add(&[(0, 1, 0.1), (1, 0, 0.9)]);
-        b.add(&[(1, 1, 1.0)]);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!((a.sums()[1] - 0.6).abs() < 1e-12);
-        assert!((a.sums()[2] - 0.9).abs() < 1e-12);
-        assert!((a.sums()[3] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "different dimensionality")]
-    fn merge_rejects_dim_mismatch() {
-        let mut a = FlowAccumulator::new(2);
-        a.merge(&FlowAccumulator::new(3));
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod lower_bounds;
 
 pub use context::{emd_in_context, emd_in_context_within, EmdContext};
 pub use cost::CostMatrix;
-pub use emd::{emd, emd_1d_manhattan, emd_with_flows, EmdReport};
+pub use emd::{emd, emd_with_flows, EmdReport};
 pub use error::CoreError;
 pub use histogram::Histogram;
 

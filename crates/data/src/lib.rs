@@ -3,8 +3,8 @@
 
 //! # emd-data
 //!
-//! Synthetic multimedia data sets, query workloads and dataset IO for the
-//! EMD retrieval experiments.
+//! Synthetic multimedia data sets and dataset IO for the EMD retrieval
+//! experiments.
 //!
 //! The paper evaluates on real image corpora (retina images with spatial
 //! grid features; medical radiographs with high-dimensional histograms)
@@ -20,8 +20,6 @@
 //!   mixtures quantized into an `n^3` color-cube histogram.
 //! * [`gaussian`] — 1-D mixture histograms over a chain; small and fast,
 //!   used by examples and tests.
-//! * [`workload`] — k-NN and range-query workloads with paper-style
-//!   epsilon calibration (Definition 6).
 //! * [`Dataset`] / [`io`] — a bundled corpus (histograms + labels + ground
 //!   distance) with JSON (de)serialization.
 //!
@@ -34,7 +32,5 @@ pub mod gaussian;
 pub mod io;
 pub mod tiling;
 mod util;
-pub mod workload;
 
 pub use dataset::{Dataset, ValidateError};
-pub use workload::Workload;

@@ -36,7 +36,7 @@ pub enum Site {
     /// A store-layer file read (manifest or segment). Occurrences are
     /// counted in the order the reader issues them.
     StoreRead,
-    /// Entry into a transport solve (simplex or SSP). Occurrences are
+    /// Entry into a transport simplex solve. Occurrences are
     /// counted per [`FaultInjector`] across all solves it observes.
     Solve,
     /// A panic-isolated query, identified by the ordinal its caller

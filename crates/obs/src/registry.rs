@@ -74,11 +74,6 @@ impl DurationHistogram {
         self.sum_nanos
     }
 
-    /// Mean observed duration in nanoseconds (`None` when empty).
-    pub fn mean_nanos(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum_nanos as f64 / self.count as f64)
-    }
-
     /// Smallest observation in nanoseconds (`None` when empty).
     pub fn min_nanos(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min_nanos)
@@ -214,7 +209,7 @@ impl MetricsRegistry {
     }
 
     /// Append a span event (event-logging scopes only).
-    pub fn push_event(&mut self, event: SpanEvent) {
+    pub(crate) fn push_event(&mut self, event: SpanEvent) {
         self.events.push(event);
     }
 
@@ -333,14 +328,13 @@ mod tests {
     #[test]
     fn histogram_records_and_summarizes() {
         let mut h = DurationHistogram::default();
-        assert_eq!(h.mean_nanos(), None);
+        assert_eq!(h.min_nanos(), None);
         h.record(10);
         h.record(30);
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum_nanos(), 40);
         assert_eq!(h.min_nanos(), Some(10));
         assert_eq!(h.max_nanos(), Some(30));
-        assert_eq!(h.mean_nanos(), Some(20.0));
         // 10 and 30 land in buckets [8,16) and [16,32): bounds 15 and 31.
         let buckets: Vec<_> = h.buckets().collect();
         assert_eq!(buckets, vec![(15, 1), (31, 1)]);

@@ -16,7 +16,7 @@ pub struct Span {
 
 impl Span {
     /// A span that records nothing (used when tracing is disabled).
-    pub fn inert() -> Self {
+    fn inert() -> Self {
         Span { inner: None }
     }
 }

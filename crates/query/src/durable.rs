@@ -75,10 +75,10 @@ pub const CHECKPOINT_SCHEMA: &str = "flexemd-durable/v1";
 pub const CHECKPOINT_FILE: &str = "CURRENT";
 
 /// File name of the base segment (cost matrix + reductions).
-pub const BASE_SEGMENT: &str = "base.seg";
+const BASE_SEGMENT: &str = "base.seg";
 
 /// File name of the advisory directory lock.
-pub const LOCK_FILE: &str = "LOCK";
+const LOCK_FILE: &str = "LOCK";
 
 /// Failures of the durable index: persistence errors keep their store
 /// typing, engine errors keep their query typing.

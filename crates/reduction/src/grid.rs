@@ -3,10 +3,10 @@
 //!
 //! For image features on a `width x height` tiling, \[14\] builds a
 //! hierarchy of filters by merging *spatially adjacent* tiles, shrinking
-//! the dimensionality by a fixed factor of 4 per level (2x2 blocks). The
-//! functions here express that scheme — and arbitrary block sizes — as
-//! [`CombiningReduction`]s, making the fixed hierarchy directly comparable
-//! to the paper's flexible reductions in the benches.
+//! the dimensionality by a fixed factor of 4 per level (2x2 blocks).
+//! [`block_merge`] expresses one level of that scheme — at any block size
+//! — as a [`CombiningReduction`], making it directly comparable to the
+//! paper's flexible reductions (`flexemd build-index --reduction grid:N`).
 
 use crate::matrix::CombiningReduction;
 use crate::ReductionError;
@@ -42,29 +42,6 @@ pub fn block_merge(
     CombiningReduction::new(assignment, blocks_x * blocks_y)
 }
 
-/// The fixed factor-4 hierarchy of \[14\]: level 0 is the identity, each
-/// further level merges 2x2 blocks of the previous level's tiles.
-/// Returns the reductions from original resolution down to a single tile
-/// (the last level where the grid still shrinks).
-///
-/// # Errors
-///
-/// Returns [`ReductionError`] when either side of the grid is zero.
-pub fn hierarchy(width: usize, height: usize) -> Result<Vec<CombiningReduction>, ReductionError> {
-    let mut levels = Vec::new();
-    let mut block = 1usize;
-    loop {
-        let reduction = block_merge(width, height, block, block)?;
-        let done = reduction.reduced_dim() == 1;
-        levels.push(reduction);
-        if done {
-            break;
-        }
-        block *= 2;
-    }
-    Ok(levels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,21 +70,6 @@ mod tests {
         assert_eq!(r.target_of(4), 2);
         // Bin (0, 2) lives in block row 1.
         assert_eq!(r.target_of(10), 3);
-    }
-
-    #[test]
-    fn hierarchy_shrinks_by_factor_four() {
-        let levels = hierarchy(8, 8).unwrap();
-        let dims: Vec<usize> = levels.iter().map(|r| r.reduced_dim()).collect();
-        assert_eq!(dims, vec![64, 16, 4, 1]);
-    }
-
-    #[test]
-    fn hierarchy_on_non_square_grid() {
-        let levels = hierarchy(12, 8).unwrap();
-        let dims: Vec<usize> = levels.iter().map(|r| r.reduced_dim()).collect();
-        // 12x8 -> 6x4 -> 3x2 -> 2x1 -> 1x1
-        assert_eq!(dims, vec![96, 24, 6, 2, 1]);
     }
 
     #[test]

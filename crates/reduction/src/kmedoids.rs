@@ -202,9 +202,11 @@ mod tests {
         assert_eq!(result.total_distance, 0.0);
         assert_eq!(result.reduction.reduced_dim(), 4);
         // Every dimension alone in its group.
-        for target in 0..4 {
-            assert_eq!(result.reduction.group_size(target), 1);
-        }
+        assert!(result
+            .reduction
+            .groups()
+            .iter()
+            .all(|group| group.len() == 1));
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //!   Section 3.3.
 //! * [`flow_sample`] / [`tightness`] / [`fb`] — the data-dependent
 //!   flow-based reductions FB-Mod and FB-All of Section 3.4 (Figures 6-9).
-//! * [`exhaustive`] — globally optimal reductions by enumeration (tiny
-//!   dimensionalities only; used to validate the heuristics).
 //! * [`grid`] — the grid-merging special case of reference \[14\] that the
 //!   paper generalizes.
-//! * [`pca`] — a PCA-guided combining reduction, standing in for the
-//!   paper's (negative) PCA experiment; see DESIGN.md.
+//!
+//! The crate holds what `flexemd build-index` and `ingest` train. Two
+//! pieces of Section 3 live with their only callers: the exhaustive
+//! optimum (§3.2.2) is the test oracle in `tests/support/exhaustive.rs`,
+//! and the PCA-guided reduction (§3.1's negative result) is
+//! `emd_bench::pca`, for experiment A3.
 //!
 //! Reduction construction is offline preprocessing, so this crate carries
 //! no `emd-obs` instrumentation of its own; the flow samples it draws run
@@ -33,13 +35,11 @@
 //! that preprocessing cost visible when recorded.
 
 mod error;
-pub mod exhaustive;
 pub mod fb;
 pub mod flow_sample;
 pub mod grid;
 pub mod kmedoids;
 mod matrix;
-pub mod pca;
 mod persist;
 mod reduced_cost;
 mod reduced_emd;

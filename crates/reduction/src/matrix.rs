@@ -75,35 +75,6 @@ impl CombiningReduction {
         })
     }
 
-    /// Build a reduction from explicit groups: `groups[i']` lists the
-    /// original dimensions combined into reduced dimension `i'`. The
-    /// groups must partition `0..d`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReductionError`] when the groups do not partition `0..d`:
-    /// an empty group, a duplicated dimension, or a gap.
-    pub fn from_groups(groups: &[Vec<usize>]) -> Result<Self, ReductionError> {
-        let original_dim: usize = groups.iter().map(Vec::len).sum();
-        let mut assignment = vec![usize::MAX; original_dim];
-        for (target, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                return Err(ReductionError::EmptyReducedDimension(target));
-            }
-            for &original in group {
-                if original >= original_dim || assignment[original] != usize::MAX {
-                    return Err(ReductionError::AssignmentOutOfRange {
-                        original,
-                        target,
-                        reduced_dim: groups.len(),
-                    });
-                }
-                assignment[original] = target;
-            }
-        }
-        Self::new(assignment, groups.len())
-    }
-
     /// The identity reduction (`d' = d`, every dimension its own group).
     ///
     /// # Errors
@@ -163,12 +134,6 @@ impl CombiningReduction {
         &self.assignment
     }
 
-    /// Number of original dimensions in reduced dimension `target`.
-    #[inline]
-    pub fn group_size(&self, target: usize) -> usize {
-        self.group_sizes[target] as usize
-    }
-
     /// Materialize the groups: `groups()[i']` lists the original
     /// dimensions combined into `i'`.
     pub fn groups(&self) -> Vec<Vec<usize>> {
@@ -183,7 +148,7 @@ impl CombiningReduction {
     /// `target`. Returns `false` (and leaves the reduction unchanged) if
     /// the move would empty the source group, which would violate
     /// restriction (8); the flow-based optimizers skip such moves.
-    pub fn try_reassign(&mut self, original: usize, target: usize) -> bool {
+    pub(crate) fn try_reassign(&mut self, original: usize, target: usize) -> bool {
         debug_assert!(original < self.assignment.len() && target < self.reduced_dim);
         let source = self.assignment[original] as usize;
         if source == target {
@@ -218,18 +183,6 @@ impl CombiningReduction {
         }
         Ok(Histogram::new(reduced)?)
     }
-
-    /// Materialize the reduction as the dense 0/1 matrix of Definition 2,
-    /// row-major `d x d'`. Intended for tests and documentation; the
-    /// compact assignment representation is used everywhere else.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let d = self.assignment.len();
-        let mut dense = vec![0.0; d * self.reduced_dim];
-        for (i, &target) in self.assignment.iter().enumerate() {
-            dense[i * self.reduced_dim + target as usize] = 1.0;
-        }
-        dense
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +194,6 @@ mod tests {
         let r = CombiningReduction::new(vec![0, 0, 1, 1], 2).unwrap();
         assert_eq!(r.original_dim(), 4);
         assert_eq!(r.reduced_dim(), 2);
-        assert_eq!(r.group_size(0), 2);
         assert_eq!(r.groups(), vec![vec![0, 1], vec![2, 3]]);
     }
 
@@ -275,23 +227,6 @@ mod tests {
             CombiningReduction::new(vec![0], 2).unwrap_err(),
             ReductionError::InvalidTargetDimension { .. }
         ));
-    }
-
-    #[test]
-    fn from_groups_roundtrip() {
-        let groups = vec![vec![0, 3], vec![1], vec![2, 4]];
-        let r = CombiningReduction::from_groups(&groups).unwrap();
-        assert_eq!(r.groups(), groups);
-        assert_eq!(r.target_of(3), 0);
-        assert_eq!(r.target_of(4), 2);
-    }
-
-    #[test]
-    fn from_groups_rejects_non_partition() {
-        // Dimension 1 appears twice.
-        assert!(CombiningReduction::from_groups(&[vec![0, 1], vec![1]]).is_err());
-        // Empty group.
-        assert!(CombiningReduction::from_groups(&[vec![0, 1], vec![]]).is_err());
     }
 
     #[test]
@@ -348,17 +283,13 @@ mod tests {
     #[test]
     fn dense_matrix_satisfies_definition_three() {
         let r = CombiningReduction::new(vec![0, 1, 1, 0], 2).unwrap();
-        let dense = r.to_dense();
-        // Restriction (6)/(7): each row sums to 1 with 0/1 entries.
-        for i in 0..4 {
-            let row = &dense[i * 2..(i + 1) * 2];
-            assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-            assert!(row.iter().all(|&x| x == 0.0 || x == 1.0));
-        }
-        // Restriction (8): each column sums to >= 1.
-        for j in 0..2 {
-            let col_sum: f64 = (0..4).map(|i| dense[i * 2 + j]).sum();
-            assert!(col_sum >= 1.0);
-        }
+        let groups = r.groups();
+        // Restrictions (6)/(7): every row of the 0/1 matrix holds exactly
+        // one 1, i.e. every original dimension sits in exactly one group.
+        let mut members: Vec<usize> = groups.iter().flatten().copied().collect();
+        members.sort_unstable();
+        assert_eq!(members, vec![0, 1, 2, 3]);
+        // Restriction (8): every column holds at least one 1.
+        assert!(groups.iter().all(|group| !group.is_empty()));
     }
 }

@@ -111,20 +111,6 @@ impl TightnessEvaluator {
     }
 }
 
-/// The aggregated flow matrix `aggrFlow(F, R, ., .)` as a dense
-/// `d' x d'` buffer (Equation 11). Exposed for tests and diagnostics.
-pub fn aggregate_flows(flows: &FlowSample, r: &CombiningReduction) -> Vec<f64> {
-    let d = flows.dim();
-    let d_red = r.reduced_dim();
-    let mut aggregated = vec![0.0; d_red * d_red];
-    for i in 0..d {
-        for j in 0..d {
-            aggregated[r.target_of(i) * d_red + r.target_of(j)] += flows.flow(i, j);
-        }
-    }
-    aggregated
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,6 +185,21 @@ mod tests {
         assert!(evaluator
             .tightness_with_reassignment(&flows, &cost, &mut r, 0, 1)
             .is_none());
+    }
+
+    /// The aggregated flow matrix `aggrFlow(F, R, ., .)` as a dense
+    /// `d' x d'` buffer (Equation 11), summed cell by cell: the oracle
+    /// the evaluator's incremental aggregation is checked against.
+    fn aggregate_flows(flows: &FlowSample, r: &CombiningReduction) -> Vec<f64> {
+        let d = flows.dim();
+        let d_red = r.reduced_dim();
+        let mut aggregated = vec![0.0; d_red * d_red];
+        for i in 0..d {
+            for j in 0..d {
+                aggregated[r.target_of(i) * d_red + r.target_of(j)] += flows.flow(i, j);
+            }
+        }
+        aggregated
     }
 
     #[test]

@@ -5,8 +5,9 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::{CostMatrix, Histogram};
-use emd_reduction::exhaustive::optimal_by_tightness;
+mod support;
+
+use emd_core::{ground, CostMatrix, Histogram};
 use emd_reduction::fb::{fb_all, fb_mod, FbOptions};
 use emd_reduction::flow_sample::FlowSample;
 use emd_reduction::kmedoids::kmedoids_reduction;
@@ -15,6 +16,7 @@ use emd_reduction::CombiningReduction;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::exhaustive::{for_each_partition, optimal_by_tightness, stirling2};
 
 const DIM: usize = 7;
 
@@ -127,4 +129,59 @@ proptest! {
             .fold(f64::INFINITY, f64::min);
         prop_assert!(single.total_distance >= best_column - 1e-9);
     }
+}
+
+#[test]
+fn partition_count_matches_stirling() {
+    for (d, k) in [(4, 2), (5, 3), (6, 2), (6, 4)] {
+        let mut count = 0u128;
+        for_each_partition(d, k, |_| count += 1);
+        assert_eq!(count, stirling2(d, k), "partitions of {d} into {k}");
+    }
+}
+
+#[test]
+fn stirling_known_values() {
+    assert_eq!(stirling2(0, 0), 1);
+    assert_eq!(stirling2(4, 2), 7);
+    assert_eq!(stirling2(5, 3), 25);
+    assert_eq!(stirling2(10, 5), 42525);
+    assert_eq!(stirling2(3, 5), 0);
+}
+
+#[test]
+fn partitions_are_valid_reductions() {
+    for_each_partition(5, 3, |assignment| {
+        assert!(CombiningReduction::new(assignment.to_vec(), 3).is_ok());
+    });
+}
+
+#[test]
+fn exhaustive_tightness_dominates_fb_all() {
+    // The oracle is a global optimum, so it must match or beat the
+    // heuristic.
+    let cost = ground::linear(6).unwrap();
+    let mut flows_dense = vec![0.0; 36];
+    // Concentrated flows between 0<->5 and 1<->2.
+    flows_dense[5] = 0.3;
+    flows_dense[30] = 0.3;
+    flows_dense[8] = 0.2;
+    flows_dense[13] = 0.2;
+    let flows = FlowSample::from_dense(6, flows_dense).unwrap();
+    let (_, best_tightness) = optimal_by_tightness(&flows, &cost, 3).unwrap();
+    let heuristic = fb_all(
+        CombiningReduction::base(6, 3).unwrap(),
+        &flows,
+        &cost,
+        FbOptions::default(),
+    );
+    assert!(best_tightness >= heuristic.tightness - 1e-12);
+}
+
+#[test]
+fn exhaustive_rejects_invalid_k() {
+    let flows = FlowSample::from_dense(3, vec![0.0; 9]).unwrap();
+    let cost = ground::linear(3).unwrap();
+    assert!(optimal_by_tightness(&flows, &cost, 0).is_err());
+    assert!(optimal_by_tightness(&flows, &cost, 4).is_err());
 }

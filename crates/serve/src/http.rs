@@ -305,7 +305,7 @@ impl Response {
 
     /// Attach an extra header.
     #[must_use]
-    pub fn with_header(mut self, name: &'static str, value: String) -> Self {
+    pub(crate) fn with_header(mut self, name: &'static str, value: String) -> Self {
         self.headers.push((name, value));
         self
     }
@@ -316,7 +316,7 @@ impl Response {
     /// # Errors
     ///
     /// Returns the underlying I/O error when the socket write fails.
-    pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
         let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason);
         for (name, value) in &self.headers {
             head.push_str(name);

@@ -133,7 +133,7 @@ impl ShutdownHandle {
 
     /// Whether a drain has been requested.
     #[must_use]
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 }

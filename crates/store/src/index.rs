@@ -30,7 +30,7 @@ use crate::sections;
 use crate::segment::{SectionKind, SegmentReader, SegmentWriter};
 
 /// Database segment file name inside an index directory.
-pub const DATABASE_SEGMENT: &str = "database.seg";
+pub(crate) const DATABASE_SEGMENT: &str = "database.seg";
 
 /// Section name of the histogram arena in the database segment.
 const SECTION_HISTOGRAMS: &str = "histograms";

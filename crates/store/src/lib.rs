@@ -49,9 +49,7 @@ pub mod wal;
 /// `emd_store::json::{self, Value}`. Goes once the benchmark is repointed.
 pub use ::emd_json as json;
 pub use error::StoreError;
-pub use index::{
-    open_index, open_index_with, save_index, save_index_with, StoredIndex, DATABASE_SEGMENT,
-};
+pub use index::{open_index, open_index_with, save_index, save_index_with, StoredIndex};
 pub use manifest::{Manifest, ManifestReduction, MANIFEST_FILE, SCHEMA};
 pub use sections::StoredClustering;
 pub use segment::{SectionKind, SegmentReader, SegmentWriter};

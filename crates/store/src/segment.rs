@@ -35,16 +35,16 @@ use crate::crc32;
 use crate::error::StoreError;
 
 /// Magic bytes every segment file starts with.
-pub const MAGIC: [u8; 8] = *b"FXEMDSEG";
+const MAGIC: [u8; 8] = *b"FXEMDSEG";
 
 /// Major format version this build writes and reads. A mismatch is a
 /// hard [`StoreError::VersionSkew`].
-pub const VERSION_MAJOR: u16 = 1;
+pub(crate) const VERSION_MAJOR: u16 = 1;
 
 /// Minor format version this build writes. Files with a *smaller or
 /// equal* minor open fine; a larger minor means the file may carry
 /// constructs this build does not understand and is rejected.
-pub const VERSION_MINOR: u16 = 0;
+pub(crate) const VERSION_MINOR: u16 = 0;
 
 /// Byte length of the fixed file header (magic + version + count).
 const FILE_HEADER_LEN: u64 = 16;
@@ -82,7 +82,7 @@ impl SectionKind {
     }
 
     /// Decode an on-disk tag.
-    pub fn from_tag(tag: u32) -> Option<Self> {
+    fn from_tag(tag: u32) -> Option<Self> {
         match tag {
             1 => Some(SectionKind::HistogramArena),
             2 => Some(SectionKind::CostMatrix),
@@ -465,7 +465,7 @@ impl SegmentReader {
     ///
     /// Returns [`StoreError::Invalid`] when a section named `name`
     /// exists but carries the wrong kind tag.
-    pub fn maybe_section(
+    pub(crate) fn maybe_section(
         &self,
         kind: SectionKind,
         name: &str,

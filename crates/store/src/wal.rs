@@ -70,19 +70,16 @@ use crate::error::StoreError;
 use crate::sections::Payload;
 
 /// Magic bytes every WAL file starts with.
-pub const WAL_MAGIC: [u8; 8] = *b"FXEMDWAL";
+const WAL_MAGIC: [u8; 8] = *b"FXEMDWAL";
 
 /// Major WAL format version; a mismatch is [`StoreError::VersionSkew`].
-pub const WAL_VERSION_MAJOR: u16 = 1;
+const WAL_VERSION_MAJOR: u16 = 1;
 
 /// Minor WAL format version; files with a larger minor are rejected.
-pub const WAL_VERSION_MINOR: u16 = 0;
+const WAL_VERSION_MINOR: u16 = 0;
 
 /// Byte length of the fixed file header (magic + version).
-pub const WAL_HEADER_LEN: u64 = 12;
-
-/// Byte length of one record frame header (kind + lsn + len + crc).
-pub const RECORD_HEADER_LEN: u64 = 24;
+const WAL_HEADER_LEN: u64 = 12;
 
 /// On-disk tag of an insert record.
 const KIND_INSERT: u32 = 1;
@@ -539,7 +536,7 @@ fn valid_frame_follows(bytes: &[u8], from: usize) -> bool {
 /// # Errors
 ///
 /// Same contract as [`replay`].
-pub fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
+fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
     let header_len = usize::try_from(WAL_HEADER_LEN)
         .map_err(|_| StoreError::invalid(path, "wal-header", "header length overflows usize"))?;
     let Some(header) = bytes.get(..header_len) else {

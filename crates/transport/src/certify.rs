@@ -224,7 +224,11 @@ pub fn certify_basis(
 /// the offending solver's name if it fails. Compiled out of release
 /// builds.
 #[inline]
-pub fn debug_certify_solution(problem: &TransportProblem, solution: &Solution, solver: &str) {
+pub(crate) fn debug_certify_solution(
+    problem: &TransportProblem,
+    solution: &Solution,
+    solver: &str,
+) {
     if cfg!(debug_assertions) {
         if let Err(violation) = certify_solution(problem, solution, CERT_EPS) {
             // lint: allow(panic): the debug-build certificate hook exists to abort on solver bugs
@@ -236,7 +240,7 @@ pub fn debug_certify_solution(problem: &TransportProblem, solution: &Solution, s
 /// Debug-build hook: certify `basis` and panic with the violation if it
 /// fails. Compiled out of release builds.
 #[inline]
-pub fn debug_certify_basis(problem: &TransportProblem, basis: &InitialBasis) {
+pub(crate) fn debug_certify_basis(problem: &TransportProblem, basis: &InitialBasis) {
     if cfg!(debug_assertions) {
         if let Err(violation) = certify_basis(problem, basis, CERT_EPS) {
             // lint: allow(panic): the debug-build certificate hook exists to abort on solver bugs

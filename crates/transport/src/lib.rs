@@ -13,20 +13,17 @@
 //!            f[i][j] >= 0
 //! ```
 //!
-//! Two independent exact solvers are provided:
+//! The solver is the **transportation simplex** (MODI / u-v method) with a
+//! Vogel-approximation initial basis, used by `emd-core` for every EMD
+//! computation; its typical runtime is superlinear (empirically ~cubic) in
+//! the number of bins, which is the very cost the SIGMOD 2008 paper's
+//! dimensionality reduction attacks. It accepts rectangular cost matrices
+//! (`m` sources, `n` targets), which the paper needs for reduced EMDs with
+//! differing query/database dimensionalities (`R1 != R2`).
 //!
-//! * [`solve`] — the **transportation simplex** (MODI / u-v method) with a
-//!   Vogel-approximation initial basis. This is the production solver used
-//!   by `emd-core` for all EMD computations; its typical runtime is
-//!   superlinear (empirically ~cubic) in the number of bins, which is the
-//!   very cost the SIGMOD 2008 paper's dimensionality reduction attacks.
-//! * [`ssp::solve_ssp`] — **successive shortest paths** with Dijkstra and
-//!   node potentials. Slower in practice but structurally unrelated to the
-//!   simplex, which makes it a trustworthy cross-check in tests.
-//!
-//! Both solvers accept rectangular cost matrices (`m` sources, `n` targets),
-//! which the paper needs for reduced EMDs with differing query/database
-//! dimensionalities (`R1 != R2`).
+//! Its cross-check is a structurally unrelated solver, successive shortest
+//! paths with Dijkstra and node potentials, which lives with the tests
+//! that use it (`tests/support/ssp.rs`).
 //!
 //! ## One entry
 //!
@@ -46,9 +43,8 @@
 //! [`TransportError::BudgetExhausted`] instead of spinning.
 //! Independently of any user budget, the simplex carries a per-solve
 //! pivot limit of `64 * (m + n) + 4096` under a hard cap of
-//! `100 * (m + n)^2 + 4096` ([`hard_iteration_cap`]), and
-//! [`ssp::solve_ssp`] its own augmentation cap, so a degenerate-cycling
-//! instance can never hang.
+//! `100 * (m + n)^2 + 4096` ([`hard_iteration_cap`]), so a
+//! degenerate-cycling instance can never hang.
 //!
 //! ## Warm starts
 //!
@@ -96,7 +92,6 @@ pub mod certify;
 mod error;
 mod problem;
 mod simplex;
-pub mod ssp;
 mod tree;
 mod vogel;
 mod workspace;

@@ -188,15 +188,6 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// Materialize the flows as a dense row-major `m x n` matrix.
-    pub fn dense_flows(&self, m: usize, n: usize) -> Vec<f64> {
-        let mut dense = vec![0.0; m * n];
-        for &(i, j, f) in &self.flows {
-            dense[i * n + j] += f;
-        }
-        dense
-    }
-
     /// Verify that the flows satisfy the source/target constraints of
     /// `problem` within tolerance `tol` and that the objective matches the
     /// flows. Intended for tests and debug assertions.
@@ -311,15 +302,5 @@ mod tests {
         assert_eq!(problem.cost(0, 2), 3.0);
         assert_eq!(problem.cost(1, 0), 4.0);
         assert_eq!(problem.cost_row(1), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn dense_flows_roundtrip() {
-        let solution = Solution {
-            objective: 1.0,
-            flows: vec![(0, 1, 0.5), (1, 0, 0.5)],
-        };
-        let dense = solution.dense_flows(2, 2);
-        assert_eq!(dense, vec![0.0, 0.5, 0.5, 0.0]);
     }
 }

@@ -150,8 +150,7 @@ impl SolverWorkspace {
     /// Whether a basis from a previous solve is available for the given
     /// tableau shape.
     #[must_use]
-    // lint: allow(unbudgeted): shape probe, performs no solver work
-    pub fn has_warm_basis(&self, m: usize, n: usize) -> bool {
+    pub(crate) fn has_warm_basis(&self, m: usize, n: usize) -> bool {
         self.warm_shape == Some((m, n))
     }
 

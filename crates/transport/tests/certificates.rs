@@ -7,12 +7,14 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use emd_transport::certify::CERT_EPS;
 use emd_transport::{
-    certify_basis, certify_solution, initial_basis, solve, ssp::solve_ssp, CertificateViolation,
-    TransportProblem,
+    certify_basis, certify_solution, initial_basis, solve, CertificateViolation, TransportProblem,
 };
 use proptest::prelude::*;
+use support::ssp::solve_ssp;
 
 /// Strategy: a normalized mass vector of the given length with at least one
 /// strictly positive entry.

@@ -5,8 +5,11 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_transport::{solve, ssp::solve_ssp, TransportProblem};
+mod support;
+
+use emd_transport::{solve, TransportProblem};
 use proptest::prelude::*;
+use support::ssp::solve_ssp;
 
 /// A mass vector where most entries are zero and several are *equal* —
 /// maximal tie pressure.

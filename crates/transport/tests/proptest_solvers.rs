@@ -7,8 +7,11 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_transport::{solve, ssp::solve_ssp, TransportProblem};
+mod support;
+
+use emd_transport::{solve, TransportProblem};
 use proptest::prelude::*;
+use support::ssp::solve_ssp;
 
 /// Strategy: a normalized mass vector of the given length with at least one
 /// strictly positive entry.
@@ -110,4 +113,65 @@ proptest! {
         let solution = solve(&problem).unwrap();
         prop_assert!(solution.objective.abs() < 1e-10);
     }
+}
+
+fn problem(supplies: Vec<f64>, demands: Vec<f64>, costs: Vec<f64>) -> TransportProblem {
+    TransportProblem::new(supplies, demands, costs).unwrap()
+}
+
+/// The paper's Figure 1 pair `(x, z)`: SSP finds EMD 1.6, as the simplex
+/// does.
+#[test]
+fn ssp_agrees_with_simplex_on_paper_example() {
+    let x = vec![0.5, 0.0, 0.2, 0.0, 0.3, 0.0];
+    let z = vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+    let costs: Vec<f64> = (0..6)
+        .flat_map(|i| (0..6).map(move |j| (i as f64 - j as f64).abs()))
+        .collect();
+    let p = problem(x, z, costs);
+    let a = solve(&p).unwrap();
+    let b = solve_ssp(&p).unwrap();
+    assert!((a.objective - b.objective).abs() < 1e-9);
+    assert!((b.objective - 1.6).abs() < 1e-9);
+    assert!(b.check_feasible(&p, 1e-9));
+}
+
+/// Zero-mass rows and columns get no arcs and no flow.
+#[test]
+fn ssp_handles_zero_mass_rows_and_cols() {
+    let p = problem(
+        vec![0.0, 1.0, 0.0],
+        vec![0.5, 0.0, 0.5],
+        vec![1.0, 1.0, 1.0, 2.0, 5.0, 4.0, 1.0, 1.0, 1.0],
+    );
+    let s = solve_ssp(&p).unwrap();
+    assert!((s.objective - 3.0).abs() < 1e-9);
+    assert!(s.check_feasible(&p, 1e-9));
+}
+
+/// Nothing to ship: objective 0, no flows.
+#[test]
+fn ssp_zero_total_mass() {
+    let p = problem(vec![0.0, 0.0], vec![0.0, 0.0], vec![1.0; 4]);
+    let s = solve_ssp(&p).unwrap();
+    assert_eq!(s.objective, 0.0);
+    assert!(s.flows.is_empty());
+}
+
+/// The classic 3x4 textbook instance `simplex::tests::textbook_instance`
+/// pins: the simplex and SSP agree on its optimum.
+#[test]
+fn textbook_instance_matches_ssp() {
+    let p = problem(
+        vec![15.0, 25.0, 10.0],
+        vec![5.0, 15.0, 15.0, 15.0],
+        vec![
+            10.0, 2.0, 20.0, 11.0, //
+            12.0, 7.0, 9.0, 20.0, //
+            4.0, 14.0, 16.0, 18.0,
+        ],
+    );
+    let simplex = solve(&p).unwrap();
+    let reference = solve_ssp(&p).unwrap();
+    assert!((simplex.objective - reference.objective).abs() < 1e-9);
 }

@@ -31,8 +31,9 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use emd_transport::certify::CERT_EPS;
-use emd_transport::ssp::solve_ssp;
 use emd_transport::{
     certify_solution, objective_slack, solve, solve_warm, solve_warm_objective, Bounded, Budget,
     SolverWorkspace, TransportProblem, WorkspaceStats,
@@ -40,6 +41,7 @@ use emd_transport::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::ssp::solve_ssp;
 
 /// Which ground cost a chain runs under.
 #[derive(Debug, Clone, Copy)]

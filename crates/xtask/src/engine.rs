@@ -51,9 +51,8 @@ pub const BUDGET_AUDIT_CRATES: [&str; 3] = ["transport", "query", "core"];
 
 /// Solver hot paths subject to the float-discipline lint, relative to
 /// the workspace root.
-pub const HOT_PATHS: [&str; 13] = [
+pub const HOT_PATHS: [&str; 12] = [
     "crates/transport/src/simplex.rs",
-    "crates/transport/src/ssp.rs",
     "crates/transport/src/vogel.rs",
     "crates/transport/src/tree.rs",
     "crates/transport/src/problem.rs",

@@ -11,6 +11,10 @@
 //! ratcheted against `lint-budget.toml` ([`budget`]) and exportable as
 //! schema-versioned JSON (`flexemd-lint/v1`).
 //!
+//! [`stats`] is the size counter behind `cargo xtask stats`: non-test
+//! lines per crate, `pub` item lines per library crate and the CLI's
+//! settable values, each table printed under its rule.
+//!
 //! See `DESIGN.md` §12 for the architecture and annotation grammar.
 
 #![forbid(unsafe_code)]
@@ -21,3 +25,4 @@ pub mod lexer;
 pub mod passes;
 pub mod report;
 pub mod source;
+pub mod stats;

@@ -1,5 +1,6 @@
-//! CLI driver for the repo-local static-analysis engine:
-//! `cargo xtask lint [--write-budget] [--json PATH|-] [--sites CLASS]`.
+//! Command-line entry point of the repo-local static-analysis engine,
+//! `cargo xtask lint [--write-budget] [--json PATH|-] [--sites CLASS]`,
+//! and the size counter, `cargo xtask stats` (no flags).
 //!
 //! The lints themselves live in the `xtask` library crate (lexer, pass
 //! engine, budgets, JSON report) so the test suite and the comparison
@@ -9,7 +10,10 @@
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
-use xtask::engine::{run_lint, Options};
+use xtask::engine::{run_lint, workspace_root, Options};
+
+const USAGE: &str =
+    "usage: cargo xtask lint [--write-budget] [--json PATH|-] [--sites CLASS]\n       cargo xtask stats";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,9 +42,7 @@ fn main() -> ExitCode {
                     }
                     other => {
                         eprintln!("unknown flag `{other}`");
-                        eprintln!(
-                            "usage: cargo xtask lint [--write-budget] [--json PATH|-] [--sites CLASS]"
-                        );
+                        eprintln!("{USAGE}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -63,8 +65,25 @@ fn main() -> ExitCode {
                 }
             }
         }
+        Some("stats") => {
+            if let Some(other) = args.get(1) {
+                eprintln!("unknown flag `{other}`: stats takes no flags");
+                eprintln!("{USAGE}");
+                return ExitCode::FAILURE;
+            }
+            match workspace_root().and_then(|root| xtask::stats::render(&root)) {
+                Ok(table) => {
+                    print!("{table}");
+                    ExitCode::SUCCESS
+                }
+                Err(error) => {
+                    eprintln!("{error}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
         _ => {
-            eprintln!("usage: cargo xtask lint [--write-budget] [--json PATH|-] [--sites CLASS]");
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }

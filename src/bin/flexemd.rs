@@ -51,6 +51,7 @@
 use flexemd::core::Histogram;
 use flexemd::data::{io as dataio, Dataset};
 use flexemd::faultkit::{FailPlan, InjectedPanic};
+use flexemd::query::durable::CHECKPOINT_FILE;
 use flexemd::query::{
     ClusteredIndex, Database, EmdDistance, Executor, QueryError, QueryMode, QueryOutcome,
     QueryPlan, ReducedImFilter,
@@ -61,6 +62,7 @@ use flexemd::reduction::grid::block_merge;
 use flexemd::reduction::kmedoids::kmedoids_reduction_restarts;
 use flexemd::reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use flexemd::serve::{QuerySpec, ServeConfig, Server, Snapshot};
+use flexemd::store::MANIFEST_FILE;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -289,6 +291,9 @@ fn generate(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let kind = options.required("kind")?;
     let out = options.path("out")?;
     let classes = options.numeric("classes", 6usize)?;
+    if classes == 0 {
+        return Err("--classes must be at least 1".to_owned().into());
+    }
     let per_class = options.numeric("per-class", 50usize)?;
     let seed = options.numeric("seed", 42u64)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -427,10 +432,24 @@ fn build_reduction(
     }
 }
 
+/// Refuse a directory that already holds the other index format, which
+/// `marker` names: a static index (`build-index`) and a durable one
+/// (`ingest`) never share a directory.
+fn refuse_other_format(dir: &Path, marker: &str, held: &str, verb: &str) -> Result<(), String> {
+    if dir.join(marker).exists() {
+        return Err(format!(
+            "{} already holds {held} ({marker}): `{verb}` needs a directory of its own",
+            dir.display()
+        ));
+    }
+    Ok(())
+}
+
 fn build_index(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let dataset = load_dataset(&options.path("data")?)?;
     let spec = options.required("reduction")?;
     let out = options.path("out")?;
+    refuse_other_format(&out, CHECKPOINT_FILE, "a durable index", "build-index")?;
     let reduction = build_reduction(options, &dataset, spec)?;
 
     let cost = Arc::new(dataset.cost.clone());
@@ -713,10 +732,11 @@ fn open_durable(
 
 fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let dir = options.path("wal")?;
+    refuse_other_format(&dir, MANIFEST_FILE, "a static index", "ingest")?;
     let dataset = load_dataset(&options.path("data")?)?;
     let sync_each = options.flag("sync-each");
 
-    let mut index = if dir.join("CURRENT").exists() {
+    let mut index = if dir.join(CHECKPOINT_FILE).exists() {
         // The directory's reduction was fixed when it was created.
         if let Some(key) = ["reduction", "sample", "seed"]
             .iter()

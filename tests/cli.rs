@@ -522,6 +522,88 @@ fn serve_rejects_index_beside_wal() {
     );
 }
 
+/// `generate --classes 0` is a one-line error for every corpus kind, not
+/// a generator assertion with a backtrace, and writes nothing.
+#[test]
+fn generate_rejects_zero_classes() {
+    let dir = TestDir::new("generate_zero_classes");
+    let out = dir.join("never-written.json");
+    let out = out.to_str().unwrap();
+    for kind in ["tiling", "color", "gaussian"] {
+        fails_with(
+            &["generate", "--kind", kind, "--out", out, "--classes", "0"],
+            "error: --classes must be at least 1",
+        );
+    }
+    assert!(!dir.join("never-written.json").exists());
+}
+
+/// `build-index` into a durable directory is refused, naming the format
+/// there; rebuilding a static index in place still works.
+#[test]
+fn build_index_refuses_a_durable_directory() {
+    let (dir, data, index) = corpus_and_index("build_index_durable_directory");
+    let wal = dir.join("wal");
+    let (wal, data, index) = (
+        wal.to_str().unwrap(),
+        data.to_str().unwrap(),
+        index.to_str().unwrap(),
+    );
+    let created = flexemd()
+        .args(["ingest", "--wal", wal, "--data", data])
+        .output()
+        .unwrap();
+    assert!(created.status.success());
+    fails_with(
+        &[
+            "build-index",
+            "--data",
+            data,
+            "--reduction",
+            "kmed:6",
+            "--out",
+            wal,
+        ],
+        &format!(
+            "error: {wal} already holds a durable index (CURRENT): `build-index` needs a \
+             directory of its own"
+        ),
+    );
+    assert!(!dir.join("wal").join("index.json").exists());
+    let rebuilt = flexemd()
+        .args([
+            "build-index",
+            "--data",
+            data,
+            "--reduction",
+            "kmed:6",
+            "--out",
+            index,
+        ])
+        .output()
+        .unwrap();
+    assert!(rebuilt.status.success());
+}
+
+/// `ingest` into a static index directory is refused, naming the format
+/// there, and writes no durable files beside it.
+#[test]
+fn ingest_refuses_a_static_index_directory() {
+    let (dir, data, index) = corpus_and_index("ingest_static_directory");
+    let (data, index) = (data.to_str().unwrap(), index.to_str().unwrap());
+    fails_with(
+        &["ingest", "--wal", index, "--data", data],
+        &format!(
+            "error: {index} already holds a static index (index.json): `ingest` needs a \
+             directory of its own"
+        ),
+    );
+    let index = dir.join("index");
+    for durable in ["CURRENT", "base.seg", "wal-0.log"] {
+        assert!(!index.join(durable).exists(), "ingest wrote {durable}");
+    }
+}
+
 #[test]
 fn range_query_prints_range_heading() {
     let (_dir, _data, index) = corpus_and_index("range_query_prints_range_heading");

@@ -184,9 +184,6 @@ fn calibrated_range_queries_return_at_least_k() {
     let cost = Arc::new(dataset.cost.clone());
     let database = Database::new(dataset.histograms, cost.clone()).unwrap();
 
-    let workload =
-        flexemd::data::Workload::range_from_knn(queries, database.histograms(), &cost, 5).unwrap();
-
     let reduction = kmedoidize(&cost, 5);
     let reduced = ReducedEmd::new(&cost, reduction).unwrap();
     let pipeline = Executor::new(
@@ -197,7 +194,10 @@ fn calibrated_range_queries_return_at_least_k() {
         .unwrap(),
     );
 
-    for (query, epsilon) in workload.ranges() {
+    // Definition 6: epsilon is the query's exact 5-th neighbour distance.
+    for query in &queries {
+        let neighbors = brute_force_knn(query, database.histograms(), &cost, 5).unwrap();
+        let epsilon = neighbors[4].distance;
         let (hits, _) = pipeline.range(query, epsilon).unwrap();
         assert!(hits.len() >= 5, "calibrated epsilon must admit >= k hits");
         for hit in &hits {
