@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`FaultInjector::check`] with the site they are about to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// A store-layer file read (manifest or segment). Occurrences are
+    /// A store-layer file read (checkpoint, segment or WAL). Occurrences are
     /// counted in the order the reader issues them.
     StoreRead,
     /// Entry into a transport simplex solve. Occurrences are

@@ -7,9 +7,8 @@
 //! ([`parse`]) and the one set of writers ([`write_escaped`],
 //! [`write_number`], [`write_array`]). Everything the workspace reads or
 //! writes as JSON goes through it — datasets and workloads (`flexemd
-//! --data` files), the index manifest, HTTP
-//! request and response bodies, the metrics snapshot, the experiment
-//! tables and the lint report.
+//! --data` files), HTTP request and response bodies, the metrics
+//! snapshot, the experiment tables and the lint report.
 //!
 //! There is no serialization framework: each type that has a JSON form
 //! owns a `to_json(&self, out: &mut String)` that appends text and a
@@ -22,8 +21,8 @@
 //! the file path or request they were reading.
 //!
 //! lint: allow(error-taxonomy, file): the parser's `Err(String)` sites are
-//! internal diagnostics converted to a typed error (`StoreError::Manifest`,
-//! `IoError::Json`, `ServeError::BadRequest`) at each caller's boundary; a
+//! internal diagnostics converted to a typed error (`IoError::Json`,
+//! `ServeError::BadRequest`) at each caller's boundary; a
 //! per-production error enum would add ~15 variants for zero caller benefit.
 
 use std::collections::BTreeMap;

@@ -1,48 +1,48 @@
-//! A crash-safe [`DynamicIndex`]: sealed segments + WAL tail.
-//!
-//! [`DynamicIndex`] gives the engine online insert/remove/compact — but
-//! only in memory, so every restart forgets every ingested object.
-//! `DurableIndex` makes the same operations durable with the classic
-//! sealed-prefix / logged-tail split:
+//! The one on-disk index format, and the crash-safe [`DynamicIndex`]
+//! over it: sealed segments + WAL tail. Whether `Database::save`
+//! (`flexemd build-index`) wrote a directory or [`DurableIndex`]
+//! (`flexemd ingest`, `serve --wal`) grew it, it looks like this:
 //!
 //! ```text
 //! <dir>/
 //!   CURRENT             the checkpoint: "flexemd-durable/v1 <epoch>"
-//!   LOCK                advisory exclusive lock (held while open)
-//!   base.seg            cost matrix + R1/R2 reductions (written once)
-//!   sealed-<epoch>.seg  dense histogram arena + external-id map
+//!   LOCK                advisory exclusive lock (held by a writer)
+//!   base.seg            cost matrix C + reductions R1/R2 (+ index name)
+//!   sealed-<epoch>.seg  histogram arena + id map (+ clustering)
 //!   wal-<epoch>.log     every mutation since the sealed segment
 //! ```
 //!
-//! * **Writes** append a [`WalRecord`] first; the in-memory index applies
-//!   the mutation, and durability is only claimed after an explicit
-//!   [`DurableIndex::sync`] — the server acknowledges an insert exactly
-//!   then, never earlier.
-//! * **Open** replays the WAL over the sealed segment, re-deriving the
-//!   reduced (filter) representation of every object through the same
-//!   [`ReducedEmd`] used at write time, so the paper's KNOP guarantee
-//!   (`LB ≤ Red-EMD ≤ EMD`) holds across restarts bit-for-bit.
-//! * **Compaction** folds the tail into a new sealed segment and starts a
-//!   fresh WAL whose first record is [`WalRecord::CompactEpoch`] carrying
-//!   the sealed objects' ids and the id allocator's watermark — ids held
-//!   by clients survive compaction and restarts. The checkpoint flips via
-//!   write-temp + fsync + atomic rename, so a crash anywhere during
-//!   compaction reopens either the old epoch or the new one, never a
-//!   mixture; orphaned files are swept on the next successful open.
+//! Only what cannot be derived is stored: the reduced cost matrix `C'`
+//! (Definition 5) and every object's reduced vector and anchor
+//! projection are recomputed on open, so the paper's KNOP guarantee
+//! (`LB ≤ Red-EMD ≤ EMD`) holds across restarts bit-for-bit.
+//!
+//! * **One writer.** Objects reach a sealed segment only through the
+//!   compaction writer: seal the live histograms with their ids, start
+//!   the epoch's WAL with a [`WalRecord::CompactEpoch`] record (the ids
+//!   plus the id allocator's watermark), flip the checkpoint via
+//!   write-temp + fsync + atomic rename. A bulk load writes `base.seg`
+//!   and then epoch 1 through it, so `build-index` and `ingest
+//!   --compact` of one corpus write the same checkpoint, sealed segment
+//!   and WAL; only a bulk load writes a clustering. A crash reopens the
+//!   old epoch or the new one, never a mixture (a killed bulk load
+//!   leaves no checkpoint); orphans are swept on the next writable open.
+//!   A writer that starts a directory refuses one holding an index.
+//! * **One reader:** checkpoint → base → sealed → WAL replay, shared by
+//!   `Database::open` (read-only: no lock, no write, not even to
+//!   truncate a torn tail) and [`DurableIndex::open`].
+//! * **Writes** append a [`WalRecord`] first; durability is claimed only
+//!   after an explicit [`DurableIndex::sync`] — the server acknowledges
+//!   an insert exactly then, never earlier.
 //! * **Ids**: there is one id space, and [`DynamicIndex`] owns it — a
 //!   `u64` per object, allocated monotonically, never reused, untouched
-//!   by compaction. This layer keeps no id state of its own: it logs the
-//!   id the index is about to hand out, persists the index's ids beside
-//!   the sealed histograms, and hands both back on open. (The WAL and
-//!   segment formats call them *external* ids.)
-//! * **Single owner**: both [`DurableIndex::create`] and
-//!   [`DurableIndex::open`] take an advisory exclusive lock on
-//!   `<dir>/LOCK` and hold it for the index's lifetime — a second
-//!   process (or a second handle in the same process) opening the same
-//!   directory fails with a typed [`StoreError::Locked`] instead of
-//!   interleaving WAL appends and sweeping each other's epoch files.
-//!   The OS releases the lock when its owner dies, so a crash never
-//!   leaves a stale lock behind and kill-anywhere recovery still works.
+//!   by compaction. This layer logs the id the index is about to hand
+//!   out, persists the ids beside the sealed histograms, and hands both
+//!   back on open. (The WAL and segment formats call them *external*.)
+//! * **Single owner**: every writer holds an advisory exclusive lock on
+//!   `<dir>/LOCK`; a second one fails with a typed
+//!   [`StoreError::Locked`]. The OS releases the lock when its owner
+//!   dies, so a crash never leaves a stale lock behind.
 //!
 //! Copy-on-write isolation is inherited from [`DynamicIndex`]: a
 //! [`DurableSnapshot`] taken before a mutation keeps answering from the
@@ -55,10 +55,10 @@ use std::sync::Arc;
 
 use emd_core::{CostMatrix, Histogram};
 use emd_faultkit::{Fault, FaultInjector, NoFaults, Site};
-use emd_reduction::ReducedEmd;
-use emd_store::sections;
+use emd_reduction::{PersistedReduction, ReducedEmd};
+use emd_store::sections::{self, StoredClustering};
 use emd_store::segment::{SectionKind, SegmentReader, SegmentWriter};
-use emd_store::wal::{self, TornTail, WalRecord, WalWriter};
+use emd_store::wal::{self, TornTail, WalRecord, WalReplay, WalWriter};
 use emd_store::StoreError;
 
 use crate::dynamic::DynamicIndex;
@@ -79,6 +79,10 @@ const BASE_SEGMENT: &str = "base.seg";
 
 /// File name of the advisory directory lock.
 const LOCK_FILE: &str = "LOCK";
+
+/// The manifest of the retired `flexemd-store/v1` format, which kept a
+/// static index in `index.json` + `database.seg` + `reduction-N.seg`.
+const RETIRED_MANIFEST: &str = "index.json";
 
 /// Failures of the durable index: persistence errors keep their store
 /// typing, engine errors keep their query typing.
@@ -175,58 +179,310 @@ fn lock_dir(dir: &Path) -> Result<File, StoreError> {
     }
 }
 
-/// Fsync a directory so a just-renamed checkpoint survives power loss.
-fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-    let handle = File::open(dir).map_err(|e| StoreError::io(dir, e))?;
-    handle.sync_all().map_err(|e| StoreError::io(dir, e))
+/// The typed refusal of a directory in the retired `flexemd-store/v1`
+/// format.
+fn retired_format(dir: &Path) -> StoreError {
+    StoreError::Checkpoint {
+        path: dir.join(RETIRED_MANIFEST),
+        reason: "this is a flexemd-store/v1 index, which this build no longer reads: \
+                 rebuild it with `flexemd build-index` into a new directory"
+            .to_owned(),
+    }
 }
 
-/// Write the checkpoint atomically: temp file, fsync, rename, dir fsync.
+/// Refuse a directory that already holds an index: a writer that
+/// starts a directory never destroys the objects in one.
+fn refuse_existing_index(dir: &Path) -> Result<(), StoreError> {
+    if dir.join(RETIRED_MANIFEST).exists() {
+        return Err(retired_format(dir));
+    }
+    let path = dir.join(CHECKPOINT_FILE);
+    if path.exists() {
+        return Err(StoreError::io(
+            path,
+            std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                "the directory already holds an index: a new one needs a directory of its own",
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// The checkpoint's one line.
+fn checkpoint_line(epoch: u64) -> String {
+    format!("{CHECKPOINT_SCHEMA} {epoch}\n")
+}
+
+/// Write the checkpoint atomically: temp file, fsync, rename, then fsync
+/// the directory so the rename survives power loss.
 fn write_checkpoint(dir: &Path, epoch: u64) -> Result<(), StoreError> {
     let tmp = dir.join("CURRENT.tmp");
     let final_path = dir.join(CHECKPOINT_FILE);
-    std::fs::write(&tmp, format!("{CHECKPOINT_SCHEMA} {epoch}\n"))
-        .map_err(|e| StoreError::io(&tmp, e))?;
-    let handle = File::open(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
-    handle.sync_all().map_err(|e| StoreError::io(&tmp, e))?;
+    std::fs::write(&tmp, checkpoint_line(epoch)).map_err(|e| StoreError::io(&tmp, e))?;
+    let sync = |path: &Path| File::open(path).and_then(|handle| handle.sync_all());
+    sync(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
     std::fs::rename(&tmp, &final_path).map_err(|e| StoreError::io(&final_path, e))?;
-    sync_dir(dir)
+    sync(dir).map_err(|e| StoreError::io(dir, e))
 }
 
-/// Read the checkpoint; every malformation is a typed
-/// [`StoreError::Manifest`].
+/// Read the checkpoint, probing `faults` first like every file read of
+/// the open path. Anything but the exact line the writer writes is a
+/// typed [`StoreError::Checkpoint`], so no byte flip or truncation of
+/// `CURRENT` names an epoch.
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] when `CURRENT` cannot be read, [`StoreError::Manifest`]
-/// when it is not `flexemd-durable/v1 <epoch>`.
-pub fn read_checkpoint(dir: &Path) -> Result<u64, StoreError> {
+/// [`StoreError::Io`] when `CURRENT` cannot be read (or a read fault is
+/// injected), [`StoreError::Checkpoint`] when it is not
+/// `flexemd-durable/v1 <epoch>` or the directory holds a retired
+/// `flexemd-store/v1` index.
+pub fn read_checkpoint(dir: &Path, faults: &dyn FaultInjector) -> Result<u64, StoreError> {
     let path = dir.join(CHECKPOINT_FILE);
-    let text = std::fs::read_to_string(&path).map_err(|e| StoreError::io(&path, e))?;
-    let manifest_err = |reason: String| StoreError::Manifest {
-        path: path.clone(),
-        reason,
+    if let Some(Fault::Io) = faults.check(Site::StoreRead) {
+        return Err(StoreError::io(
+            &path,
+            std::io::Error::other("injected read fault"),
+        ));
+    }
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(_) if dir.join(RETIRED_MANIFEST).exists() => return Err(retired_format(dir)),
+        Err(e) => return Err(StoreError::io(&path, e)),
     };
-    let mut tokens = text.split_whitespace();
-    match tokens.next() {
-        Some(schema) if schema == CHECKPOINT_SCHEMA => {}
-        Some(schema) => {
-            return Err(manifest_err(format!(
-                "schema `{schema}` is not `{CHECKPOINT_SCHEMA}`"
-            )))
+    text.strip_prefix(CHECKPOINT_SCHEMA)
+        .and_then(|rest| rest.trim().parse().ok())
+        .filter(|&epoch| checkpoint_line(epoch) == text)
+        .ok_or_else(|| StoreError::Checkpoint {
+            path,
+            reason: format!("expected the line `{CHECKPOINT_SCHEMA} <epoch>`, found {text:?}"),
+        })
+}
+
+/// Write `base.seg`: the cost matrix, both reductions and, when not
+/// empty, the index name.
+fn write_base(
+    dir: &Path,
+    cost: &CostMatrix,
+    reduced: &ReducedEmd,
+    name: &str,
+) -> Result<(), StoreError> {
+    let mut writer = SegmentWriter::create(&dir.join(BASE_SEGMENT))?;
+    let cost = sections::encode_cost_matrix(cost);
+    writer.section(SectionKind::CostMatrix, "cost", &cost)?;
+    for (role, reduction) in [("r1", reduced.r1()), ("r2", reduced.r2())] {
+        let payload = sections::encode_reduction(reduction);
+        writer.section(SectionKind::Reduction, role, &payload)?;
+    }
+    if !name.is_empty() {
+        writer.section(SectionKind::Text, "name", name.as_bytes())?;
+    }
+    writer.finish()
+}
+
+/// The compaction writer, the one way objects reach a sealed segment:
+/// seal `histograms` under their ascending `ids` (plus a bulk load's
+/// `clustering`) as `epoch`, start the epoch's WAL with the
+/// compact-epoch record, and flip the checkpoint. Returns the new WAL,
+/// open for appends.
+fn write_epoch(
+    dir: &Path,
+    epoch: u64,
+    histograms: &[Histogram],
+    ids: Vec<u64>,
+    next_id: u64,
+    clustering: Option<&StoredClustering>,
+    faults: Arc<dyn FaultInjector>,
+) -> Result<WalWriter, StoreError> {
+    let dim = histograms.first().map_or(0, Histogram::dim);
+    let arena = sections::encode_histogram_arena(dim, histograms);
+    let mut writer = SegmentWriter::create(&sealed_path(dir, epoch))?;
+    writer.section(SectionKind::HistogramArena, "histograms", &arena)?;
+    let id_map = sections::encode_id_map(&ids);
+    writer.section(SectionKind::IdMap, "external-ids", &id_map)?;
+    if let Some(clustering) = clustering {
+        let payload = sections::encode_clustering(clustering);
+        writer.section(SectionKind::Clustering, "clustering", &payload)?;
+    }
+    writer.finish()?;
+    let mut walw = WalWriter::create_with(&wal_path(dir, epoch), faults)?;
+    walw.append(&WalRecord::CompactEpoch {
+        epoch,
+        next_external: next_id,
+        external_ids: ids,
+    })?;
+    walw.sync()?;
+    write_checkpoint(dir, epoch)?;
+    Ok(walw)
+}
+
+/// Bulk-load `histograms` (ids `0..n`) into a new index directory:
+/// `base.seg`, then epoch 1 through the compaction writer.
+pub(crate) fn bulk_load(
+    dir: &Path,
+    name: &str,
+    histograms: &[Histogram],
+    cost: &CostMatrix,
+    reduced: &ReducedEmd,
+    clustering: Option<&StoredClustering>,
+) -> Result<(), StoreError> {
+    let _span = emd_obs::span("store.save");
+    std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
+    let _lock = lock_dir(dir)?;
+    refuse_existing_index(dir)?;
+    write_base(dir, cost, reduced, name)?;
+    let ids: Vec<u64> = (0..).take(histograms.len()).collect();
+    let next_id = ids.last().map_or(0, |last| last + 1);
+    write_epoch(
+        dir,
+        1,
+        histograms,
+        ids,
+        next_id,
+        clustering,
+        Arc::new(NoFaults),
+    )?;
+    Ok(())
+}
+
+/// What the one reader found: the live objects in ascending id order,
+/// and what the filter step derives from them.
+#[derive(Debug)]
+pub(crate) struct Stored {
+    /// The epoch the checkpoint names.
+    pub(crate) epoch: u64,
+    /// The name `base.seg` records; empty when none was recorded.
+    pub(crate) name: String,
+    pub(crate) cost: Arc<CostMatrix>,
+    /// `R1`/`R2` with the derived `C'`, and the live objects' derived
+    /// reduced arena.
+    pub(crate) bundle: PersistedReduction,
+    pub(crate) histograms: Vec<Histogram>,
+    pub(crate) ids: Vec<u64>,
+    /// The id allocator's watermark.
+    pub(crate) next_id: u64,
+    /// The sealed clustering, while it covers every live object: no WAL
+    /// record follows the compact-epoch one.
+    pub(crate) clustering: Option<StoredClustering>,
+    pub(crate) sealed_objects: usize,
+    /// The WAL's valid prefix; a writable open truncates the log to it.
+    pub(crate) replay: WalReplay,
+}
+
+/// The one reader: checkpoint → base → sealed → WAL replay, probing
+/// `faults` before each file read. It takes no lock and writes nothing.
+pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, StoreError> {
+    let epoch = read_checkpoint(dir, faults)?;
+    let base = SegmentReader::open_with(&dir.join(BASE_SEGMENT), faults)?;
+    base.allow_only(&["cost", "r1", "r2", "name"])?;
+    let payload = |kind, role| {
+        base.typed_section(kind, role)
+            .map(|section| section.payload())
+    };
+    let (path, cost_matrix) = (base.path(), SectionKind::CostMatrix);
+    let cost = sections::decode_cost_matrix(path, "cost", payload(cost_matrix, "cost")?)?;
+    let r1 = sections::decode_reduction(path, "r1", payload(SectionKind::Reduction, "r1")?)?;
+    let r2 = sections::decode_reduction(path, "r2", payload(SectionKind::Reduction, "r2")?)?;
+    let name = match base.maybe_section(SectionKind::Text, "name")? {
+        Some(section) => String::from_utf8(section.payload().to_vec())
+            .map_err(|_| StoreError::invalid(path, "name", "not UTF-8"))?,
+        None => String::new(),
+    };
+    let reduced = ReducedEmd::with_asymmetric(&cost, r1, r2)
+        .map_err(|e| StoreError::invalid(path, "r2", e.to_string()))?;
+    let (sealed, mut ids, clustering) = match epoch {
+        0 => (Vec::new(), Vec::new(), None),
+        _ => read_sealed(&sealed_path(dir, epoch), faults)?,
+    };
+
+    let wal_file = wal_path(dir, epoch);
+    let replay = wal::replay_with(&wal_file, faults)?;
+    let invalid_wal = |reason: String| StoreError::invalid(&wal_file, "wal", reason);
+    let mut records = replay.records.iter().map(|(_lsn, record)| record);
+    let mut next_id = 0;
+    if epoch > 0 {
+        // The compact-epoch record is fsynced before the checkpoint ever
+        // names its epoch, so a sealed epoch's WAL without one is real
+        // damage, not a survivable torn tail.
+        let Some(WalRecord::CompactEpoch {
+            epoch: sealed_epoch,
+            next_external,
+            external_ids,
+        }) = records.next()
+        else {
+            return Err(invalid_wal(
+                "post-compaction WAL must start with a compact-epoch record".to_owned(),
+            ));
+        };
+        let agrees = *sealed_epoch == epoch
+            && *external_ids == ids
+            && ids.last().is_none_or(|last| next_external > last);
+        if !agrees {
+            return Err(invalid_wal(format!(
+                "compact-epoch record (epoch {sealed_epoch}, {} ids, next id {next_external}) \
+                 disagrees with the checkpoint (epoch {epoch}) or the sealed segment ({} ids)",
+                external_ids.len(),
+                ids.len()
+            )));
         }
-        None => return Err(manifest_err("empty checkpoint".to_owned())),
+        next_id = *next_external;
     }
-    let epoch = tokens
-        .next()
-        .ok_or_else(|| manifest_err("checkpoint names no epoch".to_owned()))?;
-    let epoch: u64 = epoch
-        .parse()
-        .map_err(|_| manifest_err(format!("epoch `{epoch}` is not a u64")))?;
-    if tokens.next().is_some() {
-        return Err(manifest_err("trailing tokens after the epoch".to_owned()));
+    let sealed_objects = sealed.len();
+    let clustering = clustering.filter(|_| records.len() == 0);
+    let mut objects: Vec<Option<Histogram>> = sealed.into_iter().map(Some).collect();
+    for record in records {
+        match record {
+            WalRecord::CompactEpoch { .. } => {
+                return Err(invalid_wal("misplaced compact-epoch record".to_owned()));
+            }
+            WalRecord::Insert {
+                external_id,
+                histogram,
+            } => {
+                if *external_id != next_id {
+                    return Err(invalid_wal(format!(
+                        "insert carries external id {external_id}, expected {next_id}"
+                    )));
+                }
+                ids.push(next_id);
+                objects.push(Some(histogram.clone()));
+                next_id += 1;
+            }
+            WalRecord::Remove { external_id } => {
+                let live = ids
+                    .binary_search(external_id)
+                    .ok()
+                    .and_then(|position| objects.get_mut(position))
+                    .and_then(Option::take);
+                if live.is_none() {
+                    return Err(invalid_wal(format!(
+                        "remove of unknown external id {external_id}"
+                    )));
+                }
+            }
+        }
     }
-    Ok(epoch)
+    let (ids, histograms): (Vec<u64>, Vec<Histogram>) = ids
+        .into_iter()
+        .zip(objects)
+        .filter_map(|(id, object)| Some((id, object?)))
+        .unzip();
+    // Every live histogram must match the cost matrix, which `R2` was
+    // just checked against.
+    let bundle = PersistedReduction::precompute(name.clone(), reduced, &histograms)
+        .map_err(|e| StoreError::invalid(dir, "histograms", e.to_string()))?;
+    Ok(Stored {
+        epoch,
+        name,
+        cost: Arc::new(cost),
+        bundle,
+        histograms,
+        ids,
+        next_id,
+        clustering,
+        sealed_objects,
+        replay,
+    })
 }
 
 /// A WAL-backed, crash-safe dynamic index over one directory.
@@ -243,16 +499,17 @@ pub struct DurableIndex {
 }
 
 impl DurableIndex {
-    /// Create a fresh durable index at `dir` (the directory must exist
-    /// and be empty of index files): writes `base.seg`, an empty
-    /// `wal-0.log`, and the checkpoint.
+    /// Create a fresh durable index at `dir` (created if missing; one
+    /// that already holds an index is refused): writes `base.seg`, an
+    /// empty `wal-0.log`, and the checkpoint.
     ///
     /// # Errors
     ///
     /// Returns [`DurableError::Query`] when the reduction disagrees with
     /// `cost`, and [`DurableError::Store`] when any file cannot be
     /// written or synced — including [`StoreError::Locked`] when another
-    /// live handle already owns the directory.
+    /// live handle already owns the directory — or the directory already
+    /// holds an index.
     pub fn create(
         dir: &Path,
         cost: Arc<CostMatrix>,
@@ -274,25 +531,9 @@ impl DurableIndex {
     ) -> Result<Self, DurableError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
         let lock = lock_dir(dir)?;
+        refuse_existing_index(dir)?;
         let index = DynamicIndex::new(Arc::clone(&cost), reduced.clone())?;
-        let base = dir.join(BASE_SEGMENT);
-        let mut writer = SegmentWriter::create(&base)?;
-        writer.section(
-            SectionKind::CostMatrix,
-            "cost",
-            &sections::encode_cost_matrix(&cost),
-        )?;
-        writer.section(
-            SectionKind::Reduction,
-            "r1",
-            &sections::encode_reduction(reduced.r1()),
-        )?;
-        writer.section(
-            SectionKind::Reduction,
-            "r2",
-            &sections::encode_reduction(reduced.r2()),
-        )?;
-        writer.finish()?;
+        write_base(dir, &cost, &reduced, "")?;
         let walw = WalWriter::create_with(&wal_path(dir, 0), Arc::clone(&faults))?;
         write_checkpoint(dir, 0)?;
         Ok(DurableIndex {
@@ -335,115 +576,32 @@ impl DurableIndex {
         // torn tails and open sweeps orphans, neither of which may race
         // a concurrent owner.
         let lock = lock_dir(dir)?;
-        let epoch = read_checkpoint(dir)?;
-        let base = SegmentReader::open_with(&dir.join(BASE_SEGMENT), faults.as_ref())?;
-        base.allow_only(&["cost", "r1", "r2"])?;
-        let cost_section = base.typed_section(SectionKind::CostMatrix, "cost")?;
-        let cost = Arc::new(sections::decode_cost_matrix(
-            base.path(),
-            "cost",
-            cost_section.payload(),
-        )?);
-        let r1_section = base.typed_section(SectionKind::Reduction, "r1")?;
-        let r1 = sections::decode_reduction(base.path(), "r1", r1_section.payload())?;
-        let r2_section = base.typed_section(SectionKind::Reduction, "r2")?;
-        let r2 = sections::decode_reduction(base.path(), "r2", r2_section.payload())?;
-        let reduced = ReducedEmd::with_asymmetric(&cost, r1, r2)
-            .map_err(|e| QueryError::Reduction(e.to_string()))?;
-        let sealed = (epoch > 0)
-            .then(|| read_sealed(&sealed_path(dir, epoch), faults.as_ref()))
-            .transpose()?;
-
-        let wal_file = wal_path(dir, epoch);
-        let replay = wal::replay_with(&wal_file, Arc::clone(&faults))?;
-        let invalid_wal =
-            |reason: String| DurableError::Store(StoreError::invalid(&wal_file, "wal", reason));
-        let mut records = replay.records.iter().map(|(_lsn, record)| record);
-        let sealed_objects = sealed.as_ref().map_or(0, |(_, ids)| ids.len());
-        let mut index = if let Some((histograms, sealed_ids)) = sealed {
-            // The compact-epoch record is fsynced before the checkpoint
-            // ever names its epoch, so a post-compaction WAL without one
-            // is real damage, not a survivable torn tail.
-            let next_id = match records.next() {
-                Some(WalRecord::CompactEpoch {
-                    epoch: sealed_epoch,
-                    next_external,
-                    external_ids,
-                }) => {
-                    if *sealed_epoch != epoch {
-                        return Err(invalid_wal(format!(
-                            "compact-epoch names epoch {sealed_epoch}, checkpoint says {epoch}"
-                        )));
-                    }
-                    if *external_ids != sealed_ids {
-                        return Err(invalid_wal(
-                            "compact-epoch id map disagrees with the sealed segment".to_owned(),
-                        ));
-                    }
-                    if sealed_ids.last().is_some_and(|last| next_external <= last) {
-                        return Err(invalid_wal(format!(
-                            "compact-epoch next-external {next_external} below sealed maximum"
-                        )));
-                    }
-                    *next_external
-                }
-                _ => {
-                    return Err(invalid_wal(
-                        "post-compaction WAL must start with a compact-epoch record".to_owned(),
-                    ))
-                }
-            };
-            DynamicIndex::restore(cost, reduced, histograms, sealed_ids, next_id)?
-        } else {
-            DynamicIndex::new(cost, reduced)?
+        let stored = read(dir, faults.as_ref())?;
+        let report = OpenReport {
+            epoch: stored.epoch,
+            sealed_objects: stored.sealed_objects,
+            replayed_records: stored.replay.records.len(),
+            torn_tail: stored.replay.torn_tail.clone(),
         };
-        for record in records {
-            match record {
-                WalRecord::CompactEpoch { .. } => {
-                    return Err(invalid_wal("misplaced compact-epoch record".to_owned()));
-                }
-                WalRecord::Insert {
-                    external_id,
-                    histogram,
-                } => {
-                    if *external_id != index.next_id() {
-                        return Err(invalid_wal(format!(
-                            "insert carries external id {external_id}, expected {}",
-                            index.next_id()
-                        )));
-                    }
-                    index.insert(histogram.clone())?;
-                }
-                WalRecord::Remove { external_id } => {
-                    if !index.remove(*external_id) {
-                        return Err(invalid_wal(format!(
-                            "remove of unknown external id {external_id}"
-                        )));
-                    }
-                }
-            }
-        }
-        let replayed_records = replay.records.len();
-        let torn_tail = replay.torn_tail.clone();
-        let walw = WalWriter::open_for_append(&wal_file, &replay, Arc::clone(&faults))?;
+        let index = DynamicIndex::restore(
+            stored.cost,
+            stored.bundle,
+            stored.histograms,
+            stored.ids,
+            stored.next_id,
+        )?;
+        let wal_file = wal_path(dir, stored.epoch);
+        let walw = WalWriter::open_for_append(&wal_file, &stored.replay, Arc::clone(&faults))?;
         let durable = DurableIndex {
             dir: dir.to_path_buf(),
             index,
-            epoch,
+            epoch: report.epoch,
             walw,
             faults,
             _lock: lock,
         };
         durable.sweep_orphans();
-        Ok((
-            durable,
-            OpenReport {
-                epoch,
-                sealed_objects,
-                replayed_records,
-                torn_tail,
-            },
-        ))
+        Ok((durable, report))
     }
 
     /// Remove files left behind by a compaction that crashed between
@@ -489,12 +647,6 @@ impl DurableIndex {
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The directory this index persists into.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Append an insert to the WAL and apply it in memory, returning the
@@ -582,7 +734,8 @@ impl DurableIndex {
         Ok(())
     }
 
-    /// Fold the WAL into a new sealed segment and start a fresh log.
+    /// Fold the WAL into a new sealed segment and start a fresh log,
+    /// through the one writer a bulk load uses too.
     ///
     /// Steps, in crash-safe order: compact the in-memory index (ids are
     /// unaffected), write `sealed-<epoch+1>.seg`, create
@@ -611,37 +764,22 @@ impl DurableIndex {
         // Reclaim in memory first; ids are unaffected, so a failure below
         // leaves a fully consistent (just un-sealed) index.
         self.index.compact();
-        let (externals, histograms): (Vec<u64>, Vec<Histogram>) = self
+        let (ids, histograms): (Vec<u64>, Vec<Histogram>) = self
             .index
             .live()
             .map(|(id, histogram)| (id, histogram.clone()))
             .unzip();
-        let dim = histograms.first().map_or(0, Histogram::dim);
-        let sealed_file = sealed_path(&self.dir, new_epoch);
-        let mut writer = SegmentWriter::create(&sealed_file)?;
-        writer.section(
-            SectionKind::HistogramArena,
-            "histograms",
-            &sections::encode_histogram_arena(dim, &histograms),
-        )?;
-        writer.section(
-            SectionKind::IdMap,
-            "external-ids",
-            &sections::encode_id_map(&externals),
-        )?;
-        writer.finish()?;
-
         let old_wal = wal_path(&self.dir, self.epoch);
         let folded_wal_bytes = std::fs::metadata(&old_wal).map_or(0, |m| m.len());
-        let mut new_wal =
-            WalWriter::create_with(&wal_path(&self.dir, new_epoch), Arc::clone(&self.faults))?;
-        new_wal.append(&WalRecord::CompactEpoch {
-            epoch: new_epoch,
-            next_external: self.index.next_id(),
-            external_ids: externals,
-        })?;
-        new_wal.sync()?;
-        write_checkpoint(&self.dir, new_epoch)?;
+        let new_wal = write_epoch(
+            &self.dir,
+            new_epoch,
+            &histograms,
+            ids,
+            self.index.next_id(),
+            None,
+            Arc::clone(&self.faults),
+        )?;
 
         // The flip is durable: swap in the new epoch and retire the old
         // files (best-effort — orphans are swept on the next open).
@@ -686,20 +824,20 @@ fn parse_epoch_file(name: &str) -> Option<u64> {
     epoch.parse().ok()
 }
 
-/// Read a sealed segment: the histograms and, position for position,
-/// their ids (strictly ascending — [`sections::decode_id_map`] rejects
-/// anything else).
-fn read_sealed(
-    path: &Path,
-    faults: &dyn FaultInjector,
-) -> Result<(Vec<Histogram>, Vec<u64>), StoreError> {
+/// A sealed segment's histograms, their ids and its clustering.
+type Sealed = (Vec<Histogram>, Vec<u64>, Option<StoredClustering>);
+
+/// Read a sealed segment: the histograms, position for position their
+/// ids (strictly ascending — [`sections::decode_id_map`] rejects
+/// anything else), and the clustering a bulk load may have written.
+fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, StoreError> {
     let sealed = SegmentReader::open_with(path, faults)?;
-    sealed.allow_only(&["histograms", "external-ids"])?;
+    sealed.allow_only(&["histograms", "external-ids", "clustering"])?;
     let arena_section = sealed.typed_section(SectionKind::HistogramArena, "histograms")?;
     let (_, histograms) =
-        sections::decode_histogram_arena(sealed.path(), "histograms", arena_section.payload())?;
+        sections::decode_histogram_arena(path, "histograms", arena_section.payload())?;
     let ids_section = sealed.typed_section(SectionKind::IdMap, "external-ids")?;
-    let ids = sections::decode_id_map(sealed.path(), "external-ids", ids_section.payload())?;
+    let ids = sections::decode_id_map(path, "external-ids", ids_section.payload())?;
     if ids.len() != histograms.len() {
         return Err(StoreError::invalid(
             path,
@@ -707,7 +845,18 @@ fn read_sealed(
             format!("{} ids for {} histograms", ids.len(), histograms.len()),
         ));
     }
-    Ok((histograms, ids))
+    let clustering = sealed
+        .maybe_section(SectionKind::Clustering, "clustering")?
+        .map(|section| sections::decode_clustering(path, "clustering", section.payload()))
+        .transpose()?;
+    if clustering
+        .as_ref()
+        .is_some_and(|c| c.assignments.len() != histograms.len())
+    {
+        let reason = "the clustering does not assign every object of the segment";
+        return Err(StoreError::invalid(path, "clustering", reason));
+    }
+    Ok((histograms, ids, clustering))
 }
 
 #[cfg(test)]
@@ -1034,7 +1183,8 @@ mod tests {
             )
             .unwrap();
         writer.finish().unwrap();
-        let mut orphan_wal = WalWriter::create(&wal_path(&dir, 1)).unwrap();
+        let mut orphan_wal =
+            WalWriter::create_with(&wal_path(&dir, 1), Arc::new(NoFaults)).unwrap();
         orphan_wal
             .append(&WalRecord::CompactEpoch {
                 epoch: 1,
@@ -1078,7 +1228,7 @@ mod tests {
             )
             .unwrap();
         writer.finish().unwrap();
-        let mut wal = WalWriter::create(&wal_path(&dir, 1)).unwrap();
+        let mut wal = WalWriter::create_with(&wal_path(&dir, 1), Arc::new(NoFaults)).unwrap();
         wal.append(&WalRecord::CompactEpoch {
             epoch: 1,
             next_external: 5,
@@ -1108,10 +1258,182 @@ mod tests {
             std::fs::write(dir.join(CHECKPOINT_FILE), bad).unwrap();
             let error = DurableIndex::open(&dir).expect_err("bad checkpoint");
             assert!(
-                matches!(error, DurableError::Store(StoreError::Manifest { .. })),
+                matches!(error, DurableError::Store(StoreError::Checkpoint { .. })),
                 "`{bad}` gave {error}"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn bulk(dir: &Path, name: &str, clustering: Option<&StoredClustering>) {
+        let cost = ground::linear(4).unwrap();
+        bulk_load(dir, name, &corpus(), &cost, &reduced(&cost), clustering).unwrap();
+    }
+
+    #[test]
+    fn bulk_load_writes_what_compaction_writes() {
+        let loaded = tmp_dir("bulk-equal-a");
+        bulk(&loaded, "", None);
+        let ingested = tmp_dir("bulk-equal-b");
+        let mut index = fresh(&ingested);
+        for histogram in corpus() {
+            index.append_insert(histogram).unwrap();
+        }
+        index.sync().unwrap();
+        index.compact().unwrap();
+        for file in ["CURRENT", "base.seg", "sealed-1.seg", "wal-1.log"] {
+            let read = |dir: &Path| std::fs::read(dir.join(file)).unwrap();
+            assert_eq!(read(&loaded), read(&ingested), "{file}");
+        }
+        assert!(!wal_path(&loaded, 0).exists());
+        std::fs::remove_dir_all(&loaded).ok();
+        std::fs::remove_dir_all(&ingested).ok();
+    }
+
+    #[test]
+    fn writers_refuse_a_directory_holding_an_index() {
+        let dir = tmp_dir("refuse");
+        bulk(&dir, "demo", None);
+        let before = std::fs::read(sealed_path(&dir, 1)).unwrap();
+        let cost = Arc::new(ground::linear(4).unwrap());
+        let again = bulk_load(&dir, "demo", &[], &cost, &reduced(&cost), None);
+        assert!(matches!(again, Err(StoreError::Io { .. })), "{again:?}");
+        let r = reduced(&cost);
+        assert!(DurableIndex::create(&dir, cost, r).is_err());
+        assert_eq!(std::fs::read(sealed_path(&dir, 1)).unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_open_roundtrip_is_bit_identical() {
+        let dir = tmp_dir("roundtrip");
+        let cost = ground::linear(4).unwrap();
+        let histograms = corpus();
+        bulk_load(&dir, "demo", &histograms, &cost, &reduced(&cost), None).unwrap();
+
+        let stored = read(&dir, &NoFaults).unwrap();
+        assert_eq!(stored.name, "demo");
+        assert_eq!(*stored.cost, cost);
+        assert_eq!(stored.histograms.len(), histograms.len());
+        for (a, b) in histograms.iter().zip(&stored.histograms) {
+            for (x, y) in a.bins().iter().zip(b.bins()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        let expected =
+            PersistedReduction::precompute("demo".to_owned(), reduced(&cost), &histograms).unwrap();
+        assert_eq!(stored.bundle.name(), "demo");
+        let derived = stored.bundle.reduced_database();
+        assert_eq!(derived.len(), expected.reduced_database().len());
+        for (a, b) in expected.reduced_database().iter().zip(derived) {
+            for (x, y) in a.bins().iter().zip(b.bins()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn missing_checkpoint_is_io_error() {
+        let dir = tmp_dir("no-checkpoint");
+        assert!(matches!(read(&dir, &NoFaults), Err(StoreError::Io { .. })));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn retired_format_is_a_typed_error_naming_it() {
+        let dir = tmp_dir("retired");
+        std::fs::write(dir.join(RETIRED_MANIFEST), "{}").unwrap();
+        let error = read(&dir, &NoFaults).unwrap_err();
+        assert!(matches!(error, StoreError::Checkpoint { .. }), "{error}");
+        assert!(error.to_string().contains("flexemd-store/v1"), "{error}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_naming_a_missing_sealed_segment_fails() {
+        let dir = tmp_dir("dangling");
+        bulk(&dir, "demo", None);
+        std::fs::remove_file(sealed_path(&dir, 1)).unwrap();
+        assert!(matches!(read(&dir, &NoFaults), Err(StoreError::Io { .. })));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bulk_load_without_clustering_opens_with_none() {
+        let dir = tmp_dir("unclustered");
+        bulk(&dir, "demo", None);
+        let stored = read(&dir, &NoFaults).unwrap();
+        assert_eq!((stored.epoch, stored.name.as_str()), (1, "demo"));
+        assert_eq!(stored.histograms, corpus());
+        assert_eq!(stored.ids, vec![0, 1, 2, 3, 4]);
+        assert_eq!(stored.bundle.reduced_database().len(), 5);
+        assert!(stored.clustering.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn clustering_is_kept_only_while_it_covers_every_live_object() {
+        let dir = tmp_dir("clustered");
+        let clustering = StoredClustering {
+            pivots: vec![0, 1],
+            assignments: vec![0, 1, 1, 0, 1],
+            radii: vec![0.5, 1.5],
+        };
+        bulk(&dir, "demo", Some(&clustering));
+        assert_eq!(read(&dir, &NoFaults).unwrap().clustering, Some(clustering));
+        let (mut index, _) = DurableIndex::open(&dir).unwrap();
+        index.insert(h(&[0.5, 0.5, 0.0, 0.0])).unwrap();
+        drop(index);
+        let stored = read(&dir, &NoFaults).unwrap();
+        assert_eq!((stored.histograms.len(), stored.clustering), (6, None));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn clustering_object_count_mismatch_is_detected() {
+        let dir = tmp_dir("clustered-mismatch");
+        let clustering = StoredClustering {
+            pivots: vec![0],
+            assignments: vec![0, 0],
+            radii: vec![0.5],
+        };
+        bulk(&dir, "demo", Some(&clustering));
+        let error = read(&dir, &NoFaults).unwrap_err();
+        assert!(matches!(error, StoreError::Invalid { .. }), "{error}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn empty_database_roundtrips() {
+        let dir = tmp_dir("empty");
+        let cost = ground::linear(4).unwrap();
+        bulk_load(&dir, "empty", &[], &cost, &reduced(&cost), None).unwrap();
+        let stored = read(&dir, &NoFaults).unwrap();
+        assert!(stored.histograms.is_empty());
+        assert_eq!((stored.name.as_str(), stored.next_id), ("empty", 0));
+        assert_eq!(*stored.cost, cost);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_reader_writes_nothing_not_even_a_torn_tail() {
+        let dir = tmp_dir("read-only");
+        {
+            let mut index = fresh(&dir);
+            for histogram in corpus() {
+                index.insert(histogram).unwrap();
+            }
+        }
+        let wal_file = wal_path(&dir, 0);
+        let bytes = std::fs::read(&wal_file).unwrap();
+        std::fs::write(&wal_file, &bytes[..bytes.len() - 5]).unwrap();
+        let held = lock_dir(&dir).unwrap();
+        let stored = read(&dir, &NoFaults).unwrap();
+        drop(held);
+        assert!(stored.replay.torn_tail.is_some());
+        assert_eq!(stored.histograms.len(), 4, "the valid prefix replays");
+        assert_eq!(std::fs::read(&wal_file).unwrap(), &bytes[..bytes.len() - 5]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

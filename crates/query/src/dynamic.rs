@@ -45,7 +45,7 @@ use crate::stats::QueryStats;
 use crate::Neighbor;
 use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{CostMatrix, Histogram};
-use emd_reduction::ReducedEmd;
+use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::sync::Arc;
 
 /// A mutable database with the reduced (filter) representation of every
@@ -136,27 +136,34 @@ impl DynamicIndex {
 
     /// Rebuild an index from persisted state: `histograms` under the
     /// strictly ascending `ids`, all below `next_id` (the caller has
-    /// checked both — the id lookup leans on them). The reduced
-    /// representations and anchor projections are re-derived, never
-    /// stored.
+    /// checked both — the id lookup leans on them), with `bundle`'s
+    /// reduced arena derived from those histograms on open. The anchor
+    /// projections are derived here; nothing derived is ever stored.
     ///
     /// # Errors
     ///
     /// Same conditions as [`new`](Self::new) and [`insert`](Self::insert).
     pub(crate) fn restore(
         cost: Arc<CostMatrix>,
-        reduced: ReducedEmd,
+        bundle: PersistedReduction,
         histograms: Vec<Histogram>,
         ids: Vec<u64>,
         next_id: u64,
     ) -> Result<Self, QueryError> {
         debug_assert!(ids.windows(2).all(|pair| pair.first() < pair.last()));
         debug_assert!(ids.last().is_none_or(|&last| last < next_id));
+        let (_, reduced, arena) = bundle.into_parts();
         let mut index = DynamicIndex::new(cost, reduced)?;
-        for (histogram, id) in histograms.into_iter().zip(ids) {
-            let derived = index.reduce(&histogram)?;
+        for ((histogram, reduced), id) in histograms.into_iter().zip(arena).zip(ids) {
+            let projection = index.project(&histogram)?;
             index.next_id = id;
-            index.push(histogram, derived);
+            index.push(
+                histogram,
+                Derived {
+                    reduced,
+                    projection,
+                },
+            );
         }
         index.next_id = next_id;
         Ok(index)
@@ -204,13 +211,17 @@ impl DynamicIndex {
                 got_cols: histogram.dim(),
             }));
         }
-        let projection = match &self.floor {
-            Some(floor) => floor.project(histogram)?,
-            None => Arc::from([]),
-        };
         Ok(Derived {
             reduced: self.reduced.reduce_second(histogram)?,
-            projection,
+            projection: self.project(histogram)?,
+        })
+    }
+
+    /// The anchor projection of `histogram`; empty without a floor.
+    fn project(&self, histogram: &Histogram) -> Result<Arc<[f64]>, QueryError> {
+        Ok(match &self.floor {
+            Some(floor) => floor.project(histogram)?,
+            None => Arc::from([]),
         })
     }
 

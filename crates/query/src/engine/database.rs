@@ -10,6 +10,7 @@
 //! ([`DynamicIndex::snapshot`](crate::DynamicIndex::snapshot)) is just a
 //! `Database` collected from the index's own handles.
 
+use crate::durable;
 use crate::error::QueryError;
 use emd_core::{CostMatrix, Histogram};
 use emd_reduction::PersistedReduction;
@@ -101,23 +102,29 @@ impl Database {
         &self.histograms
     }
 
-    /// Persist this snapshot — together with any precomputed reduction
-    /// bundles — as a `flexemd-store/v1` index directory at `dir`.
+    /// Persist this snapshot with its one reduction bundle as a new
+    /// index directory at `dir` (see [`crate::durable`] for the layout).
+    /// Only the histograms, the cost matrix, `R1`, `R2` and `name` are
+    /// written — the reduced cost matrix and the bundle's arena are
+    /// rederived on open.
     ///
     /// # Examples
     ///
     /// ```
     /// use emd_query::Database;
     /// use emd_core::{ground, Histogram};
+    /// use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
     /// use std::sync::Arc;
     ///
     /// let dir = std::env::temp_dir().join(format!("flexemd-doc-save-{}", std::process::id()));
-    /// let cost = Arc::new(ground::linear(3)?);
+    /// let cost = Arc::new(ground::linear(4)?);
     /// let db = Database::new(
-    ///     vec![Histogram::unit(3, 0)?, Histogram::unit(3, 2)?],
-    ///     cost,
+    ///     vec![Histogram::unit(4, 0)?, Histogram::unit(4, 3)?],
+    ///     Arc::clone(&cost),
     /// )?;
-    /// db.save(&dir, "demo", &[])?;
+    /// let reduced = ReducedEmd::new(&cost, CombiningReduction::new(vec![0, 0, 1, 1], 2)?)?;
+    /// let bundle = PersistedReduction::precompute("kmed:2", reduced, db.histograms())?;
+    /// db.save(&dir, "demo", &[bundle])?;
     ///
     /// let opened = Database::open(&dir)?;
     /// assert_eq!(opened.name, "demo");
@@ -128,29 +135,29 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] when the directory or a segment file
-    /// cannot be written. (Storage failures are not [`QueryError`]s:
-    /// that type is `Clone + PartialEq` for plan bookkeeping, which
-    /// `std::io::Error` cannot satisfy.)
+    /// Returns [`StoreError`] when `reductions` does not hold exactly one
+    /// bundle, `dir` already holds an index, or a file cannot be written.
+    /// (Storage failures are not [`QueryError`]s: that type is
+    /// `Clone + PartialEq` for plan bookkeeping, which `std::io::Error`
+    /// cannot satisfy.)
     pub fn save(
         &self,
         dir: &Path,
         name: &str,
         reductions: &[PersistedReduction],
     ) -> Result<(), StoreError> {
-        emd_store::save_index(dir, name, &self.histograms, &self.cost, reductions)
+        self.save_with_clusterings(dir, name, reductions, &[])
     }
 
-    /// [`Database::save`] plus per-reduction clustering geometry:
-    /// `clusterings` is parallel to `reductions`, with `Some` for bundles
-    /// that carry a [`ClusteredIndex`](crate::ClusteredIndex) (exported
-    /// via [`ClusteredIndex::to_stored`](crate::ClusteredIndex::to_stored))
-    /// and `None` for those that do not.
+    /// [`Database::save`] plus the bundle's clustering geometry:
+    /// `clusterings` is empty, or holds `Some` geometry exported by
+    /// [`ClusteredIndex::to_stored`](crate::ClusteredIndex::to_stored)
+    /// or `None`.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] when a segment cannot be written or when
-    /// `clusterings` and `reductions` disagree in length.
+    /// As [`Database::save`], and when `clusterings` holds more than one
+    /// entry or the clustering does not assign every object.
     pub fn save_with_clusterings(
         &self,
         dir: &Path,
@@ -158,34 +165,57 @@ impl Database {
         reductions: &[PersistedReduction],
         clusterings: &[Option<StoredClustering>],
     ) -> Result<(), StoreError> {
-        emd_store::save_index_with(
+        let ([bundle], [] | [_]) = (reductions, clusterings) else {
+            return Err(StoreError::invalid(
+                dir,
+                "r1",
+                format!(
+                    "an index holds one reduction bundle and at most one clustering, \
+                     not {} and {}",
+                    reductions.len(),
+                    clusterings.len()
+                ),
+            ));
+        };
+        let clustering = clusterings.first().and_then(Option::as_ref);
+        if clustering.is_some_and(|c| c.assignments.len() != self.len()) {
+            return Err(StoreError::invalid(
+                dir,
+                "clustering",
+                format!("the clustering does not assign all {} objects", self.len()),
+            ));
+        }
+        durable::bulk_load(
             dir,
             name,
             &self.histograms,
             &self.cost,
-            reductions,
-            clusterings,
+            bundle.reduced(),
+            clustering,
         )
     }
 
-    /// Open a `flexemd-store/v1` index directory, re-validating every
-    /// invariant [`Database::new`] enforces (plus segment checksums and
-    /// reduction consistency) before any query can run against it.
+    /// Open an index directory read-only: no lock is taken and nothing
+    /// is written. Every invariant [`Database::new`] enforces, the
+    /// segment checksums and the reductions' Definition 3 checks hold
+    /// before any query can run; `C'` and the bundle's arena are derived
+    /// from what was read. Ids are positions, so a directory from which
+    /// an object was removed does not open here.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] when the manifest or a segment is
-    /// missing, damaged (truncation, checksum mismatch, version skew)
-    /// or internally inconsistent.
+    /// Returns [`StoreError`] when a file is missing, damaged
+    /// (truncation, checksum mismatch, version skew) or internally
+    /// inconsistent, when the directory holds a retired
+    /// `flexemd-store/v1` index, or when an object was removed.
     pub fn open(dir: &Path) -> Result<OpenedIndex, StoreError> {
         Self::open_with(dir, &emd_faultkit::NoFaults)
     }
 
     /// [`Database::open`] with a deterministic fault injector probed
-    /// before every file read in the open path (see
-    /// [`emd_store::open_index_with`]). Production callers use
-    /// [`Database::open`]; this entry point exists for the
-    /// fault-injection test harness.
+    /// before every file read in the open path: the checkpoint,
+    /// `base.seg`, the sealed segment, the WAL. Production callers use
+    /// [`Database::open`]; this entry point exists for fault injection.
     ///
     /// # Errors
     ///
@@ -194,36 +224,43 @@ impl Database {
         dir: &Path,
         faults: &dyn emd_faultkit::FaultInjector,
     ) -> Result<OpenedIndex, StoreError> {
-        let stored = emd_store::open_index_with(dir, faults)?;
-        // `open_index` already checked arena-vs-cost shape agreement —
-        // the same invariant `Database::new` re-checks here; a failure
-        // at this point would be a store-layer bug, not bad data.
-        let database = Database::new(stored.histograms, Arc::new(stored.cost))
+        let _span = emd_obs::span("store.open");
+        let stored = durable::read(dir, faults)?;
+        if !stored.ids.iter().copied().eq(0..stored.next_id) {
+            return Err(StoreError::invalid(
+                dir,
+                "external-ids",
+                "objects were removed from this index, so its ids are no longer \
+                 positions: open it with `flexemd serve --wal`",
+            ));
+        }
+        let database = Database::new(stored.histograms, stored.cost)
             .map_err(|e| StoreError::invalid(dir, "histograms", e.to_string()))?;
         Ok(OpenedIndex {
             name: stored.name,
             database,
-            reductions: stored.reductions,
-            clusterings: stored.clusterings,
+            reductions: vec![stored.bundle],
+            clusterings: vec![stored.clustering],
         })
     }
 }
 
-/// A validated index loaded from disk: the snapshot plus its persisted
-/// reduction bundles, ready to assemble into a plan via
+/// A validated index loaded from disk: the snapshot plus its reduction
+/// bundle, ready to assemble into a plan via
 /// [`ReducedEmdFilter::from_persisted`](crate::ReducedEmdFilter::from_persisted)
 /// / [`ReducedImFilter::from_persisted`](crate::ReducedImFilter::from_persisted).
 #[derive(Debug)]
 pub struct OpenedIndex {
-    /// Index name from the manifest.
+    /// The index name `build-index` recorded; empty when none was.
     pub name: String,
     /// The database snapshot.
     pub database: Database,
-    /// Reduction bundles, in manifest (pipeline) order.
+    /// The one reduction bundle, its `C'` and arena derived on open.
     pub reductions: Vec<PersistedReduction>,
-    /// Clustering geometry per reduction bundle (parallel to
-    /// `reductions`): `Some` where the index was saved with a
-    /// [`ClusteredIndex`](crate::ClusteredIndex), rehydrated via
+    /// The bundle's clustering geometry, parallel to `reductions`: `Some`
+    /// where the index was saved with a
+    /// [`ClusteredIndex`](crate::ClusteredIndex) and no object was added
+    /// since, rehydrated via
     /// [`ClusteredIndex::from_stored`](crate::ClusteredIndex::from_stored).
     pub clusterings: Vec<Option<StoredClustering>>,
 }
@@ -289,5 +326,16 @@ mod tests {
         assert_eq!(opened.reductions.len(), 1);
         assert_eq!(opened.reductions[0].reduced_database().len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn save_takes_exactly_one_bundle() {
+        let dir = std::env::temp_dir().join(format!("emd-query-db-one-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cost = Arc::new(ground::linear(3).unwrap());
+        let db = Database::new(vec![Histogram::unit(3, 0).unwrap()], cost).unwrap();
+        let error = db.save(&dir, "none", &[]).unwrap_err();
+        assert!(matches!(error, StoreError::Invalid { .. }), "{error}");
+        assert!(!dir.join("CURRENT").exists(), "nothing is written");
     }
 }

@@ -1,16 +1,18 @@
-//! Kill-anywhere recovery for the durable index: the WAL may be cut at
-//! *every* byte position, flipped at every byte, or the process may be
-//! failed at every injected fault point — and reopening must yield
-//! either a typed error or a bit-identical prefix of the uncrashed
-//! history. Corruption never surfaces as a wrong query answer.
+//! Kill-anywhere recovery for the on-disk index: the WAL may be cut at
+//! *every* byte position, flipped at every byte, a bulk load may be
+//! killed at every byte it writes, or the process may be failed at every
+//! injected fault point — and reopening must yield either a typed error
+//! or a bit-identical prefix of the uncrashed history. Corruption never
+//! surfaces as a wrong query answer.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_core::{ground, CostMatrix, Histogram};
 use emd_faultkit::FailPlan;
-use emd_query::{DurableError, DurableIndex};
-use emd_reduction::{CombiningReduction, ReducedEmd};
+use emd_query::{ClusteredIndex, Database, DurableError, DurableIndex};
+use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
+use emd_store::StoreError;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,6 +255,70 @@ fn kill_at_every_position_after_compaction() {
                     "cut {cut}: {error}"
                 );
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    std::fs::remove_dir_all(&full_dir).ok();
+}
+
+/// A bulk load — `Database::save_with_clusterings`, what `build-index
+/// --cluster` runs — killed at every byte it writes. The writer fsyncs
+/// `base.seg`, `sealed-1.seg` and `wal-1.log` in that order and only
+/// then renames the checkpoint into place, so a crash leaves a prefix of
+/// that stream with the checkpoint whole or absent. Every prefix either
+/// fails to open with a typed error or opens to the full index and its
+/// clustering — never to a shorter index.
+#[test]
+fn kill_at_every_position_of_a_clustered_bulk_load() {
+    let full_dir = unique_dir("bulk-full");
+    let c = cost();
+    let database = Database::new((0..8).map(object).collect(), Arc::clone(&c)).unwrap();
+    let bundle =
+        PersistedReduction::precompute("kmed:2", reduced(&c), database.histograms()).unwrap();
+    let clustering = ClusteredIndex::from_persisted(&database, &bundle, 1.0)
+        .unwrap()
+        .to_stored();
+    database
+        .save_with_clusterings(&full_dir, "bulk", &[bundle], &[Some(clustering.clone())])
+        .unwrap();
+    let order = ["base.seg", "sealed-1.seg", "wal-1.log", "CURRENT"];
+    let files: Vec<Vec<u8>> = order
+        .iter()
+        .map(|file| std::fs::read(full_dir.join(file)).unwrap())
+        .collect();
+    let total: usize = files.iter().map(Vec::len).sum();
+
+    for cut in 0..=total {
+        let dir = unique_dir("bulk-cut");
+        let mut left = cut;
+        for (&file, bytes) in order.iter().zip(&files) {
+            let kept = left.min(bytes.len());
+            left -= kept;
+            let file = match file {
+                "CURRENT" if kept < bytes.len() => "CURRENT.tmp",
+                file => file,
+            };
+            if kept > 0 {
+                std::fs::write(dir.join(file), &bytes[..kept]).unwrap();
+            }
+        }
+        match Database::open(&dir) {
+            Ok(index) => {
+                assert_eq!(cut, total, "cut {cut}: only the whole load opens");
+                assert_eq!(index.database.histograms(), database.histograms());
+                assert_eq!(index.clusterings, vec![Some(clustering.clone())]);
+            }
+            Err(error) => assert!(
+                matches!(error, StoreError::Io { .. }),
+                "cut {cut}: a load without its checkpoint fails typed, got {error}"
+            ),
+        }
+        match DurableIndex::open(&dir) {
+            Ok((index, _)) => assert_eq!((cut, index.len()), (total, 8)),
+            Err(error) => assert!(
+                matches!(error, DurableError::Store(StoreError::Io { .. })),
+                "cut {cut}: {error}"
+            ),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

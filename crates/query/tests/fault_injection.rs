@@ -1,15 +1,16 @@
-//! Deterministic fault injection through the query engine: every
-//! injected fault surfaces as the right typed error or a principled
-//! degraded outcome — and the engine keeps answering afterwards.
+//! Deterministic fault injection through the query engine and the index
+//! open path: every injected fault surfaces as the right typed error or
+//! a principled degraded outcome — and the engine keeps answering, and
+//! the directory keeps opening, afterwards.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_core::{ground, Budget, BudgetReason, Histogram};
-use emd_faultkit::{FailPlan, FaultInjector, InjectedPanic};
+use emd_faultkit::{FailPlan, FaultInjector, InjectedPanic, NoFaults, Site};
 use emd_query::{
-    Database, EmdDistance, Executor, Filter, Query, QueryError, QueryOutcome, QueryPlan,
-    QueryStats, ReducedEmdFilter,
+    Database, DurableError, DurableIndex, EmdDistance, Executor, Filter, Query, QueryError,
+    QueryOutcome, QueryPlan, QueryStats, ReducedEmdFilter, StoredClustering,
 };
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use emd_store::StoreError;
@@ -192,12 +193,12 @@ fn batches_honour_per_query_budgets() {
     }
 }
 
-#[test]
-fn injected_store_read_faults_surface_and_clear() {
+/// Save `database()` with one kmed:2-style bundle (and, when given, a
+/// clustering) into a fresh directory named after `test`.
+fn saved_index(test: &str, clustering: Option<StoredClustering>) -> PathBuf {
     let mut dir: PathBuf = std::env::temp_dir();
-    dir.push(format!("emd-query-faults-open-{}", std::process::id()));
+    dir.push(format!("emd-query-faults-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-
     let database = database();
     let reduced = ReducedEmd::new(
         database.cost(),
@@ -205,10 +206,20 @@ fn injected_store_read_faults_surface_and_clear() {
     )
     .unwrap();
     let bundle = PersistedReduction::precompute("kmed:2", reduced, database.histograms()).unwrap();
-    database.save(&dir, "faulty", &[bundle]).unwrap();
+    database
+        .save_with_clusterings(&dir, "faulty", &[bundle], &[clustering])
+        .unwrap();
+    dir
+}
 
-    // Reads: 1 = manifest, 2 = database segment, 3 = reduction segment.
-    for k in 1..=3u64 {
+/// The open path reads four files: `CURRENT`, `base.seg`,
+/// `sealed-1.seg`, `wal-1.log`.
+const READS: u64 = 4;
+
+#[test]
+fn injected_store_read_faults_surface_and_clear() {
+    let dir = saved_index("open", None);
+    for k in 1..=READS {
         let plan = FailPlan::new().fail_read(k);
         let err = Database::open_with(&dir, &plan).unwrap_err();
         assert!(matches!(err, StoreError::Io { .. }), "read {k}: {err}");
@@ -219,6 +230,91 @@ fn injected_store_read_faults_surface_and_clear() {
     let executor = executor(&opened.database);
     let (neighbors, _) = executor.knn(&query(), 2).unwrap();
     assert_eq!(neighbors.len(), 2);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Walk a read fault over every file read of a clustered index — the
+/// checkpoint, the base segment, the sealed segment with its
+/// clustering, the WAL — on the read-only and the writable open alike:
+/// each surfaces as the typed [`StoreError::Io`] a real filesystem
+/// failure would, and the very next open (no faults) succeeds.
+#[test]
+fn every_read_position_surfaces_a_typed_io_error() {
+    let clustering = StoredClustering {
+        pivots: vec![0, 1],
+        assignments: vec![0, 1, 1, 0, 1, 0],
+        radii: vec![1.0, 1.0],
+    };
+    let dir = saved_index("sweep", Some(clustering));
+    for k in 1..=READS {
+        let plan = FailPlan::new().fail_read(k);
+        let err = Database::open_with(&dir, &plan).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "read {k}: {err}");
+        assert_eq!(plan.reads_seen(), k, "injection stops at the failed read");
+
+        let plan = Arc::new(FailPlan::new().fail_read(k));
+        let err = DurableIndex::open_with(&dir, plan).unwrap_err();
+        assert!(
+            matches!(err, DurableError::Store(StoreError::Io { .. })),
+            "writable read {k}: {err}"
+        );
+
+        let index = Database::open(&dir).unwrap();
+        assert_eq!(index.name, "faulty");
+        assert_eq!(index.database.len(), 6);
+        assert!(index.clusterings[0].is_some());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fault_beyond_the_last_read_never_fires() {
+    let dir = saved_index("beyond", None);
+    let plan = FailPlan::new().fail_read(READS + 1);
+    let index = Database::open_with(&dir, &plan).unwrap();
+    assert_eq!(index.name, "faulty");
+    assert_eq!(
+        plan.reads_seen(),
+        READS,
+        "the open path reads each file once"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn no_faults_injector_is_transparent() {
+    let dir = saved_index("transparent", None);
+    let plain = Database::open(&dir).unwrap();
+    let probed = Database::open_with(&dir, &NoFaults).unwrap();
+    assert_eq!(plain.name, probed.name);
+    assert_eq!(plain.database.histograms(), probed.database.histograms());
+    assert_eq!(plain.database.cost(), probed.database.cost());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn seeded_plans_are_deterministic_over_the_open_path() {
+    let dir = saved_index("seeded", None);
+    for seed in 0..32u64 {
+        let open = || Database::open_with(&dir, &FailPlan::from_seed(seed)).map(|index| index.name);
+        match (open(), open()) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "seed {seed}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "seed {seed}"),
+            (a, b) => panic!("seed {seed} diverged: {a:?} vs {b:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn worker_and_solve_sites_do_not_perturb_store_reads() {
+    let dir = saved_index("othersites", None);
+    // A plan arming only solver/worker failpoints must leave the store
+    // untouched.
+    let plan = FailPlan::new().exhaust_solve(1).panic_worker(0);
+    assert!(plan.check(Site::Solve).is_some());
+    let index = Database::open_with(&dir, &plan).unwrap();
+    assert_eq!(index.database.len(), 6);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

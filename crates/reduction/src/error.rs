@@ -36,13 +36,6 @@ pub enum ReductionError {
     /// A sample for the flow-based reduction is too small to produce any
     /// histogram pair.
     SampleTooSmall(usize),
-    /// Stored reduction parts disagree with what the reduction matrices
-    /// derive — the persisted bundle was corrupted or mixed across
-    /// indexes (see `PersistedReduction::from_parts`).
-    PersistedMismatch {
-        /// Which derived quantity disagreed.
-        what: String,
-    },
     /// Error propagated from `emd-core`.
     Core(emd_core::CoreError),
 }
@@ -77,9 +70,6 @@ impl fmt::Display for ReductionError {
             }
             ReductionError::SampleTooSmall(n) => {
                 write!(f, "flow sample needs at least 2 histograms, got {n}")
-            }
-            ReductionError::PersistedMismatch { what } => {
-                write!(f, "persisted reduction mismatch: {what}")
             }
             ReductionError::Core(e) => write!(f, "core error: {e}"),
         }

@@ -1,19 +1,13 @@
-//! Persistable reduction bundles: everything the filter step needs,
-//! packaged for the on-disk index store.
-//!
-//! Section 4 of the paper assumes the database-side reductions are
-//! computed **offline**: the filter works purely on pre-reduced data.
-//! [`PersistedReduction`] is that offline artifact — a named
-//! [`ReducedEmd`] (reduction matrices `R1`/`R2` plus the optimal reduced
-//! cost matrix `C'`) together with the precomputed reduced database
-//! arena. `emd-store` serializes the bundle; [`PersistedReduction::from_parts`]
-//! is the validating re-entry point that recomputes `C'` from the stored
-//! matrices and refuses any disagreement, so a damaged reduced cost
-//! matrix can never silently weaken (or break) the lower-bound filter.
+//! Reduction bundles: everything the filter step needs over one
+//! database — a named [`ReducedEmd`] (`R1`/`R2` plus the optimal reduced
+//! cost matrix `C'`) and the reduced database arena, both computed
+//! offline (Section 4). An index stores only `R1` and `R2`: opening it
+//! rederives `C'` (Definition 5) and the arena through
+//! [`PersistedReduction::precompute`] — about 10 ms for 20 000 32-bin
+//! objects, against 0.7 s to cluster them.
 
-use emd_core::{CostMatrix, Histogram};
+use emd_core::Histogram;
 
-use crate::matrix::CombiningReduction;
 use crate::reduced_emd::ReducedEmd;
 use crate::ReductionError;
 
@@ -49,61 +43,6 @@ impl PersistedReduction {
         })
     }
 
-    /// Reassemble a bundle from stored parts, re-validating the
-    /// derivation invariants:
-    ///
-    /// * `C'` must be **bit-identical** to the optimal reduced cost
-    ///   matrix recomputed from `cost`, `r1` and `r2` (Definition 5 is
-    ///   deterministic, so any divergence means corruption or a foreign
-    ///   cost matrix);
-    /// * every precomputed histogram must have the database-side reduced
-    ///   dimensionality.
-    ///
-    /// A full recompute of the reduced arena would cost as much as
-    /// rebuilding the index, so arena *integrity* is left to the store's
-    /// checksums; this check pins the arena's *shape* and the matrices'
-    /// mutual consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReductionError::PersistedMismatch`] on either
-    /// disagreement, and propagates errors from rebuilding the reduced
-    /// cost matrix.
-    pub fn from_parts(
-        name: impl Into<String>,
-        cost: &CostMatrix,
-        r1: CombiningReduction,
-        r2: CombiningReduction,
-        reduced_cost: &CostMatrix,
-        reduced_database: Vec<Histogram>,
-    ) -> Result<Self, ReductionError> {
-        let reduced = ReducedEmd::with_asymmetric(cost, r1, r2)?;
-        if !bit_identical(reduced.reduced_cost(), reduced_cost) {
-            return Err(ReductionError::PersistedMismatch {
-                what: "stored reduced cost matrix disagrees with the matrix recomputed \
-                       from the stored reduction matrices and original costs"
-                    .into(),
-            });
-        }
-        let expected = reduced.r2().reduced_dim();
-        for (index, histogram) in reduced_database.iter().enumerate() {
-            if histogram.dim() != expected {
-                return Err(ReductionError::PersistedMismatch {
-                    what: format!(
-                        "precomputed histogram {index} has dimensionality {}, \
-                         reduction produces {expected}",
-                        histogram.dim()
-                    ),
-                });
-            }
-        }
-        Ok(PersistedReduction {
-            name: name.into(),
-            reduced,
-            reduced_database,
-        })
-    }
-
     /// The bundle's name (e.g. `kmed:6`).
     pub fn name(&self) -> &str {
         &self.name
@@ -126,112 +65,17 @@ impl PersistedReduction {
     }
 }
 
-/// Bitwise equality of two cost matrices — stricter than `PartialEq`
-/// (`-0.0 == 0.0`), matching the store's bit-identical round-trip
-/// contract.
-fn bit_identical(a: &CostMatrix, b: &CostMatrix) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.entries()
-            .iter()
-            .zip(b.entries())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::CombiningReduction;
     use emd_core::ground;
-
-    fn fixture() -> (CostMatrix, Vec<Histogram>, ReducedEmd) {
-        let cost = ground::linear(4).unwrap();
-        let database = vec![
-            Histogram::new(vec![1.0, 0.0, 0.0, 0.0]).unwrap(),
-            Histogram::new(vec![0.0, 0.5, 0.5, 0.0]).unwrap(),
-            Histogram::new(vec![0.25, 0.25, 0.25, 0.25]).unwrap(),
-        ];
-        let r = CombiningReduction::new(vec![0, 0, 1, 1], 2).unwrap();
-        let reduced = ReducedEmd::new(&cost, r).unwrap();
-        (cost, database, reduced)
-    }
-
-    #[test]
-    fn precompute_then_from_parts_roundtrips() {
-        let (cost, database, reduced) = fixture();
-        let bundle = PersistedReduction::precompute("kmed:2", reduced, &database).unwrap();
-        let (name, reduced, arena) = bundle.clone().into_parts();
-        let back = PersistedReduction::from_parts(
-            name,
-            &cost,
-            reduced.r1().clone(),
-            reduced.r2().clone(),
-            reduced.reduced_cost(),
-            arena,
-        )
-        .unwrap();
-        assert_eq!(back.name(), "kmed:2");
-        assert_eq!(back.reduced_database().len(), 3);
-        for (a, b) in bundle
-            .reduced_database()
-            .iter()
-            .zip(back.reduced_database())
-        {
-            assert_eq!(a.bins(), b.bins());
-        }
-    }
-
-    #[test]
-    fn tampered_reduced_cost_is_rejected() {
-        let (cost, database, reduced) = fixture();
-        let bundle = PersistedReduction::precompute("kmed:2", reduced, &database).unwrap();
-        let (name, reduced, arena) = bundle.into_parts();
-        let mut entries = reduced.reduced_cost().entries().to_vec();
-        entries[1] += 0.5; // inflate one cost: would overclaim the lower bound
-        let tampered = CostMatrix::new(
-            reduced.reduced_cost().rows(),
-            reduced.reduced_cost().cols(),
-            entries,
-        )
-        .unwrap();
-        let err = PersistedReduction::from_parts(
-            name,
-            &cost,
-            reduced.r1().clone(),
-            reduced.r2().clone(),
-            &tampered,
-            arena,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, ReductionError::PersistedMismatch { .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn wrong_arena_dimensionality_is_rejected() {
-        let (cost, database, reduced) = fixture();
-        let bundle = PersistedReduction::precompute("kmed:2", reduced, &database).unwrap();
-        let (name, reduced, _) = bundle.into_parts();
-        let wrong = vec![Histogram::new(vec![0.5, 0.25, 0.25]).unwrap()];
-        let err = PersistedReduction::from_parts(
-            name,
-            &cost,
-            reduced.r1().clone(),
-            reduced.r2().clone(),
-            reduced.reduced_cost(),
-            wrong,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, ReductionError::PersistedMismatch { .. }),
-            "{err}"
-        );
-    }
 
     #[test]
     fn mismatched_database_histogram_fails_precompute() {
-        let (_, _, reduced) = fixture();
+        let cost = ground::linear(4).unwrap();
+        let r = CombiningReduction::new(vec![0, 0, 1, 1], 2).unwrap();
+        let reduced = ReducedEmd::new(&cost, r).unwrap();
         let bad = vec![Histogram::new(vec![0.5, 0.5]).unwrap()];
         assert!(PersistedReduction::precompute("x", reduced, &bad).is_err());
     }

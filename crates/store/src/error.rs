@@ -2,7 +2,7 @@
 //!
 //! The contract of this crate is that **corruption never surfaces as a
 //! wrong query answer**: every way an on-disk artifact can be damaged —
-//! truncation, bit flips, version skew, a manifest pointing at a missing
+//! truncation, bit flips, version skew, a checkpoint naming a missing
 //! segment, payloads that decode but violate the engine's invariants —
 //! maps to a distinct [`StoreError`] variant raised on the open path.
 
@@ -82,11 +82,13 @@ pub enum StoreError {
         /// Human-readable description of the violated invariant.
         reason: String,
     },
-    /// The index manifest is not valid `flexemd-store/v1` JSON.
-    Manifest {
-        /// The manifest file.
+    /// The directory's checkpoint (`CURRENT`) is missing its canonical
+    /// `flexemd-durable/v1 <epoch>` line, or the directory holds an index
+    /// of a format this build no longer reads.
+    Checkpoint {
+        /// The checkpoint (or retired manifest) file.
         path: PathBuf,
-        /// What went wrong while parsing or interpreting it.
+        /// What went wrong while reading it.
         reason: String,
     },
     /// Another live process holds the advisory lock on the index
@@ -188,8 +190,8 @@ impl fmt::Display for StoreError {
                 "invalid section `{section}` in {}: {reason}",
                 path.display()
             ),
-            StoreError::Manifest { path, reason } => {
-                write!(f, "bad index manifest {}: {reason}", path.display())
+            StoreError::Checkpoint { path, reason } => {
+                write!(f, "bad index checkpoint {}: {reason}", path.display())
             }
             StoreError::Locked { path } => write!(
                 f,

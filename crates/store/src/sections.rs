@@ -293,7 +293,7 @@ pub struct StoredClustering {
 /// objects * u32 (assignments) | clusters * f64 (radii)`. Radii are
 /// stored as IEEE-754 bit patterns, so a save → open round trip is
 /// bit-identical.
-pub(crate) fn encode_clustering(clustering: &StoredClustering) -> Vec<u8> {
+pub fn encode_clustering(clustering: &StoredClustering) -> Vec<u8> {
     let clusters = clustering.pivots.len();
     let objects = clustering.assignments.len();
     let mut out = Vec::with_capacity(16 + clusters * 12 + objects * 4);
@@ -320,7 +320,7 @@ pub(crate) fn encode_clustering(clustering: &StoredClustering) -> Vec<u8> {
 ///
 /// Returns [`StoreError::Invalid`] when the payload is structurally
 /// short, carries trailing bytes, or violates any invariant above.
-pub(crate) fn decode_clustering(
+pub fn decode_clustering(
     path: &Path,
     section: &str,
     payload: &[u8],

@@ -1,4 +1,4 @@
-//! The `flexemd-store/v1` binary segment format.
+//! The binary segment format (`FXEMDSEG` v1).
 //!
 //! A segment file is a fixed little-endian container:
 //!
@@ -67,6 +67,8 @@ pub enum SectionKind {
     Clustering,
     /// A dense `position -> external id` map (sealed WAL segments).
     IdMap,
+    /// A UTF-8 string (the index name).
+    Text,
 }
 
 impl SectionKind {
@@ -78,6 +80,7 @@ impl SectionKind {
             SectionKind::Reduction => 3,
             SectionKind::Clustering => 4,
             SectionKind::IdMap => 5,
+            SectionKind::Text => 6,
         }
     }
 
@@ -89,6 +92,7 @@ impl SectionKind {
             3 => Some(SectionKind::Reduction),
             4 => Some(SectionKind::Clustering),
             5 => Some(SectionKind::IdMap),
+            6 => Some(SectionKind::Text),
             _ => None,
         }
     }
@@ -257,7 +261,7 @@ impl<'a> Cursor<'a> {
 
 /// Validating reader for one segment file.
 ///
-/// `open` reads the whole file, then verifies magic, version window,
+/// `open_with` reads the whole file, then verifies magic, version window,
 /// every header field against the remaining byte count, and every
 /// payload against its CRC32 — a [`SegmentReader`] in hand means every
 /// byte it serves was checksum-verified.
@@ -268,7 +272,11 @@ pub struct SegmentReader {
 }
 
 impl SegmentReader {
-    /// Open and fully verify the segment at `path`.
+    /// Open and fully verify the segment at `path`, probing `faults`
+    /// before the file read: an injected
+    /// [`Fault::Io`](emd_faultkit::Fault) surfaces as the same
+    /// [`StoreError::Io`] a real read failure would, which is how the
+    /// fault-injection tests prove every read maps to a typed error.
     ///
     /// Emits `store.bytes_read` and `store.sections_verified` counters
     /// when an obs recording is active.
@@ -282,20 +290,6 @@ impl SegmentReader {
     /// unrecognized kind tags, [`StoreError::ChecksumMismatch`] when a
     /// payload fails CRC verification, and [`StoreError::Invalid`] for
     /// non-UTF-8 section names.
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
-        Self::open_with(path, &emd_faultkit::NoFaults)
-    }
-
-    /// [`SegmentReader::open`] with a deterministic fault injector probed
-    /// before the file read. An injected [`Fault::Io`](emd_faultkit::Fault)
-    /// surfaces as the same [`StoreError::Io`] a real read failure would —
-    /// the fault-injection test harness uses this to prove every IO
-    /// failure point maps to a typed error.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`SegmentReader::open`], plus the injected
-    /// IO fault.
     pub fn open_with(
         path: &Path,
         faults: &dyn emd_faultkit::FaultInjector,
@@ -458,14 +452,14 @@ impl SegmentReader {
     /// Look up an *optional* section by name and codec kind.
     ///
     /// Returns `Ok(None)` when no section carries `name` — the accessor
-    /// for sections whose absence is a valid state (e.g. a reduction
-    /// segment saved without a clustering).
+    /// for sections whose absence is a valid state (e.g. a sealed
+    /// segment written without a clustering).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Invalid`] when a section named `name`
     /// exists but carries the wrong kind tag.
-    pub(crate) fn maybe_section(
+    pub fn maybe_section(
         &self,
         kind: SectionKind,
         name: &str,
@@ -502,7 +496,7 @@ mod tests {
             .unwrap();
         w.finish().unwrap();
 
-        let r = SegmentReader::open(&path).unwrap();
+        let r = SegmentReader::open_with(&path, &emd_faultkit::NoFaults).unwrap();
         assert_eq!(r.sections().len(), 2);
         assert_eq!(r.section("cost").unwrap().payload(), &[1, 2, 3, 4]);
         let h = r
@@ -521,7 +515,7 @@ mod tests {
         let path = temp_path("foreign.bin");
         std::fs::write(&path, b"definitely not a segment").unwrap();
         assert!(matches!(
-            SegmentReader::open(&path),
+            SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
             Err(StoreError::BadMagic { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -537,7 +531,7 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            SegmentReader::open(&path),
+            SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
             Err(StoreError::VersionSkew {
                 major: 2,
                 minor: 0,
@@ -559,7 +553,7 @@ mod tests {
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            SegmentReader::open(&path),
+            SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
             Err(StoreError::ChecksumMismatch { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -575,7 +569,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         assert!(matches!(
-            SegmentReader::open(&path),
+            SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
             Err(StoreError::Truncated { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -593,7 +587,7 @@ mod tests {
         bytes[12..16].copy_from_slice(&0x5A00_0005u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            SegmentReader::open(&path),
+            SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
             Err(StoreError::Truncated { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -606,7 +600,7 @@ mod tests {
         w.section(SectionKind::CostMatrix, "cost", &[1, 2, 3])
             .unwrap();
         drop(w); // no finish(): count stays zero
-        let r = SegmentReader::open(&path);
+        let r = SegmentReader::open_with(&path, &emd_faultkit::NoFaults);
         // Either the buffered bytes never hit disk (truncated/invalid) or
         // the zero count exposes the section bytes as trailing garbage.
         assert!(r.is_err());

@@ -1,4 +1,4 @@
-//! Write-ahead log for streaming ingest (`flexemd-store/v1` WAL).
+//! Write-ahead log of an index directory (`FXEMDWAL` v1).
 //!
 //! The segment files of [`crate::segment`] are immutable snapshots: they
 //! are written once, fsynced, and only ever read afterwards. A long-running
@@ -63,7 +63,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use emd_core::Histogram;
-use emd_faultkit::{Fault, FaultInjector, NoFaults, Site};
+use emd_faultkit::{Fault, FaultInjector, Site};
 
 use crate::crc32;
 use crate::error::StoreError;
@@ -260,16 +260,7 @@ pub struct WalWriter {
 impl WalWriter {
     /// Create a fresh WAL at `path` (truncating any existing file),
     /// write its header, and sync it so the empty log itself is durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] when the file cannot be created,
-    /// written or synced.
-    pub fn create(path: &Path) -> Result<Self, StoreError> {
-        Self::create_with(path, Arc::new(NoFaults))
-    }
-
-    /// [`WalWriter::create`] with a fault injector for crash testing.
+    /// `faults` is probed at every append and sync.
     ///
     /// # Errors
     ///
@@ -291,7 +282,7 @@ impl WalWriter {
         Ok(writer)
     }
 
-    /// Reopen an existing WAL for appending after [`replay`].
+    /// Reopen an existing WAL for appending after [`replay_with`].
     ///
     /// The file is truncated to `replay.valid_len` — discarding a torn
     /// tail if one was reported — and the writer resumes at
@@ -429,6 +420,7 @@ impl WalReplay {
 /// Replay a WAL from disk, enforcing the recovery policy described in
 /// the module docs: torn tails recover the clean prefix (reported via
 /// [`WalReplay::torn_tail`]); mid-file damage is a hard typed error.
+/// `faults` is probed before the file read.
 ///
 /// # Errors
 ///
@@ -440,16 +432,7 @@ impl WalReplay {
 /// [`StoreError::UnknownSection`] for an unknown record kind that passes
 /// its checksum, and [`StoreError::Invalid`] for payloads that decode
 /// but violate engine invariants or LSN contiguity.
-pub fn replay(path: &Path) -> Result<WalReplay, StoreError> {
-    replay_with(path, Arc::new(NoFaults))
-}
-
-/// [`replay`] with a fault injector for crash testing.
-///
-/// # Errors
-///
-/// Same contract as [`replay`].
-pub fn replay_with(path: &Path, faults: Arc<dyn FaultInjector>) -> Result<WalReplay, StoreError> {
+pub fn replay_with(path: &Path, faults: &dyn FaultInjector) -> Result<WalReplay, StoreError> {
     let _span = emd_obs::span_with(|| format!("wal.replay({})", path.display()));
     if let Some(Fault::Io) = faults.check(Site::StoreRead) {
         return Err(StoreError::io(path, StoreError::injected_read_fault()));
@@ -530,12 +513,12 @@ fn valid_frame_follows(bytes: &[u8], from: usize) -> bool {
     false
 }
 
-/// Decode an in-memory WAL image (the core of [`replay`], separated so
+/// Decode an in-memory WAL image (the core of [`replay_with`], separated so
 /// corruption tests can drive it byte-exactly).
 ///
 /// # Errors
 ///
-/// Same contract as [`replay`].
+/// Same contract as [`replay_with`].
 fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
     let header_len = usize::try_from(WAL_HEADER_LEN)
         .map_err(|_| StoreError::invalid(path, "wal-header", "header length overflows usize"))?;
@@ -682,6 +665,7 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emd_faultkit::NoFaults;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -718,7 +702,7 @@ mod tests {
     }
 
     fn write_log(path: &Path, records: &[WalRecord]) {
-        let mut writer = WalWriter::create(path).expect("create WAL");
+        let mut writer = WalWriter::create_with(path, Arc::new(NoFaults)).expect("create WAL");
         for record in records {
             writer.append(record).expect("append");
         }
@@ -730,7 +714,7 @@ mod tests {
         let path = tmp("roundtrip");
         let records = sample_records();
         write_log(&path, &records);
-        let replay = replay(&path).expect("replay");
+        let replay = replay_with(&path, &NoFaults).expect("replay");
         assert!(replay.torn_tail.is_none());
         assert_eq!(replay.records.len(), records.len());
         for (i, ((lsn, got), want)) in replay.records.iter().zip(&records).enumerate() {
@@ -758,7 +742,7 @@ mod tests {
     fn empty_log_replays_empty() {
         let path = tmp("empty");
         write_log(&path, &[]);
-        let replay = replay(&path).expect("replay");
+        let replay = replay_with(&path, &NoFaults).expect("replay");
         assert!(replay.records.is_empty());
         assert!(replay.torn_tail.is_none());
         assert_eq!(replay.valid_len, WAL_HEADER_LEN);
@@ -924,7 +908,7 @@ mod tests {
         write_log(&path, &sample_records());
         let full = std::fs::read(&path).expect("read log");
         std::fs::write(&path, &full[..full.len() - 3]).expect("tear the tail");
-        let replay1 = replay(&path).expect("replay torn log");
+        let replay1 = replay_with(&path, &NoFaults).expect("replay torn log");
         assert!(replay1.torn_tail.is_some());
         let kept = replay1.records.len();
         let mut writer = WalWriter::open_for_append(&path, &replay1, Arc::new(NoFaults))
@@ -934,7 +918,7 @@ mod tests {
             .append(&WalRecord::Remove { external_id: 42 })
             .expect("append after recovery");
         writer.sync().expect("sync");
-        let replay2 = replay(&path).expect("replay repaired log");
+        let replay2 = replay_with(&path, &NoFaults).expect("replay repaired log");
         assert!(replay2.torn_tail.is_none());
         assert_eq!(replay2.records.len(), kept + 1);
         assert_eq!(

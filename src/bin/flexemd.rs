@@ -12,19 +12,21 @@
 //!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
 //! flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
 //!                     [--max-inflight N] [--drain-stdin] [--faults SPEC]
-//! flexemd serve       --wal wal-dir [--addr HOST:PORT] [--workers N]
+//! flexemd serve       --wal index-dir [--addr HOST:PORT] [--workers N]
 //!                     [--max-inflight N] [--drain-stdin] [--faults SPEC]
-//! flexemd ingest      --wal wal-dir --data data.json [--reduction METHOD:DIMS]
+//! flexemd ingest      --wal index-dir --data data.json [--reduction METHOD:DIMS]
 //!                     [--sample N] [--seed S] [--sync-each] [--compact]
-//! flexemd wal-inspect --wal wal-dir
+//! flexemd wal-inspect --wal index-dir
 //! ```
 //!
 //! `generate` writes a synthetic corpus. `build-index` trains one
 //! combining reduction for it (`METHOD:DIMS`, e.g. `kmed:8` or
-//! `fb-all:12`) and persists the database snapshot plus the precomputed
-//! reduction bundle as a checksummed `flexemd-store/v1` directory;
-//! `query --index` opens that directory and runs one query through the
-//! filter-and-refine pipeline, reporting what the filter saved.
+//! `fb-all:12`) and bulk-loads the corpus into a new index directory —
+//! the one checksummed format `ingest` grows too: histograms, cost
+//! matrix and reductions; the reduced data is derived on open.
+//! `query --index` opens that directory read-only and runs one query
+//! through the filter-and-refine pipeline, reporting what the filter
+//! saved.
 //! `build-index --cluster` additionally runs greedy k-center clustering
 //! over the reduced arena and persists the geometry (pivots,
 //! assignments, radii). The plan follows the index: over a clustered
@@ -50,7 +52,7 @@
 
 use flexemd::core::Histogram;
 use flexemd::data::{io as dataio, Dataset};
-use flexemd::faultkit::{FailPlan, InjectedPanic};
+use flexemd::faultkit::{FailPlan, InjectedPanic, NoFaults};
 use flexemd::query::durable::CHECKPOINT_FILE;
 use flexemd::query::{
     ClusteredIndex, Database, EmdDistance, Executor, QueryError, QueryMode, QueryOutcome,
@@ -62,7 +64,6 @@ use flexemd::reduction::grid::block_merge;
 use flexemd::reduction::kmedoids::kmedoids_reduction_restarts;
 use flexemd::reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use flexemd::serve::{QuerySpec, ServeConfig, Server, Snapshot};
-use flexemd::store::MANIFEST_FILE;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -170,11 +171,11 @@ USAGE:
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
   flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
                       [--max-inflight N] [--drain-stdin] [--faults SPEC]
-  flexemd serve       --wal wal-dir [--addr HOST:PORT] [--workers N]
+  flexemd serve       --wal index-dir [--addr HOST:PORT] [--workers N]
                       [--max-inflight N] [--drain-stdin] [--faults SPEC]
-  flexemd ingest      --wal wal-dir --data data.json [--reduction METHOD:DIMS]
+  flexemd ingest      --wal index-dir --data data.json [--reduction METHOD:DIMS]
                       [--sample N] [--seed S] [--sync-each] [--compact]
-  flexemd wal-inspect --wal wal-dir
+  flexemd wal-inspect --wal index-dir
 
 Reductions: METHOD:DIMS names one combining reduction to DIMS dimensions,
 METHOD one of kmed, fb-mod, fb-all (trained on a flow sample of --sample
@@ -188,15 +189,17 @@ and GET /metrics; connections beyond --max-inflight are shed with 429 +
 Retry-After, per-request panics isolate to a 500 for that request, and
 POST /admin/drain (or stdin EOF under --drain-stdin) drains gracefully.
 
-Streaming ingest: ingest creates (or reopens) a WAL-backed durable index
-directory and appends every corpus object — one fsync per record under
---sync-each, one at the end otherwise; --compact folds the WAL into a
-sealed segment afterwards. serve --wal opens that directory writable and
-additionally answers POST /v1/insert, POST /v1/remove and
-POST /admin/compact; a 200 on the write routes is a durability
-acknowledgment (record fsynced, reader snapshot swapped). wal-inspect
-replays a directory's log read-only and prints every record plus any
-torn tail.
+Index directories: build-index writes a new one and refuses a directory
+that already holds an index. ingest creates one or reopens any (one
+build-index wrote, too) and appends every corpus object to its WAL — one
+fsync per record under --sync-each, one at the end otherwise; --compact
+folds the WAL into a sealed segment afterwards. query and serve --index
+open a directory read-only and answer in its ids, so they refuse one an
+object was removed from. serve --wal opens it writable and additionally
+answers POST /v1/insert, POST /v1/remove and POST /admin/compact; a 200
+on the write routes is a durability acknowledgment (record fsynced,
+reader snapshot swapped). wal-inspect replays a directory's log
+read-only and prints every record plus any torn tail.
 
 Indexes: build-index --cluster persists greedy k-center clustering
 geometry over the reduced arena (about sqrt(n) clusters). Every query
@@ -432,24 +435,10 @@ fn build_reduction(
     }
 }
 
-/// Refuse a directory that already holds the other index format, which
-/// `marker` names: a static index (`build-index`) and a durable one
-/// (`ingest`) never share a directory.
-fn refuse_other_format(dir: &Path, marker: &str, held: &str, verb: &str) -> Result<(), String> {
-    if dir.join(marker).exists() {
-        return Err(format!(
-            "{} already holds {held} ({marker}): `{verb}` needs a directory of its own",
-            dir.display()
-        ));
-    }
-    Ok(())
-}
-
 fn build_index(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let dataset = load_dataset(&options.path("data")?)?;
     let spec = options.required("reduction")?;
     let out = options.path("out")?;
-    refuse_other_format(&out, CHECKPOINT_FILE, "a durable index", "build-index")?;
     let reduction = build_reduction(options, &dataset, spec)?;
 
     let cost = Arc::new(dataset.cost.clone());
@@ -704,14 +693,20 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Open the durable index at `--wal` (which must exist; `flexemd ingest`
-/// creates it), reporting what replay found.
+/// Open the index at `--wal` writable (it must exist: `build-index` or
+/// `ingest` creates it), with `fault_plan` probed at every file read and
+/// WAL write, reporting what replay found.
 fn open_durable(
     options: &Options,
     stdout: &mut dyn Write,
+    fault_plan: Option<&Arc<FailPlan>>,
 ) -> Result<flexemd::query::DurableIndex, CliError> {
     let dir = options.path("wal")?;
-    let (index, report) = flexemd::query::DurableIndex::open(&dir).map_err(|e| e.to_string())?;
+    let (index, report) = match fault_plan {
+        Some(plan) => flexemd::query::DurableIndex::open_with(&dir, Arc::clone(plan) as _),
+        None => flexemd::query::DurableIndex::open(&dir),
+    }
+    .map_err(|e| e.to_string())?;
     if let Some(torn) = &report.torn_tail {
         eprintln!(
             "warning: discarded torn WAL tail at byte {} ({} bytes, {})",
@@ -732,7 +727,6 @@ fn open_durable(
 
 fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let dir = options.path("wal")?;
-    refuse_other_format(&dir, MANIFEST_FILE, "a static index", "ingest")?;
     let dataset = load_dataset(&options.path("data")?)?;
     let sync_each = options.flag("sync-each");
 
@@ -748,7 +742,7 @@ fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
             )
             .into());
         }
-        open_durable(options, stdout)?
+        open_durable(options, stdout, None)?
     } else {
         // First ingest into this directory: derive the reduction here,
         // exactly like `build-index`, and persist it in base.seg.
@@ -804,10 +798,10 @@ fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
     use flexemd::query::durable::{read_checkpoint, wal_path, CHECKPOINT_SCHEMA};
     use flexemd::store::wal::{self, WalRecord};
     let dir = options.path("wal")?;
-    let epoch = read_checkpoint(&dir).map_err(|e| e.to_string())?;
+    let epoch = read_checkpoint(&dir, &NoFaults).map_err(|e| e.to_string())?;
     writeln!(stdout, "checkpoint : {CHECKPOINT_SCHEMA} {epoch}")?;
     let wal_file = wal_path(&dir, epoch);
-    let replay = wal::replay(&wal_file).map_err(|e| e.to_string())?;
+    let replay = wal::replay_with(&wal_file, &NoFaults).map_err(|e| e.to_string())?;
     writeln!(stdout, "wal file   : {}", wal_file.display())?;
     writeln!(stdout, "records    : {}", replay.records.len())?;
     writeln!(stdout, "valid bytes: {}", replay.valid_len)?;
@@ -849,7 +843,7 @@ fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
 /// `serve --wal`: a writable server over a durable index directory.
 fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let fault_plan = fault_options(options)?;
-    let index = open_durable(options, stdout)?;
+    let index = open_durable(options, stdout, fault_plan.as_ref())?;
     let objects = index.len();
     let dim = index.cost().cols();
     let cost = Arc::clone(index.cost());

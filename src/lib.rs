@@ -16,7 +16,7 @@
 //! * [`reduction`] — flexible lower-bounding dimensionality reduction
 //! * [`data`] — synthetic multimedia data sets and workloads
 //! * [`query`] — multistep filter-and-refine query processing (KNOP)
-//! * [`store`] — checksummed on-disk index segments (`flexemd-store/v1`)
+//! * [`store`] — the checksummed segment and WAL formats of an index
 //! * [`json`] — the one JSON codec every file format and HTTP body uses
 //! * [`obs`] — metrics registry and span tracing for the whole stack
 //! * [`faultkit`] — deterministic fault injection for resilience testing

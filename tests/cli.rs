@@ -68,7 +68,7 @@ fn corpus_and_index(test: &str) -> (TestDir, PathBuf, PathBuf) {
 #[test]
 fn full_workflow() {
     let (dir, data, index) = corpus_and_index("full_workflow");
-    assert!(index.join("index.json").exists());
+    assert!(index.join("CURRENT").exists());
 
     let info = flexemd()
         .arg("info")
@@ -538,70 +538,125 @@ fn generate_rejects_zero_classes() {
     assert!(!dir.join("never-written.json").exists());
 }
 
-/// `build-index` into a durable directory is refused, naming the format
-/// there; rebuilding a static index in place still works.
+/// `build-index` refuses a directory that already holds an index —
+/// one `ingest` grew or one `build-index` wrote — so it never destroys
+/// ingested objects, and writes nothing there.
 #[test]
 fn build_index_refuses_a_durable_directory() {
     let (dir, data, index) = corpus_and_index("build_index_durable_directory");
     let wal = dir.join("wal");
-    let (wal, data, index) = (
-        wal.to_str().unwrap(),
-        data.to_str().unwrap(),
-        index.to_str().unwrap(),
-    );
+    let (wal, data) = (wal.to_str().unwrap(), data.to_str().unwrap());
     let created = flexemd()
         .args(["ingest", "--wal", wal, "--data", data])
         .output()
         .unwrap();
     assert!(created.status.success());
-    fails_with(
-        &[
-            "build-index",
-            "--data",
-            data,
-            "--reduction",
-            "kmed:6",
-            "--out",
-            wal,
-        ],
-        &format!(
-            "error: {wal} already holds a durable index (CURRENT): `build-index` needs a \
-             directory of its own"
-        ),
-    );
-    assert!(!dir.join("wal").join("index.json").exists());
-    let rebuilt = flexemd()
-        .args([
-            "build-index",
-            "--data",
-            data,
-            "--reduction",
-            "kmed:6",
-            "--out",
-            index,
-        ])
-        .output()
-        .unwrap();
-    assert!(rebuilt.status.success());
+    let before = std::fs::read(index.join("sealed-1.seg")).unwrap();
+    for out in [wal, index.to_str().unwrap()] {
+        fails_with(
+            &[
+                "build-index",
+                "--data",
+                data,
+                "--reduction",
+                "kmed:6",
+                "--out",
+                out,
+            ],
+            &format!(
+                "error: io error on {out}/CURRENT: the directory already holds an index: a new \
+                 one needs a directory of its own"
+            ),
+        );
+    }
+    assert!(!dir.join("wal").join("sealed-1.seg").exists());
+    assert_eq!(std::fs::read(index.join("sealed-1.seg")).unwrap(), before);
 }
 
-/// `ingest` into a static index directory is refused, naming the format
-/// there, and writes no durable files beside it.
+/// A directory in the retired `flexemd-store/v1` static format
+/// (`index.json`, no `CURRENT`): `ingest` refuses it with a typed error
+/// naming the format, writes no index files beside it, and `query`
+/// refuses it the same way.
 #[test]
 fn ingest_refuses_a_static_index_directory() {
-    let (dir, data, index) = corpus_and_index("ingest_static_directory");
-    let (data, index) = (data.to_str().unwrap(), index.to_str().unwrap());
-    fails_with(
-        &["ingest", "--wal", index, "--data", data],
-        &format!(
-            "error: {index} already holds a static index (index.json): `ingest` needs a \
-             directory of its own"
-        ),
+    let (dir, data, _index) = corpus_and_index("ingest_static_directory");
+    let retired = dir.join("retired");
+    std::fs::create_dir_all(&retired).unwrap();
+    std::fs::write(retired.join("index.json"), "{}").unwrap();
+    let (data, retired_arg) = (data.to_str().unwrap(), retired.to_str().unwrap());
+    let refusal = format!(
+        "bad index checkpoint {retired_arg}/index.json: this is a flexemd-store/v1 index, \
+         which this build no longer reads: rebuild it with `flexemd build-index` into a new \
+         directory"
     );
-    let index = dir.join("index");
-    for durable in ["CURRENT", "base.seg", "wal-0.log"] {
-        assert!(!index.join(durable).exists(), "ingest wrote {durable}");
+    fails_with(
+        &["ingest", "--wal", retired_arg, "--data", data],
+        &format!("error: store error: {refusal}"),
+    );
+    for written in ["CURRENT", "base.seg", "wal-0.log"] {
+        assert!(!retired.join(written).exists(), "ingest wrote {written}");
     }
+    fails_with(
+        &["query", "--index", retired_arg],
+        &format!("error: {refusal}"),
+    );
+}
+
+/// `ingest` extends a directory `build-index` wrote: the n built objects
+/// keep their ids, the m ingested ones follow, and `query --index`
+/// answers over all n + m.
+#[test]
+fn ingest_extends_a_built_index_and_query_sees_every_object() {
+    let (_dir, data, index) = corpus_and_index("ingest_extends_a_built_index");
+    let ingest = flexemd()
+        .arg("ingest")
+        .arg("--wal")
+        .arg(&index)
+        .arg("--data")
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(
+        ingest.status.success(),
+        "ingest failed: {}",
+        String::from_utf8_lossy(&ingest.stderr)
+    );
+    let text = String::from_utf8_lossy(&ingest.stdout).to_string();
+    assert!(
+        text.contains("epoch 1, 30 sealed + 1 replayed records"),
+        "{text}"
+    );
+    assert!(text.contains("external ids 30.."), "{text}");
+    assert!(text.contains("60 live objects"), "{text}");
+
+    // Object 35 is object 5 ingested again: its nearest neighbors are
+    // itself and its twin, both at distance 0.
+    let stdout = query_stdout(&index, &["--query", "35", "--k", "2"]);
+    assert!(stdout.contains("of 60 objects"), "{stdout}");
+    assert!(
+        stdout.contains("#5 ") && stdout.contains("#35 "),
+        "{stdout}"
+    );
+}
+
+/// Read-only opens answer in the directory's ids, which are positions
+/// only while no object was removed: after `serve --wal` removes one,
+/// `query --index` is a typed error that points to `serve --wal`.
+#[test]
+fn query_refuses_an_index_an_object_was_removed_from() {
+    let (_dir, _data, index) = corpus_and_index("query_refuses_removed");
+    let (mut child, addr, _stdout) = spawn_wal_server(&index, &[]);
+    let (status, body) = call(&addr, "POST", "/v1/remove", Some("{\"id\": 3}"));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"removed\":true"), "{body}");
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success(), "serve --wal did not drain");
+
+    let out = query_output(&index, &[]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(stderr.contains("serve --wal"), "{stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
 }
 
 #[test]
@@ -952,4 +1007,25 @@ fn writable_serve_honours_faults() {
 
     drop(child.stdin.take());
     assert!(child.wait().unwrap().success(), "serve --wal did not drain");
+}
+
+/// `--faults read:K` walks the file reads of the one open path on
+/// `serve --wal` too: `read:1` fails the checkpoint read, and the
+/// server never starts.
+#[test]
+fn writable_serve_honours_read_faults() {
+    let (_dir, _data, index) = corpus_and_index("writable_serve_honours_read_faults");
+    let out = flexemd()
+        .arg("serve")
+        .arg("--wal")
+        .arg(&index)
+        .args(["--faults", "read:1", "--drain-stdin"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "an injected read fault must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(stderr.contains("injected read fault"), "{stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("serving"));
 }
