@@ -1,7 +1,8 @@
-//! The one on-disk index format, and the crash-safe [`DynamicIndex`]
-//! over it: sealed segments + WAL tail. Whether `Database::save`
-//! (`flexemd build-index`) wrote a directory or [`DurableIndex`]
-//! (`flexemd ingest`, `serve --wal`) grew it, it looks like this:
+//! The one on-disk index format, and the one live index over it:
+//! [`DurableIndex`], sealed segments + WAL tail. Whether
+//! `Database::save` (`flexemd build-index`) wrote a directory or a
+//! [`DurableIndex`] (`flexemd ingest`, `serve --wal`) grew it, it looks
+//! like this:
 //!
 //! ```text
 //! <dir>/
@@ -31,28 +32,46 @@
 //! * **One reader:** checkpoint → base → sealed → WAL replay, shared by
 //!   `Database::open` (read-only: no lock, no write, not even to
 //!   truncate a torn tail) and [`DurableIndex::open`].
-//! * **Writes** append a [`WalRecord`] first; durability is claimed only
-//!   after an explicit [`DurableIndex::sync`] — the server acknowledges
-//!   an insert exactly then, never earlier.
-//! * **Ids**: there is one id space, and [`DynamicIndex`] owns it — a
-//!   `u64` per object, allocated monotonically, never reused, untouched
-//!   by compaction. This layer logs the id the index is about to hand
-//!   out, persists the ids beside the sealed histograms, and hands both
-//!   back on open. (The WAL and segment formats call them *external*.)
+//! * **One way to write:** [`DurableIndex::append_insert`] /
+//!   [`DurableIndex::append_remove`] log a [`WalRecord`] and then apply
+//!   it in memory; durability is claimed only after an explicit
+//!   [`DurableIndex::sync`] — the server acknowledges an insert exactly
+//!   then, never earlier.
+//! * **One id space:** a `u64` per object, allocated monotonically in
+//!   append order, never reused, untouched by compaction. Compaction
+//!   keeps that order, so position -> id is one ascending `Vec<u64>` and
+//!   id -> position a binary search on it; a storage position never
+//!   leaves this module. (The WAL and segment formats call the ids
+//!   *external*.)
 //! * **Single owner**: every writer holds an advisory exclusive lock on
 //!   `<dir>/LOCK`; a second one fails with a typed
 //!   [`StoreError::Locked`]. The OS releases the lock when its owner
 //!   dies, so a crash never leaves a stale lock behind.
 //!
-//! Copy-on-write isolation is inherited from [`DynamicIndex`]: a
-//! [`DurableSnapshot`] taken before a mutation keeps answering from the
-//! pre-mutation state, which is how `flexemd serve` lets readers run
-//! against a frozen view while the single writer applies inserts.
+//! **Filter state.** What the stages of [`QueryPlan::chain`] need per
+//! *index* — the reduction, the LB_IM sort orders over its reduced cost,
+//! the anchor columns (none when the cost is not a metric, and then the
+//! chain is the paper's Figure 10 alone) — is derived once when the
+//! index is created or opened and shared by `Arc`; what they need per
+//! *object* (its `R2` vector, its anchor projection) is derived once at
+//! insert or replay and kept in the object's slot beside its histogram.
+//! A removal tombstones the slot; [`DurableIndex::compact`] reclaims it.
+//!
+//! **Snapshots.** A [`Histogram`] is an immutable shared handle, so a
+//! [`DurableSnapshot`] is a [`Database`] of the live handles (a
+//! reference-count bump per object, nothing copied) under the stages of
+//! [`QueryPlan::chain`], run by the shared engine [`Executor`]. No later
+//! write or compaction reaches it, which is how `flexemd serve` lets
+//! readers run against a frozen view while the single writer applies
+//! inserts. The executor's dense ids (the live objects, in ascending id
+//! order) exist only inside one snapshot, which translates them back on
+//! the way out.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{CostMatrix, Histogram};
 use emd_faultkit::{Fault, FaultInjector, NoFaults, Site};
 use emd_reduction::{PersistedReduction, ReducedEmd};
@@ -61,12 +80,12 @@ use emd_store::segment::{SectionKind, SegmentReader, SegmentWriter};
 use emd_store::wal::{self, TornTail, WalRecord, WalReplay, WalWriter};
 use emd_store::StoreError;
 
-use crate::dynamic::DynamicIndex;
+use crate::engine::{chain_stages, Database, Executor, Query, QueryPlan};
 use crate::error::QueryError;
-
-/// A frozen view of a [`DurableIndex`]: the [`DynamicIndex`]'s own
-/// snapshot, which already answers in the ids clients hold.
-pub use crate::dynamic::DynamicSnapshot as DurableSnapshot;
+use crate::filters::{AnchorFilter, EmdDistance, ReducedImFilter};
+use crate::outcome::QueryOutcome;
+use crate::stats::QueryStats;
+use crate::Neighbor;
 
 /// Schema tag written as the first token of the `CURRENT` checkpoint.
 pub const CHECKPOINT_SCHEMA: &str = "flexemd-durable/v1";
@@ -190,6 +209,17 @@ fn retired_format(dir: &Path) -> StoreError {
     }
 }
 
+/// The typed error of a directory whose checkpoint cannot be read
+/// (`error`): the retired format's when it holds one, else the IO error
+/// on `CURRENT`.
+fn no_checkpoint(dir: &Path, error: std::io::Error) -> StoreError {
+    if dir.join(RETIRED_MANIFEST).exists() {
+        retired_format(dir)
+    } else {
+        StoreError::io(dir.join(CHECKPOINT_FILE), error)
+    }
+}
+
 /// Refuse a directory that already holds an index: a writer that
 /// starts a directory never destroys the objects in one.
 fn refuse_existing_index(dir: &Path) -> Result<(), StoreError> {
@@ -245,11 +275,7 @@ pub fn read_checkpoint(dir: &Path, faults: &dyn FaultInjector) -> Result<u64, St
             std::io::Error::other("injected read fault"),
         ));
     }
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(_) if dir.join(RETIRED_MANIFEST).exists() => return Err(retired_format(dir)),
-        Err(e) => return Err(StoreError::io(&path, e)),
-    };
+    let text = std::fs::read_to_string(&path).map_err(|e| no_checkpoint(dir, e))?;
     text.strip_prefix(CHECKPOINT_SCHEMA)
         .and_then(|rest| rest.trim().parse().ok())
         .filter(|&epoch| checkpoint_line(epoch) == text)
@@ -485,11 +511,66 @@ pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, Sto
     })
 }
 
-/// A WAL-backed, crash-safe dynamic index over one directory.
+/// One object of a [`DurableIndex`]: its histogram and what the filter
+/// stages derive from it, once.
+#[derive(Debug)]
+struct Object {
+    histogram: Histogram,
+    /// Its `R2` side.
+    reduced: Histogram,
+    /// Its anchor projection; empty when the index has no floor.
+    projection: Arc<[f64]>,
+}
+
+/// The live index over one directory: WAL-backed and crash-safe, with
+/// the filter state of every object kept in step with each write.
+///
+/// ```
+/// use emd_core::{ground, Histogram};
+/// use emd_query::DurableIndex;
+/// use emd_reduction::{CombiningReduction, ReducedEmd};
+/// use std::sync::Arc;
+///
+/// let dir = std::env::temp_dir().join(format!("durable-doc-{}", std::process::id()));
+/// # let _ = std::fs::remove_dir_all(&dir);
+/// let cost = Arc::new(ground::linear(4)?);
+/// let reduced = ReducedEmd::new(&cost, CombiningReduction::new(vec![0, 0, 1, 1], 2)?)?;
+/// let mut index = DurableIndex::create(&dir, cost, reduced)?;
+///
+/// let a = index.append_insert(Histogram::new(vec![1.0, 0.0, 0.0, 0.0])?)?;
+/// let b = index.append_insert(Histogram::new(vec![0.0, 0.0, 0.0, 1.0])?)?;
+/// index.sync()?; // both inserts are durable from here on
+/// let query = Histogram::new(vec![0.9, 0.1, 0.0, 0.0])?;
+/// // Queries run on a snapshot: take one, ask it as often as you like.
+/// let (nearest, _) = index.snapshot()?.knn(&query, 1)?;
+/// assert_eq!(nearest[0].0, a);
+///
+/// index.append_remove(a)?;
+/// index.compact()?; // reclaims a's storage; b is still b
+/// let (nearest, _) = index.snapshot()?.knn(&query, 1)?;
+/// assert_eq!(nearest[0].0, b);
+/// # drop(index);
+/// # std::fs::remove_dir_all(&dir)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug)]
 pub struct DurableIndex {
     dir: PathBuf,
-    index: DynamicIndex,
+    /// The name `base.seg` records; empty when none was recorded.
+    name: String,
+    cost: Arc<CostMatrix>,
+    reduced: Arc<ReducedEmd>,
+    /// LB_IM over the reduced cost.
+    bound: Arc<LbIm>,
+    /// The chain's anchor floor over `cost`; `None` when `cost` is not a
+    /// metric.
+    floor: Option<Arc<AnchorBound>>,
+    /// Position -> id, strictly ascending; every entry is `< next_id`.
+    ids: Vec<u64>,
+    /// One slot per position; `None` marks a removed object.
+    objects: Vec<Option<Object>>,
+    next_id: u64,
+    live: usize,
     epoch: u64,
     walw: WalWriter,
     faults: Arc<dyn FaultInjector>,
@@ -529,21 +610,58 @@ impl DurableIndex {
         reduced: ReducedEmd,
         faults: Arc<dyn FaultInjector>,
     ) -> Result<Self, DurableError> {
+        if reduced.r2().original_dim() != cost.cols() {
+            return Err(QueryError::Reduction(format!(
+                "reduction covers {} dimensions, cost matrix {}",
+                reduced.r2().original_dim(),
+                cost.cols()
+            ))
+            .into());
+        }
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
         let lock = lock_dir(dir)?;
         refuse_existing_index(dir)?;
-        let index = DynamicIndex::new(Arc::clone(&cost), reduced.clone())?;
         write_base(dir, &cost, &reduced, "")?;
         let walw = WalWriter::create_with(&wal_path(dir, 0), Arc::clone(&faults))?;
         write_checkpoint(dir, 0)?;
-        Ok(DurableIndex {
+        Ok(Self::empty(
+            dir,
+            String::new(),
+            cost,
+            reduced,
+            walw,
+            faults,
+            lock,
+        ))
+    }
+
+    /// An index over `dir` holding no object yet, at epoch 0, with the
+    /// per-index filter state derived from `cost` and `reduced`.
+    fn empty(
+        dir: &Path,
+        name: String,
+        cost: Arc<CostMatrix>,
+        reduced: ReducedEmd,
+        walw: WalWriter,
+        faults: Arc<dyn FaultInjector>,
+        lock: File,
+    ) -> Self {
+        DurableIndex {
             dir: dir.to_path_buf(),
-            index,
+            name,
+            bound: Arc::new(LbIm::new(reduced.reduced_cost().clone())),
+            floor: AnchorFilter::floor_bound(&cost, &reduced).map(Arc::new),
+            cost,
+            reduced: Arc::new(reduced),
+            ids: Vec::new(),
+            objects: Vec::new(),
+            next_id: 0,
+            live: 0,
             epoch: 0,
             walw,
             faults,
             _lock: lock,
-        })
+        }
     }
 
     /// Open an existing durable index, replaying its WAL over the sealed
@@ -572,6 +690,10 @@ impl DurableIndex {
         faults: Arc<dyn FaultInjector>,
     ) -> Result<(Self, OpenReport), DurableError> {
         let _span = emd_obs::span_with(|| format!("durable.open({})", dir.display()));
+        // A directory without a checkpoint holds no index: refuse it with
+        // the reader's error before the lock file is created in it (a
+        // metadata check, so no read fault is probed).
+        std::fs::metadata(dir.join(CHECKPOINT_FILE)).map_err(|e| no_checkpoint(dir, e))?;
         // Own the directory before reading anything: replay truncates
         // torn tails and open sweeps orphans, neither of which may race
         // a concurrent owner.
@@ -583,25 +705,27 @@ impl DurableIndex {
             replayed_records: stored.replay.records.len(),
             torn_tail: stored.replay.torn_tail.clone(),
         };
-        let index = DynamicIndex::restore(
-            stored.cost,
-            stored.bundle,
-            stored.histograms,
-            stored.ids,
-            stored.next_id,
-        )?;
         let wal_file = wal_path(dir, stored.epoch);
         let walw = WalWriter::open_for_append(&wal_file, &stored.replay, Arc::clone(&faults))?;
-        let durable = DurableIndex {
-            dir: dir.to_path_buf(),
-            index,
-            epoch: report.epoch,
-            walw,
-            faults,
-            _lock: lock,
-        };
-        durable.sweep_orphans();
-        Ok((durable, report))
+        let (_, reduced, arena) = stored.bundle.into_parts();
+        let mut index = Self::empty(dir, stored.name, stored.cost, reduced, walw, faults, lock);
+        index.epoch = stored.epoch;
+        // The reader hands back strictly ascending ids below its watermark
+        // (the id lookup leans on both) and the derived reduced arena; the
+        // anchor projections are derived here.
+        let objects = stored.histograms.into_iter().zip(arena).zip(stored.ids);
+        for ((histogram, reduced), id) in objects {
+            let projection = index.project(&histogram)?;
+            let object = Object {
+                histogram,
+                reduced,
+                projection,
+            };
+            index.push(id, object);
+        }
+        index.next_id = stored.next_id;
+        index.sweep_orphans();
+        Ok((index, report))
     }
 
     /// Remove files left behind by a compaction that crashed between
@@ -628,19 +752,26 @@ impl DurableIndex {
     /// The ground-distance matrix this index persists against.
     #[must_use]
     pub fn cost(&self) -> &Arc<CostMatrix> {
-        self.index.cost()
+        &self.cost
+    }
+
+    /// The name `base.seg` records (`build-index` names its corpus);
+    /// empty when none was recorded.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Live object count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.live
     }
 
     /// Whether no live objects remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.live == 0
     }
 
     /// The compaction epoch currently on disk.
@@ -662,26 +793,52 @@ impl DurableIndex {
     /// index is only touched after the append succeeds, so a failure
     /// changes nothing and consumes no id.
     pub fn append_insert(&mut self, histogram: Histogram) -> Result<u64, DurableError> {
-        let derived = self.index.reduce(&histogram)?;
+        if histogram.dim() != self.cost.cols() {
+            return Err(QueryError::Core(emd_core::CoreError::DimensionMismatch {
+                expected_rows: self.cost.rows(),
+                expected_cols: self.cost.cols(),
+                got_rows: histogram.dim(),
+                got_cols: histogram.dim(),
+            })
+            .into());
+        }
+        let object = Object {
+            reduced: self
+                .reduced
+                .reduce_second(&histogram)
+                .map_err(QueryError::from)?,
+            projection: self.project(&histogram)?,
+            histogram,
+        };
+        let id = self.next_id;
         self.walw.append(&WalRecord::Insert {
-            external_id: self.index.next_id(),
-            histogram: histogram.clone(),
+            external_id: id,
+            histogram: object.histogram.clone(),
         })?;
-        Ok(self.index.push(histogram, derived))
+        self.push(id, object);
+        Ok(id)
     }
 
-    /// Insert with immediate durability: append + [`DurableIndex::sync`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DurableIndex::append_insert`] and
-    /// [`DurableIndex::sync`] failures. After a sync failure the record's
-    /// durability is *unknown* (it may still reach disk); reopening the
-    /// directory recovers the authoritative state.
-    pub fn insert(&mut self, histogram: Histogram) -> Result<u64, DurableError> {
-        let external_id = self.append_insert(histogram)?;
-        self.sync()?;
-        Ok(external_id)
+    /// The anchor projection of `histogram`; empty without a floor.
+    fn project(&self, histogram: &Histogram) -> Result<Arc<[f64]>, QueryError> {
+        Ok(match &self.floor {
+            Some(floor) => floor.project(histogram)?,
+            None => Arc::from([]),
+        })
+    }
+
+    /// Store `object` under `id`, above every id stored so far.
+    fn push(&mut self, id: u64, object: Object) {
+        self.objects.push(Some(object));
+        self.ids.push(id);
+        self.next_id = id + 1;
+        self.live += 1;
+    }
+
+    /// The storage position of a live object.
+    fn position(&self, id: u64) -> Option<usize> {
+        let position = self.ids.binary_search(&id).ok()?;
+        self.objects.get(position)?.as_ref().map(|_| position)
     }
 
     /// Append a remove to the WAL and apply it in memory. Returns `false`
@@ -694,36 +851,29 @@ impl DurableIndex {
     /// Returns [`DurableError::Store`] when the WAL append fails; the
     /// in-memory state is untouched in that case.
     pub fn append_remove(&mut self, external_id: u64) -> Result<bool, DurableError> {
-        if self.index.get(external_id).is_none() {
+        let Some(position) = self.position(external_id) else {
             return Ok(false);
-        }
+        };
         self.walw.append(&WalRecord::Remove { external_id })?;
-        Ok(self.index.remove(external_id))
-    }
-
-    /// Remove with immediate durability: append + [`DurableIndex::sync`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DurableIndex::append_remove`] and
-    /// [`DurableIndex::sync`] failures (see [`DurableIndex::insert`] for
-    /// post-sync-failure semantics).
-    pub fn remove(&mut self, external_id: u64) -> Result<bool, DurableError> {
-        if !self.append_remove(external_id)? {
-            return Ok(false);
+        if let Some(slot) = self.objects.get_mut(position) {
+            *slot = None;
         }
-        self.sync()?;
+        self.live -= 1;
         Ok(true)
     }
 
     /// Fetch a live object by id.
     #[must_use]
     pub fn get(&self, external_id: u64) -> Option<&Histogram> {
-        self.index.get(external_id)
+        let object = self.objects.get(self.position(external_id)?)?.as_ref();
+        object.map(|object| &object.histogram)
     }
 
     /// Make every appended record durable (fsync). The explicit point
-    /// after which appends may be acknowledged.
+    /// after which appends may be acknowledged. After a failure the
+    /// durability of the unsynced records is *unknown* (they may still
+    /// reach disk); reopening the directory recovers the authoritative
+    /// state.
     ///
     /// # Errors
     ///
@@ -737,8 +887,8 @@ impl DurableIndex {
     /// Fold the WAL into a new sealed segment and start a fresh log,
     /// through the one writer a bulk load uses too.
     ///
-    /// Steps, in crash-safe order: compact the in-memory index (ids are
-    /// unaffected), write `sealed-<epoch+1>.seg`, create
+    /// Steps, in crash-safe order: reclaim the tombstoned slots in memory
+    /// (ids are unaffected), write `sealed-<epoch+1>.seg`, create
     /// `wal-<epoch+1>.log` whose first record is the
     /// [`WalRecord::CompactEpoch`] id map, flip the checkpoint
     /// atomically, then retire the old epoch's files. A crash before the
@@ -763,20 +913,17 @@ impl DurableIndex {
         let new_epoch = self.epoch + 1;
         // Reclaim in memory first; ids are unaffected, so a failure below
         // leaves a fully consistent (just un-sealed) index.
-        self.index.compact();
-        let (ids, histograms): (Vec<u64>, Vec<Histogram>) = self
-            .index
-            .live()
-            .map(|(id, histogram)| (id, histogram.clone()))
-            .unzip();
+        self.ids = self.live().map(|(id, _)| id).collect();
+        self.objects.retain(Option::is_some);
+        let histograms: Vec<Histogram> = self.live().map(|(_, o)| o.histogram.clone()).collect();
         let old_wal = wal_path(&self.dir, self.epoch);
         let folded_wal_bytes = std::fs::metadata(&old_wal).map_or(0, |m| m.len());
         let new_wal = write_epoch(
             &self.dir,
             new_epoch,
             &histograms,
-            ids,
-            self.index.next_id(),
+            self.ids.clone(),
+            self.next_id,
             None,
             Arc::clone(&self.faults),
         )?;
@@ -793,21 +940,169 @@ impl DurableIndex {
         emd_obs::counter_add("compact.runs", 1);
         Ok(CompactReport {
             epoch: new_epoch,
-            sealed_objects: self.index.len(),
+            sealed_objects: self.live,
             folded_wal_bytes,
         })
     }
 
-    /// An immutable, queryable snapshot: a [`Database`](crate::Database)
-    /// of the live histograms (shared handles, no bins copied), isolated
-    /// from every later mutation, including compaction.
+    /// The live objects with their ids, in ascending id order.
+    fn live(&self) -> impl Iterator<Item = (u64, &Object)> {
+        let slots = self.ids.iter().zip(&self.objects);
+        slots.filter_map(|(&id, slot)| Some((id, slot.as_ref()?)))
+    }
+
+    /// An immutable, queryable snapshot of the live objects: a
+    /// [`Database`] of their handles under the stages of
+    /// [`QueryPlan::chain`]. Every query of the index runs on one.
+    ///
+    /// O(live) reference-count bumps — take one and run many queries on
+    /// it — and no histogram, reduced vector or anchor projection copied;
+    /// later writes and compactions leave the snapshot untouched.
     ///
     /// # Errors
     ///
     /// Returns [`DurableError::Query`] ([`QueryError::EmptyDatabase`])
     /// when no live objects remain.
     pub fn snapshot(&self) -> Result<DurableSnapshot, DurableError> {
-        Ok(self.index.snapshot()?)
+        if self.live == 0 {
+            return Err(QueryError::EmptyDatabase.into());
+        }
+        let histograms = self.live().map(|(_, o)| o.histogram.clone()).collect();
+        let database = Database::new(histograms, Arc::clone(&self.cost))?;
+        let red_im = ReducedImFilter::from_shared(
+            Arc::clone(&self.reduced),
+            Arc::clone(&self.bound),
+            self.live().map(|(_, o)| o.reduced.clone()).collect(),
+        );
+        let floor = self.floor.as_ref().map(|floor| {
+            let projections = self
+                .live()
+                .map(|(_, o)| Arc::clone(&o.projection))
+                .collect();
+            AnchorFilter::from_shared(Arc::clone(floor), projections)
+        });
+        let refiner = Box::new(EmdDistance::new(&database)?);
+        let plan = QueryPlan::new(chain_stages(floor, red_im), refiner)?;
+        Ok(DurableSnapshot {
+            executor: Executor::new(plan),
+            ids: self.live().map(|(id, _)| id).collect(),
+            database,
+        })
+    }
+}
+
+/// An immutable view of a [`DurableIndex`] at snapshot time: queries run
+/// through the shared [`Executor`] against the live objects and answer
+/// in the index's ids. Unaffected by later writes and compactions.
+#[derive(Debug)]
+pub struct DurableSnapshot {
+    executor: Executor,
+    /// Dense (executor) id -> id, ascending.
+    ids: Vec<u64>,
+    /// The live objects, by dense id.
+    database: Database,
+}
+
+impl DurableSnapshot {
+    /// Number of live objects captured.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the snapshot is empty (never true: empty indexes refuse to
+    /// snapshot).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Fetch an object that was live when the snapshot was taken.
+    #[must_use]
+    pub fn get(&self, id: u64) -> Option<&Histogram> {
+        self.database.get(self.ids.binary_search(&id).ok()?)
+    }
+
+    /// The underlying executor, for its plan and statistics. Its answers
+    /// are in dense ids private to this snapshot; [`run`](Self::run) and
+    /// [`run_isolated`](Self::run_isolated) answer in the index's ids.
+    #[must_use]
+    pub fn executor(&self) -> &Executor {
+        &self.executor
+    }
+
+    /// Run one [`Query`] under the budget it carries, answering in the
+    /// index's ids (exact neighbors and degraded candidates alike).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError`] under the same conditions as
+    /// [`Executor::run`], and [`QueryError::UnknownObject`] for an id
+    /// that does not fit the outcome's `usize`.
+    pub fn run(&self, query: &Query) -> Result<(QueryOutcome, QueryStats), QueryError> {
+        let (outcome, stats) = self.executor.run(query)?;
+        Ok((self.in_ids(outcome)?, stats))
+    }
+
+    /// [`run`](Self::run) with panic isolation — the server's entry
+    /// point; see [`Executor::run_isolated`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run`](Self::run) and
+    /// [`Executor::run_isolated`].
+    pub fn run_isolated(
+        &self,
+        query: &Query,
+        worker: usize,
+    ) -> Result<(QueryOutcome, QueryStats), QueryError> {
+        let (outcome, stats) = self.executor.run_isolated(query, worker)?;
+        Ok((self.in_ids(outcome)?, stats))
+    }
+
+    /// Exact k-NN as `(id, distance)` pairs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError`] under the same conditions as
+    /// [`Executor::knn`].
+    // lint: allow(unbudgeted): sugar over Executor::knn with Budget::unlimited().
+    pub fn knn(
+        &self,
+        query: &Histogram,
+        k: usize,
+    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
+        let (neighbors, stats) = self.executor.knn(query, k)?;
+        Ok((self.in_pairs(neighbors)?, stats))
+    }
+
+    /// Exact range query as `(id, distance)` pairs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError`] under the same conditions as
+    /// [`Executor::range`].
+    // lint: allow(unbudgeted): sugar over Executor::range with Budget::unlimited().
+    pub fn range(
+        &self,
+        query: &Histogram,
+        epsilon: f64,
+    ) -> Result<(Vec<(u64, f64)>, QueryStats), QueryError> {
+        let (neighbors, stats) = self.executor.range(query, epsilon)?;
+        Ok((self.in_pairs(neighbors)?, stats))
+    }
+
+    /// Rewrite an outcome's dense ids as the index's ids; one that does
+    /// not fit the outcome's `usize` is an error, never a wrong id.
+    fn in_ids(&self, outcome: QueryOutcome) -> Result<QueryOutcome, QueryError> {
+        outcome.map_ids(|dense| usize::try_from(*self.ids.get(dense)?).ok())
+    }
+
+    /// Rewrite exact neighbors as `(id, distance)` pairs.
+    fn in_pairs(&self, neighbors: Vec<Neighbor>) -> Result<Vec<(u64, f64)>, QueryError> {
+        let id = |dense: usize| self.ids.get(dense).ok_or(QueryError::UnknownObject(dense));
+        let pairs = neighbors.iter().map(|n| Ok((*id(n.id)?, n.distance)));
+        pairs.collect()
     }
 }
 
@@ -862,6 +1157,7 @@ fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, StoreE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::{brute_force_knn, brute_force_range};
     use emd_core::ground;
     use emd_reduction::CombiningReduction;
 
@@ -905,9 +1201,10 @@ mod tests {
         {
             let mut index = fresh(&dir);
             for histogram in corpus() {
-                index.insert(histogram).unwrap();
+                index.append_insert(histogram).unwrap();
             }
-            index.remove(1).unwrap();
+            index.append_remove(1).unwrap();
+            index.sync().unwrap();
             before = index.snapshot().unwrap().knn(&query, 3).unwrap().0;
         }
         let (reopened, report) = DurableIndex::open(&dir).unwrap();
@@ -929,11 +1226,11 @@ mod tests {
         let mut index = fresh(&dir);
         let ids: Vec<u64> = corpus()
             .into_iter()
-            .map(|histogram| index.insert(histogram).unwrap())
+            .map(|histogram| index.append_insert(histogram).unwrap())
             .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        index.remove(0).unwrap();
-        index.remove(2).unwrap();
+        index.append_remove(0).unwrap();
+        index.append_remove(2).unwrap();
         let report = index.compact().unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.sealed_objects, 3);
@@ -946,8 +1243,9 @@ mod tests {
             .unwrap();
         assert_eq!(hits[0].0, 1, "external id 1 survives compaction");
         // ...and the persisted id map restores them after reopen.
-        let next_before = index.insert(h(&[0.5, 0.0, 0.0, 0.5])).unwrap();
+        let next_before = index.append_insert(h(&[0.5, 0.0, 0.0, 0.5])).unwrap();
         assert_eq!(next_before, 5, "allocator continues after compaction");
+        index.sync().unwrap();
         drop(index);
         let (reopened, report) = DurableIndex::open(&dir).unwrap();
         assert_eq!(report.epoch, 1);
@@ -967,12 +1265,12 @@ mod tests {
     fn empty_compaction_preserves_id_allocator() {
         let dir = tmp_dir("empty-compact");
         let mut index = fresh(&dir);
-        let a = index.insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
-        index.remove(a).unwrap();
+        let a = index.append_insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        index.append_remove(a).unwrap();
         index.compact().unwrap();
         drop(index);
         let (mut reopened, _) = DurableIndex::open(&dir).unwrap();
-        let b = reopened.insert(h(&[0.0, 1.0, 0.0, 0.0])).unwrap();
+        let b = reopened.append_insert(h(&[0.0, 1.0, 0.0, 0.0])).unwrap();
         assert!(b > a, "external ids are never reused ({b} vs {a})");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -982,14 +1280,14 @@ mod tests {
         let dir = tmp_dir("snapshot-iso");
         let mut index = fresh(&dir);
         for histogram in corpus() {
-            index.insert(histogram).unwrap();
+            index.append_insert(histogram).unwrap();
         }
         let query = h(&[0.9, 0.1, 0.0, 0.0]);
         let snapshot = index.snapshot().unwrap();
         let frozen = snapshot.knn(&query, 2).unwrap().0;
 
-        index.remove(0).unwrap();
-        index.insert(h(&[0.95, 0.05, 0.0, 0.0])).unwrap();
+        index.append_remove(0).unwrap();
+        index.append_insert(h(&[0.95, 0.05, 0.0, 0.0])).unwrap();
         index.compact().unwrap();
 
         let frozen_again = snapshot.knn(&query, 2).unwrap().0;
@@ -1021,8 +1319,9 @@ mod tests {
     fn remove_of_unknown_id_logs_nothing() {
         let dir = tmp_dir("unknown-remove");
         let mut index = fresh(&dir);
-        index.insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
-        assert!(!index.remove(99).unwrap());
+        index.append_insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        assert!(!index.append_remove(99).unwrap());
+        index.sync().unwrap();
         drop(index);
         let (_, report) = DurableIndex::open(&dir).unwrap();
         assert_eq!(report.replayed_records, 1, "no-op removes are not logged");
@@ -1035,8 +1334,9 @@ mod tests {
         {
             let mut index = fresh(&dir);
             for histogram in corpus() {
-                index.insert(histogram).unwrap();
+                index.append_insert(histogram).unwrap();
             }
+            index.sync().unwrap();
         }
         let wal_file = wal_path(&dir, 0);
         let bytes = std::fs::read(&wal_file).unwrap();
@@ -1047,8 +1347,9 @@ mod tests {
         assert_eq!(reopened.len(), 4);
         // The torn object's external id was never acknowledged; the
         // allocator may reuse it — what matters is appends still work.
-        let id = reopened.insert(h(&[0.1, 0.2, 0.3, 0.4])).unwrap();
+        let id = reopened.append_insert(h(&[0.1, 0.2, 0.3, 0.4])).unwrap();
         assert_eq!(id, 4);
+        reopened.sync().unwrap();
         drop(reopened);
         let (final_index, report) = DurableIndex::open(&dir).unwrap();
         assert!(report.torn_tail.is_none(), "tail was truncated on reopen");
@@ -1062,8 +1363,9 @@ mod tests {
         {
             let mut index = fresh(&dir);
             for histogram in corpus() {
-                index.insert(histogram).unwrap();
+                index.append_insert(histogram).unwrap();
             }
+            index.sync().unwrap();
         }
         let wal_file = wal_path(&dir, 0);
         let mut bytes = std::fs::read(&wal_file).unwrap();
@@ -1088,15 +1390,15 @@ mod tests {
         let r = reduced(&cost);
         let plan = Arc::new(FailPlan::new().fail_wal_append(2));
         let mut index = DurableIndex::create_with(&dir, cost, r, plan).unwrap();
-        let first = index.insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        let first = index.append_insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
         let error = index
-            .insert(h(&[0.0, 1.0, 0.0, 0.0]))
+            .append_insert(h(&[0.0, 1.0, 0.0, 0.0]))
             .expect_err("second append injected");
         assert!(matches!(error, DurableError::Store(StoreError::Io { .. })));
         // The in-memory index is only touched after the append succeeds:
         // the failed insert consumed no id and no storage position.
-        assert_eq!((index.len(), index.index.positions()), (1, 1));
-        let second = index.insert(h(&[0.0, 0.0, 1.0, 0.0])).unwrap();
+        assert_eq!((index.len(), index.positions()), (1, 1));
+        let second = index.append_insert(h(&[0.0, 0.0, 1.0, 0.0])).unwrap();
         assert_eq!((first, second), (0, 1));
         let probe = h(&[0.0, 0.0, 0.9, 0.1]);
         let (hits, _) = index.snapshot().unwrap().knn(&probe, 1).unwrap();
@@ -1140,9 +1442,9 @@ mod tests {
         let plan = Arc::new(FailPlan::new().fail_compact(1));
         let mut index = DurableIndex::create_with(&dir, cost, r, plan).unwrap();
         for histogram in corpus() {
-            index.insert(histogram).unwrap();
+            index.append_insert(histogram).unwrap();
         }
-        index.remove(1).unwrap();
+        index.append_remove(1).unwrap();
         let error = index.compact().expect_err("first compaction injected");
         assert!(matches!(error, DurableError::Store(StoreError::Io { .. })));
         // The failed compaction must not have flipped the checkpoint...
@@ -1161,8 +1463,9 @@ mod tests {
         let dir = tmp_dir("crash-window");
         let mut index = fresh(&dir);
         for histogram in corpus() {
-            index.insert(histogram).unwrap();
+            index.append_insert(histogram).unwrap();
         }
+        index.sync().unwrap();
         // Simulate the crash window: new-epoch files exist, checkpoint
         // still names epoch 0.
         let externals: Vec<u64> = vec![0, 1, 2, 3, 4];
@@ -1383,7 +1686,8 @@ mod tests {
         bulk(&dir, "demo", Some(&clustering));
         assert_eq!(read(&dir, &NoFaults).unwrap().clustering, Some(clustering));
         let (mut index, _) = DurableIndex::open(&dir).unwrap();
-        index.insert(h(&[0.5, 0.5, 0.0, 0.0])).unwrap();
+        index.append_insert(h(&[0.5, 0.5, 0.0, 0.0])).unwrap();
+        index.sync().unwrap();
         drop(index);
         let stored = read(&dir, &NoFaults).unwrap();
         assert_eq!((stored.histograms.len(), stored.clustering), (6, None));
@@ -1422,8 +1726,9 @@ mod tests {
         {
             let mut index = fresh(&dir);
             for histogram in corpus() {
-                index.insert(histogram).unwrap();
+                index.append_insert(histogram).unwrap();
             }
+            index.sync().unwrap();
         }
         let wal_file = wal_path(&dir, 0);
         let bytes = std::fs::read(&wal_file).unwrap();
@@ -1434,6 +1739,339 @@ mod tests {
         assert!(stored.replay.torn_tail.is_some());
         assert_eq!(stored.histograms.len(), 4, "the valid prefix replays");
         assert_eq!(std::fs::read(&wal_file).unwrap(), &bytes[..bytes.len() - 5]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    impl DurableIndex {
+        /// Storage positions in use, tombstones included.
+        fn positions(&self) -> usize {
+            self.ids.len()
+        }
+    }
+
+    /// Distances rounded and sorted, so equal-distance results compare
+    /// deterministically across implementations.
+    fn canonical(distances: impl Iterator<Item = f64>) -> Vec<i64> {
+        let mut rounded: Vec<i64> = distances.map(|d| (d * 1e9).round() as i64).collect();
+        rounded.sort_unstable();
+        rounded
+    }
+
+    #[test]
+    fn insert_query_remove_roundtrip() {
+        let dir = tmp_dir("roundtrip-in-memory");
+        let mut index = fresh(&dir);
+        let a = index.append_insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        let b = index.append_insert(h(&[0.0, 0.0, 0.0, 1.0])).unwrap();
+        let c = index.append_insert(h(&[0.5, 0.5, 0.0, 0.0])).unwrap();
+        assert_eq!(index.len(), 3);
+
+        let query = h(&[0.9, 0.1, 0.0, 0.0]);
+        let (neighbors, stats) = index.snapshot().unwrap().knn(&query, 2).unwrap();
+        assert_eq!(neighbors[0].0, a);
+        assert_eq!(neighbors[1].0, c);
+        assert_eq!(stats.filter_evaluations[0], ("anchor(a=2)".to_owned(), 3));
+        assert_eq!(stats.filter_evaluations[1].0, "red-im(d'=2/2)");
+        assert_eq!(stats.filter_evaluations[2].0, "red-emd(d'=2/2)");
+
+        assert!(index.append_remove(a).unwrap());
+        assert!(!index.append_remove(a).unwrap(), "double delete is a no-op");
+        assert_eq!(index.len(), 2);
+        let (neighbors, _) = index.snapshot().unwrap().knn(&query, 2).unwrap();
+        assert_eq!(neighbors[0].0, c);
+        assert_eq!(neighbors[1].0, b);
+        assert!(index.get(a).is_none());
+        assert!(index.get(b).is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn matches_brute_force_after_churn() {
+        let dir = tmp_dir("churn");
+        let mut index = fresh(&dir);
+        let mut live = Vec::new();
+        for i in 0..12 {
+            let mut bins = vec![0.1; 4];
+            bins[i % 4] += 0.6;
+            let histogram = Histogram::normalized(bins).unwrap();
+            let id = index.append_insert(histogram.clone()).unwrap();
+            live.push((id, histogram));
+        }
+        // Delete every third object.
+        live.retain(|(id, _)| {
+            if id % 3 == 0 {
+                assert!(index.append_remove(*id).unwrap());
+                false
+            } else {
+                true
+            }
+        });
+
+        let cost = ground::linear(4).unwrap();
+        let query = h(&[0.25, 0.25, 0.3, 0.2]);
+        let database: Vec<Histogram> = live.iter().map(|(_, h)| h.clone()).collect();
+        let expected = brute_force_knn(&query, &database, &cost, 3).unwrap();
+        let (got, _) = index.snapshot().unwrap().knn(&query, 3).unwrap();
+        assert_eq!(
+            canonical(got.iter().map(|hit| hit.1)),
+            canonical(expected.iter().map(|n| n.distance))
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compact_reclaims_storage_and_keeps_ids() {
+        let dir = tmp_dir("reclaim");
+        let mut index = fresh(&dir);
+        let a = index.append_insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        let b = index.append_insert(h(&[0.0, 1.0, 0.0, 0.0])).unwrap();
+        let c = index.append_insert(h(&[0.0, 0.0, 1.0, 0.0])).unwrap();
+        index.append_remove(b).unwrap();
+        assert_eq!(index.positions(), 3);
+        index.compact().unwrap();
+        assert_eq!((index.positions(), index.len()), (2, 2));
+        let query = h(&[0.0, 0.0, 0.9, 0.1]);
+        let (neighbors, _) = index.snapshot().unwrap().knn(&query, 1).unwrap();
+        assert_eq!(neighbors[0].0, c, "c is still c");
+        assert!(index.get(a).is_some() && index.get(b).is_none());
+        let d = index.append_insert(h(&[0.0, 0.0, 0.0, 1.0])).unwrap();
+        assert_eq!(d, 3, "b's id is not reused");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rejects_bad_inputs() {
+        let dir = tmp_dir("bad-inputs");
+        let mut index = fresh(&dir);
+        assert!(index.append_insert(h(&[0.5, 0.5])).is_err());
+        assert_eq!(index.next_id, 0, "a rejected insert consumes no id");
+        // An empty index has no snapshot to query, whatever the query asks.
+        assert!(matches!(
+            index.snapshot().unwrap_err(),
+            DurableError::Query(QueryError::EmptyDatabase)
+        ));
+        let query = h(&[0.25, 0.25, 0.25, 0.25]);
+        index.append_insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        let snapshot = index.snapshot().unwrap();
+        assert!(matches!(
+            snapshot.knn(&query, 0).unwrap_err(),
+            QueryError::ZeroK
+        ));
+        assert!(matches!(
+            snapshot.range(&query, f64::NAN).unwrap_err(),
+            QueryError::InvalidEpsilon(_)
+        ));
+        assert!(!index.append_remove(999).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn completeness_with_loose_reduction() {
+        // An all-in-one-group reduction has bound 0 everywhere, and a
+        // squared chain is no metric, so no anchor floor stands in for it:
+        // the filter is useless but the results must still be exact.
+        let dir = tmp_dir("loose");
+        let squared = |i: usize, j: usize| (i as f64 - j as f64).powi(2);
+        let cost = Arc::new(CostMatrix::from_fn(4, squared).unwrap());
+        let r = CombiningReduction::new(vec![0, 0, 0, 0], 1).unwrap();
+        let reduced = ReducedEmd::new(&cost, r).unwrap();
+        let mut index = DurableIndex::create(&dir, cost, reduced).unwrap();
+        for i in 0..4 {
+            index.append_insert(Histogram::unit(4, i).unwrap()).unwrap();
+        }
+        let query = Histogram::unit(4, 2).unwrap();
+        let (neighbors, stats) = index.snapshot().unwrap().knn(&query, 2).unwrap();
+        assert_eq!(neighbors[0].0, 2);
+        assert_eq!(stats.filter_evaluations.len(), 2, "Figure 10 as printed");
+        assert_eq!(stats.refinements, 4, "useless filter refines everything");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn interleaved_churn_matches_brute_force() {
+        // Interleave insert/remove/compact with k-NN *and* range queries,
+        // asserting against the brute-force oracles over exactly the live
+        // objects after every phase. The oracle is keyed by the id
+        // `append_insert` returned, so an id that drifted to another
+        // histogram (across a removal, a compaction) fails here.
+        let cost = ground::linear(4).unwrap();
+        let queries = [
+            h(&[0.25, 0.25, 0.25, 0.25]),
+            h(&[0.7, 0.1, 0.1, 0.1]),
+            h(&[0.0, 0.2, 0.3, 0.5]),
+        ];
+        let dir = tmp_dir("interleaved");
+        let mut index = fresh(&dir);
+        let mut live: Vec<(u64, Histogram)> = Vec::new();
+
+        let check = |index: &DurableIndex, live: &[(u64, Histogram)]| {
+            assert_eq!(index.len(), live.len());
+            for (id, histogram) in live {
+                assert_eq!(index.get(*id), Some(histogram), "id {id} names its object");
+            }
+            let database: Vec<Histogram> = live.iter().map(|(_, h)| h.clone()).collect();
+            // Every hit carries the distance of the object its id names.
+            let names_its_object = |query: &Histogram, hits: &[(u64, f64)]| {
+                for &(id, distance) in hits {
+                    let (_, named) = live.iter().find(|(live_id, _)| *live_id == id).unwrap();
+                    let exact = emd_core::emd(query, named, &cost).unwrap();
+                    assert!(
+                        (exact - distance).abs() < 1e-9,
+                        "id {id} names another object"
+                    );
+                }
+            };
+            let snapshot = index.snapshot().unwrap();
+            for query in &queries {
+                for k in [1, 2, 4] {
+                    let expected = brute_force_knn(query, &database, &cost, k).unwrap();
+                    let (got, _) = snapshot.knn(query, k).unwrap();
+                    assert_eq!(got.len(), expected.len().min(k));
+                    assert_eq!(
+                        canonical(got.iter().map(|hit| hit.1)),
+                        canonical(expected.iter().map(|n| n.distance)),
+                        "k-NN distances diverge from brute force"
+                    );
+                    names_its_object(query, &got);
+                }
+                for epsilon in [0.3, 0.8, 2.0] {
+                    let expected = brute_force_range(query, &database, &cost, epsilon).unwrap();
+                    let (got, _) = snapshot.range(query, epsilon).unwrap();
+                    assert_eq!(
+                        canonical(got.iter().map(|hit| hit.1)),
+                        canonical(expected.iter().map(|n| n.distance)),
+                        "range hits diverge from brute force at eps={epsilon}"
+                    );
+                    names_its_object(query, &got);
+                }
+            }
+        };
+
+        // Phase 1: bulk insert.
+        for i in 0..10 {
+            let mut bins = vec![0.05; 4];
+            bins[i % 4] += 0.5;
+            bins[(i + 1) % 4] += 0.3;
+            let histogram = Histogram::normalized(bins).unwrap();
+            let id = index.append_insert(histogram.clone()).unwrap();
+            live.push((id, histogram));
+        }
+        check(&index, &live);
+
+        // Phase 2: remove some, insert more.
+        live.retain(|(id, _)| {
+            if id % 3 == 1 {
+                assert!(index.append_remove(*id).unwrap());
+                false
+            } else {
+                true
+            }
+        });
+        for i in 0..4 {
+            let histogram = Histogram::unit(4, i).unwrap();
+            let id = index.append_insert(histogram.clone()).unwrap();
+            live.push((id, histogram));
+        }
+        check(&index, &live);
+
+        // Phase 3: compact under a frozen snapshot. The oracle is not
+        // re-keyed — the ids handed out before name the same histograms
+        // after — and the snapshot's answers do not move by a bit.
+        let bits = |snapshot: &DurableSnapshot| -> Vec<Vec<(u64, u64)>> {
+            let answer = |query| snapshot.knn(query, 4).unwrap().0;
+            let bits = |hits: Vec<(u64, f64)>| hits.iter().map(|h| (h.0, h.1.to_bits())).collect();
+            queries.iter().map(answer).map(bits).collect()
+        };
+        let frozen = index.snapshot().unwrap();
+        let before = bits(&frozen);
+        assert!(index.positions() > live.len(), "tombstones to reclaim");
+        index.compact().unwrap();
+        assert_eq!(index.positions(), live.len());
+        check(&index, &live);
+        assert_eq!(
+            bits(&frozen),
+            before,
+            "a frozen snapshot ignores compaction"
+        );
+        assert_eq!(bits(&index.snapshot().unwrap()), before);
+
+        // Phase 4: churn on the compacted index, then compact again. New
+        // ids continue past every id ever handed out.
+        let (last, _) = live.pop().unwrap();
+        assert!(index.append_remove(last).unwrap());
+        check(&index, &live);
+        let histogram = h(&[0.15, 0.2, 0.3, 0.35]);
+        let id = index.append_insert(histogram.clone()).unwrap();
+        assert_eq!(id, last + 1, "ids are never reused");
+        live.push((id, histogram));
+        index.compact().unwrap();
+        check(&index, &live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshot_shares_the_anchor_projections() {
+        // A projection is made once, at insert; a snapshot takes a handle
+        // to that allocation (a copy would leave the count at one).
+        let dir = tmp_dir("projections");
+        let mut index = fresh(&dir);
+        index.append_insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        index.append_insert(h(&[0.0, 0.5, 0.5, 0.0])).unwrap();
+        let holders = |index: &DurableIndex| -> Vec<usize> {
+            let live = index.objects.iter().flatten();
+            live.map(|object| Arc::strong_count(&object.projection))
+                .collect()
+        };
+        assert_eq!(holders(&index), [1, 1]);
+        let first = index.snapshot().unwrap();
+        let second = index.snapshot().unwrap();
+        assert_eq!(holders(&index), [3, 3]);
+        drop((first, second));
+        assert_eq!(holders(&index), [1, 1]);
+        // Both anchors of the 4-bin chain: bins 0 and 2.
+        assert_eq!(*index.objects[1].as_ref().unwrap().projection, [1.5, 0.5]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshot_is_isolated_from_mutations() {
+        let dir = tmp_dir("isolated");
+        let mut index = fresh(&dir);
+        let a = index.append_insert(h(&[1.0, 0.0, 0.0, 0.0])).unwrap();
+        let b = index.append_insert(h(&[0.0, 0.0, 0.0, 1.0])).unwrap();
+        let snapshot = index.snapshot().unwrap();
+        assert_eq!(snapshot.len(), 2);
+
+        // A snapshot holds the index's own histograms: no bin was copied.
+        let shares = |index: &DurableIndex, ids: &[u64]| {
+            for &id in ids {
+                let (live, frozen) = (index.get(id).unwrap(), snapshot.get(id).unwrap());
+                assert_eq!(live.bins().as_ptr(), frozen.bins().as_ptr(), "id {id}");
+            }
+        };
+        shares(&index, &[a, b]);
+        let query = h(&[1.0, 0.0, 0.0, 0.0]);
+        let bits = |hits: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+            hits.iter().map(|hit| (hit.0, hit.1.to_bits())).collect()
+        };
+        let before = bits(snapshot.knn(&query, 2).unwrap().0);
+
+        // Mutate after snapshotting: remove a, insert a closer object,
+        // reclaim a's slot.
+        assert!(index.append_remove(a).unwrap());
+        let c = index.append_insert(h(&[0.9, 0.1, 0.0, 0.0])).unwrap();
+        index.compact().unwrap();
+
+        // The snapshot still sees the original two objects, bit for bit,
+        // and the survivor is still the one histogram both sides hold...
+        assert_eq!(bits(snapshot.knn(&query, 2).unwrap().0), before);
+        assert_eq!(before[0].0, a);
+        assert_eq!(snapshot.get(a), Some(&query));
+        assert!(snapshot.get(c).is_none());
+        shares(&index, &[b]);
+        // ...while the index sees the new state.
+        let (current, _) = index.snapshot().unwrap().knn(&query, 2).unwrap();
+        assert_eq!((current[0].0, current[1].0), (c, b));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,7 +7,7 @@
 //! them. Filters clone the (cheap, reference-counted) slice handle, so a
 //! whole plan — and every plan built over the same snapshot — looks at
 //! the same objects, and a live snapshot
-//! ([`DynamicIndex::snapshot`](crate::DynamicIndex::snapshot)) is just a
+//! ([`DurableIndex::snapshot`](crate::DurableIndex::snapshot)) is just a
 //! `Database` collected from the index's own handles.
 
 use crate::durable;

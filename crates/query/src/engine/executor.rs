@@ -9,8 +9,8 @@
 //! hands the final ranking to the KNOP refinement loop in
 //! [`knop`](crate::knop) — the *only* call site of that loop. A plan
 //! without stages is the sequential scan: KNOP over the zero bound, which
-//! refines every object. Static plans, the mutable
-//! [`DynamicIndex`](crate::DynamicIndex) and the
+//! refines every object. Static plans, the live
+//! [`DurableIndex`](crate::DurableIndex) and the
 //! brute-force [`scan`](crate::scan) oracles all execute through here;
 //! [`Executor::knn`] and [`Executor::range`] are sugar that builds an
 //! unlimited [`Query`] and calls [`Executor::run`]. The plan is

@@ -1,7 +1,7 @@
 //! The query engine: one snapshot, one plan, one executor.
 //!
 //! Section 4's multistep query processing is implemented once: static
-//! plans, the mutable [`DynamicIndex`](crate::DynamicIndex) and the
+//! plans, the live [`DurableIndex`](crate::DurableIndex) and the
 //! brute-force [`scan`](crate::scan) oracles all share this execution
 //! layer:
 //!

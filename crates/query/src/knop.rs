@@ -17,7 +17,7 @@
 //!
 //! This module is the **only** implementation of the refinement loop in
 //! the workspace; every entry point — static plans,
-//! [`DynamicIndex`](crate::DynamicIndex), the brute-force oracles — runs
+//! [`DurableIndex`](crate::DurableIndex), the brute-force oracles — runs
 //! it through [`Executor::run`](crate::Executor::run).
 //!
 //! The loop runs under an execution [`Budget`]: it probes it between

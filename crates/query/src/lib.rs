@@ -34,10 +34,11 @@
 //!   the reduced space with triangle-inequality pruning; the sublinear
 //!   stage-1 candidate generator: a cluster traversal that solves no LP,
 //!   under the same stages [`QueryPlan::chain`] runs.
-//! * [`dynamic`] — a mutable index whose snapshots are plain
-//!   [`Database`]s of shared immutable histograms under
-//!   [`QueryPlan::chain`], the same `Red-IM -> Red-EMD -> EMD` plan
-//!   through the same engine.
+//! * [`durable`] — the one on-disk index format and the one live index
+//!   over it, [`DurableIndex`]: writes are WAL appends made durable by a
+//!   sync, and its snapshots are plain [`Database`]s of shared immutable
+//!   histograms under [`QueryPlan::chain`], the same
+//!   `Red-IM -> Red-EMD -> EMD` plan through the same engine.
 //! * [`scan`] — brute-force oracles, implemented as zero-stage plans.
 //!
 //! ## Observability
@@ -55,7 +56,6 @@
 
 pub mod cluster;
 pub mod durable;
-pub mod dynamic;
 pub mod engine;
 mod error;
 pub mod filters;
@@ -67,7 +67,6 @@ mod stats;
 
 pub use cluster::ClusteredIndex;
 pub use durable::{CompactReport, DurableError, DurableIndex, DurableSnapshot, OpenReport};
-pub use dynamic::DynamicIndex;
 pub use engine::{
     CandidateSource, CandidateStream, Database, Executor, OpenedIndex, Query, QueryMode, QueryPlan,
 };

@@ -191,8 +191,10 @@ fn kill_at_every_position_after_compaction() {
     let mut index = apply_ops(&full_dir, &history());
     index.compact().unwrap();
     // Post-compaction tail: one insert, one remove.
-    index.insert(object(7)).unwrap();
-    index.remove(3).unwrap();
+    index.append_insert(object(7)).unwrap();
+    index.sync().unwrap();
+    index.append_remove(3).unwrap();
+    index.sync().unwrap();
     let tail_fingerprints = [
         fingerprint(&{
             let d = unique_dir("ct0");
@@ -207,15 +209,15 @@ fn kill_at_every_position_after_compaction() {
             let dir2 = unique_dir("ct1");
             let mut i = apply_ops(&dir2, &history());
             i.compact().unwrap();
-            i.insert(object(7)).unwrap();
+            i.append_insert(object(7)).unwrap();
             i
         }),
         fingerprint(&{
             let dir2 = unique_dir("ct2");
             let mut i = apply_ops(&dir2, &history());
             i.compact().unwrap();
-            i.insert(object(7)).unwrap();
-            i.remove(3).unwrap();
+            i.append_insert(object(7)).unwrap();
+            i.append_remove(3).unwrap();
             i
         }),
     ];
@@ -379,11 +381,14 @@ fn seeded_fault_schedules_always_recover() {
         let outcome = (|| -> Result<(), DurableError> {
             let mut index = DurableIndex::create_with(&dir, c, r, plan.clone())?;
             for i in 0..6 {
-                index.insert(object(i))?;
+                index.append_insert(object(i))?;
+                index.sync()?;
             }
-            index.remove(2)?;
+            index.append_remove(2)?;
+            index.sync()?;
             index.compact()?;
-            index.insert(object(6))?;
+            index.append_insert(object(6))?;
+            index.sync()?;
             Ok(())
         })();
         if let Err(error) = outcome {

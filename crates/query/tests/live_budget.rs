@@ -1,6 +1,6 @@
 //! Budgets and warm solver contexts on live snapshots.
 //!
-//! A [`DynamicIndex`] snapshot runs the same chain through the same
+//! A [`DurableIndex`] snapshot runs the same chain through the same
 //! evaluators as a static [`QueryPlan::chain`] plan, so a pivot cap, a
 //! deadline or an injected solve fault degrades a live query exactly as
 //! it degrades a static one — same ranking, same pivots charged, same
@@ -9,9 +9,8 @@
 //! filled index and over a churned one (tombstones, a compaction behind
 //! it, ids with gaps), under a metric ground distance (the chain is
 //! `anchor -> red-im -> red-emd`, the anchor projections made at insert)
-//! and under one that is not (the paper's two stages). A recovered
-//! [`DurableIndex`] re-derives the projections and answers as brute force
-//! does.
+//! and under one that is not (the paper's two stages). A recovered index
+//! re-derives the projections and answers as brute force does.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -21,12 +20,13 @@ use emd_core::{emd, Budget, BudgetReason, CostMatrix, Histogram};
 use emd_faultkit::{FailPlan, FaultInjector};
 use emd_query::scan::brute_force_knn;
 use emd_query::{
-    Database, DurableIndex, DynamicIndex, Executor, Query, QueryOutcome, QueryPlan, QueryStats,
-    ReducedImFilter,
+    Database, DurableIndex, Executor, Query, QueryOutcome, QueryPlan, QueryStats, ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,7 +37,9 @@ const K: usize = 5;
 struct Corpus {
     cost: Arc<CostMatrix>,
     reduced: ReducedEmd,
-    index: DynamicIndex,
+    index: DurableIndex,
+    /// The index's directory, removed with the corpus.
+    dir: PathBuf,
     /// The live objects in ascending id order, i.e. by the dense id a
     /// snapshot's executor (and the static plan) knows them under.
     objects: Vec<Histogram>,
@@ -72,20 +74,24 @@ fn corpus(metric: bool, churned: bool) -> Corpus {
     let reduction = CombiningReduction::new(assignment, DIM / 4).unwrap();
     let reduced = ReducedEmd::new(&cost, reduction).unwrap();
 
-    let mut index = DynamicIndex::new(Arc::clone(&cost), reduced.clone()).unwrap();
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("emd-live-corpus-{}-{id}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut index = DurableIndex::create(&dir, Arc::clone(&cost), reduced.clone()).unwrap();
     let mut live: Vec<(u64, Histogram)> = Vec::new();
-    let mut fill = |index: &mut DynamicIndex, live: &mut Vec<(u64, Histogram)>, count: usize| {
+    let mut fill = |index: &mut DurableIndex, live: &mut Vec<(u64, Histogram)>, count: usize| {
         for _ in 0..count {
             let object = histogram(&mut rng);
-            live.push((index.insert(object.clone()).unwrap(), object));
+            live.push((index.append_insert(object.clone()).unwrap(), object));
         }
     };
     if churned {
         fill(&mut index, &mut live, OBJECTS);
-        live.retain(|(id, _)| id % 3 != 0 || !index.remove(*id));
-        index.compact();
+        live.retain(|(id, _)| id % 3 != 0 || !index.append_remove(*id).unwrap());
+        index.compact().unwrap();
         fill(&mut index, &mut live, OBJECTS / 2);
-        live.retain(|(id, _)| id % 7 != 1 || !index.remove(*id));
+        live.retain(|(id, _)| id % 7 != 1 || !index.append_remove(*id).unwrap());
         let missing = OBJECTS - live.len();
         fill(&mut index, &mut live, missing);
         assert!(live.iter().zip(0..).any(|((id, _), dense)| *id != dense));
@@ -98,9 +104,16 @@ fn corpus(metric: bool, churned: bool) -> Corpus {
         reduced,
         cost,
         index,
+        dir,
         objects,
         ids,
         query: histogram(&mut rng),
+    }
+}
+
+impl Drop for Corpus {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
     }
 }
 

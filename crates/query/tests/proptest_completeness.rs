@@ -22,14 +22,26 @@
 use emd_core::{distance_slack, emd, ground, CostMatrix, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
-    ClusteredIndex, Database, DynamicIndex, EmdDistance, Executor, Filter, Neighbor, QueryPlan,
+    ClusteredIndex, Database, DurableIndex, EmdDistance, Executor, Filter, Neighbor, QueryPlan,
     ReducedEmdFilter, ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const DIM: usize = 6;
+
+/// A fresh directory per live index — proptest cases must not share one.
+fn scratch_dir() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
+    let name = format!("emd-completeness-{}-{id}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 fn histogram() -> impl Strategy<Value = Histogram> {
     prop::collection::vec(0.0_f64..1.0, DIM).prop_filter_map("positive mass", |raw| {
@@ -250,25 +262,30 @@ proptest! {
     ) {
         let cost = Arc::new(ground::linear(DIM).unwrap());
         let reduced = ReducedEmd::new(&cost, r).unwrap();
-        let mut index = DynamicIndex::new(cost.clone(), reduced.clone()).unwrap();
+        let dir = scratch_dir();
+        let mut index = DurableIndex::create(&dir, cost.clone(), reduced.clone()).unwrap();
         let mut live: Vec<(u64, Histogram)> = Vec::new();
         for (histogram, lot) in &ops {
             match lot {
                 // One op in eight compacts, one in four removes the
                 // oldest survivor (never the last one), the rest insert.
-                0 => index.compact(),
+                0 => {
+                    index.compact().unwrap();
+                }
                 1 | 2 if live.len() > 1 => {
                     let (id, _) = live.remove(0);
-                    prop_assert!(index.remove(id));
+                    prop_assert!(index.append_remove(id).unwrap());
                 }
-                _ => live.push((index.insert(histogram.clone()).unwrap(), histogram.clone())),
+                _ => live.push((index.append_insert(histogram.clone()).unwrap(), histogram.clone())),
             }
         }
         if live.is_empty() {
-            live.push((index.insert(query.clone()).unwrap(), query.clone()));
+            live.push((index.append_insert(query.clone()).unwrap(), query.clone()));
         }
         let survivors: Vec<Histogram> = live.iter().map(|(_, h)| h.clone()).collect();
         let snapshot = index.snapshot().unwrap();
+        drop(index);
+        std::fs::remove_dir_all(&dir).ok();
         let as_neighbors = |pairs: Vec<(u64, f64)>| -> Vec<Neighbor> {
             pairs
                 .into_iter()

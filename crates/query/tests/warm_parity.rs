@@ -24,13 +24,14 @@ use emd_core::ground::{self, Metric};
 use emd_core::{distance_slack, emd, Bounded, Budget, CostMatrix, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
-    AnchorFilter, Database, DynamicIndex, EmdDistance, Executor, Filter, Query, QueryPlan,
+    AnchorFilter, Database, DurableIndex, EmdDistance, Executor, Filter, Query, QueryPlan,
     QueryStats, ReducedEmdFilter, ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const DIM: usize = 16;
@@ -226,19 +227,30 @@ fn live_snapshots_match_the_cold_oracle() {
 
 /// Refinements cut along the way.
 fn live_snapshot_matches_the_cold_oracle((database, queries, reduced): Corpus) -> usize {
-    let mut live = DynamicIndex::new(Arc::new(database.cost().clone()), reduced.clone()).unwrap();
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let name = format!(
+        "emd-warm-parity-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    );
+    let dir = std::env::temp_dir().join(name);
+    std::fs::remove_dir_all(&dir).ok();
+    let cost = Arc::new(database.cost().clone());
+    let mut live = DurableIndex::create(&dir, cost, reduced.clone()).unwrap();
     for histogram in database.histograms() {
-        live.insert(histogram.clone()).unwrap();
+        live.append_insert(histogram.clone()).unwrap();
     }
     let survivors: Vec<usize> = (0..OBJECTS).filter(|id| id % 5 != 0).collect();
     for id in (0..OBJECTS).filter(|id| id % 5 == 0) {
-        assert!(live.remove(id as u64));
+        assert!(live.append_remove(id as u64).unwrap());
     }
     let live_objects: Vec<Histogram> = survivors
         .iter()
         .map(|&id| database.histograms()[id].clone())
         .collect();
     let snapshot = live.snapshot().unwrap();
+    drop(live);
+    std::fs::remove_dir_all(&dir).ok();
     let survivor_database =
         Database::new(live_objects.clone(), Arc::new(database.cost().clone())).unwrap();
     let warm = executor(&survivor_database, &reduced, true);

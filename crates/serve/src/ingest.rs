@@ -5,8 +5,10 @@
 //!
 //! * **One writer at a time.** Every mutation (`POST /v1/insert`,
 //!   `POST /v1/remove`, compaction) takes the writer mutex, appends to
-//!   the WAL, **syncs**, and only then swaps the reader snapshot — a
-//!   `200` is therefore a durability acknowledgment, not a buffer write.
+//!   the WAL ([`DurableIndex::append_insert`] /
+//!   [`DurableIndex::append_remove`]), **syncs** ([`DurableIndex::sync`]),
+//!   and only then swaps the reader snapshot — a `200` is therefore a
+//!   durability acknowledgment, not a buffer write.
 //! * **Readers never block on the writer.** Queries, `query_id`
 //!   look-ups and the object count clone an `Arc<DurableSnapshot>` out of
 //!   a mutex held for nanoseconds and answer from that frozen view — a
@@ -92,7 +94,8 @@ impl IngestState {
     /// failures to 500, never 400.
     pub fn insert(&self, histogram: Histogram) -> Result<u64, DurableError> {
         let mut writer = unpoisoned(&self.writer);
-        let external_id = writer.insert(histogram)?;
+        let external_id = writer.append_insert(histogram)?;
+        writer.sync()?;
         self.publish(&writer)?;
         Ok(external_id)
     }
@@ -106,9 +109,10 @@ impl IngestState {
     /// Returns [`DurableError`] when the WAL append or sync fails.
     pub fn remove(&self, external_id: u64) -> Result<bool, DurableError> {
         let mut writer = unpoisoned(&self.writer);
-        if !writer.remove(external_id)? {
+        if !writer.append_remove(external_id)? {
             return Ok(false);
         }
+        writer.sync()?;
         self.publish(&writer)?;
         Ok(true)
     }

@@ -88,8 +88,9 @@ fn budgets_and_solve_faults_reach_the_writable_server() {
     let cost = Arc::clone(database.cost_arc());
     let mut index = DurableIndex::create(&dir, cost, common::reduced(&database)).unwrap();
     for histogram in database.histograms() {
-        index.insert(histogram.clone()).unwrap();
+        index.append_insert(histogram.clone()).unwrap();
     }
+    index.sync().unwrap();
     // The second solve the server ever runs is exhausted by the plan.
     let plan: Arc<dyn FaultInjector> = Arc::new(FailPlan::new().exhaust_solve(2));
     let snapshot = Snapshot {
@@ -208,8 +209,9 @@ fn injected_worker_panic_reaches_the_writable_server() {
     let cost = Arc::clone(database.cost_arc());
     let mut index = DurableIndex::create(&dir, cost, common::reduced(&database)).unwrap();
     for histogram in database.histograms() {
-        index.insert(histogram.clone()).unwrap();
+        index.append_insert(histogram.clone()).unwrap();
     }
+    index.sync().unwrap();
     let snapshot = Snapshot {
         executor: common::executor(&database),
         database,

@@ -759,13 +759,12 @@ fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let started = std::time::Instant::now();
     let mut first_id = None;
     for histogram in &dataset.histograms {
-        let id = if sync_each {
-            index.insert(histogram.clone()).map_err(|e| e.to_string())?
-        } else {
-            index
-                .append_insert(histogram.clone())
-                .map_err(|e| e.to_string())?
-        };
+        let id = index
+            .append_insert(histogram.clone())
+            .map_err(|e| e.to_string())?;
+        if sync_each {
+            index.sync().map_err(|e| e.to_string())?;
+        }
         first_id.get_or_insert(id);
     }
     index.sync().map_err(|e| e.to_string())?;
@@ -844,7 +843,8 @@ fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
 fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let fault_plan = fault_options(options)?;
     let index = open_durable(options, stdout, fault_plan.as_ref())?;
-    let objects = index.len();
+    let name = index.name().to_owned();
+    let banner = format!("{} ({} objects) writable", banner_name(&name), index.len());
     let dim = index.cost().cols();
     let cost = Arc::clone(index.cost());
     let ingest_state =
@@ -859,7 +859,7 @@ fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliErr
     let snapshot = Snapshot {
         executor,
         database,
-        name: "durable".to_owned(),
+        name,
         faults: fault_plan.map(|plan| plan as Arc<dyn flexemd::faultkit::FaultInjector>),
         ingest: Some(ingest_state),
     };
@@ -868,7 +868,7 @@ fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliErr
         options,
         stdout,
         snapshot,
-        &format!("durable corpus ({objects} objects) writable"),
+        &banner,
         "POST /v1/knn | /v1/range | /v1/insert | /v1/remove | /admin/compact | \
          /admin/drain | GET /healthz | /metrics",
     )
@@ -889,11 +889,7 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     } = prepare_corpus(options, fault_plan.as_ref())?;
     let executor = Executor::new(plan);
     let objects = database.len();
-    let banner_name = if name.is_empty() {
-        "corpus".to_owned()
-    } else {
-        name.clone()
-    };
+    let banner = format!("{} ({objects} objects)", banner_name(&name));
     let snapshot = Snapshot {
         executor,
         database,
@@ -906,9 +902,19 @@ fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         options,
         stdout,
         snapshot,
-        &format!("{banner_name} ({objects} objects)"),
+        &banner,
         "POST /v1/knn | POST /v1/range | GET /healthz | GET /metrics | POST /admin/drain",
     )
+}
+
+/// What the banner calls an index: the name its directory records, or
+/// `corpus` when it records none.
+fn banner_name(name: &str) -> &str {
+    if name.is_empty() {
+        "corpus"
+    } else {
+        name
+    }
 }
 
 /// The tail `serve` and `serve --wal` share: start the server on

@@ -1029,3 +1029,105 @@ fn writable_serve_honours_read_faults() {
     assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
     assert!(!String::from_utf8_lossy(&out.stdout).contains("serving"));
 }
+
+/// The `"index"` field of a server's `/healthz` body.
+fn healthz_index(addr: &str) -> String {
+    let (status, body) = call(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200, "{body}");
+    let rest = body.split("\"index\":\"").nth(1).expect("an index name");
+    rest.split('"').next().unwrap().to_owned()
+}
+
+/// `serve --wal` reports the name the directory's `base.seg` records, as
+/// `serve --index` does: on `/healthz` and in its banner.
+#[test]
+fn writable_serve_reports_the_name_the_index_records() {
+    let (_dir, _data, index) = corpus_and_index("writable_serve_reports_the_name");
+    let (mut child, addr, _stdout) = spawn_server(&index, &[]);
+    let name = healthz_index(&addr);
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success(), "serve did not drain");
+    assert!(name.starts_with("gaussian"), "{name}");
+
+    let (mut child, addr, _stdout) = spawn_wal_server(&index, &[]);
+    assert_eq!(healthz_index(&addr), name);
+    drop(child.stdin.take());
+    assert!(child.wait().unwrap().success(), "serve --wal did not drain");
+
+    // With stdin closed from the start, each server prints its banner and
+    // drains at once.
+    let banner = |mode: &str| {
+        let out = flexemd()
+            .args(["serve", mode])
+            .arg(&index)
+            .args(["--addr", "127.0.0.1:0", "--drain-stdin"])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "serve {mode} failed");
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        let line = stdout.lines().find(|line| line.starts_with("serving "));
+        let line = line.unwrap_or_else(|| panic!("no banner: {stdout}"));
+        line.split(" on http://").next().unwrap().to_owned()
+    };
+    assert_eq!(banner("--index"), format!("serving {name} (30 objects)"));
+    assert_eq!(
+        banner("--wal"),
+        format!("serving {name} (30 objects) writable")
+    );
+}
+
+/// A writable open of a directory that does not exist names the missing
+/// checkpoint, as the read-only open does — not the lock file it never
+/// got to create — and creates nothing.
+#[test]
+fn writable_serve_on_a_missing_directory_names_its_checkpoint() {
+    let dir = TestDir::new("writable_serve_on_a_missing_directory");
+    let missing = dir.join("nx");
+    let missing_arg = missing.to_str().unwrap();
+    let error =
+        format!("io error on {missing_arg}/CURRENT: No such file or directory (os error 2)");
+    fails_with(
+        &["query", "--index", missing_arg],
+        &format!("error: {error}"),
+    );
+    fails_with(
+        &["serve", "--wal", missing_arg],
+        &format!("error: store error: {error}"),
+    );
+    assert!(!missing.exists());
+}
+
+/// A writable open of a directory that holds no index fails before it
+/// takes the lock: an empty directory stays empty, and one in the
+/// retired format gets the retired format's error and no lock file.
+#[test]
+fn writable_serve_on_a_directory_without_an_index_writes_nothing() {
+    let dir = TestDir::new("writable_serve_on_a_directory_without_an_index");
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    let empty_arg = empty.to_str().unwrap();
+    fails_with(
+        &["serve", "--wal", empty_arg],
+        &format!(
+            "error: store error: io error on {empty_arg}/CURRENT: No such file or directory \
+             (os error 2)"
+        ),
+    );
+    let left: Vec<_> = std::fs::read_dir(&empty).unwrap().collect();
+    assert!(left.is_empty(), "serve --wal left {left:?}");
+
+    let retired = dir.join("retired");
+    std::fs::create_dir_all(&retired).unwrap();
+    std::fs::write(retired.join("index.json"), "{}").unwrap();
+    let retired_arg = retired.to_str().unwrap();
+    fails_with(
+        &["serve", "--wal", retired_arg],
+        &format!(
+            "error: store error: bad index checkpoint {retired_arg}/index.json: this is a \
+             flexemd-store/v1 index, which this build no longer reads: rebuild it with \
+             `flexemd build-index` into a new directory"
+        ),
+    );
+    assert!(!retired.join("LOCK").exists(), "serve --wal took the lock");
+}
