@@ -22,7 +22,7 @@
 //!
 //! The crate deliberately knows nothing about the rest of the workspace:
 //! sites and faults are plain enums, and consumers map [`Fault`]s onto
-//! their own typed errors (`StoreError::Io`, `TransportError::BudgetExhausted`,
+//! their own typed errors (`DurableError::Io`, `TransportError::BudgetExhausted`,
 //! `QueryError::WorkerPanicked`).
 
 use std::sync::atomic::{AtomicU64, Ordering};

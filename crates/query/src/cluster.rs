@@ -61,7 +61,7 @@
 //! measures (`cluster.visited_per_query` / `cluster.pruned_per_query`;
 //! `index.candidates_emitted` counts what the chain hands KNOP).
 //!
-//! The clustering persists through `emd-store` ([`ClusteredIndex::to_stored`]
+//! The clustering persists in the sealed segment ([`ClusteredIndex::to_stored`]
 //! / [`ClusteredIndex::from_stored`]) so `build-index --cluster` pays
 //! construction once. Budgets propagate: the traversal probes before it
 //! opens a cluster and the Red-EMD stage inside every solve. A firing
@@ -70,6 +70,7 @@
 //! not yet emitted — by [`ChainedRanking`]'s drain over the traversal's,
 //! which gives an unopened cluster's key to all of its members.
 
+use crate::durable::StoredClustering;
 use crate::engine::chain_stages;
 use crate::engine::source::{CandidateSource, CandidateStream};
 use crate::engine::Database;
@@ -82,7 +83,6 @@ use crate::ranking::{ChainedRanking, Key, Ranking};
 use emd_core::lower_bounds::LbIm;
 use emd_core::{emd_in_context, Budget, CostMatrix, EmdContext, Histogram};
 use emd_reduction::{PersistedReduction, ReducedEmd};
-use emd_store::StoredClustering;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;

@@ -1,6 +1,6 @@
 //! CRC-32 (IEEE 802.3, the zlib/PNG polynomial) for section checksums.
 //!
-//! A store dependency like `crc32fast` is unavailable offline and would be
+//! A dependency like `crc32fast` is unavailable offline and would be
 //! overkill anyway: segment verification is a cold open-path cost, so the
 //! classic byte-at-a-time table implementation (reflected polynomial
 //! `0xEDB88320`) is plenty. The table is built at first use.
@@ -32,18 +32,18 @@ fn table() -> &'static [u32; 256] {
 /// Streaming CRC-32 hasher; feed bytes with [`Hasher::update`], read the
 /// digest with [`Hasher::finalize`].
 #[derive(Debug, Clone)]
-pub struct Hasher {
+pub(super) struct Hasher {
     state: u32,
 }
 
 impl Hasher {
     /// Start a fresh checksum.
-    pub fn new() -> Self {
+    pub(super) fn new() -> Self {
         Hasher { state: 0xFFFF_FFFF }
     }
 
     /// Absorb a chunk of bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(super) fn update(&mut self, bytes: &[u8]) {
         let table = table();
         for &byte in bytes {
             // lint: allow(lossy-cast): masked to 8 bits, so u32 -> usize is exact
@@ -54,7 +54,7 @@ impl Hasher {
     }
 
     /// The final checksum of everything absorbed so far.
-    pub fn finalize(&self) -> u32 {
+    pub(super) fn finalize(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
 }
@@ -66,7 +66,7 @@ impl Default for Hasher {
 }
 
 /// One-shot CRC-32 of a byte slice.
-pub fn checksum(bytes: &[u8]) -> u32 {
+pub(super) fn checksum(bytes: &[u8]) -> u32 {
     let mut hasher = Hasher::new();
     hasher.update(bytes);
     hasher.finalize()

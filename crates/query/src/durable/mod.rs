@@ -45,7 +45,7 @@
 //!   *external*.)
 //! * **Single owner**: every writer holds an advisory exclusive lock on
 //!   `<dir>/LOCK`; a second one fails with a typed
-//!   [`StoreError::Locked`]. The OS releases the lock when its owner
+//!   [`DurableError::Locked`]. The OS releases the lock when its owner
 //!   dies, so a crash never leaves a stale lock behind.
 //!
 //! **Filter state.** What the stages of [`QueryPlan::chain`] need per
@@ -66,6 +66,27 @@
 //! inserts. The executor's dense ids (the live objects, in ascending id
 //! order) exist only inside one snapshot, which translates them back on
 //! the way out.
+//!
+//! **The file formats** are this module's private business:
+//!
+//! * `segment` — the binary container of `base.seg` and
+//!   `sealed-<epoch>.seg`: magic, version, typed sections, per-section
+//!   CRC32 (`crc32`).
+//! * `sections` — typed payload codecs that decode **through the engine
+//!   constructors**, so stored data re-passes histogram mass
+//!   normalization, cost-matrix and Definition 3 validation on open.
+//! * `wal` — the append-only, checksummed mutation log.
+//!
+//! **Corruption is a typed error, never a wrong answer.** Truncation, bit
+//! flips, version skew, missing sections and cross-section disagreement
+//! each map to a typed [`DurableError`] on the open path. When an obs
+//! recording is active, segment and WAL reads add to the
+//! `store.bytes_read` / `store.sections_verified` counters.
+
+mod crc32;
+mod sections;
+mod segment;
+mod wal;
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -75,17 +96,22 @@ use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{CostMatrix, Histogram};
 use emd_faultkit::{Fault, FaultInjector, NoFaults, Site};
 use emd_reduction::{PersistedReduction, ReducedEmd};
-use emd_store::sections::{self, StoredClustering};
-use emd_store::segment::{SectionKind, SegmentReader, SegmentWriter};
-use emd_store::wal::{self, TornTail, WalRecord, WalReplay, WalWriter};
-use emd_store::StoreError;
 
 use crate::engine::{chain_stages, Database, Executor, Query, QueryPlan};
-use crate::error::QueryError;
+use crate::error::{DurableError, QueryError};
 use crate::filters::{AnchorFilter, EmdDistance, ReducedImFilter};
 use crate::outcome::QueryOutcome;
 use crate::stats::QueryStats;
 use crate::Neighbor;
+
+pub use sections::StoredClustering;
+use segment::{SectionKind, SegmentReader, SegmentWriter};
+use wal::WalWriter;
+pub use wal::{TornTail, WalRecord, WalReplay};
+
+/// The segment format version this build reads, which
+/// `DurableError::VersionSkew` names.
+pub(crate) use segment::{VERSION_MAJOR, VERSION_MINOR};
 
 /// Schema tag written as the first token of the `CURRENT` checkpoint.
 pub const CHECKPOINT_SCHEMA: &str = "flexemd-durable/v1";
@@ -102,46 +128,6 @@ const LOCK_FILE: &str = "LOCK";
 /// The manifest of the retired `flexemd-store/v1` format, which kept a
 /// static index in `index.json` + `database.seg` + `reduction-N.seg`.
 const RETIRED_MANIFEST: &str = "index.json";
-
-/// Failures of the durable index: persistence errors keep their store
-/// typing, engine errors keep their query typing.
-#[derive(Debug)]
-pub enum DurableError {
-    /// The store layer failed (IO, corruption, checksum, checkpoint).
-    Store(StoreError),
-    /// The engine rejected data (shape mismatch, reduction failure, …).
-    Query(QueryError),
-}
-
-impl std::fmt::Display for DurableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurableError::Store(e) => write!(f, "store error: {e}"),
-            DurableError::Query(e) => write!(f, "query error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DurableError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DurableError::Store(e) => Some(e),
-            DurableError::Query(e) => Some(e),
-        }
-    }
-}
-
-impl From<StoreError> for DurableError {
-    fn from(e: StoreError) -> Self {
-        DurableError::Store(e)
-    }
-}
-
-impl From<QueryError> for DurableError {
-    fn from(e: QueryError) -> Self {
-        DurableError::Query(e)
-    }
-}
 
 /// What [`DurableIndex::open`] found on disk.
 #[derive(Debug)]
@@ -169,7 +155,7 @@ pub struct CompactReport {
 }
 
 /// The path of epoch `epoch`'s WAL file.
-pub fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
+fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("wal-{epoch}.log"))
 }
 
@@ -182,26 +168,26 @@ fn sealed_path(dir: &Path, epoch: u64) -> PathBuf {
 /// the returned handle: it is released when the handle drops or its
 /// process dies, so a crashed owner never blocks recovery — only a
 /// genuinely live concurrent owner is refused, with a typed
-/// [`StoreError::Locked`].
-fn lock_dir(dir: &Path) -> Result<File, StoreError> {
+/// [`DurableError::Locked`].
+fn lock_dir(dir: &Path) -> Result<File, DurableError> {
     let path = dir.join(LOCK_FILE);
     let file = File::options()
         .create(true)
         .write(true)
         .truncate(false)
         .open(&path)
-        .map_err(|e| StoreError::io(&path, e))?;
+        .map_err(|e| DurableError::io(&path, e))?;
     match file.try_lock() {
         Ok(()) => Ok(file),
-        Err(std::fs::TryLockError::WouldBlock) => Err(StoreError::Locked { path }),
-        Err(std::fs::TryLockError::Error(e)) => Err(StoreError::io(&path, e)),
+        Err(std::fs::TryLockError::WouldBlock) => Err(DurableError::Locked { path }),
+        Err(std::fs::TryLockError::Error(e)) => Err(DurableError::io(&path, e)),
     }
 }
 
 /// The typed refusal of a directory in the retired `flexemd-store/v1`
 /// format.
-fn retired_format(dir: &Path) -> StoreError {
-    StoreError::Checkpoint {
+fn retired_format(dir: &Path) -> DurableError {
+    DurableError::Checkpoint {
         path: dir.join(RETIRED_MANIFEST),
         reason: "this is a flexemd-store/v1 index, which this build no longer reads: \
                  rebuild it with `flexemd build-index` into a new directory"
@@ -212,23 +198,23 @@ fn retired_format(dir: &Path) -> StoreError {
 /// The typed error of a directory whose checkpoint cannot be read
 /// (`error`): the retired format's when it holds one, else the IO error
 /// on `CURRENT`.
-fn no_checkpoint(dir: &Path, error: std::io::Error) -> StoreError {
+fn no_checkpoint(dir: &Path, error: std::io::Error) -> DurableError {
     if dir.join(RETIRED_MANIFEST).exists() {
         retired_format(dir)
     } else {
-        StoreError::io(dir.join(CHECKPOINT_FILE), error)
+        DurableError::io(dir.join(CHECKPOINT_FILE), error)
     }
 }
 
 /// Refuse a directory that already holds an index: a writer that
 /// starts a directory never destroys the objects in one.
-fn refuse_existing_index(dir: &Path) -> Result<(), StoreError> {
+fn refuse_existing_index(dir: &Path) -> Result<(), DurableError> {
     if dir.join(RETIRED_MANIFEST).exists() {
         return Err(retired_format(dir));
     }
     let path = dir.join(CHECKPOINT_FILE);
     if path.exists() {
-        return Err(StoreError::io(
+        return Err(DurableError::io(
             path,
             std::io::Error::new(
                 std::io::ErrorKind::AlreadyExists,
@@ -246,43 +232,55 @@ fn checkpoint_line(epoch: u64) -> String {
 
 /// Write the checkpoint atomically: temp file, fsync, rename, then fsync
 /// the directory so the rename survives power loss.
-fn write_checkpoint(dir: &Path, epoch: u64) -> Result<(), StoreError> {
+fn write_checkpoint(dir: &Path, epoch: u64) -> Result<(), DurableError> {
     let tmp = dir.join("CURRENT.tmp");
     let final_path = dir.join(CHECKPOINT_FILE);
-    std::fs::write(&tmp, checkpoint_line(epoch)).map_err(|e| StoreError::io(&tmp, e))?;
+    std::fs::write(&tmp, checkpoint_line(epoch)).map_err(|e| DurableError::io(&tmp, e))?;
     let sync = |path: &Path| File::open(path).and_then(|handle| handle.sync_all());
-    sync(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
-    std::fs::rename(&tmp, &final_path).map_err(|e| StoreError::io(&final_path, e))?;
-    sync(dir).map_err(|e| StoreError::io(dir, e))
+    sync(&tmp).map_err(|e| DurableError::io(&tmp, e))?;
+    std::fs::rename(&tmp, &final_path).map_err(|e| DurableError::io(&final_path, e))?;
+    sync(dir).map_err(|e| DurableError::io(dir, e))
 }
 
 /// Read the checkpoint, probing `faults` first like every file read of
 /// the open path. Anything but the exact line the writer writes is a
-/// typed [`StoreError::Checkpoint`], so no byte flip or truncation of
+/// typed [`DurableError::Checkpoint`], so no byte flip or truncation of
 /// `CURRENT` names an epoch.
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] when `CURRENT` cannot be read (or a read fault is
-/// injected), [`StoreError::Checkpoint`] when it is not
+/// [`DurableError::Io`] when `CURRENT` cannot be read (or a read fault is
+/// injected), [`DurableError::Checkpoint`] when it is not
 /// `flexemd-durable/v1 <epoch>` or the directory holds a retired
 /// `flexemd-store/v1` index.
-pub fn read_checkpoint(dir: &Path, faults: &dyn FaultInjector) -> Result<u64, StoreError> {
+pub fn read_checkpoint(dir: &Path, faults: &dyn FaultInjector) -> Result<u64, DurableError> {
     let path = dir.join(CHECKPOINT_FILE);
     if let Some(Fault::Io) = faults.check(Site::StoreRead) {
-        return Err(StoreError::io(
-            &path,
-            std::io::Error::other("injected read fault"),
-        ));
+        return Err(DurableError::injected(&path, "read"));
     }
     let text = std::fs::read_to_string(&path).map_err(|e| no_checkpoint(dir, e))?;
     text.strip_prefix(CHECKPOINT_SCHEMA)
         .and_then(|rest| rest.trim().parse().ok())
         .filter(|&epoch| checkpoint_line(epoch) == text)
-        .ok_or_else(|| StoreError::Checkpoint {
+        .ok_or_else(|| DurableError::Checkpoint {
             path,
             reason: format!("expected the line `{CHECKPOINT_SCHEMA} <epoch>`, found {text:?}"),
         })
+}
+
+/// Replay epoch `epoch`'s WAL of `dir` read-only, as the one reader
+/// does (a torn tail is reported, not truncated): the file it read and
+/// what it holds. `flexemd wal-inspect` prints it.
+///
+/// # Errors
+///
+/// [`DurableError::Io`] when the log cannot be read, and the typed
+/// damage of a log that does not replay (mid-file checksum mismatch,
+/// bad magic, version skew, an undecodable record).
+pub fn replay_wal(dir: &Path, epoch: u64) -> Result<(PathBuf, WalReplay), DurableError> {
+    let path = wal_path(dir, epoch);
+    let replay = wal::replay_with(&path, &NoFaults)?;
+    Ok((path, replay))
 }
 
 /// Write `base.seg`: the cost matrix, both reductions and, when not
@@ -292,7 +290,7 @@ fn write_base(
     cost: &CostMatrix,
     reduced: &ReducedEmd,
     name: &str,
-) -> Result<(), StoreError> {
+) -> Result<(), DurableError> {
     let mut writer = SegmentWriter::create(&dir.join(BASE_SEGMENT))?;
     let cost = sections::encode_cost_matrix(cost);
     writer.section(SectionKind::CostMatrix, "cost", &cost)?;
@@ -319,7 +317,7 @@ fn write_epoch(
     next_id: u64,
     clustering: Option<&StoredClustering>,
     faults: Arc<dyn FaultInjector>,
-) -> Result<WalWriter, StoreError> {
+) -> Result<WalWriter, DurableError> {
     let dim = histograms.first().map_or(0, Histogram::dim);
     let arena = sections::encode_histogram_arena(dim, histograms);
     let mut writer = SegmentWriter::create(&sealed_path(dir, epoch))?;
@@ -351,9 +349,9 @@ pub(crate) fn bulk_load(
     cost: &CostMatrix,
     reduced: &ReducedEmd,
     clustering: Option<&StoredClustering>,
-) -> Result<(), StoreError> {
+) -> Result<(), DurableError> {
     let _span = emd_obs::span("store.save");
-    std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
+    std::fs::create_dir_all(dir).map_err(|e| DurableError::io(dir, e))?;
     let _lock = lock_dir(dir)?;
     refuse_existing_index(dir)?;
     write_base(dir, cost, reduced, name)?;
@@ -397,7 +395,7 @@ pub(crate) struct Stored {
 
 /// The one reader: checkpoint → base → sealed → WAL replay, probing
 /// `faults` before each file read. It takes no lock and writes nothing.
-pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, StoreError> {
+pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, DurableError> {
     let epoch = read_checkpoint(dir, faults)?;
     let base = SegmentReader::open_with(&dir.join(BASE_SEGMENT), faults)?;
     base.allow_only(&["cost", "r1", "r2", "name"])?;
@@ -411,11 +409,11 @@ pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, Sto
     let r2 = sections::decode_reduction(path, "r2", payload(SectionKind::Reduction, "r2")?)?;
     let name = match base.maybe_section(SectionKind::Text, "name")? {
         Some(section) => String::from_utf8(section.payload().to_vec())
-            .map_err(|_| StoreError::invalid(path, "name", "not UTF-8"))?,
+            .map_err(|_| DurableError::invalid(path, "name", "not UTF-8"))?,
         None => String::new(),
     };
     let reduced = ReducedEmd::with_asymmetric(&cost, r1, r2)
-        .map_err(|e| StoreError::invalid(path, "r2", e.to_string()))?;
+        .map_err(|e| DurableError::invalid(path, "r2", e.to_string()))?;
     let (sealed, mut ids, clustering) = match epoch {
         0 => (Vec::new(), Vec::new(), None),
         _ => read_sealed(&sealed_path(dir, epoch), faults)?,
@@ -423,7 +421,7 @@ pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, Sto
 
     let wal_file = wal_path(dir, epoch);
     let replay = wal::replay_with(&wal_file, faults)?;
-    let invalid_wal = |reason: String| StoreError::invalid(&wal_file, "wal", reason);
+    let invalid_wal = |reason: String| DurableError::invalid(&wal_file, "wal", reason);
     let mut records = replay.records.iter().map(|(_lsn, record)| record);
     let mut next_id = 0;
     if epoch > 0 {
@@ -496,7 +494,7 @@ pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, Sto
     // Every live histogram must match the cost matrix, which `R2` was
     // just checked against.
     let bundle = PersistedReduction::precompute(name.clone(), reduced, &histograms)
-        .map_err(|e| StoreError::invalid(dir, "histograms", e.to_string()))?;
+        .map_err(|e| DurableError::invalid(dir, "histograms", e.to_string()))?;
     Ok(Stored {
         epoch,
         name,
@@ -587,8 +585,8 @@ impl DurableIndex {
     /// # Errors
     ///
     /// Returns [`DurableError::Query`] when the reduction disagrees with
-    /// `cost`, and [`DurableError::Store`] when any file cannot be
-    /// written or synced — including [`StoreError::Locked`] when another
+    /// `cost`, and [`DurableError::Io`] when any file cannot be
+    /// written or synced — including [`DurableError::Locked`] when another
     /// live handle already owns the directory — or the directory already
     /// holds an index.
     pub fn create(
@@ -618,7 +616,7 @@ impl DurableIndex {
             ))
             .into());
         }
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
+        std::fs::create_dir_all(dir).map_err(|e| DurableError::io(dir, e))?;
         let lock = lock_dir(dir)?;
         refuse_existing_index(dir)?;
         write_base(dir, &cost, &reduced, "")?;
@@ -670,10 +668,10 @@ impl DurableIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`DurableError::Store`] for every form of on-disk damage
+    /// Returns a typed [`DurableError`] for every form of on-disk damage
     /// (missing files, checksum mismatches, mid-file corruption, records
     /// that contradict the sealed segment) or when another live handle
-    /// owns the directory ([`StoreError::Locked`]), and
+    /// owns the directory ([`DurableError::Locked`]), and
     /// [`DurableError::Query`] when replayed data violates engine
     /// invariants.
     pub fn open(dir: &Path) -> Result<(Self, OpenReport), DurableError> {
@@ -789,7 +787,7 @@ impl DurableIndex {
     ///
     /// Returns [`DurableError::Query`] when the histogram's shape or
     /// reduction is rejected (nothing is logged), and
-    /// [`DurableError::Store`] when the WAL append fails — the in-memory
+    /// [`DurableError::Io`] when the WAL append fails — the in-memory
     /// index is only touched after the append succeeds, so a failure
     /// changes nothing and consumes no id.
     pub fn append_insert(&mut self, histogram: Histogram) -> Result<u64, DurableError> {
@@ -848,7 +846,7 @@ impl DurableIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`DurableError::Store`] when the WAL append fails; the
+    /// Returns [`DurableError::Io`] when the WAL append fails; the
     /// in-memory state is untouched in that case.
     pub fn append_remove(&mut self, external_id: u64) -> Result<bool, DurableError> {
         let Some(position) = self.position(external_id) else {
@@ -877,7 +875,7 @@ impl DurableIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`DurableError::Store`] on flush/fsync failure (real or
+    /// Returns [`DurableError::Io`] on flush/fsync failure (real or
     /// injected at `Site::WalSync`).
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.walw.sync()?;
@@ -898,17 +896,14 @@ impl DurableIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`DurableError::Store`] when sealing, logging or the
+    /// Returns [`DurableError::Io`] when sealing, logging or the
     /// checkpoint flip fails (real or injected at `Site::Compact`). The
     /// in-memory index stays consistent and the old epoch stays intact.
     pub fn compact(&mut self) -> Result<CompactReport, DurableError> {
         let _span = emd_obs::span("durable.compact");
         if let Some(Fault::Io) = self.faults.check(Site::Compact) {
-            return Err(StoreError::io(
-                sealed_path(&self.dir, self.epoch + 1),
-                std::io::Error::other("injected compaction fault"),
-            )
-            .into());
+            let path = sealed_path(&self.dir, self.epoch + 1);
+            return Err(DurableError::injected(path, "compaction"));
         }
         let new_epoch = self.epoch + 1;
         // Reclaim in memory first; ids are unaffected, so a failure below
@@ -1125,7 +1120,7 @@ type Sealed = (Vec<Histogram>, Vec<u64>, Option<StoredClustering>);
 /// Read a sealed segment: the histograms, position for position their
 /// ids (strictly ascending — [`sections::decode_id_map`] rejects
 /// anything else), and the clustering a bulk load may have written.
-fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, StoreError> {
+fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, DurableError> {
     let sealed = SegmentReader::open_with(path, faults)?;
     sealed.allow_only(&["histograms", "external-ids", "clustering"])?;
     let arena_section = sealed.typed_section(SectionKind::HistogramArena, "histograms")?;
@@ -1134,7 +1129,7 @@ fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, StoreE
     let ids_section = sealed.typed_section(SectionKind::IdMap, "external-ids")?;
     let ids = sections::decode_id_map(path, "external-ids", ids_section.payload())?;
     if ids.len() != histograms.len() {
-        return Err(StoreError::invalid(
+        return Err(DurableError::invalid(
             path,
             "external-ids",
             format!("{} ids for {} histograms", ids.len(), histograms.len()),
@@ -1149,7 +1144,7 @@ fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, StoreE
         .is_some_and(|c| c.assignments.len() != histograms.len())
     {
         let reason = "the clustering does not assign every object of the segment";
-        return Err(StoreError::invalid(path, "clustering", reason));
+        return Err(DurableError::invalid(path, "clustering", reason));
     }
     Ok((histograms, ids, clustering))
 }
@@ -1357,6 +1352,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A crash can persist a file's new size before its data: the WAL
+    /// then ends in zeros. Nothing verifiable follows the last record, so
+    /// the zeros are a torn tail, truncated on open.
+    #[test]
+    fn zero_filled_wal_tail_is_a_torn_tail() {
+        let dir = tmp_dir("zero-tail");
+        {
+            let mut index = fresh(&dir);
+            for histogram in corpus() {
+                index.append_insert(histogram).unwrap();
+            }
+            index.sync().unwrap();
+        }
+        let wal_file = wal_path(&dir, 0);
+        let mut bytes = std::fs::read(&wal_file).unwrap();
+        let synced = bytes.len() as u64;
+        bytes.resize(bytes.len() + 4096, 0);
+        std::fs::write(&wal_file, &bytes).unwrap();
+
+        let replay = wal::replay_with(&wal_file, &NoFaults).unwrap();
+        assert_eq!(replay.records.len(), 5, "every synced record replays");
+        let tail = replay.torn_tail.expect("the zeros are reported");
+        assert_eq!((tail.offset, tail.discarded_bytes), (synced, 4096));
+
+        let (mut reopened, report) = DurableIndex::open(&dir).unwrap();
+        assert!(report.torn_tail.is_some(), "tear is reported");
+        assert_eq!(reopened.len(), 5);
+        assert_eq!(std::fs::metadata(&wal_file).unwrap().len(), synced);
+        assert_eq!(reopened.append_insert(h(&[0.1, 0.2, 0.3, 0.4])).unwrap(), 5);
+        reopened.sync().unwrap();
+        drop(reopened);
+        let (final_index, report) = DurableIndex::open(&dir).unwrap();
+        assert!(report.torn_tail.is_none(), "tail was truncated on open");
+        assert_eq!(final_index.len(), 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn midfile_wal_corruption_fails_typed() {
         let dir = tmp_dir("midfile");
@@ -1373,10 +1405,7 @@ mod tests {
         std::fs::write(&wal_file, &bytes).unwrap();
         let error = DurableIndex::open(&dir).expect_err("mid-file damage is fatal");
         assert!(
-            matches!(
-                error,
-                DurableError::Store(StoreError::ChecksumMismatch { .. })
-            ),
+            matches!(error, DurableError::ChecksumMismatch { .. }),
             "got {error}"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1394,7 +1423,7 @@ mod tests {
         let error = index
             .append_insert(h(&[0.0, 1.0, 0.0, 0.0]))
             .expect_err("second append injected");
-        assert!(matches!(error, DurableError::Store(StoreError::Io { .. })));
+        assert!(matches!(error, DurableError::Io { .. }));
         // The in-memory index is only touched after the append succeeds:
         // the failed insert consumed no id and no storage position.
         assert_eq!((index.len(), index.positions()), (1, 1));
@@ -1422,10 +1451,7 @@ mod tests {
         let dir = tmp_dir("lock");
         let index = fresh(&dir);
         let error = DurableIndex::open(&dir).expect_err("live owner must exclude a second open");
-        assert!(
-            matches!(error, DurableError::Store(StoreError::Locked { .. })),
-            "got {error}"
-        );
+        assert!(matches!(error, DurableError::Locked { .. }), "got {error}");
         // Releasing the handle releases the lock.
         drop(index);
         let (reopened, _) = DurableIndex::open(&dir).unwrap();
@@ -1446,7 +1472,7 @@ mod tests {
         }
         index.append_remove(1).unwrap();
         let error = index.compact().expect_err("first compaction injected");
-        assert!(matches!(error, DurableError::Store(StoreError::Io { .. })));
+        assert!(matches!(error, DurableError::Io { .. }));
         // The failed compaction must not have flipped the checkpoint...
         assert_eq!(index.epoch(), 0);
         // ...and a second attempt succeeds.
@@ -1541,10 +1567,7 @@ mod tests {
         wal.sync().unwrap();
         write_checkpoint(&dir, 1).unwrap();
         let error = DurableIndex::open(&dir).expect_err("unsorted sealed ids");
-        assert!(
-            matches!(error, DurableError::Store(StoreError::Invalid { .. })),
-            "got {error}"
-        );
+        assert!(matches!(error, DurableError::Invalid { .. }), "got {error}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1561,7 +1584,7 @@ mod tests {
             std::fs::write(dir.join(CHECKPOINT_FILE), bad).unwrap();
             let error = DurableIndex::open(&dir).expect_err("bad checkpoint");
             assert!(
-                matches!(error, DurableError::Store(StoreError::Checkpoint { .. })),
+                matches!(error, DurableError::Checkpoint { .. }),
                 "`{bad}` gave {error}"
             );
         }
@@ -1600,7 +1623,7 @@ mod tests {
         let before = std::fs::read(sealed_path(&dir, 1)).unwrap();
         let cost = Arc::new(ground::linear(4).unwrap());
         let again = bulk_load(&dir, "demo", &[], &cost, &reduced(&cost), None);
-        assert!(matches!(again, Err(StoreError::Io { .. })), "{again:?}");
+        assert!(matches!(again, Err(DurableError::Io { .. })), "{again:?}");
         let r = reduced(&cost);
         assert!(DurableIndex::create(&dir, cost, r).is_err());
         assert_eq!(std::fs::read(sealed_path(&dir, 1)).unwrap(), before);
@@ -1639,7 +1662,10 @@ mod tests {
     #[test]
     fn missing_checkpoint_is_io_error() {
         let dir = tmp_dir("no-checkpoint");
-        assert!(matches!(read(&dir, &NoFaults), Err(StoreError::Io { .. })));
+        assert!(matches!(
+            read(&dir, &NoFaults),
+            Err(DurableError::Io { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1648,7 +1674,7 @@ mod tests {
         let dir = tmp_dir("retired");
         std::fs::write(dir.join(RETIRED_MANIFEST), "{}").unwrap();
         let error = read(&dir, &NoFaults).unwrap_err();
-        assert!(matches!(error, StoreError::Checkpoint { .. }), "{error}");
+        assert!(matches!(error, DurableError::Checkpoint { .. }), "{error}");
         assert!(error.to_string().contains("flexemd-store/v1"), "{error}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1658,7 +1684,10 @@ mod tests {
         let dir = tmp_dir("dangling");
         bulk(&dir, "demo", None);
         std::fs::remove_file(sealed_path(&dir, 1)).unwrap();
-        assert!(matches!(read(&dir, &NoFaults), Err(StoreError::Io { .. })));
+        assert!(matches!(
+            read(&dir, &NoFaults),
+            Err(DurableError::Io { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1704,7 +1733,7 @@ mod tests {
         };
         bulk(&dir, "demo", Some(&clustering));
         let error = read(&dir, &NoFaults).unwrap_err();
-        assert!(matches!(error, StoreError::Invalid { .. }), "{error}");
+        assert!(matches!(error, DurableError::Invalid { .. }), "{error}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,7 +7,7 @@
 //! non-negativity), [`CombiningReduction::new`] (Definition 3
 //! well-formedness) — so a payload that passes its CRC but violates an
 //! invariant still fails the open path with a typed
-//! [`StoreError::Invalid`] instead of reaching a query.
+//! [`DurableError::Invalid`] instead of reaching a query.
 //!
 //! Floats are stored as their IEEE-754 bit patterns via
 //! `f64::to_le_bytes`, making write→read round trips bit-identical.
@@ -17,15 +17,15 @@ use std::path::Path;
 use emd_core::{CostMatrix, Histogram};
 use emd_reduction::CombiningReduction;
 
-use crate::error::StoreError;
+use crate::error::DurableError;
 
 /// Little-endian reader over one (already checksum-verified) payload —
 /// a segment section's, or a WAL record's.
 ///
 /// A shortfall here means the *encoder* and declared counts disagree —
 /// structural corruption the CRC could not catch — so everything maps
-/// to [`StoreError::Invalid`] with the section name attached.
-pub(crate) struct Payload<'a> {
+/// to [`DurableError::Invalid`] with the section name attached.
+pub(super) struct Payload<'a> {
     bytes: &'a [u8],
     offset: usize,
     path: &'a Path,
@@ -33,7 +33,7 @@ pub(crate) struct Payload<'a> {
 }
 
 impl<'a> Payload<'a> {
-    pub(crate) fn new(path: &'a Path, section: &'a str, bytes: &'a [u8]) -> Self {
+    pub(super) fn new(path: &'a Path, section: &'a str, bytes: &'a [u8]) -> Self {
         Payload {
             bytes,
             offset: 0,
@@ -45,7 +45,7 @@ impl<'a> Payload<'a> {
     /// An empty vector reserved for `count` items of at least
     /// `item_bytes` encoded bytes each — but never for more items than the
     /// unread payload could hold: a declared count is untrusted, and a
-    /// wrong one must fail as [`StoreError::Invalid`] when the bytes run
+    /// wrong one must fail as [`DurableError::Invalid`] when the bytes run
     /// out, not as a failed allocation up front. (Reserving at all is
     /// measured: growing a 20k-histogram arena by doubling costs about a
     /// tenth of the time to open the index.)
@@ -54,10 +54,10 @@ impl<'a> Payload<'a> {
         Vec::with_capacity(count.min(holds))
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DurableError> {
         let available = self.bytes.len() - self.offset;
         if n > available {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 self.path,
                 self.section,
                 format!("payload too short for {what}: need {n} bytes, {available} left"),
@@ -69,7 +69,7 @@ impl<'a> Payload<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
+    pub(super) fn u64(&mut self, what: &str) -> Result<u64, DurableError> {
         let bytes = self.take(8, what)?;
         let mut raw = [0u8; 8];
         raw.copy_from_slice(bytes);
@@ -77,10 +77,10 @@ impl<'a> Payload<'a> {
     }
 
     /// A `u64` that must fit the platform's `usize` (count or dimension).
-    pub(crate) fn length(&mut self, what: &str) -> Result<usize, StoreError> {
+    pub(super) fn length(&mut self, what: &str) -> Result<usize, DurableError> {
         let value = self.u64(what)?;
         usize::try_from(value).map_err(|_| {
-            StoreError::invalid(
+            DurableError::invalid(
                 self.path,
                 self.section,
                 format!("{what} {value} exceeds the platform word size"),
@@ -88,9 +88,9 @@ impl<'a> Payload<'a> {
         })
     }
 
-    pub(crate) fn f64s(&mut self, count: usize, what: &str) -> Result<Vec<f64>, StoreError> {
+    pub(super) fn f64s(&mut self, count: usize, what: &str) -> Result<Vec<f64>, DurableError> {
         let byte_len = count.checked_mul(8).ok_or_else(|| {
-            StoreError::invalid(
+            DurableError::invalid(
                 self.path,
                 self.section,
                 format!("{what} count {count} overflows the payload length"),
@@ -106,9 +106,9 @@ impl<'a> Payload<'a> {
         Ok(out)
     }
 
-    fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, StoreError> {
+    fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, DurableError> {
         let byte_len = count.checked_mul(4).ok_or_else(|| {
-            StoreError::invalid(
+            DurableError::invalid(
                 self.path,
                 self.section,
                 format!("{what} count {count} overflows the payload length"),
@@ -125,10 +125,10 @@ impl<'a> Payload<'a> {
     }
 
     /// Require the payload to be fully consumed.
-    pub(crate) fn finish(self) -> Result<(), StoreError> {
+    pub(super) fn finish(self) -> Result<(), DurableError> {
         let leftover = self.bytes.len() - self.offset;
         if leftover != 0 {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 self.path,
                 self.section,
                 format!("{leftover} unexpected trailing payload bytes"),
@@ -137,8 +137,8 @@ impl<'a> Payload<'a> {
         Ok(())
     }
 
-    fn invalid(&self, reason: impl std::fmt::Display) -> StoreError {
-        StoreError::invalid(self.path, self.section, reason.to_string())
+    fn invalid(&self, reason: impl std::fmt::Display) -> DurableError {
+        DurableError::invalid(self.path, self.section, reason.to_string())
     }
 }
 
@@ -147,7 +147,7 @@ impl<'a> Payload<'a> {
 /// Layout: `count: u64 | dim: u64 | count * dim * f64` (row-major).
 /// `dim` is passed explicitly so an empty arena still records the
 /// dimensionality the caller expects back on decode.
-pub fn encode_histogram_arena(dim: usize, items: &[Histogram]) -> Vec<u8> {
+pub(super) fn encode_histogram_arena(dim: usize, items: &[Histogram]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + items.len() * dim * 8);
     out.extend_from_slice(&(items.len() as u64).to_le_bytes());
     out.extend_from_slice(&(dim as u64).to_le_bytes());
@@ -166,14 +166,14 @@ pub fn encode_histogram_arena(dim: usize, items: &[Histogram]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Invalid`] when the payload is structurally
+/// Returns [`DurableError::Invalid`] when the payload is structurally
 /// short, carries trailing bytes, or any histogram violates the
 /// non-negativity / finiteness / unit-mass invariants.
-pub fn decode_histogram_arena(
+pub(super) fn decode_histogram_arena(
     path: &Path,
     section: &str,
     payload: &[u8],
-) -> Result<(usize, Vec<Histogram>), StoreError> {
+) -> Result<(usize, Vec<Histogram>), DurableError> {
     let mut p = Payload::new(path, section, payload);
     let count = p.length("histogram count")?;
     let dim = p.length("histogram dimensionality")?;
@@ -191,7 +191,7 @@ pub fn decode_histogram_arena(
 /// Encode a cost matrix.
 ///
 /// Layout: `rows: u64 | cols: u64 | rows * cols * f64` (row-major).
-pub fn encode_cost_matrix(matrix: &CostMatrix) -> Vec<u8> {
+pub(super) fn encode_cost_matrix(matrix: &CostMatrix) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + matrix.entries().len() * 8);
     out.extend_from_slice(&(matrix.rows() as u64).to_le_bytes());
     out.extend_from_slice(&(matrix.cols() as u64).to_le_bytes());
@@ -205,19 +205,19 @@ pub fn encode_cost_matrix(matrix: &CostMatrix) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Invalid`] when the payload is structurally
+/// Returns [`DurableError::Invalid`] when the payload is structurally
 /// short, carries trailing bytes, or the entries violate the shape /
 /// non-negativity / finiteness invariants.
-pub fn decode_cost_matrix(
+pub(super) fn decode_cost_matrix(
     path: &Path,
     section: &str,
     payload: &[u8],
-) -> Result<CostMatrix, StoreError> {
+) -> Result<CostMatrix, DurableError> {
     let mut p = Payload::new(path, section, payload);
     let rows = p.length("cost rows")?;
     let cols = p.length("cost cols")?;
     let cells = rows.checked_mul(cols).ok_or_else(|| {
-        StoreError::invalid(path, section, format!("cost shape {rows}x{cols} overflows"))
+        DurableError::invalid(path, section, format!("cost shape {rows}x{cols} overflows"))
     })?;
     let entries = p.f64s(cells, "cost entries")?;
     let matrix = CostMatrix::new(rows, cols, entries)
@@ -229,7 +229,7 @@ pub fn decode_cost_matrix(
 /// Encode a combining reduction (Definition 3 assignment vector).
 ///
 /// Layout: `original_dim: u64 | reduced_dim: u64 | original_dim * u32`.
-pub fn encode_reduction(reduction: &CombiningReduction) -> Vec<u8> {
+pub(super) fn encode_reduction(reduction: &CombiningReduction) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + reduction.original_dim() * 4);
     out.extend_from_slice(&(reduction.original_dim() as u64).to_le_bytes());
     out.extend_from_slice(&(reduction.reduced_dim() as u64).to_le_bytes());
@@ -245,14 +245,14 @@ pub fn encode_reduction(reduction: &CombiningReduction) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Invalid`] when the payload is structurally
+/// Returns [`DurableError::Invalid`] when the payload is structurally
 /// short, carries trailing bytes, or the assignment violates
 /// Definition 3.
-pub fn decode_reduction(
+pub(super) fn decode_reduction(
     path: &Path,
     section: &str,
     payload: &[u8],
-) -> Result<CombiningReduction, StoreError> {
+) -> Result<CombiningReduction, DurableError> {
     let mut p = Payload::new(path, section, payload);
     let original_dim = p.length("original dimensionality")?;
     let reduced_dim = p.length("reduced dimensionality")?;
@@ -293,7 +293,7 @@ pub struct StoredClustering {
 /// objects * u32 (assignments) | clusters * f64 (radii)`. Radii are
 /// stored as IEEE-754 bit patterns, so a save → open round trip is
 /// bit-identical.
-pub fn encode_clustering(clustering: &StoredClustering) -> Vec<u8> {
+pub(super) fn encode_clustering(clustering: &StoredClustering) -> Vec<u8> {
     let clusters = clustering.pivots.len();
     let objects = clustering.assignments.len();
     let mut out = Vec::with_capacity(16 + clusters * 12 + objects * 4);
@@ -318,13 +318,13 @@ pub fn encode_clustering(clustering: &StoredClustering) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Invalid`] when the payload is structurally
+/// Returns [`DurableError::Invalid`] when the payload is structurally
 /// short, carries trailing bytes, or violates any invariant above.
-pub fn decode_clustering(
+pub(super) fn decode_clustering(
     path: &Path,
     section: &str,
     payload: &[u8],
-) -> Result<StoredClustering, StoreError> {
+) -> Result<StoredClustering, DurableError> {
     let mut p = Payload::new(path, section, payload);
     let clusters = p.length("cluster count")?;
     let objects = p.length("object count")?;
@@ -340,7 +340,7 @@ pub fn decode_clustering(
     let assignments = p.u32s(objects, "assignment vector")?;
     let radii = p.f64s(clusters, "covering radii")?;
     p.finish()?;
-    let path_err = |reason: String| StoreError::invalid(path, section, reason);
+    let path_err = |reason: String| DurableError::invalid(path, section, reason);
     for (cluster, &pivot) in pivots.iter().enumerate() {
         if pivot as usize >= objects {
             return Err(path_err(format!(
@@ -385,7 +385,7 @@ pub fn decode_clustering(
 /// Encode a dense `position -> external id` map (sealed WAL segments).
 ///
 /// Layout: `count: u64 | count * u64`.
-pub fn encode_id_map(ids: &[u64]) -> Vec<u8> {
+pub(super) fn encode_id_map(ids: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + ids.len() * 8);
     let count = u64::try_from(ids.len()).unwrap_or(u64::MAX);
     out.extend_from_slice(&count.to_le_bytes());
@@ -403,9 +403,13 @@ pub fn encode_id_map(ids: &[u64]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Invalid`] when the payload is structurally
+/// Returns [`DurableError::Invalid`] when the payload is structurally
 /// short, carries trailing bytes, or does not strictly ascend.
-pub fn decode_id_map(path: &Path, section: &str, payload: &[u8]) -> Result<Vec<u64>, StoreError> {
+pub(super) fn decode_id_map(
+    path: &Path,
+    section: &str,
+    payload: &[u8],
+) -> Result<Vec<u64>, DurableError> {
     let mut p = Payload::new(path, section, payload);
     let count = p.length("id count")?;
     let mut ids = p.reserve(count, 8);
@@ -414,7 +418,7 @@ pub fn decode_id_map(path: &Path, section: &str, payload: &[u8]) -> Result<Vec<u
     }
     p.finish()?;
     if ids.windows(2).any(|pair| pair.first() >= pair.last()) {
-        return Err(StoreError::invalid(
+        return Err(DurableError::invalid(
             path,
             section,
             "id map is not strictly ascending",
@@ -466,7 +470,7 @@ mod tests {
         payload.extend_from_slice(&0.9f64.to_le_bytes());
         payload.extend_from_slice(&0.9f64.to_le_bytes());
         let err = decode_histogram_arena(&path(), "histograms", &payload).unwrap_err();
-        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        assert!(matches!(err, DurableError::Invalid { .. }), "{err}");
     }
 
     #[test]
@@ -485,7 +489,7 @@ mod tests {
         payload.extend_from_slice(&(-1.0f64).to_le_bytes());
         assert!(matches!(
             decode_cost_matrix(&path(), "cost", &payload),
-            Err(StoreError::Invalid { .. })
+            Err(DurableError::Invalid { .. })
         ));
     }
 
@@ -507,7 +511,7 @@ mod tests {
         payload.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             decode_reduction(&path(), "r1", &payload),
-            Err(StoreError::Invalid { .. })
+            Err(DurableError::Invalid { .. })
         ));
     }
 
@@ -537,7 +541,7 @@ mod tests {
         clustering.assignments = vec![0, 0, 1, 1, 7];
         let payload = encode_clustering(&clustering);
         let err = decode_clustering(&path(), "clustering", &payload).unwrap_err();
-        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        assert!(matches!(err, DurableError::Invalid { .. }), "{err}");
     }
 
     #[test]
@@ -548,7 +552,7 @@ mod tests {
         clustering.pivots = vec![3, 3];
         let payload = encode_clustering(&clustering);
         let err = decode_clustering(&path(), "clustering", &payload).unwrap_err();
-        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        assert!(matches!(err, DurableError::Invalid { .. }), "{err}");
     }
 
     #[test]
@@ -557,7 +561,7 @@ mod tests {
         clustering.radii = vec![0.25, f64::NAN];
         let payload = encode_clustering(&clustering);
         let err = decode_clustering(&path(), "clustering", &payload).unwrap_err();
-        assert!(matches!(err, StoreError::Invalid { .. }), "{err}");
+        assert!(matches!(err, DurableError::Invalid { .. }), "{err}");
     }
 
     #[test]
@@ -583,7 +587,7 @@ mod tests {
         let payload = encode_clustering(&clustering);
         assert!(matches!(
             decode_clustering(&path(), "clustering", &payload),
-            Err(StoreError::Invalid { .. })
+            Err(DurableError::Invalid { .. })
         ));
     }
 
@@ -594,7 +598,7 @@ mod tests {
         payload.push(0);
         assert!(matches!(
             decode_cost_matrix(&path(), "cost", &payload),
-            Err(StoreError::Invalid { .. })
+            Err(DurableError::Invalid { .. })
         ));
     }
 
@@ -616,18 +620,18 @@ mod tests {
             let payload = encode_id_map(&unsorted);
             assert!(matches!(
                 decode_id_map(&path(), "external-ids", &payload),
-                Err(StoreError::Invalid { .. })
+                Err(DurableError::Invalid { .. })
             ));
         }
         let mut payload = encode_id_map(&[1, 2]);
         payload.push(0);
         assert!(matches!(
             decode_id_map(&path(), "external-ids", &payload),
-            Err(StoreError::Invalid { .. })
+            Err(DurableError::Invalid { .. })
         ));
         assert!(matches!(
             decode_id_map(&path(), "external-ids", &payload[..9]),
-            Err(StoreError::Invalid { .. })
+            Err(DurableError::Invalid { .. })
         ));
     }
 
@@ -640,7 +644,7 @@ mod tests {
         ids.extend_from_slice(&7u64.to_le_bytes());
         assert!(matches!(
             decode_id_map(&path(), "external-ids", &ids),
-            Err(StoreError::Invalid { .. })
+            Err(DurableError::Invalid { .. })
         ));
         for dim in [0u64, 4] {
             let mut arena = huge.to_vec();
@@ -648,7 +652,7 @@ mod tests {
             arena.extend_from_slice(&[0u8; 32]);
             assert!(matches!(
                 decode_histogram_arena(&path(), "histograms", &arena),
-                Err(StoreError::Invalid { .. })
+                Err(DurableError::Invalid { .. })
             ));
         }
     }

@@ -25,20 +25,20 @@
 //! [`SegmentReader`] validates everything *before* handing out payloads:
 //! magic, version window, header and payload truncation, per-section
 //! CRC32, and section-name UTF-8. Decoding payloads into typed values is
-//! the job of [`crate::sections`].
+//! the job of `sections`.
 
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::crc32;
-use crate::error::StoreError;
+use super::crc32;
+use crate::error::DurableError;
 
 /// Magic bytes every segment file starts with.
 const MAGIC: [u8; 8] = *b"FXEMDSEG";
 
 /// Major format version this build writes and reads. A mismatch is a
-/// hard [`StoreError::VersionSkew`].
+/// hard [`DurableError::VersionSkew`].
 pub(crate) const VERSION_MAJOR: u16 = 1;
 
 /// Minor format version this build writes. Files with a *smaller or
@@ -55,7 +55,7 @@ const FILE_HEADER_LEN: u64 = 16;
 /// reduced cost matrix `C'` is a [`SectionKind::CostMatrix`] payload
 /// named `reduced-cost`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SectionKind {
+pub(super) enum SectionKind {
     /// A dense arena of equal-dimensional histograms.
     HistogramArena,
     /// A row-major cost matrix (original `C` or reduced `C'`).
@@ -73,7 +73,7 @@ pub enum SectionKind {
 
 impl SectionKind {
     /// The on-disk tag value.
-    pub fn tag(self) -> u32 {
+    pub(super) fn tag(self) -> u32 {
         match self {
             SectionKind::HistogramArena => 1,
             SectionKind::CostMatrix => 2,
@@ -105,7 +105,7 @@ impl SectionKind {
 /// reject as missing its sections — partial writes never masquerade as
 /// complete segments.
 #[derive(Debug)]
-pub struct SegmentWriter {
+pub(super) struct SegmentWriter {
     out: BufWriter<File>,
     path: PathBuf,
     sections: u32,
@@ -117,10 +117,10 @@ impl SegmentWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the file cannot be created or the
+    /// Returns [`DurableError::Io`] when the file cannot be created or the
     /// header cannot be written.
-    pub fn create(path: &Path) -> Result<Self, StoreError> {
-        let file = File::create(path).map_err(|e| StoreError::io(path, e))?;
+    pub(super) fn create(path: &Path) -> Result<Self, DurableError> {
+        let file = File::create(path).map_err(|e| DurableError::io(path, e))?;
         let mut writer = SegmentWriter {
             out: BufWriter::new(file),
             path: path.to_path_buf(),
@@ -133,10 +133,10 @@ impl SegmentWriter {
         Ok(writer)
     }
 
-    fn put(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+    fn put(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         self.out
             .write_all(bytes)
-            .map_err(|e| StoreError::io(&self.path, e))
+            .map_err(|e| DurableError::io(&self.path, e))
     }
 
     /// Write one whole section: kind tag, name length, payload length,
@@ -144,16 +144,16 @@ impl SegmentWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Invalid`] when the name is longer than
-    /// `u32::MAX` bytes and [`StoreError::Io`] on write failure.
-    pub fn section(
+    /// Returns [`DurableError::Invalid`] when the name is longer than
+    /// `u32::MAX` bytes and [`DurableError::Io`] on write failure.
+    pub(super) fn section(
         &mut self,
         kind: SectionKind,
         name: &str,
         payload: &[u8],
-    ) -> Result<(), StoreError> {
+    ) -> Result<(), DurableError> {
         let name_len = u32::try_from(name.len()).map_err(|_| {
-            StoreError::invalid(&self.path, name, "section name longer than u32::MAX bytes")
+            DurableError::invalid(&self.path, name, "section name longer than u32::MAX bytes")
         })?;
         self.put(&kind.tag().to_le_bytes())?;
         self.put(&name_len.to_le_bytes())?;
@@ -169,51 +169,46 @@ impl SegmentWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on seek/flush/sync failure.
-    pub fn finish(mut self) -> Result<(), StoreError> {
+    /// Returns [`DurableError::Io`] on seek/flush/sync failure.
+    pub(super) fn finish(mut self) -> Result<(), DurableError> {
         self.out
             .seek(SeekFrom::Start(FILE_HEADER_LEN - 4))
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| DurableError::io(&self.path, e))?;
         let count = self.sections;
         self.put(&count.to_le_bytes())?;
         self.out
             .flush()
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| DurableError::io(&self.path, e))?;
         self.out
             .get_ref()
             .sync_all()
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| DurableError::io(&self.path, e))?;
         Ok(())
     }
 }
 
 /// One fully verified section of an opened segment.
 #[derive(Debug, Clone)]
-pub struct Section {
+pub(super) struct Section {
     kind: SectionKind,
     name: String,
     payload: Vec<u8>,
 }
 
 impl Section {
-    /// The payload codec tag.
-    pub fn kind(&self) -> SectionKind {
-        self.kind
-    }
-
     /// The section's role name (e.g. `histograms`, `reduced-cost`).
-    pub fn name(&self) -> &str {
+    pub(super) fn name(&self) -> &str {
         &self.name
     }
 
     /// The checksum-verified payload bytes.
-    pub fn payload(&self) -> &[u8] {
+    pub(super) fn payload(&self) -> &[u8] {
         &self.payload
     }
 }
 
 /// A little-endian cursor over the segment byte buffer that turns every
-/// shortfall into [`StoreError::Truncated`].
+/// shortfall into [`DurableError::Truncated`].
 struct Cursor<'a> {
     buf: &'a [u8],
     offset: usize,
@@ -221,10 +216,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DurableError> {
         let available = self.buf.len() - self.offset;
         if n > available {
-            return Err(StoreError::Truncated {
+            return Err(DurableError::Truncated {
                 path: self.path.to_path_buf(),
                 what: what.to_owned(),
                 expected: n as u64,
@@ -237,21 +232,21 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    fn u16(&mut self, what: &str) -> Result<u16, StoreError> {
+    fn u16(&mut self, what: &str) -> Result<u16, DurableError> {
         let bytes = self.take(2, what)?;
         let mut raw = [0u8; 2];
         raw.copy_from_slice(bytes);
         Ok(u16::from_le_bytes(raw))
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
+    fn u32(&mut self, what: &str) -> Result<u32, DurableError> {
         let bytes = self.take(4, what)?;
         let mut raw = [0u8; 4];
         raw.copy_from_slice(bytes);
         Ok(u32::from_le_bytes(raw))
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
+    fn u64(&mut self, what: &str) -> Result<u64, DurableError> {
         let bytes = self.take(8, what)?;
         let mut raw = [0u8; 8];
         raw.copy_from_slice(bytes);
@@ -266,7 +261,7 @@ impl<'a> Cursor<'a> {
 /// payload against its CRC32 — a [`SegmentReader`] in hand means every
 /// byte it serves was checksum-verified.
 #[derive(Debug)]
-pub struct SegmentReader {
+pub(super) struct SegmentReader {
     path: PathBuf,
     sections: Vec<Section>,
 }
@@ -275,7 +270,7 @@ impl SegmentReader {
     /// Open and fully verify the segment at `path`, probing `faults`
     /// before the file read: an injected
     /// [`Fault::Io`](emd_faultkit::Fault) surfaces as the same
-    /// [`StoreError::Io`] a real read failure would, which is how the
+    /// [`DurableError::Io`] a real read failure would, which is how the
     /// fault-injection tests prove every read maps to a typed error.
     ///
     /// Emits `store.bytes_read` and `store.sections_verified` counters
@@ -283,22 +278,22 @@ impl SegmentReader {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the file cannot be read,
-    /// [`StoreError::BadMagic`] / [`StoreError::VersionSkew`] for foreign
-    /// or incompatible files, [`StoreError::Truncated`] when any declared
-    /// length overruns the file, [`StoreError::UnknownSection`] for
-    /// unrecognized kind tags, [`StoreError::ChecksumMismatch`] when a
-    /// payload fails CRC verification, and [`StoreError::Invalid`] for
+    /// Returns [`DurableError::Io`] when the file cannot be read,
+    /// [`DurableError::BadMagic`] / [`DurableError::VersionSkew`] for foreign
+    /// or incompatible files, [`DurableError::Truncated`] when any declared
+    /// length overruns the file, [`DurableError::UnknownSection`] for
+    /// unrecognized kind tags, [`DurableError::ChecksumMismatch`] when a
+    /// payload fails CRC verification, and [`DurableError::Invalid`] for
     /// non-UTF-8 section names.
-    pub fn open_with(
+    pub(super) fn open_with(
         path: &Path,
         faults: &dyn emd_faultkit::FaultInjector,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, DurableError> {
         let _span = emd_obs::span_with(|| format!("store.read_segment({})", path.display()));
         if let Some(emd_faultkit::Fault::Io) = faults.check(emd_faultkit::Site::StoreRead) {
-            return Err(StoreError::io(path, StoreError::injected_read_fault()));
+            return Err(DurableError::injected(path, "read"));
         }
-        let buf = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
+        let buf = std::fs::read(path).map_err(|e| DurableError::io(path, e))?;
         emd_obs::counter_add("store.bytes_read", buf.len() as u64);
         let mut cursor = Cursor {
             buf: &buf,
@@ -307,14 +302,14 @@ impl SegmentReader {
         };
         let magic = cursor.take(MAGIC.len(), "file magic")?;
         if magic != MAGIC {
-            return Err(StoreError::BadMagic {
+            return Err(DurableError::BadMagic {
                 path: path.to_path_buf(),
             });
         }
         let major = cursor.u16("version major")?;
         let minor = cursor.u16("version minor")?;
         if major != VERSION_MAJOR || minor > VERSION_MINOR {
-            return Err(StoreError::VersionSkew {
+            return Err(DurableError::VersionSkew {
                 path: path.to_path_buf(),
                 major,
                 minor,
@@ -328,7 +323,7 @@ impl SegmentReader {
         for index in 0..count {
             let what = format!("section {index} header");
             let tag = cursor.u32(&what)?;
-            let kind = SectionKind::from_tag(tag).ok_or(StoreError::UnknownSection {
+            let kind = SectionKind::from_tag(tag).ok_or(DurableError::UnknownSection {
                 path: path.to_path_buf(),
                 kind: tag,
             })?;
@@ -338,23 +333,24 @@ impl SegmentReader {
             let name_bytes = cursor.take(name_len, &format!("section {index} name"))?;
             let name = std::str::from_utf8(name_bytes)
                 .map_err(|_| {
-                    StoreError::invalid(
+                    DurableError::invalid(
                         path,
                         format!("section {index}"),
                         "section name is not valid UTF-8",
                     )
                 })?
                 .to_owned();
-            let payload_len = usize::try_from(payload_len).map_err(|_| StoreError::Truncated {
-                path: path.to_path_buf(),
-                what: format!("section `{name}` payload"),
-                expected: payload_len,
-                got: (buf.len() - cursor.offset) as u64,
-            })?;
+            let payload_len =
+                usize::try_from(payload_len).map_err(|_| DurableError::Truncated {
+                    path: path.to_path_buf(),
+                    what: format!("section `{name}` payload"),
+                    expected: payload_len,
+                    got: (buf.len() - cursor.offset) as u64,
+                })?;
             let payload = cursor.take(payload_len, &format!("section `{name}` payload"))?;
             let actual_crc = crc32::checksum(payload);
             if actual_crc != stored_crc {
-                return Err(StoreError::ChecksumMismatch {
+                return Err(DurableError::ChecksumMismatch {
                     path: path.to_path_buf(),
                     section: name,
                     expected: stored_crc,
@@ -368,7 +364,7 @@ impl SegmentReader {
             });
         }
         if cursor.offset != buf.len() {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 path,
                 "<trailer>",
                 format!(
@@ -385,12 +381,13 @@ impl SegmentReader {
     }
 
     /// The file this reader was opened from.
-    pub fn path(&self) -> &Path {
+    pub(super) fn path(&self) -> &Path {
         &self.path
     }
 
     /// All verified sections, in file order.
-    pub fn sections(&self) -> &[Section] {
+    #[cfg(test)]
+    pub(super) fn sections(&self) -> &[Section] {
         &self.sections
     }
 
@@ -402,11 +399,11 @@ impl SegmentReader {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Invalid`] naming the first unexpected
+    /// Returns [`DurableError::Invalid`] naming the first unexpected
     /// section.
-    pub fn allow_only(&self, allowed: &[&str]) -> Result<(), StoreError> {
+    pub(super) fn allow_only(&self, allowed: &[&str]) -> Result<(), DurableError> {
         match self.sections.iter().find(|s| !allowed.contains(&s.name())) {
-            Some(section) => Err(StoreError::invalid(
+            Some(section) => Err(DurableError::invalid(
                 &self.path,
                 section.name(),
                 "unexpected section name for this segment",
@@ -419,13 +416,13 @@ impl SegmentReader {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::MissingSection`] when no section carries
+    /// Returns [`DurableError::MissingSection`] when no section carries
     /// `name`.
-    pub fn section(&self, name: &str) -> Result<&Section, StoreError> {
+    pub(super) fn section(&self, name: &str) -> Result<&Section, DurableError> {
         self.sections
             .iter()
             .find(|s| s.name == name)
-            .ok_or_else(|| StoreError::MissingSection {
+            .ok_or_else(|| DurableError::MissingSection {
                 path: self.path.clone(),
                 section: name.to_owned(),
             })
@@ -435,12 +432,16 @@ impl SegmentReader {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::MissingSection`] when absent and
-    /// [`StoreError::Invalid`] when present with the wrong kind tag.
-    pub fn typed_section(&self, kind: SectionKind, name: &str) -> Result<&Section, StoreError> {
+    /// Returns [`DurableError::MissingSection`] when absent and
+    /// [`DurableError::Invalid`] when present with the wrong kind tag.
+    pub(super) fn typed_section(
+        &self,
+        kind: SectionKind,
+        name: &str,
+    ) -> Result<&Section, DurableError> {
         let section = self.section(name)?;
         if section.kind != kind {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 &self.path,
                 name,
                 format!("expected kind {:?}, found {:?}", kind, section.kind),
@@ -457,17 +458,17 @@ impl SegmentReader {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Invalid`] when a section named `name`
+    /// Returns [`DurableError::Invalid`] when a section named `name`
     /// exists but carries the wrong kind tag.
-    pub fn maybe_section(
+    pub(super) fn maybe_section(
         &self,
         kind: SectionKind,
         name: &str,
-    ) -> Result<Option<&Section>, StoreError> {
+    ) -> Result<Option<&Section>, DurableError> {
         match self.sections.iter().find(|s| s.name == name) {
             None => Ok(None),
             Some(section) if section.kind == kind => Ok(Some(section)),
-            Some(section) => Err(StoreError::invalid(
+            Some(section) => Err(DurableError::invalid(
                 &self.path,
                 name,
                 format!("expected kind {:?}, found {:?}", kind, section.kind),
@@ -505,7 +506,7 @@ mod tests {
         assert_eq!(h.payload(), &[9, 8, 7]);
         assert!(matches!(
             r.section("nope"),
-            Err(StoreError::MissingSection { .. })
+            Err(DurableError::MissingSection { .. })
         ));
         std::fs::remove_file(&path).unwrap();
     }
@@ -516,7 +517,7 @@ mod tests {
         std::fs::write(&path, b"definitely not a segment").unwrap();
         assert!(matches!(
             SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
-            Err(StoreError::BadMagic { .. })
+            Err(DurableError::BadMagic { .. })
         ));
         std::fs::remove_file(&path).unwrap();
     }
@@ -532,7 +533,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
-            Err(StoreError::VersionSkew {
+            Err(DurableError::VersionSkew {
                 major: 2,
                 minor: 0,
                 ..
@@ -554,7 +555,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
-            Err(StoreError::ChecksumMismatch { .. })
+            Err(DurableError::ChecksumMismatch { .. })
         ));
         std::fs::remove_file(&path).unwrap();
     }
@@ -570,7 +571,7 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         assert!(matches!(
             SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
-            Err(StoreError::Truncated { .. })
+            Err(DurableError::Truncated { .. })
         ));
         std::fs::remove_file(&path).unwrap();
     }
@@ -588,7 +589,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
-            Err(StoreError::Truncated { .. })
+            Err(DurableError::Truncated { .. })
         ));
         std::fs::remove_file(&path).unwrap();
     }
@@ -605,5 +606,106 @@ mod tests {
         // the zero count exposes the section bytes as trailing garbage.
         assert!(r.is_err());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The raw segment container round-trips arbitrary section payloads
+        /// byte-for-byte.
+        #[test]
+        fn segment_container_roundtrips_arbitrary_payloads(
+            payloads in proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..256), 1..6),
+        ) {
+            let path = temp_path(&format!("container-{}.seg", payloads.len()));
+            let mut writer = SegmentWriter::create(&path).unwrap();
+            for (i, payload) in payloads.iter().enumerate() {
+                writer
+                    .section(SectionKind::HistogramArena, &format!("s{i}"), payload)
+                    .unwrap();
+            }
+            writer.finish().unwrap();
+
+            let reader = SegmentReader::open_with(&path, &emd_faultkit::NoFaults).unwrap();
+            proptest::prop_assert_eq!(reader.sections().len(), payloads.len());
+            for (i, payload) in payloads.iter().enumerate() {
+                proptest::prop_assert_eq!(reader.section(&format!("s{i}")).unwrap().payload(), &payload[..]);
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// Deterministic corruption sweep: flip one byte in *every* section of a
+    /// saved index (header fields, names, payloads) and truncate mid-section,
+    /// asserting the open fails with a typed [`DurableError`] every time.
+    #[test]
+    fn per_section_flip_and_midsection_truncation_never_open() {
+        use crate::Database;
+        use emd_core::{CostMatrix, Histogram};
+        use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
+        use std::sync::Arc;
+
+        const DIM: usize = 5;
+        let dir = temp_path("sweep");
+        let _ = std::fs::remove_dir_all(&dir);
+        let database: Vec<Histogram> = (0..4)
+            .map(|i| {
+                let mut w = vec![0.1; DIM];
+                w[i % DIM] += 0.5;
+                let total: f64 = w.iter().sum();
+                Histogram::new(w.into_iter().map(|x| x / total).collect()).unwrap()
+            })
+            .collect();
+        let cost = CostMatrix::from_fn(DIM, |i, j| (i as f64 - j as f64).abs()).unwrap();
+        let r = CombiningReduction::new(vec![0, 0, 1, 1, 2], 3).unwrap();
+        let reduced = ReducedEmd::new(&cost, r).unwrap();
+        let bundle = PersistedReduction::precompute("prop", reduced, &database).unwrap();
+        Database::new(database, Arc::new(cost))
+            .unwrap()
+            .save(&dir, "sweep-corpus", &[bundle])
+            .unwrap();
+        let open = || Database::open(&dir).map(|_| ());
+
+        for segment in ["base.seg", "sealed-1.seg"] {
+            let victim = dir.join(segment);
+            let pristine = std::fs::read(&victim).unwrap();
+
+            // Walk the section table of the pristine file so the sweep hits
+            // one byte in every section header, name, and payload.
+            let reader = SegmentReader::open_with(&victim, &emd_faultkit::NoFaults).unwrap();
+            let mut probe_offsets = vec![0usize, 9, 13]; // magic, version, count
+            let mut cursor = 16usize; // fixed file header
+            for section in reader.sections() {
+                probe_offsets.push(cursor); // kind tag
+                probe_offsets.push(cursor + 4); // name length
+                probe_offsets.push(cursor + 8); // payload length
+                probe_offsets.push(cursor + 16); // stored crc
+                probe_offsets.push(cursor + 20); // first name byte
+                let payload_start = cursor + 20 + section.name().len();
+                probe_offsets.push(payload_start); // first payload byte
+                probe_offsets.push(payload_start + section.payload().len() - 1);
+                cursor = payload_start + section.payload().len();
+
+                // Truncate mid-section: cut inside this section's payload.
+                let cut = payload_start + section.payload().len() / 2;
+                std::fs::write(&victim, &pristine[..cut]).unwrap();
+                let err = open().expect_err("mid-section truncation must not open");
+                assert!(!matches!(err, DurableError::Query(_)), "{err}");
+            }
+            drop(reader);
+
+            for offset in probe_offsets {
+                let mut corrupted = pristine.clone();
+                corrupted[offset] ^= 0x5a;
+                std::fs::write(&victim, &corrupted).unwrap();
+                let err =
+                    open().expect_err(&format!("flip at {offset} in {segment} must not open"));
+                assert!(!matches!(err, DurableError::Query(_)), "{err}");
+            }
+
+            std::fs::write(&victim, &pristine).unwrap();
+            open().expect("restored index opens again");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

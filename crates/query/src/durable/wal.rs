@@ -1,6 +1,6 @@
 //! Write-ahead log of an index directory (`FXEMDWAL` v1).
 //!
-//! The segment files of [`crate::segment`] are immutable snapshots: they
+//! The segment files of `segment` are immutable snapshots: they
 //! are written once, fsynced, and only ever read afterwards. A long-running
 //! service also needs the *mutable tail* — inserts and removes that arrived
 //! after the last snapshot — to survive a crash. This module is that tail:
@@ -25,7 +25,7 @@
 //! length included — so a bit flip anywhere in a record is detected, not
 //! just flips inside the payload. LSNs start at 1 and are strictly
 //! contiguous; a gap or repeat in a record that passes its checksum is a
-//! hard [`StoreError::Invalid`], because random corruption cannot produce
+//! hard [`DurableError::Invalid`], because random corruption cannot produce
 //! it.
 //!
 //! **Recovery policy** (the tentpole contract: typed error or clean
@@ -37,11 +37,14 @@
 //!   the *clean prefix*: every record before the damage replays, and the
 //!   discarded byte count is reported in [`WalReplay::torn_tail`] so the
 //!   caller can log it and truncate before appending again.
-//! * Damage *followed by more bytes* — a mid-file checksum failure — is a
-//!   hard typed error ([`StoreError::ChecksumMismatch`]). Valid records
-//!   after a damaged one mean this is not a torn write; silently resuming
-//!   past it could resurrect a removed object or drop an acknowledged
-//!   insert, which is exactly the "wrong answers" the store contract bans.
+//! * A checksum failure *followed by a verifiable record* is a hard typed
+//!   error ([`DurableError::ChecksumMismatch`]). Valid records after a
+//!   damaged one mean this is not a torn write; silently resuming past it
+//!   could resurrect a removed object or drop an acknowledged insert,
+//!   which is exactly the "wrong answers" the durable contract bans.
+//!   Followed only by bytes that verify as no record (a zero-filled tail,
+//!   left when a crash persisted the file's size before its data), it is
+//!   a torn tail like the others.
 //! * A record whose declared frame cannot even be checksummed — the
 //!   payload length is implausible or the declared extent runs past
 //!   end-of-file — *looks* like a torn tail, but a mid-file bit flip in
@@ -49,7 +52,7 @@
 //!   replay scans forward for any verifiable record frame (plausible
 //!   length, in-bounds extent, matching CRC32): acknowledged records
 //!   following the damage prove it is mid-file, and replay fails hard
-//!   ([`StoreError::Invalid`]) instead of truncating them away.
+//!   ([`DurableError::Invalid`]) instead of truncating them away.
 //!
 //! Durability is explicit: [`WalWriter::append`] only buffers; a record is
 //! durable — and may be acknowledged to a client — only after
@@ -65,14 +68,14 @@ use std::sync::Arc;
 use emd_core::Histogram;
 use emd_faultkit::{Fault, FaultInjector, Site};
 
-use crate::crc32;
-use crate::error::StoreError;
-use crate::sections::Payload;
+use super::crc32;
+use super::sections::Payload;
+use crate::error::DurableError;
 
 /// Magic bytes every WAL file starts with.
 const WAL_MAGIC: [u8; 8] = *b"FXEMDWAL";
 
-/// Major WAL format version; a mismatch is [`StoreError::VersionSkew`].
+/// Major WAL format version; a mismatch is [`DurableError::VersionSkew`].
 const WAL_VERSION_MAJOR: u16 = 1;
 
 /// Minor WAL format version; files with a larger minor are rejected.
@@ -138,7 +141,7 @@ pub enum WalRecord {
 impl WalRecord {
     /// The on-disk kind tag of this record.
     #[must_use]
-    pub fn kind(&self) -> u32 {
+    pub(super) fn kind(&self) -> u32 {
         match self {
             WalRecord::Insert { .. } => KIND_INSERT,
             WalRecord::Remove { .. } => KIND_REMOVE,
@@ -182,7 +185,7 @@ impl WalRecord {
 
     /// Decode a record payload for `kind`, re-validating histograms
     /// through [`Histogram::new`] exactly like segment decoding does.
-    fn decode_payload(kind: u32, payload: &[u8], path: &Path) -> Result<WalRecord, StoreError> {
+    fn decode_payload(kind: u32, payload: &[u8], path: &Path) -> Result<WalRecord, DurableError> {
         let mut cursor = Payload::new(path, "wal-record", payload);
         let record = match kind {
             KIND_INSERT => {
@@ -190,7 +193,7 @@ impl WalRecord {
                 let dim = cursor.length("insert histogram dimensionality")?;
                 let bins = cursor.f64s(dim, "insert histogram bins")?;
                 let histogram = Histogram::new(bins).map_err(|e| {
-                    StoreError::invalid(path, "wal-record", format!("insert rejected: {e}"))
+                    DurableError::invalid(path, "wal-record", format!("insert rejected: {e}"))
                 })?;
                 WalRecord::Insert {
                     external_id,
@@ -217,7 +220,7 @@ impl WalRecord {
                 }
             }
             other => {
-                return Err(StoreError::UnknownSection {
+                return Err(DurableError::UnknownSection {
                     path: path.to_path_buf(),
                     kind: other,
                 })
@@ -248,7 +251,7 @@ fn encode_frame(record: &WalRecord, lsn: u64) -> Vec<u8> {
 /// Append handle for one WAL file: assigns LSNs, frames records, and
 /// makes them durable on explicit [`WalWriter::sync`] points.
 #[derive(Debug)]
-pub struct WalWriter {
+pub(super) struct WalWriter {
     out: BufWriter<File>,
     path: PathBuf,
     next_lsn: u64,
@@ -264,10 +267,13 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the file cannot be created,
+    /// Returns [`DurableError::Io`] when the file cannot be created,
     /// written or synced (including injected faults).
-    pub fn create_with(path: &Path, faults: Arc<dyn FaultInjector>) -> Result<Self, StoreError> {
-        let file = File::create(path).map_err(|e| StoreError::io(path, e))?;
+    pub(super) fn create_with(
+        path: &Path,
+        faults: Arc<dyn FaultInjector>,
+    ) -> Result<Self, DurableError> {
+        let file = File::create(path).map_err(|e| DurableError::io(path, e))?;
         let mut writer = WalWriter {
             out: BufWriter::new(file),
             path: path.to_path_buf(),
@@ -291,23 +297,23 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the file cannot be opened,
+    /// Returns [`DurableError::Io`] when the file cannot be opened,
     /// truncated or positioned.
-    pub fn open_for_append(
+    pub(super) fn open_for_append(
         path: &Path,
         replay: &WalReplay,
         faults: Arc<dyn FaultInjector>,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, DurableError> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
-            .map_err(|e| StoreError::io(path, e))?;
+            .map_err(|e| DurableError::io(path, e))?;
         file.set_len(replay.valid_len)
-            .map_err(|e| StoreError::io(path, e))?;
+            .map_err(|e| DurableError::io(path, e))?;
         let mut out = BufWriter::new(file);
         out.seek(SeekFrom::Start(replay.valid_len))
-            .map_err(|e| StoreError::io(path, e))?;
+            .map_err(|e| DurableError::io(path, e))?;
         Ok(WalWriter {
             out,
             path: path.to_path_buf(),
@@ -317,17 +323,17 @@ impl WalWriter {
         })
     }
 
-    fn put(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+    fn put(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         self.out
             .write_all(bytes)
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| DurableError::io(&self.path, e))?;
         self.unsynced_bytes += widen(bytes.len());
         Ok(())
     }
 
     /// The LSN the next appended record will receive.
-    #[must_use]
-    pub fn next_lsn(&self) -> u64 {
+    #[cfg(test)]
+    pub(super) fn next_lsn(&self) -> u64 {
         self.next_lsn
     }
 
@@ -338,11 +344,11 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on write failure or when the
+    /// Returns [`DurableError::Io`] on write failure or when the
     /// [`Site::WalAppend`] faultkit probe injects one.
-    pub fn append(&mut self, record: &WalRecord) -> Result<u64, StoreError> {
+    pub(super) fn append(&mut self, record: &WalRecord) -> Result<u64, DurableError> {
         if let Some(Fault::Io) = self.faults.check(Site::WalAppend) {
-            return Err(StoreError::io(&self.path, StoreError::injected_wal_fault()));
+            return Err(DurableError::injected(&self.path, "wal"));
         }
         let lsn = self.next_lsn;
         let frame = encode_frame(record, lsn);
@@ -358,28 +364,22 @@ impl WalWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on flush/sync failure or when the
+    /// Returns [`DurableError::Io`] on flush/sync failure or when the
     /// [`Site::WalSync`] faultkit probe injects one.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
+    pub(super) fn sync(&mut self) -> Result<(), DurableError> {
         if let Some(Fault::Io) = self.faults.check(Site::WalSync) {
-            return Err(StoreError::io(&self.path, StoreError::injected_wal_fault()));
+            return Err(DurableError::injected(&self.path, "wal"));
         }
         self.out
             .flush()
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| DurableError::io(&self.path, e))?;
         self.out
             .get_ref()
             .sync_all()
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| DurableError::io(&self.path, e))?;
         emd_obs::counter_add("wal.synced_bytes", self.unsynced_bytes);
         self.unsynced_bytes = 0;
         Ok(())
-    }
-
-    /// The path this writer appends to.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -412,7 +412,7 @@ pub struct WalReplay {
 impl WalReplay {
     /// The LSN the next appended record must carry.
     #[must_use]
-    pub fn next_lsn(&self) -> u64 {
+    pub(super) fn next_lsn(&self) -> u64 {
         self.records.last().map_or(1, |(lsn, _)| lsn + 1)
     }
 }
@@ -424,23 +424,26 @@ impl WalReplay {
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Io`] when the file cannot be read (including a
-/// fault injected at [`Site::StoreRead`]), [`StoreError::BadMagic`] /
-/// [`StoreError::VersionSkew`] for foreign or future files,
-/// [`StoreError::Truncated`] when even the file header is short,
-/// [`StoreError::ChecksumMismatch`] for mid-file damage,
-/// [`StoreError::UnknownSection`] for an unknown record kind that passes
-/// its checksum, and [`StoreError::Invalid`] for payloads that decode
+/// Returns [`DurableError::Io`] when the file cannot be read (including a
+/// fault injected at [`Site::StoreRead`]), [`DurableError::BadMagic`] /
+/// [`DurableError::VersionSkew`] for foreign or future files,
+/// [`DurableError::Truncated`] when even the file header is short,
+/// [`DurableError::ChecksumMismatch`] for mid-file damage,
+/// [`DurableError::UnknownSection`] for an unknown record kind that passes
+/// its checksum, and [`DurableError::Invalid`] for payloads that decode
 /// but violate engine invariants or LSN contiguity.
-pub fn replay_with(path: &Path, faults: &dyn FaultInjector) -> Result<WalReplay, StoreError> {
+pub(super) fn replay_with(
+    path: &Path,
+    faults: &dyn FaultInjector,
+) -> Result<WalReplay, DurableError> {
     let _span = emd_obs::span_with(|| format!("wal.replay({})", path.display()));
     if let Some(Fault::Io) = faults.check(Site::StoreRead) {
-        return Err(StoreError::io(path, StoreError::injected_read_fault()));
+        return Err(DurableError::injected(path, "read"));
     }
-    let mut file = File::open(path).map_err(|e| StoreError::io(path, e))?;
+    let mut file = File::open(path).map_err(|e| DurableError::io(path, e))?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)
-        .map_err(|e| StoreError::io(path, e))?;
+        .map_err(|e| DurableError::io(path, e))?;
     emd_obs::counter_add("store.bytes_read", widen(bytes.len()));
     replay_bytes(path, &bytes)
 }
@@ -475,8 +478,9 @@ fn frame_header(bytes: &[u8], offset: usize) -> Option<FrameHeader> {
 /// extent, matching CRC32 — starts anywhere in `bytes[from..]`.
 ///
 /// This is the torn-tail tiebreaker: a record whose declared frame
-/// cannot be checksummed (implausible or past-end-of-file length) is
-/// only a torn final write if nothing real follows it. A verifiable
+/// cannot be checksummed (implausible or past-end-of-file length), or
+/// fails its checksum, is only a torn final write if nothing real
+/// follows it. A verifiable
 /// record after the damage proves a mid-file length-field flip, where
 /// truncating to the "clean prefix" would silently drop acknowledged
 /// durable records. A false positive would require a torn partial
@@ -519,24 +523,24 @@ fn valid_frame_follows(bytes: &[u8], from: usize) -> bool {
 /// # Errors
 ///
 /// Same contract as [`replay_with`].
-fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
+fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, DurableError> {
     let header_len = usize::try_from(WAL_HEADER_LEN)
-        .map_err(|_| StoreError::invalid(path, "wal-header", "header length overflows usize"))?;
+        .map_err(|_| DurableError::invalid(path, "wal-header", "header length overflows usize"))?;
     let Some(header) = bytes.get(..header_len) else {
-        return Err(StoreError::Truncated {
+        return Err(DurableError::Truncated {
             path: path.to_path_buf(),
             what: "WAL file header".to_owned(),
             expected: WAL_HEADER_LEN,
             got: widen(bytes.len()),
         });
     };
-    let bad_header = || StoreError::invalid(path, "wal-header", "header shorter than declared");
+    let bad_header = || DurableError::invalid(path, "wal-header", "header shorter than declared");
     if header.get(0..8).ok_or_else(bad_header)? != WAL_MAGIC {
-        return Err(StoreError::BadMagic {
+        return Err(DurableError::BadMagic {
             path: path.to_path_buf(),
         });
     }
-    let version = |lo: usize| -> Result<u16, StoreError> {
+    let version = |lo: usize| -> Result<u16, DurableError> {
         let pair = header.get(lo..lo + 2).ok_or_else(bad_header)?;
         Ok(u16::from_le_bytes(
             pair.try_into().map_err(|_| bad_header())?,
@@ -545,7 +549,7 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
     let major = version(8)?;
     let minor = version(10)?;
     if major != WAL_VERSION_MAJOR || minor > WAL_VERSION_MINOR {
-        return Err(StoreError::VersionSkew {
+        return Err(DurableError::VersionSkew {
             path: path.to_path_buf(),
             major,
             minor,
@@ -573,7 +577,7 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
             // follows; otherwise a mid-file length flip is hiding
             // acknowledged records and truncation would drop them.
             if valid_frame_follows(bytes, offset + 1) {
-                return Err(StoreError::invalid(
+                return Err(DurableError::invalid(
                     path,
                     "wal-record",
                     format!(
@@ -590,10 +594,10 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
             break;
         }
         let payload_len = usize::try_from(frame.payload_len)
-            .map_err(|_| StoreError::invalid(path, "wal-record", "payload length overflows"))?;
+            .map_err(|_| DurableError::invalid(path, "wal-record", "payload length overflows"))?;
         let header_end = offset + 24;
         let Some(frame_end) = header_end.checked_add(payload_len) else {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 path,
                 "wal-record",
                 "record extent overflows",
@@ -607,7 +611,7 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
             // that runs past end-of-file is a torn write only when no
             // verifiable record follows it.
             if valid_frame_follows(bytes, offset + 1) {
-                return Err(StoreError::invalid(
+                return Err(DurableError::invalid(
                     path,
                     "wal-record",
                     format!(
@@ -633,8 +637,19 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
                 )));
                 break;
             }
-            // Bytes follow the damaged record — not a torn write.
-            return Err(StoreError::ChecksumMismatch {
+            // Bytes follow the damaged record. Only a verifiable record
+            // among them proves mid-file damage; without one they are a
+            // torn tail too (a crash can leave a file's new size on disk
+            // before its data, as a run of zeros).
+            if !valid_frame_follows(bytes, offset + 1) {
+                torn_tail = Some(torn(format!(
+                    "record checksum mismatch with no verifiable record after it \
+                     (header {:#010x}, payload {computed:#010x})",
+                    frame.crc
+                )));
+                break;
+            }
+            return Err(DurableError::ChecksumMismatch {
                 path: path.to_path_buf(),
                 section: format!("wal record at offset {offset}"),
                 expected: frame.crc,
@@ -642,7 +657,7 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, StoreError> {
             });
         }
         if frame.lsn != expected_lsn {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 path,
                 "wal-record",
                 format!("LSN {} where {expected_lsn} was expected", frame.lsn),
@@ -734,7 +749,7 @@ mod tests {
         }
         assert!(matches!(
             WalRecord::decode_payload(KIND_COMPACT_EPOCH, &payload, Path::new("wal")),
-            Err(StoreError::Invalid { .. })
+            Err(DurableError::Invalid { .. })
         ));
     }
 
@@ -786,9 +801,9 @@ mod tests {
                     assert!(
                         matches!(
                             error,
-                            StoreError::Truncated { .. }
-                                | StoreError::BadMagic { .. }
-                                | StoreError::VersionSkew { .. }
+                            DurableError::Truncated { .. }
+                                | DurableError::BadMagic { .. }
+                                | DurableError::VersionSkew { .. }
                         ),
                         "cut at {cut} gave unexpected error {error}"
                     );
@@ -854,7 +869,7 @@ mod tests {
         bytes[idx] ^= 0x01;
         let error = replay_bytes(&path, &bytes).expect_err("mid-file damage is fatal");
         assert!(
-            matches!(error, StoreError::ChecksumMismatch { .. }),
+            matches!(error, DurableError::ChecksumMismatch { .. }),
             "got {error}"
         );
         std::fs::remove_file(&path).ok();
@@ -873,7 +888,7 @@ mod tests {
         implausible[header + 18] = 0xff;
         let error =
             replay_bytes(&path, &implausible).expect_err("implausible length with records after");
-        assert!(matches!(error, StoreError::Invalid { .. }), "got {error}");
+        assert!(matches!(error, DurableError::Invalid { .. }), "got {error}");
 
         // A plausible-but-oversized length whose frame extent swallows
         // the rest of the file is the same shape of damage.
@@ -881,7 +896,7 @@ mod tests {
         oversized[header + 13] ^= 0x40; // + 0x4000 bytes: plausible, past EOF
         let error =
             replay_bytes(&path, &oversized).expect_err("oversized length with records after");
-        assert!(matches!(error, StoreError::Invalid { .. }), "got {error}");
+        assert!(matches!(error, DurableError::Invalid { .. }), "got {error}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -938,7 +953,7 @@ mod tests {
         // A perfectly checksummed record carrying LSN 2 where 1 belongs.
         bytes.extend_from_slice(&encode_frame(&WalRecord::Remove { external_id: 7 }, 2));
         let error = replay_bytes(&path, &bytes).expect_err("LSN gap is fatal");
-        assert!(matches!(error, StoreError::Invalid { .. }), "got {error}");
+        assert!(matches!(error, DurableError::Invalid { .. }), "got {error}");
     }
 
     #[test]
@@ -958,7 +973,7 @@ mod tests {
         bytes.extend_from_slice(&frame);
         let error = replay_bytes(&path, &bytes).expect_err("unknown kind is fatal");
         assert!(
-            matches!(error, StoreError::UnknownSection { kind: 99, .. }),
+            matches!(error, DurableError::UnknownSection { kind: 99, .. }),
             "got {error}"
         );
     }
@@ -967,13 +982,13 @@ mod tests {
     fn foreign_magic_and_future_version_are_rejected() {
         let path = tmp("magic");
         let error = replay_bytes(&path, b"NOTAWAL!....").expect_err("foreign file");
-        assert!(matches!(error, StoreError::BadMagic { .. }));
+        assert!(matches!(error, DurableError::BadMagic { .. }));
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&WAL_MAGIC);
         bytes.extend_from_slice(&2u16.to_le_bytes());
         bytes.extend_from_slice(&0u16.to_le_bytes());
         let error = replay_bytes(&path, &bytes).expect_err("future version");
-        assert!(matches!(error, StoreError::VersionSkew { major: 2, .. }));
+        assert!(matches!(error, DurableError::VersionSkew { major: 2, .. }));
     }
 
     #[test]
@@ -989,7 +1004,7 @@ mod tests {
             let error = writer
                 .append(&WalRecord::Remove { external_id: 2 })
                 .expect_err("second append injected");
-            assert!(matches!(error, StoreError::Io { .. }));
+            assert!(matches!(error, DurableError::Io { .. }));
         }
         {
             let plan = Arc::new(FailPlan::new().fail_wal_sync(2));
@@ -998,7 +1013,7 @@ mod tests {
                 .append(&WalRecord::Remove { external_id: 1 })
                 .expect("append survives");
             let error = writer.sync().expect_err("second sync injected");
-            assert!(matches!(error, StoreError::Io { .. }));
+            assert!(matches!(error, DurableError::Io { .. }));
         }
         std::fs::remove_file(&path).ok();
     }

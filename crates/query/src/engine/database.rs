@@ -10,11 +10,10 @@
 //! ([`DurableIndex::snapshot`](crate::DurableIndex::snapshot)) is just a
 //! `Database` collected from the index's own handles.
 
-use crate::durable;
-use crate::error::QueryError;
+use crate::durable::{self, StoredClustering};
+use crate::error::{DurableError, QueryError};
 use emd_core::{CostMatrix, Histogram};
 use emd_reduction::PersistedReduction;
-use emd_store::{StoreError, StoredClustering};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -135,7 +134,7 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] when `reductions` does not hold exactly one
+    /// Returns [`DurableError`] when `reductions` does not hold exactly one
     /// bundle, `dir` already holds an index, or a file cannot be written.
     /// (Storage failures are not [`QueryError`]s: that type is
     /// `Clone + PartialEq` for plan bookkeeping, which `std::io::Error`
@@ -145,7 +144,7 @@ impl Database {
         dir: &Path,
         name: &str,
         reductions: &[PersistedReduction],
-    ) -> Result<(), StoreError> {
+    ) -> Result<(), DurableError> {
         self.save_with_clusterings(dir, name, reductions, &[])
     }
 
@@ -164,9 +163,9 @@ impl Database {
         name: &str,
         reductions: &[PersistedReduction],
         clusterings: &[Option<StoredClustering>],
-    ) -> Result<(), StoreError> {
+    ) -> Result<(), DurableError> {
         let ([bundle], [] | [_]) = (reductions, clusterings) else {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 dir,
                 "r1",
                 format!(
@@ -179,7 +178,7 @@ impl Database {
         };
         let clustering = clusterings.first().and_then(Option::as_ref);
         if clustering.is_some_and(|c| c.assignments.len() != self.len()) {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 dir,
                 "clustering",
                 format!("the clustering does not assign all {} objects", self.len()),
@@ -204,11 +203,11 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError`] when a file is missing, damaged
+    /// Returns [`DurableError`] when a file is missing, damaged
     /// (truncation, checksum mismatch, version skew) or internally
     /// inconsistent, when the directory holds a retired
     /// `flexemd-store/v1` index, or when an object was removed.
-    pub fn open(dir: &Path) -> Result<OpenedIndex, StoreError> {
+    pub fn open(dir: &Path) -> Result<OpenedIndex, DurableError> {
         Self::open_with(dir, &emd_faultkit::NoFaults)
     }
 
@@ -223,11 +222,11 @@ impl Database {
     pub fn open_with(
         dir: &Path,
         faults: &dyn emd_faultkit::FaultInjector,
-    ) -> Result<OpenedIndex, StoreError> {
+    ) -> Result<OpenedIndex, DurableError> {
         let _span = emd_obs::span("store.open");
         let stored = durable::read(dir, faults)?;
         if !stored.ids.iter().copied().eq(0..stored.next_id) {
-            return Err(StoreError::invalid(
+            return Err(DurableError::invalid(
                 dir,
                 "external-ids",
                 "objects were removed from this index, so its ids are no longer \
@@ -235,7 +234,7 @@ impl Database {
             ));
         }
         let database = Database::new(stored.histograms, stored.cost)
-            .map_err(|e| StoreError::invalid(dir, "histograms", e.to_string()))?;
+            .map_err(|e| DurableError::invalid(dir, "histograms", e.to_string()))?;
         Ok(OpenedIndex {
             name: stored.name,
             database,
@@ -335,7 +334,7 @@ mod tests {
         let cost = Arc::new(ground::linear(3).unwrap());
         let db = Database::new(vec![Histogram::unit(3, 0).unwrap()], cost).unwrap();
         let error = db.save(&dir, "none", &[]).unwrap_err();
-        assert!(matches!(error, StoreError::Invalid { .. }), "{error}");
+        assert!(matches!(error, DurableError::Invalid { .. }), "{error}");
         assert!(!dir.join("CURRENT").exists(), "nothing is written");
     }
 }

@@ -35,8 +35,10 @@
 //!   stage-1 candidate generator: a cluster traversal that solves no LP,
 //!   under the same stages [`QueryPlan::chain`] runs.
 //! * [`durable`] — the one on-disk index format and the one live index
-//!   over it, [`DurableIndex`]: writes are WAL appends made durable by a
-//!   sync, and its snapshots are plain [`Database`]s of shared immutable
+//!   over it, [`DurableIndex`], with the segment and WAL formats as its
+//!   private modules; every failure of a directory is one
+//!   [`DurableError`]. Writes are WAL appends made durable by a sync, and
+//!   its snapshots are plain [`Database`]s of shared immutable
 //!   histograms under [`QueryPlan::chain`], the same
 //!   `Red-IM -> Red-EMD -> EMD` plan through the same engine.
 //! * [`scan`] — brute-force oracles, implemented as zero-stage plans.
@@ -66,19 +68,16 @@ pub mod scan;
 mod stats;
 
 pub use cluster::ClusteredIndex;
-pub use durable::{CompactReport, DurableError, DurableIndex, DurableSnapshot, OpenReport};
+pub use durable::{CompactReport, DurableIndex, DurableSnapshot, OpenReport, StoredClustering};
 pub use engine::{
     CandidateSource, CandidateStream, Database, Executor, OpenedIndex, Query, QueryMode, QueryPlan,
 };
-pub use error::QueryError;
+pub use error::{DurableError, QueryError};
 pub use outcome::{Candidate, DegradedResult, QueryOutcome};
 // Budget types (and the verdict of a refinement under a cutoff)
 // re-exported so downstream users can build budgets without depending on
 // emd-transport directly.
 pub use emd_core::{Bounded, Budget, BudgetReason, CancelToken};
-// Clustering geometry codec re-exported so index builders can persist a
-// ClusteredIndex without depending on emd-store directly.
-pub use emd_store::StoredClustering;
 pub use filters::{
     AnchorFilter, CentroidFilter, EmdDistance, Filter, FullLbImFilter, PreparedFilter,
     ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,

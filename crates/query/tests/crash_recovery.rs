@@ -12,7 +12,6 @@ use emd_core::{ground, CostMatrix, Histogram};
 use emd_faultkit::FailPlan;
 use emd_query::{ClusteredIndex, Database, DurableError, DurableIndex};
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
-use emd_store::StoreError;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,7 +252,7 @@ fn kill_at_every_position_after_compaction() {
                 // Losing the header or the mandatory compact-epoch
                 // record is a typed failure, never a silent empty index.
                 assert!(
-                    matches!(error, DurableError::Store(_)),
+                    !matches!(error, DurableError::Query(_)),
                     "cut {cut}: {error}"
                 );
             }
@@ -311,14 +310,14 @@ fn kill_at_every_position_of_a_clustered_bulk_load() {
                 assert_eq!(index.clusterings, vec![Some(clustering.clone())]);
             }
             Err(error) => assert!(
-                matches!(error, StoreError::Io { .. }),
+                matches!(error, DurableError::Io { .. }),
                 "cut {cut}: a load without its checkpoint fails typed, got {error}"
             ),
         }
         match DurableIndex::open(&dir) {
             Ok((index, _)) => assert_eq!((cut, index.len()), (total, 8)),
             Err(error) => assert!(
-                matches!(error, DurableError::Store(StoreError::Io { .. })),
+                matches!(error, DurableError::Io { .. }),
                 "cut {cut}: {error}"
             ),
         }
@@ -394,7 +393,7 @@ fn seeded_fault_schedules_always_recover() {
         if let Err(error) = outcome {
             // Injected failures must surface as store-typed errors.
             assert!(
-                matches!(error, DurableError::Store(_)),
+                !matches!(error, DurableError::Query(_)),
                 "seed {seed}: {error}"
             );
         }
@@ -408,7 +407,7 @@ fn seeded_fault_schedules_always_recover() {
                     assert_eq!(hits.len(), 1, "seed {seed}: recovered index answers");
                 }
             }
-            Err(DurableError::Store(_)) => {
+            Err(error) if !matches!(error, DurableError::Query(_)) => {
                 // A schedule that killed `create` before the checkpoint
                 // flip leaves no index — acceptable, typed.
             }

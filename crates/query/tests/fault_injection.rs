@@ -13,7 +13,6 @@ use emd_query::{
     QueryOutcome, QueryPlan, QueryStats, ReducedEmdFilter, StoredClustering,
 };
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
-use emd_store::StoreError;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -222,7 +221,7 @@ fn injected_store_read_faults_surface_and_clear() {
     for k in 1..=READS {
         let plan = FailPlan::new().fail_read(k);
         let err = Database::open_with(&dir, &plan).unwrap_err();
-        assert!(matches!(err, StoreError::Io { .. }), "read {k}: {err}");
+        assert!(matches!(err, DurableError::Io { .. }), "read {k}: {err}");
     }
 
     // Injection never touched the directory: a clean open serves queries.
@@ -236,7 +235,7 @@ fn injected_store_read_faults_surface_and_clear() {
 /// Walk a read fault over every file read of a clustered index — the
 /// checkpoint, the base segment, the sealed segment with its
 /// clustering, the WAL — on the read-only and the writable open alike:
-/// each surfaces as the typed [`StoreError::Io`] a real filesystem
+/// each surfaces as the typed [`DurableError::Io`] a real filesystem
 /// failure would, and the very next open (no faults) succeeds.
 #[test]
 fn every_read_position_surfaces_a_typed_io_error() {
@@ -249,13 +248,13 @@ fn every_read_position_surfaces_a_typed_io_error() {
     for k in 1..=READS {
         let plan = FailPlan::new().fail_read(k);
         let err = Database::open_with(&dir, &plan).unwrap_err();
-        assert!(matches!(err, StoreError::Io { .. }), "read {k}: {err}");
+        assert!(matches!(err, DurableError::Io { .. }), "read {k}: {err}");
         assert_eq!(plan.reads_seen(), k, "injection stops at the failed read");
 
         let plan = Arc::new(FailPlan::new().fail_read(k));
         let err = DurableIndex::open_with(&dir, plan).unwrap_err();
         assert!(
-            matches!(err, DurableError::Store(StoreError::Io { .. })),
+            matches!(err, DurableError::Io { .. }),
             "writable read {k}: {err}"
         );
 

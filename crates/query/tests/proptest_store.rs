@@ -2,17 +2,16 @@
 //! round-trip through `Database::save` / `Database::open`
 //! bit-identically, and *any* single-byte corruption or truncation of
 //! any file of the directory (`CURRENT`, `base.seg`, the sealed segment
-//! with its clustering, the WAL) surfaces as a typed [`StoreError`] —
-//! never as a successful open with wrong data.
+//! with its clustering, the WAL) surfaces as a typed [`DurableError`] —
+//! never as a successful open with wrong data. (The segment container's
+//! own sweeps are unit tests of `durable::segment`.)
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_core::{CostMatrix, Histogram};
-use emd_faultkit::NoFaults;
-use emd_query::{Database, OpenedIndex};
+use emd_query::{Database, DurableError, OpenedIndex, StoredClustering};
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
-use emd_store::{SectionKind, SegmentReader, SegmentWriter, StoreError, StoredClustering};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,7 +99,7 @@ fn save(
         .unwrap();
 }
 
-fn open(dir: &Path) -> Result<OpenedIndex, StoreError> {
+fn open(dir: &Path) -> Result<OpenedIndex, DurableError> {
     Database::open(dir)
 }
 
@@ -218,30 +217,6 @@ proptest! {
             bytes.len(),
             victim.display()
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The raw segment container round-trips arbitrary section payloads
-    /// byte-for-byte.
-    #[test]
-    fn segment_container_roundtrips_arbitrary_payloads(
-        payloads in prop::collection::vec(prop::collection::vec(0u8..=255, 0..256), 1..6),
-    ) {
-        let dir = scratch_dir("container");
-        let path = dir.join("raw.seg");
-        let mut writer = SegmentWriter::create(&path).unwrap();
-        for (i, payload) in payloads.iter().enumerate() {
-            writer
-                .section(SectionKind::HistogramArena, &format!("s{i}"), payload)
-                .unwrap();
-        }
-        writer.finish().unwrap();
-
-        let reader = SegmentReader::open_with(&path, &NoFaults).unwrap();
-        prop_assert_eq!(reader.sections().len(), payloads.len());
-        for (i, payload) in payloads.iter().enumerate() {
-            prop_assert_eq!(reader.section(&format!("s{i}")).unwrap().payload(), &payload[..]);
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -373,81 +348,20 @@ fn every_byte_flip_in_a_clustering_section_never_opens() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Deterministic corruption sweep: flip one byte in *every* section of a
-/// saved index (header fields, names, payloads) and truncate mid-section,
-/// asserting the error is a typed [`StoreError`] every time.
-#[test]
-fn per_section_flip_and_midsection_truncation_never_open() {
-    let dir = scratch_dir("sweep");
-    let database: Vec<Histogram> = (0..4)
-        .map(|i| {
-            let mut w = vec![0.1; DIM];
-            w[i % DIM] += 0.5;
-            let total: f64 = w.iter().sum();
-            Histogram::new(w.into_iter().map(|x| x / total).collect()).unwrap()
-        })
-        .collect();
-    let cost = CostMatrix::from_fn(DIM, |i, j| (i as f64 - j as f64).abs()).unwrap();
-    let r = CombiningReduction::new(vec![0, 0, 1, 1, 2], 3).unwrap();
-    let bundle = build_bundle(&cost, r, &database);
-    save(&dir, "sweep-corpus", &database, &cost, &bundle, None);
-
-    for segment in ["base.seg", "sealed-1.seg"] {
-        let victim = dir.join(segment);
-        let pristine = std::fs::read(&victim).unwrap();
-
-        // Walk the section table of the pristine file so the sweep hits
-        // one byte in every section header, name, and payload.
-        let reader = SegmentReader::open_with(&victim, &NoFaults).unwrap();
-        let mut probe_offsets = vec![0usize, 9, 13]; // magic, version, count
-        let mut cursor = 16usize; // fixed file header
-        for section in reader.sections() {
-            probe_offsets.push(cursor); // kind tag
-            probe_offsets.push(cursor + 4); // name length
-            probe_offsets.push(cursor + 8); // payload length
-            probe_offsets.push(cursor + 16); // stored crc
-            probe_offsets.push(cursor + 20); // first name byte
-            let payload_start = cursor + 20 + section.name().len();
-            probe_offsets.push(payload_start); // first payload byte
-            probe_offsets.push(payload_start + section.payload().len() - 1);
-            cursor = payload_start + section.payload().len();
-
-            // Truncate mid-section: cut inside this section's payload.
-            let cut = payload_start + section.payload().len() / 2;
-            std::fs::write(&victim, &pristine[..cut]).unwrap();
-            let err = open(&dir).expect_err("mid-section truncation must not open");
-            assert_stored_error(&err);
-        }
-        drop(reader);
-
-        for offset in probe_offsets {
-            let mut corrupted = pristine.clone();
-            corrupted[offset] ^= 0x5a;
-            std::fs::write(&victim, &corrupted).unwrap();
-            let err =
-                open(&dir).expect_err(&format!("flip at {offset} in {segment} must not open"));
-            assert_stored_error(&err);
-        }
-
-        std::fs::write(&victim, &pristine).unwrap();
-        open(&dir).expect("restored index opens again");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Every corruption error is one of the typed variants — never a panic,
 /// and the assertion documents the full closed set.
-fn assert_stored_error(err: &StoreError) {
+fn assert_stored_error(err: &DurableError) {
     match err {
-        StoreError::Io { .. }
-        | StoreError::BadMagic { .. }
-        | StoreError::VersionSkew { .. }
-        | StoreError::Truncated { .. }
-        | StoreError::ChecksumMismatch { .. }
-        | StoreError::UnknownSection { .. }
-        | StoreError::MissingSection { .. }
-        | StoreError::Invalid { .. }
-        | StoreError::Checkpoint { .. }
-        | StoreError::Locked { .. } => {}
+        DurableError::Io { .. }
+        | DurableError::BadMagic { .. }
+        | DurableError::VersionSkew { .. }
+        | DurableError::Truncated { .. }
+        | DurableError::ChecksumMismatch { .. }
+        | DurableError::UnknownSection { .. }
+        | DurableError::MissingSection { .. }
+        | DurableError::Invalid { .. }
+        | DurableError::Checkpoint { .. }
+        | DurableError::Locked { .. } => {}
+        DurableError::Query(error) => panic!("damage surfaced as a query error: {error}"),
     }
 }

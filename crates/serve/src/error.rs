@@ -9,7 +9,6 @@
 
 use crate::http::HttpError;
 use emd_query::{DurableError, QueryError};
-use emd_store::StoreError;
 
 /// Everything that can go wrong starting, running, or driving a server.
 #[derive(Debug)]
@@ -25,11 +24,11 @@ pub enum ServeError {
     /// A request body was structurally valid JSON but not a valid query
     /// document; the payload is a human-readable diagnostic.
     BadRequest(String),
-    /// A durable write failed inside the store layer (WAL append, fsync,
-    /// or compaction IO). This is the server's disk failing, never the
+    /// A durable write failed on disk (WAL append, fsync, or compaction
+    /// IO); never a [`DurableError::Query`]. This is the server's disk failing, never the
     /// client's request — it maps to a 500, and after a failed sync the
     /// write's durability is indeterminate until the index is reopened.
-    Durable(StoreError),
+    Durable(DurableError),
     /// A worker or accept thread ended abnormally (join failure).
     WorkerLost,
     /// [`crate::http::http_call`] got a response it could not interpret.
@@ -82,12 +81,12 @@ impl From<QueryError> for ServeError {
 
 /// Split a durable-index failure along the client/server fault line:
 /// engine rejections keep their query typing (the request was bad),
-/// store failures become [`ServeError::Durable`] (the disk was bad).
+/// disk failures become [`ServeError::Durable`] (the disk was bad).
 impl From<DurableError> for ServeError {
     fn from(e: DurableError) -> Self {
         match e {
             DurableError::Query(query) => ServeError::Query(query),
-            DurableError::Store(store) => ServeError::Durable(store),
+            disk => ServeError::Durable(disk),
         }
     }
 }

@@ -19,8 +19,8 @@
 //!   storage and changes no id.
 //!
 //! The swap is observable as the `snapshot.swaps` counter; WAL traffic
-//! shows up under `wal.appends` / `wal.synced_bytes` from the store
-//! layer, and compactions under `compact.runs`.
+//! shows up under `wal.appends` / `wal.synced_bytes` from the durable
+//! module, and compactions under `compact.runs`.
 
 use std::sync::{Arc, Mutex};
 
@@ -90,7 +90,7 @@ impl IngestState {
     /// sync fails; the reader snapshot is left unswapped in that case.
     /// After a *sync* failure the record's durability is indeterminate
     /// (it may still have reached disk); reopening the directory
-    /// recovers the authoritative state. The server maps store-side
+    /// recovers the authoritative state. The server maps disk-side
     /// failures to 500, never 400.
     pub fn insert(&self, histogram: Histogram) -> Result<u64, DurableError> {
         let mut writer = unpoisoned(&self.writer);

@@ -780,11 +780,11 @@ fn serve_error_response(error: &ServeError) -> Response {
             }
             _ => Response::json(500, "Internal Server Error", error_body(&query.to_string())),
         },
-        ServeError::Durable(store) => Response::json(
+        ServeError::Durable(disk) => Response::json(
             500,
             "Internal Server Error",
             error_body(&format!(
-                "durable write failed: {store}; the write's durability is indeterminate \
+                "durable write failed: {disk}; the write's durability is indeterminate \
                  until the index directory is reopened"
             )),
         ),

@@ -10,12 +10,14 @@
 //!   with *counted* semantics: no markers required, but every site is
 //!   held against a shrinking budget.
 //! - **Result-affecting crates** (`core`, `transport`, `reduction`,
-//!   `query`, `store`) additionally get the determinism audit.
+//!   `query`) additionally get the determinism audit.
 //! - **`transport`, `query` and `core`** get the budget-propagation
 //!   audit (core's context-reuse entry points sit on the solver hot
 //!   path).
 //! - Float discipline runs over the solver hot-path file list; the
-//!   lossy-cast audit over the checksum/accounting/bound file list.
+//!   lossy-cast audit over the checksum/accounting/bound file list. An
+//!   entry of either list that names no file is a finding: it would
+//!   silently exempt the file it meant.
 
 use crate::budget;
 use crate::passes;
@@ -44,7 +46,7 @@ pub const TOOL_CRATES: [&str; 2] = ["bench", "xtask"];
 
 /// Crates whose outputs are covered by bit-identity guarantees; the
 /// determinism audit runs here.
-pub const RESULT_AFFECTING_CRATES: [&str; 5] = ["core", "transport", "reduction", "query", "store"];
+pub const RESULT_AFFECTING_CRATES: [&str; 4] = ["core", "transport", "reduction", "query"];
 
 /// Crates whose public solver entry points must propagate budgets.
 pub const BUDGET_AUDIT_CRATES: [&str; 3] = ["transport", "query", "core"];
@@ -69,8 +71,8 @@ pub const HOT_PATHS: [&str; 12] = [
 /// Checksum, accounting and bound-computation files subject to the
 /// lossy-cast audit, relative to the workspace root.
 pub const LOSSY_CAST_PATHS: [&str; 13] = [
-    "crates/store/src/crc32.rs",
-    "crates/store/src/wal.rs",
+    "crates/query/src/durable/crc32.rs",
+    "crates/query/src/durable/wal.rs",
     "crates/transport/src/budget.rs",
     "crates/transport/src/certify.rs",
     "crates/core/src/certify.rs",
@@ -151,6 +153,20 @@ fn in_path_list(root: &Path, path: &Path, list: &[&str]) -> bool {
     list.iter().any(|rel| root.join(rel) == path)
 }
 
+/// A finding (class `preamble`) for every entry of the path list `name`
+/// that names no file under `root`: a moved or deleted file must not
+/// drop out of its audit unnoticed.
+pub fn check_path_list(root: &Path, name: &str, list: &[&str], report: &mut LintReport) {
+    for rel in list.iter().filter(|rel| !root.join(rel).is_file()) {
+        report.finding(
+            &root.join("crates/xtask/src/engine.rs"),
+            1,
+            LintClass::Preamble,
+            format!("{name} entry `{rel}` names no file"),
+        );
+    }
+}
+
 /// Run every pass over the workspace rooted at `root`, producing the
 /// full report (budget ratchet not yet applied).
 ///
@@ -195,12 +211,16 @@ pub fn scan(root: &Path) -> Result<LintReport, String> {
             }
             if in_path_list(root, &path, &HOT_PATHS) {
                 passes::float_discipline_pass(&file, &mut report);
+                report.hot_path_files += 1;
             }
             if in_path_list(root, &path, &LOSSY_CAST_PATHS) {
                 passes::lossy_cast_pass(&file, krate, &mut report);
+                report.cast_audited_files += 1;
             }
         }
     }
+    check_path_list(root, "HOT_PATHS", &HOT_PATHS, &mut report);
+    check_path_list(root, "LOSSY_CAST_PATHS", &LOSSY_CAST_PATHS, &mut report);
     check_preambles(root, &mut report)?;
     Ok(report)
 }
@@ -306,8 +326,7 @@ pub fn run_lint(options: &Options) -> Result<String, String> {
         let scanned = LIBRARY_CRATES.len() + TOOL_CRATES.len();
         Ok(format!(
             "xtask lint: clean ({scanned} crates, {} hot-path files, {} cast-audited files)",
-            HOT_PATHS.len(),
-            LOSSY_CAST_PATHS.len()
+            report.hot_path_files, report.cast_audited_files
         ))
     } else {
         use std::fmt::Write as _;

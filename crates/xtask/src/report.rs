@@ -26,7 +26,8 @@ pub enum LintClass {
     FloatDiscipline,
     /// Panic patterns in failure-path code (no escape, no budget).
     FailurePath,
-    /// Workspace lint-table opt-in and `#![forbid(unsafe_code)]`.
+    /// Workspace lint-table opt-in, `#![forbid(unsafe_code)]`, and path
+    /// lists whose every entry names a file.
     Preamble,
     /// Wall clocks, unordered containers and thread spawning in
     /// result-affecting crates (`// lint: allow(nondeterminism)`).
@@ -107,6 +108,10 @@ pub struct LintReport {
     pub budgeted: BTreeMap<&'static str, BTreeMap<String, usize>>,
     /// Every budgeted site with file/line detail, in scan order.
     pub sites: Vec<BudgetedSite>,
+    /// Files the float-discipline audit ran over.
+    pub hot_path_files: usize,
+    /// Files the lossy-cast audit ran over.
+    pub cast_audited_files: usize,
 }
 
 impl LintReport {

@@ -239,6 +239,22 @@ fn masking_fixture_token_engine_is_immune() {
     );
 }
 
+/// A path-list entry that names no file is a finding, not a silent skip:
+/// a moved file would otherwise drop out of its audit.
+#[test]
+fn path_list_entry_without_a_file_is_a_finding() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
+    let mut report = LintReport::default();
+    let list = ["fixtures/lossy_cast.rs", "fixtures/moved_away.rs"];
+    engine::check_path_list(&root, "LOSSY_CAST_PATHS", &list, &mut report);
+    let messages: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(
+        messages,
+        ["LOSSY_CAST_PATHS entry `fixtures/moved_away.rs` names no file"]
+    );
+    assert_eq!(report.findings[0].class, LintClass::Preamble);
+}
+
 /// The whole-workspace scan agrees with the checked-in budget file; this
 /// is the same invariant `cargo xtask lint` enforces, pinned as a test.
 #[test]

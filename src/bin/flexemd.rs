@@ -794,13 +794,11 @@ fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
-    use flexemd::query::durable::{read_checkpoint, wal_path, CHECKPOINT_SCHEMA};
-    use flexemd::store::wal::{self, WalRecord};
+    use flexemd::query::durable::{read_checkpoint, replay_wal, WalRecord, CHECKPOINT_SCHEMA};
     let dir = options.path("wal")?;
     let epoch = read_checkpoint(&dir, &NoFaults).map_err(|e| e.to_string())?;
     writeln!(stdout, "checkpoint : {CHECKPOINT_SCHEMA} {epoch}")?;
-    let wal_file = wal_path(&dir, epoch);
-    let replay = wal::replay_with(&wal_file, &NoFaults).map_err(|e| e.to_string())?;
+    let (wal_file, replay) = replay_wal(&dir, epoch).map_err(|e| e.to_string())?;
     writeln!(stdout, "wal file   : {}", wal_file.display())?;
     writeln!(stdout, "records    : {}", replay.records.len())?;
     writeln!(stdout, "valid bytes: {}", replay.valid_len)?;

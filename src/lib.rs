@@ -16,7 +16,6 @@
 //! * [`reduction`] — flexible lower-bounding dimensionality reduction
 //! * [`data`] — synthetic multimedia data sets and workloads
 //! * [`query`] — multistep filter-and-refine query processing (KNOP)
-//! * [`store`] — the checksummed segment and WAL formats of an index
 //! * [`json`] — the one JSON codec every file format and HTTP body uses
 //! * [`obs`] — metrics registry and span tracing for the whole stack
 //! * [`faultkit`] — deterministic fault injection for resilience testing
@@ -84,5 +83,4 @@ pub use emd_obs as obs;
 pub use emd_query as query;
 pub use emd_reduction as reduction;
 pub use emd_serve as serve;
-pub use emd_store as store;
 pub use emd_transport as transport;

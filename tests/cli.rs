@@ -591,7 +591,7 @@ fn ingest_refuses_a_static_index_directory() {
     );
     fails_with(
         &["ingest", "--wal", retired_arg, "--data", data],
-        &format!("error: store error: {refusal}"),
+        &format!("error: {refusal}"),
     );
     for written in ["CURRENT", "base.seg", "wal-0.log"] {
         assert!(!retired.join(written).exists(), "ingest wrote {written}");
@@ -1091,10 +1091,7 @@ fn writable_serve_on_a_missing_directory_names_its_checkpoint() {
         &["query", "--index", missing_arg],
         &format!("error: {error}"),
     );
-    fails_with(
-        &["serve", "--wal", missing_arg],
-        &format!("error: store error: {error}"),
-    );
+    fails_with(&["serve", "--wal", missing_arg], &format!("error: {error}"));
     assert!(!missing.exists());
 }
 
@@ -1110,7 +1107,7 @@ fn writable_serve_on_a_directory_without_an_index_writes_nothing() {
     fails_with(
         &["serve", "--wal", empty_arg],
         &format!(
-            "error: store error: io error on {empty_arg}/CURRENT: No such file or directory \
+            "error: io error on {empty_arg}/CURRENT: No such file or directory \
              (os error 2)"
         ),
     );
@@ -1124,7 +1121,7 @@ fn writable_serve_on_a_directory_without_an_index_writes_nothing() {
     fails_with(
         &["serve", "--wal", retired_arg],
         &format!(
-            "error: store error: bad index checkpoint {retired_arg}/index.json: this is a \
+            "error: bad index checkpoint {retired_arg}/index.json: this is a \
              flexemd-store/v1 index, which this build no longer reads: rebuild it with \
              `flexemd build-index` into a new directory"
         ),
