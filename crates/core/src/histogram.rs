@@ -34,7 +34,17 @@ impl Histogram {
     /// [`CoreError::NotNormalized`] when the total mass is off 1 by more than
     /// [`crate::MASS_EPS`].
     pub fn new(bins: Vec<f64>) -> Result<Self, CoreError> {
-        Self::validate_entries(&bins)?;
+        Self::from_slice(&bins)
+    }
+
+    /// [`Histogram::new`] over borrowed masses: the same checks, and the
+    /// one allocation is the histogram's own.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Histogram::new`].
+    pub fn from_slice(bins: &[f64]) -> Result<Self, CoreError> {
+        Self::validate_entries(bins)?;
         let total: f64 = bins.iter().sum();
         if (total - 1.0).abs() > MASS_EPS {
             return Err(CoreError::NotNormalized { total });

@@ -399,21 +399,23 @@ pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, Dur
     let epoch = read_checkpoint(dir, faults)?;
     let base = SegmentReader::open_with(&dir.join(BASE_SEGMENT), faults)?;
     base.allow_only(&["cost", "r1", "r2", "name"])?;
-    let payload = |kind, role| {
-        base.typed_section(kind, role)
-            .map(|section| section.payload())
-    };
+    let payload = |kind, role| base.typed_section(kind, role);
     let (path, cost_matrix) = (base.path(), SectionKind::CostMatrix);
+    let decode = emd_obs::span("store.decode");
     let cost = sections::decode_cost_matrix(path, "cost", payload(cost_matrix, "cost")?)?;
     let r1 = sections::decode_reduction(path, "r1", payload(SectionKind::Reduction, "r1")?)?;
     let r2 = sections::decode_reduction(path, "r2", payload(SectionKind::Reduction, "r2")?)?;
     let name = match base.maybe_section(SectionKind::Text, "name")? {
-        Some(section) => String::from_utf8(section.payload().to_vec())
-            .map_err(|_| DurableError::invalid(path, "name", "not UTF-8"))?,
+        Some(payload) => std::str::from_utf8(payload)
+            .map_err(|_| DurableError::invalid(path, "name", "not UTF-8"))?
+            .to_owned(),
         None => String::new(),
     };
+    drop(decode);
+    let derive = emd_obs::span("store.derive");
     let reduced = ReducedEmd::with_asymmetric(&cost, r1, r2)
         .map_err(|e| DurableError::invalid(path, "r2", e.to_string()))?;
+    drop(derive);
     let (sealed, mut ids, clustering) = match epoch {
         0 => (Vec::new(), Vec::new(), None),
         _ => read_sealed(&sealed_path(dir, epoch), faults)?,
@@ -493,8 +495,11 @@ pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, Dur
         .unzip();
     // Every live histogram must match the cost matrix, which `R2` was
     // just checked against.
-    let bundle = PersistedReduction::precompute(name.clone(), reduced, &histograms)
-        .map_err(|e| DurableError::invalid(dir, "histograms", e.to_string()))?;
+    let bundle = {
+        let _span = emd_obs::span("store.derive");
+        PersistedReduction::precompute(name.clone(), reduced, &histograms)
+            .map_err(|e| DurableError::invalid(dir, "histograms", e.to_string()))?
+    };
     Ok(Stored {
         epoch,
         name,
@@ -1123,11 +1128,11 @@ type Sealed = (Vec<Histogram>, Vec<u64>, Option<StoredClustering>);
 fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, DurableError> {
     let sealed = SegmentReader::open_with(path, faults)?;
     sealed.allow_only(&["histograms", "external-ids", "clustering"])?;
-    let arena_section = sealed.typed_section(SectionKind::HistogramArena, "histograms")?;
-    let (_, histograms) =
-        sections::decode_histogram_arena(path, "histograms", arena_section.payload())?;
-    let ids_section = sealed.typed_section(SectionKind::IdMap, "external-ids")?;
-    let ids = sections::decode_id_map(path, "external-ids", ids_section.payload())?;
+    let _span = emd_obs::span("store.decode");
+    let arena = sealed.typed_section(SectionKind::HistogramArena, "histograms")?;
+    let (_, histograms) = sections::decode_histogram_arena(path, "histograms", arena)?;
+    let id_map = sealed.typed_section(SectionKind::IdMap, "external-ids")?;
+    let ids = sections::decode_id_map(path, "external-ids", id_map)?;
     if ids.len() != histograms.len() {
         return Err(DurableError::invalid(
             path,
@@ -1137,7 +1142,7 @@ fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, Durabl
     }
     let clustering = sealed
         .maybe_section(SectionKind::Clustering, "clustering")?
-        .map(|section| sections::decode_clustering(path, "clustering", section.payload()))
+        .map(|payload| sections::decode_clustering(path, "clustering", payload))
         .transpose()?;
     if clustering
         .as_ref()

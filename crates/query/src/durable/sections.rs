@@ -88,7 +88,13 @@ impl<'a> Payload<'a> {
         })
     }
 
-    pub(super) fn f64s(&mut self, count: usize, what: &str) -> Result<Vec<f64>, DurableError> {
+    /// The next `count` floats, read as they are iterated: collect them,
+    /// or refill a scratch buffer with them.
+    pub(super) fn f64s(
+        &mut self,
+        count: usize,
+        what: &str,
+    ) -> Result<impl ExactSizeIterator<Item = f64> + 'a, DurableError> {
         let byte_len = count.checked_mul(8).ok_or_else(|| {
             DurableError::invalid(
                 self.path,
@@ -96,14 +102,8 @@ impl<'a> Payload<'a> {
                 format!("{what} count {count} overflows the payload length"),
             )
         })?;
-        let bytes = self.take(byte_len, what)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in bytes.chunks_exact(8) {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(chunk);
-            out.push(f64::from_le_bytes(raw));
-        }
-        Ok(out)
+        let (words, _) = self.take(byte_len, what)?.as_chunks::<8>();
+        Ok(words.iter().map(|&word| f64::from_le_bytes(word)))
     }
 
     fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, DurableError> {
@@ -160,9 +160,11 @@ pub(super) fn encode_histogram_arena(dim: usize, items: &[Histogram]) -> Vec<u8>
 }
 
 /// Decode a histogram arena, re-validating every histogram through
-/// [`Histogram::new`]. Returns the recorded dimensionality alongside the
-/// histograms so callers can check shape agreement even when the arena
-/// is empty.
+/// [`Histogram::from_slice`] (the checks of [`Histogram::new`]): each
+/// histogram's bins are read into one scratch buffer and copied once,
+/// into the histogram's own allocation. Returns the recorded
+/// dimensionality alongside the histograms so callers can check shape
+/// agreement even when the arena is empty.
 ///
 /// # Errors
 ///
@@ -178,9 +180,11 @@ pub(super) fn decode_histogram_arena(
     let count = p.length("histogram count")?;
     let dim = p.length("histogram dimensionality")?;
     let mut items = p.reserve(count, dim.saturating_mul(8));
+    let mut bins = p.reserve(dim, 8);
     for index in 0..count {
-        let bins = p.f64s(dim, "histogram bins")?;
-        let histogram = Histogram::new(bins)
+        bins.clear();
+        bins.extend(p.f64s(dim, "histogram bins")?);
+        let histogram = Histogram::from_slice(&bins)
             .map_err(|e| p.invalid(format!("histogram {index} rejected: {e}")))?;
         items.push(histogram);
     }
@@ -219,7 +223,7 @@ pub(super) fn decode_cost_matrix(
     let cells = rows.checked_mul(cols).ok_or_else(|| {
         DurableError::invalid(path, section, format!("cost shape {rows}x{cols} overflows"))
     })?;
-    let entries = p.f64s(cells, "cost entries")?;
+    let entries = p.f64s(cells, "cost entries")?.collect();
     let matrix = CostMatrix::new(rows, cols, entries)
         .map_err(|e| p.invalid(format!("cost rejected: {e}")))?;
     p.finish()?;
@@ -338,7 +342,7 @@ pub(super) fn decode_clustering(
     }
     let pivots = p.u32s(clusters, "pivot ids")?;
     let assignments = p.u32s(objects, "assignment vector")?;
-    let radii = p.f64s(clusters, "covering radii")?;
+    let radii: Vec<f64> = p.f64s(clusters, "covering radii")?.collect();
     p.finish()?;
     let path_err = |reason: String| DurableError::invalid(path, section, reason);
     for (cluster, &pivot) in pivots.iter().enumerate() {

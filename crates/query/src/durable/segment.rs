@@ -24,11 +24,13 @@
 //! count into the file header on `finish`.
 //! [`SegmentReader`] validates everything *before* handing out payloads:
 //! magic, version window, header and payload truncation, per-section
-//! CRC32, and section-name UTF-8. Decoding payloads into typed values is
-//! the job of `sections`.
+//! CRC32, and section-name UTF-8. It keeps the file's one buffer and
+//! lends each payload as a slice of it. Decoding payloads into typed
+//! values is the job of `sections`.
 
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use super::crc32;
@@ -187,24 +189,14 @@ impl SegmentWriter {
     }
 }
 
-/// One fully verified section of an opened segment.
-#[derive(Debug, Clone)]
-pub(super) struct Section {
+/// One fully verified section of an opened segment: its codec, its role
+/// name (e.g. `histograms`, `reduced-cost`) and where its
+/// checksum-verified payload sits in the reader's buffer.
+#[derive(Debug)]
+struct Section {
     kind: SectionKind,
     name: String,
-    payload: Vec<u8>,
-}
-
-impl Section {
-    /// The section's role name (e.g. `histograms`, `reduced-cost`).
-    pub(super) fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The checksum-verified payload bytes.
-    pub(super) fn payload(&self) -> &[u8] {
-        &self.payload
-    }
+    payload: Range<usize>,
 }
 
 /// A little-endian cursor over the segment byte buffer that turns every
@@ -259,10 +251,12 @@ impl<'a> Cursor<'a> {
 /// `open_with` reads the whole file, then verifies magic, version window,
 /// every header field against the remaining byte count, and every
 /// payload against its CRC32 — a [`SegmentReader`] in hand means every
-/// byte it serves was checksum-verified.
+/// byte it serves was checksum-verified. Payloads are served as slices
+/// of the one file buffer, never copied.
 #[derive(Debug)]
 pub(super) struct SegmentReader {
     path: PathBuf,
+    buf: Vec<u8>,
     sections: Vec<Section>,
 }
 
@@ -273,8 +267,9 @@ impl SegmentReader {
     /// [`DurableError::Io`] a real read failure would, which is how the
     /// fault-injection tests prove every read maps to a typed error.
     ///
-    /// Emits `store.bytes_read` and `store.sections_verified` counters
-    /// when an obs recording is active.
+    /// Emits `store.bytes_read` and `store.sections_verified` counters, a
+    /// `store.read` span for the file read and one `store.checksum` span
+    /// per verified section when an obs recording is active.
     ///
     /// # Errors
     ///
@@ -289,11 +284,13 @@ impl SegmentReader {
         path: &Path,
         faults: &dyn emd_faultkit::FaultInjector,
     ) -> Result<Self, DurableError> {
-        let _span = emd_obs::span_with(|| format!("store.read_segment({})", path.display()));
         if let Some(emd_faultkit::Fault::Io) = faults.check(emd_faultkit::Site::StoreRead) {
             return Err(DurableError::injected(path, "read"));
         }
-        let buf = std::fs::read(path).map_err(|e| DurableError::io(path, e))?;
+        let buf = {
+            let _span = emd_obs::span("store.read");
+            std::fs::read(path).map_err(|e| DurableError::io(path, e))?
+        };
         emd_obs::counter_add("store.bytes_read", buf.len() as u64);
         let mut cursor = Cursor {
             buf: &buf,
@@ -347,8 +344,12 @@ impl SegmentReader {
                     expected: payload_len,
                     got: (buf.len() - cursor.offset) as u64,
                 })?;
+            let start = cursor.offset;
             let payload = cursor.take(payload_len, &format!("section `{name}` payload"))?;
-            let actual_crc = crc32::checksum(payload);
+            let actual_crc = {
+                let _span = emd_obs::span("store.checksum");
+                crc32::checksum(payload)
+            };
             if actual_crc != stored_crc {
                 return Err(DurableError::ChecksumMismatch {
                     path: path.to_path_buf(),
@@ -360,7 +361,7 @@ impl SegmentReader {
             sections.push(Section {
                 kind,
                 name,
-                payload: payload.to_vec(),
+                payload: start..cursor.offset,
             });
         }
         if cursor.offset != buf.len() {
@@ -376,6 +377,7 @@ impl SegmentReader {
         emd_obs::counter_add("store.sections_verified", u64::from(count));
         Ok(SegmentReader {
             path: path.to_path_buf(),
+            buf,
             sections,
         })
     }
@@ -385,10 +387,18 @@ impl SegmentReader {
         &self.path
     }
 
-    /// All verified sections, in file order.
+    /// A verified section's payload, borrowed from the file buffer.
+    fn payload(&self, section: &Section) -> &[u8] {
+        // bounds: `open_with` took this range from `buf` itself.
+        &self.buf[section.payload.clone()]
+    }
+
+    /// All verified sections as `(name, payload)`, in file order.
     #[cfg(test)]
-    pub(super) fn sections(&self) -> &[Section] {
-        &self.sections
+    pub(super) fn sections(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        self.sections
+            .iter()
+            .map(|section| (section.name.as_str(), self.payload(section)))
     }
 
     /// Fail closed on a section name outside `allowed`. Names are outside
@@ -402,33 +412,22 @@ impl SegmentReader {
     /// Returns [`DurableError::Invalid`] naming the first unexpected
     /// section.
     pub(super) fn allow_only(&self, allowed: &[&str]) -> Result<(), DurableError> {
-        match self.sections.iter().find(|s| !allowed.contains(&s.name())) {
+        match self
+            .sections
+            .iter()
+            .find(|s| !allowed.contains(&s.name.as_str()))
+        {
             Some(section) => Err(DurableError::invalid(
                 &self.path,
-                section.name(),
+                &section.name,
                 "unexpected section name for this segment",
             )),
             None => Ok(()),
         }
     }
 
-    /// Look up a section by role name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DurableError::MissingSection`] when no section carries
-    /// `name`.
-    pub(super) fn section(&self, name: &str) -> Result<&Section, DurableError> {
-        self.sections
-            .iter()
-            .find(|s| s.name == name)
-            .ok_or_else(|| DurableError::MissingSection {
-                path: self.path.clone(),
-                section: name.to_owned(),
-            })
-    }
-
-    /// Look up a section by name and require a specific codec kind.
+    /// The payload of the section named `name`, which must carry the
+    /// codec `kind`.
     ///
     /// # Errors
     ///
@@ -438,19 +437,15 @@ impl SegmentReader {
         &self,
         kind: SectionKind,
         name: &str,
-    ) -> Result<&Section, DurableError> {
-        let section = self.section(name)?;
-        if section.kind != kind {
-            return Err(DurableError::invalid(
-                &self.path,
-                name,
-                format!("expected kind {:?}, found {:?}", kind, section.kind),
-            ));
-        }
-        Ok(section)
+    ) -> Result<&[u8], DurableError> {
+        self.maybe_section(kind, name)?
+            .ok_or_else(|| DurableError::MissingSection {
+                path: self.path.clone(),
+                section: name.to_owned(),
+            })
     }
 
-    /// Look up an *optional* section by name and codec kind.
+    /// The payload of an *optional* section by name and codec kind.
     ///
     /// Returns `Ok(None)` when no section carries `name` — the accessor
     /// for sections whose absence is a valid state (e.g. a sealed
@@ -464,10 +459,10 @@ impl SegmentReader {
         &self,
         kind: SectionKind,
         name: &str,
-    ) -> Result<Option<&Section>, DurableError> {
+    ) -> Result<Option<&[u8]>, DurableError> {
         match self.sections.iter().find(|s| s.name == name) {
             None => Ok(None),
-            Some(section) if section.kind == kind => Ok(Some(section)),
+            Some(section) if section.kind == kind => Ok(Some(self.payload(section))),
             Some(section) => Err(DurableError::invalid(
                 &self.path,
                 name,
@@ -498,14 +493,15 @@ mod tests {
         w.finish().unwrap();
 
         let r = SegmentReader::open_with(&path, &emd_faultkit::NoFaults).unwrap();
-        assert_eq!(r.sections().len(), 2);
-        assert_eq!(r.section("cost").unwrap().payload(), &[1, 2, 3, 4]);
+        assert_eq!(r.sections().count(), 2);
+        let cost = r.typed_section(SectionKind::CostMatrix, "cost").unwrap();
+        assert_eq!(cost, &[1, 2, 3, 4]);
         let h = r
             .typed_section(SectionKind::HistogramArena, "histograms")
             .unwrap();
-        assert_eq!(h.payload(), &[9, 8, 7]);
+        assert_eq!(h, &[9, 8, 7]);
         assert!(matches!(
-            r.section("nope"),
+            r.typed_section(SectionKind::CostMatrix, "nope"),
             Err(DurableError::MissingSection { .. })
         ));
         std::fs::remove_file(&path).unwrap();
@@ -627,9 +623,10 @@ mod tests {
             writer.finish().unwrap();
 
             let reader = SegmentReader::open_with(&path, &emd_faultkit::NoFaults).unwrap();
-            proptest::prop_assert_eq!(reader.sections().len(), payloads.len());
+            proptest::prop_assert_eq!(reader.sections().count(), payloads.len());
             for (i, payload) in payloads.iter().enumerate() {
-                proptest::prop_assert_eq!(reader.section(&format!("s{i}")).unwrap().payload(), &payload[..]);
+                let read = reader.typed_section(SectionKind::HistogramArena, &format!("s{i}")).unwrap();
+                proptest::prop_assert_eq!(read, &payload[..]);
             }
             std::fs::remove_file(&path).ok();
         }
@@ -675,19 +672,19 @@ mod tests {
             let reader = SegmentReader::open_with(&victim, &emd_faultkit::NoFaults).unwrap();
             let mut probe_offsets = vec![0usize, 9, 13]; // magic, version, count
             let mut cursor = 16usize; // fixed file header
-            for section in reader.sections() {
+            for (name, payload) in reader.sections() {
                 probe_offsets.push(cursor); // kind tag
                 probe_offsets.push(cursor + 4); // name length
                 probe_offsets.push(cursor + 8); // payload length
                 probe_offsets.push(cursor + 16); // stored crc
                 probe_offsets.push(cursor + 20); // first name byte
-                let payload_start = cursor + 20 + section.name().len();
+                let payload_start = cursor + 20 + name.len();
                 probe_offsets.push(payload_start); // first payload byte
-                probe_offsets.push(payload_start + section.payload().len() - 1);
-                cursor = payload_start + section.payload().len();
+                probe_offsets.push(payload_start + payload.len() - 1);
+                cursor = payload_start + payload.len();
 
                 // Truncate mid-section: cut inside this section's payload.
-                let cut = payload_start + section.payload().len() / 2;
+                let cut = payload_start + payload.len() / 2;
                 std::fs::write(&victim, &pristine[..cut]).unwrap();
                 let err = open().expect_err("mid-section truncation must not open");
                 assert!(!matches!(err, DurableError::Query(_)), "{err}");

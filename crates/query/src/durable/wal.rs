@@ -191,7 +191,7 @@ impl WalRecord {
             KIND_INSERT => {
                 let external_id = cursor.u64("insert external id")?;
                 let dim = cursor.length("insert histogram dimensionality")?;
-                let bins = cursor.f64s(dim, "insert histogram bins")?;
+                let bins = cursor.f64s(dim, "insert histogram bins")?.collect();
                 let histogram = Histogram::new(bins).map_err(|e| {
                     DurableError::invalid(path, "wal-record", format!("insert rejected: {e}"))
                 })?;
@@ -436,7 +436,7 @@ pub(super) fn replay_with(
     path: &Path,
     faults: &dyn FaultInjector,
 ) -> Result<WalReplay, DurableError> {
-    let _span = emd_obs::span_with(|| format!("wal.replay({})", path.display()));
+    let _span = emd_obs::span("wal.replay");
     if let Some(Fault::Io) = faults.check(Site::StoreRead) {
         return Err(DurableError::injected(path, "read"));
     }

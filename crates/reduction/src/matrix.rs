@@ -171,17 +171,29 @@ impl CombiningReduction {
     /// Returns [`ReductionError::DimensionMismatch`]-style failures when `x` does
     /// not have the reduction's original dimensionality.
     pub fn reduce(&self, x: &Histogram) -> Result<Histogram, ReductionError> {
+        self.reduce_with(x, &mut Vec::new())
+    }
+
+    /// [`reduce`](Self::reduce), summing the groups in `scratch`: a caller
+    /// reducing a whole arena passes one buffer, so each reduced
+    /// histogram costs one allocation, its own.
+    pub(crate) fn reduce_with(
+        &self,
+        x: &Histogram,
+        scratch: &mut Vec<f64>,
+    ) -> Result<Histogram, ReductionError> {
         if x.dim() != self.assignment.len() {
             return Err(ReductionError::DimensionMismatch {
                 expected: self.assignment.len(),
                 got: x.dim(),
             });
         }
-        let mut reduced = vec![0.0; self.reduced_dim];
+        scratch.clear();
+        scratch.resize(self.reduced_dim, 0.0);
         for (i, mass) in x.nonzero() {
-            reduced[self.assignment[i] as usize] += mass;
+            scratch[self.assignment[i] as usize] += mass;
         }
-        Ok(Histogram::new(reduced)?)
+        Ok(Histogram::from_slice(scratch)?)
     }
 }
 

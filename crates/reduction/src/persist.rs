@@ -32,9 +32,10 @@ impl PersistedReduction {
         reduced: ReducedEmd,
         database: &[Histogram],
     ) -> Result<Self, ReductionError> {
+        let mut scratch = Vec::new();
         let reduced_database = database
             .iter()
-            .map(|h| reduced.reduce_second(h))
+            .map(|h| reduced.r2().reduce_with(h, &mut scratch))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(PersistedReduction {
             name: name.into(),

@@ -33,8 +33,9 @@
 //! index, `query --index` runs the same `anchor -> Red-IM -> Red-EMD`
 //! chain over a cluster traversal instead of every object, with
 //! bit-identical answers; any other corpus runs it over every object.
-//! `--metrics` records an `emd-obs` registry over the query — per-stage
-//! spans, solver counters, lower-bound evaluations — and dumps it as
+//! `--metrics` records an `emd-obs` registry over the open and the query
+//! — the open's layers under `store.open`, per-stage spans, solver
+//! counters, lower-bound evaluations — and dumps it as
 //! schema-versioned JSON (`json` = stdout, anything else = a file path).
 //!
 //! `--deadline-ms` / `--max-pivots` put the query under an execution
@@ -600,6 +601,11 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let query_index = options.numeric("query", 0usize)?;
     let fault_plan = fault_options(options)?;
 
+    // The recording covers the open too: `store.open` and its layers.
+    let metrics = options.values.get("metrics").cloned();
+    let recording = metrics
+        .as_ref()
+        .map(|_| flexemd::obs::Recording::with_events());
     let Corpus {
         name: _,
         database,
@@ -626,10 +632,6 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         request.budget = request.budget.with_faults(plan);
     }
 
-    let metrics = options.values.get("metrics").cloned();
-    let recording = metrics
-        .as_ref()
-        .map(|_| flexemd::obs::Recording::with_events());
     let started = std::time::Instant::now();
     // Panic isolation turns an injected (or genuine) worker panic into a
     // typed one-line diagnostic and a nonzero exit, not a crashed process.

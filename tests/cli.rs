@@ -108,6 +108,38 @@ fn full_workflow() {
 }
 
 #[test]
+fn query_metrics_cover_the_open_and_keep_the_query_counters() {
+    let (dir, data, _index) = corpus_and_index("query_metrics_cover_the_open");
+    let clustered = dir.join("clustered");
+    let build = flexemd()
+        .arg("build-index")
+        .arg("--data")
+        .arg(&data)
+        .args(["--reduction", "kmed:6", "--cluster", "--out"])
+        .arg(&clustered)
+        .output()
+        .unwrap();
+    assert!(build.status.success());
+    let out = flexemd()
+        .arg("query")
+        .arg("--index")
+        .arg(&clustered)
+        .args(["--k", "5", "--query", "7", "--metrics", "json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let metrics = String::from_utf8_lossy(&out.stdout).to_string();
+    // The open is recorded, layer by layer, under `store.open`.
+    for span in ["\"store.open\"", "\"store.checksum\"", "\"store.decode\""] {
+        assert!(metrics.contains(span), "{span} missing: {metrics}");
+    }
+    // The query's own counters are what they were when the recording
+    // started after the open: opening solves no EMD.
+    assert!(metrics.contains("\"core.emd.solves\": 11,"), "{metrics}");
+    assert!(metrics.contains("\"query.queries\": 1,"), "{metrics}");
+}
+
+#[test]
 fn build_index_missing_dataset_is_one_line_diagnostic() {
     let out = flexemd()
         .args([
