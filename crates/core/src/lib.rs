@@ -59,7 +59,6 @@ mod context;
 mod cost;
 mod emd;
 mod error;
-pub mod flow;
 pub mod ground;
 mod histogram;
 pub mod lower_bounds;

@@ -62,7 +62,7 @@
 //! `index.candidates_emitted` counts what the chain hands KNOP).
 //!
 //! The clustering persists in the sealed segment ([`ClusteredIndex::to_stored`]
-//! / [`ClusteredIndex::from_stored`]) so `build-index --cluster` pays
+//! / [`ClusteredIndex::from_stored`]) so `ingest --cluster` pays
 //! construction once. Budgets propagate: the traversal probes before it
 //! opens a cluster and the Red-EMD stage inside every solve. A firing
 //! surfaces as [`QueryError::BudgetExhausted`] with the interrupted entry
@@ -173,7 +173,7 @@ impl ClusteredIndex {
     }
 
     /// Build the clustering over a bundle's precomputed reduced arena
-    /// (no re-reduction) — the `build-index --cluster` path.
+    /// (no re-reduction) — the `ingest --cluster` path.
     ///
     /// # Errors
     ///

@@ -1,8 +1,8 @@
 //! The one on-disk index format, and the one live index over it:
 //! [`DurableIndex`], sealed segments + WAL tail. Whether
-//! `Database::save` (`flexemd build-index`) wrote a directory or a
-//! [`DurableIndex`] (`flexemd ingest`, `serve --wal`) grew it, it looks
-//! like this:
+//! `Database::save` (`flexemd ingest` into a new directory) wrote a
+//! directory or a [`DurableIndex`] (`flexemd ingest` into an existing
+//! one, `serve --writable`) grew it, it looks like this:
 //!
 //! ```text
 //! <dir>/
@@ -23,9 +23,10 @@
 //!   the epoch's WAL with a [`WalRecord::CompactEpoch`] record (the ids
 //!   plus the id allocator's watermark), flip the checkpoint via
 //!   write-temp + fsync + atomic rename. A bulk load writes `base.seg`
-//!   and then epoch 1 through it, so `build-index` and `ingest
-//!   --compact` of one corpus write the same checkpoint, sealed segment
-//!   and WAL; only a bulk load writes a clustering. A crash reopens the
+//!   and then epoch 1 through it, so a bulk load and a fresh index that
+//!   appended, synced and compacted the same corpus write the same
+//!   checkpoint, sealed segment and WAL; only a bulk load writes a
+//!   clustering. A crash reopens the
 //!   old epoch or the new one, never a mixture (a killed bulk load
 //!   leaves no checkpoint); orphans are swept on the next writable open.
 //!   A writer that starts a directory refuses one holding an index.
@@ -190,7 +191,7 @@ fn retired_format(dir: &Path) -> DurableError {
     DurableError::Checkpoint {
         path: dir.join(RETIRED_MANIFEST),
         reason: "this is a flexemd-store/v1 index, which this build no longer reads: \
-                 rebuild it with `flexemd build-index` into a new directory"
+                 rebuild it with `flexemd ingest` into a new directory"
             .to_owned(),
     }
 }
@@ -758,7 +759,7 @@ impl DurableIndex {
         &self.cost
     }
 
-    /// The name `base.seg` records (`build-index` names its corpus);
+    /// The name `base.seg` records (a bulk load names its corpus);
     /// empty when none was recorded.
     #[must_use]
     pub fn name(&self) -> &str {

@@ -230,7 +230,7 @@ impl Database {
                 dir,
                 "external-ids",
                 "objects were removed from this index, so its ids are no longer \
-                 positions: open it with `flexemd serve --wal`",
+                 positions: open it with `flexemd serve --writable`",
             ));
         }
         let database = Database::new(stored.histograms, stored.cost)
@@ -250,7 +250,7 @@ impl Database {
 /// / [`ReducedImFilter::from_persisted`](crate::ReducedImFilter::from_persisted).
 #[derive(Debug)]
 pub struct OpenedIndex {
-    /// The index name `build-index` recorded; empty when none was.
+    /// The index name a bulk load recorded; empty when none was.
     pub name: String,
     /// The database snapshot.
     pub database: Database,

@@ -262,8 +262,8 @@ fn kill_at_every_position_after_compaction() {
     std::fs::remove_dir_all(&full_dir).ok();
 }
 
-/// A bulk load — `Database::save_with_clusterings`, what `build-index
-/// --cluster` runs — killed at every byte it writes. The writer fsyncs
+/// A bulk load — `Database::save_with_clusterings`, what `ingest
+/// --cluster` runs into a new directory — killed at every byte it writes. The writer fsyncs
 /// `base.seg`, `sealed-1.seg` and `wal-1.log` in that order and only
 /// then renames the checkpoint into place, so a crash leaves a prefix of
 /// that stream with the checkpoint whole or absent. Every prefix either

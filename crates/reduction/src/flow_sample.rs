@@ -3,7 +3,6 @@
 //! the average flow matrix `F^S`.
 
 use crate::ReductionError;
-use emd_core::flow::FlowAccumulator;
 use emd_core::{emd_with_flows, CostMatrix, Histogram};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -17,6 +16,42 @@ const PAIRS_PER_HANDOFF: usize = 64;
 
 /// One block's flows, pair after pair, and how many belong to each pair.
 type SolvedBlock = (Vec<(usize, usize, f64)>, Vec<usize>);
+
+/// Sums sparse flow lists into a dense `dim x dim` flow matrix, row-major.
+#[derive(Debug)]
+struct FlowAccumulator {
+    dim: usize,
+    sums: Vec<f64>,
+    count: usize,
+}
+
+impl FlowAccumulator {
+    fn new(dim: usize) -> Self {
+        FlowAccumulator {
+            dim,
+            sums: vec![0.0; dim * dim],
+            count: 0,
+        }
+    }
+
+    /// Add one optimal flow list (as `emd_with_flows` returns it).
+    fn add(&mut self, flows: &[(usize, usize, f64)]) {
+        for &(i, j, f) in flows {
+            debug_assert!(i < self.dim && j < self.dim);
+            self.sums[i * self.dim + j] += f; // bounds: a flow's cells index the dim x dim matrix
+        }
+        self.count += 1;
+    }
+
+    /// The average flow matrix `F^S`: zeros if no flows were added.
+    fn average(&self) -> Vec<f64> {
+        if self.count == 0 {
+            return self.sums.clone();
+        }
+        let scale = 1.0 / self.count as f64;
+        self.sums.iter().map(|s| s * scale).collect()
+    }
+}
 
 /// The aggregated flow information of a database sample.
 #[derive(Debug, Clone)]
@@ -129,7 +164,7 @@ impl FlowSample {
         Ok(FlowSample {
             dim,
             average: accumulator.average(),
-            pairs: accumulator.count(),
+            pairs: accumulator.count,
         })
     }
 
@@ -198,6 +233,36 @@ mod tests {
 
     fn h(bins: &[f64]) -> Histogram {
         Histogram::new(bins.to_vec()).unwrap()
+    }
+
+    #[test]
+    fn averages_added_flows() {
+        let mut acc = FlowAccumulator::new(3);
+        acc.add(&[(0, 1, 0.5), (2, 2, 0.5)]);
+        acc.add(&[(0, 1, 0.1)]);
+        assert_eq!(acc.count, 2);
+        let avg = acc.average();
+        assert!((avg[1] - 0.3).abs() < 1e-12); // (0.5 + 0.1) / 2
+        assert!((avg[8] - 0.25).abs() < 1e-12); // 0.5 / 2
+        assert_eq!(avg[0], 0.0);
+    }
+
+    #[test]
+    fn empty_accumulator_yields_zeros() {
+        let acc = FlowAccumulator::new(2);
+        assert_eq!(acc.average(), vec![0.0; 4]);
+        assert_eq!(acc.count, 0);
+    }
+
+    #[test]
+    fn sums_scale_like_average() {
+        let mut acc = FlowAccumulator::new(2);
+        acc.add(&[(0, 0, 1.0)]);
+        acc.add(&[(0, 0, 0.5), (1, 0, 0.5)]);
+        let avg = acc.average();
+        for (s, a) in acc.sums.iter().zip(avg.iter()) {
+            assert!((s - a * 2.0).abs() < 1e-12);
+        }
     }
 
     #[test]

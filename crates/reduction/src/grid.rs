@@ -6,7 +6,7 @@
 //! the dimensionality by a fixed factor of 4 per level (2x2 blocks).
 //! [`block_merge`] expresses one level of that scheme — at any block size
 //! — as a [`CombiningReduction`], making it directly comparable to the
-//! paper's flexible reductions (`flexemd build-index --reduction grid:N`).
+//! paper's flexible reductions (`flexemd ingest --reduction grid:N`).
 
 use crate::matrix::CombiningReduction;
 use crate::ReductionError;

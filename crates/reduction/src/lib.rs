@@ -23,7 +23,7 @@
 //! * [`grid`] — the grid-merging special case of reference \[14\] that the
 //!   paper generalizes.
 //!
-//! The crate holds what `flexemd build-index` and `ingest` train. Two
+//! The crate holds what `flexemd ingest` trains. Two
 //! pieces of Section 3 live with their only callers: the exhaustive
 //! optimum (§3.2.2) is the test oracle in `tests/support/exhaustive.rs`,
 //! and the PCA-guided reduction (§3.1's negative result) is

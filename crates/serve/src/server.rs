@@ -596,7 +596,7 @@ fn read_only_response() -> Response {
     Response::json(
         409,
         "Conflict",
-        error_body("server runs a read-only corpus; restart with --wal to enable writes"),
+        error_body("server runs a read-only corpus; restart with --writable to enable writes"),
     )
 }
 

@@ -1,42 +1,23 @@
-//! `flexemd` — command-line front end for EMD similarity search.
+//! `flexemd` — command-line front end for EMD similarity search; `USAGE`
+//! below is its synopsis.
 //!
-//! ```text
-//! flexemd generate    --kind tiling|color|gaussian --out data.json
-//!                     [--classes N] [--per-class N] [--seed S]
-//! flexemd info        --data data.json
-//! flexemd build-index --data data.json --reduction METHOD:DIMS
-//!                     --out index-dir [--sample N] [--seed S] [--cluster]
-//! flexemd query       --index index-dir
-//!                     [--k K | --range EPS] [--query I]
-//!                     [--metrics json|PATH]
-//!                     [--deadline-ms N] [--max-pivots N] [--faults SPEC]
-//! flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
-//!                     [--max-inflight N] [--drain-stdin] [--faults SPEC]
-//! flexemd serve       --wal index-dir [--addr HOST:PORT] [--workers N]
-//!                     [--max-inflight N] [--drain-stdin] [--faults SPEC]
-//! flexemd ingest      --wal index-dir --data data.json [--reduction METHOD:DIMS]
-//!                     [--sample N] [--seed S] [--sync-each] [--compact]
-//! flexemd wal-inspect --wal index-dir
-//! ```
-//!
-//! `generate` writes a synthetic corpus. `build-index` trains one
-//! combining reduction for it (`METHOD:DIMS`, e.g. `kmed:8` or
-//! `fb-all:12`) and bulk-loads the corpus into a new index directory —
-//! the one checksummed format `ingest` grows too: histograms, cost
-//! matrix and reductions; the reduced data is derived on open.
-//! `query --index` opens that directory read-only and runs one query
-//! through the filter-and-refine pipeline, reporting what the filter
-//! saved.
-//! `build-index --cluster` additionally runs greedy k-center clustering
-//! over the reduced arena and persists the geometry (pivots,
-//! assignments, radii). The plan follows the index: over a clustered
-//! index, `query --index` runs the same `anchor -> Red-IM -> Red-EMD`
+//! `generate` writes a synthetic corpus. `ingest` is the one verb that
+//! writes an index directory: into a new one it trains one combining
+//! reduction for the corpus (`METHOD:DIMS`, e.g. `kmed:8` or `fb-all:12`)
+//! and bulk-loads it — histograms, cost matrix and reductions, checksummed;
+//! the reduced data is derived on open — and into an existing one it
+//! appends the corpus through the WAL. `ingest --cluster` additionally
+//! runs greedy k-center clustering over the reduced arena and persists the
+//! geometry (pivots, assignments, radii). `query --index` opens the
+//! directory read-only and runs one query through the filter-and-refine
+//! pipeline, reporting what the filter saved. The plan follows the index:
+//! over a clustered index it runs the same `anchor -> Red-IM -> Red-EMD`
 //! chain over a cluster traversal instead of every object, with
-//! bit-identical answers; any other corpus runs it over every object.
-//! `--metrics` records an `emd-obs` registry over the open and the query
-//! — the open's layers under `store.open`, per-stage spans, solver
-//! counters, lower-bound evaluations — and dumps it as
-//! schema-versioned JSON (`json` = stdout, anything else = a file path).
+//! bit-identical answers. `--metrics` records an `emd-obs` registry over
+//! the open and the query — the open's layers under `store.open`,
+//! per-stage spans, solver counters, lower-bound evaluations — and dumps
+//! it as schema-versioned JSON (`json` = stdout, anything else = a file
+//! path).
 //!
 //! `--deadline-ms` / `--max-pivots` put the query under an execution
 //! budget: if it fires, the best-effort ranking prints under a one-line
@@ -49,15 +30,16 @@
 //! queries over HTTP (`POST /v1/knn`, `POST /v1/range`, `GET /healthz`,
 //! `GET /metrics`) with per-request budgets, 429 shedding beyond
 //! `--max-inflight`, and per-request panic isolation; drain with
-//! `POST /admin/drain` (or close stdin under `--drain-stdin`).
+//! `POST /admin/drain` (or close stdin under `--drain-stdin`). Under
+//! `--writable` it also takes inserts, removals and compactions.
 
 use flexemd::core::Histogram;
 use flexemd::data::{io as dataio, Dataset};
 use flexemd::faultkit::{FailPlan, InjectedPanic, NoFaults};
 use flexemd::query::durable::CHECKPOINT_FILE;
 use flexemd::query::{
-    ClusteredIndex, Database, EmdDistance, Executor, QueryError, QueryMode, QueryOutcome,
-    QueryPlan, ReducedImFilter,
+    ClusteredIndex, Database, DurableIndex, EmdDistance, Executor, QueryError, QueryMode,
+    QueryOutcome, QueryPlan, ReducedImFilter,
 };
 use flexemd::reduction::fb::{fb_all, fb_mod, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
@@ -126,17 +108,16 @@ type Verb = fn(&Options, &mut dyn Write) -> Result<(), CliError>;
 const VERBS: &[(&str, Verb, &[&str])] = &[
     ("generate", generate, &["kind", "out", "classes", "per-class", "seed"]),
     ("info", info, &["data"]),
-    ("build-index", build_index, &["data", "reduction", "out", "sample", "seed", "cluster"]),
+    ("ingest", ingest, &[
+        "index", "data", "reduction", "sample", "seed", "cluster", "compact",
+    ]),
     ("query", query, &[
         "index", "k", "range", "query", "metrics", "deadline-ms", "max-pivots", "faults",
     ]),
     ("serve", serve, &[
-        "index", "wal", "addr", "workers", "max-inflight", "drain-stdin", "faults",
+        "index", "writable", "addr", "workers", "max-inflight", "drain-stdin", "faults",
     ]),
-    ("ingest", ingest, &[
-        "wal", "data", "reduction", "sample", "seed", "sync-each", "compact",
-    ]),
-    ("wal-inspect", wal_inspect, &["wal"]),
+    ("wal-inspect", wal_inspect, &["index"]),
 ];
 
 /// Why a verb stopped: a one-line diagnostic, or a failed write to stdout.
@@ -164,50 +145,49 @@ USAGE:
   flexemd generate    --kind tiling|color|gaussian --out data.json
                       [--classes N] [--per-class N] [--seed S]
   flexemd info        --data data.json
-  flexemd build-index --data data.json --reduction METHOD:DIMS
-                      --out index-dir [--sample N] [--seed S] [--cluster]
+  flexemd ingest      --index index-dir --data data.json
+                      [--reduction METHOD:DIMS] [--sample N] [--seed S]
+                      [--cluster] [--compact]
   flexemd query       --index index-dir
                       [--k K | --range EPS] [--query I]
                       [--metrics json|PATH]
                       [--deadline-ms N] [--max-pivots N] [--faults SPEC]
-  flexemd serve       --index index-dir [--addr HOST:PORT] [--workers N]
-                      [--max-inflight N] [--drain-stdin] [--faults SPEC]
-  flexemd serve       --wal index-dir [--addr HOST:PORT] [--workers N]
-                      [--max-inflight N] [--drain-stdin] [--faults SPEC]
-  flexemd ingest      --wal index-dir --data data.json [--reduction METHOD:DIMS]
-                      [--sample N] [--seed S] [--sync-each] [--compact]
-  flexemd wal-inspect --wal index-dir
+  flexemd serve       --index index-dir [--writable] [--addr HOST:PORT]
+                      [--workers N] [--max-inflight N] [--drain-stdin]
+                      [--faults SPEC]
+  flexemd wal-inspect --index index-dir
 
-Reductions: METHOD:DIMS names one combining reduction to DIMS dimensions,
-METHOD one of kmed, fb-mod, fb-all (trained on a flow sample of --sample
-objects, default 24) or grid (tiling corpora only); --seed (default 42)
-fixes the training. ingest takes it only when it creates the directory
-(default kmed:2); an existing directory keeps the reduction it holds.
+Index directories: ingest is the one verb that writes one. Into a new
+directory it trains the reduction and bulk-loads the corpus (sealed at
+epoch 1); into one that holds an index it appends every corpus object to
+the WAL with one fsync at the end, and --compact then folds the WAL into
+a new sealed segment. query and serve open a directory read-only and
+answer in its ids, so they refuse one an object was removed from; serve
+--writable opens it writable and additionally answers POST /v1/insert,
+POST /v1/remove and POST /admin/compact, where a 200 is a durability
+acknowledgment (record fsynced, reader snapshot swapped). wal-inspect
+replays a directory's log read-only and prints every record plus any
+torn tail.
+
+Reductions: METHOD:DIMS (default kmed:2) names one combining reduction to
+DIMS dimensions, METHOD one of kmed, fb-mod, fb-all or grid (tiling
+corpora only). fb-mod and fb-all train on a flow sample of --sample
+objects (default 24); kmed, fb-mod and fb-all fix their training with
+--seed (default 42); an option the method does not read is an error.
+--cluster persists greedy k-center clustering geometry over the reduced
+arena (about sqrt(n) clusters). These options apply only when ingest
+creates the directory; an existing one keeps what it holds.
+
+Queries: every query runs the anchor -> Red-IM -> Red-EMD -> EMD chain,
+and the index chooses what feeds it: a clustered index only the members
+of clusters the triangle inequality cannot prune, any other every
+object. Both return bit-identical answers.
 
 Serving: serve answers POST /v1/knn and /v1/range (JSON bodies carrying
 query_id or weights plus k/epsilon/deadline_ms/max_pivots), GET /healthz
 and GET /metrics; connections beyond --max-inflight are shed with 429 +
 Retry-After, per-request panics isolate to a 500 for that request, and
 POST /admin/drain (or stdin EOF under --drain-stdin) drains gracefully.
-
-Index directories: build-index writes a new one and refuses a directory
-that already holds an index. ingest creates one or reopens any (one
-build-index wrote, too) and appends every corpus object to its WAL — one
-fsync per record under --sync-each, one at the end otherwise; --compact
-folds the WAL into a sealed segment afterwards. query and serve --index
-open a directory read-only and answer in its ids, so they refuse one an
-object was removed from. serve --wal opens it writable and additionally
-answers POST /v1/insert, POST /v1/remove and POST /admin/compact; a 200
-on the write routes is a durability acknowledgment (record fsynced,
-reader snapshot swapped). wal-inspect replays a directory's log
-read-only and prints every record plus any torn tail.
-
-Indexes: build-index --cluster persists greedy k-center clustering
-geometry over the reduced arena (about sqrt(n) clusters). Every query
-runs the anchor -> Red-IM -> Red-EMD -> EMD chain, and the index chooses
-what feeds it: a clustered index only the members of clusters the
-triangle inequality cannot prune, any other corpus every object. Both
-return bit-identical answers.
 
 Budgets: --deadline-ms / --max-pivots bound a query's wall clock / solver
 work; when a budget fires, the best-effort ranking prints under a
@@ -218,8 +198,8 @@ worker W: the CLI query runs as worker 0, served requests are numbered
 from 0) — deterministic failpoints for resilience testing.";
 
 /// Parsed `--key value` options (every option takes a value except the
-/// boolean flags `--cluster`, `--drain-stdin`, `--sync-each` and
-/// `--compact`).
+/// boolean flags `--cluster`, `--compact`, `--drain-stdin` and
+/// `--writable`).
 struct Options {
     values: HashMap<String, String>,
     /// The first option given without a value: an error, reported once
@@ -237,7 +217,7 @@ impl Options {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{arg}`"));
             };
-            if matches!(key, "cluster" | "drain-stdin" | "sync-each" | "compact") {
+            if matches!(key, "cluster" | "compact" | "drain-stdin" | "writable") {
                 values.insert(key.to_owned(), "true".to_owned());
                 continue;
             }
@@ -370,9 +350,18 @@ fn info(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Every reduction method and the training options it reads.
+const METHODS: &[(&str, &[&str])] = &[
+    ("kmed", &["seed"]),
+    ("fb-mod", &["sample", "seed"]),
+    ("fb-all", &["sample", "seed"]),
+    ("grid", &[]),
+];
+
 /// Build the combining reduction a `METHOD:DIMS` spec names, trained
 /// deterministically under `--sample` (default 24) and `--seed` (default
-/// 42). `build-index` and `ingest` both build theirs here.
+/// 42). A training option the method does not read is an error: it must
+/// not run as if it were absent.
 fn build_reduction(
     options: &Options,
     dataset: &Dataset,
@@ -390,6 +379,24 @@ fn build_reduction(
         return Err(format!(
             "reduced dimensionality must be between 1 and {} (got {dims})",
             dataset.dim()
+        ));
+    }
+    let (_, reads) = METHODS
+        .iter()
+        .find(|(name, _)| *name == method)
+        .ok_or_else(|| format!("unknown reduction method `{method}`"))?;
+    if let Some(key) = ["sample", "seed"]
+        .into_iter()
+        .find(|key| options.flag(key) && !reads.contains(key))
+    {
+        let readers: Vec<&str> = METHODS
+            .iter()
+            .filter(|(_, reads)| reads.contains(&key))
+            .map(|(name, _)| *name)
+            .collect();
+        return Err(format!(
+            "--{key} is read only by reductions {}; {method} ignores it",
+            readers.join(", ")
         ));
     }
     let mut rng = StdRng::seed_from_u64(seed);
@@ -412,7 +419,6 @@ fn build_reduction(
     };
 
     match method {
-        "kmed" => kmed(),
         "fb-mod" => {
             let flows = flows(&mut rng)?;
             Ok(fb_mod(kmed()?, &flows, &dataset.cost, FbOptions::default()).reduction)
@@ -432,15 +438,25 @@ fn build_reduction(
             let block = ((width * height) as f64 / dims as f64).sqrt().ceil() as usize;
             block_merge(width, height, block.max(1), block.max(1)).map_err(|e| e.to_string())
         }
-        other => Err(format!("unknown reduction method `{other}`")),
+        // `kmed`: `METHODS` names no other method.
+        _ => kmed(),
     }
 }
 
-fn build_index(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
-    let dataset = load_dataset(&options.path("data")?)?;
-    let spec = options.required("reduction")?;
-    let out = options.path("out")?;
-    let reduction = build_reduction(options, &dataset, spec)?;
+/// `ingest` into a directory that holds no index: train the reduction
+/// `--reduction` names (default `kmed:2`) and bulk-load `dataset` as
+/// epoch 1, clustered under `--cluster`.
+fn create_index(
+    options: &Options,
+    stdout: &mut dyn Write,
+    dir: &Path,
+    dataset: &Dataset,
+) -> Result<(), CliError> {
+    let spec = options
+        .values
+        .get("reduction")
+        .map_or("kmed:2", String::as_str);
+    let reduction = build_reduction(options, dataset, spec)?;
 
     let cost = Arc::new(dataset.cost.clone());
     let database =
@@ -463,7 +479,7 @@ fn build_index(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
     };
     database
         .save_with_clusterings(
-            &out,
+            dir,
             &dataset.name,
             std::slice::from_ref(&bundle),
             &[clustering],
@@ -476,7 +492,7 @@ fn build_index(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
         database.len(),
         dataset.dim(),
         bundle.reduced().r2().reduced_dim(),
-        out.display()
+        dir.display()
     )?;
     Ok(())
 }
@@ -695,18 +711,17 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Open the index at `--wal` writable (it must exist: `build-index` or
-/// `ingest` creates it), with `fault_plan` probed at every file read and
-/// WAL write, reporting what replay found.
+/// Open the index at `--index` writable, with `fault_plan` probed at
+/// every file read and WAL write, reporting what replay found.
 fn open_durable(
     options: &Options,
     stdout: &mut dyn Write,
     fault_plan: Option<&Arc<FailPlan>>,
-) -> Result<flexemd::query::DurableIndex, CliError> {
-    let dir = options.path("wal")?;
+) -> Result<DurableIndex, CliError> {
+    let dir = options.path("index")?;
     let (index, report) = match fault_plan {
-        Some(plan) => flexemd::query::DurableIndex::open_with(&dir, Arc::clone(plan) as _),
-        None => flexemd::query::DurableIndex::open(&dir),
+        Some(plan) => DurableIndex::open_with(&dir, Arc::clone(plan) as _),
+        None => DurableIndex::open(&dir),
     }
     .map_err(|e| e.to_string())?;
     if let Some(torn) = &report.torn_tail {
@@ -727,36 +742,29 @@ fn open_durable(
     Ok(index)
 }
 
+/// The one verb that writes an index directory: a new one is bulk-loaded
+/// ([`create_index`]); an existing one takes every corpus object through
+/// its WAL, made durable by one final sync, and folds it into a new sealed
+/// segment under `--compact`.
 fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
-    let dir = options.path("wal")?;
+    let dir = options.path("index")?;
     let dataset = load_dataset(&options.path("data")?)?;
-    let sync_each = options.flag("sync-each");
-
-    let mut index = if dir.join(CHECKPOINT_FILE).exists() {
-        // The directory's reduction was fixed when it was created.
-        if let Some(key) = ["reduction", "sample", "seed"]
-            .iter()
-            .find(|k| options.flag(k))
-        {
-            return Err(format!(
-                "{} already holds a durable index: --{key} applies only when ingest creates one",
-                dir.display()
-            )
-            .into());
-        }
-        open_durable(options, stdout, None)?
-    } else {
-        // First ingest into this directory: derive the reduction here,
-        // exactly like `build-index`, and persist it in base.seg.
-        let spec = options
-            .values
-            .get("reduction")
-            .map_or("kmed:2", String::as_str);
-        let reduction = build_reduction(options, &dataset, spec)?;
-        let cost = Arc::new(dataset.cost.clone());
-        let reduced = ReducedEmd::new(&cost, reduction).map_err(|e| e.to_string())?;
-        flexemd::query::DurableIndex::create(&dir, cost, reduced).map_err(|e| e.to_string())?
-    };
+    if !dir.join(CHECKPOINT_FILE).exists() {
+        return create_index(options, stdout, &dir, &dataset);
+    }
+    // The directory's reduction and clustering were fixed when it was
+    // created.
+    if let Some(key) = ["reduction", "sample", "seed", "cluster"]
+        .iter()
+        .find(|k| options.flag(k))
+    {
+        return Err(format!(
+            "{} already holds a durable index: --{key} applies only when ingest creates one",
+            dir.display()
+        )
+        .into());
+    }
+    let mut index = open_durable(options, stdout, None)?;
 
     let started = std::time::Instant::now();
     let mut first_id = None;
@@ -764,24 +772,15 @@ fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         let id = index
             .append_insert(histogram.clone())
             .map_err(|e| e.to_string())?;
-        if sync_each {
-            index.sync().map_err(|e| e.to_string())?;
-        }
         first_id.get_or_insert(id);
     }
     index.sync().map_err(|e| e.to_string())?;
-    let elapsed = started.elapsed();
     writeln!(
         stdout,
-        "ingested {} objects (external ids {}..) in {:.1} ms ({}; {} live objects total)",
+        "ingested {} objects (external ids {}..) in {:.1} ms ({} live objects total)",
         dataset.len(),
         first_id.unwrap_or(0),
-        elapsed.as_secs_f64() * 1e3,
-        if sync_each {
-            "one fsync per record"
-        } else {
-            "single final fsync"
-        },
+        started.elapsed().as_secs_f64() * 1e3,
         index.len()
     )?;
     if options.flag("compact") {
@@ -797,7 +796,7 @@ fn ingest(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
 
 fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     use flexemd::query::durable::{read_checkpoint, replay_wal, WalRecord, CHECKPOINT_SCHEMA};
-    let dir = options.path("wal")?;
+    let dir = options.path("index")?;
     let epoch = read_checkpoint(&dir, &NoFaults).map_err(|e| e.to_string())?;
     writeln!(stdout, "checkpoint : {CHECKPOINT_SCHEMA} {epoch}")?;
     let (wal_file, replay) = replay_wal(&dir, epoch).map_err(|e| e.to_string())?;
@@ -839,8 +838,8 @@ fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
     Ok(())
 }
 
-/// `serve --wal`: a writable server over a durable index directory.
-fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
+/// `serve --writable`: a writable server over an index directory.
+fn serve_writable(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     let fault_plan = fault_options(options)?;
     let index = open_durable(options, stdout, fault_plan.as_ref())?;
     let name = index.name().to_owned();
@@ -875,10 +874,8 @@ fn serve_dynamic(options: &Options, stdout: &mut dyn Write) -> Result<(), CliErr
 }
 
 fn serve(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
-    match (options.flag("index"), options.flag("wal")) {
-        (true, true) => return Err("`serve` takes --index or --wal, not both".to_owned().into()),
-        (_, true) => return serve_dynamic(options, stdout),
-        _ => {}
+    if options.flag("writable") {
+        return serve_writable(options, stdout);
     }
     let fault_plan = fault_options(options)?;
 
@@ -917,7 +914,7 @@ fn banner_name(name: &str) -> &str {
     }
 }
 
-/// The tail `serve` and `serve --wal` share: start the server on
+/// The tail `serve` and `serve --writable` share: start the server on
 /// `snapshot`, print the banner, and block until it has drained.
 fn serve_until_drained(
     options: &Options,
@@ -965,26 +962,78 @@ fn load_dataset(path: &Path) -> Result<Dataset, String> {
 mod tests {
     use super::{USAGE, VERBS};
 
-    /// The synopsis block of `USAGE` and the `VERBS` table agree: every
-    /// `--option` shown under a verb is one that verb accepts.
+    /// The options `verb` accepts; a panic when no verb has that name.
+    fn accepted(verb: &str) -> &'static [&'static str] {
+        let entry = VERBS.iter().find(|(name, ..)| *name == verb);
+        entry.unwrap_or_else(|| panic!("no verb `{verb}`")).2
+    }
+
+    /// `USAGE` and the `VERBS` table agree: every `--option` the synopsis
+    /// shows under a verb, and every `VERB --option` its prose names, is
+    /// one that verb accepts.
     #[test]
     fn every_usage_option_is_accepted_by_its_verb() {
-        let synopsis = USAGE.lines().skip_while(|line| *line != "USAGE:").skip(1);
-        let mut accepted: &[&str] = &[];
+        let mut lines = USAGE.lines().skip_while(|line| *line != "USAGE:").skip(1);
+        let mut options: &[&str] = &[];
         let mut checked = 0;
-        for line in synopsis.take_while(|line| !line.is_empty()) {
+        for line in lines.by_ref().take_while(|line| !line.is_empty()) {
             let mut words = line.split_whitespace().peekable();
             if words.next_if_eq(&"flexemd").is_some() {
-                let verb = words.next().unwrap();
-                let entry = VERBS.iter().find(|(name, ..)| *name == verb);
-                accepted = entry.unwrap_or_else(|| panic!("no verb `{verb}`")).2;
+                options = accepted(words.next().unwrap());
             }
             for option in words.filter_map(|word| word.trim_matches(['[', ']']).strip_prefix("--"))
             {
-                assert!(accepted.contains(&option), "`{line}` shows --{option}");
+                assert!(options.contains(&option), "`{line}` shows --{option}");
                 checked += 1;
             }
         }
-        assert!(checked >= 40, "only {checked} options found: USAGE moved");
+        assert!(checked >= 25, "only {checked} options found: USAGE moved");
+        let prose: Vec<&str> = lines.flat_map(str::split_whitespace).collect();
+        for pair in prose.windows(2) {
+            let option = pair[1].trim_end_matches([',', '.', ';']).strip_prefix("--");
+            if let (Some(option), true) = (option, VERBS.iter().any(|(verb, ..)| *verb == pair[0]))
+            {
+                assert!(accepted(pair[0]).contains(&option), "USAGE says `{pair:?}`");
+            }
+        }
+    }
+
+    /// Every `flexemd VERB --option …` command in README.md's code blocks
+    /// (`\` continuations joined) names a verb and options it accepts.
+    #[test]
+    fn readme_commands_are_the_cli_vocabulary() {
+        let mut commands = Vec::new();
+        let mut command = String::new();
+        let mut in_block = false;
+        for line in include_str!("../../README.md").lines() {
+            if line.starts_with("```") {
+                in_block = !in_block;
+            } else if in_block {
+                let continued = line.trim_end().strip_suffix('\\');
+                command.push_str(continued.unwrap_or(line));
+                command.push(' ');
+                if continued.is_none() {
+                    commands.push(std::mem::take(&mut command));
+                }
+            }
+        }
+        let mut checked = 0;
+        for command in &commands {
+            let mut words = command
+                .split_whitespace()
+                .skip_while(|word| *word != "flexemd" && !word.ends_with("/flexemd"));
+            if words.next().is_none() {
+                continue;
+            }
+            let options = accepted(words.next().unwrap_or_default());
+            for option in words
+                .take_while(|word| *word != "#")
+                .filter_map(|word| word.strip_prefix("--"))
+            {
+                assert!(options.contains(&option), "README runs `{command}`");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 20, "only {checked} options found: README moved");
     }
 }

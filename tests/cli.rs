@@ -1,5 +1,6 @@
 //! End-to-end test of the `flexemd` command-line tool: generate a corpus,
-//! build an index, run a query — all through the real binary.
+//! ingest it into an index directory, run a query — all through the real
+//! binary.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -36,8 +37,8 @@ impl Drop for TestDir {
     }
 }
 
-/// A corpus and an index over it (`build-index --reduction kmed:6`) in
-/// a directory of their own.
+/// A corpus and an index over it (`ingest --reduction kmed:6` into a new
+/// directory) in a directory of their own.
 fn corpus_and_index(test: &str) -> (TestDir, PathBuf, PathBuf) {
     let dir = TestDir::new(test);
     let data = dir.join("corpus.json");
@@ -49,20 +50,35 @@ fn corpus_and_index(test: &str) -> (TestDir, PathBuf, PathBuf) {
         .output()
         .unwrap();
     assert!(generate.status.success());
-    let build = flexemd()
-        .arg("build-index")
+    create_index(&data, &index, &["--reduction", "kmed:6"]);
+    (dir, data, index)
+}
+
+/// `ingest --index INDEX --data DATA` plus `extra`, which must exit 0; its
+/// stdout.
+fn ingest(data: &Path, index: &Path, extra: &[&str]) -> String {
+    let out = flexemd()
+        .arg("ingest")
+        .arg("--index")
+        .arg(index)
         .arg("--data")
-        .arg(&data)
-        .args(["--reduction", "kmed:6", "--out"])
-        .arg(&index)
+        .arg(data)
+        .args(extra)
         .output()
         .unwrap();
     assert!(
-        build.status.success(),
-        "build-index failed: {}",
-        String::from_utf8_lossy(&build.stderr)
+        out.status.success(),
+        "ingest {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
-    (dir, data, index)
+    String::from_utf8_lossy(&out.stdout).to_string()
+}
+
+/// [`ingest`] into a directory that holds no index, which bulk-loads it.
+fn create_index(data: &Path, index: &Path, extra: &[&str]) -> String {
+    let stdout = ingest(data, index, extra);
+    assert!(stdout.contains("wrote index for "), "{stdout}");
+    stdout
 }
 
 #[test]
@@ -111,15 +127,7 @@ fn full_workflow() {
 fn query_metrics_cover_the_open_and_keep_the_query_counters() {
     let (dir, data, _index) = corpus_and_index("query_metrics_cover_the_open");
     let clustered = dir.join("clustered");
-    let build = flexemd()
-        .arg("build-index")
-        .arg("--data")
-        .arg(&data)
-        .args(["--reduction", "kmed:6", "--cluster", "--out"])
-        .arg(&clustered)
-        .output()
-        .unwrap();
-    assert!(build.status.success());
+    create_index(&data, &clustered, &["--reduction", "kmed:6", "--cluster"]);
     let out = flexemd()
         .arg("query")
         .arg("--index")
@@ -140,16 +148,16 @@ fn query_metrics_cover_the_open_and_keep_the_query_counters() {
 }
 
 #[test]
-fn build_index_missing_dataset_is_one_line_diagnostic() {
+fn ingest_missing_dataset_is_one_line_diagnostic() {
     let out = flexemd()
         .args([
-            "build-index",
+            "ingest",
+            "--index",
+            "/nonexistent/index-dir",
             "--data",
             "/nonexistent/corpus.json",
             "--reduction",
             "kmed:4",
-            "--out",
-            "/tmp/flexemd-cli-unused-index",
         ])
         .output()
         .unwrap();
@@ -397,22 +405,28 @@ fn unknown_option_is_a_one_line_error_on_every_verb() {
             format!("query --index {index} --reduction {data}"),
             "reduction",
         ),
-        (format!("serve --wal {out} --adr 127.0.0.1:0"), "adr"),
         (
-            format!("ingest --wal {out} --data {data} --sync-eahc 1"),
-            "sync-eahc",
+            format!("serve --index {out} --writable --adr 127.0.0.1:0"),
+            "adr",
         ),
         (
-            format!("ingest --wal {out} --data {data} --method kmed"),
+            format!("ingest --index {out} --data {data} --compcat"),
+            "compcat",
+        ),
+        (
+            format!("ingest --index {out} --data {data} --method kmed"),
             "method",
         ),
-        (format!("ingest --wal {out} --data {data} --dims 8"), "dims"),
         (
-            format!("build-index --data {data} --reduction kmed:4 --out {out} --clusters 1"),
+            format!("ingest --index {out} --data {data} --dims 8"),
+            "dims",
+        ),
+        (
+            format!("ingest --index {out} --data {data} --clusters 1"),
             "clusters",
         ),
         (
-            format!("build-index --data {data} --reductions kmed:4 --out {out}"),
+            format!("ingest --index {out} --data {data} --reductions kmed:4"),
             "reductions",
         ),
     ];
@@ -428,10 +442,9 @@ fn unknown_option_is_a_one_line_error_on_every_verb() {
     for verb in [
         "generate",
         "info",
-        "build-index",
+        "ingest",
         "query",
         "serve",
-        "ingest",
         "wal-inspect",
     ] {
         let expected = format!("error: unknown option --no-such-option for `{verb}`");
@@ -443,8 +456,8 @@ fn unknown_option_is_a_one_line_error_on_every_verb() {
     );
 }
 
-/// A malformed `--reduction` spec is a one-line error on both verbs
-/// that take one, and neither writes anything.
+/// A malformed `--reduction` spec is a one-line error, and nothing is
+/// written.
 #[test]
 fn malformed_reduction_spec_is_a_one_line_error() {
     let (dir, data, _index) = corpus_and_index("malformed_reduction_spec");
@@ -460,20 +473,17 @@ fn malformed_reduction_spec_is_a_one_line_error() {
         ),
         ("nope:4", "unknown reduction method `nope`"),
     ] {
-        let expected = format!("error: {expected}");
-        let build = [
-            "build-index",
-            "--data",
-            data,
-            "--reduction",
-            spec,
-            "--out",
-            out,
-        ];
-        fails_with(&build, &expected);
         fails_with(
-            &["ingest", "--wal", out, "--data", data, "--reduction", spec],
-            &expected,
+            &[
+                "ingest",
+                "--index",
+                out,
+                "--data",
+                data,
+                "--reduction",
+                spec,
+            ],
+            &format!("error: {expected}"),
         );
     }
     assert!(
@@ -482,76 +492,175 @@ fn malformed_reduction_spec_is_a_one_line_error() {
     );
 }
 
-/// An existing durable directory keeps the reduction it was created
-/// with, so the options that would choose another are an error, not
-/// silently dropped.
+/// An existing directory keeps the reduction and clustering it was
+/// created with, so the options that would choose others are an error,
+/// not silently dropped.
 #[test]
 fn ingest_into_an_existing_directory_rejects_reduction_options() {
-    let (dir, data, _index) = corpus_and_index("ingest_existing_directory");
-    let wal = dir.join("wal");
-    let (wal, data) = (wal.to_str().unwrap(), data.to_str().unwrap());
-    let created = flexemd()
-        .args([
-            "ingest",
-            "--wal",
-            wal,
-            "--data",
-            data,
-            "--reduction",
-            "kmed:6",
-        ])
-        .output()
-        .unwrap();
-    assert!(created.status.success());
-    for (option, value) in [("reduction", "fb-all:12"), ("sample", "5"), ("seed", "3")] {
-        let flag = format!("--{option}");
+    let (_dir, data, index) = corpus_and_index("ingest_existing_directory");
+    let (index, data) = (index.to_str().unwrap(), data.to_str().unwrap());
+    for option in [
+        &["--reduction", "fb-all:12"][..],
+        &["--sample", "5"],
+        &["--seed", "3"],
+        &["--cluster"],
+    ] {
+        let args = [&["ingest", "--index", index, "--data", data][..], option].concat();
         fails_with(
-            &["ingest", "--wal", wal, "--data", data, &flag, value],
+            &args,
             &format!(
-                "error: {wal} already holds a durable index: --{option} applies only when \
-                 ingest creates one"
+                "error: {index} already holds a durable index: {} applies only when ingest \
+                 creates one",
+                option[0]
             ),
         );
     }
-    // Nothing was appended by the rejected runs.
+    // Nothing was appended by the rejected runs: the WAL holds only the
+    // record that opens epoch 1.
     let inspect = flexemd()
-        .args(["wal-inspect", "--wal", wal])
+        .args(["wal-inspect", "--index", index])
         .output()
         .unwrap();
     let text = String::from_utf8_lossy(&inspect.stdout).to_string();
-    assert!(text.contains("records    : 30"), "{text}");
+    assert!(text.contains("records    : 1"), "{text}");
+    assert!(
+        text.contains("compact-epoch  epoch 1, 30 sealed ids"),
+        "{text}"
+    );
 }
 
-/// `serve` reads one corpus: given both a static index and a durable
-/// directory it serves neither, rather than silently picking one.
+/// A training option the chosen reduction does not read is an error
+/// naming the methods that read it, not a run as if it were absent.
 #[test]
-fn serve_rejects_index_beside_wal() {
-    let (dir, data, index) = corpus_and_index("serve_index_beside_wal");
-    let wal = dir.join("wal");
-    let (wal, data, index) = (
-        wal.to_str().unwrap(),
-        data.to_str().unwrap(),
-        index.to_str().unwrap(),
-    );
-    let created = flexemd()
-        .args(["ingest", "--wal", wal, "--data", data])
+fn a_training_option_the_reduction_ignores_is_an_error() {
+    let (dir, data, _index) = corpus_and_index("training_option_ignored");
+    let tiling = dir.join("tiling.json");
+    let generate = flexemd()
+        .args(["generate", "--kind", "tiling", "--out"])
+        .arg(&tiling)
+        .args(["--classes", "2", "--per-class", "3"])
         .output()
         .unwrap();
-    assert!(created.status.success());
-    // Stdin is closed, so a server that did start would drain and exit.
+    assert!(generate.status.success());
+    let out = dir.join("never-written");
+    let (data, tiling, out) = (
+        data.to_str().unwrap(),
+        tiling.to_str().unwrap(),
+        out.to_str().unwrap(),
+    );
+    let sample = "--sample is read only by reductions fb-mod, fb-all";
+    let seed = "--seed is read only by reductions kmed, fb-mod, fb-all";
+    for (corpus, spec, option, expected) in [
+        (
+            data,
+            "kmed:8",
+            ["--sample", "50"],
+            format!("{sample}; kmed ignores it"),
+        ),
+        (
+            tiling,
+            "grid:12",
+            ["--seed", "99"],
+            format!("{seed}; grid ignores it"),
+        ),
+        (
+            tiling,
+            "grid:12",
+            ["--sample", "3"],
+            format!("{sample}; grid ignores it"),
+        ),
+    ] {
+        let args = [
+            &[
+                "ingest",
+                "--index",
+                out,
+                "--data",
+                corpus,
+                "--reduction",
+                spec,
+            ][..],
+            &option,
+        ]
+        .concat();
+        fails_with(&args, &format!("error: {expected}"));
+    }
+    assert!(!dir.join("never-written").exists());
+    // The options the method reads still train it.
+    create_index(
+        Path::new(data),
+        &dir.join("fb-mod"),
+        &["--reduction", "fb-mod:8", "--sample", "6", "--seed", "3"],
+    );
+}
+
+/// A corpus of no objects makes a directory too: it bulk-loads, reopens
+/// and grows.
+#[test]
+fn an_empty_corpus_makes_an_index_that_grows() {
+    let (dir, data, _index) = corpus_and_index("empty_corpus");
+    let empty = dir.join("empty.json");
+    let generate = flexemd()
+        .args(["generate", "--kind", "gaussian", "--out"])
+        .arg(&empty)
+        .args(["--classes", "1", "--per-class", "0"])
+        .output()
+        .unwrap();
+    assert!(generate.status.success());
+    let index = dir.join("grown");
+    let created = create_index(&empty, &index, &["--reduction", "kmed:4"]);
+    assert!(
+        created.contains("(0 objects, 32 -> 4 dimensions"),
+        "{created}"
+    );
+    let grown = ingest(&data, &index, &[]);
+    assert!(
+        grown.contains("epoch 1, 0 sealed + 1 replayed records, 0 live objects"),
+        "{grown}"
+    );
+    assert!(grown.contains("external ids 0.."), "{grown}");
+    let stdout = query_stdout(&index, &[]);
+    assert!(stdout.contains("of 30 objects"), "{stdout}");
+}
+
+/// The retired index vocabulary fails loudly and writes nothing: the
+/// `build-index` verb, `--out` and `--sync-each` on `ingest`, and `--wal`
+/// wherever it named the directory.
+#[test]
+fn retired_index_vocabulary_is_an_error() {
+    let (dir, data, index) = corpus_and_index("retired_vocabulary");
+    let out = dir.join("never-written");
+    let (data, index, out) = (
+        data.to_str().unwrap(),
+        index.to_str().unwrap(),
+        out.to_str().unwrap(),
+    );
     fails_with(
         &[
-            "serve",
-            "--index",
-            index,
-            "--wal",
-            wal,
-            "--addr",
-            "127.0.0.1:0",
-            "--drain-stdin",
+            "build-index",
+            "--data",
+            data,
+            "--reduction",
+            "kmed:4",
+            "--out",
+            out,
         ],
-        "error: `serve` takes --index or --wal, not both",
+        "error: unknown command `build-index`",
     );
+    for (args, option) in [
+        (&["ingest", "--out", out, "--data", data][..], "out"),
+        (
+            &["ingest", "--index", out, "--data", data, "--sync-each"],
+            "sync-each",
+        ),
+        (&["ingest", "--wal", out, "--data", data], "wal"),
+        (&["serve", "--wal", index], "wal"),
+        (&["wal-inspect", "--wal", index], "wal"),
+    ] {
+        let expected = format!("error: unknown option --{option} for `{}`", args[0]);
+        fails_with(args, &expected);
+    }
+    assert!(!dir.join("never-written").exists());
 }
 
 /// `generate --classes 0` is a one-line error for every corpus kind, not
@@ -570,41 +679,6 @@ fn generate_rejects_zero_classes() {
     assert!(!dir.join("never-written.json").exists());
 }
 
-/// `build-index` refuses a directory that already holds an index —
-/// one `ingest` grew or one `build-index` wrote — so it never destroys
-/// ingested objects, and writes nothing there.
-#[test]
-fn build_index_refuses_a_durable_directory() {
-    let (dir, data, index) = corpus_and_index("build_index_durable_directory");
-    let wal = dir.join("wal");
-    let (wal, data) = (wal.to_str().unwrap(), data.to_str().unwrap());
-    let created = flexemd()
-        .args(["ingest", "--wal", wal, "--data", data])
-        .output()
-        .unwrap();
-    assert!(created.status.success());
-    let before = std::fs::read(index.join("sealed-1.seg")).unwrap();
-    for out in [wal, index.to_str().unwrap()] {
-        fails_with(
-            &[
-                "build-index",
-                "--data",
-                data,
-                "--reduction",
-                "kmed:6",
-                "--out",
-                out,
-            ],
-            &format!(
-                "error: io error on {out}/CURRENT: the directory already holds an index: a new \
-                 one needs a directory of its own"
-            ),
-        );
-    }
-    assert!(!dir.join("wal").join("sealed-1.seg").exists());
-    assert_eq!(std::fs::read(index.join("sealed-1.seg")).unwrap(), before);
-}
-
 /// A directory in the retired `flexemd-store/v1` static format
 /// (`index.json`, no `CURRENT`): `ingest` refuses it with a typed error
 /// naming the format, writes no index files beside it, and `query`
@@ -618,14 +692,14 @@ fn ingest_refuses_a_static_index_directory() {
     let (data, retired_arg) = (data.to_str().unwrap(), retired.to_str().unwrap());
     let refusal = format!(
         "bad index checkpoint {retired_arg}/index.json: this is a flexemd-store/v1 index, \
-         which this build no longer reads: rebuild it with `flexemd build-index` into a new \
+         which this build no longer reads: rebuild it with `flexemd ingest` into a new \
          directory"
     );
     fails_with(
-        &["ingest", "--wal", retired_arg, "--data", data],
+        &["ingest", "--index", retired_arg, "--data", data],
         &format!("error: {refusal}"),
     );
-    for written in ["CURRENT", "base.seg", "wal-0.log"] {
+    for written in ["CURRENT", "base.seg", "sealed-1.seg", "wal-1.log"] {
         assert!(!retired.join(written).exists(), "ingest wrote {written}");
     }
     fails_with(
@@ -634,26 +708,13 @@ fn ingest_refuses_a_static_index_directory() {
     );
 }
 
-/// `ingest` extends a directory `build-index` wrote: the n built objects
+/// `ingest` extends a directory it bulk-loaded: the n loaded objects
 /// keep their ids, the m ingested ones follow, and `query --index`
 /// answers over all n + m.
 #[test]
 fn ingest_extends_a_built_index_and_query_sees_every_object() {
     let (_dir, data, index) = corpus_and_index("ingest_extends_a_built_index");
-    let ingest = flexemd()
-        .arg("ingest")
-        .arg("--wal")
-        .arg(&index)
-        .arg("--data")
-        .arg(&data)
-        .output()
-        .unwrap();
-    assert!(
-        ingest.status.success(),
-        "ingest failed: {}",
-        String::from_utf8_lossy(&ingest.stderr)
-    );
-    let text = String::from_utf8_lossy(&ingest.stdout).to_string();
+    let text = ingest(&data, &index, &[]);
     assert!(
         text.contains("epoch 1, 30 sealed + 1 replayed records"),
         "{text}"
@@ -672,22 +733,29 @@ fn ingest_extends_a_built_index_and_query_sees_every_object() {
 }
 
 /// Read-only opens answer in the directory's ids, which are positions
-/// only while no object was removed: after `serve --wal` removes one,
-/// `query --index` is a typed error that points to `serve --wal`.
+/// only while no object was removed: after `serve --writable` removes
+/// one, `query --index` is a typed error that points to `serve
+/// --writable`.
 #[test]
 fn query_refuses_an_index_an_object_was_removed_from() {
     let (_dir, _data, index) = corpus_and_index("query_refuses_removed");
-    let (mut child, addr, _stdout) = spawn_wal_server(&index, &[]);
+    let (mut child, addr, _stdout) = spawn_writable_server(&index, &[]);
     let (status, body) = call(&addr, "POST", "/v1/remove", Some("{\"id\": 3}"));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"removed\":true"), "{body}");
     drop(child.stdin.take());
-    assert!(child.wait().unwrap().success(), "serve --wal did not drain");
+    assert!(
+        child.wait().unwrap().success(),
+        "serve --writable did not drain"
+    );
 
     let out = query_output(&index, &[]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(stderr.contains("serve --wal"), "{stderr}");
+    assert!(
+        stderr.contains("open it with `flexemd serve --writable`"),
+        "{stderr}"
+    );
     assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
 }
 
@@ -849,11 +917,11 @@ fn zero_capacity_serve_sheds_with_429_and_drains() {
     );
 }
 
-/// Boot `flexemd serve --wal` on an ephemeral port. Unlike
-/// [`spawn_server`], the banner is not the first stdout line (the open
-/// report prints before it), so scan until the address appears.
-fn spawn_wal_server(
-    wal: &std::path::Path,
+/// Boot `flexemd serve --index INDEX --writable` on an ephemeral port.
+/// Unlike [`spawn_server`], the banner is not the first stdout line (the
+/// open report prints before it), so scan until the address appears.
+fn spawn_writable_server(
+    index: &std::path::Path,
     extra: &[&str],
 ) -> (
     std::process::Child,
@@ -863,15 +931,16 @@ fn spawn_wal_server(
     use std::io::BufRead;
     let mut child = flexemd()
         .arg("serve")
-        .arg("--wal")
-        .arg(wal)
-        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--drain-stdin"])
+        .arg("--index")
+        .arg(index)
+        .args(["--writable", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .arg("--drain-stdin")
         .args(extra)
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
-        .expect("serve --wal boots");
+        .expect("serve --writable boots");
     let stdout = child.stdout.take().expect("stdout piped");
     let mut reader = std::io::BufReader::new(stdout);
     let addr = loop {
@@ -890,52 +959,29 @@ fn spawn_wal_server(
 #[test]
 fn ingest_wal_inspect_and_writable_serve_round_trip() {
     let (dir, data, _index) = corpus_and_index("ingest_wal_inspect_and_writable_serve_round_trip");
-    let wal = dir.join("wal");
+    let index = dir.join("grown");
 
-    // First ingest creates the durable directory and derives a reduction.
-    let ingest = flexemd()
-        .arg("ingest")
-        .arg("--wal")
-        .arg(&wal)
-        .arg("--data")
-        .arg(&data)
-        .args(["--reduction", "kmed:6", "--seed", "7"])
-        .output()
-        .unwrap();
+    // The first ingest creates the directory: it derives a reduction and
+    // bulk-loads the corpus as epoch 1.
+    let text = create_index(&data, &index, &["--reduction", "kmed:6", "--seed", "7"]);
     assert!(
-        ingest.status.success(),
-        "ingest failed: {}",
-        String::from_utf8_lossy(&ingest.stderr)
+        text.contains("(30 objects, 32 -> 6 dimensions by kmed:6)"),
+        "{text}"
     );
-    let text = String::from_utf8_lossy(&ingest.stdout).to_string();
+    assert!(index.join("CURRENT").exists());
+
+    // The second appends to the existing index and compacts.
+    let text = ingest(&data, &index, &["--compact"]);
     assert!(text.contains("ingested 30 objects"), "{text}");
-    assert!(wal.join("CURRENT").exists());
-
-    // Second ingest appends to the existing index and compacts.
-    let again = flexemd()
-        .arg("ingest")
-        .arg("--wal")
-        .arg(&wal)
-        .arg("--data")
-        .arg(&data)
-        .args(["--sync-each", "--compact"])
-        .output()
-        .unwrap();
-    assert!(
-        again.status.success(),
-        "second ingest failed: {}",
-        String::from_utf8_lossy(&again.stderr)
-    );
-    let text = String::from_utf8_lossy(&again.stdout).to_string();
     assert!(text.contains("60 live objects"), "{text}");
-    assert!(text.contains("compacted to epoch 1"), "{text}");
+    assert!(text.contains("compacted to epoch 2"), "{text}");
 
     // wal-inspect prints the checkpoint and the mandatory compact-epoch
     // record that heads every post-compaction WAL.
     let inspect = flexemd()
         .arg("wal-inspect")
-        .arg("--wal")
-        .arg(&wal)
+        .arg("--index")
+        .arg(&index)
         .output()
         .unwrap();
     assert!(
@@ -944,18 +990,21 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
         String::from_utf8_lossy(&inspect.stderr)
     );
     let text = String::from_utf8_lossy(&inspect.stdout).to_string();
-    assert!(text.contains("flexemd-durable/v1 1"), "{text}");
-    assert!(text.contains("compact-epoch"), "{text}");
-    assert!(text.contains("60 sealed ids"), "{text}");
+    assert!(text.contains("flexemd-durable/v1 2"), "{text}");
+    assert!(
+        text.contains("compact-epoch  epoch 2, 60 sealed ids"),
+        "{text}"
+    );
     assert!(text.contains("torn tail  : none"), "{text}");
 
     // The served corpus is writable: query it, insert through it, and
     // see the durable ack plus the grown object count.
-    let (mut child, addr, _stdout) = spawn_wal_server(&wal, &[]);
+    let (mut child, addr, _stdout) = spawn_writable_server(&index, &[]);
     let (status, body) = call(&addr, "GET", "/healthz", None);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"objects\":60"), "{body}");
     assert!(body.contains("\"writable\":true"), "{body}");
+    assert!(body.contains("\"index\":\"gaussian-32\""), "{body}");
 
     let (status, body) = call(
         &addr,
@@ -983,14 +1032,17 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
     assert!(body.contains("\"objects\":61"), "{body}");
 
     drop(child.stdin.take());
-    assert!(child.wait().unwrap().success(), "serve --wal did not drain");
+    assert!(
+        child.wait().unwrap().success(),
+        "serve --writable did not drain"
+    );
 
     // The HTTP insert survives: wal-inspect now shows one insert record
     // after the compact-epoch.
     let inspect = flexemd()
         .arg("wal-inspect")
-        .arg("--wal")
-        .arg(&wal)
+        .arg("--index")
+        .arg(&index)
         .output()
         .unwrap();
     assert!(inspect.status.success());
@@ -1003,24 +1055,8 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
 /// budget, so `solve:1` degrades the first kNN reply and only that one.
 #[test]
 fn writable_serve_honours_faults() {
-    let (dir, data, _index) = corpus_and_index("writable_serve_honours_faults");
-    let wal = dir.join("wal");
-    let ingest = flexemd()
-        .arg("ingest")
-        .arg("--wal")
-        .arg(&wal)
-        .arg("--data")
-        .arg(&data)
-        .args(["--reduction", "kmed:6", "--seed", "7"])
-        .output()
-        .unwrap();
-    assert!(
-        ingest.status.success(),
-        "ingest failed: {}",
-        String::from_utf8_lossy(&ingest.stderr)
-    );
-
-    let (mut child, addr, _stdout) = spawn_wal_server(&wal, &["--faults", "solve:1"]);
+    let (_dir, _data, index) = corpus_and_index("writable_serve_honours_faults");
+    let (mut child, addr, _stdout) = spawn_writable_server(&index, &["--faults", "solve:1"]);
     let knn = || {
         call(
             &addr,
@@ -1038,20 +1074,23 @@ fn writable_serve_honours_faults() {
     assert!(body.contains("\"degraded\":false"), "{body}");
 
     drop(child.stdin.take());
-    assert!(child.wait().unwrap().success(), "serve --wal did not drain");
+    assert!(
+        child.wait().unwrap().success(),
+        "serve --writable did not drain"
+    );
 }
 
 /// `--faults read:K` walks the file reads of the one open path on
-/// `serve --wal` too: `read:1` fails the checkpoint read, and the
+/// `serve --writable` too: `read:1` fails the checkpoint read, and the
 /// server never starts.
 #[test]
 fn writable_serve_honours_read_faults() {
     let (_dir, _data, index) = corpus_and_index("writable_serve_honours_read_faults");
     let out = flexemd()
         .arg("serve")
-        .arg("--wal")
+        .arg("--index")
         .arg(&index)
-        .args(["--faults", "read:1", "--drain-stdin"])
+        .args(["--writable", "--faults", "read:1", "--drain-stdin"])
         .stdin(Stdio::null())
         .output()
         .unwrap();
@@ -1070,41 +1109,46 @@ fn healthz_index(addr: &str) -> String {
     rest.split('"').next().unwrap().to_owned()
 }
 
-/// `serve --wal` reports the name the directory's `base.seg` records, as
-/// `serve --index` does: on `/healthz` and in its banner.
+/// A directory `ingest` creates records its corpus name, and both
+/// servers report it: on `/healthz` and in the banner.
 #[test]
 fn writable_serve_reports_the_name_the_index_records() {
     let (_dir, _data, index) = corpus_and_index("writable_serve_reports_the_name");
+    let name = "gaussian-32";
     let (mut child, addr, _stdout) = spawn_server(&index, &[]);
-    let name = healthz_index(&addr);
-    drop(child.stdin.take());
-    assert!(child.wait().unwrap().success(), "serve did not drain");
-    assert!(name.starts_with("gaussian"), "{name}");
-
-    let (mut child, addr, _stdout) = spawn_wal_server(&index, &[]);
     assert_eq!(healthz_index(&addr), name);
     drop(child.stdin.take());
-    assert!(child.wait().unwrap().success(), "serve --wal did not drain");
+    assert!(child.wait().unwrap().success(), "serve did not drain");
+
+    let (mut child, addr, _stdout) = spawn_writable_server(&index, &[]);
+    assert_eq!(healthz_index(&addr), name);
+    drop(child.stdin.take());
+    assert!(
+        child.wait().unwrap().success(),
+        "serve --writable did not drain"
+    );
 
     // With stdin closed from the start, each server prints its banner and
     // drains at once.
-    let banner = |mode: &str| {
+    let banner = |extra: &[&str]| {
         let out = flexemd()
-            .args(["serve", mode])
+            .arg("serve")
+            .arg("--index")
             .arg(&index)
+            .args(extra)
             .args(["--addr", "127.0.0.1:0", "--drain-stdin"])
             .stdin(Stdio::null())
             .output()
             .unwrap();
-        assert!(out.status.success(), "serve {mode} failed");
+        assert!(out.status.success(), "serve {extra:?} failed");
         let stdout = String::from_utf8_lossy(&out.stdout).to_string();
         let line = stdout.lines().find(|line| line.starts_with("serving "));
         let line = line.unwrap_or_else(|| panic!("no banner: {stdout}"));
         line.split(" on http://").next().unwrap().to_owned()
     };
-    assert_eq!(banner("--index"), format!("serving {name} (30 objects)"));
+    assert_eq!(banner(&[]), format!("serving {name} (30 objects)"));
     assert_eq!(
-        banner("--wal"),
+        banner(&["--writable"]),
         format!("serving {name} (30 objects) writable")
     );
 }
@@ -1123,7 +1167,10 @@ fn writable_serve_on_a_missing_directory_names_its_checkpoint() {
         &["query", "--index", missing_arg],
         &format!("error: {error}"),
     );
-    fails_with(&["serve", "--wal", missing_arg], &format!("error: {error}"));
+    fails_with(
+        &["serve", "--index", missing_arg, "--writable"],
+        &format!("error: {error}"),
+    );
     assert!(!missing.exists());
 }
 
@@ -1137,26 +1184,29 @@ fn writable_serve_on_a_directory_without_an_index_writes_nothing() {
     std::fs::create_dir_all(&empty).unwrap();
     let empty_arg = empty.to_str().unwrap();
     fails_with(
-        &["serve", "--wal", empty_arg],
+        &["serve", "--index", empty_arg, "--writable"],
         &format!(
             "error: io error on {empty_arg}/CURRENT: No such file or directory \
              (os error 2)"
         ),
     );
     let left: Vec<_> = std::fs::read_dir(&empty).unwrap().collect();
-    assert!(left.is_empty(), "serve --wal left {left:?}");
+    assert!(left.is_empty(), "serve --writable left {left:?}");
 
     let retired = dir.join("retired");
     std::fs::create_dir_all(&retired).unwrap();
     std::fs::write(retired.join("index.json"), "{}").unwrap();
     let retired_arg = retired.to_str().unwrap();
     fails_with(
-        &["serve", "--wal", retired_arg],
+        &["serve", "--index", retired_arg, "--writable"],
         &format!(
             "error: bad index checkpoint {retired_arg}/index.json: this is a \
              flexemd-store/v1 index, which this build no longer reads: rebuild it with \
-             `flexemd build-index` into a new directory"
+             `flexemd ingest` into a new directory"
         ),
     );
-    assert!(!retired.join("LOCK").exists(), "serve --wal took the lock");
+    assert!(
+        !retired.join("LOCK").exists(),
+        "serve --writable took the lock"
+    );
 }
