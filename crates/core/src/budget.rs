@@ -3,7 +3,7 @@
 //! A [`Budget`] travels from the query executor down into every transport
 //! solve. The solver loops probe it every [`CHECK_INTERVAL`] pivots (and
 //! once at solve entry) and bail out with
-//! [`TransportError::BudgetExhausted`](crate::TransportError::BudgetExhausted)
+//! [`TransportError::BudgetExhausted`](crate::error::TransportError::BudgetExhausted)
 //! instead of spinning, carrying a [`BudgetReason`] that upper layers use
 //! to build degraded-but-principled answers from the lower bounds already
 //! computed.
@@ -94,7 +94,9 @@ struct PivotPool {
 /// An execution budget threaded from the executor into every solve.
 ///
 /// All limits are optional and composable; the default is unlimited and
-/// allocation-free. See the [module docs](self) for the accounting model.
+/// allocation-free. The pivot cap is a shared pool: it bounds the
+/// cumulative pivot count of every solve that carries a clone of the
+/// budget, so a query-level cap limits the whole filter-and-refine run.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -217,7 +219,7 @@ impl Budget {
     /// Charges `n` pivots to the shared pool without failing.
     ///
     /// Solvers call this on *successful* exit for the remainder below
-    /// [`CHECK_INTERVAL`]: a solve that reached its optimum must report its
+    /// the probe interval: a solve that reached its optimum must report its
     /// work (so later solves see the true cumulative total) but must not be
     /// failed retroactively.
     pub fn settle_pivots(&self, n: u64) {

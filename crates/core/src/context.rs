@@ -5,8 +5,7 @@
 //! stripped before the LP is built; multimedia histograms are typically
 //! sparse and this shrinks the tableau substantially. The stripped
 //! tableau is staged in — and solved through — a caller-owned
-//! [`EmdContext`] holding a transport
-//! [`SolverWorkspace`](emd_transport::SolverWorkspace) plus the support
+//! [`EmdContext`] holding the solver's workspace plus the support
 //! indices and the flattened row-major cost buffer.
 //!
 //! ## Warm starts
@@ -16,10 +15,10 @@
 //! warm-start the simplex from the basis the previous candidate's solve
 //! ended on. A *cold* evaluation is the same body from an empty basis: a
 //! fresh context ([`crate::emd`] makes one per call), or a used one after
-//! [`EmdContext::clear_warm_state`]. The transport layer extracts its
-//! answer canonically from the final basis (see `emd_transport`'s
-//! warm-start docs), so a warm-started solve agrees with a cold solve to
-//! the bit whenever the optimum is unique.
+//! [`EmdContext::clear_warm_state`]. The solver extracts its answer
+//! canonically from the final basis (see the crate docs on warm starts),
+//! so a warm-started solve agrees with a cold solve to the bit whenever
+//! the optimum is unique.
 //!
 //! ## Budgets and cutoffs
 //!
@@ -29,14 +28,14 @@
 //! a certified lower bound above it instead of the distance;
 //! [`emd_in_context`] is its `f64::INFINITY` call.
 
+use crate::budget::Budget;
 use crate::cost::CostMatrix;
-use crate::error::CoreError;
+use crate::error::{CoreError, TransportError};
 use crate::histogram::Histogram;
+use crate::problem::TransportProblem;
+use crate::simplex::{solve_warm_objective, Bounded};
+use crate::workspace::{SolverWorkspace, WorkspaceStats};
 use crate::EmdReport;
-use emd_transport::{
-    solve_warm_objective, Bounded, Budget, SolverWorkspace, TransportError, TransportProblem,
-    WorkspaceStats,
-};
 
 /// Caller-owned scratch for repeated EMD evaluations.
 ///
@@ -65,7 +64,7 @@ impl EmdContext {
     /// Transport-level work counters (solves, warm attempts/hits, pivots)
     /// accumulated by every evaluation routed through this context.
     #[must_use]
-    pub fn stats(&self) -> WorkspaceStats {
+    pub(crate) fn stats(&self) -> WorkspaceStats {
         self.ws.stats()
     }
 
@@ -126,8 +125,8 @@ pub fn emd_in_context(
 /// distance, a range query against ε. Returns [`Bounded::Optimal`] with
 /// the exact EMD, or [`Bounded::Above`] with a certified lower bound
 /// strictly above `cutoff` as soon as the warm solve can prove one (see
-/// `emd_transport::solve_warm_objective`); the context stays warm either
-/// way. `f64::INFINITY` is [`emd_in_context`] itself.
+/// the crate docs on cutoffs); the context stays warm either way.
+/// `f64::INFINITY` is [`emd_in_context`] itself.
 ///
 /// # Errors
 ///
@@ -199,7 +198,7 @@ pub fn emd_in_context_within(
     (ctx.supplies, ctx.demands, ctx.costs) = problem.into_parts();
     let objective = match solved {
         Ok(Bounded::Optimal(objective)) => objective,
-        // No flow to certify: the transport layer has already checked the
+        // No flow to certify: the simplex has already checked the
         // bound against a cold re-solve (debug builds).
         Ok(above @ Bounded::Above(_)) => return Ok(above),
         // Budget exhaustion stays typed so upper layers can degrade.
@@ -255,7 +254,7 @@ mod tests {
         );
         // The shortcut skips the LP entirely: no transport solve recorded,
         // so even an exhausted budget returns the exact zero distance.
-        let token = emd_transport::CancelToken::new();
+        let token = crate::budget::CancelToken::new();
         token.cancel();
         let cancelled = Budget::unlimited().with_cancel(token);
         assert_eq!(
@@ -368,7 +367,7 @@ mod tests {
         let y = h(&[0.3, 0.0, 0.3, 0.0, 0.4]);
         let z = h(&[0.2, 0.2, 0.2, 0.2, 0.2]);
         let c = ground::linear(5).unwrap();
-        let token = emd_transport::CancelToken::new();
+        let token = crate::budget::CancelToken::new();
         token.cancel();
         let cancelled = Budget::unlimited().with_cancel(token);
         // On a fresh context and on a warmed one: the error is typed and
@@ -381,7 +380,7 @@ mod tests {
             let err = emd_in_context(&x, &y, &c, &cancelled, &mut ctx).unwrap_err();
             assert_eq!(
                 err,
-                CoreError::BudgetExhausted(emd_transport::BudgetReason::Cancelled)
+                CoreError::BudgetExhausted(crate::budget::BudgetReason::Cancelled)
             );
             let ok = emd_in_context(&x, &y, &c, &Budget::unlimited(), &mut ctx).unwrap();
             assert_eq!(ok.to_bits(), emd(&x, &y, &c).unwrap().to_bits());
@@ -390,12 +389,13 @@ mod tests {
 
     #[test]
     fn validation_error_leaves_the_context_usable() {
-        // Each operand is normalized within MASS_EPS, but together they
-        // are out of balance beyond the transport layer's tolerance:
-        // `TransportProblem::new` rejects the pair and consumes the staging
-        // buffers it was handed.
-        let heavy = h(&[0.25 + 9e-8, 0.25, 0.25, 0.25]);
-        let light = h(&[0.25, 0.25, 0.25, 0.25 - 9e-8]);
+        // Valid operands never fail validation: each totals 1 within
+        // MASS_EPS and the solver allows twice that between them. Two
+        // unchecked ones further apart are rejected by
+        // `TransportProblem::new`, which consumes the staging buffers it
+        // was handed.
+        let heavy = Histogram::unchecked(&[0.25 + 2e-7, 0.25, 0.25, 0.25]);
+        let light = Histogram::unchecked(&[0.25, 0.25, 0.25, 0.25 - 2e-7]);
         let x = h(&[0.1, 0.2, 0.3, 0.4]);
         let y = h(&[0.4, 0.3, 0.2, 0.1]);
         let c = ground::linear(4).unwrap();

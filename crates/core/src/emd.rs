@@ -3,11 +3,11 @@
 //! one-call sugar over [`emd_in_context`], the body every EMD in this
 //! workspace runs.
 
+use crate::budget::Budget;
 use crate::context::{emd_in_context, EmdContext};
 use crate::cost::CostMatrix;
 use crate::error::CoreError;
 use crate::histogram::Histogram;
-use emd_transport::Budget;
 
 /// Result of an EMD computation that also reports the optimal flows.
 #[derive(Debug, Clone)]
@@ -68,6 +68,22 @@ mod tests {
 
     fn h(bins: &[f64]) -> Histogram {
         Histogram::new(bins.to_vec()).unwrap()
+    }
+
+    /// `Histogram::new` lets each operand miss total mass 1 by
+    /// `MASS_EPS`; two that miss it in opposite directions are a valid
+    /// pair, and the LP must accept it rather than call it unbalanced.
+    #[test]
+    fn operands_off_in_opposite_directions_solve() {
+        let x = h(&[0.500_000_09, 0.5]);
+        let y = h(&[0.499_999_91, 0.5]);
+        let c = ground::linear(2).unwrap();
+        let d = emd(&x, &y, &c).unwrap();
+        assert!((0.0..=2.0 * crate::MASS_EPS).contains(&d), "{d}");
+        assert_eq!(
+            emd_with_flows(&x, &y, &c).unwrap().distance.to_bits(),
+            d.to_bits()
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`CostMatrix`] / [`ground`] — the ground-distance matrix `C = [c_ij]`
 //!   plus constructors for common feature-space geometries (1-D chains, 2-D
 //!   image tilings, 3-D color cubes).
-//! * [`emd_in_context_within`] — the exact EMD via the transportation
-//!   simplex of `emd-transport`, with zero-mass bins stripped before
+//! * [`emd_in_context_within`] — the exact EMD via the crate's
+//!   transportation simplex, with zero-mass bins stripped before
 //!   solving: the one body every EMD in the workspace runs, over square
 //!   and rectangular cost matrices alike. It evaluates through a
 //!   caller-owned [`EmdContext`], under a [`Budget`] and a cutoff, and may
@@ -23,37 +23,75 @@
 //!   [`emd_with_flows`] are it once more without a budget, on a fresh
 //!   context.
 //! * [`lower_bounds`] — LB_IM (independent minimization), the Rubner
-//!   centroid bound, and a scaled-L1 bound; all are complete filters for
-//!   multistep query processing.
+//!   centroid bound, a scaled-L1 bound and the anchor (weak-duality)
+//!   bound; all are complete filters for multistep query processing.
+//!
+//! ## The solver
+//!
+//! Every EMD is one *balanced transportation problem* (`m` sources, `n`
+//! targets, rectangular when the operands' dimensionalities differ),
+//! solved by the **transportation simplex** (MODI / u-v method) with a
+//! Vogel-approximation initial basis. Its runtime is superlinear
+//! (empirically ~cubic) in the number of bins — the very cost the
+//! paper's dimensionality reduction attacks. The solver is private to
+//! this crate; its cross-check is a structurally unrelated solver,
+//! successive shortest paths with Dijkstra and node potentials, which
+//! lives with the tests that use it (`tests/transport/ssp.rs`).
 //!
 //! ## Budgets
 //!
-//! A [`Budget`] (deadline, shared pivot cap, [`CancelToken`]) passed to
-//! [`emd_in_context`] is probed inside the simplex; a firing surfaces as
-//! the typed [`CoreError::BudgetExhausted`] so the query layer can
-//! degrade instead of failing. `Budget::unlimited()` never fires, and the
-//! identity shortcut (`x == y` under a zero diagonal) answers before any
-//! probe.
+//! A [`Budget`] carries a wall-clock deadline, a shared pivot cap and a
+//! cooperative [`CancelToken`]; the simplex probes it at entry and every
+//! 64 pivots, and a firing surfaces as the typed
+//! [`CoreError::BudgetExhausted`] so the query layer can degrade instead
+//! of failing. `Budget::unlimited()` never fires, and the identity
+//! shortcut (`x == y` under a zero diagonal) answers before any probe.
+//! Independently of any budget, a solve carries a pivot limit of
+//! `64 * (m + n) + 4096` under a hard cap of `100 * (m + n)^2 + 4096`,
+//! so a degenerate-cycling instance can never hang.
 //!
 //! ## Warm starts
 //!
 //! Evaluations through one [`EmdContext`] reuse its buffers and start
 //! the simplex from the basis the previous evaluation ended on — the
-//! refinement hot path of the query layer. A cold solve is the same body
-//! from an empty basis: a fresh context, or
-//! [`EmdContext::clear_warm_state`] before the call. Both return the
-//! same bits whenever the optimum is unique, and distances within
-//! [`distance_slack`] of one another always.
+//! refinement hot path of the query layer, one query against many
+//! candidates. That basis is re-fit to the new marginals by leaf
+//! peeling; an infeasible refit — the usual case — is repaired by
+//! dual-simplex pivots, and only a repair that exceeds its cap falls
+//! back to a cold start. A cold solve is the same body from an empty
+//! basis: a fresh context, or [`EmdContext::clear_warm_state`] before the
+//! call. The answer is extracted canonically from the final basis, so
+//! both return the same bits whenever the optimum is unique, and
+//! distances within [`distance_slack`] of one another always.
+//!
+//! ## Cutoffs
+//!
+//! A caller that only needs "is the EMD above `cutoff`?" — KNOP's
+//! refinement of a candidate against its current k-th distance — gets
+//! [`Bounded::Above`] with a certified lower bound the moment the
+//! dual-simplex repair's rising dual objective proves it, instead of
+//! paying for the pivots to the optimum. `f64::INFINITY` disables the
+//! test.
 //!
 //! ## Observability
 //!
-//! Under an active `emd-obs` recording scope, every exact EMD solve bumps
-//! the `core.emd.solves` counter (this is the refinement cost the paper's
-//! reductions exist to avoid) and each lower-bound evaluation bumps its
-//! own counter (`core.lb_im.evaluations`, `core.lb_centroid.evaluations`,
-//! `core.lb_scaled_l1.evaluations`, `core.lb_anchor.evaluations`),
-//! giving the per-filter breakdown behind `flexemd query --metrics json`.
+//! Under an active `emd-obs` recording scope, every exact EMD evaluation
+//! bumps the `core.emd.solves` counter (this is the refinement cost the
+//! paper's reductions exist to avoid) and each lower-bound evaluation
+//! bumps its own counter (`core.lb_im.evaluations`,
+//! `core.lb_centroid.evaluations`, `core.lb_scaled_l1.evaluations`,
+//! `core.lb_anchor.evaluations`), giving the per-filter breakdown behind
+//! `flexemd query --metrics json`. Every simplex solve reports LP-level
+//! work: the `transport.solve` span times it, and the counters
+//! `transport.solve.calls`, `transport.simplex.pivots`,
+//! `transport.simplex.bland_pivots`, `transport.simplex.degenerate_pivots`
+//! and `transport.vogel.degenerate_cells` are added once, on whichever
+//! exit the solve takes. Warm starts add `transport.warm.attempts` and
+//! `transport.warm.hits`; cutoffs add `transport.warm.cut_checks`
+//! (certificates attempted) and `transport.solve.cut` (solves ended by
+//! one). Without a scope each record call costs one relaxed atomic load.
 
+mod budget;
 pub mod certify;
 mod context;
 mod cost;
@@ -62,35 +100,78 @@ mod error;
 pub mod ground;
 mod histogram;
 pub mod lower_bounds;
+mod problem;
+mod simplex;
+mod tree;
+mod vogel;
+mod workspace;
 
+pub use budget::{Budget, BudgetReason, CancelToken};
 pub use context::{emd_in_context, emd_in_context_within, EmdContext};
 pub use cost::CostMatrix;
 pub use emd::{emd, emd_with_flows, EmdReport};
 pub use error::CoreError;
 pub use histogram::Histogram;
+pub use simplex::Bounded;
 
-// Execution-budget types, re-exported so downstream crates (reduction,
-// query) can thread budgets without a direct `emd-transport` dependency.
-pub use emd_transport::{Budget, BudgetReason, CancelToken};
+/// Tolerance for mass normalization checks: histograms must total 1 within
+/// this bound. The solver accepts two operands whose totals differ by up
+/// to twice this, since each may be off by it in opposite directions.
+pub const MASS_EPS: f64 = 1e-7;
 
-// The verdict of a solve under a cutoff, re-exported for the same reason.
-pub use emd_transport::Bounded;
+/// Absolute tolerance the solver uses for feasibility and optimality
+/// tests on `f64` quantities.
+///
+/// Masses handled by the EMD are normalized to total 1, so an absolute
+/// tolerance is appropriate; it sits far below any meaningful flow while
+/// staying far above accumulated rounding error for the tableau sizes
+/// (up to a few hundred bins) the solver targets.
+pub(crate) const EPS: f64 = 1e-12;
 
 /// The warm/cold contract: how far the distances two solves report for
 /// one pair of histograms under `cost` may lie apart at worst,
-/// absolutely — [`emd_transport::objective_slack`] at the matrix's full
-/// shape and largest entry. Warm or cold, behind a cut or not, seeded
-/// from any predecessor: every returned distance is the dual value of a
-/// basis that is optimal to within the solver's feasibility tolerance,
-/// so two of them agree to a few ulps in practice and to this bound
-/// always. An absolute bound on purpose: the tolerance it comes from
-/// does not shrink with the distance.
+/// absolutely — `objective_slack` at the matrix's full shape and
+/// largest entry. Warm or cold, behind a cut or not, seeded from any
+/// predecessor: every returned distance is the dual value of a basis
+/// that is optimal to within the solver's feasibility tolerance, so two
+/// of them agree to a few ulps in practice and to this bound always. An
+/// absolute bound on purpose: the tolerance it comes from does not shrink
+/// with the distance.
 #[must_use]
 pub fn distance_slack(cost: &CostMatrix) -> f64 {
     let max_cost = cost.entries().iter().copied().fold(0.0, f64::max);
-    emd_transport::objective_slack(cost.rows(), cost.cols(), max_cost)
+    objective_slack(cost.rows(), cost.cols(), max_cost)
 }
 
-/// Tolerance for mass normalization checks: histograms must total 1 within
-/// this bound. Matches the balance tolerance of the LP layer.
-pub const MASS_EPS: f64 = 1e-7;
+/// How far the objectives two solves report for one transportation
+/// problem may lie apart at worst, absolutely:
+/// `(sources + targets) · EPS · max_cost`.
+///
+/// A final basis counts as feasible when no basic flow is below `-EPS`,
+/// so a solve may end on a basis that is optimal for marginals up to
+/// [`EPS`] per node away from the ones it was given; the optimum moves
+/// by at most the largest dual — at most `max_cost` — per unit of
+/// marginal, which is this bound. Two solves of one problem (a warm and
+/// a cold one on a tie-prone cost, a chain cut or seeded elsewhere) are
+/// related by nothing tighter in general, and by far more in practice:
+/// the reported objective sums `flow · cost` over *every* basic cell,
+/// i.e. it is the basis' dual value, which all optimal bases share, and
+/// a warm seed is repaired until no basic flow is below `-1e-14`, so
+/// measured divergence is a few ulps (≤ 2e-13 relative over 3 000
+/// distances of the benchmark's 32-bin Gaussian corpus). It was not
+/// always: while the sum skipped basic flows at or below `EPS`, and a
+/// warm seed passed as feasible down to `-EPS`, two bases that routed
+/// such residuals over cells of different cost reported objectives up
+/// to this bound apart — `tests/transport/warm_chain.rs` pins the pair
+/// that read 1.3e-10 apart (6e-9 of its distance) then and agrees to the
+/// ulp now.
+fn objective_slack(sources: usize, targets: usize, max_cost: f64) -> f64 {
+    (sources + targets) as f64 * EPS * max_cost
+}
+
+// The solver's cross-module suites and their SSP oracle: test code kept
+// under tests/ but compiled into the unit-test build, where the private
+// solver is in reach.
+#[cfg(test)]
+#[path = "../tests/transport/mod.rs"]
+mod transport;

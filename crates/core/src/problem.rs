@@ -1,19 +1,20 @@
-//! The balanced transportation problem instance consumed by both
-//! solvers: supplies, demands and a row-major cost tableau, validated
-//! for balance at construction.
+//! The balanced transportation problem instance consumed by the simplex
+//! (and by the tests' SSP oracle): supplies, demands and a row-major cost
+//! tableau, validated for balance at construction.
 
 use crate::error::{Side, TransportError};
-use crate::BALANCE_EPS;
+use crate::MASS_EPS;
 
 /// A balanced transportation problem instance.
 ///
 /// Costs are stored row-major: the cost of shipping one unit from source `i`
 /// to target `j` is `costs[i * n + j]`. The problem must be balanced
-/// (total supply == total demand within [`BALANCE_EPS`]); construction
+/// (total supply == total demand within `2 · MASS_EPS`, since each
+/// operand may be off its normalized total by [`MASS_EPS`]); construction
 /// rebalances tiny rounding drift exactly so the solvers can rely on a
 /// strictly balanced tableau.
 #[derive(Debug, Clone)]
-pub struct TransportProblem {
+pub(crate) struct TransportProblem {
     supplies: Vec<f64>,
     demands: Vec<f64>,
     costs: Vec<f64>,
@@ -24,7 +25,7 @@ impl TransportProblem {
     ///
     /// `costs` must have `supplies.len() * demands.len()` entries in
     /// row-major order. Returns an error for negative masses, a
-    /// supply/demand imbalance beyond [`BALANCE_EPS`], shape mismatches or
+    /// supply/demand imbalance beyond `2 · MASS_EPS`, shape mismatches or
     /// non-finite costs.
     ///
     /// # Errors
@@ -34,8 +35,8 @@ impl TransportProblem {
     /// [`TransportError::CostShape`] when `costs` is not
     /// `supplies.len() * demands.len()` long, [`TransportError::NonFiniteCost`]
     /// for NaN/infinite costs, and [`TransportError::Unbalanced`] when total
-    /// supply and demand differ by more than [`BALANCE_EPS`].
-    pub fn new(
+    /// supply and demand differ by more than `2 · MASS_EPS`.
+    pub(crate) fn new(
         supplies: Vec<f64>,
         demands: Vec<f64>,
         costs: Vec<f64>,
@@ -82,7 +83,7 @@ impl TransportProblem {
         }
         let total_supply: f64 = supplies.iter().sum();
         let total_demand: f64 = demands.iter().sum();
-        if (total_supply - total_demand).abs() > BALANCE_EPS {
+        if (total_supply - total_demand).abs() > 2.0 * MASS_EPS {
             return Err(TransportError::Unbalanced {
                 total_supply,
                 total_demand,
@@ -121,65 +122,60 @@ impl TransportProblem {
 
     /// Number of sources.
     #[inline]
-    pub fn num_sources(&self) -> usize {
+    pub(crate) fn num_sources(&self) -> usize {
         self.supplies.len()
     }
 
     /// Number of targets.
     #[inline]
-    pub fn num_targets(&self) -> usize {
+    pub(crate) fn num_targets(&self) -> usize {
         self.demands.len()
     }
 
     /// Supply masses.
     #[inline]
-    pub fn supplies(&self) -> &[f64] {
+    pub(crate) fn supplies(&self) -> &[f64] {
         &self.supplies
     }
 
     /// Demand masses.
     #[inline]
-    pub fn demands(&self) -> &[f64] {
+    pub(crate) fn demands(&self) -> &[f64] {
         &self.demands
     }
 
     /// Cost of shipping one unit from source `i` to target `j`.
     #[inline]
-    pub fn cost(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn cost(&self, i: usize, j: usize) -> f64 {
         self.costs[i * self.demands.len() + j]
     }
 
     /// Row `i` of the cost matrix.
     #[inline]
-    pub fn cost_row(&self, i: usize) -> &[f64] {
+    pub(crate) fn cost_row(&self, i: usize) -> &[f64] {
         let n = self.demands.len();
         &self.costs[i * n..(i + 1) * n]
     }
 
     /// The raw row-major cost buffer.
     #[inline]
-    pub fn costs(&self) -> &[f64] {
+    pub(crate) fn costs(&self) -> &[f64] {
         &self.costs
-    }
-
-    /// Total mass shipped by the problem.
-    pub fn total_mass(&self) -> f64 {
-        self.supplies.iter().sum()
     }
 
     /// Decompose the problem back into `(supplies, demands, costs)`,
     /// returning the buffers passed to [`TransportProblem::new`]. Lets a
-    /// caller that owns reusable buffers (e.g. `emd-core`'s `EmdContext`)
+    /// caller that owns reusable buffers (the `EmdContext`)
     /// round-trip them through a solve without reallocating.
     #[must_use]
-    pub fn into_parts(self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    pub(crate) fn into_parts(self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         (self.supplies, self.demands, self.costs)
     }
 }
 
 /// An optimal solution to a [`TransportProblem`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct Solution {
+pub(crate) struct Solution {
     /// Minimal total cost `sum c_ij * f_ij`.
     pub objective: f64,
     /// Strictly positive optimal flows as `(source, target, amount)`
@@ -187,11 +183,12 @@ pub struct Solution {
     pub flows: Vec<(usize, usize, f64)>,
 }
 
+#[cfg(test)]
 impl Solution {
     /// Verify that the flows satisfy the source/target constraints of
     /// `problem` within tolerance `tol` and that the objective matches the
-    /// flows. Intended for tests and debug assertions.
-    pub fn check_feasible(&self, problem: &TransportProblem, tol: f64) -> bool {
+    /// flows. For the tests.
+    pub(crate) fn check_feasible(&self, problem: &TransportProblem, tol: f64) -> bool {
         let m = problem.num_sources();
         let n = problem.num_targets();
         let mut row_sums = vec![0.0; m];

@@ -53,7 +53,7 @@ use crate::EPS;
 /// (`64 * (m + n) + 4096`) sits far below this cap for every tableau size,
 /// so normal solves are unaffected.
 #[must_use]
-pub fn hard_iteration_cap(m: usize, n: usize) -> usize {
+pub(crate) fn hard_iteration_cap(m: usize, n: usize) -> usize {
     100usize
         .saturating_mul(m + n)
         .saturating_mul(m + n)
@@ -91,8 +91,7 @@ const WARM_FEASIBILITY: f64 = 1e-14;
 ///
 /// Propagates any [`TransportError`] from the solve: iteration-limit
 /// exhaustion or an internal invariant violation.
-// lint: allow(unbudgeted): sugar for solve_warm under Budget::unlimited().
-pub fn solve(problem: &TransportProblem) -> Result<Solution, TransportError> {
+pub(crate) fn solve(problem: &TransportProblem) -> Result<Solution, TransportError> {
     solve_warm(problem, &Budget::unlimited(), &mut SolverWorkspace::new())
 }
 
@@ -108,7 +107,7 @@ fn budget_exhausted(reason: BudgetReason) -> TransportError {
 /// # Errors
 ///
 /// Same failure modes as [`solve_warm_objective`].
-pub fn solve_warm(
+pub(crate) fn solve_warm(
     problem: &TransportProblem,
     budget: &Budget,
     workspace: &mut SolverWorkspace,
@@ -128,7 +127,7 @@ pub fn solve_warm(
 /// a cut never rests on the last bits of either side: about `2e-14` of
 /// rounding accumulates over the few hundred terms of the largest
 /// tableaus this crate targets, five orders of magnitude below it.
-pub const CUT_MARGIN: f64 = 1e-9;
+pub(crate) const CUT_MARGIN: f64 = 1e-9;
 
 /// What a solve under a cutoff established about the optimum.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,9 +162,9 @@ pub enum Bounded {
 /// the case for instances with a unique optimum).
 ///
 /// **Budget.** `budget` is probed at solve entry and every
-/// [`CHECK_INTERVAL`](crate::budget::CHECK_INTERVAL) pivots; pivots are
-/// charged to the budget's shared pool so a cap spans all solves holding a
-/// clone. `Budget::unlimited()` never fires.
+/// [`CHECK_INTERVAL`] pivots; pivots are charged to the budget's shared
+/// pool so a cap spans all solves holding a clone. `Budget::unlimited()`
+/// never fires.
 ///
 /// **Cutoff.** `cutoff` lets a caller that only needs to know whether the
 /// optimum exceeds a threshold stop early. The dual-simplex repair of a
@@ -189,7 +188,7 @@ pub enum Bounded {
 /// malformed. On error the workspace keeps the basis it held before the
 /// call (the last optimal or cut one); the pivots the failed solve did
 /// perform are counted all the same.
-pub fn solve_warm_objective(
+pub(crate) fn solve_warm_objective(
     problem: &TransportProblem,
     budget: &Budget,
     cutoff: f64,
@@ -383,7 +382,7 @@ enum Repair {
 /// supports of equal size strip different cost matrices — can overstate
 /// it. The bound is lowered by [`CUT_MARGIN`] times the dual magnitude,
 /// plus what an imbalance between the marginals (tolerated up to
-/// [`crate::BALANCE_EPS`]) could shift.
+/// `2 · MASS_EPS`) could shift.
 fn certified_lower_bound(
     problem: &TransportProblem,
     tree: &mut BasisTree,
@@ -977,7 +976,7 @@ mod tests {
 
     #[test]
     fn cancelled_budget_fails_at_entry() {
-        let token = crate::CancelToken::new();
+        let token = crate::budget::CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
         let err =

@@ -56,7 +56,7 @@ pub(crate) struct BasisTree {
 
 impl BasisTree {
     #[cfg(test)]
-    pub fn new(m: usize, n: usize, cells: &[(usize, usize, f64)]) -> Self {
+    pub(crate) fn new(m: usize, n: usize, cells: &[(usize, usize, f64)]) -> Self {
         let mut tree = BasisTree::default();
         tree.reset(m, n, cells.iter().copied());
         tree
@@ -66,7 +66,12 @@ impl BasisTree {
     /// shape, reusing every allocation of the previous basis. `cells`
     /// must be the `m + n - 1` cells of a spanning tree; slot ids follow
     /// their order.
-    pub fn reset(&mut self, m: usize, n: usize, cells: impl Iterator<Item = (usize, usize, f64)>) {
+    pub(crate) fn reset(
+        &mut self,
+        m: usize,
+        n: usize,
+        cells: impl Iterator<Item = (usize, usize, f64)>,
+    ) {
         let nodes = m + n;
         self.m = m;
         self.n = n;
@@ -136,29 +141,29 @@ impl BasisTree {
     }
 
     #[inline]
-    pub fn demand_node(&self, col: usize) -> usize {
+    pub(crate) fn demand_node(&self, col: usize) -> usize {
         self.m + col
     }
 
     /// Tableau cell `(row, col)` held by slot `id`.
     #[inline]
-    pub fn cell(&self, id: usize) -> (usize, usize) {
+    pub(crate) fn cell(&self, id: usize) -> (usize, usize) {
         (self.rows[id], self.cols[id]) // bounds: slot ids < m + n - 1 = rows.len() = cols.len()
     }
 
     /// The basic cells in slot order.
-    pub fn cells(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.rows.iter().copied().zip(self.cols.iter().copied())
     }
 
     /// Flow per slot.
     #[inline]
-    pub fn flows(&self) -> &[f64] {
+    pub(crate) fn flows(&self) -> &[f64] {
         &self.flows
     }
 
     #[inline]
-    pub fn flows_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn flows_mut(&mut self) -> &mut [f64] {
         &mut self.flows
     }
 
@@ -221,7 +226,7 @@ impl BasisTree {
     /// by `u[i] + v[j] = cost(i, j)` on every basic cell, anchored at
     /// `u[0] = 0`. Every dual derives from its parent's, so the values do
     /// not depend on the traversal order.
-    pub fn duals(
+    pub(crate) fn duals(
         &mut self,
         cost: impl Fn(usize, usize) -> f64,
         u: &mut Vec<f64>,
@@ -263,7 +268,7 @@ impl BasisTree {
     /// is walked; when the supply endpoint hangs below, the marks are the
     /// complement. Used by the dual-simplex repair to find the cut an
     /// entering edge must cross.
-    pub fn mark_cut(&mut self, skip: usize, side: &mut Vec<bool>) {
+    pub(crate) fn mark_cut(&mut self, skip: usize, side: &mut Vec<bool>) {
         let root = self.child_end(skip);
         let below = root >= self.m;
         side.clear();
@@ -284,7 +289,7 @@ impl BasisTree {
     /// in path order, into `path`: `goal`'s ancestors are stamped, `start`
     /// walks up to the first stamped node (the lowest common ancestor),
     /// then `goal` walks up to it.
-    pub fn cycle_into(&mut self, start: usize, goal: usize, path: &mut Vec<usize>) {
+    pub(crate) fn cycle_into(&mut self, start: usize, goal: usize, path: &mut Vec<usize>) {
         self.stamp += 1;
         let mut node = goal;
         while node != NONE {
@@ -314,7 +319,7 @@ impl BasisTree {
     /// from the entering edge instead. Exactly one entering endpoint lies
     /// inside the cut; the parent links between it and the cut's root (the
     /// stem) are reversed, every other node keeps its place.
-    pub fn pivot(&mut self, leaving: usize, row: usize, col: usize, flow: f64) {
+    pub(crate) fn pivot(&mut self, leaving: usize, row: usize, col: usize, flow: f64) {
         let cut_root = self.child_end(leaving);
         let demand = self.demand_node(col);
         let mut node = row;
@@ -354,7 +359,7 @@ impl BasisTree {
     ///
     /// Returns [`TransportError::Internal`] naming the first broken
     /// invariant.
-    pub fn validate(&self) -> Result<(), TransportError> {
+    pub(crate) fn validate(&self) -> Result<(), TransportError> {
         let broken = |detail| Err(TransportError::Internal { detail });
         let nodes = self.m + self.n;
         let edges = self.rows.len();

@@ -16,7 +16,7 @@
 //! for flow bit (`tests/vogel_parity.rs` keeps the rescan as its oracle).
 //! A start costs one pass over the tableau plus `O(m + n)` per allocation
 //! and the rescans, and its scratch lives in the
-//! [`SolverWorkspace`](crate::SolverWorkspace): once that has grown, a cold
+//! [`SolverWorkspace`](crate::workspace::SolverWorkspace): once that has grown, a cold
 //! start allocates nothing.
 
 use crate::problem::TransportProblem;
@@ -27,7 +27,7 @@ use crate::problem::TransportProblem;
 /// flow), which is the size of a spanning-tree basis for the transportation
 /// polytope.
 #[derive(Debug, Clone)]
-pub struct InitialBasis {
+pub(crate) struct InitialBasis {
     /// Basic cells as `(source, target, flow)`.
     pub cells: Vec<(usize, usize, f64)>,
 }
@@ -101,23 +101,10 @@ pub(crate) struct VogelScratch {
 /// method (penalty heuristic). Vogel starts the simplex much closer to
 /// optimality than a cost-blind rule, and with incrementally kept line
 /// minima it costs little more than one pass over the tableau, which pays
-/// off for the EMD tableaus this crate is used for.
-pub fn initial_basis(problem: &TransportProblem) -> InitialBasis {
-    let (mut cells, mut flows) = (Vec::new(), Vec::new());
-    initial_basis_into(
-        problem,
-        &mut VogelScratch::default(),
-        &mut cells,
-        &mut flows,
-    );
-    let cells = cells.into_iter().zip(flows);
-    InitialBasis {
-        cells: cells.map(|((row, col), flow)| (row, col, flow)).collect(),
-    }
-}
-
-/// [`initial_basis`] into caller-owned buffers: the basic cells into
-/// `cells`, their flows into `flows` (both cleared first).
+/// off for EMD tableaus.
+///
+/// The basic cells go into `cells`, their flows into `flows` (both
+/// cleared first), so a warm workspace reuses its buffers.
 pub(crate) fn initial_basis_into(
     problem: &TransportProblem,
     scratch: &mut VogelScratch,
@@ -271,6 +258,22 @@ fn best_penalty_cell(
     }
     debug_assert!(best_cell.0 != usize::MAX && best_cell.1 != usize::MAX);
     best_cell
+}
+
+#[cfg(test)]
+/// [`initial_basis_into`] into a fresh [`InitialBasis`], for the tests.
+pub(crate) fn initial_basis(problem: &TransportProblem) -> InitialBasis {
+    let (mut cells, mut flows) = (Vec::new(), Vec::new());
+    initial_basis_into(
+        problem,
+        &mut VogelScratch::default(),
+        &mut cells,
+        &mut flows,
+    );
+    let cells = cells.into_iter().zip(flows);
+    InitialBasis {
+        cells: cells.map(|((row, col), flow)| (row, col, flow)).collect(),
+    }
 }
 
 #[cfg(test)]

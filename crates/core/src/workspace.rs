@@ -11,7 +11,7 @@
 //! The workspace also remembers the basis the last solve ended on — the
 //! optimal one, or the one a solve under a cutoff was cut on
 //! ([`crate::Bounded::Above`]); a failed solve leaves it untouched.
-//! [`crate::solve_warm`] re-optimizes from that basis when the next
+//! [`crate::simplex::solve_warm`] re-optimizes from that basis when the next
 //! instance has the same tableau shape: the old spanning tree is re-fit
 //! to the new marginals by *leaf peeling* (a degree-1 node's single
 //! remaining edge must carry that node's remaining marginal). A feasible
@@ -40,7 +40,7 @@ use crate::EPS;
 
 /// Monotone counters describing the work a workspace has performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkspaceStats {
+pub(crate) struct WorkspaceStats {
     /// Solves routed through this workspace.
     pub solves: u64,
     /// Warm starts attempted (previous basis had a matching shape).
@@ -84,12 +84,12 @@ pub(crate) struct PivotScratch {
 /// Caller-owned scratch and warm-start state for repeated solves.
 ///
 /// Construct once with [`SolverWorkspace::new`] and pass to
-/// [`crate::solve_warm`] / [`crate::solve_warm_objective`] for every
+/// [`crate::simplex::solve_warm`] / [`crate::simplex::solve_warm_objective`] for every
 /// solve that should reuse buffers and re-optimize from the previous
 /// basis. A fresh workspace behaves exactly like a cold solve; a clone
 /// continues from the same warm basis as its original.
 #[derive(Debug, Clone, Default)]
-pub struct SolverWorkspace {
+pub(crate) struct SolverWorkspace {
     /// Pivot-loop scratch.
     pub(crate) pivot: PivotScratch,
     /// Scratch of the cold-start Vogel basis.
@@ -128,21 +128,20 @@ impl SolverWorkspace {
     /// An empty workspace; buffers grow on first use and are kept across
     /// solves.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SolverWorkspace::default()
     }
 
     /// Work counters accumulated by every solve routed through this
     /// workspace.
     #[must_use]
-    pub fn stats(&self) -> WorkspaceStats {
+    pub(crate) fn stats(&self) -> WorkspaceStats {
         self.stats
     }
 
     /// Forget the remembered basis: the next solve starts cold. Scratch
     /// buffers keep their capacity.
-    // lint: allow(unbudgeted): state reset, performs no solver work
-    pub fn clear_warm_state(&mut self) {
+    pub(crate) fn clear_warm_state(&mut self) {
         self.warm_shape = None;
         self.warm_cells.clear();
     }
@@ -155,12 +154,12 @@ impl SolverWorkspace {
     }
 
     /// Materialize the flows of the current solve (`cells`/`flows` as
-    /// left by the canonical extraction) as a [`crate::Solution`] with
+    /// left by the canonical extraction) as a [`crate::problem::Solution`] with
     /// the given objective. Strictly positive flows only, in `(row,
     /// col)` order. Meaningful after a [`crate::Bounded::Optimal`] solve
     /// only: a cut solve extracts nothing.
     #[must_use]
-    pub fn last_solution(&self, objective: f64) -> crate::Solution {
+    pub(crate) fn last_solution(&self, objective: f64) -> crate::problem::Solution {
         let flows = self
             .cells
             .iter()
@@ -168,7 +167,7 @@ impl SolverWorkspace {
             .filter(|(_, &flow)| flow > EPS)
             .map(|(&(row, col), &flow)| (row, col, flow))
             .collect();
-        crate::Solution { objective, flows }
+        crate::problem::Solution { objective, flows }
     }
 
     /// Re-derive the unique flow assignment of the spanning-tree basis in

@@ -5,7 +5,9 @@
 
 use emd_core::ground::{self, Metric};
 use emd_core::lower_bounds::{AnchorBound, CentroidBound, LbIm, ScaledL1};
-use emd_core::{emd, emd_in_context, emd_with_flows, Budget, CostMatrix, EmdContext, Histogram};
+use emd_core::{
+    emd, emd_in_context, emd_with_flows, Budget, CostMatrix, EmdContext, Histogram, MASS_EPS,
+};
 use proptest::prelude::*;
 
 /// Closed-form EMD for the 1-D chain ground distance `c_ij = |i - j|`:
@@ -44,6 +46,18 @@ fn sparse_histogram(dim: usize) -> impl Strategy<Value = Histogram> {
     )
 }
 
+/// `h` with its largest bin moved so that its total sits `sign ·
+/// MASS_EPS` off 1 — a hair inside the tolerance `Histogram::new` checks.
+fn at_mass_tolerance(h: &Histogram, sign: f64) -> Histogram {
+    let mut bins = h.bins().to_vec();
+    let largest = (0..bins.len())
+        .max_by(|&a, &b| bins[a].total_cmp(&bins[b]))
+        .unwrap();
+    let drift = 1.0 - h.total_mass();
+    bins[largest] += sign.mul_add(MASS_EPS * (1.0 - 1e-6), drift);
+    Histogram::new(bins).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -54,6 +68,27 @@ proptest! {
         let lp = emd(&x, &y, &c).unwrap();
         let oracle = emd_1d_manhattan(&x, &y);
         prop_assert!((lp - oracle).abs() < 1e-9, "lp {lp} != oracle {oracle}");
+    }
+
+    /// Operands whose totals sit at `1 ± MASS_EPS`, in either direction
+    /// each: every pair `Histogram::new` accepts, the EMD accepts too, and
+    /// its answer differs from the closed form only by the imbalance it
+    /// had to move (at most `2 · MASS_EPS`, at most 12 bins far).
+    #[test]
+    fn operands_at_the_mass_tolerance_solve(
+        x in histogram(12),
+        y in histogram(12),
+        x_sign in prop::sample::select(vec![1.0, -1.0]),
+        y_sign in prop::sample::select(vec![1.0, -1.0]),
+    ) {
+        let (x, y) = (at_mass_tolerance(&x, x_sign), at_mass_tolerance(&y, y_sign));
+        let c = ground::linear(12).unwrap();
+        let lp = emd(&x, &y, &c).unwrap();
+        let oracle = emd_1d_manhattan(&x, &y);
+        prop_assert!(
+            (lp - oracle).abs() <= (2.0 * MASS_EPS).mul_add(12.0, 1e-9),
+            "lp {lp} != oracle {oracle}"
+        );
     }
 
     /// Same, on sparse histograms (exercises the zero-bin stripping).
@@ -198,10 +233,15 @@ fn assert_one_body(x: &Histogram, y: &Histogram, warm_up: &Histogram, cost: &Cos
     let (fresh, fresh_pivots, _) =
         recorded(|| emd_in_context(x, y, cost, &unlimited, &mut EmdContext::new()).unwrap());
     let mut ctx = EmdContext::new();
+    let warming = emd_obs::Recording::start();
     emd_in_context(x, warm_up, cost, &unlimited, &mut ctx).unwrap();
     ctx.clear_warm_state();
-    let (cleared, cleared_pivots, _) =
-        recorded(|| emd_in_context(x, y, cost, &unlimited, &mut ctx).unwrap());
+    let cleared_recording = emd_obs::Recording::start();
+    let cleared = emd_in_context(x, y, cost, &unlimited, &mut ctx).unwrap();
+    let cleared_registry = cleared_recording.finish();
+    let cleared_pivots = cleared_registry.counter("transport.simplex.pivots");
+    let warm_attempts = warming.finish().counter("transport.warm.attempts")
+        + cleared_registry.counter("transport.warm.attempts");
 
     prop_assert_eq!(calls, 1);
     prop_assert_eq!(report.distance.to_bits(), plain.to_bits());
@@ -210,7 +250,7 @@ fn assert_one_body(x: &Histogram, y: &Histogram, warm_up: &Histogram, cost: &Cos
     prop_assert_eq!(report_pivots, pivots);
     prop_assert_eq!(fresh_pivots, pivots);
     prop_assert_eq!(cleared_pivots, pivots);
-    prop_assert_eq!(ctx.stats().warm_attempts, 0);
+    prop_assert_eq!(warm_attempts, 0);
     prop_assert!(emd_core::certify::certify_report(x, y, cost, &report, 1e-9).is_ok());
 }
 

@@ -7,14 +7,12 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-mod support;
-
-use emd_transport::certify::CERT_EPS;
-use emd_transport::{
-    certify_basis, certify_solution, initial_basis, solve, CertificateViolation, TransportProblem,
-};
+use super::ssp::solve_ssp;
+use crate::certify::{certify_basis, certify_solution, CertificateViolation, CERT_EPS};
+use crate::problem::TransportProblem;
+use crate::simplex::solve;
+use crate::vogel::initial_basis;
 use proptest::prelude::*;
-use support::ssp::solve_ssp;
 
 /// Strategy: a normalized mass vector of the given length with at least one
 /// strictly positive entry.

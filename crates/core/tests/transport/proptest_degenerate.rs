@@ -5,11 +5,10 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-mod support;
-
-use emd_transport::{solve, TransportProblem};
+use super::ssp::solve_ssp;
+use crate::problem::TransportProblem;
+use crate::simplex::solve;
 use proptest::prelude::*;
-use support::ssp::solve_ssp;
 
 /// A mass vector where most entries are zero and several are *equal* —
 /// maximal tie pressure.

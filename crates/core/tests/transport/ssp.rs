@@ -3,9 +3,9 @@
 //!
 //! Structurally unrelated to the transportation simplex, so agreement
 //! between the two on random instances is strong evidence of correctness.
-//! The cross-checks that include it (`proptest_solvers`,
-//! `proptest_degenerate`, `warm_chain`, `certificates`) pull it in with
-//! `mod support;`; no shipped path runs it.
+//! The cross-checks that use it (`proptest_solvers`,
+//! `proptest_degenerate`, `warm_chain`, `certificates`) are its only
+//! callers; it is compiled into test builds alone.
 //!
 //! Runs Dijkstra on the residual network with reduced costs; every
 //! augmentation saturates at least one supply or demand, so at most
@@ -13,8 +13,10 @@
 //!
 //! Requires non-negative costs (always true for EMD ground distances).
 
-use emd_transport::certify::CERT_EPS;
-use emd_transport::{certify_solution, Solution, TransportError, TransportProblem, EPS};
+use crate::certify::{certify_solution, CERT_EPS};
+use crate::error::TransportError;
+use crate::problem::{Solution, TransportProblem};
+use crate::EPS;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -58,7 +60,7 @@ impl PartialOrd for HeapEntry {
 /// Requires non-negative costs (checked by `debug_assert`; the EMD never
 /// produces negative ones). Returns [`TransportError::IterationLimit`] if
 /// the augmentation cap is ever hit; the `Result` keeps the signature
-/// aligned with `emd_transport::solve` for cross-checking. Panics when its
+/// aligned with `simplex::solve` for cross-checking. Panics when its
 /// own solution fails the certificate.
 pub fn solve_ssp(problem: &TransportProblem) -> Result<Solution, TransportError> {
     let m = problem.num_sources();

@@ -17,7 +17,11 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_transport::{initial_basis, solve, solve_warm, Budget, SolverWorkspace, TransportProblem};
+use crate::budget::Budget;
+use crate::problem::TransportProblem;
+use crate::simplex::{solve, solve_warm};
+use crate::vogel::initial_basis;
+use crate::workspace::SolverWorkspace;
 use proptest::prelude::*;
 
 mod oracle {
@@ -25,7 +29,8 @@ mod oracle {
     //! the line minima were kept incrementally, verbatim but for the tail
     //! that counted degenerate cells and certified the basis.
 
-    use emd_transport::{InitialBasis, TransportProblem};
+    use crate::problem::TransportProblem;
+    use crate::vogel::InitialBasis;
 
     /// Compute an initial basic feasible solution using Vogel's approximation
     /// method (penalty heuristic). Vogel starts the simplex much closer to

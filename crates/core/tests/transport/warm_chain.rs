@@ -31,17 +31,16 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-mod support;
-
-use emd_transport::certify::CERT_EPS;
-use emd_transport::{
-    certify_solution, objective_slack, solve, solve_warm, solve_warm_objective, Bounded, Budget,
-    SolverWorkspace, TransportProblem, WorkspaceStats,
-};
+use super::ssp::solve_ssp;
+use crate::budget::Budget;
+use crate::certify::{certify_solution, CERT_EPS};
+use crate::objective_slack;
+use crate::problem::TransportProblem;
+use crate::simplex::{solve, solve_warm, solve_warm_objective, Bounded};
+use crate::workspace::{SolverWorkspace, WorkspaceStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use support::ssp::solve_ssp;
 
 /// Which ground cost a chain runs under.
 #[derive(Debug, Clone, Copy)]

@@ -10,9 +10,11 @@
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_transport::{
-    solve, solve_warm, Budget, BudgetReason, SolverWorkspace, TransportError, TransportProblem,
-};
+use crate::budget::{Budget, BudgetReason};
+use crate::error::TransportError;
+use crate::problem::TransportProblem;
+use crate::simplex::{solve, solve_warm};
+use crate::workspace::SolverWorkspace;
 use proptest::prelude::*;
 
 /// Strategy: a normalized mass vector of the given length with at least one
@@ -180,8 +182,9 @@ proptest! {
 }
 
 /// Deterministic (non-proptest) smoke check that reports pivot counts and
-/// the warm hit rate, so `cargo test -p emd-transport -- --nocapture
-/// warm_start` shows the cold-vs-warm pivot economics at a glance.
+/// the warm hit rate, so `cargo test -p emd-core --lib -- --nocapture
+/// transport::warm_start` shows the cold-vs-warm pivot economics at a
+/// glance.
 ///
 /// The candidate sequence *drifts*: each demand marginal is a small
 /// perturbation of the previous one — the access pattern warm starts are

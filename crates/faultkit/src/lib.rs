@@ -9,7 +9,7 @@
 //! that runs out of budget, a worker thread that panics — are rare in tests
 //! precisely because tests run on healthy machines. This crate makes those
 //! paths *reachable on demand*: a [`FaultInjector`] is threaded (behind an
-//! `Option`/default no-op) through the store reader, the transport solver
+//! `Option`/default no-op) through the store reader, the simplex solver
 //! entry, and the executor's panic-isolated entry point, and a
 //! [`FailPlan`] decides, purely from per-site atomic counters, whether the
 //! *k*-th occurrence of a site should fail.
@@ -22,7 +22,7 @@
 //!
 //! The crate deliberately knows nothing about the rest of the workspace:
 //! sites and faults are plain enums, and consumers map [`Fault`]s onto
-//! their own typed errors (`DurableError::Io`, `TransportError::BudgetExhausted`,
+//! their own typed errors (`DurableError::Io`, `CoreError::BudgetExhausted`,
 //! `QueryError::WorkerPanicked`).
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -20,7 +20,7 @@
 //! until a thread installs one with [`Recording::start`]; while no scope
 //! exists anywhere in the process, every record call is a no-op that
 //! costs one relaxed atomic load and one branch — cheap enough for the
-//! solver hot paths of `emd-transport`.
+//! solver hot paths of `emd-core`.
 //!
 //! ```
 //! let recording = emd_obs::Recording::start();

@@ -76,7 +76,7 @@ pub use error::{DurableError, QueryError};
 pub use outcome::{Candidate, DegradedResult, QueryOutcome};
 // Budget types (and the verdict of a refinement under a cutoff)
 // re-exported so downstream users can build budgets without depending on
-// emd-transport directly.
+// emd-core directly.
 pub use emd_core::{Bounded, Budget, BudgetReason, CancelToken};
 pub use filters::{
     AnchorFilter, CentroidFilter, EmdDistance, Filter, FullLbImFilter, PreparedFilter,

@@ -3,17 +3,16 @@
 //! checks the budget ratchet and renders the report.
 //!
 //! Scoping:
-//! - **Library crates** (the ten `emd-*` crates) get the panic ban
+//! - **Library crates** (the nine `emd-*` crates) get the panic ban
 //!   (marker-required), indexing audit, module-docs audit, `# Errors`
 //!   docs and the error-taxonomy audit.
 //! - **Tool crates** (`bench`, `xtask`) get panic/indexing/module-docs
 //!   with *counted* semantics: no markers required, but every site is
 //!   held against a shrinking budget.
-//! - **Result-affecting crates** (`core`, `transport`, `reduction`,
-//!   `query`) additionally get the determinism audit.
-//! - **`transport`, `query` and `core`** get the budget-propagation
-//!   audit (core's context-reuse entry points sit on the solver hot
-//!   path).
+//! - **Result-affecting crates** (`core`, `reduction`, `query`)
+//!   additionally get the determinism audit.
+//! - **`core` and `query`** get the budget-propagation audit (core's
+//!   context-reuse entry points sit on the solver hot path).
 //! - Float discipline runs over the solver hot-path file list; the
 //!   lossy-cast audit over the checksum/accounting/bound file list. An
 //!   entry of either list that names no file is a finding: it would
@@ -28,9 +27,8 @@ use std::path::{Path, PathBuf};
 
 /// Library crates subject to the marker-required panic ban, indexing
 /// audit, `# Errors` docs and error-taxonomy audits.
-pub const LIBRARY_CRATES: [&str; 10] = [
+pub const LIBRARY_CRATES: [&str; 9] = [
     "json",
-    "transport",
     "core",
     "reduction",
     "query",
@@ -46,20 +44,20 @@ pub const TOOL_CRATES: [&str; 2] = ["bench", "xtask"];
 
 /// Crates whose outputs are covered by bit-identity guarantees; the
 /// determinism audit runs here.
-pub const RESULT_AFFECTING_CRATES: [&str; 4] = ["core", "transport", "reduction", "query"];
+pub const RESULT_AFFECTING_CRATES: [&str; 3] = ["core", "reduction", "query"];
 
 /// Crates whose public solver entry points must propagate budgets.
-pub const BUDGET_AUDIT_CRATES: [&str; 3] = ["transport", "query", "core"];
+pub const BUDGET_AUDIT_CRATES: [&str; 2] = ["query", "core"];
 
 /// Solver hot paths subject to the float-discipline lint, relative to
 /// the workspace root.
 pub const HOT_PATHS: [&str; 12] = [
-    "crates/transport/src/simplex.rs",
-    "crates/transport/src/vogel.rs",
-    "crates/transport/src/tree.rs",
-    "crates/transport/src/problem.rs",
-    "crates/transport/src/certify.rs",
-    "crates/transport/src/workspace.rs",
+    "crates/core/src/simplex.rs",
+    "crates/core/src/vogel.rs",
+    "crates/core/src/tree.rs",
+    "crates/core/src/problem.rs",
+    "crates/core/src/certify.rs",
+    "crates/core/src/workspace.rs",
     "crates/core/src/context.rs",
     "crates/core/src/emd.rs",
     "crates/core/src/lower_bounds/im.rs",
@@ -70,11 +68,10 @@ pub const HOT_PATHS: [&str; 12] = [
 
 /// Checksum, accounting and bound-computation files subject to the
 /// lossy-cast audit, relative to the workspace root.
-pub const LOSSY_CAST_PATHS: [&str; 13] = [
+pub const LOSSY_CAST_PATHS: [&str; 12] = [
     "crates/query/src/durable/crc32.rs",
     "crates/query/src/durable/wal.rs",
-    "crates/transport/src/budget.rs",
-    "crates/transport/src/certify.rs",
+    "crates/core/src/budget.rs",
     "crates/core/src/certify.rs",
     "crates/core/src/emd.rs",
     "crates/core/src/lower_bounds/im.rs",

@@ -311,7 +311,7 @@ fn is_solver_entry(name: &str) -> bool {
 }
 
 /// Budget-propagation audit (class `budget-propagation`): every public
-/// solver/refinement entry point in `transport`/`query` must accept a
+/// solver/refinement entry point in `core`/`query` must accept a
 /// `Budget`, a `CancelToken` or a `Query` (which carries its budget), or
 /// bear an explicit `// lint: allow(unbudgeted): <reason>` annotation —
 /// so new kernels cannot silently regress execution governance.
@@ -635,11 +635,11 @@ pub fn solve_budgeted(p: &P, budget: &Budget) -> R { body() }
 pub fn knn_plain(p: &P) -> R { body() }
 pub fn helper(p: &P) -> R { body() }
 ";
-        let report = run(text, |f, r| budget_propagation_pass(f, "transport", r));
+        let report = run(text, |f, r| budget_propagation_pass(f, "core", r));
         assert_eq!(report.findings.len(), 1);
         assert!(report.findings[0].message.contains("`solve`"));
         assert_eq!(
-            report.budgeted_count(LintClass::BudgetPropagation, "transport"),
+            report.budgeted_count(LintClass::BudgetPropagation, "core"),
             1
         );
     }

@@ -84,7 +84,7 @@ fn panic_fixture_counted_policy_budgets_everything() {
 fn failure_path_fixture_has_no_escape() {
     let file = fixture("failure_path.rs");
     let mut report = LintReport::default();
-    passes::panic_pass(&file, "transport", PanicPolicy::Forbidden, &mut report);
+    passes::panic_pass(&file, "core", PanicPolicy::Forbidden, &mut report);
     assert_eq!(
         finding_lines(&report, LintClass::FailurePath),
         vec![

@@ -11,8 +11,8 @@
 //! Re-exports the public API of every workspace crate so downstream users
 //! depend on a single crate. See the individual crates for details:
 //!
-//! * [`transport`] — transportation-simplex LP solver (the EMD substrate)
-//! * [`core`] — histograms, ground distances, exact EMD, classic lower bounds
+//! * [`core`] — histograms, ground distances, exact EMD by the
+//!   transportation simplex, classic lower bounds
 //! * [`reduction`] — flexible lower-bounding dimensionality reduction
 //! * [`data`] — synthetic multimedia data sets and workloads
 //! * [`query`] — multistep filter-and-refine query processing (KNOP)
@@ -83,4 +83,3 @@ pub use emd_obs as obs;
 pub use emd_query as query;
 pub use emd_reduction as reduction;
 pub use emd_serve as serve;
-pub use emd_transport as transport;
