@@ -1,6 +1,7 @@
 //! The reconstructed experiment suite (see DESIGN.md section 5 and
 //! EXPERIMENTS.md). Each function regenerates one table/figure.
 
+use crate::lower_bounds::ClassicFilter;
 use crate::pca::pca_guided_reduction;
 use crate::report::{fnum, Table};
 use crate::setup::{
@@ -12,8 +13,8 @@ use crate::workload::Workload;
 use emd_core::ground::Metric;
 use emd_core::{Budget, Histogram};
 use emd_query::{
-    AnchorFilter, CentroidFilter, Database, Executor, Filter, FullLbImFilter, QueryError,
-    QueryPlan, ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
+    AnchorFilter, Database, Executor, Filter, QueryError, QueryPlan, ReducedEmdFilter,
+    ReducedImFilter,
 };
 use emd_reduction::fb::{fb_all, fb_mod, FbOptions};
 use emd_reduction::flow_sample::draw_sample;
@@ -216,9 +217,7 @@ pub fn e5(scale: &Scale, _quick: bool) -> Table {
         "LB-IM(96) -> EMD",
         Executor::new(
             QueryPlan::new(
-                vec![Box::new(
-                    FullLbImFilter::new(&bench.database).expect("consistent"),
-                )],
+                vec![Box::new(ClassicFilter::lb_im(&bench.database))],
                 Box::new(refiner(&bench)),
             )
             .expect("consistent"),
@@ -669,12 +668,13 @@ pub fn a5(scale: &Scale, quick: bool) -> Table {
         fn stage<F: Filter + 'static>(filter: Result<F, QueryError>) -> Box<dyn Filter> {
             Box::new(checked(filter, "filter over the bench database"))
         }
+        let centroid = ClassicFilter::centroid(database, positions, Metric::Euclidean);
         let filters = vec![
-            stage(CentroidFilter::new(database, positions, Metric::Euclidean)),
+            stage(centroid),
             stage(AnchorFilter::new(database, 16)),
             stage(AnchorFilter::new(database, 4)),
-            stage(ScaledL1Filter::new(database)),
-            stage(FullLbImFilter::new(database)),
+            Box::new(ClassicFilter::scaled_l1(database)),
+            Box::new(ClassicFilter::lb_im(database)),
             stage(ReducedImFilter::new(database, reduced.clone())),
             stage(ReducedEmdFilter::new(database, reduced.clone())),
         ];

@@ -16,6 +16,8 @@
 //!   `a1..a5`), each returning a [`report::Table`].
 //! * [`vptree`] — the metric-index baseline A4 compares the filter
 //!   pipeline against.
+//! * [`lower_bounds`] — the classic full-dimensional bounds (full LB_IM,
+//!   centroid, scaled L1) A5 and E5 set beside the paper's filters.
 //! * [`pca`] — the PCA-guided combining reduction of ablation A3.
 //! * [`workload`] — Definition 6's query workloads with calibrated range
 //!   thresholds, for E11.
@@ -25,6 +27,7 @@
 //! the corpora up to paper-like sizes (slower).
 
 pub mod experiments;
+pub mod lower_bounds;
 pub mod pca;
 pub mod report;
 pub mod setup;

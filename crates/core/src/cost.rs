@@ -118,8 +118,8 @@ impl CostMatrix {
         }
     }
 
-    /// Smallest off-diagonal entry of a square matrix; used by the
-    /// scaled-L1 lower bound. `None` for 1x1 matrices.
+    /// Smallest off-diagonal entry of a square matrix; used by
+    /// emd-bench's scaled-L1 lower bound. `None` for 1x1 matrices.
     pub fn min_off_diagonal(&self) -> Option<f64> {
         debug_assert!(self.is_square());
         let mut min = f64::INFINITY;

@@ -160,7 +160,8 @@ impl Histogram {
     }
 
     /// Manhattan (L1) distance between two histograms of equal
-    /// dimensionality. Used by the scaled-L1 lower bound and in tests.
+    /// dimensionality. Used by emd-bench's scaled-L1 lower bound and in
+    /// tests.
     pub fn l1_distance(&self, other: &Histogram) -> f64 {
         debug_assert_eq!(self.dim(), other.dim());
         self.bins

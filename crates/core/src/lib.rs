@@ -3,9 +3,9 @@
 
 //! # emd-core
 //!
-//! The Earth Mover's Distance (EMD) and its classic lower-bounding filters,
-//! as defined in Section 2 of Wichterich et al., SIGMOD 2008 (building on
-//! Rubner et al. and Assent et al.).
+//! The Earth Mover's Distance (EMD) and the lower-bounding filters an
+//! index builds on it, as defined in Section 2 of Wichterich et al.,
+//! SIGMOD 2008 (building on Rubner et al. and Assent et al.).
 //!
 //! * [`Histogram`] — non-negative feature vectors of normalized total mass
 //!   (Definition 1 operands).
@@ -22,9 +22,9 @@
 //! * [`emd_in_context`] is that call without a cutoff; [`emd`] and
 //!   [`emd_with_flows`] are it once more without a budget, on a fresh
 //!   context.
-//! * [`lower_bounds`] — LB_IM (independent minimization), the Rubner
-//!   centroid bound, a scaled-L1 bound and the anchor (weak-duality)
-//!   bound; all are complete filters for multistep query processing.
+//! * [`lower_bounds`] — LB_IM (independent minimization) and the anchor
+//!   (weak-duality) bound; both are complete filters for multistep query
+//!   processing.
 //!
 //! ## The solver
 //!
@@ -77,11 +77,10 @@
 //!
 //! Under an active `emd-obs` recording scope, every exact EMD evaluation
 //! bumps the `core.emd.solves` counter (this is the refinement cost the
-//! paper's reductions exist to avoid) and each lower-bound evaluation
-//! bumps its own counter (`core.lb_im.evaluations`,
-//! `core.lb_centroid.evaluations`, `core.lb_scaled_l1.evaluations`,
-//! `core.lb_anchor.evaluations`), giving the per-filter breakdown behind
-//! `flexemd query --metrics json`. Every simplex solve reports LP-level
+//! paper's reductions exist to avoid) and every LB_IM evaluation bumps
+//! `core.lb_im.evaluations`; the per-stage breakdown behind `flexemd
+//! query --metrics json` is the query layer's
+//! `query.stage.<name>.evaluations`. Every simplex solve reports LP-level
 //! work: the `transport.solve` span times it, and the counters
 //! `transport.solve.calls`, `transport.simplex.pivots`,
 //! `transport.simplex.bland_pivots`, `transport.simplex.degenerate_pivots`

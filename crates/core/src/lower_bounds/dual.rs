@@ -191,7 +191,6 @@ impl AnchorBound {
     /// Returns [`CoreError::DimensionMismatch`] when either operand's
     /// dimensionality differs from the bound's bin count.
     pub fn bound(&self, x: &Histogram, y: &Histogram) -> Result<f64, CoreError> {
-        emd_obs::counter_add("core.lb_anchor.evaluations", 1);
         let px = self.project(x)?;
         let py = self.project(y)?;
         Ok(self.bound_from_projections(&px, &py))

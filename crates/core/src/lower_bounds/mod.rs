@@ -1,26 +1,19 @@
-//! Classic lower-bounding filter distances for the EMD.
+//! Closed-form lower-bounding filter distances for the EMD.
 //!
-//! All functions here *underestimate* the exact EMD, which makes them
+//! Both bounds here *underestimate* the exact EMD, which makes them
 //! complete filters in GEMINI/KNOP multistep query processing (Section 2.1
 //! of the paper). They complement — and chain with — the paper's
 //! dimensionality reduction, which is implemented in `emd-reduction`.
 //!
 //! * [`LbIm`] — the *independent minimization* bound of Assent et al.
 //!   (reference \[1\] of the paper), used as the `Red-IM` stage of the
-//!   paper's Figure 10 filter pipeline.
-//! * [`CentroidBound`] — Rubner's centroid bound (reference \[17\]): the
-//!   ground-space distance between the two histograms' centroids.
-//! * [`ScaledL1`] — half the L1 histogram distance scaled by the smallest
-//!   off-diagonal ground cost; trivial but nearly free.
+//!   paper's Figure 10 filter pipeline and as the clustered index's keys.
 //! * [`AnchorBound`] — weak-duality bound from distance-to-anchor
-//!   potentials; `O(#anchors)` per pair after per-object projection.
+//!   potentials; `O(#anchors)` per pair after per-object projection,
+//!   the floor under the reduced stages.
 
-mod centroid;
 mod dual;
 mod im;
-mod scaled_lp;
 
-pub use centroid::CentroidBound;
 pub use dual::AnchorBound;
 pub use im::LbIm;
-pub use scaled_lp::ScaledL1;

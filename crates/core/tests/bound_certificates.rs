@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_core::certify::{certify_report, BOUND_EPS, CERT_EPS};
-use emd_core::lower_bounds::{AnchorBound, CentroidBound, LbIm, ScaledL1};
+use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{emd, emd_with_flows, ground, CostMatrix, Histogram};
 use proptest::prelude::*;
 
@@ -49,16 +49,6 @@ proptest! {
 
         let im = LbIm::new(cost.clone()).bound(&x, &y).expect("shapes match");
         prop_assert!(im <= exact + BOUND_EPS, "LB_IM {im} > EMD {exact}");
-
-        let positions = ground::linear_positions(x.dim());
-        let centroid = CentroidBound::new(positions, ground::Metric::Euclidean)
-            .expect("valid positions")
-            .bound(&x, &y)
-            .expect("shapes match");
-        prop_assert!(centroid <= exact + BOUND_EPS, "centroid {centroid} > EMD {exact}");
-
-        let scaled = ScaledL1::new(&cost).bound(&x, &y).expect("shapes match");
-        prop_assert!(scaled <= exact + BOUND_EPS, "scaled-L1 {scaled} > EMD {exact}");
 
         let anchors = AnchorBound::with_spread_anchors(&cost, 2.min(x.dim()))
             .expect("valid anchor count")

@@ -29,8 +29,7 @@
 
 use crate::engine::Database;
 use crate::error::QueryError;
-use emd_core::ground::Metric;
-use emd_core::lower_bounds::{AnchorBound, CentroidBound, LbIm, ScaledL1};
+use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{emd_in_context_within, Bounded, Budget, CostMatrix, EmdContext, Histogram};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::sync::Arc;
@@ -413,10 +412,10 @@ impl Filter for ReducedEmdFilter {
 }
 
 // ---------------------------------------------------------------------
-// The closed-form evaluator: LB_IM, scaled L1, centroids, anchors
+// The closed-form evaluator: Red-IM, anchors
 // ---------------------------------------------------------------------
 
-/// The shape every closed-form lower bound here has: *project a
+/// The shape both closed-form lower bounds here have: *project a
 /// histogram once, bound two projections*. Database objects are
 /// projected at construction, the query (shape-checked) once per query.
 pub(crate) trait ProjectedBound: Send + Sync {
@@ -441,39 +440,6 @@ impl ProjectedBound for LbIm {
 
     fn bound(&self, query: &Histogram, object: &Histogram) -> Result<f64, QueryError> {
         Ok(LbIm::bound(self, query, object)?)
-    }
-}
-
-impl ProjectedBound for ScaledL1 {
-    type Projection = Histogram;
-
-    fn project(&self, histogram: &Histogram) -> Result<Histogram, QueryError> {
-        Ok(histogram.clone())
-    }
-
-    fn bound(&self, query: &Histogram, object: &Histogram) -> Result<f64, QueryError> {
-        Ok(ScaledL1::bound(self, query, object)?)
-    }
-}
-
-/// Rubner's centroid bound in projected form: a histogram's centroid,
-/// then one `metric` call in feature space per pair.
-#[derive(Debug, Clone)]
-struct Centroids {
-    bound: CentroidBound,
-    metric: Metric,
-}
-
-impl ProjectedBound for Centroids {
-    type Projection = Vec<f64>;
-
-    fn project(&self, histogram: &Histogram) -> Result<Vec<f64>, QueryError> {
-        check_dim(histogram, self.bound.dim())?;
-        Ok(self.bound.centroid(histogram))
-    }
-
-    fn bound(&self, query: &Vec<f64>, object: &Vec<f64>) -> Result<f64, QueryError> {
-        Ok(self.metric.distance(query, object))
     }
 }
 
@@ -543,22 +509,8 @@ struct BoundStage<B: ProjectedBound> {
     projections: Arc<[B::Projection]>,
 }
 
-impl<B: ProjectedBound> BoundStage<B> {
-    /// The stage of `bound` over `database`, projecting every object.
-    fn project_all(name: String, bound: B, database: &Database) -> Result<Self, QueryError> {
-        let objects = database.histograms().iter();
-        Ok(BoundStage {
-            name,
-            projections: objects
-                .map(|h| bound.project(h))
-                .collect::<Result<_, _>>()?,
-            bound: Arc::new(bound),
-        })
-    }
-}
-
-/// A closed-form filter: all of them are [`Filter`]s through the one
-/// impl below.
+/// A closed-form filter (Red-IM, the anchor floor): each is a [`Filter`]
+/// through the one impl below.
 trait ClosedForm: Send + Sync {
     /// The bound the stage evaluates.
     type Bound: ProjectedBound;
@@ -683,98 +635,6 @@ impl ClosedForm for ReducedImFilter {
     }
 }
 
-/// LB_IM on the original dimensionality (the baseline filter of
-/// reference \[1\], used standalone for comparison).
-#[derive(Debug, Clone)]
-pub struct FullLbImFilter(BoundStage<LbIm>);
-
-impl FullLbImFilter {
-    /// Index a database snapshot under its own cost matrix.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today (the snapshot is already validated); the `Result`
-    /// keeps the constructor uniform with the other filters.
-    pub fn new(database: &Database) -> Result<Self, QueryError> {
-        let name = format!("lb-im(d={})", database.cost().rows());
-        let bound = LbIm::new(database.cost().clone());
-        Ok(FullLbImFilter(BoundStage::project_all(
-            name, bound, database,
-        )?))
-    }
-}
-
-impl ClosedForm for FullLbImFilter {
-    type Bound = LbIm;
-
-    fn stage(&self) -> &BoundStage<LbIm> {
-        &self.0
-    }
-}
-
-/// Rubner's centroid bound as a filter: database centroids are
-/// precomputed, each evaluation is one `metric` call in feature space.
-#[derive(Debug, Clone)]
-pub struct CentroidFilter(BoundStage<Centroids>);
-
-impl CentroidFilter {
-    /// Index a database snapshot given the bin positions inducing the
-    /// ground distance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryError`] when the centroid bound rejects `positions`
-    /// or their dimensionality disagrees with the snapshot.
-    pub fn new(
-        database: &Database,
-        positions: Vec<Vec<f64>>,
-        metric: Metric,
-    ) -> Result<Self, QueryError> {
-        let bound = CentroidBound::new(positions, metric)?;
-        let name = format!("centroid(d={})", bound.dim());
-        let centroids = Centroids { bound, metric };
-        Ok(CentroidFilter(BoundStage::project_all(
-            name, centroids, database,
-        )?))
-    }
-}
-
-impl ClosedForm for CentroidFilter {
-    type Bound = Centroids;
-
-    fn stage(&self) -> &BoundStage<Centroids> {
-        &self.0
-    }
-}
-
-/// The scaled-L1 bound as a filter — the cheapest possible first stage.
-#[derive(Debug, Clone)]
-pub struct ScaledL1Filter(BoundStage<ScaledL1>);
-
-impl ScaledL1Filter {
-    /// Index a database snapshot under its own cost matrix.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today (the snapshot is already validated); the `Result`
-    /// keeps the constructor uniform with the other filters.
-    pub fn new(database: &Database) -> Result<Self, QueryError> {
-        let name = format!("scaled-l1(d={})", database.cost().rows());
-        let bound = ScaledL1::new(database.cost());
-        Ok(ScaledL1Filter(BoundStage::project_all(
-            name, bound, database,
-        )?))
-    }
-}
-
-impl ClosedForm for ScaledL1Filter {
-    type Bound = ScaledL1;
-
-    fn stage(&self) -> &BoundStage<ScaledL1> {
-        &self.0
-    }
-}
-
 /// The anchor (weak-duality) bound as a filter: database projections are
 /// precomputed, each evaluation is `O(#anchors)` — the cheapest filter in
 /// the toolbox. Requires a metric ground distance (validated at
@@ -804,8 +664,11 @@ impl AnchorFilter {
 
     /// The stage of `bound` over `database`, projecting every object.
     fn over(bound: AnchorBound, database: &Database) -> Result<Self, QueryError> {
-        let name = anchor_stage_name(&bound);
-        BoundStage::project_all(name, bound, database).map(AnchorFilter)
+        let objects = database.histograms().iter();
+        let projections = objects
+            .map(|h| bound.project(h))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::from_shared(Arc::new(bound), projections))
     }
 
     /// The bound the plans put under their reduced stages: as many spread
@@ -830,15 +693,11 @@ impl AnchorFilter {
     /// [`ReducedImFilter::from_shared`].
     pub(crate) fn from_shared(bound: Arc<AnchorBound>, projections: Arc<[Arc<[f64]>]>) -> Self {
         AnchorFilter(BoundStage {
-            name: anchor_stage_name(&bound),
+            name: format!("anchor(a={})", bound.num_anchors()),
             bound,
             projections,
         })
     }
-}
-
-fn anchor_stage_name(bound: &AnchorBound) -> String {
-    format!("anchor(a={})", bound.num_anchors())
 }
 
 impl ClosedForm for AnchorFilter {
@@ -908,11 +767,7 @@ mod tests {
         let filters: Vec<Box<dyn Filter>> = vec![
             Box::new(ReducedEmdFilter::new(&db, reduced.clone()).unwrap()),
             Box::new(ReducedImFilter::new(&db, reduced).unwrap()),
-            Box::new(FullLbImFilter::new(&db).unwrap()),
-            Box::new(
-                CentroidFilter::new(&db, ground::linear_positions(4), Metric::Manhattan).unwrap(),
-            ),
-            Box::new(ScaledL1Filter::new(&db).unwrap()),
+            Box::new(AnchorFilter::new(&db, 2).unwrap()),
         ];
         let exact = EmdDistance::new(&db).unwrap();
         let mut exact_prepared = exact.prepare(&query, &Budget::unlimited()).unwrap();

@@ -19,7 +19,7 @@
 //!   evaluators over a space: the LP (the exact EMD as the refinement
 //!   distance; the paper's `Red-EMD`, which is the EMD over the reduced
 //!   space) or a closed-form bound over projections (`Red-IM` = LB_IM
-//!   over the reduced space, and the classic full-dimensional filters).
+//!   over the reduced space, and the anchor floor under it).
 //! * [`ranking`] — lazy ascending-distance rankings, including the
 //!   ranking-over-ranking chaining of Figure 12.
 //! * [`knop`] — the one refinement loop in the workspace, driven by two
@@ -79,8 +79,7 @@ pub use outcome::{Candidate, DegradedResult, QueryOutcome};
 // emd-core directly.
 pub use emd_core::{Bounded, Budget, BudgetReason, CancelToken};
 pub use filters::{
-    AnchorFilter, CentroidFilter, EmdDistance, Filter, FullLbImFilter, PreparedFilter,
-    ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
+    AnchorFilter, EmdDistance, Filter, PreparedFilter, ReducedEmdFilter, ReducedImFilter,
 };
 pub use stats::QueryStats;
 

@@ -25,13 +25,18 @@ fn histogram() -> impl Strategy<Value = Histogram> {
     })
 }
 
-/// The paper's canonical chain for these tests: one Red-EMD stage over a
-/// 3-bin combining reduction, refined by the exact EMD.
-fn chained_executor(database: &Database) -> Executor {
+/// The reduction of these tests: 3 bins, each combining two neighbours.
+fn reduced(database: &Database) -> ReducedEmd {
     let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-    let reduced = ReducedEmd::new(database.cost(), r).unwrap();
-    let stages: Vec<Box<dyn Filter>> =
-        vec![Box::new(ReducedEmdFilter::new(database, reduced).unwrap())];
+    ReducedEmd::new(database.cost(), r).unwrap()
+}
+
+/// The paper's canonical chain for these tests: one Red-EMD stage over
+/// [`reduced`], refined by the exact EMD.
+fn chained_executor(database: &Database) -> Executor {
+    let stages: Vec<Box<dyn Filter>> = vec![Box::new(
+        ReducedEmdFilter::new(database, reduced(database)).unwrap(),
+    )];
     let refiner = Box::new(EmdDistance::new(database).unwrap());
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
 }
@@ -39,9 +44,7 @@ fn chained_executor(database: &Database) -> Executor {
 /// The same reduction behind a clustered candidate source: its stream
 /// flushes the `index.*` counters.
 fn clustered_executor(database: &Database) -> Executor {
-    let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-    let reduced = ReducedEmd::new(database.cost(), r).unwrap();
-    let index = ClusteredIndex::build(database, reduced, 1.0).unwrap();
+    let index = ClusteredIndex::build(database, reduced(database), 1.0).unwrap();
     let refiner = Box::new(EmdDistance::new(database).unwrap());
     let plan = QueryPlan::new(Vec::new(), refiner).unwrap();
     Executor::new(plan.with_source(Box::new(index)).unwrap())
@@ -93,37 +96,54 @@ proptest! {
     ) {
         let cost = Arc::new(ground::linear(DIM).unwrap());
         let database = Database::new(database, cost).unwrap();
-        let executor = chained_executor(&database);
+        // One Red-EMD stage, and the shipped chain: the anchor floor,
+        // Red-IM and Red-EMD.
+        let red_im = ReducedImFilter::new(&database, reduced(&database)).unwrap();
+        let chain = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
+        let red_emd = "red-emd(d'=3/3)";
+        let plans = [
+            (chained_executor(&database), vec![red_emd]),
+            (chain, vec!["anchor(a=3)", "red-im(d'=3/3)", red_emd]),
+        ];
+        for (executor, stages) in plans {
+            let (plain_knn, plain_knn_stats) = executor.knn(&query, k).unwrap();
+            let (plain_range, plain_range_stats) = executor.range(&query, epsilon).unwrap();
 
-        let (plain_knn, plain_knn_stats) = executor.knn(&query, k).unwrap();
-        let (plain_range, plain_range_stats) = executor.range(&query, epsilon).unwrap();
+            let recording = emd_obs::Recording::start();
+            let (scoped_knn, scoped_knn_stats) = executor.knn(&query, k).unwrap();
+            let (scoped_range, scoped_range_stats) = executor.range(&query, epsilon).unwrap();
+            let registry = recording.finish();
 
-        let recording = emd_obs::Recording::start();
-        let (scoped_knn, scoped_knn_stats) = executor.knn(&query, k).unwrap();
-        let (scoped_range, scoped_range_stats) = executor.range(&query, epsilon).unwrap();
-        let registry = recording.finish();
+            // Bit-identical results and identical stats façade output.
+            prop_assert_eq!(plain_knn, scoped_knn);
+            prop_assert_eq!(plain_range, scoped_range);
+            prop_assert_eq!(&plain_knn_stats, &scoped_knn_stats);
+            prop_assert_eq!(&plain_range_stats, &scoped_range_stats);
 
-        // Bit-identical results and identical stats façade output.
-        prop_assert_eq!(plain_knn, scoped_knn);
-        prop_assert_eq!(plain_range, scoped_range);
-        prop_assert_eq!(&plain_knn_stats, &scoped_knn_stats);
-        prop_assert_eq!(&plain_range_stats, &scoped_range_stats);
-
-        // And the registry mirrors the stats façade exactly.
-        prop_assert_eq!(registry.counter("query.queries"), 2);
-        let expected_refinements =
-            (plain_knn_stats.refinements + plain_range_stats.refinements) as u64;
-        prop_assert_eq!(registry.counter("query.refinements"), expected_refinements);
-        let expected_stage: usize = plain_knn_stats
-            .filter_evaluations
-            .iter()
-            .chain(plain_range_stats.filter_evaluations.iter())
-            .map(|(_, n)| n)
-            .sum();
-        prop_assert_eq!(
-            registry.counter("query.stage.red-emd(d'=3/3).evaluations"),
-            expected_stage as u64
-        );
+            // And the registry mirrors the stats façade exactly, stage by
+            // stage.
+            prop_assert_eq!(registry.counter("query.queries"), 2);
+            let expected_refinements =
+                (plain_knn_stats.refinements + plain_range_stats.refinements) as u64;
+            prop_assert_eq!(registry.counter("query.refinements"), expected_refinements);
+            let names: Vec<&str> = plain_knn_stats
+                .filter_evaluations
+                .iter()
+                .map(|(name, _)| name.as_str())
+                .collect();
+            prop_assert_eq!(names, stages);
+            for (name, _) in &plain_knn_stats.filter_evaluations {
+                let expected: usize = plain_knn_stats
+                    .filter_evaluations
+                    .iter()
+                    .chain(plain_range_stats.filter_evaluations.iter())
+                    .filter(|(stage, _)| stage == name)
+                    .map(|(_, n)| n)
+                    .sum();
+                let counter = registry.counter(&format!("query.stage.{name}.evaluations"));
+                prop_assert_eq!(counter, expected as u64, "{}", name);
+            }
+        }
 
         // The clustered source the same: answers and stats untouched, and
         // its counters say what the stats say — every LP was the source's
@@ -185,9 +205,7 @@ fn cut_counters_mirror_the_stats() {
 #[test]
 fn one_cold_start_per_lp_context_per_query() {
     let database = fixed_database(24);
-    let r = CombiningReduction::new(vec![0, 0, 1, 1, 2, 2], 3).unwrap();
-    let reduced = ReducedEmd::new(database.cost(), r).unwrap();
-    let red_im = ReducedImFilter::new(&database, reduced).unwrap();
+    let red_im = ReducedImFilter::new(&database, reduced(&database)).unwrap();
     let chain = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
     for executor in [chain, clustered_executor(&database)] {
         let mut solved = 0;

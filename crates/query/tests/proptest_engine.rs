@@ -1,16 +1,15 @@
 //! Plan/executor equivalence: for random databases and *any* valid
-//! filter-chain plan (every stage lower-bounds the next), the engine
+//! filter-chain plan (every stage lower-bounds the exact EMD), the engine
 //! returns exactly the brute-force answer set — k-NN and range.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::ground::Metric;
 use emd_core::{ground, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
-    CentroidFilter, Database, EmdDistance, Executor, Filter, FullLbImFilter, Neighbor, QueryPlan,
-    ReducedEmdFilter, ReducedImFilter, ScaledL1Filter,
+    AnchorFilter, Database, EmdDistance, Executor, Filter, Neighbor, QueryPlan, ReducedEmdFilter,
+    ReducedImFilter,
 };
 use emd_reduction::{CombiningReduction, ReducedEmd};
 use proptest::prelude::*;
@@ -43,12 +42,14 @@ fn reduction() -> impl Strategy<Value = CombiningReduction> {
     })
 }
 
-/// Build one of the valid filter chains for `database`. Every produced
-/// chain satisfies the chaining condition (stage i lower-bounds stage
-/// i+1, the last stage lower-bounds the exact EMD); `0` is the zero-stage
-/// sequential scan.
+/// Build one of the valid filter chains for `database`. Every stage of a
+/// produced chain lower-bounds the exact EMD, and the chain ranks by the
+/// running max of its stages; `0` is the zero-stage sequential scan. The
+/// anchor floor has as many anchors as the reduction keeps dimensions.
 fn chain(database: &Database, variant: u8, r: CombiningReduction) -> Vec<Box<dyn Filter>> {
+    let anchors = r.reduced_dim();
     let reduced = ReducedEmd::new(database.cost(), r).unwrap();
+    let anchor = || Box::new(AnchorFilter::new(database, anchors).unwrap());
     match variant {
         0 => vec![],
         1 => vec![Box::new(ReducedEmdFilter::new(database, reduced).unwrap())],
@@ -56,12 +57,16 @@ fn chain(database: &Database, variant: u8, r: CombiningReduction) -> Vec<Box<dyn
             Box::new(ReducedImFilter::new(database, reduced.clone()).unwrap()),
             Box::new(ReducedEmdFilter::new(database, reduced).unwrap()),
         ],
-        3 => vec![Box::new(FullLbImFilter::new(database).unwrap())],
-        4 => vec![Box::new(ScaledL1Filter::new(database).unwrap())],
-        _ => vec![Box::new(
-            CentroidFilter::new(database, ground::linear_positions(DIM), Metric::Manhattan)
-                .unwrap(),
-        )],
+        3 => vec![anchor()],
+        4 => vec![
+            anchor(),
+            Box::new(ReducedImFilter::new(database, reduced.clone()).unwrap()),
+            Box::new(ReducedEmdFilter::new(database, reduced).unwrap()),
+        ],
+        _ => vec![
+            anchor(),
+            Box::new(ReducedEmdFilter::new(database, reduced).unwrap()),
+        ],
     }
 }
 

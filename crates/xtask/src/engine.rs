@@ -49,8 +49,9 @@ pub const RESULT_AFFECTING_CRATES: [&str; 3] = ["core", "reduction", "query"];
 /// Crates whose public solver entry points must propagate budgets.
 pub const BUDGET_AUDIT_CRATES: [&str; 2] = ["query", "core"];
 
-/// Solver hot paths subject to the float-discipline lint, relative to
-/// the workspace root.
+/// Solver hot paths and closed-form bounds (the library's and
+/// emd-bench's) subject to the float-discipline lint, relative to the
+/// workspace root.
 pub const HOT_PATHS: [&str; 12] = [
     "crates/core/src/simplex.rs",
     "crates/core/src/vogel.rs",
@@ -61,9 +62,9 @@ pub const HOT_PATHS: [&str; 12] = [
     "crates/core/src/context.rs",
     "crates/core/src/emd.rs",
     "crates/core/src/lower_bounds/im.rs",
-    "crates/core/src/lower_bounds/centroid.rs",
     "crates/core/src/lower_bounds/dual.rs",
-    "crates/core/src/lower_bounds/scaled_lp.rs",
+    "crates/bench/src/lower_bounds/centroid.rs",
+    "crates/bench/src/lower_bounds/scaled_lp.rs",
 ];
 
 /// Checksum, accounting and bound-computation files subject to the
@@ -75,9 +76,9 @@ pub const LOSSY_CAST_PATHS: [&str; 12] = [
     "crates/core/src/certify.rs",
     "crates/core/src/emd.rs",
     "crates/core/src/lower_bounds/im.rs",
-    "crates/core/src/lower_bounds/centroid.rs",
     "crates/core/src/lower_bounds/dual.rs",
-    "crates/core/src/lower_bounds/scaled_lp.rs",
+    "crates/bench/src/lower_bounds/centroid.rs",
+    "crates/bench/src/lower_bounds/scaled_lp.rs",
     "crates/reduction/src/tightness.rs",
     "crates/reduction/src/reduced_cost.rs",
     "crates/reduction/src/reduced_emd.rs",
