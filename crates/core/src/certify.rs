@@ -1,18 +1,18 @@
 //! Debug-mode certificates linking the solver output to the paper's
 //! theorems.
 //!
-//! * [`certify_report`] — an [`EmdReport`]'s flows must conserve the
-//!   operand masses in *original* bin indices and cost exactly the stated
-//!   distance (Definition 1 feasibility).
+//! * One flow certificate: in-range, finite, non-negative flows that
+//!   conserve both marginals and, where a cost is stated, cost exactly
+//!   that (Definition 1 feasibility). [`certify_report`] holds an
+//!   [`EmdReport`] to it in *original* bin indices; the crate-private
+//!   `certify_solution` and `certify_basis` hold every simplex solution
+//!   and every Vogel basis (which must also span `m + n - 1` cells) to it
+//!   in tableau indices. Each reports a [`FlowViolation`].
 //! * [`debug_check_lower_bound`] — the lower-bound property of Theorem 1
 //!   (`LB <= EMD`), asserted wherever both quantities are available in
 //!   debug builds.
-//! * The solver's own certificates, crate-private: every simplex
-//!   solution and every Vogel basis must be a feasible flow of its
-//!   transportation problem (conservation, non-negativity, a stated
-//!   objective that matches the flows), and a solve cut short under a
-//!   cutoff, which has no flows, is re-solved cold and its certified
-//!   bound held against the optimum.
+//! * A solve cut short under a cutoff, which has no flows, is re-solved
+//!   cold and its certified bound held against the optimum.
 //!
 //! The `debug_*` hooks run on every solve, cut, basis and report of a
 //! debug build and panic with the precise violation; release builds
@@ -22,7 +22,6 @@
 
 use crate::cost::CostMatrix;
 use crate::emd::EmdReport;
-use crate::error::Side;
 use crate::histogram::Histogram;
 use crate::problem::{Solution, TransportProblem};
 use crate::vogel::InitialBasis;
@@ -40,10 +39,12 @@ pub const CERT_EPS: f64 = 1e-9;
 /// independently of each other.
 pub const BOUND_EPS: f64 = 1e-7;
 
-/// A violated EMD-report invariant.
+/// A flow that breaks a certificate. Indices are those of the flows
+/// checked: original bins for an [`EmdReport`], tableau lines for the
+/// solver's solutions and bases.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ReportViolation {
-    /// A flow references a bin outside either histogram.
+pub enum FlowViolation {
+    /// A flow references a bin outside either marginal.
     IndexOutOfRange {
         /// Source bin of the offending flow.
         source: usize,
@@ -66,32 +67,41 @@ pub enum ReportViolation {
         source_side: bool,
         /// The violated bin.
         bin: usize,
-        /// The bin's histogram mass.
+        /// The bin's mass.
         expected: f64,
         /// The mass the flows carry.
         actual: f64,
     },
-    /// The stated distance differs from the cost of the flows.
-    DistanceMismatch {
-        /// Distance reported.
+    /// The stated distance (or objective) differs from the cost of the
+    /// flows.
+    CostMismatch {
+        /// Cost stated.
         stated: f64,
-        /// Distance recomputed from the flows.
+        /// Cost recomputed from the flows.
         recomputed: f64,
+    },
+    /// An initial basis does not have the spanning-tree cell count
+    /// `m + n - 1`.
+    BasisSize {
+        /// Number of basic cells found.
+        cells: usize,
+        /// The required spanning-tree count.
+        expected: usize,
     },
 }
 
-impl fmt::Display for ReportViolation {
+impl fmt::Display for FlowViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReportViolation::IndexOutOfRange { source, target } => {
-                write!(f, "flow ({source}, {target}) outside the histograms")
+            FlowViolation::IndexOutOfRange { source, target } => {
+                write!(f, "flow ({source}, {target}) outside the marginals")
             }
-            ReportViolation::BadFlowValue {
+            FlowViolation::BadFlowValue {
                 source,
                 target,
                 flow,
             } => write!(f, "flow ({source}, {target}) has bad amount {flow}"),
-            ReportViolation::Conservation {
+            FlowViolation::Conservation {
                 source_side,
                 bin,
                 expected,
@@ -105,16 +115,73 @@ impl fmt::Display for ReportViolation {
                     (actual - expected).abs()
                 )
             }
-            ReportViolation::DistanceMismatch { stated, recomputed } => write!(
+            FlowViolation::CostMismatch { stated, recomputed } => write!(
                 f,
-                "distance {stated} != flow cost {recomputed} (error {:.3e})",
+                "stated cost {stated} != flow cost {recomputed} (error {:.3e})",
                 (stated - recomputed).abs()
             ),
+            FlowViolation::BasisSize { cells, expected } => {
+                write!(f, "initial basis has {cells} cells, expected {expected}")
+            }
         }
     }
 }
 
-impl std::error::Error for ReportViolation {}
+impl std::error::Error for FlowViolation {}
+
+/// The one flow certificate: `flows` must be in range, finite and
+/// non-negative within `tol`, and carry each of `supplies` out and each
+/// of `demands` in, within `tol`; when a cost is `stated`, the flows'
+/// cost under `cost` must equal it within `tol`, or within [`CERT_EPS`]
+/// of it relatively (recomputing re-orders the additions).
+fn check_flows(
+    flows: &[(usize, usize, f64)],
+    supplies: &[f64],
+    demands: &[f64],
+    cost: impl Fn(usize, usize) -> f64,
+    stated: Option<f64>,
+    tol: f64,
+) -> Result<(), FlowViolation> {
+    let mut out_sums = vec![0.0; supplies.len()];
+    let mut in_sums = vec![0.0; demands.len()];
+    let mut recomputed = 0.0;
+    for &(i, j, f) in flows {
+        if i >= supplies.len() || j >= demands.len() {
+            return Err(FlowViolation::IndexOutOfRange {
+                source: i,
+                target: j,
+            });
+        }
+        if !(f.is_finite() && f >= -tol) {
+            return Err(FlowViolation::BadFlowValue {
+                source: i,
+                target: j,
+                flow: f,
+            });
+        }
+        out_sums[i] += f; // bounds: (i, j) was checked against both marginals above
+        in_sums[j] += f; // bounds: j < demands.len() = in_sums.len()
+        recomputed += f * cost(i, j);
+    }
+    for (source_side, sums, masses) in [(true, &out_sums, supplies), (false, &in_sums, demands)] {
+        for (bin, (&actual, &expected)) in sums.iter().zip(masses).enumerate() {
+            if (actual - expected).abs() > tol {
+                return Err(FlowViolation::Conservation {
+                    source_side,
+                    bin,
+                    expected,
+                    actual,
+                });
+            }
+        }
+    }
+    match stated {
+        Some(stated) if (recomputed - stated).abs() > tol.max(recomputed.abs() * CERT_EPS) => {
+            Err(FlowViolation::CostMismatch { stated, recomputed })
+        }
+        _ => Ok(()),
+    }
+}
 
 /// Certify an [`EmdReport`] against its operands: the flows must be a
 /// feasible transportation plan from `x` to `y` (in original bin indices)
@@ -122,7 +189,7 @@ impl std::error::Error for ReportViolation {}
 ///
 /// # Errors
 ///
-/// Returns the first [`ReportViolation`] encountered. `Ok(())` certifies
+/// Returns the first [`FlowViolation`] encountered. `Ok(())` certifies
 /// feasibility, not optimality.
 pub fn certify_report(
     x: &Histogram,
@@ -130,56 +197,15 @@ pub fn certify_report(
     cost: &CostMatrix,
     report: &EmdReport,
     tol: f64,
-) -> Result<(), ReportViolation> {
-    let mut out_sums = vec![0.0; x.dim()];
-    let mut in_sums = vec![0.0; y.dim()];
-    let mut recomputed = 0.0;
-    for &(i, j, f) in &report.flows {
-        if i >= x.dim() || j >= y.dim() {
-            return Err(ReportViolation::IndexOutOfRange {
-                source: i,
-                target: j,
-            });
-        }
-        if !(f.is_finite() && f >= -tol) {
-            return Err(ReportViolation::BadFlowValue {
-                source: i,
-                target: j,
-                flow: f,
-            });
-        }
-        out_sums[i] += f;
-        in_sums[j] += f;
-        recomputed += f * cost.at(i, j);
-    }
-    for (bin, (&actual, &expected)) in out_sums.iter().zip(x.bins()).enumerate() {
-        if (actual - expected).abs() > tol {
-            return Err(ReportViolation::Conservation {
-                source_side: true,
-                bin,
-                expected,
-                actual,
-            });
-        }
-    }
-    for (bin, (&actual, &expected)) in in_sums.iter().zip(y.bins()).enumerate() {
-        if (actual - expected).abs() > tol {
-            return Err(ReportViolation::Conservation {
-                source_side: false,
-                bin,
-                expected,
-                actual,
-            });
-        }
-    }
-    let distance_tol = tol.max(recomputed.abs() * 1e-9);
-    if (recomputed - report.distance).abs() > distance_tol {
-        return Err(ReportViolation::DistanceMismatch {
-            stated: report.distance,
-            recomputed,
-        });
-    }
-    Ok(())
+) -> Result<(), FlowViolation> {
+    check_flows(
+        &report.flows,
+        x.bins(),
+        y.bins(),
+        |i, j| cost.at(i, j),
+        Some(report.distance),
+        tol,
+    )
 }
 
 /// Debug-build hook: certify `report` and panic with the violation if it
@@ -218,175 +244,29 @@ pub fn debug_check_lower_bound(name: &str, lower: f64, exact: f64) {
     );
 }
 
-/// A violated solution invariant, with enough context to debug the solver.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CertificateViolation {
-    /// A flow triple references a source or target outside the tableau.
-    IndexOutOfRange {
-        /// Source index of the offending flow.
-        source: usize,
-        /// Target index of the offending flow.
-        target: usize,
-    },
-    /// A flow amount is negative (beyond tolerance) or non-finite.
-    BadFlowValue {
-        /// Source index of the offending flow.
-        source: usize,
-        /// Target index of the offending flow.
-        target: usize,
-        /// The offending amount.
-        flow: f64,
-    },
-    /// A row or column sum does not match its supply/demand mass.
-    Conservation {
-        /// Which side of the tableau is violated.
-        side: Side,
-        /// Index of the violated line.
-        index: usize,
-        /// The supply/demand mass the line must carry.
-        expected: f64,
-        /// The mass the flows actually carry.
-        actual: f64,
-    },
-    /// The stated objective differs from the cost of the flows.
-    ObjectiveMismatch {
-        /// Objective reported by the solver.
-        stated: f64,
-        /// Objective recomputed from the flows.
-        recomputed: f64,
-    },
-    /// An initial basis does not have the spanning-tree cell count
-    /// `m + n - 1`.
-    BasisSize {
-        /// Number of basic cells found.
-        cells: usize,
-        /// The required spanning-tree count.
-        expected: usize,
-    },
-}
-
-impl fmt::Display for CertificateViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CertificateViolation::IndexOutOfRange { source, target } => {
-                write!(f, "flow ({source}, {target}) outside the tableau")
-            }
-            CertificateViolation::BadFlowValue {
-                source,
-                target,
-                flow,
-            } => write!(f, "flow ({source}, {target}) has bad amount {flow}"),
-            CertificateViolation::Conservation {
-                side,
-                index,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "{side} {index} conserves {actual}, expected {expected} \
-                 (error {:.3e})",
-                (actual - expected).abs()
-            ),
-            CertificateViolation::ObjectiveMismatch { stated, recomputed } => {
-                write!(
-                    f,
-                    "objective {stated} != recomputed {recomputed} \
-                     (error {:.3e})",
-                    (stated - recomputed).abs()
-                )
-            }
-            CertificateViolation::BasisSize { cells, expected } => {
-                write!(f, "initial basis has {cells} cells, expected {expected}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CertificateViolation {}
-
-/// Check that `flows` conserve mass against `problem` within `tol`:
-/// non-negative finite amounts, in-range indices, row sums equal supplies
-/// and column sums equal demands.
-///
-/// Shared by the solution and initial-basis certificates.
-fn check_conservation(
-    problem: &TransportProblem,
-    flows: &[(usize, usize, f64)],
-    tol: f64,
-) -> Result<(), CertificateViolation> {
-    let m = problem.num_sources();
-    let n = problem.num_targets();
-    let mut row_sums = vec![0.0; m];
-    let mut col_sums = vec![0.0; n];
-    for &(i, j, f) in flows {
-        if i >= m || j >= n {
-            return Err(CertificateViolation::IndexOutOfRange {
-                source: i,
-                target: j,
-            });
-        }
-        if !(f.is_finite() && f >= -tol) {
-            return Err(CertificateViolation::BadFlowValue {
-                source: i,
-                target: j,
-                flow: f,
-            });
-        }
-        row_sums[i] += f; // bounds: (i, j) was validated as a tableau cell above
-        col_sums[j] += f; // bounds: j < num_targets = col_sums.len()
-    }
-    for (index, (&actual, &expected)) in row_sums.iter().zip(problem.supplies()).enumerate() {
-        if (actual - expected).abs() > tol {
-            return Err(CertificateViolation::Conservation {
-                side: Side::Supply,
-                index,
-                expected,
-                actual,
-            });
-        }
-    }
-    for (index, (&actual, &expected)) in col_sums.iter().zip(problem.demands()).enumerate() {
-        if (actual - expected).abs() > tol {
-            return Err(CertificateViolation::Conservation {
-                side: Side::Demand,
-                index,
-                expected,
-                actual,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Certify a [`Solution`] against its [`TransportProblem`]: flow
-/// conservation on both sides, non-negativity, and objective consistency,
-/// all within absolute tolerance `tol` ([`CERT_EPS`] is a good default).
+/// Certify a [`Solution`] against its [`TransportProblem`] with the
+/// [`certify_report`] checks in tableau indices, within absolute
+/// tolerance `tol` ([`CERT_EPS`] is a good default).
 ///
 /// # Errors
 ///
-/// Returns the first [`CertificateViolation`] encountered; `Ok(())` means
-/// the solution is a feasible flow whose cost matches its stated objective
+/// Returns the first [`FlowViolation`] encountered; `Ok(())` means the
+/// solution is a feasible flow whose cost matches its stated objective
 /// (it does *not* certify optimality — that is what the cross-solver
 /// agreement tests are for).
 pub(crate) fn certify_solution(
     problem: &TransportProblem,
     solution: &Solution,
     tol: f64,
-) -> Result<(), CertificateViolation> {
-    check_conservation(problem, &solution.flows, tol)?;
-    let recomputed: f64 = solution
-        .flows
-        .iter()
-        .map(|&(i, j, f)| f * problem.cost(i, j))
-        .sum();
-    let objective_tol = tol.max(recomputed.abs() * 1e-9);
-    if (recomputed - solution.objective).abs() > objective_tol {
-        return Err(CertificateViolation::ObjectiveMismatch {
-            stated: solution.objective,
-            recomputed,
-        });
-    }
-    Ok(())
+) -> Result<(), FlowViolation> {
+    check_flows(
+        &solution.flows,
+        problem.supplies(),
+        problem.demands(),
+        |i, j| problem.cost(i, j),
+        Some(solution.objective),
+        tol,
+    )
 }
 
 /// Certify an [`InitialBasis`] against its problem: exactly `m + n - 1`
@@ -394,20 +274,28 @@ pub(crate) fn certify_solution(
 ///
 /// # Errors
 ///
-/// Returns the first [`CertificateViolation`] encountered.
+/// Returns the first [`FlowViolation`] encountered.
 pub(crate) fn certify_basis(
     problem: &TransportProblem,
     basis: &InitialBasis,
     tol: f64,
-) -> Result<(), CertificateViolation> {
+) -> Result<(), FlowViolation> {
     let expected = problem.num_sources() + problem.num_targets() - 1;
     if basis.cells.len() != expected {
-        return Err(CertificateViolation::BasisSize {
+        return Err(FlowViolation::BasisSize {
             cells: basis.cells.len(),
             expected,
         });
     }
-    check_conservation(problem, &basis.cells, tol)
+    let cost = |i, j| problem.cost(i, j);
+    check_flows(
+        &basis.cells,
+        problem.supplies(),
+        problem.demands(),
+        cost,
+        None,
+        tol,
+    )
 }
 
 /// Debug-build hook: certify `solution` and panic with the violation and
@@ -486,7 +374,7 @@ mod tests {
         report.flows[0].2 += 0.125;
         assert!(matches!(
             certify_report(&x, &y, &c, &report, CERT_EPS).unwrap_err(),
-            ReportViolation::Conservation { .. }
+            FlowViolation::Conservation { .. }
         ));
     }
 
@@ -500,7 +388,7 @@ mod tests {
         report.distance += 1.0;
         assert!(matches!(
             certify_report(&x, &y, &c, &report, CERT_EPS).unwrap_err(),
-            ReportViolation::DistanceMismatch { .. }
+            FlowViolation::CostMismatch { .. }
         ));
     }
 
@@ -515,7 +403,7 @@ mod tests {
         };
         assert!(matches!(
             certify_report(&x, &y, &c, &report, CERT_EPS).unwrap_err(),
-            ReportViolation::IndexOutOfRange { target: 5, .. }
+            FlowViolation::IndexOutOfRange { target: 5, .. }
         ));
     }
 
@@ -546,7 +434,7 @@ mod tests {
     }
 
     fn problem() -> TransportProblem {
-        TransportProblem::new(vec![0.5, 0.5], vec![0.25, 0.75], vec![1.0, 2.0, 3.0, 1.0]).unwrap()
+        TransportProblem::new(vec![0.5, 0.5], vec![0.25, 0.75], vec![1.0, 2.0, 3.0, 1.0])
     }
 
     #[test]
@@ -563,7 +451,7 @@ mod tests {
         // Corrupt one flow amount: conservation must catch it.
         s.flows[0].2 += 0.1;
         let err = certify_solution(&p, &s, CERT_EPS).unwrap_err();
-        assert!(matches!(err, CertificateViolation::Conservation { .. }));
+        assert!(matches!(err, FlowViolation::Conservation { .. }));
     }
 
     #[test]
@@ -572,10 +460,7 @@ mod tests {
         let mut s = solve(&p).unwrap();
         s.objective += 1.0;
         let err = certify_solution(&p, &s, CERT_EPS).unwrap_err();
-        assert!(matches!(
-            err,
-            CertificateViolation::ObjectiveMismatch { .. }
-        ));
+        assert!(matches!(err, FlowViolation::CostMismatch { .. }));
     }
 
     #[test]
@@ -585,7 +470,7 @@ mod tests {
         s.flows.push((9, 0, 0.0));
         assert!(matches!(
             certify_solution(&p, &s, CERT_EPS).unwrap_err(),
-            CertificateViolation::IndexOutOfRange { source: 9, .. }
+            FlowViolation::IndexOutOfRange { source: 9, .. }
         ));
 
         let bad = Solution {
@@ -594,7 +479,7 @@ mod tests {
         };
         assert!(matches!(
             certify_solution(&p, &bad, CERT_EPS).unwrap_err(),
-            CertificateViolation::BadFlowValue { .. }
+            FlowViolation::BadFlowValue { .. }
         ));
     }
 
@@ -612,7 +497,7 @@ mod tests {
         basis.cells.pop();
         assert!(matches!(
             certify_basis(&p, &basis, CERT_EPS).unwrap_err(),
-            CertificateViolation::BasisSize { .. }
+            FlowViolation::BasisSize { .. }
         ));
     }
 
@@ -624,5 +509,15 @@ mod tests {
         let mut s = solve(&p).unwrap();
         s.flows[0].2 += 0.25;
         debug_certify_solution(&p, &s, "test-corruptor");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "bad initial basis")]
+    fn debug_basis_hook_fires_on_short_basis() {
+        let p = problem();
+        let mut basis = crate::vogel::initial_basis(&p);
+        basis.cells.pop();
+        debug_certify_basis(&p, &basis);
     }
 }

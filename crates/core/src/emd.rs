@@ -28,8 +28,9 @@ pub struct EmdReport {
 ///
 /// Returns [`CoreError::DimensionMismatch`] when `x` does not match
 /// `cost.rows()` or `y` does not match `cost.cols()`, and
-/// [`CoreError::Solver`] if the underlying transportation simplex rejects
-/// the instance.
+/// [`CoreError::Solver`] if the transportation simplex fails to converge
+/// (a numerical pathology: the operands were checked when they were
+/// built).
 pub fn emd(x: &Histogram, y: &Histogram, cost: &CostMatrix) -> Result<f64, CoreError> {
     emd_in_context(x, y, cost, &Budget::unlimited(), &mut EmdContext::new())
 }

@@ -1,5 +1,7 @@
 //! Error types for `emd-core`: the public [`CoreError`] and the
-//! solver's own [`TransportError`], which [`crate::context`] maps onto it.
+//! simplex's own [`TransportError`], which [`crate::context`] maps onto
+//! it. Bad operands never reach the solver: [`crate::Histogram`] and
+//! [`crate::CostMatrix`] reject them when they are built.
 
 use crate::budget::BudgetReason;
 use std::fmt;
@@ -99,44 +101,9 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-/// Errors reported by the transportation solver.
+/// What the simplex itself raises.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum TransportError {
-    /// A supply or demand entry is negative.
-    NegativeMass {
-        /// Which side of the tableau the bad entry is on.
-        side: Side,
-        /// Index of the offending entry.
-        index: usize,
-        /// The offending value.
-        value: f64,
-    },
-    /// Total supply and total demand differ by more than the balance
-    /// tolerance.
-    Unbalanced {
-        /// Sum of the supply vector.
-        total_supply: f64,
-        /// Sum of the demand vector.
-        total_demand: f64,
-    },
-    /// The supply or demand vector is empty.
-    EmptySide(Side),
-    /// Cost matrix dimensions do not match the supply/demand vectors.
-    CostShape {
-        /// Expected number of rows (sources).
-        expected_rows: usize,
-        /// Expected number of columns (targets).
-        expected_cols: usize,
-        /// Actual buffer length.
-        len: usize,
-    },
-    /// A cost entry is NaN or infinite.
-    NonFiniteCost {
-        /// Row of the offending entry.
-        row: usize,
-        /// Column of the offending entry.
-        col: usize,
-    },
     /// The simplex failed to converge within its iteration budget.
     /// This indicates a numerical pathology and should never occur for
     /// well-scaled inputs.
@@ -161,49 +128,9 @@ pub(crate) enum TransportError {
     },
 }
 
-/// Which side of the tableau an error refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    /// The supply (source/row) side.
-    Supply,
-    /// The demand (target/column) side.
-    Demand,
-}
-
-impl fmt::Display for Side {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Side::Supply => write!(f, "supply"),
-            Side::Demand => write!(f, "demand"),
-        }
-    }
-}
-
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransportError::NegativeMass { side, index, value } => {
-                write!(f, "negative {side} mass at index {index}: {value}")
-            }
-            TransportError::Unbalanced {
-                total_supply,
-                total_demand,
-            } => write!(
-                f,
-                "unbalanced problem: total supply {total_supply} != total demand {total_demand}"
-            ),
-            TransportError::EmptySide(side) => write!(f, "empty {side} vector"),
-            TransportError::CostShape {
-                expected_rows,
-                expected_cols,
-                len,
-            } => write!(
-                f,
-                "cost matrix has {len} entries, expected {expected_rows} x {expected_cols}"
-            ),
-            TransportError::NonFiniteCost { row, col } => {
-                write!(f, "non-finite cost at ({row}, {col})")
-            }
             TransportError::IterationLimit { iterations } => {
                 write!(f, "simplex did not converge within {iterations} iterations")
             }

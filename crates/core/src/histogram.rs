@@ -202,15 +202,6 @@ impl AsRef<[f64]> for Histogram {
 }
 
 #[cfg(test)]
-impl Histogram {
-    /// `bins` as a histogram without the entry and mass checks, so tests
-    /// can reach what lies behind them.
-    pub(crate) fn unchecked(bins: &[f64]) -> Self {
-        Histogram { bins: bins.into() }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -34,9 +34,12 @@
 //! Vogel-approximation initial basis. Its runtime is superlinear
 //! (empirically ~cubic) in the number of bins — the very cost the
 //! paper's dimensionality reduction attacks. The solver is private to
-//! this crate; its cross-check is a structurally unrelated solver,
-//! successive shortest paths with Dijkstra and node potentials, which
-//! lives with the tests that use it (`tests/transport/ssp.rs`).
+//! this crate and trusts its operands, which [`Histogram`] and
+//! [`CostMatrix`] checked when they were built; [`certify`] holds its
+//! output to one flow certificate in debug builds. Its cross-check is a
+//! structurally unrelated solver, successive shortest paths with
+//! Dijkstra and node potentials, which lives with the tests that use it
+//! (`tests/transport/ssp.rs`).
 //!
 //! ## Budgets
 //!
@@ -114,8 +117,8 @@ pub use histogram::Histogram;
 pub use simplex::Bounded;
 
 /// Tolerance for mass normalization checks: histograms must total 1 within
-/// this bound. The solver accepts two operands whose totals differ by up
-/// to twice this, since each may be off by it in opposite directions.
+/// this bound. Two operands' totals may thus differ by up to twice this,
+/// each off by it in opposite directions; the solver rebalances that.
 pub const MASS_EPS: f64 = 1e-7;
 
 /// Absolute tolerance the solver uses for feasibility and optimality

@@ -1,6 +1,7 @@
 //! The anchor lower bound from weak LP duality: any dual-feasible
 //! potentials give `u . x + v . y <= EMD(x, y)`.
 
+use crate::certify::CERT_EPS;
 use crate::cost::CostMatrix;
 use crate::error::CoreError;
 use crate::histogram::Histogram;
@@ -59,23 +60,12 @@ impl AnchorBound {
                 return Err(CoreError::InvalidCost {
                     row: anchor,
                     col: anchor,
-                    // float: nan — placeholder overwritten below; NaN guarantees a missed write is caught
+                    // float: nan — an out-of-range anchor names no cost entry
                     value: f64::NAN,
                 });
             }
             let column: Vec<f64> = (0..d).map(|i| cost.at(i, anchor)).collect();
-            // Dual feasibility: |c_ia - c_ja| <= c_ij for all i, j.
-            for i in 0..d {
-                for j in 0..d {
-                    if (column[i] - column[j]).abs() > cost.at(i, j) + 1e-9 {
-                        return Err(CoreError::InvalidCost {
-                            row: i,
-                            col: j,
-                            value: cost.at(i, j),
-                        });
-                    }
-                }
-            }
+            check_dual_feasible(&column, cost, CERT_EPS)?;
             projections.push(column);
         }
         Ok(AnchorBound {
@@ -98,42 +88,6 @@ impl AnchorBound {
         let count = count.clamp(1, d);
         let anchors: Vec<usize> = (0..count).map(|k| k * d / count).collect();
         Self::new(cost, &anchors)
-    }
-
-    /// Re-audit dual feasibility of every stored anchor column against
-    /// `cost`: `|c_ia - c_ja| <= c_ij + tol` for all `i, j`. The
-    /// constructor enforces this once; the audit lets certificate tests
-    /// re-verify the invariant against a possibly different cost matrix
-    /// (weak duality only holds for the matrix the columns came from).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidCost`] naming the first violating
-    /// `(i, j)` pair, or [`CoreError::DimensionMismatch`] if `cost` does
-    /// not match the bound's dimensionality.
-    pub fn verify_dual_feasible(&self, cost: &CostMatrix, tol: f64) -> Result<(), CoreError> {
-        if !cost.is_square() || cost.rows() != self.dim {
-            return Err(CoreError::DimensionMismatch {
-                expected_rows: self.dim,
-                expected_cols: self.dim,
-                got_rows: cost.rows(),
-                got_cols: cost.cols(),
-            });
-        }
-        for column in &self.projections {
-            for i in 0..self.dim {
-                for j in 0..self.dim {
-                    if (column[i] - column[j]).abs() > cost.at(i, j) + tol {
-                        return Err(CoreError::InvalidCost {
-                            row: i,
-                            col: j,
-                            value: cost.at(i, j),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Number of anchors.
@@ -195,6 +149,28 @@ impl AnchorBound {
         let py = self.project(y)?;
         Ok(self.bound_from_projections(&px, &py))
     }
+}
+
+/// The dual-feasibility check: `|column_i - column_j| <= c_ij + tol` for
+/// all `i, j` of the square `cost`, so that both `(column, -column)` and
+/// its negation are feasible potentials.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidCost`] naming the first violating `(i, j)`.
+fn check_dual_feasible(column: &[f64], cost: &CostMatrix, tol: f64) -> Result<(), CoreError> {
+    for (i, &ci) in column.iter().enumerate() {
+        for (j, &cj) in column.iter().enumerate() {
+            if (ci - cj).abs() > cost.at(i, j) + tol {
+                return Err(CoreError::InvalidCost {
+                    row: i,
+                    col: j,
+                    value: cost.at(i, j),
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,18 +1,20 @@
 //! The balanced transportation problem instance consumed by the simplex
 //! (and by the tests' SSP oracle): supplies, demands and a row-major cost
-//! tableau, validated for balance at construction.
+//! tableau. Its one producer, `emd_in_context_within`, builds it from a
+//! [`Histogram`](crate::Histogram) pair and a
+//! [`CostMatrix`](crate::CostMatrix), whose constructors already reject
+//! empty, negative, non-finite, mis-shaped and unnormalized input, so
+//! construction checks nothing again.
 
-use crate::error::{Side, TransportError};
 use crate::MASS_EPS;
 
 /// A balanced transportation problem instance.
 ///
 /// Costs are stored row-major: the cost of shipping one unit from source `i`
-/// to target `j` is `costs[i * n + j]`. The problem must be balanced
-/// (total supply == total demand within `2 · MASS_EPS`, since each
-/// operand may be off its normalized total by [`MASS_EPS`]); construction
-/// rebalances tiny rounding drift exactly so the solvers can rely on a
-/// strictly balanced tableau.
+/// to target `j` is `costs[i * n + j]`. Total supply and total demand
+/// agree within `2 · MASS_EPS`, since each operand may be off its
+/// normalized total by [`MASS_EPS`]; construction rebalances that drift
+/// exactly so the solvers can rely on a strictly balanced tableau.
 #[derive(Debug, Clone)]
 pub(crate) struct TransportProblem {
     supplies: Vec<f64>,
@@ -21,81 +23,22 @@ pub(crate) struct TransportProblem {
 }
 
 impl TransportProblem {
-    /// Build and validate a problem instance.
-    ///
-    /// `costs` must have `supplies.len() * demands.len()` entries in
-    /// row-major order. Returns an error for negative masses, a
-    /// supply/demand imbalance beyond `2 · MASS_EPS`, shape mismatches or
-    /// non-finite costs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::NegativeMass`] for negative masses,
-    /// [`TransportError::EmptySide`] for an empty operand,
-    /// [`TransportError::CostShape`] when `costs` is not
-    /// `supplies.len() * demands.len()` long, [`TransportError::NonFiniteCost`]
-    /// for NaN/infinite costs, and [`TransportError::Unbalanced`] when total
-    /// supply and demand differ by more than `2 · MASS_EPS`.
-    pub(crate) fn new(
-        supplies: Vec<f64>,
-        demands: Vec<f64>,
-        costs: Vec<f64>,
-    ) -> Result<Self, TransportError> {
-        if supplies.is_empty() {
-            return Err(TransportError::EmptySide(Side::Supply));
-        }
-        if demands.is_empty() {
-            return Err(TransportError::EmptySide(Side::Demand));
-        }
-        for (index, &value) in supplies.iter().enumerate() {
-            if value < 0.0 || !value.is_finite() {
-                return Err(TransportError::NegativeMass {
-                    side: Side::Supply,
-                    index,
-                    value,
-                });
-            }
-        }
-        for (index, &value) in demands.iter().enumerate() {
-            if value < 0.0 || !value.is_finite() {
-                return Err(TransportError::NegativeMass {
-                    side: Side::Demand,
-                    index,
-                    value,
-                });
-            }
-        }
-        let (m, n) = (supplies.len(), demands.len());
-        if costs.len() != m * n {
-            return Err(TransportError::CostShape {
-                expected_rows: m,
-                expected_cols: n,
-                len: costs.len(),
-            });
-        }
-        for (k, &c) in costs.iter().enumerate() {
-            if !c.is_finite() {
-                return Err(TransportError::NonFiniteCost {
-                    row: k / n,
-                    col: k % n,
-                });
-            }
-        }
-        let total_supply: f64 = supplies.iter().sum();
-        let total_demand: f64 = demands.iter().sum();
-        if (total_supply - total_demand).abs() > 2.0 * MASS_EPS {
-            return Err(TransportError::Unbalanced {
-                total_supply,
-                total_demand,
-            });
-        }
+    /// Build a problem instance from non-empty, non-negative, finite
+    /// masses whose totals agree within `2 · MASS_EPS` and finite `costs`
+    /// with `supplies.len() * demands.len()` entries in row-major order.
+    pub(crate) fn new(supplies: Vec<f64>, demands: Vec<f64>, costs: Vec<f64>) -> Self {
+        let drift = supplies.iter().sum::<f64>() - demands.iter().sum::<f64>();
+        debug_assert!(
+            drift.abs() <= 2.0 * MASS_EPS,
+            "supply and demand totals differ by {drift}"
+        );
         let mut problem = TransportProblem {
             supplies,
             demands,
             costs,
         };
-        problem.rebalance(total_supply - total_demand);
-        Ok(problem)
+        problem.rebalance(drift);
+        problem
     }
 
     /// Absorb sub-tolerance rounding drift into the largest demand so that
@@ -105,9 +48,8 @@ impl TransportProblem {
         if drift == 0.0 {
             return;
         }
-        // `new` rejects empty demand vectors before calling `rebalance`,
-        // so `max_by` cannot return `None`; the early return keeps this
-        // path panic-free.
+        // `new`'s operands are never empty, so `max_by` cannot return
+        // `None`; the early return keeps this path panic-free.
         let Some((argmax, _)) = self
             .demands
             .iter()
@@ -184,103 +126,12 @@ pub(crate) struct Solution {
 }
 
 #[cfg(test)]
-impl Solution {
-    /// Verify that the flows satisfy the source/target constraints of
-    /// `problem` within tolerance `tol` and that the objective matches the
-    /// flows. For the tests.
-    pub(crate) fn check_feasible(&self, problem: &TransportProblem, tol: f64) -> bool {
-        let m = problem.num_sources();
-        let n = problem.num_targets();
-        let mut row_sums = vec![0.0; m];
-        let mut col_sums = vec![0.0; n];
-        let mut objective = 0.0;
-        for &(i, j, f) in &self.flows {
-            if i >= m || j >= n || f < -tol {
-                return false;
-            }
-            row_sums[i] += f;
-            col_sums[j] += f;
-            objective += f * problem.cost(i, j);
-        }
-        let rows_ok = row_sums
-            .iter()
-            .zip(problem.supplies())
-            .all(|(&got, &want)| (got - want).abs() <= tol);
-        let cols_ok = col_sums
-            .iter()
-            .zip(problem.demands())
-            .all(|(&got, &want)| (got - want).abs() <= tol);
-        rows_ok && cols_ok && (objective - self.objective).abs() <= tol.max(objective.abs() * 1e-9)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn rejects_negative_supply() {
-        let err = TransportProblem::new(vec![-0.1, 1.1], vec![1.0], vec![0.0, 1.0]).unwrap_err();
-        assert!(matches!(
-            err,
-            TransportError::NegativeMass {
-                side: Side::Supply,
-                index: 0,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn rejects_negative_demand() {
-        let err = TransportProblem::new(vec![1.0], vec![1.5, -0.5], vec![0.0, 1.0]).unwrap_err();
-        assert!(matches!(
-            err,
-            TransportError::NegativeMass {
-                side: Side::Demand,
-                index: 1,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn rejects_unbalanced() {
-        let err = TransportProblem::new(vec![1.0], vec![0.5], vec![0.0]).unwrap_err();
-        assert!(matches!(err, TransportError::Unbalanced { .. }));
-    }
-
-    #[test]
-    fn rejects_bad_cost_shape() {
-        let err = TransportProblem::new(vec![1.0], vec![1.0], vec![0.0, 1.0]).unwrap_err();
-        assert!(matches!(err, TransportError::CostShape { .. }));
-    }
-
-    #[test]
-    fn rejects_nan_cost() {
-        let err = TransportProblem::new(vec![1.0], vec![1.0], vec![f64::NAN]).unwrap_err();
-        assert!(matches!(
-            err,
-            TransportError::NonFiniteCost { row: 0, col: 0 }
-        ));
-    }
-
-    #[test]
-    fn rejects_empty_sides() {
-        assert!(matches!(
-            TransportProblem::new(vec![], vec![1.0], vec![]).unwrap_err(),
-            TransportError::EmptySide(Side::Supply)
-        ));
-        assert!(matches!(
-            TransportProblem::new(vec![1.0], vec![], vec![]).unwrap_err(),
-            TransportError::EmptySide(Side::Demand)
-        ));
-    }
-
-    #[test]
     fn rebalances_tiny_drift() {
-        let problem =
-            TransportProblem::new(vec![0.5, 0.5], vec![1.0 + 1e-9], vec![1.0, 2.0]).unwrap();
+        let problem = TransportProblem::new(vec![0.5, 0.5], vec![1.0 + 1e-9], vec![1.0, 2.0]);
         let total_supply: f64 = problem.supplies().iter().sum();
         let total_demand: f64 = problem.demands().iter().sum();
         assert!((total_supply - total_demand).abs() < 1e-15);
@@ -292,8 +143,7 @@ mod tests {
             vec![0.6, 0.4],
             vec![0.3, 0.3, 0.4],
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-        )
-        .unwrap();
+        );
         assert_eq!(problem.num_sources(), 2);
         assert_eq!(problem.num_targets(), 3);
         assert_eq!(problem.cost(0, 2), 3.0);

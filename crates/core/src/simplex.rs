@@ -731,11 +731,12 @@ fn find_entering(costs: &[f64], u: &[f64], v: &[f64], bland: bool) -> Option<(us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::{certify_solution, CERT_EPS};
 
     fn solve_unwrap(supplies: Vec<f64>, demands: Vec<f64>, costs: Vec<f64>) -> Solution {
-        let problem = TransportProblem::new(supplies, demands, costs).unwrap();
+        let problem = TransportProblem::new(supplies, demands, costs);
         let solution = solve(&problem).unwrap();
-        assert!(solution.check_feasible(&problem, 1e-9));
+        assert_eq!(certify_solution(&problem, &solution, CERT_EPS), Ok(()));
         solution
     }
 
@@ -848,8 +849,7 @@ mod tests {
             vec![0.3, 0.3, 0.4],
             vec![0.2, 0.5, 0.3],
             vec![4.0, 1.0, 3.0, 2.0, 5.0, 2.0, 3.0, 3.0, 1.0],
-        )
-        .unwrap();
+        );
         assert_eq!(
             pivot_with_limit(&problem, 0).unwrap_err(),
             TransportError::IterationLimit { iterations: 0 }
@@ -887,7 +887,6 @@ mod tests {
                 4.0, 14.0, 16.0, 18.0,
             ],
         )
-        .unwrap()
     }
 
     #[test]
@@ -946,8 +945,7 @@ mod tests {
         ];
         let mut ws = SolverWorkspace::new();
         for demands in &demand_sets {
-            let problem =
-                TransportProblem::new(supplies.clone(), demands.clone(), costs.clone()).unwrap();
+            let problem = TransportProblem::new(supplies.clone(), demands.clone(), costs.clone());
             let cold = solve(&problem).unwrap();
             let warm = solve_warm(&problem, &Budget::unlimited(), &mut ws).unwrap();
             assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());
@@ -966,8 +964,7 @@ mod tests {
             vec![0.5, 0.5],
             vec![0.2, 0.3, 0.5],
             vec![1.0, 2.0, 3.0, 3.0, 2.0, 1.0],
-        )
-        .unwrap();
+        );
         let warm = solve_warm(&p2, &Budget::unlimited(), &mut ws).unwrap();
         assert!((warm.objective - 1.3).abs() < 1e-12);
         assert_eq!(ws.stats().warm_attempts, 0);
@@ -1050,7 +1047,7 @@ mod tests {
         };
         let problem =
             |rising: bool| TransportProblem::new(ramp(!rising), ramp(rising), line.clone());
-        let (first, swung) = (problem(false).unwrap(), problem(true).unwrap());
+        let (first, swung) = (problem(false), problem(true));
         let mut warm = SolverWorkspace::new();
         solve_warm(&first, &Budget::unlimited(), &mut warm).unwrap();
         // Scrambled costs on 96 uniform bins: a long primal run from the
@@ -1060,7 +1057,7 @@ mod tests {
             .map(|k| ((k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 54) as f64)
             .collect();
         let uniform = vec![1.0 / bins as f64; bins];
-        let scrambled = TransportProblem::new(uniform.clone(), uniform, scrambled).unwrap();
+        let scrambled = TransportProblem::new(uniform.clone(), uniform, scrambled);
 
         let counted = |workspace: &mut SolverWorkspace, problem, budget: &Budget| {
             let before = workspace.stats();

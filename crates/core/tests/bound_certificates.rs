@@ -1,7 +1,7 @@
 //! Property-based coverage of the numeric-invariant layer in `emd-core`:
 //! flow reports certify against their operands, every lower bound in the
-//! toolbox stays below the exact EMD, and the anchor bound's dual vector
-//! re-verifies as feasible.
+//! toolbox stays below the exact EMD, and the anchor bound's potentials
+//! are dual feasible.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -57,14 +57,20 @@ proptest! {
         prop_assert!(anchors <= exact + BOUND_EPS, "anchor {anchors} > EMD {exact}");
     }
 
-    /// The anchor bound's dual vector re-verifies as feasible for the cost
-    /// matrix it was built from, at every anchor count.
+    /// The anchor bound's potentials are dual feasible for the cost matrix
+    /// it was built from, at every anchor count: on two point masses the
+    /// bound is `max_a |c_ia - c_ja|`, which must not exceed `c_ij`.
     #[test]
     fn anchor_duals_stay_feasible(dim in 2usize..10, count in 1usize..6) {
         let cost = ground::linear(dim).expect("dim >= 2");
         let count = count.min(dim);
         let bound = AnchorBound::with_spread_anchors(&cost, count).expect("valid anchor count");
-        prop_assert!(bound.verify_dual_feasible(&cost, CERT_EPS).is_ok());
+        for i in 0..dim {
+            for j in 0..dim {
+                let (x, y) = (Histogram::unit(dim, i).unwrap(), Histogram::unit(dim, j).unwrap());
+                prop_assert!(bound.bound(&x, &y).unwrap() <= cost.at(i, j) + CERT_EPS);
+            }
+        }
     }
 
     /// Corrupting a reported flow is caught by the report certificate —

@@ -6,7 +6,8 @@
 use emd_core::ground::{self, Metric};
 use emd_core::lower_bounds::{AnchorBound, LbIm};
 use emd_core::{
-    emd, emd_in_context, emd_with_flows, Budget, CostMatrix, EmdContext, Histogram, MASS_EPS,
+    emd, emd_in_context, emd_in_context_within, emd_with_flows, Bounded, Budget, CostMatrix,
+    EmdContext, Histogram, MASS_EPS,
 };
 use proptest::prelude::*;
 
@@ -58,6 +59,31 @@ fn at_mass_tolerance(h: &Histogram, sign: f64) -> Histogram {
     Histogram::new(bins).unwrap()
 }
 
+/// `h` reduced onto `groups` contiguous bins: each reduced bin holds the
+/// summed mass of its run of original bins, as a combining reduction's
+/// `x · R` does.
+fn reduce_contiguous(h: &Histogram, groups: usize) -> Histogram {
+    let mut bins = vec![0.0; groups];
+    for (i, &mass) in h.bins().iter().enumerate() {
+        bins[i * groups / h.dim()] += mass;
+    }
+    Histogram::new(bins).unwrap()
+}
+
+/// The reduced cost `C'` of two contiguous reductions of the 1-D chain
+/// `|i - j|` onto `r1` and `r2` bins: the cheapest pair of original bins
+/// between each two groups, a rectangular matrix when `r1 != r2`.
+fn reduced_chain_cost(dim: usize, r1: usize, r2: usize) -> CostMatrix {
+    let mut entries = vec![f64::INFINITY; r1 * r2];
+    for i in 0..dim {
+        for j in 0..dim {
+            let cell = &mut entries[(i * r1 / dim) * r2 + j * r2 / dim];
+            *cell = cell.min((i as f64 - j as f64).abs());
+        }
+    }
+    CostMatrix::new(r1, r2, entries).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -73,21 +99,34 @@ proptest! {
     /// Operands whose totals sit at `1 ± MASS_EPS`, in either direction
     /// each: every pair `Histogram::new` accepts, the EMD accepts too, and
     /// its answer differs from the closed form only by the imbalance it
-    /// had to move (at most `2 · MASS_EPS`, at most 12 bins far).
+    /// had to move (at most `2 · MASS_EPS`, at most 12 bins far). The
+    /// same operands reduced onto `r1 != r2` bins under the rectangular
+    /// `C'` — the other producer of solver operands — solve too, and
+    /// their Red-EMD stays below the EMD by the same margin.
     #[test]
     fn operands_at_the_mass_tolerance_solve(
         x in histogram(12),
         y in histogram(12),
         x_sign in prop::sample::select(vec![1.0, -1.0]),
         y_sign in prop::sample::select(vec![1.0, -1.0]),
+        (r1, r2) in prop::sample::select(vec![(2, 3), (3, 5), (4, 6), (5, 2), (6, 4)]),
     ) {
         let (x, y) = (at_mass_tolerance(&x, x_sign), at_mass_tolerance(&y, y_sign));
         let c = ground::linear(12).unwrap();
         let lp = emd(&x, &y, &c).unwrap();
         let oracle = emd_1d_manhattan(&x, &y);
+        let margin = (2.0 * MASS_EPS).mul_add(12.0, 1e-9);
+        prop_assert!((lp - oracle).abs() <= margin, "lp {lp} != oracle {oracle}");
+
+        let (xr, yr) = (reduce_contiguous(&x, r1), reduce_contiguous(&y, r2));
+        let reduced = reduced_chain_cost(12, r1, r2);
+        let red = emd_in_context_within(
+            &xr, &yr, &reduced, &Budget::unlimited(), f64::INFINITY, &mut EmdContext::new(),
+        )
+        .unwrap();
         prop_assert!(
-            (lp - oracle).abs() <= (2.0 * MASS_EPS).mul_add(12.0, 1e-9),
-            "lp {lp} != oracle {oracle}"
+            matches!(red, Bounded::Optimal(distance) if distance <= lp + margin),
+            "Red-EMD {red:?} > EMD {lp}"
         );
     }
 

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use super::ssp::solve_ssp;
-use crate::certify::{certify_basis, certify_solution, CertificateViolation, CERT_EPS};
+use crate::certify::{certify_basis, certify_solution, FlowViolation, CERT_EPS};
 use crate::problem::TransportProblem;
 use crate::simplex::solve;
 use crate::vogel::initial_basis;
@@ -30,12 +30,8 @@ fn cost_matrix(m: usize, n: usize) -> impl Strategy<Value = Vec<f64>> {
 /// A random balanced instance with dimensions in `2..=max_dim`.
 fn instance(max_dim: usize) -> impl Strategy<Value = TransportProblem> {
     (2..=max_dim, 2..=max_dim).prop_flat_map(|(m, n)| {
-        (mass_vector(m), mass_vector(n), cost_matrix(m, n)).prop_map(
-            |(supplies, demands, costs)| {
-                TransportProblem::new(supplies, demands, costs)
-                    .expect("generated instances are valid")
-            },
-        )
+        (mass_vector(m), mass_vector(n), cost_matrix(m, n))
+            .prop_map(|(supplies, demands, costs)| TransportProblem::new(supplies, demands, costs))
     })
 }
 
@@ -74,7 +70,7 @@ proptest! {
         solution.flows[index].2 += delta;
         let verdict = certify_solution(&problem, &solution, CERT_EPS);
         prop_assert!(
-            matches!(verdict, Err(CertificateViolation::Conservation { .. })),
+            matches!(verdict, Err(FlowViolation::Conservation { .. })),
             "tampered flow must break conservation, got {verdict:?}"
         );
     }
@@ -87,7 +83,7 @@ proptest! {
         solution.objective += delta;
         let verdict = certify_solution(&problem, &solution, CERT_EPS);
         prop_assert!(
-            matches!(verdict, Err(CertificateViolation::ObjectiveMismatch { .. })),
+            matches!(verdict, Err(FlowViolation::CostMismatch { .. })),
             "tampered objective must be caught, got {verdict:?}"
         );
     }

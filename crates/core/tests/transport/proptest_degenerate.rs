@@ -6,6 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use super::ssp::solve_ssp;
+use crate::certify::certify_solution;
 use crate::problem::TransportProblem;
 use crate::simplex::solve;
 use proptest::prelude::*;
@@ -38,11 +39,11 @@ proptest! {
         demands in spiky_mass(10),
         costs in quantized_costs(10, 10),
     ) {
-        let problem = TransportProblem::new(supplies, demands, costs).unwrap();
+        let problem = TransportProblem::new(supplies, demands, costs);
         let simplex = solve(&problem).expect("no cycling on tie-heavy instances");
         let reference = solve_ssp(&problem).unwrap();
         prop_assert!((simplex.objective - reference.objective).abs() < 1e-8);
-        prop_assert!(simplex.check_feasible(&problem, 1e-8));
+        prop_assert!(certify_solution(&problem, &simplex, 1e-8).is_ok());
     }
 
     /// Identical supply and demand spikes with zero-diagonal quantized
@@ -54,7 +55,7 @@ proptest! {
         for i in 0..d {
             costs[i * d + i] = 0.0;
         }
-        let problem = TransportProblem::new(mass.clone(), mass, costs).unwrap();
+        let problem = TransportProblem::new(mass.clone(), mass, costs);
         let solution = solve(&problem).unwrap();
         prop_assert!(solution.objective.abs() < 1e-10);
     }
@@ -71,8 +72,7 @@ proptest! {
             supplies,
             demands,
             vec![constant; 64],
-        )
-        .unwrap();
+        );
         let solution = solve(&problem).unwrap();
         prop_assert!((solution.objective - constant).abs() < 1e-9,
             "total mass 1 shipped at constant cost");

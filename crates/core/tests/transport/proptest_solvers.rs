@@ -8,6 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use super::ssp::solve_ssp;
+use crate::certify::{certify_solution, CERT_EPS};
 use crate::problem::TransportProblem;
 use crate::simplex::solve;
 use proptest::prelude::*;
@@ -28,12 +29,8 @@ fn cost_matrix(m: usize, n: usize) -> impl Strategy<Value = Vec<f64>> {
 /// A random balanced instance with dimensions in `2..=max_dim`.
 fn instance(max_dim: usize) -> impl Strategy<Value = TransportProblem> {
     (2..=max_dim, 2..=max_dim).prop_flat_map(|(m, n)| {
-        (mass_vector(m), mass_vector(n), cost_matrix(m, n)).prop_map(
-            |(supplies, demands, costs)| {
-                TransportProblem::new(supplies, demands, costs)
-                    .expect("generated instances are valid")
-            },
-        )
+        (mass_vector(m), mass_vector(n), cost_matrix(m, n))
+            .prop_map(|(supplies, demands, costs)| TransportProblem::new(supplies, demands, costs))
     })
 }
 
@@ -58,7 +55,7 @@ proptest! {
     #[test]
     fn simplex_solution_is_feasible(problem in instance(10)) {
         let solution = solve(&problem).expect("simplex solves valid instances");
-        prop_assert!(solution.check_feasible(&problem, 1e-8));
+        prop_assert!(certify_solution(&problem, &solution, 1e-8).is_ok());
     }
 
     /// Swapping supplies and demands while transposing the cost matrix
@@ -77,8 +74,7 @@ proptest! {
             problem.demands().to_vec(),
             problem.supplies().to_vec(),
             transposed,
-        )
-        .expect("transposed instance is valid");
+        );
         let a = solve(&problem).unwrap();
         let b = solve(&flipped).unwrap();
         prop_assert!((a.objective - b.objective).abs() < 1e-8);
@@ -92,8 +88,7 @@ proptest! {
             problem.supplies().to_vec(),
             problem.demands().to_vec(),
             scaled_costs,
-        )
-        .expect("scaled instance is valid");
+        );
         let base = solve(&problem).unwrap();
         let scaled_solution = solve(&scaled).unwrap();
         prop_assert!((factor.mul_add(-base.objective, scaled_solution.objective)).abs() < 1e-7);
@@ -108,14 +103,14 @@ proptest! {
         for i in 0..d {
             costs[i * d + i] = 0.0;
         }
-        let problem = TransportProblem::new(mass.clone(), mass, costs).unwrap();
+        let problem = TransportProblem::new(mass.clone(), mass, costs);
         let solution = solve(&problem).unwrap();
         prop_assert!(solution.objective.abs() < 1e-10);
     }
 }
 
 fn problem(supplies: Vec<f64>, demands: Vec<f64>, costs: Vec<f64>) -> TransportProblem {
-    TransportProblem::new(supplies, demands, costs).unwrap()
+    TransportProblem::new(supplies, demands, costs)
 }
 
 /// The paper's Figure 1 pair `(x, z)`: SSP finds EMD 1.6, as the simplex
@@ -132,7 +127,7 @@ fn ssp_agrees_with_simplex_on_paper_example() {
     let b = solve_ssp(&p).unwrap();
     assert!((a.objective - b.objective).abs() < 1e-9);
     assert!((b.objective - 1.6).abs() < 1e-9);
-    assert!(b.check_feasible(&p, 1e-9));
+    assert_eq!(certify_solution(&p, &b, CERT_EPS), Ok(()));
 }
 
 /// Zero-mass rows and columns get no arcs and no flow.
@@ -145,7 +140,7 @@ fn ssp_handles_zero_mass_rows_and_cols() {
     );
     let s = solve_ssp(&p).unwrap();
     assert!((s.objective - 3.0).abs() < 1e-9);
-    assert!(s.check_feasible(&p, 1e-9));
+    assert_eq!(certify_solution(&p, &s, CERT_EPS), Ok(()));
 }
 
 /// Nothing to ship: objective 0, no flows.

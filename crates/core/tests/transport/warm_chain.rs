@@ -109,10 +109,11 @@ fn chain(seed: u64, m: usize, n: usize, steps: usize, costs: Costs) -> Vec<Trans
             .flat_map(|i| kept.iter().map(move |&j| (i, j)))
             .map(|(i, j)| full_costs[i * n + j])
             .collect();
-        problems.push(
-            TransportProblem::new(supplies.clone(), demands, stripped_costs)
-                .expect("generated instances are valid"),
-        );
+        problems.push(TransportProblem::new(
+            supplies.clone(),
+            demands,
+            stripped_costs,
+        ));
     }
     problems
 }
@@ -274,7 +275,6 @@ proptest! {
                     .map(|(i, j)| full_costs[i * width + j])
                     .collect();
                 TransportProblem::new(supplies.clone(), demands, costs)
-                    .expect("generated instances are valid")
             })
             .collect();
         run_chain_with_cutoffs(&problems, seed);
@@ -505,7 +505,7 @@ fn warm_and_cold_agree_on_sub_eps_residuals() {
         .map(|k| ((k / 32) as f64 - (k % 32) as f64).abs())
         .collect();
     let problem = |demand| TransportProblem::new(marginal(&QUERY), marginal(demand), line.clone());
-    let pinned = problem(&PINNED).unwrap();
+    let pinned = problem(&PINNED);
     let cold = solve(&pinned).unwrap().objective;
     assert!((cold - 0.019984344895660).abs() < 1e-14, "cold {cold:?}");
 
@@ -514,7 +514,7 @@ fn warm_and_cold_agree_on_sub_eps_residuals() {
     let budget = Budget::unlimited();
     for before in [&BEFORE, &BEFORE_ELSEWHERE] {
         let mut workspace = SolverWorkspace::new();
-        solve_warm(&problem(before).unwrap(), &budget, &mut workspace).unwrap();
+        solve_warm(&problem(before), &budget, &mut workspace).unwrap();
         let warm = solve_warm(&pinned, &budget, &mut workspace)
             .unwrap()
             .objective;

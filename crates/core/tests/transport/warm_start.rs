@@ -62,7 +62,7 @@ proptest! {
                 supplies.clone(),
                 demands.clone(),
                 costs.clone(),
-            ).expect("generated instances are valid");
+            );
             let cold = solve(&problem).expect("cold solve succeeds");
             let warm = solve_warm(
                 &problem,
@@ -90,7 +90,7 @@ proptest! {
             supplies,
             demands.clone(),
             costs,
-        ).expect("generated instances are valid");
+        );
         let mut ws = SolverWorkspace::new();
         solve_warm(&problem, &Budget::unlimited(), &mut ws)
             .expect("cold solve succeeds");
@@ -123,7 +123,7 @@ proptest! {
                 supplies.clone(),
                 demands.clone(),
                 costs.clone(),
-            ).expect("generated instances are valid");
+            );
             match solve_warm(&problem, &budget, &mut ws) {
                 Ok(solution) => {
                     let cold = solve(&problem).expect("cold solve succeeds");
@@ -167,7 +167,7 @@ proptest! {
                     supplies.clone(),
                     demands.clone(),
                     costs.clone(),
-                ).expect("generated instances are valid");
+                );
                 let cold = solve(&problem).expect("cold solve succeeds");
                 let warm = solve_warm(
                     &problem,
@@ -215,7 +215,7 @@ fn pivot_counts_reported() {
         }
         let dtotal: f64 = raw.iter().sum();
         let demands: Vec<f64> = raw.iter().map(|d| d / dtotal).collect();
-        let problem = TransportProblem::new(supplies.clone(), demands, costs.clone()).unwrap();
+        let problem = TransportProblem::new(supplies.clone(), demands, costs.clone());
         let mut cold_ws = SolverWorkspace::new();
         let cold = solve_warm(&problem, &Budget::unlimited(), &mut cold_ws).unwrap();
         cold_pivots += cold_ws.stats().pivots;

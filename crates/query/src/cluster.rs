@@ -80,16 +80,13 @@ use crate::filters::{
     ReducedImFilter,
 };
 use crate::ranking::{ChainedRanking, Key, Ranking};
+use emd_core::certify::CERT_EPS;
 use emd_core::lower_bounds::LbIm;
 use emd_core::{emd_in_context, Budget, CostMatrix, EmdContext, Histogram};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Tolerance for symmetry/zero-diagonal checks on the reduced cost, and
-/// for the debug metric assertion on its closure.
-const METRIC_TOL: f64 = 1e-9;
 
 /// A greedy k-center clustering of the reduced arena, queryable as a
 /// [`CandidateSource`] with triangle-inequality cluster pruning.
@@ -389,7 +386,7 @@ fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
     let cost = reduced.reduced_cost();
     let dim = cost.rows();
     for i in 0..dim {
-        if cost.at(i, i).abs() > METRIC_TOL {
+        if cost.at(i, i).abs() > CERT_EPS {
             return Err(QueryError::Reduction(format!(
                 "reduced cost has non-zero diagonal entry {} at bin {i}; \
                  pruning distances would not vanish on identical operands",
@@ -397,7 +394,7 @@ fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
             )));
         }
         for j in 0..i {
-            if (cost.at(i, j) - cost.at(j, i)).abs() > METRIC_TOL {
+            if (cost.at(i, j) - cost.at(j, i)).abs() > CERT_EPS {
                 return Err(QueryError::Reduction(format!(
                     "reduced cost is asymmetric at ({i}, {j}); \
                      triangle-inequality pruning would be unsound"
@@ -425,7 +422,7 @@ fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
     }
     let closure = CostMatrix::new(dim, dim, entries)?;
     debug_assert!(
-        closure.is_metric(METRIC_TOL),
+        closure.is_metric(CERT_EPS),
         "shortest-path closure of a symmetric zero-diagonal cost is a metric"
     );
     Ok(closure)

@@ -33,6 +33,7 @@
 //! `POST /admin/drain` (or close stdin under `--drain-stdin`). Under
 //! `--writable` it also takes inserts, removals and compactions.
 
+use flexemd::core::certify::CERT_EPS;
 use flexemd::core::Histogram;
 use flexemd::data::{io as dataio, Dataset};
 use flexemd::faultkit::{FailPlan, InjectedPanic, NoFaults};
@@ -334,7 +335,7 @@ fn info(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         stdout,
         "metric cost : {}",
-        if dataset.cost.is_metric(1e-9) {
+        if dataset.cost.is_metric(CERT_EPS) {
             "yes"
         } else {
             "no"
