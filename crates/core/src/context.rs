@@ -12,13 +12,35 @@
 //!
 //! Consecutive evaluations through one context against one fixed query
 //! histogram — the KNOP refinement pattern — reuse every allocation and
-//! warm-start the simplex from the basis the previous candidate's solve
-//! ended on. A *cold* evaluation is the same body from an empty basis: a
-//! fresh context ([`crate::emd`] makes one per call), or a used one after
+//! warm-start the simplex from an earlier candidate's basis. A *cold*
+//! evaluation is the same body from an empty basis: a fresh context
+//! ([`crate::emd`] makes one per call), or a used one after
 //! [`EmdContext::clear_warm_state`]. The solver extracts its answer
 //! canonically from the final basis (see the crate docs on warm starts),
 //! so a warm-started solve agrees with a cold solve to the bit whenever
 //! the optimum is unique.
+//!
+//! ## Learned potentials
+//!
+//! Every solve against the context's query that runs to its optimum
+//! leaves duals `u` on the query's support `supp x`. Their c-transform
+//! `v_j = min_{i ∈ supp x} (c_ij − u_i)`, taken over every column of the
+//! cost matrix, satisfies `u_i + v_j ≤ c_ij` by construction — whatever
+//! the solver's tolerances — so by weak duality `u·x + v·y` is a floor on
+//! `EMD(x, y)` for *every* candidate `y`, not only the one solved. The
+//! context keeps the last [`LEARNED`] of them, with each solve's basis,
+//! for as long as the query and the cost matrix stay the same; a new
+//! query, a new cost or [`EmdContext::clear_warm_state`] empties the
+//! ring. A solve is learned from lazily, at the next evaluation against
+//! the same query, so a one-shot context pays nothing.
+//!
+//! Before the LP is built, the highest floor, lowered by the margin the
+//! mid-repair certificate uses (`simplex::dual_bound_slack`), answers
+//! [`Bounded::Above`] when it is strictly above the cutoff. Otherwise
+//! the solve starts from the basis of the entry that floors this
+//! candidate highest among those learned on the same support — its
+//! duals are the nearest to optimal for it — and, with none, from the
+//! basis the previous solve ended on, matched by tableau shape.
 //!
 //! ## Budgets and cutoffs
 //!
@@ -26,23 +48,105 @@
 //! and surfaces a firing as the typed [`CoreError::BudgetExhausted`].
 //! [`emd_in_context_within`] additionally takes a cutoff and may stop at
 //! a certified lower bound above it instead of the distance;
-//! [`emd_in_context`] is its `f64::INFINITY` call.
+//! [`emd_in_context`] is its `f64::INFINITY` call. A floor answer probes
+//! the budget as a solve would, so deadlines, cancellation and injected
+//! solve faults fire on the same evaluation with or without it.
 
 use crate::budget::Budget;
 use crate::cost::CostMatrix;
 use crate::error::{CoreError, TransportError};
 use crate::histogram::Histogram;
 use crate::problem::TransportProblem;
-use crate::simplex::{solve_warm_objective, Bounded};
+use crate::simplex::{dual_bound_slack, solve_warm_objective, Bounded};
 use crate::workspace::{SolverWorkspace, WorkspaceStats};
 use crate::EmdReport;
+
+/// How many optimal solves an [`EmdContext`] remembers for its query:
+/// one ring slot each. Measured on the tiling benchmark's exact solves,
+/// 8 / 16 / 32 slots left 1 980 / 1 824 / 1 784 repair pivots per query.
+const LEARNED: usize = 16;
+
+/// What one optimal solve against the context's query taught it.
+#[derive(Debug, Default)]
+pub(crate) struct Learned {
+    /// The solve's duals on the query's support, in support order.
+    pub(crate) u: Vec<f64>,
+    /// `u · x`: the floor's share that does not depend on the candidate.
+    ux: f64,
+    /// `max |u_i|`, for the floor's slack.
+    magnitude_u: f64,
+    /// The c-transform of `u`, one entry per cost column.
+    pub(crate) v: Vec<f64>,
+    /// The solve's optimal basis, in cells of its stripped tableau.
+    cells: Vec<(usize, usize)>,
+    /// The cost columns of that tableau: the candidate's support.
+    y_index: Vec<usize>,
+}
+
+/// The ring of [`Learned`] potentials of one query under one cost.
+#[derive(Debug, Default)]
+struct Potentials {
+    /// The query's bins and the cost entries the ring was learned under.
+    query: Vec<f64>,
+    cost: Vec<f64>,
+    /// Ring slots; the first `live` hold entries, the rest keep their
+    /// buffers for the next query.
+    entries: Vec<Learned>,
+    live: usize,
+    /// The slot the next entry overwrites.
+    next: usize,
+    /// Whether the last evaluation ran an LP to its optimum, leaving its
+    /// basis in the workspace and its tableau in the staging buffers.
+    pending: bool,
+}
+
+impl Potentials {
+    /// Forget every entry and the solve pending harvest.
+    fn clear(&mut self) {
+        self.live = 0;
+        self.next = 0;
+        self.pending = false;
+    }
+
+    /// The highest learned floor on the EMD of a query of total mass
+    /// `supply` against the stripped candidate `(y_index, demands)` of
+    /// total mass `demand`, lowered by its slack, and the slot of the entry
+    /// learned on the same support that floors it highest.
+    fn floor(
+        &self,
+        y_index: &[usize],
+        demands: &[f64],
+        supply: f64,
+        demand: f64,
+    ) -> (f64, Option<usize>) {
+        let mut floor = f64::NEG_INFINITY;
+        let mut seed: Option<(usize, f64)> = None;
+        // bounds: `live` never exceeds the slots pushed so far
+        for (slot, learned) in self.entries[..self.live].iter().enumerate() {
+            let mut dual = learned.ux;
+            let mut magnitude_v = 0.0_f64;
+            for (&j, &mass) in y_index.iter().zip(demands) {
+                let vj = learned.v[j]; // bounds: v has one entry per cost column, and y_index holds columns
+                dual += vj * mass;
+                magnitude_v = magnitude_v.max(vj.abs());
+            }
+            let bound = dual - dual_bound_slack(supply, demand, learned.magnitude_u + magnitude_v);
+            floor = floor.max(bound);
+            if seed.is_none_or(|(_, best)| bound > best) && learned.y_index == y_index {
+                seed = Some((slot, bound));
+            }
+        }
+        (floor, seed.map(|(slot, _)| slot))
+    }
+}
 
 /// Caller-owned scratch for repeated EMD evaluations.
 ///
 /// Owns the transport workspace (dual vectors, basis tree, warm-start
-/// basis) and the core-level staging buffers (support indices, stripped
-/// marginals, flattened costs). After the first evaluation has grown the
-/// buffers, the steady path performs no heap allocation.
+/// basis), the core-level staging buffers (support indices, stripped
+/// marginals, flattened costs) and the potentials learned against the
+/// current query. After the first evaluations have grown the buffers,
+/// the steady path performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct EmdContext {
     ws: SolverWorkspace,
@@ -51,6 +155,7 @@ pub struct EmdContext {
     supplies: Vec<f64>,
     demands: Vec<f64>,
     costs: Vec<f64>,
+    learned: Potentials,
 }
 
 impl EmdContext {
@@ -68,11 +173,12 @@ impl EmdContext {
         self.ws.stats()
     }
 
-    /// Forget the warm-start basis: the next evaluation solves cold.
-    /// Scratch buffers keep their capacity.
+    /// Forget the warm-start basis and every learned potential: the next
+    /// evaluation solves cold. Scratch buffers keep their capacity.
     // lint: allow(unbudgeted): state reset, performs no solver work
     pub fn clear_warm_state(&mut self) {
         self.ws.clear_warm_state();
+        self.learned.clear();
     }
 
     /// The optimal flows of the last evaluation that ran to
@@ -89,13 +195,112 @@ impl EmdContext {
             .collect();
         EmdReport { distance, flows }
     }
+
+    /// Start an evaluation against `x` under `cost`: empty the ring if it
+    /// was learned against another query or cost, then learn from the
+    /// last solve if it ran to its optimum against `x`. Costs nothing
+    /// while the ring is empty and no solve is pending.
+    fn learn(&mut self, x: &Histogram, cost: &CostMatrix) {
+        let ring = &mut self.learned;
+        // Equal queries have equal row counts, so equal entries mean an
+        // equal shape.
+        if ring.live > 0 && (ring.query != x.bins() || ring.cost != cost.entries()) {
+            ring.clear();
+        }
+        if !std::mem::take(&mut ring.pending) {
+            return;
+        }
+        // The staging buffers still hold the pending solve's tableau.
+        let staged = self
+            .x_index
+            .iter()
+            .copied()
+            .zip(self.supplies.iter().copied());
+        if !staged.eq(x.nonzero()) {
+            return;
+        }
+        if ring.live == 0 {
+            ring.query.clear();
+            ring.query.extend_from_slice(x.bins());
+            ring.cost.clear();
+            ring.cost.extend_from_slice(cost.entries());
+        }
+        if ring.next == ring.entries.len() {
+            ring.entries.push(Learned::default());
+        }
+        let entry = &mut ring.entries[ring.next]; // bounds: next < entries.len(), pushed just above when equal
+        ring.next = (ring.next + 1) % LEARNED;
+        ring.live = (ring.live + 1).min(LEARNED);
+
+        // The solve's duals, read off its optimal basis.
+        let (m, n) = (self.x_index.len(), self.y_index.len());
+        let ws = &mut self.ws;
+        let basis = ws.warm_cells.iter().map(|&(row, col)| (row, col, 0.0));
+        ws.tree.reset(m, n, basis);
+        let costs = &self.costs;
+        // bounds: (i, j) is a cell of the m x n tableau `costs` holds row-major
+        let tableau = |i: usize, j: usize| costs[i * n + j];
+        ws.tree.duals(tableau, &mut entry.u, &mut entry.v);
+        entry.ux = entry.u.iter().zip(&self.supplies).map(|(u, s)| u * s).sum();
+        entry.magnitude_u = entry.u.iter().fold(0.0, |max, u| max.max(u.abs()));
+        // Their c-transform over every column: dual-feasible for any y.
+        entry.v.clear();
+        entry.v.resize(cost.cols(), f64::INFINITY);
+        for (&i, &ui) in self.x_index.iter().zip(&entry.u) {
+            for (vj, &c) in entry.v.iter_mut().zip(cost.row(i)) {
+                *vj = vj.min(c - ui);
+            }
+        }
+        entry.cells.clear();
+        entry.cells.extend_from_slice(&ws.warm_cells);
+        entry.y_index.clear();
+        entry.y_index.extend_from_slice(&self.y_index);
+    }
+
+    /// Stage the stripped tableau of `x`, `y` under `cost` as a problem;
+    /// [`Self::unstage`] takes the buffers back.
+    fn stage(&mut self, cost: &CostMatrix) -> TransportProblem {
+        self.costs.clear();
+        self.costs.reserve(self.x_index.len() * self.y_index.len());
+        for &i in &self.x_index {
+            let row = cost.row(i);
+            self.costs.extend(self.y_index.iter().map(|&j| row[j])); // bounds: y_index holds support positions < cost.cols()
+        }
+        // Round-trip the owned buffers through the problem: `into_parts`
+        // returns them after the solve, so the steady path never reallocates.
+        TransportProblem::new(
+            std::mem::take(&mut self.supplies),
+            std::mem::take(&mut self.demands),
+            std::mem::take(&mut self.costs),
+        )
+    }
+
+    fn unstage(&mut self, problem: TransportProblem) {
+        (self.supplies, self.demands, self.costs) = problem.into_parts();
+    }
+
+    /// Every entry the ring holds.
+    #[cfg(test)]
+    pub(crate) fn learned(&self) -> &[Learned] {
+        &self.learned.entries[..self.learned.live] // bounds: live never exceeds the slots pushed
+    }
+
+    /// The highest floor the ring gives `y`, lowered by its slack;
+    /// `-∞` from an empty ring.
+    #[cfg(test)]
+    pub(crate) fn floor(&self, y: &Histogram) -> f64 {
+        let (y_index, demands): (Vec<usize>, Vec<f64>) = y.nonzero().unzip();
+        let supply = self.learned.query.iter().sum();
+        let demand = demands.iter().sum();
+        self.learned.floor(&y_index, &demands, supply, demand).0
+    }
 }
 
 /// Exact EMD (Definition 1) of `x` and `y` under `cost`, which may be
 /// rectangular (`x` against its rows, `y` against its columns). Reuses
-/// the context's buffers and warm-starts the simplex from the previous
-/// evaluation's basis when the stripped tableau shapes match; from a
-/// fresh or cleared context it is a cold solve.
+/// the context's buffers and what it learned from earlier evaluations
+/// against `x` (see the module docs); from a fresh or cleared context it
+/// is a cold solve.
 ///
 /// # Errors
 ///
@@ -125,9 +330,9 @@ pub fn emd_in_context(
 /// at most `cutoff` — KNOP refining a candidate against its current k-th
 /// distance, a range query against ε. Returns [`Bounded::Optimal`] with
 /// the exact EMD, or [`Bounded::Above`] with a certified lower bound
-/// strictly above `cutoff` as soon as the warm solve can prove one (see
-/// the crate docs on cutoffs); the context stays warm either way.
-/// `f64::INFINITY` is [`emd_in_context`] itself.
+/// strictly above `cutoff` as soon as a learned floor or the warm solve
+/// can prove one (see the crate docs on cutoffs); the context stays warm
+/// either way. `f64::INFINITY` is [`emd_in_context`] itself.
 ///
 /// # Errors
 ///
@@ -160,6 +365,8 @@ pub fn emd_in_context_within(
         }
     }
 
+    ctx.learn(x, cost);
+
     // Strip zero-mass bins into the context's staging buffers.
     ctx.x_index.clear();
     ctx.supplies.clear();
@@ -178,23 +385,29 @@ pub fn emd_in_context_within(
         "normalized histograms have non-empty support"
     );
 
-    ctx.costs.clear();
-    ctx.costs.reserve(ctx.x_index.len() * ctx.y_index.len());
-    for &i in &ctx.x_index {
-        let row = cost.row(i);
-        ctx.costs.extend(ctx.y_index.iter().map(|&j| row[j])); // bounds: y_index holds support positions < cost.cols()
+    let (supply, demand) = (ctx.supplies.iter().sum(), ctx.demands.iter().sum());
+    let (floor, seed) = ctx
+        .learned
+        .floor(&ctx.y_index, &ctx.demands, supply, demand);
+    if floor > cutoff {
+        // Answered without an LP, but probed like a solve.
+        budget.note_solve().map_err(CoreError::BudgetExhausted)?;
+        emd_obs::counter_add("core.emd.floor_cuts", 1);
+        if cfg!(debug_assertions) {
+            let problem = ctx.stage(cost);
+            crate::certify::debug_certify_cut(&problem, floor, cutoff);
+            ctx.unstage(problem);
+        }
+        return Ok(Bounded::Above(floor));
+    }
+    if let Some(slot) = seed {
+        let basis = &ctx.learned.entries[slot].cells; // bounds: floor returns live slots only
+        ctx.ws.seed(ctx.x_index.len(), ctx.y_index.len(), basis);
     }
 
-    // Round-trip the owned buffers through the problem: `into_parts`
-    // returns them after the solve, so the steady path never reallocates.
-    let problem = TransportProblem::new(
-        std::mem::take(&mut ctx.supplies),
-        std::mem::take(&mut ctx.demands),
-        std::mem::take(&mut ctx.costs),
-    );
-
+    let problem = ctx.stage(cost);
     let solved = solve_warm_objective(&problem, budget, cutoff, &mut ctx.ws);
-    (ctx.supplies, ctx.demands, ctx.costs) = problem.into_parts();
+    ctx.unstage(problem);
     let objective = match solved {
         Ok(Bounded::Optimal(objective)) => objective,
         // No flow to certify: the simplex has already checked the
@@ -207,6 +420,7 @@ pub fn emd_in_context_within(
         Err(other) => return Err(CoreError::Solver(other.to_string())),
     };
 
+    ctx.learned.pending = true;
     if cfg!(debug_assertions) {
         crate::certify::debug_certify_report(x, y, cost, &ctx.last_report(objective));
     }
@@ -292,6 +506,7 @@ mod tests {
         let c = ground::linear(5).unwrap();
         let mut ctx = EmdContext::new();
         let mut cuts = 0;
+        let recording = emd_obs::Recording::start();
         for fraction in [0.25, 0.75, 1.0, 1.5] {
             for y in &ys {
                 let exact = emd(&x, y, &c).unwrap();
@@ -307,9 +522,21 @@ mod tests {
                 }
             }
         }
+        let registry = recording.finish();
+        let solve_cuts = registry.counter("transport.solve.cut");
+        let floor_cuts = registry.counter("core.emd.floor_cuts");
         assert!(cuts > 0, "a cutoff at a quarter of the distance must cut");
-        assert_eq!(ctx.stats().solves, 20);
-        assert_eq!(ctx.stats().warm_hits, 19, "a cut solve hands on its basis");
+        // Both ways to stop early run: a learned floor before any LP, and
+        // the certificate mid-repair.
+        let stats = ctx.stats();
+        assert!(floor_cuts > 0 && solve_cuts > 0, "{stats:?}");
+        assert_eq!(cuts, floor_cuts + solve_cuts);
+        assert_eq!(stats.solves + floor_cuts, 20);
+        assert_eq!(
+            stats.warm_hits,
+            stats.solves - 1,
+            "a cut solve hands on its basis"
+        );
     }
 
     #[test]
@@ -331,21 +558,45 @@ mod tests {
             ],
         )
         .unwrap();
-        let mut ctx = EmdContext::new();
-        for step in 0..12 {
-            let y = if step % 2 == 0 { &low } else { &high };
-            let exact = emd(&x, y, &c).unwrap();
-            for fraction in [0.1, 0.5, 0.9, 0.999] {
-                let cutoff = exact * fraction;
-                match emd_in_context_within(&x, y, &c, &Budget::unlimited(), cutoff, &mut ctx)
-                    .unwrap()
-                {
-                    Bounded::Optimal(distance) => assert!((distance - exact).abs() < 1e-12),
-                    Bounded::Above(bound) => assert!(cutoff < bound && bound <= exact + 1e-12),
+        // Two queries of equal support size, alternating on every call:
+        // each call empties the learned ring, so every solve after the
+        // first starts from the shape-matched basis the last one left.
+        // One fixed query: the ring seeds only on equal supports and
+        // floors the rest.
+        let alternate = h(&[0.4, 0.3, 0.2, 0.1]);
+        for alternating in [true, false] {
+            let mut ctx = EmdContext::new();
+            let mut call = 0;
+            let recording = emd_obs::Recording::start();
+            for step in 0..12 {
+                let y = if step % 2 == 0 { &low } else { &high };
+                for fraction in [0.1, 0.5, 0.9, 0.999] {
+                    let x = if alternating && call % 2 == 1 {
+                        &alternate
+                    } else {
+                        &x
+                    };
+                    call += 1;
+                    let exact = emd(x, y, &c).unwrap();
+                    let cutoff = exact * fraction;
+                    match emd_in_context_within(x, y, &c, &Budget::unlimited(), cutoff, &mut ctx)
+                        .unwrap()
+                    {
+                        Bounded::Optimal(distance) => assert!((distance - exact).abs() < 1e-12),
+                        Bounded::Above(bound) => {
+                            assert!(cutoff < bound && bound <= exact + 1e-12);
+                        }
+                    }
                 }
             }
+            let floor_cuts = recording.finish().counter("core.emd.floor_cuts");
+            if alternating {
+                assert_eq!(floor_cuts, 0);
+                assert_eq!(ctx.stats().warm_attempts, 47, "equal shapes always match");
+            } else {
+                assert!(floor_cuts > 0);
+            }
         }
-        assert_eq!(ctx.stats().warm_attempts, 47, "equal shapes always match");
     }
 
     #[test]

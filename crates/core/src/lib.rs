@@ -56,10 +56,11 @@
 //! ## Warm starts
 //!
 //! Evaluations through one [`EmdContext`] reuse its buffers and start
-//! the simplex from the basis the previous evaluation ended on — the
-//! refinement hot path of the query layer, one query against many
-//! candidates. That basis is re-fit to the new marginals by leaf
-//! peeling; an infeasible refit — the usual case — is repaired by
+//! the simplex from an earlier evaluation's basis — the refinement hot
+//! path of the query layer, one query against many candidates: the basis
+//! of the solve whose learned potentials floor the candidate highest on
+//! its support, or else the one the previous evaluation ended on. That
+//! basis is re-fit to the new marginals by leaf peeling; an infeasible refit — the usual case — is repaired by
 //! dual-simplex pivots, and only a repair that exceeds its cap falls
 //! back to a cold start. A cold solve is the same body from an empty
 //! basis: a fresh context, or [`EmdContext::clear_warm_state`] before the
@@ -73,8 +74,10 @@
 //! refinement of a candidate against its current k-th distance — gets
 //! [`Bounded::Above`] with a certified lower bound the moment the
 //! dual-simplex repair's rising dual objective proves it, instead of
-//! paying for the pivots to the optimum. `f64::INFINITY` disables the
-//! test.
+//! paying for the pivots to the optimum — or before any LP, when the
+//! duals of an earlier optimal solve against the same query, extended
+//! to every bin by their c-transform, already floor the candidate above
+//! the cutoff. `f64::INFINITY` disables the test.
 //!
 //! ## Observability
 //!
@@ -90,8 +93,9 @@
 //! and `transport.vogel.degenerate_cells` are added once, on whichever
 //! exit the solve takes. Warm starts add `transport.warm.attempts` and
 //! `transport.warm.hits`; cutoffs add `transport.warm.cut_checks`
-//! (certificates attempted) and `transport.solve.cut` (solves ended by
-//! one). Without a scope each record call costs one relaxed atomic load.
+//! (certificates attempted), `transport.solve.cut` (solves ended by
+//! one) and `core.emd.floor_cuts` (evaluations a learned floor answered
+//! without a solve). Without a scope each record call costs one relaxed atomic load.
 
 mod budget;
 pub mod certify;

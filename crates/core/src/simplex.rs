@@ -380,9 +380,7 @@ enum Repair {
 /// rounding accumulated over a long repair nor a basis that was never
 /// dual-feasible — warm bases are matched by tableau shape only, and two
 /// supports of equal size strip different cost matrices — can overstate
-/// it. The bound is lowered by [`CUT_MARGIN`] times the dual magnitude,
-/// plus what an imbalance between the marginals (tolerated up to
-/// `2 · MASS_EPS`) could shift.
+/// it. The bound is lowered by [`dual_bound_slack`].
 fn certified_lower_bound(
     problem: &TransportProblem,
     tree: &mut BasisTree,
@@ -411,8 +409,17 @@ fn certified_lower_bound(
             min_reduced = min_reduced.min(c - ui - vj);
         }
     }
-    let slack = CUT_MARGIN.mul_add(supply, (supply - demand).abs()) * (magnitude_u + magnitude_v);
-    min_reduced.mul_add(supply, dual) - slack
+    min_reduced.mul_add(supply, dual) - dual_bound_slack(supply, demand, magnitude_u + magnitude_v)
+}
+
+/// What a certified dual bound is lowered by: [`CUT_MARGIN`] of the
+/// largest dual, `magnitude`, per unit of `supply`, plus what an
+/// imbalance between the marginal totals `supply` and `demand`
+/// (tolerated up to `2 · MASS_EPS`) could shift. The one margin behind
+/// both bounds that end a solve early — `certified_lower_bound` mid-repair
+/// and an `EmdContext`'s learned floor before any LP.
+pub(crate) fn dual_bound_slack(supply: f64, demand: f64, magnitude: f64) -> f64 {
+    CUT_MARGIN.mul_add(supply, (supply - demand).abs()) * magnitude
 }
 
 /// Restore primal feasibility of a re-fit warm basis by dual-simplex

@@ -10,7 +10,9 @@
 //!
 //! The workspace also remembers the basis the last solve ended on — the
 //! optimal one, or the one a solve under a cutoff was cut on
-//! ([`crate::Bounded::Above`]); a failed solve leaves it untouched.
+//! ([`crate::Bounded::Above`]); a failed solve leaves it untouched, and
+//! an `EmdContext` may replace it with an earlier solve's basis first
+//! ([`SolverWorkspace::seed`]).
 //! [`crate::simplex::solve_warm`] re-optimizes from that basis when the next
 //! instance has the same tableau shape: the old spanning tree is re-fit
 //! to the new marginals by *leaf peeling* (a degree-1 node's single
@@ -144,6 +146,14 @@ impl SolverWorkspace {
     pub(crate) fn clear_warm_state(&mut self) {
         self.warm_shape = None;
         self.warm_cells.clear();
+    }
+
+    /// Make `cells`, a spanning-tree basis of an `m × n` tableau, the
+    /// basis the next solve of that shape starts from.
+    pub(crate) fn seed(&mut self, m: usize, n: usize, cells: &[(usize, usize)]) {
+        self.warm_shape = Some((m, n));
+        self.warm_cells.clear();
+        self.warm_cells.extend_from_slice(cells);
     }
 
     /// Whether a basis from a previous solve is available for the given
