@@ -140,6 +140,17 @@ impl Potentials {
     }
 }
 
+/// Whether `a` and `b` hold the same bits, element for element. The
+/// differences are or-ed together with no early exit, so the loop runs
+/// at memory speed; `-0.0` and `0.0` differ, NaNs of one payload agree.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits()))
+            == 0
+}
+
 /// Caller-owned scratch for repeated EMD evaluations.
 ///
 /// Owns the transport workspace (dual vectors, basis tree, warm-start
@@ -204,7 +215,9 @@ impl EmdContext {
         let ring = &mut self.learned;
         // Equal queries have equal row counts, so equal entries mean an
         // equal shape.
-        if ring.live > 0 && (ring.query != x.bins() || ring.cost != cost.entries()) {
+        if ring.live > 0
+            && !(same_bits(&ring.query, x.bins()) && same_bits(&ring.cost, cost.entries()))
+        {
             ring.clear();
         }
         if !std::mem::take(&mut ring.pending) {

@@ -531,38 +531,17 @@ fn dual_repair(
         tree.mark_cut(leaving, &mut scratch.side);
         let (row_side, col_side) = scratch.side.split_at(m);
         // Entering candidates cross the cut against L's orientation: row
-        // in c's component, demand node in r's component. The eligible
-        // columns and their duals are gathered once so the hot inner loop
-        // zips two flat slices; strict '<' keeps the first minimum in
-        // row-major order.
-        scratch.cut_cols.clear();
-        scratch.cut_v.clear();
-        for (j, (&vj, &marked)) in scratch.v.iter().zip(col_side).enumerate() {
-            if !marked {
-                scratch.cut_cols.push(j);
-                scratch.cut_v.push(vj);
-            }
-        }
-        let mut entering: Option<(usize, usize)> = None;
-        let mut best = f64::INFINITY;
-        let rows = problem
-            .costs()
-            .chunks_exact(n)
-            .zip(&scratch.u)
-            .zip(row_side);
-        for (i, ((row, &ui), &marked)) in rows.enumerate() {
-            if !marked {
-                continue;
-            }
-            for (&j, &vj) in scratch.cut_cols.iter().zip(&scratch.cut_v) {
-                let reduced = row[j] - ui - vj; // bounds: j < n = row.len(), gathered just above
-                if reduced < best {
-                    best = reduced;
-                    entering = Some((i, j));
-                }
-            }
-        }
-        let Some((ei, ej)) = entering else {
+        // in c's component, demand node in r's component.
+        let entering = repair_entering(
+            problem.costs(),
+            &scratch.u,
+            &scratch.v,
+            row_side,
+            col_side,
+            &mut scratch.cut_v,
+            &mut scratch.cut_rows,
+        );
+        let Some((ei, ej, best)) = entering else {
             // Structurally impossible for connected tableaus with positive
             // marginals; bail to the cold path rather than loop.
             budget.settle_pivots(pending_pivots);
@@ -591,20 +570,119 @@ fn dual_repair(
         // up and demands down by the entering reduced cost restores
         // `u + v = cost` on the new basic cell and leaves every other
         // basic cell's equation untouched.
-        for (ui, &marked) in scratch.u.iter_mut().zip(row_side) {
-            if marked {
-                *ui += best;
-            }
-        }
-        for (vj, &marked) in scratch.v.iter_mut().zip(col_side) {
-            if marked {
-                *vj -= best;
-            }
-        }
+        shift_marked(&mut scratch.u, row_side, best);
+        shift_marked(&mut scratch.v, col_side, -best);
     }
 
     budget.settle_pivots(pending_pivots);
     Ok(Repair::Abandoned)
+}
+
+/// Independent accumulators of the entering scan's row minima: wide
+/// enough to fill the vector unit, so a row is a run of packed selects
+/// rather than a chain of dependent compares.
+const LANES: usize = 8;
+
+/// `candidate` if it is strictly below `least`, else `least`: the
+/// strict-`<` rule of a first-minimum scan as a select, which never
+/// takes a NaN.
+fn lesser(least: f64, candidate: f64) -> f64 {
+    if candidate < least {
+        candidate
+    } else {
+        least
+    }
+}
+
+/// The least reduced cost `c - ui - vj` of one tableau row against the
+/// column duals `v`; `+∞` when there is none.
+fn least_reduced(row: &[f64], ui: f64, v: &[f64]) -> f64 {
+    let mut lanes = [f64::INFINITY; LANES];
+    let (costs, duals) = (row.chunks_exact(LANES), v.chunks_exact(LANES));
+    let tail = costs
+        .remainder()
+        .iter()
+        .zip(duals.remainder())
+        .fold(f64::INFINITY, |a, (&c, &vj)| lesser(a, c - ui - vj));
+    for (costs, duals) in costs.zip(duals) {
+        for ((lane, &c), &vj) in lanes.iter_mut().zip(costs).zip(duals) {
+            *lane = lesser(*lane, c - ui - vj);
+        }
+    }
+    lanes.iter().fold(tail, |a, &b| lesser(a, b))
+}
+
+/// The entering cell of a dual-repair pivot and its reduced cost: the
+/// first cell in row-major order of least `c - u[i] - v[j]` among rows
+/// marked in `row_side` and columns unmarked in `col_side`, or `None`
+/// when no such cell has a reduced cost below `+∞`.
+///
+/// `cut_v` is rebuilt as `v` with the marked columns masked to `-∞`, so
+/// their reduced costs are `+∞`, and `cut_rows` as the marked rows, each
+/// of which is scanned in full, branch-free, in independent lanes; a
+/// second pass locates the first cell of the winning row that equals the
+/// least value. Floating-point minima are exact, so that value does not
+/// depend on the order it is taken in; the first row whose minimum
+/// equals it, and the first cell of that row that does, is the cell a
+/// strict-`<` row-major scan keeps, since every earlier cell is strictly
+/// larger. The reduced cost is recomputed at that cell, so its sign of
+/// zero is the cell's own whichever zero the lanes returned.
+pub(crate) fn repair_entering(
+    costs: &[f64],
+    u: &[f64],
+    v: &[f64],
+    row_side: &[bool],
+    col_side: &[bool],
+    cut_v: &mut Vec<f64>,
+    cut_rows: &mut Vec<usize>,
+) -> Option<(usize, usize, f64)> {
+    cut_v.clear();
+    cut_v.extend(
+        v.iter()
+            .zip(col_side)
+            .map(|(&vj, &marked)| if marked { f64::NEG_INFINITY } else { vj }),
+    );
+    // Every row is written at the cursor and only a marked one advances
+    // it: the list is built, and then walked, with no branch on the marks.
+    cut_rows.clear();
+    cut_rows.resize(row_side.len(), 0);
+    let mut marked_rows = 0;
+    for (i, &marked) in row_side.iter().enumerate() {
+        cut_rows[marked_rows] = i; // bounds: marked_rows <= i < row_side.len() = cut_rows.len()
+        marked_rows += usize::from(marked);
+    }
+    cut_rows.truncate(marked_rows);
+    let n = v.len();
+    let mut best = f64::INFINITY;
+    let mut best_row = None;
+    for &i in cut_rows.iter() {
+        // bounds: i < m = u.len(), and costs holds m rows of n
+        let (row, ui) = (&costs[i * n..(i + 1) * n], u[i]);
+        let least = least_reduced(row, ui, cut_v);
+        if least < best {
+            best = least;
+            best_row = Some((i, row, ui));
+        }
+    }
+    let (i, row, ui) = best_row?;
+    row.iter()
+        .zip(cut_v.iter())
+        .enumerate()
+        .find_map(|(j, (&c, &vj))| {
+            let reduced = c - ui - vj;
+            // float: exact — `best` is one of this row's reduced costs, computed by the same expression
+            (reduced == best).then_some((i, j, reduced))
+        })
+}
+
+/// Add `delta` to every dual whose node is marked in `side`, as a select
+/// rather than a branch: a marked dual becomes `x + delta`, any other
+/// keeps its bits. The marks are the two sides of a cut, with no pattern
+/// a branch predictor could learn.
+pub(crate) fn shift_marked(duals: &mut [f64], side: &[bool], delta: f64) {
+    for (dual, &marked) in duals.iter_mut().zip(side) {
+        *dual = if marked { *dual + delta } else { *dual };
+    }
 }
 
 /// Run MODI pivots on `tree` until optimality, at most `limit` of them

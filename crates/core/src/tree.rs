@@ -273,15 +273,30 @@ impl BasisTree {
         let below = root >= self.m;
         side.clear();
         side.resize(self.m + self.n, !below);
+        side[root] = below; // bounds: root is a node id < m + n = side.len()
+
+        // Below the root every node is the first child or the next sibling
+        // of exactly one other, so a walk that pushes both of a popped
+        // node's meets each node once. A push writes at the cursor and
+        // advances it only when the node exists: the walk's one branch a
+        // predictor cannot learn is its end, where a walk along child
+        // lists mispredicts the end of every list. The cursor counts
+        // unvisited nodes under the root, so it stays below m + n.
         self.stack.clear();
-        self.stack.push(root);
-        while let Some(node) = self.stack.pop() {
+        self.stack.resize(self.m + self.n, NONE);
+        let first = self.first_child[root]; // bounds: root is a node id
+        self.stack[0] = first; // bounds: stack.len() = m + n >= 2
+        let mut top = usize::from(first != NONE);
+        while top > 0 {
+            top -= 1;
+            let node = self.stack[top]; // bounds: top < m + n = stack.len(), see above
             side[node] = below; // bounds: stack holds node ids < m + n = side.len()
-            let mut child = self.first_child[node]; // bounds: stack holds node ids
-            while child != NONE {
-                self.stack.push(child);
-                child = self.next_sibling[child]; // bounds: child lists hold node ids
-            }
+            let sibling = self.next_sibling[node]; // bounds: node id
+            self.stack[top] = sibling; // bounds: top < m + n = stack.len(), see above
+            top += usize::from(sibling != NONE);
+            let child = self.first_child[node]; // bounds: node id
+            self.stack[top] = child; // bounds: top < m + n = stack.len(), see above
+            top += usize::from(child != NONE);
         }
     }
 

@@ -71,10 +71,11 @@ pub(crate) struct PivotScratch {
     pub path: Vec<usize>,
     /// Component marks for the dual-repair cut search.
     pub side: Vec<bool>,
-    /// Columns across the dual-repair cut, and their duals gathered from
-    /// `v`, so the entering scan reads two flat slices.
-    pub cut_cols: Vec<usize>,
+    /// `v` with the columns off the dual-repair cut masked to `-∞`, and
+    /// the rows on its marked side, so the entering scan reads every
+    /// marked row in full, branch-free.
     pub cut_v: Vec<f64>,
+    pub cut_rows: Vec<usize>,
     /// Duals read fresh off the tree by the cutoff certificate, kept
     /// apart from `u`/`v` so a failed certificate leaves the repair's
     /// incrementally shifted duals — and with them its pivot sequence —

@@ -1,6 +1,6 @@
 //! The transportation solver's cross-module suites: property tests
 //! against an independent oracle, the pinned warm chains, the Vogel
-//! parity check, the certificate properties and the potentials an
+//! and repair-scan parity checks, the certificate properties and the potentials an
 //! `EmdContext` learns. They reach into the
 //! crate-private solver, so they compile into the unit-test build of
 //! `emd-core` (`src/lib.rs` declares this module under `#[cfg(test)]`)
@@ -11,6 +11,7 @@ mod certificates;
 mod learned_potentials;
 mod proptest_degenerate;
 mod proptest_solvers;
+mod scan_parity;
 mod ssp;
 mod vogel_parity;
 mod warm_chain;
