@@ -31,7 +31,7 @@ impl ScaledL1 {
         // float: exact — the shortcut is only sound for an exactly zero diagonal
         let diagonal_zero = (0..cost.rows()).all(|i| cost.at(i, i) == 0.0);
         let factor = if diagonal_zero {
-            cost.min_off_diagonal().unwrap_or(0.0) / 2.0
+            min_off_diagonal(cost).unwrap_or(0.0) / 2.0
         } else {
             0.0
         };
@@ -56,8 +56,34 @@ impl ScaledL1 {
                 got_cols: y.dim(),
             });
         }
-        Ok(self.factor * x.l1_distance(y))
+        Ok(self.factor * l1_distance(x, y))
     }
+}
+
+/// Smallest off-diagonal entry of a square matrix; `None` for a 1x1
+/// matrix.
+fn min_off_diagonal(cost: &CostMatrix) -> Option<f64> {
+    debug_assert!(cost.is_square());
+    let mut min = f64::INFINITY;
+    for i in 0..cost.rows() {
+        for j in 0..cost.cols() {
+            if i != j {
+                min = min.min(cost.at(i, j));
+            }
+        }
+    }
+    min.is_finite().then_some(min)
+}
+
+/// Manhattan (L1) distance between two histograms of equal
+/// dimensionality.
+fn l1_distance(x: &Histogram, y: &Histogram) -> f64 {
+    debug_assert_eq!(x.dim(), y.dim());
+    x.bins()
+        .iter()
+        .zip(y.bins())
+        .map(|(a, b)| (a - b).abs())
+        .sum()
 }
 
 #[cfg(test)]
@@ -67,6 +93,21 @@ mod tests {
 
     fn h(bins: &[f64]) -> Histogram {
         Histogram::new(bins.to_vec()).unwrap()
+    }
+
+    #[test]
+    fn min_off_diagonal_skips_diagonal() {
+        let c = CostMatrix::new(2, 2, vec![0.0, 3.0, 5.0, 0.0]).unwrap();
+        assert_eq!(min_off_diagonal(&c), Some(3.0));
+        let tiny = CostMatrix::new(1, 1, vec![0.0]).unwrap();
+        assert_eq!(min_off_diagonal(&tiny), None);
+    }
+
+    #[test]
+    fn l1_distance_matches_manual() {
+        let x = h(&[0.5, 0.0, 0.2, 0.0, 0.3, 0.0]);
+        let y = h(&[0.0, 0.5, 0.0, 0.2, 0.0, 0.3]);
+        assert!((l1_distance(&x, &y) - 2.0).abs() < 1e-12);
     }
 
     #[test]

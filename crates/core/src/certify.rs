@@ -24,7 +24,6 @@ use crate::cost::CostMatrix;
 use crate::emd::EmdReport;
 use crate::histogram::Histogram;
 use crate::problem::{Solution, TransportProblem};
-use crate::vogel::InitialBasis;
 use std::fmt;
 
 /// Default absolute tolerance for certificate checks.
@@ -269,27 +268,28 @@ pub(crate) fn certify_solution(
     )
 }
 
-/// Certify an [`InitialBasis`] against its problem: exactly `m + n - 1`
-/// basic cells (the spanning-tree count) whose flows conserve mass.
+/// Certify an initial basis, `(source, target, flow)` cells, against its
+/// problem: exactly `m + n - 1` basic cells (the spanning-tree count)
+/// whose flows conserve mass.
 ///
 /// # Errors
 ///
 /// Returns the first [`FlowViolation`] encountered.
 pub(crate) fn certify_basis(
     problem: &TransportProblem,
-    basis: &InitialBasis,
+    basis: &[(usize, usize, f64)],
     tol: f64,
 ) -> Result<(), FlowViolation> {
     let expected = problem.num_sources() + problem.num_targets() - 1;
-    if basis.cells.len() != expected {
+    if basis.len() != expected {
         return Err(FlowViolation::BasisSize {
-            cells: basis.cells.len(),
+            cells: basis.len(),
             expected,
         });
     }
     let cost = |i, j| problem.cost(i, j);
     check_flows(
-        &basis.cells,
+        basis,
         problem.supplies(),
         problem.demands(),
         cost,
@@ -318,7 +318,7 @@ pub(crate) fn debug_certify_solution(
 /// Debug-build hook: certify `basis` and panic with the violation if it
 /// fails. Compiled out of release builds.
 #[inline]
-pub(crate) fn debug_certify_basis(problem: &TransportProblem, basis: &InitialBasis) {
+pub(crate) fn debug_certify_basis(problem: &TransportProblem, basis: &[(usize, usize, f64)]) {
     if cfg!(debug_assertions) {
         if let Err(violation) = certify_basis(problem, basis, CERT_EPS) {
             // lint: allow(panic): the debug-build certificate hook exists to abort on solver bugs
@@ -487,7 +487,7 @@ mod tests {
     fn initial_basis_certifies() {
         let p = problem();
         let basis = crate::vogel::initial_basis(&p);
-        assert_eq!(certify_basis(&p, &basis, CERT_EPS), Ok(()));
+        assert_eq!(certify_basis(&p, &basis.cells, CERT_EPS), Ok(()));
     }
 
     #[test]
@@ -496,7 +496,7 @@ mod tests {
         let mut basis = crate::vogel::initial_basis(&p);
         basis.cells.pop();
         assert!(matches!(
-            certify_basis(&p, &basis, CERT_EPS).unwrap_err(),
+            certify_basis(&p, &basis.cells, CERT_EPS).unwrap_err(),
             FlowViolation::BasisSize { .. }
         ));
     }
@@ -518,6 +518,6 @@ mod tests {
         let p = problem();
         let mut basis = crate::vogel::initial_basis(&p);
         basis.cells.pop();
-        debug_certify_basis(&p, &basis);
+        debug_certify_basis(&p, &basis.cells);
     }
 }

@@ -245,11 +245,15 @@ impl EmdContext {
         ring.next = (ring.next + 1) % LEARNED;
         ring.live = (ring.live + 1).min(LEARNED);
 
-        // The solve's duals, read off its optimal basis.
-        let (m, n) = (self.x_index.len(), self.y_index.len());
+        // The solve's duals, read off its optimal basis in place: the
+        // extraction left the tree reset from the sorted cells, and
+        // nothing has moved it since.
+        let n = self.y_index.len();
         let ws = &mut self.ws;
-        let basis = ws.warm_cells.iter().map(|&(row, col)| (row, col, 0.0));
-        ws.tree.reset(m, n, basis);
+        debug_assert!(
+            ws.tree.cells().eq(ws.warm_cells.iter().copied()),
+            "the harvest reads the tree the extraction left"
+        );
         let costs = &self.costs;
         // bounds: (i, j) is a cell of the m x n tableau `costs` holds row-major
         let tableau = |i: usize, j: usize| costs[i * n + j];

@@ -118,21 +118,6 @@ impl CostMatrix {
         }
     }
 
-    /// Smallest off-diagonal entry of a square matrix; used by
-    /// emd-bench's scaled-L1 lower bound. `None` for 1x1 matrices.
-    pub fn min_off_diagonal(&self) -> Option<f64> {
-        debug_assert!(self.is_square());
-        let mut min = f64::INFINITY;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if i != j {
-                    min = min.min(self.at(i, j));
-                }
-            }
-        }
-        min.is_finite().then_some(min)
-    }
-
     /// Entrywise comparison `self <= other` — the partial order of the
     /// paper's Theorem 2 (monotony of the EMD in the cost matrix).
     pub fn dominated_by(&self, other: &CostMatrix) -> bool {
@@ -256,14 +241,6 @@ mod tests {
         assert_eq!(t.cols(), 2);
         assert_eq!(t.at(2, 0), 3.0);
         assert_eq!(t.transposed(), c);
-    }
-
-    #[test]
-    fn min_off_diagonal_skips_diagonal() {
-        let c = CostMatrix::new(2, 2, vec![0.0, 3.0, 5.0, 0.0]).unwrap();
-        assert_eq!(c.min_off_diagonal(), Some(3.0));
-        let tiny = CostMatrix::new(1, 1, vec![0.0]).unwrap();
-        assert_eq!(tiny.min_off_diagonal(), None);
     }
 
     #[test]

@@ -158,18 +158,6 @@ impl Histogram {
     pub fn support_size(&self) -> usize {
         self.bins.iter().filter(|&&mass| mass > 0.0).count()
     }
-
-    /// Manhattan (L1) distance between two histograms of equal
-    /// dimensionality. Used by emd-bench's scaled-L1 lower bound and in
-    /// tests.
-    pub fn l1_distance(&self, other: &Histogram) -> f64 {
-        debug_assert_eq!(self.dim(), other.dim());
-        self.bins
-            .iter()
-            .zip(other.bins.iter())
-            .map(|(a, b)| (a - b).abs())
-            .sum()
-    }
 }
 
 impl Histogram {
@@ -277,13 +265,6 @@ mod tests {
         let h = Histogram::new(vec![0.5, 0.0, 0.5]).unwrap();
         let support: Vec<_> = h.nonzero().collect();
         assert_eq!(support, vec![(0, 0.5), (2, 0.5)]);
-    }
-
-    #[test]
-    fn l1_distance_matches_manual() {
-        let x = Histogram::new(vec![0.5, 0.0, 0.2, 0.0, 0.3, 0.0]).unwrap();
-        let y = Histogram::new(vec![0.0, 0.5, 0.0, 0.2, 0.0, 0.3]).unwrap();
-        assert!((x.l1_distance(&y) - 2.0).abs() < 1e-12);
     }
 
     fn from_text(text: &str) -> Result<Histogram, String> {

@@ -59,10 +59,12 @@
 //! the simplex from an earlier evaluation's basis — the refinement hot
 //! path of the query layer, one query against many candidates: the basis
 //! of the solve whose learned potentials floor the candidate highest on
-//! its support, or else the one the previous evaluation ended on. That
-//! basis is re-fit to the new marginals by leaf peeling; an infeasible refit — the usual case — is repaired by
-//! dual-simplex pivots, and only a repair that exceeds its cap falls
-//! back to a cold start. A cold solve is the same body from an empty
+//! its support, or else the one the previous evaluation ended on. The
+//! solver holds that basis in one form, a rooted spanning tree, from the
+//! seed through the pivots to the extraction: it is re-fit to the new
+//! marginals by leaf peeling over the tree's incidence lists; an
+//! infeasible fit — the usual case — is repaired by dual-simplex pivots,
+//! and only a repair that exceeds its cap falls back to a cold start. A cold solve is the same body from an empty
 //! basis: a fresh context, or [`EmdContext::clear_warm_state`] before the
 //! call. The answer is extracted canonically from the final basis, so
 //! both return the same bits whenever the optimum is unique, and

@@ -1,10 +1,11 @@
 //! The transportation simplex (MODI / u-v method).
 //!
-//! Starting from an initial basic feasible solution — a Vogel basis on a
-//! cold start (built in the workspace's scratch from incrementally kept
-//! line minima, see `vogel`), or the previous solve's basis re-fit to the
-//! new marginals (directly, or via a short dual-simplex repair when the
-//! refit is primal-infeasible) on a warm start — each iteration
+//! Starting from an initial basic feasible solution in the workspace's
+//! basis tree — a Vogel basis on a cold start (built in the workspace's
+//! scratch from incrementally kept line minima, see `vogel`), or the
+//! previous solve's basis re-fit to the new marginals (directly, or via a
+//! short dual-simplex repair when the fit is primal-infeasible) on a warm
+//! start — each iteration
 //!
 //! 1. computes dual variables `u`, `v` from the basis tree,
 //! 2. searches for a non-basic cell with negative reduced cost
@@ -18,11 +19,12 @@
 //! ## Canonical extraction
 //!
 //! The one entry, [`solve_warm_objective`], extracts every solution the
-//! same way: the final basis cells are sorted by `(row, col)`, flows are
-//! re-derived from the marginals by the workspace's leaf-peeling refit,
-//! and the objective is summed over every basic cell in sorted-cell
-//! order. The answer therefore depends only on the final basis, never on
-//! the pivot history, which is what makes warm-started solves
+//! same way: the tree is reset from its cells sorted by `(row, col)`,
+//! flows are re-derived from the marginals by leaf peeling
+//! ([`BasisTree::fit`]), and the objective is summed over every basic
+//! cell in sorted-cell order. The answer therefore depends only on the
+//! final basis, never on the pivot history, which is what makes
+//! warm-started solves
 //! bit-identical to cold solves whenever both reach the same optimal
 //! basis — and, the sum being the basis' dual value, equal to the last
 //! few ulps when they reach different ones.
@@ -141,16 +143,16 @@ pub enum Bounded {
 
 /// The simplex: every solve in this crate is this function. Returns the
 /// optimal objective, leaving the canonical cells and flows in the
-/// workspace (readable via [`SolverWorkspace::last_solution`]). After the
-/// workspace has grown to the tableau size a solve — warm or cold, the
-/// Vogel start included — performs no heap allocation.
+/// workspace's tree (readable via [`SolverWorkspace::last_solution`]).
+/// After the workspace has grown to the tableau size a solve — warm or
+/// cold, the Vogel start included — performs no heap allocation.
 ///
 /// **Seeding.** When `workspace` holds the basis of an earlier solve with
-/// the same tableau shape, that spanning tree is re-fit to the new
-/// marginals by leaf peeling. If the refit is feasible the pivot loop
-/// starts from it — usually a few pivots from optimal when the instances
-/// are related (e.g. consecutive KNOP candidates sharing the query
-/// marginal). An infeasible refit goes through dual-simplex repair
+/// the same tableau shape, the tree is reset from its cells and re-fit to
+/// the new marginals by leaf peeling. If the fit is feasible the pivot
+/// loop starts from it — usually a few pivots from optimal when the
+/// instances are related (e.g. consecutive KNOP candidates sharing the
+/// query marginal). An infeasible fit goes through dual-simplex repair
 /// (`dual_repair`): the shared cost matrix keeps the old basis
 /// dual-feasible, so a short dual run restores primal feasibility,
 /// typically landing on the new optimum outright. A workspace without a
@@ -246,93 +248,74 @@ fn seed_and_solve(
     problem: &TransportProblem,
     budget: &Budget,
     cutoff: f64,
-    workspace: &mut SolverWorkspace,
+    ws: &mut SolverWorkspace,
     tally: &mut PivotTally,
 ) -> Result<Bounded, TransportError> {
     let m = problem.num_sources();
     let n = problem.num_targets();
+    let (supplies, demands) = (problem.supplies(), problem.demands());
 
     // Seed a basic feasible solution: the previous basis re-fit to the
     // new marginals when possible, a cold Vogel basis otherwise.
     let mut seeded_warm = false;
-    let mut tree_seeded = false;
-    if workspace.has_warm_basis(m, n) {
-        workspace.stats.warm_attempts += 1;
+    if ws.has_warm_basis(m, n) {
+        ws.stats.warm_attempts += 1;
         emd_obs::counter_add("transport.warm.attempts", 1);
-        let ws = &mut *workspace;
-        ws.cells.clear();
-        ws.cells.extend_from_slice(&ws.warm_cells);
-        let (supplies, demands) = (problem.supplies(), problem.demands());
-        if workspace.refit(m, n, supplies, demands, WARM_FEASIBILITY) {
-            workspace.stats.warm_hits += 1;
-            emd_obs::counter_add("transport.warm.hits", 1);
+        let basis = ws.warm_cells.iter().map(|&(row, col)| (row, col, 0.0));
+        ws.tree.reset(m, n, basis);
+        let repair = if ws.tree.fit(supplies, demands, WARM_FEASIBILITY) {
             // Degenerate cells can re-fit to a tiny negative flow; clamp
             // so the pivot ratio test never sees a negative basic flow.
-            for flow in &mut workspace.flows {
+            for flow in ws.tree.flows_mut() {
                 *flow = flow.max(0.0);
             }
-            seeded_warm = true;
+            Repair::Feasible
         } else if m > 1 && n > 1 {
-            // The refit is primal-infeasible, but successive candidates
+            // The fit is primal-infeasible, but successive candidates
             // share the cost matrix, so the old basis (optimal, or cut
             // mid-repair) is still dual-feasible: a short dual-simplex run restores primal
             // feasibility (and typically optimality with it) far cheaper
             // than a cold Vogel start plus primal pivots.
-            let ws = &mut *workspace;
-            ws.tree.reset(
-                m,
-                n,
-                ws.cells
-                    .iter()
-                    .zip(&ws.flows)
-                    .map(|(&(row, col), &flow)| (row, col, flow)),
-            );
-            let repair = dual_repair(problem, budget, cutoff, &mut ws.tree, &mut ws.pivot, tally)?;
-            if let Repair::Feasible | Repair::Cut { .. } = repair {
-                ws.stats.warm_hits += 1;
-                emd_obs::counter_add("transport.warm.hits", 1);
-                seeded_warm = true;
-                tree_seeded = true;
-            }
-            if let Repair::Cut { lower_bound } = repair {
-                emd_obs::counter_add("transport.solve.cut", 1);
-                ws.warm_cells.clear();
-                ws.warm_cells.extend(ws.tree.cells());
-                ws.warm_cells.sort_unstable();
-                crate::certify::debug_certify_cut(problem, lower_bound, cutoff);
-                return Ok(Bounded::Above(lower_bound));
-            }
+            dual_repair(problem, budget, cutoff, &mut ws.tree, &mut ws.pivot, tally)?
+        } else {
+            Repair::Abandoned
+        };
+        if let Repair::Feasible | Repair::Cut { .. } = repair {
+            ws.stats.warm_hits += 1;
+            emd_obs::counter_add("transport.warm.hits", 1);
+            seeded_warm = true;
+        }
+        if let Repair::Cut { lower_bound } = repair {
+            emd_obs::counter_add("transport.solve.cut", 1);
+            ws.warm_cells.clear();
+            ws.warm_cells.extend(ws.tree.cells());
+            ws.warm_cells.sort_unstable();
+            crate::certify::debug_certify_cut(problem, lower_bound, cutoff);
+            return Ok(Bounded::Above(lower_bound));
         }
     }
     if !seeded_warm {
-        let ws = &mut *workspace;
-        vogel::initial_basis_into(problem, &mut ws.vogel, &mut ws.cells, &mut ws.flows);
+        let basis = vogel::initial_basis_into(problem, &mut ws.vogel);
+        ws.tree.reset(m, n, basis.iter().copied());
     }
 
     // Trivial tableaus (single row or column) have a unique basis, which
     // is therefore optimal: skip the pivot loop entirely.
     if m > 1 && n > 1 {
-        let ws = &mut *workspace;
-        if !tree_seeded {
-            ws.tree.reset(
-                m,
-                n,
-                ws.cells
-                    .iter()
-                    .zip(&ws.flows)
-                    .map(|(&(row, col), &flow)| (row, col, flow)),
-            );
-        }
         let limit = iteration_limit(m, n);
         pivot_to_optimum(problem, limit, budget, &mut ws.tree, &mut ws.pivot, tally)?;
-        ws.cells.clear();
-        ws.cells.extend(ws.tree.cells());
     }
 
-    // Canonical extraction: sorted cells, flows re-derived from the
-    // marginals, objective summed in sorted order.
-    workspace.cells.sort_unstable();
-    let feasible = workspace.refit(m, n, problem.supplies(), problem.demands(), EPS);
+    // Canonical extraction: the tree reset from its sorted cells, flows
+    // re-derived from the marginals, objective summed in slot order. The
+    // sorted cells are the basis remembered for the next solve.
+    ws.warm_shape = Some((m, n));
+    ws.warm_cells.clear();
+    ws.warm_cells.extend(ws.tree.cells());
+    ws.warm_cells.sort_unstable();
+    let basis = ws.warm_cells.iter().map(|&(row, col)| (row, col, 0.0));
+    ws.tree.reset(m, n, basis);
+    let feasible = ws.tree.fit(supplies, demands, EPS);
     debug_assert!(feasible, "optimal basis must re-fit feasibly");
     // Every basic cell counts, however small its flow: the sum is then
     // the basis' dual value, which two optimal bases share, whereas a sum
@@ -340,18 +323,12 @@ fn seed_and_solve(
     // each happened to route through its sub-`EPS` residuals
     // ([`crate::objective_slack`]).
     let mut objective = 0.0;
-    for (&(row, col), &flow) in workspace.cells.iter().zip(&workspace.flows) {
+    for ((row, col), &flow) in ws.tree.cells().zip(ws.tree.flows()) {
         objective += flow * problem.cost(row, col);
     }
 
-    // Remember the basis for the next solve of this shape.
-    workspace.warm_shape = Some((m, n));
-    let ws = &mut *workspace;
-    ws.warm_cells.clear();
-    ws.warm_cells.extend_from_slice(&ws.cells);
-
     if cfg!(debug_assertions) {
-        let solution = workspace.last_solution(objective);
+        let solution = ws.last_solution(objective);
         crate::certify::debug_certify_solution(problem, &solution, "simplex");
     }
     Ok(Bounded::Optimal(objective))

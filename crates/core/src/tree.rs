@@ -52,6 +52,9 @@ pub(crate) struct BasisTree {
     stack: Vec<usize>,
     offsets: Vec<usize>,
     incident: Vec<usize>,
+    /// Remaining marginal and remaining degree per node during `fit`.
+    rem: Vec<f64>,
+    degree: Vec<usize>,
 }
 
 impl BasisTree {
@@ -65,7 +68,8 @@ impl BasisTree {
     /// Rebuild the tree in place for a (possibly different) tableau
     /// shape, reusing every allocation of the previous basis. `cells`
     /// must be the `m + n - 1` cells of a spanning tree; slot ids follow
-    /// their order.
+    /// their order. The incidence lists built here are the solver's only
+    /// ones: [`Self::fit`] peels over them too.
     pub(crate) fn reset(
         &mut self,
         m: usize,
@@ -138,6 +142,68 @@ impl BasisTree {
             }
         }
         debug_assert_eq!(self.validate(), Ok(()));
+    }
+
+    /// Re-derive the flow of every slot from the marginals by leaf
+    /// peeling: a node of remaining degree 1 has a single unassigned
+    /// incident edge, which must carry that node's remaining marginal.
+    /// Returns `false` when a flow is negative beyond `tolerance` — the
+    /// basis is infeasible for these marginals. Call it right after
+    /// `reset`: a pivot does not update the incidence lists it peels over.
+    ///
+    /// The peel order depends only on the degrees and the node ids, never
+    /// on the order of the incidence lists (a degree-1 node has exactly
+    /// one unassigned edge), so every cell's flow has the same bits
+    /// whatever order `reset` was given the cells in.
+    pub(crate) fn fit(&mut self, supplies: &[f64], demands: &[f64], tolerance: f64) -> bool {
+        debug_assert!(supplies.len() == self.m && demands.len() == self.n);
+        self.rem.clear();
+        self.rem.extend_from_slice(supplies);
+        self.rem.extend_from_slice(demands);
+        self.degree.clear();
+        let degrees = self.offsets.windows(2).map(|w| w[1] - w[0]); // bounds: windows of two
+        self.degree.extend(degrees);
+        self.stack.clear();
+        // bounds: node < m + n = degree.len()
+        let leaves = (0..self.m + self.n).filter(|&node| self.degree[node] == 1);
+        self.stack.extend(leaves);
+
+        let mut feasible = true;
+        while let Some(node) = self.stack.pop() {
+            // bounds: the stack holds node ids < m + n = degree.len()
+            if self.degree[node] != 1 {
+                // Already consumed as the far endpoint of the last edge.
+                continue;
+            }
+            // The node's one unassigned edge: an assigned edge was
+            // assigned by peeling its far end, whose degree is then 0.
+            let (lo, hi) = (self.offsets[node], self.offsets[node + 1]); // bounds: node < m + n, offsets has m + n + 1 entries
+            let unassigned = self.incident[lo..hi] // bounds: lo <= hi <= incident.len()
+                .iter()
+                .copied()
+                .find(|&id| self.degree[self.far_end(id, node)] != 0); // bounds: edge endpoints are node ids
+            let Some(id) = unassigned else {
+                debug_assert!(false, "degree-1 node without an unassigned edge");
+                return false;
+            };
+            let other = self.far_end(id, node);
+            let flow = self.rem[node]; // bounds: node < m + n = rem.len()
+            if flow < -tolerance {
+                feasible = false;
+            }
+            self.flows[id] = flow; // bounds: slot ids < m + n - 1 = flows.len()
+            self.rem[other] -= flow; // bounds: other is a node id
+            self.degree[node] = 0; // bounds: node id
+            self.degree[other] -= 1; // bounds: other is a node id
+            if self.degree[other] == 1 {
+                self.stack.push(other);
+            }
+        }
+        debug_assert!(
+            self.degree.iter().all(|&d| d == 0),
+            "leaf peeling must assign every basis cell"
+        );
+        feasible
     }
 
     #[inline]
@@ -530,6 +596,99 @@ mod tests {
         for (row, col) in tree.cells() {
             assert!((u[row] + v[col] - cost(row, col)).abs() < 1e-12);
         }
+    }
+
+    /// A tree over `cells` with its flows fit to the marginals at `EPS`,
+    /// and the feasibility verdict.
+    fn fitted(
+        m: usize,
+        n: usize,
+        cells: &[(usize, usize)],
+        supplies: &[f64],
+        demands: &[f64],
+    ) -> (BasisTree, bool) {
+        let mut tree = BasisTree::default();
+        tree.reset(m, n, cells.iter().map(|&(row, col)| (row, col, 0.0)));
+        let feasible = tree.fit(supplies, demands, crate::EPS);
+        (tree, feasible)
+    }
+
+    #[test]
+    fn fit_recovers_tree_flows() {
+        // 2x2 basis (0,0), (0,1), (1,1) with supplies [.5, .5],
+        // demands [.25, .75]: flows .25, .25, .5.
+        let (tree, ok) = fitted(2, 2, &[(0, 0), (0, 1), (1, 1)], &[0.5, 0.5], &[0.25, 0.75]);
+        assert!(ok);
+        assert_eq!(tree.flows(), [0.25, 0.25, 0.5]);
+    }
+
+    #[test]
+    fn fit_detects_infeasible_basis() {
+        // Same tree, but demand 0 now exceeds supply 0: edge (0, 1)
+        // would need negative flow.
+        let (_, ok) = fitted(2, 2, &[(0, 0), (0, 1), (1, 1)], &[0.5, 0.5], &[0.9, 0.1]);
+        assert!(!ok);
+    }
+
+    #[test]
+    fn fit_star_trees() {
+        // Single supply node: every demand is a leaf.
+        let (tree, ok) = fitted(1, 3, &[(0, 0), (0, 1), (0, 2)], &[1.0], &[0.2, 0.3, 0.5]);
+        assert!(ok);
+        assert_eq!(tree.flows(), [0.2, 0.3, 0.5]);
+    }
+
+    #[test]
+    fn fit_is_deterministic_and_reusable() {
+        let cells = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)];
+        let supplies = [0.3, 0.3, 0.4];
+        let demands = [0.45, 0.35, 0.2];
+        let (mut tree, ok) = fitted(3, 3, &cells, &supplies, &demands);
+        assert!(ok);
+        let first = tree.flows().to_vec();
+        assert!(tree.fit(&supplies, &demands, crate::EPS));
+        assert_eq!(first, tree.flows(), "fit must be bit-deterministic");
+        let total: f64 = tree.flows().iter().sum();
+        assert!((total - 1.0).abs() < 1e-12);
+    }
+
+    /// Slot order is only the order `reset` was given: the flow each cell
+    /// fits to, and the verdict, have the same bits in every order.
+    #[test]
+    fn fit_does_not_depend_on_the_cell_order() {
+        // A 3x4 spanning tree with a branching node on each side.
+        let cells = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 3)];
+        let marginals = [
+            ([0.3, 0.3, 0.4], [0.1, 0.45, 0.2, 0.25]),
+            ([1.0 / 3.0, 0.2, 7.0 / 15.0], [0.1, 0.3, 0.35, 0.25]),
+            ([0.6, 0.1, 0.3], [0.05, 0.05, 0.6, 0.3]),
+        ];
+        let orders: Vec<Vec<usize>> = vec![
+            vec![0, 1, 2, 3, 4, 5],
+            vec![5, 4, 3, 2, 1, 0],
+            vec![3, 0, 5, 1, 4, 2],
+            vec![2, 5, 1, 0, 3, 4],
+            vec![4, 2, 0, 5, 3, 1],
+        ];
+        for (supplies, demands) in &marginals {
+            let by_cell = |order: &[usize]| {
+                let permuted: Vec<_> = order.iter().map(|&k| cells[k]).collect();
+                let (tree, ok) = fitted(3, 4, &permuted, supplies, demands);
+                let mut flows: Vec<_> = tree
+                    .cells()
+                    .zip(tree.flows())
+                    .map(|(cell, flow)| (cell, flow.to_bits()))
+                    .collect();
+                flows.sort_unstable();
+                (flows, ok)
+            };
+            let first = by_cell(&orders[0]);
+            for order in &orders[1..] {
+                assert_eq!(by_cell(order), first, "order {order:?}");
+            }
+        }
+        // The third marginals make a cell negative: the verdict is shared.
+        assert!(!fitted(3, 4, &cells, &marginals[2].0, &marginals[2].1).1);
     }
 
     #[test]

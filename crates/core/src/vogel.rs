@@ -21,17 +21,6 @@
 
 use crate::problem::TransportProblem;
 
-/// An initial basic feasible solution for the transportation simplex.
-///
-/// Contains exactly `m + n - 1` basic cells (degenerate cells carry zero
-/// flow), which is the size of a spanning-tree basis for the transportation
-/// polytope.
-#[derive(Debug, Clone)]
-pub(crate) struct InitialBasis {
-    /// Basic cells as `(source, target, flow)`.
-    pub cells: Vec<(usize, usize, f64)>,
-}
-
 /// A line's two cheapest active cells: the first two of its active cells
 /// stably sorted by cost, which is exactly what a scan in index order with
 /// strict `<` keeps. Dropping any other cell leaves them in place, so a
@@ -95,6 +84,8 @@ pub(crate) struct VogelScratch {
     /// Minima over the active crossing lines, per row and per column.
     row_min: Vec<LineMin>,
     col_min: Vec<LineMin>,
+    /// The basis: cells as `(source, target, flow)`, in allocation order.
+    cells: Vec<(usize, usize, f64)>,
 }
 
 /// Compute an initial basic feasible solution using Vogel's approximation
@@ -103,14 +94,13 @@ pub(crate) struct VogelScratch {
 /// minima it costs little more than one pass over the tableau, which pays
 /// off for EMD tableaus.
 ///
-/// The basic cells go into `cells`, their flows into `flows` (both
-/// cleared first), so a warm workspace reuses its buffers.
-pub(crate) fn initial_basis_into(
+/// The basis is built in `scratch`, so a warm workspace reuses its
+/// buffers, and returned as `(source, target, flow)` cells in allocation
+/// order.
+pub(crate) fn initial_basis_into<'a>(
     problem: &TransportProblem,
-    scratch: &mut VogelScratch,
-    cells: &mut Vec<(usize, usize)>,
-    flows: &mut Vec<f64>,
-) {
+    scratch: &'a mut VogelScratch,
+) -> &'a [(usize, usize, f64)] {
     let n = problem.num_targets();
     let VogelScratch {
         supply,
@@ -119,6 +109,7 @@ pub(crate) fn initial_basis_into(
         cols,
         row_min,
         col_min,
+        cells,
     } = scratch;
     supply.clear();
     supply.extend_from_slice(problem.supplies());
@@ -129,7 +120,6 @@ pub(crate) fn initial_basis_into(
     cols.clear();
     cols.extend(0..n);
     cells.clear();
-    flows.clear();
 
     // One row-major pass: each row scans its cells in column order and
     // each column is offered its cells in row order, as a rescan would.
@@ -149,15 +139,13 @@ pub(crate) fn initial_basis_into(
         // When a single line remains, allocate everything along it.
         if let &[i] = rows.as_slice() {
             for &j in cols.iter() {
-                cells.push((i, j));
-                flows.push(demand[j].max(0.0)); // bounds: active columns are < n = demand.len()
+                cells.push((i, j, demand[j].max(0.0))); // bounds: active columns are < n = demand.len()
             }
             break;
         }
         if let &[j] = cols.as_slice() {
             for &i in rows.iter() {
-                cells.push((i, j));
-                flows.push(supply[i].max(0.0)); // bounds: active rows are < m = supply.len()
+                cells.push((i, j, supply[i].max(0.0))); // bounds: active rows are < m = supply.len()
             }
             break;
         }
@@ -166,8 +154,7 @@ pub(crate) fn initial_basis_into(
         // bounds: the picked cell's row and column are active lines, < m and < n
         let (left, wanted) = (&mut supply[i], &mut demand[j]);
         let quantity = left.min(*wanted);
-        cells.push((i, j));
-        flows.push(quantity);
+        cells.push((i, j, quantity));
         *left -= quantity;
         *wanted -= quantity;
         // Close exactly one line per allocation; closing both at once would
@@ -207,16 +194,11 @@ pub(crate) fn initial_basis_into(
     if emd_obs::enabled() {
         // Zero-flow cells are the degenerate padding that keeps the basis
         // a spanning tree of m + n - 1 edges; report them as basis repairs.
-        let degenerate = flows.iter().filter(|&&flow| flow <= crate::EPS).count();
+        let degenerate = cells.iter().filter(|cell| cell.2 <= crate::EPS).count();
         emd_obs::counter_add("transport.vogel.degenerate_cells", degenerate as u64);
     }
-    if cfg!(debug_assertions) {
-        let cells = cells.iter().zip(flows.iter());
-        let basis = InitialBasis {
-            cells: cells.map(|(&(row, col), &flow)| (row, col, flow)).collect(),
-        };
-        crate::certify::debug_certify_basis(problem, &basis);
-    }
+    crate::certify::debug_certify_basis(problem, cells);
+    cells
 }
 
 /// Drop `line` from the ascending active list `lines`.
@@ -260,20 +242,24 @@ fn best_penalty_cell(
     best_cell
 }
 
+/// An initial basic feasible solution for the transportation simplex,
+/// owned, for the tests.
+///
+/// Contains exactly `m + n - 1` basic cells (degenerate cells carry zero
+/// flow), which is the size of a spanning-tree basis for the transportation
+/// polytope.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct InitialBasis {
+    /// Basic cells as `(source, target, flow)`.
+    pub cells: Vec<(usize, usize, f64)>,
+}
+
 #[cfg(test)]
 /// [`initial_basis_into`] into a fresh [`InitialBasis`], for the tests.
 pub(crate) fn initial_basis(problem: &TransportProblem) -> InitialBasis {
-    let (mut cells, mut flows) = (Vec::new(), Vec::new());
-    initial_basis_into(
-        problem,
-        &mut VogelScratch::default(),
-        &mut cells,
-        &mut flows,
-    );
-    let cells = cells.into_iter().zip(flows);
-    InitialBasis {
-        cells: cells.map(|((row, col), flow)| (row, col, flow)).collect(),
-    }
+    let cells = initial_basis_into(problem, &mut VogelScratch::default()).to_vec();
+    InitialBasis { cells }
 }
 
 #[cfg(test)]

@@ -2,24 +2,25 @@
 //! for repeated transportation solves.
 //!
 //! A [`SolverWorkspace`] owns every buffer the simplex needs — the dual
-//! vectors `u`/`v`, the rooted basis tree, the pivot-cycle and cut
-//! scratch, the flow-refit buffers and the Vogel start's line minima — so
-//! a caller that solves many related instances (the KNOP refinement loop
-//! solves one LP per candidate against a fixed query marginal) pays for
+//! vectors `u`/`v`, the pivot-cycle and cut scratch, the Vogel start's
+//! line minima and the basis tree, the solver's one basis — so a caller
+//! that solves many related instances (the KNOP refinement loop solves
+//! one LP per candidate against a fixed query marginal) pays for
 //! allocation once instead of once per solve.
 //!
-//! The workspace also remembers the basis the last solve ended on — the
-//! optimal one, or the one a solve under a cutoff was cut on
-//! ([`crate::Bounded::Above`]); a failed solve leaves it untouched, and
-//! an `EmdContext` may replace it with an earlier solve's basis first
-//! ([`SolverWorkspace::seed`]).
+//! The workspace also remembers the cells of the basis the last solve
+//! ended on — the optimal one, or the one a solve under a cutoff was cut
+//! on ([`crate::Bounded::Above`]); a failed solve leaves them untouched,
+//! and an `EmdContext` may replace them with an earlier solve's basis
+//! first ([`SolverWorkspace::seed`]).
 //! [`crate::simplex::solve_warm`] re-optimizes from that basis when the next
-//! instance has the same tableau shape: the old spanning tree is re-fit
-//! to the new marginals by *leaf peeling* (a degree-1 node's single
-//! remaining edge must carry that node's remaining marginal). A feasible
-//! refit pivots from there — typically a handful of pivots from optimal.
-//! An infeasible refit (some edge re-fits to a negative flow) — the usual
-//! case between two KNOP candidates — goes
+//! instance has the same tableau shape: the tree is reset from the
+//! remembered cells and re-fit to the new marginals by *leaf peeling*
+//! ([`BasisTree::fit`]: a degree-1 node's single remaining edge must
+//! carry that node's remaining marginal). A feasible fit pivots from
+//! there — typically a handful of pivots from optimal. An infeasible fit
+//! (some edge fits to a negative flow) — the usual case between two KNOP
+//! candidates — goes
 //! through *dual-simplex repair*: because successive KNOP candidates
 //! share the cost matrix, the old basis is still dual-feasible,
 //! so a run of dual pivots restores primal feasibility and usually
@@ -28,13 +29,15 @@
 //!
 //! ## Canonical extraction
 //!
-//! The same leaf-peeling refit is the solver's *extraction* step: after
-//! the pivot loop terminates, flows are re-derived from the final basis
-//! (cells sorted by `(row, col)`) rather than read out of the pivot
-//! arithmetic. The reported solution therefore depends only on the
-//! final basis and the problem data, not on the pivot history — so a
-//! warm-started solve and a cold solve that reach the same optimal
-//! basis return **bit-identical** objectives and flows.
+//! The same leaf peeling is the solver's *extraction* step: after the
+//! pivot loop terminates, the tree is reset from its cells sorted by
+//! `(row, col)` and its flows are re-derived from the marginals rather
+//! than read out of the pivot arithmetic. The reported solution therefore
+//! depends only on the final basis and the problem data, not on the pivot
+//! history — so a warm-started solve and a cold solve that reach the same
+//! optimal basis return **bit-identical** objectives and flows. The tree
+//! keeps that canonical form until the next solve: the solution and an
+//! `EmdContext`'s harvest of the duals are read off it in place.
 
 use crate::tree::BasisTree;
 use crate::vogel::VogelScratch;
@@ -47,7 +50,7 @@ pub(crate) struct WorkspaceStats {
     pub solves: u64,
     /// Warm starts attempted (previous basis had a matching shape).
     pub warm_attempts: u64,
-    /// Warm starts that seeded the solve (the refit was feasible, or the
+    /// Warm starts that seeded the solve (the fit was feasible, or the
     /// dual-simplex repair restored feasibility).
     pub warm_hits: u64,
     /// Simplex pivots performed across all solves, primal and dual —
@@ -97,31 +100,14 @@ pub(crate) struct SolverWorkspace {
     pub(crate) pivot: PivotScratch,
     /// Scratch of the cold-start Vogel basis.
     pub(crate) vogel: VogelScratch,
-    /// Reusable basis-tree storage (the flat arrays keep their capacity).
+    /// The basis: seeded, pivoted and canonically extracted in place
+    /// (the flat arrays keep their capacity).
     pub(crate) tree: BasisTree,
-    /// Basis cells of the current solve, sorted by `(row, col)` at
-    /// extraction time.
-    pub(crate) cells: Vec<(usize, usize)>,
-    /// Flow per cell in `cells`, produced by [`Self::refit`].
-    pub(crate) flows: Vec<f64>,
-    /// Remaining marginal per node during leaf peeling.
-    rem: Vec<f64>,
-    /// Remaining degree per node during leaf peeling.
-    degree: Vec<usize>,
-    /// CSR offsets of the per-node incidence lists.
-    adj_offsets: Vec<usize>,
-    /// CSR incidence lists (cell indices, two entries per cell).
-    adj: Vec<usize>,
-    /// Fill cursors for building the CSR lists.
-    cursor: Vec<usize>,
-    /// Stack of degree-1 nodes to peel.
-    leaves: Vec<usize>,
-    /// Cells already assigned a flow during the current refit.
-    used: Vec<bool>,
     /// Tableau shape the remembered basis belongs to.
     pub(crate) warm_shape: Option<(usize, usize)>,
     /// Basis cells the last solve ended on (optimal or cut), sorted by
-    /// `(row, col)`.
+    /// `(row, col)`: the remembered basis, which only a solve that
+    /// succeeds overwrites.
     pub(crate) warm_cells: Vec<(usize, usize)>,
     /// Work counters.
     pub(crate) stats: WorkspaceStats,
@@ -164,206 +150,27 @@ impl SolverWorkspace {
         self.warm_shape == Some((m, n))
     }
 
-    /// Materialize the flows of the current solve (`cells`/`flows` as
-    /// left by the canonical extraction) as a [`crate::problem::Solution`] with
-    /// the given objective. Strictly positive flows only, in `(row,
+    /// Materialize the flows of the current solve (the tree as the
+    /// canonical extraction left it) as a [`crate::problem::Solution`]
+    /// with the given objective. Strictly positive flows only, in `(row,
     /// col)` order. Meaningful after a [`crate::Bounded::Optimal`] solve
     /// only: a cut solve extracts nothing.
     #[must_use]
     pub(crate) fn last_solution(&self, objective: f64) -> crate::problem::Solution {
         let flows = self
-            .cells
-            .iter()
-            .zip(&self.flows)
+            .tree
+            .cells()
+            .zip(self.tree.flows())
             .filter(|(_, &flow)| flow > EPS)
-            .map(|(&(row, col), &flow)| (row, col, flow))
+            .map(|((row, col), &flow)| (row, col, flow))
             .collect();
         crate::problem::Solution { objective, flows }
-    }
-
-    /// Re-derive the unique flow assignment of the spanning-tree basis in
-    /// `self.cells` for the given marginals by leaf peeling: a node of
-    /// remaining degree 1 has a single unassigned incident edge, which
-    /// must carry that node's remaining marginal. Fills `self.flows`
-    /// (aligned with `self.cells`) and returns `false` when any flow is
-    /// negative beyond `tolerance` — i.e. the basis is infeasible for
-    /// these marginals.
-    ///
-    /// Deterministic: the peeling order depends only on the cell list and
-    /// the marginals, never on allocation state or solve history.
-    pub(crate) fn refit(
-        &mut self,
-        m: usize,
-        n: usize,
-        supplies: &[f64],
-        demands: &[f64],
-        tolerance: f64,
-    ) -> bool {
-        let nodes = m + n;
-        let k = self.cells.len();
-        debug_assert_eq!(k, nodes - 1, "basis must be a spanning tree");
-
-        self.rem.clear();
-        self.rem.extend_from_slice(supplies);
-        self.rem.extend_from_slice(demands);
-        self.degree.clear();
-        self.degree.resize(nodes, 0);
-        for &(row, col) in &self.cells {
-            self.degree[row] += 1; // bounds: basis rows < m <= degree.len()
-            self.degree[m + col] += 1; // bounds: m + col < m + n = degree.len()
-        }
-
-        // CSR incidence lists: offsets by prefix sum, then a fill pass.
-        self.adj_offsets.clear();
-        self.adj_offsets.reserve(nodes + 1);
-        let mut running = 0usize;
-        self.adj_offsets.push(0);
-        for &d in &self.degree {
-            running += d;
-            self.adj_offsets.push(running);
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.adj_offsets[..nodes]); // bounds: offsets was just built with nodes + 1 entries
-        self.adj.clear();
-        self.adj.resize(2 * k, 0);
-        for (cell, &(row, col)) in self.cells.iter().enumerate() {
-            // bounds: cursors start at the CSR offsets and advance once per
-            // incidence, so each write lands inside the node's CSR slot.
-            self.adj[self.cursor[row]] = cell;
-            self.cursor[row] += 1; // bounds: row < m <= cursor.len()
-            self.adj[self.cursor[m + col]] = cell; // bounds: demand cursor stays inside its CSR slot
-            self.cursor[m + col] += 1; // bounds: m + col < nodes = cursor.len()
-        }
-
-        self.used.clear();
-        self.used.resize(k, false);
-        self.flows.clear();
-        self.flows.resize(k, 0.0);
-        self.leaves.clear();
-        for node in 0..nodes {
-            // bounds: node < nodes = degree.len()
-            if self.degree[node] == 1 {
-                self.leaves.push(node);
-            }
-        }
-
-        let mut feasible = true;
-        while let Some(node) = self.leaves.pop() {
-            // bounds: node < nodes = degree.len()
-            if self.degree[node] != 1 {
-                // Already consumed as the far endpoint of the last edge.
-                continue;
-            }
-            // The node's single unassigned incident edge.
-            let lo = self.adj_offsets[node]; // bounds: node < nodes, offsets has nodes + 1 entries
-            let hi = self.adj_offsets[node + 1]; // bounds: node + 1 <= nodes
-            let Some(&cell) = self.adj[lo..hi].iter().find(|&&c| !self.used[c]) else {
-                debug_assert!(false, "degree-1 node without an unassigned edge");
-                return false;
-            };
-            let (row, col) = self.cells[cell]; // bounds: CSR entries index cells
-            let other = if node < m { m + col } else { row };
-            let flow = self.rem[node]; // bounds: node < nodes = rem.len()
-            if flow < -tolerance {
-                feasible = false;
-            }
-            self.flows[cell] = flow; // bounds: cell indexes cells/flows, same length
-            self.used[cell] = true; // bounds: cell indexes cells/used, same length
-            self.rem[other] -= flow; // bounds: other is a node id < nodes
-            self.rem[node] = 0.0;
-            self.degree[node] = 0; // bounds: node < nodes = degree.len()
-            self.degree[other] -= 1; // bounds: other is a node id < nodes
-            if self.degree[other] == 1 {
-                self.leaves.push(other);
-            }
-        }
-        debug_assert!(
-            self.used.iter().all(|&u| u),
-            "leaf peeling must assign every basis cell"
-        );
-        feasible
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn refit_cells(
-        ws: &mut SolverWorkspace,
-        m: usize,
-        n: usize,
-        cells: &[(usize, usize)],
-        supplies: &[f64],
-        demands: &[f64],
-    ) -> bool {
-        ws.cells.clear();
-        ws.cells.extend_from_slice(cells);
-        ws.refit(m, n, supplies, demands, EPS)
-    }
-
-    #[test]
-    fn refit_recovers_tree_flows() {
-        // 2x2 basis (0,0), (0,1), (1,1) with supplies [.5, .5],
-        // demands [.25, .75]: flows .25, .25, .5.
-        let mut ws = SolverWorkspace::new();
-        let ok = refit_cells(
-            &mut ws,
-            2,
-            2,
-            &[(0, 0), (0, 1), (1, 1)],
-            &[0.5, 0.5],
-            &[0.25, 0.75],
-        );
-        assert!(ok);
-        assert_eq!(ws.flows, vec![0.25, 0.25, 0.5]);
-    }
-
-    #[test]
-    fn refit_detects_infeasible_basis() {
-        // Same tree, but demand 0 now exceeds supply 0: edge (0, 1)
-        // would need negative flow.
-        let mut ws = SolverWorkspace::new();
-        let ok = refit_cells(
-            &mut ws,
-            2,
-            2,
-            &[(0, 0), (0, 1), (1, 1)],
-            &[0.5, 0.5],
-            &[0.9, 0.1],
-        );
-        assert!(!ok);
-    }
-
-    #[test]
-    fn refit_star_trees() {
-        // Single supply node: every demand is a leaf.
-        let mut ws = SolverWorkspace::new();
-        let ok = refit_cells(
-            &mut ws,
-            1,
-            3,
-            &[(0, 0), (0, 1), (0, 2)],
-            &[1.0],
-            &[0.2, 0.3, 0.5],
-        );
-        assert!(ok);
-        assert_eq!(ws.flows, vec![0.2, 0.3, 0.5]);
-    }
-
-    #[test]
-    fn refit_is_deterministic_and_reusable() {
-        let mut ws = SolverWorkspace::new();
-        let cells = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)];
-        let supplies = [0.3, 0.3, 0.4];
-        let demands = [0.45, 0.35, 0.2];
-        assert!(refit_cells(&mut ws, 3, 3, &cells, &supplies, &demands));
-        let first = ws.flows.clone();
-        assert!(refit_cells(&mut ws, 3, 3, &cells, &supplies, &demands));
-        assert_eq!(first, ws.flows, "refit must be bit-deterministic");
-        let total: f64 = ws.flows.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn workspace_state_helpers() {

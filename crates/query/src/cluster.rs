@@ -210,7 +210,9 @@ impl ClusteredIndex {
         let reduced = bundle.reduced().clone();
         let pruning = LbIm::new(pruning_cost_for(&reduced)?);
         let arena: Arc<[Histogram]> = bundle.reduced_database().to_vec().into();
-        validate_stored(stored, arena.len())?;
+        if let Some(reason) = stored.defect(arena.len()) {
+            return Err(QueryError::Reduction(reason));
+        }
         let geometry = (
             stored.pivots.clone(),
             stored.assignments.clone(),
@@ -426,53 +428,6 @@ fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
         "shortest-path closure of a symmetric zero-diagonal cost is a metric"
     );
     Ok(closure)
-}
-
-/// Structural validation of an externally supplied stored clustering
-/// (the store codec performs the same checks on decode; `StoredClustering`
-/// has public fields, so revalidate before trusting the geometry).
-fn validate_stored(stored: &StoredClustering, objects: usize) -> Result<(), QueryError> {
-    let clusters = stored.pivots.len();
-    if stored.assignments.len() != objects {
-        return Err(QueryError::Reduction(format!(
-            "clustering assigns {} objects, arena holds {objects}",
-            stored.assignments.len()
-        )));
-    }
-    if stored.radii.len() != clusters {
-        return Err(QueryError::Reduction(format!(
-            "clustering has {clusters} pivots but {} radii",
-            stored.radii.len()
-        )));
-    }
-    if objects > 0 && (clusters == 0 || clusters > objects) {
-        return Err(QueryError::Reduction(format!(
-            "clustering has {clusters} clusters for {objects} objects"
-        )));
-    }
-    for (cluster, &pivot) in stored.pivots.iter().enumerate() {
-        let owner = stored.assignments.get(pivot as usize).copied();
-        if owner != Some(cluster as u32) {
-            return Err(QueryError::Reduction(format!(
-                "pivot {pivot} of cluster {cluster} is not assigned to its own cluster"
-            )));
-        }
-    }
-    for (id, &a) in stored.assignments.iter().enumerate() {
-        if a as usize >= clusters {
-            return Err(QueryError::Reduction(format!(
-                "object {id} assigned to cluster {a} of {clusters}"
-            )));
-        }
-    }
-    for (cluster, &radius) in stored.radii.iter().enumerate() {
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(QueryError::Reduction(format!(
-                "cluster {cluster} has invalid radius {radius}"
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Pivot ids, per-object cluster assignments, and covering radii — the

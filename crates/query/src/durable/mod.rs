@@ -1143,15 +1143,8 @@ fn read_sealed(path: &Path, faults: &dyn FaultInjector) -> Result<Sealed, Durabl
     }
     let clustering = sealed
         .maybe_section(SectionKind::Clustering, "clustering")?
-        .map(|payload| sections::decode_clustering(path, "clustering", payload))
+        .map(|payload| sections::decode_clustering(path, "clustering", payload, histograms.len()))
         .transpose()?;
-    if clustering
-        .as_ref()
-        .is_some_and(|c| c.assignments.len() != histograms.len())
-    {
-        let reason = "the clustering does not assign every object of the segment";
-        return Err(DurableError::invalid(path, "clustering", reason));
-    }
     Ok((histograms, ids, clustering))
 }
 

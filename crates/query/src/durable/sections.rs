@@ -277,9 +277,10 @@ pub(super) fn decode_reduction(
 /// Three parallel structures: `pivots[c]` and `radii[c]` describe
 /// cluster `c` (pivot object id and covering radius under the reduced
 /// EMD); `assignments[i]` names the cluster of database object `i`.
-/// This type carries only structurally validated data — whether the
-/// radii genuinely cover the members is re-established by the query
-/// layer when a clustering is attached to a live index.
+/// Its fields are public, so every path that trusts one — the decoder,
+/// the save and the attach to a live index — holds it to
+/// `StoredClustering::defect`; whether the radii genuinely cover the
+/// members is the query layer's to re-establish.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredClustering {
     /// Database object id of each cluster's pivot, indexed by cluster.
@@ -289,6 +290,66 @@ pub struct StoredClustering {
     /// Covering radius of each cluster (max member reduced EMD to the
     /// pivot), indexed by cluster.
     pub radii: Vec<f64>,
+}
+
+impl StoredClustering {
+    /// The one structural check of a clustering over `objects` objects,
+    /// run wherever one is decoded, saved or attached: one assignment per
+    /// object, each naming a cluster; one radius per pivot, finite and
+    /// non-negative; each pivot an object assigned to its own cluster;
+    /// between one and `objects` clusters, none over an empty database.
+    /// Returns the first broken invariant as a sentence, `None` when
+    /// every one holds.
+    pub(crate) fn defect(&self, objects: usize) -> Option<String> {
+        let clusters = self.pivots.len();
+        if self.assignments.len() != objects {
+            return Some(format!(
+                "the clustering assigns {} objects, the database holds {objects}",
+                self.assignments.len()
+            ));
+        }
+        if self.radii.len() != clusters {
+            return Some(format!(
+                "{clusters} pivots but {} covering radii",
+                self.radii.len()
+            ));
+        }
+        if clusters > objects || (objects > 0 && clusters == 0) {
+            return Some(format!(
+                "{clusters} clusters cannot partition {objects} objects"
+            ));
+        }
+        for (cluster, &pivot) in self.pivots.iter().enumerate() {
+            match self.assignments.get(pivot as usize) {
+                Some(&home) if home as usize == cluster => {}
+                Some(&home) => {
+                    return Some(format!(
+                        "cluster {cluster} pivot {pivot} is assigned to cluster {home}"
+                    ));
+                }
+                None => {
+                    return Some(format!(
+                        "cluster {cluster} pivot {pivot} exceeds the {objects}-object database"
+                    ));
+                }
+            }
+        }
+        for (object, &cluster) in self.assignments.iter().enumerate() {
+            if cluster as usize >= clusters {
+                return Some(format!(
+                    "object {object} is assigned to cluster {cluster}, only {clusters} exist"
+                ));
+            }
+        }
+        for (cluster, &radius) in self.radii.iter().enumerate() {
+            if !radius.is_finite() || radius < 0.0 {
+                return Some(format!(
+                    "cluster {cluster} covering radius {radius} is not a finite non-negative value"
+                ));
+            }
+        }
+        None
+    }
 }
 
 /// Encode a clustering.
@@ -315,75 +376,35 @@ pub(super) fn encode_clustering(clustering: &StoredClustering) -> Vec<u8> {
     out
 }
 
-/// Decode a clustering, re-checking every structural invariant: each
-/// pivot is a valid object id assigned to its own cluster, each
-/// assignment names a valid cluster, and every radius is finite and
-/// non-negative.
+/// Decode the clustering of a segment holding `objects` objects and
+/// hold it to [`StoredClustering::defect`].
 ///
 /// # Errors
 ///
 /// Returns [`DurableError::Invalid`] when the payload is structurally
-/// short, carries trailing bytes, or violates any invariant above.
+/// short, carries trailing bytes, or fails the check.
 pub(super) fn decode_clustering(
     path: &Path,
     section: &str,
     payload: &[u8],
+    objects: usize,
 ) -> Result<StoredClustering, DurableError> {
     let mut p = Payload::new(path, section, payload);
     let clusters = p.length("cluster count")?;
-    let objects = p.length("object count")?;
-    if objects > 0 && (clusters == 0 || clusters > objects) {
-        return Err(p.invalid(format!(
-            "{clusters} clusters cannot partition {objects} objects"
-        )));
-    }
-    if objects == 0 && clusters != 0 {
-        return Err(p.invalid(format!("{clusters} clusters over an empty database")));
-    }
+    let assigned = p.length("object count")?;
     let pivots = p.u32s(clusters, "pivot ids")?;
-    let assignments = p.u32s(objects, "assignment vector")?;
+    let assignments = p.u32s(assigned, "assignment vector")?;
     let radii: Vec<f64> = p.f64s(clusters, "covering radii")?.collect();
     p.finish()?;
-    let path_err = |reason: String| DurableError::invalid(path, section, reason);
-    for (cluster, &pivot) in pivots.iter().enumerate() {
-        if pivot as usize >= objects {
-            return Err(path_err(format!(
-                "cluster {cluster} pivot {pivot} exceeds the {objects}-object database"
-            )));
-        }
-        match assignments.get(pivot as usize) {
-            Some(&home) if home as usize == cluster => {}
-            Some(&home) => {
-                return Err(path_err(format!(
-                    "cluster {cluster} pivot {pivot} is assigned to cluster {home}"
-                )));
-            }
-            None => {
-                return Err(path_err(format!(
-                    "cluster {cluster} pivot {pivot} has no assignment entry"
-                )));
-            }
-        }
-    }
-    for (object, &cluster) in assignments.iter().enumerate() {
-        if cluster as usize >= clusters {
-            return Err(path_err(format!(
-                "object {object} is assigned to cluster {cluster}, only {clusters} exist"
-            )));
-        }
-    }
-    for (cluster, &radius) in radii.iter().enumerate() {
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(path_err(format!(
-                "cluster {cluster} covering radius {radius} is not a finite non-negative value"
-            )));
-        }
-    }
-    Ok(StoredClustering {
+    let clustering = StoredClustering {
         pivots,
         assignments,
         radii,
-    })
+    };
+    match clustering.defect(objects) {
+        Some(reason) => Err(DurableError::invalid(path, section, reason)),
+        None => Ok(clustering),
+    }
 }
 
 /// Encode a dense `position -> external id` map (sealed WAL segments).
@@ -531,7 +552,13 @@ mod tests {
     fn clustering_roundtrip_is_bit_identical() {
         let clustering = clustering_fixture();
         let payload = encode_clustering(&clustering);
-        let back = decode_clustering(&path(), "clustering", &payload).unwrap();
+        let back = decode_clustering(
+            &path(),
+            "clustering",
+            &payload,
+            clustering.assignments.len(),
+        )
+        .unwrap();
         assert_eq!(back.pivots, clustering.pivots);
         assert_eq!(back.assignments, clustering.assignments);
         for (a, b) in clustering.radii.iter().zip(&back.radii) {
@@ -544,7 +571,13 @@ mod tests {
         let mut clustering = clustering_fixture();
         clustering.assignments = vec![0, 0, 1, 1, 7];
         let payload = encode_clustering(&clustering);
-        let err = decode_clustering(&path(), "clustering", &payload).unwrap_err();
+        let err = decode_clustering(
+            &path(),
+            "clustering",
+            &payload,
+            clustering.assignments.len(),
+        )
+        .unwrap_err();
         assert!(matches!(err, DurableError::Invalid { .. }), "{err}");
     }
 
@@ -555,7 +588,13 @@ mod tests {
         let mut clustering = clustering_fixture();
         clustering.pivots = vec![3, 3];
         let payload = encode_clustering(&clustering);
-        let err = decode_clustering(&path(), "clustering", &payload).unwrap_err();
+        let err = decode_clustering(
+            &path(),
+            "clustering",
+            &payload,
+            clustering.assignments.len(),
+        )
+        .unwrap_err();
         assert!(matches!(err, DurableError::Invalid { .. }), "{err}");
     }
 
@@ -564,7 +603,13 @@ mod tests {
         let mut clustering = clustering_fixture();
         clustering.radii = vec![0.25, f64::NAN];
         let payload = encode_clustering(&clustering);
-        let err = decode_clustering(&path(), "clustering", &payload).unwrap_err();
+        let err = decode_clustering(
+            &path(),
+            "clustering",
+            &payload,
+            clustering.assignments.len(),
+        )
+        .unwrap_err();
         assert!(matches!(err, DurableError::Invalid { .. }), "{err}");
     }
 
@@ -576,7 +621,13 @@ mod tests {
             radii: vec![],
         };
         let payload = encode_clustering(&clustering);
-        let back = decode_clustering(&path(), "clustering", &payload).unwrap();
+        let back = decode_clustering(
+            &path(),
+            "clustering",
+            &payload,
+            clustering.assignments.len(),
+        )
+        .unwrap();
         assert!(back.pivots.is_empty());
         assert!(back.assignments.is_empty());
     }
@@ -590,7 +641,12 @@ mod tests {
         };
         let payload = encode_clustering(&clustering);
         assert!(matches!(
-            decode_clustering(&path(), "clustering", &payload),
+            decode_clustering(
+                &path(),
+                "clustering",
+                &payload,
+                clustering.assignments.len()
+            ),
             Err(DurableError::Invalid { .. })
         ));
     }

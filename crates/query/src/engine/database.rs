@@ -156,7 +156,8 @@ impl Database {
     /// # Errors
     ///
     /// As [`Database::save`], and when `clusterings` holds more than one
-    /// entry or the clustering does not assign every object.
+    /// entry or the clustering is structurally inconsistent with the
+    /// database (the check every decoded clustering passes).
     pub fn save_with_clusterings(
         &self,
         dir: &Path,
@@ -177,12 +178,8 @@ impl Database {
             ));
         };
         let clustering = clusterings.first().and_then(Option::as_ref);
-        if clustering.is_some_and(|c| c.assignments.len() != self.len()) {
-            return Err(DurableError::invalid(
-                dir,
-                "clustering",
-                format!("the clustering does not assign all {} objects", self.len()),
-            ));
+        if let Some(reason) = clustering.and_then(|c| c.defect(self.len())) {
+            return Err(DurableError::invalid(dir, "clustering", reason));
         }
         durable::bulk_load(
             dir,

@@ -18,10 +18,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("EMD(x, y) = {:.3}  (paper: 1.0)", emd(&x, &y, &cost)?);
     println!("EMD(x, z) = {:.3}  (paper: 1.6)", emd(&x, &z, &cost)?);
+    let l1 = |a: &Histogram, b: &Histogram| -> f64 {
+        a.bins()
+            .iter()
+            .zip(b.bins())
+            .map(|(p, q)| (p - q).abs())
+            .sum()
+    };
     println!(
         "L1 ranks them the other way: L1(x,y) = {:.1}, L1(x,z) = {:.1}",
-        x.l1_distance(&y),
-        x.l1_distance(&z)
+        l1(&x, &y),
+        l1(&x, &z)
     );
 
     // --- 2. A flexible dimensionality reduction (Definitions 3-5) ------
