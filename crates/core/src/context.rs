@@ -15,10 +15,10 @@
 //! warm-start the simplex from an earlier candidate's basis. A *cold*
 //! evaluation is the same body from an empty basis: a fresh context
 //! ([`crate::emd`] makes one per call), or a used one after
-//! [`EmdContext::clear_warm_state`]. The solver extracts its answer
-//! canonically from the final basis (see the crate docs on warm starts),
-//! so a warm-started solve agrees with a cold solve to the bit whenever
-//! the optimum is unique.
+//! [`EmdContext::clear_warm_state`]. The solver reads its answer off the
+//! duals of the final basis (see the crate docs on warm starts), so a
+//! warm-started solve agrees with a cold solve to the bit whenever the
+//! optimum is unique.
 //!
 //! ## Learned potentials
 //!
@@ -96,7 +96,7 @@ struct Potentials {
     /// The slot the next entry overwrites.
     next: usize,
     /// Whether the last evaluation ran an LP to its optimum, leaving its
-    /// basis in the workspace and its tableau in the staging buffers.
+    /// basis and duals in the workspace, its tableau in the staging buffers.
     pending: bool,
 }
 
@@ -194,10 +194,10 @@ impl EmdContext {
 
     /// The optimal flows of the last evaluation that ran to
     /// [`Bounded::Optimal`], in original bin indices.
-    pub(crate) fn last_report(&self, distance: f64) -> EmdReport {
+    pub(crate) fn last_report(&mut self, distance: f64) -> EmdReport {
         let flows = self
             .ws
-            .last_solution(distance)
+            .last_solution(&self.supplies, &self.demands, distance)
             .flows
             .into_iter()
             // bounds: the solver's cells index the stripped tableau, whose
@@ -245,19 +245,8 @@ impl EmdContext {
         ring.next = (ring.next + 1) % LEARNED;
         ring.live = (ring.live + 1).min(LEARNED);
 
-        // The solve's duals, read off its optimal basis in place: the
-        // extraction left the tree reset from the sorted cells, and
-        // nothing has moved it since.
-        let n = self.y_index.len();
-        let ws = &mut self.ws;
-        debug_assert!(
-            ws.tree.cells().eq(ws.warm_cells.iter().copied()),
-            "the harvest reads the tree the extraction left"
-        );
-        let costs = &self.costs;
-        // bounds: (i, j) is a cell of the m x n tableau `costs` holds row-major
-        let tableau = |i: usize, j: usize| costs[i * n + j];
-        ws.tree.duals(tableau, &mut entry.u, &mut entry.v);
+        // The solve's duals, as its dual readout left them.
+        entry.u.clone_from(&self.ws.pivot.u);
         entry.ux = entry.u.iter().zip(&self.supplies).map(|(u, s)| u * s).sum();
         entry.magnitude_u = entry.u.iter().fold(0.0, |max, u| max.max(u.abs()));
         // Their c-transform over every column: dual-feasible for any y.
@@ -268,10 +257,8 @@ impl EmdContext {
                 *vj = vj.min(c - ui);
             }
         }
-        entry.cells.clear();
-        entry.cells.extend_from_slice(&ws.warm_cells);
-        entry.y_index.clear();
-        entry.y_index.extend_from_slice(&self.y_index);
+        entry.cells.clone_from(&self.ws.warm_cells);
+        entry.y_index.clone_from(&self.y_index);
     }
 
     /// Stage the stripped tableau of `x`, `y` under `cost` as a problem;

@@ -61,14 +61,15 @@
 //! of the solve whose learned potentials floor the candidate highest on
 //! its support, or else the one the previous evaluation ended on. The
 //! solver holds that basis in one form, a rooted spanning tree, from the
-//! seed through the pivots to the extraction: it is re-fit to the new
+//! seed through the pivots to the dual readout: it is re-fit to the new
 //! marginals by leaf peeling over the tree's incidence lists; an
 //! infeasible fit — the usual case — is repaired by dual-simplex pivots,
-//! and only a repair that exceeds its cap falls back to a cold start. A cold solve is the same body from an empty
-//! basis: a fresh context, or [`EmdContext::clear_warm_state`] before the
-//! call. The answer is extracted canonically from the final basis, so
-//! both return the same bits whenever the optimum is unique, and
-//! distances within [`distance_slack`] of one another always.
+//! and only a repair that exceeds its cap falls back to a cold start. A
+//! cold solve is the same body from an empty basis: a fresh context, or
+//! [`EmdContext::clear_warm_state`] before the call. The answer is the
+//! dual value of the final basis alone, so both return the same bits
+//! whenever the optimum is unique, and distances within
+//! [`distance_slack`] of one another always.
 //!
 //! ## Cutoffs
 //!
@@ -162,12 +163,12 @@ pub fn distance_slack(cost: &CostMatrix) -> f64 {
 /// marginal, which is this bound. Two solves of one problem (a warm and
 /// a cold one on a tie-prone cost, a chain cut or seeded elsewhere) are
 /// related by nothing tighter in general, and by far more in practice:
-/// the reported objective sums `flow · cost` over *every* basic cell,
-/// i.e. it is the basis' dual value, which all optimal bases share, and
-/// a warm seed is repaired until no basic flow is below `-1e-14`, so
-/// measured divergence is a few ulps (≤ 2e-13 relative over 3 000
-/// distances of the benchmark's 32-bin Gaussian corpus). It was not
-/// always: while the sum skipped basic flows at or below `EPS`, and a
+/// the reported objective is the basis' dual value `Σ uᵢsᵢ + Σ vⱼdⱼ`,
+/// which all optimal bases share, and a warm seed is repaired until no
+/// basic flow is below `-1e-14`, so measured divergence is a few ulps
+/// (≤ 2e-13 relative over 3 000 distances of the benchmark's 32-bin
+/// Gaussian corpus). It was not always: while the objective was a sum of
+/// `flow · cost` that skipped basic flows at or below `EPS`, and a
 /// warm seed passed as feasible down to `-EPS`, two bases that routed
 /// such residuals over cells of different cost reported objectives up
 /// to this bound apart — `tests/transport/warm_chain.rs` pins the pair

@@ -16,18 +16,17 @@
 //!    flow is shifted around the cycle until a basic cell hits zero, which
 //!    leaves the basis.
 //!
-//! ## Canonical extraction
+//! ## Dual readout
 //!
-//! The one entry, [`solve_warm_objective`], extracts every solution the
-//! same way: the tree is reset from its cells sorted by `(row, col)`,
-//! flows are re-derived from the marginals by leaf peeling
-//! ([`BasisTree::fit`]), and the objective is summed over every basic
-//! cell in sorted-cell order. The answer therefore depends only on the
-//! final basis, never on the pivot history, which is what makes
-//! warm-started solves
-//! bit-identical to cold solves whenever both reach the same optimal
-//! basis — and, the sum being the basis' dual value, equal to the last
-//! few ulps when they reach different ones.
+//! The one entry, [`solve_warm_objective`], answers with the value
+//! `Σ uᵢsᵢ + Σ vⱼdⱼ` of the duals its last optimality test computed. They
+//! are anchored at `u₀ = 0` and derived along the unique tree path from
+//! the root, so the answer depends only on the final basis, never on the
+//! pivot history: warm-started solves are bit-identical to cold solves
+//! whenever both reach the same optimal basis, and equal to the last few
+//! ulps when they reach different ones. Flows are extracted only on
+//! request ([`SolverWorkspace::last_solution`]: leaf peeling over the
+//! sorted cells, [`BasisTree::fit`]).
 //!
 //! ## Counters
 //!
@@ -115,7 +114,9 @@ pub(crate) fn solve_warm(
     workspace: &mut SolverWorkspace,
 ) -> Result<Solution, TransportError> {
     match solve_warm_objective(problem, budget, f64::INFINITY, workspace)? {
-        Bounded::Optimal(objective) => Ok(workspace.last_solution(objective)),
+        Bounded::Optimal(objective) => {
+            Ok(workspace.last_solution(problem.supplies(), problem.demands(), objective))
+        }
         Bounded::Above(_) => Err(TransportError::Internal {
             detail: "a solve without a cutoff was cut",
         }),
@@ -142,8 +143,8 @@ pub enum Bounded {
 }
 
 /// The simplex: every solve in this crate is this function. Returns the
-/// optimal objective, leaving the canonical cells and flows in the
-/// workspace's tree (readable via [`SolverWorkspace::last_solution`]).
+/// optimal objective, the dual value of the final basis, whose flows
+/// [`SolverWorkspace::last_solution`] extracts on request.
 /// After the workspace has grown to the tableau size a solve — warm or
 /// cold, the Vogel start included — performs no heap allocation.
 ///
@@ -159,9 +160,9 @@ pub enum Bounded {
 /// matching basis — a fresh one, or one after
 /// [`SolverWorkspace::clear_warm_state`] — and a repair that exceeds its
 /// pivot cap start cold from a Vogel basis. Either way the result is the
-/// exact optimum; thanks to canonical extraction, warm and cold solves
-/// are bit-identical whenever both reach the same optimal basis (always
-/// the case for instances with a unique optimum).
+/// exact optimum; thanks to the dual readout, warm and cold solves are
+/// bit-identical whenever both reach the same optimal basis (always the
+/// case for instances with a unique optimum).
 ///
 /// **Budget.** `budget` is probed at solve entry and every
 /// [`CHECK_INTERVAL`] pivots; pivots are charged to the budget's shared
@@ -242,8 +243,8 @@ impl PivotTally {
 }
 
 /// The body of [`solve_warm_objective`] after its entry probe: seed a
-/// basis, pivot to the optimum (or a cut), extract. Every pivot goes into
-/// `tally`.
+/// basis, pivot to the optimum (or a cut), read the duals' value. Every
+/// pivot goes into `tally`.
 fn seed_and_solve(
     problem: &TransportProblem,
     budget: &Budget,
@@ -299,36 +300,30 @@ fn seed_and_solve(
         ws.tree.reset(m, n, basis.iter().copied());
     }
 
-    // Trivial tableaus (single row or column) have a unique basis, which
-    // is therefore optimal: skip the pivot loop entirely.
-    if m > 1 && n > 1 {
-        let limit = iteration_limit(m, n);
-        pivot_to_optimum(problem, limit, budget, &mut ws.tree, &mut ws.pivot, tally)?;
-    }
+    // A trivial tableau (single row or column) has a unique basis, which
+    // the first optimality test finds optimal without a pivot.
+    let limit = iteration_limit(m, n);
+    pivot_to_optimum(problem, limit, budget, &mut ws.tree, &mut ws.pivot, tally)?;
 
-    // Canonical extraction: the tree reset from its sorted cells, flows
-    // re-derived from the marginals, objective summed in slot order. The
-    // sorted cells are the basis remembered for the next solve.
+    // Dual readout: the objective is the value of the duals the last
+    // optimality test left in `ws.pivot`. The sorted cells are the basis
+    // remembered for the next solve.
     ws.warm_shape = Some((m, n));
     ws.warm_cells.clear();
     ws.warm_cells.extend(ws.tree.cells());
     ws.warm_cells.sort_unstable();
-    let basis = ws.warm_cells.iter().map(|&(row, col)| (row, col, 0.0));
-    ws.tree.reset(m, n, basis);
-    let feasible = ws.tree.fit(supplies, demands, EPS);
-    debug_assert!(feasible, "optimal basis must re-fit feasibly");
-    // Every basic cell counts, however small its flow: the sum is then
-    // the basis' dual value, which two optimal bases share, whereas a sum
-    // over the flows above `EPS` alone differs between them by whatever
-    // each happened to route through its sub-`EPS` residuals
-    // ([`crate::objective_slack`]).
-    let mut objective = 0.0;
-    for ((row, col), &flow) in ws.tree.cells().zip(ws.tree.flows()) {
-        objective += flow * problem.cost(row, col);
-    }
+    let masses = supplies.iter().chain(demands);
+    let duals = ws.pivot.u.iter().chain(&ws.pivot.v);
+    let objective: f64 = duals.zip(masses).map(|(dual, mass)| dual * mass).sum();
 
     if cfg!(debug_assertions) {
-        let solution = ws.last_solution(objective);
+        let solution = ws.last_solution(supplies, demands, objective);
+        let cells = ws.tree.cells().zip(ws.tree.flows());
+        let primal: f64 = cells.map(|((i, j), &flow)| flow * problem.cost(i, j)).sum();
+        let max_cost = problem.costs().iter().copied().fold(0.0, f64::max);
+        let slack = crate::objective_slack(m, n, max_cost);
+        let gap = (objective - primal).abs();
+        debug_assert!(gap <= slack, "dual {objective}, primal {primal}");
         crate::certify::debug_certify_solution(problem, &solution, "simplex");
     }
     Ok(Bounded::Optimal(objective))
@@ -664,8 +659,8 @@ pub(crate) fn shift_marked(duals: &mut [f64], side: &[bool], delta: f64) {
 
 /// Run MODI pivots on `tree` until optimality, at most `limit` of them
 /// (clamped to [`hard_iteration_cap`]), each tallied in `tally`. The tree
-/// then holds an optimal basis (flows included, though callers re-derive
-/// them canonically).
+/// then holds an optimal basis, and `scratch.u` / `scratch.v` the duals
+/// the last optimality test read off it.
 fn pivot_to_optimum(
     problem: &TransportProblem,
     limit: usize,

@@ -27,17 +27,16 @@
 //! lands directly on the new optimum. Only when the repair exceeds its
 //! pivot cap does the solver fall back to a cold Vogel start.
 //!
-//! ## Canonical extraction
+//! ## Dual readout and extraction
 //!
-//! The same leaf peeling is the solver's *extraction* step: after the
-//! pivot loop terminates, the tree is reset from its cells sorted by
-//! `(row, col)` and its flows are re-derived from the marginals rather
-//! than read out of the pivot arithmetic. The reported solution therefore
-//! depends only on the final basis and the problem data, not on the pivot
-//! history — so a warm-started solve and a cold solve that reach the same
-//! optimal basis return **bit-identical** objectives and flows. The tree
-//! keeps that canonical form until the next solve: the solution and an
-//! `EmdContext`'s harvest of the duals are read off it in place.
+//! A solve answers with the value of its final basis' duals, which the
+//! optimality test leaves in [`PivotScratch::u`] / [`PivotScratch::v`]
+//! (an `EmdContext`'s harvest copies them from there). The flows are
+//! extracted only on request ([`SolverWorkspace::last_solution`]): the
+//! same leaf peeling re-derives them from the marginals over the
+//! remembered cells, sorted by `(row, col)`. Neither depends on the pivot
+//! history, so a warm and a cold solve that reach the same optimal basis
+//! return **bit-identical** objectives and flows.
 
 use crate::tree::BasisTree;
 use crate::vogel::VogelScratch;
@@ -66,7 +65,7 @@ pub(crate) struct WorkspaceStats {
 /// across solves.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PivotScratch {
-    /// Supply-side dual variables.
+    /// Supply-side dual variables (after an optimal solve, its duals).
     pub u: Vec<f64>,
     /// Demand-side dual variables.
     pub v: Vec<f64>,
@@ -100,7 +99,7 @@ pub(crate) struct SolverWorkspace {
     pub(crate) pivot: PivotScratch,
     /// Scratch of the cold-start Vogel basis.
     pub(crate) vogel: VogelScratch,
-    /// The basis: seeded, pivoted and canonically extracted in place
+    /// The basis: seeded, pivoted and, on request, extracted in place
     /// (the flat arrays keep their capacity).
     pub(crate) tree: BasisTree,
     /// Tableau shape the remembered basis belongs to.
@@ -150,13 +149,21 @@ impl SolverWorkspace {
         self.warm_shape == Some((m, n))
     }
 
-    /// Materialize the flows of the current solve (the tree as the
-    /// canonical extraction left it) as a [`crate::problem::Solution`]
-    /// with the given objective. Strictly positive flows only, in `(row,
-    /// col)` order. Meaningful after a [`crate::Bounded::Optimal`] solve
-    /// only: a cut solve extracts nothing.
+    /// Extract the flows of the last solve, whose marginals were
+    /// `supplies`, `demands`, as a [`crate::problem::Solution`] with the
+    /// given objective. Strictly positive flows only, in `(row, col)`
+    /// order. Meaningful after a [`crate::Bounded::Optimal`] solve only.
     #[must_use]
-    pub(crate) fn last_solution(&self, objective: f64) -> crate::problem::Solution {
+    pub(crate) fn last_solution(
+        &mut self,
+        supplies: &[f64],
+        demands: &[f64],
+        objective: f64,
+    ) -> crate::problem::Solution {
+        let basis = self.warm_cells.iter().map(|&(row, col)| (row, col, 0.0));
+        self.tree.reset(supplies.len(), demands.len(), basis);
+        let feasible = self.tree.fit(supplies, demands, EPS);
+        debug_assert!(feasible, "optimal basis must re-fit feasibly");
         let flows = self
             .tree
             .cells()

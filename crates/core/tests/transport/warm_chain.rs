@@ -11,12 +11,15 @@
 //! every solution against the conservation certificate.
 //!
 //! [`pivot_sequence_is_pinned`] additionally fixes the work counters and
-//! an objective checksum of three seeded chains. The numbers were recorded
-//! with the adjacency-list basis tree this crate used before the rooted
-//! tree: a change to a pivot rule or a tie-break moves them, so it fails
-//! here instead of silently moving one-ulp ties in query answers. The
-//! flow checksums beside them were recorded at the parent of the cutoff
-//! change: a solve without a cutoff is that solve still.
+//! an objective checksum of three seeded chains. The counters were
+//! recorded with the adjacency-list basis tree this crate used before the
+//! rooted tree: a change to a pivot rule or a tie-break moves them, so it
+//! fails here instead of silently moving one-ulp ties in query answers.
+//! The flow checksums beside them were recorded at the parent of the
+//! cutoff change: a solve without a cutoff is that solve still. The
+//! objective checksums were recorded when the objective became the final
+//! basis' dual value instead of its primal sum, which moves last bits of
+//! the objective but no pivot and no flow.
 //!
 //! The cutoff suites run the same chains under random cutoffs — below,
 //! at and above each step's optimum — and hold every verdict against
@@ -193,7 +196,11 @@ fn run_chain_with_cutoffs(problems: &[TransportProblem], seed: u64) -> usize {
                     Bounded::Optimal(objective),
                     "step {step}: cutoff {cutoff}"
                 );
-                assert_eq!(ws.last_solution(objective), uncut.last_solution(objective));
+                let (supplies, demands) = (problem.supplies(), problem.demands());
+                assert_eq!(
+                    ws.last_solution(supplies, demands, objective),
+                    uncut.last_solution(supplies, demands, objective)
+                );
                 assert!(
                     cutoff >= optimum || objective > cutoff,
                     "step {step}: an optimum above the cutoff is still an optimum"
@@ -297,9 +304,9 @@ fn cutoffs_below_the_optimum_cut() {
     assert!(cuts >= 20, "only {cuts} of 200 solves were cut");
 }
 
-/// Work counters and objective checksums of three fixed chains. Recorded
-/// at the parent of the rooted-tree change; equal numbers mean the same
-/// pivots in the same order with the same answers. The third chain
+/// Work counters, objective and flow checksums of three fixed chains
+/// (see the module docs for when each was recorded); equal numbers mean
+/// the same pivots in the same order with the same answers. The third chain
 /// abandons two repairs at the cap of `4 (24 + 24) + 16 = 208` pivots;
 /// since a solve records its pivots once on every exit, those 416 count
 /// in `pivots` / `repair_pivots` as they always did in the
@@ -312,19 +319,19 @@ fn pivot_sequence_is_pinned() {
         (
             chain(14, 12, 16, 60, Costs::Line),
             [60, 43, 43, 545, 520],
-            0x8198_a916_d21b_5a1c_u64,
+            0x8982_e265_d338_c016_u64,
             0x56e7_9c72_c683_4bc2,
         ),
         (
             chain(15, 10, 14, 60, Costs::Continuous),
             [60, 45, 45, 224, 154],
-            0xf4d9_18f8_66a5_444c,
+            0xfefa_e1cd_8023_508b,
             0x96f6_3a89_92a5_84b1,
         ),
         (
             chain(16, 24, 24, 80, Costs::Line),
             [80, 66, 64, 1_214, 1_191],
-            0x5497_b632_1179_1977,
+            0xe890_7585_b676_d914,
             0xd960_f309_01dc_9e6a,
         ),
     ];

@@ -4,7 +4,8 @@
 //! objectives and flows **bit-identical** to independent cold solves.
 //!
 //! Costs are drawn from continuous ranges, so the optimal basis is
-//! generically unique and canonical extraction makes warm/cold agreement
+//! generically unique, and the dual readout and the flow extraction,
+//! which depend on nothing but the final basis, make warm/cold agreement
 //! exact — not just up to tolerance.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.

@@ -30,7 +30,9 @@
 //! object farthest from all chosen pivots as the next pivot, `~sqrt(n) ·
 //! factor` times. A triangle shortcut (`d(new pivot, old pivot) >= 2 ·
 //! d(o, old pivot)` implies the new pivot cannot steal `o`) keeps
-//! construction well below the naive `k·n` solves on clustered data.
+//! construction well below the naive `k·n` solves on clustered data; a
+//! solve it leaves stops at the first proof ([`Bounded::Above`]) that the
+//! new pivot is no nearer than `o`'s nearest pivot so far.
 //!
 //! At query time [`ClusteredIndex`] is a [`CandidateSource`] in two
 //! layers. The **traversal** only decides which objects stage 1 emits,
@@ -82,7 +84,8 @@ use crate::filters::{
 use crate::ranking::{ChainedRanking, Key, Ranking};
 use emd_core::certify::CERT_EPS;
 use emd_core::lower_bounds::LbIm;
-use emd_core::{emd_in_context, Budget, CostMatrix, EmdContext, Histogram};
+use emd_core::{emd_in_context, emd_in_context_within, Bounded, Budget};
+use emd_core::{CostMatrix, EmdContext, Histogram};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -444,16 +447,15 @@ fn greedy_k_center(
 ) -> Result<ClusterGeometry, QueryError> {
     let budget = Budget::unlimited();
     let mut context = EmdContext::new();
-    let n = arena.len();
     let Some(first) = arena.first() else {
         return Err(QueryError::EmptyDatabase);
     };
     // d_near[o] = distance of o to its nearest chosen pivot.
-    let mut d_near: Vec<f64> = Vec::with_capacity(n);
-    for h in arena {
-        d_near.push(emd_in_context(first, h, cost, &budget, &mut context)?);
-    }
-    let mut assignments: Vec<u32> = vec![0; n];
+    let to_first = arena
+        .iter()
+        .map(|h| emd_in_context(first, h, cost, &budget, &mut context));
+    let mut d_near = to_first.collect::<Result<Vec<f64>, _>>()?;
+    let mut assignments: Vec<u32> = vec![0; arena.len()];
     let mut pivots: Vec<u32> = vec![0];
     while pivots.len() < k {
         // Next pivot: the object farthest from all chosen pivots.
@@ -471,13 +473,17 @@ fn greedy_k_center(
             break;
         }
         let next_h = arena.get(next).ok_or(QueryError::UnknownObject(next))?;
-        // Pivot-to-pivot distances feed the triangle shortcut below.
+        // Pivot gaps feed the triangle shortcut below; one at least twice a
+        // cluster's radius skips all of it, so its solve may stop above that.
+        let radii = covering_radii(&assignments, &d_near, pivots.len());
         let mut pivot_distances: Vec<f64> = Vec::with_capacity(pivots.len());
-        for &p in &pivots {
+        for (&p, &r) in pivots.iter().zip(&radii) {
             let ph = arena
                 .get(p as usize)
                 .ok_or(QueryError::UnknownObject(p as usize))?;
-            pivot_distances.push(emd_in_context(next_h, ph, cost, &budget, &mut context)?);
+            let (Bounded::Optimal(gap) | Bounded::Above(gap)) =
+                emd_in_context_within(next_h, ph, cost, &budget, 2.0 * r, &mut context)?;
+            pivot_distances.push(gap);
         }
         let t = pivots.len() as u32;
         for ((h, a), dn) in arena
@@ -488,30 +494,33 @@ fn greedy_k_center(
             // d(new, o) >= d(new, old pivot) - d(o, old pivot) >= d(o, old
             // pivot) when the pivot gap is at least twice d_near: the new
             // pivot cannot steal o, skip the solve.
-            let gap = pivot_distances
-                .get(*a as usize)
-                .copied()
-                .unwrap_or(f64::NEG_INFINITY);
-            if gap >= 2.0 * *dn {
+            let gap = pivot_distances.get(*a as usize);
+            if gap.is_some_and(|&gap| gap >= 2.0 * *dn) {
                 continue;
             }
-            let d = emd_in_context(next_h, h, cost, &budget, &mut context)?;
-            if d < *dn {
-                *dn = d;
-                *a = t;
+            // Only `d < dn` steals, so a solve may stop at a bound above dn.
+            match emd_in_context_within(next_h, h, cost, &budget, *dn, &mut context)? {
+                Bounded::Optimal(d) if d < *dn => (*dn, *a) = (d, t),
+                _ => {}
             }
         }
         pivots.push(next as u32);
     }
-    let mut radii = vec![0.0f64; pivots.len()];
-    for (a, dn) in assignments.iter().zip(d_near.iter()) {
+    let radii = covering_radii(&assignments, &d_near, pivots.len());
+    Ok((pivots, assignments, radii))
+}
+
+/// Each cluster's covering radius: the largest `d_near` of its members.
+fn covering_radii(assignments: &[u32], d_near: &[f64], clusters: usize) -> Vec<f64> {
+    let mut radii = vec![0.0f64; clusters];
+    for (a, dn) in assignments.iter().zip(d_near) {
         if let Some(r) = radii.get_mut(*a as usize) {
             if *dn > *r {
                 *r = *dn;
             }
         }
     }
-    Ok((pivots, assignments, radii))
+    radii
 }
 
 /// Group object ids by cluster (ascending within each cluster).
@@ -1068,5 +1077,100 @@ mod tests {
             *r = f64::NAN;
         }
         assert!(ClusteredIndex::from_stored(&database, &bundle, &bad_radius).is_err());
+    }
+
+    /// The greedy k-center loop with a cold `emd` per pair and no cutoff:
+    /// the oracle the build's cutoff solves are held to.
+    fn k_center_oracle(cost: &CostMatrix, arena: &[Histogram], k: usize) -> ClusterGeometry {
+        let d = |a: usize, b: usize| emd_core::emd(&arena[a], &arena[b], cost).unwrap();
+        let mut d_near: Vec<f64> = (0..arena.len()).map(|o| d(0, o)).collect();
+        let mut assignments = vec![0u32; arena.len()];
+        let mut pivots = vec![0u32];
+        while pivots.len() < k {
+            let (next, farthest) = (d_near.iter().copied().enumerate()).fold(
+                (0, f64::NEG_INFINITY),
+                |best, (o, dn)| {
+                    if dn > best.1 {
+                        (o, dn)
+                    } else {
+                        best
+                    }
+                },
+            );
+            if farthest <= 0.0 {
+                break;
+            }
+            let gaps: Vec<f64> = pivots.iter().map(|&p| d(next, p as usize)).collect();
+            for o in 0..arena.len() {
+                if gaps[assignments[o] as usize] >= 2.0 * d_near[o] {
+                    continue;
+                }
+                let dist = d(next, o);
+                if dist < d_near[o] {
+                    (d_near[o], assignments[o]) = (dist, pivots.len() as u32);
+                }
+            }
+            pivots.push(next as u32);
+        }
+        let mut radii = vec![0.0f64; pivots.len()];
+        for (&a, &dn) in assignments.iter().zip(&d_near) {
+            radii[a as usize] = radii[a as usize].max(dn);
+        }
+        (pivots, assignments, radii)
+    }
+
+    /// On small random metric databases — Euclidean distances between
+    /// random points in the plane, histograms with empty bins — the build,
+    /// whose steal solves stop at the object's current nearest distance,
+    /// picks the oracle's pivots and assignments, with radii within
+    /// `distance_slack`, and runs no more LP solves.
+    #[test]
+    fn cutoff_build_matches_the_cold_oracle() {
+        let mut cut_some = false;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = rng.gen_range(4..10usize);
+            let points: Vec<Vec<f64>> = (0..dim)
+                .map(|_| vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)])
+                .collect();
+            let cost = ground::from_points(&points, ground::Metric::Euclidean).unwrap();
+            let arena: Vec<Histogram> = (0..rng.gen_range(20..60))
+                .map(|_| {
+                    let bins = (0..dim).map(|_| {
+                        if rng.gen_bool(0.3) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.05..1.0)
+                        }
+                    });
+                    let mut bins: Vec<f64> = bins.collect();
+                    bins[rng.gen_range(0..dim)] += 0.5;
+                    Histogram::normalized(bins).unwrap()
+                })
+                .collect();
+            let k = rng.gen_range(2..=8);
+
+            let solves = |build: &dyn Fn() -> ClusterGeometry| {
+                let recording = emd_obs::Recording::start();
+                let geometry = build();
+                let registry = recording.finish();
+                let cuts = registry.counter("transport.solve.cut")
+                    + registry.counter("core.emd.floor_cuts");
+                (geometry, registry.counter("transport.solve.calls"), cuts)
+            };
+            let (built, built_solves, cuts) =
+                solves(&|| greedy_k_center(&cost, &arena, k).unwrap());
+            let (oracle, oracle_solves, _) = solves(&|| k_center_oracle(&cost, &arena, k));
+            assert_eq!((&built.0, &built.1), (&oracle.0, &oracle.1), "seed {seed}");
+            for (r, o) in built.2.iter().zip(&oracle.2) {
+                assert!(
+                    (r - o).abs() <= emd_core::distance_slack(&cost),
+                    "seed {seed}"
+                );
+            }
+            assert!(built_solves <= oracle_solves, "seed {seed}");
+            cut_some |= cuts > 0;
+        }
+        assert!(cut_some, "some steal solve must stop at its cutoff");
     }
 }
