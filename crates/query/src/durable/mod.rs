@@ -20,8 +20,8 @@
 //!
 //! * **One writer.** Objects reach a sealed segment only through the
 //!   compaction writer: seal the live histograms with their ids, start
-//!   the epoch's WAL with a [`WalRecord::CompactEpoch`] record (the ids
-//!   plus the id allocator's watermark), flip the checkpoint via
+//!   the epoch's WAL with a [`WalRecord::CompactEpoch`] record (the id
+//!   allocator's watermark), flip the checkpoint via
 //!   write-temp + fsync + atomic rename. A bulk load writes `base.seg`
 //!   and then epoch 1 through it, so a bulk load and a fresh index that
 //!   appended, synced and compacted the same corpus write the same
@@ -109,10 +109,6 @@ pub use sections::StoredClustering;
 use segment::{SectionKind, SegmentReader, SegmentWriter};
 use wal::WalWriter;
 pub use wal::{TornTail, WalRecord, WalReplay};
-
-/// The segment format version this build reads, which
-/// `DurableError::VersionSkew` names.
-pub(crate) use segment::{VERSION_MAJOR, VERSION_MINOR};
 
 /// Schema tag written as the first token of the `CURRENT` checkpoint.
 pub const CHECKPOINT_SCHEMA: &str = "flexemd-durable/v1";
@@ -314,7 +310,7 @@ fn write_epoch(
     dir: &Path,
     epoch: u64,
     histograms: &[Histogram],
-    ids: Vec<u64>,
+    ids: &[u64],
     next_id: u64,
     clustering: Option<&StoredClustering>,
     faults: Arc<dyn FaultInjector>,
@@ -323,7 +319,7 @@ fn write_epoch(
     let arena = sections::encode_histogram_arena(dim, histograms);
     let mut writer = SegmentWriter::create(&sealed_path(dir, epoch))?;
     writer.section(SectionKind::HistogramArena, "histograms", &arena)?;
-    let id_map = sections::encode_id_map(&ids);
+    let id_map = sections::encode_id_map(ids);
     writer.section(SectionKind::IdMap, "external-ids", &id_map)?;
     if let Some(clustering) = clustering {
         let payload = sections::encode_clustering(clustering);
@@ -334,7 +330,6 @@ fn write_epoch(
     walw.append(&WalRecord::CompactEpoch {
         epoch,
         next_external: next_id,
-        external_ids: ids,
     })?;
     walw.sync()?;
     write_checkpoint(dir, epoch)?;
@@ -362,7 +357,7 @@ pub(crate) fn bulk_load(
         dir,
         1,
         histograms,
-        ids,
+        &ids,
         next_id,
         clustering,
         Arc::new(NoFaults),
@@ -434,22 +429,17 @@ pub(crate) fn read(dir: &Path, faults: &dyn FaultInjector) -> Result<Stored, Dur
         let Some(WalRecord::CompactEpoch {
             epoch: sealed_epoch,
             next_external,
-            external_ids,
         }) = records.next()
         else {
             return Err(invalid_wal(
                 "post-compaction WAL must start with a compact-epoch record".to_owned(),
             ));
         };
-        let agrees = *sealed_epoch == epoch
-            && *external_ids == ids
-            && ids.last().is_none_or(|last| next_external > last);
+        let agrees = *sealed_epoch == epoch && ids.last().is_none_or(|last| next_external > last);
         if !agrees {
             return Err(invalid_wal(format!(
-                "compact-epoch record (epoch {sealed_epoch}, {} ids, next id {next_external}) \
-                 disagrees with the checkpoint (epoch {epoch}) or the sealed segment ({} ids)",
-                external_ids.len(),
-                ids.len()
+                "compact-epoch record (epoch {sealed_epoch}, next id {next_external}) disagrees \
+                 with the checkpoint (epoch {epoch}) or the sealed segment's ids"
             )));
         }
         next_id = *next_external;
@@ -894,7 +884,7 @@ impl DurableIndex {
     /// Steps, in crash-safe order: reclaim the tombstoned slots in memory
     /// (ids are unaffected), write `sealed-<epoch+1>.seg`, create
     /// `wal-<epoch+1>.log` whose first record is the
-    /// [`WalRecord::CompactEpoch`] id map, flip the checkpoint
+    /// [`WalRecord::CompactEpoch`] watermark, flip the checkpoint
     /// atomically, then retire the old epoch's files. A crash before the
     /// checkpoint flip reopens the old epoch; after it, the new one —
     /// never a mixture. Outstanding snapshots are unaffected (they hold
@@ -923,7 +913,7 @@ impl DurableIndex {
             &self.dir,
             new_epoch,
             &histograms,
-            self.ids.clone(),
+            &self.ids,
             self.next_id,
             None,
             Arc::clone(&self.faults),
@@ -1517,7 +1507,6 @@ mod tests {
             .append(&WalRecord::CompactEpoch {
                 epoch: 1,
                 next_external: 5,
-                external_ids: externals,
             })
             .unwrap();
         orphan_wal.sync().unwrap();
@@ -1560,7 +1549,6 @@ mod tests {
         wal.append(&WalRecord::CompactEpoch {
             epoch: 1,
             next_external: 5,
-            external_ids: swapped,
         })
         .unwrap();
         wal.sync().unwrap();
@@ -1593,6 +1581,40 @@ mod tests {
     fn bulk(dir: &Path, name: &str, clustering: Option<&StoredClustering>) {
         let cost = ground::linear(4).unwrap();
         bulk_load(dir, name, &corpus(), &cost, &reduced(&cost), clustering).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_log_is_version_skew_naming_the_wal() {
+        // Version 1 repeated the sealed ids in the compact-epoch record;
+        // this build must refuse such a log, not misread it.
+        let dir = tmp_dir("wal-v1");
+        bulk(&dir, "v1", None);
+        let log = wal_path(&dir, 1);
+        let mut bytes = std::fs::read(&log).unwrap();
+        // The major version follows the 8-byte magic.
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&log, &bytes).unwrap();
+        let writable = DurableIndex::open(&dir).map(|_| ()).unwrap_err();
+        let read_only = Database::open(&dir).map(|_| ()).unwrap_err();
+        for error in [writable, read_only] {
+            assert!(
+                matches!(
+                    error,
+                    DurableError::VersionSkew {
+                        major: 1,
+                        minor: 0,
+                        ..
+                    }
+                ),
+                "{error}"
+            );
+            let text = error.to_string();
+            assert!(
+                text.contains("has WAL format v1.0; this build reads v2.x"),
+                "{text}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //! payload, header (length + checksum) first, and patches the section
 //! count into the file header on `finish`.
 //! [`SegmentReader`] validates everything *before* handing out payloads:
-//! magic, version window, header and payload truncation, per-section
-//! CRC32, and section-name UTF-8. It keeps the file's one buffer and
-//! lends each payload as a slice of it. Decoding payloads into typed
-//! values is the job of `sections`.
+//! magic and version window (the [`FileHeader`] check the WAL shares),
+//! header and payload truncation, per-section CRC32, and section-name
+//! UTF-8. It keeps the file's one buffer and lends each payload as a
+//! slice of it. Decoding payloads into typed values is the job of
+//! `sections`.
 
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
@@ -36,20 +37,73 @@ use std::path::{Path, PathBuf};
 use super::crc32;
 use crate::error::DurableError;
 
-/// Magic bytes every segment file starts with.
-const MAGIC: [u8; 8] = *b"FXEMDSEG";
+/// The segment header: magic, and the version this build writes and
+/// reads.
+const SEGMENT: FileHeader = FileHeader {
+    format: "segment",
+    magic: *b"FXEMDSEG",
+    major: 1,
+    minor: 0,
+};
 
-/// Major format version this build writes and reads. A mismatch is a
-/// hard [`DurableError::VersionSkew`].
-pub(crate) const VERSION_MAJOR: u16 = 1;
+/// The 12-byte header both on-disk formats start with — magic, major
+/// version (u16 LE), minor version (u16 LE) — and the one check of it.
+pub(super) struct FileHeader {
+    /// The format's name in errors.
+    pub(super) format: &'static str,
+    /// Bytes every file of the format starts with.
+    pub(super) magic: [u8; 8],
+    /// Major version this build writes and reads; any other is rejected.
+    pub(super) major: u16,
+    /// Minor version this build writes; a file with a larger one may hold
+    /// constructs this build does not understand, and is rejected.
+    pub(super) minor: u16,
+}
 
-/// Minor format version this build writes. Files with a *smaller or
-/// equal* minor open fine; a larger minor means the file may carry
-/// constructs this build does not understand and is rejected.
-pub(crate) const VERSION_MINOR: u16 = 0;
+impl FileHeader {
+    /// Byte length of the header.
+    pub(super) const LEN: usize = 12;
 
-/// Byte length of the fixed file header (magic + version + count).
-const FILE_HEADER_LEN: u64 = 16;
+    /// The header as a writer puts it at the start of a file.
+    pub(super) fn encode(&self) -> [u8; Self::LEN] {
+        let [a, b, c, d, e, f, g, h] = self.magic;
+        let ([j0, j1], [n0, n1]) = (self.major.to_le_bytes(), self.minor.to_le_bytes());
+        [a, b, c, d, e, f, g, h, j0, j1, n0, n1]
+    }
+
+    /// Check that `bytes` start with this header: a typed
+    /// [`DurableError::Truncated`], [`DurableError::BadMagic`] or
+    /// [`DurableError::VersionSkew`] naming this format if not.
+    pub(super) fn check(&self, path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
+        let Some((&header, _)) = bytes.split_first_chunk::<{ Self::LEN }>() else {
+            return Err(DurableError::Truncated {
+                path: path.to_path_buf(),
+                what: format!("{} file header", self.format),
+                expected: Self::LEN as u64,
+                got: bytes.len() as u64,
+            });
+        };
+        let [a, b, c, d, e, f, g, h, j0, j1, n0, n1] = header;
+        if [a, b, c, d, e, f, g, h] != self.magic {
+            return Err(DurableError::BadMagic {
+                path: path.to_path_buf(),
+                format: self.format,
+            });
+        }
+        let (major, minor) = (u16::from_le_bytes([j0, j1]), u16::from_le_bytes([n0, n1]));
+        if major != self.major || minor > self.minor {
+            return Err(DurableError::VersionSkew {
+                path: path.to_path_buf(),
+                format: self.format,
+                major,
+                minor,
+                reads_major: self.major,
+                reads_minor: self.minor,
+            });
+        }
+        Ok(())
+    }
+}
 
 /// Typed tag describing how a section's payload is encoded.
 ///
@@ -128,9 +182,7 @@ impl SegmentWriter {
             path: path.to_path_buf(),
             sections: 0,
         };
-        writer.put(&MAGIC)?;
-        writer.put(&VERSION_MAJOR.to_le_bytes())?;
-        writer.put(&VERSION_MINOR.to_le_bytes())?;
+        writer.put(&SEGMENT.encode())?;
         writer.put(&0u32.to_le_bytes())?; // section count, patched by finish
         Ok(writer)
     }
@@ -173,8 +225,9 @@ impl SegmentWriter {
     ///
     /// Returns [`DurableError::Io`] on seek/flush/sync failure.
     pub(super) fn finish(mut self) -> Result<(), DurableError> {
+        // The section count follows the file header.
         self.out
-            .seek(SeekFrom::Start(FILE_HEADER_LEN - 4))
+            .seek(SeekFrom::Start(FileHeader::LEN as u64))
             .map_err(|e| DurableError::io(&self.path, e))?;
         let count = self.sections;
         self.put(&count.to_le_bytes())?;
@@ -222,13 +275,6 @@ impl<'a> Cursor<'a> {
         let slice = &self.buf[self.offset..self.offset + n];
         self.offset += n;
         Ok(slice)
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, DurableError> {
-        let bytes = self.take(2, what)?;
-        let mut raw = [0u8; 2];
-        raw.copy_from_slice(bytes);
-        Ok(u16::from_le_bytes(raw))
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, DurableError> {
@@ -292,26 +338,12 @@ impl SegmentReader {
             std::fs::read(path).map_err(|e| DurableError::io(path, e))?
         };
         emd_obs::counter_add("store.bytes_read", buf.len() as u64);
+        SEGMENT.check(path, &buf)?;
         let mut cursor = Cursor {
             buf: &buf,
-            offset: 0,
+            offset: FileHeader::LEN,
             path,
         };
-        let magic = cursor.take(MAGIC.len(), "file magic")?;
-        if magic != MAGIC {
-            return Err(DurableError::BadMagic {
-                path: path.to_path_buf(),
-            });
-        }
-        let major = cursor.u16("version major")?;
-        let minor = cursor.u16("version minor")?;
-        if major != VERSION_MAJOR || minor > VERSION_MINOR {
-            return Err(DurableError::VersionSkew {
-                path: path.to_path_buf(),
-                major,
-                minor,
-            });
-        }
         let count = cursor.u32("section count")?;
         // Nothing is reserved for `count`: it is untrusted until the
         // sections have been read, and a damaged one must end as the typed
@@ -522,19 +554,21 @@ mod tests {
     fn rejects_version_skew() {
         let path = temp_path("skew.seg");
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&2u16.to_le_bytes());
+        bytes.extend_from_slice(&SEGMENT.magic);
+        bytes.extend_from_slice(&(SEGMENT.major + 1).to_le_bytes());
         bytes.extend_from_slice(&0u16.to_le_bytes());
         bytes.extend_from_slice(&0u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            SegmentReader::open_with(&path, &emd_faultkit::NoFaults),
-            Err(DurableError::VersionSkew {
-                major: 2,
-                minor: 0,
-                ..
-            })
-        ));
+        let error = SegmentReader::open_with(&path, &emd_faultkit::NoFaults).unwrap_err();
+        assert!(
+            matches!(
+                error,
+                DurableError::VersionSkew { major, minor: 0, .. } if major == SEGMENT.major + 1
+            ),
+            "{error}"
+        );
+        let named = format!("segment format v{}.0", SEGMENT.major + 1);
+        assert!(error.to_string().contains(&named), "{error}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Write-ahead log of an index directory (`FXEMDWAL` v1).
+//! Write-ahead log of an index directory (`FXEMDWAL` v2).
 //!
 //! The segment files of `segment` are immutable snapshots: they
 //! are written once, fsynced, and only ever read afterwards. A long-running
@@ -28,31 +28,21 @@
 //! hard [`DurableError::Invalid`], because random corruption cannot produce
 //! it.
 //!
-//! **Recovery policy** (the tentpole contract: typed error or clean
-//! prefix, never wrong answers, never a silent drop):
-//!
-//! * Damage that plausibly comes from a torn final write — a record header
-//!   or payload that runs past end-of-file, or a checksum failure on a
-//!   record whose declared frame ends exactly at end-of-file — recovers
-//!   the *clean prefix*: every record before the damage replays, and the
-//!   discarded byte count is reported in [`WalReplay::torn_tail`] so the
-//!   caller can log it and truncate before appending again.
-//! * A checksum failure *followed by a verifiable record* is a hard typed
-//!   error ([`DurableError::ChecksumMismatch`]). Valid records after a
-//!   damaged one mean this is not a torn write; silently resuming past it
-//!   could resurrect a removed object or drop an acknowledged insert,
-//!   which is exactly the "wrong answers" the durable contract bans.
-//!   Followed only by bytes that verify as no record (a zero-filled tail,
-//!   left when a crash persisted the file's size before its data), it is
-//!   a torn tail like the others.
-//! * A record whose declared frame cannot even be checksummed — the
-//!   payload length is implausible or the declared extent runs past
-//!   end-of-file — *looks* like a torn tail, but a mid-file bit flip in
-//!   the length field produces the same shape. Before declaring a tear,
-//!   replay scans forward for any verifiable record frame (plausible
-//!   length, in-bounds extent, matching CRC32): acknowledged records
-//!   following the damage prove it is mid-file, and replay fails hard
-//!   ([`DurableError::Invalid`]) instead of truncating them away.
+//! **Recovery policy** — typed error or clean prefix, never a wrong answer
+//! and never a silent drop. One check, `verify_frame`, decides whether the
+//! bytes at an offset are a record: the 24-byte header is in bounds, the
+//! payload length is plausible, the frame ends in bounds and its CRC32
+//! matches. Replay applies it record by record, and a frame that fails it
+//! is a **torn tail** when its checksum fails on a frame that ends the
+//! file, or when no offset after it passes the check (a zero-filled tail,
+//! left when a crash persisted the file's size before its data, passes
+//! nowhere). Every record before a torn tail replays, and the discarded
+//! bytes are reported in [`WalReplay::torn_tail`] so the caller can log
+//! them and truncate before appending again. Otherwise a verifiable
+//! record follows the damage, so it is mid-file, and replay fails hard —
+//! [`DurableError::ChecksumMismatch`] for a checksum failure,
+//! [`DurableError::Invalid`] for a length failure — because resuming past
+//! it could resurrect a removed object or drop an acknowledged insert.
 //!
 //! Durability is explicit: [`WalWriter::append`] only buffers; a record is
 //! durable — and may be acknowledged to a client — only after
@@ -70,19 +60,24 @@ use emd_faultkit::{Fault, FaultInjector, Site};
 
 use super::crc32;
 use super::sections::Payload;
+use super::segment::FileHeader;
 use crate::error::DurableError;
 
-/// Magic bytes every WAL file starts with.
-const WAL_MAGIC: [u8; 8] = *b"FXEMDWAL";
-
 /// Major WAL format version; a mismatch is [`DurableError::VersionSkew`].
-const WAL_VERSION_MAJOR: u16 = 1;
+/// Version 1 repeated the sealed ids in the compact-epoch record.
+const WAL_VERSION_MAJOR: u16 = 2;
 
-/// Minor WAL format version; files with a larger minor are rejected.
-const WAL_VERSION_MINOR: u16 = 0;
+/// The WAL header: magic, and the version this build writes and reads.
+const WAL: FileHeader = FileHeader {
+    format: "WAL",
+    magic: *b"FXEMDWAL",
+    major: WAL_VERSION_MAJOR,
+    minor: 0,
+};
 
-/// Byte length of the fixed file header (magic + version).
-const WAL_HEADER_LEN: u64 = 12;
+/// Byte length of a record frame's header: kind, LSN, payload length and
+/// CRC32.
+const FRAME_HEADER_LEN: usize = 24;
 
 /// On-disk tag of an insert record.
 const KIND_INSERT: u32 = 1;
@@ -121,11 +116,8 @@ pub enum WalRecord {
     /// A compaction sealed every earlier record into a segment.
     ///
     /// The record is written as the *first* record of the post-compaction
-    /// WAL and repeats the sealed segment's id map, so ids held by
-    /// clients survive the restart: `external_ids[position]` is the id of
-    /// the object stored at `position` in the sealed segment. Compaction
-    /// renumbers nothing — the map is strictly ascending because ids are
-    /// allocated, and objects sealed, in insertion order.
+    /// WAL. The sealed ids themselves live only in the sealed segment's
+    /// id map.
     CompactEpoch {
         /// Monotonic compaction epoch (names the sealed segment file).
         epoch: u64,
@@ -133,8 +125,6 @@ pub enum WalRecord {
         /// ids never restart (and collide with ids clients still hold)
         /// even when a compaction seals an empty index.
         next_external: u64,
-        /// `position -> external_id` map for the sealed prefix.
-        external_ids: Vec<u64>,
     },
 }
 
@@ -169,17 +159,7 @@ impl WalRecord {
             WalRecord::CompactEpoch {
                 epoch,
                 next_external,
-                external_ids,
-            } => {
-                let mut out = Vec::with_capacity(24 + external_ids.len() * 8);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&next_external.to_le_bytes());
-                out.extend_from_slice(&widen(external_ids.len()).to_le_bytes());
-                for &id in external_ids {
-                    out.extend_from_slice(&id.to_le_bytes());
-                }
-                out
-            }
+            } => [epoch.to_le_bytes(), next_external.to_le_bytes()].concat(),
         }
     }
 
@@ -203,22 +183,10 @@ impl WalRecord {
             KIND_REMOVE => WalRecord::Remove {
                 external_id: cursor.u64("remove external id")?,
             },
-            KIND_COMPACT_EPOCH => {
-                let epoch = cursor.u64("compaction epoch")?;
-                let next_external = cursor.u64("next external id")?;
-                let count = cursor.length("compaction id-map length")?;
-                // Not reserved: `count` is untrusted until the entries
-                // behind it have been read.
-                let mut external_ids = Vec::new();
-                for _ in 0..count {
-                    external_ids.push(cursor.u64("compaction id-map entry")?);
-                }
-                WalRecord::CompactEpoch {
-                    epoch,
-                    next_external,
-                    external_ids,
-                }
-            }
+            KIND_COMPACT_EPOCH => WalRecord::CompactEpoch {
+                epoch: cursor.u64("compaction epoch")?,
+                next_external: cursor.u64("next external id")?,
+            },
             other => {
                 return Err(DurableError::UnknownSection {
                     path: path.to_path_buf(),
@@ -231,21 +199,134 @@ impl WalRecord {
     }
 }
 
+/// The CRC32 of a record frame: over `head` (kind | lsn | payload-len)
+/// and then the payload, so header bit flips fail verification just like
+/// payload flips.
+fn frame_crc(head: &[u8], payload: &[u8]) -> u32 {
+    let mut hasher = crc32::Hasher::new();
+    hasher.update(head);
+    hasher.update(payload);
+    hasher.finalize()
+}
+
 /// Encode one full record frame (header + payload) for `lsn`.
 fn encode_frame(record: &WalRecord, lsn: u64) -> Vec<u8> {
     let payload = record.encode_payload();
-    let mut frame = Vec::with_capacity(24 + payload.len());
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     frame.extend_from_slice(&record.kind().to_le_bytes());
     frame.extend_from_slice(&lsn.to_le_bytes());
     frame.extend_from_slice(&widen(payload.len()).to_le_bytes());
-    let mut hasher = crc32::Hasher::new();
-    // The checksum covers kind | lsn | payload-len | payload, so header
-    // bit flips fail verification just like payload flips.
-    hasher.update(&frame);
-    hasher.update(&payload);
-    frame.extend_from_slice(&hasher.finalize().to_le_bytes());
+    frame.extend_from_slice(&frame_crc(&frame, &payload).to_le_bytes());
     frame.extend_from_slice(&payload);
     frame
+}
+
+/// A record frame that passed [`verify_frame`].
+struct Frame<'a> {
+    kind: u32,
+    lsn: u64,
+    payload: &'a [u8],
+}
+
+/// Why the bytes at an offset are not a record frame.
+enum Damage {
+    /// Fewer than 24 bytes remain for the frame header.
+    ShortHeader,
+    /// The declared payload length exceeds [`MAX_PAYLOAD_LEN`].
+    Implausible(u64),
+    /// The declared frame runs past end of file.
+    PastEnd,
+    /// The frame is in bounds but fails its CRC32; `ends_file` when it is
+    /// the last thing in the file.
+    Checksum {
+        stored: u32,
+        computed: u32,
+        ends_file: bool,
+    },
+}
+
+impl Damage {
+    /// What a torn tail of this shape looked like (for logs and
+    /// `wal-inspect`).
+    fn torn_reason(&self) -> String {
+        match *self {
+            Damage::ShortHeader => "record header runs past end of file".to_owned(),
+            Damage::Implausible(len) => {
+                format!("record declares implausible payload of {len} bytes")
+            }
+            Damage::PastEnd => "record payload runs past end of file".to_owned(),
+            Damage::Checksum {
+                stored,
+                computed,
+                ends_file: true,
+            } => format!(
+                "final record checksum mismatch (header {stored:#010x}, payload {computed:#010x})"
+            ),
+            Damage::Checksum {
+                stored, computed, ..
+            } => format!(
+                "record checksum mismatch with no verifiable record after it \
+                 (header {stored:#010x}, payload {computed:#010x})"
+            ),
+        }
+    }
+
+    /// The typed error of this damage at `offset` with a verifiable record
+    /// after it: mid-file damage, not a torn tail.
+    fn mid_file(&self, path: &Path, offset: usize) -> DurableError {
+        let shape = match *self {
+            Damage::Checksum {
+                stored, computed, ..
+            } => {
+                return DurableError::ChecksumMismatch {
+                    path: path.to_path_buf(),
+                    section: format!("wal record at offset {offset}"),
+                    expected: stored,
+                    got: computed,
+                }
+            }
+            Damage::Implausible(len) => format!("declares an implausible payload of {len} bytes"),
+            Damage::ShortHeader | Damage::PastEnd => "runs past end of file".to_owned(),
+        };
+        DurableError::invalid(
+            path,
+            "wal-record",
+            format!(
+                "record at offset {offset} {shape} while verifiable records follow — mid-file \
+                 damage, not a torn tail"
+            ),
+        )
+    }
+}
+
+/// The one check of a record frame at `offset`: its header is in bounds,
+/// its payload length is at most [`MAX_PAYLOAD_LEN`], its extent is in
+/// bounds and its CRC32 matches.
+fn verify_frame(bytes: &[u8], offset: usize) -> Result<Frame<'_>, Damage> {
+    let frame = bytes.get(offset..).unwrap_or_default();
+    let (head, rest) = frame.split_first_chunk::<20>().ok_or(Damage::ShortHeader)?;
+    let (&stored, rest) = rest.split_first_chunk::<4>().ok_or(Damage::ShortHeader)?;
+    let [k0, k1, k2, k3, l0, l1, l2, l3, l4, l5, l6, l7, n0, n1, n2, n3, n4, n5, n6, n7] = *head;
+    let len = u64::from_le_bytes([n0, n1, n2, n3, n4, n5, n6, n7]);
+    let payload_len = usize::try_from(len)
+        .ok()
+        .filter(|_| len <= MAX_PAYLOAD_LEN)
+        .ok_or(Damage::Implausible(len))?;
+    let payload = rest.get(..payload_len).ok_or(Damage::PastEnd)?;
+    let (stored, computed) = (u32::from_le_bytes(stored), frame_crc(head, payload));
+    let end = offset + FRAME_HEADER_LEN + payload_len;
+    if computed != stored {
+        return Err(Damage::Checksum {
+            stored,
+            computed,
+            ends_file: end == bytes.len(),
+        });
+    }
+    Ok(Frame {
+        kind: u32::from_le_bytes([k0, k1, k2, k3]),
+        lsn: u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]),
+        payload,
+    })
 }
 
 /// Append handle for one WAL file: assigns LSNs, frames records, and
@@ -281,9 +362,7 @@ impl WalWriter {
             unsynced_bytes: 0,
             faults,
         };
-        writer.put(&WAL_MAGIC)?;
-        writer.put(&WAL_VERSION_MAJOR.to_le_bytes())?;
-        writer.put(&WAL_VERSION_MINOR.to_le_bytes())?;
+        writer.put(&WAL.encode())?;
         writer.sync()?;
         Ok(writer)
     }
@@ -448,75 +527,6 @@ pub(super) fn replay_with(
     replay_bytes(path, &bytes)
 }
 
-/// Shape of the frame header at some offset, before checksum
-/// verification.
-struct FrameHeader {
-    kind: u32,
-    lsn: u64,
-    payload_len: u64,
-    crc: u32,
-}
-
-/// Read the 24-byte frame header at `offset`; `None` when fewer than 24
-/// bytes remain (torn header).
-fn frame_header(bytes: &[u8], offset: usize) -> Option<FrameHeader> {
-    let end = offset.checked_add(24)?;
-    let header = bytes.get(offset..end)?;
-    let kind = u32::from_le_bytes(header.get(0..4)?.try_into().ok()?);
-    let lsn = u64::from_le_bytes(header.get(4..12)?.try_into().ok()?);
-    let payload_len = u64::from_le_bytes(header.get(12..20)?.try_into().ok()?);
-    let crc = u32::from_le_bytes(header.get(20..24)?.try_into().ok()?);
-    Some(FrameHeader {
-        kind,
-        lsn,
-        payload_len,
-        crc,
-    })
-}
-
-/// Whether a verifiable record frame — plausible length, in-bounds
-/// extent, matching CRC32 — starts anywhere in `bytes[from..]`.
-///
-/// This is the torn-tail tiebreaker: a record whose declared frame
-/// cannot be checksummed (implausible or past-end-of-file length), or
-/// fails its checksum, is only a torn final write if nothing real
-/// follows it. A verifiable
-/// record after the damage proves a mid-file length-field flip, where
-/// truncating to the "clean prefix" would silently drop acknowledged
-/// durable records. A false positive would require a torn partial
-/// payload to embed a full CRC32-valid frame, which random damage
-/// cannot plausibly produce.
-fn valid_frame_follows(bytes: &[u8], from: usize) -> bool {
-    let header_len = 24usize;
-    let mut probe = from;
-    while probe.saturating_add(header_len) <= bytes.len() {
-        if let Some(frame) = frame_header(bytes, probe) {
-            if frame.payload_len <= MAX_PAYLOAD_LEN {
-                if let Ok(payload_len) = usize::try_from(frame.payload_len) {
-                    let frame_end = probe
-                        .checked_add(header_len)
-                        .and_then(|end| end.checked_add(payload_len));
-                    if let Some(frame_end) = frame_end {
-                        if let (Some(prefix), Some(payload)) = (
-                            bytes.get(probe..probe + 20),
-                            bytes.get(probe + header_len..frame_end),
-                        ) {
-                            let mut hasher = crc32::Hasher::new();
-                            hasher.update(prefix);
-                            hasher.update(payload);
-                            if hasher.finalize() == frame.crc {
-                                return true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        probe += 1;
-    }
-    false
-}
-
 /// Decode an in-memory WAL image (the core of [`replay_with`], separated so
 /// corruption tests can drive it byte-exactly).
 ///
@@ -524,138 +534,29 @@ fn valid_frame_follows(bytes: &[u8], from: usize) -> bool {
 ///
 /// Same contract as [`replay_with`].
 fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, DurableError> {
-    let header_len = usize::try_from(WAL_HEADER_LEN)
-        .map_err(|_| DurableError::invalid(path, "wal-header", "header length overflows usize"))?;
-    let Some(header) = bytes.get(..header_len) else {
-        return Err(DurableError::Truncated {
-            path: path.to_path_buf(),
-            what: "WAL file header".to_owned(),
-            expected: WAL_HEADER_LEN,
-            got: widen(bytes.len()),
-        });
-    };
-    let bad_header = || DurableError::invalid(path, "wal-header", "header shorter than declared");
-    if header.get(0..8).ok_or_else(bad_header)? != WAL_MAGIC {
-        return Err(DurableError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
-    let version = |lo: usize| -> Result<u16, DurableError> {
-        let pair = header.get(lo..lo + 2).ok_or_else(bad_header)?;
-        Ok(u16::from_le_bytes(
-            pair.try_into().map_err(|_| bad_header())?,
-        ))
-    };
-    let major = version(8)?;
-    let minor = version(10)?;
-    if major != WAL_VERSION_MAJOR || minor > WAL_VERSION_MINOR {
-        return Err(DurableError::VersionSkew {
-            path: path.to_path_buf(),
-            major,
-            minor,
-        });
-    }
-
+    WAL.check(path, bytes)?;
     let mut records = Vec::new();
-    let mut offset = header_len;
+    let mut offset = FileHeader::LEN;
     let mut torn_tail = None;
     let mut expected_lsn = 1u64;
     while offset < bytes.len() {
-        let torn = |reason: String| TornTail {
-            offset: widen(offset),
-            discarded_bytes: widen(bytes.len() - offset),
-            reason,
-        };
-        let Some(frame) = frame_header(bytes, offset) else {
-            torn_tail = Some(torn("record header runs past end of file".to_owned()));
-            break;
-        };
-        if frame.payload_len > MAX_PAYLOAD_LEN {
-            // An absurd length field cannot be verified against its
-            // checksum (the frame extent is off the end of any real
-            // file). It is tail damage only if nothing verifiable
-            // follows; otherwise a mid-file length flip is hiding
-            // acknowledged records and truncation would drop them.
-            if valid_frame_follows(bytes, offset + 1) {
-                return Err(DurableError::invalid(
-                    path,
-                    "wal-record",
-                    format!(
-                        "record at offset {offset} declares an implausible payload of {} bytes \
-                         while verifiable records follow — mid-file damage, not a torn tail",
-                        frame.payload_len
-                    ),
-                ));
-            }
-            torn_tail = Some(torn(format!(
-                "record declares implausible payload of {} bytes",
-                frame.payload_len
-            )));
-            break;
-        }
-        let payload_len = usize::try_from(frame.payload_len)
-            .map_err(|_| DurableError::invalid(path, "wal-record", "payload length overflows"))?;
-        let header_end = offset + 24;
-        let Some(frame_end) = header_end.checked_add(payload_len) else {
-            return Err(DurableError::invalid(
-                path,
-                "wal-record",
-                "record extent overflows",
-            ));
-        };
-        let (Some(checked_prefix), Some(payload)) = (
-            bytes.get(offset..offset + 20),
-            bytes.get(header_end..frame_end),
-        ) else {
-            // Same tiebreaker as the implausible-length case: a frame
-            // that runs past end-of-file is a torn write only when no
-            // verifiable record follows it.
-            if valid_frame_follows(bytes, offset + 1) {
-                return Err(DurableError::invalid(
-                    path,
-                    "wal-record",
-                    format!(
-                        "record at offset {offset} runs past end of file while verifiable \
-                         records follow — mid-file damage, not a torn tail"
-                    ),
-                ));
-            }
-            torn_tail = Some(torn("record payload runs past end of file".to_owned()));
-            break;
-        };
-        let mut hasher = crc32::Hasher::new();
-        hasher.update(checked_prefix);
-        hasher.update(payload);
-        let computed = hasher.finalize();
-        if computed != frame.crc {
-            if frame_end == bytes.len() {
-                // The damaged record is the last thing in the file: the
-                // classic torn final write. Keep the clean prefix.
-                torn_tail = Some(torn(format!(
-                    "final record checksum mismatch (header {:#010x}, payload {computed:#010x})",
-                    frame.crc
-                )));
+        let frame = match verify_frame(bytes, offset) {
+            Ok(frame) => frame,
+            Err(damage) => {
+                // A torn tail: a checksum failure on the frame that ends the
+                // file, or damage with no verifiable frame anywhere after it.
+                let last = matches!(damage, Damage::Checksum { ends_file, .. } if ends_file);
+                if !last && (offset + 1..bytes.len()).any(|p| verify_frame(bytes, p).is_ok()) {
+                    return Err(damage.mid_file(path, offset));
+                }
+                torn_tail = Some(TornTail {
+                    offset: widen(offset),
+                    discarded_bytes: widen(bytes.len() - offset),
+                    reason: damage.torn_reason(),
+                });
                 break;
             }
-            // Bytes follow the damaged record. Only a verifiable record
-            // among them proves mid-file damage; without one they are a
-            // torn tail too (a crash can leave a file's new size on disk
-            // before its data, as a run of zeros).
-            if !valid_frame_follows(bytes, offset + 1) {
-                torn_tail = Some(torn(format!(
-                    "record checksum mismatch with no verifiable record after it \
-                     (header {:#010x}, payload {computed:#010x})",
-                    frame.crc
-                )));
-                break;
-            }
-            return Err(DurableError::ChecksumMismatch {
-                path: path.to_path_buf(),
-                section: format!("wal record at offset {offset}"),
-                expected: frame.crc,
-                got: computed,
-            });
-        }
+        };
         if frame.lsn != expected_lsn {
             return Err(DurableError::invalid(
                 path,
@@ -663,10 +564,10 @@ fn replay_bytes(path: &Path, bytes: &[u8]) -> Result<WalReplay, DurableError> {
                 format!("LSN {} where {expected_lsn} was expected", frame.lsn),
             ));
         }
-        let record = WalRecord::decode_payload(frame.kind, payload, path)?;
+        let record = WalRecord::decode_payload(frame.kind, frame.payload, path)?;
         records.push((frame.lsn, record));
         expected_lsn += 1;
-        offset = frame_end;
+        offset += FRAME_HEADER_LEN + frame.payload.len();
     }
 
     emd_obs::counter_add("wal.replayed_records", widen(records.len()));
@@ -707,7 +608,6 @@ mod tests {
             WalRecord::CompactEpoch {
                 epoch: 1,
                 next_external: 2,
-                external_ids: vec![1],
             },
             WalRecord::Insert {
                 external_id: 2,
@@ -741,26 +641,13 @@ mod tests {
     }
 
     #[test]
-    fn implausible_id_map_length_is_invalid_not_an_allocation() {
-        // A CompactEpoch payload declaring 2^40 ids over 8 bytes of them.
-        let mut payload = Vec::new();
-        for field in [1u64, 9, 1 << 40, 3] {
-            payload.extend_from_slice(&field.to_le_bytes());
-        }
-        assert!(matches!(
-            WalRecord::decode_payload(KIND_COMPACT_EPOCH, &payload, Path::new("wal")),
-            Err(DurableError::Invalid { .. })
-        ));
-    }
-
-    #[test]
     fn empty_log_replays_empty() {
         let path = tmp("empty");
         write_log(&path, &[]);
         let replay = replay_with(&path, &NoFaults).expect("replay");
         assert!(replay.records.is_empty());
         assert!(replay.torn_tail.is_none());
-        assert_eq!(replay.valid_len, WAL_HEADER_LEN);
+        assert_eq!(replay.valid_len, widen(FileHeader::LEN));
         assert_eq!(replay.next_lsn(), 1);
         std::fs::remove_file(&path).ok();
     }
@@ -864,8 +751,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).expect("read log");
         // Flip a byte inside the first record's payload: valid records
         // follow, so this must NOT be recovered as a prefix.
-        let header = usize::try_from(WAL_HEADER_LEN).expect("small");
-        let idx = header + 30;
+        let idx = FileHeader::LEN + 30;
         bytes[idx] ^= 0x01;
         let error = replay_bytes(&path, &bytes).expect_err("mid-file damage is fatal");
         assert!(
@@ -879,7 +765,7 @@ mod tests {
     fn midfile_length_flip_is_a_hard_error_when_records_follow() {
         let path = tmp("length-flip");
         write_log(&path, &sample_records());
-        let header = usize::try_from(WAL_HEADER_LEN).expect("small");
+        let header = FileHeader::LEN;
         // Record 0's payload-length field occupies header+12..header+20.
         // An implausible (> MAX_PAYLOAD_LEN) length with acknowledged
         // records following must be mid-file damage, never a torn tail
@@ -904,7 +790,7 @@ mod tests {
     fn implausible_length_with_nothing_following_is_a_torn_tail() {
         let path = tmp("length-tail");
         write_log(&path, &sample_records()[..1]);
-        let header = usize::try_from(WAL_HEADER_LEN).expect("small");
+        let header = FileHeader::LEN;
         let mut bytes = std::fs::read(&path).expect("read log");
         bytes[header + 18] = 0xff;
         // Only the damaged record's own bytes follow the flipped length
@@ -912,8 +798,8 @@ mod tests {
         let replay = replay_bytes(&path, &bytes).expect("tail damage recovers");
         assert!(replay.records.is_empty());
         let tail = replay.torn_tail.expect("tear must be reported");
-        assert_eq!(tail.offset, WAL_HEADER_LEN);
-        assert_eq!(replay.valid_len, WAL_HEADER_LEN);
+        assert_eq!(tail.offset, widen(header));
+        assert_eq!(replay.valid_len, widen(header));
         std::fs::remove_file(&path).ok();
     }
 
@@ -946,10 +832,7 @@ mod tests {
     #[test]
     fn lsn_gap_is_rejected() {
         let path = tmp("lsn-gap");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WAL_MAGIC);
-        bytes.extend_from_slice(&WAL_VERSION_MAJOR.to_le_bytes());
-        bytes.extend_from_slice(&WAL_VERSION_MINOR.to_le_bytes());
+        let mut bytes = WAL.encode().to_vec();
         // A perfectly checksummed record carrying LSN 2 where 1 belongs.
         bytes.extend_from_slice(&encode_frame(&WalRecord::Remove { external_id: 7 }, 2));
         let error = replay_bytes(&path, &bytes).expect_err("LSN gap is fatal");
@@ -959,18 +842,12 @@ mod tests {
     #[test]
     fn unknown_record_kind_is_rejected() {
         let path = tmp("unknown-kind");
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&99u32.to_le_bytes());
-        frame.extend_from_slice(&1u64.to_le_bytes());
-        frame.extend_from_slice(&0u64.to_le_bytes());
-        let mut hasher = crc32::Hasher::new();
-        hasher.update(&frame);
-        frame.extend_from_slice(&hasher.finalize().to_le_bytes());
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WAL_MAGIC);
-        bytes.extend_from_slice(&WAL_VERSION_MAJOR.to_le_bytes());
-        bytes.extend_from_slice(&WAL_VERSION_MINOR.to_le_bytes());
-        bytes.extend_from_slice(&frame);
+        let mut bytes = WAL.encode().to_vec();
+        bytes.extend_from_slice(&99u32.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        let crc = frame_crc(&bytes[FileHeader::LEN..], &[]);
+        bytes.extend_from_slice(&crc.to_le_bytes());
         let error = replay_bytes(&path, &bytes).expect_err("unknown kind is fatal");
         assert!(
             matches!(error, DurableError::UnknownSection { kind: 99, .. }),
@@ -983,12 +860,18 @@ mod tests {
         let path = tmp("magic");
         let error = replay_bytes(&path, b"NOTAWAL!....").expect_err("foreign file");
         assert!(matches!(error, DurableError::BadMagic { .. }));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WAL_MAGIC);
-        bytes.extend_from_slice(&2u16.to_le_bytes());
+        assert!(
+            error.to_string().contains("is not a flexemd WAL file"),
+            "{error}"
+        );
+        let mut bytes = WAL.magic.to_vec();
+        bytes.extend_from_slice(&(WAL_VERSION_MAJOR + 1).to_le_bytes());
         bytes.extend_from_slice(&0u16.to_le_bytes());
         let error = replay_bytes(&path, &bytes).expect_err("future version");
-        assert!(matches!(error, DurableError::VersionSkew { major: 2, .. }));
+        assert!(
+            matches!(error, DurableError::VersionSkew { major, .. } if major == WAL_VERSION_MAJOR + 1),
+            "{error}"
+        );
     }
 
     #[test]

@@ -112,19 +112,28 @@ pub enum DurableError {
         /// The underlying OS error.
         source: io::Error,
     },
-    /// The file does not start with the segment magic — not an index file.
+    /// The file does not start with its format's magic — not an index
+    /// file.
     BadMagic {
         /// The file that was opened.
         path: PathBuf,
+        /// The format the file should have had: `segment` or `WAL`.
+        format: &'static str,
     },
     /// The file's format version is not one this build can read.
     VersionSkew {
         /// The file that was opened.
         path: PathBuf,
+        /// The format whose header was read: `segment` or `WAL`.
+        format: &'static str,
         /// Major version found in the header.
         major: u16,
         /// Minor version found in the header.
         minor: u16,
+        /// The major version of `format` this build reads.
+        reads_major: u16,
+        /// The newest minor version of `format` this build reads.
+        reads_minor: u16,
     },
     /// The file ended before a section's declared payload (or a header
     /// field) could be read in full.
@@ -232,15 +241,21 @@ impl fmt::Display for DurableError {
             DurableError::Io { path, source } => {
                 write!(f, "io error on {}: {source}", path.display())
             }
-            DurableError::BadMagic { path } => {
-                write!(f, "{} is not a flexemd store segment", path.display())
+            DurableError::BadMagic { path, format } => {
+                write!(f, "{} is not a flexemd {format} file", path.display())
             }
-            DurableError::VersionSkew { path, major, minor } => write!(
+            DurableError::VersionSkew {
+                path,
+                format,
+                major,
+                minor,
+                reads_major,
+                reads_minor,
+            } => write!(
                 f,
-                "{} has segment format v{major}.{minor}; this build reads v{}.x up to minor v{}",
+                "{} has {format} format v{major}.{minor}; this build reads v{reads_major}.x up \
+                 to minor v{reads_minor}",
                 path.display(),
-                crate::durable::VERSION_MAJOR,
-                crate::durable::VERSION_MINOR,
             ),
             DurableError::Truncated {
                 path,

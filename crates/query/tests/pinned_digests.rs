@@ -74,7 +74,7 @@ fn a_fixed_index_writes_pinned_digests_and_lengths() {
     assert_eq!(length("CURRENT"), 21);
     assert_eq!(length("base.seg"), 322);
     assert_eq!(length("sealed-1.seg"), 222);
-    assert_eq!(length("wal-1.log"), 84);
+    assert_eq!(length("wal-1.log"), 52);
 
     assert_eq!(
         section_crcs(&dir.join("base.seg")),
@@ -90,9 +90,10 @@ fn a_fixed_index_writes_pinned_digests_and_lengths() {
         sections(&[("histograms", 0x9B7F_E465), ("external-ids", 0x3C58_CBFE)])
     );
     // The WAL: a 12-byte header, then the compact-epoch frame, whose
-    // header is `kind u32 | lsn u64 | payload len u64 | crc u32`.
+    // header is `kind u32 | lsn u64 | payload len u64 | crc u32` and whose
+    // payload is `epoch u64 | next id u64`.
     let wal = std::fs::read(dir.join("wal-1.log")).unwrap();
-    assert_eq!(u32_at(&wal, 12 + 20), 0x049B_640A);
+    assert_eq!(u32_at(&wal, 12 + 20), 0xA000_25CE);
 
     // And the directory opens: every digest verifies.
     let opened = Database::open(&dir).unwrap();

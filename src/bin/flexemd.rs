@@ -820,11 +820,9 @@ fn wal_inspect(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError
             WalRecord::CompactEpoch {
                 epoch,
                 next_external,
-                external_ids,
             } => writeln!(
                 stdout,
-                "  lsn {lsn:>6}  compact-epoch  epoch {epoch}, {} sealed ids, next id {next_external}",
-                external_ids.len()
+                "  lsn {lsn:>6}  compact-epoch  epoch {epoch}, next id {next_external}"
             )?,
         }
     }

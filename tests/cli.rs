@@ -524,7 +524,7 @@ fn ingest_into_an_existing_directory_rejects_reduction_options() {
     let text = String::from_utf8_lossy(&inspect.stdout).to_string();
     assert!(text.contains("records    : 1"), "{text}");
     assert!(
-        text.contains("compact-epoch  epoch 1, 30 sealed ids"),
+        text.contains("compact-epoch  epoch 1, next id 30"),
         "{text}"
     );
 }
@@ -992,7 +992,7 @@ fn ingest_wal_inspect_and_writable_serve_round_trip() {
     let text = String::from_utf8_lossy(&inspect.stdout).to_string();
     assert!(text.contains("flexemd-durable/v1 2"), "{text}");
     assert!(
-        text.contains("compact-epoch  epoch 2, 60 sealed ids"),
+        text.contains("compact-epoch  epoch 2, next id 60"),
         "{text}"
     );
     assert!(text.contains("torn tail  : none"), "{text}");
