@@ -67,8 +67,8 @@ pub fn fb_mod(
     let d = initial.original_dim();
     let d_red = initial.reduced_dim();
     let mut r = initial;
-    let mut evaluator = TightnessEvaluator::new(d);
-    let mut current = evaluator.tightness(flows, cost, &r);
+    let mut evaluator = TightnessEvaluator::new(flows, cost);
+    let mut current = evaluator.tightness(&r);
     let mut reassignments = 0usize;
 
     let mut orig_dim = 0usize;
@@ -81,16 +81,12 @@ pub fn fb_mod(
             if red_dim == r.target_of(orig_dim) {
                 continue;
             }
-            let Some(swap_tightness) =
-                evaluator.tightness_with_reassignment(flows, cost, &mut r, orig_dim, red_dim)
-            else {
+            let Some(swap_tightness) = evaluator.move_tightness(orig_dim, red_dim) else {
                 continue;
             };
             if swap_tightness - current > threshold {
-                let committed = r.try_reassign(orig_dim, red_dim);
-                debug_assert!(committed);
+                current = commit(&mut evaluator, &mut r, orig_dim, red_dim, swap_tightness);
                 last_changed = orig_dim;
-                current = swap_tightness;
                 reassignments += 1;
                 changed = true;
                 break;
@@ -130,8 +126,8 @@ pub fn fb_all(
     let d = initial.original_dim();
     let d_red = initial.reduced_dim();
     let mut r = initial;
-    let mut evaluator = TightnessEvaluator::new(d);
-    let mut current = evaluator.tightness(flows, cost, &r);
+    let mut evaluator = TightnessEvaluator::new(flows, cost);
+    let mut current = evaluator.tightness(&r);
     let mut reassignments = 0usize;
 
     loop {
@@ -142,9 +138,7 @@ pub fn fb_all(
                 if red_dim == r.target_of(orig_dim) {
                     continue;
                 }
-                let Some(swap_tightness) =
-                    evaluator.tightness_with_reassignment(flows, cost, &mut r, orig_dim, red_dim)
-                else {
+                let Some(swap_tightness) = evaluator.move_tightness(orig_dim, red_dim) else {
                     continue;
                 };
                 let improves_enough = swap_tightness - current > threshold;
@@ -156,9 +150,7 @@ pub fn fb_all(
         }
         match best {
             Some((orig_dim, red_dim, tightness)) => {
-                let committed = r.try_reassign(orig_dim, red_dim);
-                debug_assert!(committed);
-                current = tightness;
+                current = commit(&mut evaluator, &mut r, orig_dim, red_dim, tightness);
                 reassignments += 1;
                 if reassignments >= options.max_reassignments {
                     break;
@@ -173,6 +165,24 @@ pub fn fb_all(
         tightness: current,
         reassignments,
     }
+}
+
+/// Take the move of `orig_dim` to `red_dim` scored `tightness` and load
+/// the moved reduction as the evaluator's new base; returns `tightness`.
+/// The full pass over the moved reduction scores it bit for bit the same
+/// (`tests/search_parity.rs`).
+fn commit(
+    evaluator: &mut TightnessEvaluator<'_>,
+    r: &mut CombiningReduction,
+    orig_dim: usize,
+    red_dim: usize,
+    tightness: f64,
+) -> f64 {
+    let committed = r.try_reassign(orig_dim, red_dim);
+    debug_assert!(committed);
+    let reloaded = evaluator.tightness(r);
+    debug_assert_eq!(reloaded.to_bits(), tightness.to_bits());
+    tightness
 }
 
 #[cfg(test)]
@@ -204,8 +214,7 @@ mod tests {
         let (sample, cost) = bimodal_sample();
         let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let base = CombiningReduction::base(6, 2).unwrap();
-        let mut evaluator = TightnessEvaluator::new(6);
-        let base_tightness = evaluator.tightness(&flows, &cost, &base);
+        let base_tightness = TightnessEvaluator::new(&flows, &cost).tightness(&base);
         let result = fb_mod(base, &flows, &cost, FbOptions::default());
         assert!(result.tightness >= base_tightness - 1e-12);
         // Some reassignment must have happened: Base lumps the separated
@@ -218,8 +227,7 @@ mod tests {
         let (sample, cost) = bimodal_sample();
         let flows = FlowSample::from_histograms_parallel(&sample, &cost, 1).unwrap();
         let base = CombiningReduction::base(6, 2).unwrap();
-        let mut evaluator = TightnessEvaluator::new(6);
-        let base_tightness = evaluator.tightness(&flows, &cost, &base);
+        let base_tightness = TightnessEvaluator::new(&flows, &cost).tightness(&base);
         let result = fb_all(base, &flows, &cost, FbOptions::default());
         assert!(result.tightness >= base_tightness - 1e-12);
     }

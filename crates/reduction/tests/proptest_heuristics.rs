@@ -65,8 +65,7 @@ proptest! {
         let start = kmedoids_reduction(&cost, k, &mut StdRng::seed_from_u64(1))
             .unwrap()
             .reduction;
-        let mut evaluator = TightnessEvaluator::new(DIM);
-        let start_tightness = evaluator.tightness(&flows, &cost, &start);
+        let start_tightness = TightnessEvaluator::new(&flows, &cost).tightness(&start);
 
         let result_mod = fb_mod(start.clone(), &flows, &cost, FbOptions::default());
         prop_assert!(result_mod.tightness >= start_tightness - 1e-12);

@@ -73,7 +73,7 @@ pub fn optimal_by_tightness(
             reduced_dim: k,
         });
     }
-    let mut evaluator = TightnessEvaluator::new(d);
+    let mut evaluator = TightnessEvaluator::new(flows, cost);
     let mut best: Option<(CombiningReduction, f64)> = None;
     let mut error = None;
     for_each_partition(d, k, |assignment| {
@@ -82,7 +82,7 @@ pub fn optimal_by_tightness(
         }
         match CombiningReduction::new(assignment.to_vec(), k) {
             Ok(r) => {
-                let tightness = evaluator.tightness(flows, cost, &r);
+                let tightness = evaluator.tightness(&r);
                 if best.as_ref().is_none_or(|(_, t)| tightness > *t) {
                     best = Some((r, tightness));
                 }
