@@ -31,7 +31,7 @@ use emd_faultkit::{Fault, FaultInjector, Site};
 /// Small enough that a deadline overshoot is bounded by tens of
 /// microseconds of pivot work, large enough that the probe (an atomic add
 /// plus an `Instant::now` when a deadline is set) is amortized to noise.
-pub const CHECK_INTERVAL: u64 = 64;
+pub(crate) const CHECK_INTERVAL: u64 = 64;
 
 /// Why a budget stopped the computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,7 +12,8 @@
 //!   (`LB <= EMD`), asserted wherever both quantities are available in
 //!   debug builds.
 //! * A solve cut short under a cutoff, which has no flows, is re-solved
-//!   cold and its certified bound held against the optimum.
+//!   cold and its certified bound held against the optimum; so is every
+//!   closed-form distance on a path, within `distance_slack`.
 //!
 //! The `debug_*` hooks run on every solve, cut, basis and report of a
 //! debug build and panic with the precise violation; release builds
@@ -343,6 +344,27 @@ pub(crate) fn debug_certify_cut(problem: &TransportProblem, lower_bound: f64, cu
             "simplex cut a solve at {cutoff} on the bound {lower_bound}; cold optimum {cold:?}"
         );
     }
+}
+
+/// Debug-build hook for the closed form on a path: solve `x`, `y` under
+/// `cost` by a cold LP and panic unless `closed` lies within
+/// [`distance_slack`](crate::distance_slack) of it. The LP runs in a
+/// discarded recording scope so debug and release builds report the same
+/// counters. Compiled out of release builds.
+#[cfg(debug_assertions)]
+pub(crate) fn debug_certify_closed_form(
+    x: &Histogram,
+    y: &Histogram,
+    cost: &CostMatrix,
+    closed: f64,
+) {
+    let _discard = emd_obs::Recording::start();
+    let cold = crate::emd(x, y, cost);
+    assert!(
+        cold.as_ref()
+            .is_ok_and(|&lp| (closed - lp).abs() <= crate::distance_slack(cost)),
+        "the closed form on a path gave {closed}; cold LP {cold:?}"
+    );
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Exact Earth Mover's Distance (Definition 1, with the "minor
 //! extension" of Section 3.1 to operands of different dimensionality):
 //! one-call sugar over [`emd_in_context`], the body every EMD in this
-//! workspace runs.
+//! workspace runs but the closed form on a path ([`crate::PathMetric`]).
 
 use crate::budget::Budget;
 use crate::context::{emd_in_context, EmdContext};

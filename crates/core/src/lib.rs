@@ -14,14 +14,18 @@
 //!   image tilings, 3-D color cubes).
 //! * [`emd_in_context_within`] — the exact EMD via the crate's
 //!   transportation simplex, with zero-mass bins stripped before
-//!   solving: the one body every EMD in the workspace runs, over square
-//!   and rectangular cost matrices alike. It evaluates through a
+//!   solving: the one body every EMD in the workspace but
+//!   [`PathMetric`]'s runs, over square and rectangular cost matrices
+//!   alike. It evaluates through a
 //!   caller-owned [`EmdContext`], under a [`Budget`] and a cutoff, and may
 //!   answer [`Bounded::Above`] — a certified lower bound above the
 //!   cutoff — instead of the distance.
 //! * [`emd_in_context`] is that call without a cutoff; [`emd`] and
 //!   [`emd_with_flows`] are it once more without a budget, on a fresh
 //!   context.
+//! * [`PathMetric`] — the EMD on a line, `c_ij = |p_i − p_j|` in any bin
+//!   order, recognized once per cost and answered from the cumulative
+//!   distributions in O(d), with no LP.
 //! * [`lower_bounds`] — LB_IM (independent minimization) and the anchor
 //!   (weak-duality) bound; both are complete filters for multistep query
 //!   processing.
@@ -98,7 +102,9 @@
 //! `transport.warm.hits`; cutoffs add `transport.warm.cut_checks`
 //! (certificates attempted), `transport.solve.cut` (solves ended by
 //! one) and `core.emd.floor_cuts` (evaluations a learned floor answered
-//! without a solve). Without a scope each record call costs one relaxed atomic load.
+//! without a solve); [`PathMetric::distance`] counts
+//! `core.emd.closed_form`. Without a scope each record call costs one
+//! relaxed atomic load.
 
 mod budget;
 pub mod certify;
@@ -109,6 +115,7 @@ mod error;
 pub mod ground;
 mod histogram;
 pub mod lower_bounds;
+mod path;
 mod problem;
 mod simplex;
 mod tree;
@@ -121,6 +128,7 @@ pub use cost::CostMatrix;
 pub use emd::{emd, emd_with_flows, EmdReport};
 pub use error::CoreError;
 pub use histogram::Histogram;
+pub use path::PathMetric;
 pub use simplex::Bounded;
 
 /// Tolerance for mass normalization checks: histograms must total 1 within

@@ -26,40 +26,17 @@ impl TransportProblem {
     /// Build a problem instance from non-empty, non-negative, finite
     /// masses whose totals agree within `2 · MASS_EPS` and finite `costs`
     /// with `supplies.len() * demands.len()` entries in row-major order.
-    pub(crate) fn new(supplies: Vec<f64>, demands: Vec<f64>, costs: Vec<f64>) -> Self {
-        let drift = supplies.iter().sum::<f64>() - demands.iter().sum::<f64>();
-        debug_assert!(
-            drift.abs() <= 2.0 * MASS_EPS,
-            "supply and demand totals differ by {drift}"
-        );
-        let mut problem = TransportProblem {
+    pub(crate) fn new(supplies: Vec<f64>, mut demands: Vec<f64>, costs: Vec<f64>) -> Self {
+        if let Some((bin, mass)) = rebalanced_demand(&supplies, &demands) {
+            if let Some(demand) = demands.get_mut(bin) {
+                *demand = mass;
+            }
+        }
+        TransportProblem {
             supplies,
             demands,
             costs,
-        };
-        problem.rebalance(drift);
-        problem
-    }
-
-    /// Absorb sub-tolerance rounding drift into the largest demand so that
-    /// total supply equals total demand bit-exactly where possible.
-    fn rebalance(&mut self, drift: f64) {
-        // float: exact — zero drift means the operands were exactly balanced; no tolerance wanted
-        if drift == 0.0 {
-            return;
         }
-        // `new`'s operands are never empty, so `max_by` cannot return
-        // `None`; the early return keeps this path panic-free.
-        let Some((argmax, _)) = self
-            .demands
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-        else {
-            debug_assert!(false, "rebalance called with empty demands");
-            return;
-        };
-        self.demands[argmax] = (self.demands[argmax] + drift).max(0.0);
     }
 
     /// Number of sources.
@@ -113,6 +90,28 @@ impl TransportProblem {
     pub(crate) fn into_parts(self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         (self.supplies, self.demands, self.costs)
     }
+}
+
+/// How [`TransportProblem::new`] balances its operands: the drift
+/// `Σ supplies − Σ demands` lands on the largest demand (the last of
+/// equal ones), floored at 0, so total supply equals total demand
+/// bit-exactly where possible. Returns that `(bin, new mass)`, or `None`
+/// when the totals already agree. The one rebalance rule, shared with the
+/// closed form on a path (`PathMetric::distance`), which answers the
+/// problem the LP solves.
+pub(crate) fn rebalanced_demand(supplies: &[f64], demands: &[f64]) -> Option<(usize, f64)> {
+    let drift = supplies.iter().sum::<f64>() - demands.iter().sum::<f64>();
+    debug_assert!(
+        drift.abs() <= 2.0 * MASS_EPS,
+        "supply and demand totals differ by {drift}"
+    );
+    // float: exact — zero drift means the operands were exactly balanced; no tolerance wanted
+    if drift == 0.0 {
+        return None;
+    }
+    let largest = demands.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+    debug_assert!(largest.is_some(), "rebalance called with empty demands");
+    largest.map(|(bin, &mass)| (bin, (mass + drift).max(0.0)))
 }
 
 /// An optimal solution to a [`TransportProblem`].

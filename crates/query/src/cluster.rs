@@ -30,9 +30,11 @@
 //! object farthest from all chosen pivots as the next pivot, `~sqrt(n) ·
 //! factor` times. A triangle shortcut (`d(new pivot, old pivot) >= 2 ·
 //! d(o, old pivot)` implies the new pivot cannot steal `o`) keeps
-//! construction well below the naive `k·n` solves on clustered data; a
-//! solve it leaves stops at the first proof ([`Bounded::Above`]) that the
-//! new pivot is no nearer than `o`'s nearest pivot so far.
+//! construction well below the naive `k·n` distances on clustered data.
+//! When the closure is a path ([`PathMetric`]) every distance is the
+//! closed form over the CDFs; otherwise a solve the shortcut leaves stops
+//! at the first proof ([`Bounded::Above`]) that the new pivot is no
+//! nearer than `o`'s nearest pivot so far.
 //!
 //! At query time [`ClusteredIndex`] is a [`CandidateSource`] in two
 //! layers. The **traversal** only decides which objects stage 1 emits,
@@ -84,8 +86,8 @@ use crate::filters::{
 use crate::ranking::{ChainedRanking, Key, Ranking};
 use emd_core::certify::CERT_EPS;
 use emd_core::lower_bounds::LbIm;
-use emd_core::{emd_in_context, emd_in_context_within, Bounded, Budget};
-use emd_core::{CostMatrix, EmdContext, Histogram};
+use emd_core::{emd_in_context_within, Bounded, Budget};
+use emd_core::{CostMatrix, EmdContext, Histogram, PathMetric};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -439,22 +441,31 @@ type ClusterGeometry = (Vec<u32>, Vec<u32>, Vec<f64>);
 
 /// Greedy k-center (Gonzalez): `pivots`, `assignments`, covering
 /// `radii`. Deterministic — the first pivot is object 0 and ties go to
-/// the smallest id.
+/// the smallest id. On a path `cost` every distance is the closed form;
+/// otherwise a warm LP that may stop at a bound above its cutoff.
 fn greedy_k_center(
     cost: &CostMatrix,
     arena: &[Histogram],
     k: usize,
 ) -> Result<ClusterGeometry, QueryError> {
     let budget = Budget::unlimited();
+    let path = PathMetric::of(cost);
     let mut context = EmdContext::new();
+    let mut distance = |x: &Histogram, y: &Histogram, cutoff: f64| -> Result<_, QueryError> {
+        Ok(match &path {
+            Some(path) => Bounded::Optimal(path.distance(x, y)),
+            None => emd_in_context_within(x, y, cost, &budget, cutoff, &mut context)?,
+        })
+    };
     let Some(first) = arena.first() else {
         return Err(QueryError::EmptyDatabase);
     };
     // d_near[o] = distance of o to its nearest chosen pivot.
-    let to_first = arena
-        .iter()
-        .map(|h| emd_in_context(first, h, cost, &budget, &mut context));
-    let mut d_near = to_first.collect::<Result<Vec<f64>, _>>()?;
+    let mut d_near = Vec::with_capacity(arena.len());
+    for h in arena {
+        let (Bounded::Optimal(d) | Bounded::Above(d)) = distance(first, h, f64::INFINITY)?;
+        d_near.push(d);
+    }
     let mut assignments: Vec<u32> = vec![0; arena.len()];
     let mut pivots: Vec<u32> = vec![0];
     while pivots.len() < k {
@@ -481,8 +492,7 @@ fn greedy_k_center(
             let ph = arena
                 .get(p as usize)
                 .ok_or(QueryError::UnknownObject(p as usize))?;
-            let (Bounded::Optimal(gap) | Bounded::Above(gap)) =
-                emd_in_context_within(next_h, ph, cost, &budget, 2.0 * r, &mut context)?;
+            let (Bounded::Optimal(gap) | Bounded::Above(gap)) = distance(next_h, ph, 2.0 * r)?;
             pivot_distances.push(gap);
         }
         let t = pivots.len() as u32;
@@ -499,7 +509,7 @@ fn greedy_k_center(
                 continue;
             }
             // Only `d < dn` steals, so a solve may stop at a bound above dn.
-            match emd_in_context_within(next_h, h, cost, &budget, *dn, &mut context)? {
+            match distance(next_h, h, *dn)? {
                 Bounded::Optimal(d) if d < *dn => (*dn, *a) = (d, t),
                 _ => {}
             }
@@ -1079,6 +1089,25 @@ mod tests {
         assert!(ClusteredIndex::from_stored(&database, &bundle, &bad_radius).is_err());
     }
 
+    /// A random arena of `n` histograms over `dim` bins, about a third of
+    /// the bins empty.
+    fn random_arena(rng: &mut StdRng, n: usize, dim: usize) -> Vec<Histogram> {
+        (0..n)
+            .map(|_| {
+                let bins = (0..dim).map(|_| {
+                    if rng.gen_bool(0.3) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.05..1.0)
+                    }
+                });
+                let mut bins: Vec<f64> = bins.collect();
+                bins[rng.gen_range(0..dim)] += 0.5;
+                Histogram::normalized(bins).unwrap()
+            })
+            .collect()
+    }
+
     /// The greedy k-center loop with a cold `emd` per pair and no cutoff:
     /// the oracle the build's cutoff solves are held to.
     fn k_center_oracle(cost: &CostMatrix, arena: &[Histogram], k: usize) -> ClusterGeometry {
@@ -1134,20 +1163,8 @@ mod tests {
                 .map(|_| vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)])
                 .collect();
             let cost = ground::from_points(&points, ground::Metric::Euclidean).unwrap();
-            let arena: Vec<Histogram> = (0..rng.gen_range(20..60))
-                .map(|_| {
-                    let bins = (0..dim).map(|_| {
-                        if rng.gen_bool(0.3) {
-                            0.0
-                        } else {
-                            rng.gen_range(0.05..1.0)
-                        }
-                    });
-                    let mut bins: Vec<f64> = bins.collect();
-                    bins[rng.gen_range(0..dim)] += 0.5;
-                    Histogram::normalized(bins).unwrap()
-                })
-                .collect();
+            let n = rng.gen_range(20..60);
+            let arena = random_arena(&mut rng, n, dim);
             let k = rng.gen_range(2..=8);
 
             let solves = |build: &dyn Fn() -> ClusterGeometry| {
@@ -1172,5 +1189,53 @@ mod tests {
             cut_some |= cuts > 0;
         }
         assert!(cut_some, "some steal solve must stop at its cutoff");
+    }
+
+    /// [`cutoff_build_matches_the_cold_oracle`] on a line: over shuffled,
+    /// unevenly spaced 1-D points the build answers every distance from
+    /// the CDFs — no LP at all — and still picks the oracle's pivots and
+    /// assignments, with radii within `distance_slack`.
+    #[test]
+    fn path_build_matches_the_cold_oracle() {
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dim = rng.gen_range(4..10usize);
+            let points: Vec<Vec<f64>> = (0..dim).map(|_| vec![rng.gen_range(0.0..1.0)]).collect();
+            let cost = ground::from_points(&points, ground::Metric::Euclidean).unwrap();
+            let n = rng.gen_range(20..60);
+            let arena = random_arena(&mut rng, n, dim);
+            let k = rng.gen_range(2..=8);
+
+            let recording = emd_obs::Recording::start();
+            let built = greedy_k_center(&cost, &arena, k).unwrap();
+            let registry = recording.finish();
+            assert_eq!(registry.counter("transport.solve.calls"), 0, "seed {seed}");
+            assert!(registry.counter("core.emd.closed_form") > 0, "seed {seed}");
+            let oracle = k_center_oracle(&cost, &arena, k);
+            assert_eq!((&built.0, &built.1), (&oracle.0, &oracle.1), "seed {seed}");
+            for (r, o) in built.2.iter().zip(&oracle.2) {
+                assert!(
+                    (r - o).abs() <= emd_core::distance_slack(&cost),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// The benchmark's case: a 32-bin chain reduced to 8 contiguous
+    /// groups. Its pruning cost is a path, so the build solves no LP.
+    #[test]
+    fn chain_reduction_builds_without_an_lp() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let cost = Arc::new(ground::linear(32).unwrap());
+        let database = Database::new(random_arena(&mut rng, 80, 32), cost.clone()).unwrap();
+        let reduced = ReducedEmd::new(&cost, reduction(32, 8)).unwrap();
+        let recording = emd_obs::Recording::start();
+        let index = ClusteredIndex::build(&database, reduced, 1.0).unwrap();
+        let registry = recording.finish();
+        assert!(PathMetric::of(index.pruning_cost()).is_some());
+        assert_eq!(registry.counter("transport.solve.calls"), 0);
+        assert!(registry.counter("core.emd.closed_form") > 0);
+        assert!(index.clusters() > 1);
     }
 }
