@@ -1,5 +1,6 @@
-//! The reconstructed experiment suite (see DESIGN.md section 5 and
-//! EXPERIMENTS.md). Each function regenerates one table/figure.
+//! The reconstructed experiment suite (see DESIGN.md, "Reconstructed
+//! evaluation", and EXPERIMENTS.md). Each function regenerates one
+//! table/figure.
 
 use crate::lower_bounds::ClassicFilter;
 use crate::pca::pca_guided_reduction;
@@ -71,7 +72,7 @@ fn candidates_sweep(table: &mut Table, bench: &Bench, dims: &[usize], sample: us
     }
 }
 
-/// E1: candidates vs d' on the 96-d tiling corpus (cf. DESIGN.md E1).
+/// E1: candidates vs d' on the 96-d tiling corpus (cf. EXPERIMENTS.md E1).
 pub fn e1(scale: &Scale, quick: bool) -> Table {
     let mut table = Table::new(
         "E1",

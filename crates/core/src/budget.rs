@@ -77,8 +77,7 @@ impl CancelToken {
     }
 
     /// True once [`cancel`](Self::cancel) has been called on any clone.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -114,16 +113,10 @@ impl Budget {
 
     /// Adds a wall-clock deadline `timeout` from now.
     #[must_use]
-    pub fn with_deadline(self, timeout: Duration) -> Self {
+    pub fn with_deadline(mut self, timeout: Duration) -> Self {
         // lint: allow(nondeterminism): the wall clock IS the deadline contract;
         // results stay deterministic because expiry degrades, never reorders.
-        self.with_deadline_at(Instant::now() + timeout)
-    }
-
-    /// Adds an absolute wall-clock deadline.
-    #[must_use]
-    pub fn with_deadline_at(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
+        self.deadline = Some(Instant::now() + timeout);
         self
     }
 

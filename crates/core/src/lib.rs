@@ -175,13 +175,7 @@ pub fn distance_slack(cost: &CostMatrix) -> f64 {
 /// which all optimal bases share, and a warm seed is repaired until no
 /// basic flow is below `-1e-14`, so measured divergence is a few ulps
 /// (≤ 2e-13 relative over 3 000 distances of the benchmark's 32-bin
-/// Gaussian corpus). It was not always: while the objective was a sum of
-/// `flow · cost` that skipped basic flows at or below `EPS`, and a
-/// warm seed passed as feasible down to `-EPS`, two bases that routed
-/// such residuals over cells of different cost reported objectives up
-/// to this bound apart — `tests/transport/warm_chain.rs` pins the pair
-/// that read 1.3e-10 apart (6e-9 of its distance) then and agrees to the
-/// ulp now.
+/// Gaussian corpus).
 fn objective_slack(sources: usize, targets: usize, max_cost: f64) -> f64 {
     (sources + targets) as f64 * EPS * max_cost
 }

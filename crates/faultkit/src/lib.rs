@@ -268,24 +268,6 @@ impl FailPlan {
     pub fn solves_seen(&self) -> u64 {
         self.solves.load(Ordering::Relaxed)
     }
-
-    /// Number of WAL record appends observed so far.
-    #[must_use]
-    pub fn wal_appends_seen(&self) -> u64 {
-        self.wal_appends.load(Ordering::Relaxed)
-    }
-
-    /// Number of WAL sync points observed so far.
-    #[must_use]
-    pub fn wal_syncs_seen(&self) -> u64 {
-        self.wal_syncs.load(Ordering::Relaxed)
-    }
-
-    /// Number of compaction runs observed so far.
-    #[must_use]
-    pub fn compacts_seen(&self) -> u64 {
-        self.compacts.load(Ordering::Relaxed)
-    }
 }
 
 impl FaultInjector for FailPlan {
@@ -375,7 +357,7 @@ mod tests {
         assert_eq!(plan.check(Site::WalAppend), None);
         assert_eq!(plan.check(Site::WalAppend), Some(Fault::Io));
         assert_eq!(plan.check(Site::WalAppend), None);
-        assert_eq!(plan.wal_appends_seen(), 3);
+        assert_eq!(plan.wal_appends.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -385,7 +367,7 @@ mod tests {
         assert_eq!(plan.check(Site::WalSync), None);
         assert_eq!(plan.check(Site::WalSync), Some(Fault::Io));
         assert_eq!(plan.check(Site::WalSync), None);
-        assert_eq!(plan.wal_syncs_seen(), 4);
+        assert_eq!(plan.wal_syncs.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -393,7 +375,7 @@ mod tests {
         let plan = FailPlan::new().fail_compact(1);
         assert_eq!(plan.check(Site::Compact), Some(Fault::Io));
         assert_eq!(plan.check(Site::Compact), None);
-        assert_eq!(plan.compacts_seen(), 2);
+        assert_eq!(plan.compacts.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -410,7 +392,7 @@ mod tests {
         assert_eq!(plan.check(Site::Compact), Some(Fault::Io));
         assert_eq!(plan.check(Site::StoreRead), Some(Fault::Io));
         assert_eq!(plan.reads_seen(), 1);
-        assert_eq!(plan.wal_appends_seen(), 1);
+        assert_eq!(plan.wal_appends.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -75,18 +75,18 @@ impl DurationHistogram {
     }
 
     /// Smallest observation in nanoseconds (`None` when empty).
-    pub fn min_nanos(&self) -> Option<u64> {
+    fn min_nanos(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min_nanos)
     }
 
     /// Largest observation in nanoseconds (`None` when empty).
-    pub fn max_nanos(&self) -> Option<u64> {
+    fn max_nanos(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max_nanos)
     }
 
     /// Non-empty buckets as `(inclusive_upper_bound_nanos, count)` pairs
     /// in ascending bound order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()

@@ -261,13 +261,6 @@ impl ClusteredIndex {
         &self.reduced
     }
 
-    /// The cost matrix the geometry is computed under: the metric closure
-    /// of the reduced ground distance (bit-identical to it when the
-    /// reduced cost is already a metric).
-    pub fn pruning_cost(&self) -> &CostMatrix {
-        self.pruning.cost()
-    }
-
     fn assemble(
         database: &Database,
         reduced: ReducedEmd,
@@ -980,10 +973,11 @@ mod tests {
 
         let index = ClusteredIndex::build(&database, reduced, 1.0).unwrap();
         assert!(index.name().contains("closed"));
-        assert!(index.pruning_cost().is_metric(1e-9));
+        assert!(index.pruning.cost().is_metric(1e-9));
         // The closure only lowers entries, preserving the bound chain.
         for (c, o) in index
-            .pruning_cost()
+            .pruning
+            .cost()
             .entries()
             .iter()
             .zip(index.reduced().reduced_cost().entries())
@@ -1010,7 +1004,7 @@ mod tests {
         let mut anchor = anchors.prepare(&query, &Budget::unlimited()).unwrap();
         for (id, key) in got {
             let reduced = &index.reduced_database[id];
-            let closed = emd_core::emd(&reduced_query, reduced, index.pruning_cost()).unwrap();
+            let closed = emd_core::emd(&reduced_query, reduced, index.pruning.cost()).unwrap();
             let parent = closed.max(anchor.distance(id).unwrap());
             assert!(key >= parent - 1e-12, "object {id}: {key} below {parent}");
         }
@@ -1233,7 +1227,7 @@ mod tests {
         let recording = emd_obs::Recording::start();
         let index = ClusteredIndex::build(&database, reduced, 1.0).unwrap();
         let registry = recording.finish();
-        assert!(PathMetric::of(index.pruning_cost()).is_some());
+        assert!(PathMetric::of(index.pruning.cost()).is_some());
         assert_eq!(registry.counter("transport.solve.calls"), 0);
         assert!(registry.counter("core.emd.closed_form") > 0);
         assert!(index.clusters() > 1);

@@ -90,7 +90,8 @@ impl ReducedEmd {
     }
 
     /// The reduced EMD on *original-dimensionality* operands: reduces both
-    /// and solves the small LP — [`distance_reduced`](Self::distance_reduced)
+    /// and solves the small LP — a cold, unbudgeted
+    /// [`distance_reduced_in_context`](Self::distance_reduced_in_context)
     /// on `x·R1`, `y·R2`.
     ///
     /// # Errors
@@ -98,18 +99,12 @@ impl ReducedEmd {
     /// Returns [`ReductionError`] on operand shape mismatch or when the small LP
     /// fails to solve.
     pub fn distance(&self, x: &Histogram, y: &Histogram) -> Result<f64, ReductionError> {
-        self.distance_reduced(&self.r1.reduce(x)?, &self.r2.reduce(y)?)
-    }
-
-    /// The reduced EMD on *already reduced* operands: a cold, unbudgeted
-    /// [`distance_reduced_in_context`](Self::distance_reduced_in_context).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReductionError`] when the reduced operands disagree with the
-    /// reduced cost matrix or the small LP fails to solve.
-    pub fn distance_reduced(&self, rx: &Histogram, ry: &Histogram) -> Result<f64, ReductionError> {
-        self.distance_reduced_in_context(rx, ry, &Budget::unlimited(), &mut EmdContext::new())
+        self.distance_reduced_in_context(
+            &self.r1.reduce(x)?,
+            &self.r2.reduce(y)?,
+            &Budget::unlimited(),
+            &mut EmdContext::new(),
+        )
     }
 
     /// The reduced EMD on *already reduced* operands — the one evaluation
@@ -206,7 +201,9 @@ mod tests {
         let via_full = reduced.distance(&x, &y).unwrap();
         let rx = reduced.reduce_first(&x).unwrap();
         let ry = reduced.reduce_second(&y).unwrap();
-        let via_reduced = reduced.distance_reduced(&rx, &ry).unwrap();
+        let via_reduced = reduced
+            .distance_reduced_in_context(&rx, &ry, &Budget::unlimited(), &mut EmdContext::new())
+            .unwrap();
         assert!((via_full - via_reduced).abs() < 1e-12);
     }
 

@@ -15,7 +15,7 @@
 //! lines per crate, `pub` item lines per library crate and the CLI's
 //! settable values, each table printed under its rule.
 //!
-//! See `DESIGN.md` §12 for the architecture and annotation grammar.
+//! See `DESIGN.md` §7 for the passes and the annotation grammar.
 
 #![forbid(unsafe_code)]
 

@@ -1,5 +1,5 @@
 //! `cargo xtask stats`: the one size counter. It takes no flags and
-//! prints three tables, each headed by the rule that produced it:
+//! prints four tables, each headed by the rule that produced it:
 //!
 //! - **Non-test lines** per crate, for every `.rs` under `crates/*/src`
 //!   and under `src/`: the lines before the file's first line that starts
@@ -11,6 +11,8 @@
 //!   `pub(crate)` and other restricted visibilities do not count.
 //! - **CLI settable values**: the verbs of the `VERBS` table in
 //!   `src/bin/flexemd.rs` and the (verb, option) pairs it accepts.
+//! - **Doc bytes**: the size of each document in [`DOC_CAPS`] (`wc -c`)
+//!   beside its cap, which `tests/design_map.rs` enforces.
 //!
 //! The rules are line-based on purpose: they are cheap to restate by
 //! hand (`awk`, `grep`) on any checkout, so a parent and a change can be
@@ -32,6 +34,16 @@ const PUB_ITEM_RULE: &str = "pub item lines: non-test lines starting with \
 /// The rule of the third table.
 const CLI_RULE: &str = "CLI settable values: verbs and (verb, option) pairs of \
      `VERBS` in src/bin/flexemd.rs";
+
+/// The rule of the fourth table.
+const DOC_RULE: &str = "doc bytes: `wc -c` of each capped document, then its cap";
+
+/// The documents whose size is capped, with their caps in bytes.
+pub const DOC_CAPS: [(&str, u64); 3] = [
+    ("DESIGN.md", 40_000),
+    ("EXPERIMENTS.md", 45_000),
+    ("README.md", 12_000),
+];
 
 /// The item keywords a counted `pub` line starts with.
 const PUB_ITEM_KEYWORDS: [&str; 9] = [
@@ -135,11 +147,11 @@ fn count_workspace(root: &Path) -> Result<Vec<CrateCount>, String> {
     Ok(counts)
 }
 
-/// Render the three tables for the workspace at `root`.
+/// Render the four tables for the workspace at `root`.
 ///
 /// # Errors
 ///
-/// Fails when a source file cannot be read.
+/// Fails when a source file or a capped document cannot be read.
 pub fn render(root: &Path) -> Result<String, String> {
     let counts = count_workspace(root)?;
     let cli_path = root.join("src/bin/flexemd.rs");
@@ -181,5 +193,14 @@ pub fn render(root: &Path) -> Result<String, String> {
     }
     let pairs: usize = verbs.iter().map(|(_, options)| options.len()).sum();
     let _ = writeln!(out, "  verbs {}, (verb, option) pairs {pairs}", verbs.len());
+
+    let _ = writeln!(out, "\n{DOC_RULE}");
+    for (doc, cap) in DOC_CAPS {
+        let path = root.join(doc);
+        let bytes = fs::metadata(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?
+            .len();
+        let _ = writeln!(out, "  {doc:<15} {bytes:>6} / {cap}");
+    }
     Ok(out)
 }
