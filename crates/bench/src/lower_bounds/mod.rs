@@ -85,6 +85,10 @@ impl Filter for ClassicFilter {
         self.database.len()
     }
 
+    fn slack(&self) -> f64 {
+        emd_core::distance_slack(self.database.cost())
+    }
+
     fn prepare(
         &self,
         query: &Histogram,

@@ -6,9 +6,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_bench::lower_bounds::{CentroidBound, ClassicFilter, ScaledL1};
-use emd_core::certify::BOUND_EPS;
 use emd_core::ground::{self, Metric};
-use emd_core::{emd, CostMatrix, Histogram};
+use emd_core::{distance_slack, emd, CostMatrix, Histogram};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{Database, EmdDistance, Executor, Neighbor, QueryPlan};
 use proptest::prelude::*;
@@ -82,7 +81,7 @@ proptest! {
         prop_assert!(scaled.bound(&x, &y).unwrap() <= exact + 1e-9);
     }
 
-    /// The same on the 1-D chain, within the library's bound tolerance.
+    /// The same on the 1-D chain, within the slack KNOP discards with.
     #[test]
     fn bounds_sandwich_exact_emd((x, y, cost) in chain_pair(9)) {
         let exact = emd(&x, &y, &cost).expect("emd solves valid pairs");
@@ -92,10 +91,10 @@ proptest! {
             .expect("valid positions")
             .bound(&x, &y)
             .expect("shapes match");
-        prop_assert!(centroid <= exact + BOUND_EPS, "centroid {centroid} > EMD {exact}");
+        prop_assert!(centroid <= exact + distance_slack(&cost), "centroid {centroid} > EMD {exact}");
 
         let scaled = ScaledL1::new(&cost).bound(&x, &y).expect("shapes match");
-        prop_assert!(scaled <= exact + BOUND_EPS, "scaled-L1 {scaled} > EMD {exact}");
+        prop_assert!(scaled <= exact + distance_slack(&cost), "scaled-L1 {scaled} > EMD {exact}");
     }
 }
 

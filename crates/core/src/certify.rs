@@ -9,8 +9,8 @@
 //!   and every Vogel basis (which must also span `m + n - 1` cells) to it
 //!   in tableau indices. Each reports a [`FlowViolation`].
 //! * [`debug_check_lower_bound`] — the lower-bound property of Theorem 1
-//!   (`LB <= EMD`), asserted wherever both quantities are available in
-//!   debug builds.
+//!   (`LB <= EMD` within the slack the bound was admitted at), asserted
+//!   wherever both quantities are available in debug builds.
 //! * A solve cut short under a cutoff, which has no flows, is re-solved
 //!   cold and its certified bound held against the optimum; so is every
 //!   closed-form distance on a path, within `distance_slack`.
@@ -33,11 +33,6 @@ use std::fmt;
 /// sums accumulate one rounding error per tableau line, and the objective
 /// recomputation re-orders additions relative to the solver.
 pub const CERT_EPS: f64 = 1e-9;
-
-/// Tolerance for bound-ordering checks (`LB <= EMD + BOUND_EPS`). Looser
-/// than [`CERT_EPS`]: bound computations and the LP accumulate rounding
-/// independently of each other.
-pub const BOUND_EPS: f64 = 1e-7;
 
 /// A flow that breaks a certificate. Indices are those of the flows
 /// checked: original bins for an [`EmdReport`], tableau lines for the
@@ -231,13 +226,16 @@ pub(crate) fn debug_certify_report(
 }
 
 /// Debug-build hook for the lower-bound property (Theorem 1):
-/// `lower <= exact + BOUND_EPS`. Call wherever a filter bound and the
-/// refined exact distance of the same pair are both in hand. Compiled out
-/// of release builds.
+/// `lower <= exact + slack`, where `slack` is the
+/// [`distance_slack`](crate::distance_slack) the bound and the distance
+/// were admitted and computed at — the margin a discard on `lower` is
+/// taken with. Call wherever a filter bound and the refined exact
+/// distance of the same pair are both in hand. Compiled out of release
+/// builds.
 #[inline]
-pub fn debug_check_lower_bound(name: &str, lower: f64, exact: f64) {
+pub fn debug_check_lower_bound(name: &str, lower: f64, exact: f64, slack: f64) {
     debug_assert!(
-        lower <= exact + BOUND_EPS,
+        lower <= exact + slack,
         "{name} = {lower} exceeds the exact EMD {exact} \
          (excess {:.3e}): the lower-bound property is violated",
         lower - exact
@@ -445,14 +443,17 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lower-bound property is violated")]
     fn bound_order_hook_fires() {
-        debug_check_lower_bound("test-bound", 2.0, 1.0);
+        let slack = crate::distance_slack(&ground::linear(2).unwrap());
+        debug_check_lower_bound("test-bound", 2.0, 1.0, slack);
     }
 
-    /// `LB <= EMD`, equality included, passes the hook.
+    /// `LB <= EMD + slack`, equality included, passes the hook.
     #[test]
     fn sandwich_accepts_valid_ordering() {
-        debug_check_lower_bound("test-bound", 0.5, 1.0);
-        debug_check_lower_bound("test-bound", 1.0, 1.0);
+        let slack = crate::distance_slack(&ground::linear(2).unwrap());
+        debug_check_lower_bound("test-bound", 0.5, 1.0, slack);
+        debug_check_lower_bound("test-bound", 1.0, 1.0, slack);
+        debug_check_lower_bound("test-bound", 1.0 + slack, 1.0, slack);
     }
 
     fn problem() -> TransportProblem {

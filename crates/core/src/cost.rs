@@ -131,34 +131,23 @@ impl CostMatrix {
     }
 
     /// Check the metric axioms on a square matrix: zero diagonal, symmetry
-    /// and the triangle inequality, each within tolerance `tol`. `O(d^3)` —
-    /// intended for construction-time validation and tests, not hot paths.
-    pub fn is_metric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        let d = self.rows;
-        for i in 0..d {
-            if self.at(i, i).abs() > tol {
-                return false;
-            }
-            for j in 0..d {
-                if (self.at(i, j) - self.at(j, i)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        for i in 0..d {
-            for k in 0..d {
-                let direct = self.at(i, k);
-                for j in 0..d {
-                    if direct > self.at(i, j) + self.at(j, k) + tol {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+    /// and the triangle inequality, each within half of
+    /// [`distance_slack`](crate::distance_slack) — the one tolerance that
+    /// admits a cost. An entry off by `δ` moves no EMD by more than `δ`,
+    /// so a cost admitted here leaves the other half of the slack to the
+    /// LP; [`PathMetric::of`](crate::PathMetric::of) and the anchor bound
+    /// test their entries at the same half. `O(d^3)` — intended for
+    /// construction-time validation and tests, not hot paths.
+    #[must_use]
+    pub fn is_metric(&self) -> bool {
+        let (d, tol) = (self.rows, crate::distance_slack(self) / 2.0);
+        // Symmetric at (i, j), and no path i → j → k shorter than i → k.
+        let within = |i: usize, j: usize| {
+            (self.at(i, j) - self.at(j, i)).abs() <= tol
+                && (0..d).all(|k| self.at(i, k) <= self.at(i, j) + self.at(j, k) + tol)
+        };
+        let row = |i: usize| self.at(i, i).abs() <= tol && (0..d).all(|j| within(i, j));
+        self.is_square() && (0..d).all(row)
     }
 }
 
@@ -245,19 +234,21 @@ mod tests {
 
     #[test]
     fn linear_chain_is_metric() {
-        let c = CostMatrix::from_fn(5, |i, j| (i as f64 - j as f64).abs()).unwrap();
-        assert!(c.is_metric(1e-12));
+        // A unit of 1/32 keeps every entry exact in binary.
+        let c = CostMatrix::from_fn(5, |i, j| (i as f64 - j as f64).abs() / 32.0).unwrap();
+        assert!(c.is_metric());
     }
 
     #[test]
     fn squared_distances_are_not_metric() {
-        // Squared Euclidean violates the triangle inequality.
+        // Squared Euclidean violates the triangle inequality (units of
+        // 1/32, as above).
         let c = CostMatrix::from_fn(3, |i, j| {
             let d = i as f64 - j as f64;
-            d * d
+            d * d / 32.0
         })
         .unwrap();
-        assert!(!c.is_metric(1e-12));
+        assert!(!c.is_metric());
     }
 
     #[test]

@@ -157,7 +157,8 @@ mod tests {
         assert_eq!(c.at(0, 0), 0.0);
         assert_eq!(c.at(2, 0), 2.0);
         assert_eq!(c.at(4, 0), 4.0);
-        assert!(c.is_metric(1e-12));
+        // Every entry is exactly `|i - j|`: a metric with no slack at all.
+        assert!((0..36).all(|k| c.at(k / 6, k % 6) == (k / 6).abs_diff(k % 6) as f64));
     }
 
     #[test]
@@ -170,7 +171,7 @@ mod tests {
         assert!((c.at(0, 4) - 1.0).abs() < 1e-12);
         // Diagonal tiles 0 and 5.
         assert!((c.at(0, 5) - 2.0_f64.sqrt()).abs() < 1e-12);
-        assert!(c.is_metric(1e-9));
+        assert!(c.is_metric());
     }
 
     #[test]
@@ -191,7 +192,7 @@ mod tests {
         assert_eq!(c.rows(), 8);
         // Opposite corners of the unit cube under L1: 3.
         assert!((c.at(0, 7) - 3.0).abs() < 1e-12);
-        assert!(c.is_metric(1e-9));
+        assert!(c.is_metric());
     }
 
     #[test]
@@ -220,7 +221,10 @@ mod tests {
         let s = saturated(&c, 2.5).unwrap();
         assert_eq!(s.at(0, 7), 2.5);
         assert_eq!(s.at(0, 1), 1.0);
-        assert!(s.is_metric(1e-12));
+        // Every entry is exactly `min(|i - j|, 2.5)`: a metric with no
+        // slack at all.
+        let capped = |i: usize, j: usize| (i.abs_diff(j) as f64).min(2.5);
+        assert!((0..64).all(|k| s.at(k / 8, k % 8) == capped(k / 8, k % 8)));
         assert!(s.dominated_by(&c));
     }
 

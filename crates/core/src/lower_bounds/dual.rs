@@ -1,7 +1,6 @@
 //! The anchor lower bound from weak LP duality: any dual-feasible
 //! potentials give `u . x + v . y <= EMD(x, y)`.
 
-use crate::certify::CERT_EPS;
 use crate::cost::CostMatrix;
 use crate::error::CoreError;
 use crate::histogram::Histogram;
@@ -37,57 +36,54 @@ pub struct AnchorBound {
 }
 
 impl AnchorBound {
-    /// Build the bound from explicit anchor bins of a square cost matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::CostShape`] when `cost` is not square or
-    /// `anchors` is empty, and [`CoreError::InvalidCost`] when an anchor
-    /// index is out of range or an anchor column violates dual
-    /// feasibility (`cost` is not a metric).
-    pub fn new(cost: &CostMatrix, anchors: &[usize]) -> Result<Self, CoreError> {
-        if !cost.is_square() || anchors.is_empty() {
-            return Err(CoreError::CostShape {
-                rows: cost.rows(),
-                cols: cost.cols(),
-                len: anchors.len(),
-            });
-        }
-        let d = cost.rows();
-        let mut projections = Vec::with_capacity(anchors.len());
-        for &anchor in anchors {
-            if anchor >= d {
-                return Err(CoreError::InvalidCost {
-                    row: anchor,
-                    col: anchor,
-                    // float: nan — an out-of-range anchor names no cost entry
-                    value: f64::NAN,
-                });
-            }
-            let column: Vec<f64> = (0..d).map(|i| cost.at(i, anchor)).collect();
-            check_dual_feasible(&column, cost, CERT_EPS)?;
-            projections.push(column);
-        }
-        Ok(AnchorBound {
-            projections,
-            dim: d,
-        })
-    }
-
     /// Build the bound with `count` anchors spread evenly over the bins;
     /// `count` is clamped to `1..=bins`, so a caller may ask for "as many
     /// anchors as some other dimensionality" without checking it.
     ///
+    /// Each anchor column must be dual feasible within half of
+    /// [`distance_slack`](crate::distance_slack), the per-entry test of
+    /// [`CostMatrix::is_metric`]: potentials that break a constraint by
+    /// `δ` bound the EMD under a cost `δ` higher, so a bound admitted
+    /// here exceeds the EMD by at most that half.
+    ///
     /// # Errors
     ///
-    /// Fails only on a property of `cost`, as [`AnchorBound::new`] does:
-    /// [`CoreError::CostShape`] when it is not square (or has no bins),
-    /// [`CoreError::InvalidCost`] when it is not a metric.
+    /// Fails only on a property of `cost`: [`CoreError::CostShape`] when
+    /// it is not square, [`CoreError::InvalidCost`] when an anchor column
+    /// violates dual feasibility (`cost` is not a metric).
     pub fn with_spread_anchors(cost: &CostMatrix, count: usize) -> Result<Self, CoreError> {
+        if !cost.is_square() {
+            return Err(CoreError::CostShape {
+                rows: cost.rows(),
+                cols: cost.cols(),
+                len: cost.entries().len(),
+            });
+        }
         let d = cost.rows();
         let count = count.clamp(1, d);
-        let anchors: Vec<usize> = (0..count).map(|k| k * d / count).collect();
-        Self::new(cost, &anchors)
+        let tol = crate::distance_slack(cost) / 2.0;
+        // Both `(column, -column)` and its negation are feasible
+        // potentials when `|column_i - column_j| <= c_ij + tol`.
+        let column = |k: usize| -> Result<Vec<f64>, CoreError> {
+            let column: Vec<f64> = (0..d).map(|i| cost.at(i, k * d / count)).collect();
+            for (i, &ci) in column.iter().enumerate() {
+                for (j, &cj) in column.iter().enumerate() {
+                    let value = cost.at(i, j);
+                    if (ci - cj).abs() > value + tol {
+                        return Err(CoreError::InvalidCost {
+                            row: i,
+                            col: j,
+                            value,
+                        });
+                    }
+                }
+            }
+            Ok(column)
+        };
+        Ok(AnchorBound {
+            projections: (0..count).map(column).collect::<Result<_, _>>()?,
+            dim: d,
+        })
     }
 
     /// Number of anchors.
@@ -151,28 +147,6 @@ impl AnchorBound {
     }
 }
 
-/// The dual-feasibility check: `|column_i - column_j| <= c_ij + tol` for
-/// all `i, j` of the square `cost`, so that both `(column, -column)` and
-/// its negation are feasible potentials.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidCost`] naming the first violating `(i, j)`.
-fn check_dual_feasible(column: &[f64], cost: &CostMatrix, tol: f64) -> Result<(), CoreError> {
-    for (i, &ci) in column.iter().enumerate() {
-        for (j, &cj) in column.iter().enumerate() {
-            if (ci - cj).abs() > cost.at(i, j) + tol {
-                return Err(CoreError::InvalidCost {
-                    row: i,
-                    col: j,
-                    value: cost.at(i, j),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,8 +173,9 @@ mod tests {
 
     #[test]
     fn exact_on_unit_histograms_with_anchor_at_target() {
+        // Five anchors on five bins: bin 4 is one of them.
         let c = ground::linear(5).unwrap();
-        let bound = AnchorBound::new(&c, &[4]).unwrap();
+        let bound = AnchorBound::with_spread_anchors(&c, 5).unwrap();
         let x = Histogram::unit(5, 1).unwrap();
         let y = Histogram::unit(5, 4).unwrap();
         // |c(1,4) - c(4,4)| = 3 = exact EMD.
@@ -229,12 +204,18 @@ mod tests {
 
     #[test]
     fn rejects_bad_anchors_and_shapes() {
+        let rectangular = CostMatrix::new(2, 3, vec![0.0; 6]).unwrap();
+        let err = AnchorBound::with_spread_anchors(&rectangular, 1).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::CostShape {
+                rows: 2,
+                cols: 3,
+                ..
+            }
+        ));
         let c = ground::linear(4).unwrap();
-        let out_of_range = AnchorBound::new(&c, &[7]).unwrap_err();
-        assert!(matches!(out_of_range, CoreError::InvalidCost { .. }));
-        let empty = AnchorBound::new(&c, &[]).unwrap_err();
-        assert!(matches!(empty, CoreError::CostShape { len: 0, .. }));
-        let bound = AnchorBound::new(&c, &[0]).unwrap();
+        let bound = AnchorBound::with_spread_anchors(&c, 1).unwrap();
         assert!(bound.project(&h(&[0.5, 0.5])).is_err());
     }
 

@@ -36,11 +36,9 @@ impl PathMetric {
     /// The bin `e` farthest from bin 0 (the first of equals) is an end of
     /// the line if there is one, so `p_i = c_ei` are positions measured
     /// from that end. The cost is a path when every entry, diagonal
-    /// included, matches `|p_i − p_j|` within half of
-    /// [`distance_slack`](crate::distance_slack): an entry off by `δ`
-    /// moves no EMD by more than `δ`, which leaves the other half of the
-    /// contract to the LP the closed form is held to. `None` for a
-    /// rectangular cost or one that is not a path.
+    /// included, matches `|p_i − p_j|` within the per-entry tolerance of
+    /// [`CostMatrix::is_metric`]. `None` for a rectangular cost or one
+    /// that is not a path.
     #[must_use]
     pub fn of(cost: &CostMatrix) -> Option<PathMetric> {
         if !cost.is_square() {

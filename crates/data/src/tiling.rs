@@ -157,7 +157,7 @@ mod tests {
         assert_eq!(dataset.len(), 15);
         assert_eq!(dataset.dim(), 24);
         dataset.validate().unwrap();
-        assert!(dataset.cost.is_metric(1e-9));
+        assert!(dataset.cost.is_metric());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use rand::Rng;
 
 /// One standard normal sample via Box-Muller.
 pub fn sample_normal(rng: &mut impl Rng) -> f64 {
-    // u1 bounded away from zero to avoid ln(0).
+    // float: tolerance — u1 bounded away from zero to avoid ln(0).
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

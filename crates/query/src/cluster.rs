@@ -84,7 +84,6 @@ use crate::filters::{
     ReducedImFilter,
 };
 use crate::ranking::{ChainedRanking, Key, Ranking};
-use emd_core::certify::CERT_EPS;
 use emd_core::lower_bounds::LbIm;
 use emd_core::{emd_in_context_within, Bounded, Budget};
 use emd_core::{CostMatrix, EmdContext, Histogram, PathMetric};
@@ -162,9 +161,10 @@ impl ClusteredIndex {
     ///
     /// Returns [`QueryError::EmptyDatabase`] for an empty snapshot,
     /// [`QueryError::Reduction`] when `factor` is not positive and
-    /// finite, when the reduction is asymmetric, or when the reduced
-    /// ground distance is not a metric (triangle pruning would be
-    /// unsound), and any solver error from the construction distances.
+    /// finite, when the reduction is asymmetric, or when the metric
+    /// closure of the reduced ground distance is no metric (triangle
+    /// pruning would be unsound), and any solver error from the
+    /// construction distances.
     pub fn build(
         database: &Database,
         reduced: ReducedEmd,
@@ -373,8 +373,10 @@ fn index_name(reduced: &ReducedEmd, pruning_cost: &CostMatrix, clusters: usize) 
 /// distance restores the triangle inequality without breaking the bound
 /// chain: closure entries never exceed the originals, so the EMD under
 /// the closure lower-bounds the reduced EMD (and hence the exact EMD).
-/// Symmetry cannot be repaired the same way, so an asymmetric reduction
-/// or reduced cost is still rejected.
+/// A non-zero diagonal or an asymmetry the closure keeps cannot be
+/// repaired the same way: the closure must pass
+/// [`CostMatrix::is_metric`], the one metric test, and an asymmetric
+/// reduction is rejected before it is built.
 fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
     if reduced.r1().assignment() != reduced.r2().assignment() {
         return Err(QueryError::Reduction(
@@ -385,23 +387,6 @@ fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
     }
     let cost = reduced.reduced_cost();
     let dim = cost.rows();
-    for i in 0..dim {
-        if cost.at(i, i).abs() > CERT_EPS {
-            return Err(QueryError::Reduction(format!(
-                "reduced cost has non-zero diagonal entry {} at bin {i}; \
-                 pruning distances would not vanish on identical operands",
-                cost.at(i, i)
-            )));
-        }
-        for j in 0..i {
-            if (cost.at(i, j) - cost.at(j, i)).abs() > CERT_EPS {
-                return Err(QueryError::Reduction(format!(
-                    "reduced cost is asymmetric at ({i}, {j}); \
-                     triangle-inequality pruning would be unsound"
-                )));
-            }
-        }
-    }
     let mut entries = cost.entries().to_vec();
     // Floyd-Warshall over the complete graph on reduced bins. The loop
     // order is fixed, so the closure is deterministic and reopen paths
@@ -421,10 +406,13 @@ fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
         }
     }
     let closure = CostMatrix::new(dim, dim, entries)?;
-    debug_assert!(
-        closure.is_metric(CERT_EPS),
-        "shortest-path closure of a symmetric zero-diagonal cost is a metric"
-    );
+    if !closure.is_metric() {
+        return Err(QueryError::Reduction(
+            "the metric closure of the reduced cost is no metric (a non-zero diagonal \
+             or an asymmetry); triangle-inequality pruning would be unsound"
+                .to_owned(),
+        ));
+    }
     Ok(closure)
 }
 
@@ -969,11 +957,11 @@ mod tests {
             .collect();
         let database = Database::new(histograms, Arc::new(ground::linear(9).unwrap())).unwrap();
         let reduced = ReducedEmd::new(database.cost_arc(), reduction(9, 3)).unwrap();
-        assert!(!reduced.reduced_cost().is_metric(1e-9));
+        assert!(!reduced.reduced_cost().is_metric());
 
         let index = ClusteredIndex::build(&database, reduced, 1.0).unwrap();
         assert!(index.name().contains("closed"));
-        assert!(index.pruning.cost().is_metric(1e-9));
+        assert!(index.pruning.cost().is_metric());
         // The closure only lowers entries, preserving the bound chain.
         for (c, o) in index
             .pruning

@@ -970,7 +970,7 @@ impl DurableIndex {
                 .live()
                 .map(|(_, o)| Arc::clone(&o.projection))
                 .collect();
-            AnchorFilter::from_shared(Arc::clone(floor), projections)
+            AnchorFilter::from_shared(Arc::clone(floor), projections, &self.cost)
         });
         let refiner = Box::new(EmdDistance::new(&database)?);
         let plan = QueryPlan::new(chain_stages(floor, red_im), refiner)?;

@@ -221,11 +221,10 @@ impl Executor {
             for stage in &mut prepared {
                 ranking = Box::new(ChainedRanking::new(ranking, Box::new(stage.as_mut())));
             }
+            let (ranking, refiner, slack) = (ranking.as_mut(), refiner.as_mut(), plan.slack);
             match *mode {
-                QueryMode::Knn(k) => knop::knn(ranking.as_mut(), refiner.as_mut(), k, budget)?,
-                QueryMode::Range(epsilon) => {
-                    knop::range(ranking.as_mut(), refiner.as_mut(), epsilon, budget)?
-                }
+                QueryMode::Knn(k) => knop::knn(ranking, refiner, k, slack, budget)?,
+                QueryMode::Range(epsilon) => knop::range(ranking, refiner, epsilon, slack, budget)?,
             }
         };
 
@@ -453,6 +452,9 @@ mod tests {
         fn len(&self) -> usize {
             self.table.len()
         }
+        fn slack(&self) -> f64 {
+            0.0
+        }
         fn prepare(
             &self,
             _query: &Histogram,
@@ -582,6 +584,9 @@ mod tests {
         }
         fn len(&self) -> usize {
             self.0
+        }
+        fn slack(&self) -> f64 {
+            0.0
         }
         fn prepare(
             &self,

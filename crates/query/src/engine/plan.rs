@@ -66,12 +66,26 @@ impl Query {
 /// A filter chain plus the exact refinement distance — the declarative
 /// half of the engine. Build one, hand it to an
 /// [`Executor`](crate::Executor).
+///
+/// **The one slack.** KNOP discards with one margin: the largest
+/// [`Filter::slack`] of the stages and the refiner, the
+/// [`distance_slack`](emd_core::distance_slack) of the costs they compute
+/// under. A key may exceed the EMD by half of it (a metric test, as
+/// [`CostMatrix::is_metric`](emd_core::CostMatrix::is_metric), admits
+/// each entry at that half, and an entry off by `δ` moves no EMD by more
+/// than `δ`) and a refined LP value may fall short of it by the other
+/// half, so a candidate is discarded only when its key is above the
+/// threshold by more than the slack: a near tie is refined, as a tie is.
+/// A clustered source's cost, the closure of the reduced one, is
+/// entrywise below the refiner's on fewer bins: its keys fit too.
 pub struct QueryPlan {
     /// Optional stage-1 candidate source (an index); `None` means stage 1
     /// is every object at bound 0.
     source: Option<Box<dyn CandidateSource>>,
     stages: Vec<Box<dyn Filter>>,
     refiner: Box<dyn Filter>,
+    /// The margin KNOP discards with (see "The one slack" above).
+    pub(super) slack: f64,
 }
 
 impl std::fmt::Debug for QueryPlan {
@@ -110,10 +124,15 @@ impl QueryPlan {
                 )));
             }
         }
+        let slack = stages
+            .iter()
+            .map(|stage| stage.slack())
+            .fold(refiner.slack(), f64::max);
         Ok(QueryPlan {
             source: None,
             stages,
             refiner,
+            slack,
         })
     }
 
@@ -248,6 +267,8 @@ mod tests {
             ["anchor(a=2)", "red-im(d'=2/2)", "red-emd(d'=2/2)"]
         );
         assert_eq!((plan.refiner().name(), plan.len()), ("emd(d=4)", 5));
+        // The refiner's cost is the largest: `(4 + 4) · 1e-12 · 3`.
+        assert_eq!(plan.slack, emd_core::distance_slack(db.cost()));
         assert!(plan.source().is_none());
         // The stages must index the database the refiner does.
         assert!(matches!(

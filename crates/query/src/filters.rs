@@ -30,7 +30,9 @@
 use crate::engine::Database;
 use crate::error::QueryError;
 use emd_core::lower_bounds::{AnchorBound, LbIm};
-use emd_core::{emd_in_context_within, Bounded, Budget, CostMatrix, EmdContext, Histogram};
+use emd_core::{
+    distance_slack, emd_in_context_within, Bounded, Budget, CostMatrix, EmdContext, Histogram,
+};
 use emd_reduction::{PersistedReduction, ReducedEmd};
 use std::sync::Arc;
 
@@ -98,6 +100,9 @@ pub trait Filter: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+    /// The [`distance_slack`] of the cost this filter computes under; a
+    /// plan discards with the largest (see [`QueryPlan`](crate::QueryPlan)).
+    fn slack(&self) -> f64;
     /// Build the per-query evaluator under an execution [`Budget`].
     ///
     /// Solver-backed filters ([`EmdDistance`], [`ReducedEmdFilter`]) probe
@@ -296,6 +301,10 @@ impl Filter for EmdDistance {
         self.database.len()
     }
 
+    fn slack(&self) -> f64 {
+        distance_slack(self.database.cost())
+    }
+
     fn prepare(
         &self,
         query: &Histogram,
@@ -394,6 +403,10 @@ impl Filter for ReducedEmdFilter {
 
     fn len(&self) -> usize {
         self.reduced_database.len()
+    }
+
+    fn slack(&self) -> f64 {
+        distance_slack(self.reduced.reduced_cost())
     }
 
     fn prepare(
@@ -500,13 +513,14 @@ impl<B: ProjectedBound> PreparedFilter for PreparedBound<'_, B> {
     }
 }
 
-/// What a closed-form stage holds per database: the bound and every
-/// object's projection, in id order.
+/// What a closed-form stage holds per database: the bound, every
+/// object's projection, in id order, and the slack of its cost.
 #[derive(Debug, Clone)]
 struct BoundStage<B: ProjectedBound> {
     name: String,
     bound: Arc<B>,
     projections: Arc<[B::Projection]>,
+    slack: f64,
 }
 
 /// A closed-form filter (Red-IM, the anchor floor): each is a [`Filter`]
@@ -530,6 +544,10 @@ impl<S: ClosedForm> Filter for S {
 
     fn len(&self) -> usize {
         self.stage().projections.len()
+    }
+
+    fn slack(&self) -> f64 {
+        self.stage().slack
     }
 
     fn prepare(
@@ -607,6 +625,7 @@ impl ReducedImFilter {
                 name: reduced_stage_name("red-im", &reduced),
                 bound,
                 projections: Arc::clone(&reduced_database),
+                slack: distance_slack(reduced.reduced_cost()),
             },
             red_emd: ReducedEmdFilter::from_shared(reduced, reduced_database),
         }
@@ -668,7 +687,11 @@ impl AnchorFilter {
         let projections = objects
             .map(|h| bound.project(h))
             .collect::<Result<_, _>>()?;
-        Ok(Self::from_shared(Arc::new(bound), projections))
+        Ok(Self::from_shared(
+            Arc::new(bound),
+            projections,
+            database.cost(),
+        ))
     }
 
     /// The bound the plans put under their reduced stages: as many spread
@@ -689,13 +712,18 @@ impl AnchorFilter {
     }
 
     /// The stage over parts derived elsewhere — `projections` what `bound`
-    /// projects the objects to — shared rather than copied, as
-    /// [`ReducedImFilter::from_shared`].
-    pub(crate) fn from_shared(bound: Arc<AnchorBound>, projections: Arc<[Arc<[f64]>]>) -> Self {
+    /// projects the objects to, `cost` what it was built over — shared
+    /// rather than copied, as [`ReducedImFilter::from_shared`].
+    pub(crate) fn from_shared(
+        bound: Arc<AnchorBound>,
+        projections: Arc<[Arc<[f64]>]>,
+        cost: &CostMatrix,
+    ) -> Self {
         AnchorFilter(BoundStage {
             name: format!("anchor(a={})", bound.num_anchors()),
             bound,
             projections,
+            slack: distance_slack(cost),
         })
     }
 }

@@ -4,8 +4,10 @@
 //!
 //! The loop consumes a lower-bounding filter [`Ranking`] and refines
 //! candidates with the exact distance: pull the next candidate, stop
-//! when its filter distance exceeds the policy's *threshold*, otherwise
-//! refine it against that threshold and offer the result. A policy is a
+//! when its filter distance exceeds the policy's *threshold* by more
+//! than the plan's slack (a bound is admitted within it: see
+//! [`QueryPlan`](crate::QueryPlan)), otherwise refine it against that
+//! threshold and offer the result. A policy is a
 //! `ResultSet` — at most the `k` nearest, none beyond `epsilon`:
 //! [`knn`] is `(k, ∞)`, whose threshold is ∞ until k neighbors are held
 //! and the k-th distance from then on; [`range`] is `(∞, ε)`, whose
@@ -153,6 +155,7 @@ fn refine(
     ranking: &mut dyn Ranking,
     refiner: &mut dyn PreparedFilter,
     mut results: ResultSet,
+    slack: f64,
     budget: &Budget,
 ) -> Result<(QueryOutcome, Refinements), QueryError> {
     let mut refinements = Refinements::default();
@@ -167,7 +170,7 @@ fn refine(
             Err(e) => return Err(e),
         };
         let threshold = results.threshold();
-        if bound > threshold {
+        if bound > threshold + slack {
             break None;
         }
         let refined = match refiner.distance_within(id, threshold) {
@@ -185,7 +188,7 @@ fn refine(
         refinements.total += 1;
         match refined {
             Bounded::Optimal(distance) => {
-                debug_check_lower_bound("filter ranking", bound, distance);
+                debug_check_lower_bound("filter ranking", bound, distance, slack);
                 results.offer(Neighbor { id, distance });
             }
             Bounded::Above(_) => refinements.cut += 1,
@@ -205,7 +208,8 @@ fn refine(
 ///
 /// Returns the exact k nearest neighbors in ascending distance order and
 /// the number of refinements performed. Completeness requires `ranking`'s
-/// distances to lower-bound `refiner`'s.
+/// distances to lower-bound `refiner`'s within `slack`, the margin a
+/// candidate is discarded with.
 ///
 /// When `budget` fires (checked between candidates here, and inside every
 /// solver call by the prepared filters) the outcome is
@@ -222,19 +226,22 @@ pub fn knn(
     ranking: &mut dyn Ranking,
     refiner: &mut dyn PreparedFilter,
     k: usize,
+    slack: f64,
     budget: &Budget,
 ) -> Result<(QueryOutcome, Refinements), QueryError> {
     if k == 0 {
         return Err(QueryError::ZeroK);
     }
-    refine(ranking, refiner, ResultSet::new(k, f64::INFINITY), budget)
+    let results = ResultSet::new(k, f64::INFINITY);
+    refine(ranking, refiner, results, slack, budget)
 }
 
 /// Complete range query: all objects with exact distance `<= epsilon`.
 ///
-/// Pulls candidates while their filter distance is within `epsilon`
-/// (lower-bounding ⇒ nothing beyond can qualify), refines each, and keeps
-/// the true hits, sorted ascending. See [`knn`] for the degradation model;
+/// Pulls candidates while their filter distance is within `epsilon` plus
+/// `slack` (lower-bounding ⇒ nothing beyond can qualify), refines each,
+/// and keeps the true hits, sorted ascending. See [`knn`] for `slack`
+/// and the degradation model;
 /// degraded candidates are limited to those whose bound is within
 /// `epsilon` (no other object can be a hit).
 ///
@@ -246,14 +253,11 @@ pub fn range(
     ranking: &mut dyn Ranking,
     refiner: &mut dyn PreparedFilter,
     epsilon: f64,
+    slack: f64,
     budget: &Budget,
 ) -> Result<(QueryOutcome, Refinements), QueryError> {
-    refine(
-        ranking,
-        refiner,
-        ResultSet::new(usize::MAX, epsilon),
-        budget,
-    )
+    let results = ResultSet::new(usize::MAX, epsilon);
+    refine(ranking, refiner, results, slack, budget)
 }
 
 #[cfg(test)]
@@ -348,7 +352,7 @@ mod tests {
         let mut ranking = TableRanking::new(&FILTER[..objects]);
         let mut refiner = TableRefiner::new(&EXACT);
         let (outcome, refinements) =
-            knn(&mut ranking, &mut refiner, k, &Budget::unlimited()).unwrap();
+            knn(&mut ranking, &mut refiner, k, 0.0, &Budget::unlimited()).unwrap();
         (
             outcome.exact().expect("unlimited").to_vec(),
             refinements.total,
@@ -358,8 +362,14 @@ mod tests {
     fn exact_range(epsilon: f64) -> (Vec<Neighbor>, usize) {
         let mut ranking = TableRanking::new(&FILTER);
         let mut refiner = TableRefiner::new(&EXACT);
-        let (outcome, refinements) =
-            range(&mut ranking, &mut refiner, epsilon, &Budget::unlimited()).unwrap();
+        let (outcome, refinements) = range(
+            &mut ranking,
+            &mut refiner,
+            epsilon,
+            0.0,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         (
             outcome.exact().expect("unlimited").to_vec(),
             refinements.total,
@@ -416,7 +426,7 @@ mod tests {
             let mut ranking = TableRanking::new(&FILTER);
             let mut refiner = CuttingRefiner(TableRefiner::new(&EXACT));
             let (outcome, refinements) =
-                knn(&mut ranking, &mut refiner, k, &Budget::unlimited()).unwrap();
+                knn(&mut ranking, &mut refiner, k, 0.0, &Budget::unlimited()).unwrap();
             assert_eq!(outcome.exact().expect("unlimited"), expected);
             assert_eq!(refinements.total, expected_refinements);
             // Every refinement that did not end up in the answer was
@@ -429,15 +439,22 @@ mod tests {
         // distance ends the loop.
         let mut ranking = TableRanking::new(&FILTER);
         let mut refiner = CuttingRefiner(TableRefiner::new(&EXACT));
-        let (_, refinements) = knn(&mut ranking, &mut refiner, 2, &Budget::unlimited()).unwrap();
+        let (_, refinements) =
+            knn(&mut ranking, &mut refiner, 2, 0.0, &Budget::unlimited()).unwrap();
         assert_eq!(refinements, Refinements { total: 3, cut: 1 });
 
         for epsilon in [0.0, 0.2, 2.5, 2.8, 10.0] {
             let (expected, expected_refinements) = exact_range(epsilon);
             let mut ranking = TableRanking::new(&FILTER);
             let mut refiner = CuttingRefiner(TableRefiner::new(&EXACT));
-            let (outcome, refinements) =
-                range(&mut ranking, &mut refiner, epsilon, &Budget::unlimited()).unwrap();
+            let (outcome, refinements) = range(
+                &mut ranking,
+                &mut refiner,
+                epsilon,
+                0.0,
+                &Budget::unlimited(),
+            )
+            .unwrap();
             assert_eq!(outcome.exact().expect("unlimited"), expected);
             assert_eq!(refinements.total, expected_refinements);
             assert_eq!(refinements.cut, refinements.total - expected.len());
@@ -453,7 +470,7 @@ mod tests {
         let mut ranking = TableRanking::new(&filter);
         let mut refiner = CuttingRefiner(TableRefiner::new(&exact));
         let (outcome, refinements) =
-            knn(&mut ranking, &mut refiner, 1, &Budget::unlimited()).unwrap();
+            knn(&mut ranking, &mut refiner, 1, 0.0, &Budget::unlimited()).unwrap();
         let neighbors = outcome.exact().expect("unlimited");
         assert_eq!(neighbors.len(), 1);
         assert_eq!(neighbors[0].id, 0, "`distance < kth` keeps the first");
@@ -473,7 +490,7 @@ mod tests {
             ..TableRefiner::new(&exact)
         });
         let (outcome, refinements) =
-            knn(&mut ranking, &mut refiner, 2, &Budget::unlimited()).unwrap();
+            knn(&mut ranking, &mut refiner, 2, 0.0, &Budget::unlimited()).unwrap();
         assert_eq!(refinements, Refinements { total: 3, cut: 1 });
         let degraded = outcome.degraded().expect("must degrade");
         let ids: Vec<_> = degraded.candidates.iter().map(|c| c.id).collect();
@@ -485,7 +502,7 @@ mod tests {
             ..TableRefiner::new(&EXACT)
         });
         let (outcome, refinements) =
-            range(&mut ranking, &mut refiner, 2.5, &Budget::unlimited()).unwrap();
+            range(&mut ranking, &mut refiner, 2.5, 0.0, &Budget::unlimited()).unwrap();
         // Range at 2.5 pulls 3, 1, 4 (cut: 2.8 > 2.5), 0 (exhausted).
         assert_eq!(refinements, Refinements { total: 3, cut: 1 });
         let degraded = outcome.degraded().expect("must degrade");
@@ -498,7 +515,7 @@ mod tests {
         let mut ranking = TableRanking::new(&FILTER);
         let mut refiner = TableRefiner::new(&EXACT);
         assert!(matches!(
-            knn(&mut ranking, &mut refiner, 0, &Budget::unlimited()),
+            knn(&mut ranking, &mut refiner, 0, 0.0, &Budget::unlimited()),
             Err(QueryError::ZeroK)
         ));
     }
@@ -510,7 +527,7 @@ mod tests {
         let token = emd_core::CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
-        let (outcome, refinements) = knn(&mut ranking, &mut refiner, 3, &budget).unwrap();
+        let (outcome, refinements) = knn(&mut ranking, &mut refiner, 3, 0.0, &budget).unwrap();
         assert_eq!(refinements, Refinements::default());
         let degraded = outcome.degraded().expect("must degrade");
         assert_eq!(degraded.reason, BudgetReason::Cancelled);
@@ -529,7 +546,7 @@ mod tests {
             ..TableRefiner::new(&EXACT)
         };
         let (outcome, refinements) =
-            knn(&mut ranking, &mut refiner, 4, &Budget::unlimited()).unwrap();
+            knn(&mut ranking, &mut refiner, 4, 0.0, &Budget::unlimited()).unwrap();
         assert_eq!(refinements.total, 2);
         let degraded = outcome.degraded().expect("must degrade");
         assert_eq!(degraded.reason, BudgetReason::PivotCap);
@@ -557,7 +574,7 @@ mod tests {
             ..TableRefiner::new(&EXACT)
         };
         let (outcome, refinements) =
-            range(&mut ranking, &mut refiner, 2.5, &Budget::unlimited()).unwrap();
+            range(&mut ranking, &mut refiner, 2.5, 0.0, &Budget::unlimited()).unwrap();
         assert_eq!(refinements.total, 1);
         let degraded = outcome.degraded().expect("must degrade");
         assert!(degraded.candidates.iter().all(|c| c.bound <= 2.5));
@@ -632,8 +649,8 @@ mod tests {
         }
         let budget = Budget::unlimited().with_cancel(token);
         match policy {
-            Policy::Knn(k) => knn(&mut ranking, &mut refiner, k, &budget),
-            Policy::Range(epsilon) => range(&mut ranking, &mut refiner, epsilon, &budget),
+            Policy::Knn(k) => knn(&mut ranking, &mut refiner, k, 0.0, &budget),
+            Policy::Range(epsilon) => range(&mut ranking, &mut refiner, epsilon, 0.0, &budget),
         }
         .unwrap()
     }

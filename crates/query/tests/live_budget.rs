@@ -123,7 +123,7 @@ fn static_executor(corpus: &Corpus) -> Executor {
     let database = Database::new(corpus.objects.clone(), Arc::clone(&corpus.cost)).unwrap();
     let red_im = ReducedImFilter::new(&database, corpus.reduced.clone()).unwrap();
     let executor = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
-    let metric = corpus.cost.is_metric(1e-9);
+    let metric = corpus.cost.is_metric();
     let stages = executor.plan().stage_names();
     assert_eq!(stages.len(), if metric { 3 } else { 2 });
     assert_eq!(stages[0].starts_with("anchor(a="), metric);

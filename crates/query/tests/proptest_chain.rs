@@ -167,7 +167,7 @@ proptest! {
         let mut ranking = chain(&tables[0], &mut rest);
         let mut refiner = Table::new(exact.clone());
         let (outcome, refinements) =
-            knop::knn(ranking.as_mut(), &mut refiner, k, &Budget::unlimited()).unwrap();
+            knop::knn(ranking.as_mut(), &mut refiner, k, 0.0, &Budget::unlimited()).unwrap();
         let kth = expected[k.min(exact.len()) - 1].distance;
         prop_assert_eq!(outcome, QueryOutcome::Exact(expected[..k.min(exact.len())].to_vec()));
         prop_assert_eq!(refinements.total, within(kth));
@@ -177,7 +177,7 @@ proptest! {
         let mut ranking = chain(&tables[0], &mut rest);
         let mut refiner = Table::new(exact.clone());
         let (outcome, refinements) =
-            knop::range(ranking.as_mut(), &mut refiner, epsilon, &Budget::unlimited()).unwrap();
+            knop::range(ranking.as_mut(), &mut refiner, epsilon, 0.0, &Budget::unlimited()).unwrap();
         let hits: Vec<Neighbor> =
             expected.iter().copied().filter(|n| n.distance <= epsilon).collect();
         prop_assert_eq!(outcome, QueryOutcome::Exact(hits));
@@ -228,7 +228,7 @@ proptest! {
             let mut ranking = chain(&tables[0], &mut rest);
             let mut refiner = Table::new(exact.clone());
             let (outcome, _) =
-                knop::knn(ranking.as_mut(), &mut refiner, n, &Budget::unlimited()).unwrap();
+                knop::knn(ranking.as_mut(), &mut refiner, n, 0.0, &Budget::unlimited()).unwrap();
             let Some(result) = outcome.degraded() else {
                 // The stage was never asked for its `fail_from`-th value.
                 prop_assert_eq!(outcome, QueryOutcome::Exact(brute_force(&exact)));

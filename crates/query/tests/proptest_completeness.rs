@@ -15,11 +15,19 @@
 //! stages that do not bound one another, ranked by their running max; over a cost that is no metric the plan is the paper's two stages
 //! and the answers are brute force's all the same. Returned distances
 //! are held to [`distance_slack`], the warm/cold contract.
+//!
+//! That slack is also the one tolerance that admits a cost and the
+//! margin KNOP discards with: at every coordinate scale the metric test,
+//! the path recognizer, the anchor bound and the chain's stages agree on
+//! a Euclidean grid or line, and a key that overshoots a near tie by less
+//! than the slack does not cost the neighbour it belongs to.
 
 // Test helpers outside #[test] fns still get test-style panic latitude.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use emd_core::{distance_slack, emd, ground, CostMatrix, Histogram};
+use emd_core::ground::Metric;
+use emd_core::lower_bounds::AnchorBound;
+use emd_core::{distance_slack, emd, ground, CostMatrix, Histogram, PathMetric};
 use emd_query::scan::{brute_force_knn, brute_force_range};
 use emd_query::{
     ClusteredIndex, Database, DurableIndex, EmdDistance, Executor, Filter, Neighbor, QueryPlan,
@@ -97,6 +105,70 @@ fn assert_within_slack(
             neighbor.distance
         );
     }
+}
+
+/// Bins on a line in shuffled order: the bin with the `r`-th smallest key
+/// sits at the sum of the first `r` gaps.
+fn shuffled_line() -> impl Strategy<Value = Vec<f64>> {
+    (4usize..=24).prop_flat_map(|bins| {
+        let gaps = prop::collection::vec(1_u32..4, bins);
+        (gaps, prop::collection::vec(0_u64..1_000_000, bins)).prop_map(|(gaps, keys)| {
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&bin| (keys[bin], bin));
+            let mut positions = vec![0.0; keys.len()];
+            let mut at = 0.0;
+            for (&bin, gap) in order.iter().zip(gaps) {
+                positions[bin] = at;
+                at += f64::from(gap);
+            }
+            positions
+        })
+    })
+}
+
+/// The stage names of [`QueryPlan::chain`] over point masses under `cost`,
+/// reduced to `reduced_dim` contiguous bins.
+fn chain_stages(cost: CostMatrix, reduced_dim: usize) -> Vec<String> {
+    let bins = cost.rows();
+    let cost = Arc::new(cost);
+    let objects = (0..bins).map(|bin| Histogram::unit(bins, bin).unwrap());
+    let database = Database::new(objects.collect(), cost.clone()).unwrap();
+    let assignment = (0..bins).map(|bin| bin * reduced_dim / bins).collect();
+    let r = CombiningReduction::new(assignment, reduced_dim).unwrap();
+    let plan = chain(&database, &ReducedEmd::new(&cost, r).unwrap());
+    plan.plan()
+        .stage_names()
+        .into_iter()
+        .map(str::to_owned)
+        .collect()
+}
+
+/// A chain of `bins` unit steps whose entry `(query, 0)` is raised by
+/// `delta`, with point masses around `query` and one object between:
+/// `query - 1` at distance 1, whose anchor-0 key is `1 + delta`; a
+/// mixture of `query + 1` and `query + 2` at `1 + delta / 2`, keyed
+/// below it; point masses farther out. `(cost, query, objects)`, the
+/// true neighbour first.
+fn near_tie(bins: usize, query: usize, delta: f64) -> (CostMatrix, Histogram, Vec<Histogram>) {
+    let raised = |i: usize, j: usize| {
+        let step = i.abs_diff(j) as f64;
+        if (i, j) == (query, 0) || (i, j) == (0, query) {
+            step + delta
+        } else {
+            step
+        }
+    };
+    let cost = CostMatrix::from_fn(bins, raised).unwrap();
+    let mut between = vec![0.0; bins];
+    between[query + 1] = 1.0 - delta / 2.0;
+    between[query + 2] = delta / 2.0;
+    let mut objects = vec![
+        Histogram::unit(bins, query - 1).unwrap(),
+        Histogram::new(between).unwrap(),
+    ];
+    let far = (0..query - 1).chain(query + 2..bins);
+    objects.extend(far.map(|bin| Histogram::unit(bins, bin).unwrap()));
+    (cost, Histogram::unit(bins, query).unwrap(), objects)
 }
 
 /// Canonicalize results so equal-distance ties compare equal.
@@ -312,5 +384,76 @@ proptest! {
         prop_assert_eq!(canonical(&as_neighbors(got.clone())), canonical(&expected));
         prop_assert_eq!(as_neighbors(got), fixed_got);
         prop_assert_eq!(stats, fixed_stats);
+    }
+
+    /// A Euclidean grid or line scaled by `10^k`, `k` in `-3..=9`, is a
+    /// metric at every scale, and every test that admits a cost says so
+    /// at the same slack: `is_metric`, the anchor bound, the chain's
+    /// anchor stage and — on the line, and only there — `PathMetric::of`.
+    #[test]
+    fn scaled_costs_agree(line in shuffled_line()) {
+        for k in -3..=9 {
+            let scale = 10_f64.powi(k);
+            // The grid's coordinates scaled, and its distances.
+            let points = ground::grid2_positions(8, 6).into_iter();
+            let points: Vec<Vec<f64>> =
+                points.map(|p| p.iter().map(|x| x * scale).collect()).collect();
+            let unit = ground::grid2(8, 6, Metric::Euclidean).unwrap();
+            let scaled = unit.entries().iter().map(|c| c * scale).collect();
+            for grid in [
+                ground::from_points(&points, Metric::Euclidean).unwrap(),
+                CostMatrix::new(48, 48, scaled).unwrap(),
+            ] {
+                prop_assert_eq!(
+                    chain_stages(grid.clone(), 12),
+                    ["anchor(a=12)", "red-im(d'=12/12)", "red-emd(d'=12/12)"],
+                    "8x6 grid at scale 1e{}", k
+                );
+                prop_assert!(grid.is_metric(), "8x6 grid at scale 1e{}", k);
+                prop_assert!(AnchorBound::with_spread_anchors(&grid, 12).is_ok());
+                prop_assert!(PathMetric::of(&grid).is_none());
+            }
+
+            let points: Vec<Vec<f64>> = line.iter().map(|x| vec![x * scale]).collect();
+            let cost = ground::from_points(&points, Metric::Euclidean).unwrap();
+            let reduced_dim = line.len() / 2;
+            let stages = chain_stages(cost.clone(), reduced_dim);
+            prop_assert_eq!(&stages[0], &format!("anchor(a={reduced_dim})"), "line at 1e{}", k);
+            prop_assert!(cost.is_metric(), "line at scale 1e{}", k);
+            prop_assert!(AnchorBound::with_spread_anchors(&cost, reduced_dim).is_ok());
+            prop_assert!(PathMetric::of(&cost).is_some(), "line at scale 1e{}", k);
+        }
+    }
+
+    /// A cost admitted within the slack — a chain with one entry raised
+    /// by less than half of it — lets the anchor floor key the true
+    /// neighbour above its distance by less than the slack, above the
+    /// threshold a farther candidate set: k-NN and range still refine it
+    /// and equal brute force.
+    #[test]
+    fn a_near_tie_is_never_discarded(
+        bins in 6usize..=12,
+        at in 0.0_f64..1.0,
+        share in 0.2_f64..0.9,
+    ) {
+        let query = 2 + (at * (bins - 4) as f64) as usize;
+        let delta = share * distance_slack(&ground::linear(bins).unwrap()) / 2.0;
+        let (cost, query, objects) = near_tie(bins, query, delta);
+        prop_assert!(cost.is_metric());
+        let cost = Arc::new(cost);
+        let database = Database::new(objects.clone(), cost.clone()).unwrap();
+        let pairs = (0..bins).map(|bin| bin * (bins / 2) / bins).collect();
+        let r = CombiningReduction::new(pairs, bins / 2).unwrap();
+        let pipeline = chain(&database, &ReducedEmd::new(&cost, r).unwrap());
+        prop_assert!(pipeline.plan().stage_names()[0].starts_with("anchor("));
+
+        let expected = brute_force_knn(&query, &objects, &cost, 1).unwrap();
+        prop_assert_eq!(expected[0].id, 0);
+        let (got, _) = pipeline.knn(&query, 1).unwrap();
+        prop_assert_eq!(canonical(&got), canonical(&expected));
+        let epsilon = 1.0 + delta / 2.0;
+        let expected = brute_force_range(&query, &objects, &cost, epsilon).unwrap();
+        let (got, _) = pipeline.range(&query, epsilon).unwrap();
+        prop_assert_eq!(canonical(&got), canonical(&expected));
     }
 }

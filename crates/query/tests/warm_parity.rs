@@ -110,11 +110,7 @@ fn executor(database: &Database, reduced: &ReducedEmd, warm: bool) -> Executor {
     assert_eq!(executor.plan().stage_names(), chain.stage_names());
     assert_eq!(
         chain.stage_names().len(),
-        if database.cost().is_metric(1e-9) {
-            3
-        } else {
-            2
-        }
+        if database.cost().is_metric() { 3 } else { 2 }
     );
     executor
 }

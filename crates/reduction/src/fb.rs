@@ -40,6 +40,7 @@ pub struct FbOptions {
 impl Default for FbOptions {
     fn default() -> Self {
         FbOptions {
+            // float: tolerance — a setting: the least gain a move must bring
             threshold: 1e-9,
             max_reassignments: 100_000,
         }

@@ -74,6 +74,8 @@ pub fn kmedoids_reduction(
                 let mut trial = medoids.clone();
                 trial[slot] = candidate;
                 let td = total_distance(cost, &trial);
+                // float: tolerance — a swap beats the total by more than rounding
+                // (moving it moves the medoids, hence every kmed index)
                 if td < total - 1e-12 && best.is_none_or(|(_, _, b)| td < b) {
                     best = Some((slot, candidate, td));
                 }

@@ -13,10 +13,12 @@
 //!   additionally get the determinism audit.
 //! - **`core` and `query`** get the budget-propagation audit (core's
 //!   context-reuse entry points sit on the solver hot path).
-//! - Float discipline runs over the solver hot-path file list; the
-//!   lossy-cast audit over the checksum/accounting/bound file list. An
-//!   entry of either list that names no file is a finding: it would
-//!   silently exempt the file it meant.
+//! - Float discipline runs over the solver hot-path file list, and its
+//!   tolerance check (small f64 literals, named tolerance consts) over
+//!   every library crate; the lossy-cast audit over the
+//!   checksum/accounting/bound file list. An entry of either list that
+//!   names no file is a finding: it would silently exempt the file it
+//!   meant.
 
 use crate::budget;
 use crate::passes;
@@ -200,6 +202,7 @@ pub fn scan(root: &Path) -> Result<LintReport, String> {
             if library {
                 passes::errors_docs_pass(&file, &mut report);
                 passes::error_taxonomy_pass(&file, krate, &mut report);
+                passes::tolerance_pass(&file, krate, &mut report);
             }
             if RESULT_AFFECTING_CRATES.contains(&krate) {
                 passes::determinism_pass(&file, krate, &mut report);

@@ -544,6 +544,67 @@ pub fn float_discipline_pass(file: &SourceFile, report: &mut LintReport) {
     }
 }
 
+/// The magnitude below which an f64 literal is a tolerance.
+const TOLERANCE_BELOW: f64 = 1e-6;
+
+/// Tolerances in library code. An f64 literal in `(0, 1e-6)` outside a
+/// `const` item is a finding (class `float-discipline`) unless its line
+/// carries `// float: tolerance — <reason>`: a tolerance decides results,
+/// so it is named once or says why it stands alone. A `const NAME: f64 =
+/// <such a literal>;` is a named tolerance, counted against the crate's
+/// `tolerances` budget, which may only fall.
+pub fn tolerance_pass(file: &SourceFile, krate: &str, report: &mut LintReport) {
+    let mut pos = 0;
+    while let Some(token) = file.code_token(pos) {
+        let line = token.line;
+        if file.is_ident(pos, "const") && file.is_punct(pos + 2, ":") {
+            let mut end = pos;
+            while file.code_token(end).is_some() && !file.is_punct(end, ";") {
+                end += 1;
+            }
+            let named = file.is_ident(pos + 3, "f64")
+                && file.is_punct(pos + 4, "=")
+                && is_tolerance(file, pos + 5)
+                && end == pos + 6;
+            if named {
+                report.budgeted_site(&file.path, line, LintClass::Tolerances, krate);
+            }
+            pos = end + 1;
+            continue;
+        }
+        if is_tolerance(file, pos) && !file.has_marker(line, "float: tolerance") {
+            report.finding(
+                &file.path,
+                line,
+                LintClass::FloatDiscipline,
+                format!(
+                    "f64 literal `{}` below {TOLERANCE_BELOW:e} outside a const item; name \
+                     the tolerance or mark `// float: tolerance — <reason>`",
+                    file.code_lexeme(pos)
+                ),
+            );
+        }
+        pos += 1;
+    }
+}
+
+/// Whether the code token at `pos` is a float literal in `(0, 1e-6)`.
+fn is_tolerance(file: &SourceFile, pos: usize) -> bool {
+    let is_float = file
+        .code_token(pos)
+        .is_some_and(|t| t.kind == TokenKind::Float);
+    let digits: String = file
+        .code_lexeme(pos)
+        .chars()
+        .filter(|&c| c != '_')
+        .collect();
+    let digits = digits.trim_end_matches("f64").trim_end_matches("f32");
+    is_float
+        && digits
+            .parse::<f64>()
+            .is_ok_and(|value| value > 0.0 && value < TOLERANCE_BELOW)
+}
+
 /// Whether the comparison at code-position `pos` has a float literal on
 /// either side (a leading unary minus on the right is looked through).
 fn float_neighbor(file: &SourceFile, pos: usize) -> bool {
@@ -698,6 +759,18 @@ pub(crate) fn internal() -> Result<(), E> { Ok(()) }
         let text = "fn a() { if x == 0.0 {} if i == 0 {} if y != -1.5 {} }\n";
         let report = run(text, float_discipline_pass);
         assert_eq!(report.findings.len(), 2);
+    }
+
+    #[test]
+    fn tolerance_pass_names_or_marks_small_literals() {
+        let text = "const A: f64 = 1e-9;\npub(crate) const B: f64 = 2.5e-7;\n\
+                    const C: f64 = 0.5;\nconst D: f64 = 1e-9 * 2.0;\n\
+                    fn a(x: f64) -> bool { x < 1e-12 || x > 0.0 }\n\
+                    // float: tolerance — fixture reason\nfn b(x: f64) -> bool { x < 1e-12 }\n";
+        let report = run(text, |f, r| tolerance_pass(f, "core", r));
+        assert_eq!(report.findings.len(), 1);
+        assert_eq!(report.findings[0].line, 5);
+        assert_eq!(report.budgeted_count(LintClass::Tolerances, "core"), 2);
     }
 
     #[test]

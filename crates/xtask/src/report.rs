@@ -41,6 +41,9 @@ pub enum LintClass {
     /// Stringly-typed `Err(...)` constructions
     /// (`// lint: allow(error-taxonomy)`).
     ErrorTaxonomy,
+    /// Named f64 tolerance consts (`const NAME: f64 = <below 1e-6>;`) in
+    /// library code.
+    Tolerances,
 }
 
 impl LintClass {
@@ -58,17 +61,19 @@ impl LintClass {
             LintClass::BudgetPropagation => "budget-propagation",
             LintClass::LossyCast => "lossy-cast",
             LintClass::ErrorTaxonomy => "error-taxonomy",
+            LintClass::Tolerances => "tolerances",
         }
     }
 
     /// Classes tracked by the `lint-budget.toml` ratchet, in file order.
-    pub const BUDGETED: [LintClass; 6] = [
+    pub const BUDGETED: [LintClass; 7] = [
         LintClass::PanicMarkers,
         LintClass::UnjustifiedIndexing,
         LintClass::Determinism,
         LintClass::BudgetPropagation,
         LintClass::LossyCast,
         LintClass::ErrorTaxonomy,
+        LintClass::Tolerances,
     ];
 }
 

@@ -221,6 +221,26 @@ fn float_discipline_fixture() {
     assert_eq!(lines, expected, "each marked twin must be clean");
 }
 
+#[test]
+fn tolerance_fixture() {
+    let file = fixture("tolerances.rs");
+    let mut report = LintReport::default();
+    passes::tolerance_pass(&file, "core", &mut report);
+    assert_eq!(
+        finding_lines(&report, LintClass::FloatDiscipline),
+        vec![line_of(&file, "    x.abs() < 1e-10")],
+        "only the unmarked bare literal is a finding"
+    );
+    assert_eq!(
+        budgeted_lines(&report, LintClass::Tolerances),
+        vec![
+            line_of(&file, "pub const NAMED"),
+            line_of(&file, "pub(crate) const ALSO_NAMED"),
+        ],
+        "exactly the two named tolerances are budgeted"
+    );
+}
+
 /// The flagship property: a file whose only "findings" live inside raw
 /// strings and multi-line block comments. The token engine reports
 /// nothing, where a line/regex scanner fabricates findings from it.

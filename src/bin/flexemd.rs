@@ -33,7 +33,6 @@
 //! `POST /admin/drain` (or close stdin under `--drain-stdin`). Under
 //! `--writable` it also takes inserts, removals and compactions.
 
-use flexemd::core::certify::CERT_EPS;
 use flexemd::core::Histogram;
 use flexemd::data::{io as dataio, Dataset};
 use flexemd::faultkit::{FailPlan, InjectedPanic, NoFaults};
@@ -335,7 +334,7 @@ fn info(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         stdout,
         "metric cost : {}",
-        if dataset.cost.is_metric(CERT_EPS) {
+        if dataset.cost.is_metric() {
             "yes"
         } else {
             "no"

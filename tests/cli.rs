@@ -123,6 +123,83 @@ fn full_workflow() {
     assert!(written.contains("\"schema\": \"flexemd-metrics/v1\""));
 }
 
+/// A Euclidean grid is a metric at any scale: `info` admits an 8x6 grid
+/// whose distances are scaled by 1e7 at the same slack the query plans
+/// and the path recognizer use.
+#[test]
+fn info_admits_a_scaled_euclidean_grid() {
+    use flexemd::core::ground::{self, Metric};
+    use flexemd::core::{CostMatrix, Histogram};
+    let dir = TestDir::new("info_admits_a_scaled_euclidean_grid");
+    let data = dir.join("scaled.json");
+    let unit = ground::grid2(8, 6, Metric::Euclidean).unwrap();
+    let scaled = unit.entries().iter().map(|c| c * 1e7).collect();
+    let positions = ground::grid2_positions(8, 6).into_iter();
+    let dataset = flexemd::data::Dataset {
+        name: "grid-8x6-1e7".to_owned(),
+        histograms: (0..4)
+            .map(|bin| Histogram::unit(48, bin).unwrap())
+            .collect(),
+        labels: vec![0; 4],
+        cost: CostMatrix::new(48, 48, scaled).unwrap(),
+        positions: Some(
+            positions
+                .map(|p| p.into_iter().map(|x| x * 1e7).collect())
+                .collect(),
+        ),
+    };
+    flexemd::data::io::save(&dataset, &data).unwrap();
+    let info = flexemd()
+        .arg("info")
+        .arg("--data")
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(info.status.success());
+    let info_text = String::from_utf8_lossy(&info.stdout).to_string();
+    assert!(info_text.contains("metric cost : yes"), "{info_text}");
+}
+
+/// Every `flexemd` command in README.md's code blocks (`\` continuations
+/// joined) but `serve` runs, in order, to exit 0 in one directory: the
+/// README's workflow works as written. (`serve` lines are held to the
+/// verbs' options by the binary's unit tests.)
+#[test]
+fn readme_commands_run_in_order() {
+    let dir = TestDir::new("readme_commands_run_in_order");
+    let mut commands = Vec::new();
+    let mut command = String::new();
+    let mut in_block = false;
+    for line in include_str!("../README.md").lines() {
+        if line.starts_with("```") {
+            in_block = !in_block;
+        } else if in_block {
+            let continued = line.trim_end().strip_suffix('\\');
+            command.push_str(continued.unwrap_or(line));
+            command.push(' ');
+            if continued.is_none() {
+                commands.push(std::mem::take(&mut command));
+            }
+        }
+    }
+    let mut ran = 0;
+    for command in &commands {
+        let mut words = command.split_whitespace();
+        if words.find(|word| word.ends_with("flexemd")).is_none() {
+            continue;
+        }
+        let args: Vec<&str> = words.take_while(|word| *word != "#").collect();
+        if args.first() == Some(&"serve") {
+            continue;
+        }
+        let out = flexemd().args(&args).current_dir(&dir.0).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "README runs `{command}`: {stderr}");
+        ran += 1;
+    }
+    assert!(ran >= 9, "only {ran} commands ran: README moved");
+}
+
 #[test]
 fn query_metrics_cover_the_open_and_keep_the_query_counters() {
     let (dir, data, _index) = corpus_and_index("query_metrics_cover_the_open");
