@@ -26,8 +26,8 @@ impl CostMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidCost`] when `entries` is not `rows * cols`
-    /// long, is empty, or contains a negative or non-finite cost.
+    /// Returns [`CoreError::CostShape`] when `entries` is empty or not
+    /// `rows * cols` long, [`CoreError::InvalidCost`] at a negative or non-finite cost.
     pub fn new(rows: usize, cols: usize, entries: Vec<f64>) -> Result<Self, CoreError> {
         if rows == 0 || cols == 0 || entries.len() != rows * cols {
             return Err(CoreError::CostShape {
@@ -56,8 +56,8 @@ impl CostMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidCost`] when `dim` is zero or `cost` produces a
-    /// negative or non-finite value for any bin pair.
+    /// Returns [`CoreError::CostShape`] when `dim` is zero and
+    /// [`CoreError::InvalidCost`] at a negative or non-finite value.
     pub fn from_fn(dim: usize, cost: impl Fn(usize, usize) -> f64) -> Result<Self, CoreError> {
         let cost = &cost;
         let entries: Vec<f64> = (0..dim)
@@ -135,9 +135,9 @@ impl CostMatrix {
     /// [`distance_slack`](crate::distance_slack) — the one tolerance that
     /// admits a cost. An entry off by `δ` moves no EMD by more than `δ`,
     /// so a cost admitted here leaves the other half of the slack to the
-    /// LP; [`PathMetric::of`](crate::PathMetric::of) and the anchor bound
-    /// test their entries at the same half. `O(d^3)` — intended for
-    /// construction-time validation and tests, not hot paths.
+    /// LP; the one line kernel, behind [`PathMetric`](crate::PathMetric)
+    /// and the anchor bound, tests its entries at the same half. `O(d^3)`
+    /// — intended for construction-time validation and tests.
     #[must_use]
     pub fn is_metric(&self) -> bool {
         let (d, tol) = (self.rows, crate::distance_slack(self) / 2.0);

@@ -47,6 +47,20 @@ pub enum CoreError {
         /// The offending value.
         value: f64,
     },
+    /// A square cost is required.
+    NotSquare {
+        /// Rows of the cost.
+        rows: usize,
+        /// Columns of the cost.
+        cols: usize,
+    },
+    /// The cost is not a metric: entry `(row, col)` breaks a triangle.
+    NotMetric {
+        /// Row of the entry.
+        row: usize,
+        /// Column of the entry.
+        col: usize,
+    },
     /// Cost matrix buffer length does not factor into the declared shape.
     CostShape {
         /// Declared rows.
@@ -88,6 +102,10 @@ impl fmt::Display for CoreError {
             CoreError::InvalidCost { row, col, value } => {
                 write!(f, "invalid cost at ({row}, {col}): {value}")
             }
+            CoreError::NotSquare { rows, cols } => {
+                write!(f, "a square cost is required, not {rows}x{cols}")
+            }
+            CoreError::NotMetric { row, col } => write!(f, "not a metric at ({row}, {col})"),
             CoreError::CostShape { rows, cols, len } => {
                 write!(f, "cost buffer of {len} entries cannot be {rows}x{cols}")
             }

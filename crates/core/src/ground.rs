@@ -46,7 +46,7 @@ impl Metric {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidCost`] when `dim` is zero.
+/// Returns [`CoreError::CostShape`] when `dim` is zero.
 pub fn linear(dim: usize) -> Result<CostMatrix, CoreError> {
     CostMatrix::from_fn(dim, |i, j| (i as f64 - j as f64).abs())
 }
@@ -57,14 +57,9 @@ pub fn linear(dim: usize) -> Result<CostMatrix, CoreError> {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidCost`] when either side of the grid is zero.
+/// Returns [`CoreError::CostShape`] when either side of the grid is zero.
 pub fn grid2(width: usize, height: usize, metric: Metric) -> Result<CostMatrix, CoreError> {
-    let positions: Vec<[f64; 2]> = (0..width * height)
-        .map(|k| [(k % width) as f64, (k / width) as f64])
-        .collect();
-    CostMatrix::from_fn(width * height, |i, j| {
-        metric.distance(&positions[i], &positions[j])
-    })
+    from_points(&grid2_positions(width, height), metric)
 }
 
 /// Cost matrix for a quantized 3-D feature cube (e.g. an `r x g x b` color
@@ -73,35 +68,18 @@ pub fn grid2(width: usize, height: usize, metric: Metric) -> Result<CostMatrix, 
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidCost`] when any cube side is zero.
+/// Returns [`CoreError::CostShape`] when any cube side is zero.
 pub fn grid3(nx: usize, ny: usize, nz: usize, metric: Metric) -> Result<CostMatrix, CoreError> {
-    let positions: Vec<[f64; 3]> = (0..nx * ny * nz)
-        .map(|k| {
-            let x = k / (ny * nz);
-            let y = (k / nz) % ny;
-            let z = k % nz;
-            [x as f64, y as f64, z as f64]
-        })
-        .collect();
-    CostMatrix::from_fn(nx * ny * nz, |i, j| {
-        metric.distance(&positions[i], &positions[j])
-    })
+    from_points(&grid3_positions(nx, ny, nz), metric)
 }
 
 /// Cost matrix from explicit bin positions in an arbitrary feature space.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidCost`] when `points` is empty or the points do
-/// not all share one dimensionality.
+/// Returns [`CoreError::CostShape`] when `points` is empty. The points
+/// must share one dimensionality.
 pub fn from_points(points: &[Vec<f64>], metric: Metric) -> Result<CostMatrix, CoreError> {
-    if points.is_empty() {
-        return Err(CoreError::CostShape {
-            rows: 0,
-            cols: 0,
-            len: 0,
-        });
-    }
     CostMatrix::from_fn(points.len(), |i, j| metric.distance(&points[i], &points[j]))
 }
 

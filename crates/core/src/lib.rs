@@ -24,11 +24,10 @@
 //!   [`emd_with_flows`] are it once more without a budget, on a fresh
 //!   context.
 //! * [`PathMetric`] — the EMD on a line, `c_ij = |p_i − p_j|` in any bin
-//!   order, recognized once per cost and answered from the cumulative
-//!   distributions in O(d), with no LP.
-//! * [`lower_bounds`] — LB_IM (independent minimization) and the anchor
-//!   (weak-duality) bound; both are complete filters for multistep query
-//!   processing.
+//!   order, recognized once and answered from the CDFs in O(d), with no
+//!   LP, by the one private line kernel.
+//! * [`lower_bounds`] — LB_IM and the anchor (weak-duality) bound, whose
+//!   columns are lines of that kernel: complete multistep filters.
 //!
 //! ## The solver
 //!
@@ -114,6 +113,7 @@ mod emd;
 mod error;
 pub mod ground;
 mod histogram;
+mod line;
 pub mod lower_bounds;
 mod path;
 mod problem;

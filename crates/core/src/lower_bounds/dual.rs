@@ -4,35 +4,27 @@
 use crate::cost::CostMatrix;
 use crate::error::CoreError;
 use crate::histogram::Histogram;
+use crate::line::Line;
 use std::sync::Arc;
 
 /// Anchor (dual-feasibility) lower bound for the EMD.
 ///
 /// By weak LP duality, any potentials `(u, v)` with `u_i + v_j <= c_ij`
-/// satisfy `u . x + v . y <= EMD_C(x, y)`. For a *metric* ground distance
-/// the distance-to-anchor columns of the cost matrix are such potentials:
-/// for every anchor bin `a`, the triangle inequality gives
-/// `|c_ia - c_ja| <= c_ij`, so both `(c_.a, -c_.a)` and its negation are
-/// dual feasible and
+/// satisfy `u . x + v . y <= EMD_C(x, y)`. On a *metric* cost the
+/// triangle inequality `|c_ia - c_ja| <= c_ij` makes `(c_.a, -c_.a)` and
+/// its negation such potentials for every anchor bin `a`, so
 ///
 /// ```text
-/// EMD_C(x, y) >= | sum_i x_i c_ia  -  sum_j y_j c_ja |
+/// EMD_C(x, y) >= max_a | sum_i x_i c_ia  -  sum_j y_j c_ja |
 /// ```
 ///
-/// for every anchor `a`; the bound reported is the maximum over the
-/// configured anchors. After precomputing one projection per anchor per
-/// histogram, each evaluation is `O(#anchors)` — by far the cheapest
-/// bound in this crate, suited as the first stage of a standalone filter
-/// ranking.
-///
-/// The constructor verifies dual feasibility of every anchor directly
-/// (`O(d^2)` per anchor), so non-metric cost matrices are rejected rather
-/// than silently producing an invalid bound.
+/// After one projection per anchor per histogram, each evaluation is
+/// `O(#anchors)` — the cheapest bound in this crate, the first stage of
+/// a filter chain.
 #[derive(Debug, Clone)]
 pub struct AnchorBound {
-    /// `projections[a]` = the anchor-`a` cost column (length `d`).
-    projections: Vec<Vec<f64>>,
-    dim: usize,
+    /// One line per anchor `a`: the bins at positions `c_ia`.
+    lines: Vec<Line>,
 }
 
 impl AnchorBound {
@@ -40,60 +32,35 @@ impl AnchorBound {
     /// `count` is clamped to `1..=bins`, so a caller may ask for "as many
     /// anchors as some other dimensionality" without checking it.
     ///
-    /// Each anchor column must be dual feasible within half of
-    /// [`distance_slack`](crate::distance_slack), the per-entry test of
-    /// [`CostMatrix::is_metric`]: potentials that break a constraint by
-    /// `δ` bound the EMD under a cost `δ` higher, so a bound admitted
-    /// here exceeds the EMD by at most that half.
+    /// Each anchor column is a line of the crate's line kernel, admitted
+    /// (`O(d^2)`) only when it lies under the cost within half of
+    /// [`distance_slack`](crate::distance_slack) per entry: potentials
+    /// that break a constraint by `δ` bound the EMD under a cost `δ`
+    /// higher, so a non-metric cost is rejected and an admitted bound
+    /// exceeds the EMD by at most that half.
     ///
     /// # Errors
     ///
-    /// Fails only on a property of `cost`: [`CoreError::CostShape`] when
-    /// it is not square, [`CoreError::InvalidCost`] when an anchor column
-    /// violates dual feasibility (`cost` is not a metric).
+    /// Fails only on a property of `cost`: [`CoreError::NotSquare`] when
+    /// it is not square, [`CoreError::NotMetric`] naming the first entry
+    /// whose dual constraint an anchor column breaks.
     pub fn with_spread_anchors(cost: &CostMatrix, count: usize) -> Result<Self, CoreError> {
-        if !cost.is_square() {
-            return Err(CoreError::CostShape {
-                rows: cost.rows(),
-                cols: cost.cols(),
-                len: cost.entries().len(),
-            });
+        let (d, cols) = (cost.rows(), cost.cols());
+        if d != cols {
+            return Err(CoreError::NotSquare { rows: d, cols });
         }
-        let d = cost.rows();
         let count = count.clamp(1, d);
-        let tol = crate::distance_slack(cost) / 2.0;
-        // Both `(column, -column)` and its negation are feasible
-        // potentials when `|column_i - column_j| <= c_ij + tol`.
-        let column = |k: usize| -> Result<Vec<f64>, CoreError> {
-            let column: Vec<f64> = (0..d).map(|i| cost.at(i, k * d / count)).collect();
-            for (i, &ci) in column.iter().enumerate() {
-                for (j, &cj) in column.iter().enumerate() {
-                    let value = cost.at(i, j);
-                    if (ci - cj).abs() > value + tol {
-                        return Err(CoreError::InvalidCost {
-                            row: i,
-                            col: j,
-                            value,
-                        });
-                    }
-                }
-            }
-            Ok(column)
+        let admit = |k: usize| {
+            let line = Line::new((0..d).map(|i| cost.at(i, k * d / count)).collect());
+            line.fit(cost).map(|_| line)
         };
-        Ok(AnchorBound {
-            projections: (0..count).map(column).collect::<Result<_, _>>()?,
-            dim: d,
-        })
+        let lines = (0..count).map(admit).collect::<Result<_, _>>()?;
+        Ok(AnchorBound { lines })
     }
 
     /// Number of anchors.
     pub fn num_anchors(&self) -> usize {
-        self.projections.len()
-    }
-
-    /// Expected histogram dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
+        self.lines.len()
     }
 
     /// Project a histogram onto every anchor: `out[a] = sum_i x_i c_ia`.
@@ -106,28 +73,23 @@ impl AnchorBound {
     /// Returns [`CoreError::DimensionMismatch`] when `x` does not match the cost
     /// matrix the bound was built from.
     pub fn project(&self, x: &Histogram) -> Result<Arc<[f64]>, CoreError> {
-        if x.dim() != self.dim {
+        let dim = self.lines.first().map_or(0, Line::len);
+        if x.dim() != dim {
             return Err(CoreError::DimensionMismatch {
-                expected_rows: self.dim,
-                expected_cols: self.dim,
+                expected_rows: dim,
+                expected_cols: dim,
                 got_rows: x.dim(),
                 got_cols: x.dim(),
             });
         }
-        // Dense on purpose: a zero bin adds nothing either way, and the
-        // plain row-times-bins loop runs ~2x faster than skipping it.
-        let dot = |column: &Vec<f64>| -> f64 {
-            let terms = column.iter().zip(x.bins());
-            terms.map(|(distance, mass)| mass * distance).sum()
-        };
-        Ok(self.projections.iter().map(dot).collect())
+        Ok(self.lines.iter().map(|line| line.mean(x)).collect())
     }
 
     /// Bound from two precomputed projections.
     #[inline]
     pub fn bound_from_projections(&self, px: &[f64], py: &[f64]) -> f64 {
-        debug_assert_eq!(px.len(), self.projections.len());
-        debug_assert_eq!(py.len(), self.projections.len());
+        debug_assert_eq!(px.len(), self.lines.len());
+        debug_assert_eq!(py.len(), self.lines.len());
         px.iter()
             .zip(py)
             .map(|(a, b)| (a - b).abs())
@@ -141,9 +103,7 @@ impl AnchorBound {
     /// Returns [`CoreError::DimensionMismatch`] when either operand's
     /// dimensionality differs from the bound's bin count.
     pub fn bound(&self, x: &Histogram, y: &Histogram) -> Result<f64, CoreError> {
-        let px = self.project(x)?;
-        let py = self.project(y)?;
-        Ok(self.bound_from_projections(&px, &py))
+        Ok(self.bound_from_projections(&self.project(x)?, &self.project(y)?))
     }
 }
 
@@ -206,14 +166,12 @@ mod tests {
     fn rejects_bad_anchors_and_shapes() {
         let rectangular = CostMatrix::new(2, 3, vec![0.0; 6]).unwrap();
         let err = AnchorBound::with_spread_anchors(&rectangular, 1).unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::CostShape {
-                rows: 2,
-                cols: 3,
-                ..
-            }
-        ));
+        assert_eq!(err, CoreError::NotSquare { rows: 2, cols: 3 });
+        assert_eq!(err.to_string(), "a square cost is required, not 2x3");
+        let squared = CostMatrix::from_fn(4, |i, j| (i as f64 - j as f64).powi(2)).unwrap();
+        let err = AnchorBound::with_spread_anchors(&squared, 2).unwrap_err();
+        assert_eq!(err, CoreError::NotMetric { row: 1, col: 2 });
+        assert_eq!(err.to_string(), "not a metric at (1, 2)");
         let c = ground::linear(4).unwrap();
         let bound = AnchorBound::with_spread_anchors(&c, 1).unwrap();
         assert!(bound.project(&h(&[0.5, 0.5])).is_err());

@@ -9,8 +9,8 @@
 //!   (reference \[1\] of the paper), used as the `Red-IM` stage of the
 //!   paper's Figure 10 filter pipeline and as the clustered index's keys.
 //! * [`AnchorBound`] — weak-duality bound from distance-to-anchor
-//!   potentials; `O(#anchors)` per pair after per-object projection,
-//!   the floor under the reduced stages.
+//!   potentials, lines of the crate's one line kernel; `O(#anchors)` per
+//!   pair after per-object projection, the floor under the reduced stages.
 
 mod dual;
 mod im;

@@ -1,30 +1,16 @@
-//! The EMD on a line, without an LP.
-//!
-//! When the ground distance is `c_ij = |p_i − p_j|` for some positions
-//! `p` — a 1-D chain, or any cost whose bins sit on a line in some order
-//! — the optimal transport is the monotone coupling, and the EMD is the
-//! L1 distance between the two cumulative distributions over the bins
-//! sorted by position:
-//!
-//! ```text
-//! EMD(x, y) = Σ_k (p_(k+1) − p_(k)) · |F_x(k) − F_y(k)|
-//! ```
-//!
-//! [`PathMetric::of`] recognizes such a cost once, in O(d²), and
-//! [`PathMetric::distance`] then answers each pair in O(d).
+//! The EMD on a line, without an LP: [`PathMetric::of`] recognizes a
+//! cost `c_ij = |p_i − p_j|`, in any bin order, once in O(d²), and
+//! [`PathMetric::distance`] answers each pair from the CDFs in O(d).
 
 use crate::cost::CostMatrix;
 use crate::histogram::Histogram;
-use crate::problem::rebalanced_demand;
+use crate::line::Line;
 
-/// A square cost matrix recognized as distances between points on a line:
-/// its bins in ascending position and those positions.
+/// A square cost matrix recognized as distances between points on a line.
 #[derive(Debug, Clone)]
 pub struct PathMetric {
-    /// Every bin, in ascending position (ties in bin order).
-    order: Vec<usize>,
-    /// The position of each bin of `order`, ascending.
-    positions: Vec<f64>,
+    /// The bins at their distances from an end of the line.
+    line: Line,
     /// The recognized cost, for the debug certificate's cold LP.
     #[cfg(debug_assertions)]
     cost: CostMatrix,
@@ -35,10 +21,10 @@ impl PathMetric {
     ///
     /// The bin `e` farthest from bin 0 (the first of equals) is an end of
     /// the line if there is one, so `p_i = c_ei` are positions measured
-    /// from that end. The cost is a path when every entry, diagonal
-    /// included, matches `|p_i − p_j|` within the per-entry tolerance of
-    /// [`CostMatrix::is_metric`]. `None` for a rectangular cost or one
-    /// that is not a path.
+    /// from that end. The cost is a path when that line is on it: every
+    /// entry, diagonal included, is `|p_i − p_j|` within the per-entry
+    /// tolerance of [`CostMatrix::is_metric`]. `None` for a rectangular
+    /// cost or one that is not a path.
     #[must_use]
     pub fn of(cost: &CostMatrix) -> Option<PathMetric> {
         if !cost.is_square() {
@@ -47,62 +33,28 @@ impl PathMetric {
         let from_first = cost.row(0);
         let farthest = from_first.iter().copied().fold(0.0, f64::max);
         let end = from_first.iter().position(|&c| c >= farthest).unwrap_or(0);
-        let p = cost.row(end);
-        let slack = crate::distance_slack(cost) / 2.0;
-        let on_line = p.iter().enumerate().all(|(i, &pi)| {
-            let mut row = cost.row(i).iter().zip(p);
-            row.all(|(&c, &pj)| ((pi - pj).abs() - c).abs() <= slack)
-        });
-        if !on_line {
-            return None;
-        }
-        // A stable sort: bins at one position stay in bin order.
-        let mut sorted: Vec<(f64, usize)> = p.iter().copied().zip(0..).collect();
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (positions, order) = sorted.into_iter().unzip();
-        Some(PathMetric {
-            order,
-            positions,
+        let line = Line::new(cost.row(end).to_vec());
+        (line.fit(cost) == Ok(true)).then(|| PathMetric {
+            line,
             #[cfg(debug_assertions)]
             cost: cost.clone(),
         })
     }
 
-    /// The exact EMD of `x` and `y` — the problem the LP solves, whose
-    /// rebalance moves the operands' drift (each may miss total mass 1 by
-    /// [`MASS_EPS`](crate::MASS_EPS)) onto `y`'s largest bin — as the L1
-    /// distance between their cumulative distributions, in O(d). Counts
-    /// `core.emd.closed_form`. Debug builds hold every answer to a cold
-    /// LP over the recognized cost, within
-    /// [`distance_slack`](crate::distance_slack).
-    ///
-    /// `x` and `y` must have the metric's dimensionality.
+    /// The exact EMD of `x` and `y`, of the metric's dimensionality,
+    /// with the LP's rebalance, in O(d). Counts `core.emd.closed_form`.
+    /// Debug builds hold every answer to a cold LP over the recognized
+    /// cost, within [`distance_slack`](crate::distance_slack).
     #[must_use]
     pub fn distance(&self, x: &Histogram, y: &Histogram) -> f64 {
+        let bins = self.line.len();
+        let (xs, ys) = (x.dim(), y.dim());
         debug_assert!(
-            x.dim() == self.order.len() && y.dim() == self.order.len(),
-            "operands of {} and {} bins on a {}-bin path",
-            x.dim(),
-            y.dim(),
-            self.order.len()
+            xs == bins && ys == bins,
+            "{xs} and {ys} bins on a {bins}-bin path"
         );
         emd_obs::counter_add("core.emd.closed_form", 1);
-        let (supplies, demands) = (x.bins(), y.bins());
-        let landing = rebalanced_demand(supplies, demands);
-        // F_x − F_y over the bins passed so far, and the sum over the gaps.
-        let (mut lead, mut distance) = (0.0_f64, 0.0);
-        let mut previous = self.positions.first().copied().unwrap_or_default();
-        for (&bin, &position) in self.order.iter().zip(&self.positions) {
-            distance += (position - previous) * lead.abs();
-            previous = position;
-            let demand = match landing {
-                Some((landed, mass)) if landed == bin => mass,
-                // bounds: order holds the metric's bins, y has that many
-                _ => demands[bin],
-            };
-            // bounds: as above, for x
-            lead += supplies[bin] - demand;
-        }
+        let distance = self.line.distance(x, y);
         #[cfg(debug_assertions)]
         crate::certify::debug_certify_closed_form(x, y, &self.cost, distance);
         distance
@@ -151,12 +103,13 @@ mod tests {
         for d in 1..=12 {
             // Positions run from the far end, bin d − 1.
             let path = PathMetric::of(&ground::linear(d).unwrap()).unwrap();
-            assert_eq!(path.order, (0..d).rev().collect::<Vec<_>>());
+            assert_eq!(path.line.sorted().0, (0..d).rev().collect::<Vec<_>>());
         }
         let closure = closed_chain_reduction(32, 4, &[5, 2, 7, 0, 3, 6, 1, 4]);
         let path = PathMetric::of(&closure).unwrap();
-        assert_eq!(path.order, vec![4, 1, 6, 3, 0, 7, 2, 5]);
-        assert_eq!(path.positions, (0..8).map(f64::from).collect::<Vec<_>>());
+        let (order, positions) = path.line.sorted();
+        assert_eq!(order, vec![4, 1, 6, 3, 0, 7, 2, 5]);
+        assert_eq!(positions, (0..8).map(f64::from).collect::<Vec<_>>());
     }
 
     #[test]

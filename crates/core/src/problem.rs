@@ -97,7 +97,7 @@ impl TransportProblem {
 /// equal ones), floored at 0, so total supply equals total demand
 /// bit-exactly where possible. Returns that `(bin, new mass)`, or `None`
 /// when the totals already agree. The one rebalance rule, shared with the
-/// closed form on a path (`PathMetric::distance`), which answers the
+/// closed form on a line (`Line::distance`), which answers the
 /// problem the LP solves.
 pub(crate) fn rebalanced_demand(supplies: &[f64], demands: &[f64]) -> Option<(usize, f64)> {
     let drift = supplies.iter().sum::<f64>() - demands.iter().sum::<f64>();
