@@ -61,6 +61,15 @@ pub enum CoreError {
         /// Column of the entry.
         col: usize,
     },
+    /// A bin position has another number of coordinates than the first.
+    PointDimension {
+        /// Index of the offending point.
+        index: usize,
+        /// Its number of coordinates.
+        len: usize,
+        /// The first point's number of coordinates.
+        first: usize,
+    },
     /// Cost matrix buffer length does not factor into the declared shape.
     CostShape {
         /// Declared rows.
@@ -106,6 +115,9 @@ impl fmt::Display for CoreError {
                 write!(f, "a square cost is required, not {rows}x{cols}")
             }
             CoreError::NotMetric { row, col } => write!(f, "not a metric at ({row}, {col})"),
+            CoreError::PointDimension { index, len, first } => {
+                write!(f, "point {index} has {len} coordinates, the first {first}")
+            }
             CoreError::CostShape { rows, cols, len } => {
                 write!(f, "cost buffer of {len} entries cannot be {rows}x{cols}")
             }

@@ -77,9 +77,15 @@ pub fn grid3(nx: usize, ny: usize, nz: usize, metric: Metric) -> Result<CostMatr
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::CostShape`] when `points` is empty. The points
-/// must share one dimensionality.
+/// Returns [`CoreError::CostShape`] when `points` is empty and
+/// [`CoreError::PointDimension`] when a point has another number of
+/// coordinates than the first.
 pub fn from_points(points: &[Vec<f64>], metric: Metric) -> Result<CostMatrix, CoreError> {
+    let first = points.first().map_or(0, Vec::len);
+    let mut lengths = points.iter().map(Vec::len).enumerate();
+    if let Some((index, len)) = lengths.find(|&(_, len)| len != first) {
+        return Err(CoreError::PointDimension { index, len, first });
+    }
     CostMatrix::from_fn(points.len(), |i, j| metric.distance(&points[i], &points[j]))
 }
 
@@ -128,6 +134,23 @@ pub fn linear_positions(dim: usize) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn points_of_another_dimensionality_are_refused() {
+        // A release build once zipped the pair to its shorter point and
+        // answered `[0, 3, 3, 0]` here.
+        let points = [vec![0.0], vec![3.0, 4.0]];
+        assert_eq!(
+            from_points(&points, Metric::Euclidean).unwrap_err(),
+            CoreError::PointDimension {
+                index: 1,
+                len: 2,
+                first: 1
+            }
+        );
+        let error = from_points(&[vec![0.0, 0.0], vec![1.0]], Metric::Manhattan).unwrap_err();
+        assert_eq!(error.to_string(), "point 1 has 1 coordinates, the first 2");
+    }
 
     #[test]
     fn linear_matches_figure_one() {

@@ -24,6 +24,5 @@ pub mod source;
 
 pub use database::{Database, OpenedIndex};
 pub use executor::Executor;
-pub(crate) use plan::chain_stages;
 pub use plan::{Query, QueryMode, QueryPlan};
 pub use source::{CandidateSource, CandidateStream};

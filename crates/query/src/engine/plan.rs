@@ -12,7 +12,7 @@
 use crate::engine::source::CandidateSource;
 use crate::engine::Database;
 use crate::error::QueryError;
-use crate::filters::{AnchorFilter, EmdDistance, Filter, ReducedImFilter};
+use crate::filters::{ChainState, EmdDistance, Filter, ReducedImFilter};
 use emd_core::{Budget, Histogram};
 
 /// Result-set mode of one query.
@@ -136,27 +136,20 @@ impl QueryPlan {
         })
     }
 
-    /// The paper's Figure 10 plan over `database` with a closed-form
-    /// metric floor under it, `anchor -> red-im -> red-emd -> emd`: a scan
-    /// of the anchor projections (as many anchors as the reduction keeps
-    /// database-side dimensions), LB_IM over the reduced vectors for what
-    /// that scan could not dismiss, a reduced LP for what survives both,
-    /// the exact EMD for the rest. The anchor bound needs a metric ground
-    /// distance; over a cost that is not one the plan is Figure 10 as
-    /// printed, `red-im -> red-emd -> emd`. The Red-EMD stage is derived
-    /// from `red_im`, so the two reduced stages share one reduction, one
-    /// LB_IM and one reduced arena.
+    /// The paper's Figure 10 plan over `database` under a closed-form
+    /// metric floor, `anchor -> red-im -> red-emd -> emd`, with the stages
+    /// every index gets: an anchor scan, LB_IM over `red_im`'s reduced
+    /// arena, a reduced LP over that arena, the exact EMD for the rest.
+    /// Over a cost that is not a metric there is no floor: Figure 10 as
+    /// printed.
     ///
     /// # Errors
     ///
     /// Same conditions as [`new`](Self::new): an empty `database`, or a
     /// `red_im` built over a database of another size.
     pub fn chain(database: &Database, red_im: ReducedImFilter) -> Result<Self, QueryError> {
-        let floor = AnchorFilter::floor(database, red_im.reduced())?;
-        Self::new(
-            chain_stages(floor, red_im),
-            Box::new(EmdDistance::new(database)?),
-        )
+        let stages = ChainState::scan(database, red_im)?;
+        Self::new(stages, Box::new(EmdDistance::new(database)?))
     }
 
     /// A plan with no filter stages: the sequential-scan baseline, KNOP
@@ -225,22 +218,6 @@ impl QueryPlan {
     pub fn is_empty(&self) -> bool {
         self.refiner.is_empty()
     }
-}
-
-/// The stages of [`QueryPlan::chain`], in order, over a floor derived
-/// elsewhere (a live index projects at insert, not per snapshot). The one
-/// place stages are assembled: the static chain, the live snapshot and
-/// the clustered index's stages over its traversal.
-pub(crate) fn chain_stages(
-    floor: Option<AnchorFilter>,
-    red_im: ReducedImFilter,
-) -> Vec<Box<dyn Filter>> {
-    let red_emd = red_im.red_emd_stage();
-    let mut stages: Vec<Box<dyn Filter>> = vec![Box::new(red_im), Box::new(red_emd)];
-    if let Some(floor) = floor {
-        stages.insert(0, Box::new(floor));
-    }
-    stages
 }
 
 #[cfg(test)]

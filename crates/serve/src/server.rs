@@ -328,10 +328,10 @@ fn accept_loop(
 fn shed(shared: &Shared, stream: &TcpStream) {
     shared.shed.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let response = Response::json(
+    let response = error_response(
         429,
         "Too Many Requests",
-        error_body("server is at its in-flight capacity"),
+        "server is at its in-flight capacity",
     )
     .with_header("Retry-After", "1".to_owned());
     let _ = response.write_to(&mut &*stream);
@@ -415,11 +415,9 @@ fn handle_request(shared: &Shared, request_id: usize, request: &Request) -> Resp
         (Method::Get, "/metrics") => metrics_response(shared),
         (Method::Post, "/admin/drain") => {
             shared.handle.drain();
-            Response::json(
-                202,
-                "Accepted",
-                format!("{{\"schema\":\"{RESPONSE_SCHEMA}\",\"draining\":true}}"),
-            )
+            let mut body = envelope();
+            body.push_str(",\"draining\":true}");
+            Response::json(202, "Accepted", body)
         }
         (Method::Post, "/v1/knn") => query_response(shared, request_id, request, RouteKind::Knn),
         (Method::Post, "/v1/range") => {
@@ -432,12 +430,8 @@ fn handle_request(shared: &Shared, request_id: usize, request: &Request) -> Resp
             _,
             "/healthz" | "/metrics" | "/admin/drain" | "/admin/compact" | "/v1/knn" | "/v1/range"
             | "/v1/insert" | "/v1/remove",
-        ) => Response::json(
-            405,
-            "Method Not Allowed",
-            error_body("wrong method for route"),
-        ),
-        _ => Response::json(404, "Not Found", error_body("no such route")),
+        ) => error_response(405, "Method Not Allowed", "wrong method for route"),
+        _ => error_response(404, "Not Found", "no such route"),
     }
 }
 
@@ -452,9 +446,7 @@ fn health_response(shared: &Shared) -> Response {
         Some(ingest) => (ingest.len(), true),
         None => (shared.snapshot.database.len(), false),
     };
-    let mut body = String::new();
-    body.push_str("{\"schema\":");
-    json::write_escaped(&mut body, RESPONSE_SCHEMA);
+    let mut body = envelope();
     body.push_str(",\"status\":\"ok\",\"index\":");
     json::write_escaped(&mut body, &shared.snapshot.name);
     body.push_str(&format!(
@@ -495,14 +487,7 @@ fn run_query(
     request: &Request,
     kind: RouteKind,
 ) -> Result<Response, ServeError> {
-    let text = std::str::from_utf8(&request.body)
-        .map_err(|_| ServeError::BadRequest("body is not UTF-8".to_owned()))?;
-    let value = json::parse(text).map_err(ServeError::BadRequest)?;
-    let Some(object) = value.as_object() else {
-        return Err(ServeError::BadRequest(
-            "body must be a JSON object".to_owned(),
-        ));
-    };
+    let object = &parse_body_object(request)?;
     let spec = QuerySpec::from_json(object)?;
     match kind {
         RouteKind::Knn if spec.epsilon.is_some() => {
@@ -530,11 +515,8 @@ fn run_query(
                 .ok_or_else(|| format!("`query_id` {id} names no live object"))
         })?;
         let Some(snapshot) = snapshot else {
-            return Ok(Response::json(
-                409,
-                "Conflict",
-                error_body("corpus is empty; insert objects before querying"),
-            ));
+            let message = "corpus is empty; insert objects before querying";
+            return Ok(error_response(409, "Conflict", message));
         };
         snapshot.run_isolated(&lower(shared, &spec, histogram), request_id)?
     } else {
@@ -593,11 +575,8 @@ fn parse_weights(value: &Value) -> Result<Histogram, ServeError> {
 
 /// The 409 returned by write routes on a read-only (static) server.
 fn read_only_response() -> Response {
-    Response::json(
-        409,
-        "Conflict",
-        error_body("server runs a read-only corpus; restart with --writable to enable writes"),
-    )
+    let message = "server runs a read-only corpus; restart with --writable to enable writes";
+    error_response(409, "Conflict", message)
 }
 
 /// `POST /v1/insert` — durably ingest one histogram. The `200` is sent
@@ -618,9 +597,7 @@ fn insert_response(shared: &Shared, request: &Request) -> Response {
         };
         let histogram = parse_weights(weights)?;
         let id = ingest.insert(histogram)?;
-        let mut body = String::new();
-        body.push_str("{\"schema\":");
-        json::write_escaped(&mut body, RESPONSE_SCHEMA);
+        let mut body = envelope();
         body.push_str(&format!(
             ",\"id\":{id},\"objects\":{},\"durable\":true}}",
             ingest.len()
@@ -642,9 +619,7 @@ fn remove_response(shared: &Shared, request: &Request) -> Response {
             ServeError::BadRequest("remove requires a non-negative integer `id`".to_owned())
         })?;
         let removed = ingest.remove(id)?;
-        let mut body = String::new();
-        body.push_str("{\"schema\":");
-        json::write_escaped(&mut body, RESPONSE_SCHEMA);
+        let mut body = envelope();
         body.push_str(&format!(
             ",\"removed\":{removed},\"objects\":{}}}",
             ingest.len()
@@ -662,9 +637,7 @@ fn compact_response(shared: &Shared) -> Response {
     };
     match ingest.compact() {
         Ok(report) => {
-            let mut body = String::new();
-            body.push_str("{\"schema\":");
-            json::write_escaped(&mut body, RESPONSE_SCHEMA);
+            let mut body = envelope();
             body.push_str(&format!(
                 ",\"epoch\":{},\"objects\":{},\"folded_wal_bytes\":{}}}",
                 report.epoch, report.sealed_objects, report.folded_wal_bytes
@@ -681,11 +654,20 @@ fn parse_body_object(
 ) -> Result<std::collections::BTreeMap<String, Value>, ServeError> {
     let text = std::str::from_utf8(&request.body)
         .map_err(|_| ServeError::BadRequest("body is not UTF-8".to_owned()))?;
-    let value = json::parse(text).map_err(ServeError::BadRequest)?;
-    value
-        .as_object()
-        .cloned()
-        .ok_or_else(|| ServeError::BadRequest("body must be a JSON object".to_owned()))
+    match json::parse(text).map_err(ServeError::BadRequest)? {
+        Value::Object(object) => Ok(object),
+        _ => Err(ServeError::BadRequest(
+            "body must be a JSON object".to_owned(),
+        )),
+    }
+}
+
+/// Every JSON body opens `{"schema":"flexemd-serve/v1"`; the caller
+/// appends its fields and the closing brace.
+fn envelope() -> String {
+    let mut body = String::from("{\"schema\":");
+    json::write_escaped(&mut body, RESPONSE_SCHEMA);
+    body
 }
 
 /// Stable machine token for a degraded outcome's reason.
@@ -715,9 +697,7 @@ fn neighbors_json(out: &mut String, neighbors: &[Neighbor]) {
 
 /// The success body for both query routes.
 fn outcome_body(outcome: &QueryOutcome, stats: &QueryStats) -> String {
-    let mut body = String::new();
-    body.push_str("{\"schema\":");
-    json::write_escaped(&mut body, RESPONSE_SCHEMA);
+    let mut body = envelope();
     match outcome {
         QueryOutcome::Exact(neighbors) => {
             body.push_str(",\"degraded\":false,\"neighbors\":");
@@ -748,48 +728,45 @@ fn outcome_body(outcome: &QueryOutcome, stats: &QueryStats) -> String {
 
 /// A JSON error body: `{"schema":…,"error":"…"}`.
 fn error_body(message: &str) -> String {
-    let mut body = String::new();
-    body.push_str("{\"schema\":");
-    json::write_escaped(&mut body, RESPONSE_SCHEMA);
+    let mut body = envelope();
     body.push_str(",\"error\":");
     json::write_escaped(&mut body, message);
     body.push('}');
     body
 }
 
+/// A JSON error response.
+fn error_response(status: u16, reason: &'static str, message: &str) -> Response {
+    Response::json(status, reason, error_body(message))
+}
+
 /// Map an HTTP-protocol violation to its response.
 fn protocol_error_response(error: &HttpError) -> Response {
     let (status, reason) = error.status();
-    Response::json(status, reason, error_body(&error.to_string()))
+    error_response(status, reason, &error.to_string())
 }
 
 /// Map a handler failure to its response: client mistakes are 4xx,
 /// engine failures (including isolated worker panics) are 500.
 fn serve_error_response(error: &ServeError) -> Response {
-    match error {
-        ServeError::Http(http) => protocol_error_response(http),
-        ServeError::BadRequest(_) => {
-            Response::json(400, "Bad Request", error_body(&error.to_string()))
-        }
-        ServeError::Query(query) => match query {
-            QueryError::WorkerPanicked { .. } => {
-                Response::json(500, "Internal Server Error", error_body(&query.to_string()))
-            }
-            QueryError::ZeroK | QueryError::InvalidEpsilon(_) | QueryError::Core(_) => {
-                Response::json(400, "Bad Request", error_body(&query.to_string()))
-            }
-            _ => Response::json(500, "Internal Server Error", error_body(&query.to_string())),
-        },
-        ServeError::Durable(disk) => Response::json(
-            500,
-            "Internal Server Error",
-            error_body(&format!(
+    let (bad, failed) = ((400, "Bad Request"), (500, "Internal Server Error"));
+    let ((status, reason), message) = match error {
+        ServeError::Http(http) => return protocol_error_response(http),
+        ServeError::BadRequest(_) => (bad, error.to_string()),
+        ServeError::Query(
+            query @ (QueryError::ZeroK | QueryError::InvalidEpsilon(_) | QueryError::Core(_)),
+        ) => (bad, query.to_string()),
+        ServeError::Query(query) => (failed, query.to_string()),
+        ServeError::Durable(disk) => (
+            failed,
+            format!(
                 "durable write failed: {disk}; the write's durability is indeterminate \
                  until the index directory is reopened"
-            )),
+            ),
         ),
-        _ => Response::json(500, "Internal Server Error", error_body(&error.to_string())),
-    }
+        _ => (failed, error.to_string()),
+    };
+    error_response(status, reason, &message)
 }
 
 #[cfg(test)]
