@@ -20,7 +20,7 @@ use emd_query::{
 use emd_reduction::fb::{fb_all, fb_mod, FbOptions};
 use emd_reduction::flow_sample::draw_sample;
 use emd_reduction::kmedoids::kmedoids_reduction;
-use emd_reduction::{CombiningReduction, ReducedEmd};
+use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -722,11 +722,11 @@ pub fn a5(scale: &Scale, quick: bool) -> Table {
                 *max = max.max(*bound);
             }
         }
-        let red_im = checked(
-            ReducedImFilter::new(database, reduced),
-            "red-im filter over the bench database",
+        let bundle = checked(
+            PersistedReduction::precompute("", reduced, database.histograms()),
+            "reduced bench database",
         );
-        let plan = QueryPlan::chain(database, red_im);
+        let plan = QueryPlan::chain(database, &bundle);
         let executor = Executor::new(checked(plan, "anchor chain plan"));
         let m = measure_knn(&executor, &bench.queries, K_DEFAULT);
         let name = chain

@@ -17,7 +17,7 @@ use emd_query::{
 use emd_reduction::fb::{fb_all, fb_mod, FbOptions};
 use emd_reduction::flow_sample::{draw_sample, FlowSample};
 use emd_reduction::kmedoids::kmedoids_reduction;
-use emd_reduction::{CombiningReduction, ReducedEmd};
+use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -234,7 +234,10 @@ pub fn chained_executor(bench: &Bench, reduction: CombiningReduction) -> Executo
         "validated reduction",
     );
     let stages: Vec<Box<dyn Filter>> = vec![
-        Box::new(red_im_filter(bench, reduced.clone())),
+        Box::new(checked(
+            ReducedImFilter::new(&bench.database, reduced.clone()),
+            "red-im filter over the bench database",
+        )),
         Box::new(checked(
             ReducedEmdFilter::new(&bench.database, reduced),
             "red-emd filter over the bench database",
@@ -251,15 +254,12 @@ pub fn anchor_chain_executor(bench: &Bench, reduction: CombiningReduction) -> Ex
         ReducedEmd::new(&bench.cost, reduction),
         "validated reduction",
     );
-    let plan = QueryPlan::chain(&bench.database, red_im_filter(bench, reduced));
+    let bundle = checked(
+        PersistedReduction::precompute("", reduced, bench.database.histograms()),
+        "reduced bench database",
+    );
+    let plan = QueryPlan::chain(&bench.database, &bundle);
     Executor::new(checked(plan, "anchor chain plan"))
-}
-
-fn red_im_filter(bench: &Bench, reduced: ReducedEmd) -> ReducedImFilter {
-    checked(
-        ReducedImFilter::new(&bench.database, reduced),
-        "red-im filter over the bench database",
-    )
 }
 
 /// A single-stage `Red-EMD -> EMD` plan wrapped in an executor.

@@ -204,7 +204,7 @@ impl Budget {
     /// Returns the [`BudgetReason`] of the first exhausted limit after the
     /// charge is applied; the charge itself always lands (so the pool stays
     /// accurate even on the failing probe).
-    pub fn charge_pivots(&self, n: u64) -> Result<(), BudgetReason> {
+    pub(crate) fn charge_pivots(&self, n: u64) -> Result<(), BudgetReason> {
         self.settle_pivots(n);
         self.check()
     }

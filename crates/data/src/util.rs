@@ -6,7 +6,7 @@
 use rand::Rng;
 
 /// One standard normal sample via Box-Muller.
-pub fn sample_normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn sample_normal(rng: &mut impl Rng) -> f64 {
     // float: tolerance — u1 bounded away from zero to avoid ln(0).
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);

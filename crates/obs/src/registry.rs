@@ -173,7 +173,7 @@ impl MetricsRegistry {
     }
 
     /// Set the gauge `name` (last write wins).
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_owned(), value);
     }
 

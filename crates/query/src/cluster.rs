@@ -54,7 +54,8 @@
 //!
 //! **On top** the index stacks the stages of
 //! [`QueryPlan::chain`](crate::QueryPlan::chain) — `anchor -> red-im ->
-//! red-emd` over its own reduced arena, assembled by the same function —
+//! red-emd` over the arena of the [`PersistedReduction`] it is built or
+//! opened from, assembled by the one call `QueryPlan::chain` makes —
 //! under the executor's [`ChainedRanking`], which keys every candidate by
 //! the running max of what is known of it. A cluster's key never exceeds
 //! Red-EMD, so that max is the chain's `max(anchor, Red-IM, Red-EMD)` and
@@ -78,7 +79,7 @@ use crate::durable::StoredClustering;
 use crate::engine::source::{CandidateSource, CandidateStream};
 use crate::engine::Database;
 use crate::error::QueryError;
-use crate::filters::{check_persisted, reduce, ChainState, Filter, PreparedBound, PreparedFilter};
+use crate::filters::{reduce, Chain, ChainState, Filter, PreparedBound, PreparedFilter};
 use crate::ranking::{ChainedRanking, Key, Ranking};
 use emd_core::lower_bounds::LbIm;
 use emd_core::{emd_in_context_within, Bounded, Budget};
@@ -135,8 +136,9 @@ pub struct ClusteredIndex {
     /// [`LbIm::cost`] is the cost of every construction distance and the
     /// bound that keys the clusters at query time.
     pruning: LbIm,
-    /// The pivots' reduced vectors, in cluster order.
-    pivot_vectors: Vec<Histogram>,
+    /// The reduced arena, by object id: the handle its Red-IM and Red-EMD
+    /// stages hold, from which the pivot keys read the pivots.
+    arena: Arc<[Histogram]>,
     /// The stages of [`QueryPlan::chain`](crate::QueryPlan::chain) over
     /// this index's reduced arena, ending in the Red-EMD stage. The anchor
     /// projections are derived on every build and open, never stored.
@@ -181,7 +183,7 @@ impl ClusteredIndex {
         bundle: &PersistedReduction,
         factor: f64,
     ) -> Result<Self, QueryError> {
-        Self::assemble(Self::chain_over(database, bundle)?, factor)
+        Self::assemble(ChainState::persisted(database, bundle)?, factor)
     }
 
     /// Reattach a persisted clustering to its bundle without re-running
@@ -200,7 +202,7 @@ impl ClusteredIndex {
         bundle: &PersistedReduction,
         stored: &StoredClustering,
     ) -> Result<Self, QueryError> {
-        let chain = Self::chain_over(database, bundle)?;
+        let chain = ChainState::persisted(database, bundle)?;
         let (reduced, arena, _) = &chain;
         let pruning = LbIm::new(pruning_cost_for(reduced)?);
         if let Some(reason) = stored.defect(arena.len()) {
@@ -212,16 +214,6 @@ impl ClusteredIndex {
             stored.radii.clone(),
         );
         Ok(Self::over(chain, pruning, geometry))
-    }
-
-    /// The chain's stages over `bundle`'s reduction and arena.
-    fn chain_over(database: &Database, bundle: &PersistedReduction) -> Result<Chain, QueryError> {
-        check_persisted(database, bundle)?;
-        let chain = ChainState::new(database.cost(), bundle.reduced().clone());
-        let arena: Arc<[Histogram]> = bundle.reduced_database().into();
-        let projections = chain.projections(database.histograms())?;
-        let stages = chain.stages(Arc::clone(&arena), projections);
-        Ok((chain.reduced, arena, stages))
     }
 
     /// The clustering geometry in its storable form (pivots,
@@ -283,14 +275,11 @@ impl ClusteredIndex {
         pruning: LbIm,
         (pivots, assignments, radii): ClusterGeometry,
     ) -> Self {
-        // The geometry is validated: every pivot is an object.
-        let pivot = |&p: &u32| arena.get(p as usize).cloned();
-        let pivot_vectors = pivots.iter().filter_map(pivot).collect();
         ClusteredIndex {
             name: index_name(&reduced, pruning.cost(), pivots.len()),
             stages,
             members: members_of(&assignments, pivots.len()),
-            pivot_vectors,
+            arena,
             reduced,
             pruning,
             pivots,
@@ -317,11 +306,11 @@ impl CandidateSource for ClusteredIndex {
         // Key every cluster by LB_IM of its pivot under the closure: the
         // only bounds the traversal computes.
         let reduced_query = self.reduced.reduce_first(query)?;
-        let mut pivot_bound =
-            PreparedBound::new(&reduced_query, &self.pruning, &self.pivot_vectors)?;
+        let mut pivot_bound = PreparedBound::new(&reduced_query, &self.pruning, &self.arena)?;
         let mut clusters = BinaryHeap::with_capacity(self.pivots.len());
-        for (cluster, &radius) in self.radii.iter().enumerate() {
-            let key = (pivot_bound.distance(cluster)? - radius).max(0.0);
+        let pivots = self.pivots.iter().zip(&self.radii);
+        for (cluster, (&pivot, &radius)) in pivots.enumerate() {
+            let key = (pivot_bound.distance(pivot as usize)? - radius).max(0.0);
             clusters.push(Reverse((Key(key), cluster as u32)));
         }
         let mut ranking: Box<dyn Ranking + '_> = Box::new(ClusterStream {
@@ -410,10 +399,6 @@ fn pruning_cost_for(reduced: &ReducedEmd) -> Result<CostMatrix, QueryError> {
 /// Pivot ids, per-object cluster assignments, and covering radii — the
 /// geometry triple greedy k-center produces and the store persists.
 type ClusterGeometry = (Vec<u32>, Vec<u32>, Vec<f64>);
-
-/// The chain's reduction, the reduced arena, and the stages over both —
-/// what an index shares with its chain before any clustering.
-type Chain = (Arc<ReducedEmd>, Arc<[Histogram]>, Vec<Box<dyn Filter>>);
 
 /// Greedy k-center (Gonzalez): `pivots`, `assignments`, covering
 /// `radii`. Deterministic — the first pivot is object 0 and ties go to
@@ -612,6 +597,7 @@ impl Drop for IndexStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryPlan;
     use crate::filters::AnchorFilter;
     use emd_core::ground;
     use emd_reduction::CombiningReduction;
@@ -1211,5 +1197,55 @@ mod tests {
         assert_eq!(registry.counter("transport.solve.calls"), 0);
         assert!(registry.counter("core.emd.closed_form") > 0);
         assert!(index.clusters() > 1);
+    }
+
+    /// One database, one bundle, one way into the chain: the scan's plan,
+    /// a built and a reopened index and a live snapshot hold the same
+    /// stages at the same slacks, and where an arena is held its Red-IM
+    /// and Red-EMD stages share it and the reduction (a copy would leave a
+    /// count lower). The snapshot's stages come from the same
+    /// `ChainState::stages` as the others'.
+    #[test]
+    fn every_reader_holds_the_chain_of_one_bundle() {
+        let database = random_database(30, 8, 5);
+        let reduced = ReducedEmd::new(database.cost_arc(), reduction(8, 4)).unwrap();
+        let bundle = reduce(&database, reduced.clone()).unwrap();
+        let rows = |stages: &[Box<dyn Filter>]| -> Vec<(String, u64)> {
+            let row = |stage: &dyn Filter| (stage.name().to_owned(), stage.slack().to_bits());
+            stages.iter().map(|stage| row(stage.as_ref())).collect()
+        };
+        let plan = QueryPlan::chain(&database, &bundle).unwrap();
+        let expected = rows(plan.stages());
+        assert_eq!(expected.len(), 3);
+        let (chain, arena, stages) = ChainState::persisted(&database, &bundle).unwrap();
+        assert_eq!(rows(&stages), expected);
+        assert_eq!(
+            (Arc::strong_count(&arena), Arc::strong_count(&chain)),
+            (3, 3)
+        );
+
+        let built = ClusteredIndex::from_persisted(&database, &bundle, 1.0).unwrap();
+        let stored = built.to_stored();
+        let reopened = ClusteredIndex::from_stored(&database, &bundle, &stored).unwrap();
+        for index in [&built, &reopened] {
+            assert_eq!(rows(&index.stages), expected);
+            let counts = (
+                Arc::strong_count(&index.arena),
+                Arc::strong_count(&index.reduced),
+            );
+            assert_eq!(counts, (3, 3));
+        }
+
+        let dir = std::env::temp_dir().join(format!("flexemd-one-chain-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cost = Arc::clone(database.cost_arc());
+        let mut live = crate::DurableIndex::create(&dir, cost, reduced).unwrap();
+        for histogram in database.histograms() {
+            live.append_insert(histogram.clone()).unwrap();
+        }
+        let snapshot = live.snapshot().unwrap();
+        assert_eq!(rows(snapshot.executor().plan().stages()), expected);
+        drop(live);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1520,6 +1520,30 @@ mod tests {
     }
 
     #[test]
+    fn wal_insert_of_another_dimensionality_fails_typed() {
+        // The append path refuses a histogram the cost does not fit, so
+        // no writer logs one; hand-write it. Its CRC holds: only the
+        // reader's derivation of the reduced arena can refuse it.
+        let dir = tmp_dir("wrong-dim-insert");
+        drop(fresh(&dir));
+        let mut wal = WalWriter::create_with(&wal_path(&dir, 0), Arc::new(NoFaults)).unwrap();
+        let histogram = h(&[0.5, 0.5]);
+        wal.append(&WalRecord::Insert {
+            external_id: 0,
+            histogram,
+        })
+        .unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let histograms = |error: &DurableError| matches!(error, DurableError::Invalid { section, .. } if section == "histograms");
+        let error = Database::open(&dir).expect_err("a 2-bin insert under a 4-bin cost");
+        assert!(histograms(&error), "got {error}");
+        let error = DurableIndex::open(&dir).expect_err("a 2-bin insert under a 4-bin cost");
+        assert!(histograms(&error), "got {error}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn checkpoint_malformations_are_typed() {
         let dir = tmp_dir("bad-checkpoint");
         fresh(&dir);

@@ -12,8 +12,9 @@
 use crate::engine::source::CandidateSource;
 use crate::engine::Database;
 use crate::error::QueryError;
-use crate::filters::{ChainState, EmdDistance, Filter, ReducedImFilter};
+use crate::filters::{ChainState, EmdDistance, Filter};
 use emd_core::{Budget, Histogram};
+use emd_reduction::PersistedReduction;
 
 /// Result-set mode of one query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,19 +137,21 @@ impl QueryPlan {
         })
     }
 
-    /// The paper's Figure 10 plan over `database` under a closed-form
-    /// metric floor, `anchor -> red-im -> red-emd -> emd`, with the stages
-    /// every index gets: an anchor scan, LB_IM over `red_im`'s reduced
-    /// arena, a reduced LP over that arena, the exact EMD for the rest.
-    /// Over a cost that is not a metric there is no floor: Figure 10 as
-    /// printed.
+    /// The paper's Figure 10 plan over `database` and its reduced
+    /// database `bundle` (Section 4's `R2·o`, reduced once) under a
+    /// closed-form metric floor, `anchor -> red-im -> red-emd -> emd`,
+    /// with the stages every index gets: an anchor scan, LB_IM over the
+    /// bundle's arena, a reduced LP over that arena, the exact EMD for the
+    /// rest. Over a cost that is not a metric there is no floor: Figure 10
+    /// as printed.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`new`](Self::new): an empty `database`, or a
-    /// `red_im` built over a database of another size.
-    pub fn chain(database: &Database, red_im: ReducedImFilter) -> Result<Self, QueryError> {
-        let stages = ChainState::scan(database, red_im)?;
+    /// Same conditions as [`new`](Self::new) for an empty `database`, and
+    /// [`QueryError::Reduction`] when `bundle` does not match `database`
+    /// (another object count or original dimensionality).
+    pub fn chain(database: &Database, bundle: &PersistedReduction) -> Result<Self, QueryError> {
+        let (_, _, stages) = ChainState::persisted(database, bundle)?;
         Self::new(stages, Box::new(EmdDistance::new(database)?))
     }
 
@@ -237,8 +240,8 @@ mod tests {
         let db = database(5);
         let reduction = CombiningReduction::new(vec![0, 0, 1, 1], 2).unwrap();
         let reduced = ReducedEmd::new(db.cost(), reduction).unwrap();
-        let red_im = || ReducedImFilter::new(&db, reduced.clone()).unwrap();
-        let plan = QueryPlan::chain(&db, red_im()).unwrap();
+        let bundle = PersistedReduction::precompute("", reduced, db.histograms()).unwrap();
+        let plan = QueryPlan::chain(&db, &bundle).unwrap();
         assert_eq!(
             plan.stage_names(),
             ["anchor(a=2)", "red-im(d'=2/2)", "red-emd(d'=2/2)"]
@@ -249,7 +252,7 @@ mod tests {
         assert!(plan.source().is_none());
         // The stages must index the database the refiner does.
         assert!(matches!(
-            QueryPlan::chain(&database(4), red_im()),
+            QueryPlan::chain(&database(4), &bundle),
             Err(QueryError::Reduction(_))
         ));
     }

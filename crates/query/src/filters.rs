@@ -41,10 +41,7 @@ use std::sync::Arc;
 /// dimensionality. The store's open path already validated the bundle
 /// internally; this guards against pairing a bundle with the *wrong*
 /// (e.g. freshly rebuilt, differently sized) snapshot.
-pub(crate) fn check_persisted(
-    database: &Database,
-    bundle: &PersistedReduction,
-) -> Result<(), QueryError> {
+fn check_persisted(database: &Database, bundle: &PersistedReduction) -> Result<(), QueryError> {
     if bundle.reduced_database().len() != database.len() {
         return Err(QueryError::Reduction(format!(
             "persisted bundle `{}` indexes {} objects, snapshot holds {}",
@@ -689,17 +686,23 @@ impl ClosedForm for AnchorFilter {
 /// The one owner of what the stages of
 /// [`QueryPlan::chain`](crate::QueryPlan::chain) derive: per index the
 /// reduction, LB_IM over `C'` and the anchor floor, per object its `R2`
-/// side and anchor projection. The scan, the clustered index and the live
-/// index take their stages from here and derive none of it themselves.
+/// side and anchor projection. The scan and the clustered index enter it
+/// through [`ChainState::persisted`], the live index through
+/// [`ChainState::new`] and [`ChainState::object`]; none derives any of it
+/// itself.
 #[derive(Debug)]
 pub(crate) struct ChainState {
     /// The reduction every stage reads.
-    pub(crate) reduced: Arc<ReducedEmd>,
+    reduced: Arc<ReducedEmd>,
     lb_im: Arc<LbIm>,
     /// The anchor bound and its cost's slack; `None` off a metric, and
     /// then the chain is Figure 10 as printed.
     floor: Option<(Arc<AnchorBound>, f64)>,
 }
+
+/// The chain's reduction, the reduced arena, and the stages over both —
+/// what [`ChainState::persisted`] hands a plan or an index.
+pub(crate) type Chain = (Arc<ReducedEmd>, Arc<[Histogram]>, Vec<Box<dyn Filter>>);
 
 /// One object's `R2` side and anchor projection (empty without a floor),
 /// for an index that derives its objects one at a time.
@@ -710,34 +713,32 @@ pub(crate) struct ObjectState {
 }
 
 impl ChainState {
-    /// The chain over `cost` reduced by `reduced`.
+    /// The chain over `cost` reduced by `reduced`. The floor keeps as
+    /// many spread anchors as `reduced` keeps database-side dimensions: a
+    /// constant of the index.
     pub(crate) fn new(cost: &CostMatrix, reduced: ReducedEmd) -> Self {
         let lb_im = Arc::new(LbIm::new(reduced.reduced_cost().clone()));
-        Self::over(cost, Arc::new(reduced), lb_im)
-    }
-
-    /// The chain over `cost` from a reduction and its LB_IM. The floor
-    /// keeps as many spread anchors as `reduced` keeps database-side
-    /// dimensions: a constant of the index.
-    fn over(cost: &CostMatrix, reduced: Arc<ReducedEmd>, lb_im: Arc<LbIm>) -> Self {
         let bound = AnchorBound::with_spread_anchors(cost, reduced.r2().reduced_dim()).ok();
         ChainState {
             floor: bound.map(|bound| (Arc::new(bound), distance_slack(cost))),
-            reduced,
+            reduced: Arc::new(reduced),
             lb_im,
         }
     }
 
-    /// The stages of [`QueryPlan::chain`](crate::QueryPlan::chain):
-    /// `red_im`'s reduction, LB_IM and arena over `database`'s floor.
-    pub(crate) fn scan(
+    /// The one way into the chain over a reduced database: `bundle`
+    /// checked against `database`, its reduction, its arena and the
+    /// stages of [`QueryPlan::chain`](crate::QueryPlan::chain) over both.
+    pub(crate) fn persisted(
         database: &Database,
-        red_im: ReducedImFilter,
-    ) -> Result<Vec<Box<dyn Filter>>, QueryError> {
-        let ReducedImFilter { stage, reduced } = red_im;
-        let chain = Self::over(database.cost(), reduced, stage.bound);
+        bundle: &PersistedReduction,
+    ) -> Result<Chain, QueryError> {
+        check_persisted(database, bundle)?;
+        let chain = Self::new(database.cost(), bundle.reduced().clone());
+        let arena: Arc<[Histogram]> = bundle.reduced_database().into();
         let projections = chain.projections(database.histograms())?;
-        Ok(chain.stages(stage.projections, projections))
+        let stages = chain.stages(Arc::clone(&arena), projections);
+        Ok((chain.reduced, arena, stages))
     }
 
     /// One object's state; `reduced` is its `R2` side when a

@@ -11,7 +11,10 @@
 //! * [`engine`] — the execution core: [`Database`] (a shared immutable
 //!   snapshot: one slice of histogram handles plus the cost matrix),
 //!   [`QueryPlan`] (the declarative filter chain
-//!   `Red-IM -> Red-EMD -> ... -> EMD`), [`Query`] (histogram, mode and
+//!   `Red-IM -> Red-EMD -> ... -> EMD`; [`QueryPlan::chain`] builds the
+//!   shipped one from a database and its reduced database, a
+//!   [`PersistedReduction`](emd_reduction::PersistedReduction)),
+//!   [`Query`] (histogram, mode and
 //!   [`Budget`]) and [`Executor`] (the single owner of query execution:
 //!   [`run`](Executor::run), one query per call).
 //! * [`Filter`] / [`PreparedFilter`] — filter stages over a database
@@ -33,7 +36,8 @@
 //! * [`cluster`] — [`ClusteredIndex`], a pivot-based cluster index over
 //!   the reduced space with triangle-inequality pruning; the sublinear
 //!   stage-1 candidate generator: a cluster traversal that solves no LP,
-//!   under the same stages [`QueryPlan::chain`] runs.
+//!   under the stages [`QueryPlan::chain`] runs, built from the same
+//!   reduced database by the same call.
 //! * [`durable`] — the one on-disk index format and the one live index
 //!   over it, [`DurableIndex`], with the segment and WAL formats as its
 //!   private modules; every failure of a directory is one

@@ -19,10 +19,8 @@ use emd_core::ground::{self, Metric};
 use emd_core::{emd, Budget, BudgetReason, CostMatrix, Histogram};
 use emd_faultkit::{FailPlan, FaultInjector};
 use emd_query::scan::brute_force_knn;
-use emd_query::{
-    Database, DurableIndex, Executor, Query, QueryOutcome, QueryPlan, QueryStats, ReducedImFilter,
-};
-use emd_reduction::{CombiningReduction, ReducedEmd};
+use emd_query::{Database, DurableIndex, Executor, Query, QueryOutcome, QueryPlan, QueryStats};
+use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -121,8 +119,9 @@ impl Drop for Corpus {
 /// three stages under the metric cost, two under the other.
 fn static_executor(corpus: &Corpus) -> Executor {
     let database = Database::new(corpus.objects.clone(), Arc::clone(&corpus.cost)).unwrap();
-    let red_im = ReducedImFilter::new(&database, corpus.reduced.clone()).unwrap();
-    let executor = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
+    let bundle =
+        PersistedReduction::precompute("", corpus.reduced.clone(), database.histograms()).unwrap();
+    let executor = Executor::new(QueryPlan::chain(&database, &bundle).unwrap());
     let metric = corpus.cost.is_metric();
     let stages = executor.plan().stage_names();
     assert_eq!(stages.len(), if metric { 3 } else { 2 });

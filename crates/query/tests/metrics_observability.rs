@@ -8,9 +8,8 @@
 use emd_core::{ground, Histogram};
 use emd_query::{
     ClusteredIndex, Database, EmdDistance, Executor, Filter, Query, QueryPlan, ReducedEmdFilter,
-    ReducedImFilter,
 };
-use emd_reduction::{CombiningReduction, ReducedEmd};
+use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -39,6 +38,13 @@ fn chained_executor(database: &Database) -> Executor {
     )];
     let refiner = Box::new(EmdDistance::new(database).unwrap());
     Executor::new(QueryPlan::new(stages, refiner).unwrap())
+}
+
+/// The shipped chain, [`QueryPlan::chain`] over [`reduced`]: the anchor
+/// floor, Red-IM and Red-EMD.
+fn shipped_chain(database: &Database) -> Executor {
+    let bundle = PersistedReduction::precompute("", reduced(database), database.histograms());
+    Executor::new(QueryPlan::chain(database, &bundle.unwrap()).unwrap())
 }
 
 /// The same reduction behind a clustered candidate source: its stream
@@ -98,8 +104,7 @@ proptest! {
         let database = Database::new(database, cost).unwrap();
         // One Red-EMD stage, and the shipped chain: the anchor floor,
         // Red-IM and Red-EMD.
-        let red_im = ReducedImFilter::new(&database, reduced(&database)).unwrap();
-        let chain = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
+        let chain = shipped_chain(&database);
         let red_emd = "red-emd(d'=3/3)";
         let plans = [
             (chained_executor(&database), vec![red_emd]),
@@ -208,8 +213,7 @@ fn cut_counters_mirror_the_stats() {
 #[test]
 fn one_cold_start_per_lp_context_per_query() {
     let database = fixed_database(24);
-    let red_im = ReducedImFilter::new(&database, reduced(&database)).unwrap();
-    let chain = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
+    let chain = shipped_chain(&database);
     for executor in [chain, clustered_executor(&database)] {
         let mut solved = 0;
         for (i, query) in fixed_workload(12).into_iter().enumerate() {

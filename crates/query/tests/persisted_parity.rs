@@ -10,9 +10,7 @@
 
 use emd_core::{distance_slack, ground, Histogram};
 use emd_query::scan::brute_force_knn;
-use emd_query::{
-    Database, EmdDistance, Executor, Filter, QueryPlan, ReducedEmdFilter, ReducedImFilter,
-};
+use emd_query::{Database, EmdDistance, Executor, Filter, QueryPlan, ReducedEmdFilter};
 use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -83,18 +81,16 @@ proptest! {
 
         // Persist and reopen: the index-backed database and bundle.
         let dir = scratch_dir();
-        database.save(&dir, "parity-corpus", &[bundle]).unwrap();
+        database.save(&dir, "parity-corpus", std::slice::from_ref(&bundle)).unwrap();
         let opened = Database::open(&dir).unwrap();
         prop_assert_eq!(opened.name.as_str(), "parity-corpus");
         prop_assert_eq!(opened.reductions.len(), 1);
         let reopened_bundle = opened.reductions.into_iter().next().unwrap();
 
         let (memory, disk) = if chain {
-            let memory = ReducedImFilter::new(&database, reduced).unwrap();
-            let disk = ReducedImFilter::from_persisted(&opened.database, reopened_bundle).unwrap();
             (
-                Executor::new(QueryPlan::chain(&database, memory).unwrap()),
-                Executor::new(QueryPlan::chain(&opened.database, disk).unwrap()),
+                Executor::new(QueryPlan::chain(&database, &bundle).unwrap()),
+                Executor::new(QueryPlan::chain(&opened.database, &reopened_bundle).unwrap()),
             )
         } else {
             let memory: Box<dyn Filter> =

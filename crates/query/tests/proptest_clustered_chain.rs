@@ -12,11 +12,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use emd_core::{ground, Histogram};
-use emd_query::{
-    ClusteredIndex, Database, EmdDistance, Executor, Neighbor, QueryPlan, QueryStats,
-    ReducedImFilter,
-};
-use emd_reduction::{CombiningReduction, ReducedEmd};
+use emd_query::{ClusteredIndex, Database, EmdDistance, Executor, Neighbor, QueryPlan, QueryStats};
+use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -73,8 +70,9 @@ proptest! {
         let cost = Arc::new(ground::linear(DIM).unwrap());
         let database = Database::new(objects, cost.clone()).unwrap();
         let reduced = ReducedEmd::new(&cost, r).unwrap();
-        let red_im = ReducedImFilter::new(&database, reduced.clone()).unwrap();
-        let chain = Executor::new(QueryPlan::chain(&database, red_im).unwrap());
+        let bundle =
+            PersistedReduction::precompute("", reduced.clone(), database.histograms()).unwrap();
+        let chain = Executor::new(QueryPlan::chain(&database, &bundle).unwrap());
         let index = ClusteredIndex::build(&database, reduced, factor).unwrap();
         let refiner = Box::new(EmdDistance::new(&database).unwrap());
         let plan = QueryPlan::sequential(refiner).unwrap().with_source(Box::new(index));

@@ -33,7 +33,7 @@ use emd_query::{
     ClusteredIndex, Database, DurableIndex, EmdDistance, Executor, Filter, Neighbor, QueryPlan,
     ReducedEmdFilter, ReducedImFilter,
 };
-use emd_reduction::{CombiningReduction, ReducedEmd};
+use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,8 +84,8 @@ fn executor(database: &Database, stages: Vec<Box<dyn Filter>>) -> Executor {
 
 /// The Figure 10 chain over its metric floor, as every plan assembles it.
 fn chain(database: &Database, reduced: &ReducedEmd) -> Executor {
-    let red_im = ReducedImFilter::new(database, reduced.clone()).unwrap();
-    Executor::new(QueryPlan::chain(database, red_im).unwrap())
+    let bundle = PersistedReduction::precompute("", reduced.clone(), database.histograms());
+    Executor::new(QueryPlan::chain(database, &bundle.unwrap()).unwrap())
 }
 
 /// Every returned distance is its pair's cold distance to within the

@@ -27,7 +27,7 @@ use emd_query::{
     AnchorFilter, Database, DurableIndex, EmdDistance, Executor, Filter, Query, QueryPlan,
     QueryStats, ReducedEmdFilter, ReducedImFilter,
 };
-use emd_reduction::{CombiningReduction, ReducedEmd};
+use emd_reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,8 +105,8 @@ fn executor(database: &Database, reduced: &ReducedEmd, warm: bool) -> Executor {
     }
     let refiner = Box::new(EmdDistance::new(database).unwrap().with_warm_start(warm));
     let executor = Executor::new(QueryPlan::new(stages, refiner).unwrap());
-    let red_im = ReducedImFilter::new(database, reduced.clone()).unwrap();
-    let chain = QueryPlan::chain(database, red_im).unwrap();
+    let bundle = PersistedReduction::precompute("", reduced.clone(), database.histograms());
+    let chain = QueryPlan::chain(database, &bundle.unwrap()).unwrap();
     assert_eq!(executor.plan().stage_names(), chain.stage_names());
     assert_eq!(
         chain.stage_names().len(),

@@ -6,11 +6,9 @@
 //! ```
 
 use flexemd::data::gaussian::{self, GaussianParams};
-use flexemd::query::{
-    Database, EmdDistance, Executor, QueryPlan, ReducedEmdFilter, ReducedImFilter,
-};
+use flexemd::query::{Database, EmdDistance, Executor, QueryPlan, ReducedEmdFilter};
 use flexemd::reduction::kmedoids::kmedoids_reduction;
-use flexemd::reduction::{CombiningReduction, ReducedEmd};
+use flexemd::reduction::{CombiningReduction, PersistedReduction, ReducedEmd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -34,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Configuration A: the full Figure 10 chain, over its anchor floor
     let reduced = ReducedEmd::new(&cost, r.clone())?;
-    let red_im = ReducedImFilter::new(&database, reduced)?;
-    let chain = Executor::new(QueryPlan::chain(&database, red_im)?);
+    let bundle = PersistedReduction::precompute("", reduced, database.histograms())?;
+    let chain = Executor::new(QueryPlan::chain(&database, &bundle)?);
     let (neighbors, stats) = chain.knn(query, 5)?;
     println!(
         "Figure 10 chain (anchor -> Red-IM -> Red-EMD -> EMD), N = {}:",

@@ -13,11 +13,11 @@
 //! ```
 
 use flexemd::data::color::{self, ColorParams};
-use flexemd::query::{Database, Executor, QueryPlan, ReducedImFilter};
+use flexemd::query::{Database, Executor, QueryPlan};
 use flexemd::reduction::fb::{fb_all, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
 use flexemd::reduction::kmedoids::kmedoids_reduction;
-use flexemd::reduction::ReducedEmd;
+use flexemd::reduction::{PersistedReduction, ReducedEmd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -70,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let reduced = ReducedEmd::new(&cost, optimized.reduction)?;
-    let red_im = ReducedImFilter::new(&database, reduced)?;
-    let pipeline = Executor::new(QueryPlan::chain(&database, red_im)?);
+    let bundle = PersistedReduction::precompute("", reduced, database.histograms())?;
+    let pipeline = Executor::new(QueryPlan::chain(&database, &bundle)?);
 
     println!("\nrunning {} 10-NN queries:", queries.len());
     let mut class_hits = 0usize;

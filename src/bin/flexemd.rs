@@ -39,7 +39,7 @@ use flexemd::faultkit::{FailPlan, InjectedPanic, NoFaults};
 use flexemd::query::durable::CHECKPOINT_FILE;
 use flexemd::query::{
     ClusteredIndex, Database, DurableIndex, EmdDistance, Executor, QueryError, QueryMode,
-    QueryOutcome, QueryPlan, ReducedImFilter,
+    QueryOutcome, QueryPlan,
 };
 use flexemd::reduction::fb::{fb_all, fb_mod, FbOptions};
 use flexemd::reduction::flow_sample::{draw_sample, FlowSample};
@@ -176,7 +176,9 @@ objects (default 24); kmed, fb-mod and fb-all fix their training with
 --seed (default 42); an option the method does not read is an error.
 --cluster persists greedy k-center clustering geometry over the reduced
 arena (about sqrt(n) clusters). These options apply only when ingest
-creates the directory; an existing one keeps what it holds.
+creates the directory; an existing one keeps its reduction, and its
+clustering only until the first append: from then on every object feeds
+the chain, and --compact writes no clustering.
 
 Queries: every query runs the anchor -> Red-IM -> Red-EMD -> EMD chain,
 and the index chooses what feeds it: a clustered index only the members
@@ -588,8 +590,7 @@ fn prepare_corpus(options: &Options, fault_plan: Option<&Arc<FailPlan>>) -> Resu
     let plan = match opened.clusterings.into_iter().next().flatten() {
         Some(stored) => ClusteredIndex::from_stored(&database, &bundle, &stored)
             .and_then(|index| refiner_only(&database)?.with_source(Box::new(index))),
-        None => ReducedImFilter::from_persisted(&database, bundle)
-            .and_then(|red_im| QueryPlan::chain(&database, red_im)),
+        None => QueryPlan::chain(&database, &bundle),
     }
     .map_err(|e| e.to_string())?;
     Ok(Corpus {
@@ -628,18 +629,13 @@ fn query(options: &Options, stdout: &mut dyn Write) -> Result<(), CliError> {
         plan,
     } = prepare_corpus(options, fault_plan.as_ref())?;
 
-    if query_index >= database.len() {
-        return Err(format!(
+    let query = database.get(query_index).ok_or_else(|| {
+        format!(
             "--query index {query_index} out of range (corpus has {})",
             database.len()
         )
-        .into());
-    }
+    })?;
     let executor = Executor::new(plan);
-
-    let query = database
-        .get(query_index)
-        .ok_or_else(|| format!("--query index {query_index} out of range"))?;
 
     // The fault plan rides the query's budget: `solve:J` fires inside the
     // solver, `panic:W` at the executor's worker probe.

@@ -809,6 +809,36 @@ fn ingest_extends_a_built_index_and_query_sees_every_object() {
     );
 }
 
+/// A clustering serves until the first append: after `ingest --cluster`
+/// the cluster traversal feeds the chain, after one `ingest` into the
+/// directory every object does, and `--compact` writes no clustering.
+#[test]
+fn a_clustering_serves_until_the_first_append() {
+    let dir = TestDir::new("clustering_until_append");
+    let (data, index) = (dir.join("corpus.json"), dir.join("index"));
+    let generate = flexemd()
+        .args(["generate", "--kind", "gaussian", "--out"])
+        .arg(&data)
+        .args(["--classes", "3", "--per-class", "20", "--seed", "7"])
+        .output()
+        .unwrap();
+    assert!(generate.status.success());
+    create_index(&data, &index, &["--reduction", "kmed:4", "--cluster"]);
+    let chain = ["anchor(a=4)", "red-im(d'=4/4)", "red-emd(d'=4/4)"];
+    let stdout = query_stdout(&index, &[]);
+    assert!(stdout.contains("clustered(d'=4, k=8, closed)"), "{stdout}");
+    assert!(chain.iter().all(|row| !stdout.contains(row)), "{stdout}");
+    for extra in [&[][..], &["--compact"]] {
+        ingest(&data, &index, extra);
+        let stdout = query_stdout(&index, &[]);
+        assert!(!stdout.contains("clustered("), "{extra:?}: {stdout}");
+        assert!(
+            chain.iter().all(|row| stdout.contains(row)),
+            "{extra:?}: {stdout}"
+        );
+    }
+}
+
 /// Read-only opens answer in the directory's ids, which are positions
 /// only while no object was removed: after `serve --writable` removes
 /// one, `query --index` is a typed error that points to `serve
